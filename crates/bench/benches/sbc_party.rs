@@ -1,149 +1,30 @@
 //! `sbc_party_scaling`: round throughput of ONE simultaneous-broadcast
-//! instance as the party count grows (8 → 64 → 256 → 1000), measured on
-//! the serial reference schedule and on the intra-instance party-sharded
-//! schedule (`PartyShard::Sharded` over the persistent executor).
+//! instance as the party count grows (8 → 64 → 256 → 1000) on the
+//! single-threaded round-level schedule (`RealSbcWorld::tick`: shared
+//! release, deferred recipient-major delivery).
 //!
 //! Each iteration runs one full broadcast epoch (`submit` × senders,
-//! `run_epoch`) on a **long-lived session**, so the persistent worker pool
-//! is built once per configuration and amortized across iterations —
-//! exactly the service shape the two-level executor targets. The headline
-//! metric is **rounds per second**; the sharded rows also record their
-//! speedup over the serial row at the same `n`.
-//!
-//! The hot spots the sharded schedule attacks are the two `O(n²)`-scan
-//! phases of a large-`n` round: the release round (every party `Dec`-scans
-//! every received wire) and the broadcast round (every wire's delivery
-//! runs the replay-protection scan at every recipient). On a single-core
-//! host the sharded rows mostly pay dispatch overhead — the recorded
-//! `threads` metric says which regime a report came from.
-//!
-//! **Determinism gate:** before measuring anything, the run drives a
-//! serial-schedule and a sharded-schedule world pair through identical
-//! adversarial traffic (corruption + wire injection) and asserts
-//! `CompareLevel::Exact` transcript equality, exiting non-zero on any
-//! divergence — the CI smoke step therefore fails on any ordering bug.
+//! `run_epoch`) on a **long-lived session**. The headline metric is
+//! **rounds per second**; every row records the `cores` the host had.
 //!
 //! The run writes a machine-readable `BENCH_party.json` (the CI smoke step
 //! archives it).
 
 use sbc_bench::harness;
 use sbc_core::api::SbcSession;
-use sbc_core::pool::{PartyShard, PooledSbcWorld, TickMode};
-use sbc_core::protocol::sbc_wire;
-use sbc_core::worlds::{RealSbcWorld, SbcParams};
-use sbc_primitives::drbg::Drbg;
-use sbc_uc::exec::{CompareLevel, PoolDualRun};
-use sbc_uc::ids::PartyId;
-use sbc_uc::value::{Command, Value};
-use sbc_uc::world::AdvCommand;
 
-/// Cap on submitting parties: full participation at n = 1000 would make a
-/// single release round cost `n³` scans (~10⁹) per iteration; a capped
-/// sender set keeps iterations measurable while the scan phases — release
-/// `Dec`-scans and delivery replay-scans, both `O(senders² · n)` — still
-/// dominate the round, which is the regime the party sharding targets.
+/// Cap on submitting parties: a capped sender set keeps the n = 1000
+/// iterations measurable while the per-round scans — delivery replay
+/// probes at every recipient, the release pipeline over every wire —
+/// still dominate the round.
 const SENDERS: usize = 128;
 
 fn senders(n: usize) -> usize {
     SENDERS.min(n / 2).max(1)
 }
 
-/// Serial-vs-sharded determinism gate at `CompareLevel::Exact`, under
-/// corruption and wire injection. Panics (→ non-zero exit) on divergence.
-fn determinism_gate(n: usize, threads: usize) {
-    fn world(n: usize, mode: TickMode, shard: PartyShard) -> PooledSbcWorld<RealSbcWorld> {
-        let mut w = PooledSbcWorld::new(SbcParams::default_for(n), b"party-bench-gate")
-            .expect("valid params");
-        w.set_tick_mode(mode);
-        w.set_party_shard(shard);
-        w
-    }
-    let mut dual = PoolDualRun::new(
-        world(n, TickMode::Serial, PartyShard::Serial),
-        world(n, TickMode::Threads(threads), PartyShard::Sharded),
-        CompareLevel::Exact,
-    );
-    let mut adv_rng = Drbg::from_seed(b"party-bench-gate/adv");
-    let id = dual.open_instance();
-    for p in 0..senders(n) {
-        dual.submit(id, PartyId(p as u32), format!("gate-{p}").as_bytes());
-    }
-    dual.step_round();
-    let corrupt = PartyId((n - 1) as u32);
-    let (cr, ci) = dual.corrupt(corrupt);
-    assert!(cr && ci, "corruption accepted in both schedules");
-    let tau = dual.release_round(id).expect("period open");
-    dual.adversary(
-        id,
-        AdvCommand::SendAs {
-            party: corrupt,
-            cmd: Command::new(
-                "Broadcast",
-                sbc_wire(
-                    &Value::bytes(adv_rng.gen_bytes(64)),
-                    tau,
-                    &adv_rng.gen_bytes(16),
-                ),
-            ),
-        },
-    );
-    dual.idle_rounds(8);
-    dual.check().unwrap_or_else(|d| {
-        panic!("sharded schedule diverged from the serial reference at n = {n}: {d}")
-    });
-}
-
-/// The core-aware speedup gates, applied to the `t = max(sweep)` sharded
-/// row at each gated size:
-///
-/// * `cores ≥ 4` (CI-grade runner): the sharded schedule must *win* —
-///   `speedup_vs_serial ≥ 1.5`.
-/// * `cores < 4`: a parallel schedule cannot beat serial on hardware that
-///   runs its shards sequentially, so the gate flips to an overhead bound —
-///   `speedup_vs_serial ≥ 0.9` (≤ 10% sharding tax). Gating ≥ 1.5× here
-///   would institutionalize a vacuous failure; `SBC_BENCH_REQUIRE_SPEEDUP`
-///   makes that refusal loud (hard error) instead of silent for runners
-///   that are *supposed* to be multi-core.
-const MULTI_CORE_GATE: f64 = 1.5;
-const SINGLE_CORE_OVERHEAD_GATE: f64 = 0.9;
-const GATE_MIN_N: usize = 256;
-
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let require_speedup = std::env::var("SBC_BENCH_REQUIRE_SPEEDUP").is_ok();
-    if require_speedup && cores < 4 {
-        eprintln!(
-            "SBC_BENCH_REQUIRE_SPEEDUP is set but only {cores} core(s) were detected: \
-             the speedup_vs_serial ≥ {MULTI_CORE_GATE}x gate is meaningless without \
-             cores ≥ 4, and this run refuses to pretend otherwise"
-        );
-        std::process::exit(1);
-    }
-
-    // Thread sweep: smoke mode pins {1, 2} (a bit-rot check must not
-    // depend on the runner's core count); a full run adds the detected
-    // core count so multi-core hardware reports — and gates — its real
-    // parallel speedup.
-    let mut sweep: Vec<usize> = vec![1, 2];
-    if !harness::smoke_mode() && cores > 2 {
-        sweep.push(cores);
-    }
-
-    let gate_sizes: &[usize] = if harness::smoke_mode() {
-        &[8, 64]
-    } else {
-        &[64, 256]
-    };
-    for &n in gate_sizes {
-        for &t in &sweep {
-            determinism_gate(n, t);
-        }
-    }
-    println!(
-        "determinism gate: sharded transcripts == serial (Exact) at n ∈ {gate_sizes:?}, \
-         threads ∈ {sweep:?}, under corruption + injection"
-    );
-
     let sizes: &[usize] = if harness::smoke_mode() {
         // Smoke mode is a bit-rot check, not a measurement: skip the
         // multi-second n = 1000 row.
@@ -154,94 +35,42 @@ fn main() {
 
     let g = harness::group("sbc_party_scaling");
     let mut records = Vec::new();
-    let mut gate_failures = Vec::new();
     for &n in sizes {
-        let mut serial_median = 0.0f64;
-        let configs = std::iter::once(None).chain(sweep.iter().copied().map(Some));
-        for threads in configs {
-            let (tick_mode, party_shard) = match threads {
-                Some(t) => (TickMode::Threads(t), PartyShard::Sharded),
-                None => (TickMode::Serial, PartyShard::Serial),
-            };
-            // One long-lived session per configuration: the persistent
-            // executor is built once and reused by every epoch.
-            let mut session = SbcSession::builder(n)
-                .seed(b"party-bench")
-                .tick_mode(tick_mode)
-                .party_shard(party_shard)
-                .build()
-                .expect("valid params");
-            let label = match threads {
-                Some(t) => format!("n={n}/sharded/t={t}"),
-                None => format!("n={n}/serial"),
-            };
-            let mut rounds = 0u64;
-            let stats = g.bench(&label, || {
-                let start = session.round();
-                for p in 0..senders(n) {
-                    session
-                        .submit(p as u32, format!("m-{p}").as_bytes())
-                        .expect("in period");
-                }
-                let r = session.run_epoch().expect("epoch releases");
-                rounds = session.round() - start;
-                r
-            });
-            let rounds_per_sec = rounds as f64 * 1e9 / stats.median_ns;
-            let mut metrics = vec![
+        let mut session = SbcSession::builder(n)
+            .seed(b"party-bench")
+            .build()
+            .expect("valid params");
+        let label = format!("n={n}");
+        let mut rounds = 0u64;
+        let stats = g.bench(&label, || {
+            let start = session.round();
+            for p in 0..senders(n) {
+                session
+                    .submit(p as u32, format!("m-{p}").as_bytes())
+                    .expect("in period");
+            }
+            let r = session.run_epoch().expect("epoch releases");
+            rounds = session.round() - start;
+            r
+        });
+        let rounds_per_sec = rounds as f64 * 1e9 / stats.median_ns;
+        println!(
+            "{:<44} {:>10.0} rounds/s",
+            format!("sbc_party_scaling/{label}"),
+            rounds_per_sec
+        );
+        records.push(harness::Record {
+            group: "sbc_party_scaling".into(),
+            label,
+            stats,
+            metrics: vec![
                 ("n".into(), n as f64),
                 ("senders".into(), senders(n) as f64),
                 ("rounds".into(), rounds as f64),
                 ("rounds_per_sec".into(), rounds_per_sec),
-                ("sharded".into(), f64::from(u8::from(threads.is_some()))),
-                ("threads".into(), threads.unwrap_or(1) as f64),
                 ("cores".into(), cores as f64),
-            ];
-            if let Some(t) = threads {
-                let speedup = serial_median / stats.median_ns;
-                metrics.push(("speedup_vs_serial".into(), speedup));
-                println!(
-                    "{:<44} {:>10.0} rounds/s   speedup vs serial: {:.2}x",
-                    format!("sbc_party_scaling/{label}"),
-                    rounds_per_sec,
-                    speedup
-                );
-                // Perf gates are a measurement, not a bit-rot check: full
-                // runs only, and only the widest sweep row at gated sizes.
-                if !harness::smoke_mode() && n >= GATE_MIN_N && t == *sweep.last().unwrap() {
-                    let (gate, kind) = if cores >= 4 {
-                        (MULTI_CORE_GATE, "multi-core speedup")
-                    } else {
-                        (SINGLE_CORE_OVERHEAD_GATE, "single-core overhead")
-                    };
-                    if speedup < gate {
-                        gate_failures.push(format!(
-                            "{label}: speedup {speedup:.2}x < {gate}x ({kind} gate, \
-                             {cores} core(s))"
-                        ));
-                    }
-                }
-            } else {
-                serial_median = stats.median_ns;
-                println!(
-                    "{:<44} {:>10.0} rounds/s",
-                    format!("sbc_party_scaling/{label}"),
-                    rounds_per_sec
-                );
-            }
-            records.push(harness::Record {
-                group: "sbc_party_scaling".into(),
-                label,
-                stats,
-                metrics,
-            });
-        }
-    }
-    if cores < 4 && !harness::smoke_mode() {
-        println!(
-            "speedup_vs_serial ≥ {MULTI_CORE_GATE}x gate inactive: requires cores ≥ 4, \
-             detected {cores} — gated sharded overhead ≤ 10% instead"
-        );
+            ],
+        });
     }
 
     // Default target is the bench cwd (the sbc-bench package root);
@@ -249,11 +78,4 @@ fn main() {
     let path = std::env::var("SBC_BENCH_JSON").unwrap_or_else(|_| "BENCH_party.json".to_string());
     harness::write_json_report(&path, &records).expect("write BENCH_party.json");
     println!("\nwrote {path} ({} records)", records.len());
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("perf gate FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -1,49 +1,33 @@
 //! `sbc_pool_scaling`: shared-clock throughput of the instance pool as the
-//! number of concurrent SBC instances grows (1 → 8 → 64), measured on the
-//! serial reference scheduler and a worker-count sweep of the parallel
-//! scheduler (`threads ∈ {1, 2}` in smoke mode, plus the detected core
-//! count on a full run), plus `sbc_pool_open`: the cost of opening an
-//! instance on a long-lived pool (`T ∈ {0, 1024}`).
+//! number of concurrent SBC instances grows (1 → 8 → 64), plus
+//! `sbc_pool_open`: the cost of opening an instance on a long-lived pool
+//! (`T ∈ {0, 1024}`).
 //!
 //! Each scaling iteration builds a pool, opens `k` instances, submits one
 //! message per instance, and batch-steps the shared clock until every
 //! instance has released. The headline metric is **instance-rounds per
 //! second** — how many (instance × round) units of protocol work the pool
-//! executes per wall-clock second. The serial rows are the reference loop;
-//! the parallel rows fan the per-tick instance work out across persistent
-//! executor workers and should scale toward linear with the core count on
-//! a multi-core host (on a single-core host they mostly pay thread
-//! overhead — every row records the `threads` it ran with and the `cores`
-//! the host actually had, so a report always says which regime it came
-//! from).
-//!
-//! **Determinism gate:** before measuring anything, the run asserts that
-//! the parallel scheduler's full release stream (order included) is
-//! identical to the serial one at 8 and 64 instances, and exits non-zero
-//! otherwise — the CI smoke step therefore fails on any ordering
-//! divergence.
+//! executes per wall-clock second. Every row records the `cores` the host
+//! had.
 //!
 //! The `sbc_pool_open` group pins the `open_instance` cost at pool round
 //! `T = 0` and `T = 1024`: with the O(1) clock-offset join the two must be
-//! in the same ballpark (the old idle-round replay made `T = 1024` several
+//! in the same ballpark (the idle-round replay makes `T = 1024` several
 //! orders of magnitude slower).
 //!
 //! The run also writes a machine-readable `BENCH_pool.json` next to the
 //! working directory (the CI smoke step archives it).
 
 use sbc_bench::harness;
-use sbc_core::api::SbcResult;
-use sbc_core::pool::{InstanceId, PooledSbcWorld, SbcPool, TickMode};
+use sbc_core::pool::{PooledSbcWorld, SbcPool};
 use sbc_core::worlds::{RealSbcWorld, SbcParams};
 
 const PARTIES: usize = 4;
 
-/// Runs one full pool cycle; returns the shared clock ticks used and the
-/// complete release stream (instance + result, in release order).
-fn run_pool(instances: usize, mode: TickMode) -> (u64, Vec<(InstanceId, SbcResult)>) {
+/// Runs one full pool cycle; returns the shared clock ticks used.
+fn run_pool(instances: usize) -> u64 {
     let mut pool = SbcPool::builder(PARTIES)
         .seed(b"pool-bench")
-        .tick_mode(mode)
         .build()
         .expect("valid params");
     let ids: Vec<_> = (0..instances)
@@ -53,106 +37,44 @@ fn run_pool(instances: usize, mode: TickMode) -> (u64, Vec<(InstanceId, SbcResul
         pool.submit(*id, (k % PARTIES) as u32, format!("lot-{k}").as_bytes())
             .expect("in period");
     }
-    let mut releases = Vec::new();
+    let mut released = 0usize;
     let mut rounds = 0u64;
-    while releases.len() < instances {
-        releases.extend(pool.step_round().expect("no invariant breaks"));
+    while released < instances {
+        released += pool.step_round().expect("no invariant breaks").len();
         rounds += 1;
         assert!(rounds < 64, "pool failed to release");
     }
-    (rounds, releases)
+    rounds
 }
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // Thread sweep for the parallel scheduler: smoke mode pins {1, 2} (a
-    // bit-rot check must not depend on the runner's core count); a full
-    // run adds the detected core count so multi-core hardware reports its
-    // real parallel scaling.
-    let mut sweep: Vec<usize> = vec![1, 2];
-    if !harness::smoke_mode() && cores > 2 {
-        sweep.push(cores);
-    }
-
-    // Determinism gate: every parallel scheduler configuration must
-    // reproduce the serial release stream bit for bit (results AND
-    // order). A divergence panics, which fails the CI smoke step.
-    for instances in [8usize, 64] {
-        let (_, serial) = run_pool(instances, TickMode::Serial);
-        let (_, parallel) = run_pool(instances, TickMode::Parallel);
-        assert_eq!(
-            serial, parallel,
-            "parallel tick_all diverged from the serial reference at {instances} instances"
-        );
-        for &t in &sweep {
-            let (_, threaded) = run_pool(instances, TickMode::Threads(t));
-            assert_eq!(
-                serial, threaded,
-                "Threads({t}) tick_all diverged from the serial reference at \
-                 {instances} instances"
-            );
-        }
-    }
-    println!(
-        "determinism gate: parallel release stream == serial \
-         (8 and 64 instances, threads ∈ {sweep:?})"
-    );
-
     let g = harness::group("sbc_pool_scaling");
     let mut records = Vec::new();
     for instances in [1usize, 8, 64] {
-        let mut serial_median = 0.0f64;
-        let configs = std::iter::once(None).chain(sweep.iter().copied().map(Some));
-        for threads in configs {
-            let (mode, label) = match threads {
-                Some(t) => (
-                    TickMode::Threads(t),
-                    format!("instances={instances}/parallel/t={t}"),
-                ),
-                None => (TickMode::Serial, format!("instances={instances}/serial")),
-            };
-            let (rounds, _) = run_pool(instances, mode);
-            let stats = g.bench(&label, || run_pool(instances, mode));
-            let instance_rounds_per_sec =
-                (instances as f64 * rounds as f64) * 1e9 / stats.median_ns;
-            let rounds_per_sec = rounds as f64 * 1e9 / stats.median_ns;
-            let mut metrics = vec![
+        let label = format!("instances={instances}");
+        let rounds = run_pool(instances);
+        let stats = g.bench(&label, || run_pool(instances));
+        let instance_rounds_per_sec = (instances as f64 * rounds as f64) * 1e9 / stats.median_ns;
+        let rounds_per_sec = rounds as f64 * 1e9 / stats.median_ns;
+        println!(
+            "{:<48} {:>14.0} instance-rounds/s",
+            format!("sbc_pool_scaling/{label}"),
+            instance_rounds_per_sec
+        );
+        records.push(harness::Record {
+            group: "sbc_pool_scaling".into(),
+            label,
+            stats,
+            metrics: vec![
                 ("instances".into(), instances as f64),
                 ("rounds".into(), rounds as f64),
                 ("rounds_per_sec".into(), rounds_per_sec),
                 ("instance_rounds_per_sec".into(), instance_rounds_per_sec),
-                ("parallel".into(), f64::from(u8::from(threads.is_some()))),
-                ("threads".into(), threads.unwrap_or(1) as f64),
                 ("cores".into(), cores as f64),
-            ];
-            match threads {
-                Some(_) => {
-                    let speedup = serial_median / stats.median_ns;
-                    metrics.push(("speedup_vs_serial".into(), speedup));
-                    println!(
-                        "{:<48} {:>14.0} instance-rounds/s   speedup vs serial: {:.2}x",
-                        format!("sbc_pool_scaling/{label}"),
-                        instance_rounds_per_sec,
-                        speedup
-                    );
-                }
-                None => {
-                    serial_median = stats.median_ns;
-                    println!(
-                        "{:<48} {:>14.0} instance-rounds/s",
-                        format!("sbc_pool_scaling/{label}"),
-                        instance_rounds_per_sec
-                    );
-                }
-            }
-            records.push(harness::Record {
-                group: "sbc_pool_scaling".into(),
-                label,
-                stats,
-                metrics,
-            });
-        }
+            ],
+        });
     }
 
     // Open-instance cost on a long-lived pool: with the O(1) offset join

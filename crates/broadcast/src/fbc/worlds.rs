@@ -261,81 +261,6 @@ impl SbcWorld for RealFbcWorld {
     fn period_end(&self) -> Option<u64> {
         None
     }
-
-    /// Party-sharded round for the fair-broadcast stack, in the
-    /// **warm-cache** variant of the compute/merge split: `Π_FBC`'s round
-    /// cost is dominated by sequential hash-chain evaluation (every
-    /// wrapper batch is `F*_RO` queries — one HMAC per chain link per
-    /// in-flight ciphertext), and both oracles are input-addressed, so the
-    /// values are order-independent.
-    ///
-    /// * **Parallel compute phase:** each honest party's round step runs
-    ///   on *clones* of its state and of the shared wrapper/oracles (an
-    ///   immutable round snapshot — parties interact only through
-    ///   deliveries, which take effect next round), with the cloned
-    ///   oracles journaling every freshly computed point.
-    /// * **Serial merge phase:** the journaled points
-    ///   [`warm`](RandomOracle::warm) the live oracles — a pure cache
-    ///   operation, unobservable in a world where nobody programs the
-    ///   oracle — and then the **unchanged serial reference loop** runs,
-    ///   hitting the warm memo tables instead of recomputing HMAC chains.
-    ///
-    /// Because the merge is literally [`tick`](SbcWorld::tick), transcript
-    /// equality with the serial schedule holds unconditionally: a
-    /// mispredicted plan can only warm extra (still PRF-consistent) cache
-    /// entries, never change an observable.
-    fn tick_sharded(&mut self, shards: &dyn sbc_uc::exec::ShardRunner) {
-        if self.core.n() <= 1 || self.core.clock.mid_round() {
-            return self.tick();
-        }
-        let now = self.core.clock.read();
-        type PointPair = (Vec<sbc_uc::ro::RoPoint>, Vec<sbc_uc::ro::RoPoint>);
-        let points: Vec<PointPair> = {
-            let parties = &self.parties;
-            let wrapper = &self.wrapper;
-            let ro_star = &self.ro_star;
-            let ro = &self.ro;
-            let corr = &self.core.corr;
-            let jobs: Vec<_> = sbc_uc::exec::shard_ranges(parties.len(), shards.width())
-                .into_iter()
-                .map(|range| {
-                    move || {
-                        // One snapshot clone per shard job, not per party:
-                        // the memo tables grow with the whole execution
-                        // history, so per-party deep clones would cost more
-                        // than the hashing they save. Sharing the clones
-                        // across the range's parties only changes which
-                        // points get journaled (later parties cache-hit
-                        // what earlier ones computed — already journaled),
-                        // never their values; a cross-party interaction the
-                        // shared clone mispredicts can at worst warm extra
-                        // PRF-consistent entries, which the merge phase's
-                        // warm-only semantics make unobservable.
-                        let mut w = wrapper.clone();
-                        let mut rs = ro_star.clone();
-                        let mut r = ro.clone();
-                        rs.record_fresh_points();
-                        r.record_fresh_points();
-                        for i in range {
-                            if corr.is_corrupted(PartyId(i as u32)) {
-                                continue;
-                            }
-                            let _ = parties[i]
-                                .clone()
-                                .advance_step(now, &mut w, &mut rs, &mut r);
-                        }
-                        (rs.take_recorded(), r.take_recorded())
-                    }
-                })
-                .collect();
-            sbc_uc::exec::run_shards(shards, jobs)
-        };
-        for (star, plain) in points {
-            self.ro_star.warm(&star);
-            self.ro.warm(&plain);
-        }
-        self.tick();
-    }
 }
 
 fn parse_substitute(target: &str, value: &Value) -> Option<(PartyId, usize, Value)> {
@@ -1023,73 +948,6 @@ mod tests {
         for (_, _, cmd) in t.outputs() {
             assert_eq!(cmd.value, Value::bytes(b"locked-in"));
         }
-    }
-
-    #[test]
-    fn sharded_round_is_bit_identical_to_serial_round() {
-        use sbc_uc::exec::{ScopedShards, SerialShards, ShardRunner};
-        // Drive two identical real worlds round for round — one on the
-        // serial reference tick, one on the sharded (warm-cache) round —
-        // through honest traffic, a corruption, a substitution, and an
-        // injection. Outputs, leaks, and oracle query counts must match
-        // bit for bit at every round.
-        fn drive(world: &mut RealFbcWorld, sharded: Option<&dyn ShardRunner>) -> Vec<String> {
-            let mut log = Vec::new();
-            let round = |w: &mut RealFbcWorld| match sharded {
-                Some(runner) => w.tick_sharded(runner),
-                None => w.tick(),
-            };
-            world.input(
-                PartyId(0),
-                Command::new("Broadcast", Value::bytes(b"fair-a")),
-            );
-            world.input(
-                PartyId(1),
-                Command::new("Broadcast", Value::bytes(b"fair-b")),
-            );
-            round(world);
-            world.adversary(AdvCommand::Corrupt(PartyId(2)));
-            world.input(
-                PartyId(2),
-                Command::new("Broadcast", Value::bytes(b"corrupted-pending")),
-            );
-            world.adversary(AdvCommand::Control {
-                target: "P2".into(),
-                cmd: Command::new(
-                    "Substitute",
-                    Value::pair(Value::U64(0), Value::bytes(b"substituted")),
-                ),
-            });
-            world.adversary(AdvCommand::SendAs {
-                party: PartyId(2),
-                cmd: Command::new("Broadcast", Value::bytes(b"injected-garbage")),
-            });
-            for _ in 0..5 {
-                round(world);
-                for (p, cmd) in world.drain_outputs() {
-                    log.push(format!("out {} {:?}", p.0, cmd));
-                }
-                for leak in world.drain_leaks() {
-                    log.push(format!("leak {} {:?}", leak.source, leak.cmd));
-                }
-                log.push(format!("t={}", world.time()));
-            }
-            log
-        }
-        let mut serial = RealFbcWorld::new(3, Q, b"l2-sharded");
-        let mut scoped = RealFbcWorld::new(3, Q, b"l2-sharded");
-        let mut inline = RealFbcWorld::new(3, Q, b"l2-sharded");
-        let log_serial = drive(&mut serial, None);
-        let log_scoped = drive(&mut scoped, Some(&ScopedShards(3)));
-        let log_inline = drive(&mut inline, Some(&SerialShards));
-        assert_eq!(log_serial, log_scoped, "sharded round diverged");
-        assert_eq!(log_serial, log_inline, "serial-runner shard diverged");
-        assert!(
-            log_serial.iter().any(|l| l.contains("out")),
-            "the scenario actually delivered messages"
-        );
-        assert_eq!(serial.ro.query_count(), scoped.ro.query_count());
-        assert_eq!(serial.ro_star.query_count(), scoped.ro_star.query_count());
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl SbcWorld for RealUbcWorld {
     /// broadcast has no period notion of its own, so
     /// [`release_round`](SbcWorld::release_round) /
     /// [`period_end`](SbcWorld::period_end) stay `None`.
-    ///
-    /// `tick_sharded` keeps the trait's serial default on purpose: a
-    /// `Π_UBC` round is pure `F_RBC` delivery bookkeeping — no hashing, no
-    /// proof generation — so there is no compute phase worth fanning out,
-    /// and the fbc/sbc stacks (which *do* shard) already cover the net
-    /// layer's parallel delivery path.
     fn begin_new_period(&mut self) {
         self.proto.clear_pending();
     }

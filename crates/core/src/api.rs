@@ -84,7 +84,7 @@
 //! # }
 //! ```
 
-use crate::pool::{InstanceId, PartyShard, SbcPool, SbcPoolBuilder, TickMode};
+use crate::pool::{InstanceId, SbcPool, SbcPoolBuilder};
 use crate::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::value::{Command, Value};
@@ -186,24 +186,6 @@ impl SbcSessionBuilder {
         self
     }
 
-    /// Sets how rounds are scheduled (see [`TickMode`]) — for a
-    /// single-instance session this governs the persistent executor's
-    /// worker count ([`TickMode::Threads`] pins it explicitly). A
-    /// performance knob only: every mode is observation-equivalent.
-    pub fn tick_mode(mut self, mode: TickMode) -> Self {
-        self.pool = self.pool.tick_mode(mode);
-        self
-    }
-
-    /// Sets whether rounds shard the per-party work of this session's
-    /// instance across the executor's workers (see [`PartyShard`]) — the
-    /// throughput knob for large-`n` single-instance sessions. A
-    /// performance knob only: every mode is observation-equivalent.
-    pub fn party_shard(mut self, shard: PartyShard) -> Self {
-        self.pool = self.pool.party_shard(shard);
-        self
-    }
-
     /// Convenience: corrupt `parties` at session start. Delegates to
     /// [`AdversaryConfig::corrupt`] through the pool builder — the
     /// session builder keeps no parallel adversary state of its own.
@@ -253,7 +235,7 @@ impl SbcSessionBuilder {
     }
 
     /// Builds the session over any [`SbcBackend`] — the extension point for
-    /// future execution backends (sharded, async, networked).
+    /// future execution backends (async, networked).
     ///
     /// # Errors
     ///

@@ -287,46 +287,6 @@ impl SbcFunc {
         }
         Vec::new()
     }
-
-    /// Whether `now` is a *pure delivery* round: the once-per-round
-    /// finalization/leak schedule has already run to completion for this
-    /// epoch (`finalized_done` and the simulator list leak both behind us)
-    /// and `now` is exactly `t_end + ∆`, so the only effect of an honest
-    /// `Advance_Clock` is handing that party a clone of the finalized
-    /// message vector. `IdealSbcWorld::tick_sharded` uses this to decide
-    /// when the round can be planned read-only in parallel.
-    pub fn is_pure_delivery_round(&self, now: u64) -> bool {
-        match self.t_end {
-            Some(end) => {
-                now == end + self.delta && now > end && self.finalized_done && self.sim_list_sent
-            }
-            None => false,
-        }
-    }
-
-    /// The finalized broadcast vector in delivery order — the template every
-    /// honest party receives on a pure delivery round.
-    pub fn finalized_messages(&self) -> Vec<Value> {
-        self.records
-            .iter()
-            .filter(|r| r.finalized)
-            .map(|r| r.msg.clone())
-            .collect()
-    }
-
-    /// Serial-merge bookkeeping for a pure delivery round: records that
-    /// `party` advanced at `now` (and marks the round seen). Returns `false`
-    /// if the party already advanced this round, in which case the caller
-    /// must deliver nothing — mirroring [`SbcFunc::advance_clock`]'s
-    /// duplicate-advance guard.
-    pub fn note_advance(&mut self, party: PartyId, now: u64) -> bool {
-        if self.last_advance.get(&party) == Some(&now) {
-            return false;
-        }
-        self.last_advance.insert(party, now);
-        self.round_seen = Some(now);
-        true
-    }
 }
 
 #[cfg(test)]

@@ -26,10 +26,10 @@
 //!   concurrent SBC instances over one shared world stack (one clock, one
 //!   global corruption state, domain-separated per-instance randomness);
 //!   `SbcSession` is its single-instance special case.
-//! * [`executor`] — the persistent worker-pool [`executor::Executor`]
-//!   behind the pool's two-level round scheduler: work fans out across
-//!   instances *and* across parties within one instance, with transcripts
-//!   bit-identical to the serial loop.
+//!
+//! Everything here runs on the calling thread: a world round is one
+//! serial round-level `tick`, a pool tick is an id-ordered loop over live
+//! instances, and the crate spawns no threads.
 //!
 //! # Examples
 //!
@@ -46,16 +46,12 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the persistent worker-pool executor needs
-// one audited `unsafe` (the scoped-task lifetime erasure documented in
-// `executor`); everything else in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod baseline;
 pub mod error;
-pub mod executor;
 pub mod func;
 pub mod pool;
 pub mod protocol;

@@ -46,34 +46,14 @@
 //! across instances, and opening instances on a long-lived pool costs the
 //! same at round 0 and round 10⁶.
 //!
-//! # Parallel stepping, serial semantics
+//! # One tick, one thread
 //!
 //! One shared clock tick ([`SbcPool::step_round`] /
-//! [`PooledSbcWorld::tick_all`]) runs a **two-level schedule** on the
-//! pool's persistent worker-pool executor
-//! ([`sbc_core::executor`](crate::executor), std-only — no external
-//! dependencies, and no per-tick thread spawning):
-//!
-//! 1. **Across instances** — between corruption events instances are fully
-//!    independent (separate backend worlds, domain-separated randomness,
-//!    no shared mutable state), so the per-instance round fans out across
-//!    workers.
-//! 2. **Across parties within one instance** — a large-`n` instance's
-//!    round further splits into a parallel compute phase (pure per-party
-//!    work against an immutable round snapshot) and a serial merge phase
-//!    (all clock/oracle/net mutation, in party-id order) via
-//!    `SbcWorld::tick_sharded`.
-//!
-//! Both levels are **observation-invariant**: per-instance drains are
-//! merged back in instance-id order and per-party mutations stay serial in
-//! party-id order, so transcripts, outputs, and leak order are
-//! bit-identical to the serial reference loop no matter how many workers
-//! ran. [`TickMode`] picks the instance-level schedule (`Auto` by default:
-//! serial when a tick's total work — live instances × parties — is below
-//! [`TickMode::PAR_WORK_THRESHOLD`] or on a single-core host;
-//! [`TickMode::Threads`] pins the worker count) and [`PartyShard`] the
-//! intra-instance one; both are performance knobs only, never semantic
-//! ones.
+//! [`PooledSbcWorld::tick_all`]) steps every live instance once, in
+//! instance-id order, on the calling thread: `world.tick()`, then a drain
+//! of that world's leaks and outputs into the pool's instance-keyed
+//! buffers. Nothing in this crate spawns a thread, and the id-ordered
+//! drain is what fixes the pool's leak and output order.
 //!
 //! # Example: two concurrent instances
 //!
@@ -96,116 +76,16 @@
 
 use crate::api::{AdversaryConfig, EpochResult, SbcResult};
 use crate::error::SbcError;
-use crate::executor::Executor;
 use crate::protocol::sbc_wire;
 use crate::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::exec::{run_shards, shard_ranges, PoolWorld, SbcWorld};
+use sbc_uc::exec::{PoolWorld, SbcWorld};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use sbc_uc::exec::InstanceId;
-
-/// One instance's per-tick drain: the leaks and outputs its backend world
-/// produced during the round, in world order.
-type InstanceDrain = (Vec<Leak>, Vec<(PartyId, Command)>);
-
-/// How [`PooledSbcWorld::tick_all`] schedules the per-instance round work
-/// of one shared clock tick.
-///
-/// The choice is **purely a performance knob**: instances are independent
-/// between corruption events and the parallel path merges per-instance
-/// drains back in instance-id order, so every mode produces bit-identical
-/// transcripts, outputs, and leak order. The `sbc_pool_scaling` and
-/// `sbc_party_scaling` benches assert exactly that before measuring.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TickMode {
-    /// Pick automatically: parallel when a tick's **total work** — live
-    /// instances × parties — reaches
-    /// [`PAR_WORK_THRESHOLD`](TickMode::PAR_WORK_THRESHOLD); serial
-    /// otherwise. The old heuristic counted instances alone, so a
-    /// 2-instance × 512-party pool fell back to serial despite a 1024-unit
-    /// tick.
-    #[default]
-    Auto,
-    /// Always the serial reference loop (useful for profiling and as the
-    /// determinism baseline).
-    Serial,
-    /// Fan out whenever more than one instance is live (or party sharding
-    /// is on), with at least two workers even on a single-core host (so
-    /// the parallel path stays exercised everywhere).
-    Parallel,
-    /// Explicit worker-count override: exactly this many persistent
-    /// executor threads, regardless of core count or workload (0 and 1
-    /// both mean serial).
-    Threads(usize),
-}
-
-impl TickMode {
-    /// Minimum per-tick work (live instances × parties) before
-    /// [`TickMode::Auto`] fans out: below this, even a persistent-pool
-    /// dispatch costs more than the tick itself. 24 is the break-even of
-    /// the old 8-instance threshold at the default 3-party experiments.
-    pub const PAR_WORK_THRESHOLD: usize = 24;
-
-    /// Number of executor workers for a tick over `live` instances of `n`
-    /// parties each, given `cores` (queried once at pool construction —
-    /// `tick_all` is the hot path and must not pay a per-tick syscall for
-    /// a constant).
-    fn workers(self, live: usize, n: usize, cores: usize) -> usize {
-        match self {
-            TickMode::Serial => 1,
-            TickMode::Parallel => cores.max(2),
-            TickMode::Threads(t) => t.max(1),
-            TickMode::Auto if live * n >= Self::PAR_WORK_THRESHOLD => cores,
-            TickMode::Auto => 1,
-        }
-    }
-}
-
-/// Whether one shared clock tick also shards **within** each instance —
-/// splitting the per-round party loop into a parallel compute phase and a
-/// serial merge phase (see `RealSbcWorld::tick_sharded`).
-///
-/// Like [`TickMode`], a performance knob only: the sharded schedule is
-/// bit-identical to the serial loop (pinned at `CompareLevel::Exact` by
-/// `tests/pool.rs` and the `sbc_party_scaling` determinism gate). Both
-/// shipped backends shard: `RealSbcWorld` splits its release round
-/// plan/apply-style, and `IdealSbcWorld` shards its delivery round (see
-/// `IdealSbcWorld::tick_sharded`). Backends without a sharded round (plain
-/// bookkeeping stacks) run their serial step under every mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PartyShard {
-    /// Shard when the instance is large enough
-    /// ([`PARTY_SHARD_MIN`](PartyShard::PARTY_SHARD_MIN) parties) and more
-    /// than one worker is available.
-    #[default]
-    Auto,
-    /// Never shard within an instance.
-    Serial,
-    /// Always shard (with at least two workers, even on a single-core
-    /// host) — how the determinism tests force the sharded schedule.
-    Sharded,
-}
-
-impl PartyShard {
-    /// Minimum party count before [`PartyShard::Auto`] shards an
-    /// instance's round: the sharded wins are the `O(n²)`-scan phases,
-    /// which need a sizable `n` to amortize the per-round dispatch.
-    pub const PARTY_SHARD_MIN: usize = 64;
-
-    /// Whether a tick over instances of `n` parties shards internally,
-    /// given the instance-level `workers` choice.
-    fn enabled(self, n: usize, workers: usize) -> bool {
-        match self {
-            PartyShard::Serial => false,
-            PartyShard::Sharded => n >= 2,
-            PartyShard::Auto => workers > 1 && n >= Self::PARTY_SHARD_MIN,
-        }
-    }
-}
 
 /// The world layer of the pool: many concurrent instances of one
 /// [`SbcBackend`] behind the instance-addressed
@@ -231,13 +111,6 @@ pub struct PooledSbcWorld<W: SbcWorld> {
     outputs: Vec<(InstanceId, PartyId, Command)>,
     leaks: Vec<(InstanceId, Leak)>,
     aborted: bool,
-    tick_mode: TickMode,
-    party_shard: PartyShard,
-    /// The persistent worker pool, built lazily on the first parallel tick
-    /// and kept for the life of the pool (amortizing thread setup across
-    /// ticks — the whole point over the old per-tick `thread::scope`).
-    executor: Option<Executor>,
-    cores: usize,
 }
 
 impl<W: SbcBackend> PooledSbcWorld<W> {
@@ -260,10 +133,6 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
             outputs: Vec::new(),
             leaks: Vec::new(),
             aborted: false,
-            tick_mode: TickMode::Auto,
-            party_shard: PartyShard::Auto,
-            executor: None,
-            cores: std::thread::available_parallelism().map_or(1, usize::from),
         })
     }
 
@@ -434,118 +303,17 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
         Some(views)
     }
 
-    /// The current [`TickMode`].
-    pub fn tick_mode(&self) -> TickMode {
-        self.tick_mode
-    }
-
-    /// Sets how [`tick_all`](Self::tick_all) schedules instance stepping.
-    /// Purely a performance knob: every mode is observation-equivalent.
-    pub fn set_tick_mode(&mut self, mode: TickMode) {
-        self.tick_mode = mode;
-    }
-
-    /// The current [`PartyShard`] policy.
-    pub fn party_shard(&self) -> PartyShard {
-        self.party_shard
-    }
-
-    /// Sets whether ticks also shard **within** each instance (see
-    /// [`PartyShard`]). Purely a performance knob: every mode is
-    /// observation-equivalent.
-    pub fn set_party_shard(&mut self, shard: PartyShard) {
-        self.party_shard = shard;
-    }
-
-    /// Ensures the persistent executor exists with at least `threads`
-    /// workers. Growing replaces the pool (the old workers drain and join
-    /// on drop); shrinking never happens — spare workers just idle.
-    fn ensure_executor(&mut self, threads: usize) {
-        let too_small = match &self.executor {
-            Some(e) => e.threads() < threads,
-            None => true,
-        };
-        if too_small {
-            self.executor = Some(Executor::new(threads));
-        }
-    }
-
-    /// One shared clock tick: every live instance runs one full round (all
-    /// parties advance; backend worlds ignore corrupted ones).
-    ///
-    /// This is the entry point of the **two-level scheduler**. Instances
-    /// are independent between corruption events, so the per-instance
-    /// round work fans out across the pool's persistent
-    /// [`Executor`] workers when the [`TickMode`] allows it (level 1), and
-    /// each instance's own round may further shard its per-party compute
-    /// through `SbcWorld::tick_sharded` on the *same* executor when the
-    /// [`PartyShard`] policy allows it (level 2) — work items are
-    /// effectively `(instance, party-shard)` pairs. Each worker drains its
-    /// instances' leaks and outputs locally; the drains are merged back in
-    /// instance-id order, making the result — transcripts, outputs, leak
-    /// order — bit-identical to the serial reference loop.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from a backend world (the same panic the serial
-    /// loop would have surfaced inline).
+    /// One shared clock tick: every live instance runs one full round
+    /// (the backend's own round-level [`SbcWorld::tick`]; backend worlds
+    /// ignore corrupted parties), in instance-id order, each drained into
+    /// the pool's instance-keyed buffers before the next one steps.
     pub fn tick_all(&mut self) {
-        let live = self.live.len();
-        let n = self.params.n;
-        let workers = self.tick_mode.workers(live, n, self.cores);
-        let shard = self.party_shard.enabled(n, workers);
-        if !shard && (workers <= 1 || live <= 1) {
-            // Serial reference path: the backend's own round-level `tick`
-            // (which may restructure the round internally — the contract
-            // is bit-identical transcripts either way).
-            let ids: Vec<u64> = self.live.keys().copied().collect();
-            for id in ids {
-                {
-                    let world = self.live.get_mut(&id).expect("id drawn from live set");
-                    world.tick();
-                }
-                self.sync(id);
+        let ids: Vec<u64> = self.live.keys().copied().collect();
+        for id in ids {
+            if let Some(world) = self.live.get_mut(&id) {
+                world.tick();
             }
-        } else if live > 0 {
-            // Forced sharding still needs real workers to shard across,
-            // even when the instance-level choice came out serial.
-            let threads = if shard { workers.max(2) } else { workers };
-            self.ensure_executor(threads);
-            let exec = self.executor.as_ref().expect("just ensured");
-            // BTreeMap iteration is id-ordered; contiguous chunks and
-            // in-order result collection keep the drain vector id-ordered.
-            let mut worlds: Vec<&mut W> = self.live.values_mut().collect();
-            let instance_shards = if workers > 1 { workers.min(live) } else { 1 };
-            let ranges = shard_ranges(live, instance_shards);
-            let mut rest = worlds.as_mut_slice();
-            let mut jobs = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                jobs.push(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|world| {
-                            if shard {
-                                world.tick_sharded(exec);
-                            } else {
-                                world.tick();
-                            }
-                            (world.drain_leaks(), world.drain_outputs())
-                        })
-                        .collect::<Vec<InstanceDrain>>()
-                });
-            }
-            let drains: Vec<InstanceDrain> = run_shards(exec, jobs).into_iter().flatten().collect();
-            // Deterministic merge: exactly the per-instance leak-then-output
-            // interleaving the serial loop's `sync` produces, in id order.
-            let ids: Vec<u64> = self.live.keys().copied().collect();
-            for (id, (leaks, outs)) in ids.into_iter().zip(drains) {
-                self.leaks
-                    .extend(leaks.into_iter().map(|leak| (InstanceId(id), leak)));
-                self.outputs
-                    .extend(outs.into_iter().map(|(p, cmd)| (InstanceId(id), p, cmd)));
-            }
+            self.sync(id);
         }
         self.round += 1;
     }
@@ -670,8 +438,6 @@ pub struct SbcPoolBuilder {
     params: SbcParams,
     seed: Vec<u8>,
     adversary: AdversaryConfig,
-    tick_mode: TickMode,
-    party_shard: PartyShard,
 }
 
 impl SbcPoolBuilder {
@@ -709,25 +475,6 @@ impl SbcPoolBuilder {
     /// Installs an adversary configuration.
     pub fn adversary(mut self, cfg: AdversaryConfig) -> Self {
         self.adversary = cfg;
-        self
-    }
-
-    /// Sets how shared clock ticks schedule instance stepping (see
-    /// [`TickMode`]; `Auto` by default). A performance knob only — every
-    /// mode produces bit-identical transcripts, outputs, and leak order.
-    /// Use [`TickMode::Threads`] to pin the persistent executor's worker
-    /// count explicitly.
-    pub fn tick_mode(mut self, mode: TickMode) -> Self {
-        self.tick_mode = mode;
-        self
-    }
-
-    /// Sets whether clock ticks also shard the per-party round work
-    /// **within** each instance (see [`PartyShard`]; `Auto` by default).
-    /// A performance knob only — every mode produces bit-identical
-    /// transcripts, outputs, and leak order.
-    pub fn party_shard(mut self, shard: PartyShard) -> Self {
-        self.party_shard = shard;
         self
     }
 
@@ -793,8 +540,6 @@ impl SbcPoolBuilder {
             self.adversary.capture_leaks,
             self.adversary.leak_cap,
         )?;
-        pool.set_tick_mode(self.tick_mode);
-        pool.set_party_shard(self.party_shard);
         for &p in &self.adversary.corrupt_at_start {
             // Range-checked above; double entries surface as CorruptedParty.
             pool.corrupt(p)?;
@@ -872,8 +617,6 @@ impl SbcPool {
             params: SbcParams::default_for(n),
             seed: b"sbc-session".to_vec(),
             adversary: AdversaryConfig::default(),
-            tick_mode: TickMode::default(),
-            party_shard: PartyShard::default(),
         }
     }
 }
@@ -969,30 +712,6 @@ impl<W: SbcWorld> SbcPool<W> {
     /// [`finish`](SbcPool::finish)).
     pub fn would_abort(&self) -> bool {
         self.world.any_abort()
-    }
-
-    /// The current [`TickMode`] of the underlying world.
-    pub fn tick_mode(&self) -> TickMode {
-        self.world.tick_mode()
-    }
-
-    /// Sets how [`step_round`](SbcPool::step_round) schedules instance
-    /// stepping. A performance knob only — every mode is
-    /// observation-equivalent (see [`TickMode`]).
-    pub fn set_tick_mode(&mut self, mode: TickMode) {
-        self.world.set_tick_mode(mode);
-    }
-
-    /// The current [`PartyShard`] policy of the underlying world.
-    pub fn party_shard(&self) -> PartyShard {
-        self.world.party_shard()
-    }
-
-    /// Sets whether [`step_round`](SbcPool::step_round) also shards the
-    /// per-party round work within each instance. A performance knob only —
-    /// every mode is observation-equivalent (see [`PartyShard`]).
-    pub fn set_party_shard(&mut self, shard: PartyShard) {
-        self.world.set_party_shard(shard);
     }
 
     fn check_instance(&self, instance: InstanceId) -> Result<(), SbcError> {
@@ -1818,75 +1537,6 @@ mod tests {
         // `Internal` on the retired instance.
         let r = pool.run_to_completion(b).unwrap();
         assert_eq!(r.messages, vec![b"live".to_vec()]);
-    }
-
-    #[test]
-    fn auto_tick_mode_counts_total_work_not_instances() {
-        let cores = 8;
-        // The PR-4 misclassification: 2 instances × 512 parties is a
-        // 1024-unit tick and must fan out, even though only 2 instances
-        // are live.
-        assert_eq!(TickMode::Auto.workers(2, 512, cores), cores);
-        // Boundary: live × n == PAR_WORK_THRESHOLD fans out, one unit
-        // below stays serial.
-        let t = TickMode::PAR_WORK_THRESHOLD;
-        assert_eq!(TickMode::Auto.workers(2, t / 2, cores), cores);
-        assert_eq!(TickMode::Auto.workers(1, t, cores), cores);
-        assert_eq!(TickMode::Auto.workers(1, t - 1, cores), 1);
-        assert_eq!(TickMode::Auto.workers(2, t / 2 - 1, cores), 1);
-        // The old 8-instance break-even at default 3-party experiments is
-        // preserved: 8 × 3 = 24 fans out, 7 × 3 = 21 does not.
-        assert_eq!(TickMode::Auto.workers(8, 3, cores), cores);
-        assert_eq!(TickMode::Auto.workers(7, 3, cores), 1);
-        // Single-core hosts never fan out under Auto.
-        assert_eq!(TickMode::Auto.workers(64, 64, 1), 1);
-        // Explicit override pins the count regardless of workload.
-        assert_eq!(TickMode::Threads(3).workers(1, 2, 1), 3);
-        assert_eq!(TickMode::Threads(0).workers(64, 64, 8), 1);
-    }
-
-    #[test]
-    fn party_shard_policy_boundaries() {
-        let min = PartyShard::PARTY_SHARD_MIN;
-        assert!(PartyShard::Auto.enabled(min, 4));
-        assert!(!PartyShard::Auto.enabled(min - 1, 4));
-        assert!(!PartyShard::Auto.enabled(min, 1), "needs workers");
-        assert!(PartyShard::Sharded.enabled(2, 1), "forced mode self-arms");
-        assert!(
-            !PartyShard::Sharded.enabled(1, 8),
-            "nothing to shard at n=1"
-        );
-        assert!(!PartyShard::Serial.enabled(1 << 20, 64));
-    }
-
-    #[test]
-    fn forced_party_sharding_matches_serial_results() {
-        // A single large-ish instance driven once serially and once with
-        // intra-instance sharding forced on: identical session results.
-        fn run(shard: PartyShard) -> (Vec<(InstanceId, SbcResult)>, Vec<Leak>) {
-            let mut pool = SbcPool::builder(24)
-                .seed(b"party-shard")
-                .tick_mode(TickMode::Serial)
-                .party_shard(shard)
-                .capture_leaks()
-                .build()
-                .unwrap();
-            let id = pool.open_instance().unwrap();
-            for p in 0..8 {
-                pool.submit(id, p, format!("m{p}").as_bytes()).unwrap();
-            }
-            let mut releases = Vec::new();
-            for _ in 0..8 {
-                releases.extend(pool.step_round().unwrap());
-            }
-            let leaks = pool.take_leaks(id).unwrap();
-            (releases, leaks)
-        }
-        let serial = run(PartyShard::Serial);
-        let sharded = run(PartyShard::Sharded);
-        assert_eq!(serial, sharded);
-        assert_eq!(serial.0.len(), 1, "released");
-        assert_eq!(serial.0[0].1.messages.len(), 8);
     }
 
     #[test]

@@ -284,8 +284,8 @@ impl WireLog {
     /// order. In a broadcast execution every wire reaches every recipient,
     /// so recipient logs are normally identical — and identical logs mean
     /// identical release computations, which is what lets a round scheduler
-    /// compute one [`ReleasePlan`] and [`reissue`](ReleasePlan::reissue) it
-    /// to every party that passes this check. Entries recorded from one
+    /// run one release and hand it as a [`ReleasePlan`] to every party that
+    /// passes this check. Entries recorded from one
     /// fan-out share their `Arc`, so the common case is a pointer compare
     /// per entry; mixed origins fall back to exact byte comparison.
     pub fn same_receptions(&self, other: &WireLog) -> bool {
@@ -306,71 +306,31 @@ struct PendEntry {
     broadcast: bool,
 }
 
-/// The precomputed release-round step of one party — the output of the
-/// **parallel compute phase** of a sharded round
-/// (`RealSbcWorld::tick_sharded`).
+/// One party's release at `τ_rel`, kept by the round scheduler
+/// (`RealSbcWorld::tick`) for reuse by every later party with the **same
+/// release view** ([`SbcParty::shares_release_view`]).
 ///
-/// At `τ_rel` a party's step is pure given the round snapshot: its received
-/// wire list is frozen (receptions at `Cl ≥ t_end` are discarded), `F_TLE.Dec`
-/// never mutates the record set, and `F_RO` is input-addressed — so the
-/// whole decrypt/unmask/sort pipeline can run read-only on a worker thread.
-/// The serial merge phase then replays the observable effects in party-id
-/// order: [`SbcParty::on_advance_planned`] absorbs the party's oracle
-/// queries and emits the precomputed output command, bit-identical to the
-/// inline computation.
+/// At `τ_rel` a party's step is a function of its frozen wire list
+/// (receptions at `Cl ≥ t_end` are discarded), the `F_TLE` records (`Dec`
+/// never mutates them) and the input-addressed `F_RO` — so two parties with
+/// identical wire logs release bit-for-bit the same vector and issue the
+/// same oracle queries. The reusing party's
+/// [`on_advance_planned`](SbcParty::on_advance_planned) therefore emits a
+/// clone of the output (each party owns its output) and replays only the
+/// query counter ([`RandomOracle::replay_warmed_queries`]).
 #[derive(Clone, Debug)]
 pub struct ReleasePlan {
-    /// The round the plan was computed for (stale plans are ignored).
-    round: u64,
-    /// The party's release output (the sorted message vector).
+    /// The release output (the sorted message vector).
     cmd: Command,
-    /// The `F_RO` queries the inline step would have issued, in order —
-    /// `(ρ, η)` pairs replayed via `RandomOracle::absorb_party_queries`.
-    /// Shared so a reissued plan is a refcount bump, not a deep copy of
-    /// every mask.
-    ro_queries: std::sync::Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-    /// Set on reissued plans: the points are already in the oracle's memo
-    /// tables (the original plan warmed them), so the merge replays only
-    /// the query counter instead of re-probing every point.
-    warmed: bool,
+    /// How many `F_RO` queries the inline release issued.
+    ro_queries: u64,
 }
 
 impl ReleasePlan {
-    /// Warms `ro`'s memo cache with this plan's oracle points (a pure
-    /// cache operation — see [`RandomOracle::warm`]). Broadcast reaches
-    /// every party, so all honest parties derive the *same* mask set at
-    /// release: warming from the first computed plan turns the remaining
-    /// parties' plan-phase [`RandomOracle::peek_bytes`] calls into cache
-    /// hits instead of `n` redundant mask expansions.
-    pub fn warm_oracle(&self, ro: &mut RandomOracle) {
-        let points: Vec<sbc_uc::ro::RoPoint> = self
-            .ro_queries
-            .iter()
-            .map(|(x, y)| sbc_uc::ro::RoPoint::Var {
-                x: x.clone(),
-                y: y.clone(),
-            })
-            .collect();
-        ro.warm(&points);
-    }
-
-    /// A copy of this plan for another party with the **same release
-    /// view** — broadcast reaches everyone, so every party whose wire log
-    /// passes [`WireLog::same_receptions`] computes bit-for-bit this same
-    /// plan, and recomputing it `n − 1` times was the dominant cost of a
-    /// large-`n` release round. The reissue shares the oracle-query list
-    /// (refcount bump) and marks it warmed: callers must have called
-    /// [`warm_oracle`](ReleasePlan::warm_oracle) on the original first, so
-    /// the merge's replay degenerates to a query-count bump
-    /// ([`RandomOracle::replay_warmed_queries`]). Only the output command
-    /// is cloned — each party owns its output.
-    pub fn reissue(&self) -> ReleasePlan {
-        ReleasePlan {
-            round: self.round,
-            cmd: self.cmd.clone(),
-            ro_queries: std::sync::Arc::clone(&self.ro_queries),
-            warmed: true,
-        }
+    /// Wraps a release output `cmd` that took `ro_queries` oracle queries
+    /// to compute.
+    pub fn new(cmd: Command, ro_queries: u64) -> Self {
+        ReleasePlan { cmd, ro_queries }
     }
 }
 
@@ -527,7 +487,7 @@ impl SbcParty {
     /// The non-wake-up half of [`on_ubc_deliver`](SbcParty::on_ubc_deliver):
     /// records a `(c, τ_rel, y)` wire. Touches only this party's own state
     /// (no functionality, no randomness, no leaks), which is what lets the
-    /// world fan a broadcast's deliveries out across recipient shards —
+    /// world defer a round's deliveries into one recipient-major batch —
     /// recipients are independent, and per-recipient arrival order is all
     /// that matters.
     pub fn on_wire_deliver(&mut self, payload: &Value, now: u64) {
@@ -562,61 +522,13 @@ impl SbcParty {
         self.rec.insert_parsed(wire);
     }
 
-    /// The parallel compute phase of a sharded release round: precomputes
-    /// this party's `τ_rel` step against an immutable snapshot of the round
-    /// (`F_TLE` records, `F_RO` view, the party's frozen wire list).
-    /// Returns `None` whenever the party would not release this round — in
-    /// particular in every non-release round, where the serial step is the
-    /// right (and cheap) path.
-    ///
-    /// The computation mirrors the release branch of
-    /// [`on_advance`](SbcParty::on_advance) statement for statement:
-    /// `Dec` via the read-only `TleFunc::dec_peek`, masks via the
-    /// order-independent `RandomOracle::peek_bytes`. Stability of the
-    /// snapshot across the round is a protocol invariant: at `τ_rel` no
-    /// honest party broadcasts (`Cl ≥ t_end`), receptions are discarded,
-    /// and `Dec` inserts nothing — so a plan computed before the round's
-    /// serial merge equals the inline computation bit for bit (pinned by
-    /// the `CompareLevel::Exact` scheduling tests).
-    pub fn plan_release(&self, now: u64, ftle: &TleFunc, ro: &RandomOracle) -> Option<ReleasePlan> {
-        if self.last_advance == Some(now) || self.tau_rel != Some(now) {
-            return None;
-        }
-        let tau_rel = now;
-        let mut ro_queries = Vec::new();
-        let mut out = Vec::new();
-        for (ct_enc, y) in self.rec.entries_encoded() {
-            let resp = match ftle.dec_peek_encoded(ct_enc, tau_rel as i64, now) {
-                Some(r) => r,
-                None => continue, // unknown ciphertext: ⊥, skipped
-            };
-            let DecResponse::Message(rho_v) = resp else {
-                continue;
-            };
-            let Some(rho) = rho_v.as_bytes() else {
-                continue;
-            };
-            let eta = ro.peek_bytes(rho, y.len());
-            let m_bytes: Vec<u8> = y.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
-            ro_queries.push((rho.to_vec(), eta));
-            out.push(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)));
-        }
-        out.sort();
-        Some(ReleasePlan {
-            round: now,
-            cmd: Command::new("Broadcast", Value::List(out)),
-            ro_queries: std::sync::Arc::new(ro_queries),
-            warmed: false,
-        })
-    }
-
     /// Whether this party's release step at round `now` is guaranteed to
-    /// compute the same [`ReleasePlan`] as `other`'s: both are at their
-    /// release round, this party has not advanced yet this round, and the
-    /// two wire logs record identical receptions
-    /// ([`WireLog::same_receptions`]). `plan_release` reads nothing else
-    /// of per-party state, so a positive check licenses
-    /// [`ReleasePlan::reissue`] in place of a recomputation.
+    /// compute the same release as `other`'s: both are at their release
+    /// round, this party has not advanced yet this round, and the two wire
+    /// logs record identical receptions ([`WireLog::same_receptions`]).
+    /// The release branch of [`on_advance`](SbcParty::on_advance) reads
+    /// nothing else of per-party state, so a positive check licenses
+    /// reusing `other`'s [`ReleasePlan`] in place of a recomputation.
     pub fn shares_release_view(&self, other: &SbcParty, now: u64) -> bool {
         self.last_advance != Some(now)
             && self.tau_rel == Some(now)
@@ -637,15 +549,13 @@ impl SbcParty {
         self.on_advance_planned(ubc, ftle, ro, ctx, None)
     }
 
-    /// [`on_advance`](SbcParty::on_advance) with an optional precomputed
-    /// release step — the serial merge phase of a sharded round. With
-    /// `plan = None` this *is* the serial reference step. With a plan for
-    /// the current round, the release branch replays the plan's oracle
-    /// queries ([`RandomOracle::absorb_party_queries`]) and returns the
-    /// precomputed output (consumed, not cloned — at `n = 1000` parties ×
-    /// hundreds of messages the clone alone is measurable); a stale plan
-    /// (wrong round, or the party turned out not to release) is ignored
-    /// and the inline path runs.
+    /// [`on_advance`](SbcParty::on_advance) with an optional release to
+    /// reuse. With `plan = None` this *is* the reference step. With a
+    /// plan, the release branch replays the plan's oracle query count and
+    /// returns its output instead of recomputing it; callers pass a plan
+    /// only after [`shares_release_view`](SbcParty::shares_release_view)
+    /// held against the party the plan came from. A plan handed to a party
+    /// that does not release this round is ignored.
     pub fn on_advance_planned<U: UbcLayer>(
         &mut self,
         ubc: &mut U,
@@ -683,12 +593,8 @@ impl SbcParty {
             }
         }
         if now == tau_rel {
-            if let Some(plan) = plan.filter(|p| p.round == now) {
-                if plan.warmed {
-                    ro.replay_warmed_queries(&plan.ro_queries);
-                } else {
-                    ro.absorb_party_queries(&plan.ro_queries);
-                }
+            if let Some(plan) = plan {
+                ro.replay_warmed_queries(plan.ro_queries);
                 return Some(plan.cmd);
             }
             let mut out = Vec::new();
@@ -975,8 +881,8 @@ mod tests {
     #[test]
     fn planned_release_is_bit_identical_to_inline_release() {
         // Drive two identical stacks to the release round; release one
-        // inline and one through plan_release + on_advance_planned. The
-        // outputs and the oracle state (query counts included) must match.
+        // inline everywhere, and in the other let parties 1.. reuse party
+        // 0's release. Outputs and the oracle query count must match.
         fn drive_to_release(s: &mut Stack) {
             s.input(0, Value::bytes(b"zulu"));
             s.round();
@@ -985,40 +891,40 @@ mod tests {
                 assert!(s.round().is_empty());
             }
         }
-        let (mut inline, mut planned) = (Stack::new(3), Stack::new(3));
+        let (mut inline, mut reused) = (Stack::new(3), Stack::new(3));
         drive_to_release(&mut inline);
-        drive_to_release(&mut planned);
+        drive_to_release(&mut reused);
         let inline_out = inline.round();
 
-        let now = planned.fx.clock.read();
-        let n = planned.parties.len();
-        let plans: Vec<Option<ReleasePlan>> = planned
-            .parties
-            .iter()
-            .map(|p| p.plan_release(now, &planned.ftle, &planned.ro))
-            .collect();
-        let mut planned_out = Vec::new();
-        for (i, plan) in plans.clone().into_iter().enumerate().take(n) {
+        let now = reused.fx.clock.read();
+        let mut plan: Option<ReleasePlan> = None;
+        let mut reused_out = Vec::new();
+        for i in 0..reused.parties.len() {
+            if i > 0 {
+                assert!(reused.parties[i].shares_release_view(&reused.parties[0], now));
+            }
+            let before = reused.ro.query_count();
             let out = {
-                let mut ctx = planned.fx.ctx();
-                planned.parties[i].on_advance_planned(
-                    &mut planned.ubc,
-                    &mut planned.ftle,
-                    &mut planned.ro,
+                let mut ctx = reused.fx.ctx();
+                reused.parties[i].on_advance_planned(
+                    &mut reused.ubc,
+                    &mut reused.ftle,
+                    &mut reused.ro,
                     &mut ctx,
-                    plan,
+                    plan.clone(),
                 )
             };
-            if let Some(cmd) = out {
-                planned_out.push((i as u32, cmd));
+            let cmd = out.expect("every party releases at τ_rel");
+            if plan.is_none() {
+                let queries = reused.ro.query_count() - before;
+                plan = Some(ReleasePlan::new(cmd.clone(), queries));
             }
-            planned.fx.clock.advance_party(PartyId(i as u32));
+            reused_out.push((i as u32, cmd));
+            reused.fx.clock.advance_party(PartyId(i as u32));
         }
-        assert!(plans.iter().all(|p| p.is_some()), "all parties planned");
-        assert_eq!(planned_out, inline_out);
-        assert_eq!(planned.ro.query_count(), inline.ro.query_count());
-        // Plans are round-stamped: a stale plan must be ignored, not replayed.
-        let stale = plans[0].clone().unwrap();
+        assert_eq!(reused_out, inline_out);
+        assert_eq!(reused.ro.query_count(), inline.ro.query_count());
+        // A plan handed to a party that does not release is ignored.
         inline.round();
         let mut ctx = inline.fx.ctx();
         assert!(inline.parties[0]
@@ -1027,7 +933,7 @@ mod tests {
                 &mut inline.ftle,
                 &mut inline.ro,
                 &mut ctx,
-                Some(stale)
+                plan
             )
             .is_none());
     }

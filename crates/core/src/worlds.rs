@@ -22,7 +22,7 @@ use crate::protocol::{parse_sbc_wire, sbc_wire, wake_up, ParsedWire, ReleasePlan
 use sbc_broadcast::ubc::func::{UbcFunc, UBC_SOURCE};
 use sbc_primitives::drbg::Drbg;
 use sbc_tle::func::{TleFunc, TLE_SOURCE};
-use sbc_uc::exec::{run_shards, shard_ranges, SbcWorld, ShardRunner};
+use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::{Command, Value};
@@ -32,12 +32,11 @@ use sbc_uc::world::{AdvCommand, Leak, World, WorldCore};
 /// [`SbcSessionBuilder::build_backend`](crate::api::SbcSessionBuilder::build_backend)
 /// plugs into the session layer. Implemented by [`RealSbcWorld`] (Theorem
 /// 2's hybrid world) and [`IdealSbcWorld`] (`F_SBC` + `S_SBC`); any future
-/// backend (sharded, async, networked) joins by implementing this pair of
-/// traits.
+/// backend (async, networked) joins by implementing this pair of traits.
 ///
-/// Backends are `Send` (inherited from [`SbcWorld`]): the instance pool
-/// steps independent backend worlds on persistent executor workers, so a
-/// backend's whole state must be movable across threads.
+/// Backends are `Send` (inherited from [`SbcWorld`]): nothing in this crate
+/// moves one across threads, but an embedder may move a whole pool or
+/// service, so a backend's state must be movable.
 pub trait SbcBackend: SbcWorld + Sized {
     /// Creates the backend.
     ///
@@ -174,11 +173,6 @@ pub struct RealSbcWorld {
     ubc: UbcFunc,
     ftle: TleFunc,
     ro: RandomOracle,
-    /// Reusable per-party release-plan buffer for `tick_sharded` (one slot
-    /// per party, kept allocated across rounds so the release round's plan
-    /// phase allocates no per-round slot vector). Always all-`None` between
-    /// rounds — the merge phase `take`s every slot.
-    plan_slots: Vec<Option<ReleasePlan>>,
 }
 
 impl RealSbcWorld {
@@ -211,7 +205,6 @@ impl RealSbcWorld {
             ubc: UbcFunc::new(params.n, ubc_tags),
             ftle: TleFunc::new(params.tle_alpha, params.tle_delay, tle_tags),
             ro: RandomOracle::new(ro_rng),
-            plan_slots: Vec::new(),
         }
     }
 
@@ -227,30 +220,33 @@ impl RealSbcWorld {
         }
     }
 
-    /// Minimum flushed-message count before [`distribute_wires_sharded`]
-    /// (RealSbcWorld::distribute_wires_sharded) fans recipients out —
-    /// below this, shard dispatch costs more than the replay scans it
-    /// saves.
-    const PAR_DELIVERY_MIN: usize = 8;
+    /// The party half of one round step: `party`'s `Π_SBC` step against the
+    /// hybrid functionalities, returning its release output if it produced
+    /// one. With `plan = None` this is the reference step; with a plan it
+    /// reuses another party's release (see [`SbcWorld::tick`] below for
+    /// when that is sound).
+    fn party_step(&mut self, party: PartyId, plan: Option<ReleasePlan>) -> Option<Command> {
+        let mut ctx = self.core.ctx();
+        self.parties[party.index()].on_advance_planned(
+            &mut self.ubc,
+            &mut self.ftle,
+            &mut self.ro,
+            &mut ctx,
+            plan,
+        )
+    }
 
-    /// One party's round step, optionally with a precomputed release plan
-    /// (the serial merge phase of `tick_sharded`) and a round-level
-    /// deferral buffer for flushed broadcast messages. `advance` delegates
-    /// here with neither, making this the single definition of the round
-    /// step.
+    /// The world half of one round step: records `party`'s output, takes
+    /// its UBC flush, delivers it, and advances its clock.
     ///
-    /// The UBC flush is taken through [`UbcFunc::take_flush`] — one owned
-    /// `Value` per flushed message, addressed to all of `0..n` — and the
-    /// world fans each message out **by reference** in the reference
-    /// delivery order (messages in flush order, recipients `0..n` within
-    /// each). This replaces the old `messages × n` per-recipient
-    /// `Delivery` clones, which the delivery loop only ever borrowed and
-    /// dropped: at n = 1000 a broadcast round cloned every wire a thousand
-    /// times for nothing.
+    /// The flush is taken through [`UbcFunc::take_flush`] — one owned
+    /// `Value` per flushed message, addressed to all of `0..n` — and fanned
+    /// out **by reference** in the reference delivery order (messages in
+    /// flush order, recipients `0..n` within each).
     ///
     /// With `defer = Some(buf)`, flushed wire messages are appended to
     /// `buf` (global flush order preserved) instead of delivered inline;
-    /// the sharded round flushes the buffer once, recipient-sharded, at
+    /// the round-level `tick` delivers the buffer once, recipient-major, at
     /// end of round. Deferral is sound because mid-round wire receptions
     /// are inert — a wire received in round `t` is only ever *read* at the
     /// release round, and the replay-dedup depends only on each
@@ -260,30 +256,12 @@ impl RealSbcWorld {
     /// round are accepted, and its `F_TLE` encryptions draw randomness in
     /// order) first flushes the buffer, then delivers serially in place,
     /// keeping the equivalence unconditional.
-    fn advance_planned(
+    fn finish_step(
         &mut self,
         party: PartyId,
-        plan: Option<ReleasePlan>,
+        out: Option<Command>,
         defer: Option<&mut Vec<Value>>,
     ) {
-        if self.core.corr.is_corrupted(party) {
-            return;
-        }
-        let out = {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut self.core.leaks,
-                corr: &mut self.core.corr,
-            };
-            self.parties[party.index()].on_advance_planned(
-                &mut self.ubc,
-                &mut self.ftle,
-                &mut self.ro,
-                &mut ctx,
-                plan,
-            )
-        };
         if let Some(cmd) = out {
             self.core.outputs.push((party, cmd));
         }
@@ -308,10 +286,10 @@ impl RealSbcWorld {
     }
 
     /// Delivers each flushed broadcast message to every party in id order,
-    /// by reference — the serial reference delivery loop. `Wake_Up`
-    /// messages go through the full [`SbcParty::on_ubc_deliver`] (they
-    /// mutate `F_TLE` and leak); wire messages are parsed and canonically
-    /// encoded **once per message** and fanned out through
+    /// by reference — the reference delivery loop. `Wake_Up` messages go
+    /// through the full [`SbcParty::on_ubc_deliver`] (they mutate `F_TLE`
+    /// and leak); wire messages are parsed and canonically encoded **once
+    /// per message** and fanned out through
     /// [`SbcParty::on_wire_deliver_parsed`], so the per-recipient cost is
     /// the period check plus the replay-dedup probe.
     fn fan_out(&mut self, msgs: Vec<Value>) {
@@ -351,52 +329,17 @@ impl RealSbcWorld {
         }
     }
 
-    /// Release-round fast path shared by the serial and sharded round
-    /// schedulers: computes the **first** honest party's plan, warms the
-    /// oracle memo with its points, then hands a
-    /// [`reissue`](ReleasePlan::reissue)d copy to every other honest party
-    /// whose wire log provably matches
-    /// ([`SbcParty::shares_release_view`] — a pointer compare per entry in
-    /// the common case). Broadcast reaches everyone, so in an uninjected
-    /// round *every* party matches and the `O(n · senders)`
-    /// decrypt/unmask pipeline runs exactly once instead of `n` times —
-    /// the dominant cost of a large-`n` release round.
-    ///
-    /// Returns `true` when every honest party got a plan; `false` leaves
-    /// the unmatched slots `None` for the caller's per-party plan phase
-    /// (the straggler path — unreachable under pure broadcast, kept so the
-    /// fast path is an optimization, never an assumption).
-    fn prefill_release_plans(&mut self, now: u64, slots: &mut [Option<ReleasePlan>]) -> bool {
-        let n = self.core.n();
-        let Some(fi) = (0..n).find(|&i| !self.core.corr.is_corrupted(PartyId(i as u32))) else {
-            return true; // nobody honest: nothing will release
-        };
-        let Some(plan) = self.parties[fi].plan_release(now, &self.ftle, &self.ro) else {
-            return false;
-        };
-        plan.warm_oracle(&mut self.ro);
-        let mut all = true;
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if i == fi || self.core.corr.is_corrupted(PartyId(i as u32)) {
-                continue;
-            }
-            if self.parties[i].shares_release_view(&self.parties[fi], now) {
-                *slot = Some(plan.reissue());
-            } else {
-                all = false;
-            }
-        }
-        slots[fi] = Some(plan);
-        all
-    }
-
-    /// Party-major serial batch delivery at a pinned round time: each
-    /// message is parsed, canonically encoded and fingerprinted once, then
-    /// every recipient walks the whole batch in flush order — its exact
-    /// serial arrival order — while its own reception log stays hot in
+    /// Party-major batch delivery at a pinned round time: each message is
+    /// parsed, canonically encoded and fingerprinted once, then every
+    /// recipient walks the whole batch in flush order — its exact
+    /// reference arrival order — while its own reception log stays hot in
     /// cache. Recipient-major order is what makes the `O(n²)` reception
     /// scan of a large-`n` broadcast round cache-friendly: the wire-major
     /// loop re-touches all `n` logs once per message instead.
+    ///
+    /// `now` is the round the wires were flushed in: `tick` delivers the
+    /// batch past the clock tick, and the reception time must be what the
+    /// reference loop's in-round deliveries saw.
     fn distribute_wires_serial(&mut self, msgs: &[Value], now: u64) {
         if msgs.is_empty() {
             return;
@@ -411,48 +354,6 @@ impl RealSbcWorld {
                 party.on_wire_deliver_parsed(wire, now);
             }
         }
-    }
-
-    /// [`fan_out`](RealSbcWorld::fan_out), recipient-sharded at a pinned
-    /// round time: the UBC net layer's delivery loop is the other
-    /// `O(n²)`-scan hot spot of a large-`n` round (every wire reaches
-    /// every party, and each reception runs the replay-protection scan
-    /// over everything received so far). Pure-wire deliveries touch only
-    /// the receiving party's own state — no functionality, no randomness,
-    /// no leaks — so recipients are independent and every recipient shard
-    /// walks the same borrowed parsed-message slice in flush order, which
-    /// is exactly each recipient's serial arrival order. Nothing is cloned
-    /// or bucketed per recipient.
-    ///
-    /// Callers guarantee the batch is wake-up-free (`Wake_Up` mutates
-    /// `F_TLE` and leaks — it takes the serial
-    /// [`fan_out`](RealSbcWorld::fan_out) path) and pass the round the
-    /// messages belong to: a sharded round defers its wire deliveries to
-    /// one end-of-round fan-out, past the clock tick, so the reception
-    /// time must be the round the wires were flushed in, exactly as the
-    /// serial loop's in-round deliveries saw it.
-    fn distribute_wires_sharded(&mut self, msgs: Vec<Value>, now: u64, shards: &dyn ShardRunner) {
-        let parsed: Vec<std::sync::Arc<ParsedWire>> = msgs
-            .iter()
-            .filter_map(ParsedWire::parse)
-            .map(std::sync::Arc::new)
-            .collect();
-        let parsed = parsed.as_slice();
-        let ranges = shard_ranges(self.parties.len(), shards.width());
-        let mut rest = self.parties.as_mut_slice();
-        let mut jobs = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            jobs.push(move || {
-                for party in chunk {
-                    for wire in parsed {
-                        party.on_wire_deliver_parsed(wire, now);
-                    }
-                }
-            });
-        }
-        run_shards(shards, jobs);
     }
 }
 
@@ -479,7 +380,11 @@ impl World for RealSbcWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        self.advance_planned(party, None, None);
+        if self.core.corr.is_corrupted(party) {
+            return;
+        }
+        let out = self.party_step(party, None);
+        self.finish_step(party, out, None);
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
@@ -608,143 +513,68 @@ impl SbcWorld for RealSbcWorld {
         }
     }
 
-    /// Serial round with the same round-level restructurings the sharded
-    /// schedule uses, run entirely on the caller's thread:
+    /// The round-level schedule: every honest party steps once in party-id
+    /// order on the caller's thread, with two restructurings of the literal
+    /// per-party reference loop (`advance` in party-id order with in-place
+    /// delivery):
     ///
-    /// 1. **Release round**: one shared release plan
-    ///    (`prefill_release_plans`) — broadcast gives every honest party
-    ///    an identical wire log, so the decrypt/unmask pipeline runs once
-    ///    and is reissued, instead of `n` times.
+    /// 1. **Release round**: the first honest party runs the ordinary
+    ///    inline release at its own turn (every party before it is
+    ///    corrupted and skipped, so this *is* the reference order). Every
+    ///    later honest party whose wire log provably matches
+    ///    ([`SbcParty::shares_release_view`] — a pointer compare per entry
+    ///    under pure broadcast) reuses that release as a [`ReleasePlan`]:
+    ///    the output command plus the oracle query count, so the
+    ///    `O(senders)` decrypt/unmask pipeline runs once instead of `n`
+    ///    times. A party whose log does not match — impossible under pure
+    ///    broadcast, possible in principle — runs its own inline release:
+    ///    the reuse is an optimisation, never an assumption.
     /// 2. **Broadcast rounds**: wire deliveries are deferred into one
     ///    end-of-round recipient-major batch (`distribute_wires_serial`),
     ///    keeping each recipient's log hot in cache instead of touching
-    ///    all `n` logs once per message.
+    ///    all `n` logs once per message (see `finish_step` for why
+    ///    deferral is observation-equivalent).
     ///
-    /// Both restructurings are observation-equivalent to the literal
-    /// per-party reference loop (`advance` in party-id order with in-place
-    /// delivery) — see `advance_planned` for the deferral argument and
-    /// [`SbcParty::shares_release_view`] for the plan-reuse one; the
-    /// equivalence is pinned by the `tick_matches_per_party_advance_loop`
-    /// test and every real-vs-ideal `Exact` gate. Mid-round states fall
-    /// back to the literal loop: the round restructurings assume a round
-    /// boundary.
+    /// The equivalence to the reference loop is pinned by the
+    /// `tick_matches_per_party_advance_loop` tests and every real-vs-ideal
+    /// `Exact` gate. Mid-round states fall back to the literal loop: the
+    /// round restructurings assume a round boundary.
     fn tick(&mut self) {
         let n = self.core.n();
         if n <= 1 || self.core.clock.mid_round() {
             for i in 0..n {
-                let p = PartyId(i as u32);
-                if !self.core.corr.is_corrupted(p) {
-                    self.advance(p);
-                }
+                self.advance(PartyId(i as u32));
             }
             return;
         }
         let now = self.core.clock.read();
-        let releasing = self.release_round() == Some(now);
-        let mut slots = std::mem::take(&mut self.plan_slots);
-        slots.clear();
-        slots.resize_with(n, || None);
-        if releasing {
-            // Unmatched parties keep a `None` slot and compute their
-            // release inline in the loop below — the reference step.
-            let _ = self.prefill_release_plans(now, &mut slots);
-        }
+        // The first party to release this round, with its release.
+        let mut first: Option<(usize, ReleasePlan)> = None;
         let mut deferred: Vec<Value> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
+        for i in 0..n {
             let p = PartyId(i as u32);
-            if !self.core.corr.is_corrupted(p) {
-                let plan = slot.take();
-                self.advance_planned(p, plan, Some(&mut deferred));
+            if self.core.corr.is_corrupted(p) {
+                continue;
             }
+            let plan = match &first {
+                Some((fi, plan))
+                    if self.parties[i].shares_release_view(&self.parties[*fi], now) =>
+                {
+                    Some(plan.clone())
+                }
+                _ => None,
+            };
+            let queries_before = self.ro.query_count();
+            let out = self.party_step(p, plan);
+            if first.is_none() {
+                if let Some(cmd) = &out {
+                    let queries = self.ro.query_count() - queries_before;
+                    first = Some((i, ReleasePlan::new(cmd.clone(), queries)));
+                }
+            }
+            self.finish_step(p, out, Some(&mut deferred));
         }
-        self.plan_slots = slots;
         self.distribute_wires_serial(&deferred, now);
-    }
-
-    /// Party-sharded round: the two scan-heavy hot spots of a large-`n`
-    /// instance fan out across workers while every mutation stays serial in
-    /// party-id order, keeping transcripts bit-identical to
-    /// [`SbcWorld::tick`]:
-    ///
-    /// 1. **Release round** (`Cl = τ_rel`): each party's step — `Dec`-scan
-    ///    of every received wire against the `F_TLE` records, mask
-    ///    derivation, unmask, sort — is pure against the frozen round
-    ///    snapshot ([`SbcParty::plan_release`] documents why). The shared
-    ///    plan fast path (`prefill_release_plans`) normally covers every
-    ///    party outright; any stragglers plan in
-    ///    parallel, and the serial merge replays the observable oracle
-    ///    effects in party-id order either way.
-    /// 2. **Broadcast rounds**: every wire delivery of the round is
-    ///    deferred (flush order preserved) into one end-of-round batch
-    ///    that fans out across recipient shards — recipients are
-    ///    independent, and one dispatch per round amortizes the scheduling
-    ///    cost (see `advance_planned` for why deferral is
-    ///    observation-equivalent).
-    ///
-    /// Mid-round states (some party already advanced this round) fall back
-    /// to the serial reference loop: sharding assumes a round boundary.
-    fn tick_sharded(&mut self, shards: &dyn ShardRunner) {
-        let n = self.core.n();
-        if n <= 1 || self.core.clock.mid_round() {
-            return self.tick();
-        }
-        let now = self.core.clock.read();
-        let releasing = self.release_round() == Some(now);
-        // The reusable slot buffer replaces the old per-round
-        // collect-per-shard + flatten pipeline: slots are written in place
-        // by the shard jobs (disjoint `split_at_mut` chunks) and `take`n by
-        // the merge, so a release round allocates no plan vectors at all
-        // after the first (the buffer keeps its capacity across rounds).
-        let mut slots = std::mem::take(&mut self.plan_slots);
-        slots.clear();
-        slots.resize_with(n, || None);
-        if releasing && !self.prefill_release_plans(now, &mut slots) {
-            // Straggler plan phase: some honest party's wire log diverged
-            // from the first's (impossible under pure broadcast, possible
-            // in principle), so its plan wasn't reissued — compute the
-            // remaining `None` slots in parallel, exactly the old
-            // every-party plan fan-out.
-            let parties = &self.parties;
-            let ftle = &self.ftle;
-            let ro = &self.ro;
-            let corr = &self.core.corr;
-            let ranges = shard_ranges(n, shards.width());
-            let mut rest = slots.as_mut_slice();
-            let mut start = 0usize;
-            let mut jobs = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let base = start;
-                start += r.len();
-                jobs.push(move || {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let p = PartyId((base + k) as u32);
-                        if slot.is_none() && !corr.is_corrupted(p) {
-                            *slot = parties[base + k].plan_release(now, ftle, ro);
-                        }
-                    }
-                });
-            }
-            run_shards(shards, jobs);
-        }
-        let mut deferred: Vec<Value> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let p = PartyId(i as u32);
-            if !self.core.corr.is_corrupted(p) {
-                let plan = slot.take();
-                self.advance_planned(p, plan, Some(&mut deferred));
-            }
-        }
-        self.plan_slots = slots;
-        if deferred.len() >= Self::PAR_DELIVERY_MIN {
-            self.distribute_wires_sharded(deferred, now, shards);
-        } else {
-            // Too small to amortize a dispatch — deliver serially, still at
-            // the round the wires were flushed in (the clock has ticked by
-            // now; the serial loop's deliveries happened pre-tick).
-            self.distribute_wires_serial(&deferred, now);
-        }
     }
 }
 
@@ -1394,87 +1224,6 @@ impl SbcWorld for IdealSbcWorld {
             sbc_uc::exec::replay_join(self, round);
         }
     }
-
-    /// Plan/apply sharding of the ideal world's *delivery* round — the one
-    /// round whose per-party work (cloning the finalized `n`-message vector
-    /// for each of `n` parties) is both O(n²) and embarrassingly parallel.
-    ///
-    /// `S_SBC` threads one sequential state machine through every other
-    /// round (shared mirrored randomness streams, order-coupled leaks), so
-    /// those fall back to the serial [`SbcWorld::tick`]. But at
-    /// `now == t_end + ∆` with `τ_rel == now` the round is provably
-    /// *quiescent*: `F_SBC`'s once-per-round schedule has nothing left to
-    /// do (finalization ran at `t_end`, the simulator list leaked at
-    /// `t_end + ∆ − α`, and ∆ ≥ 1, α ≥ 1 make both inner branches false),
-    /// the simulator's `on_advance` is a pure no-op (awake, past the
-    /// broadcast window, list already programmed, no pending wake-up
-    /// flushes — it draws no randomness and emits no leaks), and each
-    /// honest party's advance reduces to bookkeeping plus a clone of the
-    /// immutable finalized vector. The plan phase clones that template in
-    /// parallel into a per-party slot vector; the merge applies the clones
-    /// in party-id order, bit-identical to the serial loop
-    /// (`CompareLevel::Exact` — pinned by the
-    /// `ideal_sharded_matches_serial_*` tests).
-    fn tick_sharded(&mut self, shards: &dyn ShardRunner) {
-        let n = self.core.n();
-        let now = self.core.clock.read();
-        let quiescent = n > 1
-            && !self.core.clock.mid_round()
-            && self.sim.tau_rel() == Some(now)
-            && self.fsbc.is_pure_delivery_round(now)
-            && self.sbc_list.is_some()
-            && self.sim.programmed
-            && !self.sim.wakeup_pending.iter().any(|w| *w);
-        if !quiescent {
-            return self.tick();
-        }
-        // Plan: every honest party receives a clone of the same finalized
-        // vector — clone against the immutable template, one shard per
-        // contiguous party range, written into disjoint slot chunks.
-        let template = self.fsbc.finalized_messages();
-        let mut slots: Vec<Option<Command>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        {
-            let corr = &self.core.corr;
-            let template = &template;
-            let ranges = shard_ranges(n, shards.width());
-            let mut rest = slots.as_mut_slice();
-            let mut start = 0usize;
-            let mut jobs = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let base = start;
-                start += r.len();
-                jobs.push(move || {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let p = PartyId((base + k) as u32);
-                        if !corr.is_corrupted(p) {
-                            *slot = Some(Command::new("Broadcast", Value::List(template.clone())));
-                        }
-                    }
-                });
-            }
-            run_shards(shards, jobs);
-        }
-        // Merge, in party-id order: exactly the serial loop's mutations —
-        // `F_SBC`'s advance bookkeeping, one delivery per honest party, one
-        // clock step. No leaks: the quiescence gate guarantees the serial
-        // path would emit none either.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let p = PartyId(i as u32);
-            if self.core.corr.is_corrupted(p) {
-                continue;
-            }
-            let Some(cmd) = slot.take() else { continue };
-            if !self.fsbc.note_advance(p, now) {
-                continue;
-            }
-            self.core
-                .push_outputs(vec![sbc_uc::hybrid::Delivery::new(p, cmd)]);
-            self.core.clock.advance_party(p);
-        }
-    }
 }
 
 impl SbcBackend for IdealSbcWorld {
@@ -1494,64 +1243,163 @@ mod tests {
         SbcParams::default_for(n)
     }
 
-    /// Pins the round-level `tick` (shared release plan + deferred
-    /// recipient-major delivery) to the literal per-party reference loop,
-    /// bit for bit — outputs, leaks, and clock — across two epochs, under
-    /// corruption and an adversarial wire injection (whose per-recipient
-    /// `Owned` log entries exercise the byte-compare fallback of the
-    /// shared-plan twin check).
-    #[test]
-    fn tick_matches_per_party_advance_loop() {
-        let n = 6;
-        fn reference_round(w: &mut RealSbcWorld, n: usize) {
-            for i in 0..n {
-                let p = PartyId(i as u32);
-                if !w.is_corrupted(p) {
-                    w.advance(p);
-                }
+    /// Two identically seeded real worlds, one stepped by the literal
+    /// per-party reference loop and one by the round-level `tick`, compared
+    /// after every round: clock, outputs, leaks and `F_RO` query count.
+    struct SchedulePair {
+        reference: RealSbcWorld,
+        ticked: RealSbcWorld,
+    }
+
+    impl SchedulePair {
+        fn new(n: usize, seed: &[u8]) -> Self {
+            SchedulePair {
+                reference: RealSbcWorld::new(params(n), seed),
+                ticked: RealSbcWorld::new(params(n), seed),
             }
         }
-        let mut a = RealSbcWorld::new(params(n), b"tick-equiv");
-        let mut b = RealSbcWorld::new(params(n), b"tick-equiv");
-        for epoch in 0..2 {
-            for w in [&mut a, &mut b] {
-                w.input(
-                    PartyId(0),
-                    Command::new("Broadcast", Value::bytes(b"alpha")),
-                );
-                w.input(
-                    PartyId(2),
-                    Command::new("Broadcast", Value::bytes(b"bravo")),
-                );
+
+        fn both(&mut self, f: impl Fn(&mut RealSbcWorld)) {
+            f(&mut self.reference);
+            f(&mut self.ticked);
+        }
+
+        fn submit(&mut self, party: usize, msg: &[u8]) {
+            self.both(|w| w.submit(PartyId(party as u32), msg));
+        }
+
+        fn corrupt(&mut self, party: usize) {
+            self.both(|w| {
+                w.adversary(AdvCommand::Corrupt(PartyId(party as u32)));
+            });
+        }
+
+        fn send_as(&mut self, party: usize, wire: Value) {
+            self.both(|w| {
+                w.adversary(AdvCommand::SendAs {
+                    party: PartyId(party as u32),
+                    cmd: Command::new("Broadcast", wire.clone()),
+                });
+            });
+        }
+
+        /// One round in each schedule; returns the round's outputs.
+        fn round(&mut self) -> Vec<(PartyId, Command)> {
+            let n = self.reference.n();
+            for i in 0..n {
+                self.reference.advance(PartyId(i as u32));
             }
-            reference_round(&mut a, n);
-            b.tick();
-            if epoch == 0 {
-                for w in [&mut a, &mut b] {
-                    w.adversary(AdvCommand::Corrupt(PartyId(5)));
+            self.ticked.tick();
+            assert_eq!(self.reference.time(), self.ticked.time(), "clocks");
+            let outs = self.reference.drain_outputs();
+            assert_eq!(outs, self.ticked.drain_outputs(), "outputs");
+            assert_eq!(
+                self.reference.drain_leaks(),
+                self.ticked.drain_leaks(),
+                "leaks"
+            );
+            assert_eq!(
+                self.reference.ro.query_count(),
+                self.ticked.ro.query_count(),
+                "F_RO query count"
+            );
+            outs
+        }
+
+        fn rounds(&mut self, k: usize) -> Vec<(PartyId, Command)> {
+            (0..k).flat_map(|_| self.round()).collect()
+        }
+    }
+
+    /// An adversarial wire whose ciphertext `F_TLE` never saw (⊥ at
+    /// release), claiming release time `tau`.
+    fn foreign_wire(tau: u64) -> Value {
+        crate::protocol::sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
+    }
+
+    /// Pins the round-level `tick` (shared release + deferred
+    /// recipient-major delivery) to the literal per-party reference loop,
+    /// bit for bit, every round, at n ∈ {2, 6, 64}.
+    #[test]
+    fn tick_matches_per_party_advance_loop() {
+        for n in [2usize, 6, 64] {
+            let last = n - 1;
+
+            // Two epochs under a mid-period corruption and an accepted
+            // adversarial wire (whose per-recipient `Owned` log entries
+            // exercise the byte-compare fallback of the twin check).
+            let mut s = SchedulePair::new(n, b"tick-equiv");
+            for epoch in 0..2 {
+                s.submit(0, b"alpha");
+                s.submit(n / 2, b"bravo");
+                s.round();
+                if epoch == 0 {
+                    s.corrupt(last);
+                    let tau = s.ticked.release_round().expect("period open");
+                    s.send_as(last, foreign_wire(tau));
                 }
-                let tau = a.release_round().expect("period open");
-                assert_eq!(b.release_round(), Some(tau));
-                for w in [&mut a, &mut b] {
-                    w.adversary(AdvCommand::SendAs {
-                        party: PartyId(5),
-                        cmd: Command::new(
-                            "Broadcast",
-                            crate::protocol::sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16]),
-                        ),
-                    });
+                assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
+                s.both(|w| w.begin_new_period());
+            }
+
+            // Party 0 corrupted before the first tick: the first honest
+            // party — the one whose release the others reuse — is not 0.
+            let mut s = SchedulePair::new(n, b"tick-equiv/p0");
+            s.corrupt(0);
+            s.submit(1, b"charlie");
+            s.submit(last, b"delta");
+            let outs = s.rounds(10);
+            assert_eq!(outs.len(), n - 1, "n={n}: every honest party released");
+            assert_eq!(outs[0].0, PartyId(1));
+
+            // A sender corrupted mid-period after it has broadcast: its
+            // wire stays in every log and its message is released.
+            let mut s = SchedulePair::new(n, b"tick-equiv/sender");
+            s.submit(0, b"echo");
+            s.submit(last, b"foxtrot");
+            s.rounds(2); // wake-up, then the wires go out
+            s.corrupt(0);
+            let outs = s.rounds(8);
+            assert_eq!(outs.len(), n - 1);
+            assert_eq!(
+                outs[0].1.value.as_list().map(<[Value]>::len),
+                Some(2),
+                "n={n}: the corrupted sender's message is still released"
+            );
+
+            // Wires every recipient must discard identically: a wrong
+            // τ_rel, and a right one delivered at Cl ≥ t_end.
+            let mut s = SchedulePair::new(n, b"tick-equiv/discard");
+            s.submit(0, b"golf");
+            s.round();
+            s.corrupt(last);
+            let tau = s.ticked.release_round().expect("period open");
+            let t_end = s.ticked.period_end().expect("period open");
+            s.send_as(last, foreign_wire(tau + 1));
+            while s.ticked.time() < t_end {
+                s.round();
+            }
+            s.send_as(last, foreign_wire(tau));
+            let outs = s.rounds(8);
+            assert_eq!(outs.len(), n - 1);
+            for (_, cmd) in &outs {
+                assert_eq!(cmd.value.as_list(), Some(&[Value::bytes(b"golf")][..]));
+            }
+
+            // Rounds entered mid-round (one party already advanced by
+            // hand) take the literal-loop fallback — on broadcast rounds
+            // and on the release round alike.
+            let mut s = SchedulePair::new(n, b"tick-equiv/mid-round");
+            s.submit(0, b"hotel");
+            s.submit(last, b"india");
+            let mut outs = Vec::new();
+            for round in 0..10 {
+                if round % 2 == 1 {
+                    s.both(|w| w.advance(PartyId((round % n) as u32)));
                 }
+                outs.extend(s.round());
             }
-            for _ in 0..10 {
-                reference_round(&mut a, n);
-                b.tick();
-                assert_eq!(a.time(), b.time(), "clocks diverged");
-                assert_eq!(a.drain_outputs(), b.drain_outputs(), "outputs diverged");
-                assert_eq!(a.drain_leaks(), b.drain_leaks(), "leaks diverged");
-            }
-            for w in [&mut a, &mut b] {
-                w.begin_new_period();
-            }
+            assert_eq!(outs.len(), n, "n={n}: released through the fallback");
         }
     }
 

@@ -148,14 +148,6 @@ pub enum FrameKind {
     RoAnswer(Vec<u8>),
     /// Party → environment: the release-round output vector.
     Output(Value),
-    /// Service ↔ storage: a serialized service/pool snapshot image
-    /// (`sbc-service` persistence rides the same versioned framing as
-    /// the protocol wires). **Legacy single-frame format** — bounded by
-    /// [`MAX_FRAME`], kept decodable for old images; new snapshots are
-    /// the streaming [`FrameKind::SnapshotHeader`] /
-    /// [`FrameKind::SnapshotChunk`] / [`FrameKind::SnapshotTrailer`]
-    /// sequence, which has no size ceiling.
-    Snapshot(Value),
     /// Opens a streaming multi-frame snapshot: the format version, the
     /// service era the image was captured in, and how many
     /// [`FrameKind::SnapshotChunk`] frames follow before the trailer.
@@ -202,7 +194,7 @@ impl FrameKind {
             FrameKind::RoQuery { .. } => 9,
             FrameKind::RoAnswer(_) => 10,
             FrameKind::Output(_) => 11,
-            FrameKind::Snapshot(_) => 12,
+            // 12 was the single-frame `Snapshot` image: retired, never reused.
             FrameKind::SnapshotHeader { .. } => 13,
             FrameKind::SnapshotChunk { .. } => 14,
             FrameKind::SnapshotTrailer { .. } => 15,
@@ -223,7 +215,6 @@ impl FrameKind {
             9 => "RoQuery",
             10 => "RoAnswer",
             11 => "Output",
-            12 => "Snapshot",
             13 => "SnapshotHeader",
             14 => "SnapshotChunk",
             15 => "SnapshotTrailer",
@@ -239,10 +230,7 @@ impl FrameKind {
                 Value::pair(Value::U64(u64::from(*origin)), payload.clone())
             }
             FrameKind::TleEnc { rho, tau } => Value::pair(rho.clone(), Value::U64(*tau)),
-            FrameKind::TleTriples(v)
-            | FrameKind::TleDecResp(v)
-            | FrameKind::Output(v)
-            | FrameKind::Snapshot(v) => v.clone(),
+            FrameKind::TleTriples(v) | FrameKind::TleDecResp(v) | FrameKind::Output(v) => v.clone(),
             FrameKind::TleDec { ct, tau } => Value::pair(ct.clone(), Value::U64(*tau)),
             FrameKind::RoQuery { x, len } => Value::pair(Value::bytes(x), Value::U64(*len)),
             FrameKind::RoAnswer(b) => Value::bytes(b),
@@ -311,7 +299,6 @@ impl FrameKind {
                 _ => Err(bad()),
             },
             11 => Ok(FrameKind::Output(body)),
-            12 => Ok(FrameKind::Snapshot(body)),
             13 => match body.as_list() {
                 Some([version, era, chunks]) => {
                     let version = version.as_u64().ok_or_else(bad)?;
@@ -455,7 +442,7 @@ impl Frame {
 
 /// The snapshot-stream format version spoken by
 /// [`encode_snapshot_stream`] (and asserted by the decoders). Version 1
-/// is the legacy single-frame [`FrameKind::Snapshot`] image.
+/// was a single-frame image under the retired kind tag 12.
 pub const SNAPSHOT_STREAM_VERSION: u64 = 2;
 
 /// Payload bytes carried per [`FrameKind::SnapshotChunk`]: 1 MiB, far
@@ -615,8 +602,8 @@ fn snapshot_stream_frames(era: u64, sent_at: u64, payload: &[u8]) -> Vec<Frame> 
 
 /// Encodes `payload` as a streaming multi-frame snapshot
 /// (header ‖ chunks ‖ digest trailer), concatenated into one byte
-/// string. Any payload size encodes — chunking removes the single-frame
-/// [`MAX_FRAME`] ceiling the legacy [`FrameKind::Snapshot`] format has.
+/// string. Any payload size encodes — chunking keeps every frame far
+/// under the single-frame [`MAX_FRAME`] ceiling.
 pub fn encode_snapshot_stream(era: u64, sent_at: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     for frame in snapshot_stream_frames(era, sent_at, payload) {
@@ -985,7 +972,6 @@ mod tests {
             },
             FrameKind::RoAnswer(vec![1, 2, 3]),
             FrameKind::Output(Value::list([Value::bytes(b"out")])),
-            FrameKind::Snapshot(Value::list([Value::str("sbc-service/v1"), Value::U64(7)])),
             FrameKind::SnapshotHeader {
                 version: SNAPSHOT_STREAM_VERSION,
                 era: 3,
@@ -1051,12 +1037,16 @@ mod tests {
             Err(CodecError::UnsupportedVersion { found: 99 })
         );
 
-        let mut bad_kind = sample().encode();
-        bad_kind[7] = 200;
-        assert_eq!(
-            Frame::decode(&bad_kind),
-            Err(CodecError::UnknownKind { tag: 200 })
-        );
+        // 12 is the retired single-frame `Snapshot` tag: unassigned like
+        // any other.
+        for tag in [12u8, 200] {
+            let mut bad_kind = sample().encode();
+            bad_kind[7] = tag;
+            assert_eq!(
+                Frame::decode(&bad_kind),
+                Err(CodecError::UnknownKind { tag })
+            );
+        }
 
         let mut bad_endpoint = sample().encode();
         bad_endpoint[8] = 9;

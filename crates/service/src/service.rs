@@ -360,21 +360,6 @@ pub enum ServiceError {
         /// The configured queue bound.
         cap: usize,
     },
-    /// **Historical — the legacy v1 format is read-only and this is no
-    /// longer returned.** The retired v1 single-frame writer used this
-    /// to refuse journals whose declared frame length (header + body,
-    /// the quantity the codec's `Oversize` rule caps) outgrew
-    /// `MAX_FRAME`. The v2 streaming format — the only writer left —
-    /// chunks a payload of any size, and an over-cap *historical* v1
-    /// image surfaces from [`SbcService::restore`] as
-    /// [`BadSnapshot`](Self::BadSnapshot) at decode time. The variant
-    /// stays so exhaustive matches over `ServiceError` keep compiling.
-    SnapshotTooLarge {
-        /// The declared frame length the snapshot would need.
-        bytes: usize,
-        /// The codec's hard frame cap (`MAX_FRAME`).
-        max: usize,
-    },
     /// A checkpoint was requested mid-era: pre-boundary instances are
     /// still live, or released records have not been delivered yet. A
     /// checkpoint boundary requires every pre-boundary instance
@@ -406,12 +391,6 @@ impl fmt::Display for ServiceError {
         match self {
             ServiceError::QueueFull { cap } => {
                 write!(f, "ingress queue full (cap {cap}): apply backpressure")
-            }
-            ServiceError::SnapshotTooLarge { bytes, max } => {
-                write!(
-                    f,
-                    "snapshot is {bytes} bytes, exceeding the {max}-byte frame cap"
-                )
             }
             ServiceError::NotAtBoundary { live, parked } => {
                 write!(
@@ -1287,7 +1266,6 @@ mod tests {
     fn error_display_renders() {
         for e in [
             ServiceError::QueueFull { cap: 4 },
-            ServiceError::SnapshotTooLarge { bytes: 9, max: 5 },
             ServiceError::NotAtBoundary { live: 2, parked: 1 },
             ServiceError::BadSnapshot { detail: "d".into() },
             ServiceError::Timeout { budget: 3 },

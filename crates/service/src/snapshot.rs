@@ -35,10 +35,8 @@
 //! A multi-frame stream — `SnapshotHeader` ‖ `SnapshotChunk`× ‖
 //! `SnapshotTrailer` with a SHA-256 digest — produced by
 //! [`sbc_net::codec::encode_snapshot_stream`]. Chunking removes the
-//! single-frame `MAX_FRAME` ceiling: a payload of any size encodes, so
-//! [`ServiceError::SnapshotTooLarge`] is unreachable from
-//! [`SbcService::snapshot`]. The chunked payload is the canonical
-//! [`Value`] encoding of
+//! single-frame `MAX_FRAME` ceiling: a payload of any size encodes. The
+//! chunked payload is the canonical [`Value`] encoding of
 //!
 //! ```text
 //! List[ Str("sbc-service/v2"),
@@ -54,13 +52,6 @@
 //!       List[op…] ]              (op = List[0, count]     tick run
 //!                                  | List[1, client, Bytes, class])
 //! ```
-//!
-//! The legacy v1 single-`Snapshot`-frame format (lifetime journal, no
-//! checkpoint, `List[0]` per tick) is **read-only**: the v1 writer is
-//! retired and v2 streaming is the only encoder, but old images stay
-//! decodable by [`SbcService::restore`], which sniffs the format off the
-//! leading frame. The codec's single-frame `MAX_FRAME` ceiling now
-//! exists only on that read path.
 
 use std::io;
 
@@ -69,7 +60,6 @@ use sbc_net::codec::{
     decode_snapshot_stream, encode_snapshot_stream, read_snapshot_stream, write_snapshot_stream,
     SnapshotStream, SnapshotStreamError,
 };
-use sbc_net::{Frame, FrameKind};
 use sbc_uc::value::Value;
 
 use crate::service::{
@@ -77,8 +67,6 @@ use crate::service::{
 };
 use crate::stats::LatencyHistogram;
 
-/// The version string leading a legacy v1 snapshot body.
-const VERSION_TAG_V1: &str = "sbc-service/v1";
 /// The version string leading a v2 streaming snapshot payload.
 const VERSION_TAG_V2: &str = "sbc-service/v2";
 
@@ -103,8 +91,8 @@ fn as_u64(v: &Value, what: &str) -> Result<u64, ServiceError> {
         .ok_or_else(|| bad(format!("{what}: expected U64")))
 }
 
-/// The config portion of a snapshot body — identical in v1 and v2:
-/// fields 1 (params), 2 (seed), 3 (mode), 4 (tuning).
+/// The config portion of a snapshot body: fields 1 (params), 2 (seed),
+/// 3 (mode), 4 (tuning).
 fn config_values(cfg: &ServiceConfig) -> [Value; 4] {
     [
         Value::list([
@@ -344,9 +332,7 @@ impl<W: SbcBackend> SbcService<W> {
 
     /// Serializes the service into a v2 streaming snapshot (header ‖
     /// chunks ‖ digest trailer — the wire format is documented at the top
-    /// of `snapshot.rs`). Any journal size encodes: unlike the retired
-    /// legacy v1 single-frame format there is no size cap, so this never
-    /// returns [`ServiceError::SnapshotTooLarge`].
+    /// of `snapshot.rs`). Any journal size encodes; this never fails.
     ///
     /// The image carries the current checkpoint plus the post-boundary
     /// tail — [`checkpoint`](Self::checkpoint) at era boundaries to keep
@@ -371,10 +357,8 @@ impl<W: SbcBackend> SbcService<W> {
         Ok(written)
     }
 
-    /// Rebuilds a service from a snapshot image — v2 streaming
-    /// ([`snapshot`](Self::snapshot)) or a legacy v1 single-frame image
-    /// (the retired writer's read-only format), sniffed from the leading
-    /// frame.
+    /// Rebuilds a service from a v2 streaming snapshot image
+    /// ([`snapshot`](Self::snapshot)).
     ///
     /// The restored service has **no sinks** — re-register them; records
     /// the original had already delivered are not re-delivered, and
@@ -389,15 +373,8 @@ impl<W: SbcBackend> SbcService<W> {
     /// * [`ServiceError::Pool`] if replay itself fails — impossible for a
     ///   journal captured from a healthy service.
     pub fn restore(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let svc = match decode_snapshot_stream(bytes) {
-            Ok(stream) => Self::restore_stream(&stream),
-            // A legacy image leads with a `Snapshot` frame where a v2
-            // stream has its header — fall through to the v1 decoder.
-            Err(SnapshotStreamError::UnexpectedFrame {
-                found: "Snapshot", ..
-            }) => Self::restore_v1(bytes),
-            Err(e) => Err(stream_err(e)),
-        }?;
+        let stream = decode_snapshot_stream(bytes).map_err(stream_err)?;
+        let svc = Self::restore_stream(&stream)?;
         svc.note_snapshot_bytes(bytes.len() as u64);
         Ok(svc)
     }
@@ -451,33 +428,7 @@ impl<W: SbcBackend> SbcService<W> {
         Ok(svc)
     }
 
-    /// Decodes and replays a legacy v1 single-frame image: fresh pool,
-    /// whole-journal replay from birth.
-    fn restore_v1(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let frame = Frame::decode(bytes).map_err(|e| bad(format!("frame: {e}")))?;
-        let FrameKind::Snapshot(body) = frame.kind else {
-            return Err(bad("not a Snapshot frame"));
-        };
-        let fields = body.as_list().ok_or_else(|| bad("body: expected List"))?;
-        let version = field(fields, 0, "version")?;
-        if version.as_str() != Some(VERSION_TAG_V1) {
-            return Err(bad(format!("unsupported version {version:?}")));
-        }
-        let cfg = parse_config(fields)?;
-        let delivered = as_u64(&field(fields, 5, "delivered")?, "delivered")?;
-        let rejected = as_u64(&field(fields, 6, "rejected")?, "rejected")?;
-        let ops_v = field(fields, 7, "ops")?;
-        let ops = ops_v.as_list().ok_or_else(|| bad("ops: expected List"))?;
-
-        let mut svc = SbcService::<W>::new(cfg)?;
-        svc.replay_ops(ops)?;
-        svc.mark_restored(delivered, delivered, rejected);
-        Ok(svc)
-    }
-
-    /// Replays a decoded operation list. Accepts both tick spellings:
-    /// `List[0]` (one tick, the pre-RLE v1 form) and `List[0, count]`
-    /// (a run — [`Op::Ticks`]).
+    /// Replays a decoded operation list.
     fn replay_ops(&mut self, ops: &[Value]) -> Result<(), ServiceError> {
         for (i, op) in ops.iter().enumerate() {
             let op = op
@@ -488,12 +439,10 @@ impl<W: SbcBackend> SbcService<W> {
                 "op tag",
             )? {
                 0 => {
-                    let count = match op.len() {
-                        1 => 1,
-                        2 => as_u64(&op[1], "tick count")?,
-                        _ => return Err(bad(format!("op {i}: tick arity"))),
-                    };
-                    for _ in 0..count {
+                    if op.len() != 2 {
+                        return Err(bad(format!("op {i}: tick arity")));
+                    }
+                    for _ in 0..as_u64(&op[1], "tick count")? {
                         self.tick()?;
                     }
                 }
@@ -526,55 +475,9 @@ mod tests {
     use super::*;
     use crate::service::{DeadlineClass, ServiceMode};
     use crate::stats::ServiceStats;
-    use sbc_net::codec::MAX_FRAME;
-    use sbc_net::Endpoint;
+    use sbc_net::{Endpoint, Frame, FrameKind};
 
     type Service = SbcService<sbc_core::worlds::RealSbcWorld>;
-
-    /// The retired v1 single-frame writer, kept test-side only: old
-    /// deployments produced exactly this image, and the reader path must
-    /// keep restoring it. Era-0 only — v1 carries a birth-relative
-    /// journal, which a folded service no longer has.
-    fn v1_image(svc: &Service) -> Vec<u8> {
-        assert_eq!(svc.era(), 0, "v1 images are birth-relative");
-        let ops: Vec<Value> = svc
-            .journal
-            .iter()
-            .flat_map(|op| match op {
-                // v1 had no tick run-length: one `List[0]` per tick.
-                Op::Ticks(count) => {
-                    vec![Value::list([Value::U64(0)]); *count as usize]
-                }
-                Op::Submit {
-                    client,
-                    payload,
-                    class,
-                } => vec![Value::list([
-                    Value::U64(1),
-                    Value::U64(*client),
-                    Value::bytes(payload),
-                    Value::U64(class.tag()),
-                ])],
-            })
-            .collect();
-        let [params, seed, mode, tuning] = config_values(svc.config());
-        Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Env,
-            sent_at: svc.round(),
-            kind: FrameKind::Snapshot(Value::list([
-                Value::str(VERSION_TAG_V1),
-                params,
-                seed,
-                mode,
-                tuning,
-                Value::U64(svc.stats().delivered),
-                Value::U64(svc.stats().rejected),
-                Value::List(ops),
-            ])),
-        }
-        .encode()
-    }
 
     fn seeded() -> Service {
         Service::new(
@@ -693,57 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_images_still_restore() {
-        let mut a = seeded();
-        a.submit(1, vec![4], DeadlineClass::Standard).unwrap();
-        a.tick().unwrap();
-        a.tick().unwrap();
-        let image = v1_image(&a);
-        let mut b = Service::restore(&image).unwrap();
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
-        assert_eq!(a.shutdown().unwrap(), b.shutdown().unwrap());
-    }
-
-    #[test]
-    fn legacy_frame_cap_survives_on_the_read_path_only() {
-        // The v1 writer (and with it the write-side SnapshotTooLarge
-        // guard) is retired; the MAX_FRAME ceiling lives on only in the
-        // codec's decode-time Oversize rule. The arithmetic is exact
-        // because Value::Bytes encoding is linear in the payload with
-        // slope 1 — measure the fixed overhead with an empty payload,
-        // then land the declared frame length exactly on MAX_FRAME and
-        // one byte past it.
-        let base = {
-            let mut s = seeded();
-            s.submit(1, vec![], DeadlineClass::Standard).unwrap();
-            v1_image(&s).len() - 4
-        };
-        let fit = MAX_FRAME - base;
-
-        let mut s = seeded();
-        s.submit(1, vec![0xab; fit], DeadlineClass::Standard)
-            .unwrap();
-        let image = v1_image(&s);
-        assert_eq!(image.len() - 4, MAX_FRAME);
-        // A boundary-sized historical image still round-trips.
-        let restored = Service::restore(&image).unwrap();
-        assert_eq!(replayable(&restored.stats()), replayable(&s.stats()));
-
-        let mut s = seeded();
-        s.submit(1, vec![0xab; fit + 1], DeadlineClass::Standard)
-            .unwrap();
-        let err = Service::restore(&v1_image(&s))
-            .err()
-            .expect("an over-cap v1 frame must fail to decode");
-        assert!(matches!(&err, ServiceError::BadSnapshot { .. }), "{err}");
-        // The same oversized journal streams fine through the v2 path —
-        // the only writer left has no size cap.
-        let image = s.snapshot().expect("v2 has no size cap");
-        let restored = Service::restore(&image).unwrap();
-        assert_eq!(replayable(&restored.stats()), replayable(&s.stats()));
-    }
-
-    #[test]
     fn garbage_and_wrong_frames_are_typed_errors() {
         assert!(matches!(
             Service::restore(b"junk"),
@@ -760,15 +612,19 @@ mod tests {
             Service::restore(&not_snapshot),
             Err(ServiceError::BadSnapshot { .. })
         ));
-        let wrong_version = Frame {
+        // A v1-shaped image — one frame under the retired kind tag 12
+        // carrying `List["sbc-service/v1", …]` — is an unknown frame kind
+        // now: typed error, no panic.
+        let mut v1_shaped = Frame {
             from: Endpoint::Env,
             to: Endpoint::Env,
             sent_at: 0,
-            kind: FrameKind::Snapshot(Value::list([Value::str("sbc-service/v9")])),
+            kind: FrameKind::Output(Value::list([Value::str("sbc-service/v1"), Value::U64(7)])),
         }
         .encode();
+        v1_shaped[7] = 12;
         assert!(matches!(
-            Service::restore(&wrong_version),
+            Service::restore(&v1_shaped),
             Err(ServiceError::BadSnapshot { .. })
         ));
     }

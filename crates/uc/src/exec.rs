@@ -61,126 +61,9 @@ use crate::world::{AdvCommand, EnvDriver, Leak, World};
 use std::collections::BTreeMap;
 use std::fmt;
 
-// ---------------------------------------------------------------------------
-// Shard scheduling
-// ---------------------------------------------------------------------------
-
-/// A batch scheduler that worlds use to fan independent per-party (or
-/// per-instance) compute out across workers — the seam between the UC
-/// execution layer and whatever thread pool the embedder provides.
-///
-/// The contract is strict so that backends can rely on it for
-/// observation-equivalence arguments:
-///
-/// * **Every job runs exactly once**, and `run_boxed` does not return until
-///   all of them have finished (jobs may run on other threads, but no job
-///   outlives the call — callers pass closures borrowing local state).
-/// * **A panic in any job propagates** to the `run_boxed` caller after the
-///   whole batch has settled, exactly as the same panic would surface from
-///   an inline loop.
-/// * **No ordering guarantee between jobs**: jobs handed to a runner must
-///   be mutually independent. Anything order-sensitive belongs in the
-///   serial merge phase that follows the parallel compute phase.
-///
-/// Implementations: [`SerialShards`] (the inline reference), [`ScopedShards`]
-/// (per-call `std::thread::scope` workers), and the persistent worker pool
-/// `sbc_core::executor::Executor` (amortizes thread setup across calls).
-pub trait ShardRunner: Sync {
-    /// Runs every job to completion, possibly in parallel.
-    fn run_boxed(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>);
-
-    /// How many jobs can make progress at once (1 = serial). Worlds use
-    /// this to pick shard sizes; it is a hint, not a contract.
-    fn width(&self) -> usize {
-        1
-    }
-}
-
-/// The inline reference [`ShardRunner`]: runs jobs serially on the calling
-/// thread, in order. Sharded code driven by this runner is the serial code —
-/// useful as a determinism baseline and on single-core hosts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SerialShards;
-
-impl ShardRunner for SerialShards {
-    fn run_boxed(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-        for job in jobs {
-            job();
-        }
-    }
-}
-
-/// A [`ShardRunner`] that spawns one `std::thread::scope` worker per job on
-/// every call — the dependency-free, unsafe-free reference for actually
-/// parallel execution. Per-call thread spawning costs ~10–50µs per worker;
-/// hot paths use the persistent `sbc_core::executor::Executor` instead,
-/// which amortizes the setup across ticks.
-#[derive(Clone, Copy, Debug)]
-pub struct ScopedShards(
-    /// Worker-count hint reported by [`ShardRunner::width`].
-    pub usize,
-);
-
-impl ShardRunner for ScopedShards {
-    fn run_boxed(&self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs.into_iter().map(|job| s.spawn(job)).collect();
-            for h in handles {
-                if let Err(panic) = h.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
-    }
-
-    fn width(&self) -> usize {
-        self.0.max(1)
-    }
-}
-
-/// Typed front end to a [`ShardRunner`]: runs `jobs` (possibly in parallel)
-/// and returns their results **in job order** — the scheduling may be
-/// arbitrary, the result vector is not.
-pub fn run_shards<T, F>(runner: &dyn ShardRunner, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let mut slots: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
-    let boxed: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-        .into_iter()
-        .zip(slots.iter_mut())
-        .map(|(job, slot)| {
-            Box::new(move || {
-                *slot = Some(job());
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    runner.run_boxed(boxed);
-    slots
-        .into_iter()
-        .map(|s| s.expect("ShardRunner ran every job"))
-        .collect()
-}
-
-/// Splits `0..len` into at most `shards` contiguous ranges of near-equal
-/// size — the canonical work split for per-party and per-instance sharding
-/// (contiguous ranges keep merges id-ordered by construction).
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, len);
-    let chunk = len.div_ceil(shards);
-    (0..len)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(len))
-        .collect()
-}
-
 /// A [`World`] that can host simultaneous-broadcast periods: the one trait
-/// every execution backend — real, ideal, or future (sharded, async,
-/// networked) — implements so that sessions, tests, and benches drive all
+/// every execution backend — real, ideal, or future (async, networked) —
+/// implements so that sessions, tests, and benches drive all
 /// of them through identical code.
 ///
 /// The required surface is the period lifecycle; the provided methods are
@@ -189,13 +72,12 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 ///
 /// # `Send`
 ///
-/// `SbcWorld` requires [`Send`]: instance pools step independent backend
-/// worlds **in parallel** (one shared clock tick fans the per-instance
-/// round out across worker threads), which moves `&mut` borrows of the
-/// worlds across threads. Every in-tree backend is a plain owned-data
-/// state machine and is `Send` automatically; a future backend holding
-/// thread-bound resources (`Rc`, raw GUI handles, …) must wrap them in
-/// `Send`-safe forms to participate.
+/// `SbcWorld` requires [`Send`]: every in-tree driver steps worlds on the
+/// calling thread, but callers outside this workspace may move a session,
+/// pool or service — and the worlds it owns — to another thread. Every
+/// in-tree backend is a plain owned-data state machine and is `Send`
+/// automatically; a future backend holding thread-bound resources (`Rc`,
+/// raw GUI handles, …) must wrap them in `Send`-safe forms to participate.
 pub trait SbcWorld: World + Send {
     /// Closes the books on a released broadcast period so the same world
     /// can host the next one. Period-local state (party queues, undelivered
@@ -236,27 +118,6 @@ pub trait SbcWorld: World + Send {
                 self.advance(p);
             }
         }
-    }
-
-    /// One full round with **intra-instance party sharding**: a backend may
-    /// split the per-party round work into a parallel compute phase (pure
-    /// per-party work against an immutable round snapshot, fanned out on
-    /// `shards`) and a serial merge phase (all clock/oracle/net mutation,
-    /// in party-id order).
-    ///
-    /// The contract is unconditional observation-equivalence: every
-    /// transcript a driver can extract afterwards — outputs, leaks, their
-    /// order, the clock — must be **bit-identical** to [`tick`](SbcWorld::tick).
-    /// The scheduling is a performance knob, never a semantic one; the
-    /// default implementation simply runs the serial reference round.
-    ///
-    /// Backends whose round step is inherently sequential (pure
-    /// bookkeeping, or a simulator threading one state machine — e.g. the
-    /// UBC stack's `Π_UBC`, whose round is `F_RBC` delivery bookkeeping
-    /// with no compute to shard) keep the default.
-    fn tick_sharded(&mut self, shards: &dyn ShardRunner) {
-        let _ = shards;
-        self.tick();
     }
 
     /// Catches this world up to shared-clock round `round`, as if
@@ -1363,57 +1224,6 @@ mod tests {
             err.reason
         );
         let _ = a;
-    }
-
-    #[test]
-    fn run_shards_preserves_job_order_on_every_runner() {
-        let jobs = |n: usize| (0..n).map(|i| move || i * i).collect::<Vec<_>>();
-        assert_eq!(
-            run_shards(&SerialShards, jobs(17)),
-            run_shards(&ScopedShards(4), jobs(17))
-        );
-        assert_eq!(run_shards(&SerialShards, jobs(1)), vec![0]);
-        assert!(run_shards(&SerialShards, Vec::<fn() -> usize>::new()).is_empty());
-    }
-
-    #[test]
-    fn scoped_shards_propagate_panics() {
-        let result = std::panic::catch_unwind(|| {
-            run_shards(
-                &ScopedShards(2),
-                vec![
-                    Box::new(|| 1usize) as Box<dyn FnOnce() -> usize + Send>,
-                    Box::new(|| panic!("shard boom")),
-                ],
-            )
-        });
-        assert!(result.is_err(), "job panic reaches the caller");
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly_once() {
-        for (len, shards) in [(0usize, 4usize), (1, 4), (7, 3), (8, 3), (9, 3), (5, 9)] {
-            let ranges = shard_ranges(len, shards);
-            let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-            assert_eq!(
-                flat,
-                (0..len).collect::<Vec<_>>(),
-                "len={len} shards={shards}"
-            );
-            assert!(ranges.len() <= shards.max(1));
-        }
-    }
-
-    #[test]
-    fn tick_sharded_default_is_the_serial_tick() {
-        let mut serial = PeriodicEcho::new(3);
-        let mut sharded = PeriodicEcho::new(3);
-        serial.submit(PartyId(0), b"m");
-        sharded.submit(PartyId(0), b"m");
-        serial.tick();
-        sharded.tick_sharded(&ScopedShards(2));
-        assert_eq!(serial.time(), sharded.time());
-        assert_eq!(serial.drain_outputs(), sharded.drain_outputs());
     }
 
     #[test]

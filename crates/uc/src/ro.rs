@@ -45,28 +45,6 @@ impl std::fmt::Display for AlreadyDefined {
 
 impl std::error::Error for AlreadyDefined {}
 
-/// One memoised oracle point, as captured by a recording clone
-/// ([`RandomOracle::record_fresh_points`]) and replayed into the live
-/// oracle via [`RandomOracle::warm`] — the currency of the two-phase
-/// (parallel compute, serial merge) round schedulers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RoPoint {
-    /// A fixed-width point `H(x)`.
-    Fixed {
-        /// The query input.
-        x: Vec<u8>,
-        /// The oracle output.
-        y: [u8; 32],
-    },
-    /// A variable-output-length point `H(x; y.len())`.
-    Var {
-        /// The query input.
-        x: Vec<u8>,
-        /// The oracle output (its length identifies the point).
-        y: Vec<u8>,
-    },
-}
-
 /// A programmable random oracle with λ = 256-bit outputs.
 ///
 /// Sampling is *input-addressed*: an unprogrammed point `x` always maps to
@@ -76,14 +54,6 @@ pub enum RoPoint {
 /// ideal world constructed from the same seed agree on every unprogrammed
 /// point, which is what lets the indistinguishability tests compare
 /// transcripts bit-for-bit.
-///
-/// Input-addressing is also what licenses **parallel party sharding** in
-/// the execution backends: the value of an unprogrammed point does not
-/// depend on query order, so per-party round compute may evaluate points
-/// against a read-only snapshot ([`peek`](RandomOracle::peek) /
-/// [`peek_bytes`](RandomOracle::peek_bytes)) and the serial merge replays
-/// the observable effects afterwards ([`warm`](RandomOracle::warm) /
-/// [`absorb_party_queries`](RandomOracle::absorb_party_queries)).
 #[derive(Clone, Debug)]
 pub struct RandomOracle {
     table: HashMap<Vec<u8>, [u8; 32]>,
@@ -94,9 +64,6 @@ pub struct RandomOracle {
     programmed: HashMap<Vec<u8>, ()>,
     key: [u8; 32],
     query_count: u64,
-    /// When `Some`, every freshly computed point is journaled (recording
-    /// clones used by parallel compute phases).
-    recorded: Option<Vec<RoPoint>>,
 }
 
 impl RandomOracle {
@@ -112,7 +79,6 @@ impl RandomOracle {
             programmed: HashMap::new(),
             key,
             query_count: 0,
-            recorded: None,
         }
     }
 
@@ -127,9 +93,6 @@ impl RandomOracle {
         }
         let y = sbc_primitives::hmac::hmac_sha256(&self.key, x);
         self.table.insert(x.to_vec(), y);
-        if let Some(journal) = &mut self.recorded {
-            journal.push(RoPoint::Fixed { x: x.to_vec(), y });
-        }
         y
     }
 
@@ -164,107 +127,18 @@ impl RandomOracle {
         }
         let y = self.expand(&key, len);
         self.vl_table.insert(key, y.clone());
-        if let Some(journal) = &mut self.recorded {
-            journal.push(RoPoint::Var {
-                x: x.to_vec(),
-                y: y.clone(),
-            });
-        }
         y
     }
 
-    /// Read-only peek at `H(x; len)` without recording a query — the
-    /// variable-length sibling of [`peek`](RandomOracle::peek). Parallel
-    /// compute phases derive party masks from an immutable oracle snapshot
-    /// this way; the serial merge replays the observable query effects via
-    /// [`absorb_party_queries`](RandomOracle::absorb_party_queries).
-    pub fn peek_bytes(&self, x: &[u8], len: usize) -> Vec<u8> {
-        let key = Self::vl_key(x, len);
-        if let Some(y) = self.vl_table.get(&key) {
-            return y.clone();
-        }
-        self.expand(&key, len)
-    }
-
-    /// Turns fresh-point journaling on: every point computed (not hit in
-    /// the memo tables) from here on is captured for
-    /// [`take_recorded`](RandomOracle::take_recorded). Used on **clones**
-    /// by parallel compute phases to learn which points a party's round
-    /// step materializes, so the serial merge can
-    /// [`warm`](RandomOracle::warm) the live oracle instead of recomputing.
-    pub fn record_fresh_points(&mut self) {
-        self.recorded = Some(Vec::new());
-    }
-
-    /// Drains the fresh-point journal (empty if recording was never turned
-    /// on) and stops recording.
-    pub fn take_recorded(&mut self) -> Vec<RoPoint> {
-        self.recorded.take().unwrap_or_default()
-    }
-
-    /// Pre-populates the memo tables with `points`, skipping any point that
-    /// is already defined. Values must equal what the oracle would compute
-    /// itself (debug-asserted) — warming is a pure cache operation: it
-    /// never bumps [`query_count`](RandomOracle::query_count), never marks
-    /// adversary queries, and in a world where nobody programs the oracle
-    /// it is unobservable, which is exactly why the two-phase round
-    /// schedulers may warm speculatively.
-    pub fn warm(&mut self, points: &[RoPoint]) {
-        for p in points {
-            match p {
-                RoPoint::Fixed { x, y } => {
-                    debug_assert_eq!(*y, self.peek(x), "warmed point disagrees with the PRF");
-                    self.table.entry(x.clone()).or_insert(*y);
-                }
-                RoPoint::Var { x, y } => {
-                    debug_assert_eq!(
-                        *y,
-                        self.peek_bytes(x, y.len()),
-                        "warmed point disagrees with the PRF"
-                    );
-                    self.vl_table
-                        .entry(Self::vl_key(x, y.len()))
-                        .or_insert_with(|| y.clone());
-                }
-            }
-        }
-    }
-
-    /// Replays the observable effects of honest-party `query_bytes` calls
-    /// whose values were precomputed against a snapshot
-    /// ([`peek_bytes`](RandomOracle::peek_bytes)): one query-count bump per
-    /// entry (duplicates included, exactly as the inline queries would
-    /// have) plus the memo insert. Party queries never touch the
-    /// adversary-query set, so the result is bit-identical oracle state.
-    pub fn absorb_party_queries(&mut self, queries: &[(Vec<u8>, Vec<u8>)]) {
-        for (x, y) in queries {
-            self.query_count += 1;
-            debug_assert_eq!(
-                *y,
-                self.peek_bytes(x, y.len()),
-                "absorbed query disagrees with the PRF"
-            );
-            self.vl_table
-                .entry(Self::vl_key(x, y.len()))
-                .or_insert_with(|| y.clone());
-        }
-    }
-
-    /// [`absorb_party_queries`](RandomOracle::absorb_party_queries) for
-    /// queries whose points are **already** in the memo tables — a plan
-    /// reissued from an original that was [`warm`](RandomOracle::warm)ed.
-    /// The memo inserts are then no-ops, so the only observable effect left
-    /// to replay is the query counter: one bump per query, exactly as the
-    /// inline `query_bytes` calls would have. Debug builds assert every
-    /// point really is memoized.
-    pub fn replay_warmed_queries(&mut self, queries: &[(Vec<u8>, Vec<u8>)]) {
-        debug_assert!(
-            queries
-                .iter()
-                .all(|(x, y)| self.vl_table.contains_key(&Self::vl_key(x, y.len()))),
-            "replayed query was never warmed into the memo table"
-        );
-        self.query_count += queries.len() as u64;
+    /// Replays the one observable effect of `count` honest-party
+    /// [`query_bytes`](RandomOracle::query_bytes) calls whose points are
+    /// **already** in the memo tables: the query counter. This is how a
+    /// party that reuses another party's release (same wire log, hence the
+    /// same queries, issued inline earlier in the round) accounts for the
+    /// queries it would have made — the memo inserts would be no-ops, and
+    /// party queries never touch the adversary-query set.
+    pub fn replay_warmed_queries(&mut self, count: u64) {
+        self.query_count += count;
     }
 
     fn expand(&self, key: &[u8], len: usize) -> Vec<u8> {
@@ -465,70 +339,6 @@ mod tests {
         assert_eq!(r.program_bytes(b"taken", vec![0u8; 8]), Err(AlreadyDefined));
         assert!(r.adversary_queried_bytes(b"taken", 8));
         assert!(!r.adversary_queried_bytes(b"taken", 9));
-    }
-
-    #[test]
-    fn peek_bytes_matches_query_bytes_without_recording() {
-        let mut r = ro();
-        let peeked = r.peek_bytes(b"x", 48);
-        assert_eq!(r.query_count(), 0);
-        assert_eq!(r.query_bytes(Caller::Party(PartyId(0)), b"x", 48), peeked);
-        // Programmed points are visible to peeks too.
-        let mut r2 = ro();
-        r2.program_bytes(b"p", vec![9u8; 16]).unwrap();
-        assert_eq!(r2.peek_bytes(b"p", 16), vec![9u8; 16]);
-    }
-
-    #[test]
-    fn recording_clone_captures_exactly_the_fresh_points() {
-        let mut r = ro();
-        r.query(Caller::Simulator, b"old");
-        let mut clone = r.clone();
-        clone.record_fresh_points();
-        clone.query(Caller::Simulator, b"old"); // memo hit: not recorded
-        let y_new = clone.query(Caller::Simulator, b"new");
-        let y_var = clone.query_bytes(Caller::Simulator, b"v", 10);
-        let recorded = clone.take_recorded();
-        assert_eq!(
-            recorded,
-            vec![
-                RoPoint::Fixed {
-                    x: b"new".to_vec(),
-                    y: y_new
-                },
-                RoPoint::Var {
-                    x: b"v".to_vec(),
-                    y: y_var.clone()
-                },
-            ]
-        );
-        assert!(clone.take_recorded().is_empty(), "recording stopped");
-        // Warming the original with the journal is query-invisible...
-        r.warm(&recorded);
-        assert_eq!(r.query_count(), 1);
-        // ...and later queries agree bit-for-bit.
-        assert_eq!(r.query(Caller::Simulator, b"new"), y_new);
-        assert_eq!(r.query_bytes(Caller::Simulator, b"v", 10), y_var);
-    }
-
-    #[test]
-    fn absorb_party_queries_matches_inline_queries() {
-        let mut inline = ro();
-        let mut absorbed = ro();
-        let eta = inline.query_bytes(Caller::Party(PartyId(0)), b"rho", 20);
-        let eta2 = inline.query_bytes(Caller::Party(PartyId(1)), b"rho", 20);
-        assert_eq!(eta, eta2);
-        let precomputed = absorbed.peek_bytes(b"rho", 20);
-        absorbed.absorb_party_queries(&[
-            (b"rho".to_vec(), precomputed.clone()),
-            (b"rho".to_vec(), precomputed),
-        ]);
-        assert_eq!(absorbed.query_count(), inline.query_count());
-        assert_eq!(
-            absorbed.query_bytes(Caller::Simulator, b"rho", 20),
-            inline.query_bytes(Caller::Simulator, b"rho", 20)
-        );
-        assert!(!absorbed.adversary_queried_bytes(b"rho", 20));
     }
 
     #[test]

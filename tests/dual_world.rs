@@ -129,6 +129,41 @@ fn theorem2_multi_epoch_active_adversary() {
     }
 }
 
+/// The same shape at n = 64 over two epochs: adaptive mid-period
+/// corruption in epoch 0; a leakage probe, a committed injection and a
+/// garbage wire on behalf of the corrupted party in epoch 1; late drains
+/// throughout.
+#[test]
+fn theorem2_two_epochs_at_n64() {
+    let mut dual = theorem2_pair(64, b"dual-n64");
+    let mut adv_rng = Drbg::from_seed(b"dual-n64/adversary");
+    for p in [0u32, 7, 31, 63] {
+        dual.submit(PartyId(p), format!("e0/p{p}").as_bytes());
+    }
+    dual.advance_all();
+    dual.corrupt(PartyId(63));
+    dual.idle_rounds(9);
+    assert_eq!(dual.finish_epoch().expect("epoch 0 aligned"), 0);
+
+    for p in [1u32, 8, 30] {
+        dual.submit(PartyId(p), format!("e1/p{p}").as_bytes());
+    }
+    dual.advance_all();
+    dual.adversary(AdvCommand::Control {
+        target: "F_TLE".into(),
+        cmd: Command::new("Leakage", Value::Unit),
+    });
+    inject(&mut dual, &mut adv_rng, PartyId(63), b"e1/evil");
+    dual.adversary(AdvCommand::SendAs {
+        party: PartyId(63),
+        cmd: Command::new("Broadcast", Value::bytes(b"not a wire")),
+    });
+    dual.idle_rounds(10);
+    assert_eq!(dual.finish_epoch().expect("epoch 1 aligned"), 1);
+    let (t_real, _) = dual.into_transcripts();
+    assert_eq!(t_real.outputs().len(), 2 * 63, "both epochs released");
+}
+
 /// Satellite: seeded adversary-schedule sweep. Random corrupt / send_as /
 /// inject / leakage-probe schedules over random epoch counts; transcript
 /// equality is asserted at **every** epoch boundary. Each failure

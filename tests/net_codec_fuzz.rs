@@ -58,7 +58,7 @@ fn rand_endpoint(rng: &mut Drbg) -> Endpoint {
 
 /// A random frame covering every kind with random payloads.
 fn rand_frame(rng: &mut Drbg) -> Frame {
-    let kind = match rng.gen_bytes(1)[0] % 16 {
+    let kind = match rng.gen_bytes(1)[0] % 15 {
         0 => FrameKind::Submit(rand_value(rng, 2)),
         1 => FrameKind::Tick,
         2 => FrameKind::Cast(rand_value(rng, 2)),
@@ -89,13 +89,12 @@ fn rand_frame(rng: &mut Drbg) -> Frame {
             FrameKind::RoAnswer(rng.gen_bytes(len))
         }
         11 => FrameKind::Output(rand_value(rng, 2)),
-        12 => FrameKind::Snapshot(rand_value(rng, 2)),
-        13 => FrameKind::SnapshotHeader {
+        12 => FrameKind::SnapshotHeader {
             version: u64::from(rng.gen_bytes(1)[0]),
             era: u64::from(rng.gen_bytes(1)[0]),
             chunks: u64::from(rng.gen_bytes(1)[0]),
         },
-        14 => {
+        13 => {
             let len = (rng.gen_bytes(1)[0] % 48) as usize;
             FrameKind::SnapshotChunk {
                 index: u64::from(rng.gen_bytes(1)[0]),

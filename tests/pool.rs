@@ -8,15 +8,13 @@
 //! staggered late-opened instance. The error-path tests pin down the typed
 //! `SbcError` surface of the session-level `SbcPool`.
 //!
-//! The scheduling tests assert the pool's two performance paths are
-//! observation-equivalent to their references: parallel `tick_all` vs the
-//! serial loop (bit-identical keyed transcripts under adaptive corruption)
-//! and the O(1) `join_at` offset join vs the literal idle-round replay.
+//! The offset-join tests assert the O(1) `join_at` is
+//! observation-equivalent to the literal idle-round replay.
 //! The lifecycle regression tests cover the retire-drops-drains and
 //! panicking-`open_instance` bugs.
 
-use sbc_core::api::{SbcError, SbcResult};
-use sbc_core::pool::{InstanceId, PartyShard, PooledSbcWorld, SbcPool, TickMode};
+use sbc_core::api::SbcError;
+use sbc_core::pool::{InstanceId, PooledSbcWorld, SbcPool};
 use sbc_core::protocol::sbc_wire;
 use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
 use sbc_primitives::drbg::Drbg;
@@ -320,229 +318,14 @@ fn empty_pool_and_empty_instances_behave() {
     assert_eq!(pool.epoch(id).unwrap(), 0, "failed runs do not turn epochs");
 }
 
-// ---------------------------------------------------------------------------
-// Parallel stepping: observation-equivalence to the serial reference
-// ---------------------------------------------------------------------------
-
-/// Acceptance test for parallel `tick_all`: a 16-instance pool stepped by
-/// the forced-parallel scheduler must produce **bit-identical** keyed
-/// transcripts — inputs, outputs, and leak order per instance — to the
-/// serial reference loop, including across an adaptive mid-period
-/// corruption and late drains. `PoolDualRun` at `CompareLevel::Exact` is
-/// the strictest comparator in the workspace, so any merge-order slip in
-/// the parallel path fails loudly here.
+/// Theorem 2 at pool scope and n = 64: the real/ideal comparison holds at
+/// the usual pool level (transcript shape + exact outputs, keyed by
+/// instance) under corruption and injection.
 #[test]
-fn parallel_tick_all_is_bit_identical_to_serial() {
-    fn world(mode: TickMode) -> PooledSbcWorld<RealSbcWorld> {
-        let mut w =
-            PooledSbcWorld::new(SbcParams::default_for(3), b"par-vs-ser").expect("valid params");
-        w.set_tick_mode(mode);
-        w
-    }
-    let mut dual = PoolDualRun::new(
-        world(TickMode::Serial),
-        world(TickMode::Parallel),
-        CompareLevel::Exact,
-    );
-    let ids: Vec<InstanceId> = (0..16).map(|_| dual.open_instance()).collect();
-    for (k, &id) in ids.iter().enumerate() {
-        dual.submit(id, PartyId((k % 2) as u32), format!("m{k}").as_bytes());
-    }
-    dual.step_round();
-    // Adaptive corruption mid-period hits every instance in both pools.
-    let (cr, ci) = dual.corrupt(PartyId(2));
-    assert!(cr && ci);
-    dual.submit(ids[5], PartyId(0), b"post-corruption");
-    dual.idle_rounds(9); // all release at τ_rel = 5; drain late
-    dual.check()
-        .unwrap_or_else(|d| panic!("parallel diverged from serial: {d}"));
-    assert_eq!(dual.round(), 10);
-}
-
-/// Acceptance test for the two-level executor: a 16-instance × 64-party
-/// pool stepped by the fully parallel schedule — instances fanned across
-/// the persistent executor AND every instance's party loop sharded
-/// (`PartyShard::Sharded` forced on) — must produce **bit-identical** keyed
-/// transcripts to the all-serial reference schedule, across ≥ 2 epochs per
-/// instance, under adaptive mid-period corruption and adversarial wire
-/// injection. `CompareLevel::Exact` compares full transcripts (leak order
-/// included), so any slip in the plan/merge split, the recipient-sharded
-/// delivery, or the drain merge fails loudly here.
-#[test]
-fn two_level_sharded_schedule_is_bit_identical_to_serial() {
-    const N: usize = 64;
-    const INSTANCES: usize = 16;
-    fn world(mode: TickMode, shard: PartyShard) -> PooledSbcWorld<RealSbcWorld> {
-        let mut w =
-            PooledSbcWorld::new(SbcParams::default_for(N), b"two-level").expect("valid params");
-        w.set_tick_mode(mode);
-        w.set_party_shard(shard);
-        w
-    }
-    let mut dual = PoolDualRun::new(
-        world(TickMode::Serial, PartyShard::Serial),
-        world(TickMode::Parallel, PartyShard::Sharded),
-        CompareLevel::Exact,
-    );
-    let mut adv_rng = Drbg::from_seed(b"two-level/adversary");
-    let ids: Vec<InstanceId> = (0..INSTANCES).map(|_| dual.open_instance()).collect();
-    for epoch in 0..2u64 {
-        for (k, &id) in ids.iter().enumerate() {
-            dual.submit(
-                id,
-                PartyId((k % 7) as u32),
-                format!("e{epoch}/i{k}/a").as_bytes(),
-            );
-            dual.submit(
-                id,
-                PartyId((k % 7 + 8) as u32),
-                format!("e{epoch}/i{k}/b").as_bytes(),
-            );
-        }
-        dual.step_round(); // periods open: τ_rel agreed everywhere
-        if epoch == 0 {
-            // Adaptive mid-period corruption hits every instance in both
-            // pools (and the sharded schedule must keep ignoring the
-            // corrupted party identically from here on).
-            let (cr, ci) = dual.corrupt(PartyId(63));
-            assert!(cr && ci);
-        }
-        // Adversarial wire injection on behalf of the corrupted party, on a
-        // quarter of the instances, plus a garbage wire on one.
-        for (_, &id) in ids.iter().enumerate().filter(|(k, _)| k % 4 == 0) {
-            let real_inject = sbc_wire(
-                &Value::bytes(adv_rng.gen_bytes(64)),
-                dual.release_round(id).expect("period open"),
-                &adv_rng.gen_bytes(16),
-            );
-            dual.adversary(
-                id,
-                AdvCommand::SendAs {
-                    party: PartyId(63),
-                    cmd: Command::new("Broadcast", real_inject),
-                },
-            );
-        }
-        dual.adversary(
-            ids[3],
-            AdvCommand::SendAs {
-                party: PartyId(63),
-                cmd: Command::new("Broadcast", Value::bytes(b"not a wire")),
-            },
-        );
-        dual.idle_rounds(8); // release at τ_rel; drain late
-        for &id in &ids {
-            assert_eq!(
-                dual.finish_epoch(id).unwrap_or_else(|d| panic!("{d}")),
-                epoch,
-                "epoch {epoch} aligned"
-            );
-        }
-    }
-    let (t_serial, t_sharded) = dual.into_transcripts();
-    assert_eq!(t_serial.len(), INSTANCES);
-    for id in ids {
-        assert_eq!(t_serial[&id].digest(), t_sharded[&id].digest());
-        assert!(!t_serial[&id].outputs().is_empty(), "{id} released");
-    }
-}
-
-/// Acceptance test for ideal-world sharding at pool scope: a 16-instance ×
-/// 64-party pool of **ideal** backends stepped by the fully parallel
-/// schedule — instances fanned across the persistent executor AND every
-/// instance's delivery round sharded through
-/// `IdealSbcWorld::tick_sharded` (`PartyShard::Sharded` forced on) — must
-/// produce **bit-identical** keyed transcripts to the all-serial reference
-/// schedule, across 2 epochs per instance, under adaptive mid-period
-/// corruption and committed adversarial injection (`F_TLE` Insert +
-/// `F_RO`-derived mask + `SendAs` wire). `CompareLevel::Exact` compares
-/// full transcripts, so any slip in the quiescence gate or the plan/merge
-/// split of the simulator's mirror fails loudly here.
-#[test]
-fn pool_of_ideal_sharded_schedule_is_bit_identical_to_serial() {
-    const N: usize = 64;
-    const INSTANCES: usize = 16;
-    fn world(mode: TickMode, shard: PartyShard) -> PooledSbcWorld<IdealSbcWorld> {
-        let mut w =
-            PooledSbcWorld::new(SbcParams::default_for(N), b"ideal-pool").expect("valid params");
-        w.set_tick_mode(mode);
-        w.set_party_shard(shard);
-        w
-    }
-    let mut dual = PoolDualRun::new(
-        world(TickMode::Serial, PartyShard::Serial),
-        world(TickMode::Parallel, PartyShard::Sharded),
-        CompareLevel::Exact,
-    );
-    let mut adv_rng = Drbg::from_seed(b"ideal-pool/adversary");
-    let ids: Vec<InstanceId> = (0..INSTANCES).map(|_| dual.open_instance()).collect();
-    for epoch in 0..2u64 {
-        for (k, &id) in ids.iter().enumerate() {
-            dual.submit(
-                id,
-                PartyId((k % 7) as u32),
-                format!("e{epoch}/i{k}/a").as_bytes(),
-            );
-            dual.submit(
-                id,
-                PartyId((k % 7 + 8) as u32),
-                format!("e{epoch}/i{k}/b").as_bytes(),
-            );
-        }
-        dual.step_round(); // periods open: τ_rel agreed everywhere
-        if epoch == 0 {
-            let (cr, ci) = dual.corrupt(PartyId(63));
-            assert!(cr && ci);
-        }
-        // Committed injections on a quarter of the instances, plus a
-        // garbage wire on one — the sharded delivery round must carry the
-        // injected messages identically.
-        for (k, &id) in ids.iter().enumerate().filter(|(k, _)| k % 4 == 0) {
-            inject(
-                &mut dual,
-                &mut adv_rng,
-                id,
-                PartyId(63),
-                format!("e{epoch}/i{k}/evil").as_bytes(),
-            );
-        }
-        dual.adversary(
-            ids[3],
-            AdvCommand::SendAs {
-                party: PartyId(63),
-                cmd: Command::new("Broadcast", Value::bytes(b"not a wire")),
-            },
-        );
-        dual.idle_rounds(8); // release at τ_rel; drain late
-        for &id in &ids {
-            assert_eq!(
-                dual.finish_epoch(id).unwrap_or_else(|d| panic!("{d}")),
-                epoch,
-                "epoch {epoch} aligned"
-            );
-        }
-    }
-    let (t_serial, t_sharded) = dual.into_transcripts();
-    assert_eq!(t_serial.len(), INSTANCES);
-    for id in ids {
-        assert_eq!(t_serial[&id].digest(), t_sharded[&id].digest());
-        assert!(!t_serial[&id].outputs().is_empty(), "{id} released");
-    }
-}
-
-/// Theorem 2 with *both* pools on the fully sharded schedule: the real
-/// pool and the ideal pool each run `tick_sharded` on the persistent
-/// executor, and the real/ideal comparison still holds at the usual
-/// pool level (transcript shape + exact outputs, keyed by instance) under
-/// corruption and injection.
-#[test]
-fn pool_theorem2_holds_with_both_pools_sharded() {
+fn pool_theorem2_holds_at_n64() {
     fn world<W: SbcBackend>() -> PooledSbcWorld<W> {
-        let mut w = PooledSbcWorld::new(SbcParams::default_for(64), b"both-sharded-pools")
-            .expect("valid params");
-        w.set_tick_mode(TickMode::Parallel);
-        w.set_party_shard(PartyShard::Sharded);
-        w
+        PooledSbcWorld::new(SbcParams::default_for(64), b"both-sharded-pools")
+            .expect("valid params")
     }
     let mut dual: PoolDualRun<PooledSbcWorld<RealSbcWorld>, PooledSbcWorld<IdealSbcWorld>> =
         PoolDualRun::new(world(), world(), CompareLevel::ShapeAndOutputs);
@@ -559,32 +342,6 @@ fn pool_theorem2_holds_with_both_pools_sharded() {
     for &id in &ids {
         assert_eq!(dual.finish_epoch(id).unwrap_or_else(|d| panic!("{d}")), 0);
     }
-}
-
-/// The same invariant one layer up: the session-level release stream
-/// (`step_round`'s return values, in order) is tick-mode invariant.
-#[test]
-fn pool_release_stream_is_tick_mode_invariant() {
-    fn run(mode: TickMode) -> Vec<(InstanceId, SbcResult)> {
-        let mut pool = SbcPool::builder(3)
-            .seed(b"mode-invariant")
-            .tick_mode(mode)
-            .build()
-            .expect("valid params");
-        let ids: Vec<InstanceId> = (0..12).map(|_| pool.open_instance().unwrap()).collect();
-        for (k, &id) in ids.iter().enumerate() {
-            pool.submit(id, (k % 3) as u32, format!("lot-{k}").as_bytes())
-                .unwrap();
-        }
-        let mut releases = Vec::new();
-        for _ in 0..8 {
-            releases.extend(pool.step_round().unwrap());
-        }
-        assert_eq!(releases.len(), ids.len(), "all released");
-        releases
-    }
-    assert_eq!(run(TickMode::Serial), run(TickMode::Parallel));
-    assert_eq!(run(TickMode::Serial), run(TickMode::Auto));
 }
 
 // ---------------------------------------------------------------------------
