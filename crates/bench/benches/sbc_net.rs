@@ -303,6 +303,11 @@ fn main() {
         ],
     });
 
+    // Every row records the `cores` the host had, like the other reports.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    for r in &mut records {
+        r.metrics.push(("cores".into(), cores as f64));
+    }
     let path = std::env::var("SBC_BENCH_JSON").unwrap_or_else(|_| "BENCH_net.json".to_string());
     harness::write_json_report(&path, &records).expect("write BENCH_net.json");
     println!("\nwrote {path} ({} records)", records.len());

@@ -7,15 +7,55 @@
 //! the ciphertext is ready UBC-broadcasts `(c, τ_rel, M ⊕ H(ρ))`.
 //! Simultaneity is exactly the semantic security of the TLE until `τ_rel`;
 //! at `τ_rel` everyone decrypts everything and outputs the message vector.
+//!
+//! [`SbcParty`] is the only implementation of the party in the workspace.
+//! Everything it asks of its hybrids goes through [`SbcHybrid`]: the
+//! in-process world answers by direct call
+//! ([`SbcHost`](crate::worlds::SbcHost)), the networked world by
+//! request/response frames (`sbc_net::world`).
 
-use sbc_broadcast::ubc::UbcLayer;
 use sbc_primitives::sha256::Sha256;
-use sbc_tle::func::{DecResponse, TleFunc};
-use sbc_uc::hybrid::HybridCtx;
+use sbc_tle::func::DecResponse;
 use sbc_uc::ids::PartyId;
-use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::{Command, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// What one `Π_SBC` party asks of its hybrids — `G_clock`, `F_UBC`,
+/// `F_TLE` and `F_RO` — and nothing else: the six calls of Fig. 14.
+///
+/// The calls are synchronous because the broadcast step needs the
+/// `Retrieve` and `F_RO` replies mid-step. [`SbcParty`] is generic over the
+/// implementor, so the in-process host is reached by static dispatch.
+pub trait SbcHybrid {
+    /// The current round `Cl`.
+    fn now(&self) -> u64;
+
+    /// `F_UBC` `Broadcast` of `msg` from `party`.
+    fn ubc_broadcast(&mut self, party: PartyId, msg: Value);
+
+    /// `F_TLE` `Enc` of `msg` from `party` towards release time `tau`.
+    fn tle_enc(&mut self, party: PartyId, msg: Value, tau: u64);
+
+    /// `F_TLE` `Retrieve` from `party`: its ready `(M, c, τ)` triples, in
+    /// encryption order.
+    fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)>;
+
+    /// `F_TLE` `Dec` from `party` of the ciphertext `ct` — whose canonical
+    /// encoding is `ct_enc` — towards `tau`; `None` for a ciphertext
+    /// `F_TLE` never recorded (or a reply that never came).
+    fn tle_dec(
+        &mut self,
+        party: PartyId,
+        ct: &Value,
+        ct_enc: &[u8],
+        tau: u64,
+    ) -> Option<DecResponse>;
+
+    /// `F_RO` query `H(x; len)` from `party`; `None` if no usable answer
+    /// came back (only a remote hybrid can fail to answer).
+    fn ro_query(&mut self, party: PartyId, x: &[u8], len: usize) -> Option<Vec<u8>>;
+}
 
 /// The `Wake_Up` sentinel (not in the broadcast message space).
 pub fn wake_up() -> Value {
@@ -72,17 +112,23 @@ impl ParsedWire {
     /// acceptance).
     pub fn parse(v: &Value) -> Option<ParsedWire> {
         let (ct, tau, y) = parse_sbc_wire(v)?;
+        Some(ParsedWire::build(ct, tau, y))
+    }
+
+    /// The preprocessing half of [`parse`](ParsedWire::parse): the
+    /// canonical encoding and the two SHA-256 fingerprints.
+    fn build(ct: Value, tau: u64, y: Vec<u8>) -> ParsedWire {
         let ct_enc = ct.encode();
         let ct_fp = fingerprint(b"sbc-rec/ct", &ct_enc);
         let y_fp = fingerprint(b"sbc-rec/y", &y);
-        Some(ParsedWire {
+        ParsedWire {
             ct,
             ct_enc,
             tau,
             y,
             ct_fp,
             y_fp,
-        })
+        }
     }
 }
 
@@ -127,17 +173,14 @@ impl std::hash::Hasher for FpHasher {
 
 type FpSet = HashSet<u128, std::hash::BuildHasherDefault<FpHasher>>;
 
-/// The received-wire log of one party: insertion-ordered `(c, y)` entries
-/// with O(1) replay dedup.
+/// The received-wire log of one party: insertion-ordered [`ParsedWire`]
+/// entries with O(1) replay dedup.
 ///
 /// The protocol discards a reception when *either* component matches
 /// something already recorded — a replayed ciphertext under a fresh mask,
 /// or a replayed mask under a fresh ciphertext, are both replays — so the
 /// log keeps one hash set per key next to the ordered entry list the
-/// release round iterates. This replaces the per-reception linear scan
-/// (the `O(s²)` half of the release-phase scans at large sender counts);
-/// the accept/reject decisions, and hence the release transcript, are
-/// unchanged.
+/// release round iterates.
 ///
 /// The dedup sets store 128-bit truncated SHA-256 fingerprints of the
 /// keys rather than the keys themselves: equality of fingerprints stands
@@ -147,69 +190,18 @@ type FpSet = HashSet<u128, std::hash::BuildHasherDefault<FpHasher>>;
 /// spikes at large `n` — a set growth rehash moves integers instead of
 /// re-hashing every stored encoding across all `n` recipient logs at once.
 ///
-/// Each entry's canonical ciphertext encoding is computed **once**, at
-/// insertion, and cached next to the entry: it is both the replay-dedup
-/// key (canonical encodings are injective, so encoding equality is value
+/// Every entry is an `Arc<ParsedWire>`: a broadcast fan-out hands all `n`
+/// recipients the same `Arc`, so recording it is a refcount bump and `n`
+/// logs store the ciphertext once. The entry carries the canonical
+/// ciphertext encoding computed at parse time — both the replay-dedup key
+/// (canonical encodings are injective, so encoding equality is value
 /// equality) and the borrowed probe key the release round hands to
-/// `TleFunc::dec_peek_encoded` — one encode per reception instead of one
-/// per (party, sender) probe per release round.
+/// `TleFunc::dec_peek_encoded`.
 #[derive(Clone, Debug, Default)]
 pub struct WireLog {
-    entries: Vec<StoredWire>,
+    entries: Vec<Arc<ParsedWire>>,
     seen_cts: FpSet,
     seen_ys: FpSet,
-}
-
-/// One recorded wire entry: owned when it arrived through the per-party
-/// [`WireLog::insert`] path, shared when a broadcast fan-out handed every
-/// recipient the same preprocessed [`ParsedWire`] — recording the latter
-/// is a refcount bump, not a copy, so `n` recipients of one broadcast
-/// store its ciphertext once.
-#[derive(Clone, Debug)]
-enum StoredWire {
-    Owned {
-        ct: Value,
-        ct_enc: Vec<u8>,
-        y: Vec<u8>,
-    },
-    Shared(std::sync::Arc<ParsedWire>),
-}
-
-impl StoredWire {
-    fn ct(&self) -> &Value {
-        match self {
-            StoredWire::Owned { ct, .. } => ct,
-            StoredWire::Shared(w) => &w.ct,
-        }
-    }
-
-    fn ct_enc(&self) -> &[u8] {
-        match self {
-            StoredWire::Owned { ct_enc, .. } => ct_enc,
-            StoredWire::Shared(w) => &w.ct_enc,
-        }
-    }
-
-    fn y(&self) -> &[u8] {
-        match self {
-            StoredWire::Owned { y, .. } => y,
-            StoredWire::Shared(w) => &w.y,
-        }
-    }
-
-    /// Whether two recorded entries are the same reception. Two `Shared`
-    /// entries from one broadcast fan-out are the same `Arc` — a pointer
-    /// compare; anything else falls back to byte equality of the canonical
-    /// encoding and the mask (exact, since canonical encodings are
-    /// injective).
-    fn same_wire(&self, other: &StoredWire) -> bool {
-        if let (StoredWire::Shared(a), StoredWire::Shared(b)) = (self, other) {
-            if std::sync::Arc::ptr_eq(a, b) {
-                return true;
-            }
-        }
-        self.ct_enc() == other.ct_enc() && self.y() == other.y()
-    }
 }
 
 impl WireLog {
@@ -218,49 +210,22 @@ impl WireLog {
         WireLog::default()
     }
 
-    /// Records `(ct, y)` unless either key was seen before; returns whether
-    /// the entry was fresh.
-    pub fn insert(&mut self, ct: Value, y: Vec<u8>) -> bool {
-        let ct_enc = ct.encode();
-        let ct_fp = fingerprint(b"sbc-rec/ct", &ct_enc);
-        let y_fp = fingerprint(b"sbc-rec/y", &y);
-        if self.seen_cts.contains(&ct_fp) || self.seen_ys.contains(&y_fp) {
-            return false;
-        }
-        self.seen_cts.insert(ct_fp);
-        self.seen_ys.insert(y_fp);
-        self.entries.push(StoredWire::Owned { ct, ct_enc, y });
-        true
-    }
-
-    /// [`insert`](WireLog::insert) with the parse, the canonical encoding
-    /// and the dedup fingerprints already computed — and shared — by the
-    /// caller: the broadcast fan-out path, where one wire reaches every
-    /// recipient and all recipient-independent work is hoisted to once
-    /// per message. Replays pay two integer set probes; a fresh entry is
-    /// recorded as a refcount bump on the shared wire, so the fan-out
-    /// allocates nothing per recipient.
-    pub fn insert_parsed(&mut self, wire: &std::sync::Arc<ParsedWire>) -> bool {
+    /// Records `wire` unless either of its keys was seen before; returns
+    /// whether the entry was fresh. Replays pay two integer set probes; a
+    /// fresh entry is a refcount bump on the shared wire.
+    pub fn insert_parsed(&mut self, wire: &Arc<ParsedWire>) -> bool {
         if self.seen_cts.contains(&wire.ct_fp) || self.seen_ys.contains(&wire.y_fp) {
             return false;
         }
         self.seen_cts.insert(wire.ct_fp);
         self.seen_ys.insert(wire.y_fp);
-        self.entries.push(StoredWire::Shared(wire.clone()));
+        self.entries.push(wire.clone());
         true
     }
 
-    /// The recorded `(c, y)` entries, in arrival order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Value, &[u8])> {
-        self.entries.iter().map(|e| (e.ct(), e.y()))
-    }
-
-    /// The recorded entries with their cached canonical ciphertext
-    /// encodings, in arrival order, as `(ct_enc, y)` — the release round's
-    /// iteration view (it probes `F_TLE` by encoding and never needs the
-    /// decoded `Value`).
-    pub fn entries_encoded(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.entries.iter().map(|e| (e.ct_enc(), e.y()))
+    /// The recorded wires, in arrival order.
+    pub fn entries(&self) -> impl Iterator<Item = &ParsedWire> {
+        self.entries.iter().map(Arc::as_ref)
     }
 
     /// How many entries have been recorded.
@@ -284,17 +249,18 @@ impl WireLog {
     /// order. In a broadcast execution every wire reaches every recipient,
     /// so recipient logs are normally identical — and identical logs mean
     /// identical release computations, which is what lets a round scheduler
-    /// run one release and hand it as a [`ReleasePlan`] to every party that
-    /// passes this check. Entries recorded from one
-    /// fan-out share their `Arc`, so the common case is a pointer compare
-    /// per entry; mixed origins fall back to exact byte comparison.
+    /// run one release and hand its output to every party that passes this
+    /// check. Entries recorded from one fan-out share their `Arc`, so the
+    /// common case is a pointer compare per entry; entries parsed
+    /// separately fall back to byte equality of the canonical encoding and
+    /// the mask (exact, since canonical encodings are injective).
     pub fn same_receptions(&self, other: &WireLog) -> bool {
         self.entries.len() == other.entries.len()
             && self
                 .entries
                 .iter()
                 .zip(&other.entries)
-                .all(|(a, b)| a.same_wire(b))
+                .all(|(a, b)| Arc::ptr_eq(a, b) || (a.ct_enc == b.ct_enc && a.y == b.y))
     }
 }
 
@@ -304,34 +270,6 @@ struct PendEntry {
     msg: Value,
     encrypted: bool,
     broadcast: bool,
-}
-
-/// One party's release at `τ_rel`, kept by the round scheduler
-/// (`RealSbcWorld::tick`) for reuse by every later party with the **same
-/// release view** ([`SbcParty::shares_release_view`]).
-///
-/// At `τ_rel` a party's step is a function of its frozen wire list
-/// (receptions at `Cl ≥ t_end` are discarded), the `F_TLE` records (`Dec`
-/// never mutates them) and the input-addressed `F_RO` — so two parties with
-/// identical wire logs release bit-for-bit the same vector and issue the
-/// same oracle queries. The reusing party's
-/// [`on_advance_planned`](SbcParty::on_advance_planned) therefore emits a
-/// clone of the output (each party owns its output) and replays only the
-/// query counter ([`RandomOracle::replay_warmed_queries`]).
-#[derive(Clone, Debug)]
-pub struct ReleasePlan {
-    /// The release output (the sorted message vector).
-    cmd: Command,
-    /// How many `F_RO` queries the inline release issued.
-    ro_queries: u64,
-}
-
-impl ReleasePlan {
-    /// Wraps a release output `cmd` that took `ro_queries` oracle queries
-    /// to compute.
-    pub fn new(cmd: Command, ro_queries: u64) -> Self {
-        ReleasePlan { cmd, ro_queries }
-    }
 }
 
 /// Per-party state of `Π_SBC`.
@@ -423,13 +361,7 @@ impl SbcParty {
     }
 
     /// `(sid, Broadcast, M)` input.
-    pub fn on_input<U: UbcLayer>(
-        &mut self,
-        msg: Value,
-        ubc: &mut U,
-        ftle: &mut TleFunc,
-        ctx: &mut HybridCtx<'_>,
-    ) {
+    pub fn on_input<H: SbcHybrid>(&mut self, msg: Value, hyb: &mut H) {
         match self.t_awake {
             None => {
                 // First activity: queue the message and wake everyone up.
@@ -442,18 +374,17 @@ impl SbcParty {
                 });
                 if !self.woke_up_sent {
                     self.woke_up_sent = true;
-                    ubc.broadcast(self.id, wake_up(), ctx);
+                    hyb.ubc_broadcast(self.id, wake_up());
                 }
             }
             Some(_) => {
-                let now = ctx.time();
                 let end = self.t_end.expect("awake implies t_end");
-                if now + self.tle_delay >= end {
+                if hyb.now() + self.tle_delay >= end {
                     return; // cannot be ready before the period closes
                 }
                 let rho = self.rng.gen_bytes(32);
                 let tau_rel = self.tau_rel.expect("awake implies tau_rel");
-                ftle.enc(self.id, Value::bytes(&rho), tau_rel as i64, ctx);
+                hyb.tle_enc(self.id, Value::bytes(&rho), tau_rel);
                 self.pend.push(PendEntry {
                     rho,
                     msg,
@@ -465,23 +396,30 @@ impl SbcParty {
     }
 
     /// A UBC delivery: either a `Wake_Up` or a `(c, τ_rel, y)` triple.
-    pub fn on_ubc_deliver(&mut self, payload: &Value, ftle: &mut TleFunc, ctx: &mut HybridCtx<'_>) {
+    pub fn on_ubc_deliver<H: SbcHybrid>(&mut self, payload: &Value, hyb: &mut H) {
+        let now = hyb.now();
         if payload == &wake_up() {
             if self.t_awake.is_none() {
-                let now = ctx.time();
+                let tau_rel = now + self.phi + self.delta;
                 self.t_awake = Some(now);
                 self.t_end = Some(now + self.phi);
-                self.tau_rel = Some(now + self.phi + self.delta);
+                self.tau_rel = Some(tau_rel);
                 // Encrypt everything queued while asleep.
-                let tau_rel = now + self.phi + self.delta;
                 for e in self.pend.iter_mut().filter(|e| !e.encrypted) {
                     e.encrypted = true;
-                    ftle.enc(self.id, Value::bytes(&e.rho), tau_rel as i64, ctx);
+                    hyb.tle_enc(self.id, Value::bytes(&e.rho), tau_rel);
                 }
             }
             return;
         }
-        self.on_wire_deliver(payload, ctx.time());
+        self.on_wire_deliver(payload, now);
+    }
+
+    /// Whether a wire claiming release time `tau`, received at round `now`,
+    /// falls inside the broadcast period (§5: "all broadcast operations
+    /// outside the period are discarded").
+    fn in_period(&self, tau: u64, now: u64) -> bool {
+        self.tau_rel == Some(tau) && self.t_end.is_some_and(|end| now < end)
     }
 
     /// The non-wake-up half of [`on_ubc_deliver`](SbcParty::on_ubc_deliver):
@@ -489,20 +427,16 @@ impl SbcParty {
     /// (no functionality, no randomness, no leaks), which is what lets the
     /// world defer a round's deliveries into one recipient-major batch —
     /// recipients are independent, and per-recipient arrival order is all
-    /// that matters.
+    /// that matters. The period check runs on the structural parse, so a
+    /// discarded wire costs no SHA-256.
     pub fn on_wire_deliver(&mut self, payload: &Value, now: u64) {
         let Some((ct, tau, y)) = parse_sbc_wire(payload) else {
             return;
         };
-        let (Some(tau_rel), Some(end)) = (self.tau_rel, self.t_end) else {
-            return;
-        };
-        // Receptions outside the broadcast period are discarded (§5: "all
-        // broadcast operations outside the period are discarded").
-        if tau != tau_rel || now >= end {
-            return;
+        if self.in_period(tau, now) {
+            self.rec
+                .insert_parsed(&Arc::new(ParsedWire::build(ct, tau, y)));
         }
-        self.rec.insert(ct, y); // replay protection: dedup on either key
     }
 
     /// [`on_wire_deliver`](SbcParty::on_wire_deliver) with the wire already
@@ -512,14 +446,10 @@ impl SbcParty {
     /// shrinks to the period check plus the replay-dedup probes, and a
     /// fresh reception is recorded by reference. The accept/reject
     /// decision is identical to the unparsed path.
-    pub fn on_wire_deliver_parsed(&mut self, wire: &std::sync::Arc<ParsedWire>, now: u64) {
-        let (Some(tau_rel), Some(end)) = (self.tau_rel, self.t_end) else {
-            return;
-        };
-        if wire.tau != tau_rel || now >= end {
-            return;
+    pub fn on_wire_deliver_parsed(&mut self, wire: &Arc<ParsedWire>, now: u64) {
+        if self.in_period(wire.tau, now) {
+            self.rec.insert_parsed(wire);
         }
-        self.rec.insert_parsed(wire);
     }
 
     /// Whether this party's release step at round `now` is guaranteed to
@@ -528,7 +458,8 @@ impl SbcParty {
     /// logs record identical receptions ([`WireLog::same_receptions`]).
     /// The release branch of [`on_advance`](SbcParty::on_advance) reads
     /// nothing else of per-party state, so a positive check licenses
-    /// reusing `other`'s [`ReleasePlan`] in place of a recomputation.
+    /// handing `other`'s release output to
+    /// [`on_advance_planned`](SbcParty::on_advance_planned).
     pub fn shares_release_view(&self, other: &SbcParty, now: u64) -> bool {
         self.last_advance != Some(now)
             && self.tau_rel == Some(now)
@@ -539,32 +470,28 @@ impl SbcParty {
     /// The round step: publish ready ciphertexts during the period, decrypt
     /// and output everything at `τ_rel`. Returns the (sorted) message
     /// vector at the release round.
-    pub fn on_advance<U: UbcLayer>(
-        &mut self,
-        ubc: &mut U,
-        ftle: &mut TleFunc,
-        ro: &mut RandomOracle,
-        ctx: &mut HybridCtx<'_>,
-    ) -> Option<Command> {
-        self.on_advance_planned(ubc, ftle, ro, ctx, None)
+    pub fn on_advance<H: SbcHybrid>(&mut self, hyb: &mut H) -> Option<Command> {
+        self.on_advance_planned(hyb, None)
     }
 
-    /// [`on_advance`](SbcParty::on_advance) with an optional release to
-    /// reuse. With `plan = None` this *is* the reference step. With a
-    /// plan, the release branch replays the plan's oracle query count and
-    /// returns its output instead of recomputing it; callers pass a plan
-    /// only after [`shares_release_view`](SbcParty::shares_release_view)
-    /// held against the party the plan came from. A plan handed to a party
-    /// that does not release this round is ignored.
-    pub fn on_advance_planned<U: UbcLayer>(
+    /// [`on_advance`](SbcParty::on_advance) with an optional release output
+    /// to reuse. With `release = None` this *is* the reference step. With
+    /// one, the release branch returns it instead of recomputing it;
+    /// callers pass one only after
+    /// [`shares_release_view`](SbcParty::shares_release_view) held against
+    /// the party that computed it, and account themselves for the `F_RO`
+    /// queries the recomputation would have issued. At `τ_rel` a party's
+    /// step is a function of its frozen wire list (receptions at
+    /// `Cl ≥ t_end` are discarded), the `F_TLE` records (`Dec` never
+    /// mutates them) and the input-addressed `F_RO`, so the recomputation
+    /// would return exactly `release`. A release handed to a party that
+    /// does not release this round is ignored.
+    pub fn on_advance_planned<H: SbcHybrid>(
         &mut self,
-        ubc: &mut U,
-        ftle: &mut TleFunc,
-        ro: &mut RandomOracle,
-        ctx: &mut HybridCtx<'_>,
-        plan: Option<ReleasePlan>,
+        hyb: &mut H,
+        release: Option<Command>,
     ) -> Option<Command> {
-        let now = ctx.time();
+        let now = hyb.now();
         if self.last_advance == Some(now) {
             return None;
         }
@@ -575,8 +502,7 @@ impl SbcParty {
         };
         if awake <= now && now < end {
             // Fetch ciphertexts that became ready and broadcast them.
-            let triples = ftle.retrieve(self.id, ctx);
-            for (rho_v, ct, _tau) in triples {
+            for (rho_v, ct, _tau) in hyb.tle_retrieve(self.id) {
                 let Some(rho) = rho_v.as_bytes() else {
                     continue;
                 };
@@ -586,31 +512,33 @@ impl SbcParty {
                 };
                 entry.broadcast = true;
                 let m_bytes = entry.msg.encode();
-                let eta = ro.query_bytes(Caller::Party(self.id), &entry.rho, m_bytes.len());
+                let Some(eta) = hyb.ro_query(self.id, &entry.rho, m_bytes.len()) else {
+                    continue;
+                };
                 let y: Vec<u8> = m_bytes.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
-                let wire = sbc_wire(&ct, tau_rel, &y);
-                ubc.broadcast(self.id, wire, ctx);
+                hyb.ubc_broadcast(self.id, sbc_wire(&ct, tau_rel, &y));
             }
         }
         if now == tau_rel {
-            if let Some(plan) = plan {
-                ro.replay_warmed_queries(plan.ro_queries);
-                return Some(plan.cmd);
+            if release.is_some() {
+                return release;
             }
             let mut out = Vec::new();
-            for (ct_enc, y) in self.rec.entries_encoded() {
-                let resp = match ftle.dec_peek_encoded(ct_enc, tau_rel as i64, ctx.time()) {
-                    Some(r) => r,
-                    None => continue, // unknown ciphertext: ⊥, skipped
-                };
-                let DecResponse::Message(rho_v) = resp else {
+            for wire in self.rec.entries() {
+                // Unknown ciphertext (⊥) and non-`Message` responses are
+                // skipped.
+                let Some(DecResponse::Message(rho_v)) =
+                    hyb.tle_dec(self.id, &wire.ct, &wire.ct_enc, tau_rel)
+                else {
                     continue;
                 };
                 let Some(rho) = rho_v.as_bytes() else {
                     continue;
                 };
-                let eta = ro.query_bytes(Caller::Party(self.id), rho, y.len());
-                let m_bytes: Vec<u8> = y.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
+                let Some(eta) = hyb.ro_query(self.id, rho, wire.y.len()) else {
+                    continue;
+                };
+                let m_bytes: Vec<u8> = wire.y.iter().zip(&eta).map(|(a, b)| a ^ b).collect();
                 out.push(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)));
             }
             out.sort();
@@ -623,105 +551,51 @@ impl SbcParty {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_broadcast::ubc::func::UbcFunc;
+    use crate::worlds::{SbcHost, SbcParams};
     use sbc_primitives::drbg::Drbg;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
+    use std::collections::HashMap;
 
     const PHI: u64 = 3;
     const DELTA: u64 = 2;
     const TLE_DELAY: u64 = 1;
 
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"sbcp"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-    }
-
+    /// `n` parties over the real functionality host, stepped by the literal
+    /// per-party loop with in-place delivery.
     struct Stack {
-        fx: Fx,
+        host: SbcHost,
         parties: Vec<SbcParty>,
-        ubc: UbcFunc,
-        ftle: TleFunc,
-        ro: RandomOracle,
     }
 
     impl Stack {
         fn new(n: usize) -> Self {
-            Stack {
-                fx: Fx::new(n),
-                parties: (0..n as u32)
-                    .map(|i| {
-                        SbcParty::new(
-                            PartyId(i),
-                            PHI,
-                            DELTA,
-                            TLE_DELAY,
-                            Drbg::from_seed(format!("p{i}").as_bytes()),
-                        )
-                    })
-                    .collect(),
-                ubc: UbcFunc::new(n, Drbg::from_seed(b"ubc-tags")),
-                ftle: TleFunc::new(1, TLE_DELAY, Drbg::from_seed(b"tle-tags")),
-                ro: RandomOracle::new(Drbg::from_seed(b"fro")),
-            }
+            let params = SbcParams {
+                n,
+                phi: PHI,
+                delta: DELTA,
+                tle_alpha: 1,
+                tle_delay: TLE_DELAY,
+            };
+            let (host, parties) = SbcHost::new(params, b"sbcp");
+            Stack { host, parties }
         }
 
         fn input(&mut self, p: u32, msg: Value) {
-            let mut ctx = self.fx.ctx();
-            self.parties[p as usize].on_input(msg, &mut self.ubc, &mut self.ftle, &mut ctx);
+            self.parties[p as usize].on_input(msg, &mut self.host);
         }
 
         /// Advances every party once and ticks the clock; returns outputs.
         fn round(&mut self) -> Vec<(u32, Command)> {
-            let n = self.parties.len();
             let mut outputs = Vec::new();
-            for i in 0..n {
-                let out = {
-                    let mut ctx = self.fx.ctx();
-                    self.parties[i].on_advance(
-                        &mut self.ubc,
-                        &mut self.ftle,
-                        &mut self.ro,
-                        &mut ctx,
-                    )
-                };
-                if let Some(cmd) = out {
+            for i in 0..self.parties.len() {
+                if let Some(cmd) = self.parties[i].on_advance(&mut self.host) {
                     outputs.push((i as u32, cmd));
                 }
-                let ds = {
-                    let mut ctx = self.fx.ctx();
-                    self.ubc.advance_clock(PartyId(i as u32), &mut ctx)
-                };
-                for d in ds {
-                    let mut ctx = self.fx.ctx();
-                    self.parties[d.to.index()].on_ubc_deliver(
-                        &d.cmd.value,
-                        &mut self.ftle,
-                        &mut ctx,
-                    );
+                for msg in self.host.take_flush(PartyId(i as u32)) {
+                    for p in &mut self.parties {
+                        p.on_ubc_deliver(&msg, &mut self.host);
+                    }
                 }
-                self.fx.clock.advance_party(PartyId(i as u32));
+                self.host.core.clock.advance_party(PartyId(i as u32));
             }
             outputs
         }
@@ -807,23 +681,22 @@ mod tests {
         s.round(); // round 0: wake-up flush, enc
                    // Extract the wire from the UBC leak after broadcast (round 1).
         s.round();
-        let wire =
-            s.fx.leaks
-                .iter()
-                .rev()
-                .find_map(|l| {
-                    let items = l.cmd.value.as_list()?;
-                    if items.len() == 3 && items[1].as_list().map(|w| w.len()) == Some(3) {
-                        Some(items[1].clone())
-                    } else {
-                        None
-                    }
-                })
-                .expect("broadcast wire leaked");
-        {
-            let mut ctx = s.fx.ctx();
-            s.parties[1].on_ubc_deliver(&wire, &mut s.ftle, &mut ctx);
-        }
+        let wire = s
+            .host
+            .core
+            .leaks
+            .iter()
+            .rev()
+            .find_map(|l| {
+                let items = l.cmd.value.as_list()?;
+                if items.len() == 3 && items[1].as_list().map(|w| w.len()) == Some(3) {
+                    Some(items[1].clone())
+                } else {
+                    None
+                }
+            })
+            .expect("broadcast wire leaked");
+        s.parties[1].on_ubc_deliver(&wire, &mut s.host);
         let mut all = Vec::new();
         for _ in 0..(PHI + DELTA) {
             all.extend(s.round());
@@ -832,57 +705,257 @@ mod tests {
         assert_eq!(p1_out.1.value.as_list().unwrap().len(), 1, "replay dropped");
     }
 
+    /// A log entry as a delivery would record it. Built from parts, so the
+    /// log tests can use ciphertexts the wire parser would not accept.
+    fn entry(ct: &Value, y: &[u8]) -> Arc<ParsedWire> {
+        Arc::new(ParsedWire::build(ct.clone(), 0, y.to_vec()))
+    }
+
     #[test]
     fn partial_collision_wires_dropped() {
         // Either key replayed — the same ciphertext under a fresh mask, or
         // the same mask under a fresh ciphertext — is a replay. The hash
         // sets must keep the OR semantics of the old linear scan.
+        let (ct_a, ct_b) = (Value::bytes(b"ct-a"), Value::bytes(b"ct-b"));
         let mut log = WireLog::new();
-        assert!(log.insert(Value::bytes(b"ct-a"), b"y-a".to_vec()));
-        assert!(!log.insert(Value::bytes(b"ct-a"), b"y-b".to_vec()));
-        assert!(!log.insert(Value::bytes(b"ct-b"), b"y-a".to_vec()));
-        assert!(log.insert(Value::bytes(b"ct-b"), b"y-b".to_vec()));
+        assert!(log.insert_parsed(&entry(&ct_a, b"y-a")));
+        assert!(!log.insert_parsed(&entry(&ct_a, b"y-b")));
+        assert!(!log.insert_parsed(&entry(&ct_b, b"y-a")));
+        assert!(log.insert_parsed(&entry(&ct_b, b"y-b")));
         assert_eq!(log.len(), 2);
         assert!(!log.is_empty());
         log.clear();
         assert!(log.is_empty());
         // A cleared log accepts previously seen keys again (fresh period).
-        assert!(log.insert(Value::bytes(b"ct-a"), b"y-a".to_vec()));
+        assert!(log.insert_parsed(&entry(&ct_a, b"y-a")));
     }
 
     #[test]
     fn wire_log_caches_one_canonical_encoding_per_entry() {
         // The release round probes F_TLE by canonical ciphertext encoding;
-        // the log computes that encoding exactly once, at insertion, and
-        // the cached bytes must stay equal to `ct.encode()` entry for
-        // entry, in arrival order — including across a clear (period
-        // turnover re-encodes from scratch).
+        // that encoding is computed exactly once per entry, and the cached
+        // bytes must stay equal to `ct.encode()` entry for entry, in
+        // arrival order — including across a clear (period turnover
+        // re-encodes from scratch).
         let mut log = WireLog::new();
         let cts = [Value::bytes(b"ct-a"), Value::list([Value::U64(7)])];
-        assert!(log.insert(cts[0].clone(), b"y-a".to_vec()));
-        assert!(log.insert(cts[1].clone(), b"y-b".to_vec()));
-        // A rejected replay must not grow the encoding cache.
-        assert!(!log.insert(cts[0].clone(), b"y-fresh".to_vec()));
-        let encoded: Vec<(Vec<u8>, Vec<u8>)> = log
-            .entries_encoded()
-            .map(|(enc, y)| (enc.to_vec(), y.to_vec()))
-            .collect();
-        assert_eq!(encoded.len(), log.len());
-        for ((enc, y), (ct, y2)) in encoded.iter().zip(log.entries()) {
-            assert_eq!(enc, &ct.encode(), "cached encoding is canonical");
-            assert_eq!(y.as_slice(), y2, "cache iterates in arrival order");
+        assert!(log.insert_parsed(&entry(&cts[0], b"y-a")));
+        assert!(log.insert_parsed(&entry(&cts[1], b"y-b")));
+        // A rejected replay must not grow the log.
+        assert!(!log.insert_parsed(&entry(&cts[0], b"y-fresh")));
+        assert_eq!(log.entries().count(), log.len());
+        for (wire, (ct, y)) in log.entries().zip([(&cts[0], b"y-a"), (&cts[1], b"y-b")]) {
+            assert_eq!(&wire.ct, ct, "entries iterate in arrival order");
+            assert_eq!(wire.ct_enc, ct.encode(), "cached encoding is canonical");
+            assert_eq!(wire.y, y);
         }
         log.clear();
-        assert!(log.entries_encoded().next().is_none());
-        assert!(log.insert(cts[0].clone(), b"y-a".to_vec()));
-        assert_eq!(log.entries_encoded().count(), 1);
+        assert!(log.entries().next().is_none());
+        assert!(log.insert_parsed(&entry(&cts[0], b"y-a")));
+        assert_eq!(log.entries().count(), 1);
+    }
+
+    #[test]
+    fn same_receptions_compares_pointers_then_bytes() {
+        let ct = Value::bytes(b"ct");
+        let shared = entry(&ct, b"y");
+        let (mut a, mut b, mut c) = (WireLog::new(), WireLog::new(), WireLog::new());
+        a.insert_parsed(&shared);
+        b.insert_parsed(&shared); // one fan-out: the same `Arc`
+        c.insert_parsed(&entry(&ct, b"y")); // parsed separately: equal bytes
+        assert!(a.same_receptions(&b) && a.same_receptions(&c));
+        let mut d = WireLog::new();
+        d.insert_parsed(&entry(&ct, b"other"));
+        assert!(!a.same_receptions(&d), "same ciphertext, different mask");
+        assert!(!a.same_receptions(&WireLog::new()), "different length");
+    }
+
+    /// A scripted [`SbcHybrid`] that records every call made to it.
+    #[derive(Default)]
+    struct Recorder {
+        now: u64,
+        calls: Vec<Call>,
+        /// What the next `Retrieve` answers.
+        ready: Vec<(Value, Value, u64)>,
+        /// `Dec` answers by ciphertext; anything else is unknown.
+        dec: HashMap<Value, DecResponse>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Cast(Value),
+        Enc(Value, u64),
+        Retrieve,
+        Dec(Value, u64),
+        Ro(Vec<u8>, usize),
+    }
+
+    impl Recorder {
+        fn mask(x: &[u8], len: usize) -> Vec<u8> {
+            (0..len).map(|i| x[i % x.len()] ^ i as u8).collect()
+        }
+
+        fn masked(x: &[u8], msg: &Value) -> Vec<u8> {
+            let m = msg.encode();
+            let eta = Recorder::mask(x, m.len());
+            m.iter().zip(eta).map(|(a, b)| a ^ b).collect()
+        }
+
+        fn take_calls(&mut self) -> Vec<Call> {
+            std::mem::take(&mut self.calls)
+        }
+    }
+
+    impl SbcHybrid for Recorder {
+        fn now(&self) -> u64 {
+            self.now
+        }
+
+        fn ubc_broadcast(&mut self, party: PartyId, msg: Value) {
+            assert_eq!(party, PartyId(0));
+            self.calls.push(Call::Cast(msg));
+        }
+
+        fn tle_enc(&mut self, party: PartyId, msg: Value, tau: u64) {
+            assert_eq!(party, PartyId(0));
+            self.calls.push(Call::Enc(msg, tau));
+        }
+
+        fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)> {
+            assert_eq!(party, PartyId(0));
+            self.calls.push(Call::Retrieve);
+            std::mem::take(&mut self.ready)
+        }
+
+        fn tle_dec(
+            &mut self,
+            party: PartyId,
+            ct: &Value,
+            ct_enc: &[u8],
+            tau: u64,
+        ) -> Option<DecResponse> {
+            assert_eq!(party, PartyId(0));
+            assert_eq!(ct.encode(), ct_enc, "the encoding handed over is ct's own");
+            self.calls.push(Call::Dec(ct.clone(), tau));
+            self.dec.get(ct).cloned()
+        }
+
+        fn ro_query(&mut self, party: PartyId, x: &[u8], len: usize) -> Option<Vec<u8>> {
+            assert_eq!(party, PartyId(0));
+            self.calls.push(Call::Ro(x.to_vec(), len));
+            Some(Recorder::mask(x, len))
+        }
+    }
+
+    #[test]
+    fn hybrid_calls_are_issued_in_the_order_fig14_fixes() {
+        const TAU: u64 = PHI + DELTA;
+        let mut hyb = Recorder::default();
+        let mut p = SbcParty::new(PartyId(0), PHI, DELTA, TLE_DELAY, Drbg::from_seed(b"p0"));
+        // The ρ values the party will draw, in order.
+        let mut twin = Drbg::from_seed(b"p0");
+        let rho: Vec<Vec<u8>> = (0..3).map(|_| twin.gen_bytes(32)).collect();
+        let rho_v = |i: usize| Value::bytes(&rho[i]);
+        let msgs = [Value::bytes(b"zulu"), Value::bytes(b"mike"), Value::U64(7)];
+
+        // Asleep submit: a ρ draw and one Wake_Up cast; none on the second.
+        p.on_input(msgs[0].clone(), &mut hyb);
+        assert_eq!(hyb.take_calls(), [Call::Cast(wake_up())]);
+        p.on_input(msgs[1].clone(), &mut hyb);
+        assert_eq!(hyb.take_calls(), []);
+
+        // Wake-up delivery: one Enc per queued entry, in queue order; a
+        // second Wake_Up changes nothing.
+        p.on_ubc_deliver(&wake_up(), &mut hyb);
+        assert_eq!(
+            hyb.take_calls(),
+            [Call::Enc(rho_v(0), TAU), Call::Enc(rho_v(1), TAU)]
+        );
+        p.on_ubc_deliver(&wake_up(), &mut hyb);
+        assert_eq!(hyb.take_calls(), []);
+        assert_eq!((p.t_end(), p.tau_rel()), (Some(PHI), Some(TAU)));
+
+        // Awake submit: ρ draw, then Enc.
+        p.on_input(msgs[2].clone(), &mut hyb);
+        assert_eq!(hyb.take_calls(), [Call::Enc(rho_v(2), TAU)]);
+
+        // Late submit (now + delay ≥ t_end): no call and no ρ draw.
+        hyb.now = PHI - TLE_DELAY;
+        p.on_input(Value::bytes(b"late"), &mut hyb);
+        assert_eq!(hyb.take_calls(), []);
+        assert_eq!(p.rng.clone().gen_bytes(32), twin.clone().gen_bytes(32));
+
+        // Broadcast round: Retrieve, then per ready triple F_RO → cast.
+        // Triples that are not this party's own are passed over.
+        hyb.now = 1;
+        let ct = |i: u8| Value::bytes([i; 8]);
+        hyb.ready = vec![
+            (rho_v(1), ct(1), TAU),
+            (Value::bytes(b"not mine"), ct(9), TAU),
+            (Value::U64(3), ct(9), TAU),
+            (rho_v(0), ct(0), TAU),
+        ];
+        let wire = |i: usize| sbc_wire(&ct(i as u8), TAU, &Recorder::masked(&rho[i], &msgs[i]));
+        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(
+            hyb.take_calls(),
+            [
+                Call::Retrieve,
+                Call::Ro(rho[1].clone(), msgs[1].encode().len()),
+                Call::Cast(wire(1)),
+                Call::Ro(rho[0].clone(), msgs[0].encode().len()),
+                Call::Cast(wire(0)),
+            ]
+        );
+        assert_eq!(p.pending_messages(), [msgs[2].clone()]);
+
+        // A second advance in the same round: nothing.
+        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(hyb.take_calls(), []);
+
+        // Receptions: two decryptable wires around an unknown ciphertext
+        // and a non-`Message` answer. Recording is silent.
+        let junk = |i: u8| sbc_wire(&ct(i), TAU, &[i; 5]);
+        for w in [wire(0), junk(20), junk(21), wire(1)] {
+            p.on_ubc_deliver(&w, &mut hyb);
+        }
+        assert_eq!(hyb.take_calls(), []);
+        hyb.dec = HashMap::from([
+            (ct(0), DecResponse::Message(rho_v(0))),
+            (ct(21), DecResponse::InvalidTime),
+            (ct(1), DecResponse::Message(rho_v(1))),
+        ]);
+
+        // Release: Dec → F_RO per log entry in arrival order, skipping
+        // what does not open; the output is sorted.
+        hyb.now = TAU;
+        let out = p.on_advance(&mut hyb).expect("release round");
+        assert_eq!(
+            hyb.take_calls(),
+            [
+                Call::Dec(ct(0), TAU),
+                Call::Ro(rho[0].clone(), msgs[0].encode().len()),
+                Call::Dec(ct(20), TAU),
+                Call::Dec(ct(21), TAU),
+                Call::Dec(ct(1), TAU),
+                Call::Ro(rho[1].clone(), msgs[1].encode().len()),
+            ]
+        );
+        assert_eq!(
+            out,
+            Command::new("Broadcast", Value::list([msgs[1].clone(), msgs[0].clone()]))
+        );
+        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(hyb.take_calls(), []);
     }
 
     #[test]
     fn planned_release_is_bit_identical_to_inline_release() {
         // Drive two identical stacks to the release round; release one
         // inline everywhere, and in the other let parties 1.. reuse party
-        // 0's release. Outputs and the oracle query count must match.
+        // 0's release. Outputs must match, and a reusing party must make
+        // no hybrid call at all (the world replays the F_RO query count;
+        // `tick_matches_per_party_advance_loop` pins that).
         fn drive_to_release(s: &mut Stack) {
             s.input(0, Value::bytes(b"zulu"));
             s.round();
@@ -896,45 +969,28 @@ mod tests {
         drive_to_release(&mut reused);
         let inline_out = inline.round();
 
-        let now = reused.fx.clock.read();
-        let mut plan: Option<ReleasePlan> = None;
-        let mut reused_out = Vec::new();
-        for i in 0..reused.parties.len() {
-            if i > 0 {
-                assert!(reused.parties[i].shares_release_view(&reused.parties[0], now));
-            }
-            let before = reused.ro.query_count();
-            let out = {
-                let mut ctx = reused.fx.ctx();
-                reused.parties[i].on_advance_planned(
-                    &mut reused.ubc,
-                    &mut reused.ftle,
-                    &mut reused.ro,
-                    &mut ctx,
-                    plan.clone(),
-                )
-            };
-            let cmd = out.expect("every party releases at τ_rel");
-            if plan.is_none() {
-                let queries = reused.ro.query_count() - before;
-                plan = Some(ReleasePlan::new(cmd.clone(), queries));
-            }
+        let now = reused.host.now();
+        let first = reused.parties[0]
+            .on_advance(&mut reused.host)
+            .expect("every party releases at τ_rel");
+        let mut silent = Recorder {
+            now,
+            ..Recorder::default()
+        };
+        let mut reused_out = vec![(0, first.clone())];
+        for i in 1..reused.parties.len() {
+            assert!(reused.parties[i].shares_release_view(&reused.parties[0], now));
+            let cmd = reused.parties[i]
+                .on_advance_planned(&mut silent, Some(first.clone()))
+                .expect("every party releases at τ_rel");
             reused_out.push((i as u32, cmd));
-            reused.fx.clock.advance_party(PartyId(i as u32));
         }
         assert_eq!(reused_out, inline_out);
-        assert_eq!(reused.ro.query_count(), inline.ro.query_count());
-        // A plan handed to a party that does not release is ignored.
+        assert_eq!(silent.calls, []);
+        // A release handed to a party that does not release is ignored.
         inline.round();
-        let mut ctx = inline.fx.ctx();
         assert!(inline.parties[0]
-            .on_advance_planned(
-                &mut inline.ubc,
-                &mut inline.ftle,
-                &mut inline.ro,
-                &mut ctx,
-                plan
-            )
+            .on_advance_planned(&mut inline.host, Some(first))
             .is_none());
     }
 

@@ -18,15 +18,16 @@
 
 use crate::error::SbcError;
 use crate::func::SbcFunc;
-use crate::protocol::{parse_sbc_wire, sbc_wire, wake_up, ParsedWire, ReleasePlan, SbcParty};
+use crate::protocol::{parse_sbc_wire, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty};
 use sbc_broadcast::ubc::func::{UbcFunc, UBC_SOURCE};
 use sbc_primitives::drbg::Drbg;
-use sbc_tle::func::{TleFunc, TLE_SOURCE};
+use sbc_tle::func::{DecResponse, TleFunc, TLE_SOURCE};
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak, World, WorldCore};
+use std::sync::Arc;
 
 /// An [`SbcWorld`] backend constructible from experiment parameters — what
 /// [`SbcSessionBuilder::build_backend`](crate::api::SbcSessionBuilder::build_backend)
@@ -103,32 +104,30 @@ impl SbcParams {
 /// The labelled randomness streams every Theorem 2 backend forks off the
 /// experiment seed, in a fixed order. Forking mutates the parent stream,
 /// so a backend must fork *all* of them in exactly this order even when it
-/// discards some — [`RealSbcWorld`] discards the `F_SBC` tag and
-/// equivocation streams, [`IdealSbcWorld`] uses them. Alternative
-/// backends (e.g. the networked world in `sbc-net`) call
-/// [`fork_world_streams`] so their functionalities and parties draw
-/// bit-identical randomness from the same seed, which is what makes
-/// `CompareLevel::Exact` conformance against the in-process world
+/// discards some — [`SbcHost::new`] (the real functionalities, in-process
+/// or networked) discards the `F_SBC` tag and equivocation streams,
+/// [`IdealSbcWorld`] uses them. Every backend's functionalities and
+/// parties therefore draw bit-identical randomness from the same seed,
+/// which is what makes `CompareLevel::Exact` comparison between backends
 /// possible at all.
-#[derive(Debug)]
-pub struct WorldStreams {
+struct WorldStreams {
     /// `F_RO` answer stream.
-    pub ro: Drbg,
+    ro: Drbg,
     /// `F_UBC` broadcast-tag stream.
-    pub ubc_tags: Drbg,
+    ubc_tags: Drbg,
     /// `F_TLE` ciphertext-tag stream (the fill stream is forked off it
     /// inside `TleFunc::new`).
-    pub tle_tags: Drbg,
+    tle_tags: Drbg,
     /// `F_SBC` tag stream (ideal world only).
-    pub sbc_tags: Drbg,
+    sbc_tags: Drbg,
     /// Per-party `ρ` streams, party-id order.
-    pub parties: Vec<Drbg>,
+    parties: Vec<Drbg>,
     /// The simulator's equivocation stream (ideal world only).
-    pub equiv: Drbg,
+    equiv: Drbg,
 }
 
 /// Forks the canonical [`WorldStreams`] off a world core's seed stream.
-pub fn fork_world_streams(core: &mut WorldCore) -> WorldStreams {
+fn fork_world_streams(core: &mut WorldCore) -> WorldStreams {
     let ro = core.rng.fork(b"ro/fro");
     let ubc_tags = core.rng.fork(b"tags/F_UBC");
     let tle_tags = core.rng.fork(b"tags/F_TLE");
@@ -147,11 +146,6 @@ pub fn fork_world_streams(core: &mut WorldCore) -> WorldStreams {
     }
 }
 
-fn fork_streams(core: &mut WorldCore) -> (Drbg, Drbg, Drbg, Drbg, Vec<Drbg>, Drbg) {
-    let s = fork_world_streams(core);
-    (s.ro, s.ubc_tags, s.tle_tags, s.sbc_tags, s.parties, s.equiv)
-}
-
 fn leakage_response(records: &[(Value, Option<Value>, u64)]) -> Value {
     Value::List(
         records
@@ -163,29 +157,36 @@ fn leakage_response(records: &[(Value, Option<Value>, u64)]) -> Value {
     )
 }
 
-/// The real world: `Π_SBC` over `F_UBC` + `F_TLE` + `F_RO` + `G_clock`.
+/// The hybrid functionalities of Theorem 2's real world as one owned
+/// bundle: `G_clock`, the corruption set and the leak/output buffers (in
+/// [`core`](SbcHost::core)), `F_UBC`, `F_TLE` and `F_RO`.
+///
+/// Every real-functionality backend holds one of these next to its
+/// `Vec<SbcParty>`. The parties reach it only through [`SbcHybrid`] —
+/// [`RealSbcWorld`] by handing the host itself to the party (a direct,
+/// statically dispatched call), the networked world by decoding each
+/// request frame and calling the same six methods — so the functionalities
+/// are touched identically whoever drives the party. The adversary's
+/// functionality-control interface, the period turnover and the idle check
+/// live here for the same reason.
 #[derive(Debug)]
-pub struct RealSbcWorld {
-    core: WorldCore,
-    /// Experiment parameters (exposed for harness introspection).
-    pub params: SbcParams,
-    parties: Vec<SbcParty>,
+pub struct SbcHost {
+    /// Clock, corruption state, and the leak and output buffers.
+    pub core: WorldCore,
     ubc: UbcFunc,
     ftle: TleFunc,
     ro: RandomOracle,
 }
 
-impl RealSbcWorld {
-    /// Creates the world.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters violate Theorem 2's constraints.
-    pub fn new(params: SbcParams, seed: &[u8]) -> Self {
-        params.validate().expect("invalid SBC parameters");
+impl SbcHost {
+    /// Creates the functionalities and the `n` parties of one experiment,
+    /// forking every labelled stream off `seed` in the canonical order.
+    /// `params` must already be [validated](SbcParams::validate).
+    pub fn new(params: SbcParams, seed: &[u8]) -> (SbcHost, Vec<SbcParty>) {
         let mut core = WorldCore::new(params.n, seed);
-        let (ro_rng, ubc_tags, tle_tags, _sbc_tags, party_rngs, _equiv) = fork_streams(&mut core);
-        let parties = party_rngs
+        let streams = fork_world_streams(&mut core);
+        let parties = streams
+            .parties
             .into_iter()
             .enumerate()
             .map(|(i, rng)| {
@@ -198,48 +199,163 @@ impl RealSbcWorld {
                 )
             })
             .collect();
-        RealSbcWorld {
+        let host = SbcHost {
             core,
+            ubc: UbcFunc::new(params.n, streams.ubc_tags),
+            ftle: TleFunc::new(params.tle_alpha, params.tle_delay, streams.tle_tags),
+            ro: RandomOracle::new(streams.ro),
+        };
+        (host, parties)
+    }
+
+    /// `Advance_Clock` from `party` into `F_UBC`: its pending broadcasts,
+    /// flushed once per round in broadcast order, each addressed to all of
+    /// `0..n` ([`UbcFunc::take_flush`]).
+    pub fn take_flush(&mut self, party: PartyId) -> Vec<Value> {
+        let mut ctx = self.core.ctx();
+        self.ubc.take_flush(party, &mut ctx)
+    }
+
+    /// `Broadcast` into `F_UBC` on behalf of a corrupted `party`: leaks and
+    /// returns `msg` for immediate delivery to all of `0..n`; `None` (and
+    /// no leak) if `party` is honest.
+    pub fn broadcast_corrupted(&mut self, party: PartyId, msg: Value) -> Option<Value> {
+        let mut ctx = self.core.ctx();
+        let ds = self.ubc.broadcast_corrupted(party, msg, &mut ctx);
+        ds.into_iter().next().map(|d| d.cmd.value)
+    }
+
+    /// The adversary's `AdvCommand::Control` interface to the real
+    /// functionalities: `F_TLE` `Insert` / `Leakage` and `F_RO`
+    /// `QueryBytes`. Anything else answers `Unit`.
+    pub fn control(&mut self, target: &str, cmd: &Command) -> Value {
+        let items = cmd.value.as_list().unwrap_or(&[]);
+        match (target, cmd.name.as_str(), items) {
+            ("F_TLE", "Insert", [ct, msg, tau]) => {
+                let (Some(_), Some(_), Some(tau)) = (ct.as_bytes(), msg.as_bytes(), tau.as_u64())
+                else {
+                    return Value::Unit;
+                };
+                self.ftle.insert_adversarial(ct.clone(), msg.clone(), tau);
+                Value::Bool(true)
+            }
+            ("F_TLE", "Leakage", _) => {
+                let recs = self.ftle.leakage(&self.core.ctx());
+                leakage_response(
+                    &recs
+                        .into_iter()
+                        .map(|r| (r.msg, r.ct, r.tau))
+                        .collect::<Vec<_>>(),
+                )
+            }
+            ("F_RO", "QueryBytes", [x, len]) => match (x.as_bytes(), len.as_u64()) {
+                (Some(x), Some(len)) => {
+                    Value::Bytes(self.ro.query_bytes(Caller::Adversary, x, len as usize))
+                }
+                _ => Value::Unit,
+            },
+            _ => Value::Unit,
+        }
+    }
+
+    /// Period turnover on the functionality side: undelivered `F_UBC`
+    /// messages are dropped and the released `F_TLE` records pruned. The
+    /// clock, the random oracle and the corruption state carry over.
+    pub fn begin_new_period(&mut self) {
+        self.ubc.clear_pending();
+        self.ftle.clear_records();
+    }
+
+    /// Whether the functionality side is at rest: no undelivered `F_UBC`
+    /// message and the clock at a round boundary. With every party idle
+    /// too, a round is a pure clock tick (no randomness, no leaks, no
+    /// outputs) — the precondition of the O(1) `SbcWorld::join_at`.
+    pub fn is_idle(&self) -> bool {
+        self.ubc.pending().is_empty() && !self.core.clock.mid_round()
+    }
+}
+
+impl SbcHybrid for SbcHost {
+    fn now(&self) -> u64 {
+        self.core.clock.read()
+    }
+
+    fn ubc_broadcast(&mut self, party: PartyId, msg: Value) {
+        let mut ctx = self.core.ctx();
+        self.ubc.broadcast_honest(party, msg, &mut ctx);
+    }
+
+    fn tle_enc(&mut self, party: PartyId, msg: Value, tau: u64) {
+        let mut ctx = self.core.ctx();
+        self.ftle.enc(party, msg, tau as i64, &mut ctx);
+    }
+
+    fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)> {
+        let mut ctx = self.core.ctx();
+        self.ftle.retrieve(party, &mut ctx)
+    }
+
+    fn tle_dec(
+        &mut self,
+        _party: PartyId,
+        _ct: &Value,
+        ct_enc: &[u8],
+        tau: u64,
+    ) -> Option<DecResponse> {
+        self.ftle
+            .dec_peek_encoded(ct_enc, tau as i64, self.core.clock.read())
+    }
+
+    fn ro_query(&mut self, party: PartyId, x: &[u8], len: usize) -> Option<Vec<u8>> {
+        Some(self.ro.query_bytes(Caller::Party(party), x, len))
+    }
+}
+
+/// The first release of a round, kept by [`RealSbcWorld`]'s `tick` for
+/// reuse by every later party with the **same release view**
+/// ([`SbcParty::shares_release_view`]): such a party would issue the same
+/// oracle queries and output the same vector, so it takes a clone of `cmd`
+/// (each party owns its output) and the world replays only the query
+/// counter ([`RandomOracle::replay_warmed_queries`]).
+#[derive(Debug)]
+struct ReleasePlan {
+    /// Index of the party that computed the release.
+    from: usize,
+    /// The release output (the sorted message vector).
+    cmd: Command,
+    /// How many `F_RO` queries computing it took.
+    ro_queries: u64,
+}
+
+/// The real world: `Π_SBC` over `F_UBC` + `F_TLE` + `F_RO` + `G_clock`.
+#[derive(Debug)]
+pub struct RealSbcWorld {
+    host: SbcHost,
+    /// Experiment parameters (exposed for harness introspection).
+    pub params: SbcParams,
+    parties: Vec<SbcParty>,
+}
+
+impl RealSbcWorld {
+    /// Creates the world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters violate Theorem 2's constraints.
+    pub fn new(params: SbcParams, seed: &[u8]) -> Self {
+        params.validate().expect("invalid SBC parameters");
+        let (host, parties) = SbcHost::new(params, seed);
+        RealSbcWorld {
+            host,
             params,
             parties,
-            ubc: UbcFunc::new(params.n, ubc_tags),
-            ftle: TleFunc::new(params.tle_alpha, params.tle_delay, tle_tags),
-            ro: RandomOracle::new(ro_rng),
         }
-    }
-
-    fn distribute(&mut self, deliveries: Vec<sbc_uc::hybrid::Delivery>) {
-        for d in deliveries {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut self.core.leaks,
-                corr: &mut self.core.corr,
-            };
-            self.parties[d.to.index()].on_ubc_deliver(&d.cmd.value, &mut self.ftle, &mut ctx);
-        }
-    }
-
-    /// The party half of one round step: `party`'s `Π_SBC` step against the
-    /// hybrid functionalities, returning its release output if it produced
-    /// one. With `plan = None` this is the reference step; with a plan it
-    /// reuses another party's release (see [`SbcWorld::tick`] below for
-    /// when that is sound).
-    fn party_step(&mut self, party: PartyId, plan: Option<ReleasePlan>) -> Option<Command> {
-        let mut ctx = self.core.ctx();
-        self.parties[party.index()].on_advance_planned(
-            &mut self.ubc,
-            &mut self.ftle,
-            &mut self.ro,
-            &mut ctx,
-            plan,
-        )
     }
 
     /// The world half of one round step: records `party`'s output, takes
     /// its UBC flush, delivers it, and advances its clock.
     ///
-    /// The flush is taken through [`UbcFunc::take_flush`] — one owned
+    /// The flush is taken through [`SbcHost::take_flush`] — one owned
     /// `Value` per flushed message, addressed to all of `0..n` — and fanned
     /// out **by reference** in the reference delivery order (messages in
     /// flush order, recipients `0..n` within each).
@@ -263,92 +379,70 @@ impl RealSbcWorld {
         defer: Option<&mut Vec<Value>>,
     ) {
         if let Some(cmd) = out {
-            self.core.outputs.push((party, cmd));
+            self.host.core.outputs.push((party, cmd));
         }
-        let msgs = {
-            let mut ctx = self.core.ctx();
-            self.ubc.take_flush(party, &mut ctx)
-        };
+        let msgs = self.host.take_flush(party);
         match defer {
             Some(buf) => {
                 let wake = wake_up();
                 if msgs.contains(&wake) {
                     let pending = std::mem::take(buf);
-                    self.fan_out(pending);
-                    self.fan_out(msgs);
+                    self.fan_out(&pending);
+                    self.fan_out(&msgs);
                 } else {
                     buf.extend(msgs);
                 }
             }
-            None => self.fan_out(msgs),
+            None => self.fan_out(&msgs),
         }
-        self.core.clock.advance_party(party);
+        self.host.core.clock.advance_party(party);
     }
 
-    /// Delivers each flushed broadcast message to every party in id order,
-    /// by reference — the reference delivery loop. `Wake_Up` messages go
+    /// Delivers each broadcast message to every party in id order, by
+    /// reference — the reference delivery loop. `Wake_Up` messages go
     /// through the full [`SbcParty::on_ubc_deliver`] (they mutate `F_TLE`
     /// and leak); wire messages are parsed and canonically encoded **once
     /// per message** and fanned out through
     /// [`SbcParty::on_wire_deliver_parsed`], so the per-recipient cost is
     /// the period check plus the replay-dedup probe.
-    fn fan_out(&mut self, msgs: Vec<Value>) {
+    fn fan_out(&mut self, msgs: &[Value]) {
         if msgs.is_empty() {
             return;
         }
         let wake = wake_up();
-        let now = self.core.clock.read();
-        for msg in &msgs {
+        let now = self.host.core.clock.read();
+        for msg in msgs {
             if *msg == wake {
-                for i in 0..self.parties.len() {
-                    let mut ctx = sbc_uc::hybrid::HybridCtx {
-                        clock: &mut self.core.clock,
-                        rng: &mut self.core.rng,
-                        leaks: &mut self.core.leaks,
-                        corr: &mut self.core.corr,
-                    };
-                    self.parties[i].on_ubc_deliver(msg, &mut self.ftle, &mut ctx);
+                for party in &mut self.parties {
+                    party.on_ubc_deliver(msg, &mut self.host);
                 }
             } else {
-                self.deliver_wire_serial(msg, now);
+                self.distribute_wires_serial(std::slice::from_ref(msg), now);
             }
         }
     }
 
-    /// Delivers one wake-up-free wire message to every party in id order,
-    /// at a pinned round time: parse, encode and fingerprint once, then
-    /// borrowed fan-out. Unparseable payloads are a no-op at every
-    /// recipient, exactly as the per-recipient parse failure was.
-    fn deliver_wire_serial(&mut self, msg: &Value, now: u64) {
-        let Some(wire) = ParsedWire::parse(msg) else {
-            return;
-        };
-        let wire = std::sync::Arc::new(wire);
-        for p in self.parties.iter_mut() {
-            p.on_wire_deliver_parsed(&wire, now);
-        }
-    }
-
-    /// Party-major batch delivery at a pinned round time: each message is
-    /// parsed, canonically encoded and fingerprinted once, then every
-    /// recipient walks the whole batch in flush order — its exact
-    /// reference arrival order — while its own reception log stays hot in
-    /// cache. Recipient-major order is what makes the `O(n²)` reception
-    /// scan of a large-`n` broadcast round cache-friendly: the wire-major
-    /// loop re-touches all `n` logs once per message instead.
+    /// Party-major batch delivery of wake-up-free wires at a pinned round
+    /// time: each message is parsed, canonically encoded and fingerprinted
+    /// once, then every recipient walks the whole batch in flush order —
+    /// its exact reference arrival order — while its own reception log
+    /// stays hot in cache. Recipient-major order is what makes the `O(n²)`
+    /// reception scan of a large-`n` broadcast round cache-friendly: the
+    /// wire-major loop re-touches all `n` logs once per message instead.
+    /// Unparseable payloads are a no-op at every recipient.
     ///
     /// `now` is the round the wires were flushed in: `tick` delivers the
     /// batch past the clock tick, and the reception time must be what the
     /// reference loop's in-round deliveries saw.
     fn distribute_wires_serial(&mut self, msgs: &[Value], now: u64) {
-        if msgs.is_empty() {
-            return;
-        }
-        let parsed: Vec<std::sync::Arc<ParsedWire>> = msgs
+        let parsed: Vec<Arc<ParsedWire>> = msgs
             .iter()
             .filter_map(ParsedWire::parse)
-            .map(std::sync::Arc::new)
+            .map(Arc::new)
             .collect();
+        if parsed.is_empty() {
+            return;
+        }
         for party in self.parties.iter_mut() {
             for wire in &parsed {
                 party.on_wire_deliver_parsed(wire, now);
@@ -359,126 +453,70 @@ impl RealSbcWorld {
 
 impl World for RealSbcWorld {
     fn n(&self) -> usize {
-        self.core.n()
+        self.host.core.n()
     }
 
     fn time(&self) -> u64 {
-        self.core.clock.read()
+        self.host.core.clock.read()
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
             return;
         }
-        let mut ctx = sbc_uc::hybrid::HybridCtx {
-            clock: &mut self.core.clock,
-            rng: &mut self.core.rng,
-            leaks: &mut self.core.leaks,
-            corr: &mut self.core.corr,
-        };
-        self.parties[party.index()].on_input(cmd.value, &mut self.ubc, &mut self.ftle, &mut ctx);
+        self.parties[party.index()].on_input(cmd.value, &mut self.host);
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if self.host.core.corr.is_corrupted(party) {
             return;
         }
-        let out = self.party_step(party, None);
+        let out = self.parties[party.index()].on_advance(&mut self.host);
         self.finish_step(party, out, None);
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
         match cmd {
             AdvCommand::Corrupt(p) => {
-                if !self.core.corrupt(p) {
+                if !self.host.core.corrupt(p) {
                     return Value::Bool(false);
                 }
                 Value::List(self.parties[p.index()].pending_messages())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                if self.core.corr.is_corrupted(party) {
-                    let ds = {
-                        let mut ctx = self.core.ctx();
-                        self.ubc.broadcast_corrupted(party, cmd.value, &mut ctx)
-                    };
-                    self.distribute(ds);
+                if let Some(msg) = self.host.broadcast_corrupted(party, cmd.value) {
+                    self.fan_out(std::slice::from_ref(&msg));
                 }
                 Value::Unit
             }
-            AdvCommand::Control { target, cmd } => match (target.as_str(), cmd.name.as_str()) {
-                ("F_TLE", "Insert") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 3 {
-                        if let (Some(_), Some(_), Some(tau)) =
-                            (items[0].as_bytes(), items[1].as_bytes(), items[2].as_u64())
-                        {
-                            self.ftle
-                                .insert_adversarial(items[0].clone(), items[1].clone(), tau);
-                            return Value::Bool(true);
-                        }
-                    }
-                    Value::Unit
-                }
-                ("F_TLE", "Leakage") => {
-                    let recs = {
-                        let ctx = self.core.ctx();
-                        self.ftle.leakage(&ctx)
-                    };
-                    leakage_response(
-                        &recs
-                            .into_iter()
-                            .map(|r| (r.msg, r.ct, r.tau))
-                            .collect::<Vec<_>>(),
-                    )
-                }
-                ("F_RO", "QueryBytes") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 2 {
-                        if let (Some(x), Some(len)) = (items[0].as_bytes(), items[1].as_u64()) {
-                            return Value::Bytes(self.ro.query_bytes(
-                                Caller::Adversary,
-                                x,
-                                len as usize,
-                            ));
-                        }
-                    }
-                    Value::Unit
-                }
-                _ => Value::Unit,
-            },
+            AdvCommand::Control { target, cmd } => self.host.control(&target, &cmd),
             _ => Value::Unit,
         }
     }
 
     fn drain_outputs(&mut self) -> Vec<(PartyId, Command)> {
-        std::mem::take(&mut self.core.outputs)
+        std::mem::take(&mut self.host.core.outputs)
     }
 
     fn drain_leaks(&mut self) -> Vec<Leak> {
-        std::mem::take(&mut self.core.leaks)
+        std::mem::take(&mut self.host.core.leaks)
     }
 
     fn is_corrupted(&self, party: PartyId) -> bool {
-        self.core.corr.is_corrupted(party)
+        self.host.core.corr.is_corrupted(party)
     }
 }
 
 impl SbcWorld for RealSbcWorld {
     /// Closes the books on a released broadcast period so the same world
     /// can host another one (multi-epoch sessions): every party forgets its
-    /// period state, undelivered UBC wires are dropped, and the released
-    /// `F_TLE` records are pruned. The global clock, the random oracle and
-    /// the corruption state carry over.
+    /// period state, and the host drops what the functionalities held for
+    /// it ([`SbcHost::begin_new_period`]).
     fn begin_new_period(&mut self) {
         for p in &mut self.parties {
             p.reset_period();
         }
-        self.ubc.clear_pending();
-        self.ftle.clear_records();
+        self.host.begin_new_period();
     }
 
     /// The agreed release round `τ_rel = t_end + ∆` of the current period,
@@ -503,11 +541,8 @@ impl SbcWorld for RealSbcWorld {
     /// keeping the observation-equivalence contract of
     /// [`SbcWorld::join_at`] unconditional.
     fn join_at(&mut self, round: u64) {
-        let idle = self.parties.iter().all(|p| p.is_idle())
-            && self.ubc.pending().is_empty()
-            && !self.core.clock.mid_round();
-        if idle {
-            self.core.clock.fast_forward(round);
+        if self.parties.iter().all(|p| p.is_idle()) && self.host.is_idle() {
+            self.host.core.clock.fast_forward(round);
         } else {
             sbc_uc::exec::replay_join(self, round);
         }
@@ -523,8 +558,8 @@ impl SbcWorld for RealSbcWorld {
     ///    corrupted and skipped, so this *is* the reference order). Every
     ///    later honest party whose wire log provably matches
     ///    ([`SbcParty::shares_release_view`] — a pointer compare per entry
-    ///    under pure broadcast) reuses that release as a [`ReleasePlan`]:
-    ///    the output command plus the oracle query count, so the
+    ///    under pure broadcast) reuses that release: a clone of the output
+    ///    command plus a replay of the oracle query count, so the
     ///    `O(senders)` decrypt/unmask pipeline runs once instead of `n`
     ///    times. A party whose log does not match — impossible under pure
     ///    broadcast, possible in principle — runs its own inline release:
@@ -540,36 +575,39 @@ impl SbcWorld for RealSbcWorld {
     /// `Exact` gate. Mid-round states fall back to the literal loop: the
     /// round restructurings assume a round boundary.
     fn tick(&mut self) {
-        let n = self.core.n();
-        if n <= 1 || self.core.clock.mid_round() {
+        let n = self.host.core.n();
+        if n <= 1 || self.host.core.clock.mid_round() {
             for i in 0..n {
                 self.advance(PartyId(i as u32));
             }
             return;
         }
-        let now = self.core.clock.read();
-        // The first party to release this round, with its release.
-        let mut first: Option<(usize, ReleasePlan)> = None;
+        let now = self.host.core.clock.read();
+        let mut first: Option<ReleasePlan> = None;
         let mut deferred: Vec<Value> = Vec::new();
         for i in 0..n {
             let p = PartyId(i as u32);
-            if self.core.corr.is_corrupted(p) {
+            if self.host.core.corr.is_corrupted(p) {
                 continue;
             }
-            let plan = match &first {
-                Some((fi, plan))
-                    if self.parties[i].shares_release_view(&self.parties[*fi], now) =>
+            let reused = match &first {
+                Some(plan)
+                    if self.parties[i].shares_release_view(&self.parties[plan.from], now) =>
                 {
-                    Some(plan.clone())
+                    self.host.ro.replay_warmed_queries(plan.ro_queries);
+                    Some(plan.cmd.clone())
                 }
                 _ => None,
             };
-            let queries_before = self.ro.query_count();
-            let out = self.party_step(p, plan);
+            let queries_before = self.host.ro.query_count();
+            let out = self.parties[i].on_advance_planned(&mut self.host, reused);
             if first.is_none() {
                 if let Some(cmd) = &out {
-                    let queries = self.ro.query_count() - queries_before;
-                    first = Some((i, ReleasePlan::new(cmd.clone(), queries)));
+                    first = Some(ReleasePlan {
+                        from: i,
+                        cmd: cmd.clone(),
+                        ro_queries: self.host.ro.query_count() - queries_before,
+                    });
                 }
             }
             self.finish_step(p, out, Some(&mut deferred));
@@ -941,17 +979,17 @@ impl IdealSbcWorld {
     pub fn new(params: SbcParams, seed: &[u8]) -> Self {
         params.validate().expect("invalid SBC parameters");
         let mut core = WorldCore::new(params.n, seed);
-        let (ro_rng, ubc_tags, tle_tags, sbc_tags, party_rngs, equiv) = fork_streams(&mut core);
+        let s = fork_world_streams(&mut core);
         IdealSbcWorld {
             fsbc: SbcFunc::new(
                 params.n,
                 params.phi,
                 params.delta,
                 params.sbc_alpha(),
-                sbc_tags,
+                s.sbc_tags,
             ),
-            sim: SimSbc::new(params, party_rngs, ubc_tags, tle_tags, equiv),
-            ro: RandomOracle::new(ro_rng),
+            sim: SimSbc::new(params, s.parties, s.ubc_tags, s.tle_tags, s.equiv),
+            ro: RandomOracle::new(s.ro),
             core,
             sbc_list: None,
         }
@@ -1299,8 +1337,8 @@ mod tests {
                 "leaks"
             );
             assert_eq!(
-                self.reference.ro.query_count(),
-                self.ticked.ro.query_count(),
+                self.reference.host.ro.query_count(),
+                self.ticked.host.ro.query_count(),
                 "F_RO query count"
             );
             outs
@@ -1326,8 +1364,7 @@ mod tests {
             let last = n - 1;
 
             // Two epochs under a mid-period corruption and an accepted
-            // adversarial wire (whose per-recipient `Owned` log entries
-            // exercise the byte-compare fallback of the twin check).
+            // adversarial wire.
             let mut s = SchedulePair::new(n, b"tick-equiv");
             for epoch in 0..2 {
                 s.submit(0, b"alpha");

@@ -1,9 +1,9 @@
 //! # sbc-net
 //!
-//! The networked execution backend for the SBC stack: parties as isolated
-//! state machines that speak only length-prefixed [`codec::Frame`]s over a
-//! [`transport::Transport`], instead of calling the hybrid functionalities
-//! in-process.
+//! The networked execution backend for the SBC stack: the `Π_SBC` parties
+//! of `sbc_core::protocol` reach their hybrid functionalities only through
+//! length-prefixed [`codec::Frame`]s over a [`transport::Transport`],
+//! instead of calling them in-process.
 //!
 //! Three layers:
 //!
@@ -21,10 +21,13 @@
 //!   that heal before the release round.
 //! * [`world`] — [`world::NetSbcWorld`], an
 //!   [`SbcBackend`](sbc_core::worlds::SbcBackend) that plugs into
-//!   `SbcSession`/`SbcPool` through the existing builder seams and is
-//!   held to `CompareLevel::Exact` transcript equality against
-//!   `RealSbcWorld` (the conformance tests and the `sbc_net` bench gate
-//!   on it).
+//!   `SbcSession`/`SbcPool` through the existing builder seams. It runs
+//!   the same `SbcParty` code against the same `SbcHost` methods as
+//!   `RealSbcWorld`, with a frame link in between, and is held to
+//!   `CompareLevel::Exact` transcript equality against it (the
+//!   conformance tests and the `sbc_net` bench gate on it): the gate
+//!   guards host-side sequencing (tick → UBC flush → delivery pumps) and
+//!   transport inertness (delay, reorder, duplication, reconnect).
 //! * [`tcp`] — the same seam over real sockets: [`tcp::TcpTransport`]
 //!   carries every frame across the OS loopback stack (one `std::net`
 //!   connection per link, no async runtime), with read/write deadlines

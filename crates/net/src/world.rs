@@ -1,286 +1,199 @@
-//! The networked Theorem 2 world: parties as frame-speaking state machines.
+//! The networked Theorem 2 world: `Π_SBC` parties behind a frame link.
 //!
 //! [`NetSbcWorld`] re-runs the real-world experiment of
 //! `sbc_core::worlds::RealSbcWorld` with one structural change: nothing
 //! crosses a party boundary except encoded [`Frame`]s moved by a
-//! [`Transport`]. Each party is an isolated [`NetParty`] state machine;
-//! the hybrid functionalities (`F_UBC`, `F_TLE`, `F_RO`) live behind the
-//! functionality host, answered over request/response frames; the
+//! [`Transport`]. The parties are the same [`SbcParty`] state machines the
+//! in-process world runs; the hybrid functionalities are the same
+//! [`SbcHost`]. What differs is the [`SbcHybrid`] the party is handed: a
+//! frame link (`FrameLink`) that posts each of the six hybrid calls as a
+//! request frame and decodes the reply, while the host side
+//! (`FrameLink::host_handle`) maps each request frame back onto the same
+//! six `SbcHost` methods the in-process party calls directly. The
 //! environment's submissions and clock ticks arrive as frames too.
 //!
 //! # The conformance envelope
 //!
 //! The backend is held to `CompareLevel::Exact` transcript equality
-//! against the in-process world (same seed, same schedule). That works
-//! because the streams fork identically
-//! ([`fork_world_streams`]), every
-//! functionality interaction is replayed in the same order the in-process
-//! round makes it, and the only frames the network is free to disturb —
-//! party-to-party `(c, τ_rel, y)` wire deliveries — are *inert* on
-//! arrival: a recorded wire has no observable effect until the release
-//! round, the replay dedup is order-insensitive for distinct wires, and
-//! release outputs are sorted. Delay (clamped before the period end ∆
-//! guarantees), reorder, duplication and healing partitions therefore
-//! cannot change outputs or leaks. Dropping a corrupted sender's wires
-//! *does* change the received sets — that knob sits outside the `Exact`
-//! envelope and has its own tests.
+//! against the in-process world (same seed, same schedule). Party logic
+//! and functionality access cannot drift — it is the same party code
+//! calling the same host methods. What the `Exact` gate guards is what
+//! this module still owns:
+//!
+//! * **host-side sequencing** — per `advance`: due data frames, the
+//!   `Tick`, the party's `F_UBC` flush, then the delivery pumps, in the
+//!   order `RealSbcWorld`'s reference loop makes them;
+//! * **transport inertness** — the only frames the network is free to
+//!   disturb, party-to-party `(c, τ_rel, y)` wire deliveries, are inert on
+//!   arrival: a recorded wire has no observable effect until the release
+//!   round, the replay dedup is order-insensitive for distinct wires, and
+//!   release outputs are sorted. Delay (clamped before the period end ∆
+//!   guarantees), reorder, duplication, healing partitions and reconnects
+//!   therefore cannot change outputs or leaks.
+//!
+//! Dropping a corrupted sender's wires *does* change the received sets —
+//! that knob sits outside the `Exact` envelope and has its own tests.
 
 use crate::codec::{Endpoint, Frame, FrameKind};
 use crate::transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
-use sbc_broadcast::ubc::func::UbcFunc;
 use sbc_core::error::SbcError;
-use sbc_core::protocol::{parse_sbc_wire, sbc_wire, wake_up, WireLog};
-use sbc_core::worlds::{fork_world_streams, SbcBackend, SbcParams};
-use sbc_primitives::drbg::Drbg;
-use sbc_tle::func::TleFunc;
+use sbc_core::protocol::{SbcHybrid, SbcParty};
+use sbc_core::worlds::{SbcBackend, SbcHost, SbcParams};
+use sbc_tle::func::DecResponse;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::PartyId;
-use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::{Command, Value};
-use sbc_uc::world::{AdvCommand, Leak, World, WorldCore};
+use sbc_uc::world::{AdvCommand, Leak, World};
 use std::marker::PhantomData;
 
-/// The link a [`NetParty`] speaks through: posts one request frame to the
-/// functionality host and returns the response frame's kind, if any.
-/// Every call crosses the wire — encode, transport, decode — twice.
-type HostLink<'a> = dyn FnMut(FrameKind) -> Option<FrameKind> + 'a;
-
-#[derive(Clone, Debug)]
-struct PendEntry {
-    rho: Vec<u8>,
-    msg: Value,
-    encrypted: bool,
-    broadcast: bool,
+/// The [`SbcHybrid`] of a networked party: every call is one request frame
+/// to the functionality host — encode, transport, decode — and, where the
+/// call has a result, one response frame back on the party's rpc lane.
+///
+/// It borrows the host and the transport, the two fields of
+/// [`NetSbcWorld`] disjoint from its parties, so a party can be stepped in
+/// place.
+struct FrameLink<'a> {
+    host: &'a mut SbcHost,
+    transport: &'a mut dyn Transport,
 }
 
-/// One party of the networked world: the `Π_SBC` per-party state machine
-/// of `sbc_core::protocol::SbcParty`, re-expressed over frames. Every
-/// statement that draws randomness, leaks, or talks to a functionality
-/// happens in the same order as the in-process party — that is the whole
-/// bit-compatibility argument.
-#[derive(Debug)]
-pub struct NetParty {
-    id: u32,
-    phi: u64,
-    delta: u64,
-    tle_delay: u64,
-    rng: Drbg,
-    pend: Vec<PendEntry>,
-    rec: WireLog,
-    t_awake: Option<u64>,
-    t_end: Option<u64>,
-    tau_rel: Option<u64>,
-    last_advance: Option<u64>,
-    woke_up_sent: bool,
-}
+impl FrameLink<'_> {
+    /// Encodes and ships one frame. Send failures are counted by the
+    /// transport and otherwise ignored — an adversarial net is allowed to
+    /// lose what it cannot parse.
+    fn post(&mut self, from: Endpoint, to: Endpoint, kind: FrameKind) {
+        let now = self.host.now();
+        let frame = Frame {
+            from,
+            to,
+            sent_at: now,
+            kind,
+        };
+        let _ = self.transport.send(frame.encode(), now);
+    }
 
-impl NetParty {
-    fn new(id: u32, params: &SbcParams, rng: Drbg) -> Self {
-        NetParty {
-            id,
-            phi: params.phi,
-            delta: params.delta,
-            tle_delay: params.tle_delay,
-            rng,
-            pend: Vec::new(),
-            rec: WireLog::new(),
-            t_awake: None,
-            t_end: None,
-            tau_rel: None,
-            last_advance: None,
-            woke_up_sent: false,
+    /// One request/response exchange with the functionality host, fully
+    /// over the wire. The control queue is empty whenever this is called
+    /// (the pump buffers its batch before dispatching), so the host inbox
+    /// contains exactly this request.
+    fn rpc(&mut self, from: PartyId, kind: FrameKind) -> Option<FrameKind> {
+        self.post(Endpoint::Party(from.0), Endpoint::Host, kind);
+        for bytes in self.transport.recv_control() {
+            if let Ok(frame) = Frame::decode(&bytes) {
+                self.host_handle(frame);
+            }
         }
+        let mut out = None;
+        for bytes in self.transport.recv_rpc(from.0) {
+            if let Ok(frame) = Frame::decode(&bytes) {
+                out = Some(frame.kind);
+            }
+        }
+        out
     }
 
-    /// A throwaway party used while the real one is checked out of the
-    /// world for a frame dispatch.
-    fn placeholder() -> Self {
-        NetParty::new(
-            u32::MAX,
-            &SbcParams::default_for(1),
-            Drbg::from_seed(b"net/placeholder"),
-        )
+    /// The functionality host: answers one party request by calling the
+    /// [`SbcHybrid`] method of [`SbcHost`] the request frame stands for —
+    /// the very call the in-process party makes — and posting the reply.
+    fn host_handle(&mut self, frame: Frame) {
+        let Endpoint::Party(p) = frame.from else {
+            return;
+        };
+        let party = PartyId(p);
+        let reply = match frame.kind {
+            FrameKind::Cast(msg) => {
+                self.host.ubc_broadcast(party, msg);
+                return;
+            }
+            FrameKind::TleEnc { rho, tau } => {
+                self.host.tle_enc(party, rho, tau);
+                return;
+            }
+            FrameKind::TleRetrieve => FrameKind::TleTriples(Value::List(
+                self.host
+                    .tle_retrieve(party)
+                    .into_iter()
+                    .map(|(m, c, tau)| Value::list([m, c, Value::U64(tau)]))
+                    .collect(),
+            )),
+            FrameKind::TleDec { ct, tau } => {
+                FrameKind::TleDecResp(match self.host.tle_dec(party, &ct, &ct.encode(), tau) {
+                    None => Value::Unit,
+                    Some(r) => r.to_value(),
+                })
+            }
+            FrameKind::RoQuery { x, len } => FrameKind::RoAnswer(
+                self.host
+                    .ro_query(party, &x, len as usize)
+                    .unwrap_or_default(),
+            ),
+            _ => return,
+        };
+        self.post(Endpoint::Host, Endpoint::Party(p), reply);
+    }
+}
+
+impl SbcHybrid for FrameLink<'_> {
+    fn now(&self) -> u64 {
+        self.host.now()
     }
 
-    /// The agreed release time, once awake.
-    pub fn tau_rel(&self) -> Option<u64> {
-        self.tau_rel
+    fn ubc_broadcast(&mut self, party: PartyId, msg: Value) {
+        self.rpc(party, FrameKind::Cast(msg));
     }
 
-    /// The end of the broadcast period, once awake.
-    pub fn t_end(&self) -> Option<u64> {
-        self.t_end
+    fn tle_enc(&mut self, party: PartyId, msg: Value, tau: u64) {
+        self.rpc(party, FrameKind::TleEnc { rho: msg, tau });
     }
 
-    fn reset_period(&mut self) {
-        self.pend.clear();
-        self.rec.clear();
-        self.t_awake = None;
-        self.t_end = None;
-        self.tau_rel = None;
-        self.woke_up_sent = false;
-    }
-
-    fn is_idle(&self) -> bool {
-        self.t_awake.is_none() && self.pend.is_empty() && self.rec.is_empty()
-    }
-
-    fn pending_messages(&self) -> Vec<Value> {
-        self.pend
-            .iter()
-            .filter(|e| !e.broadcast)
-            .map(|e| e.msg.clone())
+    fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)> {
+        let Some(FrameKind::TleTriples(Value::List(triples))) =
+            self.rpc(party, FrameKind::TleRetrieve)
+        else {
+            return Vec::new();
+        };
+        triples
+            .into_iter()
+            .filter_map(|triple| {
+                let Value::List(items) = triple else {
+                    return None;
+                };
+                let [m, c, tau]: [Value; 3] = items.try_into().ok()?;
+                Some((m, c, tau.as_u64()?))
+            })
             .collect()
     }
 
-    /// A `Submit` frame: the `(sid, Broadcast, M)` input.
-    fn on_submit(&mut self, msg: Value, now: u64, link: &mut HostLink<'_>) {
-        match self.t_awake {
-            None => {
-                let rho = self.rng.gen_bytes(32);
-                self.pend.push(PendEntry {
-                    rho,
-                    msg,
-                    encrypted: false,
-                    broadcast: false,
-                });
-                if !self.woke_up_sent {
-                    self.woke_up_sent = true;
-                    link(FrameKind::Cast(wake_up()));
-                }
-            }
-            Some(_) => {
-                let (Some(end), Some(tau_rel)) = (self.t_end, self.tau_rel) else {
-                    return;
-                };
-                if now + self.tle_delay >= end {
-                    return; // cannot be ready before the period closes
-                }
-                let rho = self.rng.gen_bytes(32);
-                link(FrameKind::TleEnc {
-                    rho: Value::bytes(&rho),
-                    tau: tau_rel,
-                });
-                self.pend.push(PendEntry {
-                    rho,
-                    msg,
-                    encrypted: true,
-                    broadcast: false,
-                });
-            }
+    fn tle_dec(
+        &mut self,
+        party: PartyId,
+        ct: &Value,
+        _ct_enc: &[u8],
+        tau: u64,
+    ) -> Option<DecResponse> {
+        let request = FrameKind::TleDec {
+            ct: ct.clone(),
+            tau,
+        };
+        match self.rpc(party, request) {
+            // `Unit` (an unknown ciphertext, ⊥) is not a response encoding.
+            Some(FrameKind::TleDecResp(v)) => DecResponse::from_value(&v),
+            _ => None,
         }
     }
 
-    /// A control-plane `Deliver`: a `Wake_Up` (or a wire that arrived
-    /// with zero latency in the same pump).
-    fn on_deliver(&mut self, payload: &Value, now: u64, link: &mut HostLink<'_>) {
-        if payload == &wake_up() {
-            if self.t_awake.is_none() {
-                self.t_awake = Some(now);
-                self.t_end = Some(now + self.phi);
-                let tau_rel = now + self.phi + self.delta;
-                self.tau_rel = Some(tau_rel);
-                // Encrypt everything queued while asleep.
-                for e in self.pend.iter_mut().filter(|e| !e.encrypted) {
-                    e.encrypted = true;
-                    link(FrameKind::TleEnc {
-                        rho: Value::bytes(&e.rho),
-                        tau: tau_rel,
-                    });
-                }
-            }
-            return;
-        }
-        self.on_wire(payload, now);
-    }
-
-    /// A data-plane wire delivery: pure recording, no functionality.
-    fn on_wire(&mut self, payload: &Value, now: u64) {
-        let Some((ct, tau, y)) = parse_sbc_wire(payload) else {
-            return;
+    fn ro_query(&mut self, party: PartyId, x: &[u8], len: usize) -> Option<Vec<u8>> {
+        let request = FrameKind::RoQuery {
+            x: x.to_vec(),
+            len: len as u64,
         };
-        let (Some(tau_rel), Some(end)) = (self.tau_rel, self.t_end) else {
-            return;
-        };
-        if tau != tau_rel || now >= end {
-            return;
+        match self.rpc(party, request) {
+            // A mask of the wrong length would silently truncate whatever
+            // is XORed with it: treat it as no reply.
+            Some(FrameKind::RoAnswer(eta)) if eta.len() == len => Some(eta),
+            _ => None,
         }
-        self.rec.insert(ct, y);
-    }
-
-    /// A `Tick` frame: the round step. Returns the release output vector
-    /// at `τ_rel`.
-    fn on_tick(&mut self, now: u64, link: &mut HostLink<'_>) -> Option<Value> {
-        if self.last_advance == Some(now) {
-            return None;
-        }
-        self.last_advance = Some(now);
-        let (Some(awake), Some(end), Some(tau_rel)) = (self.t_awake, self.t_end, self.tau_rel)
-        else {
-            return None;
-        };
-        if awake <= now && now < end {
-            // Fetch ciphertexts that became ready and broadcast them.
-            let triples = match link(FrameKind::TleRetrieve) {
-                Some(FrameKind::TleTriples(v)) => v,
-                _ => Value::list([]),
-            };
-            for triple in triples.as_list().unwrap_or(&[]) {
-                let Some([rho_v, ct, _tau]) = triple.as_list() else {
-                    continue;
-                };
-                let Some(rho) = rho_v.as_bytes() else {
-                    continue;
-                };
-                let Some(entry) = self.pend.iter_mut().find(|e| e.rho == rho && !e.broadcast)
-                else {
-                    continue;
-                };
-                entry.broadcast = true;
-                let m_bytes = entry.msg.encode();
-                let Some(FrameKind::RoAnswer(eta)) = link(FrameKind::RoQuery {
-                    x: entry.rho.clone(),
-                    len: m_bytes.len() as u64,
-                }) else {
-                    continue;
-                };
-                let y: Vec<u8> = m_bytes.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
-                link(FrameKind::Cast(sbc_wire(ct, tau_rel, &y)));
-            }
-        }
-        if now == tau_rel {
-            let mut out = Vec::new();
-            for (ct, y) in self.rec.entries() {
-                let Some(FrameKind::TleDecResp(resp)) = link(FrameKind::TleDec {
-                    ct: ct.clone(),
-                    tau: tau_rel,
-                }) else {
-                    continue;
-                };
-                // `Unit` is an unknown ciphertext (⊥); non-`Message`
-                // responses are skipped like the in-process release loop.
-                let Some([label, rho_v]) = resp.as_list() else {
-                    continue;
-                };
-                if label.as_str() != Some("Message") {
-                    continue;
-                }
-                let Some(rho) = rho_v.as_bytes() else {
-                    continue;
-                };
-                let Some(FrameKind::RoAnswer(eta)) = link(FrameKind::RoQuery {
-                    x: rho.to_vec(),
-                    len: y.len() as u64,
-                }) else {
-                    continue;
-                };
-                let m_bytes: Vec<u8> = y.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
-                out.push(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)));
-            }
-            out.sort();
-            return Some(Value::List(out));
-        }
-        None
     }
 }
 
@@ -342,13 +255,10 @@ pub type SimNetSbcWorld = NetSbcWorld<AdversarialProfile>;
 /// into `PooledSbcWorld` like any other backend.
 #[derive(Debug)]
 pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
-    core: WorldCore,
+    host: SbcHost,
     /// Experiment parameters (exposed for harness introspection).
     pub params: SbcParams,
-    parties: Vec<NetParty>,
-    ubc: UbcFunc,
-    ftle: TleFunc,
-    ro: RandomOracle,
+    parties: Vec<SbcParty>,
     transport: Box<dyn Transport>,
     _profile: PhantomData<P>,
 }
@@ -380,22 +290,12 @@ impl<P: NetProfile> NetSbcWorld<P> {
         transport: Box<dyn Transport>,
     ) -> Result<Self, SbcError> {
         params.validate()?;
-        let mut core = WorldCore::new(params.n, seed);
         // Same forks, same order, as every other Theorem 2 backend.
-        let streams = fork_world_streams(&mut core);
-        let parties = streams
-            .parties
-            .into_iter()
-            .enumerate()
-            .map(|(i, rng)| NetParty::new(i as u32, &params, rng))
-            .collect();
+        let (host, parties) = SbcHost::new(params, seed);
         Ok(NetSbcWorld {
-            core,
+            host,
             params,
             parties,
-            ubc: UbcFunc::new(params.n, streams.ubc_tags),
-            ftle: TleFunc::new(params.tle_alpha, params.tle_delay, streams.tle_tags),
-            ro: RandomOracle::new(streams.ro),
             transport,
             _profile: PhantomData,
         })
@@ -407,118 +307,11 @@ impl<P: NetProfile> NetSbcWorld<P> {
         self.transport.stats()
     }
 
-    /// Encodes and ships one frame. Send failures are counted by the
-    /// transport and otherwise ignored — an adversarial net is allowed to
-    /// lose what it cannot parse.
-    fn post(&mut self, frame: Frame) {
-        let now = self.core.clock.read();
-        let _ = self.transport.send(frame.encode(), now);
-    }
-
-    /// Runs `f` on party `idx` with a live host link. The party is
-    /// checked out of the world for the duration so the link can borrow
-    /// the world (transport + functionalities) mutably.
-    fn with_party<R>(
-        &mut self,
-        idx: usize,
-        f: impl FnOnce(&mut NetParty, &mut HostLink<'_>) -> R,
-    ) -> R {
-        let mut party = std::mem::replace(&mut self.parties[idx], NetParty::placeholder());
-        let pid = party.id;
-        let mut link = |kind: FrameKind| self.host_rpc(pid, kind);
-        let r = f(&mut party, &mut link);
-        // `link` borrows `self`; shadow it out of scope before the
-        // write-back below.
-        let _ = &link;
-        self.parties[idx] = party;
-        r
-    }
-
-    /// One request/response exchange with the functionality host, fully
-    /// over the wire. The control queue is empty whenever this is called
-    /// (the pump buffers its batch before dispatching), so the host inbox
-    /// contains exactly this request.
-    fn host_rpc(&mut self, from: u32, kind: FrameKind) -> Option<FrameKind> {
-        let now = self.core.clock.read();
-        self.post(Frame {
-            from: Endpoint::Party(from),
-            to: Endpoint::Host,
-            sent_at: now,
-            kind,
-        });
-        let inbox = self.transport.recv_control();
-        let mut responses = Vec::new();
-        for bytes in inbox {
-            if let Ok(frame) = Frame::decode(&bytes) {
-                responses.extend(self.host_handle(frame));
-            }
-        }
-        for r in responses {
-            self.post(r);
-        }
-        let mut out = None;
-        for bytes in self.transport.recv_rpc(from) {
-            if let Ok(frame) = Frame::decode(&bytes) {
-                out = Some(frame.kind);
-            }
-        }
-        out
-    }
-
-    /// The functionality host: answers one party request, touching the
-    /// hybrid functionalities exactly as the in-process round does.
-    fn host_handle(&mut self, frame: Frame) -> Vec<Frame> {
-        let now = self.core.clock.read();
-        let Endpoint::Party(p) = frame.from else {
-            return Vec::new();
-        };
-        let party = PartyId(p);
-        let reply = |kind: FrameKind| Frame {
-            from: Endpoint::Host,
-            to: Endpoint::Party(p),
-            sent_at: now,
-            kind,
-        };
-        match frame.kind {
-            FrameKind::Cast(msg) => {
-                let mut ctx = self.core.ctx();
-                self.ubc.broadcast_honest(party, msg, &mut ctx);
-                Vec::new()
-            }
-            FrameKind::TleEnc { rho, tau } => {
-                let mut ctx = self.core.ctx();
-                self.ftle.enc(party, rho, tau as i64, &mut ctx);
-                Vec::new()
-            }
-            FrameKind::TleRetrieve => {
-                let triples = {
-                    let mut ctx = self.core.ctx();
-                    self.ftle.retrieve(party, &mut ctx)
-                };
-                let v = Value::List(
-                    triples
-                        .into_iter()
-                        .map(|(m, c, tau)| Value::list([m, c, Value::U64(tau)]))
-                        .collect(),
-                );
-                vec![reply(FrameKind::TleTriples(v))]
-            }
-            FrameKind::TleDec { ct, tau } => {
-                let resp = {
-                    let ctx = self.core.ctx();
-                    self.ftle.dec(&ct, tau as i64, &ctx)
-                };
-                let v = match resp {
-                    None => Value::Unit,
-                    Some(r) => r.to_value(),
-                };
-                vec![reply(FrameKind::TleDecResp(v))]
-            }
-            FrameKind::RoQuery { x, len } => {
-                let ans = self.ro.query_bytes(Caller::Party(party), &x, len as usize);
-                vec![reply(FrameKind::RoAnswer(ans))]
-            }
-            _ => Vec::new(),
+    /// The frame link over this world's host and transport.
+    fn link(&mut self) -> FrameLink<'_> {
+        FrameLink {
+            host: &mut self.host,
+            transport: self.transport.as_mut(),
         }
     }
 
@@ -542,38 +335,31 @@ impl<P: NetProfile> NetSbcWorld<P> {
     }
 
     fn dispatch_control(&mut self, frame: Frame) {
-        let now = self.core.clock.read();
+        // The link borrows `host` and `transport` only, leaving the
+        // addressed party free to be stepped in place.
+        let mut link = FrameLink {
+            host: &mut self.host,
+            transport: self.transport.as_mut(),
+        };
         match frame.to {
-            Endpoint::Party(p) if (p as usize) < self.parties.len() => {
-                let idx = p as usize;
+            Endpoint::Party(p) => {
+                let Some(party) = self.parties.get_mut(p as usize) else {
+                    return;
+                };
                 match frame.kind {
-                    FrameKind::Submit(v) => {
-                        self.with_party(idx, |party, link| party.on_submit(v, now, link));
-                    }
+                    FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
-                        let out = self.with_party(idx, |party, link| party.on_tick(now, link));
-                        if let Some(v) = out {
-                            self.post(Frame {
-                                from: Endpoint::Party(p),
-                                to: Endpoint::Env,
-                                sent_at: now,
-                                kind: FrameKind::Output(v),
-                            });
+                        if let Some(cmd) = party.on_advance(&mut link) {
+                            let out = FrameKind::Output(cmd.value);
+                            link.post(Endpoint::Party(p), Endpoint::Env, out);
                             self.pump_env();
                         }
                     }
-                    FrameKind::Deliver { payload, .. } => {
-                        self.with_party(idx, |party, link| party.on_deliver(&payload, now, link));
-                    }
+                    FrameKind::Deliver { payload, .. } => party.on_ubc_deliver(&payload, &mut link),
                     _ => {}
                 }
             }
-            Endpoint::Host => {
-                let responses = self.host_handle(frame);
-                for r in responses {
-                    self.post(r);
-                }
-            }
+            Endpoint::Host => link.host_handle(frame),
             _ => {}
         }
     }
@@ -587,200 +373,133 @@ impl<P: NetProfile> NetSbcWorld<P> {
             if let (Endpoint::Env, Endpoint::Party(p), FrameKind::Output(v)) =
                 (frame.to, frame.from, frame.kind)
             {
-                self.core
+                self.host
+                    .core
                     .outputs
                     .push((PartyId(p), Command::new("Broadcast", v)));
             }
         }
     }
 
-    /// Ships a batch of UBC deliveries as `Deliver` frames (flush order
-    /// preserved; the transport classifies wake-ups as control and wires
-    /// as data).
-    fn post_deliveries(&mut self, origin: u32, ds: Vec<sbc_uc::hybrid::Delivery>, now: u64) {
-        for d in ds {
-            self.post(Frame {
-                from: Endpoint::Host,
-                to: Endpoint::Party(d.to.0),
-                sent_at: now,
-                kind: FrameKind::Deliver {
+    /// Ships broadcast messages from `origin`, each to every party in id
+    /// order, as `Deliver` frames (flush order preserved; the transport
+    /// classifies wake-ups as control and wires as data), then runs the
+    /// delivery pumps.
+    fn deliver(&mut self, origin: u32, msgs: Vec<Value>) {
+        let n = self.parties.len() as u32;
+        let mut link = self.link();
+        for payload in msgs {
+            for to in 0..n {
+                let kind = FrameKind::Deliver {
                     origin,
-                    payload: d.cmd.value,
-                },
-            });
+                    payload: payload.clone(),
+                };
+                link.post(Endpoint::Host, Endpoint::Party(to), kind);
+            }
+        }
+        self.pump_control();
+        // Due data frames go to every party (corrupted recipients
+        // included — the in-process world delivers to them too; their
+        // state is just never observable again).
+        for p in 0..n {
+            self.pump_data_for(p);
         }
     }
 
     /// Delivers the data-plane frames due for one party.
-    fn pump_data_for(&mut self, p: u32, now: u64) {
-        let batch = self.transport.recv_data(p, now);
-        for bytes in batch {
+    fn pump_data_for(&mut self, p: u32) {
+        let now = self.host.now();
+        for bytes in self.transport.recv_data(p, now) {
             let Ok(frame) = Frame::decode(&bytes) else {
                 continue;
             };
             if let FrameKind::Deliver { payload, .. } = frame.kind {
                 // Wire recording is pure — no host link needed.
-                self.parties[p as usize].on_wire(&payload, now);
+                self.parties[p as usize].on_wire_deliver(&payload, now);
             }
-        }
-    }
-
-    /// Delivers due data frames to every party (corrupted recipients
-    /// included — the in-process world delivers to them too; their state
-    /// is just never observable again).
-    fn pump_data_all(&mut self, now: u64) {
-        for p in 0..self.parties.len() as u32 {
-            self.pump_data_for(p, now);
         }
     }
 }
 
 impl<P: NetProfile> World for NetSbcWorld<P> {
     fn n(&self) -> usize {
-        self.core.n()
+        self.host.core.n()
     }
 
     fn time(&self) -> u64 {
-        self.core.clock.read()
+        self.host.now()
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
             return;
         }
-        let now = self.core.clock.read();
-        self.post(Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Party(party.0),
-            sent_at: now,
-            kind: FrameKind::Submit(cmd.value),
-        });
+        let submit = FrameKind::Submit(cmd.value);
+        self.link()
+            .post(Endpoint::Env, Endpoint::Party(party.0), submit);
         self.pump_control();
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if self.host.core.corr.is_corrupted(party) {
             return;
         }
-        let now = self.core.clock.read();
         // Due data-plane deliveries land before the round step, so a
         // delayed wire is seen at its scheduled round like the in-process
         // world's in-round delivery.
-        self.pump_data_for(party.0, now);
-        self.post(Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Party(party.0),
-            sent_at: now,
-            kind: FrameKind::Tick,
-        });
+        self.pump_data_for(party.0);
+        self.link()
+            .post(Endpoint::Env, Endpoint::Party(party.0), FrameKind::Tick);
         self.pump_control();
         // Host side of the tick: flush this party's UBC pending.
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.ubc.advance_clock(party, &mut ctx)
-        };
-        self.post_deliveries(party.0, ds, now);
-        self.pump_control();
-        self.pump_data_all(now);
-        self.core.clock.advance_party(party);
+        let msgs = self.host.take_flush(party);
+        self.deliver(party.0, msgs);
+        self.host.core.clock.advance_party(party);
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
         match cmd {
             AdvCommand::Corrupt(p) => {
-                if !self.core.corrupt(p) {
+                if !self.host.core.corrupt(p) {
                     return Value::Bool(false);
                 }
                 self.transport.set_corrupted(p.0);
                 Value::List(self.parties[p.index()].pending_messages())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                if self.core.corr.is_corrupted(party) {
-                    let now = self.core.clock.read();
-                    let ds = {
-                        let mut ctx = self.core.ctx();
-                        self.ubc.broadcast_corrupted(party, cmd.value, &mut ctx)
-                    };
-                    self.post_deliveries(party.0, ds, now);
-                    self.pump_control();
-                    self.pump_data_all(now);
+                if let Some(msg) = self.host.broadcast_corrupted(party, cmd.value) {
+                    self.deliver(party.0, vec![msg]);
                 }
                 Value::Unit
             }
-            AdvCommand::Control { target, cmd } => match (target.as_str(), cmd.name.as_str()) {
-                ("F_TLE", "Insert") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 3 {
-                        if let (Some(_), Some(_), Some(tau)) =
-                            (items[0].as_bytes(), items[1].as_bytes(), items[2].as_u64())
-                        {
-                            self.ftle
-                                .insert_adversarial(items[0].clone(), items[1].clone(), tau);
-                            return Value::Bool(true);
-                        }
-                    }
-                    Value::Unit
-                }
-                ("F_TLE", "Leakage") => {
-                    let recs = {
-                        let ctx = self.core.ctx();
-                        self.ftle.leakage(&ctx)
-                    };
-                    Value::List(
-                        recs.into_iter()
-                            .map(|r| {
-                                Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)])
-                            })
-                            .collect(),
-                    )
-                }
-                ("F_RO", "QueryBytes") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 2 {
-                        if let (Some(x), Some(len)) = (items[0].as_bytes(), items[1].as_u64()) {
-                            return Value::Bytes(self.ro.query_bytes(
-                                Caller::Adversary,
-                                x,
-                                len as usize,
-                            ));
-                        }
-                    }
-                    Value::Unit
-                }
-                _ => Value::Unit,
-            },
+            AdvCommand::Control { target, cmd } => self.host.control(&target, &cmd),
             _ => Value::Unit,
         }
     }
 
     fn drain_outputs(&mut self) -> Vec<(PartyId, Command)> {
-        std::mem::take(&mut self.core.outputs)
+        std::mem::take(&mut self.host.core.outputs)
     }
 
     fn drain_leaks(&mut self) -> Vec<Leak> {
-        std::mem::take(&mut self.core.leaks)
+        std::mem::take(&mut self.host.core.leaks)
     }
 
     fn is_corrupted(&self, party: PartyId) -> bool {
-        self.core.corr.is_corrupted(party)
+        self.host.core.corr.is_corrupted(party)
     }
 }
 
 impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
-    /// Period turnover: parties forget their period state, undelivered
-    /// UBC messages are dropped, released `F_TLE` records pruned — and
-    /// the transport's in-flight frames flushed, the networked image of
-    /// the in-process `clear_pending`.
+    /// Period turnover: parties forget their period state, the host drops
+    /// what the functionalities held for it — and the transport's
+    /// in-flight frames are flushed, the networked image of the in-process
+    /// `clear_pending`.
     fn begin_new_period(&mut self) {
         for p in &mut self.parties {
             p.reset_period();
         }
-        self.ubc.clear_pending();
-        self.ftle.clear_records();
+        self.host.begin_new_period();
         self.transport.clear_in_flight();
     }
 
@@ -796,11 +515,10 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
     /// frame still in flight means an idle round is not a pure clock tick.
     fn join_at(&mut self, round: u64) {
         let idle = self.parties.iter().all(|p| p.is_idle())
-            && self.ubc.pending().is_empty()
-            && self.transport.idle()
-            && !self.core.clock.mid_round();
+            && self.host.is_idle()
+            && self.transport.idle();
         if idle {
-            self.core.clock.fast_forward(round);
+            self.host.core.clock.fast_forward(round);
         } else {
             sbc_uc::exec::replay_join(self, round);
         }
@@ -834,6 +552,102 @@ mod tests {
         let stats = w.transport_stats();
         assert!(stats.sent > 0 && stats.delivered > 0 && stats.bytes > 0);
         assert_eq!(stats.decode_errors, 0);
+    }
+
+    /// A loopback whose host replies are tampered in flight: from round
+    /// `from_round` on, every `RoAnswer` of `cut_len` bytes loses its last
+    /// byte.
+    #[derive(Debug)]
+    struct ShortMasks {
+        inner: Loopback,
+        cut_len: usize,
+        from_round: u64,
+    }
+
+    impl Transport for ShortMasks {
+        fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), crate::codec::NetError> {
+            let bytes = match Frame::decode(&bytes) {
+                Ok(Frame {
+                    from,
+                    to,
+                    sent_at,
+                    kind: FrameKind::RoAnswer(mut eta),
+                }) if now >= self.from_round && eta.len() == self.cut_len => {
+                    eta.pop();
+                    let kind = FrameKind::RoAnswer(eta);
+                    Frame {
+                        from,
+                        to,
+                        sent_at,
+                        kind,
+                    }
+                    .encode()
+                }
+                _ => bytes,
+            };
+            self.inner.send(bytes, now)
+        }
+        fn recv_control(&mut self) -> Vec<Vec<u8>> {
+            self.inner.recv_control()
+        }
+        fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+            self.inner.recv_rpc(party)
+        }
+        fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+            self.inner.recv_data(party, now)
+        }
+        fn set_corrupted(&mut self, party: u32) {
+            self.inner.set_corrupted(party)
+        }
+        fn clear_in_flight(&mut self) {
+            self.inner.clear_in_flight()
+        }
+        fn idle(&self) -> bool {
+            self.inner.idle()
+        }
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn wrong_length_oracle_answer_is_no_answer() {
+        // A mask shorter than asked for must not be XORed in (it would
+        // silently truncate the cast wire or the released message): the
+        // entry it belongs to is skipped, every other entry releases.
+        let params = SbcParams::default_for(3);
+        let msgs = [&b"aa"[..], b"bbbb", b"cc"];
+        let cut_len = Value::bytes(msgs[1]).encode().len();
+        let tau_rel = params.phi + params.delta;
+        // Tampered from the start (the sender never gets to cast) and only
+        // at the release round (every party skips the entry on release).
+        for from_round in [0, tau_rel] {
+            let transport = ShortMasks {
+                inner: Loopback::new(params.n, params.delta),
+                cut_len,
+                from_round,
+            };
+            let mut w = LoopbackSbcWorld::with_transport(params, b"short", Box::new(transport))
+                .expect("valid params");
+            for (i, m) in msgs.iter().enumerate() {
+                w.input(
+                    PartyId(i as u32),
+                    Command::new("Broadcast", Value::bytes(m)),
+                );
+            }
+            for _ in 0..=tau_rel {
+                w.tick();
+            }
+            let outs = w.drain_outputs();
+            assert_eq!(outs.len(), 3, "from round {from_round}");
+            for (_, cmd) in &outs {
+                assert_eq!(
+                    cmd.value.as_list(),
+                    Some(&[Value::bytes(msgs[0]), Value::bytes(msgs[2])][..]),
+                    "from round {from_round}"
+                );
+            }
+        }
     }
 
     #[test]

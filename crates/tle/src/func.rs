@@ -58,6 +58,20 @@ impl DecResponse {
             DecResponse::Bottom => Value::str("\u{22a5}"),
         }
     }
+
+    /// Inverse of [`to_value`](DecResponse::to_value); `None` for anything
+    /// that is not a response encoding.
+    pub fn from_value(v: &Value) -> Option<DecResponse> {
+        if let Some([label, m]) = v.as_list() {
+            return (label.as_str() == Some("Message")).then(|| DecResponse::Message(m.clone()));
+        }
+        match v.as_str()? {
+            "More_Time" => Some(DecResponse::MoreTime),
+            "Invalid_Time" => Some(DecResponse::InvalidTime),
+            "\u{22a5}" => Some(DecResponse::Bottom),
+            _ => None,
+        }
+    }
 }
 
 /// Leak source label for `F_TLE`.
@@ -68,9 +82,9 @@ pub const TLE_SOURCE: &str = "F_TLE";
 /// The record set carries three lookup indices so the per-round interfaces
 /// stay ~linear in the number of *relevant* records instead of scanning
 /// every tuple ever recorded: [`retrieve`](TleFunc::retrieve) walks only
-/// the caller's own records (`by_owner`), [`dec_peek`](TleFunc::dec_peek)
-/// resolves a ciphertext in O(matching) (`by_ct`, keyed on the canonical
-/// ciphertext encoding), and `Update` resolves its tag in O(1)
+/// the caller's own records (`by_owner`), [`dec`](TleFunc::dec) resolves a
+/// ciphertext in O(matching) (`by_ct`, keyed on the canonical ciphertext
+/// encoding), and `Update` resolves its tag in O(1)
 /// (`by_tag`). Index maintenance is append-only — records are never
 /// removed except by [`clear_records`](TleFunc::clear_records), which
 /// drops the indices with them — so index vectors stay in record order
@@ -247,31 +261,24 @@ impl TleFunc {
     }
 
     /// `Dec` for a known ciphertext; returns `None` when the functionality
-    /// must ask the simulator (unknown ciphertext).
-    pub fn dec(&mut self, ct: &Value, tau: i64, ctx: &HybridCtx<'_>) -> Option<DecResponse> {
-        self.dec_peek(ct, tau, ctx.time())
-    }
-
-    /// Read-only `Dec`: byte-identical to [`dec`](TleFunc::dec) (which
-    /// delegates here) but usable from a shared reference at a caller-
-    /// supplied clock reading. `Dec` never mutates the record set, so
-    /// parallel per-party release compute can run it against an immutable
-    /// snapshot of the functionality.
+    /// must ask the simulator (unknown ciphertext). `Dec` never mutates the
+    /// record set.
     ///
     /// This form encodes the ciphertext before probing; callers holding the
     /// canonical encoding already (the release pipeline caches it per
     /// received wire) use [`dec_peek_encoded`](TleFunc::dec_peek_encoded)
     /// directly and skip the re-encode.
-    pub fn dec_peek(&self, ct: &Value, tau: i64, now: u64) -> Option<DecResponse> {
-        self.dec_peek_encoded(&ct.encode(), tau, now)
+    pub fn dec(&mut self, ct: &Value, tau: i64, ctx: &HybridCtx<'_>) -> Option<DecResponse> {
+        self.dec_peek_encoded(&ct.encode(), tau, ctx.time())
     }
 
-    /// [`dec_peek`](TleFunc::dec_peek) keyed on the **pre-encoded**
-    /// canonical ciphertext bytes — the allocation-free probe behind both
-    /// `Dec` forms. The index map is keyed on canonical encodings, so a
-    /// borrowed `&[u8]` probes it directly; the candidate records are
-    /// visited through the index vector without collecting them, so a
-    /// probe allocates nothing beyond the response it returns. The release
+    /// [`dec`](TleFunc::dec) keyed on the **pre-encoded** canonical
+    /// ciphertext bytes, at a caller-supplied clock reading — the
+    /// allocation-free probe behind `Dec`. The index map is keyed on
+    /// canonical encodings, so a borrowed `&[u8]` probes it directly; the
+    /// candidate records are visited through the index vector without
+    /// collecting them, so a probe allocates nothing beyond the response
+    /// it returns. The release
     /// pipeline encodes each received ciphertext once (at wire-log
     /// insertion) and probes with the cached bytes instead of re-encoding
     /// the same `Value` once per (party, sender) pair per release round.
@@ -568,7 +575,7 @@ mod tests {
 
     #[test]
     fn encoded_probe_matches_value_probe_on_every_branch() {
-        // dec_peek delegates to dec_peek_encoded; a caller probing with the
+        // dec delegates to dec_peek_encoded; a caller probing with the
         // cached canonical encoding must see the same response as one
         // probing with the Value, on every response branch — that is what
         // licenses the release pipeline to encode each received ciphertext
@@ -598,7 +605,7 @@ mod tests {
             let enc = ct.encode();
             assert_eq!(
                 f.dec_peek_encoded(&enc, tau, now),
-                f.dec_peek(ct, tau, now),
+                f.dec(ct, tau, &fx.ctx()),
                 "ct={ct:?} tau={tau}"
             );
         }
@@ -625,5 +632,17 @@ mod tests {
                 assert_ne!(vals[i], vals[j]);
             }
         }
+        // ... and each decodes back to the response it came from; `Unit`
+        // (how the wire says "unknown ciphertext") is none of them.
+        for r in [
+            DecResponse::Message(Value::U64(1)),
+            DecResponse::MoreTime,
+            DecResponse::InvalidTime,
+            DecResponse::Bottom,
+        ] {
+            assert_eq!(DecResponse::from_value(&r.to_value()), Some(r));
+        }
+        assert_eq!(DecResponse::from_value(&Value::Unit), None);
+        assert_eq!(DecResponse::from_value(&Value::str("Message")), None);
     }
 }

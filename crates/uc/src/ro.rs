@@ -96,16 +96,6 @@ impl RandomOracle {
         y
     }
 
-    /// Read-only peek at `H(x)` without recording a query. Used by
-    /// simulators that must predict what an honest party's query would
-    /// return (legitimate because simulators control the oracle).
-    pub fn peek(&self, x: &[u8]) -> [u8; 32] {
-        if let Some(y) = self.table.get(x) {
-            return *y;
-        }
-        sbc_primitives::hmac::hmac_sha256(&self.key, x)
-    }
-
     fn vl_key(x: &[u8], len: usize) -> Vec<u8> {
         let mut k = (len as u64).to_be_bytes().to_vec();
         k.extend_from_slice(x);
@@ -287,14 +277,6 @@ mod tests {
         r.query(Caller::Adversary, b"x");
         r.query(Caller::Adversary, b"x");
         assert_eq!(r.query_count(), 2);
-    }
-
-    #[test]
-    fn peek_matches_query_without_recording() {
-        let mut r = ro();
-        let peeked = r.peek(b"p");
-        assert_eq!(r.query_count(), 0);
-        assert_eq!(r.query(Caller::Simulator, b"p"), peeked);
     }
 
     #[test]
