@@ -21,10 +21,8 @@
 //! the wrong shape — maps to a typed [`CodecError`] variant. Decoding
 //! never panics and never allocates more than the input's own length.
 
-use sbc_primitives::sha256::Sha256;
 use sbc_uc::value::Value;
 use std::fmt;
-use std::io;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = *b"SB";
@@ -148,35 +146,6 @@ pub enum FrameKind {
     RoAnswer(Vec<u8>),
     /// Party → environment: the release-round output vector.
     Output(Value),
-    /// Opens a streaming multi-frame snapshot: the format version, the
-    /// service era the image was captured in, and how many
-    /// [`FrameKind::SnapshotChunk`] frames follow before the trailer.
-    SnapshotHeader {
-        /// Snapshot format version (see [`SNAPSHOT_STREAM_VERSION`]).
-        version: u64,
-        /// The capturing service's era (checkpoint generation).
-        era: u64,
-        /// Number of chunk frames in the stream.
-        chunks: u64,
-    },
-    /// One payload chunk of a streaming snapshot, at most
-    /// [`SNAPSHOT_CHUNK_BYTES`] bytes so every frame stays far under
-    /// [`MAX_FRAME`]. Chunks carry their position so reordering and
-    /// duplication are detectable.
-    SnapshotChunk {
-        /// Zero-based position of this chunk in the stream.
-        index: u64,
-        /// The chunk's slice of the snapshot payload.
-        data: Vec<u8>,
-    },
-    /// Closes a streaming snapshot with the SHA-256 digest of the whole
-    /// stream (header fields and concatenated chunk payloads), so a
-    /// truncated, spliced, or bit-flipped stream fails restore with a
-    /// typed error instead of replaying a corrupt history.
-    SnapshotTrailer {
-        /// `SHA-256(domain ‖ version ‖ era ‖ chunks ‖ payload)`.
-        digest: [u8; 32],
-    },
 }
 
 impl FrameKind {
@@ -194,10 +163,9 @@ impl FrameKind {
             FrameKind::RoQuery { .. } => 9,
             FrameKind::RoAnswer(_) => 10,
             FrameKind::Output(_) => 11,
-            // 12 was the single-frame `Snapshot` image: retired, never reused.
-            FrameKind::SnapshotHeader { .. } => 13,
-            FrameKind::SnapshotChunk { .. } => 14,
-            FrameKind::SnapshotTrailer { .. } => 15,
+            // 12 (the single-frame `Snapshot` image) and 13–15
+            // (`SnapshotHeader`/`SnapshotChunk`/`SnapshotTrailer`, the
+            // framed image stream) are retired, never reused.
         }
     }
 
@@ -215,9 +183,6 @@ impl FrameKind {
             9 => "RoQuery",
             10 => "RoAnswer",
             11 => "Output",
-            13 => "SnapshotHeader",
-            14 => "SnapshotChunk",
-            15 => "SnapshotTrailer",
             _ => "?",
         }
     }
@@ -234,15 +199,6 @@ impl FrameKind {
             FrameKind::TleDec { ct, tau } => Value::pair(ct.clone(), Value::U64(*tau)),
             FrameKind::RoQuery { x, len } => Value::pair(Value::bytes(x), Value::U64(*len)),
             FrameKind::RoAnswer(b) => Value::bytes(b),
-            FrameKind::SnapshotHeader {
-                version,
-                era,
-                chunks,
-            } => Value::list([Value::U64(*version), Value::U64(*era), Value::U64(*chunks)]),
-            FrameKind::SnapshotChunk { index, data } => {
-                Value::pair(Value::U64(*index), Value::bytes(data))
-            }
-            FrameKind::SnapshotTrailer { digest } => Value::bytes(digest),
         }
     }
 
@@ -299,32 +255,6 @@ impl FrameKind {
                 _ => Err(bad()),
             },
             11 => Ok(FrameKind::Output(body)),
-            13 => match body.as_list() {
-                Some([version, era, chunks]) => {
-                    let version = version.as_u64().ok_or_else(bad)?;
-                    let era = era.as_u64().ok_or_else(bad)?;
-                    let chunks = chunks.as_u64().ok_or_else(bad)?;
-                    Ok(FrameKind::SnapshotHeader {
-                        version,
-                        era,
-                        chunks,
-                    })
-                }
-                _ => Err(bad()),
-            },
-            14 => {
-                let (index, data) = unpair(&body)?;
-                let index = index.as_u64().ok_or_else(bad)?;
-                let data = data.as_bytes().ok_or_else(bad)?.to_vec();
-                Ok(FrameKind::SnapshotChunk { index, data })
-            }
-            15 => {
-                let digest: [u8; 32] = body
-                    .as_bytes()
-                    .and_then(|b| b.try_into().ok())
-                    .ok_or_else(bad)?;
-                Ok(FrameKind::SnapshotTrailer { digest })
-            }
             _ => Err(CodecError::UnknownKind { tag }),
         }
     }
@@ -438,325 +368,6 @@ impl Frame {
             total,
         ))
     }
-}
-
-/// The snapshot-stream format version spoken by
-/// [`encode_snapshot_stream`] (and asserted by the decoders). Version 1
-/// was a single-frame image under the retired kind tag 12.
-pub const SNAPSHOT_STREAM_VERSION: u64 = 2;
-
-/// Payload bytes carried per [`FrameKind::SnapshotChunk`]: 1 MiB, far
-/// under [`MAX_FRAME`] once framing overhead is added, so a stream of
-/// any total size decodes frame by frame in bounded memory.
-pub const SNAPSHOT_CHUNK_BYTES: usize = 1 << 20;
-
-/// Domain-separation prefix for the trailer digest.
-const SNAPSHOT_DIGEST_DOMAIN: &[u8] = b"sbc-net/snapshot-stream";
-
-/// A decoded streaming snapshot: the era and clock round it was captured
-/// at, and the reassembled payload the chunks carried.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotStream {
-    /// The capturing service's era (from the header frame).
-    pub era: u64,
-    /// The shared-clock round at capture (the header frame's `sent_at`).
-    pub sent_at: u64,
-    /// The concatenated chunk payloads, digest-verified.
-    pub payload: Vec<u8>,
-}
-
-/// Every way a streaming snapshot can fail to decode. Like
-/// [`CodecError`], the decoders return the first malformation found and
-/// never panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotStreamError {
-    /// A frame of the stream failed to decode at the codec layer.
-    Frame(CodecError),
-    /// The stream produced a well-formed frame of the wrong kind where a
-    /// header, chunk, or trailer was required (also the shape a lying
-    /// chunk count takes: the trailer shows up while chunks are still
-    /// owed, or a chunk shows up where the trailer belongs).
-    UnexpectedFrame {
-        /// The frame kind the stream position required.
-        expected: &'static str,
-        /// The frame kind actually found.
-        found: &'static str,
-    },
-    /// The header claims a snapshot format this decoder does not speak.
-    UnsupportedVersion {
-        /// The version the header declared.
-        found: u64,
-    },
-    /// A chunk arrived out of position — reordered, duplicated, or
-    /// skipped.
-    ChunkOutOfOrder {
-        /// The index the stream position required.
-        expected: u64,
-        /// The index the chunk carried.
-        found: u64,
-    },
-    /// The trailer digest does not match the received header + chunk
-    /// sequence: the payload was corrupted or spliced in transit.
-    DigestMismatch,
-    /// Bytes remain after the trailer where the stream was expected to
-    /// end exactly.
-    TrailingData {
-        /// How many bytes were left over.
-        extra: usize,
-    },
-    /// The underlying reader or writer failed (the `std::io` error
-    /// rendered to text — `io::Error` is neither `Clone` nor `Eq`).
-    Io {
-        /// The rendered I/O error.
-        detail: String,
-    },
-}
-
-impl fmt::Display for SnapshotStreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotStreamError::Frame(e) => write!(f, "snapshot stream frame: {e}"),
-            SnapshotStreamError::UnexpectedFrame { expected, found } => {
-                write!(f, "snapshot stream expected {expected}, found {found}")
-            }
-            SnapshotStreamError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported snapshot format version {found} (speak {SNAPSHOT_STREAM_VERSION})"
-                )
-            }
-            SnapshotStreamError::ChunkOutOfOrder { expected, found } => {
-                write!(f, "snapshot chunk {found} where chunk {expected} belongs")
-            }
-            SnapshotStreamError::DigestMismatch => {
-                write!(f, "snapshot stream digest mismatch: payload corrupted")
-            }
-            SnapshotStreamError::TrailingData { extra } => {
-                write!(f, "{extra} trailing bytes after snapshot trailer")
-            }
-            SnapshotStreamError::Io { detail } => write!(f, "snapshot stream i/o: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotStreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotStreamError::Frame(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for SnapshotStreamError {
-    fn from(e: CodecError) -> Self {
-        SnapshotStreamError::Frame(e)
-    }
-}
-
-/// The trailer digest: SHA-256 over the domain tag, the header fields,
-/// and the full payload — any bit of the stream that matters is covered.
-fn snapshot_digest(era: u64, chunks: u64, payload: &[u8]) -> [u8; 32] {
-    Sha256::digest_parts(&[
-        SNAPSHOT_DIGEST_DOMAIN,
-        &SNAPSHOT_STREAM_VERSION.to_be_bytes(),
-        &era.to_be_bytes(),
-        &chunks.to_be_bytes(),
-        payload,
-    ])
-}
-
-fn kind_label(kind: &FrameKind) -> &'static str {
-    FrameKind::name(kind.tag())
-}
-
-/// The frame sequence of a streaming snapshot: one header, `⌈len /
-/// SNAPSHOT_CHUNK_BYTES⌉` chunks, one digest trailer — all `Env → Env`
-/// with `sent_at` as the capture round.
-fn snapshot_stream_frames(era: u64, sent_at: u64, payload: &[u8]) -> Vec<Frame> {
-    let at = |kind| Frame {
-        from: Endpoint::Env,
-        to: Endpoint::Env,
-        sent_at,
-        kind,
-    };
-    let chunks: Vec<&[u8]> = payload.chunks(SNAPSHOT_CHUNK_BYTES).collect();
-    let count = chunks.len() as u64;
-    let mut frames = Vec::with_capacity(chunks.len() + 2);
-    frames.push(at(FrameKind::SnapshotHeader {
-        version: SNAPSHOT_STREAM_VERSION,
-        era,
-        chunks: count,
-    }));
-    for (index, data) in chunks.into_iter().enumerate() {
-        frames.push(at(FrameKind::SnapshotChunk {
-            index: index as u64,
-            data: data.to_vec(),
-        }));
-    }
-    frames.push(at(FrameKind::SnapshotTrailer {
-        digest: snapshot_digest(era, count, payload),
-    }));
-    frames
-}
-
-/// Encodes `payload` as a streaming multi-frame snapshot
-/// (header ‖ chunks ‖ digest trailer), concatenated into one byte
-/// string. Any payload size encodes — chunking keeps every frame far
-/// under the single-frame [`MAX_FRAME`] ceiling.
-pub fn encode_snapshot_stream(era: u64, sent_at: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for frame in snapshot_stream_frames(era, sent_at, payload) {
-        out.extend_from_slice(&frame.encode());
-    }
-    out
-}
-
-/// Streams a snapshot frame by frame into any [`io::Write`] — a file, a
-/// socket, a TCP lane. Returns the bytes written.
-///
-/// # Errors
-///
-/// [`SnapshotStreamError::Io`] carrying the writer's error.
-pub fn write_snapshot_stream<Wr: io::Write>(
-    w: &mut Wr,
-    era: u64,
-    sent_at: u64,
-    payload: &[u8],
-) -> Result<usize, SnapshotStreamError> {
-    let mut written = 0;
-    for frame in snapshot_stream_frames(era, sent_at, payload) {
-        let bytes = frame.encode();
-        w.write_all(&bytes).map_err(|e| SnapshotStreamError::Io {
-            detail: e.to_string(),
-        })?;
-        written += bytes.len();
-    }
-    w.flush().map_err(|e| SnapshotStreamError::Io {
-        detail: e.to_string(),
-    })?;
-    Ok(written)
-}
-
-/// Reassembles the stream from already-decoded frames, enforcing order,
-/// count, and the trailer digest. `frames` yields one frame per call.
-fn assemble_snapshot_stream<E>(
-    mut next_frame: impl FnMut() -> Result<Frame, E>,
-) -> Result<SnapshotStream, SnapshotStreamError>
-where
-    SnapshotStreamError: From<E>,
-{
-    let first = next_frame()?;
-    let FrameKind::SnapshotHeader {
-        version,
-        era,
-        chunks,
-    } = first.kind
-    else {
-        return Err(SnapshotStreamError::UnexpectedFrame {
-            expected: "SnapshotHeader",
-            found: kind_label(&first.kind),
-        });
-    };
-    if version != SNAPSHOT_STREAM_VERSION {
-        return Err(SnapshotStreamError::UnsupportedVersion { found: version });
-    }
-    let sent_at = first.sent_at;
-    let mut payload = Vec::new();
-    for expected in 0..chunks {
-        let frame = next_frame()?;
-        match frame.kind {
-            FrameKind::SnapshotChunk { index, data } => {
-                if index != expected {
-                    return Err(SnapshotStreamError::ChunkOutOfOrder {
-                        expected,
-                        found: index,
-                    });
-                }
-                payload.extend_from_slice(&data);
-            }
-            other => {
-                return Err(SnapshotStreamError::UnexpectedFrame {
-                    expected: "SnapshotChunk",
-                    found: kind_label(&other),
-                })
-            }
-        }
-    }
-    let last = next_frame()?;
-    let FrameKind::SnapshotTrailer { digest } = last.kind else {
-        return Err(SnapshotStreamError::UnexpectedFrame {
-            expected: "SnapshotTrailer",
-            found: kind_label(&last.kind),
-        });
-    };
-    if digest != snapshot_digest(era, chunks, &payload) {
-        return Err(SnapshotStreamError::DigestMismatch);
-    }
-    Ok(SnapshotStream {
-        era,
-        sent_at,
-        payload,
-    })
-}
-
-/// Decodes a complete streaming snapshot from a byte string, verifying
-/// frame order, chunk count, and the trailer digest. The stream must end
-/// exactly at the trailer.
-///
-/// # Errors
-///
-/// A [`SnapshotStreamError`] naming the first malformation found
-/// (truncation, reordering, a lying chunk count, a digest mismatch, or
-/// trailing bytes). Never panics.
-pub fn decode_snapshot_stream(bytes: &[u8]) -> Result<SnapshotStream, SnapshotStreamError> {
-    let mut off = 0usize;
-    let stream = assemble_snapshot_stream(|| -> Result<Frame, CodecError> {
-        let (frame, used) = Frame::decode_prefix(&bytes[off..])?;
-        off += used;
-        Ok(frame)
-    })?;
-    if off != bytes.len() {
-        return Err(SnapshotStreamError::TrailingData {
-            extra: bytes.len() - off,
-        });
-    }
-    Ok(stream)
-}
-
-/// Reads one streaming snapshot from any [`io::Read`] — the inverse of
-/// [`write_snapshot_stream`]. Stops right after the trailer, leaving the
-/// reader positioned at whatever follows (so snapshots compose with
-/// other traffic on the same connection).
-///
-/// # Errors
-///
-/// A [`SnapshotStreamError`]: `Io` for reader failures (including
-/// truncation — the stream ends mid-frame), otherwise the same typed
-/// malformations as [`decode_snapshot_stream`].
-pub fn read_snapshot_stream<R: io::Read>(r: &mut R) -> Result<SnapshotStream, SnapshotStreamError> {
-    assemble_snapshot_stream(|| read_frame(r))
-}
-
-/// Reads exactly one length-prefixed frame off a reader.
-fn read_frame<R: io::Read>(r: &mut R) -> Result<Frame, SnapshotStreamError> {
-    let io_err = |e: io::Error| SnapshotStreamError::Io {
-        detail: e.to_string(),
-    };
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix).map_err(io_err)?;
-    let declared = u32::from_be_bytes(prefix) as usize;
-    if declared > MAX_FRAME {
-        return Err(CodecError::Oversize {
-            len: declared,
-            max: MAX_FRAME,
-        }
-        .into());
-    }
-    let mut buf = vec![0u8; 4 + declared];
-    buf[..4].copy_from_slice(&prefix);
-    r.read_exact(&mut buf[4..]).map_err(io_err)?;
-    Ok(Frame::decode(&buf)?)
 }
 
 /// Every way a frame can fail to decode. The decoder returns the first
@@ -972,25 +583,26 @@ mod tests {
             },
             FrameKind::RoAnswer(vec![1, 2, 3]),
             FrameKind::Output(Value::list([Value::bytes(b"out")])),
-            FrameKind::SnapshotHeader {
-                version: SNAPSHOT_STREAM_VERSION,
-                era: 3,
-                chunks: 2,
-            },
-            FrameKind::SnapshotChunk {
-                index: 1,
-                data: vec![0xCD; 48],
-            },
-            FrameKind::SnapshotTrailer { digest: [0x5A; 32] },
         ];
-        for kind in kinds {
+        for (tag, kind) in kinds.into_iter().enumerate() {
             let f = Frame {
                 from: Endpoint::Env,
                 to: Endpoint::Party(0),
                 sent_at: 1,
                 kind,
             };
+            assert_eq!(usize::from(f.kind.tag()), tag, "{f:?}");
             assert_eq!(Frame::decode(&f.encode()), Ok(f.clone()), "{f:?}");
+        }
+        // Tags 0–11 are every kind there is: 12–15, the retired
+        // snapshot-image tags, decode as unknown whatever the body.
+        for tag in 12u8..=15 {
+            let mut retired = sample().encode();
+            retired[7] = tag;
+            assert_eq!(
+                Frame::decode(&retired),
+                Err(CodecError::UnknownKind { tag })
+            );
         }
     }
 
@@ -1095,94 +707,6 @@ mod tests {
         assert_eq!(
             Frame::decode(&enc),
             Err(CodecError::BadPayload { kind: "TleEnc" })
-        );
-    }
-
-    #[test]
-    fn snapshot_stream_round_trips_across_chunk_boundaries() {
-        // Empty, sub-chunk, exactly one chunk, and multi-chunk payloads
-        // all round-trip with the era and capture round intact.
-        for len in [
-            0usize,
-            1,
-            SNAPSHOT_CHUNK_BYTES - 1,
-            SNAPSHOT_CHUNK_BYTES,
-            SNAPSHOT_CHUNK_BYTES + 1,
-            2 * SNAPSHOT_CHUNK_BYTES + 17,
-        ] {
-            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let bytes = encode_snapshot_stream(9, 41, &payload);
-            let stream =
-                decode_snapshot_stream(&bytes).unwrap_or_else(|e| panic!("len={len}: {e}"));
-            assert_eq!(stream.era, 9);
-            assert_eq!(stream.sent_at, 41);
-            assert_eq!(stream.payload, payload, "len={len}");
-        }
-    }
-
-    #[test]
-    fn snapshot_stream_io_writer_reader_round_trip() {
-        let payload = vec![7u8; SNAPSHOT_CHUNK_BYTES + 300];
-        let mut buf = Vec::new();
-        let written = write_snapshot_stream(&mut buf, 2, 11, &payload).unwrap();
-        assert_eq!(written, buf.len());
-        assert_eq!(buf, encode_snapshot_stream(2, 11, &payload));
-        // The reader stops exactly at the trailer: trailing traffic on
-        // the same stream is untouched.
-        buf.extend_from_slice(b"next-message");
-        let mut cursor = io::Cursor::new(&buf);
-        let stream = read_snapshot_stream(&mut cursor).unwrap();
-        assert_eq!(stream.payload, payload);
-        let rest = &buf[cursor.position() as usize..];
-        assert_eq!(rest, b"next-message");
-    }
-
-    #[test]
-    fn snapshot_stream_corruptions_are_typed() {
-        let payload = vec![3u8; 100];
-        let good = encode_snapshot_stream(1, 5, &payload);
-
-        // Bit flip inside a chunk payload: the digest catches it.
-        let (_, header_len) = Frame::decode_prefix(&good).unwrap();
-        let mut flipped = good.clone();
-        // Chunk body layout: List tag (1) + count (8) + U64 index (9) +
-        // Bytes tag/len (9) = 27 bytes before the data itself.
-        let target = header_len + 4 + HEADER_LEN + 27 + 40; // inside chunk 0's data
-
-        flipped[target] ^= 0x01;
-        assert_eq!(
-            decode_snapshot_stream(&flipped),
-            Err(SnapshotStreamError::DigestMismatch)
-        );
-
-        // Truncation mid-stream is a typed frame error.
-        assert!(matches!(
-            decode_snapshot_stream(&good[..good.len() - 10]),
-            Err(SnapshotStreamError::Frame(CodecError::Truncated { .. }))
-        ));
-
-        // Trailing bytes after the trailer.
-        let mut padded = good.clone();
-        padded.push(0);
-        assert_eq!(
-            decode_snapshot_stream(&padded),
-            Err(SnapshotStreamError::TrailingData { extra: 1 })
-        );
-
-        // A non-snapshot frame where the header belongs.
-        let tick = Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Env,
-            sent_at: 0,
-            kind: FrameKind::Tick,
-        }
-        .encode();
-        assert_eq!(
-            decode_snapshot_stream(&tick),
-            Err(SnapshotStreamError::UnexpectedFrame {
-                expected: "SnapshotHeader",
-                found: "Tick",
-            })
         );
     }
 

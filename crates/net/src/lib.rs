@@ -10,9 +10,11 @@
 //! * [`codec`] — the versioned wire format. Every protocol message that
 //!   crosses a party boundary (submissions, clock ticks, UBC casts and
 //!   deliveries, `F_TLE` encrypt/retrieve/decrypt exchanges, `F_RO`
-//!   queries, release outputs) has a [`codec::Frame`] encoding. The
-//!   decoder treats its input as hostile: every malformed frame comes
-//!   back as a typed [`codec::CodecError`], never a panic.
+//!   queries, release outputs) has a [`codec::Frame`] encoding, and
+//!   nothing else does: a kind exists only if a
+//!   [`transport::Transport`] carries it. The decoder treats its input
+//!   as hostile: every malformed frame comes back as a typed
+//!   [`codec::CodecError`], never a panic.
 //! * [`transport`] — the delivery seam. [`transport::Loopback`] is the
 //!   bit-compatible stand-in for today's in-process delivery;
 //!   [`transport::SimNet`] is a deterministic, seeded adversarial
@@ -47,11 +49,7 @@ pub mod tcp;
 pub mod transport;
 pub mod world;
 
-pub use codec::{
-    decode_snapshot_stream, encode_snapshot_stream, read_snapshot_stream, write_snapshot_stream,
-    CodecError, Endpoint, Frame, FrameKind, NetError, SnapshotStream, SnapshotStreamError,
-    SNAPSHOT_CHUNK_BYTES, SNAPSHOT_STREAM_VERSION,
-};
+pub use codec::{CodecError, Endpoint, Frame, FrameKind, NetError};
 pub use tcp::{TcpConfig, TcpFaultHandle, TcpHarness, TcpProfile, TcpSbcWorld, TcpTransport};
 pub use transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
 pub use world::{

@@ -29,11 +29,10 @@
 //! * **Era-based snapshot/restore** — [`SbcService::checkpoint`] folds
 //!   the deterministic operation journal into a compact checkpoint at
 //!   era boundaries (everything delivered, drained, and pruned), so
-//!   [`SbcService::snapshot`] carries (checkpoint ‖ short tail) as a
-//!   streaming multi-frame image through the `sbc-net` codec —
-//!   `SnapshotHeader` ‖ `SnapshotChunk`× ‖ SHA-256 `SnapshotTrailer`,
+//!   [`SbcService::snapshot`] carries (checkpoint ‖ short tail) as one
+//!   flat image — magic, version, length, payload, SHA-256 digest —
 //!   with [`SbcService::snapshot_to`]/[`SbcService::restore_from`]
-//!   streaming straight over [`std::io`]. [`SbcService::restore`]
+//!   writing and reading it over [`std::io`]. [`SbcService::restore`]
 //!   fast-forwards a fresh pool through the checkpoint and replays only
 //!   the tail, reproducing release transcripts bit-identically — a
 //!   service killed mid-epoch resumes where it died, at restore cost

@@ -1,5 +1,5 @@
 //! Snapshot/restore: the service as a folded checkpoint plus a
-//! deterministic operation tail, streamed through the `sbc-net` codec.
+//! deterministic operation tail, in one flat digest-sealed envelope.
 //!
 //! ## Why checkpoint + tail, not a lifetime journal
 //!
@@ -30,13 +30,25 @@
 //! (submissions rejected with `QueueFull` touch a counter but not the
 //! journal). Those ride alongside the tail as absolute counters.
 //!
-//! ## Wire format (v2, streaming)
+//! ## Image format (envelope version 3)
 //!
-//! A multi-frame stream — `SnapshotHeader` ‖ `SnapshotChunk`× ‖
-//! `SnapshotTrailer` with a SHA-256 digest — produced by
-//! [`sbc_net::codec::encode_snapshot_stream`]. Chunking removes the
-//! single-frame `MAX_FRAME` ceiling: a payload of any size encodes. The
-//! chunked payload is the canonical [`Value`] encoding of
+//! One flat envelope, owned by this module:
+//!
+//! ```text
+//! "SBCI" ‖ version (1 B) ‖ payload_len (u64 BE) ‖ payload
+//!        ‖ SHA-256("sbc-service/image" ‖ version ‖ payload_len ‖ payload)
+//! ```
+//!
+//! The writer materialises the payload once and writes header, payload
+//! and digest in order; the reader takes at most `payload_len` bytes,
+//! growing its buffer only with what actually arrives, so a hostile
+//! length never sizes an allocation. Truncation fails on the length or
+//! the digest; bit flips, splices and forged digests fail on the digest;
+//! bytes after the digest fail [`SbcService::restore`]'s exact-end check.
+//! Earlier formats (a single `sbc-net` frame, then a framed chunk
+//! stream) open with a frame length prefix instead of the magic and are
+//! not read. The payload — unchanged since the framed stream, hence its
+//! tag — is the canonical [`Value`] encoding of
 //!
 //! ```text
 //! List[ Str("sbc-service/v2"),
@@ -53,13 +65,10 @@
 //!                                  | List[1, client, Bytes, class])
 //! ```
 
-use std::io;
+use std::io::{self, Read};
 
 use sbc_core::worlds::{SbcBackend, SbcParams};
-use sbc_net::codec::{
-    decode_snapshot_stream, encode_snapshot_stream, read_snapshot_stream, write_snapshot_stream,
-    SnapshotStream, SnapshotStreamError,
-};
+use sbc_primitives::sha256::Sha256;
 use sbc_uc::value::Value;
 
 use crate::service::{
@@ -67,8 +76,31 @@ use crate::service::{
 };
 use crate::stats::LatencyHistogram;
 
-/// The version string leading a v2 streaming snapshot payload.
-const VERSION_TAG_V2: &str = "sbc-service/v2";
+/// Opens every image. A codec frame opens with a `u32` length prefix
+/// instead, so earlier images and stray protocol frames fail right here.
+const MAGIC: [u8; 4] = *b"SBCI";
+
+/// The envelope version: 1 was a single codec frame, 2 a framed chunk
+/// stream; neither is read.
+const ENVELOPE_VERSION: u8 = 3;
+
+/// Magic (4) + version (1) + payload length (8).
+const HEADER_LEN: usize = 13;
+
+/// Length of the SHA-256 digest closing the envelope.
+const DIGEST_LEN: usize = 32;
+
+/// Payload bytes handed to the writer per `write_all`. The image is the
+/// same whatever the slice; a bound is here because on the benchmark
+/// host (Linux 6.18, ext4) one `write(2)` of 2 MiB or more cost 5–8× more
+/// per byte than writes of 1 MiB or less — 4 ms on a 4 MiB image.
+const WRITE_SLICE: usize = 1 << 20;
+
+/// Domain-separation prefix for the envelope digest.
+const DIGEST_DOMAIN: &[u8] = b"sbc-service/image";
+
+/// The schema tag leading the payload.
+const PAYLOAD_TAG: &str = "sbc-service/v2";
 
 fn bad(detail: impl Into<String>) -> ServiceError {
     ServiceError::BadSnapshot {
@@ -76,8 +108,10 @@ fn bad(detail: impl Into<String>) -> ServiceError {
     }
 }
 
-fn stream_err(e: SnapshotStreamError) -> ServiceError {
-    bad(format!("snapshot stream: {e}"))
+/// The digest closing the envelope: everything after the magic is
+/// covered, so no bit of the image that matters can change unnoticed.
+fn envelope_digest(payload_len: [u8; 8], payload: &[u8]) -> [u8; DIGEST_LEN] {
+    Sha256::digest_parts(&[DIGEST_DOMAIN, &[ENVELOPE_VERSION], &payload_len, payload])
 }
 
 fn field(list: &[Value], idx: usize, what: &str) -> Result<Value, ServiceError> {
@@ -161,7 +195,7 @@ fn parse_config(fields: &[Value]) -> Result<ServiceConfig, ServiceError> {
     })
 }
 
-/// Encodes the checkpoint record (body field 7 of a v2 image).
+/// Encodes the checkpoint record (payload field 7).
 fn checkpoint_value(cp: &Checkpoint) -> Value {
     let c = &cp.counters;
     let (buckets, count, sum, max) = cp.hist.raw_parts();
@@ -210,7 +244,7 @@ fn checkpoint_value(cp: &Checkpoint) -> Value {
     ])
 }
 
-/// Parses the checkpoint record of a v2 image.
+/// Parses the checkpoint record.
 fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
     let cp = v
         .as_list()
@@ -295,7 +329,7 @@ fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
 }
 
 impl<W: SbcBackend> SbcService<W> {
-    /// The v2 snapshot payload: config, absolute delivered/rejected, the
+    /// The image payload: config, absolute delivered/rejected, the
     /// checkpoint record, and the post-checkpoint operation tail.
     fn snapshot_payload(&self) -> Vec<u8> {
         let ops: Vec<Value> = self
@@ -317,7 +351,7 @@ impl<W: SbcBackend> SbcService<W> {
             .collect();
         let [params, seed, mode, tuning] = config_values(self.config());
         Value::list([
-            Value::str(VERSION_TAG_V2),
+            Value::str(PAYLOAD_TAG),
             params,
             seed,
             mode,
@@ -330,35 +364,47 @@ impl<W: SbcBackend> SbcService<W> {
         .encode()
     }
 
-    /// Serializes the service into a v2 streaming snapshot (header ‖
-    /// chunks ‖ digest trailer — the wire format is documented at the top
-    /// of `snapshot.rs`). Any journal size encodes; this never fails.
+    /// Serializes the service into one image (the envelope is documented
+    /// at the top of `snapshot.rs`). Any journal size encodes; this never
+    /// fails.
     ///
     /// The image carries the current checkpoint plus the post-boundary
     /// tail — [`checkpoint`](Self::checkpoint) at era boundaries to keep
     /// it (and restore time) O(current era).
     pub fn snapshot(&self) -> Result<Vec<u8>, ServiceError> {
-        let bytes = encode_snapshot_stream(self.era(), self.round(), &self.snapshot_payload());
-        self.note_snapshot_bytes(bytes.len() as u64);
-        Ok(bytes)
+        let mut image = Vec::new();
+        self.snapshot_to(&mut image)?;
+        Ok(image)
     }
 
-    /// Streams a v2 snapshot into any [`io::Write`] — a file, a socket —
-    /// frame by frame, without materializing the full image. Returns the
-    /// bytes written.
+    /// Writes one image into any [`io::Write`] — a file, a socket — as
+    /// header, payload (in slices of at most 1 MiB), digest, then
+    /// flushes. The payload is built in memory once and not copied
+    /// again. Returns the bytes written.
     ///
     /// # Errors
     ///
     /// [`ServiceError::BadSnapshot`] carrying the writer's I/O failure.
     pub fn snapshot_to<Wr: io::Write>(&self, w: &mut Wr) -> Result<usize, ServiceError> {
-        let written = write_snapshot_stream(w, self.era(), self.round(), &self.snapshot_payload())
-            .map_err(stream_err)?;
+        let payload = self.snapshot_payload();
+        let payload_len = (payload.len() as u64).to_be_bytes();
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4] = ENVELOPE_VERSION;
+        header[5..].copy_from_slice(&payload_len);
+        let digest = envelope_digest(payload_len, &payload);
+        w.write_all(&header)
+            .and_then(|()| payload.chunks(WRITE_SLICE).try_for_each(|s| w.write_all(s)))
+            .and_then(|()| w.write_all(&digest))
+            .and_then(|()| w.flush())
+            .map_err(|e| bad(format!("image write: {e}")))?;
+        let written = HEADER_LEN + payload.len() + DIGEST_LEN;
         self.note_snapshot_bytes(written as u64);
         Ok(written)
     }
 
-    /// Rebuilds a service from a v2 streaming snapshot image
-    /// ([`snapshot`](Self::snapshot)).
+    /// Rebuilds a service from an image ([`snapshot`](Self::snapshot)),
+    /// which must end exactly at its digest.
     ///
     /// The restored service has **no sinks** — re-register them; records
     /// the original had already delivered are not re-delivered, and
@@ -367,53 +413,85 @@ impl<W: SbcBackend> SbcService<W> {
     /// # Errors
     ///
     /// * [`ServiceError::BadSnapshot`] for anything that fails to decode
-    ///   as a service image — including every typed stream malformation
-    ///   (truncation, dropped or reordered chunks, digest mismatch), whose
+    ///   as a service image — a foreign or truncated envelope, a digest
+    ///   mismatch, trailing bytes, a payload of the wrong shape — whose
     ///   description it carries.
     /// * [`ServiceError::Pool`] if replay itself fails — impossible for a
     ///   journal captured from a healthy service.
     pub fn restore(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let stream = decode_snapshot_stream(bytes).map_err(stream_err)?;
-        let svc = Self::restore_stream(&stream)?;
-        svc.note_snapshot_bytes(bytes.len() as u64);
+        let mut rest = bytes;
+        let svc = Self::restore_from(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(bad(format!(
+                "{} trailing bytes after the image digest",
+                rest.len()
+            )));
+        }
         Ok(svc)
     }
 
-    /// Rebuilds a service from a v2 snapshot stream read off any
-    /// [`io::Read`] — the inverse of [`snapshot_to`](Self::snapshot_to).
-    /// The reader is left positioned right after the trailer.
+    /// Rebuilds a service from an image read off any [`io::Read`] — the
+    /// inverse of [`snapshot_to`](Self::snapshot_to). The reader is left
+    /// positioned right after the digest.
     ///
     /// # Errors
     ///
-    /// As [`restore`](Self::restore), with reader I/O failures surfacing
-    /// as [`ServiceError::BadSnapshot`] too.
+    /// As [`restore`](Self::restore) (bar the trailing-bytes check), with
+    /// reader I/O failures surfacing as [`ServiceError::BadSnapshot`] too.
     pub fn restore_from<R: io::Read>(r: &mut R) -> Result<Self, ServiceError> {
-        let stream = read_snapshot_stream(r).map_err(stream_err)?;
-        let svc = Self::restore_stream(&stream)?;
-        svc.note_snapshot_bytes(stream.payload.len() as u64);
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)
+            .map_err(|e| bad(format!("image header: {e}")))?;
+        if header[..4] != MAGIC {
+            return Err(bad("not a service image: bad magic"));
+        }
+        if header[4] != ENVELOPE_VERSION {
+            return Err(bad(format!(
+                "unsupported image version {} (speak {ENVELOPE_VERSION})",
+                header[4]
+            )));
+        }
+        let payload_len: [u8; 8] = header[5..].try_into().expect("8-byte length field");
+        let declared = u64::from_be_bytes(payload_len);
+        // `take` caps the read at the declared length and `read_to_end`
+        // grows the buffer only with bytes that arrive, so a hostile
+        // length never sizes an allocation.
+        let mut payload = Vec::new();
+        r.by_ref()
+            .take(declared)
+            .read_to_end(&mut payload)
+            .map_err(|e| bad(format!("image payload: {e}")))?;
+        if payload.len() as u64 != declared {
+            return Err(bad(format!(
+                "truncated image: payload declares {declared} bytes, {} arrived",
+                payload.len()
+            )));
+        }
+        let mut digest = [0u8; DIGEST_LEN];
+        r.read_exact(&mut digest)
+            .map_err(|e| bad(format!("image digest: {e}")))?;
+        if digest != envelope_digest(payload_len, &payload) {
+            return Err(bad("image digest mismatch: corrupted or spliced"));
+        }
+        let svc = Self::restore_payload(&payload)?;
+        svc.note_snapshot_bytes((HEADER_LEN + payload.len() + DIGEST_LEN) as u64);
         Ok(svc)
     }
 
-    /// Decodes and replays a v2 payload: fresh pool, fast-forward through
-    /// the checkpoint, replay the tail, settle delivery bookkeeping.
-    fn restore_stream(stream: &SnapshotStream) -> Result<Self, ServiceError> {
-        let body =
-            Value::decode(&stream.payload).ok_or_else(|| bad("payload: not a canonical Value"))?;
+    /// Decodes and replays a digest-verified payload: fresh pool,
+    /// fast-forward through the checkpoint, replay the tail, settle
+    /// delivery bookkeeping.
+    fn restore_payload(payload: &[u8]) -> Result<Self, ServiceError> {
+        let body = Value::decode(payload).ok_or_else(|| bad("payload: not a canonical Value"))?;
         let fields = body.as_list().ok_or_else(|| bad("body: expected List"))?;
         let version = field(fields, 0, "version")?;
-        if version.as_str() != Some(VERSION_TAG_V2) {
+        if version.as_str() != Some(PAYLOAD_TAG) {
             return Err(bad(format!("unsupported version {version:?}")));
         }
         let cfg = parse_config(fields)?;
         let delivered = as_u64(&field(fields, 5, "delivered")?, "delivered")?;
         let rejected = as_u64(&field(fields, 6, "rejected")?, "rejected")?;
         let cp = parse_checkpoint(&field(fields, 7, "checkpoint")?)?;
-        if cp.era != stream.era {
-            return Err(bad(format!(
-                "era mismatch: header says {}, checkpoint says {}",
-                stream.era, cp.era
-            )));
-        }
         let ops_v = field(fields, 8, "ops")?;
         let ops = ops_v.as_list().ok_or_else(|| bad("ops: expected List"))?;
 
@@ -475,7 +553,7 @@ mod tests {
     use super::*;
     use crate::service::{DeadlineClass, ServiceMode};
     use crate::stats::ServiceStats;
-    use sbc_net::{Endpoint, Frame, FrameKind};
+    use sbc_primitives::drbg::Drbg;
 
     type Service = SbcService<sbc_core::worlds::RealSbcWorld>;
 
@@ -581,52 +659,91 @@ mod tests {
         let mut a = seeded();
         a.submit(1, vec![7], DeadlineClass::Standard).unwrap();
         a.tick().unwrap();
+        // A second, different image — its queued megabyte makes the
+        // reader grow its buffer over many reads.
+        let mut c = seeded();
+        c.submit(2, vec![0xC3; 1 << 20], DeadlineClass::Batch)
+            .unwrap();
         let mut buf = Vec::new();
         let written = a.snapshot_to(&mut buf).unwrap();
         assert_eq!(written, buf.len());
         assert_eq!(a.stats().snapshot_bytes, written as u64);
-        // The reader stops at the trailer: trailing connection traffic
-        // survives.
+        c.snapshot_to(&mut buf).unwrap();
         buf.extend_from_slice(b"tail");
+        // The reader stops right after each digest: two images back to
+        // back restore in sequence, and trailing traffic survives.
         let mut cursor = std::io::Cursor::new(&buf[..]);
         let mut b = Service::restore_from(&mut cursor).unwrap();
+        assert_eq!(cursor.position() as usize, written);
+        let mut d = Service::restore_from(&mut cursor).unwrap();
         assert_eq!(&buf[cursor.position() as usize..], b"tail");
         assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(replayable(&c.stats()), replayable(&d.stats()));
         assert_eq!(a.shutdown().unwrap(), b.shutdown().unwrap());
+        assert_eq!(c.shutdown().unwrap(), d.shutdown().unwrap());
+    }
+
+    #[test]
+    fn snapshot_bytes_records_the_whole_image_both_ways() {
+        let mut a = seeded();
+        a.submit(1, vec![3; 40], DeadlineClass::Standard).unwrap();
+        a.tick().unwrap();
+        let image = a.snapshot().unwrap();
+        assert_eq!(a.stats().snapshot_bytes, image.len() as u64);
+        let from_slice = Service::restore(&image).unwrap();
+        let from_reader = Service::restore_from(&mut &image[..]).unwrap();
+        assert_eq!(from_slice.stats().snapshot_bytes, image.len() as u64);
+        assert_eq!(from_reader.stats().snapshot_bytes, image.len() as u64);
+    }
+
+    fn assert_bad(image: &[u8], what: &str) -> String {
+        match Service::restore(image) {
+            Err(ServiceError::BadSnapshot { detail }) => detail,
+            Err(e) => panic!("{what}: wrong error {e}"),
+            Ok(_) => panic!("{what}: must not restore"),
+        }
+    }
+
+    /// A well-formed envelope around an arbitrary payload — the digest
+    /// is unkeyed, so anyone can seal one.
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        let payload_len = (payload.len() as u64).to_be_bytes();
+        let digest = envelope_digest(payload_len, payload);
+        [
+            &MAGIC[..],
+            &[ENVELOPE_VERSION],
+            &payload_len,
+            payload,
+            &digest,
+        ]
+        .concat()
     }
 
     #[test]
     fn garbage_and_wrong_frames_are_typed_errors() {
-        assert!(matches!(
-            Service::restore(b"junk"),
-            Err(ServiceError::BadSnapshot { .. })
-        ));
-        let not_snapshot = Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Env,
-            sent_at: 0,
-            kind: FrameKind::Tick,
+        assert_bad(b"", "empty");
+        assert_bad(b"junk", "junk");
+        // Seeded garbage, bare and sealed: the first dies on the magic,
+        // the second gets past the digest to the payload decoder.
+        let mut rng = Drbg::from_seed(b"snapshot/garbage");
+        for i in 0..500 {
+            let len = u16::from_be_bytes(rng.gen_bytes(2).try_into().unwrap()) % 400;
+            let garbage = rng.gen_bytes(len as usize);
+            assert_bad(&garbage, &format!("garbage {i}"));
+            assert_bad(&seal(&garbage), &format!("sealed garbage {i}"));
         }
-        .encode();
-        assert!(matches!(
-            Service::restore(&not_snapshot),
-            Err(ServiceError::BadSnapshot { .. })
-        ));
-        // A v1-shaped image — one frame under the retired kind tag 12
-        // carrying `List["sbc-service/v1", …]` — is an unknown frame kind
-        // now: typed error, no panic.
-        let mut v1_shaped = Frame {
-            from: Endpoint::Env,
-            to: Endpoint::Env,
-            sent_at: 0,
-            kind: FrameKind::Output(Value::list([Value::str("sbc-service/v1"), Value::U64(7)])),
-        }
-        .encode();
-        v1_shaped[7] = 12;
-        assert!(matches!(
-            Service::restore(&v1_shaped),
-            Err(ServiceError::BadSnapshot { .. })
-        ));
+        let foreign_tag = Value::list([Value::str("sbc-service/v1"), Value::U64(7)]);
+        assert!(assert_bad(&seal(&foreign_tag.encode()), "payload tag").contains("version"));
+        // What every earlier image and every protocol frame opens with: a
+        // `u32` length prefix, then the codec's "SB" magic and header.
+        let mut frame = 26u32.to_be_bytes().to_vec();
+        frame.extend_from_slice(b"SB\x01\x0d");
+        frame.resize(4 + 26, 0);
+        assert!(assert_bad(&frame, "codec frame").contains("magic"));
+        // A future envelope version is refused before its length is read.
+        let mut future = seeded().snapshot().unwrap();
+        future[4] += 1;
+        assert!(assert_bad(&future, "future version").contains("version"));
     }
 
     #[test]
@@ -636,20 +753,49 @@ mod tests {
         a.tick().unwrap();
         let image = a.snapshot().unwrap();
 
-        // Flip a payload byte deep inside the chunk: the digest catches
-        // it before the Value decoder ever runs.
-        let mut corrupt = image.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x01;
-        let err = Service::restore(&corrupt)
-            .err()
-            .expect("corrupt image must fail");
-        assert!(matches!(&err, ServiceError::BadSnapshot { .. }), "{err}");
+        // Every strict prefix: the header, the length or the digest
+        // comes up short.
+        for cut in 0..image.len() {
+            assert_bad(&image[..cut], &format!("prefix {cut}"));
+        }
 
-        // Truncation (a dropped trailer) is typed too.
-        let err = Service::restore(&image[..image.len() - 10])
-            .err()
-            .expect("truncated image must fail");
-        assert!(matches!(&err, ServiceError::BadSnapshot { .. }), "{err}");
+        // Every single-bit flip. Past the header nothing but the digest
+        // can catch one, and it does so before the Value decoder runs.
+        for byte in 0..image.len() {
+            for bit in 0..8 {
+                let mut flipped = image.clone();
+                flipped[byte] ^= 1 << bit;
+                let detail = assert_bad(&flipped, &format!("flip {byte}.{bit}"));
+                if byte >= HEADER_LEN {
+                    assert!(detail.contains("digest"), "flip {byte}.{bit}: {detail}");
+                }
+            }
+        }
+
+        // Lying lengths — the largest possible, and one past the bytes
+        // that follow the header — end as truncation, from a slice and
+        // from a reader alike. Neither allocates what it declares: a
+        // `u64::MAX` reservation would abort the test.
+        let available = (image.len() - HEADER_LEN) as u64;
+        for declared in [u64::MAX, available + 1] {
+            let mut lying = image.clone();
+            lying[5..HEADER_LEN].copy_from_slice(&declared.to_be_bytes());
+            let detail = assert_bad(&lying, "lying length");
+            assert!(detail.contains("truncated"), "{detail}");
+            assert!(matches!(
+                Service::restore_from(&mut std::io::Cursor::new(&lying)),
+                Err(ServiceError::BadSnapshot { .. })
+            ));
+        }
+
+        // A forged digest over an otherwise well-formed image, and bytes
+        // after a good one.
+        let mut forged = image.clone();
+        let digest_at = forged.len() - DIGEST_LEN;
+        forged[digest_at..].fill(0);
+        assert!(assert_bad(&forged, "forged digest").contains("digest"));
+        let mut padded = image.clone();
+        padded.push(0);
+        assert!(assert_bad(&padded, "trailing byte").contains("trailing"));
     }
 }

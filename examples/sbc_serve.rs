@@ -22,7 +22,7 @@
 //! sockets (and the restored twin brings up its own fresh lanes).
 //! `--smoke` shrinks the run for CI (200 submissions, quiet per-release
 //! output). `--snapshot-path` checkpoints the drained service at the end
-//! of the run and streams an era-based snapshot into FILE;
+//! of the run and writes an era-based snapshot into FILE;
 //! `--restore-from` boots the service from such a file instead of fresh,
 //! continuing its eras — together they give `sbc-serve` real
 //! stop-the-process/resume-the-process persistence.

@@ -15,15 +15,10 @@
 //!   errors;
 //! * adversarially deep-nested list payloads are rejected instead of
 //!   recursing the stack away;
-//! * snapshot *streams* (header ‖ chunks ‖ digest trailer) inherit the
-//!   same contract: truncations, bit flips, lying chunk counts, and
-//!   duplicated or reordered chunks all come back as typed
-//!   [`SnapshotStreamError`]s, never panics.
+//! * the retired kind tags 12–15 (the snapshot images the codec once
+//!   framed) decode as unknown kinds.
 
-use sbc_net::{
-    decode_snapshot_stream, encode_snapshot_stream, CodecError, Endpoint, Frame, FrameKind,
-    SnapshotStreamError, SNAPSHOT_CHUNK_BYTES, SNAPSHOT_STREAM_VERSION,
-};
+use sbc_net::{CodecError, Endpoint, Frame, FrameKind};
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::value::Value;
 
@@ -58,7 +53,7 @@ fn rand_endpoint(rng: &mut Drbg) -> Endpoint {
 
 /// A random frame covering every kind with random payloads.
 fn rand_frame(rng: &mut Drbg) -> Frame {
-    let kind = match rng.gen_bytes(1)[0] % 15 {
+    let kind = match rng.gen_bytes(1)[0] % 12 {
         0 => FrameKind::Submit(rand_value(rng, 2)),
         1 => FrameKind::Tick,
         2 => FrameKind::Cast(rand_value(rng, 2)),
@@ -88,22 +83,7 @@ fn rand_frame(rng: &mut Drbg) -> Frame {
             let len = (rng.gen_bytes(1)[0] % 48) as usize;
             FrameKind::RoAnswer(rng.gen_bytes(len))
         }
-        11 => FrameKind::Output(rand_value(rng, 2)),
-        12 => FrameKind::SnapshotHeader {
-            version: u64::from(rng.gen_bytes(1)[0]),
-            era: u64::from(rng.gen_bytes(1)[0]),
-            chunks: u64::from(rng.gen_bytes(1)[0]),
-        },
-        13 => {
-            let len = (rng.gen_bytes(1)[0] % 48) as usize;
-            FrameKind::SnapshotChunk {
-                index: u64::from(rng.gen_bytes(1)[0]),
-                data: rng.gen_bytes(len),
-            }
-        }
-        _ => FrameKind::SnapshotTrailer {
-            digest: rng.gen_bytes(32).try_into().expect("32 bytes"),
-        },
+        _ => FrameKind::Output(rand_value(rng, 2)),
     };
     Frame {
         from: rand_endpoint(rng),
@@ -124,6 +104,15 @@ fn seeded_random_frames_round_trip_exactly() {
         assert_eq!(back, frame, "iteration {i}: round trip not exact");
         // Re-encoding is byte-identical (canonical encoding).
         assert_eq!(back.encode(), bytes, "iteration {i}: re-encode differs");
+        // Relabelled with a retired tag, no body makes it a frame again.
+        let tag = 12 + (i % 4) as u8;
+        let mut retired = bytes;
+        retired[7] = tag;
+        assert_eq!(
+            Frame::decode(&retired),
+            Err(CodecError::UnknownKind { tag }),
+            "iteration {i}"
+        );
     }
 }
 
@@ -211,166 +200,6 @@ fn lying_length_prefixes_are_typed_errors() {
     assert!(matches!(
         Frame::decode(&oversize),
         Err(CodecError::Oversize { .. })
-    ));
-}
-
-#[test]
-fn snapshot_streams_round_trip_across_chunk_boundaries() {
-    let mut rng = Drbg::from_seed(b"codec-fuzz/stream-sizes");
-    // Sizes straddling every interesting boundary: empty, tiny, exactly
-    // one chunk, one byte either side, and a multi-chunk payload.
-    for len in [
-        0,
-        1,
-        37,
-        SNAPSHOT_CHUNK_BYTES - 1,
-        SNAPSHOT_CHUNK_BYTES,
-        SNAPSHOT_CHUNK_BYTES + 1,
-        2 * SNAPSHOT_CHUNK_BYTES + 7,
-    ] {
-        let payload = rng.gen_bytes(len);
-        let bytes = encode_snapshot_stream(3, 11, &payload);
-        let stream = decode_snapshot_stream(&bytes).expect("well-formed stream decodes");
-        assert_eq!(stream.era, 3);
-        assert_eq!(stream.sent_at, 11);
-        assert_eq!(
-            stream.payload, payload,
-            "payload of {len} bytes round-trips"
-        );
-    }
-}
-
-#[test]
-fn snapshot_stream_truncations_and_bit_flips_never_panic() {
-    let mut rng = Drbg::from_seed(b"codec-fuzz/stream-mutate");
-    let payload = rng.gen_bytes(200);
-    let bytes = encode_snapshot_stream(1, 5, &payload);
-
-    // Every strict prefix is a typed error.
-    for cut in 0..bytes.len() {
-        let err = decode_snapshot_stream(&bytes[..cut]).expect_err("prefix must not decode");
-        assert!(!err.to_string().is_empty(), "error renders: {err:?}");
-    }
-
-    // Every single-bit flip returns — and since the whole stream is
-    // digest-protected, a flip can corrupt framing or trip the digest,
-    // but it can never decode to a *different* payload.
-    let mut digest_caught = 0u32;
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut mutated = bytes.clone();
-            mutated[byte] ^= 1 << bit;
-            match decode_snapshot_stream(&mutated) {
-                Ok(stream) => assert_eq!(
-                    stream.payload, payload,
-                    "a decoding flip (byte {byte} bit {bit}) must not alter the payload"
-                ),
-                Err(SnapshotStreamError::DigestMismatch) => digest_caught += 1,
-                Err(_) => {}
-            }
-        }
-    }
-    assert!(digest_caught > 0, "payload flips must trip the digest");
-}
-
-#[test]
-fn snapshot_stream_garbage_never_panics() {
-    let mut rng = Drbg::from_seed(b"codec-fuzz/stream-garbage");
-    for _ in 0..500 {
-        let len =
-            (u16::from_be_bytes(rng.gen_bytes(2).try_into().expect("2 bytes")) % 400) as usize;
-        let garbage = rng.gen_bytes(len);
-        let _ = decode_snapshot_stream(&garbage); // must return, not panic
-    }
-}
-
-#[test]
-fn hostile_snapshot_stream_shapes_are_typed_errors() {
-    let at = |kind| Frame {
-        from: Endpoint::Env,
-        to: Endpoint::Env,
-        sent_at: 4,
-        kind,
-    };
-    let header = |chunks| {
-        at(FrameKind::SnapshotHeader {
-            version: SNAPSHOT_STREAM_VERSION,
-            era: 0,
-            chunks,
-        })
-        .encode()
-    };
-    let chunk = |index: u64| {
-        at(FrameKind::SnapshotChunk {
-            index,
-            data: vec![index as u8; 10],
-        })
-        .encode()
-    };
-    let trailer = at(FrameKind::SnapshotTrailer { digest: [0; 32] }).encode();
-    let splice = |frames: &[&[u8]]| frames.concat();
-
-    // Reordered chunks are caught positionally, before the digest runs.
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&header(2), &chunk(1), &chunk(0), &trailer])),
-        Err(SnapshotStreamError::ChunkOutOfOrder {
-            expected: 0,
-            found: 1
-        })
-    ));
-
-    // A duplicated chunk is an out-of-order chunk at the next slot.
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&header(2), &chunk(0), &chunk(0), &trailer])),
-        Err(SnapshotStreamError::ChunkOutOfOrder {
-            expected: 1,
-            found: 0
-        })
-    ));
-
-    // A header that promises more chunks than arrive: the trailer shows
-    // up where a chunk belongs.
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&header(2), &chunk(0), &trailer])),
-        Err(SnapshotStreamError::UnexpectedFrame {
-            expected: "SnapshotChunk",
-            found: "SnapshotTrailer"
-        })
-    ));
-
-    // A header that promises fewer: the leftover chunk trails the stream.
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&header(0), &chunk(0), &trailer])),
-        Err(SnapshotStreamError::UnexpectedFrame {
-            expected: "SnapshotTrailer",
-            found: "SnapshotChunk"
-        })
-    ));
-
-    // An unknown stream version is refused before any chunk is read.
-    let future = at(FrameKind::SnapshotHeader {
-        version: SNAPSHOT_STREAM_VERSION + 1,
-        era: 0,
-        chunks: 0,
-    })
-    .encode();
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&future, &trailer])),
-        Err(SnapshotStreamError::UnsupportedVersion { .. })
-    ));
-
-    // A forged (all-zero) digest over otherwise well-formed frames.
-    assert!(matches!(
-        decode_snapshot_stream(&splice(&[&header(1), &chunk(0), &trailer])),
-        Err(SnapshotStreamError::DigestMismatch)
-    ));
-
-    // Bytes past the trailer are trailing data, not a second stream.
-    let mut padded = encode_snapshot_stream(0, 0, b"ok");
-    padded.extend_from_slice(&[0xEE; 3]);
-    assert!(matches!(
-        decode_snapshot_stream(&padded),
-        Err(SnapshotStreamError::TrailingData { extra: 3 })
     ));
 }
 

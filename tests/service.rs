@@ -9,18 +9,20 @@
 //! backend. The era matrix extends the gate to checkpointed services:
 //! folding the journal at era boundaries must not change a single
 //! released bit relative to a never-checkpointing twin, while shrinking
-//! the image, and corrupted or truncated snapshot streams must fail with
-//! typed errors. The rest pins the service-layer semantics: typed
-//! backpressure, late-arrival deferral, deliver-before-reclaim on
-//! shutdown, and bounded leak capture with a typed overflow counter.
+//! the image, and hostile images — corrupted, truncated, padded, or in a
+//! foreign format — must fail with typed errors. The rest pins the
+//! service-layer semantics: typed backpressure, late-arrival deferral,
+//! deliver-before-reclaim on shutdown, and bounded leak capture with a
+//! typed overflow counter.
 
 use sbc_core::pool::PoolFootprint;
 use sbc_core::worlds::{RealSbcWorld, SbcBackend};
-use sbc_net::{LoopbackSbcWorld, TcpSbcWorld};
+use sbc_net::{Endpoint, Frame, FrameKind, LoopbackSbcWorld, TcpSbcWorld};
 use sbc_service::{
     DeadlineClass, LoadGen, LoadProfile, ReleaseRecord, ReleaseSink, SbcService, ServiceConfig,
     ServiceError, ServiceMode, ServiceStats,
 };
+use sbc_uc::value::Value;
 
 fn config(seed: &[u8]) -> ServiceConfig {
     ServiceConfig::new(3, ServiceMode::Beacon)
@@ -272,70 +274,86 @@ fn checkpoint_mid_epoch_is_refused_typed() {
     assert_eq!(svc.era(), 1);
 }
 
-/// Splits a snapshot stream image into its length-prefixed frames.
-fn split_frames(image: &[u8]) -> Vec<Vec<u8>> {
-    let mut frames = Vec::new();
-    let mut off = 0;
-    while off < image.len() {
-        let len = u32::from_be_bytes(image[off..off + 4].try_into().unwrap()) as usize;
-        frames.push(image[off..off + 4 + len].to_vec());
-        off += 4 + len;
+/// Restores `image` over the in-process backend and returns the
+/// `BadSnapshot` detail it must fail with.
+fn bad_snapshot_detail(image: &[u8], what: &str) -> String {
+    match SbcService::<RealSbcWorld>::restore(image) {
+        Err(ServiceError::BadSnapshot { detail }) => detail,
+        Err(e) => panic!("{what}: wrong error: {e}"),
+        Ok(_) => panic!("{what}: must fail restore"),
     }
-    frames
 }
 
 #[test]
-fn corrupted_and_truncated_snapshot_streams_fail_typed() {
+fn hostile_images_fail_typed() {
     let mut svc: SbcService<RealSbcWorld> = SbcService::new(config(b"corrupt")).unwrap();
     svc.submit(1, vec![5; 32], DeadlineClass::Standard).unwrap();
     svc.tick().unwrap();
     let image = svc.snapshot().unwrap();
-    let frames = split_frames(&image);
-    assert!(frames.len() >= 3, "header + chunk(s) + trailer");
 
-    // Digest corruption: flip a payload byte at the tail of the first
-    // chunk frame (chunk data sits last in the frame body).
+    // The exhaustive prefix / bit-flip / lying-length sweeps live with
+    // the format (`crates/service/src/snapshot.rs`); here the public
+    // contract: a flipped payload byte is the digest's to catch.
+    let (payload_start, digest_start) = (13, image.len() - 32);
     let mut corrupt = image.clone();
-    let flip_at = frames[0].len() + frames[1].len() - 2;
-    corrupt[flip_at] ^= 0x01;
-    match SbcService::<RealSbcWorld>::restore(&corrupt) {
-        Err(ServiceError::BadSnapshot { detail }) => {
-            assert!(
-                detail.contains("digest"),
-                "wanted the digest error: {detail}"
-            )
-        }
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("corrupted stream must fail restore"),
-    }
+    corrupt[(payload_start + digest_start) / 2] ^= 0x01;
+    let detail = bad_snapshot_detail(&corrupt, "flipped payload byte");
+    assert!(
+        detail.contains("digest"),
+        "wanted the digest error: {detail}"
+    );
 
-    // A dropped chunk frame: the trailer shows up where the chunk
-    // belongs.
-    let mut dropped = Vec::new();
-    for (i, f) in frames.iter().enumerate() {
-        if i != 1 {
-            dropped.extend_from_slice(f);
-        }
+    // A splice: the back half of another service's image (different
+    // seed up front, different submission at the back) under this one's
+    // front half.
+    let mut other: SbcService<RealSbcWorld> = SbcService::new(config(b"corrupT")).unwrap();
+    other
+        .submit(2, vec![6; 32], DeadlineClass::Standard)
+        .unwrap();
+    other.tick().unwrap();
+    let other_image = other.snapshot().unwrap();
+    assert_eq!(other_image.len(), image.len(), "same-shape images");
+    let mut spliced = image[..image.len() / 2].to_vec();
+    spliced.extend_from_slice(&other_image[image.len() / 2..]);
+    assert!(spliced != image && spliced != other_image);
+    bad_snapshot_detail(&spliced, "spliced image");
+
+    // Truncation anywhere, and padding, are typed, never a panic.
+    for cut in [0, 3, 13, 14, image.len() - 33, image.len() - 1] {
+        bad_snapshot_detail(&image[..cut], &format!("truncation at {cut}"));
     }
-    match SbcService::<RealSbcWorld>::restore(&dropped) {
-        Err(ServiceError::BadSnapshot { detail }) => assert!(
-            detail.contains("SnapshotChunk"),
-            "wanted the missing-chunk error: {detail}"
+    let mut padded = image.clone();
+    padded.extend_from_slice(&[0xEE; 3]);
+    let detail = bad_snapshot_detail(&padded, "padded image");
+    assert!(detail.contains("trailing"), "{detail}");
+
+    // Foreign formats: a bare protocol frame, and the same bytes laid
+    // out as the retired framed image (header frame under kind tag 13,
+    // chunk under 14, digest trailer under 15).
+    let frame = |kind| Frame {
+        from: Endpoint::Env,
+        to: Endpoint::Env,
+        sent_at: svc.round(),
+        kind,
+    };
+    bad_snapshot_detail(&frame(FrameKind::Tick).encode(), "protocol frame");
+    let relabel = |body, tag| {
+        let mut bytes = frame(FrameKind::Output(body)).encode();
+        bytes[7] = tag;
+        bytes
+    };
+    let payload = &image[payload_start..digest_start];
+    let framed = [
+        relabel(
+            Value::list([Value::U64(2), Value::U64(0), Value::U64(1)]),
+            13,
         ),
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("chunk-dropped stream must fail restore"),
-    }
-
-    // Truncation mid-stream is typed, never a panic.
-    for cut in [3, frames[0].len() + 1, image.len() - 1] {
-        assert!(
-            matches!(
-                SbcService::<RealSbcWorld>::restore(&image[..cut]),
-                Err(ServiceError::BadSnapshot { .. })
-            ),
-            "truncation at {cut} must fail typed"
-        );
-    }
+        relabel(Value::pair(Value::U64(0), Value::bytes(payload)), 14),
+        relabel(Value::bytes(&image[digest_start..]), 15),
+    ]
+    .concat();
+    let detail = bad_snapshot_detail(&framed, "framed image");
+    assert!(detail.contains("magic"), "{detail}");
 }
 
 #[test]
