@@ -187,4 +187,33 @@ mod tests {
     fn gen_range_zero_panics() {
         Drbg::from_seed(b"s").gen_range(0);
     }
+
+    #[test]
+    fn golden_stream() {
+        // Every draw shape the workspace uses, in one stream, pinned
+        // against an independent model of this generator (Python `hmac`).
+        use crate::sha256::Sha256;
+        let mut d = Drbg::from_seed(b"kat");
+        let mut stream = Sha256::new();
+        for n in [0usize, 1, 31, 32, 33, 64, 100, 4096] {
+            let bytes = d.gen_bytes(n);
+            assert_eq!(bytes.len(), n);
+            stream.update(&bytes);
+        }
+        stream.update(&d.gen_u64().to_be_bytes());
+        stream.update(&d.gen_range(10).to_be_bytes());
+        stream.update(&[d.gen_bool() as u8]);
+        let mut deck: Vec<u8> = (0..16).collect();
+        d.shuffle(&mut deck);
+        stream.update(&deck);
+        stream.update(&d.fork(b"child").gen_bytes(32));
+        assert_eq!(
+            crate::hex::encode(&stream.finalize()),
+            "db0589b6f74c7fd08e62efa00500454bb9aaa4da67c2007bf54aa9e6597889cf"
+        );
+        assert_eq!(
+            crate::hex::encode(&Drbg::from_seed(b"kat").gen_bytes(32)),
+            "20abfece54c3a23d83e556e85229b6bffe2a292b1a388f017362a98136146e34"
+        );
+    }
 }

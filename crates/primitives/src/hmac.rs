@@ -119,6 +119,45 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_case3() {
+        let tag = hmac_sha256(&[0xaau8; 20], &[0xddu8; 50]);
+        assert_eq!(
+            hex::encode(&tag),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case4() {
+        let key: Vec<u8> = (1..=25).collect();
+        let tag = hmac_sha256(&key, &[0xcdu8; 50]);
+        assert_eq!(
+            hex::encode(&tag),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case5_truncated() {
+        let tag = hmac_sha256(&[0x0cu8; 20], b"Test With Truncation");
+        assert_eq!(hex::encode(&tag[..16]), "a3b6167473100ee06e0c796c2955552b");
+    }
+
+    #[test]
+    fn rfc4231_case7_long_key_long_data() {
+        let tag = hmac_sha256(
+            &[0xaau8; 131],
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex::encode(&tag),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
     fn verify_accepts_and_rejects() {
         let mut mac = HmacSha256::new(b"k");
         mac.update(b"m");

@@ -334,4 +334,54 @@ mod tests {
             "32-byte VL point is not the fixed point"
         );
     }
+
+    #[test]
+    fn golden_points() {
+        // Unprogrammed points are `HMAC(key, x)` under the key drawn in
+        // `new`, pinned against an independent model (Python `hmac`).
+        use sbc_primitives::hex;
+        use sbc_primitives::sha256::Sha256;
+        let mut r = RandomOracle::new(Drbg::from_seed(b"kat"));
+        let party = Caller::Party(PartyId(0));
+        let lens = [0usize, 1, 31, 32, 33, 4096];
+
+        let mut fixed = Sha256::new();
+        for len in lens {
+            let x: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            fixed.update(&r.query(party, &x));
+        }
+        assert_eq!(
+            hex::encode(&fixed.finalize()),
+            "8bad604647e1d8f33e907cc5f23cdaaaf53fe03fb07ff38e48ffa1dfad8871f9"
+        );
+        assert_eq!(
+            hex::encode(&r.query(Caller::Adversary, b"abc")),
+            "e684f8ab0e450ca0dd2a7e9edbb8e5adf3f0c9eed6f0d4fd1f8a41ff2c385788"
+        );
+
+        let mut masks = Sha256::new();
+        for len in lens {
+            let y = r.query_bytes(party, b"rho", len);
+            assert_eq!(y.len(), len);
+            masks.update(&y);
+        }
+        assert_eq!(
+            hex::encode(&masks.finalize()),
+            "8f96167dfccf513cd0b3786237f0e4ce019315ab33f28d89c086ab405be42545"
+        );
+        let y33 = r.query_bytes(Caller::Adversary, b"rho", 33);
+        assert_eq!(
+            hex::encode(&y33),
+            "e14d70a12db0050434a4ffcfba93ba9b83513758e850d7881dfe8c76f1ebc17f79"
+        );
+        assert!(r.adversary_queried_bytes(b"rho", 33));
+        assert_eq!(r.query_count(), 14);
+
+        // A programmed point answers as programmed; a sampled one refuses
+        // to be programmed and keeps its bytes.
+        r.program_bytes(b"rho", vec![7u8; 34]).unwrap();
+        assert_eq!(r.query_bytes(party, b"rho", 34), vec![7u8; 34]);
+        assert_eq!(r.program_bytes(b"rho", vec![0u8; 33]), Err(AlreadyDefined));
+        assert_eq!(r.query_bytes(party, b"rho", 33), y33);
+    }
 }
