@@ -4,6 +4,13 @@
 //! so that executions are reproducible from a seed — which is what makes the
 //! real-vs-ideal indistinguishability experiments exact rather than flaky.
 //!
+//! The generator's key is held as a prepared [`HmacKey`]: it is replaced
+//! once at the end of every draw and keys every block in between, so a
+//! 32-byte draw is 8 SHA-256 compressions and each further block 2. The
+//! stream is a function of the seed and the sequence of draw lengths only
+//! — `gen_u64` and `gen_bool` are 8- and 1-byte draws — and is pinned by
+//! the `golden_stream` test.
+//!
 //! # Examples
 //!
 //! ```
@@ -14,13 +21,15 @@
 //! assert_eq!(a.gen_bytes(16), b.gen_bytes(16));
 //! ```
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
 
 /// Deterministic HMAC-SHA-256 based random generator.
 #[derive(Clone, Debug)]
 pub struct Drbg {
-    key: [u8; DIGEST_LEN],
+    /// `K`, kept with its pad blocks compressed: it changes once per
+    /// call and keys every block of the call.
+    key: HmacKey,
     value: [u8; DIGEST_LEN],
 }
 
@@ -28,7 +37,7 @@ impl Drbg {
     /// Instantiates the DRBG from arbitrary seed material.
     pub fn from_seed(seed: &[u8]) -> Self {
         let mut drbg = Drbg {
-            key: [0u8; DIGEST_LEN],
+            key: HmacKey::new(&[0u8; DIGEST_LEN]),
             value: [1u8; DIGEST_LEN],
         };
         drbg.reseed(seed);
@@ -48,41 +57,41 @@ impl Drbg {
 
     /// Mixes additional entropy/seed material into the state.
     pub fn reseed(&mut self, data: &[u8]) {
-        // K = HMAC(K, V || 0x00 || data); V = HMAC(K, V)
-        let mut m = self.value.to_vec();
-        m.push(0x00);
-        m.extend_from_slice(data);
-        self.key = hmac_sha256(&self.key, &m);
-        self.value = hmac_sha256(&self.key, &self.value);
+        self.rekey(0x00, data);
         if !data.is_empty() {
-            let mut m2 = self.value.to_vec();
-            m2.push(0x01);
-            m2.extend_from_slice(data);
-            self.key = hmac_sha256(&self.key, &m2);
-            self.value = hmac_sha256(&self.key, &self.value);
+            self.rekey(0x01, data);
         }
+    }
+
+    /// `K = HMAC(K, V ‖ sep ‖ data)`; `V = HMAC(K, V)`.
+    fn rekey(&mut self, sep: u8, data: &[u8]) {
+        self.key = HmacKey::new(&self.key.tag(&[&self.value, &[sep], data]));
+        self.value = self.key.tag(&[&self.value]);
+    }
+
+    /// Fills `out` with the next pseudorandom bytes: one draw, whatever
+    /// the length.
+    fn fill(&mut self, out: &mut [u8]) {
+        for chunk in out.chunks_mut(DIGEST_LEN) {
+            self.value = self.key.tag(&[&self.value]);
+            chunk.copy_from_slice(&self.value[..chunk.len()]);
+        }
+        // Update key so state does not repeat across calls.
+        self.rekey(0x00, &[]);
     }
 
     /// Generates `n` pseudorandom bytes.
     pub fn gen_bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            self.value = hmac_sha256(&self.key, &self.value);
-            let take = (n - out.len()).min(DIGEST_LEN);
-            out.extend_from_slice(&self.value[..take]);
-        }
-        // Update key so state does not repeat across calls.
-        let mut m = self.value.to_vec();
-        m.push(0x00);
-        self.key = hmac_sha256(&self.key, &m);
-        self.value = hmac_sha256(&self.key, &self.value);
+        let mut out = vec![0u8; n];
+        self.fill(&mut out);
         out
     }
 
     /// Generates a uniform `u64`.
     pub fn gen_u64(&mut self) -> u64 {
-        let b = self.gen_bytes(8);
-        u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+        let mut b = [0u8; 8];
+        self.fill(&mut b);
+        u64::from_be_bytes(b)
     }
 
     /// Generates a uniform value in `[0, bound)`.
@@ -104,7 +113,9 @@ impl Drbg {
 
     /// Generates a uniform boolean.
     pub fn gen_bool(&mut self) -> bool {
-        self.gen_bytes(1)[0] & 1 == 1
+        let mut b = [0u8; 1];
+        self.fill(&mut b);
+        b[0] & 1 == 1
     }
 
     /// Fisher–Yates shuffles a slice in place.

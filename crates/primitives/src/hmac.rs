@@ -1,5 +1,13 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1), from scratch.
 //!
+//! The two pad blocks `K ⊕ ipad` and `K ⊕ opad` depend on the key alone,
+//! and each is exactly one SHA-256 block. [`HmacKey`] compresses them once
+//! and keeps the two chaining states, so a caller that tags many messages
+//! under one key — [`Drbg`](crate::drbg::Drbg) within a draw, the random
+//! oracle for its lifetime — pays two compressions per short message
+//! instead of four. [`hmac_sha256`] and [`HmacSha256`] prepare a key and
+//! use it once; every path computes the RFC's function, byte for byte.
+//!
 //! # Examples
 //!
 //! ```
@@ -16,40 +24,61 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(message);
-    mac.finalize()
+    HmacKey::new(key).tag(&[message])
+}
+
+/// An HMAC-SHA-256 key with both pad blocks already compressed (see the
+/// module docs): the SHA-256 chaining states after `K ⊕ ipad` and after
+/// `K ⊕ opad`, from which every tag under the key resumes.
+#[derive(Clone, Debug)]
+pub struct HmacKey {
+    ipad: [u32; 8],
+    opad: [u32; 8],
+}
+
+impl HmacKey {
+    /// Prepares `key` (any length; longer than a block is hashed first).
+    pub fn new(key: &[u8]) -> Self {
+        let mut block_key = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block_key[..key.len()].copy_from_slice(key);
+        }
+        HmacKey {
+            ipad: Sha256::midstate_of(&block_key.map(|b| b ^ 0x36)),
+            opad: Sha256::midstate_of(&block_key.map(|b| b ^ 0x5c)),
+        }
+    }
+
+    /// The tag of the concatenation of `parts`, which is never built.
+    pub fn tag(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut mac = self.begin();
+        for part in parts {
+            mac.update(part);
+        }
+        mac.finalize()
+    }
+
+    fn begin(&self) -> HmacSha256 {
+        HmacSha256 {
+            inner: Sha256::from_midstate(self.ipad),
+            opad: self.opad,
+        }
+    }
 }
 
 /// Incremental HMAC-SHA-256.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    opad: [u32; 8],
 }
 
 impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        let mut block_key = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let d = Sha256::digest(key);
-            block_key[..DIGEST_LEN].copy_from_slice(&d);
-        } else {
-            block_key[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = block_key[i] ^ 0x36;
-            opad[i] = block_key[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        HmacKey::new(key).begin()
     }
 
     /// Absorbs message bytes.
@@ -59,10 +88,8 @@ impl HmacSha256 {
 
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = Sha256::from_midstate(self.opad);
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -167,6 +194,26 @@ mod tests {
         bad[0] ^= 1;
         assert!(!mac.clone().verify(&bad));
         assert!(!mac.verify(&tag[..31]));
+    }
+
+    #[test]
+    fn prepared_key_tags_parts_as_their_concatenation() {
+        // One prepared key, many tags: short, block-long and long keys,
+        // messages cut across the inner hash's block boundary.
+        let msg: Vec<u8> = (0..150u8).collect();
+        for key_len in [0usize, 1, 32, 64, 65, 131] {
+            let key = vec![0x42u8; key_len];
+            let prepared = HmacKey::new(&key);
+            for cut in [0usize, 1, 55, 56, 64, 150] {
+                let (head, tail) = msg.split_at(cut);
+                assert_eq!(
+                    prepared.tag(&[head, &[], tail]),
+                    hmac_sha256(&key, &msg),
+                    "key {key_len} cut {cut}"
+                );
+            }
+            assert_eq!(prepared.tag(&[]), hmac_sha256(&key, b""));
+        }
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! random-oracle instantiations, the symmetric cipher keystream, the
 //! hash-chain time-lock puzzles, HMAC, the DRBG and the WOTS+ signatures.
 //!
+//! Everything above it is priced in compressions, so the cost of one is
+//! kept to the function itself: `update` compresses whole blocks where
+//! they lie in the input, `finalize` writes the padding into the block
+//! buffer in one pass (one compression, two when the length no longer
+//! fits), and the compression function keeps a 16-word rolling message
+//! schedule and renames its eight working variables from round to round
+//! instead of moving them. The crate forbids `unsafe`, which rules out the
+//! CPU's SHA extensions: this is portable scalar code.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,16 +35,22 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-const K: [u32; 64] = [
+/// Round constants, sixteen to a row: one row per pass over the rolling
+/// message schedule.
+#[rustfmt::skip]
+const K: [[u32; 16]; 4] = [[
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+], [
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
     0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+], [
     0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
     0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+], [
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
+]];
 
 /// Incremental SHA-256 hasher.
 ///
@@ -66,6 +81,25 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that has absorbed exactly one block and holds `state` —
+    /// how [`HmacKey`](crate::hmac::HmacKey) resumes from a pad block it
+    /// compressed once.
+    pub(crate) fn from_midstate(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            buf: [0u8; BLOCK_LEN],
+            buf_len: 0,
+            total_len: BLOCK_LEN as u64,
+        }
+    }
+
+    /// The chaining state after one `block`, from the initial state.
+    pub(crate) fn midstate_of(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+        let mut state = H0;
+        compress(&mut state, block);
+        state
+    }
+
     /// One-shot digest of `data`.
     pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
         let mut h = Sha256::new();
@@ -91,86 +125,122 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
+        // Whole blocks are compressed where they lie.
+        let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` mutated total_len; padding must not count, but since we
-        // captured bit_len up front only the buffer content matters now.
-        while self.buf_len != 56 {
-            let zeros = [0u8; 1];
-            self.update(&zeros);
+        // Padding, written in place: 0x80, zeros up to the last 8 bytes of
+        // a block, the big-endian bit length. `buf_len` < 64 always, so
+        // the marker fits; the length may need one more block.
+        const LEN_AT: usize = BLOCK_LEN - 8;
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= LEN_AT {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; BLOCK_LEN];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.buf[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// One round of the compression function. The caller rotates the eight
+/// names from round to round, so no value moves between variables: only
+/// `d` and `h` are written. `Ch` and `Maj` are written in their
+/// three-operation forms, `g ^ (e & (f ^ g))` and `(a & b) | (c & (a | b))`.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add($kw)
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25));
+        let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) | ($c & ($a | $b)));
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(t2);
+    };
+}
+
+/// Sixteen rounds, `$step!(names…, j)` for `j` in `0..16`, with the names
+/// rotated one place per round.
+macro_rules! sixteen_rounds {
+    ($step:ident, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident) => {
+        $step!($a, $b, $c, $d, $e, $f, $g, $h, 0);
+        $step!($h, $a, $b, $c, $d, $e, $f, $g, 1);
+        $step!($g, $h, $a, $b, $c, $d, $e, $f, 2);
+        $step!($f, $g, $h, $a, $b, $c, $d, $e, 3);
+        $step!($e, $f, $g, $h, $a, $b, $c, $d, 4);
+        $step!($d, $e, $f, $g, $h, $a, $b, $c, 5);
+        $step!($c, $d, $e, $f, $g, $h, $a, $b, 6);
+        $step!($b, $c, $d, $e, $f, $g, $h, $a, 7);
+        $step!($a, $b, $c, $d, $e, $f, $g, $h, 8);
+        $step!($h, $a, $b, $c, $d, $e, $f, $g, 9);
+        $step!($g, $h, $a, $b, $c, $d, $e, $f, 10);
+        $step!($f, $g, $h, $a, $b, $c, $d, $e, 11);
+        $step!($e, $f, $g, $h, $a, $b, $c, $d, 12);
+        $step!($d, $e, $f, $g, $h, $a, $b, $c, 13);
+        $step!($c, $d, $e, $f, $g, $h, $a, $b, 14);
+        $step!($b, $c, $d, $e, $f, $g, $h, $a, 15);
+    };
+}
+
+/// The FIPS 180-4 compression function over one block.
+///
+/// The message schedule is a rolling 16-word window: round `t ≥ 16`
+/// overwrites `w[t mod 16]` (which holds `W[t-16]`) with `W[t]` right
+/// before using it, so the other three taps `W[t-15]`, `W[t-7]`, `W[t-2]`
+/// sit at offsets 1, 9 and 14 from it.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    let k = &K[0];
+    macro_rules! given {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
+            round!($a, $b, $c, $d, $e, $f, $g, $h, k[$j].wrapping_add(w[$j]));
+        };
+    }
+    sixteen_rounds!(given, a, b, c, d, e, f, g, h);
+
+    for k in &K[1..] {
+        macro_rules! extended {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
+                let (w15, w2) = (w[($j + 1) & 15], w[($j + 14) & 15]);
+                w[$j] = w[$j]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[($j + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+                round!($a, $b, $c, $d, $e, $f, $g, $h, k[$j].wrapping_add(w[$j]));
+            };
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        sixteen_rounds!(extended, a, b, c, d, e, f, g, h);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

@@ -114,6 +114,21 @@ fn envelope_digest(payload_len: [u8; 8], payload: &[u8]) -> [u8; DIGEST_LEN] {
     Sha256::digest_parts(&[DIGEST_DOMAIN, &[ENVELOPE_VERSION], &payload_len, payload])
 }
 
+/// Checks the magic and version of an envelope header and returns its
+/// payload-length field.
+fn payload_len_field(header: &[u8; HEADER_LEN]) -> Result<[u8; 8], ServiceError> {
+    if header[..4] != MAGIC {
+        return Err(bad("not a service image: bad magic"));
+    }
+    if header[4] != ENVELOPE_VERSION {
+        return Err(bad(format!(
+            "unsupported image version {} (speak {ENVELOPE_VERSION})",
+            header[4]
+        )));
+    }
+    Ok(header[5..].try_into().expect("8-byte length field"))
+}
+
 fn field(list: &[Value], idx: usize, what: &str) -> Result<Value, ServiceError> {
     list.get(idx)
         .cloned()
@@ -419,15 +434,21 @@ impl<W: SbcBackend> SbcService<W> {
     /// * [`ServiceError::Pool`] if replay itself fails — impossible for a
     ///   journal captured from a healthy service.
     pub fn restore(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let mut rest = bytes;
-        let svc = Self::restore_from(&mut rest)?;
-        if !rest.is_empty() {
-            return Err(bad(format!(
-                "{} trailing bytes after the image digest",
-                rest.len()
-            )));
+        // The header says where the envelope ends, so a padded image is
+        // refused here, before its digest and replay are paid for. Short
+        // or overflowing lengths are `restore_from`'s to name.
+        if let Some(header) = bytes.first_chunk::<HEADER_LEN>() {
+            let declared = u64::from_be_bytes(payload_len_field(header)?);
+            let past_end = declared
+                .checked_add((HEADER_LEN + DIGEST_LEN) as u64)
+                .and_then(|envelope| (bytes.len() as u64).checked_sub(envelope));
+            if let Some(trailing @ 1..) = past_end {
+                return Err(bad(format!(
+                    "{trailing} trailing bytes after the image digest"
+                )));
+            }
         }
-        Ok(svc)
+        Self::restore_from(&mut &bytes[..])
     }
 
     /// Rebuilds a service from an image read off any [`io::Read`] — the
@@ -442,16 +463,7 @@ impl<W: SbcBackend> SbcService<W> {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)
             .map_err(|e| bad(format!("image header: {e}")))?;
-        if header[..4] != MAGIC {
-            return Err(bad("not a service image: bad magic"));
-        }
-        if header[4] != ENVELOPE_VERSION {
-            return Err(bad(format!(
-                "unsupported image version {} (speak {ENVELOPE_VERSION})",
-                header[4]
-            )));
-        }
-        let payload_len: [u8; 8] = header[5..].try_into().expect("8-byte length field");
+        let payload_len = payload_len_field(&header)?;
         let declared = u64::from_be_bytes(payload_len);
         // `take` caps the read at the declared length and `read_to_end`
         // grows the buffer only with bytes that arrive, so a hostile

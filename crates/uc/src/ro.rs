@@ -5,6 +5,11 @@
 //! abort condition of the security proofs ("has the adversary already
 //! queried ρ?") and experiments can account per-entity query costs.
 //!
+//! An unprogrammed point is `HMAC(key, x)` under a key drawn once in
+//! [`RandomOracle::new`] and kept as a prepared [`HmacKey`]; block `i` of
+//! a variable-length point is `HMAC(key, i ‖ len ‖ x)`. A 4 KiB mask is
+//! 128 such blocks under the same key, two compressions each.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,6 +24,8 @@
 
 use crate::ids::PartyId;
 use sbc_primitives::drbg::Drbg;
+use sbc_primitives::hmac::HmacKey;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Who issued a random-oracle query.
@@ -62,16 +69,16 @@ pub struct RandomOracle {
     /// Points queried by the adversary (for simulator abort checks).
     adversary_queried: HashMap<Vec<u8>, ()>,
     programmed: HashMap<Vec<u8>, ()>,
-    key: [u8; 32],
+    /// The PRF key, prepared once: every fresh point and every block of
+    /// every mask is a tag under it.
+    key: HmacKey,
     query_count: u64,
 }
 
 impl RandomOracle {
     /// Creates an oracle keyed from `rng`.
     pub fn new(mut rng: Drbg) -> Self {
-        let raw = rng.gen_bytes(32);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&raw);
+        let key = HmacKey::new(&rng.gen_bytes(32));
         RandomOracle {
             table: HashMap::new(),
             vl_table: HashMap::new(),
@@ -91,13 +98,14 @@ impl RandomOracle {
         if let Some(y) = self.table.get(x) {
             return *y;
         }
-        let y = sbc_primitives::hmac::hmac_sha256(&self.key, x);
+        let y = self.key.tag(&[x]);
         self.table.insert(x.to_vec(), y);
         y
     }
 
     fn vl_key(x: &[u8], len: usize) -> Vec<u8> {
-        let mut k = (len as u64).to_be_bytes().to_vec();
+        let mut k = Vec::with_capacity(8 + x.len());
+        k.extend_from_slice(&(len as u64).to_be_bytes());
         k.extend_from_slice(x);
         k
     }
@@ -112,12 +120,14 @@ impl RandomOracle {
         if caller == Caller::Adversary {
             self.adversary_queried.insert(key.clone(), ());
         }
-        if let Some(y) = self.vl_table.get(&key) {
-            return y.clone();
+        match self.vl_table.entry(key) {
+            Entry::Occupied(point) => point.get().clone(),
+            Entry::Vacant(slot) => {
+                let y = Self::expand(&self.key, slot.key(), len);
+                slot.insert(y.clone());
+                y
+            }
         }
-        let y = self.expand(&key, len);
-        self.vl_table.insert(key, y.clone());
-        y
     }
 
     /// Replays the one observable effect of `count` honest-party
@@ -131,16 +141,12 @@ impl RandomOracle {
         self.query_count += count;
     }
 
-    fn expand(&self, key: &[u8], len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut ctr = 0u64;
-        while out.len() < len {
-            let mut input = ctr.to_be_bytes().to_vec();
-            input.extend_from_slice(key);
-            let block = sbc_primitives::hmac::hmac_sha256(&self.key, &input);
-            let take = (len - out.len()).min(block.len());
-            out.extend_from_slice(&block[..take]);
-            ctr += 1;
+    /// Block `ctr` of the mask at `point` is `HMAC(key, ctr ‖ point)`.
+    fn expand(key: &HmacKey, point: &[u8], len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        for (ctr, chunk) in (0u64..).zip(out.chunks_mut(32)) {
+            let block = key.tag(&[&ctr.to_be_bytes(), point]);
+            chunk.copy_from_slice(&block[..chunk.len()]);
         }
         out
     }

@@ -326,6 +326,17 @@ fn hostile_images_fail_typed() {
     padded.extend_from_slice(&[0xEE; 3]);
     let detail = bad_snapshot_detail(&padded, "padded image");
     assert!(detail.contains("trailing"), "{detail}");
+    // The header alone convicts a padded image: a `bulk`-sized envelope
+    // (4 MiB payload) whose digest does not even verify is refused for
+    // its padding, so neither the digest nor a replay was paid for.
+    let mut bulk = image[..5].to_vec();
+    bulk.extend_from_slice(&(4u64 << 20).to_be_bytes());
+    bulk.resize(bulk.len() + (4 << 20) + 32, 0xEE);
+    let detail = bad_snapshot_detail(&bulk, "bulk-sized forgery");
+    assert!(detail.contains("digest"), "{detail}");
+    bulk.extend_from_slice(&[0xEE; 3]);
+    let detail = bad_snapshot_detail(&bulk, "padded bulk-sized forgery");
+    assert!(detail.contains("3 trailing"), "{detail}");
 
     // Foreign formats: a bare protocol frame, and the same bytes laid
     // out as the retired framed image (header frame under kind tag 13,
