@@ -1,4 +1,5 @@
-//! Experiment harness: regenerates every table in EXPERIMENTS.md.
+//! Experiment harness: prints the paper tables E1–E9 (`-- all`, or one of
+//! `-- e1` … `-- e9`), with real-vs-ideal equality counters in E2–E5.
 //!
 //! ```sh
 //! cargo run --release -p sbc-bench --bin experiments -- all

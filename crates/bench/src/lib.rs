@@ -1,10 +1,12 @@
-//! Benchmarks, the experiments binary, and the workspace-level integration
-//! tests and examples live in this crate; see `benches/`, `src/bin/`, and
-//! the repository-root `tests/` and `examples/` directories wired in
-//! through the manifest.
+//! The crypto floor microbench, the experiments binary, and the
+//! workspace-level integration tests and examples live in this crate; see
+//! `benches/crypto.rs`, `src/bin/`, and the repository-root `tests/` and
+//! `examples/` directories wired in through the manifest. Timings of the
+//! protocol stack are recorded in one place only, the repo benchmark
+//! (`benchmark/`, run with `bash benchmark/run.sh`).
 //!
 //! The container this repository builds in has no crates.io access, so the
-//! benchmarks run on the dependency-free [`harness`] below instead of
+//! microbench runs on the dependency-free [`harness`] below instead of
 //! criterion. The harness keeps criterion's core discipline — warmup,
 //! adaptive iteration counts, median-of-samples reporting — in ~100 lines.
 
@@ -25,9 +27,9 @@ pub mod harness {
     const SMOKE_SAMPLES: usize = 3;
 
     /// Whether smoke mode is on (`SBC_BENCH_SMOKE` set, non-empty): CI
-    /// runs every bench this way to catch bit-rot fast — the numbers are
+    /// runs the bench this way to catch bit-rot fast — the numbers are
     /// not measurements.
-    pub fn smoke_mode() -> bool {
+    fn smoke_mode() -> bool {
         std::env::var_os("SBC_BENCH_SMOKE").is_some_and(|v| !v.is_empty())
     }
 
@@ -133,75 +135,6 @@ pub mod harness {
         Group::new(name)
     }
 
-    /// One record of a machine-readable benchmark report.
-    #[derive(Clone, Debug)]
-    pub struct Record {
-        /// Group name (e.g. `sbc_pool_scaling`).
-        pub group: String,
-        /// Benchmark label inside the group (e.g. `instances=8`).
-        pub label: String,
-        /// The measured statistics.
-        pub stats: Stats,
-        /// Derived metrics, as `(name, value)` pairs (e.g.
-        /// `("rounds_per_sec", 1.2e6)`).
-        pub metrics: Vec<(String, f64)>,
-    }
-
-    fn json_escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
-
-    fn json_num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// Writes `records` as a JSON array to `path` — the machine-readable
-    /// companion to the printed tables, consumed by CI (the smoke run
-    /// emits `BENCH_pool.json` this way). Hand-rolled serialization: the
-    /// container has no serde.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the file.
-    pub fn write_json_report(path: &str, records: &[Record]) -> std::io::Result<()> {
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"group\": \"{}\", \"label\": \"{}\", \"median_ns\": {}, \"mean_ns\": {}, \"iters\": {}",
-                json_escape(&r.group),
-                json_escape(&r.label),
-                json_num(r.stats.median_ns),
-                json_num(r.stats.mean_ns),
-                r.stats.iters,
-            ));
-            for (name, value) in &r.metrics {
-                out.push_str(&format!(
-                    ", \"{}\": {}",
-                    json_escape(name),
-                    json_num(*value)
-                ));
-            }
-            out.push_str(if i + 1 == records.len() {
-                "}\n"
-            } else {
-                "},\n"
-            });
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out)
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -213,42 +146,6 @@ pub mod harness {
             assert!(s.iters >= 1);
             assert!(s.median_ns > 0.0);
             assert!(s.mean_ns > 0.0);
-        }
-
-        #[test]
-        fn json_report_round_trips_structurally() {
-            let records = vec![
-                Record {
-                    group: "g".into(),
-                    label: "a=1".into(),
-                    stats: Stats {
-                        median_ns: 12.5,
-                        mean_ns: 13.0,
-                        iters: 3,
-                    },
-                    metrics: vec![("rounds_per_sec".into(), 1e6)],
-                },
-                Record {
-                    group: "g".into(),
-                    label: "quote\"and\\slash".into(),
-                    stats: Stats {
-                        median_ns: 1.0,
-                        mean_ns: 1.0,
-                        iters: 1,
-                    },
-                    metrics: vec![],
-                },
-            ];
-            let path = std::env::temp_dir().join("sbc_bench_report_test.json");
-            let path = path.to_str().unwrap();
-            write_json_report(path, &records).unwrap();
-            let body = std::fs::read_to_string(path).unwrap();
-            assert!(body.starts_with("[\n"));
-            assert!(body.trim_end().ends_with(']'));
-            assert!(body.contains("\"group\": \"g\""));
-            assert!(body.contains("\"rounds_per_sec\": 1000000"));
-            assert!(body.contains("quote\\\"and\\\\slash"));
-            assert_eq!(body.matches("median_ns").count(), 2);
         }
     }
 }

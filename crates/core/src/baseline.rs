@@ -1,5 +1,5 @@
 //! Baseline simultaneous-broadcast systems for the comparison experiments
-//! (EXPERIMENTS.md, E5).
+//! (table E5 of the `experiments` binary: `-- e5`).
 //!
 //! * [`HeviaStyleSbc`] — an \[Hev06]-style SBC functionality: honest
 //!   majority assumed, and termination requires **full participation**

@@ -534,6 +534,79 @@ impl<P: NetProfile> SbcBackend for NetSbcWorld<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbc_core::protocol::sbc_wire;
+    use sbc_core::worlds::RealSbcWorld;
+    use sbc_primitives::drbg::Drbg;
+    use sbc_uc::exec::{CompareLevel, DualRun};
+
+    /// `RealSbcWorld` vs `NetSbcWorld<P>` at `CompareLevel::Exact` and at
+    /// width: adaptive corruption, an adversarial broadcast through the
+    /// corrupted party (`F_TLE` Insert + `F_RO` mask + `SendAs` wire), and a
+    /// second epoch over the turned-over period. `tests/net_conformance.rs`
+    /// runs the longer schedule at n = 4; the O(n) delivery pumps and the
+    /// per-party rpc lanes are what a wider n adds.
+    fn exact_against_in_process<P: NetProfile>(n: usize) -> TransportStats {
+        let params = SbcParams::default_for(n);
+        let seed = b"net-width-gate";
+        let real = RealSbcWorld::from_params(params, seed).expect("valid");
+        let net = NetSbcWorld::<P>::new(params, seed).expect("valid");
+        let mut dual = DualRun::new(real, net, CompareLevel::Exact);
+        let mut adv_rng = Drbg::from_seed(b"net-width-gate/adversary");
+
+        dual.submit(PartyId(0), b"gate/a");
+        dual.advance_all();
+        dual.corrupt(PartyId(1));
+        dual.submit(PartyId(2), b"gate/b");
+        let tau_rel = dual.release_round().expect("period open");
+        let ct = Value::bytes(adv_rng.gen_bytes(64));
+        let rho = adv_rng.gen_bytes(32);
+        dual.adversary(AdvCommand::Control {
+            target: "F_TLE".into(),
+            cmd: Command::new(
+                "Insert",
+                Value::list([ct.clone(), Value::bytes(&rho), Value::U64(tau_rel)]),
+            ),
+        });
+        let m_bytes = Value::bytes(b"gate/evil").encode();
+        let (eta, _) = dual.adversary(AdvCommand::Control {
+            target: "F_RO".into(),
+            cmd: Command::new(
+                "QueryBytes",
+                Value::list([Value::bytes(&rho), Value::U64(m_bytes.len() as u64)]),
+            ),
+        });
+        let eta = eta.as_bytes().expect("mask is bytes");
+        let y: Vec<u8> = m_bytes.iter().zip(eta).map(|(a, b)| a ^ b).collect();
+        dual.adversary(AdvCommand::SendAs {
+            party: PartyId(1),
+            cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
+        });
+        dual.idle_rounds(10);
+        assert_eq!(dual.finish_epoch().expect("epoch 0 exact"), 0, "n={n}");
+        dual.submit(PartyId(0), b"gate/e1");
+        dual.idle_rounds(9);
+        assert_eq!(dual.finish_epoch().expect("epoch 1 exact"), 1, "n={n}");
+        dual.worlds().1.transport_stats()
+    }
+
+    #[test]
+    fn simnet_exact_against_in_process_at_width() {
+        for n in [8, 64] {
+            let stats = exact_against_in_process::<AdversarialProfile>(n);
+            assert!(
+                stats.delayed > 0 && stats.duplicated > 0,
+                "chaos schedule fired at n={n}: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tcp_exact_against_in_process_at_width() {
+        let stats = exact_against_in_process::<crate::tcp::TcpProfile>(8);
+        assert!(stats.delivered > 0 && stats.bytes > 0, "{stats:?}");
+        assert_eq!(stats.decode_errors, 0, "clean framing on every lane");
+        assert_eq!(stats.timeouts, 0, "no deadline concessions on loopback");
+    }
 
     #[test]
     fn loopback_world_runs_a_period_end_to_end() {

@@ -1099,6 +1099,35 @@ mod tests {
     }
 
     #[test]
+    fn saturating_load_never_exceeds_max_live() {
+        use crate::loadgen::{LoadGen, LoadProfile};
+        // 256 arrivals a tick against 4 instances of 16: the queue backs
+        // up from the first tick on, so admission is the only limit.
+        let (total, max_live) = (4096, 4);
+        let mut s = SbcService::<RealSbcWorld>::new(
+            ServiceConfig::new(4, ServiceMode::Beacon)
+                .seed(b"saturated")
+                .batch_size(16)
+                .max_live(max_live),
+        )
+        .unwrap();
+        let mut gen = LoadGen::new(LoadProfile::beacon(total, 256), b"saturated");
+        while !gen.done() {
+            for g in gen.next_tick() {
+                s.submit(g.client, g.payload, g.class).unwrap();
+            }
+            s.tick().unwrap();
+            assert!(s.live() <= max_live, "{} live instances", s.live());
+            s.drain_releases();
+        }
+        s.shutdown().unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.peak_live, max_live, "the cap was reached");
+        assert_eq!((stats.accepted, stats.latency.count), (total, total));
+        assert_eq!(s.footprint(), PoolFootprint::default());
+    }
+
+    #[test]
     fn wall_clock_view_is_opt_in() {
         // Off (the default): the wall field stays None even after
         // releases.

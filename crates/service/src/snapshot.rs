@@ -666,6 +666,61 @@ mod tests {
         assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
     }
 
+    /// Four equal waves, each drained to a boundary, folded (on `a` only)
+    /// and followed by the same short mid-epoch tail: the checkpointing
+    /// service's image and replay length are the same in every era, while
+    /// its never-checkpointing twin's image carries the whole journal.
+    #[test]
+    fn era_images_stay_flat_while_the_full_journal_grows() {
+        use crate::loadgen::{LoadGen, LoadProfile};
+        let service = || {
+            Service::new(
+                ServiceConfig::new(4, ServiceMode::Beacon)
+                    .seed(b"era-flat")
+                    .batch_size(64)
+                    .flush_after(4),
+            )
+            .unwrap()
+        };
+        let (mut a, mut b) = (service(), service());
+        let (mut bytes_a, mut bytes_b, mut ops_a) = (Vec::new(), Vec::new(), Vec::new());
+        for era in 1..=4u64 {
+            for svc in [&mut a, &mut b] {
+                let mut gen = LoadGen::new(LoadProfile::beacon(256, 64), &era.to_be_bytes());
+                while !gen.done() || svc.live() > 0 || svc.queued() > 0 {
+                    for s in gen.next_tick() {
+                        svc.submit(s.client, s.payload, s.class).unwrap();
+                    }
+                    svc.tick().unwrap();
+                    svc.drain_releases();
+                }
+            }
+            assert!(a.try_checkpoint(), "drained service sits at a boundary");
+            assert_eq!(a.era(), era);
+            for svc in [&mut a, &mut b] {
+                for client in 0..8 {
+                    svc.submit(client, vec![0x5A; 32], DeadlineClass::Standard)
+                        .unwrap();
+                }
+                svc.tick().unwrap();
+                svc.tick().unwrap();
+            }
+            let image = a.snapshot().unwrap();
+            let restored = Service::restore(&image).unwrap();
+            assert_eq!(replayable(&a.stats()), replayable(&restored.stats()));
+            bytes_a.push(image.len());
+            bytes_b.push(b.snapshot().unwrap().len());
+            ops_a.push(restored.stats().journal_ops);
+        }
+        for k in 1..4 {
+            // Fixed-width U64s make the era image byte-flat today; the
+            // slack is for a variable-width encoding of the counters.
+            assert!(bytes_a[k].abs_diff(bytes_a[0]) <= 64, "{bytes_a:?}");
+            assert_eq!(ops_a[k], ops_a[0], "replay length grew with the era");
+            assert!(bytes_b[k] > bytes_b[k - 1], "{bytes_b:?}");
+        }
+    }
+
     #[test]
     fn snapshot_to_and_restore_from_stream_through_io() {
         let mut a = seeded();
