@@ -4,10 +4,11 @@
 //!   `F_UBC`, the wrapped oracle `W_q(F*_RO)`, the programmable `F_RO` and
 //!   `G_clock` — exactly the hybrid model of Lemma 2.
 //! * [`IdealFbcWorld`] — dummy parties talk to `F_FBC(∆=2, α=2)`; the
-//!   simulator [`SimFbc`] (Appendix B) fabricates time-lock ciphertexts of
-//!   random values, uses its α-advantage (`Output_Request` at the broadcast
-//!   round itself) to learn each message just in time to equivocate the
-//!   random oracle, and solves adversarial ciphertexts itself to extract
+//!   simulator [`SimFbc`] (Appendix B) runs `F_UBC` itself and broadcasts
+//!   into it what the honest parties would: time-lock ciphertexts of
+//!   random values, with its α-advantage (`Output_Request` at the broadcast
+//!   round itself) used to learn each message just in time to equivocate
+//!   the random oracle. It solves adversarial ciphertexts itself to extract
 //!   the values it feeds back to the functionality.
 //!
 //! Corrupted parties follow the protocol by default (matching the
@@ -21,7 +22,7 @@ use crate::fbc::protocol::{
     decode_masked, draw_chain_randomness, encrypt_with_randomness, fbc_wire, parse_fbc_wire,
     FbcParty,
 };
-use crate::ubc::func::{UbcFunc, UBC_SOURCE};
+use crate::ubc::func::UbcFunc;
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::hashchain::{ChainSolver, Element};
 use sbc_uc::clock::ClockEntity;
@@ -281,23 +282,31 @@ struct SimEntry {
 }
 
 /// The simulator `S_FBC` from the proof of Lemma 2 (Appendix B).
+///
+/// It **runs** `F_UBC` — on the stream the real world's `F_UBC` draws its
+/// tags from, with the calls [`RealFbcWorld`] makes and nobody to deliver
+/// to — so the adversary's view of the broadcast layer comes out of the
+/// functionality. It **simulates** the honest senders (no [`FbcParty`]: a
+/// party bug must not cancel across the two worlds): their queues and
+/// chain randomness, with each `y` computed from the message
+/// `Output_Request` reveals.
 #[derive(Debug)]
 pub struct SimFbc {
     q: u32,
     party_rngs: Vec<Drbg>,
-    ubc_tag_rng: Drbg,
+    ubc: UbcFunc,
     queues: Vec<Vec<SimEntry>>,
     corrupted_last_step: Vec<Option<u64>>,
     would_abort: bool,
 }
 
 impl SimFbc {
-    fn new(q: u32, party_rngs: Vec<Drbg>, ubc_tag_rng: Drbg) -> Self {
+    fn new(q: u32, party_rngs: Vec<Drbg>, ubc: UbcFunc) -> Self {
         let n = party_rngs.len();
         SimFbc {
             q,
             party_rngs,
-            ubc_tag_rng,
+            ubc,
             queues: vec![Vec::new(); n],
             corrupted_last_step: vec![None; n],
             would_abort: false,
@@ -311,8 +320,8 @@ impl SimFbc {
         self.would_abort
     }
 
-    /// Forgets the shadow queues of an ended period. The mirrored party
-    /// randomness streams carry over, and the sticky abort flag survives.
+    /// Forgets the queues of an ended period. The party randomness streams
+    /// carry over, and the sticky abort flag survives.
     fn begin_new_period(&mut self) {
         for q in &mut self.queues {
             q.clear();
@@ -328,29 +337,22 @@ impl SimFbc {
 
     /// Simulates an honest party's round step: fabricate `(c, y)` per queued
     /// tag, learn the message via `Output_Request` (the α-advantage),
-    /// equivocate `F_RO`, and emit the two `F_UBC` leaks the real adversary
-    /// would see.
-    #[allow(clippy::too_many_arguments)]
+    /// equivocate `F_RO`, broadcast the wires into `F_UBC` (step 4e) and
+    /// forward `Advance_Clock` to it (step 9).
     fn honest_advance(
         &mut self,
         party: PartyId,
-        now: u64,
         ffbc: &mut FbcFunc,
         ro_star: &mut RandomOracle,
         ro: &mut RandomOracle,
-        ctx: &mut sbc_uc::hybrid::HybridCtx<'_>,
-        leaks_out: &mut Vec<Leak>,
+        core: &mut WorldCore,
     ) {
         let entries = std::mem::take(&mut self.queues[party.index()]);
-        if entries.is_empty() {
-            return;
-        }
-        // Mirror protocol step 1: all chain randomness first.
+        // Protocol step 1: all chain randomness first.
         let rand_sets: Vec<Vec<Element>> = entries
             .iter()
             .map(|_| draw_chain_randomness(&mut self.party_rngs[party.index()], self.q))
             .collect();
-        let mut input_leaks = Vec::new();
         for (entry, rs) in entries.iter().zip(rand_sets.iter()) {
             let hashes: Vec<Element> = rs
                 .iter()
@@ -359,36 +361,20 @@ impl SimFbc {
             let (rho, ct) =
                 encrypt_with_randomness(&mut self.party_rngs[party.index()], rs, &hashes);
             let rec: FbcRecord = ffbc
-                .output_request(entry.tag, ctx)
+                .output_request(entry.tag, &mut core.ctx())
                 .expect("environment must deliver inputs within the sender's round");
             if ro.adversary_queried(&rho) {
                 self.would_abort = true;
             }
             let eta = ro.query(Caller::Simulator, &rho);
             let y = xor_mask_msg(&eta, &rec.msg);
-            let wire = fbc_wire(&ct, &y);
-            let ubc_tag = Tag::random(&mut self.ubc_tag_rng);
-            input_leaks.push(Leak {
-                source: UBC_SOURCE.into(),
-                cmd: Command::new(
-                    "Broadcast",
-                    Value::list([
-                        Value::bytes(ubc_tag.as_bytes()),
-                        wire,
-                        Value::U64(party.0 as u64),
-                    ]),
-                ),
-            });
+            self.ubc
+                .broadcast_honest(party, fbc_wire(&ct, &y), &mut core.ctx());
         }
-        let _ = now;
-        // Real order: all UBC-input leaks (step 4e), then all flush leaks
-        // (step 9).
-        let flush_leaks = input_leaks.clone();
-        leaks_out.extend(input_leaks);
-        leaks_out.extend(flush_leaks);
+        self.ubc.advance_clock(party, &mut core.ctx());
     }
 
-    /// Mirrors a corrupted party's semi-honest step on the shared budget.
+    /// A corrupted party's semi-honest step on the shared budget.
     #[allow(clippy::too_many_arguments)]
     fn corrupted_step(
         &mut self,
@@ -398,8 +384,7 @@ impl SimFbc {
         wrapper: &mut QueryWrapper,
         ro_star: &mut RandomOracle,
         ro: &mut RandomOracle,
-        ctx: &mut sbc_uc::hybrid::HybridCtx<'_>,
-        leaks_out: &mut Vec<Leak>,
+        core: &mut WorldCore,
     ) {
         if self.corrupted_last_step[party.index()] == Some(now) {
             return;
@@ -421,7 +406,7 @@ impl SimFbc {
             return;
         };
         // Recover the original messages of non-substituted records.
-        let pending = ffbc.corruption_request(ctx);
+        let pending = ffbc.corruption_request(&core.ctx());
         let mut off = 0usize;
         for (entry, rs) in entries.iter().zip(rand_sets.iter()) {
             let hashes = &flat[off..off + rs.len()];
@@ -437,37 +422,26 @@ impl SimFbc {
             let Some(msg) = msg else { continue };
             let eta = ro.query(Caller::Simulator, &rho);
             let y = xor_mask_msg(&eta, &msg);
-            leaks_out.push(Leak {
-                source: UBC_SOURCE.into(),
-                cmd: Command::new(
-                    "Broadcast",
-                    Value::pair(fbc_wire(&ct, &y), Value::U64(party.0 as u64)),
-                ),
-            });
+            self.ubc
+                .broadcast_corrupted(party, fbc_wire(&ct, &y), &mut core.ctx());
         }
     }
 
-    /// Handles an adversarial ciphertext injection: solve, extract, feed to
-    /// the functionality on the corrupted sender's behalf.
-    #[allow(clippy::too_many_arguments)] // mirrors the full hybrid interface
+    /// Handles an adversarial ciphertext injection: broadcast it as the
+    /// corrupted sender, then solve, extract, and feed the message to the
+    /// functionality on the sender's behalf.
     fn on_injection(
         &mut self,
         party: PartyId,
-        wire: &Value,
+        wire: Value,
         ffbc: &mut FbcFunc,
         ro_star: &mut RandomOracle,
         ro: &mut RandomOracle,
-        ctx: &mut sbc_uc::hybrid::HybridCtx<'_>,
-        leaks_out: &mut Vec<Leak>,
+        core: &mut WorldCore,
     ) {
-        leaks_out.push(Leak {
-            source: UBC_SOURCE.into(),
-            cmd: Command::new(
-                "Broadcast",
-                Value::pair(wire.clone(), Value::U64(party.0 as u64)),
-            ),
-        });
-        let Some((ct, y)) = parse_fbc_wire(wire, self.q) else {
+        let parsed = parse_fbc_wire(&wire, self.q);
+        self.ubc.broadcast_corrupted(party, wire, &mut core.ctx());
+        let Some((ct, y)) = parsed else {
             return; // malformed: real honest parties ignore it
         };
         let Ok(mut solver) = ChainSolver::new(&ct.chain) else {
@@ -482,15 +456,8 @@ impl SimFbc {
         };
         let eta = ro.query(Caller::Simulator, &rho);
         let msg = decode_masked(&eta, &y);
-        // Scratch leak buffer: F_FBC's (tag, sender) leak goes to S only.
-        let mut scratch = Vec::new();
-        let mut sub_ctx = sbc_uc::hybrid::HybridCtx {
-            clock: ctx.clock,
-            rng: ctx.rng,
-            leaks: &mut scratch,
-            corr: ctx.corr,
-        };
-        ffbc.broadcast(party, msg, &mut sub_ctx);
+        // F_FBC's (tag, sender) leak goes to S only.
+        ffbc.broadcast(party, msg, &mut core.ctx_leaking_to(&mut Vec::new()));
     }
 }
 
@@ -517,30 +484,17 @@ impl IdealFbcWorld {
         IdealFbcWorld {
             core,
             ffbc: FbcFunc::new(n, FBC_DELTA, FBC_ALPHA, fbc_tags),
-            sim: SimFbc::new(q, party_rngs, ubc_tags),
+            sim: SimFbc::new(q, party_rngs, UbcFunc::new(n, ubc_tags)),
             wrapper: QueryWrapper::new(q),
             ro_star: RandomOracle::new(ro_star_rng),
             ro: RandomOracle::new(ro_rng),
         }
     }
 
-    /// Whether the simulator hit a paper-abort event.
-    pub fn simulator_would_abort(&self) -> bool {
-        self.sim.would_abort()
-    }
-
     fn run_corrupted_steps(&mut self) {
         let now = self.core.clock.read();
         let corrupted: Vec<PartyId> = self.core.corr.corrupted().collect();
-        let mut leaks = Vec::new();
-        let mut scratch = Vec::new();
         for c in corrupted {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut scratch,
-                corr: &mut self.core.corr,
-            };
             self.sim.corrupted_step(
                 c,
                 now,
@@ -548,11 +502,9 @@ impl IdealFbcWorld {
                 &mut self.wrapper,
                 &mut self.ro_star,
                 &mut self.ro,
-                &mut ctx,
-                &mut leaks,
+                &mut self.core,
             );
         }
-        self.core.leaks.extend(leaks);
     }
 }
 
@@ -567,17 +519,10 @@ impl World for IdealFbcWorld {
 
     fn input(&mut self, party: PartyId, cmd: Command) {
         if cmd.name == "Broadcast" && !self.core.corr.is_corrupted(party) {
-            let mut scratch = Vec::new();
-            let tag = {
-                let mut ctx = sbc_uc::hybrid::HybridCtx {
-                    clock: &mut self.core.clock,
-                    rng: &mut self.core.rng,
-                    leaks: &mut scratch,
-                    corr: &mut self.core.corr,
-                };
-                self.ffbc.broadcast(party, cmd.value, &mut ctx)
-            };
             // F_FBC's (tag, sender) leak is addressed to the simulator.
+            let mut to_sim = Vec::new();
+            let mut ctx = self.core.ctx_leaking_to(&mut to_sim);
+            let tag = self.ffbc.broadcast(party, cmd.value, &mut ctx);
             self.sim.on_broadcast_leak(tag, party);
         }
     }
@@ -589,26 +534,13 @@ impl World for IdealFbcWorld {
         if is_last_honest_advance(&self.core, party) {
             self.run_corrupted_steps();
         }
-        let now = self.core.clock.read();
-        let mut leaks = Vec::new();
-        {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut Vec::new(),
-                corr: &mut self.core.corr,
-            };
-            self.sim.honest_advance(
-                party,
-                now,
-                &mut self.ffbc,
-                &mut self.ro_star,
-                &mut self.ro,
-                &mut ctx,
-                &mut leaks,
-            );
-        }
-        self.core.leaks.extend(leaks);
+        self.sim.honest_advance(
+            party,
+            &mut self.ffbc,
+            &mut self.ro_star,
+            &mut self.ro,
+            &mut self.core,
+        );
         let ds = {
             let mut ctx = self.core.ctx();
             self.ffbc.advance_clock(party, &mut ctx)
@@ -646,25 +578,14 @@ impl World for IdealFbcWorld {
                 if !self.core.corr.is_corrupted(party) {
                     return Value::Unit;
                 }
-                let mut leaks = Vec::new();
-                {
-                    let mut ctx = sbc_uc::hybrid::HybridCtx {
-                        clock: &mut self.core.clock,
-                        rng: &mut self.core.rng,
-                        leaks: &mut Vec::new(),
-                        corr: &mut self.core.corr,
-                    };
-                    self.sim.on_injection(
-                        party,
-                        &cmd.value,
-                        &mut self.ffbc,
-                        &mut self.ro_star,
-                        &mut self.ro,
-                        &mut ctx,
-                        &mut leaks,
-                    );
-                }
-                self.core.leaks.extend(leaks);
+                self.sim.on_injection(
+                    party,
+                    cmd.value,
+                    &mut self.ffbc,
+                    &mut self.ro_star,
+                    &mut self.ro,
+                    &mut self.core,
+                );
                 Value::Unit
             }
             AdvCommand::Control { target, cmd } => {

@@ -24,7 +24,8 @@ pub struct UbcFunc {
     /// Round of each party's last processed `Advance_Clock`.
     last_advance: HashMap<PartyId, u64>,
     /// Dedicated tag stream (forked per functionality so that a simulator
-    /// mirroring this functionality reproduces identical tags).
+    /// running this functionality on the same fork reproduces identical
+    /// tags).
     tag_rng: Drbg,
 }
 

@@ -4,11 +4,14 @@
 //!   `F_UBC`, the ideal `F_TLE(leak, delay)`, `F_RO` and `G_clock` —
 //!   exactly Theorem 2's hybrid model.
 //! * [`IdealSbcWorld`] — dummy parties talk to `F_SBC(Φ, ∆, α)` with
-//!   `α = max(leak(Cl) − Cl) + 1`; the simulator [`SimSbc`] is the one in
-//!   the body of the paper's Theorem 2 proof: it simulates the wake-up,
-//!   fabricates `(c, τ_rel, y)` wires without ever seeing honest plaintexts
-//!   (random `y`, functionality-shaped `c`), answers the adversary's
-//!   `F_TLE` leakage queries from its mirror, and — upon receiving the
+//!   `α = max(leak(Cl) − Cl) + 1`, and the simulator [`SimSbc`] of the
+//!   Theorem 2 proof shows the adversary the hybrid model. What it **runs**
+//!   is the same [`SbcHost`] the real world runs — `F_UBC`, `F_TLE`, `F_RO`
+//!   and the adversary's control interface to them, so every hybrid leak,
+//!   tag and `Leakage` answer comes out of the functionalities themselves.
+//!   What it **simulates** is the honest parties' data, which it never
+//!   sees: per broadcast it knows `|M|` only, so it encrypts its own `ρ`,
+//!   casts `(c, τ_rel, y)` with a random `y`, and — upon receiving the
 //!   broadcast list at `t_end + ∆ − α` — equivocates `F_RO` so that every
 //!   `y` opens to the right message.
 //!
@@ -19,9 +22,9 @@
 use crate::error::SbcError;
 use crate::func::SbcFunc;
 use crate::protocol::{parse_sbc_wire, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty};
-use sbc_broadcast::ubc::func::{UbcFunc, UBC_SOURCE};
+use sbc_broadcast::ubc::func::UbcFunc;
 use sbc_primitives::drbg::Drbg;
-use sbc_tle::func::{DecResponse, TleFunc, TLE_SOURCE};
+use sbc_tle::func::{DecResponse, TleFunc};
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
@@ -101,23 +104,10 @@ impl SbcParams {
     }
 }
 
-/// The labelled randomness streams every Theorem 2 backend forks off the
-/// experiment seed, in a fixed order. Forking mutates the parent stream,
-/// so a backend must fork *all* of them in exactly this order even when it
-/// discards some — [`SbcHost::new`] (the real functionalities, in-process
-/// or networked) discards the `F_SBC` tag and equivocation streams,
-/// [`IdealSbcWorld`] uses them. Every backend's functionalities and
-/// parties therefore draw bit-identical randomness from the same seed,
-/// which is what makes `CompareLevel::Exact` comparison between backends
-/// possible at all.
-struct WorldStreams {
-    /// `F_RO` answer stream.
-    ro: Drbg,
-    /// `F_UBC` broadcast-tag stream.
-    ubc_tags: Drbg,
-    /// `F_TLE` ciphertext-tag stream (the fill stream is forked off it
-    /// inside `TleFunc::new`).
-    tle_tags: Drbg,
+/// The streams [`SbcHost::fork`] forks for whoever sits next to the host.
+/// The real worlds build their parties from `parties` and drop the rest;
+/// [`IdealSbcWorld`] uses all three.
+struct SideStreams {
     /// `F_SBC` tag stream (ideal world only).
     sbc_tags: Drbg,
     /// Per-party `ρ` streams, party-id order.
@@ -126,47 +116,18 @@ struct WorldStreams {
     equiv: Drbg,
 }
 
-/// Forks the canonical [`WorldStreams`] off a world core's seed stream.
-fn fork_world_streams(core: &mut WorldCore) -> WorldStreams {
-    let ro = core.rng.fork(b"ro/fro");
-    let ubc_tags = core.rng.fork(b"tags/F_UBC");
-    let tle_tags = core.rng.fork(b"tags/F_TLE");
-    let sbc_tags = core.rng.fork(b"tags/F_SBC");
-    let parties = (0..core.n())
-        .map(|i| core.rng.fork(format!("party/{i}").as_bytes()))
-        .collect();
-    let equiv = core.rng.fork(b"sim/equiv");
-    WorldStreams {
-        ro,
-        ubc_tags,
-        tle_tags,
-        sbc_tags,
-        parties,
-        equiv,
-    }
-}
-
-fn leakage_response(records: &[(Value, Option<Value>, u64)]) -> Value {
-    Value::List(
-        records
-            .iter()
-            .map(|(m, c, t)| {
-                Value::list([m.clone(), c.clone().unwrap_or(Value::Unit), Value::U64(*t)])
-            })
-            .collect(),
-    )
-}
-
 /// The hybrid functionalities of Theorem 2's real world as one owned
 /// bundle: `G_clock`, the corruption set and the leak/output buffers (in
 /// [`core`](SbcHost::core)), `F_UBC`, `F_TLE` and `F_RO`.
 ///
 /// Every real-functionality backend holds one of these next to its
-/// `Vec<SbcParty>`. The parties reach it only through [`SbcHybrid`] —
+/// `Vec<SbcParty>`, and [`IdealSbcWorld`] holds one for its simulator to
+/// run. The parties reach it only through [`SbcHybrid`] —
 /// [`RealSbcWorld`] by handing the host itself to the party (a direct,
 /// statically dispatched call), the networked world by decoding each
-/// request frame and calling the same six methods — so the functionalities
-/// are touched identically whoever drives the party. The adversary's
+/// request frame and calling the same six methods, [`SimSbc`] by making
+/// the calls its simulated parties would — so the functionalities are
+/// touched identically whoever drives them. The adversary's
 /// functionality-control interface, the period turnover and the idle check
 /// live here for the same reason.
 #[derive(Debug)]
@@ -179,13 +140,44 @@ pub struct SbcHost {
 }
 
 impl SbcHost {
+    /// Forks the labelled randomness streams every Theorem 2 backend draws
+    /// from off `seed`, in one fixed order, and builds the functionalities
+    /// from theirs. Forking mutates the parent stream, so all of them are
+    /// forked here even for a backend that discards some: every backend's
+    /// functionalities and parties then draw bit-identical randomness from
+    /// the same seed, which is what makes `CompareLevel::Exact` comparison
+    /// between backends possible at all.
+    fn fork(params: SbcParams, seed: &[u8]) -> (SbcHost, SideStreams) {
+        let mut core = WorldCore::new(params.n, seed);
+        let ro = core.rng.fork(b"ro/fro");
+        let ubc_tags = core.rng.fork(b"tags/F_UBC");
+        // The `F_TLE` fill stream is forked off this one in `TleFunc::new`.
+        let tle_tags = core.rng.fork(b"tags/F_TLE");
+        let sbc_tags = core.rng.fork(b"tags/F_SBC");
+        let parties = (0..params.n)
+            .map(|i| core.rng.fork(format!("party/{i}").as_bytes()))
+            .collect();
+        let equiv = core.rng.fork(b"sim/equiv");
+        let host = SbcHost {
+            core,
+            ubc: UbcFunc::new(params.n, ubc_tags),
+            ftle: TleFunc::new(params.tle_alpha, params.tle_delay, tle_tags),
+            ro: RandomOracle::new(ro),
+        };
+        let side = SideStreams {
+            sbc_tags,
+            parties,
+            equiv,
+        };
+        (host, side)
+    }
+
     /// Creates the functionalities and the `n` parties of one experiment,
     /// forking every labelled stream off `seed` in the canonical order.
     /// `params` must already be [validated](SbcParams::validate).
     pub fn new(params: SbcParams, seed: &[u8]) -> (SbcHost, Vec<SbcParty>) {
-        let mut core = WorldCore::new(params.n, seed);
-        let streams = fork_world_streams(&mut core);
-        let parties = streams
+        let (host, side) = SbcHost::fork(params, seed);
+        let parties = side
             .parties
             .into_iter()
             .enumerate()
@@ -199,12 +191,6 @@ impl SbcHost {
                 )
             })
             .collect();
-        let host = SbcHost {
-            core,
-            ubc: UbcFunc::new(params.n, streams.ubc_tags),
-            ftle: TleFunc::new(params.tle_alpha, params.tle_delay, streams.tle_tags),
-            ro: RandomOracle::new(streams.ro),
-        };
         (host, parties)
     }
 
@@ -239,15 +225,13 @@ impl SbcHost {
                 self.ftle.insert_adversarial(ct.clone(), msg.clone(), tau);
                 Value::Bool(true)
             }
-            ("F_TLE", "Leakage", _) => {
-                let recs = self.ftle.leakage(&self.core.ctx());
-                leakage_response(
-                    &recs
-                        .into_iter()
-                        .map(|r| (r.msg, r.ct, r.tau))
-                        .collect::<Vec<_>>(),
-                )
-            }
+            ("F_TLE", "Leakage", _) => Value::List(
+                self.ftle
+                    .leakage(&self.core.ctx())
+                    .into_iter()
+                    .map(|r| Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)]))
+                    .collect(),
+            ),
             ("F_RO", "QueryBytes", [x, len]) => match (x.as_bytes(), len.as_u64()) {
                 (Some(x), Some(len)) => {
                     Value::Bytes(self.ro.query_bytes(Caller::Adversary, x, len as usize))
@@ -623,70 +607,54 @@ impl SbcBackend for RealSbcWorld {
     }
 }
 
-/// A simulated pending broadcast in `S_SBC`'s shadow state.
+/// One honest broadcast as `S_SBC` holds it: what the simulated sender
+/// holds for it, minus the message — `F_SBC` leaks only `|M|`.
 #[derive(Clone, Debug)]
 struct SimEntry {
     sbc_tag: Tag,
     msg_len: usize,
     rho: Vec<u8>,
-    ct: Option<Value>,
+    /// The fabricated mask, set once the wire is cast.
     y: Option<Vec<u8>>,
-    enc_round: Option<u64>,
-    broadcast: bool,
-}
-
-/// An adversarially inserted `F_TLE` record in the mirror.
-#[derive(Clone, Debug)]
-struct SimInsert {
-    ct: Value,
-    rho: Value,
-    tau: u64,
 }
 
 /// The simulator `S_SBC` from the proof of Theorem 2.
+///
+/// It **runs** the hybrids — every method takes the world's [`SbcHost`]
+/// and makes the `F_UBC` / `F_TLE` calls a `Π_SBC` party would make, in
+/// the order [`RealSbcWorld`] makes them, so what the adversary sees of
+/// the hybrid model is produced by the functionalities, not transcribed.
+/// It **simulates** the honest parties, hand-written here on purpose (no
+/// [`SbcParty`]: a party bug must not cancel across the two worlds): their
+/// queues, wake-up flags, agreed period times, replay guard and `ρ` draws.
+/// The one thing it cannot compute is `y = M ⊕ H(ρ)`; it casts a random
+/// `y` from its equivocation stream and programs `F_RO` when `F_SBC`
+/// hands over the messages.
 #[derive(Debug)]
 pub struct SimSbc {
     params: SbcParams,
     party_rngs: Vec<Drbg>,
-    ubc_tag_rng: Drbg,
-    tle_tag_rng: Drbg,
-    tle_fill_rng: Drbg,
     equiv_rng: Drbg,
     queues: Vec<Vec<SimEntry>>,
-    wakeup_pending: Vec<bool>,
     wakeup_sent: Vec<bool>,
+    last_advance: Vec<Option<u64>>,
     t_awake: Option<u64>,
-    inserts: Vec<SimInsert>,
     seen_wires: Vec<(Value, Vec<u8>)>,
-    programmed: bool,
     would_abort: bool,
 }
 
 impl SimSbc {
-    fn new(
-        params: SbcParams,
-        party_rngs: Vec<Drbg>,
-        ubc_tag_rng: Drbg,
-        mut tle_tag_rng: Drbg,
-        equiv_rng: Drbg,
-    ) -> Self {
+    fn new(params: SbcParams, party_rngs: Vec<Drbg>, equiv_rng: Drbg) -> Self {
         let n = params.n;
-        // Mirror F_TLE's internal fill fork (same derivation as TleFunc).
-        let tle_fill_rng = tle_tag_rng.fork(b"fill");
         SimSbc {
             params,
             party_rngs,
-            ubc_tag_rng,
-            tle_tag_rng,
-            tle_fill_rng,
             equiv_rng,
             queues: vec![Vec::new(); n],
-            wakeup_pending: vec![false; n],
             wakeup_sent: vec![false; n],
+            last_advance: vec![None; n],
             t_awake: None,
-            inserts: Vec::new(),
             seen_wires: Vec::new(),
-            programmed: false,
             would_abort: false,
         }
     }
@@ -699,275 +667,176 @@ impl SimSbc {
         self.t_end().map(|t| t + self.params.delta)
     }
 
-    fn mirror_tle_enc_leak(
-        &mut self,
-        party: PartyId,
-        now: u64,
-        entry_idx: usize,
-        leaks_out: &mut Vec<Leak>,
-    ) {
-        let tau_rel = self.tau_rel().expect("awake");
-        // Mirror the party's ρ draw and F_TLE's tag draw + Enc leak.
-        let rho = self.party_rngs[party.index()].gen_bytes(32);
-        let tle_tag = Tag::random(&mut self.tle_tag_rng);
-        let entry = &mut self.queues[party.index()][entry_idx];
-        entry.rho = rho.clone();
-        entry.enc_round = Some(now);
-        let rho_len = Value::bytes(&rho).encode().len();
-        leaks_out.push(Leak {
-            source: TLE_SOURCE.into(),
-            cmd: Command::new(
-                "Enc",
-                Value::list([
-                    Value::U64(tau_rel),
-                    Value::bytes(tle_tag.as_bytes()),
-                    Value::U64(now),
-                    Value::U64(rho_len as u64),
-                    Value::U64(party.0 as u64),
-                ]),
-            ),
-        });
-    }
-
-    /// Handles an `F_SBC` `(Sender, tag, 0^|M|, P)` leak.
-    fn on_sender_leak(
-        &mut self,
-        party: PartyId,
-        tag: Tag,
-        msg_len: usize,
-        now: u64,
-        leaks_out: &mut Vec<Leak>,
-    ) {
-        self.queues[party.index()].push(SimEntry {
+    /// An `F_SBC` `(Sender, tag, 0^|M|, P)` leak: the simulated `party`
+    /// takes a `Broadcast` input of that length.
+    fn on_sender_leak(&mut self, party: PartyId, tag: Tag, msg_len: usize, host: &mut SbcHost) {
+        let i = party.index();
+        if self
+            .t_end()
+            .is_some_and(|end| host.now() + self.params.tle_delay >= end)
+        {
+            return; // cannot be ready before the period closes
+        }
+        let rho = self.party_rngs[i].gen_bytes(32);
+        match self.tau_rel() {
+            Some(tau_rel) => host.tle_enc(party, Value::bytes(&rho), tau_rel),
+            None if !self.wakeup_sent[i] => {
+                self.wakeup_sent[i] = true;
+                host.ubc_broadcast(party, wake_up());
+            }
+            None => {}
+        }
+        self.queues[i].push(SimEntry {
             sbc_tag: tag,
             msg_len,
-            rho: Vec::new(),
-            ct: None,
+            rho,
             y: None,
-            enc_round: None,
-            broadcast: false,
         });
-        let idx = self.queues[party.index()].len() - 1;
-        if self.t_awake.is_none() {
-            // Asleep: simulate the Wake_Up unfair broadcast (once per party).
-            if !self.wakeup_sent[party.index()] {
-                self.wakeup_sent[party.index()] = true;
-                self.wakeup_pending[party.index()] = true;
-                let ubc_tag = Tag::random(&mut self.ubc_tag_rng);
-                leaks_out.push(Leak {
-                    source: UBC_SOURCE.into(),
-                    cmd: Command::new(
-                        "Broadcast",
-                        Value::list([
-                            Value::bytes(ubc_tag.as_bytes()),
-                            wake_up(),
-                            Value::U64(party.0 as u64),
-                        ]),
-                    ),
-                });
-                // Mirror the tag the real F_UBC would burn for this pending
-                // wake-up (emitted again at flush): remember it.
-                self.queues[party.index()][idx].y = None;
-            }
-        } else {
-            self.mirror_tle_enc_leak(party, now, idx, leaks_out);
+    }
+
+    /// The simulated `party`'s round step, then its `F_UBC` flush and the
+    /// delivery of what was flushed.
+    fn on_advance(&mut self, party: PartyId, host: &mut SbcHost) {
+        self.cast_ready(party, host);
+        for msg in host.take_flush(party) {
+            self.on_ubc_deliver(&msg, host);
         }
     }
 
-    /// Simulates a party's round step.
-    fn on_advance(
-        &mut self,
-        party: PartyId,
-        now: u64,
-        ro: &mut RandomOracle,
-        sbc_list: Option<&[(Tag, Value)]>,
-        leaks_out: &mut Vec<Leak>,
-    ) {
-        // Wake-up flush when this party advances with a pending wake-up.
-        if self.wakeup_pending[party.index()] {
-            self.wakeup_pending[party.index()] = false;
-            let first_flush = self.t_awake.is_none();
-            // Flush leak mirrors F_UBC's (with the same tag it used at
-            // broadcast time — regenerating from the same stream order).
-            let ubc_tag = Tag::random(&mut self.ubc_tag_rng);
-            leaks_out.push(Leak {
-                source: UBC_SOURCE.into(),
-                cmd: Command::new(
-                    "Broadcast",
-                    Value::list([
-                        Value::bytes(ubc_tag.as_bytes()),
-                        wake_up(),
-                        Value::U64(party.0 as u64),
-                    ]),
-                ),
-            });
-            if first_flush {
-                self.t_awake = Some(now);
-                // Deferred encryptions: every party's queued entries, in
-                // delivery order P0..Pn-1 (F_UBC delivers to all).
-                for i in 0..self.params.n {
-                    let pending: Vec<usize> = (0..self.queues[i].len())
-                        .filter(|&k| self.queues[i][k].enc_round.is_none())
-                        .collect();
-                    for k in pending {
-                        self.mirror_tle_enc_leak(PartyId(i as u32), now, k, leaks_out);
-                    }
-                }
-            }
+    /// The round step proper, once per round and inside the period: cast
+    /// every ciphertext that became ready, under a random mask.
+    fn cast_ready(&mut self, party: PartyId, host: &mut SbcHost) {
+        let (now, i) = (host.now(), party.index());
+        if self.last_advance[i].replace(now) == Some(now) {
+            return;
         }
-        let (Some(awake), Some(end), Some(tau_rel)) = (self.t_awake, self.t_end(), self.tau_rel())
-        else {
+        let (Some(end), Some(tau_rel)) = (self.t_end(), self.tau_rel()) else {
             return;
         };
-        let _ = tau_rel;
-        if awake <= now && now < end {
-            // Mirror F_TLE.retrieve's lazy ciphertext fill (global record
-            // order = queue insertion order per owner) and the UBC
-            // broadcast + flush of ready wires.
-            let mut input_leaks = Vec::new();
-            for k in 0..self.queues[party.index()].len() {
-                let (ready, needs_fill) = {
-                    let e = &self.queues[party.index()][k];
-                    match e.enc_round {
-                        Some(r) if !e.broadcast && now >= r + self.params.tle_delay => {
-                            (true, e.ct.is_none())
-                        }
-                        _ => (false, e.ct.is_none()),
+        if now >= end {
+            return;
+        }
+        for (rho, ct, _tau) in host.tle_retrieve(party) {
+            let Some(entry) = self.queues[i]
+                .iter_mut()
+                .find(|e| rho.as_bytes() == Some(&e.rho[..]) && e.y.is_none())
+            else {
+                continue;
+            };
+            let y = self.equiv_rng.gen_bytes(entry.msg_len);
+            host.ubc_broadcast(party, sbc_wire(&ct, tau_rel, &y));
+            entry.y = Some(y);
+        }
+    }
+
+    /// An `F_UBC` delivery, as every simulated recipient handles it at
+    /// once (they all see the same broadcasts in the same order). A
+    /// `Wake_Up` opens the period: every party encrypts what it queued
+    /// asleep, in delivery order. A `(c, τ_rel, y)` wire is returned if the
+    /// recipients record it — in period and not a replay.
+    fn on_ubc_deliver(&mut self, msg: &Value, host: &mut SbcHost) -> Option<(Value, Vec<u8>)> {
+        let now = host.now();
+        if *msg == wake_up() {
+            if self.t_awake.is_none() {
+                self.t_awake = Some(now);
+                let tau_rel = now + self.params.phi + self.params.delta;
+                for (i, queue) in self.queues.iter().enumerate() {
+                    for e in queue {
+                        host.tle_enc(PartyId(i as u32), Value::bytes(&e.rho), tau_rel);
                     }
-                };
-                // F_TLE fills every retrieved-eligible record, broadcast or
-                // not — mirror the fill for all eligible ones.
-                let eligible = {
-                    let e = &self.queues[party.index()][k];
-                    matches!(e.enc_round, Some(r) if now >= r + self.params.tle_delay)
-                };
-                if eligible && needs_fill {
-                    self.queues[party.index()][k].ct =
-                        Some(Value::bytes(self.tle_fill_rng.gen_bytes(64)));
-                }
-                if ready {
-                    let (ct, y) = {
-                        let e = &mut self.queues[party.index()][k];
-                        e.broadcast = true;
-                        let y = self.equiv_rng.gen_bytes(e.msg_len);
-                        e.y = Some(y.clone());
-                        (e.ct.clone().expect("filled"), y)
-                    };
-                    let wire = sbc_wire(&ct, self.tau_rel().expect("awake"), &y);
-                    self.seen_wires.push((ct, y.clone()));
-                    let ubc_tag = Tag::random(&mut self.ubc_tag_rng);
-                    input_leaks.push(Leak {
-                        source: UBC_SOURCE.into(),
-                        cmd: Command::new(
-                            "Broadcast",
-                            Value::list([
-                                Value::bytes(ubc_tag.as_bytes()),
-                                wire,
-                                Value::U64(party.0 as u64),
-                            ]),
-                        ),
-                    });
                 }
             }
-            let flush = input_leaks.clone();
-            leaks_out.extend(input_leaks);
-            leaks_out.extend(flush);
+            return None;
         }
-        // Equivocation: once the functionality hands over the broadcast
-        // list (at t_end + ∆ − α), program F_RO so every fabricated y opens
-        // to its real message.
-        if let Some(list) = sbc_list {
-            if !self.programmed {
-                self.programmed = true;
-                for (tag, msg) in list {
-                    let entry = self
-                        .queues
-                        .iter()
-                        .flatten()
-                        .find(|e| e.sbc_tag == *tag && e.y.is_some());
-                    let Some(entry) = entry else { continue };
-                    let y = entry.y.as_ref().expect("broadcast entries have y");
-                    let m_bytes = msg.encode();
-                    if m_bytes.len() != y.len() {
-                        continue;
-                    }
-                    let eta: Vec<u8> = y.iter().zip(m_bytes.iter()).map(|(a, b)| a ^ b).collect();
-                    if ro.adversary_queried_bytes(&entry.rho, eta.len()) {
-                        self.would_abort = true;
-                    }
-                    if ro.program_bytes(&entry.rho, eta).is_err() {
-                        self.would_abort = true;
-                    }
-                }
+        let (ct, tau, y) = parse_sbc_wire(msg)?;
+        let in_period = self.tau_rel() == Some(tau) && self.t_end().is_some_and(|end| now < end);
+        if !in_period || self.seen_wires.iter().any(|(c, yy)| *c == ct || *yy == y) {
+            return None;
+        }
+        self.seen_wires.push((ct.clone(), y.clone()));
+        Some((ct, y))
+    }
+
+    /// Delivers a corrupted sender's broadcast and, if it is a wire the
+    /// recipients record, extracts the message it commits them to output:
+    /// `y ⊕ H(ρ)` for the `ρ` that `F_TLE` will answer their `Dec` of `c`
+    /// with at `τ_rel`. `None` if they will output nothing for it.
+    fn on_corrupted_deliver(&mut self, msg: &Value, host: &mut SbcHost) -> Option<Value> {
+        let (ct, y) = self.on_ubc_deliver(msg, host)?;
+        let tau_rel = self.tau_rel()?;
+        let Some(DecResponse::Message(rho)) =
+            host.ftle
+                .dec_peek_encoded(&ct.encode(), tau_rel as i64, tau_rel)
+        else {
+            return None;
+        };
+        let eta = host
+            .ro
+            .query_bytes(Caller::Simulator, rho.as_bytes()?, y.len());
+        let m_bytes: Vec<u8> = y.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
+        Some(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)))
+    }
+
+    /// Equivocation: `F_SBC` hands over the broadcast list (at
+    /// `t_end + ∆ − α`, once per period) as `(tag, M)` pairs; program
+    /// `F_RO` so every fabricated `y` opens to its real message.
+    fn equivocate(&mut self, list: &[Value], ro: &mut RandomOracle) {
+        for pair in list {
+            let Some([tag, msg]) = pair.as_list() else {
+                continue;
+            };
+            let tag = tag.as_bytes().and_then(Tag::from_bytes);
+            let mut entries = self.queues.iter().flatten();
+            let Some(entry) = entries.find(|e| Some(e.sbc_tag) == tag) else {
+                continue;
+            };
+            let Some(y) = &entry.y else {
+                continue; // never cast: nothing to open
+            };
+            let m_bytes = msg.encode();
+            if m_bytes.len() != y.len() {
+                continue;
+            }
+            let eta: Vec<u8> = y.iter().zip(m_bytes.iter()).map(|(a, b)| a ^ b).collect();
+            if ro.adversary_queried_bytes(&entry.rho, eta.len()) {
+                self.would_abort = true;
+            }
+            if ro.program_bytes(&entry.rho, eta).is_err() {
+                self.would_abort = true;
             }
         }
     }
 
-    /// Mirrors the `F_TLE` leakage interface from the shadow records.
-    fn tle_leakage(&mut self, now: u64) -> Value {
-        let horizon = now + self.params.tle_alpha;
-        let mut recs: Vec<(Value, Option<Value>, u64)> = Vec::new();
-        let tau_rel = self.tau_rel();
-        for q in &self.queues {
-            for e in q {
-                if e.enc_round.is_none() {
-                    continue;
-                }
-                let tau = tau_rel.expect("encrypted implies awake");
-                if tau <= horizon {
-                    recs.push((Value::bytes(&e.rho), e.ct.clone(), tau));
-                }
-            }
-        }
-        for ins in &self.inserts {
-            if ins.tau <= horizon {
-                recs.push((ins.rho.clone(), Some(ins.ct.clone()), ins.tau));
-            }
-        }
-        leakage_response(&recs)
-    }
-
-    /// Forgets the closed broadcast period — the simulator-side mirror of
-    /// [`SbcParty::reset_period`] plus the `F_UBC`/`F_TLE` pruning of the
-    /// real world's period turnover: shadow queues, wake-up flags, agreed
-    /// times, adversarial inserts and replay-guard wires are dropped. The
-    /// mirrored randomness streams carry over (exactly like the real
-    /// parties' and functionalities' streams do), and the sticky
-    /// `would_abort` flag survives: an abort event in any epoch taints the
-    /// whole execution.
+    /// Forgets the closed broadcast period — the simulated parties'
+    /// [`SbcParty::reset_period`]: queues, wake-up flags, agreed times and
+    /// the replay guard are dropped. The randomness streams and the round
+    /// guard carry over, and the sticky `would_abort` flag survives: an
+    /// abort event in any epoch taints the whole execution.
     fn begin_new_period(&mut self) {
         for q in &mut self.queues {
             q.clear();
         }
-        self.wakeup_pending.iter_mut().for_each(|w| *w = false);
         self.wakeup_sent.iter_mut().for_each(|w| *w = false);
         self.t_awake = None;
-        self.inserts.clear();
         self.seen_wires.clear();
-        self.programmed = false;
     }
 
-    /// Whether the simulator holds no period state: asleep, no shadow
-    /// queues, no pending wake-up flushes. The ideal-world counterpart of
-    /// [`SbcParty::is_idle`] — a simulated idle round then draws no
-    /// randomness and emits no leaks, which is what licenses the O(1)
-    /// `join_at` fast path.
+    /// Whether the simulated parties hold no period state: asleep with
+    /// empty queues. The ideal-world counterpart of [`SbcParty::is_idle`] —
+    /// with the host idle too, a simulated round draws no randomness and
+    /// emits no leaks, which is what licenses the O(1) `join_at` fast path.
     fn is_idle(&self) -> bool {
-        self.t_awake.is_none()
-            && self.queues.iter().all(|q| q.is_empty())
-            && !self.wakeup_pending.iter().any(|w| *w)
+        self.t_awake.is_none() && self.queues.iter().all(|q| q.is_empty())
     }
 }
 
-/// The ideal world: `F_SBC(Φ, ∆, α)` + `S_SBC`.
+/// The ideal world: `F_SBC(Φ, ∆, α)` + `S_SBC`, the latter running the
+/// hybrids in `host`.
 #[derive(Debug)]
 pub struct IdealSbcWorld {
-    core: WorldCore,
+    host: SbcHost,
     fsbc: SbcFunc,
     sim: SimSbc,
-    ro: RandomOracle,
-    /// The broadcast list received from `F_SBC` at `t_end + ∆ − α`.
-    sbc_list: Option<Vec<(Tag, Value)>>,
 }
 
 impl IdealSbcWorld {
@@ -978,264 +847,129 @@ impl IdealSbcWorld {
     /// Panics if the parameters violate Theorem 2's constraints.
     pub fn new(params: SbcParams, seed: &[u8]) -> Self {
         params.validate().expect("invalid SBC parameters");
-        let mut core = WorldCore::new(params.n, seed);
-        let s = fork_world_streams(&mut core);
+        let (host, side) = SbcHost::fork(params, seed);
         IdealSbcWorld {
+            host,
             fsbc: SbcFunc::new(
                 params.n,
                 params.phi,
                 params.delta,
                 params.sbc_alpha(),
-                s.sbc_tags,
+                side.sbc_tags,
             ),
-            sim: SimSbc::new(params, s.parties, s.ubc_tags, s.tle_tags, s.equiv),
-            ro: RandomOracle::new(s.ro),
-            core,
-            sbc_list: None,
+            sim: SimSbc::new(params, side.parties, side.equiv),
         }
-    }
-
-    /// Whether the simulator hit an equivocation-abort event.
-    pub fn simulator_would_abort(&self) -> bool {
-        self.sim.would_abort
     }
 }
 
 impl World for IdealSbcWorld {
     fn n(&self) -> usize {
-        self.core.n()
+        self.host.core.n()
     }
 
     fn time(&self) -> u64 {
-        self.core.clock.read()
+        self.host.core.clock.read()
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
             return;
         }
         let msg_len = cmd.value.encode().len();
-        let now = self.core.clock.read();
-        let mut scratch = Vec::new();
-        let tag = {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut scratch,
-                corr: &mut self.core.corr,
-            };
-            self.fsbc.broadcast(party, cmd.value, &mut ctx)
-        };
-        if let Some(tag) = tag {
-            let mut leaks = Vec::new();
-            self.sim
-                .on_sender_leak(party, tag, msg_len, now, &mut leaks);
-            self.core.leaks.extend(leaks);
+        // F_SBC's (Sender, tag, |M|, P) leak is addressed to the simulator,
+        // not the environment; the tag is all of it the simulator lacks.
+        let mut to_sim = Vec::new();
+        let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
+        if let Some(tag) = self.fsbc.broadcast(party, cmd.value, &mut ctx) {
+            self.sim.on_sender_leak(party, tag, msg_len, &mut self.host);
         }
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if self.host.core.corr.is_corrupted(party) {
             return;
         }
-        let now = self.core.clock.read();
-        // F_SBC's once-per-round steps + delivery; its leak (the broadcast
-        // list) goes to the simulator, not the environment.
-        let mut scratch = Vec::new();
-        let ds = {
-            let mut ctx = sbc_uc::hybrid::HybridCtx {
-                clock: &mut self.core.clock,
-                rng: &mut self.core.rng,
-                leaks: &mut scratch,
-                corr: &mut self.core.corr,
-            };
-            self.fsbc.advance_clock(party, &mut ctx)
-        };
-        for leak in scratch {
-            if let Some(items) = leak.cmd.value.as_list() {
-                let list: Vec<(Tag, Value)> = items
-                    .iter()
-                    .filter_map(|pair| {
-                        let p = pair.as_list()?;
-                        Some((Tag::from_bytes(p[0].as_bytes()?)?, p[1].clone()))
-                    })
-                    .collect();
-                self.sbc_list = Some(list);
-            }
+        // F_SBC's once-per-round steps + delivery; its one leak here is
+        // the broadcast list.
+        let mut to_sim = Vec::new();
+        let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
+        let ds = self.fsbc.advance_clock(party, &mut ctx);
+        for leak in to_sim {
+            let list = leak.cmd.value.as_list().unwrap_or(&[]);
+            self.sim.equivocate(list, &mut self.host.ro);
         }
-        let mut leaks = Vec::new();
-        self.sim.on_advance(
-            party,
-            now,
-            &mut self.ro,
-            self.sbc_list.as_deref(),
-            &mut leaks,
-        );
-        self.core.leaks.extend(leaks);
-        self.core.push_outputs(ds);
-        self.core.clock.advance_party(party);
+        self.sim.on_advance(party, &mut self.host);
+        self.host.core.push_outputs(ds);
+        self.host.core.clock.advance_party(party);
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
-        let now = self.core.clock.read();
         match cmd {
             AdvCommand::Corrupt(p) => {
-                if !self.core.corrupt(p) {
+                if !self.host.core.corrupt(p) {
                     return Value::Bool(false);
                 }
                 // Corruption_Request: the unbroadcast pending messages.
-                let recs = {
-                    let ctx = self.core.ctx();
-                    self.fsbc.corruption_request(&ctx)
+                let recs = self.fsbc.corruption_request(&self.host.core.ctx());
+                let msg_of = |e: &SimEntry| {
+                    recs.iter()
+                        .find(|r| r.tag == e.sbc_tag)
+                        .map(|r| r.msg.clone())
                 };
-                let msgs: Vec<Value> = self.sim.queues[p.index()]
+                let (cast, pending): (Vec<&SimEntry>, Vec<&SimEntry>) = self.sim.queues[p.index()]
                     .iter()
-                    .filter(|e| !e.broadcast)
-                    .filter_map(|e| {
-                        recs.iter()
-                            .find(|r| r.tag == e.sbc_tag)
-                            .map(|r| r.msg.clone())
-                    })
-                    .collect();
+                    .partition(|e| e.y.is_some());
                 // Already-broadcast records of the newly corrupted sender
                 // stay committed: the simulator re-`Allow`s them unchanged
                 // (their ciphertexts are already public in the real world).
-                let committed: Vec<(Tag, Value)> = self.sim.queues[p.index()]
-                    .iter()
-                    .filter(|e| e.broadcast)
-                    .filter_map(|e| {
-                        recs.iter()
-                            .find(|r| r.tag == e.sbc_tag)
-                            .map(|r| (r.tag, r.msg.clone()))
-                    })
-                    .collect();
-                for (tag, msg) in committed {
-                    let mut ctx = self.core.ctx();
-                    self.fsbc.allow(tag, msg, p, &mut ctx);
+                for e in cast {
+                    if let Some(msg) = msg_of(e) {
+                        let mut ctx = self.host.core.ctx();
+                        self.fsbc.allow(e.sbc_tag, msg, p, &mut ctx);
+                    }
                 }
-                Value::List(msgs)
+                Value::List(pending.into_iter().filter_map(msg_of).collect())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                if !self.core.corr.is_corrupted(party) {
-                    return Value::Unit;
-                }
-                // Mirror F_UBC's corrupted-broadcast leak.
-                self.core.leaks.push(Leak {
-                    source: UBC_SOURCE.into(),
-                    cmd: Command::new(
-                        "Broadcast",
-                        Value::pair(cmd.value.clone(), Value::U64(party.0 as u64)),
-                    ),
-                });
-                let Some((ct, tau, y)) = parse_sbc_wire(&cmd.value) else {
-                    return Value::Unit;
-                };
-                let Some(tau_rel) = self.sim.tau_rel() else {
-                    return Value::Unit;
-                };
-                let Some(end) = self.sim.t_end() else {
-                    return Value::Unit;
-                };
-                if tau != tau_rel || now >= end {
-                    return Value::Unit;
-                }
-                if self
-                    .sim
-                    .seen_wires
-                    .iter()
-                    .any(|(c, yy)| c == &ct || yy == &y)
-                {
-                    return Value::Unit; // replay: recipients ignore it
-                }
-                self.sim.seen_wires.push((ct.clone(), y.clone()));
-                // Extract the adversarial message from the mirror.
-                let Some(ins) = self.sim.inserts.iter().find(|i| i.ct == ct) else {
-                    return Value::Unit; // unknown ciphertext → ⊥ at τ_rel
-                };
-                let Some(rho) = ins.rho.as_bytes() else {
-                    return Value::Unit;
-                };
-                let eta = self.ro.query_bytes(Caller::Simulator, rho, y.len());
-                let m_bytes: Vec<u8> = y.iter().zip(eta.iter()).map(|(a, b)| a ^ b).collect();
-                let msg = Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes));
-                let mut scratch = Vec::new();
-                {
-                    let mut ctx = sbc_uc::hybrid::HybridCtx {
-                        clock: &mut self.core.clock,
-                        rng: &mut self.core.rng,
-                        leaks: &mut scratch,
-                        corr: &mut self.core.corr,
-                    };
-                    self.fsbc.broadcast(party, msg, &mut ctx);
+                if let Some(wire) = self.host.broadcast_corrupted(party, cmd.value) {
+                    if let Some(msg) = self.sim.on_corrupted_deliver(&wire, &mut self.host) {
+                        let mut to_sim = Vec::new();
+                        let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
+                        self.fsbc.broadcast(party, msg, &mut ctx);
+                    }
                 }
                 Value::Unit
             }
-            AdvCommand::Control { target, cmd } => match (target.as_str(), cmd.name.as_str()) {
-                ("F_TLE", "Insert") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 3 {
-                        if let (Some(_), Some(_), Some(tau)) =
-                            (items[0].as_bytes(), items[1].as_bytes(), items[2].as_u64())
-                        {
-                            self.sim.inserts.push(SimInsert {
-                                ct: items[0].clone(),
-                                rho: items[1].clone(),
-                                tau,
-                            });
-                            return Value::Bool(true);
-                        }
-                    }
-                    Value::Unit
-                }
-                ("F_TLE", "Leakage") => self.sim.tle_leakage(now),
-                ("F_RO", "QueryBytes") => {
-                    let Some(items) = cmd.value.as_list() else {
-                        return Value::Unit;
-                    };
-                    if items.len() == 2 {
-                        if let (Some(x), Some(len)) = (items[0].as_bytes(), items[1].as_u64()) {
-                            return Value::Bytes(self.ro.query_bytes(
-                                Caller::Adversary,
-                                x,
-                                len as usize,
-                            ));
-                        }
-                    }
-                    Value::Unit
-                }
-                _ => Value::Unit,
-            },
+            AdvCommand::Control { target, cmd } => self.host.control(&target, &cmd),
             _ => Value::Unit,
         }
     }
 
     fn drain_outputs(&mut self) -> Vec<(PartyId, Command)> {
-        std::mem::take(&mut self.core.outputs)
+        std::mem::take(&mut self.host.core.outputs)
     }
 
     fn drain_leaks(&mut self) -> Vec<Leak> {
-        std::mem::take(&mut self.core.leaks)
+        std::mem::take(&mut self.host.core.leaks)
     }
 
     fn is_corrupted(&self, party: PartyId) -> bool {
-        self.core.corr.is_corrupted(party)
+        self.host.core.corr.is_corrupted(party)
     }
 }
 
 impl SbcWorld for IdealSbcWorld {
     /// The ideal-world period turnover matching
     /// [`RealSbcWorld::begin_new_period`]: `F_SBC` forgets its records and
-    /// period times, the simulator clears its shadow state (see
-    /// `SimSbc::begin_new_period`), and the pending broadcast list is
-    /// dropped. The global clock, the random oracle, the corruption state
-    /// and every mirrored randomness stream carry over — so transcript
-    /// equality with the real world extends across epoch boundaries.
+    /// period times, the simulator its parties' period state, and the host
+    /// what the hybrids held. The global clock, the random oracle, the
+    /// corruption state and every randomness stream carry over — so
+    /// transcript equality with the real world extends across epoch
+    /// boundaries.
     fn begin_new_period(&mut self) {
         self.fsbc.begin_new_period();
         self.sim.begin_new_period();
-        self.sbc_list = None;
+        self.host.begin_new_period();
     }
 
     fn release_round(&self) -> Option<u64> {
@@ -1250,14 +984,13 @@ impl SbcWorld for IdealSbcWorld {
         self.sim.would_abort
     }
 
-    /// O(1) clock-offset join, mirroring [`RealSbcWorld::join_at`]: when
-    /// the simulator is idle and no broadcast list is pending, an idle
-    /// ideal-world round is a pure clock tick, so the catch-up collapses
-    /// to a clock fast-forward; otherwise the literal replay runs.
+    /// O(1) clock-offset join, mirroring [`RealSbcWorld::join_at`]: with
+    /// the simulated parties and the host idle, an ideal-world round is a
+    /// pure clock tick, so the catch-up collapses to a clock fast-forward;
+    /// otherwise the literal replay runs.
     fn join_at(&mut self, round: u64) {
-        let idle = self.sim.is_idle() && self.sbc_list.is_none() && !self.core.clock.mid_round();
-        if idle {
-            self.core.clock.fast_forward(round);
+        if self.sim.is_idle() && self.host.is_idle() {
+            self.host.core.clock.fast_forward(round);
         } else {
             sbc_uc::exec::replay_join(self, round);
         }
@@ -1275,10 +1008,20 @@ impl SbcBackend for IdealSbcWorld {
 mod tests {
     use super::*;
     use sbc_uc::exec::{CompareLevel, DualRun};
+    use sbc_uc::trace::Transcript;
     use sbc_uc::world::{run_env, EnvDriver};
 
     fn params(n: usize) -> SbcParams {
         SbcParams::default_for(n)
+    }
+
+    /// `validate()`'s smallest ciphertext delay: a ciphertext is ready in
+    /// the round it was requested in.
+    fn zero_delay_params(n: usize) -> SbcParams {
+        SbcParams {
+            tle_delay: 0,
+            ..params(n)
+        }
     }
 
     /// Two identically seeded real worlds, one stepped by the literal
@@ -1290,10 +1033,10 @@ mod tests {
     }
 
     impl SchedulePair {
-        fn new(n: usize, seed: &[u8]) -> Self {
+        fn new(params: SbcParams, seed: &[u8]) -> Self {
             SchedulePair {
-                reference: RealSbcWorld::new(params(n), seed),
-                ticked: RealSbcWorld::new(params(n), seed),
+                reference: RealSbcWorld::new(params, seed),
+                ticked: RealSbcWorld::new(params, seed),
             }
         }
 
@@ -1357,15 +1100,16 @@ mod tests {
 
     /// Pins the round-level `tick` (shared release + deferred
     /// recipient-major delivery) to the literal per-party reference loop,
-    /// bit for bit, every round, at n ∈ {2, 6, 64}.
+    /// bit for bit, every round, at n ∈ {2, 6, 64} and at `tle_delay = 0`.
     #[test]
     fn tick_matches_per_party_advance_loop() {
-        for n in [2usize, 6, 64] {
+        for p in [params(2), params(6), params(64), zero_delay_params(3)] {
+            let n = p.n;
             let last = n - 1;
 
             // Two epochs under a mid-period corruption and an accepted
             // adversarial wire.
-            let mut s = SchedulePair::new(n, b"tick-equiv");
+            let mut s = SchedulePair::new(p, b"tick-equiv");
             for epoch in 0..2 {
                 s.submit(0, b"alpha");
                 s.submit(n / 2, b"bravo");
@@ -1381,7 +1125,7 @@ mod tests {
 
             // Party 0 corrupted before the first tick: the first honest
             // party — the one whose release the others reuse — is not 0.
-            let mut s = SchedulePair::new(n, b"tick-equiv/p0");
+            let mut s = SchedulePair::new(p, b"tick-equiv/p0");
             s.corrupt(0);
             s.submit(1, b"charlie");
             s.submit(last, b"delta");
@@ -1391,7 +1135,7 @@ mod tests {
 
             // A sender corrupted mid-period after it has broadcast: its
             // wire stays in every log and its message is released.
-            let mut s = SchedulePair::new(n, b"tick-equiv/sender");
+            let mut s = SchedulePair::new(p, b"tick-equiv/sender");
             s.submit(0, b"echo");
             s.submit(last, b"foxtrot");
             s.rounds(2); // wake-up, then the wires go out
@@ -1406,7 +1150,7 @@ mod tests {
 
             // Wires every recipient must discard identically: a wrong
             // τ_rel, and a right one delivered at Cl ≥ t_end.
-            let mut s = SchedulePair::new(n, b"tick-equiv/discard");
+            let mut s = SchedulePair::new(p, b"tick-equiv/discard");
             s.submit(0, b"golf");
             s.round();
             s.corrupt(last);
@@ -1426,7 +1170,7 @@ mod tests {
             // Rounds entered mid-round (one party already advanced by
             // hand) take the literal-loop fallback — on broadcast rounds
             // and on the release round alike.
-            let mut s = SchedulePair::new(n, b"tick-equiv/mid-round");
+            let mut s = SchedulePair::new(p, b"tick-equiv/mid-round");
             s.submit(0, b"hotel");
             s.submit(last, b"india");
             let mut outs = Vec::new();
@@ -1440,24 +1184,61 @@ mod tests {
         }
     }
 
-    fn dual(n: usize, seed: &[u8]) -> DualRun<RealSbcWorld, IdealSbcWorld> {
+    type Theorem2Run = DualRun<RealSbcWorld, IdealSbcWorld>;
+
+    fn dual_with(params: SbcParams, seed: &[u8]) -> Theorem2Run {
         DualRun::new(
-            RealSbcWorld::new(params(n), seed),
-            IdealSbcWorld::new(params(n), seed),
+            RealSbcWorld::new(params, seed),
+            IdealSbcWorld::new(params, seed),
             CompareLevel::ShapeAndOutputs,
         )
     }
 
-    fn assert_theorem2<F>(n: usize, seed: &[u8], script: F)
+    fn dual(n: usize, seed: &[u8]) -> Theorem2Run {
+        dual_with(params(n), seed)
+    }
+
+    /// The functionality-drawn tag of every tagged hybrid leak, in
+    /// transcript order: item 0 of a 3-item `F_UBC` leak (honest broadcast
+    /// or flush), item 1 of an `F_TLE` `Enc` leak.
+    fn hybrid_tags(t: &Transcript) -> Vec<(u64, &str, &Value)> {
+        t.leaks()
+            .into_iter()
+            .filter_map(|(round, source, cmd)| {
+                let tag = match (source, cmd.value.as_list()?) {
+                    ("F_UBC", [tag, _msg, _sender]) => tag,
+                    ("F_TLE", [_tau, tag, _cl, _len, _party]) => tag,
+                    _ => return None,
+                };
+                Some((round, source, tag))
+            })
+            .collect()
+    }
+
+    /// Theorem 2 at the end of a run: transcripts agree at
+    /// `ShapeAndOutputs`, and — byte for byte, which that level cannot
+    /// see — the ideal world's hybrid tags are the real world's. Returns
+    /// the real transcript.
+    fn assert_aligned(d: Theorem2Run) -> Transcript {
+        d.check().unwrap_or_else(|div| panic!("{div}"));
+        let (real, ideal) = d.into_transcripts();
+        let tags = hybrid_tags(&real);
+        assert!(!tags.is_empty(), "the script reached the hybrids");
+        assert_eq!(
+            tags,
+            hybrid_tags(&ideal),
+            "hybrid tags (round, source, tag): real vs ideal"
+        );
+        real
+    }
+
+    fn assert_theorem2<F>(n: usize, seed: &[u8], script: F) -> Transcript
     where
         F: Fn(&mut EnvDriver<'_>) + Copy,
     {
-        sbc_uc::exec::assert_indistinguishable(
-            RealSbcWorld::new(params(n), seed),
-            IdealSbcWorld::new(params(n), seed),
-            CompareLevel::ShapeAndOutputs,
-            script,
-        );
+        let mut d = dual(n, seed);
+        d.script(script);
+        assert_aligned(d)
     }
 
     #[test]
@@ -1549,6 +1330,7 @@ mod tests {
             d.finish_epoch().unwrap_or_else(|div| panic!("{div}"));
         }
         assert_eq!(d.epoch(), 3);
+        assert_aligned(d);
     }
 
     #[test]
@@ -1563,7 +1345,69 @@ mod tests {
         assert_eq!(d.release_round(), None);
         d.submit(PartyId(1), b"second");
         d.idle_rounds(8);
-        d.finish_epoch().unwrap_or_else(|div| panic!("{div}"));
+        assert_aligned(d);
+    }
+
+    /// The recipe of `SbcPool::inject_message` — `F_TLE` `Insert`, `F_RO`
+    /// `QueryBytes`, `SendAs` the wire — next to an honest broadcast: the
+    /// adversarial message is released, and every hybrid tag around it is
+    /// the real world's.
+    #[test]
+    fn theorem2_insert_and_injected_wire() {
+        let real = assert_theorem2(3, b"t2-inject", |env| {
+            env.input(
+                PartyId(0),
+                Command::new("Broadcast", Value::bytes(b"honest")),
+            );
+            env.advance_all(); // wake-up at Cl = 0: τ_rel = Φ + ∆ = 5
+            env.adversary(AdvCommand::Corrupt(PartyId(2)));
+            let (ct, rho, tau_rel) = (Value::bytes([7u8; 64]), [3u8; 32], 5);
+            env.adversary(AdvCommand::Control {
+                target: "F_TLE".into(),
+                cmd: Command::new(
+                    "Insert",
+                    Value::list([ct.clone(), Value::bytes(rho), Value::U64(tau_rel)]),
+                ),
+            });
+            let m_bytes = Value::bytes(b"evil").encode();
+            let eta = env.adversary(AdvCommand::Control {
+                target: "F_RO".into(),
+                cmd: Command::new(
+                    "QueryBytes",
+                    Value::list([Value::bytes(rho), Value::U64(m_bytes.len() as u64)]),
+                ),
+            });
+            let eta = eta.as_bytes().expect("mask is bytes");
+            let y: Vec<u8> = m_bytes.iter().zip(eta).map(|(a, b)| a ^ b).collect();
+            env.adversary(AdvCommand::SendAs {
+                party: PartyId(2),
+                cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
+            });
+            env.idle_rounds(7);
+        });
+        let outs = real.outputs();
+        assert_eq!(outs.len(), 2, "both honest parties released");
+        assert_eq!(
+            outs[0].2.value.as_list(),
+            Some(&[Value::bytes(b"evil"), Value::bytes(b"honest")][..])
+        );
+    }
+
+    /// Theorem 2 where a ciphertext is ready in the round it was requested
+    /// in: a sender must still cast one round after the wake-up, not inside
+    /// its own wake-up step.
+    #[test]
+    fn theorem2_at_zero_tle_delay() {
+        for n in [2usize, 3] {
+            let mut d = dual_with(zero_delay_params(n), b"t2-delay0");
+            d.submit(PartyId(0), b"first");
+            d.submit(PartyId(n as u32 - 1), b"second");
+            d.advance_all();
+            d.submit(PartyId(0), b"mid-period");
+            d.idle_rounds(7);
+            let real = assert_aligned(d);
+            assert_eq!(real.outputs().len(), n, "n={n}: every party released");
+        }
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! * [`hmac`] — HMAC-SHA-256.
 //! * [`drbg`] — deterministic HMAC-DRBG; all protocol randomness flows
 //!   through it so executions are reproducible from a seed.
-//! * [`ske`] — the symmetric scheme Σ_SKE used inside Astrolabous.
 //! * [`hashchain`] / [`astrolabous`] — sequential hash-chain puzzles and the
-//!   Astrolabous TLE scheme built on them.
-//! * [`bigint`] / [`prime`] / [`group`] — 256-bit modular arithmetic,
-//!   Miller–Rabin, and Schnorr groups for the voting application.
+//!   Astrolabous TLE scheme built on them (over the crate-private
+//!   symmetric scheme Σ_SKE, `ske`).
+//! * [`bigint`] / [`group`] — 256-bit modular arithmetic and Schnorr groups
+//!   for the voting application (Miller–Rabin lives in the crate-private
+//!   `prime`).
 //! * [`sigma`] — Schnorr / Chaum–Pedersen / disjunctive Σ-protocols with
 //!   Fiat–Shamir (ballot validity proofs).
-//! * [`merkle`] / [`wots`] — Merkle trees and WOTS-based stateful hash
-//!   signatures (the EUF-CMA scheme realizing `F_cert`).
+//! * [`wots`] — WOTS-based stateful hash signatures (the EUF-CMA scheme
+//!   realizing `F_cert`), certified by the crate-private `merkle` trees.
 //! * [`hex`] — encoding helpers.
 //!
 //! # Examples
@@ -52,9 +53,9 @@ pub mod group;
 pub mod hashchain;
 pub mod hex;
 pub mod hmac;
-pub mod merkle;
-pub mod prime;
+pub(crate) mod merkle;
+pub(crate) mod prime;
 pub mod sha256;
 pub mod sigma;
-pub mod ske;
+pub(crate) mod ske;
 pub mod wots;

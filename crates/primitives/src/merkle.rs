@@ -1,16 +1,5 @@
 //! Merkle trees over SHA-256, used to certify the many one-time WOTS+ keys
 //! of the stateful signature scheme.
-//!
-//! # Examples
-//!
-//! ```
-//! use sbc_primitives::merkle::MerkleTree;
-//!
-//! let leaves: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i]).collect();
-//! let tree = MerkleTree::build(&leaves);
-//! let proof = tree.prove(3);
-//! assert!(MerkleTree::verify(&tree.root(), &leaves[3], 3, &proof, 8));
-//! ```
 
 use crate::sha256::Sha256;
 
@@ -66,16 +55,11 @@ impl MerkleTree {
         self.levels.last().expect("nonempty")[0]
     }
 
-    /// Number of real (unpadded) leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.leaf_count
-    }
-
     /// Authentication path for leaf `index`.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= leaf_count()`.
+    /// Panics if `index` is not one of the real (unpadded) leaves.
     pub fn prove(&self, index: usize) -> MerkleProof {
         assert!(index < self.leaf_count, "leaf index out of range");
         let mut proof = Vec::new();

@@ -1,17 +1,5 @@
 //! Primality testing (Miller–Rabin) and safe-prime utilities for the
 //! discrete-log group substrate.
-//!
-//! # Examples
-//!
-//! ```
-//! use sbc_primitives::bigint::U256;
-//! use sbc_primitives::prime::is_probable_prime;
-//! use sbc_primitives::drbg::Drbg;
-//!
-//! let mut rng = Drbg::from_seed(b"doc");
-//! assert!(is_probable_prime(&U256::from_u64(1_000_000_007), 32, &mut rng));
-//! assert!(!is_probable_prime(&U256::from_u64(1_000_000_008), 32, &mut rng));
-//! ```
 
 use crate::bigint::U256;
 use crate::drbg::Drbg;
@@ -102,11 +90,13 @@ pub fn is_safe_prime(p: &U256, rounds: u32, rng: &mut Drbg) -> bool {
 }
 
 /// Searches for a safe prime with the given bit size, deterministically from
-/// `rng`. Intended for offline constant generation and small test groups.
+/// `rng`. Test-only: this is how `group`'s built-in primes were generated,
+/// and its tests re-derive them with it.
 ///
 /// # Panics
 ///
 /// Panics if `bits < 3` or `bits > 256`.
+#[cfg(test)]
 pub fn find_safe_prime(bits: u32, rng: &mut Drbg) -> U256 {
     assert!((3..=256).contains(&bits), "bits must be in 3..=256");
     loop {
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn small_primes_detected() {
         let mut r = rng();
-        for p in [2u64, 3, 5, 7, 97, 101, 65537] {
+        for p in [2u64, 3, 5, 7, 97, 101, 65537, 1_000_000_007] {
             assert!(is_probable_prime(&U256::from_u64(p), 16, &mut r), "{p}");
         }
     }
@@ -149,7 +139,7 @@ mod tests {
     #[test]
     fn small_composites_rejected() {
         let mut r = rng();
-        for c in [1u64, 4, 9, 15, 91, 561, 1105, 6601, 8911] {
+        for c in [1u64, 4, 9, 15, 91, 561, 1105, 6601, 8911, 1_000_000_008] {
             // includes Carmichael numbers
             assert!(!is_probable_prime(&U256::from_u64(c), 16, &mut r), "{c}");
         }

@@ -4,18 +4,6 @@
 //! instantiate it as a SHA-256 counter-mode stream cipher with an HMAC tag
 //! (encrypt-then-MAC), which is IND-CPA (and INT-CTXT) in the random-oracle
 //! model.
-//!
-//! # Examples
-//!
-//! ```
-//! use sbc_primitives::ske::{SkeKey, encrypt, decrypt};
-//! use sbc_primitives::drbg::Drbg;
-//!
-//! let mut rng = Drbg::from_seed(b"doc");
-//! let key = SkeKey::generate(&mut rng);
-//! let ct = encrypt(&key, b"attack at dawn", &mut rng);
-//! assert_eq!(decrypt(&key, &ct).unwrap(), b"attack at dawn");
-//! ```
 
 use crate::drbg::Drbg;
 use crate::hmac::hmac_sha256;

@@ -106,7 +106,7 @@ pub struct TleFunc {
     by_tag: HashMap<[u8; 16], usize>,
     tag_rng: sbc_primitives::drbg::Drbg,
     /// Stream used to fill ciphertexts the simulator never set (Fig. 7
-    /// `Retrieve` step 1); dedicated so simulators can mirror it.
+    /// `Retrieve` step 1), forked off the tag stream.
     fill_rng: sbc_primitives::drbg::Drbg,
 }
 
@@ -316,22 +316,6 @@ impl TleFunc {
         }
     }
 
-    /// Records the simulator's answer for an unknown ciphertext and returns
-    /// the response (Fig. 7 `Dec`, "no tuple recorded" branch).
-    pub fn dec_with_simulator_answer(&mut self, ct: Value, tau: u64, msg: Value) -> DecResponse {
-        let idx = self.records.len();
-        Self::index_ct(&mut self.by_ct, &ct, idx);
-        self.records.push(TleRecord {
-            msg: msg.clone(),
-            ct: Some(ct),
-            tau,
-            tag: None,
-            requested_at: 0,
-            owner: None,
-        });
-        DecResponse::Message(msg)
-    }
-
     /// `Leakage` to the simulator: every `(M, c, τ)` with `τ ≤ leak(Cl)`,
     /// plus all records of corrupted owners.
     pub fn leakage(&self, ctx: &HybridCtx<'_>) -> Vec<TleRecord> {
@@ -475,21 +459,6 @@ mod tests {
         fx.tick(1);
         // Claimed τ=1 < true τ_dec=2 ≤ Cl=3 → Invalid_Time.
         assert_eq!(f.dec(&ct, 1, &fx.ctx()), Some(DecResponse::InvalidTime));
-    }
-
-    #[test]
-    fn unknown_ciphertext_asks_simulator() {
-        let mut fx = Fx::new(1);
-        let mut f = func();
-        let ct = Value::bytes(b"adversarial");
-        assert_eq!(f.dec(&ct, 0, &fx.ctx()), None);
-        let resp = f.dec_with_simulator_answer(ct.clone(), 0, Value::bytes(b"extracted"));
-        assert_eq!(resp, DecResponse::Message(Value::bytes(b"extracted")));
-        // Now recorded: future decs answer directly.
-        assert_eq!(
-            f.dec(&ct, 0, &fx.ctx()),
-            Some(DecResponse::Message(Value::bytes(b"extracted")))
-        );
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!   `F_FBC(∆, α)`, `W_q(F*_RO)`, `F_RO` and `G_clock`.
 //! * [`IdealTleWorld`] — dummy parties talk to `F_TLE(leak, delay)` with
 //!   `leak(Cl) = Cl + α` and `delay = ∆ + 1`; the simulator [`SimTle`]
-//!   fabricates ciphertexts of the right shape without ever seeing a
-//!   plaintext before the leakage function allows, and decrypts adversarial
-//!   ciphertexts itself (it controls the oracles).
+//!   runs `F_FBC` itself and broadcasts into it ciphertexts of the right
+//!   shape, fabricated without ever seeing a plaintext before the leakage
+//!   function allows, and decrypts adversarial ciphertexts itself (it
+//!   controls the oracles).
 //!
 //! Comparison level: ciphertext *contents* in the two worlds are
 //! computationally indistinguishable but not bitwise equal (`c2`/`c3`
@@ -16,7 +17,7 @@
 //! of every `Dec`/timing response — the observables the functionality
 //! pins down.
 
-use crate::ciphertext::{parse_tle_wire, TleCiphertext};
+use crate::ciphertext::{parse_tle_wire, tle_wire, TleCiphertext};
 use crate::func::{DecResponse, TleFunc};
 use crate::protocol::{difficulty_for, TleParty};
 use sbc_broadcast::fbc::func::FbcFunc;
@@ -208,28 +209,34 @@ struct SimEnc {
     msg_len: usize,
 }
 
-/// The simulator `S_TLE` (Theorem 1, Appendix C): fabricates ciphertext
-/// shells `(c1, c2, c3)` with real puzzles of random values but random
-/// `c2`/`c3` (it has no plaintext), and solves adversarial ciphertexts
-/// itself when `F_TLE` asks.
+/// The simulator `S_TLE` (Theorem 1, Appendix C).
+///
+/// It **runs** `F_FBC` — on the stream the real world's `F_FBC` draws its
+/// tags from, fed the broadcasts [`RealTleWorld`] feeds it and never asked
+/// to deliver — so the `(tag, sender)` leaks the adversary sees come out
+/// of the functionality. It **simulates** the honest encryptors (no
+/// [`TleParty`]: a party bug must not cancel across the two worlds):
+/// ciphertext shells `(c1, c2, c3)` with real puzzles of random values but
+/// random `c2`/`c3` (it has no plaintext). It solves adversarial
+/// ciphertexts itself when `F_TLE` asks.
 #[derive(Debug)]
 pub struct SimTle {
     q: u32,
     delta: u64,
     party_rngs: Vec<Drbg>,
-    fbc_tag_rng: Drbg,
+    ffbc: FbcFunc,
     equiv_rng: Drbg,
     queues: Vec<Vec<SimEnc>>,
 }
 
 impl SimTle {
-    fn new(q: u32, delta: u64, party_rngs: Vec<Drbg>, fbc_tag_rng: Drbg, equiv_rng: Drbg) -> Self {
+    fn new(q: u32, delta: u64, party_rngs: Vec<Drbg>, ffbc: FbcFunc, equiv_rng: Drbg) -> Self {
         let n = party_rngs.len();
         SimTle {
             q,
             delta,
             party_rngs,
-            fbc_tag_rng,
+            ffbc,
             equiv_rng,
             queues: vec![Vec::new(); n],
         }
@@ -239,21 +246,18 @@ impl SimTle {
         self.queues[party.index()].push(SimEnc { tag, tau, msg_len });
     }
 
-    /// Mirrors `ENCRYPT&SOLVE` for a party's queued encryptions, emitting
-    /// the `F_FBC` leaks the real adversary would see and returning the
-    /// `(ciphertext, tag)` updates for `F_TLE`.
+    /// `ENCRYPT&SOLVE` for a party's queued encryptions: fair-broadcasts
+    /// each fabricated ciphertext and returns the `(ciphertext, tag)`
+    /// updates for `F_TLE`.
     fn honest_advance(
         &mut self,
         party: PartyId,
-        now: u64,
         ro_star: &mut RandomOracle,
-        leaks_out: &mut Vec<Leak>,
+        core: &mut WorldCore,
     ) -> Vec<(Value, Tag)> {
         let entries = std::mem::take(&mut self.queues[party.index()]);
-        if entries.is_empty() {
-            return Vec::new();
-        }
-        // Mirror step 1: all chain randomness first.
+        let now = core.clock.read();
+        // Step 1: all chain randomness first.
         let rand_sets: Vec<Vec<Element>> = entries
             .iter()
             .map(|e| {
@@ -291,15 +295,8 @@ impl SimTle {
             let mut c3 = [0u8; 32];
             c3.copy_from_slice(&c3_raw);
             let ct = TleCiphertext { c1, c2, c3 };
-            // Mirror the F_FBC (tag, sender) leak of the real broadcast.
-            let fbc_tag = Tag::random(&mut self.fbc_tag_rng);
-            leaks_out.push(Leak {
-                source: sbc_broadcast::fbc::func::FBC_SOURCE.into(),
-                cmd: Command::new(
-                    "Broadcast",
-                    Value::pair(Value::bytes(fbc_tag.as_bytes()), Value::U64(party.0 as u64)),
-                ),
-            });
+            self.ffbc
+                .broadcast(party, tle_wire(&ct, e.tau), &mut core.ctx());
             updates.push((ct.to_value(), e.tag));
         }
         updates
@@ -343,9 +340,6 @@ pub struct IdealTleWorld {
     core: WorldCore,
     ftle: TleFunc,
     sim: SimTle,
-    /// Mirrors the real wrapper so adversarial metering matches.
-    #[allow(dead_code)]
-    wrapper: QueryWrapper,
     ro_star: RandomOracle,
     ro: RandomOracle,
 }
@@ -359,8 +353,13 @@ impl IdealTleWorld {
         IdealTleWorld {
             core,
             ftle: TleFunc::new(TLE_ALPHA, TLE_DELTA + 1, tle_tags),
-            sim: SimTle::new(q, TLE_DELTA, party_rngs, fbc_tags, equiv_rng),
-            wrapper: QueryWrapper::new(q),
+            sim: SimTle::new(
+                q,
+                TLE_DELTA,
+                party_rngs,
+                FbcFunc::new(n, TLE_DELTA, TLE_ALPHA, fbc_tags),
+                equiv_rng,
+            ),
             ro_star: RandomOracle::new(ro_star_rng),
             ro: RandomOracle::new(ro_rng),
         }
@@ -386,17 +385,9 @@ impl World for IdealTleWorld {
                     let msg_len = msg.encode().len();
                     // F_TLE's Enc leak is addressed to the simulator, which
                     // shows the real-world adversary nothing at Enc time.
-                    let mut scratch = Vec::new();
-                    let tag = {
-                        let mut ctx = sbc_uc::hybrid::HybridCtx {
-                            clock: &mut self.core.clock,
-                            rng: &mut self.core.rng,
-                            leaks: &mut scratch,
-                            corr: &mut self.core.corr,
-                        };
-                        self.ftle.enc(party, msg, tau, &mut ctx)
-                    };
-                    let resp = match tag {
+                    let mut to_sim = Vec::new();
+                    let mut ctx = self.core.ctx_leaking_to(&mut to_sim);
+                    let resp = match self.ftle.enc(party, msg, tau, &mut ctx) {
                         Some(tag) => {
                             // F_TLE's (τ, tag, Cl, 0^|M|, P) leak goes to S.
                             self.sim.on_enc_leak(party, tag, tau as u64, msg_len);
@@ -440,14 +431,10 @@ impl World for IdealTleWorld {
         if self.core.corr.is_corrupted(party) {
             return;
         }
-        let now = self.core.clock.read();
-        let mut leaks = Vec::new();
         let updates = self
             .sim
-            .honest_advance(party, now, &mut self.ro_star, &mut leaks);
-        self.core.leaks.extend(leaks);
-        let tagged: Vec<(Value, Tag)> = updates;
-        self.ftle.update_ciphertexts(&tagged);
+            .honest_advance(party, &mut self.ro_star, &mut self.core);
+        self.ftle.update_ciphertexts(&updates);
         self.core.clock.advance_party(party);
     }
 
@@ -457,22 +444,12 @@ impl World for IdealTleWorld {
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if self.core.corr.is_corrupted(party) {
                     let now = self.core.clock.read();
-                    // Mirror the F_FBC leak of the real broadcast.
-                    let fbc_tag = Tag::random(&mut self.sim.fbc_tag_rng);
-                    self.core.leaks.push(Leak {
-                        source: sbc_broadcast::fbc::func::FBC_SOURCE.into(),
-                        cmd: Command::new(
-                            "Broadcast",
-                            Value::pair(
-                                Value::bytes(fbc_tag.as_bytes()),
-                                Value::U64(party.0 as u64),
-                            ),
-                        ),
-                    });
-                    if let Some((ct, msg, tau_eff)) =
+                    let extracted =
                         self.sim
-                            .extract(&cmd.value, now, &mut self.ro_star, &mut self.ro)
-                    {
+                            .extract(&cmd.value, now, &mut self.ro_star, &mut self.ro);
+                    let mut ctx = self.core.ctx();
+                    self.sim.ffbc.broadcast(party, cmd.value, &mut ctx);
+                    if let Some((ct, msg, tau_eff)) = extracted {
                         self.ftle.insert_adversarial(ct, msg, tau_eff);
                     }
                 }

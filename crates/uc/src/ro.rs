@@ -188,11 +188,6 @@ impl RandomOracle {
         Ok(())
     }
 
-    /// Whether any caller has fixed/queried the point.
-    pub fn is_defined(&self, x: &[u8]) -> bool {
-        self.table.contains_key(x)
-    }
-
     /// Whether the adversary has queried the point (abort-check predicate).
     pub fn adversary_queried(&self, x: &[u8]) -> bool {
         self.adversary_queried.contains_key(x)

@@ -298,6 +298,21 @@ impl WorldCore {
         }
     }
 
+    /// [`ctx`](WorldCore::ctx) with the leakage channel pointed at `leaks`
+    /// instead of the adversary-visible buffer — how an ideal world hands
+    /// a functionality's leaks to its simulator.
+    pub fn ctx_leaking_to<'a>(
+        &'a mut self,
+        leaks: &'a mut Vec<Leak>,
+    ) -> crate::hybrid::HybridCtx<'a> {
+        crate::hybrid::HybridCtx {
+            clock: &mut self.clock,
+            rng: &mut self.rng,
+            leaks,
+            corr: &mut self.corr,
+        }
+    }
+
     /// Routes functionality deliveries to the environment output buffer.
     pub fn push_outputs(&mut self, deliveries: Vec<crate::hybrid::Delivery>) {
         for d in deliveries {
