@@ -393,6 +393,48 @@ mod tests {
     }
 
     #[test]
+    fn golden_digests() {
+        // One event of every comparable kind, byte strings nested and over
+        // 32 bytes included: the three digests every gate compares, pinned.
+        use sbc_primitives::hex;
+        let mut t = sample();
+        t.push(
+            2,
+            EventKind::AdvAction {
+                desc: "SendAs(P1, [1, 2])".into(),
+            },
+        );
+        t.push(
+            2,
+            EventKind::AdvResponse {
+                value: Value::list([Value::bytes(b"abc"), Value::U64(7)]),
+            },
+        );
+        t.push(
+            3,
+            EventKind::Leak {
+                source: "F_TLE".into(),
+                cmd: Command::new(
+                    "Enc",
+                    Value::list([Value::bytes([9u8; 40]), Value::str("x")]),
+                ),
+            },
+        );
+        assert_eq!(
+            hex::encode(&t.digest()),
+            "43468827aa86be820a01cc383ec78b6db088a783d3e045086ee78beecd78a4a9"
+        );
+        assert_eq!(
+            hex::encode(&t.shape_digest()),
+            "ad937cf71845a31e8f01b63c9380be39fa7ae01db76a35705b9f10d70790f07a"
+        );
+        assert_eq!(
+            hex::encode(&t.output_digest()),
+            "360949120b8628361d9509b34105bcc98e6ce05820e412906e9e535d3888546a"
+        );
+    }
+
+    #[test]
     fn display_renders() {
         let s = format!("{}", sample());
         assert!(s.contains("Broadcast"));
