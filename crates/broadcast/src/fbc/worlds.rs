@@ -25,7 +25,6 @@ use crate::fbc::protocol::{
 use crate::ubc::func::UbcFunc;
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::hashchain::{ChainSolver, Element};
-use sbc_uc::clock::ClockEntity;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
@@ -52,7 +51,7 @@ fn fork_streams(core: &mut WorldCore) -> (Drbg, Drbg, Drbg, Drbg, Vec<Drbg>) {
 }
 
 fn is_last_honest_advance(core: &WorldCore, party: PartyId) -> bool {
-    core.clock.waiting_on() == vec![ClockEntity::Party(party)]
+    core.clock.waiting_on() == [party]
 }
 
 fn shared_adversary_control(

@@ -79,6 +79,7 @@ use crate::error::SbcError;
 use crate::protocol::sbc_wire;
 use crate::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
 use sbc_primitives::drbg::Drbg;
+use sbc_uc::corruption::CorruptionTracker;
 use sbc_uc::exec::{PoolWorld, SbcWorld};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
@@ -92,7 +93,7 @@ pub use sbc_uc::exec::InstanceId;
 /// [`PoolWorld`] trait.
 ///
 /// The pool owns the shared state — the round counter and the global
-/// corruption vector — and routes instance-scoped actions to the
+/// corruption set — and routes instance-scoped actions to the
 /// per-instance backend worlds. Each instance world is built from a
 /// domain-separated fork of the pool seed (`seed` itself for instance 0,
 /// `seed/"instance"/id` for later ones), so a real and an ideal pool built
@@ -107,7 +108,8 @@ pub struct PooledSbcWorld<W: SbcWorld> {
     next: u64,
     live: BTreeMap<u64, W>,
     retired: BTreeSet<u64>,
-    corrupted: Vec<bool>,
+    /// The global corruption set, under the instance worlds' own rule.
+    corr: CorruptionTracker,
     outputs: Vec<(InstanceId, PartyId, Command)>,
     leaks: Vec<(InstanceId, Leak)>,
     aborted: bool,
@@ -129,7 +131,7 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
             next: 0,
             live: BTreeMap::new(),
             retired: BTreeSet::new(),
-            corrupted: vec![false; params.n],
+            corr: CorruptionTracker::new(params.n),
             outputs: Vec::new(),
             leaks: Vec::new(),
             aborted: false,
@@ -160,10 +162,8 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
         };
         let mut world = W::from_params(self.params, &sub_seed)?;
         self.next += 1;
-        for p in 0..self.params.n {
-            if self.corrupted[p] {
-                world.adversary(AdvCommand::Corrupt(PartyId(p as u32)));
-            }
+        for p in self.corr.corrupted() {
+            world.adversary(AdvCommand::Corrupt(p));
         }
         world.join_at(self.round);
         self.live.insert(id, world);
@@ -225,7 +225,7 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
 
     /// Number of corrupted parties.
     pub fn corrupted_count(&self) -> usize {
-        self.corrupted.iter().filter(|c| **c).count()
+        self.corr.corrupted_count()
     }
 
     /// Number of retired (finished, not yet forgotten) instance ids still
@@ -246,7 +246,7 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
 
     /// Whether `party` is corrupted (globally, in every instance).
     pub fn party_corrupted(&self, party: PartyId) -> bool {
-        (party.index()) < self.params.n && self.corrupted[party.index()]
+        self.corr.is_corrupted(party)
     }
 
     /// Environment input to `party` of `instance` (ignored for unknown or
@@ -275,20 +275,17 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
     /// corrupted, or the dishonest-majority budget `t ≤ n − 1` is
     /// exhausted).
     ///
-    /// The budget decision is taken **here**, not in the backends: a pool
-    /// must be able to corrupt before any instance exists, so it mirrors
-    /// the `CorruptionTracker` rule the backend worlds enforce. If a
-    /// backend ever disagreed (refused after the pool accepted), its
-    /// `Bool(false)` response would fail the session layer's response
-    /// parse as [`SbcError::Internal`] — loud, not silent drift.
+    /// The decision is taken **here**, not in the backends: a pool must be
+    /// able to corrupt before any instance exists, so it keeps a
+    /// [`CorruptionTracker`] of its own — the rule the backend worlds
+    /// enforce. If a backend ever disagreed (refused after the pool
+    /// accepted), its `Bool(false)` response would fail the session
+    /// layer's response parse as [`SbcError::Internal`] — loud, not silent
+    /// drift.
     pub fn corrupt_party(&mut self, party: PartyId) -> Option<Vec<(InstanceId, Value)>> {
-        if party.index() >= self.params.n || self.corrupted[party.index()] {
+        if self.corr.is_corrupted(party) || self.corr.corrupt(party, self.round).is_err() {
             return None;
         }
-        if self.corrupted_count() + 1 > self.params.n.saturating_sub(1) {
-            return None;
-        }
-        self.corrupted[party.index()] = true;
         let ids: Vec<u64> = self.live.keys().copied().collect();
         let mut views = Vec::with_capacity(ids.len());
         for id in ids {

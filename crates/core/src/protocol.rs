@@ -67,18 +67,26 @@ pub fn sbc_wire(ct: &Value, tau_rel: u64, y: &[u8]) -> Value {
     Value::list([ct.clone(), Value::U64(tau_rel), Value::bytes(y)])
 }
 
+/// The one statement of what a wire is: a three-item list of bytes, a `u64`
+/// and bytes, borrowed.
+fn wire_parts(v: &Value) -> Option<(&Value, u64, &[u8])> {
+    let [ct, tau, y] = v.as_list()? else {
+        return None;
+    };
+    ct.as_bytes()?;
+    Some((ct, tau.as_u64()?, y.as_bytes()?))
+}
+
+/// The release time `τ_rel` a UBC payload claims, if it is a
+/// `(c, τ_rel, y)` wire — what a transport asks to learn which plane a
+/// delivery belongs on, accepting exactly what [`parse_sbc_wire`] accepts.
+pub fn wire_tau(v: &Value) -> Option<u64> {
+    wire_parts(v).map(|(_, tau, _)| tau)
+}
+
 /// Parses a `(c, τ_rel, y)` triple off the UBC wire.
 pub fn parse_sbc_wire(v: &Value) -> Option<(Value, u64, Vec<u8>)> {
-    let items = v.as_list()?;
-    if items.len() != 3 {
-        return None;
-    }
-    items[0].as_bytes()?;
-    Some((
-        items[0].clone(),
-        items[1].as_u64()?,
-        items[2].as_bytes()?.to_vec(),
-    ))
+    wire_parts(v).map(|(ct, tau, y)| (ct.clone(), tau, y.to_vec()))
 }
 
 /// One broadcast wire, parsed and preprocessed **once** for delivery to
@@ -272,7 +280,12 @@ struct PendEntry {
     broadcast: bool,
 }
 
-/// Per-party state of `Π_SBC`.
+/// Per-party state of `Π_SBC`. Four entry points, in every world:
+/// [`on_input`](Self::on_input) (a `Broadcast`),
+/// [`on_ubc_deliver`](Self::on_ubc_deliver) (the `Wake_Up`),
+/// [`on_wire_deliver_parsed`](Self::on_wire_deliver_parsed) (a wire) and
+/// [`on_advance`](Self::on_advance) /
+/// [`on_advance_planned`](Self::on_advance_planned) (the round step).
 #[derive(Clone, Debug)]
 pub struct SbcParty {
     id: PartyId,
@@ -395,59 +408,37 @@ impl SbcParty {
         }
     }
 
-    /// A UBC delivery: either a `Wake_Up` or a `(c, τ_rel, y)` triple.
+    /// A control-plane UBC delivery: the first `Wake_Up` opens the period
+    /// and encrypts everything queued while asleep; anything else is
+    /// ignored (wires come in parsed, through
+    /// [`on_wire_deliver_parsed`](SbcParty::on_wire_deliver_parsed)).
     pub fn on_ubc_deliver<H: SbcHybrid>(&mut self, payload: &Value, hyb: &mut H) {
+        if payload != &wake_up() || self.t_awake.is_some() {
+            return;
+        }
         let now = hyb.now();
-        if payload == &wake_up() {
-            if self.t_awake.is_none() {
-                let tau_rel = now + self.phi + self.delta;
-                self.t_awake = Some(now);
-                self.t_end = Some(now + self.phi);
-                self.tau_rel = Some(tau_rel);
-                // Encrypt everything queued while asleep.
-                for e in self.pend.iter_mut().filter(|e| !e.encrypted) {
-                    e.encrypted = true;
-                    hyb.tle_enc(self.id, Value::bytes(&e.rho), tau_rel);
-                }
-            }
-            return;
-        }
-        self.on_wire_deliver(payload, now);
-    }
-
-    /// Whether a wire claiming release time `tau`, received at round `now`,
-    /// falls inside the broadcast period (§5: "all broadcast operations
-    /// outside the period are discarded").
-    fn in_period(&self, tau: u64, now: u64) -> bool {
-        self.tau_rel == Some(tau) && self.t_end.is_some_and(|end| now < end)
-    }
-
-    /// The non-wake-up half of [`on_ubc_deliver`](SbcParty::on_ubc_deliver):
-    /// records a `(c, τ_rel, y)` wire. Touches only this party's own state
-    /// (no functionality, no randomness, no leaks), which is what lets the
-    /// world defer a round's deliveries into one recipient-major batch —
-    /// recipients are independent, and per-recipient arrival order is all
-    /// that matters. The period check runs on the structural parse, so a
-    /// discarded wire costs no SHA-256.
-    pub fn on_wire_deliver(&mut self, payload: &Value, now: u64) {
-        let Some((ct, tau, y)) = parse_sbc_wire(payload) else {
-            return;
-        };
-        if self.in_period(tau, now) {
-            self.rec
-                .insert_parsed(&Arc::new(ParsedWire::build(ct, tau, y)));
+        let tau_rel = now + self.phi + self.delta;
+        self.t_awake = Some(now);
+        self.t_end = Some(now + self.phi);
+        self.tau_rel = Some(tau_rel);
+        for e in self.pend.iter_mut().filter(|e| !e.encrypted) {
+            e.encrypted = true;
+            hyb.tle_enc(self.id, Value::bytes(&e.rho), tau_rel);
         }
     }
 
-    /// [`on_wire_deliver`](SbcParty::on_wire_deliver) with the wire already
-    /// parsed, encoded and fingerprinted by the caller ([`ParsedWire`]
-    /// documents what is hoisted), shared across recipients. A broadcast
-    /// wire reaches every recipient identically, so the per-recipient work
-    /// shrinks to the period check plus the replay-dedup probes, and a
-    /// fresh reception is recorded by reference. The accept/reject
-    /// decision is identical to the unparsed path.
+    /// Records a `(c, τ_rel, y)` wire received at round `now`, parsed,
+    /// encoded and fingerprinted once by the caller for all recipients
+    /// ([`ParsedWire`]): what is left per recipient is the period check (§5:
+    /// "all broadcast operations outside the period are discarded"), the
+    /// replay-dedup probes and a by-reference record. Touches only this
+    /// party's own state (no functionality, no randomness, no leaks), which
+    /// is what lets a world defer a round's deliveries into one
+    /// recipient-major batch: per-recipient arrival order is all that
+    /// matters.
     pub fn on_wire_deliver_parsed(&mut self, wire: &Arc<ParsedWire>, now: u64) {
-        if self.in_period(wire.tau, now) {
+        let in_period = self.tau_rel == Some(wire.tau) && self.t_end.is_some_and(|end| now < end);
+        if in_period {
             self.rec.insert_parsed(wire);
         }
     }
@@ -559,6 +550,15 @@ mod tests {
     const DELTA: u64 = 2;
     const TLE_DELAY: u64 = 1;
 
+    /// One UBC delivery, routed the way every world routes it: a wire by
+    /// the parsed path, anything else (the wake-up) by the control path.
+    fn deliver<H: SbcHybrid>(p: &mut SbcParty, msg: &Value, hyb: &mut H) {
+        match ParsedWire::parse(msg) {
+            Some(wire) => p.on_wire_deliver_parsed(&Arc::new(wire), hyb.now()),
+            None => p.on_ubc_deliver(msg, hyb),
+        }
+    }
+
     /// `n` parties over the real functionality host, stepped by the literal
     /// per-party loop with in-place delivery.
     struct Stack {
@@ -592,12 +592,34 @@ mod tests {
                 }
                 for msg in self.host.take_flush(PartyId(i as u32)) {
                     for p in &mut self.parties {
-                        p.on_ubc_deliver(&msg, &mut self.host);
+                        deliver(p, &msg, &mut self.host);
                     }
                 }
                 self.host.core.clock.advance_party(PartyId(i as u32));
             }
             outputs
+        }
+    }
+
+    #[test]
+    fn wire_tau_is_the_parsers_acceptance() {
+        let (b, u) = (Value::bytes(b"x"), Value::U64(5));
+        let wire = sbc_wire(&b, 5, b"y");
+        assert_eq!(wire_tau(&wire), Some(5));
+        assert_eq!(parse_sbc_wire(&wire), Some((b.clone(), 5, b"y".to_vec())));
+        // Not a list, wrong arity, and each position of the wrong type.
+        let list = |items: &[&Value]| Value::List(items.iter().map(|&v| v.clone()).collect());
+        let not_wires = [
+            wake_up(),
+            list(&[&b, &u]),
+            list(&[&b, &u, &b, &b]),
+            list(&[&u, &u, &b]),
+            list(&[&b, &b, &b]),
+            list(&[&b, &u, &u]),
+        ];
+        for v in &not_wires {
+            assert_eq!(wire_tau(v), None, "{v:?}");
+            assert!(parse_sbc_wire(v).is_none() && ParsedWire::parse(v).is_none());
         }
     }
 
@@ -696,7 +718,7 @@ mod tests {
                 }
             })
             .expect("broadcast wire leaked");
-        s.parties[1].on_ubc_deliver(&wire, &mut s.host);
+        deliver(&mut s.parties[1], &wire, &mut s.host);
         let mut all = Vec::new();
         for _ in 0..(PHI + DELTA) {
             all.extend(s.round());
@@ -917,7 +939,7 @@ mod tests {
         // and a non-`Message` answer. Recording is silent.
         let junk = |i: u8| sbc_wire(&ct(i), TAU, &[i; 5]);
         for w in [wire(0), junk(20), junk(21), wire(1)] {
-            p.on_ubc_deliver(&w, &mut hyb);
+            deliver(&mut p, &w, &mut hyb);
         }
         assert_eq!(hyb.take_calls(), []);
         hyb.dec = HashMap::from([

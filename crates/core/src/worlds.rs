@@ -384,9 +384,9 @@ impl RealSbcWorld {
 
     /// Delivers each broadcast message to every party in id order, by
     /// reference — the reference delivery loop. `Wake_Up` messages go
-    /// through the full [`SbcParty::on_ubc_deliver`] (they mutate `F_TLE`
-    /// and leak); wire messages are parsed and canonically encoded **once
-    /// per message** and fanned out through
+    /// through [`SbcParty::on_ubc_deliver`] (they mutate `F_TLE` and
+    /// leak); wire messages are parsed and canonically encoded **once per
+    /// message** and fanned out through
     /// [`SbcParty::on_wire_deliver_parsed`], so the per-recipient cost is
     /// the period check plus the replay-dedup probe.
     fn fan_out(&mut self, msgs: &[Value]) {
@@ -445,14 +445,14 @@ impl World for RealSbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
         self.parties[party.index()].on_input(cmd.value, &mut self.host);
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.host.core.corr.is_corrupted(party) {
+        if !self.host.core.is_honest(party) {
             return;
         }
         let out = self.parties[party.index()].on_advance(&mut self.host);
@@ -872,7 +872,7 @@ impl World for IdealSbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
         let msg_len = cmd.value.encode().len();
@@ -886,7 +886,7 @@ impl World for IdealSbcWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.host.core.corr.is_corrupted(party) {
+        if !self.host.core.is_honest(party) {
             return;
         }
         // F_SBC's once-per-round steps + delivery; its one leak here is

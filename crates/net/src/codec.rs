@@ -74,9 +74,8 @@ impl Endpoint {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Result<Endpoint, CodecError> {
-        let tag = bytes[0];
-        let idx = u32::from_be_bytes(bytes[1..5].try_into().expect("5-byte endpoint"));
+    fn decode([tag, idx @ ..]: [u8; 5]) -> Result<Endpoint, CodecError> {
+        let idx = u32::from_be_bytes(idx);
         match tag {
             0 => Ok(Endpoint::Env),
             1 => Ok(Endpoint::Host),
@@ -260,6 +259,16 @@ impl FrameKind {
     }
 }
 
+/// Splits the next `N` bytes off the front of `bytes`, as an array.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = bytes.split_first_chunk().ok_or(CodecError::Truncated {
+        needed: N,
+        have: bytes.len(),
+    })?;
+    *bytes = rest;
+    Ok(*head)
+}
+
 /// One wire message of the networked world.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
@@ -312,11 +321,8 @@ impl Frame {
     ///
     /// A [`CodecError`] naming the first malformation found. Never panics.
     pub fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
-        let need = |needed: usize, have: usize| CodecError::Truncated { needed, have };
-        if bytes.len() < 4 {
-            return Err(need(4, bytes.len()));
-        }
-        let declared = u32::from_be_bytes(bytes[..4].try_into().expect("4-byte prefix")) as usize;
+        let mut rest = bytes;
+        let declared = u32::from_be_bytes(take(&mut rest)?) as usize;
         if declared > MAX_FRAME {
             return Err(CodecError::Oversize {
                 len: declared,
@@ -331,30 +337,32 @@ impl Frame {
         }
         let total = 4 + declared;
         if bytes.len() < total {
-            return Err(need(total, bytes.len()));
-        }
-        let frame = &bytes[4..total];
-        if frame[..2] != MAGIC {
-            return Err(CodecError::BadMagic {
-                found: [frame[0], frame[1]],
+            return Err(CodecError::Truncated {
+                needed: total,
+                have: bytes.len(),
             });
         }
-        if frame[2] != VERSION {
-            return Err(CodecError::UnsupportedVersion { found: frame[2] });
+        // The fixed header, field by field: `declared ≥ HEADER_LEN` bytes
+        // are there, so none of these reads can come up short.
+        let mut rest = &rest[..declared];
+        let [m0, m1, version, kind_tag] = take(&mut rest)?;
+        if [m0, m1] != MAGIC {
+            return Err(CodecError::BadMagic { found: [m0, m1] });
         }
-        let kind_tag = frame[3];
-        let from = Endpoint::decode(&frame[4..9])?;
-        let to = Endpoint::decode(&frame[9..14])?;
-        let sent_at = u64::from_be_bytes(frame[14..22].try_into().expect("8-byte sent_at"));
-        let body_len =
-            u32::from_be_bytes(frame[22..HEADER_LEN].try_into().expect("4-byte body len")) as usize;
+        if version != VERSION {
+            return Err(CodecError::UnsupportedVersion { found: version });
+        }
+        let from = Endpoint::decode(take(&mut rest)?)?;
+        let to = Endpoint::decode(take(&mut rest)?)?;
+        let sent_at = u64::from_be_bytes(take(&mut rest)?);
+        let body_len = u32::from_be_bytes(take(&mut rest)?) as usize;
         if HEADER_LEN + body_len != declared {
             return Err(CodecError::LengthMismatch {
                 declared,
                 actual: HEADER_LEN + body_len,
             });
         }
-        let body = Value::decode(&frame[HEADER_LEN..]).ok_or(CodecError::BadPayload {
+        let body = Value::decode(rest).ok_or(CodecError::BadPayload {
             kind: FrameKind::name(kind_tag),
         })?;
         let kind = FrameKind::from_body(kind_tag, body)?;

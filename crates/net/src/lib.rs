@@ -43,6 +43,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hostile bytes, dead links and bad images end in a typed error, never a
+// panic: outside tests, clippy (`-D warnings` in CI) refuses all three.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod codec;
 pub mod tcp;

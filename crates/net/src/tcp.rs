@@ -48,7 +48,7 @@ use sbc_core::worlds::SbcParams;
 use std::collections::{HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lane-identification preamble magic, written once per connection.
@@ -221,13 +221,14 @@ impl TcpHarness {
             .map_err(io_err("accept"))?;
         let mut pre = [0u8; PREAMBLE_LEN];
         (&stream).read_exact(&mut pre).map_err(io_err("accept"))?;
-        if pre[..4] != PREAMBLE_MAGIC {
+        let [m0, m1, m2, m3, lane @ ..] = pre;
+        if [m0, m1, m2, m3] != PREAMBLE_MAGIC {
             return Err(NetError::Io {
                 op: "accept",
                 detail: "bad lane preamble".to_string(),
             });
         }
-        let lane = u32::from_be_bytes(pre[4..8].try_into().expect("4-byte lane id")) as usize;
+        let lane = u32::from_be_bytes(lane) as usize;
         if lane >= self.rx.len() {
             return Err(NetError::Io {
                 op: "accept",
@@ -269,6 +270,15 @@ struct FaultPlan {
     down: HashSet<usize>,
 }
 
+impl FaultPlan {
+    /// Locks a shared plan. Every update is a single set insert or remove,
+    /// so the plan is valid at every step: a lock poisoned by a panicking
+    /// holder (a test thread) is recovered, not propagated.
+    fn lock(plan: &Mutex<FaultPlan>) -> MutexGuard<'_, FaultPlan> {
+        plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A cloneable handle that injects link faults into a running
 /// [`TcpTransport`] — the conformance tests kill connections mid-epoch
 /// through this while still demanding `Exact` transcript equality.
@@ -282,16 +292,12 @@ impl TcpFaultHandle {
     /// Breaks one lane's link mid-frame on its next write; the transport
     /// reconnects and retransmits.
     pub fn break_lane(&self, lane: usize) {
-        self.plan
-            .lock()
-            .expect("fault plan")
-            .break_once
-            .insert(lane);
+        FaultPlan::lock(&self.plan).break_once.insert(lane);
     }
 
     /// Breaks every lane's link mid-frame on its next write.
     pub fn break_all_links(&self) {
-        let mut plan = self.plan.lock().expect("fault plan");
+        let mut plan = FaultPlan::lock(&self.plan);
         for lane in 0..self.lanes {
             plan.break_once.insert(lane);
         }
@@ -301,22 +307,18 @@ impl TcpFaultHandle {
     /// frame is half-delivered and never completed, so only the receive
     /// deadline recovers.
     pub fn stall_lane(&self, lane: usize) {
-        self.plan
-            .lock()
-            .expect("fault plan")
-            .stall_once
-            .insert(lane);
+        FaultPlan::lock(&self.plan).stall_once.insert(lane);
     }
 
     /// Simulates an unreachable peer: the lane's link drops and every
     /// reconnect attempt fails until [`restore_lane`](Self::restore_lane).
     pub fn take_lane_down(&self, lane: usize) {
-        self.plan.lock().expect("fault plan").down.insert(lane);
+        FaultPlan::lock(&self.plan).down.insert(lane);
     }
 
     /// Heals a lane taken down by [`take_lane_down`](Self::take_lane_down).
     pub fn restore_lane(&self, lane: usize) {
-        self.plan.lock().expect("fault plan").down.remove(&lane);
+        FaultPlan::lock(&self.plan).down.remove(&lane);
     }
 }
 
@@ -389,7 +391,7 @@ impl TcpTransport {
     /// Connects one lane: TCP to the harness, nodelay, write deadline,
     /// and the identifying preamble.
     fn connect_lane(&self, lane: usize) -> std::io::Result<TcpStream> {
-        if self.faults.lock().expect("fault plan").down.contains(&lane) {
+        if FaultPlan::lock(&self.faults).down.contains(&lane) {
             return Err(std::io::Error::new(
                 ErrorKind::ConnectionRefused,
                 "simulated outage",
@@ -458,7 +460,10 @@ impl TcpTransport {
                     }
                 }
             }
-            let w = self.tx[lane].writer.as_mut().expect("writer just ensured");
+            // Connected just above; were it not, the next pass connects.
+            let Some(w) = self.tx[lane].writer.as_mut() else {
+                continue;
+            };
             match w.write_all(bytes).and_then(|()| w.flush()) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
@@ -485,7 +490,7 @@ impl TcpTransport {
     }
 
     fn take_fault(&mut self, lane: usize) -> Option<FaultMode> {
-        let mut plan = self.faults.lock().expect("fault plan");
+        let mut plan = FaultPlan::lock(&self.faults);
         if plan.stall_once.remove(&lane) {
             Some(FaultMode::Stall)
         } else if plan.break_once.remove(&lane) {

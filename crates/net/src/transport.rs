@@ -23,6 +23,7 @@
 //! bit-compatible with the in-process world's inline delivery loop.
 
 use crate::codec::{Endpoint, Frame, FrameKind, NetError};
+use sbc_core::protocol::wire_tau;
 use sbc_primitives::drbg::Drbg;
 use std::collections::VecDeque;
 
@@ -115,43 +116,33 @@ pub(crate) enum Plane {
 /// transport classifies twice per frame, on send and on socket arrival,
 /// and must count it only once).
 pub(crate) fn plane_of(frame: &Frame, delta: u64, n: usize) -> Result<Plane, NetError> {
-    let check = |party: u32| -> Result<u32, NetError> {
-        if (party as usize) < n {
-            Ok(party)
-        } else {
-            Err(NetError::UnknownParty { party, n })
-        }
+    let Endpoint::Party(to) = frame.to else {
+        return Ok(Plane::Control);
     };
-    match (&frame.kind, frame.to) {
-        // Functionality responses ride the dedicated rpc lane.
-        (
-            FrameKind::TleTriples(_) | FrameKind::TleDecResp(_) | FrameKind::RoAnswer(_),
-            Endpoint::Party(p),
-        ) => Ok(Plane::Rpc(check(p)?)),
-        // A wire delivery is data-plane; anything else addressed to a
-        // party (Wake_Up deliveries, submissions, ticks, responses)
-        // is control. A Deliver whose payload is not a parseable
-        // `(c, τ, y)` triple is control too: the in-process world
-        // delivers it immediately and the recipient discards it.
-        (FrameKind::Deliver { origin, payload }, Endpoint::Party(p)) => {
-            match wire_release_time(payload) {
-                Some(tau) => Ok(Plane::Data {
-                    to: check(p)?,
-                    origin: *origin,
-                    end: tau.saturating_sub(delta),
-                }),
-                None => {
-                    check(p)?;
-                    Ok(Plane::Control)
-                }
-            }
-        }
-        (_, Endpoint::Party(p)) => {
-            check(p)?;
-            Ok(Plane::Control)
-        }
-        _ => Ok(Plane::Control),
+    if to as usize >= n {
+        return Err(NetError::UnknownParty { party: to, n });
     }
+    Ok(match &frame.kind {
+        // Functionality responses ride the dedicated rpc lane.
+        FrameKind::TleTriples(_) | FrameKind::TleDecResp(_) | FrameKind::RoAnswer(_) => {
+            Plane::Rpc(to)
+        }
+        // A wire delivery is data-plane. What a wire is, is the party's
+        // parser's call (`wire_tau`), so none is ever filed on a plane the
+        // party will not read it from; a Deliver that is not one (a
+        // Wake_Up, or garbage the recipient discards) is control, as the
+        // in-process world delivers it immediately.
+        FrameKind::Deliver { origin, payload } => match wire_tau(payload) {
+            Some(tau) => Plane::Data {
+                to,
+                origin: *origin,
+                end: tau.saturating_sub(delta),
+            },
+            None => Plane::Control,
+        },
+        // Anything else addressed to a party — submissions, ticks — too.
+        _ => Plane::Control,
+    })
 }
 
 /// Shared mailbox state: per-plane queues plus counters.
@@ -242,17 +233,6 @@ impl Mailboxes {
             && self.rpc.iter().all(|q| q.is_empty())
             && self.data.iter().all(|q| q.is_empty())
     }
-}
-
-/// Extracts `τ_rel` from a `(c, τ_rel, y)` wire payload, if it is one.
-fn wire_release_time(payload: &sbc_uc::value::Value) -> Option<u64> {
-    let items = payload.as_list()?;
-    if items.len() != 3 {
-        return None;
-    }
-    items[0].as_bytes()?;
-    items[2].as_bytes()?;
-    items[1].as_u64()
 }
 
 /// The in-process reference transport: every plane delivers with zero

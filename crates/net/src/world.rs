@@ -37,7 +37,7 @@
 use crate::codec::{Endpoint, Frame, FrameKind};
 use crate::transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
 use sbc_core::error::SbcError;
-use sbc_core::protocol::{SbcHybrid, SbcParty};
+use sbc_core::protocol::{ParsedWire, SbcHybrid, SbcParty};
 use sbc_core::worlds::{SbcBackend, SbcHost, SbcParams};
 use sbc_tle::func::DecResponse;
 use sbc_uc::exec::SbcWorld;
@@ -45,6 +45,7 @@ use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak, World};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// The [`SbcHybrid`] of a networked party: every call is one request frame
 /// to the functionality host — encode, transport, decode — and, where the
@@ -334,50 +335,39 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
+    /// One queued control frame: to a party, or a party's `Output` to the
+    /// environment (posted by the `Tick` arm, dispatched from the next
+    /// batch). Host requests are never queued: [`FrameLink::rpc`] answers
+    /// them in place.
     fn dispatch_control(&mut self, frame: Frame) {
-        // The link borrows `host` and `transport` only, leaving the
-        // addressed party free to be stepped in place.
-        let mut link = FrameLink {
-            host: &mut self.host,
-            transport: self.transport.as_mut(),
-        };
-        match frame.to {
-            Endpoint::Party(p) => {
+        match (frame.to, frame.from, frame.kind) {
+            (Endpoint::Env, Endpoint::Party(p), FrameKind::Output(v)) => {
+                let out = (PartyId(p), Command::new("Broadcast", v));
+                self.host.core.outputs.push(out);
+            }
+            (Endpoint::Party(p), _, kind) => {
                 let Some(party) = self.parties.get_mut(p as usize) else {
                     return;
                 };
-                match frame.kind {
+                // The link borrows `host` and `transport` only, leaving the
+                // addressed party free to be stepped in place.
+                let mut link = FrameLink {
+                    host: &mut self.host,
+                    transport: self.transport.as_mut(),
+                };
+                match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
                         if let Some(cmd) = party.on_advance(&mut link) {
                             let out = FrameKind::Output(cmd.value);
                             link.post(Endpoint::Party(p), Endpoint::Env, out);
-                            self.pump_env();
                         }
                     }
                     FrameKind::Deliver { payload, .. } => party.on_ubc_deliver(&payload, &mut link),
                     _ => {}
                 }
             }
-            Endpoint::Host => link.host_handle(frame),
             _ => {}
-        }
-    }
-
-    /// Routes `Output` frames back to the environment's output buffer.
-    fn pump_env(&mut self) {
-        for bytes in self.transport.recv_control() {
-            let Ok(frame) = Frame::decode(&bytes) else {
-                continue;
-            };
-            if let (Endpoint::Env, Endpoint::Party(p), FrameKind::Output(v)) =
-                (frame.to, frame.from, frame.kind)
-            {
-                self.host
-                    .core
-                    .outputs
-                    .push((PartyId(p), Command::new("Broadcast", v)));
-            }
         }
     }
 
@@ -406,7 +396,8 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
-    /// Delivers the data-plane frames due for one party.
+    /// Delivers the data-plane frames due for one party, by the reception
+    /// path the in-process world's fan-out takes.
     fn pump_data_for(&mut self, p: u32) {
         let now = self.host.now();
         for bytes in self.transport.recv_data(p, now) {
@@ -415,7 +406,9 @@ impl<P: NetProfile> NetSbcWorld<P> {
             };
             if let FrameKind::Deliver { payload, .. } = frame.kind {
                 // Wire recording is pure — no host link needed.
-                self.parties[p as usize].on_wire_deliver(&payload, now);
+                if let Some(wire) = ParsedWire::parse(&payload) {
+                    self.parties[p as usize].on_wire_deliver_parsed(&Arc::new(wire), now);
+                }
             }
         }
     }
@@ -431,7 +424,7 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name != "Broadcast" || self.host.core.corr.is_corrupted(party) {
+        if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
         let submit = FrameKind::Submit(cmd.value);
@@ -441,7 +434,7 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.host.core.corr.is_corrupted(party) {
+        if !self.host.core.is_honest(party) {
             return;
         }
         // Due data-plane deliveries land before the round step, so a
@@ -534,8 +527,9 @@ impl<P: NetProfile> SbcBackend for NetSbcWorld<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbc_core::pool::PooledSbcWorld;
     use sbc_core::protocol::sbc_wire;
-    use sbc_core::worlds::RealSbcWorld;
+    use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld};
     use sbc_primitives::drbg::Drbg;
     use sbc_uc::exec::{CompareLevel, DualRun};
 
@@ -606,6 +600,59 @@ mod tests {
         assert!(stats.delivered > 0 && stats.bytes > 0, "{stats:?}");
         assert_eq!(stats.decode_errors, 0, "clean framing on every lane");
         assert_eq!(stats.timeouts, 0, "no deadline concessions on loopback");
+    }
+
+    /// "Never a panic" at the public `World` interface: a `PartyId`
+    /// outside `0..n` is no party. It cannot be corrupted, given input or
+    /// advanced, and the stray calls leave nothing behind — no leak, no
+    /// clock mark, no spent budget: the world stays `Exact`-equal to a twin
+    /// that never saw them.
+    fn out_of_range_party_is_ignored<W: SbcBackend>() {
+        let params = SbcParams::default_for(3);
+        let stray = PartyId(7);
+        let mut w = W::from_params(params, b"stray").expect("valid");
+        let twin = W::from_params(params, b"stray").expect("valid");
+
+        assert_eq!(w.adversary(AdvCommand::Corrupt(stray)), Value::Bool(false));
+        assert!((0..3).chain([7]).all(|p| !w.is_corrupted(PartyId(p))));
+        w.input(stray, Command::new("Broadcast", Value::bytes(b"x")));
+        w.advance(stray);
+        assert!(w.drain_leaks().is_empty() && w.drain_outputs().is_empty());
+        assert_eq!(w.time(), 0);
+
+        let mut dual = DualRun::new(w, twin, CompareLevel::Exact);
+        dual.submit(PartyId(0), b"m0");
+        dual.submit(PartyId(1), b"m1");
+        dual.idle_rounds(params.phi + params.delta + 1);
+        assert_eq!(dual.finish_epoch().expect("exact"), 0);
+        // The budget is whole: t = n − 1 corruptions, not one fewer.
+        for p in [0, 1] {
+            let (touched, clean) = dual.corrupt(PartyId(p));
+            assert!(touched.as_list().is_some() && touched == clean);
+        }
+        let refused = (Value::Bool(false), Value::Bool(false));
+        assert_eq!(dual.corrupt(PartyId(2)), refused);
+        dual.check().expect("exact");
+        let (touched, _) = dual.into_transcripts();
+        assert_eq!(touched.outputs().len(), 3, "the period released");
+
+        // The pool decides by the same tracker, before any instance exists:
+        // out of range, fresh, already corrupted, fresh, over t ≤ n − 1.
+        let mut pool = PooledSbcWorld::<W>::new(params, b"stray").expect("valid");
+        for (p, accepted) in [(7, false), (0, true), (0, false), (1, true), (2, false)] {
+            assert_eq!(pool.corrupt_party(PartyId(p)).is_some(), accepted, "P{p}");
+        }
+        let id = pool.open_instance().expect("opens");
+        let inherited = pool.instance_world(id).expect("live");
+        let corrupted = [0, 1, 2, 7].map(|p| inherited.is_corrupted(PartyId(p)));
+        assert_eq!(corrupted, [true, true, false, false]);
+    }
+
+    #[test]
+    fn out_of_range_party_is_ignored_by_every_world() {
+        out_of_range_party_is_ignored::<RealSbcWorld>();
+        out_of_range_party_is_ignored::<IdealSbcWorld>();
+        out_of_range_party_is_ignored::<LoopbackSbcWorld>();
     }
 
     #[test]

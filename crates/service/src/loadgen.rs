@@ -102,7 +102,7 @@ impl LoadGen {
     }
 
     fn gen_one(&mut self) -> GenSubmission {
-        let id = u64::from_be_bytes(self.rng.gen_bytes(8).try_into().expect("8 bytes"));
+        let id = self.rng.gen_u64();
         let client = id % self.profile.clients.max(1);
         let payload = self.rng.gen_bytes(self.profile.payload_len.max(1));
         let roll = self.rng.gen_bytes(1)[0] % 100;

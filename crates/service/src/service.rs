@@ -155,7 +155,7 @@ impl Outcome {
                     .iter()
                     .enumerate()
                     .max_by_key(|(id, votes)| (**votes, usize::MAX - id))
-                    .expect("tally is non-empty");
+                    .unwrap_or((0, &0));
                 Outcome::Election {
                     winner: winner as u8,
                     votes: *votes,
@@ -721,14 +721,11 @@ impl<W: SbcBackend> SbcService<W> {
                 let party = (filled % n) as u32;
                 match self.pool.submit(id, party, &pending.payload) {
                     Ok(()) => {
-                        self.inflight
-                            .get_mut(&id.0)
-                            .expect("collecting instance is tracked")
-                            .push(InFlight {
-                                ticket: pending.ticket,
-                                enqueued_round: pending.enqueued_round,
-                                enqueued_at: pending.enqueued_at,
-                            });
+                        self.inflight.entry(id.0).or_default().push(InFlight {
+                            ticket: pending.ticket,
+                            enqueued_round: pending.enqueued_round,
+                            enqueued_at: pending.enqueued_at,
+                        });
                         filled += 1;
                     }
                     Err(SbcError::SubmitAfterClose { .. }) => {
@@ -984,7 +981,10 @@ impl<W: SbcBackend> SbcService<W> {
     pub(crate) fn apply_checkpoint(&mut self, cp: Checkpoint) -> Result<(), ServiceError> {
         self.pool.resume_at(cp.round, cp.next_instance)?;
         for (i, entries) in cp.queues.iter().enumerate() {
-            let class = DeadlineClass::from_tag(i as u64).expect("queue index is a valid class");
+            let class =
+                DeadlineClass::from_tag(i as u64).ok_or_else(|| ServiceError::BadSnapshot {
+                    detail: format!("checkpoint queue {i}: no such deadline class"),
+                })?;
             for (ticket, payload, enqueued_round) in entries {
                 self.queues[i].push_back(Pending {
                     ticket: *ticket,

@@ -117,16 +117,16 @@ fn envelope_digest(payload_len: [u8; 8], payload: &[u8]) -> [u8; DIGEST_LEN] {
 /// Checks the magic and version of an envelope header and returns its
 /// payload-length field.
 fn payload_len_field(header: &[u8; HEADER_LEN]) -> Result<[u8; 8], ServiceError> {
-    if header[..4] != MAGIC {
+    let [m0, m1, m2, m3, version, payload_len @ ..] = *header;
+    if [m0, m1, m2, m3] != MAGIC {
         return Err(bad("not a service image: bad magic"));
     }
-    if header[4] != ENVELOPE_VERSION {
+    if version != ENVELOPE_VERSION {
         return Err(bad(format!(
-            "unsupported image version {} (speak {ENVELOPE_VERSION})",
-            header[4]
+            "unsupported image version {version} (speak {ENVELOPE_VERSION})"
         )));
     }
-    Ok(header[5..].try_into().expect("8-byte length field"))
+    Ok(payload_len)
 }
 
 fn field(list: &[Value], idx: usize, what: &str) -> Result<Value, ServiceError> {

@@ -1,8 +1,7 @@
 //! The global clock functionality `G_clock` (paper Fig. 2).
 //!
-//! The clock tracks a set of registered parties and functionalities per
-//! session. Time advances by one tick exactly when *all honest registered
-//! parties and all registered functionalities* have issued
+//! The clock tracks the registered parties of a session. Time advances by
+//! one tick exactly when *all honest registered parties* have issued
 //! `Advance_Clock` for the current round. Corrupted parties do not gate
 //! the clock (the adversary cannot stall time).
 //!
@@ -23,16 +22,7 @@
 use crate::ids::PartyId;
 use std::collections::BTreeSet;
 
-/// The entities that gate clock advancement.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ClockEntity {
-    /// A protocol party.
-    Party(PartyId),
-    /// A registered (clock-aware) functionality, by name.
-    Functionality(String),
-}
-
-/// The global clock `G_clock(P, F)`.
+/// The global clock `G_clock(P)`.
 ///
 /// Advancement checks are O(log n): the clock maintains the number of
 /// still-required `Advance_Clock` marks (`required − advanced.len()`)
@@ -45,17 +35,14 @@ pub struct GlobalClock {
     time: u64,
     parties: BTreeSet<PartyId>,
     corrupted: BTreeSet<PartyId>,
-    functionalities: BTreeSet<String>,
-    advanced: BTreeSet<ClockEntity>,
-    /// Entities currently gating the tick: honest registered parties plus
-    /// registered functionalities. Maintained incrementally.
+    advanced: BTreeSet<PartyId>,
+    /// Parties currently gating the tick: the honest registered ones.
+    /// Maintained incrementally.
     required: usize,
-    ticks: u64,
 }
 
 impl GlobalClock {
-    /// Creates a clock gated by the given party set (no functionalities
-    /// registered yet).
+    /// Creates a clock gated by the given party set.
     pub fn new(parties: impl IntoIterator<Item = PartyId>) -> Self {
         let parties: BTreeSet<PartyId> = parties.into_iter().collect();
         GlobalClock {
@@ -63,27 +50,13 @@ impl GlobalClock {
             time: 0,
             parties,
             corrupted: BTreeSet::new(),
-            functionalities: BTreeSet::new(),
             advanced: BTreeSet::new(),
-            ticks: 0,
-        }
-    }
-
-    /// Registers a clock-aware functionality (e.g. `F_TLE`).
-    pub fn register_functionality(&mut self, name: impl Into<String>) {
-        if self.functionalities.insert(name.into()) {
-            self.required += 1;
         }
     }
 
     /// `Read_Clock`: the current time `Cl`.
     pub fn read(&self) -> u64 {
         self.time
-    }
-
-    /// Number of ticks so far (equals `read()`).
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Marks a party as corrupted: it no longer gates advancement.
@@ -93,7 +66,7 @@ impl GlobalClock {
         if self.corrupted.insert(party) && self.parties.contains(&party) {
             self.required -= 1;
         }
-        self.advanced.remove(&ClockEntity::Party(party));
+        self.advanced.remove(&party);
         self.try_tick();
     }
 
@@ -102,27 +75,11 @@ impl GlobalClock {
         if !self.parties.contains(&party) || self.corrupted.contains(&party) {
             return false;
         }
-        self.advanced.insert(ClockEntity::Party(party));
+        self.advanced.insert(party);
         self.try_tick()
     }
 
-    /// `Advance_Clock` from a registered functionality. Returns `true` if
-    /// the clock ticked.
-    pub fn advance_functionality(&mut self, name: &str) -> bool {
-        if !self.functionalities.contains(name) {
-            return false;
-        }
-        self.advanced
-            .insert(ClockEntity::Functionality(name.to_string()));
-        self.try_tick()
-    }
-
-    /// Whether `party` has already advanced in the current round.
-    pub fn has_advanced(&self, party: PartyId) -> bool {
-        self.advanced.contains(&ClockEntity::Party(party))
-    }
-
-    /// Whether the clock is mid-round: at least one registered entity has
+    /// Whether the clock is mid-round: at least one registered party has
     /// issued `Advance_Clock` since the last tick. Fast-forward joins (see
     /// [`fast_forward`](GlobalClock::fast_forward)) are only sound at a
     /// round boundary.
@@ -133,8 +90,8 @@ impl GlobalClock {
     /// Jumps the clock forward to `to`, as if `to − read()` complete idle
     /// rounds had elapsed — the O(1) half of `SbcWorld::join_at` (a fresh
     /// world joining a long-lived shared clock skips the `O(T·n)`
-    /// `Advance_Clock` replay). `ticks()` advances by the same amount, so
-    /// the jump is indistinguishable from a literal replay of idle rounds.
+    /// `Advance_Clock` replay), indistinguishable from a literal replay of
+    /// idle rounds.
     ///
     /// A no-op when `to ≤ read()`. Callers must only fast-forward at a
     /// round boundary (no partial `Advance_Clock` marks — see
@@ -144,42 +101,24 @@ impl GlobalClock {
         if to <= self.time {
             return;
         }
-        let skipped = to - self.time;
         self.time = to;
-        self.ticks += skipped;
         self.advanced.clear();
     }
 
-    /// The honest parties still required before the next tick.
-    pub fn waiting_on(&self) -> Vec<ClockEntity> {
-        let mut out = Vec::new();
-        for p in &self.parties {
-            if !self.corrupted.contains(p) && !self.advanced.contains(&ClockEntity::Party(*p)) {
-                out.push(ClockEntity::Party(*p));
-            }
-        }
-        for f in &self.functionalities {
-            if !self
-                .advanced
-                .contains(&ClockEntity::Functionality(f.clone()))
-            {
-                out.push(ClockEntity::Functionality(f.clone()));
-            }
-        }
-        out
+    /// The honest parties still required before the next tick, in id order.
+    pub fn waiting_on(&self) -> Vec<PartyId> {
+        let gating = |p: &&PartyId| !self.corrupted.contains(p) && !self.advanced.contains(p);
+        self.parties.iter().filter(gating).copied().collect()
     }
 
     fn try_tick(&mut self) -> bool {
-        // `advanced` only ever holds currently-gating entities (corruption
+        // `advanced` only ever holds currently-gating parties (corruption
         // evicts a party's mark), so full-count equality is exactly
         // "nobody is waiting" — without the O(n) waiting-set scan the old
         // implementation paid on every single Advance_Clock.
         debug_assert!(self.advanced.len() <= self.required);
-        if self.advanced.len() == self.required
-            && !(self.parties.is_empty() && self.functionalities.is_empty())
-        {
+        if self.advanced.len() == self.required && !self.parties.is_empty() {
             self.time += 1;
-            self.ticks += 1;
             self.advanced.clear();
             true
         } else {
@@ -223,20 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn functionalities_gate_too() {
-        let mut c = GlobalClock::new(PartyId::all(1));
-        c.register_functionality("F_TLE");
-        c.advance_party(PartyId(0));
-        assert_eq!(c.read(), 0);
-        assert!(c.advance_functionality("F_TLE"));
-        assert_eq!(c.read(), 1);
-    }
-
-    #[test]
     fn unregistered_entities_ignored() {
         let mut c = GlobalClock::new(PartyId::all(1));
         assert!(!c.advance_party(PartyId(9)));
-        assert!(!c.advance_functionality("nope"));
         assert_eq!(c.read(), 0);
     }
 
@@ -246,22 +174,19 @@ mod tests {
         c.advance_party(PartyId(0));
         c.advance_party(PartyId(0));
         assert_eq!(c.read(), 0);
-        assert!(c.has_advanced(PartyId(0)));
-        assert!(!c.has_advanced(PartyId(1)));
+        assert_eq!(c.waiting_on(), vec![PartyId(1)]);
         c.advance_party(PartyId(1));
         assert_eq!(c.read(), 1);
-        assert!(!c.has_advanced(PartyId(0)), "reset after tick");
+        assert_eq!(c.waiting_on().len(), 2, "reset after tick");
     }
 
     #[test]
     fn waiting_on_reports_missing() {
-        let mut c = GlobalClock::new(PartyId::all(2));
-        c.register_functionality("F");
+        let mut c = GlobalClock::new(PartyId::all(3));
+        c.set_corrupted(PartyId(2));
+        assert_eq!(c.waiting_on(), vec![PartyId(0), PartyId(1)]);
         c.advance_party(PartyId(1));
-        let waiting = c.waiting_on();
-        assert!(waiting.contains(&ClockEntity::Party(PartyId(0))));
-        assert!(waiting.contains(&ClockEntity::Functionality("F".into())));
-        assert_eq!(waiting.len(), 2);
+        assert_eq!(c.waiting_on(), vec![PartyId(0)]);
     }
 
     #[test]
@@ -275,13 +200,11 @@ mod tests {
         let mut jumped = GlobalClock::new(PartyId::all(3));
         jumped.fast_forward(7);
         assert_eq!(jumped.read(), replayed.read());
-        assert_eq!(jumped.ticks(), replayed.ticks());
         assert!(!jumped.mid_round());
         // Backwards / same-round jumps are no-ops.
         jumped.fast_forward(7);
         jumped.fast_forward(3);
         assert_eq!(jumped.read(), 7);
-        assert_eq!(jumped.ticks(), 7);
     }
 
     #[test]
@@ -296,23 +219,20 @@ mod tests {
 
     #[test]
     fn required_count_survives_duplicate_registration_and_corruption() {
-        // The O(1) tick check counts gating entities incrementally:
+        // The O(1) tick check counts gating parties incrementally:
         // duplicate registrations and double corruptions must not skew it.
-        let mut c = GlobalClock::new(PartyId::all(3));
-        c.register_functionality("F");
-        c.register_functionality("F"); // duplicate: still one gate
+        let twice = PartyId::all(3).into_iter().chain(PartyId::all(3));
+        let mut c = GlobalClock::new(twice); // duplicates: still three gates
         c.set_corrupted(PartyId(2));
         c.set_corrupted(PartyId(2)); // double corruption: one decrement
         c.set_corrupted(PartyId(9)); // unregistered: no decrement
         c.advance_party(PartyId(0));
-        c.advance_party(PartyId(1));
-        assert_eq!(c.read(), 0, "functionality still gates");
-        assert!(c.advance_functionality("F"));
+        assert_eq!(c.read(), 0, "P1 still gates");
+        assert!(c.advance_party(PartyId(1)));
         assert_eq!(c.read(), 1);
         // Steady state keeps ticking with the same counts.
         c.advance_party(PartyId(0));
-        c.advance_party(PartyId(1));
-        assert!(c.advance_functionality("F"));
+        assert!(c.advance_party(PartyId(1)));
         assert_eq!(c.read(), 2);
     }
 
@@ -324,6 +244,5 @@ mod tests {
             c.advance_party(PartyId(1));
             assert_eq!(c.read(), round);
         }
-        assert_eq!(c.ticks(), 5);
     }
 }

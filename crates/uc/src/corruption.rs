@@ -15,14 +15,16 @@
 //! let mut ct = CorruptionTracker::new(3); // t < n = 3
 //! assert!(ct.corrupt(PartyId(0), 5).is_ok());
 //! assert!(ct.is_corrupted(PartyId(0)));
-//! assert_eq!(ct.honest_count(), 2);
+//! assert!(ct.corrupt(PartyId(3), 5).is_err()); // not a party
+//! assert_eq!(ct.honest(), vec![PartyId(1), PartyId(2)]);
 //! ```
 
 use crate::ids::PartyId;
 use std::collections::BTreeSet;
 
-/// Error: corrupting would leave no honest party (the model requires
-/// `t < n`).
+/// Error: the corruption is outside the adversary's budget — the target is
+/// not one of the `n` parties, or corrupting it would leave no honest party
+/// (the model requires `t < n`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionBudgetExceeded;
 
@@ -57,13 +59,14 @@ impl CorruptionTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`CorruptionBudgetExceeded`] if all other parties are already
-    /// corrupted (at least one party must remain honest).
+    /// Returns [`CorruptionBudgetExceeded`] if `party ≥ n`, or if all other
+    /// parties are already corrupted (at least one party must remain
+    /// honest) — the one place either rule is decided; worlds and pools ask.
     pub fn corrupt(&mut self, party: PartyId, round: u64) -> Result<(), CorruptionBudgetExceeded> {
         if self.corrupted.contains(&party) {
             return Ok(()); // idempotent
         }
-        if self.corrupted.len() + 1 > self.n || self.corrupted.len() + 1 > self.n - 1 {
+        if party.index() >= self.n || self.corrupted.len() + 1 >= self.n {
             return Err(CorruptionBudgetExceeded);
         }
         self.corrupted.insert(party);
@@ -87,11 +90,6 @@ impl CorruptionTracker {
             .map(PartyId)
             .filter(|p| !self.corrupted.contains(p))
             .collect()
-    }
-
-    /// Number of honest parties remaining.
-    pub fn honest_count(&self) -> usize {
-        self.n - self.corrupted.len()
     }
 
     /// Number of corrupted parties.
@@ -126,7 +124,7 @@ mod tests {
         for i in 0..3 {
             ct.corrupt(PartyId(i), 0).unwrap();
         }
-        assert_eq!(ct.honest_count(), 1);
+        assert_eq!(ct.honest(), vec![PartyId(3)]);
     }
 
     #[test]
@@ -135,7 +133,17 @@ mod tests {
         ct.corrupt(PartyId(0), 0).unwrap();
         ct.corrupt(PartyId(1), 0).unwrap();
         assert_eq!(ct.corrupt(PartyId(2), 0), Err(CorruptionBudgetExceeded));
-        assert_eq!(ct.honest_count(), 1);
+        assert_eq!(ct.corrupted_count(), 2);
+    }
+
+    #[test]
+    fn out_of_range_party_rejected_without_spending_budget() {
+        let mut ct = CorruptionTracker::new(3);
+        assert_eq!(ct.corrupt(PartyId(3), 0), Err(CorruptionBudgetExceeded));
+        assert!(!ct.is_corrupted(PartyId(3)) && ct.history().is_empty());
+        ct.corrupt(PartyId(0), 0).unwrap();
+        ct.corrupt(PartyId(1), 0).unwrap(); // still t = n − 1
+        assert!(CorruptionTracker::new(0).corrupt(PartyId(0), 0).is_err());
     }
 
     #[test]

@@ -52,7 +52,18 @@
 //! harness to pool pairs, recording one transcript per instance and
 //! comparing the real/ideal pools **keyed by instance** — UC composition
 //! says the whole pool is indistinguishable iff every instance is, which
-//! is exactly what [`PoolDualRun::check`] asserts.
+//! is exactly what [`PoolDualRun::check`] asserts. The harness is two
+//! private `Side`s — a pool plus the transcripts recorded from it — and
+//! each driver action is one `Side` method, called once per side.
+//!
+//! # What a check compares
+//!
+//! [`compare_transcripts`] reads one per-event encoding at one of two
+//! levels (the table is on `Event::encode` in [`crate::trace`]):
+//! [`CompareLevel::Exact`] as recorded, [`CompareLevel::ShapeAndOutputs`]
+//! with byte strings as lengths and adversary actions as their presence,
+//! plus exactly equal party outputs. A [`Divergence`] names the first
+//! event at which the two sides part at that level.
 
 use crate::ids::PartyId;
 use crate::trace::{EventKind, Transcript};
@@ -192,31 +203,38 @@ impl std::error::Error for Divergence {}
 ///
 /// # Errors
 ///
-/// Returns a [`Divergence`] naming what differed.
+/// Returns a [`Divergence`] naming what differed and, for the transcripts
+/// themselves, where: the first event at which the two sides encode
+/// differently at that level ([`Transcript::first_divergence`]).
 pub fn compare_transcripts(
     level: CompareLevel,
     real: &Transcript,
     ideal: &Transcript,
 ) -> Result<(), Divergence> {
-    let diverged = |reason: &str| Divergence {
-        reason: reason.to_string(),
+    let diverged = |reason: String| Divergence {
+        reason,
         real: real.to_string(),
         ideal: ideal.to_string(),
     };
-    match level {
-        CompareLevel::Exact => {
-            if real.digest() != ideal.digest() {
-                return Err(diverged("real vs ideal transcripts diverge"));
-            }
-        }
-        CompareLevel::ShapeAndOutputs => {
-            if real.shape_digest() != ideal.shape_digest() {
-                return Err(diverged("real vs ideal transcript shapes diverge"));
-            }
-            if real.outputs() != ideal.outputs() {
-                return Err(diverged("real vs ideal party outputs diverge"));
-            }
-        }
+    let shape = level == CompareLevel::ShapeAndOutputs;
+    if let Some(k) = real.first_divergence(ideal, shape) {
+        let what = if shape {
+            "transcript shapes"
+        } else {
+            "transcripts"
+        };
+        let at = match (real.events.get(k), ideal.events.get(k)) {
+            (Some(r), Some(i)) => format!(
+                "first divergence at event #{k} (round {}): real {:?} vs ideal {:?}",
+                r.round, r.kind, i.kind
+            ),
+            (None, _) => format!("real ends after {k} events"),
+            (_, None) => format!("ideal ends after {k} events"),
+        };
+        return Err(diverged(format!("real vs ideal {what} diverge: {at}")));
+    }
+    if shape && real.outputs() != ideal.outputs() {
+        return Err(diverged("real vs ideal party outputs diverge".to_string()));
     }
     Ok(())
 }
@@ -506,16 +524,6 @@ pub trait PoolWorld {
     fn would_abort(&self) -> bool {
         false
     }
-
-    /// Default driver: submits `message` for broadcast by honest `party`
-    /// in `instance`.
-    fn submit(&mut self, instance: InstanceId, party: PartyId, message: &[u8]) {
-        self.input(
-            instance,
-            party,
-            Command::new("Broadcast", Value::bytes(message)),
-        );
-    }
 }
 
 /// Drives a real/ideal pair of [`PoolWorld`] backends through identical
@@ -533,28 +541,92 @@ pub trait PoolWorld {
 /// checkpoints the whole pool before turning one instance's period over.
 #[derive(Debug)]
 pub struct PoolDualRun<R: PoolWorld, I: PoolWorld> {
-    real: R,
-    ideal: I,
+    real: Side<R>,
+    ideal: Side<I>,
     level: CompareLevel,
-    t_real: BTreeMap<InstanceId, Transcript>,
-    t_ideal: BTreeMap<InstanceId, Transcript>,
     epochs: BTreeMap<InstanceId, u64>,
 }
 
-fn pool_sync<P: PoolWorld>(world: &mut P, ts: &mut BTreeMap<InstanceId, Transcript>, round: u64) {
-    for (id, leak) in world.drain_leaks() {
-        ts.entry(id).or_default().push(
-            round,
-            EventKind::Leak {
-                source: leak.source,
-                cmd: leak.cmd,
-            },
-        );
+/// One pool of a [`PoolDualRun`] and the per-instance transcripts recorded
+/// from it.
+#[derive(Debug)]
+struct Side<P: PoolWorld> {
+    pool: P,
+    ts: BTreeMap<InstanceId, Transcript>,
+}
+
+impl<P: PoolWorld> Side<P> {
+    fn new(pool: P) -> Self {
+        Side {
+            pool,
+            ts: BTreeMap::new(),
+        }
     }
-    for (id, party, cmd) in world.drain_outputs() {
-        ts.entry(id)
-            .or_default()
-            .push(round, EventKind::Output { party, cmd });
+
+    fn push(&mut self, instance: InstanceId, round: u64, kind: EventKind) {
+        self.ts.entry(instance).or_default().push(round, kind);
+    }
+
+    /// Runs one driver action, handing it the round it starts in, then
+    /// records the leaks and outputs it produced, stamped with that round
+    /// (the pool image of `EnvDriver`'s per-action sync).
+    fn act<T>(&mut self, action: impl FnOnce(&mut Self, u64) -> T) -> T {
+        let round = self.pool.round();
+        let result = action(self, round);
+        for (id, Leak { source, cmd }) in self.pool.drain_leaks() {
+            self.push(id, round, EventKind::Leak { source, cmd });
+        }
+        for (id, party, cmd) in self.pool.drain_outputs() {
+            self.push(id, round, EventKind::Output { party, cmd });
+        }
+        result
+    }
+
+    fn open(&mut self, name: &str) -> InstanceId {
+        self.act(|side, _| {
+            let id = side
+                .pool
+                .open_instance()
+                .unwrap_or_else(|e| panic!("{name} pool failed to open an instance: {e}"));
+            side.ts.entry(id).or_default();
+            id
+        })
+    }
+
+    fn input(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
+        self.act(|side, round| {
+            let fed = EventKind::Input {
+                party,
+                cmd: cmd.clone(),
+            };
+            side.push(instance, round, fed);
+            side.pool.input(instance, party, cmd);
+        })
+    }
+
+    fn adversary(&mut self, instance: InstanceId, cmd: AdvCommand) -> Value {
+        self.act(|side, round| {
+            let desc = format!("{cmd:?}");
+            side.push(instance, round, EventKind::AdvAction { desc });
+            let value = side.pool.adversary(instance, cmd);
+            let resp = value.clone();
+            side.push(instance, round, EventKind::AdvResponse { value });
+            resp
+        })
+    }
+
+    /// Global corruption: the per-instance responses are recorded in each
+    /// instance's transcript. Returns whether the pool accepted it.
+    fn corrupt(&mut self, party: PartyId) -> bool {
+        self.act(|side, round| {
+            let views = side.pool.corrupt(party);
+            for (id, value) in views.iter().flatten().cloned() {
+                let desc = format!("Corrupt({party:?})");
+                side.push(id, round, EventKind::AdvAction { desc });
+                side.push(id, round, EventKind::AdvResponse { value });
+            }
+            views.is_some()
+        })
     }
 }
 
@@ -567,18 +639,16 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     pub fn new(real: R, ideal: I, level: CompareLevel) -> Self {
         assert_eq!(real.n(), ideal.n(), "pools must have the same parties");
         PoolDualRun {
-            real,
-            ideal,
+            real: Side::new(real),
+            ideal: Side::new(ideal),
             level,
-            t_real: BTreeMap::new(),
-            t_ideal: BTreeMap::new(),
             epochs: BTreeMap::new(),
         }
     }
 
     /// Number of parties.
     pub fn n(&self) -> usize {
-        self.real.n()
+        self.real.pool.n()
     }
 
     /// The shared clock round.
@@ -588,7 +658,7 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     /// Panics if the two pools' clocks diverge — that is itself a
     /// distinguishing event.
     pub fn round(&self) -> u64 {
-        let (r, i) = (self.real.round(), self.ideal.round());
+        let (r, i) = (self.real.pool.round(), self.ideal.pool.round());
         assert_eq!(r, i, "pool clocks diverge: real {r} vs ideal {i}");
         r
     }
@@ -602,21 +672,9 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     /// order) — harness-style: an open failure on one side is itself a
     /// distinguishing event and must surface loudly.
     pub fn open_instance(&mut self) -> InstanceId {
-        let (tr, ti) = (self.real.round(), self.ideal.round());
-        let r = self
-            .real
-            .open_instance()
-            .unwrap_or_else(|e| panic!("real pool failed to open an instance: {e}"));
-        let i = self
-            .ideal
-            .open_instance()
-            .unwrap_or_else(|e| panic!("ideal pool failed to open an instance: {e}"));
+        let (r, i) = (self.real.open("real"), self.ideal.open("ideal"));
         assert_eq!(r, i, "pools assigned different instance ids");
-        self.t_real.entry(r).or_default();
-        self.t_ideal.entry(r).or_default();
         self.epochs.entry(r).or_insert(0);
-        pool_sync(&mut self.real, &mut self.t_real, tr);
-        pool_sync(&mut self.ideal, &mut self.t_ideal, ti);
         r
     }
 
@@ -638,116 +696,29 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
 
     /// Feeds an input to `instance` in both pools.
     pub fn input(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
-        let t = self.real.round();
-        self.t_real.entry(instance).or_default().push(
-            t,
-            EventKind::Input {
-                party,
-                cmd: cmd.clone(),
-            },
-        );
         self.real.input(instance, party, cmd.clone());
-        pool_sync(&mut self.real, &mut self.t_real, t);
-        let t = self.ideal.round();
-        self.t_ideal.entry(instance).or_default().push(
-            t,
-            EventKind::Input {
-                party,
-                cmd: cmd.clone(),
-            },
-        );
         self.ideal.input(instance, party, cmd);
-        pool_sync(&mut self.ideal, &mut self.t_ideal, t);
     }
 
     /// Issues an instance-scoped adversary command to both pools, returning
     /// both responses.
     pub fn adversary(&mut self, instance: InstanceId, cmd: AdvCommand) -> (Value, Value) {
-        let t = self.real.round();
-        self.t_real.entry(instance).or_default().push(
-            t,
-            EventKind::AdvAction {
-                desc: format!("{cmd:?}"),
-            },
-        );
         let r = self.real.adversary(instance, cmd.clone());
-        self.t_real
-            .entry(instance)
-            .or_default()
-            .push(t, EventKind::AdvResponse { value: r.clone() });
-        pool_sync(&mut self.real, &mut self.t_real, t);
-        let t = self.ideal.round();
-        self.t_ideal.entry(instance).or_default().push(
-            t,
-            EventKind::AdvAction {
-                desc: format!("{cmd:?}"),
-            },
-        );
-        let i = self.ideal.adversary(instance, cmd);
-        self.t_ideal
-            .entry(instance)
-            .or_default()
-            .push(t, EventKind::AdvResponse { value: i.clone() });
-        pool_sync(&mut self.ideal, &mut self.t_ideal, t);
-        (r, i)
+        (r, self.ideal.adversary(instance, cmd))
     }
 
     /// Corrupts `party` globally (in every instance) in both pools. The
     /// per-instance corruption responses are recorded in each instance's
     /// transcript.
     pub fn corrupt(&mut self, party: PartyId) -> (bool, bool) {
-        let t = self.real.round();
-        let r = self.real.corrupt(party);
-        if let Some(views) = &r {
-            for (id, value) in views {
-                let tr = self.t_real.entry(*id).or_default();
-                tr.push(
-                    t,
-                    EventKind::AdvAction {
-                        desc: format!("Corrupt({party:?})"),
-                    },
-                );
-                tr.push(
-                    t,
-                    EventKind::AdvResponse {
-                        value: value.clone(),
-                    },
-                );
-            }
-        }
-        pool_sync(&mut self.real, &mut self.t_real, t);
-        let t = self.ideal.round();
-        let i = self.ideal.corrupt(party);
-        if let Some(views) = &i {
-            for (id, value) in views {
-                let ti = self.t_ideal.entry(*id).or_default();
-                ti.push(
-                    t,
-                    EventKind::AdvAction {
-                        desc: format!("Corrupt({party:?})"),
-                    },
-                );
-                ti.push(
-                    t,
-                    EventKind::AdvResponse {
-                        value: value.clone(),
-                    },
-                );
-            }
-        }
-        pool_sync(&mut self.ideal, &mut self.t_ideal, t);
-        (r.is_some(), i.is_some())
+        (self.real.corrupt(party), self.ideal.corrupt(party))
     }
 
     /// One shared clock tick in both pools (every live instance advances a
     /// full round).
     pub fn step_round(&mut self) {
-        let t = self.real.round();
-        self.real.step_round();
-        pool_sync(&mut self.real, &mut self.t_real, t);
-        let t = self.ideal.round();
-        self.ideal.step_round();
-        pool_sync(&mut self.ideal, &mut self.t_ideal, t);
+        self.real.act(|side, _| side.pool.step_round());
+        self.ideal.act(|side, _| side.pool.step_round());
     }
 
     /// Runs `rounds` shared clock ticks.
@@ -764,8 +735,8 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     /// Panics if the two pools disagree — a distinguishing event.
     pub fn release_round(&self, instance: InstanceId) -> Option<u64> {
         let (r, i) = (
-            self.real.release_round(instance),
-            self.ideal.release_round(instance),
+            self.real.pool.release_round(instance),
+            self.ideal.pool.release_round(instance),
         );
         assert_eq!(r, i, "{instance}: release rounds diverge");
         r
@@ -778,24 +749,23 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     ///
     /// Returns a [`Divergence`] naming the diverging instance.
     pub fn check(&self) -> Result<(), Divergence> {
-        if self.ideal.would_abort() {
-            return Err(Divergence {
-                reason: "simulator abort event".to_string(),
-                real: String::new(),
-                ideal: String::new(),
-            });
+        let bare = |reason: String| Divergence {
+            reason,
+            real: String::new(),
+            ideal: String::new(),
+        };
+        if self.ideal.pool.would_abort() {
+            return Err(bare("simulator abort event".to_string()));
         }
-        let keys_r: Vec<_> = self.t_real.keys().copied().collect();
-        let keys_i: Vec<_> = self.t_ideal.keys().copied().collect();
+        let keys_r: Vec<_> = self.real.ts.keys().copied().collect();
+        let keys_i: Vec<_> = self.ideal.ts.keys().copied().collect();
         if keys_r != keys_i {
-            return Err(Divergence {
-                reason: format!("instance sets diverge: real {keys_r:?} vs ideal {keys_i:?}"),
-                real: String::new(),
-                ideal: String::new(),
-            });
+            return Err(bare(format!(
+                "instance sets diverge: real {keys_r:?} vs ideal {keys_i:?}"
+            )));
         }
-        for (id, tr) in &self.t_real {
-            let ti = &self.t_ideal[id];
+        for (id, tr) in &self.real.ts {
+            let ti = &self.ideal.ts[id];
             compare_transcripts(self.level, tr, ti).map_err(|d| Divergence {
                 reason: format!("{id}: {}", d.reason),
                 ..d
@@ -817,12 +787,12 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
         // no-op in both worlds and the harness would report an epoch
         // turnover that never happened.
         assert!(
-            self.t_real.contains_key(&instance),
+            self.real.ts.contains_key(&instance),
             "{instance} was never opened on this harness"
         );
         self.check()?;
-        self.real.begin_new_period(instance);
-        self.ideal.begin_new_period(instance);
+        self.real.pool.begin_new_period(instance);
+        self.ideal.pool.begin_new_period(instance);
         let e = self.epochs.entry(instance).or_insert(0);
         let finished = *e;
         *e += 1;
@@ -832,19 +802,15 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     /// Retires `instance` in both pools. Its transcripts stay part of every
     /// later [`check`](PoolDualRun::check).
     pub fn close_instance(&mut self, instance: InstanceId) {
-        let t = self.real.round();
-        self.real.close_instance(instance);
-        pool_sync(&mut self.real, &mut self.t_real, t);
-        let t = self.ideal.round();
-        self.ideal.close_instance(instance);
-        pool_sync(&mut self.ideal, &mut self.t_ideal, t);
+        self.real.act(|side, _| side.pool.close_instance(instance));
+        self.ideal.act(|side, _| side.pool.close_instance(instance));
     }
 
     /// Borrows both pools — the post-run introspection hook for
     /// backend-specific assertions the instance-addressed driver surface
     /// does not carry (e.g. a networked backend's transport statistics).
     pub fn worlds(&self) -> (&R, &I) {
-        (&self.real, &self.ideal)
+        (&self.real.pool, &self.ideal.pool)
     }
 
     /// Consumes the harness, returning both per-instance transcript maps.
@@ -854,20 +820,20 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
         BTreeMap<InstanceId, Transcript>,
         BTreeMap<InstanceId, Transcript>,
     ) {
-        (self.t_real, self.t_ideal)
+        (self.real.ts, self.ideal.ts)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::world::Leak;
     use std::collections::VecDeque;
 
-    /// A periodic echo world: inputs are echoed back on the next tick;
-    /// `begin_new_period` drops undelivered inputs. A `bias` byte lets the
-    /// tests fabricate divergent pairs.
-    struct PeriodicEcho {
+    /// A periodic echo world (also the `EnvDriver` tests' world): inputs
+    /// are leaked, then echoed back on the next tick; `begin_new_period`
+    /// drops undelivered inputs. A `bias` byte lets the tests fabricate
+    /// divergent pairs.
+    pub(crate) struct PeriodicEcho {
         n: usize,
         time: u64,
         pending: VecDeque<(PartyId, Command)>,
@@ -880,7 +846,7 @@ mod tests {
     }
 
     impl PeriodicEcho {
-        fn new(n: usize) -> Self {
+        pub(crate) fn new(n: usize) -> Self {
             PeriodicEcho {
                 n,
                 time: 0,
@@ -909,6 +875,10 @@ mod tests {
             self.time
         }
         fn input(&mut self, party: PartyId, cmd: Command) {
+            self.leaks.push(Leak {
+                source: "echo".into(),
+                cmd: cmd.clone(),
+            });
             let cmd = match (self.bias, &cmd.value) {
                 (Some(b), Value::Bytes(v)) => {
                     let mut v = v.clone();
@@ -990,6 +960,41 @@ mod tests {
         dual.advance_all();
         let err = dual.check().unwrap_err();
         assert!(err.reason.contains("diverge"), "got: {}", err.reason);
+    }
+
+    #[test]
+    fn divergence_says_where() {
+        use CompareLevel::{Exact, ShapeAndOutputs};
+        let out = |t: &mut Transcript, round: u64, m: &[u8]| {
+            let (party, cmd) = (PartyId(0), Command::new("Broadcast", Value::bytes(m)));
+            t.push(round, EventKind::Output { party, cmd });
+        };
+        let why = |level, real: &Transcript, ideal: &Transcript| {
+            compare_transcripts(level, real, ideal).unwrap_err().reason
+        };
+        let (mut real, mut ideal) = (Transcript::new(), Transcript::new());
+        for t in [&mut real, &mut ideal] {
+            (0..3).for_each(|p| t.push(p / 2, EventKind::Advance { party: PartyId(0) }));
+        }
+        // Event 3, round 7: equal-length byte strings that differ. Exactly
+        // that is a divergence; in shape it is none, only the outputs differ.
+        out(&mut real, 7, b"aaaa");
+        out(&mut ideal, 7, b"bbbb");
+        let exact = why(Exact, &real, &ideal);
+        assert!(exact.contains("diverge: first divergence at event #3 (round 7): real Output"));
+        assert_eq!(real.first_divergence(&ideal, true), None);
+        assert!(why(ShapeAndOutputs, &real, &ideal).contains("outputs diverge"));
+        // A length difference is a shape divergence.
+        out(&mut real, 7, b"bbbb");
+        out(&mut ideal, 7, b"bbbbb");
+        assert!(why(ShapeAndOutputs, &real, &ideal)
+            .contains("shapes diverge: first divergence at event #4"));
+        // A proper prefix: the shorter side is named.
+        let shorter = Transcript {
+            events: real.events[..2].to_vec(),
+        };
+        assert!(why(Exact, &shorter, &real).contains("real ends after 2 events"));
+        assert!(why(Exact, &real, &shorter).contains("ideal ends after 2 events"));
     }
 
     #[test]
@@ -1219,10 +1224,12 @@ mod tests {
         dual.step_round();
         let err = dual.check().unwrap_err();
         assert!(
-            err.reason.contains(&format!("{b}")),
-            "reason names instance: {}",
+            err.reason.starts_with(&format!("{b}: ")),
+            "reason leads with the instance: {}",
             err.reason
         );
+        // Input, its leak, then the biased echo: `b`'s third event.
+        assert!(err.reason.contains("event #2 (round 0)"), "{}", err.reason);
         let _ = a;
     }
 

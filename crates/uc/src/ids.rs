@@ -1,4 +1,4 @@
-//! Identities: parties, sessions, and the unique random tags used by the
+//! Identities: parties and the unique random tags used by the
 //! broadcast functionalities.
 //!
 //! # Examples
@@ -41,10 +41,6 @@ impl PartyId {
         self.0 as usize
     }
 }
-
-/// A session identifier.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
-pub struct SessionId(pub u64);
 
 /// A unique random tag (the functionalities' `tag ∈ {0,1}^λ`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

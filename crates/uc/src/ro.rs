@@ -39,8 +39,8 @@ pub enum Caller {
     Simulator,
 }
 
-/// Error returned by [`RandomOracle::program`] when the point was already
-/// fixed — the abort event of the equivocation simulators.
+/// Error returned by [`RandomOracle::program_bytes`] when the point was
+/// already fixed — the abort event of the equivocation simulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlreadyDefined;
 
@@ -68,7 +68,6 @@ pub struct RandomOracle {
     vl_table: HashMap<Vec<u8>, Vec<u8>>,
     /// Points queried by the adversary (for simulator abort checks).
     adversary_queried: HashMap<Vec<u8>, ()>,
-    programmed: HashMap<Vec<u8>, ()>,
     /// The PRF key, prepared once: every fresh point and every block of
     /// every mask is a tag under it.
     key: HmacKey,
@@ -83,7 +82,6 @@ impl RandomOracle {
             table: HashMap::new(),
             vl_table: HashMap::new(),
             adversary_queried: HashMap::new(),
-            programmed: HashMap::new(),
             key,
             query_count: 0,
         }
@@ -162,7 +160,6 @@ impl RandomOracle {
         if self.vl_table.contains_key(&key) {
             return Err(AlreadyDefined);
         }
-        self.programmed.insert(key.clone(), ());
         self.vl_table.insert(key, y);
         Ok(())
     }
@@ -172,30 +169,9 @@ impl RandomOracle {
         self.adversary_queried.contains_key(&Self::vl_key(x, len))
     }
 
-    /// Simulator-only: fixes `H(x) = y` for a not-yet-queried point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlreadyDefined`] if `x` was already queried or programmed —
-    /// this is exactly the negligible-probability abort event in the
-    /// paper's simulation proofs.
-    pub fn program(&mut self, x: &[u8], y: [u8; 32]) -> Result<(), AlreadyDefined> {
-        if self.table.contains_key(x) {
-            return Err(AlreadyDefined);
-        }
-        self.table.insert(x.to_vec(), y);
-        self.programmed.insert(x.to_vec(), ());
-        Ok(())
-    }
-
     /// Whether the adversary has queried the point (abort-check predicate).
     pub fn adversary_queried(&self, x: &[u8]) -> bool {
         self.adversary_queried.contains_key(x)
-    }
-
-    /// Whether the point was set via [`program`](RandomOracle::program).
-    pub fn was_programmed(&self, x: &[u8]) -> bool {
-        self.programmed.contains_key(x)
     }
 
     /// Total number of queries served.
@@ -227,28 +203,6 @@ mod tests {
             r.query(Caller::Adversary, b"a"),
             r.query(Caller::Adversary, b"b")
         );
-    }
-
-    #[test]
-    fn programming_before_query_succeeds() {
-        let mut r = ro();
-        r.program(b"p", [7u8; 32]).unwrap();
-        assert_eq!(r.query(Caller::Party(PartyId(0)), b"p"), [7u8; 32]);
-        assert!(r.was_programmed(b"p"));
-    }
-
-    #[test]
-    fn programming_after_query_fails() {
-        let mut r = ro();
-        r.query(Caller::Adversary, b"p");
-        assert_eq!(r.program(b"p", [7u8; 32]), Err(AlreadyDefined));
-    }
-
-    #[test]
-    fn double_programming_fails() {
-        let mut r = ro();
-        r.program(b"p", [7u8; 32]).unwrap();
-        assert_eq!(r.program(b"p", [8u8; 32]), Err(AlreadyDefined));
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! the same functionality iff their transcripts are indistinguishable; for
 //! the deterministic parts of the paper's protocols the transcripts are
 //! *equal*, which is what the tests assert.
+//!
+//! Two comparison levels hash one per-event encoding (the table is on
+//! `Event::encode`): [`digest`](Transcript::digest) as recorded,
+//! [`shape_digest`](Transcript::shape_digest) with byte strings as lengths
+//! and adversary actions as their presence.
+//! [`first_divergence`](Transcript::first_divergence) reads the same
+//! encoding, so it reports the position at which those digests part.
 
 use crate::ids::PartyId;
 use crate::value::{Command, Value};
@@ -62,31 +69,69 @@ pub enum EventKind {
         /// The response value.
         value: Value,
     },
-    /// Free-form annotation (not part of the comparable view).
-    Note(String),
 }
 
-/// An ordered execution transcript.
-///
-/// By default the transcript records every event for the life of the run —
-/// the unbounded mode every indistinguishability experiment uses, where
-/// [`comparable_view`](Transcript::comparable_view) and the digests cover
-/// the complete observation history. Long-lived drivers (a service pool
-/// running thousands of epochs) can instead bound the memory with
-/// [`with_cap`](Transcript::with_cap)/[`set_cap`](Transcript::set_cap):
-/// the transcript then behaves as a ring buffer retaining the **most
-/// recent** `cap` events, and counts what it evicted in
-/// [`dropped`](Transcript::dropped) — overflow is observable, never
-/// silent. Capping changes nothing until the cap is exceeded, so an
-/// uncapped transcript (the default) is bit-for-bit the pre-cap behavior.
+/// `v` with every byte string replaced by its length.
+fn lengths_only(v: &Value) -> Value {
+    match v {
+        Value::Bytes(b) => Value::U64(b.len() as u64),
+        Value::List(items) => Value::List(items.iter().map(lengths_only).collect()),
+        other => other.clone(),
+    }
+}
+
+impl Event {
+    /// The canonical encoding every comparison reads: the round (8 bytes,
+    /// big-endian) followed by the encoding of one `Value` list per kind —
+    ///
+    /// | kind          | list                                   |
+    /// |---------------|----------------------------------------|
+    /// | `Input`       | `["in", party, cmd.name, cmd.value]`   |
+    /// | `Advance`     | `["adv-clock", party]`                 |
+    /// | `Output`      | `["out", party, cmd.name, cmd.value]`  |
+    /// | `Leak`        | `["leak", source, cmd.name, cmd.value]`|
+    /// | `AdvAction`   | `["adv", desc]`                        |
+    /// | `AdvResponse` | `["adv-resp", value]`                  |
+    ///
+    /// With `shape` set, every byte string inside a `cmd.value` / `value`
+    /// becomes its length, and `AdvAction` drops `desc` (a description may
+    /// embed world-dependent bytes, e.g. a replayed ciphertext; only its
+    /// presence is part of the shape). That is the comparison level for
+    /// worlds whose payloads are computationally indistinguishable but not
+    /// bitwise equal — a simulator cannot reproduce `M ⊕ H(ρ)` before the
+    /// functionality reveals `M` — while event structure, order, rounds and
+    /// lengths must still match exactly.
+    fn encode(&self, shape: bool) -> Vec<u8> {
+        let val = |v: &Value| if shape { lengths_only(v) } else { v.clone() };
+        let id = |p: &PartyId| Value::U64(p.0 as u64);
+        let tagged = |tag: &str, who: Value, cmd: &Command| {
+            vec![
+                Value::str(tag),
+                who,
+                Value::str(cmd.name.clone()),
+                val(&cmd.value),
+            ]
+        };
+        let items = match &self.kind {
+            EventKind::Input { party, cmd } => tagged("in", id(party), cmd),
+            EventKind::Advance { party } => vec![Value::str("adv-clock"), id(party)],
+            EventKind::Output { party, cmd } => tagged("out", id(party), cmd),
+            EventKind::Leak { source, cmd } => tagged("leak", Value::str(source.clone()), cmd),
+            EventKind::AdvAction { .. } if shape => vec![Value::str("adv")],
+            EventKind::AdvAction { desc } => vec![Value::str("adv"), Value::str(desc.clone())],
+            EventKind::AdvResponse { value } => vec![Value::str("adv-resp"), val(value)],
+        };
+        let mut out = self.round.to_be_bytes().to_vec();
+        out.extend_from_slice(&Value::List(items).encode());
+        out
+    }
+}
+
+/// An ordered execution transcript: every event, for the life of the run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Transcript {
     /// The events in observation order.
     pub events: Vec<Event>,
-    /// Retention cap (`None` = unbounded, the default).
-    cap: Option<usize>,
-    /// Events evicted by the cap since recording started.
-    dropped: u64,
 }
 
 impl Transcript {
@@ -95,54 +140,8 @@ impl Transcript {
         Transcript::default()
     }
 
-    /// Creates an empty transcript retaining at most `cap` most-recent
-    /// events (see [`set_cap`](Transcript::set_cap)).
-    pub fn with_cap(cap: usize) -> Self {
-        Transcript {
-            cap: Some(cap),
-            ..Transcript::default()
-        }
-    }
-
-    /// Sets or clears the retention cap. Shrinking below the current
-    /// length evicts the oldest events immediately (counted in
-    /// [`dropped`](Transcript::dropped)); clearing never restores evicted
-    /// events.
-    pub fn set_cap(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-        self.enforce_cap(0);
-    }
-
-    /// The retention cap, if any.
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
-    }
-
-    /// How many events the cap has evicted so far (0 when uncapped).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Evicts oldest events until `events.len() + incoming ≤ cap`.
-    fn enforce_cap(&mut self, incoming: usize) {
-        let Some(cap) = self.cap else { return };
-        let budget = cap.saturating_sub(incoming);
-        if self.events.len() > budget {
-            let excess = self.events.len() - budget;
-            self.events.drain(..excess);
-            self.dropped += excess as u64;
-        }
-    }
-
-    /// Appends an event. In capped mode the oldest event is evicted first
-    /// when full (a cap of 0 records nothing and counts every push as
-    /// dropped).
+    /// Appends an event.
     pub fn push(&mut self, round: u64, kind: EventKind) {
-        if self.cap == Some(0) {
-            self.dropped += 1;
-            return;
-        }
-        self.enforce_cap(1);
         self.events.push(Event { round, kind });
     }
 
@@ -157,14 +156,6 @@ impl Transcript {
             .collect()
     }
 
-    /// Outputs of a single party.
-    pub fn outputs_of(&self, party: PartyId) -> Vec<(u64, &Command)> {
-        self.outputs()
-            .into_iter()
-            .filter_map(|(r, p, c)| if p == party { Some((r, c)) } else { None })
-            .collect()
-    }
-
     /// All leaks, in order.
     pub fn leaks(&self) -> Vec<(u64, &str, &Command)> {
         self.events
@@ -176,111 +167,40 @@ impl Transcript {
             .collect()
     }
 
-    /// The comparable view: everything except `Note`s, canonically encoded.
-    pub fn comparable_view(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for e in &self.events {
-            if matches!(e.kind, EventKind::Note(_)) {
-                continue;
-            }
-            out.extend_from_slice(&e.round.to_be_bytes());
-            let v = match &e.kind {
-                EventKind::Input { party, cmd } => Value::list([
-                    Value::str("in"),
-                    Value::U64(party.0 as u64),
-                    Value::str(cmd.name.clone()),
-                    cmd.value.clone(),
-                ]),
-                EventKind::Advance { party } => {
-                    Value::list([Value::str("adv-clock"), Value::U64(party.0 as u64)])
-                }
-                EventKind::Output { party, cmd } => Value::list([
-                    Value::str("out"),
-                    Value::U64(party.0 as u64),
-                    Value::str(cmd.name.clone()),
-                    cmd.value.clone(),
-                ]),
-                EventKind::Leak { source, cmd } => Value::list([
-                    Value::str("leak"),
-                    Value::str(source.clone()),
-                    Value::str(cmd.name.clone()),
-                    cmd.value.clone(),
-                ]),
-                EventKind::AdvAction { desc } => {
-                    Value::list([Value::str("adv"), Value::str(desc.clone())])
-                }
-                EventKind::AdvResponse { value } => {
-                    Value::list([Value::str("adv-resp"), value.clone()])
-                }
-                EventKind::Note(_) => unreachable!(),
-            };
-            out.extend_from_slice(&v.encode());
-        }
-        out
-    }
-
-    /// SHA-256 digest of the comparable view.
-    pub fn digest(&self) -> [u8; 32] {
-        Sha256::digest(&self.comparable_view())
-    }
-
-    /// Digest of the *shape* of the transcript: every byte-string payload is
-    /// replaced by its length before hashing.
-    ///
-    /// This is the comparison level for experiments where the two worlds'
-    /// payloads are computationally indistinguishable but not bitwise equal
-    /// (a simulator cannot reproduce `M ⊕ H(ρ)` before the functionality
-    /// reveals `M`); event structure, ordering, rounds and lengths must
-    /// still match exactly, and the tests pair this with an exact
-    /// [`output_digest`](Transcript::output_digest) where applicable.
-    pub fn shape_digest(&self) -> [u8; 32] {
-        fn canon(v: &Value) -> Value {
-            match v {
-                Value::Bytes(b) => Value::U64(b.len() as u64),
-                Value::List(items) => Value::List(items.iter().map(canon).collect()),
-                other => other.clone(),
-            }
-        }
+    /// SHA-256 over every event's `Event::encode` at the given level.
+    fn hash(&self, shape: bool) -> [u8; 32] {
         let mut h = Sha256::new();
         for e in &self.events {
-            if matches!(e.kind, EventKind::Note(_)) {
-                continue;
-            }
-            h.update(&e.round.to_be_bytes());
-            let v = match &e.kind {
-                EventKind::Input { party, cmd } => Value::list([
-                    Value::str("in"),
-                    Value::U64(party.0 as u64),
-                    Value::str(cmd.name.clone()),
-                    canon(&cmd.value),
-                ]),
-                EventKind::Advance { party } => {
-                    Value::list([Value::str("adv-clock"), Value::U64(party.0 as u64)])
-                }
-                EventKind::Output { party, cmd } => Value::list([
-                    Value::str("out"),
-                    Value::U64(party.0 as u64),
-                    Value::str(cmd.name.clone()),
-                    canon(&cmd.value),
-                ]),
-                EventKind::Leak { source, cmd } => Value::list([
-                    Value::str("leak"),
-                    Value::str(source.clone()),
-                    Value::str(cmd.name.clone()),
-                    canon(&cmd.value),
-                ]),
-                // Adversary action descriptions may embed world-dependent
-                // bytes (e.g. replayed ciphertexts); only their presence is
-                // part of the shape.
-                EventKind::AdvAction { .. } => Value::list([Value::str("adv")]),
-                EventKind::AdvResponse { value } => {
-                    Value::list([Value::str("adv-resp"), canon(value)])
-                }
-                EventKind::Note(_) => unreachable!(),
-            };
-            h.update(&v.encode());
+            h.update(&e.encode(shape));
         }
         h.finalize()
+    }
+
+    /// Digest of the transcript as recorded: every event, canonically
+    /// encoded.
+    pub fn digest(&self) -> [u8; 32] {
+        self.hash(false)
+    }
+
+    /// Digest of the *shape* of the transcript: every byte-string payload
+    /// replaced by its length and every adversary action by its presence.
+    /// The tests pair this with an exact
+    /// [`output_digest`](Transcript::output_digest) where applicable.
+    pub fn shape_digest(&self) -> [u8; 32] {
+        self.hash(true)
+    }
+
+    /// The position of the first event at which `self` and `other` encode
+    /// differently at the given level (`shape` as for
+    /// [`shape_digest`](Transcript::shape_digest)) — the shorter length if
+    /// one transcript is a proper prefix of the other, `None` if the two
+    /// digests at that level agree.
+    pub fn first_divergence(&self, other: &Transcript, shape: bool) -> Option<usize> {
+        let (a, b) = (&self.events, &other.events);
+        a.iter()
+            .zip(b)
+            .position(|(x, y)| x != y && x.encode(shape) != y.encode(shape))
+            .or((a.len() != b.len()).then_some(a.len().min(b.len())))
     }
 
     /// A digest over outputs only (the weakest comparison level: what
@@ -342,8 +262,6 @@ mod tests {
         let outs = t.outputs();
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].1, PartyId(1));
-        assert_eq!(t.outputs_of(PartyId(1)).len(), 1);
-        assert_eq!(t.outputs_of(PartyId(0)).len(), 0);
     }
 
     #[test]
@@ -351,22 +269,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.leaks().len(), 1);
         assert_eq!(t.leaks()[0].1, "F_UBC");
-    }
-
-    #[test]
-    fn notes_excluded_from_digest() {
-        let mut a = sample();
-        let mut b = sample();
-        b.push(2, EventKind::Note("only in b".into()));
-        assert_eq!(a.digest(), b.digest());
-        a.push(
-            2,
-            EventKind::Output {
-                party: PartyId(0),
-                cmd: Command::new("X", Value::Unit),
-            },
-        );
-        assert_ne!(a.digest(), b.digest());
     }
 
     #[test]
@@ -438,51 +340,5 @@ mod tests {
     fn display_renders() {
         let s = format!("{}", sample());
         assert!(s.contains("Broadcast"));
-    }
-
-    #[test]
-    fn cap_retains_most_recent_and_counts_drops() {
-        let mut t = Transcript::with_cap(3);
-        for r in 0..5u64 {
-            t.push(r, EventKind::Advance { party: PartyId(0) });
-        }
-        assert_eq!(t.events.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let rounds: Vec<u64> = t.events.iter().map(|e| e.round).collect();
-        assert_eq!(rounds, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn cap_zero_records_nothing() {
-        let mut t = Transcript::with_cap(0);
-        t.push(0, EventKind::Advance { party: PartyId(0) });
-        t.push(1, EventKind::Advance { party: PartyId(0) });
-        assert!(t.events.is_empty());
-        assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn set_cap_shrinks_and_clearing_keeps_survivors() {
-        let mut t = Transcript::new();
-        for r in 0..4u64 {
-            t.push(r, EventKind::Advance { party: PartyId(0) });
-        }
-        t.set_cap(Some(2));
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.dropped(), 2);
-        t.set_cap(None);
-        t.push(9, EventKind::Advance { party: PartyId(0) });
-        assert_eq!(t.events.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.cap(), None);
-    }
-
-    #[test]
-    fn uncapped_behavior_unchanged() {
-        let capped = sample();
-        assert_eq!(capped.dropped(), 0);
-        assert_eq!(capped.cap(), None);
-        // Digest of an uncapped transcript matches a fresh identical one.
-        assert_eq!(sample().digest(), sample().digest());
     }
 }

@@ -81,14 +81,6 @@ impl Value {
         Value::List(vec![a, b])
     }
 
-    /// Returns the inner bool, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the inner u64, if this is a `U64`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -329,7 +321,6 @@ mod tests {
         assert_eq!(Value::U64(3).as_u64(), Some(3));
         assert_eq!(Value::U64(3).as_i64(), Some(3));
         assert_eq!(Value::I64(-3).as_i64(), Some(-3));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::bytes(b"x").as_bytes(), Some(&b"x"[..]));
         assert_eq!(Value::str("s").as_str(), Some("s"));
         assert_eq!(

@@ -118,21 +118,15 @@ impl<'w> EnvDriver<'w> {
     }
 
     /// Records leaks/outputs generated by the last action, stamped with the
-    /// round in which the action started (a final `Advance_Clock` may tick
+    /// `round` in which the action started (a final `Advance_Clock` may tick
     /// the clock, but its observable effects belong to the ending round).
-    fn sync(&mut self, action_time: u64) {
-        for leak in self.world.drain_leaks() {
-            self.transcript.push(
-                action_time,
-                EventKind::Leak {
-                    source: leak.source,
-                    cmd: leak.cmd,
-                },
-            );
+    fn sync(&mut self, round: u64) {
+        for Leak { source, cmd } in self.world.drain_leaks() {
+            self.transcript.push(round, EventKind::Leak { source, cmd });
         }
         for (party, cmd) in self.world.drain_outputs() {
             self.transcript
-                .push(action_time, EventKind::Output { party, cmd });
+                .push(round, EventKind::Output { party, cmd });
         }
     }
 
@@ -154,33 +148,15 @@ impl<'w> EnvDriver<'w> {
     /// response (also recorded in the transcript). Used by environments
     /// whose next step depends on a response — e.g. `Retrieve` then `Dec`.
     pub fn input_collect(&mut self, party: PartyId, cmd: Command) -> Vec<Command> {
-        let t = self.world.time();
-        self.transcript.push(
-            t,
-            EventKind::Input {
-                party,
-                cmd: cmd.clone(),
-            },
-        );
-        self.world.input(party, cmd);
-        let mut responses = Vec::new();
-        for leak in self.world.drain_leaks() {
-            self.transcript.push(
-                t,
-                EventKind::Leak {
-                    source: leak.source,
-                    cmd: leak.cmd,
-                },
-            );
-        }
-        for (p, c) in self.world.drain_outputs() {
-            if p == party {
-                responses.push(c.clone());
-            }
-            self.transcript
-                .push(t, EventKind::Output { party: p, cmd: c });
-        }
-        responses
+        let before = self.transcript.events.len();
+        self.input(party, cmd);
+        self.transcript.events[before..]
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Output { party: p, cmd } if *p == party => Some(cmd.clone()),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Advances a party's clock and records observations.
@@ -227,12 +203,6 @@ impl<'w> EnvDriver<'w> {
         for _ in 0..rounds {
             self.advance_all();
         }
-    }
-
-    /// Adds a free-form note (excluded from comparisons).
-    pub fn note(&mut self, s: impl Into<String>) {
-        self.transcript
-            .push(self.world.time(), EventKind::Note(s.into()));
     }
 
     /// Finishes and returns the transcript.
@@ -320,7 +290,15 @@ impl WorldCore {
         }
     }
 
-    /// Corrupts a party in both the tracker and the clock. Returns success.
+    /// Whether `party` is a party of this world (`party < n`) and not
+    /// corrupted — what a world checks before it lets `party` take an input
+    /// or a clock step.
+    pub fn is_honest(&self, party: PartyId) -> bool {
+        party.index() < self.n && !self.corr.is_corrupted(party)
+    }
+
+    /// Corrupts a party in both the tracker and the clock. Returns success;
+    /// the tracker refuses a `party ≥ n` and a corruption past `t ≤ n − 1`.
     pub fn corrupt(&mut self, party: PartyId) -> bool {
         if self.corr.corrupt(party, self.clock.read()).is_err() {
             return false;
@@ -333,74 +311,7 @@ impl WorldCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
-
-    /// A trivial echo world: inputs are echoed back as outputs next advance.
-    struct EchoWorld {
-        n: usize,
-        time: u64,
-        pending: VecDeque<(PartyId, Command)>,
-        outputs: Vec<(PartyId, Command)>,
-        leaks: Vec<Leak>,
-        corrupted: Vec<bool>,
-        advanced: usize,
-    }
-
-    impl EchoWorld {
-        fn new(n: usize) -> Self {
-            EchoWorld {
-                n,
-                time: 0,
-                pending: VecDeque::new(),
-                outputs: Vec::new(),
-                leaks: Vec::new(),
-                corrupted: vec![false; n],
-                advanced: 0,
-            }
-        }
-    }
-
-    impl World for EchoWorld {
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn time(&self) -> u64 {
-            self.time
-        }
-        fn input(&mut self, party: PartyId, cmd: Command) {
-            self.leaks.push(Leak {
-                source: "echo".into(),
-                cmd: cmd.clone(),
-            });
-            self.pending.push_back((party, cmd));
-        }
-        fn advance(&mut self, _party: PartyId) {
-            self.advanced += 1;
-            if self.advanced == self.corrupted.iter().filter(|c| !**c).count() {
-                self.advanced = 0;
-                self.time += 1;
-                while let Some((p, c)) = self.pending.pop_front() {
-                    self.outputs.push((p, c));
-                }
-            }
-        }
-        fn adversary(&mut self, cmd: AdvCommand) -> Value {
-            if let AdvCommand::Corrupt(p) = cmd {
-                self.corrupted[p.index()] = true;
-                return Value::Bool(true);
-            }
-            Value::Unit
-        }
-        fn drain_outputs(&mut self) -> Vec<(PartyId, Command)> {
-            std::mem::take(&mut self.outputs)
-        }
-        fn drain_leaks(&mut self) -> Vec<Leak> {
-            std::mem::take(&mut self.leaks)
-        }
-        fn is_corrupted(&self, party: PartyId) -> bool {
-            self.corrupted[party.index()]
-        }
-    }
+    use crate::exec::tests::PeriodicEcho as EchoWorld;
 
     #[test]
     fn driver_records_everything() {
@@ -441,19 +352,5 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, EventKind::AdvAction { .. })));
-    }
-
-    #[test]
-    fn notes_do_not_affect_comparison() {
-        let mut w1 = EchoWorld::new(1);
-        let mut w2 = EchoWorld::new(1);
-        let t1 = run_env(&mut w1, |env| {
-            env.note("only here");
-            env.advance_all();
-        });
-        let t2 = run_env(&mut w2, |env| {
-            env.advance_all();
-        });
-        assert_eq!(t1.digest(), t2.digest());
     }
 }
