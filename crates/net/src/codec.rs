@@ -614,6 +614,70 @@ mod tests {
         }
     }
 
+    /// One frame of every kind, byte for byte: the header layout, the kind
+    /// tags and the `Value` shape of each body (expected bytes from a
+    /// 15-line Python model of the layout in the module doc). Whatever the
+    /// encoder does on the way to these bytes — clone, borrow, back-patch —
+    /// is free to change; the bytes are not.
+    #[test]
+    fn golden_bytes_every_kind() {
+        let rho_ct = [Value::bytes(b"rho"), Value::bytes(b"ct"), Value::U64(9)];
+        let kinds = [
+            FrameKind::Submit(Value::bytes(b"m")),
+            FrameKind::Tick,
+            FrameKind::Cast(Value::str("Wake_Up")),
+            FrameKind::Deliver {
+                origin: 2,
+                payload: Value::list([Value::bytes(b"ct"), Value::U64(5), Value::bytes(b"y!")]),
+            },
+            FrameKind::TleEnc {
+                rho: Value::bytes(b"rho"),
+                tau: 9,
+            },
+            FrameKind::TleRetrieve,
+            FrameKind::TleTriples(Value::list([Value::list(rho_ct)])),
+            FrameKind::TleDec {
+                ct: Value::bytes(b"ct"),
+                tau: 9,
+            },
+            FrameKind::TleDecResp(Value::Unit),
+            FrameKind::RoQuery {
+                x: b"rho".to_vec(),
+                len: 4096,
+            },
+            FrameKind::RoAnswer(vec![0xde, 0xad, 0xbe, 0xef]),
+            FrameKind::Output(Value::list([Value::bytes(b"a"), Value::I64(-1)])),
+        ];
+        // Frame i goes from party i to the environment (even i) or the
+        // host (odd i) at round 0x0102030405060708.
+        #[rustfmt::skip]
+        let golden = [
+            "00000024534201000200000000000000000001020304050607080000000a0400000000000000016d",
+            "0000001b534201010200000001010000000001020304050607080000000100",
+            "0000002a534201020200000002000000000001020304050607080000001005000000000000000757616b655f5570",
+            "00000054534201030200000003010000000001020304050607080000003a06000000000000000202000000000000000206000000000000000304000000000000000263740200000000000000050400000000000000027921",
+            "00000038534201040200000004000000000001020304050607080000001e06000000000000000204000000000000000372686f020000000000000009",
+            "0000001b534201050200000005010000000001020304050607080000000100",
+            "0000004c534201060200000006000000000001020304050607080000003206000000000000000106000000000000000304000000000000000372686f0400000000000000026374020000000000000009",
+            "00000037534201070200000007010000000001020304050607080000001d0600000000000000020400000000000000026374020000000000000009",
+            "0000001b534201080200000008000000000001020304050607080000000100",
+            "00000038534201090200000009010000000001020304050607080000001e06000000000000000204000000000000000372686f020000000000001000",
+            "000000275342010a020000000a000000000001020304050607080000000d040000000000000004deadbeef",
+            "000000365342010b020000000b010000000001020304050607080000001c0600000000000000020400000000000000016103ffffffffffffffff",
+        ];
+        for (i, (kind, hex)) in kinds.into_iter().zip(golden).enumerate() {
+            let f = Frame {
+                from: Endpoint::Party(i as u32),
+                to: [Endpoint::Env, Endpoint::Host][i % 2],
+                sent_at: 0x0102_0304_0506_0708,
+                kind,
+            };
+            let enc = f.encode();
+            assert_eq!(sbc_primitives::hex::encode(&enc), hex, "{f:?}");
+            assert_eq!(Frame::decode(&enc), Ok(f));
+        }
+    }
+
     #[test]
     fn stream_decoding() {
         let a = sample();
