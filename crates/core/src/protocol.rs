@@ -18,6 +18,7 @@ use sbc_primitives::sha256::Sha256;
 use sbc_tle::func::DecResponse;
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -121,6 +122,21 @@ impl ParsedWire {
     pub fn parse(v: &Value) -> Option<ParsedWire> {
         let (ct, tau, y) = parse_sbc_wire(v)?;
         Some(ParsedWire::build(ct, tau, y))
+    }
+
+    /// Orders this wire against the payload `v` by `(c, τ_rel, y)`, byte
+    /// for byte: `Equal` exactly when `v` is this wire — a triple
+    /// [`parse`](ParsedWire::parse) accepts with all three components
+    /// equal, never a fingerprint match. A `v` that is no wire orders
+    /// below every wire. `build` is a pure function of the three
+    /// components, so a world that keeps its parsed wires sorted by this
+    /// can hand every recipient of one broadcast the one `Arc` instead of
+    /// fingerprinting per recipient, unobservably.
+    pub fn cmp_payload(&self, v: &Value) -> Ordering {
+        let Some((ct, tau, y)) = wire_parts(v) else {
+            return Ordering::Greater;
+        };
+        (&self.ct, self.tau, &self.y[..]).cmp(&(ct, tau, y))
     }
 
     /// The preprocessing half of [`parse`](ParsedWire::parse): the
@@ -620,6 +636,32 @@ mod tests {
         for v in &not_wires {
             assert_eq!(wire_tau(v), None, "{v:?}");
             assert!(parse_sbc_wire(v).is_none() && ParsedWire::parse(v).is_none());
+        }
+    }
+
+    #[test]
+    fn cmp_payload_is_equal_on_full_byte_equality_only() {
+        let (c, y) = (Value::bytes(b"ct-b"), b"y-b");
+        let wire = ParsedWire::parse(&sbc_wire(&c, 5, y)).expect("a wire");
+        assert_eq!(wire.cmp_payload(&sbc_wire(&c, 5, y)), Ordering::Equal);
+        // One component off at a time, either side: never `Equal`, and
+        // antisymmetric — the order a sorted table needs.
+        let near = [
+            (sbc_wire(&Value::bytes(b"ct-a"), 5, y), Ordering::Greater),
+            (sbc_wire(&Value::bytes(b"ct-c"), 5, y), Ordering::Less),
+            (sbc_wire(&c, 4, y), Ordering::Greater),
+            (sbc_wire(&c, 6, y), Ordering::Less),
+            (sbc_wire(&c, 5, b"y-a"), Ordering::Greater),
+            (sbc_wire(&c, 5, b"y-bb"), Ordering::Less),
+        ];
+        for (v, expected) in &near {
+            assert_eq!(wire.cmp_payload(v), *expected, "{v:?}");
+            let other = ParsedWire::parse(v).expect("a wire");
+            assert_eq!(other.cmp_payload(&sbc_wire(&c, 5, y)), expected.reverse());
+        }
+        // What `parse` refuses is no wire at all.
+        for v in [wake_up(), Value::list([c.clone(), Value::U64(5)])] {
+            assert_eq!(wire.cmp_payload(&v), Ordering::Greater);
         }
     }
 

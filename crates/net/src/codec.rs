@@ -41,6 +41,10 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// body length (4).
 const HEADER_LEN: usize = 26;
 
+/// The canonical [`Value`] header of a pair — a two-item list: tag 6,
+/// count 2 — so a pair body is written around borrowed halves.
+const PAIR: [u8; 9] = [6, 0, 0, 0, 0, 0, 0, 0, 2];
+
 /// A frame address: the environment, the functionality host, or a party.
 ///
 /// The functionality host plays the hybrid functionalities (`F_UBC`,
@@ -186,18 +190,31 @@ impl FrameKind {
         }
     }
 
-    fn body(&self) -> Value {
+    /// Appends the body — the canonical [`Value`] encoding shaped per
+    /// kind — to `out`, payloads by reference.
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        let pair = |out: &mut Vec<u8>, a: &Value, b: u64| {
+            out.extend_from_slice(&PAIR);
+            a.encode_into(out);
+            Value::U64(b).encode_into(out);
+        };
         match self {
-            FrameKind::Submit(v) | FrameKind::Cast(v) => v.clone(),
-            FrameKind::Tick | FrameKind::TleRetrieve => Value::Unit,
+            FrameKind::Submit(v)
+            | FrameKind::Cast(v)
+            | FrameKind::TleTriples(v)
+            | FrameKind::TleDecResp(v)
+            | FrameKind::Output(v) => v.encode_into(out),
+            FrameKind::Tick | FrameKind::TleRetrieve => Value::Unit.encode_into(out),
             FrameKind::Deliver { origin, payload } => {
-                Value::pair(Value::U64(u64::from(*origin)), payload.clone())
+                out.extend_from_slice(&PAIR);
+                Value::U64(u64::from(*origin)).encode_into(out);
+                payload.encode_into(out);
             }
-            FrameKind::TleEnc { rho, tau } => Value::pair(rho.clone(), Value::U64(*tau)),
-            FrameKind::TleTriples(v) | FrameKind::TleDecResp(v) | FrameKind::Output(v) => v.clone(),
-            FrameKind::TleDec { ct, tau } => Value::pair(ct.clone(), Value::U64(*tau)),
-            FrameKind::RoQuery { x, len } => Value::pair(Value::bytes(x), Value::U64(*len)),
-            FrameKind::RoAnswer(b) => Value::bytes(b),
+            FrameKind::TleEnc { rho: a, tau } | FrameKind::TleDec { ct: a, tau } => {
+                pair(out, a, *tau)
+            }
+            FrameKind::RoQuery { x, len } => pair(out, &Value::bytes(x), *len),
+            FrameKind::RoAnswer(b) => Value::bytes(b).encode_into(out),
         }
     }
 
@@ -205,9 +222,9 @@ impl FrameKind {
         let bad = || CodecError::BadPayload {
             kind: Self::name(tag),
         };
-        let unpair = |body: &Value| -> Result<(Value, Value), CodecError> {
-            match body.as_list() {
-                Some([a, b]) => Ok((a.clone(), b.clone())),
+        let unpair = |body: Value| -> Result<[Value; 2], CodecError> {
+            match body {
+                Value::List(items) => items.try_into().map_err(|_| bad()),
                 _ => Err(bad()),
             }
         };
@@ -219,7 +236,7 @@ impl FrameKind {
             },
             2 => Ok(FrameKind::Cast(body)),
             3 => {
-                let (origin, payload) = unpair(&body)?;
+                let [origin, payload] = unpair(body)?;
                 let origin = origin
                     .as_u64()
                     .and_then(|o| u32::try_from(o).ok())
@@ -227,7 +244,7 @@ impl FrameKind {
                 Ok(FrameKind::Deliver { origin, payload })
             }
             4 => {
-                let (rho, tau) = unpair(&body)?;
+                let [rho, tau] = unpair(body)?;
                 rho.as_bytes().ok_or_else(bad)?;
                 let tau = tau.as_u64().ok_or_else(bad)?;
                 Ok(FrameKind::TleEnc { rho, tau })
@@ -238,14 +255,15 @@ impl FrameKind {
             },
             6 => Ok(FrameKind::TleTriples(body)),
             7 => {
-                let (ct, tau) = unpair(&body)?;
+                let [ct, tau] = unpair(body)?;
                 let tau = tau.as_u64().ok_or_else(bad)?;
                 Ok(FrameKind::TleDec { ct, tau })
             }
             8 => Ok(FrameKind::TleDecResp(body)),
             9 => {
-                let (x, len) = unpair(&body)?;
-                let x = x.as_bytes().ok_or_else(bad)?.to_vec();
+                let [Value::Bytes(x), len] = unpair(body)? else {
+                    return Err(bad());
+                };
                 let len = len.as_u64().ok_or_else(bad)?;
                 Ok(FrameKind::RoQuery { x, len })
             }
@@ -285,17 +303,22 @@ pub struct Frame {
 impl Frame {
     /// Encodes the frame, including the outer length prefix.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.kind.body().encode();
-        let mut out = Vec::with_capacity(4 + HEADER_LEN + body.len());
-        out.extend_from_slice(&((HEADER_LEN + body.len()) as u32).to_be_bytes());
+        // Both lengths are patched in once the body has been written, in
+        // place, behind the header.
+        let mut out = Vec::with_capacity(4 + HEADER_LEN);
+        out.extend_from_slice(&[0; 4]);
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(self.kind.tag());
         self.from.encode_into(&mut out);
         self.to.encode_into(&mut out);
         out.extend_from_slice(&self.sent_at.to_be_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&[0; 4]);
+        self.kind.encode_body(&mut out);
+        let declared = out.len() - 4;
+        out[..4].copy_from_slice(&(declared as u32).to_be_bytes());
+        out[HEADER_LEN..4 + HEADER_LEN]
+            .copy_from_slice(&((declared - HEADER_LEN) as u32).to_be_bytes());
         out
     }
 
@@ -676,6 +699,12 @@ mod tests {
             assert_eq!(sbc_primitives::hex::encode(&enc), hex, "{f:?}");
             assert_eq!(Frame::decode(&enc), Ok(f));
         }
+    }
+
+    #[test]
+    fn pair_header_is_values_own() {
+        let pair = Value::pair(Value::Unit, Value::Unit).encode();
+        assert_eq!(pair[..PAIR.len()], PAIR);
     }
 
     #[test]

@@ -29,7 +29,13 @@
 //!   round, the replay dedup is order-insensitive for distinct wires, and
 //!   release outputs are sorted. Delay (clamped before the period end ∆
 //!   guarantees), reorder, duplication, healing partitions and reconnects
-//!   therefore cannot change outputs or leaks.
+//!   therefore cannot change outputs or leaks;
+//! * **content interning** — each recipient still decodes its own frame,
+//!   but decoded payloads that are the same `(c, τ_rel, y)`, byte for byte
+//!   in all three, are handed to the parties as one `Arc<ParsedWire>`
+//!   (`WireTable`). Unobservable: `ParsedWire::build` is a pure function
+//!   of the three components, so the shared value is the one each
+//!   recipient would have built for itself.
 //!
 //! Dropping a corrupted sender's wires *does* change the received sets —
 //! that knob sits outside the `Exact` envelope and has its own tests.
@@ -74,17 +80,23 @@ impl FrameLink<'_> {
         let _ = self.transport.send(frame.encode(), now);
     }
 
-    /// One request/response exchange with the functionality host, fully
-    /// over the wire. The control queue is empty whenever this is called
-    /// (the pump buffers its batch before dispatching), so the host inbox
-    /// contains exactly this request.
-    fn rpc(&mut self, from: PartyId, kind: FrameKind) -> Option<FrameKind> {
+    /// Posts one request to the functionality host and has it handled,
+    /// fully over the wire. The control queue is empty whenever this is
+    /// called (the pump buffers its batch before dispatching), so the host
+    /// inbox contains exactly this request.
+    fn request(&mut self, from: PartyId, kind: FrameKind) {
         self.post(Endpoint::Party(from.0), Endpoint::Host, kind);
         for bytes in self.transport.recv_control() {
             if let Ok(frame) = Frame::decode(&bytes) {
                 self.host_handle(frame);
             }
         }
+    }
+
+    /// A [`request`](Self::request) that has a reply: the response frame
+    /// on the party's rpc lane.
+    fn rpc(&mut self, from: PartyId, kind: FrameKind) -> Option<FrameKind> {
+        self.request(from, kind);
         let mut out = None;
         for bytes in self.transport.recv_rpc(from.0) {
             if let Ok(frame) = Frame::decode(&bytes) {
@@ -141,11 +153,11 @@ impl SbcHybrid for FrameLink<'_> {
     }
 
     fn ubc_broadcast(&mut self, party: PartyId, msg: Value) {
-        self.rpc(party, FrameKind::Cast(msg));
+        self.request(party, FrameKind::Cast(msg));
     }
 
     fn tle_enc(&mut self, party: PartyId, msg: Value, tau: u64) {
-        self.rpc(party, FrameKind::TleEnc { rho: msg, tau });
+        self.request(party, FrameKind::TleEnc { rho: msg, tau });
     }
 
     fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)> {
@@ -194,6 +206,36 @@ impl SbcHybrid for FrameLink<'_> {
             // is XORed with it: treat it as no reply.
             Some(FrameKind::RoAnswer(eta)) if eta.len() == len => Some(eta),
             _ => None,
+        }
+    }
+}
+
+/// This period's wires, interned by content and kept sorted by
+/// [`ParsedWire::cmp_payload`]: every recipient of one broadcast is handed
+/// the one `Arc<ParsedWire>`, so a wire is fingerprinted once per world
+/// and the recipients' logs compare by pointer.
+#[derive(Debug, Default)]
+struct WireTable(Vec<Arc<ParsedWire>>);
+
+impl WireTable {
+    /// Delivers the wire `payload` is to `party`: the interned `Arc` on
+    /// full byte equality of `(c, τ_rel, y)`, a freshly fingerprinted one
+    /// on a miss. Interning comes *after* the recipient's own period check
+    /// and replay dedup — a miss is kept only if the party's log took it
+    /// (the log's clone is the second reference) — so the table holds no
+    /// wire the logs do not, whatever is flooded at the parties.
+    fn deliver(&mut self, payload: &Value, party: &mut SbcParty, now: u64) {
+        match self.0.binary_search_by(|w| w.cmp_payload(payload)) {
+            Ok(at) => party.on_wire_deliver_parsed(&self.0[at], now),
+            Err(at) => {
+                let Some(wire) = ParsedWire::parse(payload).map(Arc::new) else {
+                    return;
+                };
+                party.on_wire_deliver_parsed(&wire, now);
+                if Arc::strong_count(&wire) > 1 {
+                    self.0.insert(at, wire);
+                }
+            }
         }
     }
 }
@@ -261,6 +303,7 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     pub params: SbcParams,
     parties: Vec<SbcParty>,
     transport: Box<dyn Transport>,
+    wires: WireTable,
     _profile: PhantomData<P>,
 }
 
@@ -273,7 +316,6 @@ impl<P: NetProfile> NetSbcWorld<P> {
     /// constraints; [`SbcError::Backend`] if the profile's transport
     /// cannot be brought up (socket transports only).
     pub fn new(params: SbcParams, seed: &[u8]) -> Result<Self, SbcError> {
-        params.validate()?;
         let transport = P::transport(&params, seed)?;
         Self::with_transport(params, seed, transport)
     }
@@ -298,6 +340,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             params,
             parties,
             transport,
+            wires: WireTable::default(),
             _profile: PhantomData,
         })
     }
@@ -396,7 +439,8 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
-    /// Delivers the data-plane frames due for one party, by the reception
+    /// Delivers the data-plane frames due for one party — each decoded
+    /// from the recipient's own frame, then interned — by the reception
     /// path the in-process world's fan-out takes.
     fn pump_data_for(&mut self, p: u32) {
         let now = self.host.now();
@@ -406,9 +450,8 @@ impl<P: NetProfile> NetSbcWorld<P> {
             };
             if let FrameKind::Deliver { payload, .. } = frame.kind {
                 // Wire recording is pure — no host link needed.
-                if let Some(wire) = ParsedWire::parse(&payload) {
-                    self.parties[p as usize].on_wire_deliver_parsed(&Arc::new(wire), now);
-                }
+                self.wires
+                    .deliver(&payload, &mut self.parties[p as usize], now);
             }
         }
     }
@@ -487,13 +530,14 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
     /// Period turnover: parties forget their period state, the host drops
     /// what the functionalities held for it — and the transport's
     /// in-flight frames are flushed, the networked image of the in-process
-    /// `clear_pending`.
+    /// `clear_pending`, together with the wires interned for the period.
     fn begin_new_period(&mut self) {
         for p in &mut self.parties {
             p.reset_period();
         }
         self.host.begin_new_period();
         self.transport.clear_in_flight();
+        self.wires.0.clear();
     }
 
     fn release_round(&self) -> Option<u64> {
@@ -528,7 +572,7 @@ impl<P: NetProfile> SbcBackend for NetSbcWorld<P> {
 mod tests {
     use super::*;
     use sbc_core::pool::PooledSbcWorld;
-    use sbc_core::protocol::sbc_wire;
+    use sbc_core::protocol::{parse_sbc_wire, sbc_wire};
     use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld};
     use sbc_primitives::drbg::Drbg;
     use sbc_uc::exec::{CompareLevel, DualRun};
@@ -770,10 +814,132 @@ mod tests {
         }
     }
 
+    /// Plants `ct → rho` in `F_TLE` towards `tau` through the adversary
+    /// interface `adv`, and returns the wire on which `msg` rides `ct`.
+    fn planted_wire(
+        adv: &mut dyn FnMut(AdvCommand) -> Value,
+        ct: &Value,
+        rho: &[u8],
+        tau: u64,
+        msg: &[u8],
+    ) -> Value {
+        adv(AdvCommand::Control {
+            target: "F_TLE".into(),
+            cmd: Command::new(
+                "Insert",
+                Value::list([ct.clone(), Value::bytes(rho), Value::U64(tau)]),
+            ),
+        });
+        let m_bytes = Value::bytes(msg).encode();
+        let eta = adv(AdvCommand::Control {
+            target: "F_RO".into(),
+            cmd: Command::new(
+                "QueryBytes",
+                Value::list([Value::bytes(rho), Value::U64(m_bytes.len() as u64)]),
+            ),
+        });
+        let eta = eta.as_bytes().expect("mask is bytes");
+        let y: Vec<u8> = m_bytes.iter().zip(eta).map(|(a, b)| a ^ b).collect();
+        sbc_wire(ct, tau, &y)
+    }
+
+    fn send_as(party: u32, wire: &Value) -> AdvCommand {
+        AdvCommand::SendAs {
+            party: PartyId(party),
+            cmd: Command::new("Broadcast", wire.clone()),
+        }
+    }
+
+    /// Content interning under the adversarial net: however many delayed,
+    /// duplicated and re-ordered copies of a broadcast arrive, all `n`
+    /// logs end up holding the one `Arc` the table holds; wires no log can
+    /// hold never enter the table; the table dies with the period.
+    #[test]
+    fn one_broadcast_is_one_arc_whatever_the_net_does() {
+        let n = 4;
+        let params = SbcParams::default_for(n);
+        let mut w = SimNetSbcWorld::new(params, b"intern").expect("valid");
+        for p in 0..n as u32 {
+            w.submit(PartyId(p), format!("m{p}").as_bytes());
+        }
+        w.tick(); // wake-up
+        w.tick(); // every party casts its wire
+        let (tau, t_end) = (
+            w.release_round().expect("open"),
+            w.period_end().expect("open"),
+        );
+        // 1 000 wires towards the wrong τ_rel, mid-period …
+        w.adversary(AdvCommand::Corrupt(PartyId(3)));
+        let junk = |i: u64, tau| sbc_wire(&Value::bytes(i.to_be_bytes()), tau, &[7; 8]);
+        for i in 0..1000 {
+            w.adversary(send_as(3, &junk(i, tau + 1)));
+        }
+        while w.time() < t_end {
+            w.tick();
+        }
+        // … and the right one at `Cl ≥ t_end`: out of period either way.
+        for i in 0..100 {
+            w.adversary(send_as(3, &junk(i, tau)));
+        }
+        let s = w.transport_stats();
+        assert!(
+            s.delayed > 0 && s.duplicated > 0 && s.reordered > 0,
+            "{s:?}"
+        );
+        // One entry per broadcast — P3 cast before it was corrupted — each
+        // referenced by the table and by every one of the n logs (a log
+        // holds a wire at most once), i.e. `Arc::ptr_eq` across recipients.
+        let refs: Vec<usize> = w.wires.0.iter().map(Arc::strong_count).collect();
+        assert_eq!(refs, vec![n + 1; n]);
+        while w.time() <= tau {
+            w.tick();
+        }
+        assert_eq!(w.drain_outputs().len(), n - 1);
+        w.begin_new_period();
+        assert!(w.wires.0.is_empty());
+    }
+
+    /// Wires that agree in one or two of `(c, τ_rel, y)` are different
+    /// wires to the table, and the parties' replay dedup decides them as it
+    /// does in process: `Exact` against `RealSbcWorld`, end to end.
+    #[test]
+    fn near_collisions_are_told_apart_and_deduplicated_as_in_process() {
+        let params = SbcParams::default_for(3);
+        let real = RealSbcWorld::from_params(params, b"collide").expect("valid");
+        let net = LoopbackSbcWorld::new(params, b"collide").expect("valid");
+        let mut dual = DualRun::new(real, net, CompareLevel::Exact);
+        dual.submit(PartyId(0), b"honest");
+        dual.advance_all();
+        dual.corrupt(PartyId(2));
+        let tau = dual.release_round().expect("period open");
+        let (c1, c2) = (Value::bytes([1; 64]), Value::bytes([2; 64]));
+        let mut adv = |cmd| dual.adversary(cmd).1;
+        let a = planted_wire(&mut adv, &c1, &[1; 32], tau, b"A");
+        let e = planted_wire(&mut adv, &c2, &[2; 32], tau, b"E");
+        let y = |wire: &Value| parse_sbc_wire(wire).expect("a wire").2;
+        let replays = [
+            a.clone(),                      // all three equal: the same wire
+            sbc_wire(&c1, tau, &y(&e)),     // equal c, different y
+            sbc_wire(&c2, tau, &y(&a)),     // equal y, different c
+            sbc_wire(&c1, tau + 1, &y(&a)), // equal c and y, different τ
+        ];
+        for wire in [&a].into_iter().chain(&replays).chain([&e]) {
+            dual.adversary(send_as(2, wire));
+        }
+        dual.idle_rounds(tau);
+        assert_eq!(dual.finish_epoch().expect("exact"), 0);
+        // The honest wire, `a` and `e`: what the logs hold.
+        let (real, net) = dual.into_transcripts();
+        let outs = net.outputs();
+        let msgs = [b"A".as_slice(), b"E", b"honest"].map(Value::bytes);
+        assert_eq!(outs.len(), 2);
+        assert_eq!(outs[0].2.value.as_list(), Some(&msgs[..]));
+        assert_eq!(real.outputs(), outs);
+    }
+
     #[test]
     fn simnet_world_same_outputs_as_loopback() {
         let params = SbcParams::default_for(4);
-        let run = |mut w: Box<dyn FnMut() -> Vec<(PartyId, Command)>>| w();
         let mut loopback = LoopbackSbcWorld::new(params, b"seed-x").expect("valid");
         let mut simnet = SimNetSbcWorld::new(params, b"seed-x").expect("valid");
         let drive = |w: &mut dyn SbcWorld| {
@@ -789,7 +955,6 @@ mod tests {
         let a = drive(&mut loopback);
         let b = drive(&mut simnet);
         assert_eq!(a, b);
-        let _ = run;
         let s = simnet.transport_stats();
         assert!(s.delayed > 0 || s.duplicated > 0, "chaos fired: {s:?}");
     }

@@ -129,7 +129,10 @@ impl Value {
         out
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Appends the canonical encoding to `out` — [`encode`](Value::encode)
+    /// without the buffer of its own, for callers framing a value inside
+    /// bytes they are already writing.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Value::Unit => out.push(0),
             Value::Bool(b) => {
