@@ -242,6 +242,12 @@ impl SbcHost {
         }
     }
 
+    /// How many `F_RO` queries have been served — what a schedule that
+    /// shares releases must leave exactly where the per-party loop does.
+    pub fn ro_query_count(&self) -> u64 {
+        self.ro.query_count()
+    }
+
     /// Period turnover on the functionality side: undelivered `F_UBC`
     /// messages are dropped and the released `F_TLE` records pruned. The
     /// clock, the random oracle and the corruption state carry over.
@@ -295,20 +301,53 @@ impl SbcHybrid for SbcHost {
     }
 }
 
-/// The first release of a round, kept by [`RealSbcWorld`]'s `tick` for
-/// reuse by every later party with the **same release view**
-/// ([`SbcParty::shares_release_view`]): such a party would issue the same
-/// oracle queries and output the same vector, so it takes a clone of `cmd`
-/// (each party owns its output) and the world replays only the query
-/// counter ([`RandomOracle::replay_warmed_queries`]).
-#[derive(Debug)]
-struct ReleasePlan {
-    /// Index of the party that computed the release.
-    from: usize,
-    /// The release output (the sorted message vector).
-    cmd: Command,
-    /// How many `F_RO` queries computing it took.
-    ro_queries: u64,
+/// The reuse-or-record release rule of a round-level `tick`, for whichever
+/// world steps [`SbcParty`]s over an [`SbcHost`]: the first release of the
+/// round is kept, and every later party with the **same release view**
+/// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
+/// and output the same vector, so it takes a clone of that output (each
+/// party owns its own) and only the query counter is replayed
+/// ([`RandomOracle::replay_warmed_queries`]). A party whose log does not
+/// match — impossible under pure broadcast, possible in principle —
+/// releases on its own: the reuse is an optimisation, never an assumption.
+///
+/// One value spans one `tick` at a round boundary and no adversary action:
+/// a release computed before an `F_TLE` `Insert` or a corruption must not
+/// be handed to a party stepped after it.
+#[derive(Debug, Default)]
+pub struct SharedRelease {
+    /// Who computed the release, its output (the sorted message vector),
+    /// and how many `F_RO` queries computing it took.
+    first: Option<(usize, Command, u64)>,
+}
+
+impl SharedRelease {
+    /// The round step of `parties[i]` under the rule. `step` is the
+    /// world's way of running [`SbcParty::on_advance_planned`] — over the
+    /// host itself in process, over a frame link to it on a network.
+    pub fn advance(
+        &mut self,
+        host: &mut SbcHost,
+        parties: &mut [SbcParty],
+        i: usize,
+        step: impl FnOnce(&mut SbcHost, &mut SbcParty, Option<Command>) -> Option<Command>,
+    ) -> Option<Command> {
+        let now = host.now();
+        let reused = match &self.first {
+            Some((from, cmd, queries)) if parties[i].shares_release_view(&parties[*from], now) => {
+                host.ro.replay_warmed_queries(*queries);
+                Some(cmd.clone())
+            }
+            _ => None,
+        };
+        let queries_before = host.ro.query_count();
+        let out = step(host, &mut parties[i], reused);
+        if let (None, Some(cmd)) = (&self.first, &out) {
+            let queries = host.ro.query_count() - queries_before;
+            self.first = Some((i, cmd.clone(), queries));
+        }
+        out
+    }
 }
 
 /// The real world: `Π_SBC` over `F_UBC` + `F_TLE` + `F_RO` + `G_clock`.
@@ -540,14 +579,10 @@ impl SbcWorld for RealSbcWorld {
     /// 1. **Release round**: the first honest party runs the ordinary
     ///    inline release at its own turn (every party before it is
     ///    corrupted and skipped, so this *is* the reference order). Every
-    ///    later honest party whose wire log provably matches
-    ///    ([`SbcParty::shares_release_view`] — a pointer compare per entry
-    ///    under pure broadcast) reuses that release: a clone of the output
-    ///    command plus a replay of the oracle query count, so the
-    ///    `O(senders)` decrypt/unmask pipeline runs once instead of `n`
-    ///    times. A party whose log does not match — impossible under pure
-    ///    broadcast, possible in principle — runs its own inline release:
-    ///    the reuse is an optimisation, never an assumption.
+    ///    later honest party goes through [`SharedRelease`]: with a
+    ///    matching wire log (a pointer compare per entry under pure
+    ///    broadcast) it reuses that release, so the `O(senders)`
+    ///    decrypt/unmask pipeline runs once instead of `n` times.
     /// 2. **Broadcast rounds**: wire deliveries are deferred into one
     ///    end-of-round recipient-major batch (`distribute_wires_serial`),
     ///    keeping each recipient's log hot in cache instead of touching
@@ -567,33 +602,16 @@ impl SbcWorld for RealSbcWorld {
             return;
         }
         let now = self.host.core.clock.read();
-        let mut first: Option<ReleasePlan> = None;
+        let mut release = SharedRelease::default();
         let mut deferred: Vec<Value> = Vec::new();
         for i in 0..n {
             let p = PartyId(i as u32);
             if self.host.core.corr.is_corrupted(p) {
                 continue;
             }
-            let reused = match &first {
-                Some(plan)
-                    if self.parties[i].shares_release_view(&self.parties[plan.from], now) =>
-                {
-                    self.host.ro.replay_warmed_queries(plan.ro_queries);
-                    Some(plan.cmd.clone())
-                }
-                _ => None,
-            };
-            let queries_before = self.host.ro.query_count();
-            let out = self.parties[i].on_advance_planned(&mut self.host, reused);
-            if first.is_none() {
-                if let Some(cmd) = &out {
-                    first = Some(ReleasePlan {
-                        from: i,
-                        cmd: cmd.clone(),
-                        ro_queries: self.host.ro.query_count() - queries_before,
-                    });
-                }
-            }
+            let out = release.advance(&mut self.host, &mut self.parties, i, |host, party, r| {
+                party.on_advance_planned(host, r)
+            });
             self.finish_step(p, out, Some(&mut deferred));
         }
         self.distribute_wires_serial(&deferred, now);

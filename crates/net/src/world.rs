@@ -35,7 +35,14 @@
 //!   in all three, are handed to the parties as one `Arc<ParsedWire>`
 //!   (`WireTable`). Unobservable: `ParsedWire::build` is a pure function
 //!   of the three components, so the shared value is the one each
-//!   recipient would have built for itself.
+//!   recipient would have built for itself;
+//! * **release sharing** — under `tick` the first honest party releases
+//!   over its own frames and every later one takes a clone of that output
+//!   (`SharedRelease`, the rule `RealSbcWorld::tick` runs), still posting
+//!   its own `Output`. Scoped to one `tick` call at a round boundary —
+//!   bare `advance` calls share nothing, the adversary may act between
+//!   them — guarded per party by `SbcParty::shares_release_view`, and the
+//!   `F_RO` query count the skipped requests would have added is replayed.
 //!
 //! Dropping a corrupted sender's wires *does* change the received sets —
 //! that knob sits outside the `Exact` envelope and has its own tests.
@@ -44,7 +51,7 @@ use crate::codec::{Endpoint, Frame, FrameKind};
 use crate::transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
 use sbc_core::error::SbcError;
 use sbc_core::protocol::{ParsedWire, SbcHybrid, SbcParty};
-use sbc_core::worlds::{SbcBackend, SbcHost, SbcParams};
+use sbc_core::worlds::{SbcBackend, SbcHost, SbcParams, SharedRelease};
 use sbc_tle::func::DecResponse;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::PartyId;
@@ -304,6 +311,11 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     parties: Vec<SbcParty>,
     transport: Box<dyn Transport>,
     wires: WireTable,
+    /// The release rule of the `tick` in progress. `None` outside one: a
+    /// bare `advance` shares nothing, because before the next one the
+    /// adversary may `Insert` into `F_TLE` or corrupt a party, and the
+    /// later release must see it.
+    release: Option<SharedRelease>,
     _profile: PhantomData<P>,
 }
 
@@ -341,6 +353,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             parties,
             transport,
             wires: WireTable::default(),
+            release: None,
             _profile: PhantomData,
         })
     }
@@ -401,9 +414,21 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
-                        if let Some(cmd) = party.on_advance(&mut link) {
+                        // The round step, under the release rule of the
+                        // `tick` in progress: a party that reuses its first
+                        // release posts no request frame, only its own
+                        // `Output`. A bare `advance` has none to reuse.
+                        let FrameLink { host, transport } = link;
+                        let mut alone = SharedRelease::default();
+                        let release = self.release.as_mut().unwrap_or(&mut alone);
+                        let step = |host: &mut SbcHost, party: &mut SbcParty, reused| {
+                            party.on_advance_planned(&mut FrameLink { host, transport }, reused)
+                        };
+                        if let Some(cmd) =
+                            release.advance(host, &mut self.parties, p as usize, step)
+                        {
                             let out = FrameKind::Output(cmd.value);
-                            link.post(Endpoint::Party(p), Endpoint::Env, out);
+                            self.link().post(Endpoint::Party(p), Endpoint::Env, out);
                         }
                     }
                     FrameKind::Deliver { payload, .. } => party.on_ubc_deliver(&payload, &mut link),
@@ -548,6 +573,20 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         self.parties.iter().find_map(|p| p.t_end())
     }
 
+    /// The per-party `advance` loop with one [`SharedRelease`] across it:
+    /// at `τ_rel` the first honest party releases over its frames, and
+    /// every later one whose log matches takes a clone of that output —
+    /// O(n + wires) frames instead of O(n · wires). The sharing is scoped
+    /// to this call, inside which the adversary cannot act, and to a round
+    /// boundary: a round entered mid-round is the literal loop.
+    fn tick(&mut self) {
+        self.release = (!self.host.core.clock.mid_round()).then(SharedRelease::default);
+        for i in 0..self.n() {
+            self.advance(PartyId(i as u32));
+        }
+        self.release = None;
+    }
+
     /// O(1) join when verifiably idle — including an idle *network*: a
     /// frame still in flight means an idle round is not a pure clock tick.
     fn join_at(&mut self, round: u64) {
@@ -576,6 +615,7 @@ mod tests {
     use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld};
     use sbc_primitives::drbg::Drbg;
     use sbc_uc::exec::{CompareLevel, DualRun};
+    use std::sync::Mutex;
 
     /// `RealSbcWorld` vs `NetSbcWorld<P>` at `CompareLevel::Exact` and at
     /// width: adaptive corruption, an adversarial broadcast through the
@@ -814,22 +854,26 @@ mod tests {
         }
     }
 
-    /// Plants `ct → rho` in `F_TLE` towards `tau` through the adversary
-    /// interface `adv`, and returns the wire on which `msg` rides `ct`.
-    fn planted_wire(
+    /// The `F_TLE` `Insert` of the record `ct → rho` towards `tau`.
+    fn insert(ct: &Value, rho: &[u8], tau: u64) -> AdvCommand {
+        AdvCommand::Control {
+            target: "F_TLE".into(),
+            cmd: Command::new(
+                "Insert",
+                Value::list([ct.clone(), Value::bytes(rho), Value::U64(tau)]),
+            ),
+        }
+    }
+
+    /// The wire on which `msg` rides `ct` under the mask `H(rho)`, asked
+    /// of `F_RO` through the adversary interface `adv`.
+    fn masked_wire(
         adv: &mut dyn FnMut(AdvCommand) -> Value,
         ct: &Value,
         rho: &[u8],
         tau: u64,
         msg: &[u8],
     ) -> Value {
-        adv(AdvCommand::Control {
-            target: "F_TLE".into(),
-            cmd: Command::new(
-                "Insert",
-                Value::list([ct.clone(), Value::bytes(rho), Value::U64(tau)]),
-            ),
-        });
         let m_bytes = Value::bytes(msg).encode();
         let eta = adv(AdvCommand::Control {
             target: "F_RO".into(),
@@ -914,8 +958,10 @@ mod tests {
         let tau = dual.release_round().expect("period open");
         let (c1, c2) = (Value::bytes([1; 64]), Value::bytes([2; 64]));
         let mut adv = |cmd| dual.adversary(cmd).1;
-        let a = planted_wire(&mut adv, &c1, &[1; 32], tau, b"A");
-        let e = planted_wire(&mut adv, &c2, &[2; 32], tau, b"E");
+        adv(insert(&c1, &[1; 32], tau));
+        adv(insert(&c2, &[2; 32], tau));
+        let a = masked_wire(&mut adv, &c1, &[1; 32], tau, b"A");
+        let e = masked_wire(&mut adv, &c2, &[2; 32], tau, b"E");
         let y = |wire: &Value| parse_sbc_wire(wire).expect("a wire").2;
         let replays = [
             a.clone(),                      // all three equal: the same wire
@@ -934,6 +980,341 @@ mod tests {
         let msgs = [b"A".as_slice(), b"E", b"honest"].map(Value::bytes);
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].2.value.as_list(), Some(&msgs[..]));
+        assert_eq!(real.outputs(), outs);
+    }
+
+    /// Two identically seeded networked worlds, one stepped by the literal
+    /// per-party `advance` loop and one by `tick`, compared after every
+    /// round: clock, outputs, leaks and `F_RO` query count.
+    struct SchedulePair<P: NetProfile> {
+        reference: NetSbcWorld<P>,
+        ticked: NetSbcWorld<P>,
+    }
+
+    impl<P: NetProfile> SchedulePair<P> {
+        fn new(params: SbcParams, seed: &[u8]) -> Self {
+            SchedulePair {
+                reference: NetSbcWorld::new(params, seed).expect("valid"),
+                ticked: NetSbcWorld::new(params, seed).expect("valid"),
+            }
+        }
+
+        fn both(&mut self, f: impl Fn(&mut NetSbcWorld<P>)) {
+            f(&mut self.reference);
+            f(&mut self.ticked);
+        }
+
+        fn submit(&mut self, party: usize, msg: &[u8]) {
+            self.both(|w| w.submit(PartyId(party as u32), msg));
+        }
+
+        fn adversary(&mut self, cmd: AdvCommand) {
+            self.both(|w| {
+                w.adversary(cmd.clone());
+            });
+        }
+
+        /// One round in each schedule; returns the round's outputs.
+        fn round(&mut self) -> Vec<(PartyId, Command)> {
+            for i in 0..self.reference.n() {
+                self.reference.advance(PartyId(i as u32));
+            }
+            self.ticked.tick();
+            assert_eq!(self.reference.time(), self.ticked.time(), "clocks");
+            let outs = self.reference.drain_outputs();
+            assert_eq!(outs, self.ticked.drain_outputs(), "outputs");
+            assert_eq!(
+                self.reference.drain_leaks(),
+                self.ticked.drain_leaks(),
+                "leaks"
+            );
+            assert_eq!(
+                self.reference.host.ro_query_count(),
+                self.ticked.host.ro_query_count(),
+                "F_RO query count"
+            );
+            outs
+        }
+
+        fn rounds(&mut self, k: usize) -> Vec<(PartyId, Command)> {
+            (0..k).flat_map(|_| self.round()).collect()
+        }
+    }
+
+    /// An adversarial wire whose ciphertext `F_TLE` never saw (⊥ at
+    /// release), claiming release time `tau`.
+    fn foreign_wire(tau: u64) -> Value {
+        sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
+    }
+
+    /// The net-side twin of `sbc_core`'s `tick_matches_per_party_advance_
+    /// loop`, over the same five shapes: `tick` (one shared release) is the
+    /// literal per-party `advance` loop, bit for bit, every round.
+    fn tick_matches_per_party_advance_loop<P: NetProfile>(n: usize) {
+        let p = SbcParams::default_for(n);
+        let last = n - 1;
+        let corrupt = |party: usize| AdvCommand::Corrupt(PartyId(party as u32));
+
+        // Two epochs under a mid-period corruption and an accepted
+        // adversarial wire.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv");
+        for epoch in 0..2 {
+            s.submit(0, b"alpha");
+            s.submit(n / 2, b"bravo");
+            s.round();
+            if epoch == 0 {
+                s.adversary(corrupt(last));
+                let tau = s.ticked.release_round().expect("period open");
+                s.adversary(send_as(last as u32, &foreign_wire(tau)));
+            }
+            assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
+            s.both(|w| w.begin_new_period());
+        }
+        // The comparison is not vacuous: the shared release saved frames
+        // (at n = 2 the corruption leaves one honest party: none to save).
+        let sent = |w: &NetSbcWorld<P>| w.transport_stats().sent;
+        assert_eq!(sent(&s.ticked) < sent(&s.reference), n > 2, "n={n}");
+
+        // Party 0 corrupted before the first tick: the first honest
+        // party — the one whose release the others reuse — is not 0.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/p0");
+        s.adversary(corrupt(0));
+        s.submit(1, b"charlie");
+        s.submit(last, b"delta");
+        let outs = s.rounds(10);
+        assert_eq!(outs.len(), n - 1, "n={n}: every honest party released");
+        assert_eq!(outs[0].0, PartyId(1));
+
+        // A sender corrupted mid-period after it has broadcast: its
+        // wire stays in every log and its message is released.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/sender");
+        s.submit(0, b"echo");
+        s.submit(last, b"foxtrot");
+        s.rounds(2); // wake-up, then the wires go out
+        s.adversary(corrupt(0));
+        let outs = s.rounds(8);
+        assert_eq!(outs.len(), n - 1);
+        assert_eq!(
+            outs[0].1.value.as_list().map(<[Value]>::len),
+            Some(2),
+            "n={n}: the corrupted sender's message is still released"
+        );
+
+        // Wires every recipient must discard identically: a wrong
+        // τ_rel, and a right one delivered at Cl ≥ t_end.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/discard");
+        s.submit(0, b"golf");
+        s.round();
+        s.adversary(corrupt(last));
+        let tau = s.ticked.release_round().expect("period open");
+        let t_end = s.ticked.period_end().expect("period open");
+        s.adversary(send_as(last as u32, &foreign_wire(tau + 1)));
+        while s.ticked.time() < t_end {
+            s.round();
+        }
+        s.adversary(send_as(last as u32, &foreign_wire(tau)));
+        let outs = s.rounds(8);
+        assert_eq!(outs.len(), n - 1);
+        for (_, cmd) in &outs {
+            assert_eq!(cmd.value.as_list(), Some(&[Value::bytes(b"golf")][..]));
+        }
+
+        // Rounds entered mid-round (one party already advanced by hand)
+        // take the literal-loop fallback — on broadcast rounds and on
+        // the release round alike.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/mid-round");
+        s.submit(0, b"hotel");
+        s.submit(last, b"india");
+        let mut outs = Vec::new();
+        for round in 0..10 {
+            if round % 2 == 1 {
+                s.both(|w| w.advance(PartyId((round % n) as u32)));
+            }
+            outs.extend(s.round());
+        }
+        assert_eq!(outs.len(), n, "n={n}: released through the fallback");
+        assert_eq!(sent(&s.ticked), sent(&s.reference), "n={n}: no sharing");
+    }
+
+    #[test]
+    fn tick_matches_per_party_advance_loop_on_loopback_and_simnet() {
+        for n in [2, 8, 64] {
+            tick_matches_per_party_advance_loop::<LoopbackProfile>(n);
+            tick_matches_per_party_advance_loop::<AdversarialProfile>(n);
+        }
+    }
+
+    /// A loopback that shows `tap` every frame on its way in; `false`
+    /// swallows the frame.
+    struct Tap<F> {
+        inner: Loopback,
+        tap: F,
+    }
+
+    impl<F> std::fmt::Debug for Tap<F> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.inner.fmt(f)
+        }
+    }
+
+    impl<F: FnMut(&Frame) -> bool + Send> Transport for Tap<F> {
+        fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), crate::codec::NetError> {
+            match Frame::decode(&bytes) {
+                Ok(frame) if !(self.tap)(&frame) => Ok(()),
+                _ => self.inner.send(bytes, now),
+            }
+        }
+        fn recv_control(&mut self) -> Vec<Vec<u8>> {
+            self.inner.recv_control()
+        }
+        fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+            self.inner.recv_rpc(party)
+        }
+        fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+            self.inner.recv_data(party, now)
+        }
+        fn set_corrupted(&mut self, party: u32) {
+            self.inner.set_corrupted(party)
+        }
+        fn clear_in_flight(&mut self) {
+            self.inner.clear_in_flight()
+        }
+        fn idle(&self) -> bool {
+            self.inner.idle()
+        }
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A loopback world over `Tap`, and the frames the tap let through.
+    fn tapped_world(
+        params: SbcParams,
+        mut swallow: impl FnMut(&Frame) -> bool + Send + 'static,
+    ) -> (LoopbackSbcWorld, Arc<Mutex<Vec<Frame>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let tap = move |frame: &Frame| {
+            let keep = !swallow(frame);
+            if keep {
+                log.lock().expect("tap log").push(frame.clone());
+            }
+            keep
+        };
+        let inner = Loopback::new(params.n, params.delta);
+        let transport = Box::new(Tap { inner, tap });
+        let w = LoopbackSbcWorld::with_transport(params, b"tapped", transport).expect("valid");
+        (w, seen)
+    }
+
+    /// How many frames of each request / output kind were sent in round
+    /// `round`: `[TleDec, RoQuery, Output]`.
+    fn release_frames(seen: &Mutex<Vec<Frame>>, round: u64) -> [usize; 3] {
+        let seen = seen.lock().expect("tap log");
+        let count = |is: fn(&FrameKind) -> bool| {
+            let in_round = seen.iter().filter(|f| f.sent_at == round);
+            in_round.filter(|f| is(&f.kind)).count()
+        };
+        [
+            count(|k| matches!(k, FrameKind::TleDec { .. })),
+            count(|k| matches!(k, FrameKind::RoQuery { .. })),
+            count(|k| matches!(k, FrameKind::Output(_))),
+        ]
+    }
+
+    /// The frame count, pinned where the world lives: under `tick` the
+    /// release round costs one `TleDec` + `RoQuery` per wire — not per
+    /// wire per party — and one `Output` per party; and an instance of
+    /// `bulk_loopback`'s shape costs exactly the frames and bytes the
+    /// benchmark ladder reports as `net.world.frames_per_sub` = 19.71875
+    /// and `net.world.wire_bytes_per_sub` = 84 393.03125, times its 64
+    /// submissions.
+    #[test]
+    fn release_round_frames_are_per_wire_not_per_party() {
+        let run = |n: usize, k: usize, payload_len: usize| {
+            let params = SbcParams::default_for(n);
+            let (mut w, seen) = tapped_world(params, |_| false);
+            for i in 0..k {
+                w.submit(PartyId((i % n) as u32), &vec![i as u8; payload_len]);
+            }
+            let tau = params.phi + params.delta;
+            for _ in 0..=tau {
+                w.tick();
+            }
+            assert_eq!(w.drain_outputs().len(), n);
+            assert_eq!(release_frames(&seen, tau), [k, k, n], "n={n} k={k}");
+            w.transport_stats()
+        };
+        for n in [4, 8, 16] {
+            run(n, 2 * n + 1, 32);
+        }
+        let stats = run(8, 64, 4096);
+        assert_eq!((stats.sent, stats.bytes), (1262, 5_401_154));
+    }
+
+    /// Sharing is guarded per party by its own log: a recipient one
+    /// `Deliver` short releases alone, over its own request frames, and
+    /// without the message it never received; the others share.
+    #[test]
+    fn a_party_with_a_different_log_releases_alone() {
+        let params = SbcParams::default_for(4);
+        let victim = 2;
+        let mut dropped = false;
+        // The first wire delivery to the victim is swallowed.
+        let (mut w, seen) = tapped_world(params, move |f| {
+            let wire = matches!(&f.kind, FrameKind::Deliver { payload, .. }
+                if parse_sbc_wire(payload).is_some());
+            let hit = wire && f.to == Endpoint::Party(victim) && !dropped;
+            dropped |= hit;
+            hit
+        });
+        for (p, m) in [(0, b"m0"), (1, b"m1"), (3, b"m3")] {
+            w.submit(PartyId(p), m);
+        }
+        let tau = params.phi + params.delta;
+        for _ in 0..=tau {
+            w.tick();
+        }
+        let all = [b"m0", b"m1", b"m3"].map(Value::bytes);
+        for (party, cmd) in w.drain_outputs() {
+            let expected = if party.0 == victim {
+                &all[1..]
+            } else {
+                &all[..]
+            };
+            assert_eq!(cmd.value.as_list(), Some(expected), "{party:?}");
+        }
+        // P0 opens three wires, the victim its two; P1 and P3 none.
+        assert_eq!(release_frames(&seen, tau), [5, 5, 4]);
+    }
+
+    /// Sharing never crosses an adversary action: an `F_TLE` `Insert`
+    /// between two parties' steps of the release round is seen by the
+    /// later one — `Exact` against `RealSbcWorld` driven the same way.
+    #[test]
+    fn an_insert_between_two_advances_is_seen_by_the_later_release() {
+        let params = SbcParams::default_for(3);
+        let real = RealSbcWorld::from_params(params, b"late-insert").expect("valid");
+        let net = LoopbackSbcWorld::new(params, b"late-insert").expect("valid");
+        let mut dual = DualRun::new(real, net, CompareLevel::Exact);
+        dual.submit(PartyId(0), b"honest");
+        dual.advance_all();
+        dual.corrupt(PartyId(2));
+        let tau = dual.release_round().expect("period open");
+        // In every log from now on, but ⊥ to `F_TLE` until inserted.
+        let (ct, rho) = (Value::bytes([5; 64]), [6; 32]);
+        let wire = masked_wire(&mut |cmd| dual.adversary(cmd).1, &ct, &rho, tau, b"late");
+        dual.adversary(send_as(2, &wire));
+        dual.idle_rounds(tau - 1);
+        dual.script(|env| env.advance(PartyId(0)));
+        dual.adversary(insert(&ct, &rho, tau));
+        dual.script(|env| env.advance(PartyId(1)));
+        dual.check().expect("exact");
+        let (real, net) = dual.into_transcripts();
+        let outs = net.outputs();
+        let (honest, late) = (Value::bytes(b"honest"), Value::bytes(b"late"));
+        assert_eq!(outs[0].2.value.as_list(), Some(&[honest.clone()][..]));
+        assert_eq!(outs[1].2.value.as_list(), Some(&[honest, late][..]));
         assert_eq!(real.outputs(), outs);
     }
 
