@@ -126,17 +126,13 @@ impl ParsedWire {
 
     /// Orders this wire against the payload `v` by `(c, τ_rel, y)`, byte
     /// for byte: `Equal` exactly when `v` is this wire — a triple
-    /// [`parse`](ParsedWire::parse) accepts with all three components
-    /// equal, never a fingerprint match. A `v` that is no wire orders
-    /// below every wire. `build` is a pure function of the three
-    /// components, so a world that keeps its parsed wires sorted by this
-    /// can hand every recipient of one broadcast the one `Arc` instead of
-    /// fingerprinting per recipient, unobservably.
+    /// [`parse`](ParsedWire::parse) accepts, equal in all three components,
+    /// never a fingerprint match; a `v` that is no wire orders below every
+    /// wire. What a world interns parsed wires by, unobservably: `build` is
+    /// a pure function of the three components.
     pub fn cmp_payload(&self, v: &Value) -> Ordering {
-        let Some((ct, tau, y)) = wire_parts(v) else {
-            return Ordering::Greater;
-        };
-        (&self.ct, self.tau, &self.y[..]).cmp(&(ct, tau, y))
+        let this = (&self.ct, self.tau, &self.y[..]);
+        wire_parts(v).map_or(Ordering::Greater, |v| this.cmp(&v))
     }
 
     /// The preprocessing half of [`parse`](ParsedWire::parse): the

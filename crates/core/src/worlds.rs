@@ -242,8 +242,8 @@ impl SbcHost {
         }
     }
 
-    /// How many `F_RO` queries have been served — what a schedule that
-    /// shares releases must leave exactly where the per-party loop does.
+    /// `F_RO` queries served so far: what a release-sharing schedule must
+    /// leave exactly where the per-party loop does.
     pub fn ro_query_count(&self) -> u64 {
         self.ro.query_count()
     }
@@ -301,49 +301,45 @@ impl SbcHybrid for SbcHost {
     }
 }
 
-/// The reuse-or-record release rule of a round-level `tick`, for whichever
-/// world steps [`SbcParty`]s over an [`SbcHost`]: the first release of the
-/// round is kept, and every later party with the **same release view**
+/// The reuse-or-record release rule of a round-level `tick`, in whichever
+/// world steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
+/// round is kept; a later party with the **same release view**
 /// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
-/// and output the same vector, so it takes a clone of that output (each
-/// party owns its own) and only the query counter is replayed
-/// ([`RandomOracle::replay_warmed_queries`]). A party whose log does not
-/// match — impossible under pure broadcast, possible in principle —
-/// releases on its own: the reuse is an optimisation, never an assumption.
-///
-/// One value spans one `tick` at a round boundary and no adversary action:
-/// a release computed before an `F_TLE` `Insert` or a corruption must not
-/// be handed to a party stepped after it.
+/// and output the same vector, so it takes a clone of that output and only
+/// the query counter is replayed ([`RandomOracle::replay_warmed_queries`]).
+/// A party whose log differs releases on its own: the reuse is an
+/// optimisation, never an assumption. One value must span no adversary
+/// action — a release computed before an `F_TLE` `Insert` or a corruption
+/// is not the release of a party stepped after it.
 #[derive(Debug, Default)]
 pub struct SharedRelease {
-    /// Who computed the release, its output (the sorted message vector),
-    /// and how many `F_RO` queries computing it took.
+    /// Who released first, its output, and the `F_RO` queries that took.
     first: Option<(usize, Command, u64)>,
 }
 
 impl SharedRelease {
-    /// The round step of `parties[i]` under the rule. `step` is the
-    /// world's way of running [`SbcParty::on_advance_planned`] — over the
-    /// host itself in process, over a frame link to it on a network.
-    pub fn advance(
+    /// The round step of `parties[i]` under the rule, over the hybrid `hyb`
+    /// the world hands its parties; `host` reaches the [`SbcHost`] behind
+    /// it — itself in process, the far end of a frame link on a network.
+    pub fn advance<H: SbcHybrid>(
         &mut self,
-        host: &mut SbcHost,
         parties: &mut [SbcParty],
         i: usize,
-        step: impl FnOnce(&mut SbcHost, &mut SbcParty, Option<Command>) -> Option<Command>,
+        hyb: &mut H,
+        host: impl Fn(&mut H) -> &mut SbcHost,
     ) -> Option<Command> {
-        let now = host.now();
+        let now = hyb.now();
         let reused = match &self.first {
             Some((from, cmd, queries)) if parties[i].shares_release_view(&parties[*from], now) => {
-                host.ro.replay_warmed_queries(*queries);
+                host(hyb).ro.replay_warmed_queries(*queries);
                 Some(cmd.clone())
             }
             _ => None,
         };
-        let queries_before = host.ro.query_count();
-        let out = step(host, &mut parties[i], reused);
+        let queries_before = host(hyb).ro.query_count();
+        let out = parties[i].on_advance_planned(hyb, reused);
         if let (None, Some(cmd)) = (&self.first, &out) {
-            let queries = host.ro.query_count() - queries_before;
+            let queries = host(hyb).ro.query_count() - queries_before;
             self.first = Some((i, cmd.clone(), queries));
         }
         out
@@ -609,9 +605,7 @@ impl SbcWorld for RealSbcWorld {
             if self.host.core.corr.is_corrupted(p) {
                 continue;
             }
-            let out = release.advance(&mut self.host, &mut self.parties, i, |host, party, r| {
-                party.on_advance_planned(host, r)
-            });
+            let out = release.advance(&mut self.parties, i, &mut self.host, |host| host);
             self.finish_step(p, out, Some(&mut deferred));
         }
         self.distribute_wires_serial(&deferred, now);

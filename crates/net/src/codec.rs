@@ -41,8 +41,8 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// body length (4).
 const HEADER_LEN: usize = 26;
 
-/// The canonical [`Value`] header of a pair — a two-item list: tag 6,
-/// count 2 — so a pair body is written around borrowed halves.
+/// The canonical [`Value`] header of a pair (a two-item list: tag 6,
+/// count 2), written ahead of its borrowed halves.
 const PAIR: [u8; 9] = [6, 0, 0, 0, 0, 0, 0, 0, 2];
 
 /// A frame address: the environment, the functionality host, or a party.
@@ -190,30 +190,26 @@ impl FrameKind {
         }
     }
 
-    /// Appends the body — the canonical [`Value`] encoding shaped per
-    /// kind — to `out`, payloads by reference.
+    /// Appends the body — a canonical [`Value`] shaped per kind — to `out`,
+    /// payloads by reference.
     fn encode_body(&self, out: &mut Vec<u8>) {
-        let pair = |out: &mut Vec<u8>, a: &Value, b: u64| {
+        let pair = |out: &mut Vec<u8>, a: &Value, b: &Value| {
             out.extend_from_slice(&PAIR);
             a.encode_into(out);
-            Value::U64(b).encode_into(out);
+            b.encode_into(out);
         };
         match self {
-            FrameKind::Submit(v)
-            | FrameKind::Cast(v)
-            | FrameKind::TleTriples(v)
-            | FrameKind::TleDecResp(v)
-            | FrameKind::Output(v) => v.encode_into(out),
+            FrameKind::Submit(v) | FrameKind::Cast(v) => v.encode_into(out),
             FrameKind::Tick | FrameKind::TleRetrieve => Value::Unit.encode_into(out),
             FrameKind::Deliver { origin, payload } => {
-                out.extend_from_slice(&PAIR);
-                Value::U64(u64::from(*origin)).encode_into(out);
-                payload.encode_into(out);
+                pair(out, &Value::U64(u64::from(*origin)), payload)
             }
-            FrameKind::TleEnc { rho: a, tau } | FrameKind::TleDec { ct: a, tau } => {
-                pair(out, a, *tau)
+            FrameKind::TleEnc { rho, tau } => pair(out, rho, &Value::U64(*tau)),
+            FrameKind::TleTriples(v) | FrameKind::TleDecResp(v) | FrameKind::Output(v) => {
+                v.encode_into(out)
             }
-            FrameKind::RoQuery { x, len } => pair(out, &Value::bytes(x), *len),
+            FrameKind::TleDec { ct, tau } => pair(out, ct, &Value::U64(*tau)),
+            FrameKind::RoQuery { x, len } => pair(out, &Value::bytes(x), &Value::U64(*len)),
             FrameKind::RoAnswer(b) => Value::bytes(b).encode_into(out),
         }
     }
@@ -303,22 +299,19 @@ pub struct Frame {
 impl Frame {
     /// Encodes the frame, including the outer length prefix.
     pub fn encode(&self) -> Vec<u8> {
-        // Both lengths are patched in once the body has been written, in
-        // place, behind the header.
         let mut out = Vec::with_capacity(4 + HEADER_LEN);
-        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&[0; 4]); // the outer length, patched below
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(self.kind.tag());
         self.from.encode_into(&mut out);
         self.to.encode_into(&mut out);
         out.extend_from_slice(&self.sent_at.to_be_bytes());
-        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&[0; 4]); // the body length, patched below
         self.kind.encode_body(&mut out);
-        let declared = out.len() - 4;
-        out[..4].copy_from_slice(&(declared as u32).to_be_bytes());
-        out[HEADER_LEN..4 + HEADER_LEN]
-            .copy_from_slice(&((declared - HEADER_LEN) as u32).to_be_bytes());
+        let body_len = (out.len() - 4 - HEADER_LEN) as u32;
+        out[..4].copy_from_slice(&(HEADER_LEN as u32 + body_len).to_be_bytes());
+        out[HEADER_LEN..4 + HEADER_LEN].copy_from_slice(&body_len.to_be_bytes());
         out
     }
 

@@ -30,19 +30,17 @@
 //!   release outputs are sorted. Delay (clamped before the period end ∆
 //!   guarantees), reorder, duplication, healing partitions and reconnects
 //!   therefore cannot change outputs or leaks;
-//! * **content interning** — each recipient still decodes its own frame,
-//!   but decoded payloads that are the same `(c, τ_rel, y)`, byte for byte
-//!   in all three, are handed to the parties as one `Arc<ParsedWire>`
-//!   (`WireTable`). Unobservable: `ParsedWire::build` is a pure function
-//!   of the three components, so the shared value is the one each
-//!   recipient would have built for itself;
+//! * **content interning** — each recipient decodes its own frame, but
+//!   payloads equal byte for byte in all of `(c, τ_rel, y)` reach the
+//!   parties as one `Arc<ParsedWire>` (`deliver_wire`). Unobservable:
+//!   `ParsedWire::build` is a pure function of the three components, so
+//!   the shared value is the one each recipient would have built;
 //! * **release sharing** — under `tick` the first honest party releases
 //!   over its own frames and every later one takes a clone of that output
-//!   (`SharedRelease`, the rule `RealSbcWorld::tick` runs), still posting
-//!   its own `Output`. Scoped to one `tick` call at a round boundary —
-//!   bare `advance` calls share nothing, the adversary may act between
-//!   them — guarded per party by `SbcParty::shares_release_view`, and the
-//!   `F_RO` query count the skipped requests would have added is replayed.
+//!   (`SharedRelease`, the rule under `RealSbcWorld::tick`) and posts its
+//!   own `Output`. Scoped to one `tick` at a round boundary — between
+//!   bare `advance` calls the adversary may act — guarded per party by
+//!   `SbcParty::shares_release_view`, the `F_RO` query count replayed.
 //!
 //! Dropping a corrupted sender's wires *does* change the received sets —
 //! that knob sits outside the `Exact` envelope and has its own tests.
@@ -100,8 +98,7 @@ impl FrameLink<'_> {
         }
     }
 
-    /// A [`request`](Self::request) that has a reply: the response frame
-    /// on the party's rpc lane.
+    /// A [`request`](Self::request) with a reply, on the party's rpc lane.
     fn rpc(&mut self, from: PartyId, kind: FrameKind) -> Option<FrameKind> {
         self.request(from, kind);
         let mut out = None;
@@ -217,36 +214,6 @@ impl SbcHybrid for FrameLink<'_> {
     }
 }
 
-/// This period's wires, interned by content and kept sorted by
-/// [`ParsedWire::cmp_payload`]: every recipient of one broadcast is handed
-/// the one `Arc<ParsedWire>`, so a wire is fingerprinted once per world
-/// and the recipients' logs compare by pointer.
-#[derive(Debug, Default)]
-struct WireTable(Vec<Arc<ParsedWire>>);
-
-impl WireTable {
-    /// Delivers the wire `payload` is to `party`: the interned `Arc` on
-    /// full byte equality of `(c, τ_rel, y)`, a freshly fingerprinted one
-    /// on a miss. Interning comes *after* the recipient's own period check
-    /// and replay dedup — a miss is kept only if the party's log took it
-    /// (the log's clone is the second reference) — so the table holds no
-    /// wire the logs do not, whatever is flooded at the parties.
-    fn deliver(&mut self, payload: &Value, party: &mut SbcParty, now: u64) {
-        match self.0.binary_search_by(|w| w.cmp_payload(payload)) {
-            Ok(at) => party.on_wire_deliver_parsed(&self.0[at], now),
-            Err(at) => {
-                let Some(wire) = ParsedWire::parse(payload).map(Arc::new) else {
-                    return;
-                };
-                party.on_wire_deliver_parsed(&wire, now);
-                if Arc::strong_count(&wire) > 1 {
-                    self.0.insert(at, wire);
-                }
-            }
-        }
-    }
-}
-
 /// How a [`NetSbcWorld`] builds its transport from the experiment
 /// parameters and seed — the type-level knob that lets the same world be
 /// a [`LoopbackSbcWorld`] or a [`SimNetSbcWorld`] behind the one
@@ -310,11 +277,12 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     pub params: SbcParams,
     parties: Vec<SbcParty>,
     transport: Box<dyn Transport>,
-    wires: WireTable,
-    /// The release rule of the `tick` in progress. `None` outside one: a
-    /// bare `advance` shares nothing, because before the next one the
-    /// adversary may `Insert` into `F_TLE` or corrupt a party, and the
-    /// later release must see it.
+    /// This period's wires, interned by content (sorted by
+    /// [`ParsedWire::cmp_payload`]): a broadcast is fingerprinted once per
+    /// world, and its recipients' logs compare by pointer.
+    wires: Vec<Arc<ParsedWire>>,
+    /// The release rule of the `tick` in progress; `None` outside one (a
+    /// bare `advance` shares nothing: the adversary may act before the next).
     release: Option<SharedRelease>,
     _profile: PhantomData<P>,
 }
@@ -352,7 +320,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             params,
             parties,
             transport,
-            wires: WireTable::default(),
+            wires: Vec::new(),
             release: None,
             _profile: PhantomData,
         })
@@ -414,21 +382,15 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
-                        // The round step, under the release rule of the
-                        // `tick` in progress: a party that reuses its first
-                        // release posts no request frame, only its own
-                        // `Output`. A bare `advance` has none to reuse.
-                        let FrameLink { host, transport } = link;
+                        // Under the release rule of the `tick` in progress (a
+                        // bare `advance` has none): a party that reuses its
+                        // first release posts only its own `Output`.
                         let mut alone = SharedRelease::default();
                         let release = self.release.as_mut().unwrap_or(&mut alone);
-                        let step = |host: &mut SbcHost, party: &mut SbcParty, reused| {
-                            party.on_advance_planned(&mut FrameLink { host, transport }, reused)
-                        };
-                        if let Some(cmd) =
-                            release.advance(host, &mut self.parties, p as usize, step)
-                        {
+                        let (parties, i) = (&mut self.parties, p as usize);
+                        if let Some(cmd) = release.advance(parties, i, &mut link, |l| l.host) {
                             let out = FrameKind::Output(cmd.value);
-                            self.link().post(Endpoint::Party(p), Endpoint::Env, out);
+                            link.post(Endpoint::Party(p), Endpoint::Env, out);
                         }
                     }
                     FrameKind::Deliver { payload, .. } => party.on_ubc_deliver(&payload, &mut link),
@@ -474,9 +436,29 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 continue;
             };
             if let FrameKind::Deliver { payload, .. } = frame.kind {
-                // Wire recording is pure — no host link needed.
-                self.wires
-                    .deliver(&payload, &mut self.parties[p as usize], now);
+                self.deliver_wire(p, &payload, now);
+            }
+        }
+    }
+
+    /// Hands party `p` the wire `payload` is: the interned `Arc` on full
+    /// byte equality of `(c, τ_rel, y)`, a new one on a miss. Interning
+    /// comes *after* the party's own period check and replay dedup — a
+    /// miss is kept only if its log took it (the log's clone is the second
+    /// reference) — so no flood grows the table past the logs. Wire
+    /// recording is pure: no host link needed.
+    fn deliver_wire(&mut self, p: u32, payload: &Value, now: u64) {
+        let party = &mut self.parties[p as usize];
+        match self.wires.binary_search_by(|w| w.cmp_payload(payload)) {
+            Ok(at) => party.on_wire_deliver_parsed(&self.wires[at], now),
+            Err(at) => {
+                let Some(wire) = ParsedWire::parse(payload).map(Arc::new) else {
+                    return;
+                };
+                party.on_wire_deliver_parsed(&wire, now);
+                if Arc::strong_count(&wire) > 1 {
+                    self.wires.insert(at, wire);
+                }
             }
         }
     }
@@ -562,7 +544,7 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         }
         self.host.begin_new_period();
         self.transport.clear_in_flight();
-        self.wires.0.clear();
+        self.wires.clear();
     }
 
     fn release_round(&self) -> Option<u64> {
@@ -573,12 +555,11 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         self.parties.iter().find_map(|p| p.t_end())
     }
 
-    /// The per-party `advance` loop with one [`SharedRelease`] across it:
-    /// at `τ_rel` the first honest party releases over its frames, and
-    /// every later one whose log matches takes a clone of that output —
-    /// O(n + wires) frames instead of O(n · wires). The sharing is scoped
-    /// to this call, inside which the adversary cannot act, and to a round
-    /// boundary: a round entered mid-round is the literal loop.
+    /// The per-party `advance` loop under one [`SharedRelease`]: at `τ_rel`
+    /// the first honest party releases over its frames and every later one
+    /// whose log matches clones that output — O(n + wires) frames, not
+    /// O(n · wires). Scoped to this call, which no adversary action can
+    /// fall inside; a round entered mid-round is the literal loop.
     fn tick(&mut self) {
         self.release = (!self.host.core.clock.mid_round()).then(SharedRelease::default);
         for i in 0..self.n() {
@@ -933,14 +914,14 @@ mod tests {
         // One entry per broadcast — P3 cast before it was corrupted — each
         // referenced by the table and by every one of the n logs (a log
         // holds a wire at most once), i.e. `Arc::ptr_eq` across recipients.
-        let refs: Vec<usize> = w.wires.0.iter().map(Arc::strong_count).collect();
+        let refs: Vec<usize> = w.wires.iter().map(Arc::strong_count).collect();
         assert_eq!(refs, vec![n + 1; n]);
         while w.time() <= tau {
             w.tick();
         }
         assert_eq!(w.drain_outputs().len(), n - 1);
         w.begin_new_period();
-        assert!(w.wires.0.is_empty());
+        assert!(w.wires.is_empty());
     }
 
     /// Wires that agree in one or two of `(c, τ_rel, y)` are different
