@@ -132,7 +132,7 @@ impl ParsedWire {
     /// a pure function of the three components.
     pub fn cmp_payload(&self, v: &Value) -> Ordering {
         let this = (&self.ct, self.tau, &self.y[..]);
-        wire_parts(v).map_or(Ordering::Greater, |v| this.cmp(&v))
+        wire_parts(v).map_or(Ordering::Greater, |parts| this.cmp(&parts))
     }
 
     /// The preprocessing half of [`parse`](ParsedWire::parse): the

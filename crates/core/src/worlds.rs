@@ -242,8 +242,7 @@ impl SbcHost {
         }
     }
 
-    /// `F_RO` queries served so far: what a release-sharing schedule must
-    /// leave exactly where the per-party loop does.
+    /// `F_RO` queries served so far (release sharing must not move it).
     pub fn ro_query_count(&self) -> u64 {
         self.ro.query_count()
     }
@@ -318,9 +317,9 @@ pub struct SharedRelease {
 }
 
 impl SharedRelease {
-    /// The round step of `parties[i]` under the rule, over the hybrid `hyb`
-    /// the world hands its parties; `host` reaches the [`SbcHost`] behind
-    /// it — itself in process, the far end of a frame link on a network.
+    /// The round step of `parties[i]` under the rule, over the world's
+    /// hybrid `hyb`; `host` reaches the [`SbcHost`] behind it (itself in
+    /// process, the far end of a frame link on a network).
     pub fn advance<H: SbcHybrid>(
         &mut self,
         parties: &mut [SbcParty],

@@ -41,8 +41,7 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// body length (4).
 const HEADER_LEN: usize = 26;
 
-/// The canonical [`Value`] header of a pair (a two-item list: tag 6,
-/// count 2), written ahead of its borrowed halves.
+/// The canonical [`Value`] header of a pair: a list (tag 6) of 2 items.
 const PAIR: [u8; 9] = [6, 0, 0, 0, 0, 0, 0, 0, 2];
 
 /// A frame address: the environment, the functionality host, or a party.
@@ -190,8 +189,7 @@ impl FrameKind {
         }
     }
 
-    /// Appends the body — a canonical [`Value`] shaped per kind — to `out`,
-    /// payloads by reference.
+    /// Appends the body, a [`Value`] shaped per kind, payloads by reference.
     fn encode_body(&self, out: &mut Vec<u8>) {
         let pair = |out: &mut Vec<u8>, a: &Value, b: &Value| {
             out.extend_from_slice(&PAIR);

@@ -277,12 +277,10 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     pub params: SbcParams,
     parties: Vec<SbcParty>,
     transport: Box<dyn Transport>,
-    /// This period's wires, interned by content (sorted by
-    /// [`ParsedWire::cmp_payload`]): a broadcast is fingerprinted once per
-    /// world, and its recipients' logs compare by pointer.
+    /// This period's wires interned by content, sorted by
+    /// [`ParsedWire::cmp_payload`] (see [`deliver_wire`](Self::deliver_wire)).
     wires: Vec<Arc<ParsedWire>>,
-    /// The release rule of the `tick` in progress; `None` outside one (a
-    /// bare `advance` shares nothing: the adversary may act before the next).
+    /// The release rule of the `tick` in progress; `None` outside one.
     release: Option<SharedRelease>,
     _profile: PhantomData<P>,
 }
@@ -382,9 +380,8 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
-                        // Under the release rule of the `tick` in progress (a
-                        // bare `advance` has none): a party that reuses its
-                        // first release posts only its own `Output`.
+                        // Under the `tick` in progress, a party that reuses
+                        // its first release posts only its own `Output`.
                         let mut alone = SharedRelease::default();
                         let release = self.release.as_mut().unwrap_or(&mut alone);
                         let (parties, i) = (&mut self.parties, p as usize);
@@ -442,11 +439,12 @@ impl<P: NetProfile> NetSbcWorld<P> {
     }
 
     /// Hands party `p` the wire `payload` is: the interned `Arc` on full
-    /// byte equality of `(c, τ_rel, y)`, a new one on a miss. Interning
-    /// comes *after* the party's own period check and replay dedup — a
-    /// miss is kept only if its log took it (the log's clone is the second
-    /// reference) — so no flood grows the table past the logs. Wire
-    /// recording is pure: no host link needed.
+    /// byte equality of `(c, τ_rel, y)` — so a broadcast is fingerprinted
+    /// once per world and its recipients' logs compare by pointer — a new
+    /// one on a miss. Interning comes *after* the party's own period check
+    /// and replay dedup: a miss is kept only if its log took it (the log's
+    /// clone is the second reference), so no flood grows the table past
+    /// the logs. Wire recording is pure: no host link needed.
     fn deliver_wire(&mut self, p: u32, payload: &Value, now: u64) {
         let party = &mut self.parties[p as usize];
         match self.wires.binary_search_by(|w| w.cmp_payload(payload)) {
