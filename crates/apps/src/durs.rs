@@ -184,9 +184,7 @@ impl<W: SbcBackend> DursSession<W> {
             contributed: vec![false; n],
         })
     }
-}
 
-impl<W: SbcWorld> DursSession<W> {
     /// Party `p` contributes fresh randomness (idempotent per party and
     /// epoch).
     ///
@@ -349,9 +347,7 @@ impl<W: SbcBackend> DursPool<W> {
         self.contributed.insert(id.0, vec![false; self.n()]);
         Ok(id)
     }
-}
 
-impl<W: SbcWorld> DursPool<W> {
     /// Number of registered parties (shared by every stream).
     pub fn n(&self) -> usize {
         self.pool.params().n
@@ -654,7 +650,7 @@ mod tests {
         // same output, contribution count and release round as over the
         // real stack, epoch for epoch — Theorem 2 at the application
         // layer, through the backend-generic session only.
-        fn drive<W: SbcWorld>(mut s: DursSession<W>) -> Vec<DursResult> {
+        fn drive<W: SbcBackend>(mut s: DursSession<W>) -> Vec<DursResult> {
             (0..3)
                 .map(|_| {
                     for p in 0..3 {

@@ -15,13 +15,11 @@
 //! control voter disappears (the paper's Fig. 18 modification).
 
 use sbc_core::api::{SbcError, SbcSession};
-use sbc_core::pool::{InstanceId, SbcPool};
 use sbc_primitives::bigint::U256;
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::group::{Element, Scalar, SchnorrGroup};
 use sbc_primitives::sigma::{dleq_or_prove, dleq_or_verify, DleqOrProof};
 use sbc_uc::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Election setup produced by `F_SKG`/`F_PKG`: the group, the bases, and
@@ -505,189 +503,6 @@ impl Election {
     }
 }
 
-/// Per-motion state of an [`ElectionPool`].
-#[derive(Debug)]
-struct MotionState {
-    setup: ElectionSetup,
-    cast: Vec<bool>,
-}
-
-/// Parallel motions: one registered electorate voting on several questions
-/// **concurrently**, each motion a separate SBC instance of one shared
-/// pool.
-///
-/// A boardroom rarely votes sequentially — several motions are tabled and
-/// their casting periods overlap. `ElectionPool` runs each motion as one
-/// instance of an [`SbcPool`]: the electorate (key material) is shared,
-/// every motion gets its own rotated blinding base (so ballots neither
-/// replay nor correlate across motions, exactly as with sequential
-/// epochs), the casting periods share one clock, and a corrupted voter is
-/// corrupted in every motion at once.
-#[derive(Debug)]
-pub struct ElectionPool {
-    /// The epoch-0 base setup the per-motion setups derive from.
-    base_setup: ElectionSetup,
-    pool: SbcPool,
-    rng: Drbg,
-    motions: BTreeMap<u64, MotionState>,
-}
-
-impl ElectionPool {
-    /// Creates a motion pool over the given group: one electorate, ready
-    /// to table concurrent motions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SbcError`] from the pool builder (degenerate voter
-    /// count).
-    pub fn new(
-        group: SchnorrGroup,
-        voters: usize,
-        candidates: usize,
-        seed: &[u8],
-    ) -> Result<Self, VotingError> {
-        let mut label = b"stvs-pool/".to_vec();
-        label.extend_from_slice(seed);
-        let mut rng = Drbg::from_seed(&label);
-        let base_setup = ElectionSetup::generate(group, voters, candidates, 3, &mut rng);
-        Ok(ElectionPool {
-            base_setup,
-            pool: SbcPool::builder(voters).seed(seed).build()?,
-            rng,
-            motions: BTreeMap::new(),
-        })
-    }
-
-    /// Tables a new motion: opens an SBC instance for its casting period
-    /// and derives the motion's setup (the blinding base is rotated by the
-    /// motion id, so ballots of concurrent motions neither cross-verify
-    /// nor correlate). Opening joins the shared clock in O(1), so tabling
-    /// a motion costs the same however long the floor has been sitting.
-    ///
-    /// # Errors
-    ///
-    /// [`VotingError::Sbc`] if the pool could not open the instance.
-    pub fn open_motion(&mut self) -> Result<InstanceId, VotingError> {
-        let id = self.pool.open_instance()?;
-        self.motions.insert(
-            id.0,
-            MotionState {
-                setup: self.base_setup.for_epoch(id.0),
-                cast: vec![false; self.base_setup.voters],
-            },
-        );
-        Ok(id)
-    }
-
-    /// The public setup of one motion.
-    ///
-    /// # Errors
-    ///
-    /// [`VotingError::Sbc`] with the instance error for bad motion ids.
-    pub fn setup_of(&self, motion: InstanceId) -> Result<&ElectionSetup, VotingError> {
-        match self.motions.get(&motion.0) {
-            Some(m) => Ok(&m.setup),
-            None => Err(VotingError::Sbc(SbcError::UnknownInstance {
-                instance: motion.0,
-            })),
-        }
-    }
-
-    /// Voter `v` casts a vote for candidate `c` on `motion` (first cast
-    /// per voter and motion counts). Concurrent motions do not interfere:
-    /// the same voter can cast on every open motion in the same round.
-    ///
-    /// # Errors
-    ///
-    /// [`VotingError::VoterOutOfRange`] / [`VotingError::CandidateOutOfRange`]
-    /// on bad indices; [`VotingError::Sbc`] for bad motion ids, corrupted
-    /// voters, or an already-closed casting period.
-    pub fn vote(
-        &mut self,
-        motion: InstanceId,
-        voter: usize,
-        candidate: usize,
-    ) -> Result<(), VotingError> {
-        if voter >= self.base_setup.voters {
-            return Err(VotingError::VoterOutOfRange(voter));
-        }
-        if candidate >= self.base_setup.candidates {
-            return Err(VotingError::CandidateOutOfRange(candidate));
-        }
-        // Reject doomed casts (bad motion, closed period, corrupted voter)
-        // before paying for the proof or perturbing the ballot RNG stream.
-        self.pool.check_submittable(motion, voter as u32)?;
-        // A live pool instance opened behind our back (through `sbc()`) is
-        // not a motion: typed error, not a panic.
-        let Some(m) = self.motions.get_mut(&motion.0) else {
-            return Err(VotingError::Sbc(SbcError::UnknownInstance {
-                instance: motion.0,
-            }));
-        };
-        if m.cast[voter] {
-            return Ok(());
-        }
-        let ballot = Ballot::cast(&m.setup, voter, candidate, &mut self.rng);
-        self.pool
-            .submit(motion, voter as u32, &ballot.to_value().encode())?;
-        m.cast[voter] = true;
-        Ok(())
-    }
-
-    /// One shared clock tick for **all** open motions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SbcPool::step_round`].
-    pub fn step_round(&mut self) -> Result<(), VotingError> {
-        self.pool.step_round()?;
-        Ok(())
-    }
-
-    /// Runs `motion`'s casting period to release (all concurrent motions
-    /// advance on the shared clock), self-tallies, and closes the motion.
-    ///
-    /// # Errors
-    ///
-    /// [`VotingError::Sbc`] if nobody cast a ballot or the stack failed;
-    /// [`VotingError::TallyOverflow`] if the tally is undecodable.
-    pub fn tally_motion(&mut self, motion: InstanceId) -> Result<ElectionResult, VotingError> {
-        if !self.motions.contains_key(&motion.0) {
-            // Let the pool classify unknown/retired ids precisely; a live
-            // instance opened behind our back (through `sbc()`) is not a
-            // motion — typed error either way, never a panic, and the
-            // foreign instance is left untouched.
-            self.pool.epoch(motion)?;
-            return Err(VotingError::Sbc(SbcError::UnknownInstance {
-                instance: motion.0,
-            }));
-        }
-        let result = self.pool.finish(motion)?;
-        let m = self
-            .motions
-            .remove(&motion.0)
-            .expect("membership checked above; finish does not touch the map");
-        let ballots: Vec<Ballot> = result
-            .messages
-            .iter()
-            .filter_map(|bytes| Ballot::from_value(&Value::decode(bytes)?))
-            .collect();
-        let accepted = ballots.iter().filter(|b| b.verify(&m.setup)).count();
-        let counts = self_tally(&m.setup, &ballots)?;
-        Ok(ElectionResult {
-            counts,
-            ballots_accepted: accepted,
-            tally_round: result.release_round,
-        })
-    }
-
-    /// The underlying SBC pool — the adversarial surface (global voter
-    /// corruption, injection, leakage probes) for election experiments.
-    pub fn sbc(&mut self) -> &mut SbcPool {
-        &mut self.pool
-    }
-}
-
 /// Baseline: the \[SP15] bulletin board, where ballots are public on
 /// posting. Without the trusted control voter, partial tallies leak during
 /// the casting phase — the fairness failure SBC removes.
@@ -908,111 +723,6 @@ mod tests {
         let second = e.finish_epoch().unwrap();
         assert_eq!(second.counts, vec![2, 1]);
         assert!(second.tally_round > first.tally_round);
-    }
-
-    #[test]
-    fn parallel_motions_tally_independently() {
-        // Three motions tabled at once: every voter casts on all three in
-        // the same casting period, and each motion tallies its own counts.
-        let mut pool = ElectionPool::new(group(), 3, 2, b"motions").unwrap();
-        let m1 = pool.open_motion().unwrap();
-        let m2 = pool.open_motion().unwrap();
-        let m3 = pool.open_motion().unwrap();
-        let votes = [
-            (m1, [1usize, 1, 0]),
-            (m2, [0usize, 0, 0]),
-            (m3, [1usize, 0, 1]),
-        ];
-        for (motion, per_voter) in &votes {
-            for (voter, candidate) in per_voter.iter().enumerate() {
-                pool.vote(*motion, voter, *candidate).unwrap();
-            }
-        }
-        let r1 = pool.tally_motion(m1).unwrap();
-        let r2 = pool.tally_motion(m2).unwrap();
-        let r3 = pool.tally_motion(m3).unwrap();
-        assert_eq!(r1.counts, vec![1, 2]);
-        assert_eq!(r2.counts, vec![3, 0]);
-        assert_eq!(r3.counts, vec![1, 2]);
-        assert_eq!(r1.ballots_accepted, 3);
-        // Concurrent motions share the clock: same schedule, same tally
-        // round.
-        assert_eq!(r1.tally_round, r2.tally_round);
-        assert_eq!(r2.tally_round, r3.tally_round);
-    }
-
-    #[test]
-    fn parallel_motions_do_not_cross_verify() {
-        // A ballot published for one motion must fail verification under a
-        // concurrently open motion's setup (rotated blinding base).
-        let mut pool = ElectionPool::new(group(), 3, 2, b"cross").unwrap();
-        let m1 = pool.open_motion().unwrap();
-        let m2 = pool.open_motion().unwrap();
-        let s1 = pool.setup_of(m1).unwrap().clone();
-        let s2 = pool.setup_of(m2).unwrap().clone();
-        let mut rng = Drbg::from_seed(b"cross-ballots");
-        let b1 = Ballot::cast(&s1, 0, 1, &mut rng);
-        assert!(b1.verify(&s1));
-        assert!(!b1.verify(&s2), "no replay across concurrent motions");
-        // Same voter, same candidate, different motions: different ballot
-        // values, so vote equality across motions does not leak.
-        let b2 = Ballot::cast(&s2, 0, 1, &mut rng);
-        assert_ne!(b1.value, b2.value);
-    }
-
-    #[test]
-    fn motion_pool_corruption_and_typed_errors() {
-        let mut pool = ElectionPool::new(group(), 3, 2, b"pool-adv").unwrap();
-        let m1 = pool.open_motion().unwrap();
-        let m2 = pool.open_motion().unwrap();
-        // Corrupting a voter hits every open motion.
-        pool.sbc().corrupt(2).unwrap();
-        for m in [m1, m2] {
-            assert!(matches!(
-                pool.vote(m, 2, 0),
-                Err(VotingError::Sbc(SbcError::CorruptedParty { party: 2 }))
-            ));
-        }
-        pool.vote(m1, 0, 1).unwrap();
-        pool.vote(m1, 1, 0).unwrap();
-        pool.vote(m2, 0, 0).unwrap();
-        pool.vote(m2, 1, 0).unwrap();
-        let r1 = pool.tally_motion(m1).unwrap();
-        assert_eq!(r1.counts, vec![1, 1]);
-        // A tallied motion is a typed error, as is an unknown one.
-        assert!(matches!(
-            pool.vote(m1, 0, 0),
-            Err(VotingError::Sbc(SbcError::InstanceFinished { .. }))
-        ));
-        assert!(matches!(
-            pool.tally_motion(InstanceId(99)),
-            Err(VotingError::Sbc(SbcError::UnknownInstance { instance: 99 }))
-        ));
-        assert_eq!(pool.tally_motion(m2).unwrap().counts, vec![2, 0]);
-    }
-
-    #[test]
-    fn foreign_pool_instances_are_not_motions() {
-        // An instance opened through the sbc() escape hatch is live in the
-        // pool but is not a motion: vote and tally_motion return typed
-        // errors (never panic) and leave the foreign instance untouched.
-        let mut pool = ElectionPool::new(group(), 3, 2, b"foreign").unwrap();
-        let foreign = pool.sbc().open_instance().unwrap();
-        assert!(matches!(
-            pool.vote(foreign, 0, 0),
-            Err(VotingError::Sbc(SbcError::UnknownInstance { .. }))
-        ));
-        assert!(matches!(
-            pool.tally_motion(foreign),
-            Err(VotingError::Sbc(SbcError::UnknownInstance { .. }))
-        ));
-        // The foreign instance is still live and usable through sbc().
-        pool.sbc().submit(foreign, 0, b"raw").unwrap();
-        assert_eq!(pool.sbc().finish(foreign).unwrap().messages.len(), 1);
-        // And a real motion still works alongside it.
-        let m = pool.open_motion().unwrap();
-        pool.vote(m, 0, 1).unwrap();
-        assert_eq!(pool.tally_motion(m).unwrap().counts, vec![0, 1]);
     }
 
     #[test]

@@ -152,13 +152,13 @@ impl World for RealFbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name == "Broadcast" && !self.core.corr.is_corrupted(party) {
+        if cmd.name == "Broadcast" && self.core.is_honest(party) {
             self.parties[party.index()].on_input(cmd.value);
         }
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         if is_last_honest_advance(&self.core, party) {
@@ -517,7 +517,7 @@ impl World for IdealFbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name == "Broadcast" && !self.core.corr.is_corrupted(party) {
+        if cmd.name == "Broadcast" && self.core.is_honest(party) {
             // F_FBC's (tag, sender) leak is addressed to the simulator.
             let mut to_sim = Vec::new();
             let mut ctx = self.core.ctx_leaking_to(&mut to_sim);
@@ -527,7 +527,7 @@ impl World for IdealFbcWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         if is_last_honest_advance(&self.core, party) {
@@ -888,5 +888,33 @@ mod tests {
             });
             assert_eq!(resp, Value::str("exhausted"));
         });
+    }
+
+    /// A party id outside `0..n` is nobody in all four worlds of this
+    /// crate: its inputs and clock steps are dropped and it cannot be
+    /// corrupted — no panic, no leak, no output, no clock mark.
+    #[test]
+    fn out_of_range_party_is_ignored_by_every_world() {
+        use crate::ubc::worlds::{IdealUbcWorld, RealUbcWorld};
+        let worlds: [(&str, Box<dyn World>); 4] = [
+            ("real FBC", Box::new(RealFbcWorld::new(3, Q, b"stray"))),
+            ("ideal FBC", Box::new(IdealFbcWorld::new(3, Q, b"stray"))),
+            ("real UBC", Box::new(RealUbcWorld::new(3, b"stray"))),
+            ("ideal UBC", Box::new(IdealUbcWorld::new(3, b"stray"))),
+        ];
+        let stray = PartyId(7);
+        for (name, mut w) in worlds {
+            w.input(stray, Command::new("Broadcast", Value::bytes(b"x")));
+            w.advance(stray);
+            let refused = w.adversary(AdvCommand::Corrupt(stray));
+            assert_eq!(refused, Value::Bool(false), "{name}");
+            assert!(!w.is_corrupted(stray), "{name}");
+            assert!(w.drain_leaks().is_empty(), "{name}: leaks");
+            assert!(w.drain_outputs().is_empty(), "{name}: outputs");
+            assert_eq!(w.time(), 0, "{name}: clock");
+            // The three real parties still make a round of their own.
+            (0..3).for_each(|p| w.advance(PartyId(p)));
+            assert_eq!(w.time(), 1, "{name}: clock after one honest round");
+        }
     }
 }

@@ -47,7 +47,7 @@ impl World for RealUbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name == "Broadcast" && !self.core.corr.is_corrupted(party) {
+        if cmd.name == "Broadcast" && self.core.is_honest(party) {
             let msg = cmd.value;
             let mut ctx = self.core.ctx();
             self.proto.broadcast(party, msg, &mut ctx);
@@ -55,7 +55,7 @@ impl World for RealUbcWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         let ds = {
@@ -232,7 +232,7 @@ impl World for IdealUbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if cmd.name == "Broadcast" && !self.core.corr.is_corrupted(party) {
+        if cmd.name == "Broadcast" && self.core.is_honest(party) {
             let msg = cmd.value;
             let mut ctx = self.core.ctx();
             self.func.broadcast_honest(party, msg, &mut ctx);
@@ -241,7 +241,7 @@ impl World for IdealUbcWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         let ds = {

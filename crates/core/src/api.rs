@@ -6,7 +6,7 @@
 //! message vector. This is the entry point every downstream application
 //! (auctions, lotteries, elections, randomness beacons) builds on.
 //!
-//! # The v2 contract
+//! # The contract
 //!
 //! * **Fallible, never panicking.** Every method that can be misused
 //!   returns `Result<_, `[`SbcError`]`>`: invalid parameters are rejected
@@ -17,13 +17,13 @@
 //! * **Multi-epoch.** One session runs successive broadcast periods over
 //!   the same world: [`SbcSession::run_epoch`] releases the current
 //!   period's vector as an [`EpochResult`] and re-opens the stack for the
-//!   next one. Randomness beacons and repeated elections no longer rebuild
-//!   the whole world stack per round.
-//! * **Backend-pluggable.** The session is generic over the
-//!   `sbc_uc::exec::SbcWorld` execution backend: `build()` runs the real
-//!   protocol stack, [`SbcSessionBuilder::build_ideal`] the ideal
-//!   `F_SBC + S_SBC` world, and
-//!   [`SbcSessionBuilder::build_backend`] any future backend. Epoch
+//!   next one: randomness beacons and repeated elections keep one world
+//!   stack across rounds.
+//! * **Backend-pluggable.** The session is generic over its
+//!   [`SbcBackend`]: `build()` runs the real protocol stack,
+//!   [`SbcSessionBuilder::build_ideal`] the ideal `F_SBC + S_SBC` world,
+//!   and [`SbcSessionBuilder::build_backend`] any other one (the networked
+//!   worlds of `sbc-net`). Epoch
 //!   turnover is part of the proven surface: the dual-world tests assert
 //!   real-vs-ideal transcript equality across corruptions, injections and
 //!   late drains for every epoch, not just the first.
@@ -31,8 +31,8 @@
 //!   up through [`AdversaryConfig`] and driven through the session's
 //!   adversarial surface ([`SbcSession::corrupt`],
 //!   [`SbcSession::send_as`], [`SbcSession::inject_message`],
-//!   [`SbcSession::control`], leak capture) — no more poking
-//!   `World::adversary` by hand in tests and benches.
+//!   [`SbcSession::control`], leak capture), not by hand-written
+//!   `World::adversary` calls.
 //! * **The single-instance special case.** A session *is* an
 //!   [`SbcPool`] holding exactly one instance: all
 //!   driving logic lives in the pool layer, and because a pool's first
@@ -45,7 +45,7 @@
 //! |---|---|
 //! | run **one** SBC instance (single shot, or epochs in sequence) | [`SbcSession`] |
 //! | run **many concurrent** SBC instances over one shared clock / corruption state | [`SbcPool`] |
-//! | run an application workload | `sbc_apps`: `DursSession`/`DursPool` (beacons), `Election`/`ElectionPool` (voting) |
+//! | run an application workload | `sbc_apps`: `DursSession`/`DursPool` (beacons), `Election` (voting) |
 //! | prove real ≈ ideal for one instance (security experiment) | `sbc_uc::exec::DualRun` over the [`SbcBackend`] worlds |
 //! | prove real ≈ ideal for a whole pool, keyed by instance | `sbc_uc::exec::PoolDualRun` over [`crate::pool::PooledSbcWorld`] |
 //! | implement a new execution backend | `sbc_uc::exec::SbcWorld` + [`SbcBackend`] (the pool lifts it for free) |
@@ -234,8 +234,8 @@ impl SbcSessionBuilder {
         self.build_backend::<IdealSbcWorld>()
     }
 
-    /// Builds the session over any [`SbcBackend`] — the extension point for
-    /// future execution backends (async, networked).
+    /// Builds the session over any [`SbcBackend`] — how the networked
+    /// worlds of `sbc-net` run under a session.
     ///
     /// # Errors
     ///
@@ -262,8 +262,6 @@ pub struct SbcResult {
     /// ∆`, taken from the parties' agreed wake-up time — correct even when
     /// outputs are drained late.
     pub release_round: u64,
-    /// Total rounds executed by the session so far.
-    pub rounds: u64,
 }
 
 /// The outcome of one broadcast period of a multi-epoch session.
@@ -280,7 +278,7 @@ pub struct EpochResult {
 /// A running simultaneous-broadcast session over a pluggable execution
 /// backend — the real protocol stack by default, the ideal
 /// `F_SBC + S_SBC` world via
-/// [`build_ideal`](SbcSessionBuilder::build_ideal), or any future
+/// [`build_ideal`](SbcSessionBuilder::build_ideal), or any other
 /// [`SbcBackend`] via [`build_backend`](SbcSessionBuilder::build_backend).
 /// Every method below is backend-agnostic: it speaks only the
 /// [`SbcWorld`] trait.
@@ -310,7 +308,7 @@ impl SbcSession {
     }
 }
 
-impl<W: SbcWorld> SbcSession<W> {
+impl<W: SbcBackend> SbcSession<W> {
     /// The instance is opened at build time and never finished through the
     /// session surface, so instance-addressed pool calls cannot fail with
     /// `UnknownInstance`/`InstanceFinished`.
@@ -760,7 +758,7 @@ mod tests {
         // The same generic driver runs both backends: every epoch's agreed
         // vector and release round must match — Theorem 2 at session level,
         // including corruption and wire injection.
-        fn drive<W: SbcWorld>(mut s: SbcSession<W>) -> (Vec<EpochResult>, bool) {
+        fn drive<W: SbcBackend>(mut s: SbcSession<W>) -> (Vec<EpochResult>, bool) {
             s.corrupt(2).unwrap();
             let mut out = Vec::new();
             for epoch in 0u64..3 {

@@ -27,7 +27,8 @@
 //! `SbcSession` is the single-instance special case of this module: a
 //! session is an [`SbcPool`] holding exactly one instance, and — because
 //! the first instance of a pool inherits the pool seed unchanged — a
-//! one-instance pool reproduces a pre-pool session **bit for bit**.
+//! one-instance pool and a session built from the same seed agree **bit
+//! for bit**.
 //!
 //! # Sharing, precisely
 //!
@@ -49,7 +50,7 @@
 //! # One tick, one thread
 //!
 //! One shared clock tick ([`SbcPool::step_round`] /
-//! [`PooledSbcWorld::tick_all`]) steps every live instance once, in
+//! [`PoolWorld::step_round`]) steps every live instance once, in
 //! instance-id order, on the calling thread: `world.tick()`, then a drain
 //! of that world's leaks and outputs into the pool's instance-keyed
 //! buffers. Nothing in this crate spawns a thread, and the id-ordered
@@ -210,11 +211,6 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
         self.retired.contains(&instance.0)
     }
 
-    /// Ids of all live instances, in id order.
-    pub fn live_ids(&self) -> Vec<InstanceId> {
-        self.live.keys().copied().map(InstanceId).collect()
-    }
-
     /// Borrows the backend world of a live instance — the introspection
     /// seam for backend-specific assertions (e.g. a networked backend's
     /// transport statistics) that the instance-addressed [`PoolWorld`]
@@ -242,31 +238,6 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
     /// Number of leaks buffered and not yet drained.
     pub fn buffered_leaks(&self) -> usize {
         self.leaks.len()
-    }
-
-    /// Whether `party` is corrupted (globally, in every instance).
-    pub fn party_corrupted(&self, party: PartyId) -> bool {
-        self.corr.is_corrupted(party)
-    }
-
-    /// Environment input to `party` of `instance` (ignored for unknown or
-    /// closed instances — typed errors live at the [`SbcPool`] layer).
-    pub fn input_to(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
-        if let Some(world) = self.live.get_mut(&instance.0) {
-            world.input(party, cmd);
-        }
-        self.sync(instance.0);
-    }
-
-    /// An instance-scoped adversary command (`SendAs`, `Control`).
-    /// Corruption must go through [`corrupt_party`](Self::corrupt_party).
-    pub fn adversary_on(&mut self, instance: InstanceId, cmd: AdvCommand) -> Value {
-        let resp = match self.live.get_mut(&instance.0) {
-            Some(world) => world.adversary(cmd),
-            None => Value::Unit,
-        };
-        self.sync(instance.0);
-        resp
     }
 
     /// Corrupts `party` in every live instance at once, recording the
@@ -300,39 +271,9 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
         Some(views)
     }
 
-    /// One shared clock tick: every live instance runs one full round
-    /// (the backend's own round-level [`SbcWorld::tick`]; backend worlds
-    /// ignore corrupted parties), in instance-id order, each drained into
-    /// the pool's instance-keyed buffers before the next one steps.
-    pub fn tick_all(&mut self) {
-        let ids: Vec<u64> = self.live.keys().copied().collect();
-        for id in ids {
-            if let Some(world) = self.live.get_mut(&id) {
-                world.tick();
-            }
-            self.sync(id);
-        }
-        self.round += 1;
-    }
-
-    /// Drains buffered party outputs, keyed by instance.
-    pub fn take_outputs(&mut self) -> Vec<(InstanceId, PartyId, Command)> {
-        std::mem::take(&mut self.outputs)
-    }
-
     /// Drains buffered adversary-visible leaks, keyed by instance.
     pub fn take_leaks(&mut self) -> Vec<(InstanceId, Leak)> {
         std::mem::take(&mut self.leaks)
-    }
-
-    /// The agreed release round of `instance`'s current period, once open.
-    pub fn release_round_of(&self, instance: InstanceId) -> Option<u64> {
-        self.live.get(&instance.0).and_then(|w| w.release_round())
-    }
-
-    /// The end of `instance`'s current broadcast period, once open.
-    pub fn period_end_of(&self, instance: InstanceId) -> Option<u64> {
-        self.live.get(&instance.0).and_then(|w| w.period_end())
     }
 
     /// Per-instance epoch turnover ([`SbcWorld::begin_new_period`]).
@@ -347,7 +288,7 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
     ///
     /// The instance's world is drained **before** removal, so leaks and
     /// outputs still buffered inside it surface through
-    /// [`take_leaks`](Self::take_leaks) / [`take_outputs`](Self::take_outputs)
+    /// [`take_leaks`](Self::take_leaks) / [`PoolWorld::drain_outputs`]
     /// instead of being dropped with the world — retiring is a final
     /// drain, never a silent discard.
     pub fn retire(&mut self, instance: InstanceId) {
@@ -356,12 +297,6 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
             self.aborted |= world.would_abort();
             self.retired.insert(instance.0);
         }
-    }
-
-    /// Whether any instance — live or retired — hit a simulation-abort
-    /// event.
-    pub fn any_abort(&self) -> bool {
-        self.aborted || self.live.values().any(|w| w.would_abort())
     }
 
     /// Forgets a retired instance entirely: its id leaves the retired set,
@@ -387,34 +322,55 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
         PooledSbcWorld::open_instance(self)
     }
     fn live_instances(&self) -> Vec<InstanceId> {
-        self.live_ids()
+        self.live.keys().copied().map(InstanceId).collect()
     }
+    /// Ignored for unknown or closed instances — typed errors live at the
+    /// [`SbcPool`] layer.
     fn input(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
-        self.input_to(instance, party, cmd);
+        if let Some(world) = self.live.get_mut(&instance.0) {
+            world.input(party, cmd);
+        }
+        self.sync(instance.0);
     }
     fn adversary(&mut self, instance: InstanceId, cmd: AdvCommand) -> Value {
-        self.adversary_on(instance, cmd)
+        let resp = match self.live.get_mut(&instance.0) {
+            Some(world) => world.adversary(cmd),
+            None => Value::Unit,
+        };
+        self.sync(instance.0);
+        resp
     }
     fn corrupt(&mut self, party: PartyId) -> Option<Vec<(InstanceId, Value)>> {
         self.corrupt_party(party)
     }
     fn is_corrupted(&self, party: PartyId) -> bool {
-        self.party_corrupted(party)
+        self.corr.is_corrupted(party)
     }
+    /// Every live instance runs one full round (the backend's own
+    /// round-level [`SbcWorld::tick`]; backend worlds ignore corrupted
+    /// parties), in instance-id order, each drained into the pool's
+    /// instance-keyed buffers before the next one steps.
     fn step_round(&mut self) {
-        self.tick_all();
+        let ids: Vec<u64> = self.live.keys().copied().collect();
+        for id in ids {
+            if let Some(world) = self.live.get_mut(&id) {
+                world.tick();
+            }
+            self.sync(id);
+        }
+        self.round += 1;
     }
     fn drain_outputs(&mut self) -> Vec<(InstanceId, PartyId, Command)> {
-        self.take_outputs()
+        std::mem::take(&mut self.outputs)
     }
     fn drain_leaks(&mut self) -> Vec<(InstanceId, Leak)> {
         self.take_leaks()
     }
     fn release_round(&self, instance: InstanceId) -> Option<u64> {
-        self.release_round_of(instance)
+        self.live.get(&instance.0).and_then(|w| w.release_round())
     }
     fn period_end(&self, instance: InstanceId) -> Option<u64> {
-        self.period_end_of(instance)
+        self.live.get(&instance.0).and_then(|w| w.period_end())
     }
     fn begin_new_period(&mut self, instance: InstanceId) {
         self.begin_new_period_of(instance);
@@ -422,8 +378,10 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
     fn close_instance(&mut self, instance: InstanceId) {
         self.retire(instance);
     }
+    /// Whether any instance — live or retired — hit a simulation-abort
+    /// event.
     fn would_abort(&self) -> bool {
-        self.any_abort()
+        self.aborted || self.live.values().any(|w| w.would_abort())
     }
 }
 
@@ -618,16 +576,13 @@ impl SbcPool {
     }
 }
 
-impl<W: SbcWorld> SbcPool<W> {
+impl<W: SbcBackend> SbcPool<W> {
     pub(crate) fn from_parts(
         params: SbcParams,
         seed: &[u8],
         capture_leaks: bool,
         leak_cap: Option<usize>,
-    ) -> Result<Self, SbcError>
-    where
-        W: SbcBackend,
-    {
+    ) -> Result<Self, SbcError> {
         let mut adv_seed = seed.to_vec();
         adv_seed.extend_from_slice(b"/session-adversary");
         Ok(SbcPool {
@@ -688,7 +643,7 @@ impl<W: SbcWorld> SbcPool<W> {
 
     /// Ids of all live instances, in id order.
     pub fn live_instances(&self) -> Vec<InstanceId> {
-        self.world.live_ids()
+        self.world.live_instances()
     }
 
     /// The id the next [`open_instance`](SbcPool::open_instance) call
@@ -701,14 +656,14 @@ impl<W: SbcWorld> SbcPool<W> {
 
     /// Whether `party` is corrupted (globally, in every instance).
     pub fn is_corrupted(&self, party: u32) -> bool {
-        self.world.party_corrupted(PartyId(party))
+        self.world.is_corrupted(PartyId(party))
     }
 
     /// Whether any instance's simulator hit a simulation-abort event
     /// (always `false` on real backends; sticky across
     /// [`finish`](SbcPool::finish)).
     pub fn would_abort(&self) -> bool {
-        self.world.any_abort()
+        self.world.would_abort()
     }
 
     fn check_instance(&self, instance: InstanceId) -> Result<(), SbcError> {
@@ -774,6 +729,23 @@ impl<W: SbcWorld> SbcPool<W> {
         }
     }
 
+    /// Opens a new concurrent SBC instance, returning its id. The instance
+    /// joins the shared clock at the current round — in O(1), via the
+    /// backend's [`SbcWorld::join_at`] — and inherits the global
+    /// corruption state; its randomness (including its oracle view) is an
+    /// independent, domain-separated fork of the pool seed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the backend's [`SbcBackend::from_params`] error. A
+    /// failed open consumes no instance id and leaves the pool unchanged.
+    pub fn open_instance(&mut self) -> Result<InstanceId, SbcError> {
+        let id = self.world.open_instance()?;
+        self.state.insert(id.0, InstanceState::default());
+        self.sync_leaks();
+        Ok(id)
+    }
+
     /// The zero-based epoch `instance` is currently accepting submissions
     /// for.
     ///
@@ -794,10 +766,10 @@ impl<W: SbcWorld> SbcPool<W> {
     pub fn check_submittable(&self, instance: InstanceId, party: u32) -> Result<(), SbcError> {
         self.check_instance(instance)?;
         self.check_party(party)?;
-        if self.world.party_corrupted(PartyId(party)) {
+        if self.world.is_corrupted(PartyId(party)) {
             return Err(SbcError::CorruptedParty { party });
         }
-        if let Some(t_end) = self.world.period_end_of(instance) {
+        if let Some(t_end) = self.world.period_end(instance) {
             let now = self.world.round();
             if now + self.params().tle_delay >= t_end {
                 return Err(SbcError::SubmitAfterClose { round: now, t_end });
@@ -826,7 +798,7 @@ impl<W: SbcWorld> SbcPool<W> {
     ) -> Result<(), SbcError> {
         self.check_submittable(instance, party)?;
         self.state_mut(instance).submitted += 1;
-        self.world.input_to(
+        self.world.input(
             instance,
             PartyId(party),
             Command::new("Broadcast", Value::bytes(message)),
@@ -849,10 +821,10 @@ impl<W: SbcWorld> SbcPool<W> {
     /// [`SbcError::Internal`] if honest parties of some instance released
     /// different vectors or a malformed payload — a broken world invariant.
     pub fn step_round(&mut self) -> Result<Vec<(InstanceId, SbcResult)>, SbcError> {
-        self.world.tick_all();
+        self.world.step_round();
         self.sync_leaks();
         let mut by_instance: BTreeMap<u64, Vec<(PartyId, Command)>> = BTreeMap::new();
-        for (id, party, cmd) in self.world.take_outputs() {
+        for (id, party, cmd) in self.world.drain_outputs() {
             by_instance.entry(id.0).or_default().push((party, cmd));
         }
         let mut released = Vec::new();
@@ -897,14 +869,13 @@ impl<W: SbcWorld> SbcPool<W> {
             let messages = agreed.expect("outs is non-empty");
             let release_round =
                 self.world
-                    .release_round_of(instance)
+                    .release_round(instance)
                     .ok_or_else(|| SbcError::Internal {
                         detail: format!("{instance}: release without an agreed τ_rel"),
                     })?;
             let result = SbcResult {
                 messages,
                 release_round,
-                rounds: self.world.round(),
             };
             self.state_mut(instance).released = Some(result.clone());
             released.push((instance, result));
@@ -912,18 +883,21 @@ impl<W: SbcWorld> SbcPool<W> {
         Ok(released)
     }
 
-    fn drive_to_release(&mut self, instance: InstanceId) -> Result<SbcResult, SbcError> {
+    /// Steps the shared clock until `instance` has released, and takes the
+    /// release out of its cache slot.
+    fn take_release(&mut self, instance: InstanceId) -> Result<SbcResult, SbcError> {
         self.check_instance(instance)?;
-        if let Some(result) = self.state.get(&instance.0).and_then(|s| s.released.clone()) {
+        let st = self.state_mut(instance);
+        if let Some(result) = st.released.take() {
             return Ok(result);
         }
-        if self.state.get(&instance.0).map_or(0, |s| s.submitted) == 0 {
+        if st.submitted == 0 {
             return Err(SbcError::NoInput);
         }
         let budget = self.params().phi + self.params().delta + 4;
         for _ in 0..budget {
             self.step_round()?;
-            if let Some(result) = self.state.get(&instance.0).and_then(|s| s.released.clone()) {
+            if let Some(result) = self.state_mut(instance).released.take() {
                 return Ok(result);
             }
         }
@@ -945,7 +919,10 @@ impl<W: SbcWorld> SbcPool<W> {
     ///   ticks.
     /// * [`SbcError::Internal`] on a broken world invariant.
     pub fn run_to_completion(&mut self, instance: InstanceId) -> Result<SbcResult, SbcError> {
-        self.drive_to_release(instance)
+        // Idempotent by contract: the release goes back into its slot.
+        let result = self.take_release(instance)?;
+        self.state_mut(instance).released = Some(result.clone());
+        Ok(result)
     }
 
     /// Runs `instance`'s current epoch to release and re-opens it for the
@@ -956,12 +933,11 @@ impl<W: SbcWorld> SbcPool<W> {
     ///
     /// Same as [`run_to_completion`](SbcPool::run_to_completion).
     pub fn run_epoch(&mut self, instance: InstanceId) -> Result<EpochResult, SbcError> {
-        let result = self.drive_to_release(instance)?;
+        let result = self.take_release(instance)?;
         let st = self.state_mut(instance);
         let epoch = st.epoch;
         st.epoch += 1;
         st.submitted = 0;
-        st.released = None;
         self.world.begin_new_period_of(instance);
         Ok(EpochResult {
             epoch,
@@ -982,7 +958,7 @@ impl<W: SbcWorld> SbcPool<W> {
     ///
     /// Same as [`run_to_completion`](SbcPool::run_to_completion).
     pub fn finish(&mut self, instance: InstanceId) -> Result<SbcResult, SbcError> {
-        let result = self.drive_to_release(instance)?;
+        let result = self.take_release(instance)?;
         // Retirement drains the world before removing it; route whatever
         // surfaced into the retained per-instance leak buffer.
         self.world.retire(instance);
@@ -1007,7 +983,7 @@ impl<W: SbcWorld> SbcPool<W> {
     ///   leave no honest party.
     pub fn corrupt(&mut self, party: u32) -> Result<Vec<(InstanceId, Vec<Value>)>, SbcError> {
         self.check_party(party)?;
-        if self.world.party_corrupted(PartyId(party)) {
+        if self.world.is_corrupted(PartyId(party)) {
             return Err(SbcError::CorruptedParty { party });
         }
         let Some(views) = self.world.corrupt_party(PartyId(party)) else {
@@ -1045,10 +1021,10 @@ impl<W: SbcWorld> SbcPool<W> {
     ) -> Result<(), SbcError> {
         self.check_instance(instance)?;
         self.check_party(party)?;
-        if !self.world.party_corrupted(PartyId(party)) {
+        if !self.world.is_corrupted(PartyId(party)) {
             return Err(SbcError::HonestParty { party });
         }
-        self.world.adversary_on(
+        self.world.adversary(
             instance,
             AdvCommand::SendAs {
                 party: PartyId(party),
@@ -1080,15 +1056,15 @@ impl<W: SbcWorld> SbcPool<W> {
     ) -> Result<(), SbcError> {
         self.check_instance(instance)?;
         self.check_party(party)?;
-        if !self.world.party_corrupted(PartyId(party)) {
+        if !self.world.is_corrupted(PartyId(party)) {
             return Err(SbcError::HonestParty { party });
         }
-        let Some(tau_rel) = self.world.release_round_of(instance) else {
+        let Some(tau_rel) = self.world.release_round(instance) else {
             return Err(SbcError::PeriodNotOpen);
         };
         let t_end = self
             .world
-            .period_end_of(instance)
+            .period_end(instance)
             .ok_or_else(|| SbcError::Internal {
                 detail: format!("{instance}: τ_rel agreed without t_end"),
             })?;
@@ -1135,7 +1111,7 @@ impl<W: SbcWorld> SbcPool<W> {
         cmd: Command,
     ) -> Result<Value, SbcError> {
         self.check_instance(instance)?;
-        let resp = self.world.adversary_on(
+        let resp = self.world.adversary(
             instance,
             AdvCommand::Control {
                 target: target.to_string(),
@@ -1211,7 +1187,7 @@ impl<W: SbcWorld> SbcPool<W> {
     /// telemetry, not the hot path of every tick.
     pub fn footprint(&self) -> PoolFootprint {
         PoolFootprint {
-            live: self.world.live_ids().len(),
+            live: self.world.live_instances().len(),
             retired: self.world.retired_count(),
             tracked: self.state.len(),
             buffered_outputs: self.world.buffered_outputs(),
@@ -1276,25 +1252,6 @@ impl<W: SbcWorld> SbcPool<W> {
             self.state.remove(&id.0);
         }
         finished.len()
-    }
-}
-
-impl<W: SbcBackend> SbcPool<W> {
-    /// Opens a new concurrent SBC instance, returning its id. The instance
-    /// joins the shared clock at the current round — in O(1), via the
-    /// backend's [`SbcWorld::join_at`] — and inherits the global
-    /// corruption state; its randomness (including its oracle view) is an
-    /// independent, domain-separated fork of the pool seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`SbcBackend::from_params`] error. A
-    /// failed open consumes no instance id and leaves the pool unchanged.
-    pub fn open_instance(&mut self) -> Result<InstanceId, SbcError> {
-        let id = self.world.open_instance()?;
-        self.state.insert(id.0, InstanceState::default());
-        self.sync_leaks();
-        Ok(id)
     }
 }
 
@@ -1450,6 +1407,11 @@ mod tests {
             pool.run_epoch(id),
             Err(SbcError::InstanceFinished { instance: 0 })
         );
+        // `finish` took the cached release with it: no reader outlives it.
+        assert_eq!(
+            pool.run_to_completion(id),
+            Err(SbcError::InstanceFinished { instance: 0 })
+        );
     }
 
     #[test]
@@ -1534,6 +1496,89 @@ mod tests {
         // `Internal` on the retired instance.
         let r = pool.run_to_completion(b).unwrap();
         assert_eq!(r.messages, vec![b"live".to_vec()]);
+    }
+
+    /// A backend that breaks the release invariants on purpose: on its next
+    /// step each party outputs what it was last given — as a one-element
+    /// vector when `AS_LIST`, bare otherwise.
+    #[derive(Debug)]
+    struct Echo<const AS_LIST: bool> {
+        given: Vec<Option<Value>>,
+        outputs: Vec<(PartyId, Command)>,
+    }
+
+    impl<const AS_LIST: bool> sbc_uc::world::World for Echo<AS_LIST> {
+        fn n(&self) -> usize {
+            self.given.len()
+        }
+        fn time(&self) -> u64 {
+            0
+        }
+        fn input(&mut self, party: PartyId, cmd: Command) {
+            self.given[party.index()] = Some(cmd.value);
+        }
+        fn advance(&mut self, party: PartyId) {
+            if let Some(v) = self.given[party.index()].take() {
+                let v = if AS_LIST { Value::list([v]) } else { v };
+                self.outputs.push((party, Command::new("Broadcast", v)));
+            }
+        }
+        fn adversary(&mut self, _cmd: AdvCommand) -> Value {
+            Value::Unit
+        }
+        fn drain_outputs(&mut self) -> Vec<(PartyId, Command)> {
+            std::mem::take(&mut self.outputs)
+        }
+        fn drain_leaks(&mut self) -> Vec<Leak> {
+            Vec::new()
+        }
+        fn is_corrupted(&self, _party: PartyId) -> bool {
+            false
+        }
+    }
+
+    impl<const AS_LIST: bool> SbcWorld for Echo<AS_LIST> {
+        fn begin_new_period(&mut self) {}
+        fn release_round(&self) -> Option<u64> {
+            None
+        }
+        fn period_end(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    impl<const AS_LIST: bool> SbcBackend for Echo<AS_LIST> {
+        fn from_params(params: SbcParams, _seed: &[u8]) -> Result<Self, SbcError> {
+            Ok(Echo {
+                given: vec![None; params.n],
+                outputs: Vec::new(),
+            })
+        }
+    }
+
+    #[test]
+    fn broken_release_invariants_are_internal_errors_naming_the_instance() {
+        fn release_error<W: SbcBackend>() -> String {
+            let mut pool = SbcPool::builder(2).build_backend::<W>().unwrap();
+            pool.open_instance().unwrap();
+            let id = pool.open_instance().unwrap();
+            pool.submit(id, 0, b"zero").unwrap();
+            pool.submit(id, 1, b"one").unwrap();
+            match pool.step_round() {
+                Err(SbcError::Internal { detail }) => detail,
+                other => panic!("expected Internal, got {other:?}"),
+            }
+        }
+        // Parties 0 and 1 "release" different vectors.
+        assert_eq!(
+            release_error::<Echo<true>>(),
+            "instance#1: agreement violation: party 1 released a different vector"
+        );
+        // A release that is no vector at all.
+        assert_eq!(
+            release_error::<Echo<false>>(),
+            "instance#1: party 0 released a non-list payload"
+        );
     }
 
     #[test]

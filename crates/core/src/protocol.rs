@@ -1014,8 +1014,7 @@ mod tests {
         // Drive two identical stacks to the release round; release one
         // inline everywhere, and in the other let parties 1.. reuse party
         // 0's release. Outputs must match, and a reusing party must make
-        // no hybrid call at all (the world replays the F_RO query count;
-        // `tick_matches_per_party_advance_loop` pins that).
+        // no hybrid call at all.
         fn drive_to_release(s: &mut Stack) {
             s.input(0, Value::bytes(b"zulu"));
             s.round();

@@ -35,8 +35,8 @@ use std::sync::Arc;
 /// An [`SbcWorld`] backend constructible from experiment parameters — what
 /// [`SbcSessionBuilder::build_backend`](crate::api::SbcSessionBuilder::build_backend)
 /// plugs into the session layer. Implemented by [`RealSbcWorld`] (Theorem
-/// 2's hybrid world) and [`IdealSbcWorld`] (`F_SBC` + `S_SBC`); any future
-/// backend (async, networked) joins by implementing this pair of traits.
+/// 2's hybrid world), [`IdealSbcWorld`] (`F_SBC` + `S_SBC`) and the
+/// networked worlds of `sbc-net`: a backend is this pair of traits.
 ///
 /// Backends are `Send` (inherited from [`SbcWorld`]): nothing in this crate
 /// moves one across threads, but an embedder may move a whole pool or
@@ -242,11 +242,6 @@ impl SbcHost {
         }
     }
 
-    /// `F_RO` queries served so far (release sharing must not move it).
-    pub fn ro_query_count(&self) -> u64 {
-        self.ro.query_count()
-    }
-
     /// Period turnover on the functionality side: undelivered `F_UBC`
     /// messages are dropped and the released `F_TLE` records pruned. The
     /// clock, the random oracle and the corruption state carry over.
@@ -304,42 +299,36 @@ impl SbcHybrid for SbcHost {
 /// world steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
 /// round is kept; a later party with the **same release view**
 /// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
-/// and output the same vector, so it takes a clone of that output and only
-/// the query counter is replayed ([`RandomOracle::replay_warmed_queries`]).
-/// A party whose log differs releases on its own: the reuse is an
-/// optimisation, never an assumption. One value must span no adversary
-/// action — a release computed before an `F_TLE` `Insert` or a corruption
-/// is not the release of a party stepped after it.
+/// and output the same vector, so it takes a clone of that output and asks
+/// `F_RO` nothing. A party whose log differs releases on its own: the reuse
+/// is an optimisation, never an assumption. One value must span no
+/// adversary action — a release computed before an `F_TLE` `Insert` or a
+/// corruption is not the release of a party stepped after it.
 #[derive(Debug, Default)]
 pub struct SharedRelease {
-    /// Who released first, its output, and the `F_RO` queries that took.
-    first: Option<(usize, Command, u64)>,
+    /// Who released first, and its output.
+    first: Option<(usize, Command)>,
 }
 
 impl SharedRelease {
     /// The round step of `parties[i]` under the rule, over the world's
-    /// hybrid `hyb`; `host` reaches the [`SbcHost`] behind it (itself in
-    /// process, the far end of a frame link on a network).
+    /// hybrid `hyb`.
     pub fn advance<H: SbcHybrid>(
         &mut self,
         parties: &mut [SbcParty],
         i: usize,
         hyb: &mut H,
-        host: impl Fn(&mut H) -> &mut SbcHost,
     ) -> Option<Command> {
         let now = hyb.now();
         let reused = match &self.first {
-            Some((from, cmd, queries)) if parties[i].shares_release_view(&parties[*from], now) => {
-                host(hyb).ro.replay_warmed_queries(*queries);
+            Some((from, cmd)) if parties[i].shares_release_view(&parties[*from], now) => {
                 Some(cmd.clone())
             }
             _ => None,
         };
-        let queries_before = host(hyb).ro.query_count();
         let out = parties[i].on_advance_planned(hyb, reused);
         if let (None, Some(cmd)) = (&self.first, &out) {
-            let queries = host(hyb).ro.query_count() - queries_before;
-            self.first = Some((i, cmd.clone(), queries));
+            self.first = Some((i, cmd.clone()));
         }
         out
     }
@@ -604,7 +593,7 @@ impl SbcWorld for RealSbcWorld {
             if self.host.core.corr.is_corrupted(p) {
                 continue;
             }
-            let out = release.advance(&mut self.parties, i, &mut self.host, |host| host);
+            let out = release.advance(&mut self.parties, i, &mut self.host);
             self.finish_step(p, out, Some(&mut deferred));
         }
         self.distribute_wires_serial(&deferred, now);
@@ -1037,7 +1026,7 @@ mod tests {
 
     /// Two identically seeded real worlds, one stepped by the literal
     /// per-party reference loop and one by the round-level `tick`, compared
-    /// after every round: clock, outputs, leaks and `F_RO` query count.
+    /// after every round: clock, outputs and leaks.
     struct SchedulePair {
         reference: RealSbcWorld,
         ticked: RealSbcWorld,
@@ -1089,11 +1078,6 @@ mod tests {
                 self.reference.drain_leaks(),
                 self.ticked.drain_leaks(),
                 "leaks"
-            );
-            assert_eq!(
-                self.reference.host.ro.query_count(),
-                self.ticked.host.ro.query_count(),
-                "F_RO query count"
             );
             outs
         }

@@ -39,8 +39,8 @@
 //!   over its own frames and every later one takes a clone of that output
 //!   (`SharedRelease`, the rule under `RealSbcWorld::tick`) and posts its
 //!   own `Output`. Scoped to one `tick` at a round boundary — between
-//!   bare `advance` calls the adversary may act — guarded per party by
-//!   `SbcParty::shares_release_view`, the `F_RO` query count replayed.
+//!   bare `advance` calls the adversary may act — and guarded per party
+//!   by `SbcParty::shares_release_view`.
 //!
 //! Dropping a corrupted sender's wires *does* change the received sets —
 //! that knob sits outside the `Exact` envelope and has its own tests.
@@ -385,7 +385,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
                         let mut alone = SharedRelease::default();
                         let release = self.release.as_mut().unwrap_or(&mut alone);
                         let (parties, i) = (&mut self.parties, p as usize);
-                        if let Some(cmd) = release.advance(parties, i, &mut link, |l| l.host) {
+                        if let Some(cmd) = release.advance(parties, i, &mut link) {
                             let out = FrameKind::Output(cmd.value);
                             link.post(Endpoint::Party(p), Endpoint::Env, out);
                         }
@@ -964,7 +964,7 @@ mod tests {
 
     /// Two identically seeded networked worlds, one stepped by the literal
     /// per-party `advance` loop and one by `tick`, compared after every
-    /// round: clock, outputs, leaks and `F_RO` query count.
+    /// round: clock, outputs and leaks.
     struct SchedulePair<P: NetProfile> {
         reference: NetSbcWorld<P>,
         ticked: NetSbcWorld<P>,
@@ -1006,11 +1006,6 @@ mod tests {
                 self.reference.drain_leaks(),
                 self.ticked.drain_leaks(),
                 "leaks"
-            );
-            assert_eq!(
-                self.reference.host.ro_query_count(),
-                self.ticked.host.ro_query_count(),
-                "F_RO query count"
             );
             outs
         }

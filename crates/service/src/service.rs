@@ -26,7 +26,7 @@
 //! makes the operation-journal snapshot in [`crate::snapshot`] exact.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -511,13 +511,13 @@ pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     queues: [VecDeque<Pending>; 3],
     /// The instance currently accepting admissions, with its fill count.
     collecting: Option<(InstanceId, usize)>,
-    /// Per-live-instance admitted submissions.
+    /// Per-live-instance admitted submissions: one entry per live
+    /// instance, from `open_instance` to its release.
     inflight: BTreeMap<u64, Vec<InFlight>>,
-    /// Released records awaiting [`SbcService::drain_releases`].
+    /// Released records awaiting [`SbcService::drain_releases`]. The
+    /// instance behind a parked record is finished but never pruned until
+    /// the record is drained (deliver-before-reclaim).
     outbox: VecDeque<ReleaseRecord>,
-    /// Finished instances whose record still sits in the outbox — never
-    /// pruned until the record is drained (deliver-before-reclaim).
-    undelivered: BTreeSet<u64>,
     sinks: Vec<Box<dyn ReleaseSink>>,
     /// The post-boundary operation tail — everything accepted since the
     /// last checkpoint (since birth at era 0).
@@ -527,7 +527,6 @@ pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     hist: LatencyHistogram,
     wall: WallHistogram,
     next_ticket: u64,
-    live: usize,
     stats: Counters,
     /// Bytes of the most recent snapshot image produced (or restored
     /// from). Observational only — like the wall-clock view it is
@@ -581,14 +580,12 @@ impl<W: SbcBackend> SbcService<W> {
             collecting: None,
             inflight: BTreeMap::new(),
             outbox: VecDeque::new(),
-            undelivered: BTreeSet::new(),
             sinks: Vec::new(),
             journal: Vec::new(),
             checkpoint: Checkpoint::initial(),
             hist: LatencyHistogram::new(),
             wall: WallHistogram::new(),
             next_ticket: 0,
-            live: 0,
             stats: Counters::default(),
             snapshot_bytes: Cell::new(0),
             auto_folds: 0,
@@ -667,7 +664,7 @@ impl<W: SbcBackend> SbcService<W> {
         }
         self.stats.ticks += 1;
         self.admit()?;
-        self.stats.peak_live = self.stats.peak_live.max(self.live);
+        self.stats.peak_live = self.stats.peak_live.max(self.live());
         let releases = self.pool.step_round()?;
         for (id, result) in releases {
             self.on_release(id, result)?;
@@ -706,7 +703,6 @@ impl<W: SbcBackend> SbcService<W> {
                     let id = self.pool.open_instance()?;
                     self.inflight.insert(id.0, Vec::new());
                     self.stats.opened += 1;
-                    self.live += 1;
                     self.collecting = Some((id, 0));
                     (id, 0)
                 }
@@ -751,7 +747,7 @@ impl<W: SbcBackend> SbcService<W> {
 
     /// Whether the admission policy opens a new instance now.
     fn should_open(&self) -> bool {
-        if self.queued() == 0 || self.live >= self.cfg.max_live {
+        if self.queued() == 0 || self.live() >= self.cfg.max_live {
             return false;
         }
         if !self.queues[DeadlineClass::Interactive.tag() as usize].is_empty() {
@@ -783,7 +779,6 @@ impl<W: SbcBackend> SbcService<W> {
         }
         self.pool.finish(id)?;
         self.stats.finished += 1;
-        self.live -= 1;
         // Account while the instance is still tracked; pruning drops it.
         self.stats.leak_overflow += self.pool.leak_overflow(id)?;
         let inflight = self.inflight.remove(&id.0).unwrap_or_default();
@@ -806,7 +801,6 @@ impl<W: SbcBackend> SbcService<W> {
         if self.sinks.is_empty() {
             // No consumer yet: park the record and keep the instance
             // until `drain_releases` takes ownership of it.
-            self.undelivered.insert(id.0);
             self.outbox.push_back(record);
         } else {
             for sink in &mut self.sinks {
@@ -827,9 +821,7 @@ impl<W: SbcBackend> SbcService<W> {
         let records: Vec<ReleaseRecord> = self.outbox.drain(..).collect();
         for rec in &records {
             self.stats.delivered += 1;
-            if self.undelivered.remove(&rec.instance)
-                && self.pool.prune(InstanceId(rec.instance)).is_ok()
-            {
+            if self.pool.prune(InstanceId(rec.instance)).is_ok() {
                 self.stats.pruned += 1;
             }
         }
@@ -849,11 +841,11 @@ impl<W: SbcBackend> SbcService<W> {
     pub fn shutdown(&mut self) -> Result<Vec<ReleaseRecord>, ServiceError> {
         let per_cycle = self.cfg.params.phi + self.cfg.params.delta + 4;
         let cycles = (self.queued() as u64).div_ceil(self.cfg.batch_size.max(1) as u64)
-            + self.live as u64
+            + self.live() as u64
             + 2;
         let budget = cycles * per_cycle + self.cfg.flush_after + 1;
         let mut spent = 0;
-        while self.queued() > 0 || self.live > 0 {
+        while self.queued() > 0 || self.live() > 0 {
             if spent >= budget {
                 return Err(ServiceError::Timeout { budget });
             }
@@ -877,7 +869,7 @@ impl<W: SbcBackend> SbcService<W> {
             peak_live: self.stats.peak_live,
             peak_queue: self.stats.peak_queue,
             queued: self.queued(),
-            live: self.live,
+            live: self.live(),
             leak_overflow: self.stats.leak_overflow,
             round: self.pool.round(),
             era: self.checkpoint.era,
@@ -903,7 +895,7 @@ impl<W: SbcBackend> SbcService<W> {
 
     /// Instances currently live.
     pub fn live(&self) -> usize {
-        self.live
+        self.inflight.len()
     }
 
     /// The service's era: how many times the journal has been folded
@@ -918,9 +910,8 @@ impl<W: SbcBackend> SbcService<W> {
     /// do not block a boundary; in-flight epochs and undelivered records
     /// do.
     pub fn at_boundary(&self) -> bool {
-        self.live == 0
+        self.inflight.is_empty()
             && self.outbox.is_empty()
-            && self.undelivered.is_empty()
             && self.pool.footprint() == PoolFootprint::default()
     }
 
@@ -941,12 +932,11 @@ impl<W: SbcBackend> SbcService<W> {
     pub fn checkpoint(&mut self) -> Result<(), ServiceError> {
         if !self.at_boundary() {
             return Err(ServiceError::NotAtBoundary {
-                live: self.live,
+                live: self.live(),
                 parked: self.outbox.len(),
             });
         }
         debug_assert!(self.collecting.is_none(), "no live instance, no window");
-        debug_assert!(self.inflight.is_empty(), "no live instance, no inflight");
         let queues = [0, 1, 2].map(|i: usize| {
             self.queues[i]
                 .iter()
@@ -1020,9 +1010,7 @@ impl<W: SbcBackend> SbcService<W> {
             let Some(rec) = self.outbox.pop_front() else {
                 break;
             };
-            if self.undelivered.remove(&rec.instance)
-                && self.pool.prune(InstanceId(rec.instance)).is_ok()
-            {
+            if self.pool.prune(InstanceId(rec.instance)).is_ok() {
                 self.stats.pruned += 1;
             }
         }

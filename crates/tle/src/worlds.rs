@@ -112,7 +112,7 @@ impl World for RealTleWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         let now = self.core.clock.read();
@@ -145,7 +145,7 @@ impl World for RealTleWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         let now = self.core.clock.read();
@@ -376,7 +376,7 @@ impl World for IdealTleWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         match cmd.name.as_str() {
@@ -428,7 +428,7 @@ impl World for IdealTleWorld {
     }
 
     fn advance(&mut self, party: PartyId) {
-        if self.core.corr.is_corrupted(party) {
+        if !self.core.is_honest(party) {
             return;
         }
         let updates = self
@@ -623,5 +623,33 @@ mod tests {
             );
             assert_eq!(d[0].value, DecResponse::MoreTime.to_value());
         });
+    }
+
+    /// A party id outside `0..n` is nobody in both worlds: its `Enc` /
+    /// `Retrieve` / `Dec` inputs and clock steps are dropped and it cannot
+    /// be corrupted — no panic, no leak, no output, no clock mark.
+    #[test]
+    fn out_of_range_party_is_ignored_by_both_worlds() {
+        let worlds: [(&str, Box<dyn World>); 2] = [
+            ("real TLE", Box::new(RealTleWorld::new(3, Q, b"stray"))),
+            ("ideal TLE", Box::new(IdealTleWorld::new(3, Q, b"stray"))),
+        ];
+        let stray = PartyId(7);
+        for (name, mut w) in worlds {
+            w.input(stray, enc_cmd(b"x", 5));
+            w.input(stray, Command::new("Retrieve", Value::Unit));
+            let dec = Value::pair(Value::bytes(b"c"), Value::I64(5));
+            w.input(stray, Command::new("Dec", dec));
+            w.advance(stray);
+            let refused = w.adversary(AdvCommand::Corrupt(stray));
+            assert_eq!(refused, Value::Bool(false), "{name}");
+            assert!(!w.is_corrupted(stray), "{name}");
+            assert!(w.drain_leaks().is_empty(), "{name}: leaks");
+            assert!(w.drain_outputs().is_empty(), "{name}: outputs");
+            assert_eq!(w.time(), 0, "{name}: clock");
+            // The three real parties still make a round of their own.
+            (0..3).for_each(|p| w.advance(PartyId(p)));
+            assert_eq!(w.time(), 1, "{name}: clock after one honest round");
+        }
     }
 }

@@ -73,9 +73,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A [`World`] that can host simultaneous-broadcast periods: the one trait
-/// every execution backend — real, ideal, or future (async, networked) —
-/// implements so that sessions, tests, and benches drive all
-/// of them through identical code.
+/// every execution backend — real, ideal, networked — implements so that
+/// sessions, tests, and benches drive all of them through identical code.
 ///
 /// The required surface is the period lifecycle; the provided methods are
 /// the default driver loop ([`submit`](SbcWorld::submit) /
@@ -87,7 +86,7 @@ use std::fmt;
 /// calling thread, but callers outside this workspace may move a session,
 /// pool or service — and the worlds it owns — to another thread. Every
 /// in-tree backend is a plain owned-data state machine and is `Send`
-/// automatically; a future backend holding thread-bound resources (`Rc`,
+/// automatically; a backend holding thread-bound resources (`Rc`,
 /// raw GUI handles, …) must wrap them in `Send`-safe forms to participate.
 pub trait SbcWorld: World + Send {
     /// Closes the books on a released broadcast period so the same world
@@ -449,7 +448,7 @@ impl fmt::Display for InstanceId {
 pub trait PoolWorld {
     /// The error [`open_instance`](PoolWorld::open_instance) can fail
     /// with — building a fresh backend world can be fallible (parameter
-    /// drift, resource exhaustion in future networked backends). Pools
+    /// drift, resource exhaustion in a networked backend). Pools
     /// whose instance creation cannot fail use
     /// [`std::convert::Infallible`].
     type OpenError: std::error::Error;

@@ -128,17 +128,6 @@ impl RandomOracle {
         }
     }
 
-    /// Replays the one observable effect of `count` honest-party
-    /// [`query_bytes`](RandomOracle::query_bytes) calls whose points are
-    /// **already** in the memo tables: the query counter. This is how a
-    /// party that reuses another party's release (same wire log, hence the
-    /// same queries, issued inline earlier in the round) accounts for the
-    /// queries it would have made — the memo inserts would be no-ops, and
-    /// party queries never touch the adversary-query set.
-    pub fn replay_warmed_queries(&mut self, count: u64) {
-        self.query_count += count;
-    }
-
     /// Block `ctr` of the mask at `point` is `HMAC(key, ctr ‖ point)`.
     fn expand(key: &HmacKey, point: &[u8], len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];

@@ -60,8 +60,6 @@ impl std::error::Error for BudgetExhausted {}
 pub struct QueryWrapper {
     q: u32,
     usage: HashMap<WrapperClient, (u64, u32)>,
-    batches_served: u64,
-    queries_served: u64,
 }
 
 impl QueryWrapper {
@@ -75,8 +73,6 @@ impl QueryWrapper {
         QueryWrapper {
             q,
             usage: HashMap::new(),
-            batches_served: 0,
-            queries_served: 0,
         }
     }
 
@@ -108,8 +104,6 @@ impl QueryWrapper {
             return Err(BudgetExhausted { round });
         }
         entry.1 += 1;
-        self.batches_served += 1;
-        self.queries_served += batch.len() as u64;
         let caller = match client {
             WrapperClient::Party(p) => Caller::Party(p),
             WrapperClient::Corrupted => Caller::Adversary,
@@ -123,16 +117,6 @@ impl QueryWrapper {
             Some((r, used)) if *r == round => self.q - used.min(&self.q),
             _ => self.q,
         }
-    }
-
-    /// Total batches served (cost accounting).
-    pub fn batches_served(&self) -> u64 {
-        self.batches_served
-    }
-
-    /// Total individual queries served (cost accounting).
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served
     }
 }
 
@@ -203,8 +187,6 @@ mod tests {
         let out = w.evaluate(&mut ro, 0, p, &big).unwrap();
         assert_eq!(out.len(), 100);
         assert_eq!(w.remaining(0, p), 2);
-        assert_eq!(w.queries_served(), 100);
-        assert_eq!(w.batches_served(), 1);
     }
 
     #[test]
