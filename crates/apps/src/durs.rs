@@ -20,7 +20,7 @@
 
 use sbc_core::api::{SbcError, SbcSession};
 use sbc_core::pool::{InstanceId, SbcPool};
-use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend};
+use sbc_core::worlds::{RealSbcWorld, SbcBackend};
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::hybrid::HybridCtx;
@@ -114,8 +114,8 @@ pub struct DursResult {
 }
 
 /// `Π_DURS` (Fig. 16) over a pluggable SBC backend — the real stack by
-/// default, the ideal `F_SBC + S_SBC` world via
-/// [`new_ideal`](DursSession::new_ideal): every participating party
+/// default, any other (the ideal `F_SBC + S_SBC` world, a networked one)
+/// via [`over_backend`](DursSession::over_backend): every participating party
 /// contributes λ random bits via simultaneous broadcast; the output is
 /// their XOR. The session is multi-epoch: after
 /// [`run_epoch`](DursSession::run_epoch) releases a beacon value, the same
@@ -155,21 +155,11 @@ impl DursSession {
     }
 }
 
-impl DursSession<IdealSbcWorld> {
-    /// Creates a session over the ideal world (`F_SBC` + simulator): by
-    /// Theorem 2 its beacon outputs match [`new`](DursSession::new)'s
-    /// epoch for epoch — asserted by the dual-backend tests.
-    ///
-    /// # Errors
-    ///
-    /// As for [`new`](DursSession::new).
-    pub fn new_ideal(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
-        Self::over_backend(n, seed)
-    }
-}
-
 impl<W: SbcBackend> DursSession<W> {
-    /// Creates a session for `n` parties over any SBC backend.
+    /// Creates a session for `n` parties over any SBC backend. Over the
+    /// ideal world (`F_SBC` + simulator) its beacon outputs match
+    /// [`new`](DursSession::new)'s epoch for epoch, by Theorem 2 —
+    /// asserted by the dual-backend tests.
     ///
     /// # Errors
     ///
@@ -306,21 +296,11 @@ impl DursPool {
     }
 }
 
-impl DursPool<IdealSbcWorld> {
-    /// Creates a pool of beacon streams over the ideal world (`F_SBC` +
-    /// simulator per stream): by UC composition its outputs match
-    /// [`new`](DursPool::new)'s stream for stream and epoch for epoch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`new`](DursPool::new).
-    pub fn new_ideal(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
-        Self::over_backend(n, seed)
-    }
-}
-
 impl<W: SbcBackend> DursPool<W> {
-    /// Creates a pool of beacon streams over any SBC backend.
+    /// Creates a pool of beacon streams over any SBC backend. Over the
+    /// ideal world (`F_SBC` + simulator per stream) its outputs match
+    /// [`new`](DursPool::new)'s stream for stream and epoch for epoch, by
+    /// UC composition.
     ///
     /// # Errors
     ///
@@ -541,6 +521,7 @@ pub fn last_revealer_attack_on_durs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbc_core::worlds::IdealSbcWorld;
     use sbc_uc::clock::GlobalClock;
     use sbc_uc::corruption::CorruptionTracker;
 
@@ -661,7 +642,7 @@ mod tests {
                 .collect()
         }
         let real = drive(DursSession::new(3, b"dual-beacon").unwrap());
-        let ideal = drive(DursSession::new_ideal(3, b"dual-beacon").unwrap());
+        let ideal = drive(DursSession::<IdealSbcWorld>::over_backend(3, b"dual-beacon").unwrap());
         assert_eq!(real, ideal);
     }
 
@@ -791,7 +772,7 @@ mod tests {
             out
         }
         let real = drive(DursPool::new(3, b"dual-streams").unwrap());
-        let ideal = drive(DursPool::new_ideal(3, b"dual-streams").unwrap());
+        let ideal = drive(DursPool::<IdealSbcWorld>::over_backend(3, b"dual-streams").unwrap());
         assert_eq!(real, ideal);
     }
 

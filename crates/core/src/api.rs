@@ -20,15 +20,17 @@
 //!   next one: randomness beacons and repeated elections keep one world
 //!   stack across rounds.
 //! * **Backend-pluggable.** The session is generic over its
-//!   [`SbcBackend`]: `build()` runs the real protocol stack,
-//!   [`SbcSessionBuilder::build_ideal`] the ideal `F_SBC + S_SBC` world,
-//!   and [`SbcSessionBuilder::build_backend`] any other one (the networked
-//!   worlds of `sbc-net`). Epoch
+//!   [`SbcBackend`]: `build()` runs the real protocol stack and
+//!   [`SbcSessionBuilder::build_backend`] any other one —
+//!   `build_backend::<IdealSbcWorld>()` the ideal `F_SBC + S_SBC` world,
+//!   the networked worlds of `sbc-net` the same way. Epoch
 //!   turnover is part of the proven surface: the dual-world tests assert
 //!   real-vs-ideal transcript equality across corruptions, injections and
 //!   late drains for every epoch, not just the first.
 //! * **Adversary as configuration.** Dishonest-majority scenarios are set
-//!   up through [`AdversaryConfig`] and driven through the session's
+//!   up on the builder ([`SbcSessionBuilder::corrupt`],
+//!   [`SbcSessionBuilder::capture_leaks`],
+//!   [`SbcSessionBuilder::leak_cap`]) and driven through the session's
 //!   adversarial surface ([`SbcSession::corrupt`],
 //!   [`SbcSession::send_as`], [`SbcSession::inject_message`],
 //!   [`SbcSession::control`], leak capture), not by hand-written
@@ -47,7 +49,7 @@
 //! | run **many concurrent** SBC instances over one shared clock / corruption state | [`SbcPool`] |
 //! | run an application workload | `sbc_apps`: `DursSession`/`DursPool` (beacons), `Election` (voting) |
 //! | prove real ≈ ideal for one instance (security experiment) | `sbc_uc::exec::DualRun` over the [`SbcBackend`] worlds |
-//! | prove real ≈ ideal for a whole pool, keyed by instance | `sbc_uc::exec::PoolDualRun` over [`crate::pool::PooledSbcWorld`] |
+//! | prove real ≈ ideal for a whole pool, keyed by instance | `sbc_uc::exec::PoolDualRun` over [`crate::pool::PooledSbcWorld`], driven through `sbc_uc::exec::PoolWorld` |
 //! | implement a new execution backend | `sbc_uc::exec::SbcWorld` + [`SbcBackend`] (the pool lifts it for free) |
 //!
 //! # Examples
@@ -85,60 +87,12 @@
 //! ```
 
 use crate::pool::{InstanceId, SbcPool, SbcPoolBuilder};
-use crate::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
+use crate::worlds::{RealSbcWorld, SbcBackend, SbcParams};
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::Leak;
 
 pub use crate::error::SbcError;
-
-/// Static adversary configuration applied when the session is built.
-///
-/// Dynamic adversarial actions (adaptive corruption, wire injection,
-/// control-channel commands) live on [`SbcSession`] itself; this struct
-/// covers what must be fixed before the first round.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AdversaryConfig {
-    /// Parties corrupted at session start (before any input).
-    pub corrupt_at_start: Vec<u32>,
-    /// Retain every adversary-visible leak for inspection through
-    /// [`SbcSession::leaks`] instead of discarding it.
-    pub capture_leaks: bool,
-    /// Cap the per-instance captured-leak buffer at this many entries,
-    /// evicting the oldest and counting evictions (see
-    /// `SbcPool::leak_overflow`). `None` (the default) retains everything
-    /// — the behavior every indistinguishability experiment relies on;
-    /// long-lived services set a cap so leak capture can stay on without
-    /// growing per-instance memory without bound.
-    pub leak_cap: Option<usize>,
-}
-
-impl AdversaryConfig {
-    /// An empty configuration (no corruption, leaks discarded).
-    pub fn new() -> Self {
-        AdversaryConfig::default()
-    }
-
-    /// Corrupts `parties` at session start.
-    pub fn corrupt(mut self, parties: &[u32]) -> Self {
-        self.corrupt_at_start.extend_from_slice(parties);
-        self
-    }
-
-    /// Retains adversary-visible leaks for inspection.
-    pub fn capture_leaks(mut self) -> Self {
-        self.capture_leaks = true;
-        self
-    }
-
-    /// Caps each instance's captured-leak buffer at `cap` entries
-    /// (oldest evicted first, evictions counted). Implies nothing about
-    /// capture itself — combine with [`AdversaryConfig::capture_leaks`].
-    pub fn leak_cap(mut self, cap: usize) -> Self {
-        self.leak_cap = Some(cap);
-        self
-    }
-}
 
 /// Builder for [`SbcSession`] — a thin delegate over
 /// [`SbcPoolBuilder`]: every parameter and
@@ -180,29 +134,24 @@ impl SbcSessionBuilder {
         self
     }
 
-    /// Installs an adversary configuration.
-    pub fn adversary(mut self, cfg: AdversaryConfig) -> Self {
-        self.pool = self.pool.adversary(cfg);
-        self
-    }
-
-    /// Convenience: corrupt `parties` at session start. Delegates to
-    /// [`AdversaryConfig::corrupt`] through the pool builder — the
-    /// session builder keeps no parallel adversary state of its own.
+    /// Corrupts `parties` at session start (before any input). Delegates
+    /// to [`SbcPoolBuilder::corrupt`] — the session builder keeps no
+    /// parallel adversary state of its own.
     pub fn corrupt(mut self, parties: &[u32]) -> Self {
         self.pool = self.pool.corrupt(parties);
         self
     }
 
-    /// Convenience: retain adversary-visible leaks for inspection.
-    /// Delegates to [`AdversaryConfig::capture_leaks`].
+    /// Retains every adversary-visible leak for inspection through
+    /// [`SbcSession::leaks`] instead of discarding it. Delegates to
+    /// [`SbcPoolBuilder::capture_leaks`].
     pub fn capture_leaks(mut self) -> Self {
         self.pool = self.pool.capture_leaks();
         self
     }
 
-    /// Convenience: cap the captured-leak buffer. Delegates to
-    /// [`AdversaryConfig::leak_cap`].
+    /// Caps the captured-leak buffer. Delegates to
+    /// [`SbcPoolBuilder::leak_cap`].
     pub fn leak_cap(mut self, cap: usize) -> Self {
         self.pool = self.pool.leak_cap(cap);
         self
@@ -221,21 +170,13 @@ impl SbcSessionBuilder {
         self.build_backend::<RealSbcWorld>()
     }
 
-    /// Builds the session over the ideal world (`F_SBC(Φ, ∆, α)` composed
-    /// with the Theorem 2 simulator `S_SBC`). Same session code, same
-    /// adversary surface, same multi-epoch driver — by Theorem 2, every
-    /// observable of the two backends agrees, which the dual-world tests
+    /// Builds the session over any [`SbcBackend`] — the ideal world
+    /// (`F_SBC(Φ, ∆, α)` composed with the Theorem 2 simulator `S_SBC`) as
+    /// `build_backend::<IdealSbcWorld>()`, the networked worlds of
+    /// `sbc-net` the same way. Same session code, same adversary surface,
+    /// same multi-epoch driver — by Theorem 2, every observable of the
+    /// real and the ideal backend agrees, which the dual-world tests
     /// assert epoch by epoch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`build`](SbcSessionBuilder::build).
-    pub fn build_ideal(self) -> Result<SbcSession<IdealSbcWorld>, SbcError> {
-        self.build_backend::<IdealSbcWorld>()
-    }
-
-    /// Builds the session over any [`SbcBackend`] — how the networked
-    /// worlds of `sbc-net` run under a session.
     ///
     /// # Errors
     ///
@@ -276,10 +217,9 @@ pub struct EpochResult {
 }
 
 /// A running simultaneous-broadcast session over a pluggable execution
-/// backend — the real protocol stack by default, the ideal
-/// `F_SBC + S_SBC` world via
-/// [`build_ideal`](SbcSessionBuilder::build_ideal), or any other
-/// [`SbcBackend`] via [`build_backend`](SbcSessionBuilder::build_backend).
+/// backend — the real protocol stack by default, or any other
+/// [`SbcBackend`] (the ideal `F_SBC + S_SBC` world, a networked one) via
+/// [`build_backend`](SbcSessionBuilder::build_backend).
 /// Every method below is backend-agnostic: it speaks only the
 /// [`SbcWorld`] trait.
 ///
@@ -493,7 +433,7 @@ impl<W: SbcBackend> SbcSession<W> {
     }
 
     /// Adversary-visible leaks captured so far (requires
-    /// [`AdversaryConfig::capture_leaks`]; empty otherwise).
+    /// [`SbcSessionBuilder::capture_leaks`]; empty otherwise).
     pub fn leaks(&self) -> &[Leak] {
         self.pool
             .leaks(self.id)
@@ -512,6 +452,7 @@ impl<W: SbcBackend> SbcSession<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worlds::IdealSbcWorld;
 
     #[test]
     fn quickstart_flow() {
@@ -700,7 +641,8 @@ mod tests {
     fn corrupt_and_inject_through_public_api() {
         let mut s = SbcSession::builder(3)
             .seed(b"adv")
-            .adversary(AdversaryConfig::new().corrupt(&[2]).capture_leaks())
+            .corrupt(&[2])
+            .capture_leaks()
             .build()
             .unwrap();
         s.submit(0, b"honest").unwrap();
@@ -743,7 +685,7 @@ mod tests {
     fn ideal_backend_quickstart() {
         let mut s = SbcSession::builder(3)
             .seed(b"ideal-api")
-            .build_ideal()
+            .build_backend::<IdealSbcWorld>()
             .unwrap();
         s.submit(0, b"one").unwrap();
         s.submit(1, b"two").unwrap();
@@ -775,7 +717,7 @@ mod tests {
         let ideal = drive(
             SbcSession::builder(3)
                 .seed(b"dual-adv")
-                .build_ideal()
+                .build_backend::<IdealSbcWorld>()
                 .unwrap(),
         );
         assert!(!real.1 && !ideal.1, "no simulator abort");
@@ -788,7 +730,6 @@ mod tests {
 
     #[test]
     fn build_backend_is_the_generic_entry_point() {
-        use crate::worlds::IdealSbcWorld;
         let s = SbcSession::builder(2)
             .seed(b"generic")
             .build_backend::<IdealSbcWorld>()

@@ -75,10 +75,10 @@
 //! # }
 //! ```
 
-use crate::api::{AdversaryConfig, EpochResult, SbcResult};
+use crate::api::{EpochResult, SbcResult};
 use crate::error::SbcError;
 use crate::protocol::sbc_wire;
-use crate::worlds::{IdealSbcWorld, RealSbcWorld, SbcBackend, SbcParams};
+use crate::worlds::{RealSbcWorld, SbcBackend, SbcParams};
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::corruption::CorruptionTracker;
 use sbc_uc::exec::{PoolWorld, SbcWorld};
@@ -90,8 +90,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub use sbc_uc::exec::InstanceId;
 
 /// The world layer of the pool: many concurrent instances of one
-/// [`SbcBackend`] behind the instance-addressed
-/// [`PoolWorld`] trait.
+/// [`SbcBackend`], driven through the instance-addressed [`PoolWorld`]
+/// trait — the inherent methods are only what that trait has no word for.
 ///
 /// The pool owns the shared state — the round counter and the global
 /// corruption set — and routes instance-scoped actions to the
@@ -138,18 +138,90 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
             aborted: false,
         })
     }
+}
 
-    /// Opens a new instance: builds a backend world on the instance's
-    /// domain-separated seed fork, replays the global corruption state into
-    /// it, and joins it to the shared clock round in O(1) via
-    /// [`SbcWorld::join_at`] (a fresh stack is verifiably idle, so the
-    /// fast path applies; the cost is independent of the pool round).
+impl<W: SbcWorld> PooledSbcWorld<W> {
+    fn sync(&mut self, id: u64) {
+        let Some(world) = self.live.get_mut(&id) else {
+            return;
+        };
+        for leak in world.drain_leaks() {
+            self.leaks.push((InstanceId(id), leak));
+        }
+        for (party, cmd) in world.drain_outputs() {
+            self.outputs.push((InstanceId(id), party, cmd));
+        }
+    }
+
+    /// The experiment parameters (shared by every instance).
+    pub fn params(&self) -> SbcParams {
+        self.params
+    }
+
+    /// Whether `instance` is live (opened and not yet closed).
+    pub fn is_live(&self, instance: InstanceId) -> bool {
+        self.live.contains_key(&instance.0)
+    }
+
+    /// Whether `instance` has been closed.
+    pub fn is_retired(&self, instance: InstanceId) -> bool {
+        self.retired.contains(&instance.0)
+    }
+
+    /// Borrows the backend world of a live instance — the introspection
+    /// seam for backend-specific assertions (e.g. a networked backend's
+    /// transport statistics) that the instance-addressed [`PoolWorld`]
+    /// surface deliberately does not carry.
+    pub fn instance_world(&self, instance: InstanceId) -> Option<&W> {
+        self.live.get(&instance.0)
+    }
+
+    /// Number of retired (finished, not yet forgotten) instance ids still
+    /// tracked.
+    pub fn retired_count(&self) -> usize {
+        self.retired.len()
+    }
+
+    /// Number of release outputs buffered and not yet drained.
+    pub fn buffered_outputs(&self) -> usize {
+        self.outputs.len()
+    }
+
+    /// Number of leaks buffered and not yet drained.
+    pub fn buffered_leaks(&self) -> usize {
+        self.leaks.len()
+    }
+
+    /// Forgets a retired instance entirely: its id leaves the retired set,
+    /// so the pool no longer distinguishes it from an id that never
+    /// existed. Returns whether the id was in the retired set. Ids are
+    /// never reused (`next` only grows), and a sticky abort recorded at
+    /// retirement survives the forget — pruning reclaims bookkeeping, it
+    /// cannot launder an abort.
+    pub fn forget_retired(&mut self, instance: InstanceId) -> bool {
+        self.retired.remove(&instance.0)
+    }
+}
+
+impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
+    type OpenError = SbcError;
+    fn n(&self) -> usize {
+        self.params.n
+    }
+    fn round(&self) -> u64 {
+        self.round
+    }
+    /// Builds a backend world on the instance's domain-separated seed
+    /// fork, replays the global corruption state into it, and joins it to
+    /// the shared clock round in O(1) via [`SbcWorld::join_at`] (a fresh
+    /// stack is verifiably idle, so the fast path applies; the cost is
+    /// independent of the pool round).
     ///
     /// # Errors
     ///
     /// Propagates the backend's [`SbcBackend::from_params`] error. A failed
     /// open consumes no instance id and leaves the pool unchanged.
-    pub fn open_instance(&mut self) -> Result<InstanceId, SbcError> {
+    fn open_instance(&mut self) -> Result<InstanceId, SbcError> {
         let id = self.next;
         // Instance 0 inherits the pool seed unchanged: a one-instance pool
         // is bit-for-bit the plain single-session world.
@@ -171,156 +243,6 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
         self.sync(id);
         Ok(InstanceId(id))
     }
-}
-
-impl<W: SbcWorld> PooledSbcWorld<W> {
-    fn sync(&mut self, id: u64) {
-        let Some(world) = self.live.get_mut(&id) else {
-            return;
-        };
-        for leak in world.drain_leaks() {
-            self.leaks.push((InstanceId(id), leak));
-        }
-        for (party, cmd) in world.drain_outputs() {
-            self.outputs.push((InstanceId(id), party, cmd));
-        }
-    }
-
-    /// Number of parties (shared by every instance).
-    pub fn n(&self) -> usize {
-        self.params.n
-    }
-
-    /// The experiment parameters (shared by every instance).
-    pub fn params(&self) -> SbcParams {
-        self.params
-    }
-
-    /// The shared clock round.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Whether `instance` is live (opened and not yet closed).
-    pub fn is_live(&self, instance: InstanceId) -> bool {
-        self.live.contains_key(&instance.0)
-    }
-
-    /// Whether `instance` has been closed.
-    pub fn is_retired(&self, instance: InstanceId) -> bool {
-        self.retired.contains(&instance.0)
-    }
-
-    /// Borrows the backend world of a live instance — the introspection
-    /// seam for backend-specific assertions (e.g. a networked backend's
-    /// transport statistics) that the instance-addressed [`PoolWorld`]
-    /// surface deliberately does not carry.
-    pub fn instance_world(&self, instance: InstanceId) -> Option<&W> {
-        self.live.get(&instance.0)
-    }
-
-    /// Number of corrupted parties.
-    pub fn corrupted_count(&self) -> usize {
-        self.corr.corrupted_count()
-    }
-
-    /// Number of retired (finished, not yet forgotten) instance ids still
-    /// tracked.
-    pub fn retired_count(&self) -> usize {
-        self.retired.len()
-    }
-
-    /// Number of release outputs buffered and not yet drained.
-    pub fn buffered_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Number of leaks buffered and not yet drained.
-    pub fn buffered_leaks(&self) -> usize {
-        self.leaks.len()
-    }
-
-    /// Corrupts `party` in every live instance at once, recording the
-    /// global corruption for instances opened later. Returns the
-    /// per-instance corruption responses, or `None` if refused (already
-    /// corrupted, or the dishonest-majority budget `t ≤ n − 1` is
-    /// exhausted).
-    ///
-    /// The decision is taken **here**, not in the backends: a pool must be
-    /// able to corrupt before any instance exists, so it keeps a
-    /// [`CorruptionTracker`] of its own — the rule the backend worlds
-    /// enforce. If a backend ever disagreed (refused after the pool
-    /// accepted), its `Bool(false)` response would fail the session
-    /// layer's response parse as [`SbcError::Internal`] — loud, not silent
-    /// drift.
-    pub fn corrupt_party(&mut self, party: PartyId) -> Option<Vec<(InstanceId, Value)>> {
-        if self.corr.is_corrupted(party) || self.corr.corrupt(party, self.round).is_err() {
-            return None;
-        }
-        let ids: Vec<u64> = self.live.keys().copied().collect();
-        let mut views = Vec::with_capacity(ids.len());
-        for id in ids {
-            let resp = self
-                .live
-                .get_mut(&id)
-                .expect("id drawn from live set")
-                .adversary(AdvCommand::Corrupt(party));
-            self.sync(id);
-            views.push((InstanceId(id), resp));
-        }
-        Some(views)
-    }
-
-    /// Drains buffered adversary-visible leaks, keyed by instance.
-    pub fn take_leaks(&mut self) -> Vec<(InstanceId, Leak)> {
-        std::mem::take(&mut self.leaks)
-    }
-
-    /// Per-instance epoch turnover ([`SbcWorld::begin_new_period`]).
-    pub fn begin_new_period_of(&mut self, instance: InstanceId) {
-        if let Some(world) = self.live.get_mut(&instance.0) {
-            world.begin_new_period();
-        }
-    }
-
-    /// Retires `instance`: it stops stepping and refuses further traffic.
-    /// Any simulator-abort flag it carried stays sticky on the pool.
-    ///
-    /// The instance's world is drained **before** removal, so leaks and
-    /// outputs still buffered inside it surface through
-    /// [`take_leaks`](Self::take_leaks) / [`PoolWorld::drain_outputs`]
-    /// instead of being dropped with the world — retiring is a final
-    /// drain, never a silent discard.
-    pub fn retire(&mut self, instance: InstanceId) {
-        self.sync(instance.0);
-        if let Some(world) = self.live.remove(&instance.0) {
-            self.aborted |= world.would_abort();
-            self.retired.insert(instance.0);
-        }
-    }
-
-    /// Forgets a retired instance entirely: its id leaves the retired set,
-    /// so the pool no longer distinguishes it from an id that never
-    /// existed. Returns whether the id was in the retired set. Ids are
-    /// never reused (`next` only grows), and a sticky abort recorded at
-    /// retirement survives the forget — pruning reclaims bookkeeping, it
-    /// cannot launder an abort.
-    pub fn forget_retired(&mut self, instance: InstanceId) -> bool {
-        self.retired.remove(&instance.0)
-    }
-}
-
-impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
-    type OpenError = SbcError;
-    fn n(&self) -> usize {
-        PooledSbcWorld::n(self)
-    }
-    fn round(&self) -> u64 {
-        PooledSbcWorld::round(self)
-    }
-    fn open_instance(&mut self) -> Result<InstanceId, SbcError> {
-        PooledSbcWorld::open_instance(self)
-    }
     fn live_instances(&self) -> Vec<InstanceId> {
         self.live.keys().copied().map(InstanceId).collect()
     }
@@ -340,8 +262,32 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
         self.sync(instance.0);
         resp
     }
+    /// Corrupts `party` in every live instance at once, recording the
+    /// global corruption for instances opened later.
+    ///
+    /// The decision is taken **here**, not in the backends: a pool must be
+    /// able to corrupt before any instance exists, so it keeps a
+    /// [`CorruptionTracker`] of its own — the rule the backend worlds
+    /// enforce. If a backend ever disagreed (refused after the pool
+    /// accepted), its `Bool(false)` response would fail the session
+    /// layer's response parse as [`SbcError::Internal`] — loud, not silent
+    /// drift.
     fn corrupt(&mut self, party: PartyId) -> Option<Vec<(InstanceId, Value)>> {
-        self.corrupt_party(party)
+        if self.corr.is_corrupted(party) || self.corr.corrupt(party, self.round).is_err() {
+            return None;
+        }
+        let ids: Vec<u64> = self.live.keys().copied().collect();
+        let mut views = Vec::with_capacity(ids.len());
+        for id in ids {
+            let resp = self
+                .live
+                .get_mut(&id)
+                .expect("id drawn from live set")
+                .adversary(AdvCommand::Corrupt(party));
+            self.sync(id);
+            views.push((InstanceId(id), resp));
+        }
+        Some(views)
     }
     fn is_corrupted(&self, party: PartyId) -> bool {
         self.corr.is_corrupted(party)
@@ -364,7 +310,7 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
         std::mem::take(&mut self.outputs)
     }
     fn drain_leaks(&mut self) -> Vec<(InstanceId, Leak)> {
-        self.take_leaks()
+        std::mem::take(&mut self.leaks)
     }
     fn release_round(&self, instance: InstanceId) -> Option<u64> {
         self.live.get(&instance.0).and_then(|w| w.release_round())
@@ -373,10 +319,25 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
         self.live.get(&instance.0).and_then(|w| w.period_end())
     }
     fn begin_new_period(&mut self, instance: InstanceId) {
-        self.begin_new_period_of(instance);
+        if let Some(world) = self.live.get_mut(&instance.0) {
+            world.begin_new_period();
+        }
     }
+    /// Any simulator-abort flag the instance carried stays sticky on the
+    /// pool.
+    ///
+    /// The instance's world is drained **before** removal, so leaks and
+    /// outputs still buffered inside it surface through
+    /// [`drain_leaks`](PoolWorld::drain_leaks) /
+    /// [`drain_outputs`](PoolWorld::drain_outputs) instead of being
+    /// dropped with the world — retiring is a final drain, never a silent
+    /// discard.
     fn close_instance(&mut self, instance: InstanceId) {
-        self.retire(instance);
+        self.sync(instance.0);
+        if let Some(world) = self.live.remove(&instance.0) {
+            self.aborted |= world.would_abort();
+            self.retired.insert(instance.0);
+        }
     }
     /// Whether any instance — live or retired — hit a simulation-abort
     /// event.
@@ -392,7 +353,9 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
 pub struct SbcPoolBuilder {
     params: SbcParams,
     seed: Vec<u8>,
-    adversary: AdversaryConfig,
+    corrupt_at_start: Vec<u32>,
+    capture_leaks: bool,
+    leak_cap: Option<usize>,
 }
 
 impl SbcPoolBuilder {
@@ -427,28 +390,31 @@ impl SbcPoolBuilder {
         self
     }
 
-    /// Installs an adversary configuration.
-    pub fn adversary(mut self, cfg: AdversaryConfig) -> Self {
-        self.adversary = cfg;
-        self
-    }
-
-    /// Convenience: corrupt `parties` (globally) at pool start.
+    /// Corrupts `parties` (globally) at pool start, before any input.
+    /// Dynamic adversarial actions (adaptive corruption, wire injection,
+    /// control-channel commands) live on [`SbcPool`] itself.
     pub fn corrupt(mut self, parties: &[u32]) -> Self {
-        self.adversary = self.adversary.corrupt(parties);
+        self.corrupt_at_start.extend_from_slice(parties);
         self
     }
 
-    /// Convenience: retain adversary-visible leaks for inspection.
+    /// Retains every adversary-visible leak for inspection through
+    /// [`SbcPool::leaks`] instead of discarding it.
     pub fn capture_leaks(mut self) -> Self {
-        self.adversary = self.adversary.capture_leaks();
+        self.capture_leaks = true;
         self
     }
 
-    /// Convenience: cap each instance's captured-leak buffer (see
-    /// [`AdversaryConfig::leak_cap`]).
+    /// Caps each instance's captured-leak buffer at `cap` entries,
+    /// evicting the oldest and counting evictions (see
+    /// [`SbcPool::leak_overflow`]). Uncapped (the default) retains
+    /// everything — the behavior every indistinguishability experiment
+    /// relies on; long-lived services set a cap so leak capture can stay
+    /// on without growing per-instance memory without bound. Implies
+    /// nothing about capture itself — combine with
+    /// [`capture_leaks`](SbcPoolBuilder::capture_leaks).
     pub fn leak_cap(mut self, cap: usize) -> Self {
-        self.adversary = self.adversary.leak_cap(cap);
+        self.leak_cap = Some(cap);
         self
     }
 
@@ -464,24 +430,15 @@ impl SbcPoolBuilder {
         self.build_backend::<RealSbcWorld>()
     }
 
-    /// Builds the pool over the ideal world (`F_SBC + S_SBC` per
-    /// instance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`build`](SbcPoolBuilder::build).
-    pub fn build_ideal(self) -> Result<SbcPool<IdealSbcWorld>, SbcError> {
-        self.build_backend::<IdealSbcWorld>()
-    }
-
-    /// Builds the pool over any [`SbcBackend`].
+    /// Builds the pool over any [`SbcBackend`] — the ideal world
+    /// (`F_SBC + S_SBC` per instance) is `build_backend::<IdealSbcWorld>()`.
     ///
     /// # Errors
     ///
     /// Same as [`build`](SbcPoolBuilder::build).
     pub fn build_backend<W: SbcBackend>(self) -> Result<SbcPool<W>, SbcError> {
         self.params.validate()?;
-        for &p in &self.adversary.corrupt_at_start {
+        for &p in &self.corrupt_at_start {
             if p as usize >= self.params.n {
                 return Err(SbcError::PartyOutOfRange {
                     party: p,
@@ -489,13 +446,16 @@ impl SbcPoolBuilder {
                 });
             }
         }
-        let mut pool = SbcPool::from_parts(
-            self.params,
-            &self.seed,
-            self.adversary.capture_leaks,
-            self.adversary.leak_cap,
-        )?;
-        for &p in &self.adversary.corrupt_at_start {
+        let mut adv_seed = self.seed.clone();
+        adv_seed.extend_from_slice(b"/session-adversary");
+        let mut pool = SbcPool {
+            world: PooledSbcWorld::new(self.params, &self.seed)?,
+            capture_leaks: self.capture_leaks,
+            leak_cap: self.leak_cap,
+            adv_rng: Drbg::from_seed(&adv_seed),
+            state: BTreeMap::new(),
+        };
+        for &p in &self.corrupt_at_start {
             // Range-checked above; double entries surface as CorruptedParty.
             pool.corrupt(p)?;
         }
@@ -571,29 +531,14 @@ impl SbcPool {
         SbcPoolBuilder {
             params: SbcParams::default_for(n),
             seed: b"sbc-session".to_vec(),
-            adversary: AdversaryConfig::default(),
+            corrupt_at_start: Vec::new(),
+            capture_leaks: false,
+            leak_cap: None,
         }
     }
 }
 
 impl<W: SbcBackend> SbcPool<W> {
-    pub(crate) fn from_parts(
-        params: SbcParams,
-        seed: &[u8],
-        capture_leaks: bool,
-        leak_cap: Option<usize>,
-    ) -> Result<Self, SbcError> {
-        let mut adv_seed = seed.to_vec();
-        adv_seed.extend_from_slice(b"/session-adversary");
-        Ok(SbcPool {
-            world: PooledSbcWorld::new(params, seed)?,
-            capture_leaks,
-            leak_cap,
-            adv_rng: Drbg::from_seed(&adv_seed),
-            state: BTreeMap::new(),
-        })
-    }
-
     /// The experiment parameters (shared by every instance).
     pub fn params(&self) -> SbcParams {
         self.world.params()
@@ -708,7 +653,7 @@ impl<W: SbcBackend> SbcPool<W> {
     }
 
     fn sync_leaks(&mut self) {
-        for (id, leak) in self.world.take_leaks() {
+        for (id, leak) in self.world.drain_leaks() {
             if self.capture_leaks {
                 if let Some(st) = self.state.get_mut(&id.0) {
                     match self.leak_cap {
@@ -938,7 +883,7 @@ impl<W: SbcBackend> SbcPool<W> {
         let epoch = st.epoch;
         st.epoch += 1;
         st.submitted = 0;
-        self.world.begin_new_period_of(instance);
+        self.world.begin_new_period(instance);
         Ok(EpochResult {
             epoch,
             messages: result.messages,
@@ -961,7 +906,7 @@ impl<W: SbcBackend> SbcPool<W> {
         let result = self.take_release(instance)?;
         // Retirement drains the world before removing it; route whatever
         // surfaced into the retained per-instance leak buffer.
-        self.world.retire(instance);
+        self.world.close_instance(instance);
         self.sync_leaks();
         Ok(result)
     }
@@ -986,7 +931,7 @@ impl<W: SbcBackend> SbcPool<W> {
         if self.world.is_corrupted(PartyId(party)) {
             return Err(SbcError::CorruptedParty { party });
         }
-        let Some(views) = self.world.corrupt_party(PartyId(party)) else {
+        let Some(views) = self.world.corrupt(PartyId(party)) else {
             // `party` is known honest and in range, so a refusal can only
             // be the dishonest-majority budget `t ≤ n − 1`.
             return Err(SbcError::CorruptionBudgetExceeded { party });
@@ -1165,7 +1110,7 @@ impl<W: SbcBackend> SbcPool<W> {
 
     /// How many captured leaks the leak cap has evicted from `instance`'s
     /// buffer so far (always 0 when the pool is uncapped — see
-    /// [`AdversaryConfig::leak_cap`](crate::api::AdversaryConfig::leak_cap)).
+    /// [`SbcPoolBuilder::leak_cap`]).
     /// Like [`leaks`](SbcPool::leaks), readable for live and finished
     /// instances.
     ///
@@ -1258,6 +1203,7 @@ impl<W: SbcBackend> SbcPool<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worlds::IdealSbcWorld;
 
     #[test]
     fn instances_share_one_clock() {
@@ -1453,7 +1399,7 @@ mod tests {
         let ideal = drive(
             SbcPool::builder(3)
                 .seed(b"dual-pool")
-                .build_ideal()
+                .build_backend::<IdealSbcWorld>()
                 .unwrap(),
         );
         assert_eq!(real, ideal);

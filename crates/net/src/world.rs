@@ -593,7 +593,7 @@ mod tests {
     use sbc_core::protocol::{parse_sbc_wire, sbc_wire};
     use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld};
     use sbc_primitives::drbg::Drbg;
-    use sbc_uc::exec::{CompareLevel, DualRun};
+    use sbc_uc::exec::{CompareLevel, DualRun, PoolWorld};
     use std::sync::Mutex;
 
     /// `RealSbcWorld` vs `NetSbcWorld<P>` at `CompareLevel::Exact` and at
@@ -703,7 +703,7 @@ mod tests {
         // out of range, fresh, already corrupted, fresh, over t ≤ n − 1.
         let mut pool = PooledSbcWorld::<W>::new(params, b"stray").expect("valid");
         for (p, accepted) in [(7, false), (0, true), (0, false), (1, true), (2, false)] {
-            assert_eq!(pool.corrupt_party(PartyId(p)).is_some(), accepted, "P{p}");
+            assert_eq!(pool.corrupt(PartyId(p)).is_some(), accepted, "P{p}");
         }
         let id = pool.open_instance().expect("opens");
         let inherited = pool.instance_world(id).expect("live");

@@ -17,10 +17,10 @@
 //!   typed [`ServiceError::QueueFull`].
 //! * **Epoch lifecycle** — [`SbcService::tick`] steps the shared clock,
 //!   opens instances when the admission policy fires, finishes released
-//!   instances, streams [`ReleaseRecord`]s to registered
-//!   [`ReleaseSink`]s, and continuously prunes what has been delivered so
-//!   steady-state memory is flat under churn (watch it with
-//!   [`SbcService::footprint`]).
+//!   instances and parks a [`ReleaseRecord`] for each;
+//!   [`SbcService::drain_releases`] hands them out and prunes what it
+//!   delivered, so steady-state memory is flat under churn (watch it
+//!   with [`SbcService::footprint`]).
 //! * **Observability** — per-submission submit→release latency in rounds,
 //!   recorded off the hot path into a fixed-bucket histogram and exposed
 //!   as a [`ServiceStats`] snapshot (p50/p90/p99, counters, peaks); an
@@ -28,7 +28,7 @@
 //!   µs-grained [`WallLatencySummary`] for real-socket backends.
 //! * **Era-based snapshot/restore** — [`SbcService::checkpoint`] folds
 //!   the deterministic operation journal into a compact checkpoint at
-//!   era boundaries (everything delivered, drained, and pruned), so
+//!   era boundaries (everything drained and pruned), so
 //!   [`SbcService::snapshot`] carries (checkpoint ‖ short tail) as one
 //!   flat image — magic, version, length, payload, SHA-256 digest —
 //!   with [`SbcService::snapshot_to`]/[`SbcService::restore_from`]
@@ -76,7 +76,7 @@ mod stats;
 
 pub use loadgen::{LoadGen, LoadProfile};
 pub use service::{
-    CheckpointEvery, DeadlineClass, Outcome, ReleaseRecord, ReleaseSink, SbcService, ServiceConfig,
+    CheckpointEvery, DeadlineClass, Outcome, ReleaseRecord, SbcService, ServiceConfig,
     ServiceError, ServiceMode,
 };
 pub use stats::{

@@ -14,9 +14,8 @@
 //!    next instance — late arrivals defer, they never error.
 //! 3. The instance releases on the shared clock; the service finishes it,
 //!    records per-ticket submit→release latency, computes the
-//!    mode-specific [`Outcome`], and streams a [`ReleaseRecord`] to every
-//!    registered [`ReleaseSink`] (or parks it for
-//!    [`SbcService::drain_releases`]).
+//!    mode-specific [`Outcome`], and parks a [`ReleaseRecord`] for
+//!    [`SbcService::drain_releases`] — the one way out.
 //! 4. Only after the record has been handed off is the instance pruned —
 //!    the service-layer mirror of the pool's retire-drains guarantee: a
 //!    finished instance with an undelivered record is never reclaimed.
@@ -181,8 +180,8 @@ impl Outcome {
     }
 }
 
-/// One instance's released batch, as streamed to sinks and drained by
-/// callers.
+/// One instance's released batch, as drained by callers
+/// ([`SbcService::drain_releases`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReleaseRecord {
     /// The pool instance that released.
@@ -196,15 +195,6 @@ pub struct ReleaseRecord {
     /// Tickets of the submissions batched into this instance, in
     /// admission order.
     pub tickets: Vec<u64>,
-}
-
-/// A consumer of release records, registered with
-/// [`SbcService::register_sink`]. Sinks are invoked synchronously inside
-/// [`SbcService::tick`], in registration order, before the released
-/// instance is reclaimed.
-pub trait ReleaseSink {
-    /// Called once per released instance.
-    fn on_release(&mut self, record: &ReleaseRecord);
 }
 
 /// Auto-checkpoint policy: how much un-folded history the service
@@ -518,7 +508,6 @@ pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     /// instance behind a parked record is finished but never pruned until
     /// the record is drained (deliver-before-reclaim).
     outbox: VecDeque<ReleaseRecord>,
-    sinks: Vec<Box<dyn ReleaseSink>>,
     /// The post-boundary operation tail — everything accepted since the
     /// last checkpoint (since birth at era 0).
     pub(crate) journal: Vec<Op>,
@@ -560,8 +549,17 @@ impl<W: SbcBackend> SbcService<W> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Pool`] wrapping the pool's parameter validation.
+    /// [`ServiceError::Pool`] wrapping the pool's parameter validation,
+    /// or [`SbcError::InvalidParams`] for a zero `batch_size` or
+    /// `max_live` (the fields are `pub` and travel in images; only the
+    /// setters clamp): the first opens instances nothing is ever admitted
+    /// into, the second opens none, and either way the queue never drains.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServiceError> {
+        if cfg.batch_size == 0 || cfg.max_live == 0 {
+            return Err(ServiceError::Pool(SbcError::InvalidParams {
+                reason: "need batch_size ≥ 1 and max_live ≥ 1",
+            }));
+        }
         let mut builder = SbcPool::builder(cfg.params.n)
             .phi(cfg.params.phi)
             .delta(cfg.params.delta)
@@ -580,7 +578,6 @@ impl<W: SbcBackend> SbcService<W> {
             collecting: None,
             inflight: BTreeMap::new(),
             outbox: VecDeque::new(),
-            sinks: Vec::new(),
             journal: Vec::new(),
             checkpoint: Checkpoint::initial(),
             hist: LatencyHistogram::new(),
@@ -595,12 +592,6 @@ impl<W: SbcBackend> SbcService<W> {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// Registers a release sink. Sinks receive every record released
-    /// *after* registration, synchronously inside [`tick`](Self::tick).
-    pub fn register_sink(&mut self, sink: Box<dyn ReleaseSink>) {
-        self.sinks.push(sink);
     }
 
     /// Accepts a submission into its deadline-class queue, returning its
@@ -769,8 +760,9 @@ impl<W: SbcBackend> SbcService<W> {
     }
 
     /// Handles one release: finish, account latency and leak overflow,
-    /// compute the outcome, deliver the record, and reclaim the instance
-    /// — in exactly that order. Delivery strictly precedes pruning.
+    /// compute the outcome, and park the record — the instance is kept
+    /// until [`drain_releases`](Self::drain_releases) takes ownership of
+    /// it. Delivery strictly precedes pruning.
     fn on_release(&mut self, id: InstanceId, result: SbcResult) -> Result<(), ServiceError> {
         if self.collecting.map(|(c, _)| c) == Some(id) {
             // Released while still collecting (queue went quiet): the
@@ -791,32 +783,18 @@ impl<W: SbcBackend> SbcService<W> {
             }
             tickets.push(f.ticket);
         }
-        let record = ReleaseRecord {
+        self.outbox.push_back(ReleaseRecord {
             instance: id.0,
             release_round: result.release_round,
             outcome: Outcome::compute(self.cfg.mode, &result.messages),
             messages: result.messages,
             tickets,
-        };
-        if self.sinks.is_empty() {
-            // No consumer yet: park the record and keep the instance
-            // until `drain_releases` takes ownership of it.
-            self.outbox.push_back(record);
-        } else {
-            for sink in &mut self.sinks {
-                sink.on_release(&record);
-            }
-            self.stats.delivered += 1;
-            self.pool.prune(id)?;
-            self.stats.pruned += 1;
-        }
+        });
         Ok(())
     }
 
     /// Takes every parked release record, reclaiming the instances they
-    /// came from. With sinks registered this is usually empty — sinks
-    /// consume records (and trigger reclamation) inside
-    /// [`tick`](Self::tick).
+    /// came from — delivery first, then the prune.
     pub fn drain_releases(&mut self) -> Vec<ReleaseRecord> {
         let records: Vec<ReleaseRecord> = self.outbox.drain(..).collect();
         for rec in &records {
@@ -831,8 +809,8 @@ impl<W: SbcBackend> SbcService<W> {
     /// Drives every queued and in-flight submission to release, delivers
     /// all records, and reclaims everything: afterwards the queue is
     /// empty, no instance is live, and the pool footprint is back to
-    /// baseline (modulo records still parked for
-    /// [`drain_releases`](Self::drain_releases), which are returned).
+    /// baseline. Returns the records still parked for
+    /// [`drain_releases`](Self::drain_releases).
     ///
     /// # Errors
     ///
@@ -840,9 +818,8 @@ impl<W: SbcBackend> SbcService<W> {
     /// generous tick budget (a wedged pool, not a big queue).
     pub fn shutdown(&mut self) -> Result<Vec<ReleaseRecord>, ServiceError> {
         let per_cycle = self.cfg.params.phi + self.cfg.params.delta + 4;
-        let cycles = (self.queued() as u64).div_ceil(self.cfg.batch_size.max(1) as u64)
-            + self.live() as u64
-            + 2;
+        let cycles =
+            (self.queued() as u64).div_ceil(self.cfg.batch_size as u64) + self.live() as u64 + 2;
         let budget = cycles * per_cycle + self.cfg.flush_after + 1;
         let mut spent = 0;
         while self.queued() > 0 || self.live() > 0 {
@@ -905,8 +882,8 @@ impl<W: SbcBackend> SbcService<W> {
     }
 
     /// Whether the service currently sits at an era boundary: every
-    /// instance opened so far has released, been delivered (or drained),
-    /// and been pruned — the pool footprint is flat. Queued submissions
+    /// instance opened so far has released, been drained, and been
+    /// pruned — the pool footprint is flat. Queued submissions
     /// do not block a boundary; in-flight epochs and undelivered records
     /// do.
     pub fn at_boundary(&self) -> bool {
@@ -1031,6 +1008,21 @@ mod tests {
                 .queue_cap(8),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn zero_batch_size_or_max_live_is_refused_at_construction() {
+        // The setters clamp; a struct-field write does not.
+        let base = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"zero");
+        for (batch_size, max_live) in [(0, 8), (8, 0)] {
+            let mut cfg = base.clone();
+            (cfg.batch_size, cfg.max_live) = (batch_size, max_live);
+            assert!(matches!(
+                SbcService::<RealSbcWorld>::new(cfg),
+                Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
+            ));
+        }
+        assert!(SbcService::<RealSbcWorld>::new(base).is_ok());
     }
 
     #[test]

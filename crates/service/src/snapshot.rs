@@ -14,7 +14,7 @@
 //! time.
 //!
 //! Era-based checkpointing bounds both. At an era boundary (every
-//! instance delivered, drained, and pruned — [`SbcService::checkpoint`])
+//! instance drained and pruned — [`SbcService::checkpoint`])
 //! the pool collapses to its `(round, next instance id)` fast-forward
 //! coordinate, so the journal prefix folds into a compact checkpoint
 //! record: clock round, next ids, queue contents, counters, and the
@@ -25,8 +25,8 @@
 //! lifetime.
 //!
 //! The only facts replay cannot rederive are the ones that left the
-//! service (records already delivered to sinks or drained — the restored
-//! run must not re-deliver them) and the ones that never entered it
+//! service (records already drained — the restored run must not
+//! re-deliver them) and the ones that never entered it
 //! (submissions rejected with `QueueFull` touch a counter but not the
 //! journal). Those ride alongside the tail as absolute counters.
 //!
@@ -421,9 +421,8 @@ impl<W: SbcBackend> SbcService<W> {
     /// Rebuilds a service from an image ([`snapshot`](Self::snapshot)),
     /// which must end exactly at its digest.
     ///
-    /// The restored service has **no sinks** — re-register them; records
-    /// the original had already delivered are not re-delivered, and
-    /// records that were still parked are parked again, in order.
+    /// Records the original had already delivered are not re-delivered,
+    /// and records that were still parked are parked again, in order.
     ///
     /// # Errors
     ///
@@ -565,6 +564,7 @@ mod tests {
     use super::*;
     use crate::service::{DeadlineClass, ServiceMode};
     use crate::stats::ServiceStats;
+    use sbc_core::api::SbcError;
     use sbc_primitives::drbg::Drbg;
 
     type Service = SbcService<sbc_core::worlds::RealSbcWorld>;
@@ -811,6 +811,31 @@ mod tests {
         let mut future = seeded().snapshot().unwrap();
         future[4] += 1;
         assert!(assert_bad(&future, "future version").contains("version"));
+    }
+
+    #[test]
+    fn sealed_image_with_a_zero_tuning_knob_is_refused() {
+        // Correct digest, valid shape, but a `batch_size` or `max_live` of
+        // 0 in the tuning list (payload field 4): replayed, it would be a
+        // service that ticks `Ok` forever and never releases.
+        let mut a = seeded();
+        a.submit(1, vec![9], DeadlineClass::Standard).unwrap();
+        let image = a.snapshot().unwrap();
+        let payload = &image[HEADER_LEN..image.len() - DIGEST_LEN];
+        let Some(Value::List(fields)) = Value::decode(payload) else {
+            panic!("payload is a list");
+        };
+        for knob in [1, 2] {
+            let mut fields = fields.clone();
+            let Value::List(tuning) = &mut fields[4] else {
+                panic!("tuning is a list");
+            };
+            tuning[knob] = Value::U64(0);
+            assert!(matches!(
+                Service::restore(&seal(&Value::List(fields).encode())),
+                Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
+            ));
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ pub struct ServiceStats {
     /// Submissions that hit a closing window and were re-queued into the
     /// next instance (the late-arrival path).
     pub deferred: u64,
-    /// Release records handed to sinks or drained by the caller.
+    /// Release records drained by the caller.
     pub delivered: u64,
     /// Pool instances opened.
     pub opened: u64,

@@ -25,13 +25,13 @@
 //! [`TransportStats`]: a conformance pass on a network that never
 //! delayed anything would prove nothing.
 
-use sbc_core::pool::PooledSbcWorld;
+use sbc_core::pool::{InstanceId, PooledSbcWorld};
 use sbc_core::protocol::sbc_wire;
 use sbc_core::worlds::{RealSbcWorld, SbcBackend, SbcParams};
 use sbc_net::world::{LoopbackSbcWorld, NetSbcWorld, SimNetSbcWorld};
 use sbc_net::{SimConfig, SimNet, TcpConfig, TcpSbcWorld, TcpTransport, TransportStats};
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::exec::{CompareLevel, DualRun, PoolDualRun, SbcWorld};
+use sbc_uc::exec::{CompareLevel, DualRun, PoolDualRun, PoolWorld, SbcWorld};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, World};
@@ -77,6 +77,51 @@ fn inject<W: SbcWorld>(
         party,
         cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
     });
+}
+
+/// The same recipe against one instance of a pool pair (the shape of
+/// `tests/pool.rs::inject`).
+fn inject_pool<A: PoolWorld, B: PoolWorld>(
+    dual: &mut PoolDualRun<A, B>,
+    rng: &mut Drbg,
+    instance: InstanceId,
+    party: PartyId,
+    message: &[u8],
+) {
+    let tau_rel = dual.release_round(instance).expect("period open");
+    let ct = Value::bytes(rng.gen_bytes(64));
+    let rho = rng.gen_bytes(32);
+    dual.adversary(
+        instance,
+        AdvCommand::Control {
+            target: "F_TLE".into(),
+            cmd: Command::new(
+                "Insert",
+                Value::list([ct.clone(), Value::bytes(&rho), Value::U64(tau_rel)]),
+            ),
+        },
+    );
+    let m_bytes = Value::bytes(message).encode();
+    let (eta_real, eta_net) = dual.adversary(
+        instance,
+        AdvCommand::Control {
+            target: "F_RO".into(),
+            cmd: Command::new(
+                "QueryBytes",
+                Value::list([Value::bytes(&rho), Value::U64(m_bytes.len() as u64)]),
+            ),
+        },
+    );
+    assert_eq!(eta_real, eta_net, "same instance seed, same oracle point");
+    let eta = eta_real.as_bytes().expect("mask is bytes").to_vec();
+    let y: Vec<u8> = m_bytes.iter().zip(eta.iter()).map(|(p, q)| p ^ q).collect();
+    dual.adversary(
+        instance,
+        AdvCommand::SendAs {
+            party,
+            cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
+        },
+    );
 }
 
 /// The shared multi-epoch adversarial scenario: honest traffic, an
@@ -234,39 +279,12 @@ fn pool_exact_real_vs_simnet_multi_instance_multi_epoch() {
                 cmd: Command::new("Leakage", Value::Unit),
             },
         );
-        let tau_rel = dual.release_round(id).expect("period open");
-        let ct = Value::bytes(adv_rng.gen_bytes(64));
-        let rho = adv_rng.gen_bytes(32);
-        dual.adversary(
+        inject_pool(
+            &mut dual,
+            &mut adv_rng,
             id,
-            AdvCommand::Control {
-                target: "F_TLE".into(),
-                cmd: Command::new(
-                    "Insert",
-                    Value::list([ct.clone(), Value::bytes(&rho), Value::U64(tau_rel)]),
-                ),
-            },
-        );
-        let m_bytes = Value::bytes(format!("e1/i{k}/evil").as_bytes()).encode();
-        let (eta_real, eta_net) = dual.adversary(
-            id,
-            AdvCommand::Control {
-                target: "F_RO".into(),
-                cmd: Command::new(
-                    "QueryBytes",
-                    Value::list([Value::bytes(&rho), Value::U64(m_bytes.len() as u64)]),
-                ),
-            },
-        );
-        assert_eq!(eta_real, eta_net, "same instance seed, same oracle point");
-        let eta = eta_real.as_bytes().expect("mask is bytes").to_vec();
-        let y: Vec<u8> = m_bytes.iter().zip(eta.iter()).map(|(p, q)| p ^ q).collect();
-        dual.adversary(
-            id,
-            AdvCommand::SendAs {
-                party: PartyId(3),
-                cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
-            },
+            PartyId(3),
+            format!("e1/i{k}/evil").as_bytes(),
         );
     }
     dual.idle_rounds(12);
@@ -384,44 +402,9 @@ fn pool_exact_real_vs_tcp_multi_instance() {
     dual.idle_rounds(9);
 
     // One adversarial injection against instance `a` over the sockets.
-    {
-        let tau_rel = dual.release_round(a);
-        if let Some(tau_rel) = tau_rel {
-            let ct = Value::bytes(adv_rng.gen_bytes(64));
-            let rho = adv_rng.gen_bytes(32);
-            dual.adversary(
-                a,
-                AdvCommand::Control {
-                    target: "F_TLE".into(),
-                    cmd: Command::new(
-                        "Insert",
-                        Value::list([ct.clone(), Value::bytes(&rho), Value::U64(tau_rel)]),
-                    ),
-                },
-            );
-            let m_bytes = Value::bytes(b"e0/evil").encode();
-            let (eta_real, eta_net) = dual.adversary(
-                a,
-                AdvCommand::Control {
-                    target: "F_RO".into(),
-                    cmd: Command::new(
-                        "QueryBytes",
-                        Value::list([Value::bytes(&rho), Value::U64(m_bytes.len() as u64)]),
-                    ),
-                },
-            );
-            assert_eq!(eta_real, eta_net, "same instance seed, same oracle point");
-            let eta = eta_real.as_bytes().expect("mask is bytes").to_vec();
-            let y: Vec<u8> = m_bytes.iter().zip(eta.iter()).map(|(p, q)| p ^ q).collect();
-            dual.adversary(
-                a,
-                AdvCommand::SendAs {
-                    party: PartyId(3),
-                    cmd: Command::new("Broadcast", sbc_wire(&ct, tau_rel, &y)),
-                },
-            );
-            dual.idle_rounds(3);
-        }
+    if dual.release_round(a).is_some() {
+        inject_pool(&mut dual, &mut adv_rng, a, PartyId(3), b"e0/evil");
+        dual.idle_rounds(3);
     }
     assert_eq!(dual.finish_epoch(a).expect("instance a exact"), 0);
     assert_eq!(dual.finish_epoch(b).expect("instance b exact"), 0);

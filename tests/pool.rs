@@ -518,12 +518,12 @@ fn retire_surfaces_late_buffered_drains() {
     let mut w =
         PooledSbcWorld::<AuditWorld>::new(SbcParams::default_for(2), b"audit").expect("valid");
     let id = w.open_instance().unwrap();
-    assert!(w.take_leaks().is_empty());
+    assert!(w.drain_leaks().is_empty());
     // The backend buffers an audit leak at period turnover; nothing has
     // pulled it into the pool buffers yet.
-    w.begin_new_period_of(id);
-    w.retire(id);
-    let leaks = w.take_leaks();
+    w.begin_new_period(id);
+    w.close_instance(id);
+    let leaks = w.drain_leaks();
     assert_eq!(leaks.len(), 1, "late-buffered leak surfaced by retire");
     assert_eq!(leaks[0].0, id);
     assert_eq!(leaks[0].1.source, "audit");

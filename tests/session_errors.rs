@@ -3,7 +3,7 @@
 //! Includes an exhaustive variant round-trip (`exhaustive_sbc_error_...`)
 //! that fails to compile when a variant is added without coverage.
 
-use sbc_core::api::{AdversaryConfig, SbcError, SbcSession};
+use sbc_core::api::{SbcError, SbcSession};
 
 #[test]
 fn invalid_params_rejected_at_build() {
@@ -26,12 +26,9 @@ fn invalid_params_rejected_at_build() {
         SbcSession::builder(0).seed(b"p3").build(),
         Err(SbcError::InvalidParams { .. })
     ));
-    // Adversary config referencing a non-existent party.
+    // Corrupt-at-start list referencing a non-existent party.
     assert!(matches!(
-        SbcSession::builder(2)
-            .adversary(AdversaryConfig::new().corrupt(&[5]))
-            .seed(b"p4")
-            .build(),
+        SbcSession::builder(2).corrupt(&[5]).seed(b"p4").build(),
         Err(SbcError::PartyOutOfRange { party: 5, n: 2 })
     ));
 }
