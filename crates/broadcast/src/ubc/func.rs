@@ -10,46 +10,65 @@ use sbc_primitives::drbg::Drbg;
 use sbc_uc::hybrid::{Delivery, HybridCtx};
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
-use std::collections::HashMap;
 
 /// Leak source label for `F_UBC`.
 pub const UBC_SOURCE: &str = "F_UBC";
 
 /// The functionality `F_UBC(P)`.
+///
+/// `L_pend` is held as one queue per sender: Fig. 8 orders a flush by
+/// broadcast order *within* the flushing sender and nothing else, so a
+/// flush is `mem::take` of the caller's own queue — `O(own messages)`,
+/// not a pass over everybody's. A party id `≥ n` names no queue and is
+/// refused by every entry point (no leak, no tag drawn).
 #[derive(Clone, Debug)]
 pub struct UbcFunc {
-    n: usize,
-    /// `L_pend`: (tag, message, sender) in arrival order.
-    pending: Vec<(Tag, Value, PartyId)>,
+    /// `L_pend`: per sender, its `(tag, message)` pairs in broadcast order.
+    pending: Vec<Vec<(Tag, Value)>>,
     /// Round of each party's last processed `Advance_Clock`.
-    last_advance: HashMap<PartyId, u64>,
+    last_advance: Vec<Option<u64>>,
     /// Dedicated tag stream (forked per functionality so that a simulator
     /// running this functionality on the same fork reproduces identical
     /// tags).
     tag_rng: Drbg,
 }
 
+/// The `(tag, M, P)` leak of an honest broadcast, its flush, or its
+/// `Allow`ed substitution.
+fn leak_tagged(tag: Tag, msg: Value, sender: PartyId, ctx: &mut HybridCtx<'_>) {
+    ctx.leak(
+        UBC_SOURCE,
+        Command::new(
+            "Broadcast",
+            Value::list([
+                Value::bytes(tag.as_bytes()),
+                msg,
+                Value::U64(sender.0 as u64),
+            ]),
+        ),
+    );
+}
+
 impl UbcFunc {
     /// Creates the functionality for `n` parties with its own tag stream.
     pub fn new(n: usize, tag_rng: Drbg) -> Self {
         UbcFunc {
-            n,
-            pending: Vec::new(),
-            last_advance: HashMap::new(),
+            pending: vec![Vec::new(); n],
+            last_advance: vec![None; n],
             tag_rng,
         }
     }
 
-    /// Pending entries (for simulators / corruption requests).
-    pub fn pending(&self) -> &[(Tag, Value, PartyId)] {
-        &self.pending
+    /// How many broadcasts are queued and undelivered, over all senders.
+    pub fn pending(&self) -> usize {
+        self.pending.iter().map(Vec::len).sum()
     }
 
     /// Drops every queued-but-undelivered message. Used by multi-epoch
     /// drivers when a broadcast period closes: stale wires from the ended
     /// period must not bleed into the next one.
     pub fn clear_pending(&mut self) {
-        self.pending.clear();
+        self.pending.iter_mut().for_each(Vec::clear);
     }
 
     /// `Broadcast` from an honest party: queues the message and leaks
@@ -63,19 +82,10 @@ impl UbcFunc {
         if ctx.is_corrupted(sender) {
             return None;
         }
+        let queue = self.pending.get_mut(sender.index())?;
         let tag = Tag::random(&mut self.tag_rng);
-        self.pending.push((tag, msg.clone(), sender));
-        ctx.leak(
-            UBC_SOURCE,
-            Command::new(
-                "Broadcast",
-                Value::list([
-                    Value::bytes(tag.as_bytes()),
-                    msg,
-                    Value::U64(sender.0 as u64),
-                ]),
-            ),
-        );
+        queue.push((tag, msg.clone()));
+        leak_tagged(tag, msg, sender, ctx);
         Some(tag)
     }
 
@@ -87,7 +97,7 @@ impl UbcFunc {
         msg: Value,
         ctx: &mut HybridCtx<'_>,
     ) -> Vec<Delivery> {
-        if !ctx.is_corrupted(sender) {
+        if sender.index() >= self.pending.len() || !ctx.is_corrupted(sender) {
             return Vec::new();
         }
         ctx.leak(
@@ -97,40 +107,36 @@ impl UbcFunc {
                 Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
             ),
         );
-        Delivery::to_all(self.n, Command::new("Broadcast", msg))
+        Delivery::to_all(self.pending.len(), Command::new("Broadcast", msg))
     }
 
     /// `Allow` from the adversary: releases a pending message of a (now)
-    /// corrupted sender with a substituted value.
+    /// corrupted sender with a substituted value. The other entries of
+    /// that sender's queue, and every other queue, stay in place.
     pub fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        let Some(idx) = self.pending.iter().position(|(t, _, _)| *t == tag) else {
+        let found = self.pending.iter().enumerate().find_map(|(sender, queue)| {
+            let at = queue.iter().position(|(t, _)| *t == tag)?;
+            Some((sender, at))
+        });
+        let Some((sender, at)) = found else {
             return Vec::new();
         };
-        let sender = self.pending[idx].2;
-        if !ctx.is_corrupted(sender) {
+        let party = PartyId(sender as u32);
+        if !ctx.is_corrupted(party) {
             return Vec::new();
         }
-        self.pending.remove(idx);
-        ctx.leak(
-            UBC_SOURCE,
-            Command::new(
-                "Broadcast",
-                Value::list([
-                    Value::bytes(tag.as_bytes()),
-                    msg.clone(),
-                    Value::U64(sender.0 as u64),
-                ]),
-            ),
-        );
-        Delivery::to_all(self.n, Command::new("Broadcast", msg))
+        self.pending[sender].remove(at);
+        leak_tagged(tag, msg.clone(), party, ctx);
+        Delivery::to_all(self.pending.len(), Command::new("Broadcast", msg))
     }
 
     /// `Advance_Clock` from an honest party: first time per round, flushes
     /// that party's pending messages (in broadcast order) to all parties.
     pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
+        let n = self.pending.len();
         let mut deliveries = Vec::new();
         for msg in self.take_flush(party, ctx) {
-            deliveries.extend(Delivery::to_all(self.n, Command::new("Broadcast", msg)));
+            deliveries.extend(Delivery::to_all(n, Command::new("Broadcast", msg)));
         }
         deliveries
     }
@@ -138,42 +144,28 @@ impl UbcFunc {
     /// The allocation-lean form of [`advance_clock`](UbcFunc::advance_clock):
     /// identical once-per-round / corruption semantics and identical leak
     /// emission, but each flushed message is returned **once** (moved out
-    /// of the pending queue) instead of cloned into `n` per-recipient
-    /// [`Delivery`] records. Every returned message is addressed to all of
-    /// `0..n`, in order — the caller owns the fan-out, which lets the
-    /// world deliver a broadcast by reference to every recipient instead
-    /// of paying `messages × n` wire clones per delivery round.
+    /// of the caller's own queue, which is all a flush touches) instead of
+    /// cloned into `n` per-recipient [`Delivery`] records. Every returned
+    /// message is addressed to all of `0..n`, in order — the caller owns
+    /// the fan-out, which lets the world deliver a broadcast by reference
+    /// to every recipient instead of paying `messages × n` wire clones per
+    /// delivery round.
     pub fn take_flush(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
-        if ctx.is_corrupted(party) {
+        let i = party.index();
+        if i >= self.pending.len() || ctx.is_corrupted(party) {
             return Vec::new();
         }
         let now = ctx.time();
-        if self.last_advance.get(&party) == Some(&now) {
+        if self.last_advance[i].replace(now) == Some(now) {
             return Vec::new();
         }
-        self.last_advance.insert(party, now);
-        let mut flushed = Vec::new();
-        let mut remaining = Vec::new();
-        for (tag, msg, sender) in std::mem::take(&mut self.pending) {
-            if sender == party {
-                ctx.leak(
-                    UBC_SOURCE,
-                    Command::new(
-                        "Broadcast",
-                        Value::list([
-                            Value::bytes(tag.as_bytes()),
-                            msg.clone(),
-                            Value::U64(sender.0 as u64),
-                        ]),
-                    ),
-                );
-                flushed.push(msg);
-            } else {
-                remaining.push((tag, msg, sender));
-            }
-        }
-        self.pending = remaining;
-        flushed
+        std::mem::take(&mut self.pending[i])
+            .into_iter()
+            .map(|(tag, msg)| {
+                leak_tagged(tag, msg.clone(), party, ctx);
+                msg
+            })
+            .collect()
     }
 }
 
@@ -216,13 +208,13 @@ mod tests {
         let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
         f.broadcast_honest(PartyId(0), Value::U64(2), &mut fx.ctx());
-        assert_eq!(f.pending().len(), 2);
+        assert_eq!(f.pending(), 2);
         let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
         // Two messages × three recipients, in broadcast order.
         assert_eq!(ds.len(), 6);
         assert_eq!(ds[0].cmd.value, Value::U64(1));
         assert_eq!(ds[3].cmd.value, Value::U64(2));
-        assert!(f.pending().is_empty());
+        assert_eq!(f.pending(), 0);
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
         assert!(f.advance_clock(PartyId(1), &mut fx.ctx()).is_empty());
-        assert_eq!(f.pending().len(), 1);
+        assert_eq!(f.pending(), 1);
     }
 
     #[test]
@@ -254,7 +246,57 @@ mod tests {
         f.broadcast_honest(PartyId(0), Value::U64(2), &mut fx.ctx());
         // Same round: no flush of the new message.
         assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
-        assert_eq!(f.pending().len(), 1);
+        assert_eq!(f.pending(), 1);
+    }
+
+    #[test]
+    fn per_sender_queues_keep_flush_order_and_refuse_an_out_of_range_sender() {
+        let mut fx = Fx::new(3);
+        let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
+        // A party id ≥ n names no queue: refused, nothing leaked, no tag
+        // drawn (the next tag is what a fresh functionality draws first).
+        let outside = PartyId(3 + 7);
+        assert!(f
+            .broadcast_honest(outside, Value::U64(0), &mut fx.ctx())
+            .is_none());
+        assert!(f.take_flush(outside, &mut fx.ctx()).is_empty());
+        assert!(f
+            .broadcast_corrupted(outside, Value::U64(0), &mut fx.ctx())
+            .is_empty());
+        assert!(fx.leaks.is_empty() && f.pending() == 0);
+        let first_tag = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags")).broadcast_honest(
+            PartyId(0),
+            Value::U64(10),
+            &mut Fx::new(3).ctx(),
+        );
+
+        // Two senders interleave three casts each.
+        let mut tags = Vec::new();
+        for k in 0..3 {
+            for sender in [0, 2] {
+                let msg = Value::U64(10 * sender as u64 + k);
+                tags.push(f.broadcast_honest(PartyId(sender), msg, &mut fx.ctx()));
+            }
+        }
+        assert_eq!(tags[0], first_tag);
+        assert_eq!(f.pending(), 6);
+        // `Allow` on the middle entry of party 2's queue (now corrupted)
+        // takes that entry only.
+        fx.corr.corrupt(PartyId(2), 0).unwrap();
+        let middle = tags[3].unwrap();
+        assert_eq!(f.allow(middle, Value::U64(99), &mut fx.ctx()).len(), 3);
+        assert!(f.allow(middle, Value::U64(99), &mut fx.ctx()).is_empty());
+        assert_eq!(f.pending(), 5);
+        // Each sender flushes its own casts in its own broadcast order; a
+        // second flush in the same round is empty.
+        let flushed = f.take_flush(PartyId(0), &mut fx.ctx());
+        assert_eq!(flushed, [Value::U64(0), Value::U64(1), Value::U64(2)]);
+        assert!(f.take_flush(PartyId(0), &mut fx.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(1), &mut fx.ctx()).is_empty());
+        assert_eq!(f.pending(), 2, "the corrupted sender's other two stay");
+        f.broadcast_honest(PartyId(0), Value::U64(3), &mut fx.ctx());
+        assert!(f.take_flush(PartyId(0), &mut fx.ctx()).is_empty());
+        assert_eq!(f.pending(), 3);
     }
 
     #[test]
@@ -271,7 +313,7 @@ mod tests {
         let ds = f.allow(tag, Value::U64(99), &mut fx.ctx());
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].cmd.value, Value::U64(99));
-        assert!(f.pending().is_empty());
+        assert_eq!(f.pending(), 0);
     }
 
     #[test]
@@ -291,7 +333,7 @@ mod tests {
         fx.corr.corrupt(PartyId(0), 0).unwrap();
         // Corrupted party's advance is ignored by the functionality.
         assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
-        assert_eq!(f.pending().len(), 1);
+        assert_eq!(f.pending(), 1);
     }
 
     #[test]

@@ -786,21 +786,27 @@ impl<W: SbcBackend> SbcPool<W> {
             if self.world.is_retired(instance) {
                 continue;
             }
-            let mut agreed: Option<Vec<Vec<u8>>> = None;
-            for (party, cmd) in outs {
-                let list = cmd.value.as_list().ok_or_else(|| SbcError::Internal {
-                    detail: format!("{instance}: party {} released a non-list payload", party.0),
-                })?;
-                let messages: Vec<Vec<u8>> = list
-                    .iter()
+            // Agreement, checked against the first party's vector: equal
+            // as values is the whole check under `SharedRelease` (no
+            // allocation); a vector that differs as values is parsed and
+            // compared as bytes, which is the exact rule — a `Bytes(b)` and
+            // a value encoding to `b` are the same message.
+            let parse = |list: &[Value]| -> Vec<Vec<u8>> {
+                list.iter()
                     .map(|v| match v {
                         Value::Bytes(b) => b.clone(),
                         other => other.encode(),
                     })
-                    .collect();
+                    .collect()
+            };
+            let mut agreed: Option<(&[Value], Vec<Vec<u8>>)> = None;
+            for (party, cmd) in &outs {
+                let list = cmd.value.as_list().ok_or_else(|| SbcError::Internal {
+                    detail: format!("{instance}: party {} released a non-list payload", party.0),
+                })?;
                 match &agreed {
-                    None => agreed = Some(messages),
-                    Some(prev) if *prev != messages => {
+                    None => agreed = Some((list, parse(list))),
+                    Some((first, messages)) if *first != list && *messages != parse(list) => {
                         return Err(SbcError::Internal {
                             detail: format!(
                             "{instance}: agreement violation: party {} released a different vector",
@@ -811,7 +817,7 @@ impl<W: SbcBackend> SbcPool<W> {
                     Some(_) => {}
                 }
             }
-            let messages = agreed.expect("outs is non-empty");
+            let (_, messages) = agreed.expect("outs is non-empty");
             let release_round =
                 self.world
                     .release_round(instance)
@@ -1525,6 +1531,41 @@ mod tests {
             release_error::<Echo<false>>(),
             "instance#1: party 0 released a non-list payload"
         );
+    }
+
+    #[test]
+    fn agreement_is_on_message_bytes_and_checked_for_every_party() {
+        // `[Bytes(b)]` and `[v]` with `v.encode() == b` differ as values and
+        // agree as messages: the exact compare behind the fast one.
+        let v = Value::list([Value::U64(7), Value::str("seven")]);
+        let mut pool = SbcPool::builder(2).build_backend::<Echo<true>>().unwrap();
+        let id = pool.open_instance().unwrap();
+        pool.submit(id, 0, &v.encode()).unwrap();
+        pool.world
+            .input(id, PartyId(1), Command::new("Broadcast", v.clone()));
+        // `Echo` agrees on no τ_rel, so passing the agreement check shows
+        // as the *next* broken invariant.
+        match pool.step_round() {
+            Err(SbcError::Internal { detail }) => {
+                assert_eq!(detail, "instance#0: release without an agreed τ_rel")
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
+
+        // Only the last of n parties differs: still a violation, naming it.
+        let mut pool = SbcPool::builder(5).build_backend::<Echo<true>>().unwrap();
+        let id = pool.open_instance().unwrap();
+        for party in 0..5 {
+            let msg: &[u8] = if party == 4 { b"other" } else { b"same" };
+            pool.submit(id, party, msg).unwrap();
+        }
+        match pool.step_round() {
+            Err(SbcError::Internal { detail }) => assert_eq!(
+                detail,
+                "instance#0: agreement violation: party 4 released a different vector"
+            ),
+            other => panic!("expected Internal, got {other:?}"),
+        }
     }
 
     #[test]

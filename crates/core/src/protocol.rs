@@ -63,6 +63,12 @@ pub fn wake_up() -> Value {
     Value::str("Wake_Up")
 }
 
+/// Whether `v` is the [`wake_up`] sentinel — by borrow, so recognising one
+/// of the `n²` wake-up deliveries of a period allocates nothing.
+pub fn is_wake_up(v: &Value) -> bool {
+    v.as_str() == Some("Wake_Up")
+}
+
 /// Encodes the `(c, τ_rel, y)` triple for the UBC wire.
 pub fn sbc_wire(ct: &Value, tau_rel: u64, y: &[u8]) -> Value {
     Value::list([ct.clone(), Value::U64(tau_rel), Value::bytes(y)])
@@ -193,36 +199,46 @@ impl std::hash::Hasher for FpHasher {
 
 type FpSet = HashSet<u128, std::hash::BuildHasherDefault<FpHasher>>;
 
-/// The received-wire log of one party: insertion-ordered [`ParsedWire`]
-/// entries with O(1) replay dedup.
-///
-/// The protocol discards a reception when *either* component matches
-/// something already recorded — a replayed ciphertext under a fresh mask,
-/// or a replayed mask under a fresh ciphertext, are both replays — so the
-/// log keeps one hash set per key next to the ordered entry list the
-/// release round iterates.
-///
-/// The dedup sets store 128-bit truncated SHA-256 fingerprints of the
-/// keys rather than the keys themselves: equality of fingerprints stands
-/// in for byte equality (a divergence needs a 2^64-work collision), the
-/// per-probe hashing cost is a fixed-width word instead of a full
-/// ciphertext encoding, and — the part that showed up as multi-millisecond
-/// spikes at large `n` — a set growth rehash moves integers instead of
-/// re-hashing every stored encoding across all `n` recipient logs at once.
-///
-/// Every entry is an `Arc<ParsedWire>`: a broadcast fan-out hands all `n`
-/// recipients the same `Arc`, so recording it is a refcount bump and `n`
-/// logs store the ciphertext once. The entry carries the canonical
-/// ciphertext encoding computed at parse time — both the replay-dedup key
-/// (canonical encodings are injective, so encoding equality is value
-/// equality) and the borrowed probe key the release round hands to
-/// `TleFunc::dec_peek_encoded`.
+/// What a [`WireLog`] handle points at: the ordered entries and one dedup
+/// set per key.
 #[derive(Clone, Debug, Default)]
-pub struct WireLog {
+struct LogStore {
     entries: Vec<Arc<ParsedWire>>,
     seen_cts: FpSet,
     seen_ys: FpSet,
 }
+
+/// The received-wire log of one party: insertion-ordered [`ParsedWire`]
+/// entries with O(1) replay dedup, held as a **handle to shared storage**.
+///
+/// `F_UBC` hands every flushed message to all of `P` in one order, so the
+/// `n` recipients of a broadcast normally hold the same log. The handle
+/// says so once: `None` is the empty log, a clone is a refcount bump, and
+/// [`insert_parsed`](WireLog::insert_parsed) writes through
+/// `Arc::make_mut` — in place when this handle is the only one, into a
+/// private copy when another log still shares the storage, so a log never
+/// changes under a holder that did not take the insert.
+/// [`SbcParty::deliver_batch`] is what keeps the in-place case the common
+/// one: `n` recipients in the same state cost one insert per wire and `n`
+/// refcounts, and hold one allocation afterwards.
+///
+/// The protocol discards a reception when *either* component matches
+/// something already recorded — a replayed ciphertext under a fresh mask,
+/// or a replayed mask under a fresh ciphertext, are both replays — so the
+/// storage keeps one hash set per key next to the ordered entry list the
+/// release round iterates. The sets store 128-bit truncated SHA-256
+/// fingerprints of the keys rather than the keys themselves: equality of
+/// fingerprints stands in for byte equality (a divergence needs a
+/// 2^64-work collision), and a growth rehash moves integers instead of
+/// re-hashing every stored encoding.
+///
+/// Every entry is an `Arc<ParsedWire>` carrying the canonical ciphertext
+/// encoding computed at parse time — both the replay-dedup key (canonical
+/// encodings are injective, so encoding equality is value equality) and
+/// the borrowed probe key the release round hands to
+/// `TleFunc::dec_peek_encoded`.
+#[derive(Clone, Debug, Default)]
+pub struct WireLog(Option<Arc<LogStore>>);
 
 impl WireLog {
     /// An empty log.
@@ -230,57 +246,79 @@ impl WireLog {
         WireLog::default()
     }
 
+    fn stored(&self) -> &[Arc<ParsedWire>] {
+        self.0.as_deref().map_or(&[], |s| &s.entries)
+    }
+
     /// Records `wire` unless either of its keys was seen before; returns
-    /// whether the entry was fresh. Replays pay two integer set probes; a
-    /// fresh entry is a refcount bump on the shared wire.
+    /// whether the entry was fresh. Replays pay two integer set probes and
+    /// never unshare the storage; a fresh entry is a refcount bump on the
+    /// shared wire, preceded by one copy of the log only if another handle
+    /// still shares it.
     pub fn insert_parsed(&mut self, wire: &Arc<ParsedWire>) -> bool {
-        if self.seen_cts.contains(&wire.ct_fp) || self.seen_ys.contains(&wire.y_fp) {
+        if self
+            .0
+            .as_deref()
+            .is_some_and(|s| s.seen_cts.contains(&wire.ct_fp) || s.seen_ys.contains(&wire.y_fp))
+        {
             return false;
         }
-        self.seen_cts.insert(wire.ct_fp);
-        self.seen_ys.insert(wire.y_fp);
-        self.entries.push(wire.clone());
+        let store = Arc::make_mut(self.0.get_or_insert_with(Arc::default));
+        store.seen_cts.insert(wire.ct_fp);
+        store.seen_ys.insert(wire.y_fp);
+        store.entries.push(wire.clone());
         true
     }
 
     /// The recorded wires, in arrival order.
     pub fn entries(&self) -> impl Iterator<Item = &ParsedWire> {
-        self.entries.iter().map(Arc::as_ref)
+        self.stored().iter().map(Arc::as_ref)
     }
 
     /// How many entries have been recorded.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.stored().len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.stored().is_empty()
     }
 
-    /// Forgets everything (period turnover).
+    /// Forgets everything (period turnover): drops this handle, leaving
+    /// the storage to whoever else still holds it.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.seen_cts.clear();
-        self.seen_ys.clear();
+        self.0 = None;
+    }
+
+    /// Whether the two logs are one: both empty handles, or both handles
+    /// to the same allocation. `O(1)`, and sufficient for
+    /// [`same_receptions`](WireLog::same_receptions) — never necessary.
+    pub fn shares_storage_with(&self, other: &WireLog) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Whether `other` records exactly the same receptions in the same
-    /// order. In a broadcast execution every wire reaches every recipient,
-    /// so recipient logs are normally identical — and identical logs mean
-    /// identical release computations, which is what lets a round scheduler
-    /// run one release and hand its output to every party that passes this
-    /// check. Entries recorded from one fan-out share their `Arc`, so the
-    /// common case is a pointer compare per entry; entries parsed
-    /// separately fall back to byte equality of the canonical encoding and
-    /// the mask (exact, since canonical encodings are injective).
+    /// order — identical logs mean identical release computations, which
+    /// is what lets a round scheduler run one release and hand its output
+    /// to every party that passes this check. Recipients delivered to as
+    /// one class hold one storage, so the common case is the `O(1)`
+    /// identity test ([`shares_storage_with`](WireLog::shares_storage_with));
+    /// logs filled separately fall back to the entry-wise compare — a
+    /// pointer compare per entry recorded from one fan-out, byte equality
+    /// of the canonical encoding and the mask otherwise (exact, since
+    /// canonical encodings are injective).
     pub fn same_receptions(&self, other: &WireLog) -> bool {
-        self.entries.len() == other.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&other.entries)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || (a.ct_enc == b.ct_enc && a.y == b.y))
+        let (a, b) = (self.stored(), other.stored());
+        self.shares_storage_with(other)
+            || (a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(a, b)| Arc::ptr_eq(a, b) || (a.ct_enc == b.ct_enc && a.y == b.y)))
     }
 }
 
@@ -355,6 +393,12 @@ impl SbcParty {
         self.t_end
     }
 
+    /// The reception log, for the tests that pin who shares storage.
+    #[cfg(test)]
+    pub(crate) fn log(&self) -> &WireLog {
+        &self.rec
+    }
+
     /// Forgets the closed broadcast period so the party can take part in a
     /// fresh one (multi-epoch sessions). Queued, received and timing state
     /// is dropped; the party's randomness stream and round-dedup guard
@@ -425,7 +469,7 @@ impl SbcParty {
     /// ignored (wires come in parsed, through
     /// [`on_wire_deliver_parsed`](SbcParty::on_wire_deliver_parsed)).
     pub fn on_ubc_deliver<H: SbcHybrid>(&mut self, payload: &Value, hyb: &mut H) {
-        if payload != &wake_up() || self.t_awake.is_some() {
+        if self.t_awake.is_some() || !is_wake_up(payload) {
             return;
         }
         let now = hyb.now();
@@ -443,11 +487,11 @@ impl SbcParty {
     /// encoded and fingerprinted once by the caller for all recipients
     /// ([`ParsedWire`]): what is left per recipient is the period check (§5:
     /// "all broadcast operations outside the period are discarded"), the
-    /// replay-dedup probes and a by-reference record. Touches only this
-    /// party's own state (no functionality, no randomness, no leaks), which
-    /// is what lets a world defer a round's deliveries into one
-    /// recipient-major batch: per-recipient arrival order is all that
-    /// matters.
+    /// replay-dedup probes and a by-reference record. Reads
+    /// `(tau_rel, t_end, rec)` and writes `rec` only (no functionality, no
+    /// randomness, no leaks) — which is what lets a world defer a round's
+    /// deliveries into one batch, and what
+    /// [`deliver_batch`](SbcParty::deliver_batch) rests on.
     pub fn on_wire_deliver_parsed(&mut self, wire: &Arc<ParsedWire>, now: u64) {
         let in_period = self.tau_rel == Some(wire.tau) && self.t_end.is_some_and(|end| now < end);
         if in_period {
@@ -455,10 +499,61 @@ impl SbcParty {
         }
     }
 
+    /// Delivers the wake-up-free `batch`, received at round `now`, to every
+    /// party of `parties`: exactly `for party { for wire {`
+    /// [`on_wire_deliver_parsed`](SbcParty::on_wire_deliver_parsed) `} }`,
+    /// computed once per **class** of recipients instead of once per
+    /// recipient.
+    ///
+    /// A reception reads `(tau_rel, t_end, rec)` and writes `rec`, so two
+    /// recipients equal in those three before the batch are equal after it.
+    /// Recipients are grouped by `(tau_rel, t_end)` and log identity
+    /// ([`WireLog::shares_storage_with`]) — one class under pure broadcast.
+    /// Each class's first member has its followers drop their handles, takes
+    /// the batch itself on the then-unique storage (in place: the log is
+    /// never copied, per recipient or per batch), and hands the result back
+    /// by refcount. A recipient whose state differs is its own class and
+    /// takes the batch itself: reuse or record, never an assumption. Cost
+    /// `O(batch · classes + n · classes)`.
+    pub fn deliver_batch(parties: &mut [SbcParty], batch: &[Arc<ParsedWire>], now: u64) {
+        const UNCLASSED: usize = usize::MAX;
+        if batch.is_empty() {
+            return;
+        }
+        let mut leader_of = vec![UNCLASSED; parties.len()];
+        for lead in 0..parties.len() {
+            if leader_of[lead] != UNCLASSED {
+                continue;
+            }
+            let (head, followers) = parties.split_at_mut(lead + 1);
+            let leader = &mut head[lead];
+            let class = &mut leader_of[lead + 1..];
+            for (p, of) in followers.iter_mut().zip(class.iter_mut()) {
+                if *of == UNCLASSED
+                    && (p.tau_rel, p.t_end) == (leader.tau_rel, leader.t_end)
+                    && p.rec.shares_storage_with(&leader.rec)
+                {
+                    *of = lead;
+                    p.rec.clear();
+                }
+            }
+            for wire in batch {
+                leader.on_wire_deliver_parsed(wire, now);
+            }
+            for (p, of) in followers.iter_mut().zip(class.iter()) {
+                if *of == lead {
+                    p.rec = leader.rec.clone();
+                }
+            }
+        }
+    }
+
     /// Whether this party's release step at round `now` is guaranteed to
     /// compute the same release as `other`'s: both are at their release
     /// round, this party has not advanced yet this round, and the two wire
-    /// logs record identical receptions ([`WireLog::same_receptions`]).
+    /// logs record identical receptions ([`WireLog::same_receptions`] — one
+    /// handle compare when both were delivered to as one class, which is
+    /// every pair under pure broadcast; entry-wise otherwise).
     /// The release branch of [`on_advance`](SbcParty::on_advance) reads
     /// nothing else of per-party state, so a positive check licenses
     /// handing `other`'s release output to
@@ -768,7 +863,122 @@ mod tests {
     /// A log entry as a delivery would record it. Built from parts, so the
     /// log tests can use ciphertexts the wire parser would not accept.
     fn entry(ct: &Value, y: &[u8]) -> Arc<ParsedWire> {
-        Arc::new(ParsedWire::build(ct.clone(), 0, y.to_vec()))
+        wire_at(0, ct, y)
+    }
+
+    fn wire_at(tau: u64, ct: &Value, y: &[u8]) -> Arc<ParsedWire> {
+        Arc::new(ParsedWire::build(ct.clone(), tau, y.to_vec()))
+    }
+
+    /// `n` parties with nothing queued, woken at round `at`.
+    fn woken(n: u32, at: u64) -> Vec<SbcParty> {
+        let mut hyb = Recorder {
+            now: at,
+            ..Recorder::default()
+        };
+        (0..n)
+            .map(|i| {
+                let mut p = SbcParty::new(PartyId(i), PHI, DELTA, TLE_DELAY, Drbg::from_seed(b"p"));
+                p.on_ubc_deliver(&wake_up(), &mut hyb);
+                p
+            })
+            .collect()
+    }
+
+    fn ys(p: &SbcParty) -> Vec<&[u8]> {
+        p.rec.entries().map(|w| &w.y[..]).collect()
+    }
+
+    #[test]
+    fn deliver_batch_shares_a_log_per_class_and_equals_the_literal_loop() {
+        const TAU: u64 = PHI + DELTA;
+        let ct = |name: &[u8]| Value::bytes(name);
+        // One recipient of four holds a wire the others never saw; the
+        // batch then replays that wire's mask under a fresh ciphertext.
+        let mut parties = woken(4, 0);
+        parties[2].on_wire_deliver_parsed(&wire_at(TAU, &ct(b"ct-x"), b"y-x"), 1);
+        let batch = [
+            wire_at(TAU, &ct(b"ct-a"), b"y-a"),
+            wire_at(TAU, &ct(b"ct-b"), b"y-x"),
+            wire_at(TAU, &ct(b"ct-c"), b"y-c"),
+        ];
+        // What the batch rule must equal: the literal per-recipient loop.
+        let mut literal = parties.clone();
+        for p in &mut literal {
+            for wire in &batch {
+                p.on_wire_deliver_parsed(wire, 1);
+            }
+        }
+        SbcParty::deliver_batch(&mut parties, &batch, 1);
+        for (p, l) in parties.iter().zip(&literal) {
+            assert!(p.rec.same_receptions(&l.rec), "party {}", p.id().0);
+            assert!(!p.rec.shares_storage_with(&l.rec), "the clone took its own");
+        }
+        for i in [1, 3] {
+            assert!(parties[i].rec.shares_storage_with(&parties[0].rec));
+        }
+        assert_eq!(ys(&parties[0]), [&b"y-a"[..], b"y-x", b"y-c"]);
+        // The odd recipient is its own class: the replay is discarded for
+        // it only, and its log stays its own.
+        assert!(!parties[2].rec.shares_storage_with(&parties[0].rec));
+        assert_eq!(ys(&parties[2]), [&b"y-x"[..], b"y-a", b"y-c"]);
+
+        // Equal (empty) logs, different τ_rel: never one class — each
+        // records the wire that names its own release time.
+        let mut parties = woken(2, 0);
+        parties.extend(woken(1, 1));
+        let batch = [
+            wire_at(TAU, &ct(b"ct-a"), b"y-a"),
+            wire_at(TAU + 1, &ct(b"ct-b"), b"y-b"),
+        ];
+        SbcParty::deliver_batch(&mut parties, &batch, 1);
+        assert!(parties[0].rec.shares_storage_with(&parties[1].rec));
+        assert!(!parties[2].rec.shares_storage_with(&parties[0].rec));
+        assert_eq!(ys(&parties[0]), [b"y-a"]);
+        assert_eq!(ys(&parties[2]), [b"y-b"]);
+        // Past t_end every recipient discards everything, as one class.
+        SbcParty::deliver_batch(&mut parties, &batch, PHI + 1);
+        assert_eq!((parties[1].rec.len(), parties[2].rec.len()), (1, 1));
+    }
+
+    #[test]
+    fn successive_batches_extend_the_class_log_in_place() {
+        const TAU: u64 = PHI + DELTA;
+        let storage = |p: &SbcParty| p.rec.0.as_ref().map(Arc::as_ptr);
+        let mut parties = woken(3, 0);
+        let fresh = |k: u8| [wire_at(TAU, &Value::bytes([k]), &[k])];
+        SbcParty::deliver_batch(&mut parties, &fresh(0), 1);
+        let first = storage(&parties[0]);
+        for k in 1..50 {
+            SbcParty::deliver_batch(&mut parties, &fresh(k), 1);
+        }
+        // Same allocation as after the first batch: never copied.
+        assert!(first.is_some() && parties.iter().all(|p| storage(p) == first));
+        assert_eq!(parties[2].rec.len(), 50);
+    }
+
+    #[test]
+    fn cloned_parties_diverge_without_touching_each_other() {
+        const TAU: u64 = PHI + DELTA;
+        let mut original = woken(3, 0);
+        let first = [wire_at(TAU, &Value::bytes(b"ct-a"), b"y-a")];
+        SbcParty::deliver_batch(&mut original, &first, 1);
+        let mut copy = original.clone();
+        assert!(copy[1].rec.shares_storage_with(&original[0].rec));
+        // Deliver to the copy only: it unshares, the original is untouched.
+        let second = [wire_at(TAU, &Value::bytes(b"ct-b"), b"y-b")];
+        SbcParty::deliver_batch(&mut copy, &second, 1);
+        for (o, c) in original.iter().zip(&copy) {
+            assert_eq!(ys(o), [b"y-a"]);
+            assert_eq!(ys(c), [&b"y-a"[..], b"y-b"]);
+            assert!(o.rec.shares_storage_with(&original[0].rec));
+            assert!(c.rec.shares_storage_with(&copy[0].rec));
+        }
+        // And the other way round, through the single-recipient path.
+        original[2].on_wire_deliver_parsed(&second[0], 1);
+        assert_eq!(ys(&original[2]), [&b"y-a"[..], b"y-b"]);
+        assert_eq!(ys(&original[0]), [b"y-a"]);
+        assert!(original[2].rec.same_receptions(&copy[2].rec));
     }
 
     #[test]
@@ -824,6 +1034,11 @@ mod tests {
         b.insert_parsed(&shared); // one fan-out: the same `Arc`
         c.insert_parsed(&entry(&ct, b"y")); // parsed separately: equal bytes
         assert!(a.same_receptions(&b) && a.same_receptions(&c));
+        // Separately filled logs are equal without being one; a clone is
+        // one until either side records something the other does not.
+        assert!(!a.shares_storage_with(&b) && a.shares_storage_with(&a.clone()));
+        assert!(WireLog::new().shares_storage_with(&WireLog::new()));
+        assert!(!a.shares_storage_with(&WireLog::new()));
         let mut d = WireLog::new();
         d.insert_parsed(&entry(&ct, b"other"));
         assert!(!a.same_receptions(&d), "same ciphertext, different mask");

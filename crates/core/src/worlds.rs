@@ -21,7 +21,9 @@
 
 use crate::error::SbcError;
 use crate::func::SbcFunc;
-use crate::protocol::{parse_sbc_wire, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty};
+use crate::protocol::{
+    is_wake_up, parse_sbc_wire, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty,
+};
 use sbc_broadcast::ubc::func::UbcFunc;
 use sbc_primitives::drbg::Drbg;
 use sbc_tle::func::{DecResponse, TleFunc};
@@ -255,7 +257,7 @@ impl SbcHost {
     /// too, a round is a pure clock tick (no randomness, no leaks, no
     /// outputs) — the precondition of the O(1) `SbcWorld::join_at`.
     pub fn is_idle(&self) -> bool {
-        self.ubc.pending().is_empty() && !self.core.clock.mid_round()
+        self.ubc.pending() == 0 && !self.core.clock.mid_round()
     }
 }
 
@@ -363,22 +365,21 @@ impl RealSbcWorld {
     /// its UBC flush, delivers it, and advances its clock.
     ///
     /// The flush is taken through [`SbcHost::take_flush`] — one owned
-    /// `Value` per flushed message, addressed to all of `0..n` — and fanned
-    /// out **by reference** in the reference delivery order (messages in
-    /// flush order, recipients `0..n` within each).
+    /// `Value` per flushed message, addressed to all of `0..n`.
     ///
     /// With `defer = Some(buf)`, flushed wire messages are appended to
     /// `buf` (global flush order preserved) instead of delivered inline;
-    /// the round-level `tick` delivers the buffer once, recipient-major, at
-    /// end of round. Deferral is sound because mid-round wire receptions
-    /// are inert — a wire received in round `t` is only ever *read* at the
+    /// the round-level `tick` delivers the buffer once, as one batch, at
+    /// end of round — one class grouping per round instead of one per
+    /// flush. Deferral is sound because mid-round wire receptions are
+    /// inert — a wire received in round `t` is only ever *read* at the
     /// release round, and the replay-dedup depends only on each
-    /// recipient's own arrival order, which deferral preserves. A batch
+    /// recipient's own arrival order, which deferral preserves. A flush
     /// containing a `Wake_Up` (which must take effect in flush position —
     /// it sets period times that decide whether later wires of the same
     /// round are accepted, and its `F_TLE` encryptions draw randomness in
-    /// order) first flushes the buffer, then delivers serially in place,
-    /// keeping the equivalence unconditional.
+    /// order) first delivers the buffer, then itself in place, keeping the
+    /// equivalence unconditional.
     fn finish_step(
         &mut self,
         party: PartyId,
@@ -390,36 +391,25 @@ impl RealSbcWorld {
         }
         let msgs = self.host.take_flush(party);
         match defer {
-            Some(buf) => {
-                let wake = wake_up();
-                if msgs.contains(&wake) {
-                    let pending = std::mem::take(buf);
-                    self.fan_out(&pending);
-                    self.fan_out(&msgs);
-                } else {
-                    buf.extend(msgs);
-                }
+            Some(buf) if msgs.iter().any(is_wake_up) => {
+                let pending = std::mem::take(buf);
+                self.fan_out(&pending);
+                self.fan_out(&msgs);
             }
+            Some(buf) => buf.extend(msgs),
             None => self.fan_out(&msgs),
         }
         self.host.core.clock.advance_party(party);
     }
 
-    /// Delivers each broadcast message to every party in id order, by
-    /// reference — the reference delivery loop. `Wake_Up` messages go
-    /// through [`SbcParty::on_ubc_deliver`] (they mutate `F_TLE` and
-    /// leak); wire messages are parsed and canonically encoded **once per
-    /// message** and fanned out through
-    /// [`SbcParty::on_wire_deliver_parsed`], so the per-recipient cost is
-    /// the period check plus the replay-dedup probe.
+    /// Delivers each broadcast message to every party, in flush order — the
+    /// reference delivery loop. A `Wake_Up` goes to every party in id order
+    /// through [`SbcParty::on_ubc_deliver`] (it mutates `F_TLE` and leaks);
+    /// a wire goes through `distribute_wires_serial` as a batch of one.
     fn fan_out(&mut self, msgs: &[Value]) {
-        if msgs.is_empty() {
-            return;
-        }
-        let wake = wake_up();
         let now = self.host.core.clock.read();
         for msg in msgs {
-            if *msg == wake {
+            if is_wake_up(msg) {
                 for party in &mut self.parties {
                     party.on_ubc_deliver(msg, &mut self.host);
                 }
@@ -429,14 +419,14 @@ impl RealSbcWorld {
         }
     }
 
-    /// Party-major batch delivery of wake-up-free wires at a pinned round
-    /// time: each message is parsed, canonically encoded and fingerprinted
-    /// once, then every recipient walks the whole batch in flush order —
-    /// its exact reference arrival order — while its own reception log
-    /// stays hot in cache. Recipient-major order is what makes the `O(n²)`
-    /// reception scan of a large-`n` broadcast round cache-friendly: the
-    /// wire-major loop re-touches all `n` logs once per message instead.
-    /// Unparseable payloads are a no-op at every recipient.
+    /// Batch delivery of wake-up-free wires at a pinned round time: each
+    /// message is parsed, canonically encoded and fingerprinted once, and
+    /// the batch goes to all `n` parties through the one class rule,
+    /// [`SbcParty::deliver_batch`] — every recipient ends up with what
+    /// walking the batch in flush order would have recorded for it, at
+    /// `O(batch + n)` per class of recipients in the same state (one class
+    /// under pure broadcast) and with one log per class, not per
+    /// recipient. Unparseable payloads are a no-op at every recipient.
     ///
     /// `now` is the round the wires were flushed in: `tick` delivers the
     /// batch past the clock tick, and the reception time must be what the
@@ -447,14 +437,7 @@ impl RealSbcWorld {
             .filter_map(ParsedWire::parse)
             .map(Arc::new)
             .collect();
-        if parsed.is_empty() {
-            return;
-        }
-        for party in self.parties.iter_mut() {
-            for wire in &parsed {
-                party.on_wire_deliver_parsed(wire, now);
-            }
-        }
+        SbcParty::deliver_batch(&mut self.parties, &parsed, now);
     }
 }
 
@@ -564,14 +547,13 @@ impl SbcWorld for RealSbcWorld {
     ///    inline release at its own turn (every party before it is
     ///    corrupted and skipped, so this *is* the reference order). Every
     ///    later honest party goes through [`SharedRelease`]: with a
-    ///    matching wire log (a pointer compare per entry under pure
-    ///    broadcast) it reuses that release, so the `O(senders)`
-    ///    decrypt/unmask pipeline runs once instead of `n` times.
+    ///    matching wire log (one handle compare under pure broadcast) it
+    ///    reuses that release, so the `O(senders)` decrypt/unmask pipeline
+    ///    runs once instead of `n` times.
     /// 2. **Broadcast rounds**: wire deliveries are deferred into one
-    ///    end-of-round recipient-major batch (`distribute_wires_serial`),
-    ///    keeping each recipient's log hot in cache instead of touching
-    ///    all `n` logs once per message (see `finish_step` for why
-    ///    deferral is observation-equivalent).
+    ///    end-of-round batch (`distribute_wires_serial`), so the recipients
+    ///    are grouped into classes once per round instead of once per flush
+    ///    (see `finish_step` for why deferral is observation-equivalent).
     ///
     /// The equivalence to the reference loop is pinned by the
     /// `tick_matches_per_party_advance_loop` tests and every real-vs-ideal
@@ -736,7 +718,7 @@ impl SimSbc {
     /// recipients record it — in period and not a replay.
     fn on_ubc_deliver(&mut self, msg: &Value, host: &mut SbcHost) -> Option<(Value, Vec<u8>)> {
         let now = host.now();
-        if *msg == wake_up() {
+        if is_wake_up(msg) {
             if self.t_awake.is_none() {
                 self.t_awake = Some(now);
                 let tau_rel = now + self.params.phi + self.params.delta;
@@ -1093,30 +1075,37 @@ mod tests {
         crate::protocol::sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
     }
 
-    /// Pins the round-level `tick` (shared release + deferred
-    /// recipient-major delivery) to the literal per-party reference loop,
-    /// bit for bit, every round, at n ∈ {2, 6, 64} and at `tle_delay = 0`.
+    /// Two epochs under a mid-period corruption and an accepted
+    /// adversarial wire.
+    fn two_epochs_with_corruption_match(p: SbcParams) {
+        let (n, last) = (p.n, p.n - 1);
+        let mut s = SchedulePair::new(p, b"tick-equiv");
+        for epoch in 0..2 {
+            s.submit(0, b"alpha");
+            s.submit(n / 2, b"bravo");
+            s.round();
+            if epoch == 0 {
+                s.corrupt(last);
+                let tau = s.ticked.release_round().expect("period open");
+                s.send_as(last, foreign_wire(tau));
+            }
+            assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
+            s.both(|w| w.begin_new_period());
+        }
+    }
+
+    /// Pins the round-level `tick` (shared release + deferred batch
+    /// delivery by class) to the literal per-party reference loop, bit for
+    /// bit, every round, at n ∈ {2, 6, 64} and at `tle_delay = 0` — and its
+    /// first schedule at n = 256, the width `auction_wide` runs.
     #[test]
     fn tick_matches_per_party_advance_loop() {
+        two_epochs_with_corruption_match(params(256));
         for p in [params(2), params(6), params(64), zero_delay_params(3)] {
             let n = p.n;
             let last = n - 1;
 
-            // Two epochs under a mid-period corruption and an accepted
-            // adversarial wire.
-            let mut s = SchedulePair::new(p, b"tick-equiv");
-            for epoch in 0..2 {
-                s.submit(0, b"alpha");
-                s.submit(n / 2, b"bravo");
-                s.round();
-                if epoch == 0 {
-                    s.corrupt(last);
-                    let tau = s.ticked.release_round().expect("period open");
-                    s.send_as(last, foreign_wire(tau));
-                }
-                assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
-                s.both(|w| w.begin_new_period());
-            }
+            two_epochs_with_corruption_match(p);
 
             // Party 0 corrupted before the first tick: the first honest
             // party — the one whose release the others reuse — is not 0.
@@ -1176,6 +1165,33 @@ mod tests {
                 outs.extend(s.round());
             }
             assert_eq!(outs.len(), n, "n={n}: released through the fallback");
+        }
+    }
+
+    /// A `SendAs` flood is `k` batches of one wire: the recipients stay one
+    /// class throughout, so the log is extended in place `k` times — never
+    /// copied, per recipient or per batch — and ends as one allocation.
+    #[test]
+    fn send_as_flood_extends_one_shared_log_in_place() {
+        const N: usize = 64;
+        const FLOOD: u64 = 2_000;
+        let mut w = RealSbcWorld::new(params(N), b"flood");
+        w.submit(PartyId(0), b"opens the period");
+        w.tick();
+        let last = PartyId(N as u32 - 1);
+        w.adversary(AdvCommand::Corrupt(last));
+        let tau = w.release_round().expect("period open");
+        for k in 0..FLOOD {
+            let wire = sbc_wire(&Value::bytes(k.to_be_bytes()), tau, &k.to_le_bytes());
+            w.adversary(AdvCommand::SendAs {
+                party: last,
+                cmd: Command::new("Broadcast", wire),
+            });
+        }
+        let first = w.parties[0].log();
+        assert_eq!(first.len(), FLOOD as usize);
+        for p in &w.parties {
+            assert!(p.log().shares_storage_with(first), "party {}", p.id().0);
         }
     }
 
