@@ -6,6 +6,8 @@
 //! cargo run --release -p sbc-bench --bin experiments -- e5
 //! ```
 
+#![forbid(unsafe_code)]
+
 use sbc_apps::durs::{last_revealer_attack, last_revealer_attack_on_durs, DursSession, URS_LEN};
 use sbc_apps::voting::{BulletinBoardElection, Election};
 use sbc_broadcast::fbc::worlds::{IdealFbcWorld, RealFbcWorld};
@@ -474,9 +476,9 @@ fn e8_composition() -> Result<(), sbc_core::api::SbcError> {
     Ok(())
 }
 
-/// E9 — substrate microcosts (see `cargo bench` for precise numbers).
+/// E9 — substrate microcosts, one-shot.
 fn e9_crypto_costs() {
-    header("E9  Crypto substrate costs (one-shot; see `cargo bench` for statistics)");
+    header("E9  Crypto substrate costs (one-shot; `benchmark/run.sh` prices the hash floor)");
     let start = Instant::now();
     let d = Sha256::digest(&vec![0u8; 1 << 20]);
     println!(

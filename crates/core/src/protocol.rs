@@ -14,12 +14,10 @@
 //! ([`SbcHost`](crate::worlds::SbcHost)), the networked world by
 //! request/response frames (`sbc_net::world`).
 
-use sbc_primitives::sha256::Sha256;
 use sbc_tle::func::DecResponse;
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// What one `Π_SBC` party asks of its hybrids — `G_clock`, `F_UBC`,
@@ -42,16 +40,10 @@ pub trait SbcHybrid {
     /// encryption order.
     fn tle_retrieve(&mut self, party: PartyId) -> Vec<(Value, Value, u64)>;
 
-    /// `F_TLE` `Dec` from `party` of the ciphertext `ct` — whose canonical
-    /// encoding is `ct_enc` — towards `tau`; `None` for a ciphertext
-    /// `F_TLE` never recorded (or a reply that never came).
-    fn tle_dec(
-        &mut self,
-        party: PartyId,
-        ct: &Value,
-        ct_enc: &[u8],
-        tau: u64,
-    ) -> Option<DecResponse>;
+    /// `F_TLE` `Dec` from `party` of the ciphertext `ct` towards `tau`;
+    /// `None` for a ciphertext `F_TLE` never recorded (or a reply that
+    /// never came).
+    fn tle_dec(&mut self, party: PartyId, ct: &Value, tau: u64) -> Option<DecResponse>;
 
     /// `F_RO` query `H(x; len)` from `party`; `None` if no usable answer
     /// came back (only a remote hybrid can fail to answer).
@@ -86,130 +78,75 @@ fn wire_parts(v: &Value) -> Option<(&Value, u64, &[u8])> {
 
 /// The release time `τ_rel` a UBC payload claims, if it is a
 /// `(c, τ_rel, y)` wire — what a transport asks to learn which plane a
-/// delivery belongs on, accepting exactly what [`parse_sbc_wire`] accepts.
+/// delivery belongs on, accepting exactly what [`ParsedWire::parse`]
+/// accepts.
 pub fn wire_tau(v: &Value) -> Option<u64> {
     wire_parts(v).map(|(_, tau, _)| tau)
 }
 
-/// Parses a `(c, τ_rel, y)` triple off the UBC wire.
-pub fn parse_sbc_wire(v: &Value) -> Option<(Value, u64, Vec<u8>)> {
-    wire_parts(v).map(|(ct, tau, y)| (ct.clone(), tau, y.to_vec()))
-}
-
-/// One broadcast wire, parsed and preprocessed **once** for delivery to
-/// many recipients: the decoded `(c, τ_rel, y)` components, the canonical
-/// ciphertext encoding (the `F_TLE` probe key), and the replay-dedup
-/// fingerprints shared by every recipient's [`WireLog`].
+/// One broadcast wire off `F_UBC`: the parsed `(c, τ_rel, y)` and nothing
+/// derived from it.
 ///
-/// A UBC broadcast reaches all `n` parties identically, so everything
-/// about the wire that does not depend on the recipient — the parse, the
-/// encode, the two dedup fingerprints — is computed here, per message,
-/// and borrowed by each per-recipient [`SbcParty::on_wire_deliver_parsed`]
-/// call. At n = 1000 this turns `messages × n` parse/encode/hash passes
-/// into `messages` of them.
+/// A UBC broadcast reaches all `n` parties identically, so a world parses
+/// it once and hands the one `Arc<ParsedWire>` to every recipient
+/// ([`SbcParty::deliver_batch`]); what the protocol asks of a wire
+/// afterwards — the replay rule, the `F_TLE` `Dec`, the unmasking — reads
+/// these three fields.
 #[derive(Clone, Debug)]
 pub struct ParsedWire {
     /// The time-lock ciphertext `c`.
     pub ct: Value,
-    /// `c`'s canonical encoding — the replay-dedup and `F_TLE` probe key.
-    pub ct_enc: Vec<u8>,
     /// The release time `τ_rel` the wire claims.
     pub tau: u64,
     /// The masked message `y = M ⊕ H(ρ)`.
     pub y: Vec<u8>,
-    ct_fp: u128,
-    y_fp: u128,
 }
 
 impl ParsedWire {
-    /// Parses and preprocesses a wire payload; `None` on anything that is
-    /// not a `(c, τ_rel, y)` triple (exactly [`parse_sbc_wire`]'s
-    /// acceptance).
+    /// Parses a `(c, τ_rel, y)` triple off the UBC wire; `None` on anything
+    /// else.
     pub fn parse(v: &Value) -> Option<ParsedWire> {
-        let (ct, tau, y) = parse_sbc_wire(v)?;
-        Some(ParsedWire::build(ct, tau, y))
+        wire_parts(v).map(|(ct, tau, y)| ParsedWire {
+            ct: ct.clone(),
+            tau,
+            y: y.to_vec(),
+        })
     }
 
     /// Orders this wire against the payload `v` by `(c, τ_rel, y)`, byte
     /// for byte: `Equal` exactly when `v` is this wire — a triple
-    /// [`parse`](ParsedWire::parse) accepts, equal in all three components,
-    /// never a fingerprint match; a `v` that is no wire orders below every
-    /// wire. What a world interns parsed wires by, unobservably: `build` is
-    /// a pure function of the three components.
+    /// [`parse`](ParsedWire::parse) accepts, equal in all three
+    /// components; a `v` that is no wire orders below every wire. What a
+    /// world interns parsed wires by.
     pub fn cmp_payload(&self, v: &Value) -> Ordering {
         let this = (&self.ct, self.tau, &self.y[..]);
         wire_parts(v).map_or(Ordering::Greater, |parts| this.cmp(&parts))
     }
-
-    /// The preprocessing half of [`parse`](ParsedWire::parse): the
-    /// canonical encoding and the two SHA-256 fingerprints.
-    fn build(ct: Value, tau: u64, y: Vec<u8>) -> ParsedWire {
-        let ct_enc = ct.encode();
-        let ct_fp = fingerprint(b"sbc-rec/ct", &ct_enc);
-        let y_fp = fingerprint(b"sbc-rec/y", &y);
-        ParsedWire {
-            ct,
-            ct_enc,
-            tau,
-            y,
-            ct_fp,
-            y_fp,
-        }
-    }
 }
 
-/// 128-bit truncated SHA-256 replay-dedup fingerprint, domain-separated
-/// per key space. Fingerprint equality stands in for byte equality of the
-/// keys: producing a divergence takes a 2^64-work truncated-SHA-256
-/// collision, far beyond the security budget of the surrounding protocol
-/// primitives — while shrinking the dedup sets to fixed-width integers
-/// whose growth rehashes are branchless word hashes instead of re-hashing
-/// every stored ciphertext encoding.
-fn fingerprint(domain: &[u8], key: &[u8]) -> u128 {
-    let d = Sha256::digest_parts(&[domain, key]);
-    u128::from_le_bytes(d[..16].try_into().expect("digest is 32 bytes"))
-}
-
-/// Hasher for the fingerprint sets. The keys are 128-bit truncated SHA-256
-/// outputs — already uniform, already collision-resistant against
-/// adversarial inputs — so the low word *is* the hash: probes and growth
-/// rehashes cost a move instead of a SipHash pass (which showed up as
-/// simultaneous multi-millisecond rehash spikes across all `n` recipient
-/// logs in a broadcast round).
-#[derive(Clone, Debug, Default)]
-struct FpHasher(u64);
-
-impl std::hash::Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Unused by `u128::hash`, which calls `write_u128`; folded anyway
-        // so the hasher stays correct for any caller.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.0 = v as u64;
-    }
-}
-
-type FpSet = HashSet<u128, std::hash::BuildHasherDefault<FpHasher>>;
-
-/// What a [`WireLog`] handle points at: the ordered entries and one dedup
-/// set per key.
+/// What a [`WireLog`] handle points at: the entries in arrival order, and
+/// the same entries ordered by `c` and by `y` (indices into `entries`).
 #[derive(Clone, Debug, Default)]
 struct LogStore {
     entries: Vec<Arc<ParsedWire>>,
-    seen_cts: FpSet,
-    seen_ys: FpSet,
+    by_ct: Vec<usize>,
+    by_y: Vec<usize>,
 }
 
-/// The received-wire log of one party: insertion-ordered [`ParsedWire`]
-/// entries with O(1) replay dedup, held as a **handle to shared storage**.
+impl LogStore {
+    /// Where a wire with this `c` and this `y` goes in the two orders;
+    /// `None` if either is already recorded.
+    fn fresh_slots(&self, wire: &ParsedWire) -> Option<(usize, usize)> {
+        let entry = |i: &usize| &self.entries[*i];
+        let at_ct = self.by_ct.binary_search_by(|i| entry(i).ct.cmp(&wire.ct));
+        let at_y = self.by_y.binary_search_by(|i| entry(i).y.cmp(&wire.y));
+        at_ct.err().zip(at_y.err())
+    }
+}
+
+/// The received-wire log of one party: [`ParsedWire`] entries in arrival
+/// order under the paper's replay rule, held as a **handle to shared
+/// storage**.
 ///
 /// `F_UBC` hands every flushed message to all of `P` in one order, so the
 /// `n` recipients of a broadcast normally hold the same log. The handle
@@ -222,21 +159,14 @@ struct LogStore {
 /// one: `n` recipients in the same state cost one insert per wire and `n`
 /// refcounts, and hold one allocation afterwards.
 ///
-/// The protocol discards a reception when *either* component matches
-/// something already recorded — a replayed ciphertext under a fresh mask,
-/// or a replayed mask under a fresh ciphertext, are both replays — so the
-/// storage keeps one hash set per key next to the ordered entry list the
-/// release round iterates. The sets store 128-bit truncated SHA-256
-/// fingerprints of the keys rather than the keys themselves: equality of
-/// fingerprints stands in for byte equality (a divergence needs a
-/// 2^64-work collision), and a growth rehash moves integers instead of
-/// re-hashing every stored encoding.
-///
-/// Every entry is an `Arc<ParsedWire>` carrying the canonical ciphertext
-/// encoding computed at parse time — both the replay-dedup key (canonical
-/// encodings are injective, so encoding equality is value equality) and
-/// the borrowed probe key the release round hands to
-/// `TleFunc::dec_peek_encoded`.
+/// The replay rule (Fig. 14) is byte equality: a reception is discarded
+/// when its `c` *or* its `y` equals one already recorded — a replayed
+/// ciphertext under a fresh mask and a replayed mask under a fresh
+/// ciphertext are both replays. The storage decides that on the bytes it
+/// holds, through one ordered index per component next to the entry list
+/// the release round iterates: `O(log m)` early-exit compares per
+/// reception and no pass over a fresh wire's bytes (a fresh wire also
+/// shifts the two index vectors, machine words, by one).
 #[derive(Clone, Debug, Default)]
 pub struct WireLog(Option<Arc<LogStore>>);
 
@@ -250,22 +180,22 @@ impl WireLog {
         self.0.as_deref().map_or(&[], |s| &s.entries)
     }
 
-    /// Records `wire` unless either of its keys was seen before; returns
-    /// whether the entry was fresh. Replays pay two integer set probes and
-    /// never unshare the storage; a fresh entry is a refcount bump on the
-    /// shared wire, preceded by one copy of the log only if another handle
-    /// still shares it.
+    /// Records `wire` unless its `c` or its `y` equals a recorded one;
+    /// returns whether the entry was fresh. Replays never unshare the
+    /// storage; a fresh entry is a refcount bump on the shared wire,
+    /// preceded by one copy of the log only if another handle still
+    /// shares it.
     pub fn insert_parsed(&mut self, wire: &Arc<ParsedWire>) -> bool {
-        if self
+        let slots = self
             .0
             .as_deref()
-            .is_some_and(|s| s.seen_cts.contains(&wire.ct_fp) || s.seen_ys.contains(&wire.y_fp))
-        {
+            .map_or(Some((0, 0)), |s| s.fresh_slots(wire));
+        let Some((at_ct, at_y)) = slots else {
             return false;
-        }
+        };
         let store = Arc::make_mut(self.0.get_or_insert_with(Arc::default));
-        store.seen_cts.insert(wire.ct_fp);
-        store.seen_ys.insert(wire.y_fp);
+        store.by_ct.insert(at_ct, store.entries.len());
+        store.by_y.insert(at_y, store.entries.len());
         store.entries.push(wire.clone());
         true
     }
@@ -310,16 +240,24 @@ impl WireLog {
     /// identity test ([`shares_storage_with`](WireLog::shares_storage_with));
     /// logs filled separately fall back to the entry-wise compare — a
     /// pointer compare per entry recorded from one fan-out, byte equality
-    /// of the canonical encoding and the mask otherwise (exact, since
-    /// canonical encodings are injective).
+    /// of the ciphertext and the mask otherwise.
     pub fn same_receptions(&self, other: &WireLog) -> bool {
         let (a, b) = (self.stored(), other.stored());
         self.shares_storage_with(other)
             || (a.len() == b.len()
                 && a.iter()
                     .zip(b)
-                    .all(|(a, b)| Arc::ptr_eq(a, b) || (a.ct_enc == b.ct_enc && a.y == b.y)))
+                    .all(|(a, b)| Arc::ptr_eq(a, b) || (a.ct == b.ct && a.y == b.y)))
     }
+}
+
+/// The agreed broadcast period `[t_awake, t_end)` and its release time
+/// `τ_rel = t_end + ∆` — fixed together by the first `Wake_Up`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Period {
+    t_awake: u64,
+    t_end: u64,
+    tau_rel: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -345,9 +283,7 @@ pub struct SbcParty {
     rng: sbc_primitives::drbg::Drbg,
     pend: Vec<PendEntry>,
     rec: WireLog,
-    t_awake: Option<u64>,
-    t_end: Option<u64>,
-    tau_rel: Option<u64>,
+    period: Option<Period>,
     last_advance: Option<u64>,
     woke_up_sent: bool,
 }
@@ -370,9 +306,7 @@ impl SbcParty {
             rng,
             pend: Vec::new(),
             rec: WireLog::new(),
-            t_awake: None,
-            t_end: None,
-            tau_rel: None,
+            period: None,
             last_advance: None,
             woke_up_sent: false,
         }
@@ -385,12 +319,12 @@ impl SbcParty {
 
     /// The agreed release time, once awake.
     pub fn tau_rel(&self) -> Option<u64> {
-        self.tau_rel
+        self.period.map(|p| p.tau_rel)
     }
 
     /// The end of the broadcast period, once awake.
     pub fn t_end(&self) -> Option<u64> {
-        self.t_end
+        self.period.map(|p| p.t_end)
     }
 
     /// The reception log, for the tests that pin who shares storage.
@@ -406,9 +340,7 @@ impl SbcParty {
     pub fn reset_period(&mut self) {
         self.pend.clear();
         self.rec.clear();
-        self.t_awake = None;
-        self.t_end = None;
-        self.tau_rel = None;
+        self.period = None;
         self.woke_up_sent = false;
     }
 
@@ -417,7 +349,7 @@ impl SbcParty {
     /// clock step (no randomness drawn, no messages, no outputs) — the
     /// precondition for the O(1) fast path of `SbcWorld::join_at`.
     pub fn is_idle(&self) -> bool {
-        self.t_awake.is_none() && self.pend.is_empty() && self.rec.is_empty()
+        self.period.is_none() && self.pend.is_empty() && self.rec.is_empty()
     }
 
     /// Pending (not yet broadcast) messages — revealed on corruption.
@@ -431,7 +363,7 @@ impl SbcParty {
 
     /// `(sid, Broadcast, M)` input.
     pub fn on_input<H: SbcHybrid>(&mut self, msg: Value, hyb: &mut H) {
-        match self.t_awake {
+        match self.period {
             None => {
                 // First activity: queue the message and wake everyone up.
                 let rho = self.rng.gen_bytes(32);
@@ -446,14 +378,12 @@ impl SbcParty {
                     hyb.ubc_broadcast(self.id, wake_up());
                 }
             }
-            Some(_) => {
-                let end = self.t_end.expect("awake implies t_end");
-                if hyb.now() + self.tle_delay >= end {
+            Some(period) => {
+                if hyb.now() + self.tle_delay >= period.t_end {
                     return; // cannot be ready before the period closes
                 }
                 let rho = self.rng.gen_bytes(32);
-                let tau_rel = self.tau_rel.expect("awake implies tau_rel");
-                hyb.tle_enc(self.id, Value::bytes(&rho), tau_rel);
+                hyb.tle_enc(self.id, Value::bytes(&rho), period.tau_rel);
                 self.pend.push(PendEntry {
                     rho,
                     msg,
@@ -469,31 +399,34 @@ impl SbcParty {
     /// ignored (wires come in parsed, through
     /// [`on_wire_deliver_parsed`](SbcParty::on_wire_deliver_parsed)).
     pub fn on_ubc_deliver<H: SbcHybrid>(&mut self, payload: &Value, hyb: &mut H) {
-        if self.t_awake.is_some() || !is_wake_up(payload) {
+        if self.period.is_some() || !is_wake_up(payload) {
             return;
         }
         let now = hyb.now();
         let tau_rel = now + self.phi + self.delta;
-        self.t_awake = Some(now);
-        self.t_end = Some(now + self.phi);
-        self.tau_rel = Some(tau_rel);
+        self.period = Some(Period {
+            t_awake: now,
+            t_end: now + self.phi,
+            tau_rel,
+        });
         for e in self.pend.iter_mut().filter(|e| !e.encrypted) {
             e.encrypted = true;
             hyb.tle_enc(self.id, Value::bytes(&e.rho), tau_rel);
         }
     }
 
-    /// Records a `(c, τ_rel, y)` wire received at round `now`, parsed,
-    /// encoded and fingerprinted once by the caller for all recipients
-    /// ([`ParsedWire`]): what is left per recipient is the period check (§5:
-    /// "all broadcast operations outside the period are discarded"), the
-    /// replay-dedup probes and a by-reference record. Reads
-    /// `(tau_rel, t_end, rec)` and writes `rec` only (no functionality, no
-    /// randomness, no leaks) — which is what lets a world defer a round's
-    /// deliveries into one batch, and what
+    /// Records a `(c, τ_rel, y)` wire received at round `now`, parsed once
+    /// by the caller for all recipients ([`ParsedWire`]): what is left per
+    /// recipient is the period check (§5: "all broadcast operations outside
+    /// the period are discarded"), the replay rule and a by-reference
+    /// record. Reads `(period, rec)` and writes `rec` only (no
+    /// functionality, no randomness, no leaks) — which is what lets a world
+    /// defer a round's deliveries into one batch, and what
     /// [`deliver_batch`](SbcParty::deliver_batch) rests on.
     pub fn on_wire_deliver_parsed(&mut self, wire: &Arc<ParsedWire>, now: u64) {
-        let in_period = self.tau_rel == Some(wire.tau) && self.t_end.is_some_and(|end| now < end);
+        let in_period = self
+            .period
+            .is_some_and(|p| p.tau_rel == wire.tau && now < p.t_end);
         if in_period {
             self.rec.insert_parsed(wire);
         }
@@ -505,9 +438,9 @@ impl SbcParty {
     /// computed once per **class** of recipients instead of once per
     /// recipient.
     ///
-    /// A reception reads `(tau_rel, t_end, rec)` and writes `rec`, so two
-    /// recipients equal in those three before the batch are equal after it.
-    /// Recipients are grouped by `(tau_rel, t_end)` and log identity
+    /// A reception reads `(period, rec)` and writes `rec`, so two
+    /// recipients equal in those two before the batch are equal after it.
+    /// Recipients are grouped by period and log identity
     /// ([`WireLog::shares_storage_with`]) — one class under pure broadcast.
     /// Each class's first member has its followers drop their handles, takes
     /// the batch itself on the then-unique storage (in place: the log is
@@ -530,7 +463,7 @@ impl SbcParty {
             let class = &mut leader_of[lead + 1..];
             for (p, of) in followers.iter_mut().zip(class.iter_mut()) {
                 if *of == UNCLASSED
-                    && (p.tau_rel, p.t_end) == (leader.tau_rel, leader.t_end)
+                    && p.period == leader.period
                     && p.rec.shares_storage_with(&leader.rec)
                 {
                     *of = lead;
@@ -560,8 +493,8 @@ impl SbcParty {
     /// [`on_advance_planned`](SbcParty::on_advance_planned).
     pub fn shares_release_view(&self, other: &SbcParty, now: u64) -> bool {
         self.last_advance != Some(now)
-            && self.tau_rel == Some(now)
-            && other.tau_rel == Some(now)
+            && self.tau_rel() == Some(now)
+            && other.tau_rel() == Some(now)
             && self.rec.same_receptions(&other.rec)
     }
 
@@ -594,11 +527,12 @@ impl SbcParty {
             return None;
         }
         self.last_advance = Some(now);
-        let (Some(awake), Some(end), Some(tau_rel)) = (self.t_awake, self.t_end, self.tau_rel)
-        else {
-            return None;
-        };
-        if awake <= now && now < end {
+        let Period {
+            t_awake,
+            t_end,
+            tau_rel,
+        } = self.period?;
+        if t_awake <= now && now < t_end {
             // Fetch ciphertexts that became ready and broadcast them.
             for (rho_v, ct, _tau) in hyb.tle_retrieve(self.id) {
                 let Some(rho) = rho_v.as_bytes() else {
@@ -625,8 +559,7 @@ impl SbcParty {
             for wire in self.rec.entries() {
                 // Unknown ciphertext (⊥) and non-`Message` responses are
                 // skipped.
-                let Some(DecResponse::Message(rho_v)) =
-                    hyb.tle_dec(self.id, &wire.ct, &wire.ct_enc, tau_rel)
+                let Some(DecResponse::Message(rho_v)) = hyb.tle_dec(self.id, &wire.ct, tau_rel)
                 else {
                     continue;
                 };
@@ -713,7 +646,8 @@ mod tests {
         let (b, u) = (Value::bytes(b"x"), Value::U64(5));
         let wire = sbc_wire(&b, 5, b"y");
         assert_eq!(wire_tau(&wire), Some(5));
-        assert_eq!(parse_sbc_wire(&wire), Some((b.clone(), 5, b"y".to_vec())));
+        let parsed = ParsedWire::parse(&wire).expect("a wire");
+        assert_eq!((&parsed.ct, parsed.tau, &parsed.y[..]), (&b, 5, &b"y"[..]));
         // Not a list, wrong arity, and each position of the wrong type.
         let list = |items: &[&Value]| Value::List(items.iter().map(|&v| v.clone()).collect());
         let not_wires = [
@@ -726,7 +660,7 @@ mod tests {
         ];
         for v in &not_wires {
             assert_eq!(wire_tau(v), None, "{v:?}");
-            assert!(parse_sbc_wire(v).is_none() && ParsedWire::parse(v).is_none());
+            assert!(ParsedWire::parse(v).is_none());
         }
     }
 
@@ -867,7 +801,11 @@ mod tests {
     }
 
     fn wire_at(tau: u64, ct: &Value, y: &[u8]) -> Arc<ParsedWire> {
-        Arc::new(ParsedWire::build(ct.clone(), tau, y.to_vec()))
+        Arc::new(ParsedWire {
+            ct: ct.clone(),
+            tau,
+            y: y.to_vec(),
+        })
     }
 
     /// `n` parties with nothing queued, woken at round `at`.
@@ -984,8 +922,8 @@ mod tests {
     #[test]
     fn partial_collision_wires_dropped() {
         // Either key replayed — the same ciphertext under a fresh mask, or
-        // the same mask under a fresh ciphertext — is a replay. The hash
-        // sets must keep the OR semantics of the old linear scan.
+        // the same mask under a fresh ciphertext — is a replay: the two
+        // indices keep the OR semantics of `S_SBC`'s linear scan.
         let (ct_a, ct_b) = (Value::bytes(b"ct-a"), Value::bytes(b"ct-b"));
         let mut log = WireLog::new();
         assert!(log.insert_parsed(&entry(&ct_a, b"y-a")));
@@ -1001,12 +939,48 @@ mod tests {
     }
 
     #[test]
+    fn wire_log_dedup_is_on_the_bytes() {
+        // 4 KiB components that differ in the last byte only: two wires.
+        let long = |last: u8| [vec![7u8; 4095], vec![last]].concat();
+        let ct = |last: u8| Value::bytes(long(last));
+        let mut log = WireLog::new();
+        assert!(log.insert_parsed(&entry(&ct(0), &long(10))));
+        assert!(log.insert_parsed(&entry(&ct(1), &long(11))));
+        // Equal `c` under a fresh `y`, equal `y` under a fresh `c`: refused.
+        assert!(!log.insert_parsed(&entry(&ct(0), &long(12))));
+        assert!(!log.insert_parsed(&entry(&ct(2), &long(11))));
+        // Arrival order, whatever the two indices sort to.
+        assert!(log.insert_parsed(&entry(&Value::bytes(b"a"), b"z")));
+        assert!(log.insert_parsed(&entry(&Value::bytes(b"z"), b"a")));
+        let lasts = |log: &WireLog| -> Vec<u8> {
+            log.entries().filter_map(|w| w.y.last().copied()).collect()
+        };
+        assert_eq!(lasts(&log), [10, 11, b'z', b'a']);
+
+        // A clone diverges through `Arc::make_mut`: each side refuses its
+        // own replays — the shared ones and its own — and not the other's.
+        let mut copy = log.clone();
+        assert!(copy.insert_parsed(&entry(&ct(3), &long(13))));
+        assert!(!copy.shares_storage_with(&log));
+        assert!(log.insert_parsed(&entry(&ct(4), &long(14))));
+        for (side, mine, theirs) in [(&mut log, 4, 3), (&mut copy, 3, 4)] {
+            assert!(!side.insert_parsed(&entry(&ct(0), &long(99))), "shared c");
+            assert!(!side.insert_parsed(&entry(&ct(mine), &long(99))), "own c");
+            assert!(
+                !side.insert_parsed(&entry(&ct(99), &long(10 + mine))),
+                "own y"
+            );
+            assert!(side.insert_parsed(&entry(&ct(theirs), &long(10 + theirs))));
+        }
+        assert_eq!(lasts(&log), [10, 11, b'z', b'a', 14, 13]);
+        assert_eq!(lasts(&copy), [10, 11, b'z', b'a', 13, 14]);
+    }
+
+    #[test]
     fn wire_log_caches_one_canonical_encoding_per_entry() {
-        // The release round probes F_TLE by canonical ciphertext encoding;
-        // that encoding is computed exactly once per entry, and the cached
-        // bytes must stay equal to `ct.encode()` entry for entry, in
-        // arrival order — including across a clear (period turnover
-        // re-encodes from scratch).
+        // The release round probes F_TLE with the ciphertext each entry
+        // holds: entries hand back the `c` and `y` they were recorded with,
+        // in arrival order, across a refused replay and a clear.
         let mut log = WireLog::new();
         let cts = [Value::bytes(b"ct-a"), Value::list([Value::U64(7)])];
         assert!(log.insert_parsed(&entry(&cts[0], b"y-a")));
@@ -1016,7 +990,6 @@ mod tests {
         assert_eq!(log.entries().count(), log.len());
         for (wire, (ct, y)) in log.entries().zip([(&cts[0], b"y-a"), (&cts[1], b"y-b")]) {
             assert_eq!(&wire.ct, ct, "entries iterate in arrival order");
-            assert_eq!(wire.ct_enc, ct.encode(), "cached encoding is canonical");
             assert_eq!(wire.y, y);
         }
         log.clear();
@@ -1102,15 +1075,8 @@ mod tests {
             std::mem::take(&mut self.ready)
         }
 
-        fn tle_dec(
-            &mut self,
-            party: PartyId,
-            ct: &Value,
-            ct_enc: &[u8],
-            tau: u64,
-        ) -> Option<DecResponse> {
+        fn tle_dec(&mut self, party: PartyId, ct: &Value, tau: u64) -> Option<DecResponse> {
             assert_eq!(party, PartyId(0));
-            assert_eq!(ct.encode(), ct_enc, "the encoding handed over is ct's own");
             self.calls.push(Call::Dec(ct.clone(), tau));
             self.dec.get(ct).cloned()
         }

@@ -21,9 +21,7 @@
 
 use crate::error::SbcError;
 use crate::func::SbcFunc;
-use crate::protocol::{
-    is_wake_up, parse_sbc_wire, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty,
-};
+use crate::protocol::{is_wake_up, sbc_wire, wake_up, ParsedWire, SbcHybrid, SbcParty};
 use sbc_broadcast::ubc::func::UbcFunc;
 use sbc_primitives::drbg::Drbg;
 use sbc_tle::func::{DecResponse, TleFunc};
@@ -281,15 +279,8 @@ impl SbcHybrid for SbcHost {
         self.ftle.retrieve(party, &mut ctx)
     }
 
-    fn tle_dec(
-        &mut self,
-        _party: PartyId,
-        _ct: &Value,
-        ct_enc: &[u8],
-        tau: u64,
-    ) -> Option<DecResponse> {
-        self.ftle
-            .dec_peek_encoded(ct_enc, tau as i64, self.core.clock.read())
+    fn tle_dec(&mut self, _party: PartyId, ct: &Value, tau: u64) -> Option<DecResponse> {
+        self.ftle.dec(ct, tau as i64, &self.core.ctx())
     }
 
     fn ro_query(&mut self, party: PartyId, x: &[u8], len: usize) -> Option<Vec<u8>> {
@@ -420,13 +411,13 @@ impl RealSbcWorld {
     }
 
     /// Batch delivery of wake-up-free wires at a pinned round time: each
-    /// message is parsed, canonically encoded and fingerprinted once, and
-    /// the batch goes to all `n` parties through the one class rule,
-    /// [`SbcParty::deliver_batch`] — every recipient ends up with what
-    /// walking the batch in flush order would have recorded for it, at
-    /// `O(batch + n)` per class of recipients in the same state (one class
-    /// under pure broadcast) and with one log per class, not per
-    /// recipient. Unparseable payloads are a no-op at every recipient.
+    /// message is parsed once, and the batch goes to all `n` parties
+    /// through the one class rule, [`SbcParty::deliver_batch`] — every
+    /// recipient ends up with what walking the batch in flush order would
+    /// have recorded for it, at `O(batch + n)` per class of recipients in
+    /// the same state (one class under pure broadcast) and with one log
+    /// per class, not per recipient. Unparseable payloads are a no-op at
+    /// every recipient.
     ///
     /// `now` is the round the wires were flushed in: `tick` delivers the
     /// batch past the clock tick, and the reception time must be what the
@@ -730,7 +721,7 @@ impl SimSbc {
             }
             return None;
         }
-        let (ct, tau, y) = parse_sbc_wire(msg)?;
+        let ParsedWire { ct, tau, y } = ParsedWire::parse(msg)?;
         let in_period = self.tau_rel() == Some(tau) && self.t_end().is_some_and(|end| now < end);
         if !in_period || self.seen_wires.iter().any(|(c, yy)| *c == ct || *yy == y) {
             return None;

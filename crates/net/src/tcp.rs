@@ -122,18 +122,6 @@ impl TcpConfig {
             backoff_cap: Duration::from_millis(50),
         }
     }
-
-    /// Overrides the read/write deadline (tests use short ones).
-    pub fn io_deadline(mut self, d: Duration) -> Self {
-        self.io_deadline = d;
-        self
-    }
-
-    /// Overrides the reconnect budget.
-    pub fn reconnect_attempts(mut self, attempts: u32) -> Self {
-        self.reconnect_attempts = attempts;
-        self
-    }
 }
 
 /// The accept side of one lane.
@@ -742,7 +730,10 @@ mod tests {
     use sbc_uc::value::Value;
 
     fn test_cfg() -> TcpConfig {
-        TcpConfig::from_delta(2).io_deadline(Duration::from_millis(150))
+        TcpConfig {
+            io_deadline: Duration::from_millis(150),
+            ..TcpConfig::from_delta(2)
+        }
     }
 
     fn wire_frame(to: u32, origin: u32, now: u64, tau: u64, tag: u8) -> Vec<u8> {
@@ -886,7 +877,10 @@ mod tests {
 
     #[test]
     fn dead_link_exhausts_reconnects_into_typed_link_down_then_heals() {
-        let cfg = test_cfg().reconnect_attempts(2);
+        let cfg = TcpConfig {
+            reconnect_attempts: 2,
+            ..test_cfg()
+        };
         let mut t = TcpTransport::local(2, 2, cfg).unwrap();
         let handle = t.fault_handle();
         let lane = t.data_lane(0);

@@ -32,9 +32,11 @@
 //!   therefore cannot change outputs or leaks;
 //! * **content interning** — each recipient decodes its own frame, but
 //!   payloads equal byte for byte in all of `(c, τ_rel, y)` reach the
-//!   parties as one `Arc<ParsedWire>` (`deliver_wire`). Unobservable:
-//!   `ParsedWire::build` is a pure function of the three components, so
-//!   the shared value is the one each recipient would have built;
+//!   parties as one `Arc<ParsedWire>` (`deliver_wire`): one copy of `y`
+//!   per world, and a pointer compare per entry when the release round
+//!   asks whether two logs agree. Unobservable: a `ParsedWire` is its
+//!   three components, so the shared value is the one each recipient
+//!   would have parsed;
 //! * **release sharing** — under `tick` the first honest party releases
 //!   over its own frames and every later one takes a clone of that output
 //!   (`SharedRelease`, the rule under `RealSbcWorld::tick`) and posts its
@@ -135,7 +137,7 @@ impl FrameLink<'_> {
                     .collect(),
             )),
             FrameKind::TleDec { ct, tau } => {
-                FrameKind::TleDecResp(match self.host.tle_dec(party, &ct, &ct.encode(), tau) {
+                FrameKind::TleDecResp(match self.host.tle_dec(party, &ct, tau) {
                     None => Value::Unit,
                     Some(r) => r.to_value(),
                 })
@@ -182,13 +184,7 @@ impl SbcHybrid for FrameLink<'_> {
             .collect()
     }
 
-    fn tle_dec(
-        &mut self,
-        party: PartyId,
-        ct: &Value,
-        _ct_enc: &[u8],
-        tau: u64,
-    ) -> Option<DecResponse> {
+    fn tle_dec(&mut self, party: PartyId, ct: &Value, tau: u64) -> Option<DecResponse> {
         let request = FrameKind::TleDec {
             ct: ct.clone(),
             tau,
@@ -439,9 +435,9 @@ impl<P: NetProfile> NetSbcWorld<P> {
     }
 
     /// Hands party `p` the wire `payload` is: the interned `Arc` on full
-    /// byte equality of `(c, τ_rel, y)` — so a broadcast is fingerprinted
-    /// once per world and its recipients' logs compare by pointer — a new
-    /// one on a miss. Interning comes *after* the party's own period check
+    /// byte equality of `(c, τ_rel, y)` — so a broadcast is held once per
+    /// world and its recipients' logs compare by pointer — a new one on a
+    /// miss. Interning comes *after* the party's own period check
     /// and replay dedup: a miss is kept only if its log took it (the log's
     /// clone is the second reference), so no flood grows the table past
     /// the logs. Wire recording is pure: no host link needed.
@@ -590,7 +586,7 @@ impl<P: NetProfile> SbcBackend for NetSbcWorld<P> {
 mod tests {
     use super::*;
     use sbc_core::pool::PooledSbcWorld;
-    use sbc_core::protocol::{parse_sbc_wire, sbc_wire};
+    use sbc_core::protocol::{sbc_wire, wire_tau};
     use sbc_core::worlds::{IdealSbcWorld, RealSbcWorld};
     use sbc_primitives::drbg::Drbg;
     use sbc_uc::exec::{CompareLevel, DualRun, PoolWorld};
@@ -941,7 +937,7 @@ mod tests {
         adv(insert(&c2, &[2; 32], tau));
         let a = masked_wire(&mut adv, &c1, &[1; 32], tau, b"A");
         let e = masked_wire(&mut adv, &c2, &[2; 32], tau, b"E");
-        let y = |wire: &Value| parse_sbc_wire(wire).expect("a wire").2;
+        let y = |wire: &Value| ParsedWire::parse(wire).expect("a wire").y;
         let replays = [
             a.clone(),                      // all three equal: the same wire
             sbc_wire(&c1, tau, &y(&e)),     // equal c, different y
@@ -1237,7 +1233,7 @@ mod tests {
         // The first wire delivery to the victim is swallowed.
         let (mut w, seen) = tapped_world(params, move |f| {
             let wire = matches!(&f.kind, FrameKind::Deliver { payload, .. }
-                if parse_sbc_wire(payload).is_some());
+                if wire_tau(payload).is_some());
             let hit = wire && f.to == Endpoint::Party(victim) && !dropped;
             dropped |= hit;
             hit

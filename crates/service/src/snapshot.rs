@@ -304,7 +304,7 @@ fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
         as_u64(&hv[2], "histogram sum")?,
         as_u64(&hv[3], "histogram max")?,
     )
-    .ok_or_else(|| bad("histogram: wrong bucket arity"))?;
+    .ok_or_else(|| bad("histogram: wrong bucket arity, or count is not the bucket sum"))?;
     let qv = cp[6]
         .as_list()
         .ok_or_else(|| bad("checkpoint queues: expected List"))?;
@@ -813,18 +813,25 @@ mod tests {
         assert!(assert_bad(&future, "future version").contains("version"));
     }
 
+    /// The payload fields of a small service's image, to forge and
+    /// re-[`seal`].
+    fn payload_fields() -> Vec<Value> {
+        let mut a = seeded();
+        a.submit(1, vec![9], DeadlineClass::Standard).unwrap();
+        let image = a.snapshot().unwrap();
+        let payload = &image[HEADER_LEN..image.len() - DIGEST_LEN];
+        match Value::decode(payload) {
+            Some(Value::List(fields)) => fields,
+            other => panic!("payload is a list: {other:?}"),
+        }
+    }
+
     #[test]
     fn sealed_image_with_a_zero_tuning_knob_is_refused() {
         // Correct digest, valid shape, but a `batch_size` or `max_live` of
         // 0 in the tuning list (payload field 4): replayed, it would be a
         // service that ticks `Ok` forever and never releases.
-        let mut a = seeded();
-        a.submit(1, vec![9], DeadlineClass::Standard).unwrap();
-        let image = a.snapshot().unwrap();
-        let payload = &image[HEADER_LEN..image.len() - DIGEST_LEN];
-        let Some(Value::List(fields)) = Value::decode(payload) else {
-            panic!("payload is a list");
-        };
+        let fields = payload_fields();
         for knob in [1, 2] {
             let mut fields = fields.clone();
             let Value::List(tuning) = &mut fields[4] else {
@@ -836,6 +843,46 @@ mod tests {
                 Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
             ));
         }
+    }
+
+    #[test]
+    fn sealed_image_with_a_forged_histogram_is_refused() {
+        // Correct digest, valid shape, but a latency histogram (payload
+        // field 7, checkpoint field 5) whose `count` no recording produced:
+        // restored, `stats()` would overflow on it or report nonsense.
+        let fields = payload_fields();
+        let with_hist = |buckets: &[u64], count: u64, sum: u64| {
+            let mut fields = fields.clone();
+            let Value::List(cp) = &mut fields[7] else {
+                panic!("checkpoint is a list");
+            };
+            cp[5] = Value::list([
+                Value::List(buckets.iter().map(|b| Value::U64(*b)).collect()),
+                Value::U64(count),
+                Value::U64(sum),
+                Value::U64(0),
+            ]);
+            seal(&Value::List(fields).encode())
+        };
+        let empty = [0; LatencyHistogram::BUCKETS];
+        let detail = assert_bad(&with_hist(&empty, u64::MAX, u64::MAX), "forged count");
+        assert!(detail.contains("histogram"), "{detail}");
+        // A bucket sum past `u64` is no count at all.
+        let mut wrapping = empty;
+        (wrapping[0], wrapping[1]) = (u64::MAX, 2);
+        assert_bad(&with_hist(&wrapping, 1, 0), "wrapping bucket sum");
+        // The largest state that is accepted answers without overflowing,
+        // before and after one more recording.
+        let mut full = empty;
+        full[3] = u64::MAX;
+        let b = Service::restore(&with_hist(&full, u64::MAX, u64::MAX)).unwrap();
+        let latency = b.stats().latency;
+        assert_eq!((latency.count, latency.p50, latency.p99), (u64::MAX, 3, 3));
+        assert_eq!(latency.mean_milli, 1000);
+        let mut hist = LatencyHistogram::from_raw_parts(full.to_vec(), u64::MAX, u64::MAX, 0)
+            .expect("count is the bucket sum");
+        hist.record(9);
+        assert_eq!(hist.summary().count, u64::MAX);
     }
 
     #[test]

@@ -51,9 +51,9 @@ impl LatencyHistogram {
     /// Records one submission that released `rounds` after submit.
     pub fn record(&mut self, rounds: u64) {
         let idx = (rounds as usize).min(Self::BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += rounds;
+        self.buckets[idx] = self.buckets[idx].saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(rounds);
         self.max = self.max.max(rounds);
     }
 
@@ -70,10 +70,12 @@ impl LatencyHistogram {
             return 0;
         }
         // Ceiling so quantile(100) is the last non-empty bucket.
-        let target = (self.count * q).div_ceil(100).max(1);
-        let mut seen = 0u64;
+        let target = (u128::from(self.count) * u128::from(q))
+            .div_ceil(100)
+            .max(1);
+        let mut seen = 0u128;
         for (idx, n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen += u128::from(*n);
             if seen >= target {
                 return idx as u64;
             }
@@ -89,15 +91,18 @@ impl LatencyHistogram {
     }
 
     /// Rebuilds a histogram from its raw state. `None` when the bucket
-    /// vector is not exactly [`Self::BUCKETS`] long — a decoded
-    /// checkpoint with the wrong arity is a bad snapshot, not a panic.
+    /// vector is not exactly [`Self::BUCKETS`] long, or when `count` is
+    /// not the (checked) sum of the buckets — a decoded checkpoint with
+    /// the wrong arity or a forged count is a bad snapshot, not a panic
+    /// and not a summary no recording could have produced.
     pub(crate) fn from_raw_parts(
         buckets: Vec<u64>,
         count: u64,
         sum: u64,
         max: u64,
     ) -> Option<Self> {
-        if buckets.len() != Self::BUCKETS {
+        let total = buckets.iter().try_fold(0u64, |acc, b| acc.checked_add(*b));
+        if buckets.len() != Self::BUCKETS || total != Some(count) {
             return None;
         }
         Some(LatencyHistogram {
@@ -117,7 +122,9 @@ impl LatencyHistogram {
             p90: self.quantile(90),
             p99: self.quantile(99),
             max: self.max,
-            mean_milli: (self.sum * 1000).checked_div(self.count).unwrap_or(0),
+            mean_milli: (u128::from(self.sum) * 1000)
+                .checked_div(u128::from(self.count))
+                .map_or(0, |mean| u64::try_from(mean).unwrap_or(u64::MAX)),
         }
     }
 }

@@ -264,10 +264,10 @@ impl TleFunc {
     /// must ask the simulator (unknown ciphertext). `Dec` never mutates the
     /// record set.
     ///
-    /// This form encodes the ciphertext before probing; callers holding the
-    /// canonical encoding already (the release pipeline caches it per
-    /// received wire) use [`dec_peek_encoded`](TleFunc::dec_peek_encoded)
-    /// directly and skip the re-encode.
+    /// This form encodes the ciphertext before probing — what a party's
+    /// `Dec` at the release round goes through; a caller holding the
+    /// canonical encoding already, or probing at another clock reading,
+    /// uses [`dec_peek_encoded`](TleFunc::dec_peek_encoded) directly.
     pub fn dec(&mut self, ct: &Value, tau: i64, ctx: &HybridCtx<'_>) -> Option<DecResponse> {
         self.dec_peek_encoded(&ct.encode(), tau, ctx.time())
     }
@@ -278,10 +278,7 @@ impl TleFunc {
     /// canonical encodings, so a borrowed `&[u8]` probes it directly; the
     /// candidate records are visited through the index vector without
     /// collecting them, so a probe allocates nothing beyond the response
-    /// it returns. The release
-    /// pipeline encodes each received ciphertext once (at wire-log
-    /// insertion) and probes with the cached bytes instead of re-encoding
-    /// the same `Value` once per (party, sender) pair per release round.
+    /// it returns.
     pub fn dec_peek_encoded(&self, ct_enc: &[u8], tau: i64, now: u64) -> Option<DecResponse> {
         if tau < 0 {
             return Some(DecResponse::Bottom);
@@ -545,11 +542,8 @@ mod tests {
     #[test]
     fn encoded_probe_matches_value_probe_on_every_branch() {
         // dec delegates to dec_peek_encoded; a caller probing with the
-        // cached canonical encoding must see the same response as one
-        // probing with the Value, on every response branch — that is what
-        // licenses the release pipeline to encode each received ciphertext
-        // exactly once (at wire-log insertion) instead of once per
-        // (party, sender) probe.
+        // canonical encoding must see the same response as one probing
+        // with the Value, on every response branch.
         let mut fx = Fx::new(1);
         let mut f = func();
         let known = Value::bytes(b"known-ct");

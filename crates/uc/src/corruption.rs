@@ -2,7 +2,7 @@
 //!
 //! The adversary may corrupt parties at any activation boundary — including
 //! in the middle of a round, after observing a sender's message. This
-//! tracker records who is corrupted and when; the per-protocol worlds
+//! tracker records who is corrupted; the per-protocol worlds
 //! consult it and funnel the corruption event into their functionalities
 //! (clock, certification, …).
 //!
@@ -16,7 +16,7 @@
 //! assert!(ct.corrupt(PartyId(0), 5).is_ok());
 //! assert!(ct.is_corrupted(PartyId(0)));
 //! assert!(ct.corrupt(PartyId(3), 5).is_err()); // not a party
-//! assert_eq!(ct.honest(), vec![PartyId(1), PartyId(2)]);
+//! assert_eq!(ct.corrupted().collect::<Vec<_>>(), [PartyId(0)]);
 //! ```
 
 use crate::ids::PartyId;
@@ -36,13 +36,11 @@ impl std::fmt::Display for CorruptionBudgetExceeded {
 
 impl std::error::Error for CorruptionBudgetExceeded {}
 
-/// Tracks the corrupted set `P_corr` and the corruption schedule.
+/// Tracks the corrupted set `P_corr`.
 #[derive(Clone, Debug)]
 pub struct CorruptionTracker {
     n: usize,
     corrupted: BTreeSet<PartyId>,
-    /// `(round, party)` in corruption order.
-    history: Vec<(u64, PartyId)>,
 }
 
 impl CorruptionTracker {
@@ -51,18 +49,18 @@ impl CorruptionTracker {
         CorruptionTracker {
             n,
             corrupted: BTreeSet::new(),
-            history: Vec::new(),
         }
     }
 
-    /// Corrupts `party` at clock time `round`.
+    /// Corrupts `party`. The clock time of the corruption is part of the
+    /// call and not recorded: nothing reads a schedule.
     ///
     /// # Errors
     ///
     /// Returns [`CorruptionBudgetExceeded`] if `party ≥ n`, or if all other
     /// parties are already corrupted (at least one party must remain
     /// honest) — the one place either rule is decided; worlds and pools ask.
-    pub fn corrupt(&mut self, party: PartyId, round: u64) -> Result<(), CorruptionBudgetExceeded> {
+    pub fn corrupt(&mut self, party: PartyId, _round: u64) -> Result<(), CorruptionBudgetExceeded> {
         if self.corrupted.contains(&party) {
             return Ok(()); // idempotent
         }
@@ -70,7 +68,6 @@ impl CorruptionTracker {
             return Err(CorruptionBudgetExceeded);
         }
         self.corrupted.insert(party);
-        self.history.push((round, party));
         Ok(())
     }
 
@@ -83,29 +80,15 @@ impl CorruptionTracker {
     pub fn corrupted(&self) -> impl Iterator<Item = PartyId> + '_ {
         self.corrupted.iter().copied()
     }
-
-    /// The honest parties.
-    pub fn honest(&self) -> Vec<PartyId> {
-        (0..self.n as u32)
-            .map(PartyId)
-            .filter(|p| !self.corrupted.contains(p))
-            .collect()
-    }
-
-    /// Number of corrupted parties.
-    pub fn corrupted_count(&self) -> usize {
-        self.corrupted.len()
-    }
-
-    /// The corruption schedule `(round, party)` in order.
-    pub fn history(&self) -> &[(u64, PartyId)] {
-        &self.history
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn corrupted(ct: &CorruptionTracker) -> Vec<u32> {
+        ct.corrupted().map(|p| p.0).collect()
+    }
 
     #[test]
     fn corrupt_and_query() {
@@ -113,8 +96,7 @@ mod tests {
         ct.corrupt(PartyId(2), 0).unwrap();
         assert!(ct.is_corrupted(PartyId(2)));
         assert!(!ct.is_corrupted(PartyId(0)));
-        assert_eq!(ct.honest(), vec![PartyId(0), PartyId(1), PartyId(3)]);
-        assert_eq!(ct.corrupted_count(), 1);
+        assert_eq!(corrupted(&ct), [2]);
     }
 
     #[test]
@@ -124,7 +106,7 @@ mod tests {
         for i in 0..3 {
             ct.corrupt(PartyId(i), 0).unwrap();
         }
-        assert_eq!(ct.honest(), vec![PartyId(3)]);
+        assert_eq!(corrupted(&ct), [0, 1, 2]);
     }
 
     #[test]
@@ -133,14 +115,14 @@ mod tests {
         ct.corrupt(PartyId(0), 0).unwrap();
         ct.corrupt(PartyId(1), 0).unwrap();
         assert_eq!(ct.corrupt(PartyId(2), 0), Err(CorruptionBudgetExceeded));
-        assert_eq!(ct.corrupted_count(), 2);
+        assert_eq!(corrupted(&ct), [0, 1]);
     }
 
     #[test]
     fn out_of_range_party_rejected_without_spending_budget() {
         let mut ct = CorruptionTracker::new(3);
         assert_eq!(ct.corrupt(PartyId(3), 0), Err(CorruptionBudgetExceeded));
-        assert!(!ct.is_corrupted(PartyId(3)) && ct.history().is_empty());
+        assert!(!ct.is_corrupted(PartyId(3)) && corrupted(&ct).is_empty());
         ct.corrupt(PartyId(0), 0).unwrap();
         ct.corrupt(PartyId(1), 0).unwrap(); // still t = n − 1
         assert!(CorruptionTracker::new(0).corrupt(PartyId(0), 0).is_err());
@@ -151,14 +133,6 @@ mod tests {
         let mut ct = CorruptionTracker::new(2);
         ct.corrupt(PartyId(0), 1).unwrap();
         ct.corrupt(PartyId(0), 2).unwrap();
-        assert_eq!(ct.history().len(), 1);
-    }
-
-    #[test]
-    fn history_records_rounds() {
-        let mut ct = CorruptionTracker::new(4);
-        ct.corrupt(PartyId(1), 3).unwrap();
-        ct.corrupt(PartyId(0), 7).unwrap();
-        assert_eq!(ct.history(), &[(3, PartyId(1)), (7, PartyId(0))]);
+        assert_eq!(corrupted(&ct), [0]);
     }
 }
