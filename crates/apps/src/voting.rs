@@ -256,15 +256,14 @@ impl Ballot {
         Value::list([
             Value::U64(self.voter as u64),
             el(&self.value),
-            Value::List(
+            Value::list(
                 self.proof
                     .commitments
                     .iter()
-                    .map(|(a, b)| Value::pair(el(a), el(b)))
-                    .collect(),
+                    .map(|(a, b)| Value::pair(el(a), el(b))),
             ),
-            Value::List(self.proof.challenges.iter().map(sc).collect()),
-            Value::List(self.proof.responses.iter().map(sc).collect()),
+            Value::list(self.proof.challenges.iter().map(sc)),
+            Value::list(self.proof.responses.iter().map(sc)),
         ])
     }
 

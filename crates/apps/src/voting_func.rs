@@ -211,10 +211,7 @@ impl VotingFunc {
                 let res = self.result.clone().expect("just computed");
                 ctx.leak(
                     VS_SOURCE,
-                    Command::new(
-                        "Result",
-                        Value::List(res.into_iter().map(Value::U64).collect()),
-                    ),
+                    Command::new("Result", Value::list(res.into_iter().map(Value::U64))),
                 );
             }
         }

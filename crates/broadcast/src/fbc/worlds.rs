@@ -75,7 +75,7 @@ fn shared_adversary_control(
                 .filter_map(|v| v.as_bytes().map(|b| b.to_vec()))
                 .collect();
             match wrapper.evaluate(ro_star, now, WrapperClient::Corrupted, &batch) {
-                Ok(resp) => Some(Value::List(resp.iter().map(Value::bytes).collect())),
+                Ok(resp) => Some(Value::list(resp.iter().map(Value::bytes))),
                 Err(_) => Some(Value::str("exhausted")),
             }
         }
@@ -195,7 +195,7 @@ impl World for RealFbcWorld {
                 if !self.core.corrupt(p) {
                     return Value::Bool(false);
                 }
-                Value::List(self.parties[p.index()].pending().to_vec())
+                Value::list(self.parties[p.index()].pending().to_vec())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 let ds = {
@@ -571,7 +571,7 @@ impl World for IdealFbcWorld {
                         })
                     })
                     .collect();
-                Value::List(msgs)
+                Value::list(msgs)
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if !self.core.corr.is_corrupted(party) {

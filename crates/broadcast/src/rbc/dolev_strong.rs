@@ -33,11 +33,10 @@ pub struct ChainLink {
 }
 
 fn chain_to_value(msg: &Value, chain: &[ChainLink]) -> Value {
-    let links: Vec<Value> = chain
+    let links = chain
         .iter()
-        .map(|l| Value::pair(Value::U64(l.signer.0 as u64), Value::bytes(&l.signature)))
-        .collect();
-    Value::pair(msg.clone(), Value::List(links))
+        .map(|l| Value::pair(Value::U64(l.signer.0 as u64), Value::bytes(&l.signature)));
+    Value::pair(msg.clone(), Value::list(links))
 }
 
 fn value_to_chain(v: &Value) -> Option<(Value, Vec<ChainLink>)> {

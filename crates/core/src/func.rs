@@ -264,25 +264,23 @@ impl SbcFunc {
             if now == end + self.delta - self.alpha && !self.sim_list_sent {
                 self.finalize_if_due(now);
                 self.sim_list_sent = true;
-                let list: Vec<Value> = self
+                let list = self
                     .records
                     .iter()
                     .filter(|r| r.finalized)
-                    .map(|r| Value::pair(Value::bytes(r.tag.as_bytes()), r.msg.clone()))
-                    .collect();
-                ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::List(list)));
+                    .map(|r| Value::pair(Value::bytes(r.tag.as_bytes()), r.msg.clone()));
+                ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::list(list)));
             }
         }
         if now == end + self.delta {
-            let msgs: Vec<Value> = self
+            let msgs = self
                 .records
                 .iter()
                 .filter(|r| r.finalized)
-                .map(|r| r.msg.clone())
-                .collect();
+                .map(|r| r.msg.clone());
             return vec![Delivery::new(
                 party,
-                Command::new("Broadcast", Value::List(msgs)),
+                Command::new("Broadcast", Value::list(msgs)),
             )];
         }
         Vec::new()

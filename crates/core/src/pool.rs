@@ -86,6 +86,7 @@ use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 pub use sbc_uc::exec::InstanceId;
 
@@ -787,8 +788,9 @@ impl<W: SbcBackend> SbcPool<W> {
                 continue;
             }
             // Agreement, checked against the first party's vector: equal
-            // as values is the whole check under `SharedRelease` (no
-            // allocation); a vector that differs as values is parsed and
+            // as values is the whole check under `SharedRelease`, where
+            // every party holds the one shared list and `==` is a pointer
+            // compare; a vector that differs as values is parsed and
             // compared as bytes, which is the exact rule — a `Bytes(b)` and
             // a value encoding to `b` are the same message.
             let parse = |list: &[Value]| -> Vec<Vec<u8>> {
@@ -799,14 +801,14 @@ impl<W: SbcBackend> SbcPool<W> {
                     })
                     .collect()
             };
-            let mut agreed: Option<(&[Value], Vec<Vec<u8>>)> = None;
+            let mut agreed: Option<(&Value, Vec<Vec<u8>>)> = None;
             for (party, cmd) in &outs {
                 let list = cmd.value.as_list().ok_or_else(|| SbcError::Internal {
                     detail: format!("{instance}: party {} released a non-list payload", party.0),
                 })?;
                 match &agreed {
-                    None => agreed = Some((list, parse(list))),
-                    Some((first, messages)) if *first != list && *messages != parse(list) => {
+                    None => agreed = Some((&cmd.value, parse(list))),
+                    Some((first, messages)) if **first != cmd.value && *messages != parse(list) => {
                         return Err(SbcError::Internal {
                             detail: format!(
                             "{instance}: agreement violation: party {} released a different vector",
@@ -946,7 +948,7 @@ impl<W: SbcBackend> SbcPool<W> {
         let mut pending = Vec::with_capacity(views.len());
         for (id, resp) in views {
             match resp {
-                Value::List(msgs) => pending.push((id, msgs)),
+                Value::List(msgs) => pending.push((id, Arc::unwrap_or_clone(msgs))),
                 other => {
                     return Err(SbcError::Internal {
                         detail: format!("{id}: unexpected corruption response: {other:?}"),

@@ -573,7 +573,7 @@ impl SbcParty {
                 out.push(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)));
             }
             out.sort();
-            return Some(Command::new("Broadcast", Value::List(out)));
+            return Some(Command::new("Broadcast", Value::list(out)));
         }
         None
     }
@@ -649,7 +649,7 @@ mod tests {
         let parsed = ParsedWire::parse(&wire).expect("a wire");
         assert_eq!((&parsed.ct, parsed.tau, &parsed.y[..]), (&b, 5, &b"y"[..]));
         // Not a list, wrong arity, and each position of the wrong type.
-        let list = |items: &[&Value]| Value::List(items.iter().map(|&v| v.clone()).collect());
+        let list = |items: &[&Value]| Value::list(items.iter().map(|&v| v.clone()));
         let not_wires = [
             wake_up(),
             list(&[&b, &u]),

@@ -225,12 +225,11 @@ impl SbcHost {
                 self.ftle.insert_adversarial(ct.clone(), msg.clone(), tau);
                 Value::Bool(true)
             }
-            ("F_TLE", "Leakage", _) => Value::List(
+            ("F_TLE", "Leakage", _) => Value::list(
                 self.ftle
                     .leakage(&self.core.ctx())
                     .into_iter()
-                    .map(|r| Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)]))
-                    .collect(),
+                    .map(|r| Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)])),
             ),
             ("F_RO", "QueryBytes", [x, len]) => match (x.as_bytes(), len.as_u64()) {
                 (Some(x), Some(len)) => {
@@ -292,8 +291,12 @@ impl SbcHybrid for SbcHost {
 /// world steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
 /// round is kept; a later party with the **same release view**
 /// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
-/// and output the same vector, so it takes a clone of that output and asks
-/// `F_RO` nothing. A party whose log differs releases on its own: the reuse
+/// and output the same vector, so it takes that output and asks `F_RO`
+/// nothing. The vector is built once: a `Value::List` is shared, so the
+/// clone each reusing party gets is a refcount bump on the one list —
+/// `F_SBC`'s one vector for all of `P`, not a copy of it per party — and
+/// the pool's agreement check on it is a pointer compare. A party whose
+/// log differs releases on its own: the reuse
 /// is an optimisation, never an assumption. One value must span no
 /// adversary action — a release computed before an `F_TLE` `Insert` or a
 /// corruption is not the release of a party stepped after it.
@@ -462,7 +465,7 @@ impl World for RealSbcWorld {
                 if !self.host.core.corrupt(p) {
                     return Value::Bool(false);
                 }
-                Value::List(self.parties[p.index()].pending_messages())
+                Value::list(self.parties[p.index()].pending_messages())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if let Some(msg) = self.host.broadcast_corrupted(party, cmd.value) {
@@ -901,7 +904,7 @@ impl World for IdealSbcWorld {
                         self.fsbc.allow(e.sbc_tag, msg, p, &mut ctx);
                     }
                 }
-                Value::List(pending.into_iter().filter_map(msg_of).collect())
+                Value::list(pending.into_iter().filter_map(msg_of))
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if let Some(wire) = self.host.broadcast_corrupted(party, cmd.value) {
@@ -1184,6 +1187,34 @@ mod tests {
         for p in &w.parties {
             assert!(p.log().shares_storage_with(first), "party {}", p.id().0);
         }
+    }
+
+    /// `F_SBC` hands every party one vector at `τ_rel`, and so does the
+    /// round-level `tick`: the release is built once and every honest
+    /// output holds that one list — shared, not copied per party.
+    #[test]
+    fn release_is_one_shared_list() {
+        const N: usize = 256;
+        let mut w = RealSbcWorld::new(params(N), b"shared-release");
+        for p in (0..N as u32).step_by(8) {
+            w.submit(PartyId(p), &p.to_be_bytes());
+        }
+        let outs = (0..10)
+            .map(|_| {
+                w.tick();
+                w.drain_outputs()
+            })
+            .find(|outs| !outs.is_empty())
+            .expect("released within ten rounds");
+        let lists: Vec<&Arc<Vec<Value>>> = outs
+            .iter()
+            .filter_map(|(_, cmd)| match &cmd.value {
+                Value::List(list) => Some(list),
+                _ => None,
+            })
+            .collect();
+        assert_eq!((lists.len(), lists[0].len()), (N, N / 8));
+        assert!(lists.iter().all(|list| Arc::ptr_eq(list, lists[0])));
     }
 
     type Theorem2Run = DualRun<RealSbcWorld, IdealSbcWorld>;

@@ -23,6 +23,7 @@
 
 use sbc_uc::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = *b"SB";
@@ -218,7 +219,7 @@ impl FrameKind {
         };
         let unpair = |body: Value| -> Result<[Value; 2], CodecError> {
             match body {
-                Value::List(items) => items.try_into().map_err(|_| bad()),
+                Value::List(items) => Arc::unwrap_or_clone(items).try_into().map_err(|_| bad()),
                 _ => Err(bad()),
             }
         };

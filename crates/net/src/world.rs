@@ -38,11 +38,11 @@
 //!   three components, so the shared value is the one each recipient
 //!   would have parsed;
 //! * **release sharing** — under `tick` the first honest party releases
-//!   over its own frames and every later one takes a clone of that output
-//!   (`SharedRelease`, the rule under `RealSbcWorld::tick`) and posts its
-//!   own `Output`. Scoped to one `tick` at a round boundary — between
-//!   bare `advance` calls the adversary may act — and guarded per party
-//!   by `SbcParty::shares_release_view`.
+//!   over its own frames and every later one takes that output, the one
+//!   shared list (`SharedRelease`, the rule under `RealSbcWorld::tick`),
+//!   and posts its own `Output`. Scoped to one `tick` at a round
+//!   boundary — between bare `advance` calls the adversary may act — and
+//!   guarded per party by `SbcParty::shares_release_view`.
 //!
 //! Dropping a corrupted sender's wires *does* change the received sets —
 //! that knob sits outside the `Exact` envelope and has its own tests.
@@ -129,12 +129,11 @@ impl FrameLink<'_> {
                 self.host.tle_enc(party, rho, tau);
                 return;
             }
-            FrameKind::TleRetrieve => FrameKind::TleTriples(Value::List(
+            FrameKind::TleRetrieve => FrameKind::TleTriples(Value::list(
                 self.host
                     .tle_retrieve(party)
                     .into_iter()
-                    .map(|(m, c, tau)| Value::list([m, c, Value::U64(tau)]))
-                    .collect(),
+                    .map(|(m, c, tau)| Value::list([m, c, Value::U64(tau)])),
             )),
             FrameKind::TleDec { ct, tau } => {
                 FrameKind::TleDecResp(match self.host.tle_dec(party, &ct, tau) {
@@ -172,13 +171,13 @@ impl SbcHybrid for FrameLink<'_> {
         else {
             return Vec::new();
         };
-        triples
+        Arc::unwrap_or_clone(triples)
             .into_iter()
             .filter_map(|triple| {
                 let Value::List(items) = triple else {
                     return None;
                 };
-                let [m, c, tau]: [Value; 3] = items.try_into().ok()?;
+                let [m, c, tau]: [Value; 3] = Arc::unwrap_or_clone(items).try_into().ok()?;
                 Some((m, c, tau.as_u64()?))
             })
             .collect()
@@ -501,7 +500,7 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
                     return Value::Bool(false);
                 }
                 self.transport.set_corrupted(p.0);
-                Value::List(self.parties[p.index()].pending_messages())
+                Value::list(self.parties[p.index()].pending_messages())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if let Some(msg) = self.host.broadcast_corrupted(party, cmd.value) {

@@ -214,23 +214,15 @@ fn parse_config(fields: &[Value]) -> Result<ServiceConfig, ServiceError> {
 fn checkpoint_value(cp: &Checkpoint) -> Value {
     let c = &cp.counters;
     let (buckets, count, sum, max) = cp.hist.raw_parts();
-    let queues = cp
-        .queues
-        .iter()
-        .map(|q| {
-            Value::List(
-                q.iter()
-                    .map(|(ticket, payload, round)| {
-                        Value::list([
-                            Value::U64(*ticket),
-                            Value::bytes(payload),
-                            Value::U64(*round),
-                        ])
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
+    let queues = cp.queues.iter().map(|q| {
+        Value::list(q.iter().map(|(ticket, payload, round)| {
+            Value::list([
+                Value::U64(*ticket),
+                Value::bytes(payload),
+                Value::U64(*round),
+            ])
+        }))
+    });
     Value::list([
         Value::U64(cp.era),
         Value::U64(cp.round),
@@ -250,12 +242,12 @@ fn checkpoint_value(cp: &Checkpoint) -> Value {
             Value::U64(c.leak_overflow),
         ]),
         Value::list([
-            Value::List(buckets.iter().map(|b| Value::U64(*b)).collect()),
+            Value::list(buckets.iter().map(|b| Value::U64(*b))),
             Value::U64(count),
             Value::U64(sum),
             Value::U64(max),
         ]),
-        Value::List(queues),
+        Value::list(queues),
     ])
 }
 
@@ -374,7 +366,7 @@ impl<W: SbcBackend> SbcService<W> {
             Value::U64(self.stats().delivered),
             Value::U64(self.stats().rejected),
             checkpoint_value(&self.checkpoint),
-            Value::List(ops),
+            Value::list(ops),
         ])
         .encode()
     }
@@ -566,6 +558,7 @@ mod tests {
     use crate::stats::ServiceStats;
     use sbc_core::api::SbcError;
     use sbc_primitives::drbg::Drbg;
+    use std::sync::Arc;
 
     type Service = SbcService<sbc_core::worlds::RealSbcWorld>;
 
@@ -821,7 +814,7 @@ mod tests {
         let image = a.snapshot().unwrap();
         let payload = &image[HEADER_LEN..image.len() - DIGEST_LEN];
         match Value::decode(payload) {
-            Some(Value::List(fields)) => fields,
+            Some(Value::List(fields)) => Arc::unwrap_or_clone(fields),
             other => panic!("payload is a list: {other:?}"),
         }
     }
@@ -837,12 +830,22 @@ mod tests {
             let Value::List(tuning) = &mut fields[4] else {
                 panic!("tuning is a list");
             };
-            tuning[knob] = Value::U64(0);
+            Arc::make_mut(tuning)[knob] = Value::U64(0);
             assert!(matches!(
-                Service::restore(&seal(&Value::List(fields).encode())),
+                Service::restore(&seal(&Value::list(fields).encode())),
                 Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
             ));
         }
+    }
+
+    #[test]
+    fn sealed_image_with_a_lying_inner_length_is_refused() {
+        // Correct digest, but the version string (tag 5, the payload's
+        // first item) claims `u64::MAX` bytes.
+        let mut payload = Value::list(payload_fields()).encode();
+        assert_eq!(payload[9], 5);
+        payload[10..18].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert_bad(&seal(&payload), "lying inner length");
     }
 
     #[test]
@@ -856,13 +859,13 @@ mod tests {
             let Value::List(cp) = &mut fields[7] else {
                 panic!("checkpoint is a list");
             };
-            cp[5] = Value::list([
-                Value::List(buckets.iter().map(|b| Value::U64(*b)).collect()),
+            Arc::make_mut(cp)[5] = Value::list([
+                Value::list(buckets.iter().map(|b| Value::U64(*b))),
                 Value::U64(count),
                 Value::U64(sum),
                 Value::U64(0),
             ]);
-            seal(&Value::List(fields).encode())
+            seal(&Value::list(fields).encode())
         };
         let empty = [0; LatencyHistogram::BUCKETS];
         let detail = assert_bad(&with_hist(&empty, u64::MAX, u64::MAX), "forged count");

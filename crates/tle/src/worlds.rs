@@ -61,11 +61,10 @@ fn parse_dec(v: &Value) -> Option<(Value, i64)> {
 fn encrypted_output(triples: Vec<(Value, Value, u64)>) -> Command {
     Command::new(
         "Encrypted",
-        Value::List(
+        Value::list(
             triples
                 .into_iter()
-                .map(|(m, c, t)| Value::list([m, c, Value::U64(t)]))
-                .collect(),
+                .map(|(m, c, t)| Value::list([m, c, Value::U64(t)])),
         ),
     )
 }

@@ -75,7 +75,7 @@ pub enum EventKind {
 fn lengths_only(v: &Value) -> Value {
     match v {
         Value::Bytes(b) => Value::U64(b.len() as u64),
-        Value::List(items) => Value::List(items.iter().map(lengths_only).collect()),
+        Value::List(items) => Value::list(items.iter().map(lengths_only)),
         other => other.clone(),
     }
 }
@@ -122,7 +122,7 @@ impl Event {
             EventKind::AdvResponse { value } => vec![Value::str("adv-resp"), val(value)],
         };
         let mut out = self.round.to_be_bytes().to_vec();
-        out.extend_from_slice(&Value::List(items).encode());
+        out.extend_from_slice(&Value::list(items).encode());
         out
     }
 }

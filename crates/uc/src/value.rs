@@ -6,6 +6,12 @@
 //! type is what makes environment transcripts from the *real* and *ideal*
 //! worlds directly comparable in the indistinguishability experiments.
 //!
+//! A list is built once and then shared rather than edited: it is one
+//! allocation behind an `Arc`, so handing the same vector to `n` parties
+//! costs `n` refcount bumps, and comparing two handles to it is a
+//! pointer compare. Byte strings are owned. The encoding does not see
+//! the sharing.
+//!
 //! # Examples
 //!
 //! ```
@@ -18,6 +24,7 @@
 
 use sbc_primitives::sha256::Sha256;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamically typed, canonically encodable payload tree.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,8 +41,15 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// A UTF-8 string (labels).
     Str(String),
-    /// An ordered list of values.
-    List(Vec<Value>),
+    /// An ordered list of values: immutable and shared. Build one with
+    /// [`Value::list`] / [`Value::pair`]; read it through
+    /// [`as_list`](Value::as_list) or a `Value::List(items)` pattern.
+    /// Cloning is a refcount bump, and `==` on two handles to the same
+    /// list returns without looking at an element — which is what lets a
+    /// world hand every honest party the one release vector it computed.
+    /// The rare edit goes through `Arc::make_mut`, which copies only if
+    /// the list is shared; `Arc::unwrap_or_clone` takes the items out.
+    List(Arc<Vec<Value>>),
 }
 
 impl fmt::Debug for Value {
@@ -55,7 +69,7 @@ impl fmt::Debug for Value {
                 )
             }
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::List(items) => f.debug_list().entries(items).finish(),
+            Value::List(items) => f.debug_list().entries(items.iter()).finish(),
         }
     }
 }
@@ -72,13 +86,13 @@ impl Value {
     }
 
     /// Builds a `List` value.
-    pub fn list(items: impl Into<Vec<Value>>) -> Value {
-        Value::List(items.into())
+    pub fn list(items: impl IntoIterator<Item = Value>) -> Value {
+        Value::List(Arc::new(items.into_iter().collect()))
     }
 
     /// Builds a pair as a two-element list.
     pub fn pair(a: Value, b: Value) -> Value {
-        Value::List(vec![a, b])
+        Value::list([a, b])
     }
 
     /// Returns the inner u64, if this is a `U64`.
@@ -160,7 +174,7 @@ impl Value {
             Value::List(items) => {
                 out.push(6);
                 out.extend_from_slice(&(items.len() as u64).to_be_bytes());
-                for item in items {
+                for item in items.iter() {
                     item.encode_into(out);
                 }
             }
@@ -207,15 +221,17 @@ impl Value {
                 let v = read_u64(bytes, pos)?;
                 Some(Value::I64(v as i64))
             }
+            // A length is wire-supplied: it is bounded by the bytes left
+            // before `pos` moves, never added to `pos` unchecked.
             4 => {
                 let len = read_u64(bytes, pos)? as usize;
-                let b = bytes.get(*pos..*pos + len)?;
+                let b = bytes.get(*pos..)?.get(..len)?;
                 *pos += len;
                 Some(Value::Bytes(b.to_vec()))
             }
             5 => {
                 let len = read_u64(bytes, pos)? as usize;
-                let b = bytes.get(*pos..*pos + len)?;
+                let b = bytes.get(*pos..)?.get(..len)?;
                 *pos += len;
                 Some(Value::Str(String::from_utf8(b.to_vec()).ok()?))
             }
@@ -225,7 +241,7 @@ impl Value {
                 for _ in 0..len {
                     items.push(Self::decode_from(bytes, pos, depth + 1)?);
                 }
-                Some(Value::List(items))
+                Some(Value::list(items))
             }
             _ => None,
         }
@@ -317,6 +333,35 @@ mod tests {
     fn truncated_rejected() {
         let enc = Value::bytes(b"hello").encode();
         assert_eq!(Value::decode(&enc[..enc.len() - 1]), None);
+    }
+
+    #[test]
+    fn hostile_length_is_refused_not_added() {
+        for tag in [4u8, 5] {
+            // `u64::MAX` overflows `pos + len`; 2 is one byte past the end.
+            for len in [u64::MAX, 2] {
+                let lying = [&[tag][..], &len.to_be_bytes(), b"x"].concat();
+                assert_eq!(Value::decode(&lying), None, "tag {tag}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn lists_are_shared_and_immutable() {
+        let a = Value::pair(Value::U64(1), Value::bytes(b"x"));
+        let (b, mut edited) = (a.clone(), a.clone());
+        let (Value::List(la), Value::List(lb), Value::List(le)) = (&a, &b, &mut edited) else {
+            unreachable!("pairs are lists")
+        };
+        assert!(Arc::ptr_eq(la, lb) && la == lb, "a clone shares storage");
+        // The rare edit copies a shared list; the other handles keep theirs.
+        Arc::make_mut(le)[0] = Value::U64(2);
+        assert_eq!((&a.as_list().unwrap()[0], &a), (&Value::U64(1), &b));
+        assert_ne!(a, edited);
+        // The encoding does not see the sharing.
+        let one = 1u64.to_be_bytes();
+        let expected = [&[6][..], &2u64.to_be_bytes(), &[2], &one, &[4], &one, b"x"].concat();
+        assert_eq!(b.encode(), expected);
     }
 
     #[test]

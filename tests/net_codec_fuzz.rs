@@ -12,7 +12,7 @@
 //! * every single-bit flip of a valid frame either decodes (flips in
 //!   payload bytes can still be canonical) or errors — never panics;
 //! * frames whose length prefix lies (short, long, oversize) are typed
-//!   errors;
+//!   errors, and so are bodies whose inner byte / string length lies;
 //! * adversarially deep-nested list payloads are rejected instead of
 //!   recursing the stack away;
 //! * the retired kind tags 12–15 (the snapshot images the codec once
@@ -37,7 +37,7 @@ fn rand_value(rng: &mut Drbg, depth: usize) -> Value {
         4 => Value::Str(format!("s{}", rng.gen_bytes(1)[0])),
         _ => {
             let len = (rng.gen_bytes(1)[0] % 4) as usize;
-            Value::List((0..len).map(|_| rand_value(rng, depth - 1)).collect())
+            Value::list((0..len).map(|_| rand_value(rng, depth - 1)))
         }
     }
 }
@@ -201,6 +201,32 @@ fn lying_length_prefixes_are_typed_errors() {
         Frame::decode(&oversize),
         Err(CodecError::Oversize { .. })
     ));
+}
+
+#[test]
+fn lying_inner_lengths_are_typed_errors() {
+    // A well-framed `Deliver` whose body carries a byte string (tag 4) and
+    // a string (tag 5); each in turn claims `u64::MAX` bytes. The frame's
+    // own lengths stay honest, so only the value decoder sees the lie.
+    let payload = Value::pair(Value::bytes(b"abcd"), Value::str("efgh"));
+    let bytes = Frame {
+        from: Endpoint::Host,
+        to: Endpoint::Party(1),
+        sent_at: 7,
+        kind: FrameKind::Deliver { origin: 3, payload },
+    }
+    .encode();
+    for content in [b"abcd", b"efgh"] {
+        let at = bytes
+            .windows(4)
+            .position(|w| w == content)
+            .expect("in the body")
+            - 8;
+        let mut lying = bytes.clone();
+        lying[at..at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+        let kind = "Deliver";
+        assert_eq!(Frame::decode(&lying), Err(CodecError::BadPayload { kind }));
+    }
 }
 
 #[test]

@@ -468,7 +468,7 @@ impl World for AuditWorld {
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
         if let AdvCommand::Corrupt(p) = cmd {
             self.corrupted[p.index()] = true;
-            return Value::List(Vec::new());
+            return Value::list(Vec::new());
         }
         Value::Unit
     }

@@ -34,7 +34,7 @@ fn arb_value(rng: &mut Drbg, depth: usize) -> Value {
         }
         _ => {
             let len = rng.gen_range(6) as usize;
-            Value::List((0..len).map(|_| arb_value(rng, depth - 1)).collect())
+            Value::list((0..len).map(|_| arb_value(rng, depth - 1)))
         }
     }
 }
