@@ -498,6 +498,7 @@ mod tests {
         s.submit(3, b"alone").unwrap();
         let r = s.run_to_completion().unwrap();
         assert_eq!(r.messages, vec![b"alone".to_vec()]);
+        assert_eq!(r.release_round, 3 + 2, "one sender of five: no waiting");
     }
 
     #[test]
@@ -536,6 +537,14 @@ mod tests {
         // n = 0 is degenerate.
         let err = SbcSession::builder(0).seed(b"bad3").build().unwrap_err();
         assert!(matches!(err, SbcError::InvalidParams { .. }));
+        // A Φ or ∆ that overflows `now + Φ + ∆` is refused, not run.
+        for builder in [
+            SbcSession::builder(2).phi(u64::MAX),
+            SbcSession::builder(2).delta(u64::MAX),
+        ] {
+            let err = builder.seed(b"x").build().unwrap_err();
+            assert!(matches!(err, SbcError::InvalidParams { .. }));
+        }
     }
 
     #[test]

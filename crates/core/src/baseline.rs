@@ -1,5 +1,6 @@
-//! Baseline simultaneous-broadcast systems for the comparison experiments
-//! (table E5 of the `experiments` binary: `-- e5`).
+//! Baseline simultaneous-broadcast systems: what `F_SBC` is compared
+//! against in this module's tests, and the contrast the
+//! `sealed_bid_auction` example draws.
 //!
 //! * [`HeviaStyleSbc`] — an \[Hev06]-style SBC functionality: honest
 //!   majority assumed, and termination requires **full participation**

@@ -84,15 +84,21 @@ impl SbcParams {
         self.tle_alpha + 1
     }
 
-    /// Validates Theorem 2's constraints.
+    /// Validates Theorem 2's constraints, and bounds Φ and ∆ so that
+    /// release arithmetic (`now + Φ + ∆`, round budgets) cannot overflow;
+    /// `delay < Φ` and `α_TLE < ∆` then bound the other two fields.
     ///
     /// # Errors
     ///
     /// [`SbcError::InvalidParams`] naming the violated constraint.
     pub fn validate(&self) -> Result<(), SbcError> {
+        const MAX_SPAN: u64 = u32::MAX as u64;
         let fail = |reason| Err(SbcError::InvalidParams { reason });
         if self.n == 0 {
             return fail("need at least one party");
+        }
+        if self.phi > MAX_SPAN || self.delta > MAX_SPAN {
+            return fail("need Φ, ∆ ≤ 2³² − 1");
         }
         if self.phi <= self.tle_delay {
             return fail("need Φ > delay");

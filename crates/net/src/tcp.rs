@@ -115,7 +115,7 @@ impl TcpConfig {
     /// silent.
     pub fn from_delta(delta: u64) -> Self {
         TcpConfig {
-            io_deadline: Duration::from_millis(200 + 100 * delta),
+            io_deadline: Duration::from_millis(delta.saturating_mul(100).saturating_add(200)),
             connect_timeout: Duration::from_secs(2),
             reconnect_attempts: 5,
             backoff_base: Duration::from_millis(1),
@@ -761,6 +761,12 @@ mod tests {
             kind: FrameKind::Tick,
         }
         .encode()
+    }
+
+    #[test]
+    fn from_delta_saturates_instead_of_overflowing() {
+        let deadline = TcpConfig::from_delta(u64::MAX).io_deadline;
+        assert_eq!(deadline, Duration::from_millis(u64::MAX));
     }
 
     #[test]

@@ -300,15 +300,16 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the per-instance batch size.
+    /// Sets the per-instance batch size (0 is refused by
+    /// [`SbcService::new`]).
     pub fn batch_size(mut self, size: usize) -> Self {
-        self.batch_size = size.max(1);
+        self.batch_size = size;
         self
     }
 
-    /// Sets the live-instance bound.
+    /// Sets the live-instance bound (0 is refused by [`SbcService::new`]).
     pub fn max_live(mut self, live: usize) -> Self {
-        self.max_live = live.max(1);
+        self.max_live = live;
         self
     }
 
@@ -551,8 +552,8 @@ impl<W: SbcBackend> SbcService<W> {
     ///
     /// [`ServiceError::Pool`] wrapping the pool's parameter validation,
     /// or [`SbcError::InvalidParams`] for a zero `batch_size` or
-    /// `max_live` (the fields are `pub` and travel in images; only the
-    /// setters clamp): the first opens instances nothing is ever admitted
+    /// `max_live` however it was spelled (setter, field, or an image's
+    /// tuning list): the first opens instances nothing is ever admitted
     /// into, the second opens none, and either way the queue never drains.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServiceError> {
         if cfg.batch_size == 0 || cfg.max_live == 0 {
@@ -820,7 +821,10 @@ impl<W: SbcBackend> SbcService<W> {
         let per_cycle = self.cfg.params.phi + self.cfg.params.delta + 4;
         let cycles =
             (self.queued() as u64).div_ceil(self.cfg.batch_size as u64) + self.live() as u64 + 2;
-        let budget = cycles * per_cycle + self.cfg.flush_after + 1;
+        let budget = cycles
+            .saturating_mul(per_cycle)
+            .saturating_add(self.cfg.flush_after)
+            .saturating_add(1);
         let mut spent = 0;
         while self.queued() > 0 || self.live() > 0 {
             if spent >= budget {
@@ -1012,17 +1016,34 @@ mod tests {
 
     #[test]
     fn zero_batch_size_or_max_live_is_refused_at_construction() {
-        // The setters clamp; a struct-field write does not.
         let base = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"zero");
-        for (batch_size, max_live) in [(0, 8), (8, 0)] {
-            let mut cfg = base.clone();
-            (cfg.batch_size, cfg.max_live) = (batch_size, max_live);
+        let fields = [(0, 8), (8, 0)].map(|(batch_size, max_live)| ServiceConfig {
+            batch_size,
+            max_live,
+            ..base.clone()
+        });
+        let setters = [base.clone().batch_size(0), base.clone().max_live(0)];
+        for cfg in fields.into_iter().chain(setters) {
             assert!(matches!(
                 SbcService::<RealSbcWorld>::new(cfg),
                 Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
             ));
         }
         assert!(SbcService::<RealSbcWorld>::new(base).is_ok());
+    }
+
+    #[test]
+    fn overflowing_phi_or_delta_is_refused_at_construction() {
+        // Either would overflow the release round and `shutdown`'s budget;
+        // `restore` builds through `new`, so a re-sealed image is refused too.
+        for (phi, delta) in [(u64::MAX, 2), (3, u64::MAX)] {
+            let mut cfg = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"huge");
+            (cfg.params.phi, cfg.params.delta) = (phi, delta);
+            assert!(matches!(
+                SbcService::<RealSbcWorld>::new(cfg),
+                Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
+            ));
+        }
     }
 
     #[test]

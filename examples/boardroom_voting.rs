@@ -3,7 +3,7 @@
 //! the same registered electorate.
 //!
 //! ```sh
-//! cargo run -p sbc-bench --example boardroom_voting
+//! cargo run --example boardroom_voting
 //! ```
 
 use sbc_apps::voting::{BulletinBoardElection, Election, VotingError};

@@ -2,7 +2,7 @@
 //! fallible session API.
 //!
 //! ```sh
-//! cargo run -p sbc-bench --example quickstart
+//! cargo run --example quickstart
 //! ```
 
 use sbc_core::api::{SbcError, SbcSession};

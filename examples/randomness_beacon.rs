@@ -6,7 +6,7 @@
 //! here: contributions are time-locked until the period ends.
 //!
 //! ```sh
-//! cargo run -p sbc-bench --example randomness_beacon
+//! cargo run --example randomness_beacon
 //! ```
 
 use sbc_apps::durs::{

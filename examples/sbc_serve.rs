@@ -10,7 +10,7 @@
 //! run.
 //!
 //! ```sh
-//! cargo run -p sbc-bench --example sbc_serve --release -- \
+//! cargo run --release --example sbc_serve -- \
 //!     [--mode beacon|election|auction] \
 //!     [--backend real|loopback|simnet|tcp] \
 //!     [--total N] [--smoke] \

@@ -9,7 +9,7 @@
 //! channel where the last bidder wins every time.
 //!
 //! ```sh
-//! cargo run -p sbc-bench --example sealed_bid_auction
+//! cargo run --example sealed_bid_auction
 //! ```
 
 use sbc_core::api::SbcError;

@@ -103,6 +103,7 @@ fn election_large_boardroom() {
     let r = e.finish().unwrap();
     assert_eq!(r.counts, expected.to_vec());
     assert_eq!(r.ballots_accepted, n);
+    assert_eq!(r.tally_round, 3 + 2, "tally only after t_end + ∆");
 }
 
 #[test]

@@ -27,10 +27,11 @@ fn dolev_strong_over_real_signatures() {
     }
 }
 
-/// Dolev–Strong round complexity: always exactly t + 1 rounds.
+/// Dolev–Strong round complexity: always exactly t + 1 rounds, up to
+/// t = n − 1, with every party outputting the honest sender's value.
 #[test]
 fn dolev_strong_round_complexity_sweep() {
-    for n in [3usize, 5, 8] {
+    for n in [3usize, 4, 5, 8, 16, 32] {
         for t in [1usize, n / 2, n - 1] {
             let mut rng = Drbg::from_seed(b"sweep");
             let certs: Vec<IdealCert> = (0..n as u32)
@@ -40,25 +41,29 @@ fn dolev_strong_round_complexity_sweep() {
             ds.start_honest(Value::U64(1));
             ds.run_to_completion();
             assert_eq!(ds.round(), t as u64 + 1, "n={n} t={t}");
+            assert_eq!(ds.outputs(), vec![Value::U64(1); n], "n={n} t={t}");
         }
     }
 }
 
-/// Corollary 1 parameters: the composed stack runs with Φ > 3, ∆ > 2.
+/// Corollary 1 parameters: the composed stack runs with Φ > 3, ∆ > 2, and
+/// a round-0 period releases everything at `t_end + ∆ = Φ + ∆`.
 #[test]
 fn corollary1_parameter_regime() {
-    let mut s = SbcSession::builder(4)
-        .phi(4)
-        .delta(3)
-        .seed(b"cor1")
-        .build()
-        .unwrap();
-    s.submit(0, b"a").unwrap();
-    s.submit(1, b"b").unwrap();
-    s.submit(2, b"c").unwrap();
-    let r = s.run_to_completion().unwrap();
-    assert_eq!(r.messages.len(), 3);
-    assert_eq!(r.release_round, 4 + 3, "t_end + ∆ with Φ=4, ∆=3");
+    for (phi, delta) in [(4, 3), (5, 3), (6, 4)] {
+        let mut s = SbcSession::builder(4)
+            .phi(phi)
+            .delta(delta)
+            .seed(b"cor1")
+            .build()
+            .unwrap();
+        s.submit(0, b"a").unwrap();
+        s.submit(1, b"b").unwrap();
+        s.submit(2, b"c").unwrap();
+        let r = s.run_to_completion().unwrap();
+        assert_eq!(r.messages.len(), 3, "Φ={phi} ∆={delta}");
+        assert_eq!(r.release_round, phi + delta, "Φ={phi} ∆={delta}");
+    }
 }
 
 /// Corollary 1, repeated: successive Φ > 3, ∆ > 2 periods on one composed
@@ -94,6 +99,7 @@ fn fbc_delta_invariant_across_offsets() {
             env.input(PartyId(1), Command::new("Broadcast", Value::bytes(b"m")));
             env.idle_rounds(4);
         });
+        assert_eq!(t.outputs().len(), 3, "offset {offset}");
         for (round, _, _) in t.outputs() {
             assert_eq!(round, offset + 2, "offset {offset}");
         }
@@ -101,10 +107,11 @@ fn fbc_delta_invariant_across_offsets() {
 }
 
 /// The full SBC stack delivers identical vectors to every party, for a
-/// range of n and message loads.
+/// range of n and message loads; with every party submitting in round 0,
+/// all n messages release at Φ + ∆.
 #[test]
 fn sbc_agreement_sweep() {
-    for n in [2usize, 3, 5, 8] {
+    for n in [2usize, 3, 4, 5, 8] {
         let params = SbcParams::default_for(n);
         let mut world = RealSbcWorld::new(params, format!("sweep-{n}").as_bytes());
         let t = run_env(&mut world, |env| {
@@ -123,6 +130,14 @@ fn sbc_agreement_sweep() {
         for w in delivered.windows(2) {
             assert_eq!(w[0].value, w[1].value, "agreement n={n}");
         }
+
+        let mut s = SbcSession::builder(n).seed(b"sweep").build().unwrap();
+        for i in 0..n as u32 {
+            s.submit(i, format!("msg-{i}").as_bytes()).unwrap();
+        }
+        let r = s.run_to_completion().unwrap();
+        assert_eq!(r.messages.len(), n, "n={n}");
+        assert_eq!(r.release_round, params.phi + params.delta, "n={n}");
     }
 }
 
