@@ -1052,7 +1052,9 @@ impl<W: SbcBackend> SbcPool<W> {
     }
 
     /// Raw control-channel access to one instance's functionalities
-    /// (`F_TLE` `Insert`/`Leakage`, `F_RO` `QueryBytes`, …).
+    /// (`F_TLE` `Insert`/`Leakage`, `F_RO` `QueryBytes`, …). A command the
+    /// functionalities refuse, such as a `QueryBytes` longer than
+    /// `u32::MAX` bytes, answers `Ok(Value::Unit)`.
     ///
     /// # Errors
     ///
@@ -1412,6 +1414,31 @@ mod tests {
         );
         assert_eq!(real, ideal);
         assert!(real[0].1.messages.contains(&b"evil-a".to_vec()));
+    }
+
+    #[test]
+    fn oversized_ro_query_answers_unit() {
+        fn drive<W: SbcBackend>(mut pool: SbcPool<W>) {
+            let id = pool.open_instance().unwrap();
+            pool.submit(id, 0, b"m").unwrap();
+            let mut query = |len: u64| {
+                let x = Value::list([Value::bytes(b"rho"), Value::U64(len)]);
+                pool.control(id, "F_RO", Command::new("QueryBytes", x))
+            };
+            // Unbounded, `u64::MAX` reaches `vec![0u8; len]` inside
+            // `F_RO`: a capacity-overflow panic.
+            assert_eq!(query(u64::MAX), Ok(Value::Unit));
+            assert_eq!(query(u32::MAX as u64 + 1), Ok(Value::Unit));
+            let y = query(64).unwrap();
+            assert_eq!(y.as_bytes().map(<[u8]>::len), Some(64));
+        }
+        drive(SbcPool::builder(2).seed(b"x").build().unwrap());
+        drive(
+            SbcPool::builder(2)
+                .seed(b"x")
+                .build_backend::<IdealSbcWorld>()
+                .unwrap(),
+        );
     }
 
     #[test]

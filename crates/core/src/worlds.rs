@@ -219,8 +219,11 @@ impl SbcHost {
 
     /// The adversary's `AdvCommand::Control` interface to the real
     /// functionalities: `F_TLE` `Insert` / `Leakage` and `F_RO`
-    /// `QueryBytes`. Anything else answers `Unit`.
+    /// `QueryBytes` of at most `u32::MAX` bytes (the bound `validate` puts
+    /// on Φ and ∆; a mask for any plausible message fits under it).
+    /// Anything else, a longer query included, answers `Unit`.
     pub fn control(&mut self, target: &str, cmd: &Command) -> Value {
+        const MAX_QUERY_BYTES: u64 = u32::MAX as u64;
         let items = cmd.value.as_list().unwrap_or(&[]);
         match (target, cmd.name.as_str(), items) {
             ("F_TLE", "Insert", [ct, msg, tau]) => {
@@ -238,7 +241,7 @@ impl SbcHost {
                     .map(|r| Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)])),
             ),
             ("F_RO", "QueryBytes", [x, len]) => match (x.as_bytes(), len.as_u64()) {
-                (Some(x), Some(len)) => {
+                (Some(x), Some(len)) if len <= MAX_QUERY_BYTES => {
                     Value::Bytes(self.ro.query_bytes(Caller::Adversary, x, len as usize))
                 }
                 _ => Value::Unit,

@@ -60,7 +60,8 @@ impl HmacKey {
         mac.finalize()
     }
 
-    fn begin(&self) -> HmacSha256 {
+    /// An incremental tag under the key, resumed from its inner pad.
+    pub(crate) fn begin(&self) -> HmacSha256 {
         HmacSha256 {
             inner: Sha256::from_midstate(self.ipad),
             opad: self.opad,

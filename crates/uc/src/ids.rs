@@ -55,9 +55,8 @@ impl fmt::Debug for Tag {
 impl Tag {
     /// Samples a fresh tag from `rng`.
     pub fn random(rng: &mut Drbg) -> Tag {
-        let b = rng.gen_bytes(16);
         let mut t = [0u8; 16];
-        t.copy_from_slice(&b);
+        rng.fill(&mut t);
         Tag(t)
     }
 

@@ -77,7 +77,9 @@ pub struct RandomOracle {
 impl RandomOracle {
     /// Creates an oracle keyed from `rng`.
     pub fn new(mut rng: Drbg) -> Self {
-        let key = HmacKey::new(&rng.gen_bytes(32));
+        let mut key = [0u8; 32];
+        rng.fill(&mut key);
+        let key = HmacKey::new(&key);
         RandomOracle {
             table: HashMap::new(),
             vl_table: HashMap::new(),
