@@ -454,11 +454,6 @@ impl NaiveBeacon {
         self.shares.push(share);
     }
 
-    /// Adversary view of all posted shares.
-    pub fn view(&self) -> &[Vec<u8>] {
-        &self.shares
-    }
-
     /// Current XOR of all posted shares.
     pub fn combined(&self) -> Vec<u8> {
         let mut acc = vec![0u8; URS_LEN];
@@ -522,51 +517,24 @@ pub fn last_revealer_attack_on_durs(
 mod tests {
     use super::*;
     use sbc_core::worlds::IdealSbcWorld;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
+    use sbc_uc::world::WorldCore;
 
     #[test]
     fn func_single_string_for_everyone() {
-        let mut clock = GlobalClock::new(PartyId::all(2));
-        let mut rng = Drbg::from_seed(b"durs-f");
-        let mut leaks = Vec::new();
-        let mut corr = CorruptionTracker::new(2);
+        let mut core = WorldCore::new(2, b"durs-f");
         let mut f = DursFunc::new(3, 1).unwrap();
-        {
-            let mut ctx = HybridCtx {
-                clock: &mut clock,
-                rng: &mut rng,
-                leaks: &mut leaks,
-                corr: &mut corr,
-            };
-            assert!(f.request(PartyId(0), &mut ctx).is_none(), "too early");
-            assert!(f.request_simulator(&mut ctx).is_none(), "α=1 < ∆=3");
-        }
-        for _ in 0..2 {
-            clock.advance_party(PartyId(0));
-            clock.advance_party(PartyId(1));
-        }
-        {
-            let mut ctx = HybridCtx {
-                clock: &mut clock,
-                rng: &mut rng,
-                leaks: &mut leaks,
-                corr: &mut corr,
-            };
-            // Cl = 2 = ∆ - α: simulator gets it, parties don't.
-            assert!(f.request_simulator(&mut ctx).is_some());
-            assert!(f.request(PartyId(1), &mut ctx).is_none());
-        }
-        clock.advance_party(PartyId(0));
-        clock.advance_party(PartyId(1));
-        let mut ctx = HybridCtx {
-            clock: &mut clock,
-            rng: &mut rng,
-            leaks: &mut leaks,
-            corr: &mut corr,
-        };
-        let urs0 = f.advance_clock(PartyId(0), &mut ctx).unwrap();
-        let urs1 = f.request(PartyId(1), &mut ctx).unwrap();
+        assert!(
+            f.request(PartyId(0), &mut core.ctx()).is_none(),
+            "too early"
+        );
+        assert!(f.request_simulator(&mut core.ctx()).is_none(), "α=1 < ∆=3");
+        core.clock.fast_forward(2);
+        // Cl = 2 = ∆ - α: simulator gets it, parties don't.
+        assert!(f.request_simulator(&mut core.ctx()).is_some());
+        assert!(f.request(PartyId(1), &mut core.ctx()).is_none());
+        core.clock.fast_forward(3);
+        let urs0 = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
+        let urs1 = f.request(PartyId(1), &mut core.ctx()).unwrap();
         assert_eq!(urs0, urs1);
         assert_eq!(urs0.len(), URS_LEN);
     }

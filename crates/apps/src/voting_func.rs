@@ -225,39 +225,7 @@ impl VotingFunc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"fvs"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-        fn tick(&mut self, n: usize) {
-            for i in 0..n {
-                self.clock.advance_party(PartyId(i as u32));
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     fn func() -> VotingFunc {
         // Φ = 2, ∆ = 2, α = 1, two candidates.
@@ -266,108 +234,118 @@ mod tests {
 
     #[test]
     fn lifecycle_and_tally() {
-        let mut fx = Fx::new(3);
+        let mut core = WorldCore::new(3, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
+        f.init(&mut core.ctx());
         assert_eq!(f.t_end(), Some(2));
         assert_eq!(f.t_tally(), Some(4));
-        f.vote(PartyId(0), 1, &mut fx.ctx()).unwrap();
-        f.vote(PartyId(1), 0, &mut fx.ctx()).unwrap();
-        f.vote(PartyId(2), 1, &mut fx.ctx()).unwrap();
+        f.vote(PartyId(0), 1, &mut core.ctx()).unwrap();
+        f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
+        f.vote(PartyId(2), 1, &mut core.ctx()).unwrap();
         // Rounds 0..3: nothing released.
         for round in 0..4u64 {
             for i in 0..3 {
                 assert!(
-                    f.advance_clock(PartyId(i), &mut fx.ctx()).is_none(),
+                    f.advance_clock(PartyId(i), &mut core.ctx()).is_none(),
                     "round {round}"
                 );
             }
-            fx.tick(3);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
         // Round 4 = t_tally: everyone gets the result.
         for i in 0..3 {
-            assert_eq!(f.advance_clock(PartyId(i), &mut fx.ctx()), Some(vec![1, 2]));
+            assert_eq!(
+                f.advance_clock(PartyId(i), &mut core.ctx()),
+                Some(vec![1, 2])
+            );
         }
     }
 
     #[test]
     fn honest_vote_leak_hides_choice() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
-        f.vote(PartyId(0), 1, &mut fx.ctx()).unwrap();
-        let items = fx.leaks[0].cmd.value.as_list().unwrap();
+        f.init(&mut core.ctx());
+        f.vote(PartyId(0), 1, &mut core.ctx()).unwrap();
+        let items = core.leaks[0].cmd.value.as_list().unwrap();
         assert_eq!(items.len(), 2, "tag and voter only — no vote content");
     }
 
     #[test]
     fn result_leaks_to_simulator_alpha_early() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"fvs");
         let mut f = func(); // t_tally = 4, α = 1 → simulator sees at 3
-        f.init(&mut fx.ctx());
-        f.vote(PartyId(0), 1, &mut fx.ctx()).unwrap();
+        f.init(&mut core.ctx());
+        f.vote(PartyId(0), 1, &mut core.ctx()).unwrap();
         for _ in 0..3 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(1);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        fx.leaks.clear();
+        core.leaks.clear();
         assert!(
-            f.advance_clock(PartyId(0), &mut fx.ctx()).is_none(),
+            f.advance_clock(PartyId(0), &mut core.ctx()).is_none(),
             "round 3: no release"
         );
-        assert_eq!(fx.leaks.len(), 1, "round 3 = t_tally − α: simulator result");
-        assert_eq!(fx.leaks[0].cmd.name, "Result");
+        assert_eq!(
+            core.leaks.len(),
+            1,
+            "round 3 = t_tally − α: simulator result"
+        );
+        assert_eq!(core.leaks[0].cmd.name, "Result");
     }
 
     #[test]
     fn invalid_and_late_votes_discarded() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
+        f.init(&mut core.ctx());
         assert!(
-            f.vote(PartyId(0), 7, &mut fx.ctx()).is_none(),
+            f.vote(PartyId(0), 7, &mut core.ctx()).is_none(),
             "invalid candidate"
         );
-        fx.tick(2);
-        fx.tick(2);
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
         // Cl = 2 = t_end: window closed.
-        assert!(f.vote(PartyId(0), 1, &mut fx.ctx()).is_none());
+        assert!(f.vote(PartyId(0), 1, &mut core.ctx()).is_none());
     }
 
     #[test]
     fn corrupted_vote_substitution_until_window_closes() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
-        let tag = f.vote(PartyId(1), 0, &mut fx.ctx()).unwrap();
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
-        assert_eq!(f.corruption_request(&fx.ctx()).len(), 1);
-        assert!(f.allow(tag, 1, PartyId(1), &mut fx.ctx()));
+        f.init(&mut core.ctx());
+        let tag = f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
+        core.corr.corrupt(PartyId(1), 0).unwrap();
+        assert_eq!(f.corruption_request(&core.ctx()).len(), 1);
+        assert!(f.allow(tag, 1, PartyId(1), &mut core.ctx()));
         assert!(
-            !f.allow(tag, 0, PartyId(1), &mut fx.ctx()),
+            !f.allow(tag, 0, PartyId(1), &mut core.ctx()),
             "already finalized"
         );
         for _ in 0..4 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        assert_eq!(f.advance_clock(PartyId(0), &mut fx.ctx()), Some(vec![0, 1]));
+        assert_eq!(
+            f.advance_clock(PartyId(0), &mut core.ctx()),
+            Some(vec![0, 1])
+        );
     }
 
     #[test]
     fn unallowed_corrupted_vote_dropped() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
-        f.vote(PartyId(0), 1, &mut fx.ctx()).unwrap();
-        f.vote(PartyId(1), 0, &mut fx.ctx()).unwrap();
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
+        f.init(&mut core.ctx());
+        f.vote(PartyId(0), 1, &mut core.ctx()).unwrap();
+        f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
+        core.corr.corrupt(PartyId(1), 0).unwrap();
         for _ in 0..4 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
         assert_eq!(
-            f.advance_clock(PartyId(0), &mut fx.ctx()),
+            f.advance_clock(PartyId(0), &mut core.ctx()),
             Some(vec![0, 1]),
             "corrupted unallowed vote does not count"
         );
@@ -375,21 +353,24 @@ mod tests {
 
     #[test]
     fn quota_latest_vote_counts() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fvs");
         let mut f = func();
-        f.init(&mut fx.ctx());
-        let t1 = f.vote(PartyId(1), 0, &mut fx.ctx()).unwrap();
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
-        f.allow(t1, 0, PartyId(1), &mut fx.ctx());
-        fx.tick(2);
+        f.init(&mut core.ctx());
+        let t1 = f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
+        core.corr.corrupt(PartyId(1), 0).unwrap();
+        f.allow(t1, 0, PartyId(1), &mut core.ctx());
+        core.clock.fast_forward(core.clock.read() + 1);
         // Second (adversarial) vote in round 1 — latest finalized wins.
-        let t2 = f.vote(PartyId(1), 1, &mut fx.ctx()).unwrap();
-        f.allow(t2, 1, PartyId(1), &mut fx.ctx());
+        let t2 = f.vote(PartyId(1), 1, &mut core.ctx()).unwrap();
+        f.allow(t2, 1, PartyId(1), &mut core.ctx());
         for _ in 0..3 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        assert_eq!(f.advance_clock(PartyId(0), &mut fx.ctx()), Some(vec![0, 1]));
+        assert_eq!(
+            f.advance_clock(PartyId(0), &mut core.ctx()),
+            Some(vec![0, 1])
+        );
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl FbcFunc {
         self.delta
     }
 
-    /// The simulator advantage α.
-    pub fn alpha(&self) -> u64 {
-        self.alpha
-    }
-
     /// Number of parties.
     pub fn n(&self) -> usize {
         self.n
@@ -184,39 +179,7 @@ impl FbcFunc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"fbc"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-        fn tick(&mut self, n: usize) {
-            for i in 0..n {
-                self.clock.advance_party(PartyId(i as u32));
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     fn func(n: usize) -> FbcFunc {
         FbcFunc::new(n, 2, 2, Drbg::from_seed(b"fbc-tags"))
@@ -224,11 +187,11 @@ mod tests {
 
     #[test]
     fn leak_hides_message() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fbc");
         let mut f = func(2);
-        f.broadcast(PartyId(0), Value::bytes(b"secret"), &mut fx.ctx());
-        assert_eq!(fx.leaks.len(), 1);
-        let leaked = fx.leaks[0].cmd.value.encode();
+        f.broadcast(PartyId(0), Value::bytes(b"secret"), &mut core.ctx());
+        assert_eq!(core.leaks.len(), 1);
+        let leaked = core.leaks[0].cmd.value.encode();
         let needle = b"secret";
         let found = leaked.windows(needle.len()).any(|w| w == needle);
         assert!(
@@ -239,47 +202,47 @@ mod tests {
 
     #[test]
     fn delivery_after_exactly_delta_rounds() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fbc");
         let mut f = func(2);
-        f.broadcast(PartyId(0), Value::U64(7), &mut fx.ctx());
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
-        fx.tick(2);
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
-        fx.tick(2);
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::U64(7), &mut core.ctx());
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
+        core.clock.fast_forward(core.clock.read() + 1);
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
+        core.clock.fast_forward(core.clock.read() + 1);
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].to, PartyId(0));
         assert_eq!(ds[0].cmd.value, Value::U64(7));
-        let ds1 = f.advance_clock(PartyId(1), &mut fx.ctx());
+        let ds1 = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(ds1.len(), 1);
         assert_eq!(ds1[0].to, PartyId(1));
     }
 
     #[test]
     fn deliveries_sorted_by_message() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"fbc");
         let mut f = func(1);
-        f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut fx.ctx());
-        f.broadcast(PartyId(0), Value::bytes(b"apple"), &mut fx.ctx());
-        fx.tick(1);
-        fx.tick(1);
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut core.ctx());
+        f.broadcast(PartyId(0), Value::bytes(b"apple"), &mut core.ctx());
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(ds[0].cmd.value, Value::bytes(b"apple"));
         assert_eq!(ds[1].cmd.value, Value::bytes(b"zebra"));
     }
 
     #[test]
     fn output_request_locks_and_blocks_substitution() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fbc");
         let mut f = func(2); // ∆ - α = 0: lockable immediately
-        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        let rec = f.output_request(tag, &mut fx.ctx()).unwrap();
+        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        let rec = f.output_request(tag, &mut core.ctx()).unwrap();
         assert_eq!(rec.msg, Value::U64(1));
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
-        assert!(!f.allow(tag, Value::U64(99), PartyId(0), &mut fx.ctx()));
-        fx.tick(2);
-        fx.tick(2);
-        let ds = f.advance_clock(PartyId(1), &mut fx.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
+        assert!(!f.allow(tag, Value::U64(99), PartyId(0), &mut core.ctx()));
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(
             ds[0].cmd.value,
             Value::U64(1),
@@ -289,47 +252,50 @@ mod tests {
 
     #[test]
     fn output_request_wrong_round_fails() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fbc");
         let mut f = FbcFunc::new(2, 3, 1, Drbg::from_seed(b"t")); // ∆-α = 2
-        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        assert!(f.output_request(tag, &mut fx.ctx()).is_none(), "too early");
-        fx.tick(2);
+        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert!(
-            f.output_request(tag, &mut fx.ctx()).is_none(),
+            f.output_request(tag, &mut core.ctx()).is_none(),
+            "too early"
+        );
+        core.clock.fast_forward(core.clock.read() + 1);
+        assert!(
+            f.output_request(tag, &mut core.ctx()).is_none(),
             "still too early"
         );
-        fx.tick(2);
+        core.clock.fast_forward(core.clock.read() + 1);
         assert!(
-            f.output_request(tag, &mut fx.ctx()).is_some(),
+            f.output_request(tag, &mut core.ctx()).is_some(),
             "exactly ∆-α"
         );
     }
 
     #[test]
     fn allow_substitutes_unlocked_pending_of_corrupted() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"fbc");
         let mut f = func(2);
-        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
+        let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert!(
-            !f.allow(tag, Value::U64(2), PartyId(0), &mut fx.ctx()),
+            !f.allow(tag, Value::U64(2), PartyId(0), &mut core.ctx()),
             "honest: refused"
         );
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
-        assert!(f.allow(tag, Value::U64(2), PartyId(0), &mut fx.ctx()));
-        fx.tick(2);
-        fx.tick(2);
-        let ds = f.advance_clock(PartyId(1), &mut fx.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
+        assert!(f.allow(tag, Value::U64(2), PartyId(0), &mut core.ctx()));
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(ds[0].cmd.value, Value::U64(2));
     }
 
     #[test]
     fn corruption_request_filters() {
-        let mut fx = Fx::new(3);
+        let mut core = WorldCore::new(3, b"fbc");
         let mut f = func(3);
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        f.broadcast(PartyId(1), Value::U64(2), &mut fx.ctx());
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
-        let ctx = fx.ctx();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
+        core.corr.corrupt(PartyId(1), 0).unwrap();
+        let ctx = core.ctx();
         let recs = f.corruption_request(&ctx);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].sender, PartyId(1));
@@ -337,13 +303,13 @@ mod tests {
 
     #[test]
     fn no_double_delivery_same_round() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"fbc");
         let mut f = func(1);
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        fx.tick(1);
-        fx.tick(1);
-        assert_eq!(f.advance_clock(PartyId(0), &mut fx.ctx()).len(), 1);
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        assert_eq!(f.advance_clock(PartyId(0), &mut core.ctx()).len(), 1);
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
     }
 
     #[test]

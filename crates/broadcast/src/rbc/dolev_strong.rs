@@ -116,15 +116,18 @@ impl<C: Certifier> DolevStrong<C> {
     }
 
     /// Marks a party corrupted: it stops auto-relaying and its certifier
-    /// accepts adversarial authorization.
+    /// accepts adversarial authorization. A `party ≥ n` is nobody: ignored.
     pub fn corrupt(&mut self, party: PartyId) {
-        self.corrupted[party.index()] = true;
-        self.certs[party.index()].set_corrupted();
+        let i = party.index();
+        if i < self.n {
+            self.corrupted[i] = true;
+            self.certs[i].set_corrupted();
+        }
     }
 
-    /// Whether `party` is corrupted.
+    /// Whether `party` is corrupted (never, for a `party ≥ n`).
     pub fn is_corrupted(&self, party: PartyId) -> bool {
-        self.corrupted[party.index()]
+        self.corrupted.get(party.index()) == Some(&true)
     }
 
     /// The sender starts an honest broadcast of `value` (round 0).
@@ -143,7 +146,7 @@ impl<C: Certifier> DolevStrong<C> {
     /// Adversary: signs `value` as a corrupted party (needed to build
     /// Byzantine chains). Returns `None` if the party is honest.
     pub fn adversary_sign(&mut self, party: PartyId, value: Value) -> Option<Vec<u8>> {
-        if !self.corrupted[party.index()] {
+        if !self.is_corrupted(party) {
             return None;
         }
         let payload = self.payload(&value);
@@ -151,7 +154,8 @@ impl<C: Certifier> DolevStrong<C> {
     }
 
     /// Adversary: sends a raw `(message, chain)` from a corrupted party to a
-    /// specific recipient (delivered next round). No-op for honest senders.
+    /// specific recipient (delivered next round). No-op for honest senders
+    /// and for a recipient `≥ n`.
     pub fn adversary_send(
         &mut self,
         from: PartyId,
@@ -159,7 +163,7 @@ impl<C: Certifier> DolevStrong<C> {
         msg: Value,
         chain: Vec<ChainLink>,
     ) {
-        if !self.corrupted[from.index()] {
+        if !self.is_corrupted(from) || to.index() >= self.n {
             return;
         }
         self.net.send(from, to, chain_to_value(&msg, &chain));
@@ -518,6 +522,25 @@ mod tests {
         let (msgs, _, _) = ds.stats();
         // Round 0: sender → n. Round 1: 3 non-sender extractors relay → 3n.
         assert_eq!(msgs, 4 + 3 * 4);
+    }
+
+    #[test]
+    fn out_of_range_party_is_nobody() {
+        let mut ds = instance(3, 1, 0);
+        let stray = PartyId(7);
+        ds.corrupt(stray);
+        assert!(!ds.is_corrupted(stray));
+        assert_eq!(ds.adversary_sign(stray, Value::U64(1)), None);
+        ds.adversary_send(stray, PartyId(2), Value::U64(1), Vec::new());
+        ds.corrupt(PartyId(1));
+        ds.adversary_send(PartyId(1), stray, Value::U64(1), Vec::new());
+        assert_eq!(ds.stats().0, 0, "nothing sent");
+        ds.start_honest(Value::bytes(b"m"));
+        ds.run_to_completion();
+        assert_eq!(
+            honest_outputs(&ds),
+            [Value::bytes(b"m"), Value::bytes(b"m")]
+        );
     }
 
     #[test]

@@ -133,45 +133,17 @@ pub fn parse_rbc_delivery(cmd: &Command) -> Option<(Value, PartyId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_primitives::drbg::Drbg;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fixture {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fixture {
-        fn new(n: usize) -> Self {
-            Fixture {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"rbc"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     #[test]
     fn honest_broadcast_delivers_on_sender_advance() {
-        let mut fx = Fixture::new(3);
+        let mut core = WorldCore::new(3, b"rbc");
         let mut f = RbcFunc::new(3, "F_RBC[P0,1]");
-        f.broadcast_honest(PartyId(0), Value::bytes(b"m"), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::bytes(b"m"), &mut core.ctx());
         assert!(!f.is_halted());
         // Another party advancing does nothing.
-        assert!(f.advance_clock(PartyId(1), &mut fx.ctx()).is_empty());
-        let deliveries = f.advance_clock(PartyId(0), &mut fx.ctx());
+        assert!(f.advance_clock(PartyId(1), &mut core.ctx()).is_empty());
+        let deliveries = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(deliveries.len(), 3);
         assert!(f.is_halted());
         let (m, s) = parse_rbc_delivery(&deliveries[0].cmd).unwrap();
@@ -181,55 +153,59 @@ mod tests {
 
     #[test]
     fn leak_precedes_delivery() {
-        let mut fx = Fixture::new(2);
+        let mut core = WorldCore::new(2, b"rbc");
         let mut f = RbcFunc::new(2, "F_RBC[P0,1]");
-        f.broadcast_honest(PartyId(0), Value::U64(9), &mut fx.ctx());
-        assert_eq!(fx.leaks.len(), 1, "adversary sees message before delivery");
+        f.broadcast_honest(PartyId(0), Value::U64(9), &mut core.ctx());
+        assert_eq!(
+            core.leaks.len(),
+            1,
+            "adversary sees message before delivery"
+        );
     }
 
     #[test]
     fn allow_only_for_corrupted_sender() {
-        let mut fx = Fixture::new(2);
+        let mut core = WorldCore::new(2, b"rbc");
         let mut f = RbcFunc::new(2, "l");
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
         // Honest sender: Allow ignored (fairness of RBC's weak validity).
-        assert!(f.allow(Value::U64(2), &mut fx.ctx()).is_empty());
+        assert!(f.allow(Value::U64(2), &mut core.ctx()).is_empty());
         // Corrupt mid-round, now Allow substitutes.
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
-        let ds = f.allow(Value::U64(2), &mut fx.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
+        let ds = f.allow(Value::U64(2), &mut core.ctx());
         assert_eq!(ds.len(), 2);
         assert_eq!(parse_rbc_delivery(&ds[0].cmd).unwrap().0, Value::U64(2));
     }
 
     #[test]
     fn corrupted_broadcast_immediate() {
-        let mut fx = Fixture::new(2);
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
+        let mut core = WorldCore::new(2, b"rbc");
+        core.corr.corrupt(PartyId(1), 0).unwrap();
         let mut f = RbcFunc::new(2, "l");
-        let ds = f.broadcast_corrupted(PartyId(1), Value::U64(5), &mut fx.ctx());
+        let ds = f.broadcast_corrupted(PartyId(1), Value::U64(5), &mut core.ctx());
         assert_eq!(ds.len(), 2);
         assert!(f.is_halted());
     }
 
     #[test]
     fn single_shot_semantics() {
-        let mut fx = Fixture::new(2);
+        let mut core = WorldCore::new(2, b"rbc");
         let mut f = RbcFunc::new(2, "l");
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
-        f.broadcast_honest(PartyId(1), Value::U64(2), &mut fx.ctx()); // ignored
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast_honest(PartyId(1), Value::U64(2), &mut core.ctx()); // ignored
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(parse_rbc_delivery(&ds[0].cmd).unwrap().0, Value::U64(1));
         // After halt everything is inert.
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
-        assert!(f.allow(Value::U64(9), &mut fx.ctx()).is_empty());
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
+        assert!(f.allow(Value::U64(9), &mut core.ctx()).is_empty());
     }
 
     #[test]
     fn corrupted_party_cannot_broadcast_as_honest() {
-        let mut fx = Fixture::new(2);
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
+        let mut core = WorldCore::new(2, b"rbc");
+        core.corr.corrupt(PartyId(0), 0).unwrap();
         let mut f = RbcFunc::new(2, "l");
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
         assert!(f.pending().is_none());
     }
 

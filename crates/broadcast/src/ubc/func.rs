@@ -173,43 +173,16 @@ impl UbcFunc {
 mod tests {
     use super::*;
     use sbc_primitives::drbg::Drbg;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"ubc"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     #[test]
     fn honest_flow_flush_on_advance() {
-        let mut fx = Fx::new(3);
+        let mut core = WorldCore::new(3, b"ubc");
         let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
-        f.broadcast_honest(PartyId(0), Value::U64(2), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(2), &mut core.ctx());
         assert_eq!(f.pending(), 2);
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         // Two messages × three recipients, in broadcast order.
         assert_eq!(ds.len(), 6);
         assert_eq!(ds[0].cmd.value, Value::U64(1));
@@ -219,55 +192,55 @@ mod tests {
 
     #[test]
     fn adversary_sees_message_before_delivery() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        f.broadcast_honest(PartyId(1), Value::bytes(b"secret"), &mut fx.ctx());
-        assert_eq!(fx.leaks.len(), 1);
-        let leaked = &fx.leaks[0].cmd.value;
+        f.broadcast_honest(PartyId(1), Value::bytes(b"secret"), &mut core.ctx());
+        assert_eq!(core.leaks.len(), 1);
+        let leaked = &core.leaks[0].cmd.value;
         assert_eq!(leaked.as_list().unwrap()[1], Value::bytes(b"secret"));
     }
 
     #[test]
     fn other_parties_advance_does_not_flush() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
-        assert!(f.advance_clock(PartyId(1), &mut fx.ctx()).is_empty());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
+        assert!(f.advance_clock(PartyId(1), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
     #[test]
     fn second_advance_same_round_no_double_flush() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
-        let first = f.advance_clock(PartyId(0), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
+        let first = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(first.len(), 2);
-        f.broadcast_honest(PartyId(0), Value::U64(2), &mut fx.ctx());
+        f.broadcast_honest(PartyId(0), Value::U64(2), &mut core.ctx());
         // Same round: no flush of the new message.
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
     #[test]
     fn per_sender_queues_keep_flush_order_and_refuse_an_out_of_range_sender() {
-        let mut fx = Fx::new(3);
+        let mut core = WorldCore::new(3, b"ubc");
         let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
         // A party id ≥ n names no queue: refused, nothing leaked, no tag
         // drawn (the next tag is what a fresh functionality draws first).
         let outside = PartyId(3 + 7);
         assert!(f
-            .broadcast_honest(outside, Value::U64(0), &mut fx.ctx())
+            .broadcast_honest(outside, Value::U64(0), &mut core.ctx())
             .is_none());
-        assert!(f.take_flush(outside, &mut fx.ctx()).is_empty());
+        assert!(f.take_flush(outside, &mut core.ctx()).is_empty());
         assert!(f
-            .broadcast_corrupted(outside, Value::U64(0), &mut fx.ctx())
+            .broadcast_corrupted(outside, Value::U64(0), &mut core.ctx())
             .is_empty());
-        assert!(fx.leaks.is_empty() && f.pending() == 0);
+        assert!(core.leaks.is_empty() && f.pending() == 0);
         let first_tag = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags")).broadcast_honest(
             PartyId(0),
             Value::U64(10),
-            &mut Fx::new(3).ctx(),
+            &mut WorldCore::new(3, b"ubc").ctx(),
         );
 
         // Two senders interleave three casts each.
@@ -275,42 +248,42 @@ mod tests {
         for k in 0..3 {
             for sender in [0, 2] {
                 let msg = Value::U64(10 * sender as u64 + k);
-                tags.push(f.broadcast_honest(PartyId(sender), msg, &mut fx.ctx()));
+                tags.push(f.broadcast_honest(PartyId(sender), msg, &mut core.ctx()));
             }
         }
         assert_eq!(tags[0], first_tag);
         assert_eq!(f.pending(), 6);
         // `Allow` on the middle entry of party 2's queue (now corrupted)
         // takes that entry only.
-        fx.corr.corrupt(PartyId(2), 0).unwrap();
+        core.corr.corrupt(PartyId(2), 0).unwrap();
         let middle = tags[3].unwrap();
-        assert_eq!(f.allow(middle, Value::U64(99), &mut fx.ctx()).len(), 3);
-        assert!(f.allow(middle, Value::U64(99), &mut fx.ctx()).is_empty());
+        assert_eq!(f.allow(middle, Value::U64(99), &mut core.ctx()).len(), 3);
+        assert!(f.allow(middle, Value::U64(99), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 5);
         // Each sender flushes its own casts in its own broadcast order; a
         // second flush in the same round is empty.
-        let flushed = f.take_flush(PartyId(0), &mut fx.ctx());
+        let flushed = f.take_flush(PartyId(0), &mut core.ctx());
         assert_eq!(flushed, [Value::U64(0), Value::U64(1), Value::U64(2)]);
-        assert!(f.take_flush(PartyId(0), &mut fx.ctx()).is_empty());
-        assert!(f.take_flush(PartyId(1), &mut fx.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(0), &mut core.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(1), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 2, "the corrupted sender's other two stay");
-        f.broadcast_honest(PartyId(0), Value::U64(3), &mut fx.ctx());
-        assert!(f.take_flush(PartyId(0), &mut fx.ctx()).is_empty());
+        f.broadcast_honest(PartyId(0), Value::U64(3), &mut core.ctx());
+        assert!(f.take_flush(PartyId(0), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 3);
     }
 
     #[test]
     fn allow_substitutes_for_corrupted_sender() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         let tag = f
-            .broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx())
+            .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())
             .unwrap();
         // Honest: Allow ignored.
-        assert!(f.allow(tag, Value::U64(99), &mut fx.ctx()).is_empty());
+        assert!(f.allow(tag, Value::U64(99), &mut core.ctx()).is_empty());
         // Adaptive corruption mid-round → substitution succeeds (unfairness).
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
-        let ds = f.allow(tag, Value::U64(99), &mut fx.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
+        let ds = f.allow(tag, Value::U64(99), &mut core.ctx());
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].cmd.value, Value::U64(99));
         assert_eq!(f.pending(), 0);
@@ -318,31 +291,31 @@ mod tests {
 
     #[test]
     fn corrupted_broadcast_immediate() {
-        let mut fx = Fx::new(3);
-        fx.corr.corrupt(PartyId(2), 0).unwrap();
+        let mut core = WorldCore::new(3, b"ubc");
+        core.corr.corrupt(PartyId(2), 0).unwrap();
         let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
-        let ds = f.broadcast_corrupted(PartyId(2), Value::U64(7), &mut fx.ctx());
+        let ds = f.broadcast_corrupted(PartyId(2), Value::U64(7), &mut core.ctx());
         assert_eq!(ds.len(), 3);
     }
 
     #[test]
     fn corrupted_sender_pending_not_flushed() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        f.broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx());
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
+        f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
         // Corrupted party's advance is ignored by the functionality.
-        assert!(f.advance_clock(PartyId(0), &mut fx.ctx()).is_empty());
+        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
     #[test]
     fn honest_broadcast_from_corrupted_rejected() {
-        let mut fx = Fx::new(2);
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
+        let mut core = WorldCore::new(2, b"ubc");
+        core.corr.corrupt(PartyId(0), 0).unwrap();
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         assert!(f
-            .broadcast_honest(PartyId(0), Value::U64(1), &mut fx.ctx())
+            .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())
             .is_none());
     }
 }

@@ -83,7 +83,7 @@ impl UbcProtocol {
 
 impl UbcLayer for UbcProtocol {
     fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
-        if ctx.is_corrupted(sender) {
+        if sender.index() >= self.n || ctx.is_corrupted(sender) {
             return;
         }
         self.totals[sender.index()] += 1;
@@ -100,7 +100,7 @@ impl UbcLayer for UbcProtocol {
         msg: Value,
         ctx: &mut HybridCtx<'_>,
     ) -> Vec<Delivery> {
-        if !ctx.is_corrupted(sender) {
+        if sender.index() >= self.n || !ctx.is_corrupted(sender) {
             return Vec::new();
         }
         self.totals[sender.index()] += 1;
@@ -125,7 +125,7 @@ impl UbcLayer for UbcProtocol {
     }
 
     fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        if ctx.is_corrupted(party) {
+        if party.index() >= self.n || ctx.is_corrupted(party) {
             return Vec::new();
         }
         let now = ctx.time();
@@ -147,35 +147,9 @@ impl UbcLayer for UbcProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ubc::func::UbcFunc;
     use sbc_primitives::drbg::Drbg;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"ubcp"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     #[test]
     fn label_round_trip() {
@@ -187,11 +161,11 @@ mod tests {
 
     #[test]
     fn multi_message_round_ordering() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubcp");
         let mut p = UbcProtocol::new(2);
-        p.broadcast(PartyId(0), Value::U64(10), &mut fx.ctx());
-        p.broadcast(PartyId(0), Value::U64(20), &mut fx.ctx());
-        let ds = p.advance(PartyId(0), &mut fx.ctx());
+        p.broadcast(PartyId(0), Value::U64(10), &mut core.ctx());
+        p.broadcast(PartyId(0), Value::U64(20), &mut core.ctx());
+        let ds = p.advance(PartyId(0), &mut core.ctx());
         assert_eq!(ds.len(), 4);
         assert_eq!(ds[0].cmd.value, Value::U64(10));
         assert_eq!(ds[2].cmd.value, Value::U64(20));
@@ -200,48 +174,72 @@ mod tests {
 
     #[test]
     fn counter_reset_across_rounds() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubcp");
         let mut p = UbcProtocol::new(2);
-        p.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        p.advance(PartyId(0), &mut fx.ctx());
-        fx.clock.advance_party(PartyId(0));
-        fx.clock.advance_party(PartyId(1));
-        p.broadcast(PartyId(0), Value::U64(2), &mut fx.ctx());
-        let ds = p.advance(PartyId(0), &mut fx.ctx());
+        p.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        p.advance(PartyId(0), &mut core.ctx());
+        core.clock.advance_party(PartyId(0));
+        core.clock.advance_party(PartyId(1));
+        p.broadcast(PartyId(0), Value::U64(2), &mut core.ctx());
+        let ds = p.advance(PartyId(0), &mut core.ctx());
         assert_eq!(ds.len(), 2, "only the new round's message");
         assert_eq!(ds[0].cmd.value, Value::U64(2));
     }
 
     #[test]
     fn adversarial_broadcast_immediate() {
-        let mut fx = Fx::new(3);
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
+        let mut core = WorldCore::new(3, b"ubcp");
+        core.corr.corrupt(PartyId(1), 0).unwrap();
         let mut p = UbcProtocol::new(3);
-        let ds = p.adv_broadcast(PartyId(1), Value::U64(66), &mut fx.ctx());
+        let ds = p.adv_broadcast(PartyId(1), Value::U64(66), &mut core.ctx());
         assert_eq!(ds.len(), 3);
         assert_eq!(ds[0].cmd.value, Value::U64(66));
     }
 
     #[test]
     fn allow_substitution_after_mid_round_corruption() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubcp");
         let mut p = UbcProtocol::new(2);
-        p.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        fx.corr.corrupt(PartyId(0), 0).unwrap();
+        p.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        core.corr.corrupt(PartyId(0), 0).unwrap();
         let handle = Value::str(rbc_instance_label(PartyId(0), 1));
-        let ds = p.adv_allow(&handle, Value::U64(2), &mut fx.ctx());
+        let ds = p.adv_allow(&handle, Value::U64(2), &mut core.ctx());
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].cmd.value, Value::U64(2));
         // After corruption the party's advance is ignored.
-        assert!(p.advance(PartyId(0), &mut fx.ctx()).is_empty());
+        assert!(p.advance(PartyId(0), &mut core.ctx()).is_empty());
     }
 
     #[test]
     fn leaks_at_input_time() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ubcp");
         let mut p = UbcProtocol::new(2);
-        p.broadcast(PartyId(0), Value::bytes(b"m"), &mut fx.ctx());
-        assert_eq!(fx.leaks.len(), 1);
-        assert_eq!(fx.leaks[0].source, "F_RBC[P0,1]");
+        p.broadcast(PartyId(0), Value::bytes(b"m"), &mut core.ctx());
+        assert_eq!(core.leaks.len(), 1);
+        assert_eq!(core.leaks[0].source, "F_RBC[P0,1]");
+    }
+
+    /// A party id ≥ n is nobody to either `UbcLayer`: its broadcast, its
+    /// adversarial broadcast and its advance are refused with no leak and
+    /// no delivery, and a later honest round still delivers.
+    #[test]
+    fn out_of_range_party_is_refused_by_both_layers() {
+        let mut func = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
+        let mut protocol = UbcProtocol::new(3);
+        for layer in [&mut func as &mut dyn UbcLayer, &mut protocol] {
+            let mut core = WorldCore::new(3, b"ubcp");
+            let stray = PartyId(7);
+            layer.broadcast(stray, Value::U64(1), &mut core.ctx());
+            let refused = layer.adv_broadcast(stray, Value::U64(2), &mut core.ctx());
+            assert!(refused.is_empty());
+            assert!(layer.advance(stray, &mut core.ctx()).is_empty());
+            assert!(core.leaks.is_empty());
+            core.clock.fast_forward(1);
+            layer.broadcast(PartyId(0), Value::U64(3), &mut core.ctx());
+            let delivered = layer.advance(PartyId(0), &mut core.ctx());
+            let cmd = Command::new("Broadcast", Value::U64(3));
+            assert_eq!(delivered, Delivery::to_all(3, cmd));
+            assert_eq!(core.leaks.len(), 2, "the cast and its delivery");
+        }
     }
 }

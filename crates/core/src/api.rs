@@ -32,8 +32,8 @@
 //!   [`SbcSessionBuilder::capture_leaks`],
 //!   [`SbcSessionBuilder::leak_cap`]) and driven through the session's
 //!   adversarial surface ([`SbcSession::corrupt`],
-//!   [`SbcSession::send_as`], [`SbcSession::inject_message`],
-//!   [`SbcSession::control`], leak capture), not by hand-written
+//!   [`SbcSession::send_as`], [`SbcSession::inject_message`], leak
+//!   capture), not by hand-written
 //!   `World::adversary` calls.
 //! * **The single-instance special case.** A session *is* an
 //!   [`SbcPool`] holding exactly one instance: all
@@ -89,7 +89,7 @@
 use crate::pool::{InstanceId, SbcPool, SbcPoolBuilder};
 use crate::worlds::{RealSbcWorld, SbcBackend, SbcParams};
 use sbc_uc::exec::SbcWorld;
-use sbc_uc::value::{Command, Value};
+use sbc_uc::value::Value;
 use sbc_uc::world::Leak;
 
 pub use crate::error::SbcError;
@@ -410,21 +410,6 @@ impl<W: SbcBackend> SbcSession<W> {
         self.pool.inject_message(self.live(), party, message)
     }
 
-    /// Raw control-channel access to the world's functionalities
-    /// (`F_TLE` `Insert`/`Leakage`, `F_RO` `QueryBytes`, …) — the escape
-    /// hatch for adversarial experiments the typed surface does not cover.
-    pub fn control(&mut self, target: &str, cmd: Command) -> Value {
-        let id = self.live();
-        self.pool
-            .control(id, target, cmd)
-            .expect("session instance stays live")
-    }
-
-    /// The adversary's `F_TLE` leakage view (`τ ≤ Cl + α_TLE` records).
-    pub fn tle_leakage(&mut self) -> Value {
-        self.control("F_TLE", Command::new("Leakage", Value::Unit))
-    }
-
     /// Whether the backend's simulator hit a simulation-abort event (the
     /// negligible-probability event of the Theorem 2 proof). Always `false`
     /// on the real backend.
@@ -437,14 +422,6 @@ impl<W: SbcBackend> SbcSession<W> {
     pub fn leaks(&self) -> &[Leak] {
         self.pool
             .leaks(self.id)
-            .expect("session instance stays live")
-    }
-
-    /// Drains the captured leak buffer.
-    pub fn take_leaks(&mut self) -> Vec<Leak> {
-        let id = self.live();
-        self.pool
-            .take_leaks(id)
             .expect("session instance stays live")
     }
 }

@@ -35,9 +35,11 @@ impl HeviaStyleSbc {
         }
     }
 
-    /// Marks a sender corrupted.
+    /// Marks a sender corrupted. A `party ≥ n` is nobody: ignored.
     pub fn corrupt(&mut self, party: PartyId) {
-        self.corrupted[party.index()] = true;
+        if let Some(corrupted) = self.corrupted.get_mut(party.index()) {
+            *corrupted = true;
+        }
     }
 
     /// Whether the honest-majority assumption still holds.
@@ -46,9 +48,11 @@ impl HeviaStyleSbc {
         2 * t < self.n
     }
 
-    /// A sender submits its message.
+    /// A sender submits its message. A `party ≥ n` is nobody: ignored.
     pub fn submit(&mut self, party: PartyId, msg: Value) {
-        self.submissions[party.index()] = Some(msg);
+        if let Some(slot) = self.submissions.get_mut(party.index()) {
+            *slot = Some(msg);
+        }
     }
 
     /// Advances one round; returns the delivered vector once *everyone*
@@ -213,6 +217,20 @@ mod tests {
             h.submit(PartyId(i), Value::U64(i as u64));
         }
         assert!(h.advance_round().is_none(), "no guarantees at t ≥ n/2");
+    }
+
+    #[test]
+    fn hevia_baseline_ignores_an_out_of_range_party() {
+        let mut h = HeviaStyleSbc::new(3);
+        h.corrupt(PartyId(7));
+        h.submit(PartyId(7), Value::U64(7));
+        assert!(h.honest_majority());
+        assert!(h.advance_round().is_none(), "nobody's submission counts");
+        for i in 0..3 {
+            h.submit(PartyId(i), Value::U64(i as u64));
+        }
+        let all = (0..3).map(Value::U64).collect();
+        assert_eq!(h.advance_round(), Some(all));
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl SbcFunc {
         self.delta
     }
 
-    /// The simulator advantage α.
-    pub fn alpha(&self) -> u64 {
-        self.alpha
-    }
-
     /// Start of the broadcast period, if opened.
     pub fn t_start(&self) -> Option<u64> {
         self.t_start
@@ -290,39 +285,7 @@ impl SbcFunc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"sbc"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-        fn tick(&mut self, n: usize) {
-            for i in 0..n {
-                self.clock.advance_party(PartyId(i as u32));
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     fn func(n: usize) -> SbcFunc {
         SbcFunc::new(n, 3, 2, 1, Drbg::from_seed(b"sbc-tags"))
@@ -330,144 +293,144 @@ mod tests {
 
     #[test]
     fn period_opens_on_first_broadcast() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
         assert_eq!(f.t_start(), None);
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert_eq!(f.t_start(), Some(0));
         assert_eq!(f.t_end(), Some(3));
     }
 
     #[test]
     fn honest_leak_hides_content() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
         f.broadcast(
             PartyId(0),
             Value::bytes(b"very secret ballot"),
-            &mut fx.ctx(),
+            &mut core.ctx(),
         );
-        let leak = fx.leaks[0].cmd.value.encode();
+        let leak = core.leaks[0].cmd.value.encode();
         let needle = b"very secret ballot";
         assert!(!leak.windows(needle.len()).any(|w| w == needle));
     }
 
     #[test]
     fn corrupted_leak_shows_content() {
-        let mut fx = Fx::new(2);
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
+        let mut core = WorldCore::new(2, b"sbc");
+        core.corr.corrupt(PartyId(1), 0).unwrap();
         let mut f = func(2);
-        f.broadcast(PartyId(1), Value::bytes(b"adv"), &mut fx.ctx());
-        let leak = &fx.leaks[0].cmd.value;
+        f.broadcast(PartyId(1), Value::bytes(b"adv"), &mut core.ctx());
+        let leak = &core.leaks[0].cmd.value;
         assert!(leak.as_list().unwrap().contains(&Value::bytes(b"adv")));
     }
 
     #[test]
     fn late_broadcasts_discarded() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"sbc");
         let mut f = func(1);
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         for _ in 0..3 {
-            fx.tick(1);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
         // Cl = 3 = t_end: outside the period.
         assert!(f
-            .broadcast(PartyId(0), Value::U64(2), &mut fx.ctx())
+            .broadcast(PartyId(0), Value::U64(2), &mut core.ctx())
             .is_none());
         assert_eq!(f.records().len(), 1);
     }
 
     #[test]
     fn delivery_at_t_end_plus_delta_sorted() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
-        f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut fx.ctx());
-        f.broadcast(PartyId(1), Value::bytes(b"apple"), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut core.ctx());
+        f.broadcast(PartyId(1), Value::bytes(b"apple"), &mut core.ctx());
         // Rounds 0..=4: nothing delivered (t_end = 3, ∆ = 2 → deliver at 5).
         for round in 0..5 {
-            let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+            let ds = f.advance_clock(PartyId(0), &mut core.ctx());
             assert!(ds.is_empty(), "round {round}");
-            f.advance_clock(PartyId(1), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(1), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(ds.len(), 1);
         let msgs = ds[0].cmd.value.as_list().unwrap();
         assert_eq!(msgs[0], Value::bytes(b"apple"));
         assert_eq!(msgs[1], Value::bytes(b"zebra"));
         // Each party gets its copy on its own advance.
-        let ds1 = f.advance_clock(PartyId(1), &mut fx.ctx());
+        let ds1 = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(ds1.len(), 1);
     }
 
     #[test]
     fn liveness_without_full_participation() {
         // Only one of two parties ever broadcasts; delivery still happens.
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
-        f.broadcast(PartyId(0), Value::U64(7), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::U64(7), &mut core.ctx());
         for _ in 0..5 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            f.advance_clock(PartyId(1), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            f.advance_clock(PartyId(1), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(1), &mut fx.ctx());
+        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].cmd.value.as_list().unwrap().len(), 1);
     }
 
     #[test]
     fn simulator_gets_list_alpha_early() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"sbc");
         let mut f = func(1); // t_end=3, ∆=2, α=1 → S at 4, parties at 5
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         for _ in 0..4 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(1);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        fx.leaks.clear();
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        core.leaks.clear();
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert!(ds.is_empty(), "round 4: no party delivery yet");
-        assert_eq!(fx.leaks.len(), 1, "round 4 = t_end+∆-α: simulator list");
-        fx.tick(1);
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        assert_eq!(core.leaks.len(), 1, "round 4 = t_end+∆-α: simulator list");
+        core.clock.fast_forward(core.clock.read() + 1);
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(ds.len(), 1, "round 5: party delivery");
     }
 
     #[test]
     fn unallowed_corrupted_records_dropped() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
-        f.broadcast(PartyId(0), Value::U64(1), &mut fx.ctx());
-        f.broadcast(PartyId(1), Value::U64(2), &mut fx.ctx());
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
+        core.corr.corrupt(PartyId(1), 0).unwrap();
         // P1's record was honest at request time but P1 is corrupted at
         // t_end and the simulator never Allowed it → dropped.
         for _ in 0..5 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         let msgs = ds[0].cmd.value.as_list().unwrap();
         assert_eq!(msgs, &[Value::U64(1)]);
     }
 
     #[test]
     fn allow_substitutes_and_finalizes() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"sbc");
         let mut f = func(2);
         let tag = f
-            .broadcast(PartyId(1), Value::U64(2), &mut fx.ctx())
+            .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
             .unwrap();
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
-        assert!(f.allow(tag, Value::U64(99), PartyId(1), &mut fx.ctx()));
+        core.corr.corrupt(PartyId(1), 0).unwrap();
+        assert!(f.allow(tag, Value::U64(99), PartyId(1), &mut core.ctx()));
         // Double-allow fails (already finalized).
-        assert!(!f.allow(tag, Value::U64(5), PartyId(1), &mut fx.ctx()));
+        assert!(!f.allow(tag, Value::U64(5), PartyId(1), &mut core.ctx()));
         for _ in 0..5 {
-            f.advance_clock(PartyId(0), &mut fx.ctx());
-            fx.tick(2);
+            f.advance_clock(PartyId(0), &mut core.ctx());
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut fx.ctx());
+        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(ds[0].cmd.value.as_list().unwrap(), &[Value::U64(99)]);
     }
 

@@ -1009,168 +1009,6 @@ mod tests {
         }
     }
 
-    /// Two identically seeded real worlds, one stepped by the literal
-    /// per-party reference loop and one by the round-level `tick`, compared
-    /// after every round: clock, outputs and leaks.
-    struct SchedulePair {
-        reference: RealSbcWorld,
-        ticked: RealSbcWorld,
-    }
-
-    impl SchedulePair {
-        fn new(params: SbcParams, seed: &[u8]) -> Self {
-            SchedulePair {
-                reference: RealSbcWorld::new(params, seed),
-                ticked: RealSbcWorld::new(params, seed),
-            }
-        }
-
-        fn both(&mut self, f: impl Fn(&mut RealSbcWorld)) {
-            f(&mut self.reference);
-            f(&mut self.ticked);
-        }
-
-        fn submit(&mut self, party: usize, msg: &[u8]) {
-            self.both(|w| w.submit(PartyId(party as u32), msg));
-        }
-
-        fn corrupt(&mut self, party: usize) {
-            self.both(|w| {
-                w.adversary(AdvCommand::Corrupt(PartyId(party as u32)));
-            });
-        }
-
-        fn send_as(&mut self, party: usize, wire: Value) {
-            self.both(|w| {
-                w.adversary(AdvCommand::SendAs {
-                    party: PartyId(party as u32),
-                    cmd: Command::new("Broadcast", wire.clone()),
-                });
-            });
-        }
-
-        /// One round in each schedule; returns the round's outputs.
-        fn round(&mut self) -> Vec<(PartyId, Command)> {
-            let n = self.reference.n();
-            for i in 0..n {
-                self.reference.advance(PartyId(i as u32));
-            }
-            self.ticked.tick();
-            assert_eq!(self.reference.time(), self.ticked.time(), "clocks");
-            let outs = self.reference.drain_outputs();
-            assert_eq!(outs, self.ticked.drain_outputs(), "outputs");
-            assert_eq!(
-                self.reference.drain_leaks(),
-                self.ticked.drain_leaks(),
-                "leaks"
-            );
-            outs
-        }
-
-        fn rounds(&mut self, k: usize) -> Vec<(PartyId, Command)> {
-            (0..k).flat_map(|_| self.round()).collect()
-        }
-    }
-
-    /// An adversarial wire whose ciphertext `F_TLE` never saw (⊥ at
-    /// release), claiming release time `tau`.
-    fn foreign_wire(tau: u64) -> Value {
-        crate::protocol::sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
-    }
-
-    /// Two epochs under a mid-period corruption and an accepted
-    /// adversarial wire.
-    fn two_epochs_with_corruption_match(p: SbcParams) {
-        let (n, last) = (p.n, p.n - 1);
-        let mut s = SchedulePair::new(p, b"tick-equiv");
-        for epoch in 0..2 {
-            s.submit(0, b"alpha");
-            s.submit(n / 2, b"bravo");
-            s.round();
-            if epoch == 0 {
-                s.corrupt(last);
-                let tau = s.ticked.release_round().expect("period open");
-                s.send_as(last, foreign_wire(tau));
-            }
-            assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
-            s.both(|w| w.begin_new_period());
-        }
-    }
-
-    /// Pins the round-level `tick` (shared release + deferred batch
-    /// delivery by class) to the literal per-party reference loop, bit for
-    /// bit, every round, at n ∈ {2, 6, 64} and at `tle_delay = 0` — and its
-    /// first schedule at n = 256, the width `auction_wide` runs.
-    #[test]
-    fn tick_matches_per_party_advance_loop() {
-        two_epochs_with_corruption_match(params(256));
-        for p in [params(2), params(6), params(64), zero_delay_params(3)] {
-            let n = p.n;
-            let last = n - 1;
-
-            two_epochs_with_corruption_match(p);
-
-            // Party 0 corrupted before the first tick: the first honest
-            // party — the one whose release the others reuse — is not 0.
-            let mut s = SchedulePair::new(p, b"tick-equiv/p0");
-            s.corrupt(0);
-            s.submit(1, b"charlie");
-            s.submit(last, b"delta");
-            let outs = s.rounds(10);
-            assert_eq!(outs.len(), n - 1, "n={n}: every honest party released");
-            assert_eq!(outs[0].0, PartyId(1));
-
-            // A sender corrupted mid-period after it has broadcast: its
-            // wire stays in every log and its message is released.
-            let mut s = SchedulePair::new(p, b"tick-equiv/sender");
-            s.submit(0, b"echo");
-            s.submit(last, b"foxtrot");
-            s.rounds(2); // wake-up, then the wires go out
-            s.corrupt(0);
-            let outs = s.rounds(8);
-            assert_eq!(outs.len(), n - 1);
-            assert_eq!(
-                outs[0].1.value.as_list().map(<[Value]>::len),
-                Some(2),
-                "n={n}: the corrupted sender's message is still released"
-            );
-
-            // Wires every recipient must discard identically: a wrong
-            // τ_rel, and a right one delivered at Cl ≥ t_end.
-            let mut s = SchedulePair::new(p, b"tick-equiv/discard");
-            s.submit(0, b"golf");
-            s.round();
-            s.corrupt(last);
-            let tau = s.ticked.release_round().expect("period open");
-            let t_end = s.ticked.period_end().expect("period open");
-            s.send_as(last, foreign_wire(tau + 1));
-            while s.ticked.time() < t_end {
-                s.round();
-            }
-            s.send_as(last, foreign_wire(tau));
-            let outs = s.rounds(8);
-            assert_eq!(outs.len(), n - 1);
-            for (_, cmd) in &outs {
-                assert_eq!(cmd.value.as_list(), Some(&[Value::bytes(b"golf")][..]));
-            }
-
-            // Rounds entered mid-round (one party already advanced by
-            // hand) take the literal-loop fallback — on broadcast rounds
-            // and on the release round alike.
-            let mut s = SchedulePair::new(p, b"tick-equiv/mid-round");
-            s.submit(0, b"hotel");
-            s.submit(last, b"india");
-            let mut outs = Vec::new();
-            for round in 0..10 {
-                if round % 2 == 1 {
-                    s.both(|w| w.advance(PartyId((round % n) as u32)));
-                }
-                outs.extend(s.round());
-            }
-            assert_eq!(outs.len(), n, "n={n}: released through the fallback");
-        }
-    }
-
     /// A `SendAs` flood is `k` batches of one wire: the recipients stay one
     /// class throughout, so the log is extended in place `k` times — never
     /// copied, per recipient or per batch — and ends as one allocation.

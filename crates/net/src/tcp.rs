@@ -20,7 +20,9 @@
 //! [`TransportStats::timeouts`], and lets the clock move on — a silent
 //! peer degrades to the typed [`NetError::Timeout`] path
 //! ([`TcpTransport::await_synced`]), never a hang. A dropped connection
-//! is survived by per-link reconnect with capped exponential backoff:
+//! is survived by per-link reconnect with capped exponential backoff
+//! (fixed, not configurable: a 2 s connect timeout per attempt, then a
+//! sleep from 1 ms doubling to at most 50 ms between attempts):
 //! the writer re-establishes the lane and retransmits the whole frame,
 //! while the reader discards the partial tail of the dead socket and
 //! drains it to EOF before promoting the replacement, so frame order is
@@ -57,6 +59,12 @@ const PREAMBLE_MAGIC: [u8; 4] = *b"SBTC";
 const PREAMBLE_LEN: usize = 8;
 /// How long `admit` waits for a preamble to trail its accept.
 const PREAMBLE_WAIT: Duration = Duration::from_secs(2);
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// First reconnect backoff; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Lanes of an `n`-party experiment: control, `n` rpc, `n` data.
 fn lane_count(n: usize) -> usize {
@@ -90,6 +98,14 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> NetError {
     }
 }
 
+/// The sleep before reconnect attempt `attempt`: [`BACKOFF_BASE`] doubled
+/// per attempt, capped at [`BACKOFF_CAP`].
+fn backoff(attempt: u32) -> Duration {
+    BACKOFF_BASE
+        .saturating_mul(1 << attempt.min(16))
+        .min(BACKOFF_CAP)
+}
+
 /// Tuning knobs of the TCP transport. Every duration is wall-clock: the
 /// protocol's rounds are logical, but a socket needs real deadlines.
 #[derive(Clone, Copy, Debug)]
@@ -97,15 +113,9 @@ pub struct TcpConfig {
     /// Read/write deadline: how long a receive waits for in-flight frames
     /// (and a write waits for buffer space) before giving up.
     pub io_deadline: Duration,
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
     /// Reconnect attempts before a dead link becomes
     /// [`NetError::LinkDown`].
     pub reconnect_attempts: u32,
-    /// First reconnect backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
 }
 
 impl TcpConfig {
@@ -116,10 +126,7 @@ impl TcpConfig {
     pub fn from_delta(delta: u64) -> Self {
         TcpConfig {
             io_deadline: Duration::from_millis(delta.saturating_mul(100).saturating_add(200)),
-            connect_timeout: Duration::from_secs(2),
             reconnect_attempts: 5,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
         }
     }
 }
@@ -385,7 +392,7 @@ impl TcpTransport {
                 "simulated outage",
             ));
         }
-        let stream = TcpStream::connect_timeout(&self.harness.addr(), self.cfg.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&self.harness.addr(), CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(self.cfg.io_deadline))?;
         let mut pre = [0u8; PREAMBLE_LEN];
@@ -443,7 +450,7 @@ impl TcpTransport {
                                 attempts: self.cfg.reconnect_attempts,
                             });
                         }
-                        std::thread::sleep(self.backoff(attempts));
+                        std::thread::sleep(backoff(attempts));
                         continue;
                     }
                 }
@@ -466,15 +473,10 @@ impl TcpTransport {
                             attempts: self.cfg.reconnect_attempts,
                         });
                     }
-                    std::thread::sleep(self.backoff(attempts));
+                    std::thread::sleep(backoff(attempts));
                 }
             }
         }
-    }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.cfg.backoff_base.saturating_mul(1 << attempt.min(16));
-        base.min(self.cfg.backoff_cap)
     }
 
     fn take_fault(&mut self, lane: usize) -> Option<FaultMode> {

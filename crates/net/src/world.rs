@@ -732,62 +732,6 @@ mod tests {
         assert_eq!(stats.decode_errors, 0);
     }
 
-    /// A loopback whose host replies are tampered in flight: from round
-    /// `from_round` on, every `RoAnswer` of `cut_len` bytes loses its last
-    /// byte.
-    #[derive(Debug)]
-    struct ShortMasks {
-        inner: Loopback,
-        cut_len: usize,
-        from_round: u64,
-    }
-
-    impl Transport for ShortMasks {
-        fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), crate::codec::NetError> {
-            let bytes = match Frame::decode(&bytes) {
-                Ok(Frame {
-                    from,
-                    to,
-                    sent_at,
-                    kind: FrameKind::RoAnswer(mut eta),
-                }) if now >= self.from_round && eta.len() == self.cut_len => {
-                    eta.pop();
-                    let kind = FrameKind::RoAnswer(eta);
-                    Frame {
-                        from,
-                        to,
-                        sent_at,
-                        kind,
-                    }
-                    .encode()
-                }
-                _ => bytes,
-            };
-            self.inner.send(bytes, now)
-        }
-        fn recv_control(&mut self) -> Vec<Vec<u8>> {
-            self.inner.recv_control()
-        }
-        fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
-            self.inner.recv_rpc(party)
-        }
-        fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
-            self.inner.recv_data(party, now)
-        }
-        fn set_corrupted(&mut self, party: u32) {
-            self.inner.set_corrupted(party)
-        }
-        fn clear_in_flight(&mut self) {
-            self.inner.clear_in_flight()
-        }
-        fn idle(&self) -> bool {
-            self.inner.idle()
-        }
-        fn stats(&self) -> TransportStats {
-            self.inner.stats()
-        }
-    }
-
     #[test]
     fn wrong_length_oracle_answer_is_no_answer() {
         // A mask shorter than asked for must not be XORed in (it would
@@ -800,13 +744,15 @@ mod tests {
         // Tampered from the start (the sender never gets to cast) and only
         // at the release round (every party skips the entry on release).
         for from_round in [0, tau_rel] {
-            let transport = ShortMasks {
-                inner: Loopback::new(params.n, params.delta),
-                cut_len,
-                from_round,
-            };
-            let mut w = LoopbackSbcWorld::with_transport(params, b"short", Box::new(transport))
-                .expect("valid params");
+            // Every `RoAnswer` of `cut_len` bytes loses its last byte.
+            let (mut w, _) = tapped_world(params, b"short", move |mut frame| {
+                if let FrameKind::RoAnswer(eta) = &mut frame.kind {
+                    if frame.sent_at >= from_round && eta.len() == cut_len {
+                        eta.pop();
+                    }
+                }
+                Some(frame)
+            });
             for (i, m) in msgs.iter().enumerate() {
                 w.input(
                     PartyId(i as u32),
@@ -957,23 +903,23 @@ mod tests {
         assert_eq!(real.outputs(), outs);
     }
 
-    /// Two identically seeded networked worlds, one stepped by the literal
-    /// per-party `advance` loop and one by `tick`, compared after every
-    /// round: clock, outputs and leaks.
-    struct SchedulePair<P: NetProfile> {
-        reference: NetSbcWorld<P>,
-        ticked: NetSbcWorld<P>,
+    /// Two identically seeded worlds of one backend, one stepped by the
+    /// literal per-party `advance` loop and one by its round-level `tick`,
+    /// compared after every round: clock, outputs and leaks.
+    struct SchedulePair<W: SbcBackend> {
+        reference: W,
+        ticked: W,
     }
 
-    impl<P: NetProfile> SchedulePair<P> {
+    impl<W: SbcBackend> SchedulePair<W> {
         fn new(params: SbcParams, seed: &[u8]) -> Self {
             SchedulePair {
-                reference: NetSbcWorld::new(params, seed).expect("valid"),
-                ticked: NetSbcWorld::new(params, seed).expect("valid"),
+                reference: W::from_params(params, seed).expect("valid"),
+                ticked: W::from_params(params, seed).expect("valid"),
             }
         }
 
-        fn both(&mut self, f: impl Fn(&mut NetSbcWorld<P>)) {
+        fn both(&mut self, f: impl Fn(&mut W)) {
             f(&mut self.reference);
             f(&mut self.ticked);
         }
@@ -1016,37 +962,39 @@ mod tests {
         sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
     }
 
-    /// The net-side twin of `sbc_core`'s `tick_matches_per_party_advance_
-    /// loop`, over the same five shapes: `tick` (one shared release) is the
-    /// literal per-party `advance` loop, bit for bit, every round.
-    fn tick_matches_per_party_advance_loop<P: NetProfile>(n: usize) {
-        let p = SbcParams::default_for(n);
-        let last = n - 1;
+    /// `W::tick` is the literal per-party `advance` loop, bit for bit,
+    /// every round. The first shape is two epochs under a mid-period
+    /// corruption and an accepted adversarial wire; with `every_shape`,
+    /// four more follow. Returns the first shape's pair and, if it ran,
+    /// the last one's, for the call site to read their transports.
+    fn tick_matches_loop<W: SbcBackend>(
+        p: SbcParams,
+        every_shape: bool,
+    ) -> (SchedulePair<W>, Option<SchedulePair<W>>) {
+        let (n, last) = (p.n, p.n - 1);
         let corrupt = |party: usize| AdvCommand::Corrupt(PartyId(party as u32));
 
-        // Two epochs under a mid-period corruption and an accepted
-        // adversarial wire.
-        let mut s = SchedulePair::<P>::new(p, b"tick-equiv");
+        let mut epochs = SchedulePair::<W>::new(p, b"tick-equiv");
         for epoch in 0..2 {
-            s.submit(0, b"alpha");
-            s.submit(n / 2, b"bravo");
-            s.round();
+            epochs.submit(0, b"alpha");
+            epochs.submit(n / 2, b"bravo");
+            epochs.round();
             if epoch == 0 {
-                s.adversary(corrupt(last));
-                let tau = s.ticked.release_round().expect("period open");
-                s.adversary(send_as(last as u32, &foreign_wire(tau)));
+                epochs.adversary(corrupt(last));
+                let tau = epochs.ticked.release_round().expect("period open");
+                epochs.adversary(send_as(last as u32, &foreign_wire(tau)));
             }
-            assert!(!s.rounds(10).is_empty(), "n={n}: epoch {epoch} released");
-            s.both(|w| w.begin_new_period());
+            let outs = epochs.rounds(10);
+            assert!(!outs.is_empty(), "n={n}: epoch {epoch} released");
+            epochs.both(|w| w.begin_new_period());
         }
-        // The comparison is not vacuous: the shared release saved frames
-        // (at n = 2 the corruption leaves one honest party: none to save).
-        let sent = |w: &NetSbcWorld<P>| w.transport_stats().sent;
-        assert_eq!(sent(&s.ticked) < sent(&s.reference), n > 2, "n={n}");
+        if !every_shape {
+            return (epochs, None);
+        }
 
         // Party 0 corrupted before the first tick: the first honest
         // party — the one whose release the others reuse — is not 0.
-        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/p0");
+        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/p0");
         s.adversary(corrupt(0));
         s.submit(1, b"charlie");
         s.submit(last, b"delta");
@@ -1056,7 +1004,7 @@ mod tests {
 
         // A sender corrupted mid-period after it has broadcast: its
         // wire stays in every log and its message is released.
-        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/sender");
+        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/sender");
         s.submit(0, b"echo");
         s.submit(last, b"foxtrot");
         s.rounds(2); // wake-up, then the wires go out
@@ -1071,7 +1019,7 @@ mod tests {
 
         // Wires every recipient must discard identically: a wrong
         // τ_rel, and a right one delivered at Cl ≥ t_end.
-        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/discard");
+        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/discard");
         s.submit(0, b"golf");
         s.round();
         s.adversary(corrupt(last));
@@ -1091,7 +1039,7 @@ mod tests {
         // Rounds entered mid-round (one party already advanced by hand)
         // take the literal-loop fallback — on broadcast rounds and on
         // the release round alike.
-        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/mid-round");
+        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/mid-round");
         s.submit(0, b"hotel");
         s.submit(last, b"india");
         let mut outs = Vec::new();
@@ -1102,19 +1050,50 @@ mod tests {
             outs.extend(s.round());
         }
         assert_eq!(outs.len(), n, "n={n}: released through the fallback");
-        assert_eq!(sent(&s.ticked), sent(&s.reference), "n={n}: no sharing");
+        (epochs, Some(s))
+    }
+
+    /// The in-process round-level `tick` (shared release, deferred batch
+    /// delivery by class) at n ∈ {2, 6, 64} and at `tle_delay = 0` — and
+    /// its first shape at n = 256, the width `auction_wide` runs.
+    #[test]
+    fn tick_matches_per_party_advance_loop() {
+        tick_matches_loop::<RealSbcWorld>(SbcParams::default_for(256), false);
+        let zero_delay = SbcParams {
+            tle_delay: 0,
+            ..SbcParams::default_for(3)
+        };
+        let widths = [2, 6, 64].map(SbcParams::default_for);
+        for p in widths.into_iter().chain([zero_delay]) {
+            tick_matches_loop::<RealSbcWorld>(p, true);
+        }
     }
 
     #[test]
     fn tick_matches_per_party_advance_loop_on_loopback_and_simnet() {
+        fn frames_saved<P: NetProfile>(n: usize) {
+            let p = SbcParams::default_for(n);
+            let (epochs, mid_round) = tick_matches_loop::<NetSbcWorld<P>>(p, true);
+            let sent = |w: &NetSbcWorld<P>| w.transport_stats().sent;
+            // The comparison is not vacuous: the shared release saved
+            // frames (at n = 2 the corruption leaves one honest party:
+            // none to save) — and none under the mid-round fallback.
+            assert_eq!(
+                sent(&epochs.ticked) < sent(&epochs.reference),
+                n > 2,
+                "n={n}"
+            );
+            let s = mid_round.expect("every shape ran");
+            assert_eq!(sent(&s.ticked), sent(&s.reference), "n={n}: no sharing");
+        }
         for n in [2, 8, 64] {
-            tick_matches_per_party_advance_loop::<LoopbackProfile>(n);
-            tick_matches_per_party_advance_loop::<AdversarialProfile>(n);
+            frames_saved::<LoopbackProfile>(n);
+            frames_saved::<AdversarialProfile>(n);
         }
     }
 
-    /// A loopback that shows `tap` every frame on its way in; `false`
-    /// swallows the frame.
+    /// A loopback that hands `tap` every frame on its way in: `None`
+    /// swallows the frame, `Some` forwards its canonical encoding.
     struct Tap<F> {
         inner: Loopback,
         tap: F,
@@ -1126,11 +1105,12 @@ mod tests {
         }
     }
 
-    impl<F: FnMut(&Frame) -> bool + Send> Transport for Tap<F> {
+    impl<F: FnMut(Frame) -> Option<Frame> + Send> Transport for Tap<F> {
         fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), crate::codec::NetError> {
-            match Frame::decode(&bytes) {
-                Ok(frame) if !(self.tap)(&frame) => Ok(()),
-                _ => self.inner.send(bytes, now),
+            match Frame::decode(&bytes).map(&mut self.tap) {
+                Ok(None) => Ok(()),
+                Ok(Some(frame)) => self.inner.send(frame.encode(), now),
+                Err(_) => self.inner.send(bytes, now),
             }
         }
         fn recv_control(&mut self) -> Vec<Vec<u8>> {
@@ -1156,23 +1136,24 @@ mod tests {
         }
     }
 
-    /// A loopback world over `Tap`, and the frames the tap let through.
+    /// A loopback world over `Tap`, and the frames the tap forwarded.
     fn tapped_world(
         params: SbcParams,
-        mut swallow: impl FnMut(&Frame) -> bool + Send + 'static,
+        seed: &[u8],
+        mut tap: impl FnMut(Frame) -> Option<Frame> + Send + 'static,
     ) -> (LoopbackSbcWorld, Arc<Mutex<Vec<Frame>>>) {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&seen);
-        let tap = move |frame: &Frame| {
-            let keep = !swallow(frame);
-            if keep {
+        let tap = move |frame| {
+            let kept = tap(frame);
+            if let Some(frame) = &kept {
                 log.lock().expect("tap log").push(frame.clone());
             }
-            keep
+            kept
         };
         let inner = Loopback::new(params.n, params.delta);
         let transport = Box::new(Tap { inner, tap });
-        let w = LoopbackSbcWorld::with_transport(params, b"tapped", transport).expect("valid");
+        let w = LoopbackSbcWorld::with_transport(params, seed, transport).expect("valid");
         (w, seen)
     }
 
@@ -1202,7 +1183,7 @@ mod tests {
     fn release_round_frames_are_per_wire_not_per_party() {
         let run = |n: usize, k: usize, payload_len: usize| {
             let params = SbcParams::default_for(n);
-            let (mut w, seen) = tapped_world(params, |_| false);
+            let (mut w, seen) = tapped_world(params, b"tapped", Some);
             for i in 0..k {
                 w.submit(PartyId((i % n) as u32), &vec![i as u8; payload_len]);
             }
@@ -1230,12 +1211,12 @@ mod tests {
         let victim = 2;
         let mut dropped = false;
         // The first wire delivery to the victim is swallowed.
-        let (mut w, seen) = tapped_world(params, move |f| {
+        let (mut w, seen) = tapped_world(params, b"tapped", move |f| {
             let wire = matches!(&f.kind, FrameKind::Deliver { payload, .. }
                 if wire_tau(payload).is_some());
             let hit = wire && f.to == Endpoint::Party(victim) && !dropped;
             dropped |= hit;
-            hit
+            (!hit).then_some(f)
         });
         for (p, m) in [(0, b"m0"), (1, b"m1"), (3, b"m3")] {
             w.submit(PartyId(p), m);

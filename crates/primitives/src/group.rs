@@ -1,6 +1,6 @@
 //! Schnorr groups: the prime-order subgroup of quadratic residues modulo a
 //! safe prime. This is the discrete-log substrate for the self-tallying
-//! voting scheme (paper §6.2) and its Σ-protocols.
+//! voting scheme (paper §6.2) and its ballot-validity proof.
 //!
 //! # Examples
 //!

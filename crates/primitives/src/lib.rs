@@ -17,8 +17,8 @@
 //! * [`bigint`] / [`group`] — 256-bit modular arithmetic and Schnorr groups
 //!   for the voting application (Miller–Rabin lives in the crate-private
 //!   `prime`).
-//! * [`sigma`] — Schnorr / Chaum–Pedersen / disjunctive Σ-protocols with
-//!   Fiat–Shamir (ballot validity proofs).
+//! * [`sigma`] — the disjunctive Chaum–Pedersen proof with Fiat–Shamir
+//!   that validates ballots.
 //! * [`wots`] — WOTS-based stateful hash signatures (the EUF-CMA scheme
 //!   realizing `F_cert`), certified by the crate-private `merkle` trees.
 //! * [`hex`] — encoding helpers.

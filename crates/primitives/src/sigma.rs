@@ -1,8 +1,8 @@
-//! Σ-protocols over [`SchnorrGroup`]: Schnorr proofs of knowledge,
-//! Chaum–Pedersen discrete-log-equality (DLEQ) proofs, and their disjunctive
-//! (OR) composition — made non-interactive with Fiat–Shamir.
+//! The disjunctive Chaum–Pedersen proof over [`SchnorrGroup`]: a
+//! discrete-log-equality (DLEQ) statement proven for one hidden candidate
+//! among `k` (CDS OR-composition), made non-interactive with Fiat–Shamir.
 //!
-//! These are the ballot-validity proofs of the self-tallying voting protocol
+//! It is the ballot-validity proof of the self-tallying voting protocol
 //! (paper Fig. 18): a voter proves that her ballot `b = r^x · g^v` uses her
 //! registered secret exponent `x` (matching verification key `w_x = w^x`)
 //! and encodes an allowable vote `v ∈ {0, …, k−1}`, without revealing `v`.
@@ -11,40 +11,25 @@
 //!
 //! ```
 //! use sbc_primitives::group::SchnorrGroup;
-//! use sbc_primitives::sigma::{schnorr_prove, schnorr_verify};
+//! use sbc_primitives::sigma::{dleq_or_prove, dleq_or_verify};
 //! use sbc_primitives::drbg::Drbg;
 //!
 //! let grp = SchnorrGroup::tiny();
 //! let mut rng = Drbg::from_seed(b"doc");
+//! let (g1, g2) = (grp.generator(), grp.hash_to_element(b"doc-g2"));
 //! let x = grp.random_scalar(&mut rng);
-//! let h = grp.exp(&grp.generator(), &x);
-//! let proof = schnorr_prove(&grp, &grp.generator(), &x, b"ctx", &mut rng);
-//! assert!(schnorr_verify(&grp, &grp.generator(), &h, b"ctx", &proof));
+//! let junk = grp.exp(&g2, &grp.random_scalar(&mut rng));
+//! // The witness opens candidate 1 of two; the proof does not say which.
+//! let targets = [(grp.exp(&g1, &x), junk), (grp.exp(&g1, &x), grp.exp(&g2, &x))];
+//! let proof = dleq_or_prove(&grp, &g1, &g2, &targets, 1, &x, b"ctx", &mut rng);
+//! assert!(dleq_or_verify(&grp, &g1, &g2, &targets, b"ctx", &proof));
+//! assert!(!dleq_or_verify(&grp, &g1, &g2, &targets, b"other", &proof));
 //! ```
 
 use crate::bigint::U256;
 use crate::drbg::Drbg;
 use crate::group::{Element, Scalar, SchnorrGroup};
 use crate::sha256::Sha256;
-
-/// Non-interactive Schnorr proof of knowledge of `x` with `h = g^x`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SchnorrProof {
-    /// Commitment `A = g^s`.
-    pub commitment: Element,
-    /// Response `z = s + c·x mod q`.
-    pub response: Scalar,
-}
-
-/// Non-interactive Chaum–Pedersen DLEQ proof: knowledge of `x` with
-/// `h1 = g1^x` and `h2 = g2^x`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DleqProof {
-    /// Commitments `(A, B) = (g1^s, g2^s)`.
-    pub commitment: (Element, Element),
-    /// Response `z = s + c·x mod q`.
-    pub response: Scalar,
-}
 
 /// Disjunctive DLEQ proof: for one (hidden) index `v` among `k` candidate
 /// statements, the prover knows `x` with `h1 = g1^x ∧ t_v = g2^x`, where
@@ -57,95 +42,6 @@ pub struct DleqOrProof {
     pub challenges: Vec<Scalar>,
     /// Per-candidate responses.
     pub responses: Vec<Scalar>,
-}
-
-fn challenge(grp: &SchnorrGroup, context: &[u8], parts: &[&Element]) -> Scalar {
-    let mut h = Sha256::new();
-    h.update(b"sigma-fs-v1");
-    h.update(&(context.len() as u64).to_be_bytes());
-    h.update(context);
-    h.update(&grp.modulus().to_be_bytes());
-    for e in parts {
-        h.update(&e.0.to_be_bytes());
-    }
-    Scalar(U256::from_be_bytes(&h.finalize()).rem(grp.order()))
-}
-
-/// Proves knowledge of `x` such that `g^x` equals the public key derived by
-/// the verifier. `context` domain-separates the proof (session, statement).
-pub fn schnorr_prove(
-    grp: &SchnorrGroup,
-    g: &Element,
-    x: &Scalar,
-    context: &[u8],
-    rng: &mut Drbg,
-) -> SchnorrProof {
-    let s = grp.random_scalar(rng);
-    let a = grp.exp(g, &s);
-    let h = grp.exp(g, x);
-    let c = challenge(grp, context, &[g, &h, &a]);
-    let z = grp.scalar_add(&s, &grp.scalar_mul(&c, x));
-    SchnorrProof {
-        commitment: a,
-        response: z,
-    }
-}
-
-/// Verifies a [`SchnorrProof`] for statement `h = g^x`.
-pub fn schnorr_verify(
-    grp: &SchnorrGroup,
-    g: &Element,
-    h: &Element,
-    context: &[u8],
-    proof: &SchnorrProof,
-) -> bool {
-    if !grp.is_element(&proof.commitment) || !grp.is_element(h) {
-        return false;
-    }
-    let c = challenge(grp, context, &[g, h, &proof.commitment]);
-    // g^z == A · h^c
-    grp.exp(g, &proof.response) == grp.mul(&proof.commitment, &grp.exp(h, &c))
-}
-
-/// Proves `h1 = g1^x ∧ h2 = g2^x` (Chaum–Pedersen).
-pub fn dleq_prove(
-    grp: &SchnorrGroup,
-    g1: &Element,
-    g2: &Element,
-    x: &Scalar,
-    context: &[u8],
-    rng: &mut Drbg,
-) -> DleqProof {
-    let s = grp.random_scalar(rng);
-    let a = grp.exp(g1, &s);
-    let b = grp.exp(g2, &s);
-    let h1 = grp.exp(g1, x);
-    let h2 = grp.exp(g2, x);
-    let c = challenge(grp, context, &[g1, g2, &h1, &h2, &a, &b]);
-    let z = grp.scalar_add(&s, &grp.scalar_mul(&c, x));
-    DleqProof {
-        commitment: (a, b),
-        response: z,
-    }
-}
-
-/// Verifies a [`DleqProof`] for statement `h1 = g1^x ∧ h2 = g2^x`.
-pub fn dleq_verify(
-    grp: &SchnorrGroup,
-    g1: &Element,
-    g2: &Element,
-    h1: &Element,
-    h2: &Element,
-    context: &[u8],
-    proof: &DleqProof,
-) -> bool {
-    let (a, b) = &proof.commitment;
-    if ![a, b, h1, h2].iter().all(|e| grp.is_element(e)) {
-        return false;
-    }
-    let c = challenge(grp, context, &[g1, g2, h1, h2, a, b]);
-    grp.exp(g1, &proof.response) == grp.mul(a, &grp.exp(h1, &c))
-        && grp.exp(g2, &proof.response) == grp.mul(b, &grp.exp(h2, &c))
 }
 
 fn or_challenge(
@@ -290,74 +186,6 @@ mod tests {
 
     fn setup() -> (SchnorrGroup, Drbg) {
         (SchnorrGroup::tiny(), Drbg::from_seed(b"sigma-tests"))
-    }
-
-    #[test]
-    fn schnorr_completeness() {
-        let (grp, mut rng) = setup();
-        let g = grp.generator();
-        let x = grp.random_scalar(&mut rng);
-        let h = grp.exp(&g, &x);
-        let proof = schnorr_prove(&grp, &g, &x, b"test", &mut rng);
-        assert!(schnorr_verify(&grp, &g, &h, b"test", &proof));
-    }
-
-    #[test]
-    fn schnorr_wrong_statement_rejected() {
-        let (grp, mut rng) = setup();
-        let g = grp.generator();
-        let x = grp.random_scalar(&mut rng);
-        let proof = schnorr_prove(&grp, &g, &x, b"test", &mut rng);
-        let wrong_h = grp.exp(&g, &grp.scalar_add(&x, &grp.scalar_from_u64(1)));
-        assert!(!schnorr_verify(&grp, &g, &wrong_h, b"test", &proof));
-    }
-
-    #[test]
-    fn schnorr_context_bound() {
-        let (grp, mut rng) = setup();
-        let g = grp.generator();
-        let x = grp.random_scalar(&mut rng);
-        let h = grp.exp(&g, &x);
-        let proof = schnorr_prove(&grp, &g, &x, b"ctx-a", &mut rng);
-        assert!(!schnorr_verify(&grp, &g, &h, b"ctx-b", &proof));
-    }
-
-    #[test]
-    fn dleq_completeness() {
-        let (grp, mut rng) = setup();
-        let g1 = grp.generator();
-        let g2 = grp.hash_to_element(b"g2");
-        let x = grp.random_scalar(&mut rng);
-        let h1 = grp.exp(&g1, &x);
-        let h2 = grp.exp(&g2, &x);
-        let proof = dleq_prove(&grp, &g1, &g2, &x, b"t", &mut rng);
-        assert!(dleq_verify(&grp, &g1, &g2, &h1, &h2, b"t", &proof));
-    }
-
-    #[test]
-    fn dleq_unequal_logs_rejected() {
-        let (grp, mut rng) = setup();
-        let g1 = grp.generator();
-        let g2 = grp.hash_to_element(b"g2");
-        let x = grp.random_scalar(&mut rng);
-        let y = grp.scalar_add(&x, &grp.scalar_from_u64(1));
-        let h1 = grp.exp(&g1, &x);
-        let h2 = grp.exp(&g2, &y); // different exponent
-        let proof = dleq_prove(&grp, &g1, &g2, &x, b"t", &mut rng);
-        assert!(!dleq_verify(&grp, &g1, &g2, &h1, &h2, b"t", &proof));
-    }
-
-    #[test]
-    fn dleq_tampered_response_rejected() {
-        let (grp, mut rng) = setup();
-        let g1 = grp.generator();
-        let g2 = grp.hash_to_element(b"g2");
-        let x = grp.random_scalar(&mut rng);
-        let h1 = grp.exp(&g1, &x);
-        let h2 = grp.exp(&g2, &x);
-        let mut proof = dleq_prove(&grp, &g1, &g2, &x, b"t", &mut rng);
-        proof.response = grp.scalar_add(&proof.response, &grp.scalar_from_u64(1));
-        assert!(!dleq_verify(&grp, &g1, &g2, &h1, &h2, b"t", &proof));
     }
 
     fn or_setup(

@@ -132,21 +132,6 @@ impl TleFunc {
         by_ct.entry(ct.encode()).or_default().push(idx);
     }
 
-    /// The leakage head start α.
-    pub fn alpha(&self) -> u64 {
-        self.alpha
-    }
-
-    /// The ciphertext-generation delay.
-    pub fn delay(&self) -> u64 {
-        self.delay
-    }
-
-    /// All records (simulator view).
-    pub fn records(&self) -> &[TleRecord] {
-        &self.records
-    }
-
     /// Drops every recorded tuple. Used by multi-epoch drivers when a
     /// broadcast period is fully released: keeping the dead records would
     /// only grow `Retrieve`/`Dec` scans without changing any output.
@@ -329,39 +314,7 @@ impl TleFunc {
 mod tests {
     use super::*;
     use sbc_primitives::drbg::Drbg;
-    use sbc_uc::clock::GlobalClock;
-    use sbc_uc::corruption::CorruptionTracker;
-
-    struct Fx {
-        clock: GlobalClock,
-        rng: Drbg,
-        leaks: Vec<sbc_uc::world::Leak>,
-        corr: CorruptionTracker,
-    }
-
-    impl Fx {
-        fn new(n: usize) -> Self {
-            Fx {
-                clock: GlobalClock::new(PartyId::all(n)),
-                rng: Drbg::from_seed(b"ftle"),
-                leaks: Vec::new(),
-                corr: CorruptionTracker::new(n),
-            }
-        }
-        fn ctx(&mut self) -> HybridCtx<'_> {
-            HybridCtx {
-                clock: &mut self.clock,
-                rng: &mut self.rng,
-                leaks: &mut self.leaks,
-                corr: &mut self.corr,
-            }
-        }
-        fn tick(&mut self, n: usize) {
-            for i in 0..n {
-                self.clock.advance_party(PartyId(i as u32));
-            }
-        }
-    }
+    use sbc_uc::world::WorldCore;
 
     fn func() -> TleFunc {
         // leak(Cl) = Cl + 2, delay = 3 (the ∆=2 instantiation of Thm. 1).
@@ -370,51 +323,52 @@ mod tests {
 
     #[test]
     fn negative_tau_rejected() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
         assert!(f
-            .enc(PartyId(0), Value::U64(1), -1, &mut fx.ctx())
+            .enc(PartyId(0), Value::U64(1), -1, &mut core.ctx())
             .is_none());
         assert_eq!(
-            f.dec(&Value::bytes(b"c"), -5, &fx.ctx()),
+            f.dec(&Value::bytes(b"c"), -5, &core.ctx()),
             Some(DecResponse::Bottom)
         );
     }
 
     #[test]
     fn retrieve_respects_delay_and_ownership() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ftle");
         let mut f = func();
         let tag = f
-            .enc(PartyId(0), Value::bytes(b"m"), 10, &mut fx.ctx())
+            .enc(PartyId(0), Value::bytes(b"m"), 10, &mut core.ctx())
             .unwrap();
         f.update_ciphertexts(&[(Value::bytes(b"ct"), tag)]);
         assert!(
-            f.retrieve(PartyId(0), &mut fx.ctx()).is_empty(),
+            f.retrieve(PartyId(0), &mut core.ctx()).is_empty(),
             "before delay"
         );
         for _ in 0..3 {
-            fx.tick(2);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let r = f.retrieve(PartyId(0), &mut fx.ctx());
+        let r = f.retrieve(PartyId(0), &mut core.ctx());
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].0, Value::bytes(b"m"));
         assert_eq!(r[0].1, Value::bytes(b"ct"));
         assert!(
-            f.retrieve(PartyId(1), &mut fx.ctx()).is_empty(),
+            f.retrieve(PartyId(1), &mut core.ctx()).is_empty(),
             "not the owner"
         );
     }
 
     #[test]
     fn retrieve_fills_missing_ciphertexts() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        f.enc(PartyId(0), Value::U64(1), 10, &mut fx.ctx()).unwrap();
+        f.enc(PartyId(0), Value::U64(1), 10, &mut core.ctx())
+            .unwrap();
         for _ in 0..3 {
-            fx.tick(1);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let r = f.retrieve(PartyId(0), &mut fx.ctx());
+        let r = f.retrieve(PartyId(0), &mut core.ctx());
         assert_eq!(r.len(), 1);
         assert!(
             r[0].1.as_bytes().is_some(),
@@ -424,67 +378,69 @@ mod tests {
 
     #[test]
     fn dec_time_lock_enforced() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
         let tag = f
-            .enc(PartyId(0), Value::bytes(b"secret"), 2, &mut fx.ctx())
+            .enc(PartyId(0), Value::bytes(b"secret"), 2, &mut core.ctx())
             .unwrap();
         let ct = Value::bytes(b"ct");
         f.update_ciphertexts(&[(ct.clone(), tag)]);
         assert_eq!(
-            f.dec(&ct, 2, &fx.ctx()),
+            f.dec(&ct, 2, &core.ctx()),
             Some(DecResponse::MoreTime),
             "Cl=0 < τ=2"
         );
-        fx.tick(1);
-        fx.tick(1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
         assert_eq!(
-            f.dec(&ct, 2, &fx.ctx()),
+            f.dec(&ct, 2, &core.ctx()),
             Some(DecResponse::Message(Value::bytes(b"secret")))
         );
     }
 
     #[test]
     fn dec_invalid_time() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        let tag = f.enc(PartyId(0), Value::U64(1), 2, &mut fx.ctx()).unwrap();
+        let tag = f
+            .enc(PartyId(0), Value::U64(1), 2, &mut core.ctx())
+            .unwrap();
         let ct = Value::bytes(b"ct");
         f.update_ciphertexts(&[(ct.clone(), tag)]);
-        fx.tick(1);
-        fx.tick(1);
-        fx.tick(1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
+        core.clock.fast_forward(core.clock.read() + 1);
         // Claimed τ=1 < true τ_dec=2 ≤ Cl=3 → Invalid_Time.
-        assert_eq!(f.dec(&ct, 1, &fx.ctx()), Some(DecResponse::InvalidTime));
+        assert_eq!(f.dec(&ct, 1, &core.ctx()), Some(DecResponse::InvalidTime));
     }
 
     #[test]
     fn ambiguous_ciphertext_rejected() {
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
         let ct = Value::bytes(b"dup");
         f.insert_adversarial(ct.clone(), Value::U64(1), 0);
         f.insert_adversarial(ct.clone(), Value::U64(2), 0);
-        assert_eq!(f.dec(&ct, 0, &fx.ctx()), Some(DecResponse::Bottom));
+        assert_eq!(f.dec(&ct, 0, &core.ctx()), Some(DecResponse::Bottom));
     }
 
     #[test]
     fn leakage_respects_horizon() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ftle");
         let mut f = func(); // α = 2
-        f.enc(PartyId(0), Value::bytes(b"near"), 2, &mut fx.ctx())
+        f.enc(PartyId(0), Value::bytes(b"near"), 2, &mut core.ctx())
             .unwrap();
-        f.enc(PartyId(0), Value::bytes(b"far"), 9, &mut fx.ctx())
+        f.enc(PartyId(0), Value::bytes(b"far"), 9, &mut core.ctx())
             .unwrap();
         f.enc(
             PartyId(1),
             Value::bytes(b"corrupted-owner"),
             9,
-            &mut fx.ctx(),
+            &mut core.ctx(),
         )
         .unwrap();
-        fx.corr.corrupt(PartyId(1), 0).unwrap();
-        let ctx = fx.ctx();
+        core.corr.corrupt(PartyId(1), 0).unwrap();
+        let ctx = core.ctx();
         let leaked = f.leakage(&ctx);
         // τ=2 ≤ 0+2 leaks; τ=9 doesn't; corrupted owner's does.
         assert_eq!(leaked.len(), 2);
@@ -496,45 +452,45 @@ mod tests {
 
     #[test]
     fn indexes_track_fill_update_and_clear() {
-        let mut fx = Fx::new(2);
+        let mut core = WorldCore::new(2, b"ftle");
         let mut f = func();
         // Honest record, ciphertext attached by Update: dec resolves via
         // the by-ct index.
         let tag = f
-            .enc(PartyId(0), Value::bytes(b"m0"), 0, &mut fx.ctx())
+            .enc(PartyId(0), Value::bytes(b"m0"), 0, &mut core.ctx())
             .unwrap();
         f.update_ciphertexts(&[(Value::bytes(b"ct0"), tag)]);
         // A second Update on the same tag must not re-index or overwrite.
         f.update_ciphertexts(&[(Value::bytes(b"ct-other"), tag)]);
         assert_eq!(
-            f.dec(&Value::bytes(b"ct0"), 0, &fx.ctx()),
+            f.dec(&Value::bytes(b"ct0"), 0, &core.ctx()),
             Some(DecResponse::Message(Value::bytes(b"m0")))
         );
-        assert_eq!(f.dec(&Value::bytes(b"ct-other"), 0, &fx.ctx()), None);
+        assert_eq!(f.dec(&Value::bytes(b"ct-other"), 0, &core.ctx()), None);
         // Honest record whose ciphertext the functionality fills at
         // Retrieve time: the filled ciphertext becomes decryptable.
-        f.enc(PartyId(1), Value::bytes(b"m1"), 0, &mut fx.ctx())
+        f.enc(PartyId(1), Value::bytes(b"m1"), 0, &mut core.ctx())
             .unwrap();
         for _ in 0..3 {
-            fx.tick(2);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let filled = f.retrieve(PartyId(1), &mut fx.ctx());
+        let filled = f.retrieve(PartyId(1), &mut core.ctx());
         assert_eq!(filled.len(), 1);
         let filled_ct = filled[0].1.clone();
         assert_eq!(
-            f.dec(&filled_ct, 0, &fx.ctx()),
+            f.dec(&filled_ct, 0, &core.ctx()),
             Some(DecResponse::Message(Value::bytes(b"m1")))
         );
         // clear_records drops the indices with the records: the old
         // ciphertexts become unknown again and retrieval is empty.
         f.clear_records();
-        assert_eq!(f.dec(&Value::bytes(b"ct0"), 0, &fx.ctx()), None);
-        assert_eq!(f.dec(&filled_ct, 0, &fx.ctx()), None);
-        assert!(f.retrieve(PartyId(1), &mut fx.ctx()).is_empty());
+        assert_eq!(f.dec(&Value::bytes(b"ct0"), 0, &core.ctx()), None);
+        assert_eq!(f.dec(&filled_ct, 0, &core.ctx()), None);
+        assert!(f.retrieve(PartyId(1), &mut core.ctx()).is_empty());
         // Fresh records after a clear index from scratch.
         f.insert_adversarial(Value::bytes(b"ct2"), Value::U64(7), 0);
         assert_eq!(
-            f.dec(&Value::bytes(b"ct2"), 0, &fx.ctx()),
+            f.dec(&Value::bytes(b"ct2"), 0, &core.ctx()),
             Some(DecResponse::Message(Value::U64(7)))
         );
     }
@@ -544,7 +500,7 @@ mod tests {
         // dec delegates to dec_peek_encoded; a caller probing with the
         // canonical encoding must see the same response as one probing
         // with the Value, on every response branch.
-        let mut fx = Fx::new(1);
+        let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
         let known = Value::bytes(b"known-ct");
         f.insert_adversarial(known.clone(), Value::bytes(b"m"), 2);
@@ -553,9 +509,9 @@ mod tests {
         f.insert_adversarial(dup.clone(), Value::U64(2), 0);
         let unknown = Value::bytes(b"unknown-ct");
         for _ in 0..3 {
-            fx.tick(1);
+            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let now = fx.clock.read();
+        let now = core.clock.read();
         let cases: [(&Value, i64); 6] = [
             (&known, -1),             // Bottom (negative τ)
             (&known, now as i64 + 1), // MoreTime (Cl < τ)
@@ -568,7 +524,7 @@ mod tests {
             let enc = ct.encode();
             assert_eq!(
                 f.dec_peek_encoded(&enc, tau, now),
-                f.dec(ct, tau, &fx.ctx()),
+                f.dec(ct, tau, &core.ctx()),
                 "ct={ct:?} tau={tau}"
             );
         }

@@ -76,11 +76,6 @@ impl QueryWrapper {
         }
     }
 
-    /// The per-round batch budget `q`.
-    pub fn q(&self) -> u32 {
-        self.q
-    }
-
     /// `Evaluate`: runs one batch of parallel queries against the wrapped
     /// oracle at clock time `round`.
     ///
