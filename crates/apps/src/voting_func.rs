@@ -315,7 +315,7 @@ mod tests {
         let mut f = func();
         f.init(&mut core.ctx());
         let tag = f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         assert_eq!(f.corruption_request(&core.ctx()).len(), 1);
         assert!(f.allow(tag, 1, PartyId(1), &mut core.ctx()));
         assert!(
@@ -339,7 +339,7 @@ mod tests {
         f.init(&mut core.ctx());
         f.vote(PartyId(0), 1, &mut core.ctx()).unwrap();
         f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         for _ in 0..4 {
             f.advance_clock(PartyId(0), &mut core.ctx());
             core.clock.fast_forward(core.clock.read() + 1);
@@ -357,7 +357,7 @@ mod tests {
         let mut f = func();
         f.init(&mut core.ctx());
         let t1 = f.vote(PartyId(1), 0, &mut core.ctx()).unwrap();
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         f.allow(t1, 0, PartyId(1), &mut core.ctx());
         core.clock.fast_forward(core.clock.read() + 1);
         // Second (adversarial) vote in round 1 — latest finalized wins.

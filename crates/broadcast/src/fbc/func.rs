@@ -8,7 +8,7 @@
 //! after the broadcast request, sorted lexicographically.
 
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::hybrid::{Delivery, HybridCtx};
+use sbc_uc::hybrid::HybridCtx;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
 use std::collections::HashMap;
@@ -154,7 +154,7 @@ impl FbcFunc {
     /// `Advance_Clock` from an honest party: delivers to *that party* every
     /// record that is exactly `∆` rounds old, sorted lexicographically by
     /// message.
-    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
+    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
         if ctx.is_corrupted(party) {
             return Vec::new();
         }
@@ -170,9 +170,7 @@ impl FbcFunc {
             .filter(|r| now.wrapping_sub(r.requested_at) == self.delta)
             .collect();
         due.sort_by(|a, b| a.msg.cmp(&b.msg));
-        due.into_iter()
-            .map(|r| Delivery::new(party, Command::new("Broadcast", r.msg.clone())))
-            .collect()
+        due.into_iter().map(|r| r.msg.clone()).collect()
     }
 }
 
@@ -209,13 +207,14 @@ mod tests {
         core.clock.fast_forward(core.clock.read() + 1);
         assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
         core.clock.fast_forward(core.clock.read() + 1);
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].to, PartyId(0));
-        assert_eq!(ds[0].cmd.value, Value::U64(7));
-        let ds1 = f.advance_clock(PartyId(1), &mut core.ctx());
-        assert_eq!(ds1.len(), 1);
-        assert_eq!(ds1[0].to, PartyId(1));
+        assert_eq!(
+            f.advance_clock(PartyId(0), &mut core.ctx()),
+            [Value::U64(7)]
+        );
+        assert_eq!(
+            f.advance_clock(PartyId(1), &mut core.ctx()),
+            [Value::U64(7)]
+        );
     }
 
     #[test]
@@ -226,9 +225,8 @@ mod tests {
         f.broadcast(PartyId(0), Value::bytes(b"apple"), &mut core.ctx());
         core.clock.fast_forward(core.clock.read() + 1);
         core.clock.fast_forward(core.clock.read() + 1);
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(ds[0].cmd.value, Value::bytes(b"apple"));
-        assert_eq!(ds[1].cmd.value, Value::bytes(b"zebra"));
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        assert_eq!(delivered, [Value::bytes(b"apple"), Value::bytes(b"zebra")]);
     }
 
     #[test]
@@ -238,14 +236,14 @@ mod tests {
         let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         let rec = f.output_request(tag, &mut core.ctx()).unwrap();
         assert_eq!(rec.msg, Value::U64(1));
-        core.corr.corrupt(PartyId(0), 0).unwrap();
+        core.corr.corrupt(PartyId(0)).unwrap();
         assert!(!f.allow(tag, Value::U64(99), PartyId(0), &mut core.ctx()));
         core.clock.fast_forward(core.clock.read() + 1);
         core.clock.fast_forward(core.clock.read() + 1);
-        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
+        let delivered = f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(
-            ds[0].cmd.value,
-            Value::U64(1),
+            delivered,
+            [Value::U64(1)],
             "locked value survives corruption"
         );
     }
@@ -280,12 +278,14 @@ mod tests {
             !f.allow(tag, Value::U64(2), PartyId(0), &mut core.ctx()),
             "honest: refused"
         );
-        core.corr.corrupt(PartyId(0), 0).unwrap();
+        core.corr.corrupt(PartyId(0)).unwrap();
         assert!(f.allow(tag, Value::U64(2), PartyId(0), &mut core.ctx()));
         core.clock.fast_forward(core.clock.read() + 1);
         core.clock.fast_forward(core.clock.read() + 1);
-        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
-        assert_eq!(ds[0].cmd.value, Value::U64(2));
+        assert_eq!(
+            f.advance_clock(PartyId(1), &mut core.ctx()),
+            [Value::U64(2)]
+        );
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
         let mut f = func(3);
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         let ctx = core.ctx();
         let recs = f.corruption_request(&ctx);
         assert_eq!(recs.len(), 1);

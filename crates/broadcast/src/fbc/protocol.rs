@@ -10,12 +10,15 @@
 //! messages of a round sorted lexicographically: delay ∆ = 2, simulator
 //! advantage α = 2 (Lemma 2).
 //!
-//! The q-batch round orchestration (protocol step 3) is the subtle part:
-//! batch `Q_0` carries every *parallel* puzzle-generation hash plus the
-//! first chain step of every live solver; batches `Q_1 … Q_{q-1}` carry one
-//! further sequential step of every live solver each.
+//! The q-batch round of protocol step 3 is the one `Π_TLE` runs too,
+//! [`QueryWrapper::solve_round`]: batch `Q_0` carries every *parallel*
+//! puzzle-generation hash plus the first chain step of every live solver;
+//! batches `Q_1 … Q_{q-1}` carry one further sequential step of every live
+//! solver each.
 
-use sbc_primitives::astrolabous::{ast_enc_with_hashes, xor_mask, AstCiphertext};
+use sbc_primitives::astrolabous::{
+    ast_dec, ast_enc_with_hashes, sample_chain_randomness, xor_mask, AstCiphertext,
+};
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::hashchain::{ChainSolver, Element};
 use sbc_uc::ids::PartyId;
@@ -52,18 +55,6 @@ pub fn parse_fbc_wire(v: &Value, q: u32) -> Option<(AstCiphertext, Vec<u8>)> {
 pub fn decode_masked(eta: &[u8; 32], y: &[u8]) -> Value {
     let bytes = xor_mask(eta, y);
     Value::decode(&bytes).unwrap_or(Value::Bytes(bytes))
-}
-
-/// Draws the per-message chain randomness (protocol step 1): `2q` elements.
-pub fn draw_chain_randomness(rng: &mut Drbg, q: u32) -> Vec<Element> {
-    (0..2 * q as usize)
-        .map(|_| {
-            let b = rng.gen_bytes(32);
-            let mut e = [0u8; 32];
-            e.copy_from_slice(&b);
-            e
-        })
-        .collect()
 }
 
 /// Performs the per-message encryption draws (protocol step 4a–4b) in the
@@ -194,53 +185,23 @@ impl FbcParty {
         let enc_rands: Vec<Vec<Element>> = self
             .pend
             .iter()
-            .map(|_| draw_chain_randomness(&mut self.rng, self.q))
+            .map(|_| sample_chain_randomness(FBC_DIFFICULTY, self.q, &mut self.rng))
             .collect();
-        let mut enc_hashes: Vec<Vec<Element>> = vec![Vec::new(); self.pend.len()];
-
-        // Steps 2–3: the q wrapper batches.
-        enum Slot {
-            Enc(usize),
-            Solve(usize),
-        }
-        for j in 0..self.q {
-            let mut batch: Vec<Vec<u8>> = Vec::new();
-            let mut slots: Vec<Slot> = Vec::new();
-            if j == 0 {
-                for (mi, rands) in enc_rands.iter().enumerate() {
-                    for r in rands {
-                        batch.push(r.to_vec());
-                        slots.push(Slot::Enc(mi));
-                    }
-                }
-            }
-            for (wi, entry) in self.wait.iter().enumerate() {
-                if entry.recv_round < now && !entry.solver.is_done() {
-                    if let Some(qr) = entry.solver.next_query() {
-                        batch.push(qr.to_vec());
-                        slots.push(Slot::Solve(wi));
-                    }
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            let responses =
-                match wrapper.evaluate(ro_star, now, WrapperClient::Party(self.id), &batch) {
-                    Ok(r) => r,
-                    // Unreachable for honest parties: the protocol issues at
-                    // most q batches per round by construction.
-                    Err(_) => return AdvanceResult::default(),
-                };
-            for (slot, resp) in slots.into_iter().zip(responses) {
-                match slot {
-                    Slot::Enc(mi) => enc_hashes[mi].push(resp),
-                    Slot::Solve(wi) => {
-                        self.wait[wi].solver.feed(resp);
-                    }
-                }
-            }
-        }
+        // Steps 2–3: the q wrapper batches; solving starts the round after
+        // reception.
+        let mut solvers: Vec<&mut ChainSolver> = self
+            .wait
+            .iter_mut()
+            .filter(|entry| entry.recv_round < now)
+            .map(|entry| &mut entry.solver)
+            .collect();
+        let client = WrapperClient::Party(self.id);
+        // `None` is unreachable for an honest party: the round issues at
+        // most q batches by construction.
+        let Some(enc_hashes) = wrapper.solve_round(ro_star, now, client, &enc_rands, &mut solvers)
+        else {
+            return AdvanceResult::default();
+        };
 
         // Step 4: encrypt and emit every pending message.
         let mut broadcasts = Vec::new();
@@ -257,8 +218,7 @@ impl FbcParty {
             if !entry.solver.is_done() {
                 return true;
             }
-            if let Ok(rho) = sbc_primitives::astrolabous::ast_dec(&entry.ct, entry.solver.witness())
-            {
+            if let Ok(rho) = ast_dec(&entry.ct, entry.solver.witness()) {
                 let eta = ro.query(Caller::Party(self.id), &rho);
                 outputs.push(decode_masked(&eta, &entry.y));
             }
@@ -290,23 +250,18 @@ impl FbcParty {
         let enc_rands: Vec<Vec<Element>> = self
             .pend
             .iter()
-            .map(|_| draw_chain_randomness(&mut self.rng, self.q))
+            .map(|_| sample_chain_randomness(FBC_DIFFICULTY, self.q, &mut self.rng))
             .collect();
-        let batch: Vec<Vec<u8>> = enc_rands
-            .iter()
-            .flat_map(|rs| rs.iter().map(|r| r.to_vec()))
-            .collect();
-        let Ok(flat) = wrapper.evaluate(ro_star, now, WrapperClient::Corrupted, &batch) else {
+        let client = WrapperClient::Corrupted;
+        let Some(enc_hashes) = wrapper.solve_round(ro_star, now, client, &enc_rands, &mut [])
+        else {
             // Shared corrupted budget exhausted: the whole step is dropped.
             self.pend.clear();
             return Vec::new();
         };
         let mut broadcasts = Vec::new();
-        let mut off = 0usize;
         for (mi, msg) in std::mem::take(&mut self.pend).into_iter().enumerate() {
-            let hashes = &flat[off..off + enc_rands[mi].len()];
-            off += enc_rands[mi].len();
-            let (rho, ct) = encrypt_with_randomness(&mut self.rng, &enc_rands[mi], hashes);
+            let (rho, ct) = encrypt_with_randomness(&mut self.rng, &enc_rands[mi], &enc_hashes[mi]);
             let eta = ro.query(Caller::Adversary, &rho);
             let y = xor_mask(&eta, &msg.encode());
             broadcasts.push(fbc_wire(&ct, &y));

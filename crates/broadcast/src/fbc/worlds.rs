@@ -19,12 +19,12 @@
 
 use crate::fbc::func::{FbcFunc, FbcRecord};
 use crate::fbc::protocol::{
-    decode_masked, draw_chain_randomness, encrypt_with_randomness, fbc_wire, parse_fbc_wire,
-    FbcParty,
+    decode_masked, encrypt_with_randomness, fbc_wire, parse_fbc_wire, FbcParty, FBC_DIFFICULTY,
 };
 use crate::ubc::func::UbcFunc;
+use sbc_primitives::astrolabous::{ast_solve_and_dec, sample_chain_randomness};
 use sbc_primitives::drbg::Drbg;
-use sbc_primitives::hashchain::{ChainSolver, Element};
+use sbc_primitives::hashchain::Element;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
@@ -114,10 +114,13 @@ impl RealFbcWorld {
         }
     }
 
-    fn distribute(&mut self, deliveries: Vec<sbc_uc::hybrid::Delivery>) {
+    /// Hands each message `F_UBC` delivered to every party, in id order.
+    fn distribute(&mut self, msgs: impl IntoIterator<Item = Value>) {
         let now = self.core.clock.read();
-        for d in deliveries {
-            self.parties[d.to.index()].on_ubc_deliver(&d.cmd.value, now);
+        for msg in msgs {
+            for p in &mut self.parties {
+                p.on_ubc_deliver(&msg, now);
+            }
         }
     }
 
@@ -132,11 +135,8 @@ impl RealFbcWorld {
                 &mut self.ro,
             );
             for b in bs {
-                let ds = {
-                    let mut ctx = self.core.ctx();
-                    self.ubc.broadcast_corrupted(c, b, &mut ctx)
-                };
-                self.distribute(ds);
+                let sent = self.ubc.broadcast_corrupted(c, b, &mut self.core.ctx());
+                self.distribute(sent);
             }
         }
     }
@@ -180,11 +180,8 @@ impl World for RealFbcWorld {
                 .outputs
                 .push((party, Command::new("Broadcast", m)));
         }
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.ubc.advance_clock(party, &mut ctx)
-        };
-        self.distribute(ds);
+        let flushed = self.ubc.take_flush(party, &mut self.core.ctx());
+        self.distribute(flushed);
         self.core.clock.advance_party(party);
     }
 
@@ -198,11 +195,10 @@ impl World for RealFbcWorld {
                 Value::list(self.parties[p.index()].pending().to_vec())
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                let ds = {
-                    let mut ctx = self.core.ctx();
-                    self.ubc.broadcast_corrupted(party, cmd.value, &mut ctx)
-                };
-                self.distribute(ds);
+                let sent = self
+                    .ubc
+                    .broadcast_corrupted(party, cmd.value, &mut self.core.ctx());
+                self.distribute(sent);
                 Value::Unit
             }
             AdvCommand::Control { target, cmd } => {
@@ -350,7 +346,9 @@ impl SimFbc {
         // Protocol step 1: all chain randomness first.
         let rand_sets: Vec<Vec<Element>> = entries
             .iter()
-            .map(|_| draw_chain_randomness(&mut self.party_rngs[party.index()], self.q))
+            .map(|_| {
+                sample_chain_randomness(FBC_DIFFICULTY, self.q, &mut self.party_rngs[party.index()])
+            })
             .collect();
         for (entry, rs) in entries.iter().zip(rand_sets.iter()) {
             let hashes: Vec<Element> = rs
@@ -370,7 +368,7 @@ impl SimFbc {
             self.ubc
                 .broadcast_honest(party, fbc_wire(&ct, &y), &mut core.ctx());
         }
-        self.ubc.advance_clock(party, &mut core.ctx());
+        self.ubc.take_flush(party, &mut core.ctx());
     }
 
     /// A corrupted party's semi-honest step on the shared budget.
@@ -395,7 +393,9 @@ impl SimFbc {
         self.corrupted_last_step[party.index()] = Some(now);
         let rand_sets: Vec<Vec<Element>> = entries
             .iter()
-            .map(|_| draw_chain_randomness(&mut self.party_rngs[party.index()], self.q))
+            .map(|_| {
+                sample_chain_randomness(FBC_DIFFICULTY, self.q, &mut self.party_rngs[party.index()])
+            })
             .collect();
         let batch: Vec<Vec<u8>> = rand_sets
             .iter()
@@ -443,14 +443,7 @@ impl SimFbc {
         let Some((ct, y)) = parsed else {
             return; // malformed: real honest parties ignore it
         };
-        let Ok(mut solver) = ChainSolver::new(&ct.chain) else {
-            return;
-        };
-        while let Some(qr) = solver.next_query() {
-            let h = ro_star.query(Caller::Simulator, &qr);
-            solver.feed(h);
-        }
-        let Ok(rho) = sbc_primitives::astrolabous::ast_dec(&ct, solver.witness()) else {
+        let Ok(rho) = ast_solve_and_dec(|x| ro_star.query(Caller::Simulator, x), &ct) else {
             return; // fails authentication: ignored at decryption time too
         };
         let eta = ro.query(Caller::Simulator, &rho);
@@ -540,11 +533,11 @@ impl World for IdealFbcWorld {
             &mut self.ro,
             &mut self.core,
         );
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.ffbc.advance_clock(party, &mut ctx)
-        };
-        self.core.push_outputs(ds);
+        let msgs = self.ffbc.advance_clock(party, &mut self.core.ctx());
+        for msg in msgs {
+            let cmd = Command::new("Broadcast", msg);
+            self.core.outputs.push((party, cmd));
+        }
         self.core.clock.advance_party(party);
     }
 

@@ -4,10 +4,13 @@
 //! every honest message *before* delivery and — if it corrupts the sender
 //! before her round completes — may substitute it (`Allow`). Delivery of an
 //! honest sender's pending messages happens when that sender first forwards
-//! `Advance_Clock` in a round.
+//! `Advance_Clock` in a round ([`UbcFunc::take_flush`]).
+//!
+//! Everything `F_UBC` delivers goes to all of P, so each entry point returns
+//! a delivered message once and the calling world fans it out to `0..n`.
 
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::hybrid::{Delivery, HybridCtx};
+use sbc_uc::hybrid::HybridCtx;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
 
@@ -90,15 +93,15 @@ impl UbcFunc {
     }
 
     /// `Broadcast` from the adversary on behalf of a corrupted party:
-    /// immediate delivery to all parties.
+    /// immediate delivery of `msg` to all parties.
     pub fn broadcast_corrupted(
         &mut self,
         sender: PartyId,
         msg: Value,
         ctx: &mut HybridCtx<'_>,
-    ) -> Vec<Delivery> {
+    ) -> Option<Value> {
         if sender.index() >= self.pending.len() || !ctx.is_corrupted(sender) {
-            return Vec::new();
+            return None;
         }
         ctx.leak(
             UBC_SOURCE,
@@ -107,49 +110,32 @@ impl UbcFunc {
                 Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
             ),
         );
-        Delivery::to_all(self.pending.len(), Command::new("Broadcast", msg))
+        Some(msg)
     }
 
     /// `Allow` from the adversary: releases a pending message of a (now)
-    /// corrupted sender with a substituted value. The other entries of
-    /// that sender's queue, and every other queue, stay in place.
-    pub fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
+    /// corrupted sender with a substituted value, delivered to all
+    /// parties. The other entries of that sender's queue, and every other
+    /// queue, stay in place.
+    pub fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
         let found = self.pending.iter().enumerate().find_map(|(sender, queue)| {
             let at = queue.iter().position(|(t, _)| *t == tag)?;
             Some((sender, at))
         });
-        let Some((sender, at)) = found else {
-            return Vec::new();
-        };
+        let (sender, at) = found?;
         let party = PartyId(sender as u32);
         if !ctx.is_corrupted(party) {
-            return Vec::new();
+            return None;
         }
         self.pending[sender].remove(at);
         leak_tagged(tag, msg.clone(), party, ctx);
-        Delivery::to_all(self.pending.len(), Command::new("Broadcast", msg))
+        Some(msg)
     }
 
     /// `Advance_Clock` from an honest party: first time per round, flushes
-    /// that party's pending messages (in broadcast order) to all parties.
-    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        let n = self.pending.len();
-        let mut deliveries = Vec::new();
-        for msg in self.take_flush(party, ctx) {
-            deliveries.extend(Delivery::to_all(n, Command::new("Broadcast", msg)));
-        }
-        deliveries
-    }
-
-    /// The allocation-lean form of [`advance_clock`](UbcFunc::advance_clock):
-    /// identical once-per-round / corruption semantics and identical leak
-    /// emission, but each flushed message is returned **once** (moved out
-    /// of the caller's own queue, which is all a flush touches) instead of
-    /// cloned into `n` per-recipient [`Delivery`] records. Every returned
-    /// message is addressed to all of `0..n`, in order — the caller owns
-    /// the fan-out, which lets the world deliver a broadcast by reference
-    /// to every recipient instead of paying `messages × n` wire clones per
-    /// delivery round.
+    /// that party's pending messages, in broadcast order, each addressed
+    /// to all parties. A message is moved out of the caller's own queue,
+    /// which is all a flush touches.
     pub fn take_flush(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
         let i = party.index();
         if i >= self.pending.len() || ctx.is_corrupted(party) {
@@ -182,11 +168,9 @@ mod tests {
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
         f.broadcast_honest(PartyId(0), Value::U64(2), &mut core.ctx());
         assert_eq!(f.pending(), 2);
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        // Two messages × three recipients, in broadcast order.
-        assert_eq!(ds.len(), 6);
-        assert_eq!(ds[0].cmd.value, Value::U64(1));
-        assert_eq!(ds[3].cmd.value, Value::U64(2));
+        let flushed = f.take_flush(PartyId(0), &mut core.ctx());
+        // Two messages, each to every recipient, in broadcast order.
+        assert_eq!(flushed, [Value::U64(1), Value::U64(2)]);
         assert_eq!(f.pending(), 0);
     }
 
@@ -205,7 +189,7 @@ mod tests {
         let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
-        assert!(f.advance_clock(PartyId(1), &mut core.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(1), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
@@ -214,11 +198,11 @@ mod tests {
         let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
-        let first = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(first.len(), 2);
+        let first = f.take_flush(PartyId(0), &mut core.ctx());
+        assert_eq!(first, [Value::U64(1)]);
         f.broadcast_honest(PartyId(0), Value::U64(2), &mut core.ctx());
         // Same round: no flush of the new message.
-        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(0), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
@@ -235,7 +219,7 @@ mod tests {
         assert!(f.take_flush(outside, &mut core.ctx()).is_empty());
         assert!(f
             .broadcast_corrupted(outside, Value::U64(0), &mut core.ctx())
-            .is_empty());
+            .is_none());
         assert!(core.leaks.is_empty() && f.pending() == 0);
         let first_tag = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags")).broadcast_honest(
             PartyId(0),
@@ -255,10 +239,11 @@ mod tests {
         assert_eq!(f.pending(), 6);
         // `Allow` on the middle entry of party 2's queue (now corrupted)
         // takes that entry only.
-        core.corr.corrupt(PartyId(2), 0).unwrap();
+        core.corr.corrupt(PartyId(2)).unwrap();
         let middle = tags[3].unwrap();
-        assert_eq!(f.allow(middle, Value::U64(99), &mut core.ctx()).len(), 3);
-        assert!(f.allow(middle, Value::U64(99), &mut core.ctx()).is_empty());
+        let allowed = f.allow(middle, Value::U64(99), &mut core.ctx());
+        assert_eq!(allowed, Some(Value::U64(99)));
+        assert!(f.allow(middle, Value::U64(99), &mut core.ctx()).is_none());
         assert_eq!(f.pending(), 5);
         // Each sender flushes its own casts in its own broadcast order; a
         // second flush in the same round is empty.
@@ -280,22 +265,21 @@ mod tests {
             .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())
             .unwrap();
         // Honest: Allow ignored.
-        assert!(f.allow(tag, Value::U64(99), &mut core.ctx()).is_empty());
+        assert!(f.allow(tag, Value::U64(99), &mut core.ctx()).is_none());
         // Adaptive corruption mid-round → substitution succeeds (unfairness).
-        core.corr.corrupt(PartyId(0), 0).unwrap();
-        let ds = f.allow(tag, Value::U64(99), &mut core.ctx());
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].cmd.value, Value::U64(99));
+        core.corr.corrupt(PartyId(0)).unwrap();
+        let allowed = f.allow(tag, Value::U64(99), &mut core.ctx());
+        assert_eq!(allowed, Some(Value::U64(99)));
         assert_eq!(f.pending(), 0);
     }
 
     #[test]
     fn corrupted_broadcast_immediate() {
         let mut core = WorldCore::new(3, b"ubc");
-        core.corr.corrupt(PartyId(2), 0).unwrap();
+        core.corr.corrupt(PartyId(2)).unwrap();
         let mut f = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
-        let ds = f.broadcast_corrupted(PartyId(2), Value::U64(7), &mut core.ctx());
-        assert_eq!(ds.len(), 3);
+        let sent = f.broadcast_corrupted(PartyId(2), Value::U64(7), &mut core.ctx());
+        assert_eq!(sent, Some(Value::U64(7)));
     }
 
     #[test]
@@ -303,16 +287,16 @@ mod tests {
         let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
-        core.corr.corrupt(PartyId(0), 0).unwrap();
+        core.corr.corrupt(PartyId(0)).unwrap();
         // Corrupted party's advance is ignored by the functionality.
-        assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
+        assert!(f.take_flush(PartyId(0), &mut core.ctx()).is_empty());
         assert_eq!(f.pending(), 1);
     }
 
     #[test]
     fn honest_broadcast_from_corrupted_rejected() {
         let mut core = WorldCore::new(2, b"ubc");
-        core.corr.corrupt(PartyId(0), 0).unwrap();
+        core.corr.corrupt(PartyId(0)).unwrap();
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
         assert!(f
             .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())

@@ -5,60 +5,3 @@
 pub mod func;
 pub mod protocol;
 pub mod worlds;
-
-use sbc_uc::hybrid::{Delivery, HybridCtx};
-use sbc_uc::ids::{PartyId, Tag};
-use sbc_uc::value::Value;
-
-/// A broadcast channel with unfair-broadcast semantics: the interface that
-/// higher protocols (`Π_FBC`, `Π_SBC`) program against, implemented both by
-/// the ideal [`func::UbcFunc`] and the real [`protocol::UbcProtocol`].
-pub trait UbcLayer {
-    /// Honest broadcast input from `sender`.
-    fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>);
-
-    /// Adversarial broadcast on behalf of a corrupted `sender` (immediate
-    /// delivery).
-    fn adv_broadcast(
-        &mut self,
-        sender: PartyId,
-        msg: Value,
-        ctx: &mut HybridCtx<'_>,
-    ) -> Vec<Delivery>;
-
-    /// Adversarial substitution of an in-flight message. The `handle` is
-    /// layer-specific: a tag (ideal) or an instance label (real).
-    fn adv_allow(&mut self, handle: &Value, msg: Value, ctx: &mut HybridCtx<'_>) -> Vec<Delivery>;
-
-    /// `Advance_Clock` pass-through from `party`; returns deliveries.
-    fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery>;
-}
-
-impl UbcLayer for func::UbcFunc {
-    fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
-        self.broadcast_honest(sender, msg, ctx);
-    }
-
-    fn adv_broadcast(
-        &mut self,
-        sender: PartyId,
-        msg: Value,
-        ctx: &mut HybridCtx<'_>,
-    ) -> Vec<Delivery> {
-        self.broadcast_corrupted(sender, msg, ctx)
-    }
-
-    fn adv_allow(&mut self, handle: &Value, msg: Value, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        let Some(bytes) = handle.as_bytes() else {
-            return Vec::new();
-        };
-        let Some(tag) = Tag::from_bytes(bytes) else {
-            return Vec::new();
-        };
-        self.allow(tag, msg, ctx)
-    }
-
-    fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        self.advance_clock(party, ctx)
-    }
-}

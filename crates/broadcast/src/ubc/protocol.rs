@@ -4,12 +4,13 @@
 //! Party `P`'s `j`-th broadcast of a round goes to instance
 //! `F_RBC[P, total_P]`; on `Advance_Clock`, `P` instructs each of this
 //! round's instances to deliver, in order, then resets her counter.
+//! Parties forward each delivered `(M, P)` to `Z` as `(Broadcast, M)`,
+//! dropping the sender identity.
 
-use crate::rbc::func::{parse_rbc_delivery, RbcFunc};
-use crate::ubc::UbcLayer;
-use sbc_uc::hybrid::{Delivery, HybridCtx};
+use crate::rbc::func::RbcFunc;
+use sbc_uc::hybrid::HybridCtx;
 use sbc_uc::ids::PartyId;
-use sbc_uc::value::{Command, Value};
+use sbc_uc::value::Value;
 use std::collections::BTreeMap;
 
 /// Leak-source label for the `i`-th `F_RBC` instance of `sender`.
@@ -69,62 +70,50 @@ impl UbcProtocol {
         }
     }
 
-    fn strip(deliveries: Vec<Delivery>) -> Vec<Delivery> {
-        // Parties forward (Broadcast, M) to Z, dropping the sender identity.
-        deliveries
-            .into_iter()
-            .filter_map(|d| {
-                let (msg, _sender) = parse_rbc_delivery(&d.cmd)?;
-                Some(Delivery::new(d.to, Command::new("Broadcast", msg)))
-            })
-            .collect()
-    }
-}
-
-impl UbcLayer for UbcProtocol {
-    fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
+    /// Honest broadcast input from `sender`: the message enters the next
+    /// `F_RBC` instance of `sender`.
+    pub fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
         if sender.index() >= self.n || ctx.is_corrupted(sender) {
             return;
         }
         self.totals[sender.index()] += 1;
         let idx = self.totals[sender.index()];
         self.pending[sender.index()].push(idx);
-        let mut inst = RbcFunc::new(self.n, rbc_instance_label(sender, idx));
+        let mut inst = RbcFunc::new(rbc_instance_label(sender, idx));
         inst.broadcast_honest(sender, msg, ctx);
         self.instances.insert((sender.0, idx), inst);
     }
 
-    fn adv_broadcast(
+    /// Adversarial broadcast on behalf of a corrupted `sender` through a
+    /// fresh instance: the message every party receives at once.
+    pub fn adv_broadcast(
         &mut self,
         sender: PartyId,
         msg: Value,
         ctx: &mut HybridCtx<'_>,
-    ) -> Vec<Delivery> {
+    ) -> Option<Value> {
         if sender.index() >= self.n || !ctx.is_corrupted(sender) {
-            return Vec::new();
+            return None;
         }
         self.totals[sender.index()] += 1;
         let idx = self.totals[sender.index()];
-        let mut inst = RbcFunc::new(self.n, rbc_instance_label(sender, idx));
-        let ds = inst.broadcast_corrupted(sender, msg, ctx);
+        let mut inst = RbcFunc::new(rbc_instance_label(sender, idx));
+        let delivered = inst.broadcast_corrupted(sender, msg, ctx);
         self.instances.insert((sender.0, idx), inst);
-        Self::strip(ds)
+        delivered.map(|(msg, _)| msg)
     }
 
-    fn adv_allow(&mut self, handle: &Value, msg: Value, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
-        let Some(label) = handle.as_str() else {
-            return Vec::new();
-        };
-        let Some((party, idx)) = parse_instance_label(label) else {
-            return Vec::new();
-        };
-        let Some(inst) = self.instances.get_mut(&(party.0, idx)) else {
-            return Vec::new();
-        };
-        Self::strip(inst.allow(msg, ctx))
+    /// Adversarial substitution in the in-flight instance named `label`:
+    /// the substituted message every party receives.
+    pub fn adv_allow(&mut self, label: &str, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
+        let (party, idx) = parse_instance_label(label)?;
+        let inst = self.instances.get_mut(&(party.0, idx))?;
+        inst.allow(msg, ctx).map(|(msg, _)| msg)
     }
 
-    fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
+    /// `Advance_Clock` from `party`: each of this round's instances of
+    /// `party` delivers, in order, its message to every party.
+    pub fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
         if party.index() >= self.n || ctx.is_corrupted(party) {
             return Vec::new();
         }
@@ -134,13 +123,12 @@ impl UbcLayer for UbcProtocol {
         }
         self.last_advance[party.index()] = Some(now);
         let pend = std::mem::take(&mut self.pending[party.index()]);
-        let mut out = Vec::new();
-        for idx in pend {
-            if let Some(inst) = self.instances.get_mut(&(party.0, idx)) {
-                out.extend(Self::strip(inst.advance_clock(party, ctx)));
-            }
-        }
-        out
+        pend.into_iter()
+            .filter_map(|idx| {
+                let inst = self.instances.get_mut(&(party.0, idx))?;
+                inst.advance_clock(party, ctx).map(|(msg, _)| msg)
+            })
+            .collect()
     }
 }
 
@@ -165,10 +153,8 @@ mod tests {
         let mut p = UbcProtocol::new(2);
         p.broadcast(PartyId(0), Value::U64(10), &mut core.ctx());
         p.broadcast(PartyId(0), Value::U64(20), &mut core.ctx());
-        let ds = p.advance(PartyId(0), &mut core.ctx());
-        assert_eq!(ds.len(), 4);
-        assert_eq!(ds[0].cmd.value, Value::U64(10));
-        assert_eq!(ds[2].cmd.value, Value::U64(20));
+        let delivered = p.advance(PartyId(0), &mut core.ctx());
+        assert_eq!(delivered, [Value::U64(10), Value::U64(20)]);
         assert_eq!(p.instance_count(), 2);
     }
 
@@ -181,19 +167,17 @@ mod tests {
         core.clock.advance_party(PartyId(0));
         core.clock.advance_party(PartyId(1));
         p.broadcast(PartyId(0), Value::U64(2), &mut core.ctx());
-        let ds = p.advance(PartyId(0), &mut core.ctx());
-        assert_eq!(ds.len(), 2, "only the new round's message");
-        assert_eq!(ds[0].cmd.value, Value::U64(2));
+        let delivered = p.advance(PartyId(0), &mut core.ctx());
+        assert_eq!(delivered, [Value::U64(2)], "only the new round's message");
     }
 
     #[test]
     fn adversarial_broadcast_immediate() {
         let mut core = WorldCore::new(3, b"ubcp");
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         let mut p = UbcProtocol::new(3);
-        let ds = p.adv_broadcast(PartyId(1), Value::U64(66), &mut core.ctx());
-        assert_eq!(ds.len(), 3);
-        assert_eq!(ds[0].cmd.value, Value::U64(66));
+        let sent = p.adv_broadcast(PartyId(1), Value::U64(66), &mut core.ctx());
+        assert_eq!(sent, Some(Value::U64(66)));
     }
 
     #[test]
@@ -201,11 +185,10 @@ mod tests {
         let mut core = WorldCore::new(2, b"ubcp");
         let mut p = UbcProtocol::new(2);
         p.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
-        core.corr.corrupt(PartyId(0), 0).unwrap();
-        let handle = Value::str(rbc_instance_label(PartyId(0), 1));
-        let ds = p.adv_allow(&handle, Value::U64(2), &mut core.ctx());
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].cmd.value, Value::U64(2));
+        core.corr.corrupt(PartyId(0)).unwrap();
+        let label = rbc_instance_label(PartyId(0), 1);
+        let allowed = p.adv_allow(&label, Value::U64(2), &mut core.ctx());
+        assert_eq!(allowed, Some(Value::U64(2)));
         // After corruption the party's advance is ignored.
         assert!(p.advance(PartyId(0), &mut core.ctx()).is_empty());
     }
@@ -219,27 +202,42 @@ mod tests {
         assert_eq!(core.leaks[0].source, "F_RBC[P0,1]");
     }
 
-    /// A party id ≥ n is nobody to either `UbcLayer`: its broadcast, its
-    /// adversarial broadcast and its advance are refused with no leak and
-    /// no delivery, and a later honest round still delivers.
+    /// A party id ≥ n is nobody to `F_UBC` or to `Π_UBC`: its broadcast,
+    /// its adversarial broadcast and its advance are refused with no leak
+    /// and no delivery, and a later honest round still delivers.
     #[test]
     fn out_of_range_party_is_refused_by_both_layers() {
+        let stray = PartyId(7);
+        let mut core = WorldCore::new(3, b"ubcp");
         let mut func = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
+        assert!(func
+            .broadcast_honest(stray, Value::U64(1), &mut core.ctx())
+            .is_none());
+        let refused = func.broadcast_corrupted(stray, Value::U64(2), &mut core.ctx());
+        assert!(refused.is_none());
+        assert!(func.take_flush(stray, &mut core.ctx()).is_empty());
+        assert!(core.leaks.is_empty());
+        core.clock.fast_forward(1);
+        func.broadcast_honest(PartyId(0), Value::U64(3), &mut core.ctx());
+        assert_eq!(
+            func.take_flush(PartyId(0), &mut core.ctx()),
+            [Value::U64(3)]
+        );
+        assert_eq!(core.leaks.len(), 2, "the cast and its delivery");
+
+        let mut core = WorldCore::new(3, b"ubcp");
         let mut protocol = UbcProtocol::new(3);
-        for layer in [&mut func as &mut dyn UbcLayer, &mut protocol] {
-            let mut core = WorldCore::new(3, b"ubcp");
-            let stray = PartyId(7);
-            layer.broadcast(stray, Value::U64(1), &mut core.ctx());
-            let refused = layer.adv_broadcast(stray, Value::U64(2), &mut core.ctx());
-            assert!(refused.is_empty());
-            assert!(layer.advance(stray, &mut core.ctx()).is_empty());
-            assert!(core.leaks.is_empty());
-            core.clock.fast_forward(1);
-            layer.broadcast(PartyId(0), Value::U64(3), &mut core.ctx());
-            let delivered = layer.advance(PartyId(0), &mut core.ctx());
-            let cmd = Command::new("Broadcast", Value::U64(3));
-            assert_eq!(delivered, Delivery::to_all(3, cmd));
-            assert_eq!(core.leaks.len(), 2, "the cast and its delivery");
-        }
+        protocol.broadcast(stray, Value::U64(1), &mut core.ctx());
+        let refused = protocol.adv_broadcast(stray, Value::U64(2), &mut core.ctx());
+        assert!(refused.is_none());
+        assert!(protocol.advance(stray, &mut core.ctx()).is_empty());
+        assert!(core.leaks.is_empty());
+        core.clock.fast_forward(1);
+        protocol.broadcast(PartyId(0), Value::U64(3), &mut core.ctx());
+        assert_eq!(
+            protocol.advance(PartyId(0), &mut core.ctx()),
+            [Value::U64(3)]
+        );
+        assert_eq!(core.leaks.len(), 2, "the cast and its delivery");
     }
 }

@@ -13,12 +13,22 @@
 
 use crate::ubc::func::UbcFunc;
 use crate::ubc::protocol::{rbc_instance_label, UbcProtocol};
-use crate::ubc::UbcLayer;
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak, World, WorldCore};
 use std::collections::HashMap;
+
+/// Records each delivered message as every party's `(Broadcast, M)`
+/// output, in id order: a delivery of `F_RBC` or `F_UBC` goes to all of P.
+fn output_to_all(core: &mut WorldCore, msgs: impl IntoIterator<Item = Value>) {
+    for msg in msgs {
+        for i in 0..core.n() {
+            let cmd = Command::new("Broadcast", msg.clone());
+            core.outputs.push((PartyId(i as u32), cmd));
+        }
+    }
+}
 
 /// The real world: `Π_UBC` over `F_RBC` + `G_clock`.
 #[derive(Debug)]
@@ -58,11 +68,8 @@ impl World for RealUbcWorld {
         if !self.core.is_honest(party) {
             return;
         }
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.proto.advance(party, &mut ctx)
-        };
-        self.core.push_outputs(ds);
+        let msgs = self.proto.advance(party, &mut self.core.ctx());
+        output_to_all(&mut self.core, msgs);
         self.core.clock.advance_party(party);
     }
 
@@ -70,20 +77,17 @@ impl World for RealUbcWorld {
         match cmd {
             AdvCommand::Corrupt(p) => Value::Bool(self.core.corrupt(p)),
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                let ds = {
-                    let mut ctx = self.core.ctx();
-                    self.proto.adv_broadcast(party, cmd.value, &mut ctx)
-                };
-                self.core.push_outputs(ds);
+                let sent = self
+                    .proto
+                    .adv_broadcast(party, cmd.value, &mut self.core.ctx());
+                output_to_all(&mut self.core, sent);
                 Value::Unit
             }
             AdvCommand::Control { target, cmd } if cmd.name == "Allow" => {
-                let ds = {
-                    let mut ctx = self.core.ctx();
-                    self.proto
-                        .adv_allow(&Value::str(target), cmd.value, &mut ctx)
-                };
-                self.core.push_outputs(ds);
+                let allowed = self
+                    .proto
+                    .adv_allow(&target, cmd.value, &mut self.core.ctx());
+                output_to_all(&mut self.core, allowed);
                 Value::Unit
             }
             _ => Value::Unit,
@@ -244,12 +248,9 @@ impl World for IdealUbcWorld {
         if !self.core.is_honest(party) {
             return;
         }
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.func.advance_clock(party, &mut ctx)
-        };
+        let msgs = self.func.take_flush(party, &mut self.core.ctx());
         self.translate_pending_leaks();
-        self.core.push_outputs(ds);
+        output_to_all(&mut self.core, msgs);
         self.core.clock.advance_party(party);
     }
 
@@ -257,22 +258,18 @@ impl World for IdealUbcWorld {
         match cmd {
             AdvCommand::Corrupt(p) => Value::Bool(self.core.corrupt(p)),
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                let ds = {
-                    let mut ctx = self.core.ctx();
-                    self.func.broadcast_corrupted(party, cmd.value, &mut ctx)
-                };
+                let sent = self
+                    .func
+                    .broadcast_corrupted(party, cmd.value, &mut self.core.ctx());
                 self.translate_pending_leaks();
-                self.core.push_outputs(ds);
+                output_to_all(&mut self.core, sent);
                 Value::Unit
             }
             AdvCommand::Control { target, cmd } if cmd.name == "Allow" => {
                 if let Some(tag) = self.sim.tag_for_label(&target) {
-                    let ds = {
-                        let mut ctx = self.core.ctx();
-                        self.func.allow(tag, cmd.value, &mut ctx)
-                    };
+                    let allowed = self.func.allow(tag, cmd.value, &mut self.core.ctx());
                     self.translate_pending_leaks();
-                    self.core.push_outputs(ds);
+                    output_to_all(&mut self.core, allowed);
                 }
                 Value::Unit
             }

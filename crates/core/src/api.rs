@@ -29,8 +29,7 @@
 //!   late drains for every epoch, not just the first.
 //! * **Adversary as configuration.** Dishonest-majority scenarios are set
 //!   up on the builder ([`SbcSessionBuilder::corrupt`],
-//!   [`SbcSessionBuilder::capture_leaks`],
-//!   [`SbcSessionBuilder::leak_cap`]) and driven through the session's
+//!   [`SbcSessionBuilder::capture_leaks`]) and driven through the session's
 //!   adversarial surface ([`SbcSession::corrupt`],
 //!   [`SbcSession::send_as`], [`SbcSession::inject_message`], leak
 //!   capture), not by hand-written
@@ -147,13 +146,6 @@ impl SbcSessionBuilder {
     /// [`SbcPoolBuilder::capture_leaks`].
     pub fn capture_leaks(mut self) -> Self {
         self.pool = self.pool.capture_leaks();
-        self
-    }
-
-    /// Caps the captured-leak buffer. Delegates to
-    /// [`SbcPoolBuilder::leak_cap`].
-    pub fn leak_cap(mut self, cap: usize) -> Self {
-        self.pool = self.pool.leak_cap(cap);
         self
     }
 

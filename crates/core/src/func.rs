@@ -11,7 +11,7 @@
 //! **liveness** without full participation.
 
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::hybrid::{Delivery, HybridCtx};
+use sbc_uc::hybrid::HybridCtx;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
 use std::collections::HashMap;
@@ -225,20 +225,18 @@ impl SbcFunc {
     }
 
     /// `Advance_Clock` from an honest party: runs the once-per-round
-    /// finalization/leak schedule and delivers the message vector to the
-    /// advancing party at exactly `t_end + ∆`.
-    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Delivery> {
+    /// finalization/leak schedule and returns the message vector the
+    /// advancing party receives at exactly `t_end + ∆`.
+    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Value> {
         if ctx.is_corrupted(party) {
-            return Vec::new();
+            return None;
         }
         let now = ctx.time();
         if self.last_advance.get(&party) == Some(&now) {
-            return Vec::new();
+            return None;
         }
         self.last_advance.insert(party, now);
-        let Some(end) = self.t_end else {
-            return Vec::new();
-        };
+        let end = self.t_end?;
         // Once-per-round global steps (first Advance_Clock of the round).
         if self.round_seen != Some(now) {
             self.round_seen = Some(now);
@@ -267,18 +265,11 @@ impl SbcFunc {
                 ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::list(list)));
             }
         }
-        if now == end + self.delta {
-            let msgs = self
-                .records
-                .iter()
-                .filter(|r| r.finalized)
-                .map(|r| r.msg.clone());
-            return vec![Delivery::new(
-                party,
-                Command::new("Broadcast", Value::list(msgs)),
-            )];
+        if now != end + self.delta {
+            return None;
         }
-        Vec::new()
+        let msgs = self.records.iter().filter(|r| r.finalized);
+        Some(Value::list(msgs.map(|r| r.msg.clone())))
     }
 }
 
@@ -318,7 +309,7 @@ mod tests {
     #[test]
     fn corrupted_leak_shows_content() {
         let mut core = WorldCore::new(2, b"sbc");
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         let mut f = func(2);
         f.broadcast(PartyId(1), Value::bytes(b"adv"), &mut core.ctx());
         let leak = &core.leaks[0].cmd.value;
@@ -348,19 +339,18 @@ mod tests {
         f.broadcast(PartyId(1), Value::bytes(b"apple"), &mut core.ctx());
         // Rounds 0..=4: nothing delivered (t_end = 3, ∆ = 2 → deliver at 5).
         for round in 0..5 {
-            let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-            assert!(ds.is_empty(), "round {round}");
+            let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+            assert!(delivered.is_none(), "round {round}");
             f.advance_clock(PartyId(1), &mut core.ctx());
             core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(ds.len(), 1);
-        let msgs = ds[0].cmd.value.as_list().unwrap();
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
+        let msgs = delivered.as_list().unwrap();
         assert_eq!(msgs[0], Value::bytes(b"apple"));
         assert_eq!(msgs[1], Value::bytes(b"zebra"));
         // Each party gets its copy on its own advance.
-        let ds1 = f.advance_clock(PartyId(1), &mut core.ctx());
-        assert_eq!(ds1.len(), 1);
+        let delivered1 = f.advance_clock(PartyId(1), &mut core.ctx());
+        assert_eq!(delivered1, Some(delivered));
     }
 
     #[test]
@@ -374,9 +364,8 @@ mod tests {
             f.advance_clock(PartyId(1), &mut core.ctx());
             core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(1), &mut core.ctx());
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].cmd.value.as_list().unwrap().len(), 1);
+        let delivered = f.advance_clock(PartyId(1), &mut core.ctx()).unwrap();
+        assert_eq!(delivered.as_list().unwrap().len(), 1);
     }
 
     #[test]
@@ -389,12 +378,12 @@ mod tests {
             core.clock.fast_forward(core.clock.read() + 1);
         }
         core.leaks.clear();
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert!(ds.is_empty(), "round 4: no party delivery yet");
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        assert!(delivered.is_none(), "round 4: no party delivery yet");
         assert_eq!(core.leaks.len(), 1, "round 4 = t_end+∆-α: simulator list");
         core.clock.fast_forward(core.clock.read() + 1);
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(ds.len(), 1, "round 5: party delivery");
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        assert!(delivered.is_some(), "round 5: party delivery");
     }
 
     #[test]
@@ -403,16 +392,15 @@ mod tests {
         let mut f = func(2);
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         // P1's record was honest at request time but P1 is corrupted at
         // t_end and the simulator never Allowed it → dropped.
         for _ in 0..5 {
             f.advance_clock(PartyId(0), &mut core.ctx());
             core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        let msgs = ds[0].cmd.value.as_list().unwrap();
-        assert_eq!(msgs, &[Value::U64(1)]);
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
+        assert_eq!(delivered.as_list().unwrap(), &[Value::U64(1)]);
     }
 
     #[test]
@@ -422,7 +410,7 @@ mod tests {
         let tag = f
             .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
             .unwrap();
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         assert!(f.allow(tag, Value::U64(99), PartyId(1), &mut core.ctx()));
         // Double-allow fails (already finalized).
         assert!(!f.allow(tag, Value::U64(5), PartyId(1), &mut core.ctx()));
@@ -430,8 +418,8 @@ mod tests {
             f.advance_clock(PartyId(0), &mut core.ctx());
             core.clock.fast_forward(core.clock.read() + 1);
         }
-        let ds = f.advance_clock(PartyId(0), &mut core.ctx());
-        assert_eq!(ds[0].cmd.value.as_list().unwrap(), &[Value::U64(99)]);
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
+        assert_eq!(delivered.as_list().unwrap(), &[Value::U64(99)]);
     }
 
     #[test]

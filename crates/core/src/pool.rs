@@ -274,7 +274,7 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
     /// layer's response parse as [`SbcError::Internal`] — loud, not silent
     /// drift.
     fn corrupt(&mut self, party: PartyId) -> Option<Vec<(InstanceId, Value)>> {
-        if self.corr.is_corrupted(party) || self.corr.corrupt(party, self.round).is_err() {
+        if self.corr.is_corrupted(party) || self.corr.corrupt(party).is_err() {
             return None;
         }
         let ids: Vec<u64> = self.live.keys().copied().collect();

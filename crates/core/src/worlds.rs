@@ -212,9 +212,8 @@ impl SbcHost {
     /// returns `msg` for immediate delivery to all of `0..n`; `None` (and
     /// no leak) if `party` is honest.
     pub fn broadcast_corrupted(&mut self, party: PartyId, msg: Value) -> Option<Value> {
-        let mut ctx = self.core.ctx();
-        let ds = self.ubc.broadcast_corrupted(party, msg, &mut ctx);
-        ds.into_iter().next().map(|d| d.cmd.value)
+        self.ubc
+            .broadcast_corrupted(party, msg, &mut self.core.ctx())
     }
 
     /// The adversary's `AdvCommand::Control` interface to the real
@@ -878,13 +877,16 @@ impl World for IdealSbcWorld {
         // the broadcast list.
         let mut to_sim = Vec::new();
         let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
-        let ds = self.fsbc.advance_clock(party, &mut ctx);
+        let delivered = self.fsbc.advance_clock(party, &mut ctx);
         for leak in to_sim {
             let list = leak.cmd.value.as_list().unwrap_or(&[]);
             self.sim.equivocate(list, &mut self.host.ro);
         }
         self.sim.on_advance(party, &mut self.host);
-        self.host.core.push_outputs(ds);
+        if let Some(msgs) = delivered {
+            let cmd = Command::new("Broadcast", msgs);
+            self.host.core.outputs.push((party, cmd));
+        }
         self.host.core.clock.advance_party(party);
     }
 

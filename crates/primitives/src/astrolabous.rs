@@ -23,7 +23,7 @@
 //! ```
 
 use crate::drbg::Drbg;
-use crate::hashchain::{self, ChainSolver, Element};
+use crate::hashchain::{self, Element};
 use crate::sha256::Sha256;
 use crate::ske::{self, SkeKey};
 use std::fmt;
@@ -189,21 +189,12 @@ pub fn ast_dec(ct: &AstCiphertext, witness: &[Element]) -> Result<Vec<u8>, AstDe
 ///
 /// Returns [`AstDecryptError`] if the ciphertext is malformed or fails
 /// authentication.
-pub fn ast_solve_and_dec<H>(hash: &H, ct: &AstCiphertext) -> Result<Vec<u8>, AstDecryptError>
+pub fn ast_solve_and_dec<H>(hash: H, ct: &AstCiphertext) -> Result<Vec<u8>, AstDecryptError>
 where
-    H: Fn(&[u8]) -> Element,
+    H: FnMut(&[u8]) -> Element,
 {
     let (_, witness) = hashchain::chain_solve(hash, &ct.chain).map_err(|_| AstDecryptError)?;
     ast_dec(ct, &witness)
-}
-
-/// Starts an incremental solver for a ciphertext's puzzle.
-///
-/// # Errors
-///
-/// Returns [`AstDecryptError`] if the chain is malformed.
-pub fn ast_solver(ct: &AstCiphertext) -> Result<ChainSolver, AstDecryptError> {
-    ChainSolver::new(&ct.chain).map_err(|_| AstDecryptError)
 }
 
 /// Expands a 32-byte seed into a keystream and XORs it over `data` — the
@@ -223,6 +214,7 @@ pub fn xor_mask(seed: &[u8; 32], data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashchain::ChainSolver;
 
     fn h(x: &[u8]) -> Element {
         Sha256::digest(x)
@@ -250,7 +242,7 @@ mod tests {
     fn witness_based_decryption() {
         let mut r = rng();
         let ct = ast_enc(&h, b"msg", 2, 4, &mut r);
-        let mut solver = ast_solver(&ct).unwrap();
+        let mut solver = ChainSolver::new(&ct.chain).unwrap();
         while !solver.is_done() {
             solver.step(&h);
         }
@@ -307,7 +299,7 @@ mod tests {
     fn sequentiality_step_count() {
         let mut r = rng();
         let ct = ast_enc(&h, b"count", 3, 7, &mut r);
-        let mut solver = ast_solver(&ct).unwrap();
+        let mut solver = ChainSolver::new(&ct.chain).unwrap();
         let mut steps = 0;
         while !solver.is_done() {
             solver.step(&h);

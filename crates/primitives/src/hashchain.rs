@@ -112,14 +112,12 @@ pub fn chain_encode_with_hashes(
 /// # Errors
 ///
 /// Returns [`ChainError`] if the chain has fewer than two elements.
-pub fn chain_solve<H>(hash: &H, chain: &[Element]) -> Result<(Element, Vec<Element>), ChainError>
+pub fn chain_solve<H>(mut hash: H, chain: &[Element]) -> Result<(Element, Vec<Element>), ChainError>
 where
-    H: Fn(&[u8]) -> Element,
+    H: FnMut(&[u8]) -> Element,
 {
     let mut solver = ChainSolver::new(chain)?;
-    while !solver.is_done() {
-        solver.step(hash);
-    }
+    while !solver.step(&mut hash) {}
     Ok((
         solver.payload().expect("solver done"),
         solver.into_witness(),
@@ -145,8 +143,9 @@ pub fn payload_from_witness(chain: &[Element], witness: &[Element]) -> Result<El
 /// Incremental chain solver performing one hash query per [`step`] call.
 ///
 /// This is the object the Π_FBC / Π_TLE protocols keep in their
-/// `L_wait`/`L_puzzle` lists: each round they advance every solver by at most
-/// `q` steps through the wrapper.
+/// `L_wait`/`L_puzzle` lists: each round one `W_q` round
+/// (`QueryWrapper::solve_round` in `sbc-uc`) advances every live solver by
+/// one link per batch, so by at most `q` links.
 ///
 /// [`step`]: ChainSolver::step
 #[derive(Clone, Debug)]
@@ -195,9 +194,9 @@ impl ChainSolver {
     /// Performs one sequential hash query. Returns `true` if the solver just
     /// finished. Calling `step` on a finished solver is a no-op returning
     /// `true`.
-    pub fn step<H>(&mut self, hash: &H) -> bool
+    pub fn step<H>(&mut self, mut hash: H) -> bool
     where
-        H: Fn(&[u8]) -> Element,
+        H: FnMut(&[u8]) -> Element,
     {
         if self.is_done() {
             return true;
@@ -209,9 +208,9 @@ impl ChainSolver {
 
     /// The randomness element whose hash is needed next, or `None` if done.
     ///
-    /// Protocols batch the `next_query` values of all live solvers into one
-    /// wrapper evaluation (Π_FBC step 3, Π_TLE `ENCRYPT&SOLVE` step 2) and
-    /// then [`feed`](ChainSolver::feed) the responses back.
+    /// The `W_q` round batches the `next_query` values of all live solvers
+    /// into one wrapper evaluation (Π_FBC step 3, Π_TLE `ENCRYPT&SOLVE`
+    /// step 2) and then [`feed`](ChainSolver::feed)s the responses back.
     pub fn next_query(&self) -> Option<Element> {
         self.current_r
     }

@@ -79,6 +79,4 @@ pub use service::{
     CheckpointEvery, DeadlineClass, Outcome, ReleaseRecord, SbcService, ServiceConfig,
     ServiceError, ServiceMode,
 };
-pub use stats::{
-    LatencyHistogram, LatencySummary, ServiceStats, WallHistogram, WallLatencySummary,
-};
+pub use stats::{LatencySummary, ServiceStats, WallLatencySummary};

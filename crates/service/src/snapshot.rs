@@ -324,11 +324,17 @@ fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
             ));
         }
     }
+    // The four coordinates stay below 2^63, so every later `+ 1` and
+    // `+ Φ + ∆` (Φ, ∆ < 2^32 by `SbcParams::validate`) has headroom.
+    let coordinate = |i: usize, what: &str| match as_u64(&cp[i], what)? {
+        v if v >= 1 << 63 => Err(bad(format!("{what}: {v} is not below 2^63"))),
+        v => Ok(v),
+    };
     Ok(Checkpoint {
-        era: as_u64(&cp[0], "era")?,
-        round: as_u64(&cp[1], "round")?,
-        next_instance: as_u64(&cp[2], "next_instance")?,
-        next_ticket: as_u64(&cp[3], "next_ticket")?,
+        era: coordinate(0, "era")?,
+        round: coordinate(1, "round")?,
+        next_instance: coordinate(2, "next_instance")?,
+        next_ticket: coordinate(3, "next_ticket")?,
         counters,
         hist,
         queues,
@@ -886,6 +892,36 @@ mod tests {
             .expect("count is the bucket sum");
         hist.record(9);
         assert_eq!(hist.summary().count, u64::MAX);
+    }
+
+    #[test]
+    fn sealed_image_with_a_checkpoint_coordinate_past_2_63_is_refused() {
+        // Correct digest, valid shape, but a checkpoint coordinate (payload
+        // field 7, checkpoint fields 0–3) at `u64::MAX`: restored, the
+        // first tick that wakes an instance (`round`), the first replayed
+        // open (`next_instance`) or submit (`next_ticket`), or the next
+        // fold (`era`) overflowed. 2^63 − 1 still restores.
+        let fields = payload_fields();
+        let with = |at: usize, v: u64| {
+            let mut fields = fields.clone();
+            let Value::List(cp) = &mut fields[7] else {
+                panic!("checkpoint is a list");
+            };
+            Arc::make_mut(cp)[at] = Value::U64(v);
+            seal(&Value::list(fields).encode())
+        };
+        for (at, name) in [
+            (0, "era"),
+            (1, "round"),
+            (2, "next_instance"),
+            (3, "next_ticket"),
+        ] {
+            for v in [1 << 63, u64::MAX] {
+                let detail = assert_bad(&with(at, v), name);
+                assert!(detail.starts_with(name), "{detail}");
+            }
+            Service::restore(&with(at, (1 << 63) - 1)).unwrap();
+        }
     }
 
     #[test]

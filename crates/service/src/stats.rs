@@ -17,7 +17,7 @@
 
 /// Fixed-bucket submit→release latency histogram over rounds.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     /// `buckets[r]` counts submissions that released `r` rounds after
     /// submit; the last bucket absorbs everything `≥ BUCKETS - 1`.
     buckets: Vec<u64>,
@@ -55,11 +55,6 @@ impl LatencyHistogram {
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(rounds);
         self.max = self.max.max(rounds);
-    }
-
-    /// Number of recorded submissions.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// The `q`-quantile latency in rounds (`q` in 0..=100): the smallest
@@ -154,7 +149,7 @@ pub struct LatencySummary {
 /// rounds histogram, but the recorded values come from `Instant` — they
 /// are observational, never replayed, never snapshotted.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WallHistogram {
+pub(crate) struct WallHistogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u64,
@@ -196,11 +191,6 @@ impl WallHistogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(micros);
         self.max = self.max.max(micros);
-    }
-
-    /// Number of recorded submissions.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// The `q`-quantile latency in µs (`q` in 0..=100), reported as the
@@ -333,7 +323,6 @@ mod tests {
     #[test]
     fn empty_histogram_is_zeroes() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(50), 0);
         assert_eq!(h.summary(), LatencySummary::default());
     }

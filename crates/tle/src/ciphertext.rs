@@ -5,7 +5,8 @@
 //! * `c3` — the commitment `F_RO(ρ ‖ M)` checked at decryption (this is
 //!   what makes adversarial ciphertexts bind to a unique plaintext).
 
-use sbc_primitives::astrolabous::AstCiphertext;
+use sbc_primitives::astrolabous::{xor_mask, AstCiphertext};
+use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::Value;
 use std::fmt;
 
@@ -75,6 +76,18 @@ impl TleCiphertext {
     /// Unwraps a [`Value`] ciphertext.
     pub fn from_value(v: &Value) -> Option<Self> {
         Self::from_bytes(v.as_bytes()?)
+    }
+
+    /// Opens the ciphertext given `ρ` (the plaintext of `c1`): unmasks
+    /// `M = c2 ⊕ F_RO(ρ)`, checks `c3 = F_RO(ρ ‖ M)`, and decodes `M` (raw
+    /// bytes if the canonical decoding fails). `None` if the commitment
+    /// does not bind.
+    pub fn open(&self, ro: &mut RandomOracle, caller: Caller, rho: &[u8]) -> Option<Value> {
+        let m_bytes = xor_mask(&ro.query(caller, rho), &self.c2);
+        if ro.query(caller, &[rho, &m_bytes[..]].concat()) != self.c3 {
+            return None;
+        }
+        Some(Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes)))
     }
 }
 

@@ -439,7 +439,7 @@ mod tests {
             &mut core.ctx(),
         )
         .unwrap();
-        core.corr.corrupt(PartyId(1), 0).unwrap();
+        core.corr.corrupt(PartyId(1)).unwrap();
         let ctx = core.ctx();
         let leaked = f.leakage(&ctx);
         // τ=2 ≤ 0+2 leaks; τ=9 doesn't; corrupted owner's does.

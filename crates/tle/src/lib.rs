@@ -8,10 +8,10 @@
 //!   `ρ`, masked message `M ⊕ H(ρ)`, and binding commitment `H(ρ ‖ M)`.
 //! * [`func`] — the functionality `F_TLE(leak, delay)` (Fig. 7) with
 //!   `leak(Cl) = Cl + α` and `delay = ∆ + 1`.
-//! * [`protocol`] — `Π_TLE` (Fig. 12) with the `ENCRYPT&SOLVE` round
-//!   scheduler that shares each round's `q` wrapper batches between fresh
-//!   puzzle generation (parallel) and all live puzzle solving (one
-//!   sequential link per batch per solver).
+//! * [`protocol`] — `Π_TLE` (Fig. 12): `ENCRYPT&SOLVE` spends each round's
+//!   `q` wrapper batches on fresh puzzle generation (parallel) and all live
+//!   puzzle solving (one sequential link per batch per solver) through the
+//!   `W_q` round `Π_FBC` runs too, `sbc_uc::wrapper::QueryWrapper::solve_round`.
 //! * [`worlds`] — the Theorem 1 real/ideal experiment worlds and simulator.
 //!
 //! # Examples

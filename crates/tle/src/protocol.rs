@@ -5,13 +5,16 @@
 //! time-lock difficulty `τ_dec = τ − (Cl + ∆ + 1)` and broadcasts `(c, τ)`
 //! through `F_FBC`; every party starts solving every received puzzle
 //! immediately, spending its `q` wrapper batches per round across all live
-//! solvers plus its own fresh encryptions (`ENCRYPT&SOLVE`). The `c3`
-//! commitment `H(ρ ‖ M)` is rechecked at decryption so adversarial
-//! ciphertexts bind to one plaintext.
+//! solvers plus its own fresh encryptions (`ENCRYPT&SOLVE`) — the round
+//! `Π_FBC` runs too, [`QueryWrapper::solve_round`]. The `c3` commitment
+//! `H(ρ ‖ M)` is rechecked at decryption ([`TleCiphertext::open`]) so
+//! adversarial ciphertexts bind to one plaintext.
 
 use crate::ciphertext::{tle_wire, TleCiphertext};
 use crate::func::DecResponse;
-use sbc_primitives::astrolabous::{ast_dec, ast_enc_with_hashes, xor_mask};
+use sbc_primitives::astrolabous::{
+    ast_dec, ast_enc_with_hashes, sample_chain_randomness, xor_mask,
+};
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::hashchain::{ChainSolver, Element};
 use sbc_uc::ids::PartyId;
@@ -127,59 +130,17 @@ impl TleParty {
             .iter()
             .map(|&i| {
                 let tau_dec = difficulty_for(self.rec[i].tau, now, self.delta);
-                let len = (tau_dec * self.q as u64) as usize;
-                (0..len)
-                    .map(|_| {
-                        let b = self.rng.gen_bytes(32);
-                        let mut e = [0u8; 32];
-                        e.copy_from_slice(&b);
-                        e
-                    })
-                    .collect()
+                sample_chain_randomness(tau_dec, self.q, &mut self.rng)
             })
             .collect();
-        let mut hash_sets: Vec<Vec<Element>> = vec![Vec::new(); todo.len()];
-
         // Step 2: the q batches — puzzle generation is parallel (Q_0);
         // solving is one sequential link per live solver per batch.
-        enum Slot {
-            Enc(usize),
-            Solve(usize),
-        }
-        for j in 0..self.q {
-            let mut batch: Vec<Vec<u8>> = Vec::new();
-            let mut slots: Vec<Slot> = Vec::new();
-            if j == 0 {
-                for (ti, rs) in rand_sets.iter().enumerate() {
-                    for r in rs {
-                        batch.push(r.to_vec());
-                        slots.push(Slot::Enc(ti));
-                    }
-                }
-            }
-            for (pi, p) in self.puzzles.iter().enumerate() {
-                if !p.solver.is_done() {
-                    if let Some(qr) = p.solver.next_query() {
-                        batch.push(qr.to_vec());
-                        slots.push(Slot::Solve(pi));
-                    }
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            let Ok(responses) = wrapper.evaluate(ro_star, now, client, &batch) else {
-                return Vec::new();
-            };
-            for (slot, resp) in slots.into_iter().zip(responses) {
-                match slot {
-                    Slot::Enc(ti) => hash_sets[ti].push(resp),
-                    Slot::Solve(pi) => {
-                        self.puzzles[pi].solver.feed(resp);
-                    }
-                }
-            }
-        }
+        let mut solvers: Vec<&mut ChainSolver> =
+            self.puzzles.iter_mut().map(|p| &mut p.solver).collect();
+        let Some(hash_sets) = wrapper.solve_round(ro_star, now, client, &rand_sets, &mut solvers)
+        else {
+            return Vec::new();
+        };
 
         // Step 3: build ciphertexts for the fresh encryptions.
         for (k, &i) in todo.iter().enumerate() {
@@ -258,17 +219,9 @@ impl TleParty {
         let Ok(rho) = ast_dec(&ct.c1, entry.solver.witness()) else {
             return DecResponse::Bottom;
         };
-        let eta = ro.query(Caller::Party(self.id), &rho);
-        let m_bytes = xor_mask(&eta, &ct.c2);
-        let mut commit_in = rho.clone();
-        commit_in.extend_from_slice(&m_bytes);
-        let c3_check = ro.query(Caller::Party(self.id), &commit_in);
-        if c3_check != ct.c3 {
-            return DecResponse::Bottom;
-        }
-        match Value::decode(&m_bytes) {
+        match ct.open(ro, Caller::Party(self.id), &rho) {
             Some(m) => DecResponse::Message(m),
-            None => DecResponse::Message(Value::Bytes(m_bytes)),
+            None => DecResponse::Bottom,
         }
     }
 }

@@ -21,9 +21,11 @@ use crate::ciphertext::{parse_tle_wire, tle_wire, TleCiphertext};
 use crate::func::{DecResponse, TleFunc};
 use crate::protocol::{difficulty_for, TleParty};
 use sbc_broadcast::fbc::func::FbcFunc;
-use sbc_primitives::astrolabous::{ast_dec, ast_enc_with_hashes, xor_mask};
+use sbc_primitives::astrolabous::{
+    ast_enc_with_hashes, ast_solve_and_dec, sample_chain_randomness,
+};
 use sbc_primitives::drbg::Drbg;
-use sbc_primitives::hashchain::{ChainSolver, Element};
+use sbc_primitives::hashchain::Element;
 use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::ro::{Caller, RandomOracle};
 use sbc_uc::value::{Command, Value};
@@ -149,12 +151,9 @@ impl World for RealTleWorld {
         }
         let now = self.core.clock.read();
         // Step 1–2: receive delayed fair-broadcast ciphertexts.
-        let ds = {
-            let mut ctx = self.core.ctx();
-            self.ffbc.advance_clock(party, &mut ctx)
-        };
-        for d in ds {
-            if let Some((ct, tau)) = parse_tle_wire(&d.cmd.value) {
+        let wires = self.ffbc.advance_clock(party, &mut self.core.ctx());
+        for w in wires {
+            if let Some((ct, tau)) = parse_tle_wire(&w) {
                 self.parties[party.index()].on_fbc_deliver(ct, tau);
             }
         }
@@ -261,15 +260,7 @@ impl SimTle {
             .iter()
             .map(|e| {
                 let tau_dec = difficulty_for(e.tau, now, self.delta);
-                let len = (tau_dec * self.q as u64) as usize;
-                (0..len)
-                    .map(|_| {
-                        let b = self.party_rngs[party.index()].gen_bytes(32);
-                        let mut el = [0u8; 32];
-                        el.copy_from_slice(&b);
-                        el
-                    })
-                    .collect()
+                sample_chain_randomness(tau_dec, self.q, &mut self.party_rngs[party.index()])
             })
             .collect();
         let mut updates = Vec::new();
@@ -311,20 +302,9 @@ impl SimTle {
         ro: &mut RandomOracle,
     ) -> Option<(Value, Value, u64)> {
         let (ct, wire_tau) = parse_tle_wire(wire)?;
-        let mut solver = ChainSolver::new(&ct.c1.chain).ok()?;
-        while let Some(qr) = solver.next_query() {
-            let h = ro_star.query(Caller::Simulator, &qr);
-            solver.feed(h);
-        }
-        let rho = ast_dec(&ct.c1, solver.witness()).ok()?;
-        let eta = ro.query(Caller::Simulator, &rho);
-        let m_bytes = xor_mask(&eta, &ct.c2);
-        let mut commit_in = rho.clone();
-        commit_in.extend_from_slice(&m_bytes);
-        if ro.query(Caller::Simulator, &commit_in) != ct.c3 {
-            return None; // fails the binding check → ⊥ everywhere
-        }
-        let msg = Value::decode(&m_bytes).unwrap_or(Value::Bytes(m_bytes));
+        let rho = ast_solve_and_dec(|x| ro_star.query(Caller::Simulator, x), &ct.c1).ok()?;
+        // A failed binding check is ⊥ everywhere.
+        let msg = ct.open(ro, Caller::Simulator, &rho)?;
         // Effective decryption time: delivery + solving rounds, at least the
         // claimed wire time.
         let steps = ct.c1.chain.len() as u64 - 1;

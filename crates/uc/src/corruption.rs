@@ -13,9 +13,9 @@
 //! use sbc_uc::ids::PartyId;
 //!
 //! let mut ct = CorruptionTracker::new(3); // t < n = 3
-//! assert!(ct.corrupt(PartyId(0), 5).is_ok());
+//! assert!(ct.corrupt(PartyId(0)).is_ok());
 //! assert!(ct.is_corrupted(PartyId(0)));
-//! assert!(ct.corrupt(PartyId(3), 5).is_err()); // not a party
+//! assert!(ct.corrupt(PartyId(3)).is_err()); // not a party
 //! assert_eq!(ct.corrupted().collect::<Vec<_>>(), [PartyId(0)]);
 //! ```
 
@@ -52,15 +52,14 @@ impl CorruptionTracker {
         }
     }
 
-    /// Corrupts `party`. The clock time of the corruption is part of the
-    /// call and not recorded: nothing reads a schedule.
+    /// Corrupts `party`.
     ///
     /// # Errors
     ///
     /// Returns [`CorruptionBudgetExceeded`] if `party ≥ n`, or if all other
     /// parties are already corrupted (at least one party must remain
     /// honest) — the one place either rule is decided; worlds and pools ask.
-    pub fn corrupt(&mut self, party: PartyId, _round: u64) -> Result<(), CorruptionBudgetExceeded> {
+    pub fn corrupt(&mut self, party: PartyId) -> Result<(), CorruptionBudgetExceeded> {
         if self.corrupted.contains(&party) {
             return Ok(()); // idempotent
         }
@@ -93,7 +92,7 @@ mod tests {
     #[test]
     fn corrupt_and_query() {
         let mut ct = CorruptionTracker::new(4);
-        ct.corrupt(PartyId(2), 0).unwrap();
+        ct.corrupt(PartyId(2)).unwrap();
         assert!(ct.is_corrupted(PartyId(2)));
         assert!(!ct.is_corrupted(PartyId(0)));
         assert_eq!(corrupted(&ct), [2]);
@@ -104,7 +103,7 @@ mod tests {
         // t = n - 1 corruptions must be allowed — that's the whole point.
         let mut ct = CorruptionTracker::new(4);
         for i in 0..3 {
-            ct.corrupt(PartyId(i), 0).unwrap();
+            ct.corrupt(PartyId(i)).unwrap();
         }
         assert_eq!(corrupted(&ct), [0, 1, 2]);
     }
@@ -112,27 +111,27 @@ mod tests {
     #[test]
     fn full_corruption_rejected() {
         let mut ct = CorruptionTracker::new(3);
-        ct.corrupt(PartyId(0), 0).unwrap();
-        ct.corrupt(PartyId(1), 0).unwrap();
-        assert_eq!(ct.corrupt(PartyId(2), 0), Err(CorruptionBudgetExceeded));
+        ct.corrupt(PartyId(0)).unwrap();
+        ct.corrupt(PartyId(1)).unwrap();
+        assert_eq!(ct.corrupt(PartyId(2)), Err(CorruptionBudgetExceeded));
         assert_eq!(corrupted(&ct), [0, 1]);
     }
 
     #[test]
     fn out_of_range_party_rejected_without_spending_budget() {
         let mut ct = CorruptionTracker::new(3);
-        assert_eq!(ct.corrupt(PartyId(3), 0), Err(CorruptionBudgetExceeded));
+        assert_eq!(ct.corrupt(PartyId(3)), Err(CorruptionBudgetExceeded));
         assert!(!ct.is_corrupted(PartyId(3)) && corrupted(&ct).is_empty());
-        ct.corrupt(PartyId(0), 0).unwrap();
-        ct.corrupt(PartyId(1), 0).unwrap(); // still t = n − 1
-        assert!(CorruptionTracker::new(0).corrupt(PartyId(0), 0).is_err());
+        ct.corrupt(PartyId(0)).unwrap();
+        ct.corrupt(PartyId(1)).unwrap(); // still t = n − 1
+        assert!(CorruptionTracker::new(0).corrupt(PartyId(0)).is_err());
     }
 
     #[test]
     fn idempotent_corruption() {
         let mut ct = CorruptionTracker::new(2);
-        ct.corrupt(PartyId(0), 1).unwrap();
-        ct.corrupt(PartyId(0), 2).unwrap();
+        ct.corrupt(PartyId(0)).unwrap();
+        ct.corrupt(PartyId(0)).unwrap();
         assert_eq!(corrupted(&ct), [0]);
     }
 }

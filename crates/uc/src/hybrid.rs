@@ -3,8 +3,9 @@
 //! The paper's functionalities all read `G_clock`, sample randomness, leak
 //! to the adversary, and consult the corruption set. [`HybridCtx`] bundles
 //! mutable access to these shared resources so that functionality and
-//! protocol methods stay free of world-specific plumbing, and [`Delivery`]
-//! is the uniform "send this command to that party" result type.
+//! protocol methods stay free of world-specific plumbing. What a
+//! functionality hands out is its output itself: the world that called it
+//! knows who receives it.
 
 use crate::clock::GlobalClock;
 use crate::corruption::CorruptionTracker;
@@ -12,29 +13,6 @@ use crate::ids::PartyId;
 use crate::value::Command;
 use crate::world::Leak;
 use sbc_primitives::drbg::Drbg;
-
-/// A message from a functionality/protocol to a party.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Delivery {
-    /// The receiving party.
-    pub to: PartyId,
-    /// The delivered command.
-    pub cmd: Command,
-}
-
-impl Delivery {
-    /// Builds a delivery.
-    pub fn new(to: PartyId, cmd: Command) -> Self {
-        Delivery { to, cmd }
-    }
-
-    /// The same command delivered to every party in `0..n`.
-    pub fn to_all(n: usize, cmd: Command) -> Vec<Delivery> {
-        (0..n as u32)
-            .map(|i| Delivery::new(PartyId(i), cmd.clone()))
-            .collect()
-    }
-}
 
 /// Shared execution context for one world.
 pub struct HybridCtx<'a> {
@@ -74,19 +52,12 @@ mod tests {
     use crate::value::Value;
 
     #[test]
-    fn delivery_to_all() {
-        let ds = Delivery::to_all(3, Command::new("X", Value::Unit));
-        assert_eq!(ds.len(), 3);
-        assert_eq!(ds[2].to, PartyId(2));
-    }
-
-    #[test]
     fn ctx_accessors() {
         let mut clock = GlobalClock::new(PartyId::all(2));
         let mut rng = Drbg::from_seed(b"ctx");
         let mut leaks = Vec::new();
         let mut corr = CorruptionTracker::new(2);
-        corr.corrupt(PartyId(1), 0).unwrap();
+        corr.corrupt(PartyId(1)).unwrap();
         let mut ctx = HybridCtx {
             clock: &mut clock,
             rng: &mut rng,

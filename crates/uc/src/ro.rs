@@ -3,7 +3,7 @@
 //!
 //! Queries are attributed to a [`Caller`] so that simulators can check the
 //! abort condition of the security proofs ("has the adversary already
-//! queried ρ?") and experiments can account per-entity query costs.
+//! queried ρ?").
 //!
 //! An unprogrammed point is `HMAC(key, x)` under a key drawn once in
 //! [`RandomOracle::new`] and kept as a prepared [`HmacKey`]; block `i` of
@@ -71,7 +71,6 @@ pub struct RandomOracle {
     /// The PRF key, prepared once: every fresh point and every block of
     /// every mask is a tag under it.
     key: HmacKey,
-    query_count: u64,
 }
 
 impl RandomOracle {
@@ -85,13 +84,11 @@ impl RandomOracle {
             vl_table: HashMap::new(),
             adversary_queried: HashMap::new(),
             key,
-            query_count: 0,
         }
     }
 
     /// `Query`: returns `H(x)`.
     pub fn query(&mut self, caller: Caller, x: &[u8]) -> [u8; 32] {
-        self.query_count += 1;
         if caller == Caller::Adversary {
             self.adversary_queried.insert(x.to_vec(), ());
         }
@@ -115,7 +112,6 @@ impl RandomOracle {
     /// matching each message's size). Distinct lengths are independent
     /// points, each individually programmable.
     pub fn query_bytes(&mut self, caller: Caller, x: &[u8], len: usize) -> Vec<u8> {
-        self.query_count += 1;
         let key = Self::vl_key(x, len);
         if caller == Caller::Adversary {
             self.adversary_queried.insert(key.clone(), ());
@@ -164,11 +160,6 @@ impl RandomOracle {
     pub fn adversary_queried(&self, x: &[u8]) -> bool {
         self.adversary_queried.contains_key(x)
     }
-
-    /// Total number of queries served.
-    pub fn query_count(&self) -> u64 {
-        self.query_count
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +206,6 @@ mod tests {
             a.query(Caller::Adversary, b"x"),
             b.query(Caller::Adversary, b"x")
         );
-    }
-
-    #[test]
-    fn query_count_tracks() {
-        let mut r = ro();
-        r.query(Caller::Adversary, b"x");
-        r.query(Caller::Adversary, b"x");
-        assert_eq!(r.query_count(), 2);
     }
 
     #[test]
@@ -321,7 +304,6 @@ mod tests {
             "e14d70a12db0050434a4ffcfba93ba9b83513758e850d7881dfe8c76f1ebc17f79"
         );
         assert!(r.adversary_queried_bytes(b"rho", 33));
-        assert_eq!(r.query_count(), 14);
 
         // A programmed point answers as programmed; a sampled one refuses
         // to be programmed and keeps its bytes.

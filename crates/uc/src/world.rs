@@ -283,13 +283,6 @@ impl WorldCore {
         }
     }
 
-    /// Routes functionality deliveries to the environment output buffer.
-    pub fn push_outputs(&mut self, deliveries: Vec<crate::hybrid::Delivery>) {
-        for d in deliveries {
-            self.outputs.push((d.to, d.cmd));
-        }
-    }
-
     /// Whether `party` is a party of this world (`party < n`) and not
     /// corrupted — what a world checks before it lets `party` take an input
     /// or a clock step.
@@ -300,7 +293,7 @@ impl WorldCore {
     /// Corrupts a party in both the tracker and the clock. Returns success;
     /// the tracker refuses a `party ≥ n` and a corruption past `t ≤ n − 1`.
     pub fn corrupt(&mut self, party: PartyId) -> bool {
-        if self.corr.corrupt(party, self.clock.read()).is_err() {
+        if self.corr.corrupt(party).is_err() {
             return false;
         }
         self.clock.set_corrupted(party);

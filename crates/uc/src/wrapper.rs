@@ -29,6 +29,7 @@
 
 use crate::ids::PartyId;
 use crate::ro::{Caller, RandomOracle};
+use sbc_primitives::hashchain::{ChainSolver, Element};
 use std::collections::HashMap;
 
 /// Who is spending wrapper budget.
@@ -104,6 +105,50 @@ impl QueryWrapper {
             WrapperClient::Corrupted => Caller::Adversary,
         };
         Ok(batch.iter().map(|x| ro.query(caller, x)).collect())
+    }
+
+    /// One party's round of puzzle work through the wrapper — Π_FBC step 3
+    /// and Π_TLE `ENCRYPT&SOLVE` step 2. Batch `Q_0` carries every element
+    /// of every `fresh` chain-randomness set (puzzle generation is
+    /// parallel) plus one link of every unfinished solver; each later batch
+    /// moves every unfinished solver one further link. An empty batch is
+    /// skipped. Returns the hashes of each fresh set, in order, or `None`
+    /// if the wrapper refuses a batch; the solvers keep what the earlier
+    /// batches fed them.
+    pub fn solve_round(
+        &mut self,
+        ro: &mut RandomOracle,
+        round: u64,
+        client: WrapperClient,
+        fresh: &[Vec<Element>],
+        solvers: &mut [&mut ChainSolver],
+    ) -> Option<Vec<Vec<Element>>> {
+        let mut hashes = vec![Vec::new(); fresh.len()];
+        for j in 0..self.q {
+            let mut batch: Vec<Vec<u8>> = Vec::new();
+            if j == 0 {
+                batch.extend(fresh.iter().flatten().map(|r| r.to_vec()));
+            }
+            batch.extend(
+                solvers
+                    .iter()
+                    .filter_map(|s| s.next_query())
+                    .map(|r| r.to_vec()),
+            );
+            if batch.is_empty() {
+                continue;
+            }
+            let mut out = self.evaluate(ro, round, client, &batch).ok()?.into_iter();
+            if j == 0 {
+                for (hs, rs) in hashes.iter_mut().zip(fresh) {
+                    hs.extend(out.by_ref().take(rs.len()));
+                }
+            }
+            for (solver, h) in solvers.iter_mut().filter(|s| !s.is_done()).zip(out) {
+                solver.feed(h);
+            }
+        }
+        Some(hashes)
     }
 
     /// Remaining batches for `client` in `round`.
@@ -212,6 +257,32 @@ mod tests {
             x = res[0].to_vec();
         }
         assert_eq!(rounds_used, 2);
+    }
+
+    #[test]
+    fn solve_round_hashes_fresh_sets_in_q0_and_steps_solvers_once_per_batch() {
+        let (mut ro, mut w) = setup();
+        let p = WrapperClient::Party(PartyId(0));
+        let rs = [[1u8; 32], [2; 32], [3; 32], [4; 32]];
+        let hs: Vec<Element> = rs.iter().map(|r| ro.query(Caller::Simulator, r)).collect();
+        let chain = sbc_primitives::hashchain::chain_encode_with_hashes(&rs, &hs, &[9; 32]);
+        let mut solver = ChainSolver::new(&chain).unwrap();
+        let fresh = vec![vec![[5u8; 32], [6; 32]], vec![[7u8; 32]]];
+        let hashes = w.solve_round(&mut ro, 0, p, &fresh, &mut [&mut solver]);
+        let expected = fresh
+            .iter()
+            .map(|set| set.iter().map(|r| ro.query(Caller::Simulator, r)).collect())
+            .collect();
+        assert_eq!(hashes, Some(expected));
+        assert_eq!(solver.remaining(), 1, "q = 3 batches, one link each");
+        // A refused round leaves the solver where the last batch left it.
+        assert_eq!(w.solve_round(&mut ro, 0, p, &[], &mut [&mut solver]), None);
+        assert_eq!(solver.remaining(), 1);
+        // Next round: the last link, then the empty batches are skipped.
+        let done = w.solve_round(&mut ro, 1, p, &[], &mut [&mut solver]);
+        assert_eq!(done, Some(Vec::new()));
+        assert_eq!(solver.payload(), Some([9; 32]));
+        assert_eq!(w.remaining(1, p), 2);
     }
 
     #[test]
