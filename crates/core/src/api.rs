@@ -243,9 +243,9 @@ impl SbcSession {
 impl<W: SbcBackend> SbcSession<W> {
     /// The instance is opened at build time and never finished through the
     /// session surface, so instance-addressed pool calls cannot fail with
-    /// `UnknownInstance`/`InstanceFinished`.
+    /// `UnknownInstance`/`InstanceFinished`. Only a backend fault retires
+    /// it, and then they fail with that [`SbcError::Undeliverable`].
     fn live(&self) -> InstanceId {
-        debug_assert!(self.pool.live_instances().contains(&self.id));
         self.id
     }
 
@@ -254,11 +254,10 @@ impl<W: SbcBackend> SbcSession<W> {
         self.pool.params()
     }
 
-    /// The zero-based index of the epoch currently accepting submissions.
+    /// The zero-based index of the epoch currently accepting submissions
+    /// (after a backend fault, the epoch the session was in).
     pub fn epoch(&self) -> u64 {
-        self.pool
-            .epoch(self.live())
-            .expect("session instance stays live")
+        self.pool.last_epoch(self.live())
     }
 
     /// The current global-clock round.
@@ -303,10 +302,13 @@ impl<W: SbcBackend> SbcSession<W> {
     ///
     /// # Errors
     ///
-    /// [`SbcError::Internal`] if honest parties released different vectors
-    /// or a malformed payload — a broken world invariant.
+    /// [`SbcError::Undeliverable`] if the backend refused a message it
+    /// built, on that round and every later one; [`SbcError::Internal`] if
+    /// honest parties released different vectors or a malformed payload —
+    /// a broken world invariant.
     pub fn step_round(&mut self) -> Result<Option<SbcResult>, SbcError> {
         let id = self.live();
+        self.pool.check_instance(id)?;
         let released = self.pool.step_round()?;
         Ok(released
             .into_iter()

@@ -107,6 +107,16 @@ pub enum SbcError {
         /// Human-readable description of the bring-up failure.
         detail: String,
     },
+    /// An instance's backend refused a message it built itself (see
+    /// `SbcWorld::fault`): a frame over the size cap, say. The instance
+    /// cannot release as its in-process twin would, so the pool stops
+    /// instead of ticking it silently.
+    Undeliverable {
+        /// The instance that lost the message.
+        instance: u64,
+        /// What was refused, and why.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SbcError {
@@ -159,6 +169,9 @@ impl fmt::Display for SbcError {
             }
             SbcError::Internal { detail } => write!(f, "internal session fault: {detail}"),
             SbcError::Backend { detail } => write!(f, "backend bring-up failed: {detail}"),
+            SbcError::Undeliverable { instance, detail } => {
+                write!(f, "instance #{instance} refused its own message: {detail}")
+            }
         }
     }
 }
@@ -213,6 +226,13 @@ mod tests {
                     detail: "bind refused".into(),
                 },
                 "bring-up",
+            ),
+            (
+                SbcError::Undeliverable {
+                    instance: 2,
+                    detail: "frame too large".into(),
+                },
+                "instance #2 refused its own message: frame too large",
             ),
         ];
         for (err, needle) in cases {

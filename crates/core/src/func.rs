@@ -158,7 +158,7 @@ impl SbcFunc {
             Value::list([
                 Value::str("Sender"),
                 Value::bytes(tag.as_bytes()),
-                Value::U64(msg.encode().len() as u64),
+                Value::U64(msg.encoded_len() as u64),
                 Value::U64(sender.0 as u64),
             ])
         };

@@ -139,6 +139,20 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
             aborted: false,
         })
     }
+
+    /// Retires the lowest live instance whose world cannot make progress
+    /// ([`SbcWorld::fault`]) and returns it with the fault. Its buffered
+    /// outputs go with it: a faulted instance never releases, and the
+    /// other instances' outputs stay buffered.
+    fn retire_faulted(&mut self) -> Option<(InstanceId, String)> {
+        let (id, detail) = self
+            .live
+            .iter()
+            .find_map(|(&id, w)| Some((InstanceId(id), w.fault()?.to_string())))?;
+        self.close_instance(id);
+        self.outputs.retain(|(i, ..)| *i != id);
+        Some((id, detail))
+    }
 }
 
 impl<W: SbcWorld> PooledSbcWorld<W> {
@@ -475,6 +489,10 @@ struct InstanceState {
     /// uncapped): the typed overflow counter that keeps a bounded buffer
     /// honest.
     dropped_leaks: u64,
+    /// Why [`SbcPool::step_round`] retired the instance unreleased, if it
+    /// did: every later call naming it returns this as
+    /// [`SbcError::Undeliverable`].
+    undeliverable: Option<String>,
 }
 
 /// A point-in-time memory-bookkeeping census of a pool — the steady-state
@@ -612,12 +630,22 @@ impl<W: SbcBackend> SbcPool<W> {
         self.world.would_abort()
     }
 
-    fn check_instance(&self, instance: InstanceId) -> Result<(), SbcError> {
+    pub(crate) fn check_instance(&self, instance: InstanceId) -> Result<(), SbcError> {
         if self.world.is_live(instance) {
             Ok(())
         } else if self.world.is_retired(instance) {
-            Err(SbcError::InstanceFinished {
-                instance: instance.0,
+            let fault = self
+                .state
+                .get(&instance.0)
+                .and_then(|s| s.undeliverable.as_ref());
+            Err(match fault {
+                Some(detail) => SbcError::Undeliverable {
+                    instance: instance.0,
+                    detail: detail.clone(),
+                },
+                None => SbcError::InstanceFinished {
+                    instance: instance.0,
+                },
             })
         } else {
             Err(SbcError::UnknownInstance {
@@ -700,7 +728,12 @@ impl<W: SbcBackend> SbcPool<W> {
     /// [`SbcError::UnknownInstance`] / [`SbcError::InstanceFinished`].
     pub fn epoch(&self, instance: InstanceId) -> Result<u64, SbcError> {
         self.check_instance(instance)?;
-        Ok(self.state.get(&instance.0).map(|s| s.epoch).unwrap_or(0))
+        Ok(self.last_epoch(instance))
+    }
+
+    /// The epoch `instance` is in, or was in when it was retired.
+    pub(crate) fn last_epoch(&self, instance: InstanceId) -> u64 {
+        self.state.get(&instance.0).map(|s| s.epoch).unwrap_or(0)
     }
 
     /// Checks whether an honest submission by `party` to `instance` would
@@ -764,11 +797,26 @@ impl<W: SbcBackend> SbcPool<W> {
     ///
     /// # Errors
     ///
-    /// [`SbcError::Internal`] if honest parties of some instance released
-    /// different vectors or a malformed payload — a broken world invariant.
+    /// * [`SbcError::Undeliverable`] if some live instance's backend
+    ///   refused a message it built (a networked world's frame over the
+    ///   size cap, say). The fault is confined to that instance: it is
+    ///   retired unreleased, and every later call naming it returns the
+    ///   same error. The other instances' releases of this tick stay
+    ///   buffered for the next one, and the pool steps on.
+    /// * [`SbcError::Internal`] if honest parties of some instance released
+    ///   different vectors or a malformed payload — a broken world
+    ///   invariant.
     pub fn step_round(&mut self) -> Result<Vec<(InstanceId, SbcResult)>, SbcError> {
         self.world.step_round();
         self.sync_leaks();
+        if let Some((id, detail)) = self.world.retire_faulted() {
+            self.sync_leaks();
+            self.state_mut(id).undeliverable = Some(detail.clone());
+            return Err(SbcError::Undeliverable {
+                instance: id.0,
+                detail,
+            });
+        }
         let mut by_instance: BTreeMap<u64, Vec<(PartyId, Command)>> = BTreeMap::new();
         for (id, party, cmd) in self.world.drain_outputs() {
             by_instance.entry(id.0).or_default().push((party, cmd));
@@ -849,7 +897,15 @@ impl<W: SbcBackend> SbcPool<W> {
         }
         let budget = self.params().phi + self.params().delta + 4;
         for _ in 0..budget {
-            self.step_round()?;
+            match self.step_round() {
+                Ok(_) => {}
+                // Another instance's fault is its own: it stays reported to
+                // every call naming it.
+                Err(SbcError::Undeliverable {
+                    instance: other, ..
+                }) if other != instance.0 => {}
+                Err(e) => return Err(e),
+            }
             if let Some(result) = self.state_mut(instance).released.take() {
                 return Ok(result);
             }

@@ -859,7 +859,7 @@ impl World for IdealSbcWorld {
         if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
-        let msg_len = cmd.value.encode().len();
+        let msg_len = cmd.value.encoded_len();
         // F_SBC's (Sender, tag, |M|, P) leak is addressed to the simulator,
         // not the environment; the tag is all of it the simulator lacks.
         let mut to_sim = Vec::new();

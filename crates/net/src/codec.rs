@@ -213,6 +213,31 @@ impl FrameKind {
         }
     }
 
+    /// The length of [`encode_body`](Self::encode_body)'s output, arm for
+    /// arm, so a frame is encoded into one exact allocation.
+    fn body_len(&self) -> usize {
+        let pair = |a: usize, b: usize| PAIR.len() + a + b;
+        // A `Bytes` value encodes as empty bytes do, then its contents.
+        let bytes = |b: &[u8]| Value::Bytes(Vec::new()).encoded_len() + b.len();
+        match self {
+            FrameKind::Submit(v) | FrameKind::Cast(v) => v.encoded_len(),
+            FrameKind::Tick | FrameKind::TleRetrieve => Value::Unit.encoded_len(),
+            FrameKind::Deliver { origin, payload } => pair(
+                Value::U64(u64::from(*origin)).encoded_len(),
+                payload.encoded_len(),
+            ),
+            FrameKind::TleEnc { rho, tau } => {
+                pair(rho.encoded_len(), Value::U64(*tau).encoded_len())
+            }
+            FrameKind::TleTriples(v) | FrameKind::TleDecResp(v) | FrameKind::Output(v) => {
+                v.encoded_len()
+            }
+            FrameKind::TleDec { ct, tau } => pair(ct.encoded_len(), Value::U64(*tau).encoded_len()),
+            FrameKind::RoQuery { x, len } => pair(bytes(x), Value::U64(*len).encoded_len()),
+            FrameKind::RoAnswer(b) => bytes(b),
+        }
+    }
+
     fn from_body(tag: u8, body: Value) -> Result<FrameKind, CodecError> {
         let bad = || CodecError::BadPayload {
             kind: Self::name(tag),
@@ -296,21 +321,23 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Encodes the frame, including the outer length prefix.
+    /// Encodes the frame, including the outer length prefix, into one
+    /// allocation of exactly its length. A length past `u32::MAX` is
+    /// written as `u32::MAX`, which every decoder refuses as
+    /// [`CodecError::Oversize`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + HEADER_LEN);
-        out.extend_from_slice(&[0; 4]); // the outer length, patched below
+        let body_len = self.kind.body_len();
+        let prefix = |len: usize| u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes();
+        let mut out = Vec::with_capacity(4 + HEADER_LEN + body_len);
+        out.extend_from_slice(&prefix(HEADER_LEN + body_len));
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(self.kind.tag());
         self.from.encode_into(&mut out);
         self.to.encode_into(&mut out);
         out.extend_from_slice(&self.sent_at.to_be_bytes());
-        out.extend_from_slice(&[0; 4]); // the body length, patched below
+        out.extend_from_slice(&prefix(body_len));
         self.kind.encode_body(&mut out);
-        let body_len = (out.len() - 4 - HEADER_LEN) as u32;
-        out[..4].copy_from_slice(&(HEADER_LEN as u32 + body_len).to_be_bytes());
-        out[HEADER_LEN..4 + HEADER_LEN].copy_from_slice(&body_len.to_be_bytes());
         out
     }
 
@@ -689,6 +716,10 @@ mod tests {
             };
             let enc = f.encode();
             assert_eq!(sbc_primitives::hex::encode(&enc), hex, "{f:?}");
+            // One allocation of exactly the frame's length: `body_len`
+            // counts what `encode_body` writes, no more, no less.
+            assert_eq!(enc.len(), 4 + HEADER_LEN + f.kind.body_len(), "{f:?}");
+            assert_eq!(enc.capacity(), enc.len(), "{f:?}");
             assert_eq!(Frame::decode(&enc), Ok(f));
         }
     }

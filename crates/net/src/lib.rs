@@ -14,9 +14,13 @@
 //!   nothing else does: a kind exists only if a
 //!   [`transport::Transport`] carries it. The decoder treats its input
 //!   as hostile: every malformed frame comes back as a typed
-//!   [`codec::CodecError`], never a panic.
-//! * [`transport`] — the delivery seam. [`transport::Loopback`] is the
-//!   bit-compatible stand-in for today's in-process delivery;
+//!   [`codec::CodecError`], never a panic. A frame is encoded into one
+//!   allocation of its exact length.
+//! * [`transport`] — the delivery seam. A transport decodes each frame
+//!   once, to classify it, and hands that [`codec::Frame`] up to the
+//!   receiver, which never decodes the bytes again.
+//!   [`transport::Loopback`] is the bit-compatible stand-in for today's
+//!   in-process delivery;
 //!   [`transport::SimNet`] is a deterministic, seeded adversarial
 //!   network injecting per-link latency (within ∆), reorder,
 //!   duplication, drops from corrupted senders, and transient partitions

@@ -10,7 +10,8 @@
 //! The matching [`TcpTransport`] owns the connect side of every lane plus
 //! the shared per-plane mailboxes; every frame a world posts really
 //! traverses the OS loopback stack (connect, write, accept, read) before
-//! it can be received.
+//! it can be received, and the frame the reader decodes off the socket is
+//! the one handed up.
 //!
 //! # Deadlines and reconnects
 //!
@@ -533,20 +534,16 @@ impl TcpTransport {
                     loop {
                         match Frame::decode_prefix(&slot.buf) {
                             Ok((frame, used)) => {
-                                let bytes: Vec<u8> = slot.buf[..used].to_vec();
                                 slot.buf.drain(..used);
                                 slot.received += 1;
                                 match plane_of(&frame, delta, n) {
-                                    Ok(Plane::Control) => boxes.control.push_back(bytes),
-                                    Ok(Plane::Rpc(p)) => boxes.rpc[p as usize].push_back(bytes),
-                                    // A data frame is due at its own
-                                    // `sent_at`: the round the world
-                                    // stamped at post time, reproducing
-                                    // Loopback's due-at-send-round
-                                    // schedule.
-                                    Ok(Plane::Data { to, .. }) => {
-                                        boxes.push_data(to, frame.sent_at, bytes);
-                                    }
+                                    // The frame just decoded is the one
+                                    // handed up. A data frame is due at
+                                    // its own `sent_at`: the round the
+                                    // world stamped at post time,
+                                    // reproducing Loopback's
+                                    // due-at-send-round schedule.
+                                    Ok(plane) => boxes.file(plane, frame.sent_at, frame),
                                     // Unroutable frames were rejected at
                                     // send; raw external writers can
                                     // still produce them.
@@ -650,7 +647,8 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, bytes: Vec<u8>, _now: u64) -> Result<(), NetError> {
-        // Classification (and its counting) happens once, here; the data
+        // Classification (and its counting) happens once, here; the frame
+        // handed up is the one `pump_lane` decodes off the socket. The data
         // plane's due round travels inside the frame as `sent_at`, which
         // the world stamps with the sending round.
         let (_, plane) = self.boxes.classify(&bytes, self.delta, self.n)?;
@@ -670,17 +668,17 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recv_control(&mut self) -> Vec<Vec<u8>> {
+    fn recv_control(&mut self) -> Vec<Frame> {
         self.sync_with_deadline();
         self.boxes.drain_control()
     }
 
-    fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+    fn recv_rpc(&mut self, party: u32) -> Vec<Frame> {
         self.sync_with_deadline();
         self.boxes.drain_rpc(party)
     }
 
-    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
         self.sync_with_deadline();
         self.boxes.drain_data(party, now)
     }
@@ -755,6 +753,11 @@ mod tests {
         .encode()
     }
 
+    /// The handed-up frames, re-encoded: what the sender's bytes were.
+    fn encoded(frames: Vec<Frame>) -> Vec<Vec<u8>> {
+        frames.iter().map(Frame::encode).collect()
+    }
+
     fn control_frame(to: u32, now: u64) -> Vec<u8> {
         Frame {
             from: Endpoint::Env,
@@ -786,9 +789,9 @@ mod tests {
         t.send(c.clone(), 1).unwrap();
         t.send(r.clone(), 1).unwrap();
         t.send(d.clone(), 3).unwrap();
-        assert_eq!(t.recv_control(), vec![c]);
-        assert_eq!(t.recv_rpc(1), vec![r]);
-        assert_eq!(t.recv_data(1, 3), vec![d]);
+        assert_eq!(encoded(t.recv_control()), vec![c]);
+        assert_eq!(encoded(t.recv_rpc(1)), vec![r]);
+        assert_eq!(encoded(t.recv_data(1, 3)), vec![d]);
         assert!(t.idle());
         let s = t.stats();
         assert_eq!((s.sent, s.delivered), (3, 3));
@@ -802,7 +805,7 @@ mod tests {
         for f in &frames {
             t.send(f.clone(), 3).unwrap();
         }
-        assert_eq!(t.recv_data(1, 3), frames);
+        assert_eq!(encoded(t.recv_data(1, 3)), frames);
         assert!(t.idle());
     }
 
@@ -818,7 +821,11 @@ mod tests {
         handle.break_lane(lane);
         t.send(frames[1].clone(), 3).unwrap();
         t.send(frames[2].clone(), 3).unwrap();
-        assert_eq!(t.recv_data(1, 3), frames, "order preserved across drop");
+        assert_eq!(
+            encoded(t.recv_data(1, 3)),
+            frames,
+            "order preserved across drop"
+        );
         let s = t.stats();
         assert!(s.reconnects >= 1, "reconnect happened: {s:?}");
         assert_eq!(s.timeouts, 0, "no deadline needed: {s:?}");
@@ -879,7 +886,7 @@ mod tests {
         while got.len() < 2 && Instant::now() < deadline {
             got.extend(t.recv_control());
         }
-        assert_eq!(got, vec![a, b], "both frames intact and in order");
+        assert_eq!(encoded(got), vec![a, b], "both frames intact and in order");
         assert_eq!(t.stats().decode_errors, 0);
     }
 
@@ -908,7 +915,7 @@ mod tests {
         handle.restore_lane(lane);
         let f = wire_frame(0, 1, 4, 9, 2);
         t.send(f.clone(), 4).unwrap();
-        assert_eq!(t.recv_data(0, 4), vec![f]);
+        assert_eq!(encoded(t.recv_data(0, 4)), vec![f]);
     }
 
     #[test]
@@ -930,7 +937,7 @@ mod tests {
         // Other lanes still work.
         let c = control_frame(0, 1);
         t.send(c.clone(), 1).unwrap();
-        assert_eq!(t.recv_control(), vec![c]);
+        assert_eq!(encoded(t.recv_control()), vec![c]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The delivery seam of the networked world.
 //!
-//! A [`Transport`] moves encoded [`Frame`]s between endpoints. Frames
-//! fall into three planes, classified by the transport itself (it decodes
-//! what it carries — and drops, counting, what does not decode):
+//! A [`Transport`] moves encoded [`Frame`]s between endpoints. It decodes
+//! each frame once, on the way in, to classify it — dropping, counting,
+//! what does not decode — and hands the receiver that decoded [`Frame`],
+//! so nothing above it decodes the same bytes again. Frames fall into
+//! three planes:
 //!
 //! * **control** — submissions, ticks, casts, functionality requests and
 //!   `Wake_Up` deliveries. These model the atomic environment/party/
@@ -61,27 +63,29 @@ pub struct TransportStats {
 /// deterministic: the same sends in the same order produce the same
 /// delivery schedule (the conformance harness replays seeds).
 pub trait Transport: Send + std::fmt::Debug {
-    /// Accepts an encoded frame for delivery. The transport decodes it to
-    /// classify and schedule; input that does not decode is dropped and
-    /// counted, and the typed error returned.
+    /// Accepts an encoded frame for delivery. The transport decodes it once
+    /// to classify and schedule, and queues the decoded [`Frame`] for the
+    /// `recv_*` side; input that does not decode is dropped and counted,
+    /// and the typed error returned.
     ///
     /// # Errors
     ///
-    /// [`NetError::Codec`] if the frame does not decode;
-    /// [`NetError::UnknownParty`] if it addresses a party outside the
-    /// experiment. Either way the frame is not queued.
+    /// [`NetError::Codec`] if the frame does not decode (an oversize one
+    /// included); [`NetError::UnknownParty`] if it addresses a party
+    /// outside the experiment. Either way the frame is not queued.
     fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), NetError>;
 
-    /// Drains all control-plane frames, in global send order. Frames
-    /// carry their own destination; the caller dispatches.
-    fn recv_control(&mut self) -> Vec<Vec<u8>>;
+    /// Drains all control-plane frames, decoded, in global send order.
+    /// Frames carry their own destination; the caller dispatches.
+    fn recv_control(&mut self) -> Vec<Frame>;
 
-    /// Drains the rpc lane of one party (functionality responses), FIFO.
-    fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>>;
+    /// Drains the rpc lane of one party (functionality responses),
+    /// decoded, FIFO.
+    fn recv_rpc(&mut self, party: u32) -> Vec<Frame>;
 
     /// Drains the data-plane frames for `party` that are due at or before
-    /// round `now`, in schedule order.
-    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>>;
+    /// round `now`, decoded, in schedule order.
+    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame>;
 
     /// Marks a party corrupted (a [`SimNet`] with
     /// [`SimConfig::drop_from_corrupted`] starts dropping its casts).
@@ -145,14 +149,15 @@ pub(crate) fn plane_of(frame: &Frame, delta: u64, n: usize) -> Result<Plane, Net
     })
 }
 
-/// Shared mailbox state: per-plane queues plus counters.
+/// Shared mailbox state: per-plane queues of decoded frames, plus
+/// counters.
 #[derive(Debug, Default)]
 pub(crate) struct Mailboxes {
-    pub(crate) control: VecDeque<Vec<u8>>,
-    pub(crate) rpc: Vec<VecDeque<Vec<u8>>>,
-    /// Per-party data queue: `(due_round, seq, bytes)`, kept in
+    control: VecDeque<Frame>,
+    rpc: Vec<VecDeque<Frame>>,
+    /// Per-party data queue: `(due_round, seq, frame)`, kept in
     /// `(due, seq)` order.
-    data: Vec<Vec<(u64, u64, Vec<u8>)>>,
+    data: Vec<Vec<(u64, u64, Frame)>>,
     seq: u64,
     pub(crate) stats: TransportStats,
 }
@@ -190,30 +195,40 @@ impl Mailboxes {
         Ok((frame, plane))
     }
 
-    pub(crate) fn push_data(&mut self, to: u32, due: u64, bytes: Vec<u8>) {
+    /// Files a classified frame on its plane: control and rpc in arrival
+    /// order, data due at round `due`.
+    pub(crate) fn file(&mut self, plane: Plane, due: u64, frame: Frame) {
+        match plane {
+            Plane::Control => self.control.push_back(frame),
+            Plane::Rpc(p) => self.rpc[p as usize].push_back(frame),
+            Plane::Data { to, .. } => self.push_data(to, due, frame),
+        }
+    }
+
+    fn push_data(&mut self, to: u32, due: u64, frame: Frame) {
         let seq = self.seq;
         self.seq += 1;
         let q = &mut self.data[to as usize];
         let at = q.partition_point(|&(d, s, _)| (d, s) <= (due, seq));
-        q.insert(at, (due, seq, bytes));
+        q.insert(at, (due, seq, frame));
     }
 
-    pub(crate) fn drain_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+    pub(crate) fn drain_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
         let q = &mut self.data[party as usize];
         let upto = q.partition_point(|&(d, _, _)| d <= now);
-        let out: Vec<Vec<u8>> = q.drain(..upto).map(|(_, _, b)| b).collect();
+        let out: Vec<Frame> = q.drain(..upto).map(|(_, _, f)| f).collect();
         self.stats.delivered += out.len() as u64;
         out
     }
 
-    pub(crate) fn drain_control(&mut self) -> Vec<Vec<u8>> {
-        let out: Vec<Vec<u8>> = self.control.drain(..).collect();
+    pub(crate) fn drain_control(&mut self) -> Vec<Frame> {
+        let out: Vec<Frame> = self.control.drain(..).collect();
         self.stats.delivered += out.len() as u64;
         out
     }
 
-    pub(crate) fn drain_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
-        let out: Vec<Vec<u8>> = self.rpc[party as usize].drain(..).collect();
+    pub(crate) fn drain_rpc(&mut self, party: u32) -> Vec<Frame> {
+        let out: Vec<Frame> = self.rpc[party as usize].drain(..).collect();
         self.stats.delivered += out.len() as u64;
         out
     }
@@ -260,24 +275,20 @@ impl Loopback {
 
 impl Transport for Loopback {
     fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), NetError> {
-        let (_, plane) = self.boxes.classify(&bytes, self.delta, self.n)?;
-        match plane {
-            Plane::Control => self.boxes.control.push_back(bytes),
-            Plane::Rpc(p) => self.boxes.rpc[p as usize].push_back(bytes),
-            Plane::Data { to, .. } => self.boxes.push_data(to, now, bytes),
-        }
+        let (frame, plane) = self.boxes.classify(&bytes, self.delta, self.n)?;
+        self.boxes.file(plane, now, frame);
         Ok(())
     }
 
-    fn recv_control(&mut self) -> Vec<Vec<u8>> {
+    fn recv_control(&mut self) -> Vec<Frame> {
         self.boxes.drain_control()
     }
 
-    fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+    fn recv_rpc(&mut self, party: u32) -> Vec<Frame> {
         self.boxes.drain_rpc(party)
     }
 
-    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
         self.boxes.drain_data(party, now)
     }
 
@@ -415,10 +426,8 @@ impl SimNet {
 
 impl Transport for SimNet {
     fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), NetError> {
-        let (_, plane) = self.boxes.classify(&bytes, self.cfg.delta, self.n)?;
+        let (frame, plane) = self.boxes.classify(&bytes, self.cfg.delta, self.n)?;
         match plane {
-            Plane::Control => self.boxes.control.push_back(bytes),
-            Plane::Rpc(p) => self.boxes.rpc[p as usize].push_back(bytes),
             Plane::Data { to, origin, end } => {
                 if self.cfg.drop_from_corrupted
                     && (origin as usize) < self.n
@@ -434,23 +443,24 @@ impl Transport for SimNet {
                 if duplicate {
                     let copy_due = (due + 1).min(end.saturating_sub(1)).max(due);
                     self.boxes.stats.duplicated += 1;
-                    self.boxes.push_data(to, copy_due, bytes.clone());
+                    self.boxes.push_data(to, copy_due, frame.clone());
                 }
-                self.boxes.push_data(to, due, bytes);
+                self.boxes.push_data(to, due, frame);
             }
+            plane => self.boxes.file(plane, now, frame),
         }
         Ok(())
     }
 
-    fn recv_control(&mut self) -> Vec<Vec<u8>> {
+    fn recv_control(&mut self) -> Vec<Frame> {
         self.boxes.drain_control()
     }
 
-    fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+    fn recv_rpc(&mut self, party: u32) -> Vec<Frame> {
         self.boxes.drain_rpc(party)
     }
 
-    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+    fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
         let mut out = self.boxes.drain_data(party, now);
         if self.cfg.reorder && out.len() > 1 {
             // Seeded Fisher-Yates over the due batch. Wire receptions are
@@ -520,7 +530,7 @@ mod tests {
         t.send(wire_frame(1, 0, 9, 2), 3).unwrap();
         let got = t.recv_data(1, 3);
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0], wire_frame(1, 0, 9, 1));
+        assert_eq!(got[0].encode(), wire_frame(1, 0, 9, 1));
         assert!(t.idle());
     }
 

@@ -7,10 +7,10 @@
 //! in-process world runs; the hybrid functionalities are the same
 //! [`SbcHost`]. What differs is the [`SbcHybrid`] the party is handed: a
 //! frame link (`FrameLink`) that posts each of the six hybrid calls as a
-//! request frame and decodes the reply, while the host side
-//! (`FrameLink::host_handle`) maps each request frame back onto the same
-//! six `SbcHost` methods the in-process party calls directly. The
-//! environment's submissions and clock ticks arrive as frames too.
+//! request frame and takes the reply the transport decoded, while the
+//! host side (`FrameLink::host_handle`) maps each request frame back onto
+//! the same six `SbcHost` methods the in-process party calls directly.
+//! The environment's submissions and clock ticks arrive as frames too.
 //!
 //! # The conformance envelope
 //!
@@ -30,9 +30,10 @@
 //!   release outputs are sorted. Delay (clamped before the period end ∆
 //!   guarantees), reorder, duplication, healing partitions and reconnects
 //!   therefore cannot change outputs or leaks;
-//! * **content interning** — each recipient decodes its own frame, but
-//!   payloads equal byte for byte in all of `(c, τ_rel, y)` reach the
-//!   parties as one `Arc<ParsedWire>` (`deliver_wire`): one copy of `y`
+//! * **content interning** — each recipient gets its own frame, decoded
+//!   once by the transport that classified it, but payloads equal byte
+//!   for byte in all of `(c, τ_rel, y)` reach the parties as one
+//!   `Arc<ParsedWire>` (`deliver_wire`): one copy of `y`
 //!   per world, and a pointer compare per entry when the release round
 //!   asks whether two logs agree. Unobservable: a `ParsedWire` is its
 //!   three components, so the shared value is the one each recipient
@@ -44,10 +45,11 @@
 //!   boundary — between bare `advance` calls the adversary may act — and
 //!   guarded per party by `SbcParty::shares_release_view`.
 //!
-//! Dropping a corrupted sender's wires *does* change the received sets —
-//! that knob sits outside the `Exact` envelope and has its own tests.
+//! Dropping a corrupted sender's wires — by schedule, or because one is
+//! over the frame size cap — *does* change the received sets: that knob
+//! sits outside the `Exact` envelope and has its own tests.
 
-use crate::codec::{Endpoint, Frame, FrameKind};
+use crate::codec::{Endpoint, Frame, FrameKind, NetError};
 use crate::transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
 use sbc_core::error::SbcError;
 use sbc_core::protocol::{ParsedWire, SbcHybrid, SbcParty};
@@ -61,22 +63,22 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// The [`SbcHybrid`] of a networked party: every call is one request frame
-/// to the functionality host — encode, transport, decode — and, where the
-/// call has a result, one response frame back on the party's rpc lane.
+/// to the functionality host — encoded, then decoded once by the transport
+/// — and, where the call has a result, one response frame back on the
+/// party's rpc lane.
 ///
-/// It borrows the host and the transport, the two fields of
+/// It borrows the host, the transport and the fault latch, the fields of
 /// [`NetSbcWorld`] disjoint from its parties, so a party can be stepped in
 /// place.
 struct FrameLink<'a> {
     host: &'a mut SbcHost,
     transport: &'a mut dyn Transport,
+    fault: &'a mut Option<String>,
 }
 
 impl FrameLink<'_> {
-    /// Encodes and ships one frame. Send failures are counted by the
-    /// transport and otherwise ignored — an adversarial net is allowed to
-    /// lose what it cannot parse.
-    fn post(&mut self, from: Endpoint, to: Endpoint, kind: FrameKind) {
+    /// Encodes and ships one frame, returning the transport's refusal.
+    fn send(&mut self, from: Endpoint, to: Endpoint, kind: FrameKind) -> Result<(), NetError> {
         let now = self.host.now();
         let frame = Frame {
             from,
@@ -84,7 +86,25 @@ impl FrameLink<'_> {
             sent_at: now,
             kind,
         };
-        let _ = self.transport.send(frame.encode(), now);
+        self.transport.send(frame.encode(), now)
+    }
+
+    /// [`send`](Self::send)s a frame the protocol needs. The world builds
+    /// only well-formed frames to parties in range, so a refusal means the
+    /// frame cannot cross at all — one over
+    /// [`MAX_FRAME`](crate::codec::MAX_FRAME), or a socket link that stayed
+    /// down. The first refusal is latched for [`SbcWorld::fault`]: the
+    /// world cannot make progress without it.
+    fn post(&mut self, from: Endpoint, to: Endpoint, kind: FrameKind) {
+        let now = self.host.now();
+        if let Err(e) = self.send(from, to, kind) {
+            let cause = match e {
+                NetError::Codec(codec) => codec.to_string(),
+                other => other.to_string(),
+            };
+            self.fault
+                .get_or_insert_with(|| format!("frame {from} → {to} in round {now}: {cause}"));
+        }
     }
 
     /// Posts one request to the functionality host and has it handled,
@@ -93,23 +113,18 @@ impl FrameLink<'_> {
     /// inbox contains exactly this request.
     fn request(&mut self, from: PartyId, kind: FrameKind) {
         self.post(Endpoint::Party(from.0), Endpoint::Host, kind);
-        for bytes in self.transport.recv_control() {
-            if let Ok(frame) = Frame::decode(&bytes) {
-                self.host_handle(frame);
-            }
+        for frame in self.transport.recv_control() {
+            self.host_handle(frame);
         }
     }
 
     /// A [`request`](Self::request) with a reply, on the party's rpc lane.
     fn rpc(&mut self, from: PartyId, kind: FrameKind) -> Option<FrameKind> {
         self.request(from, kind);
-        let mut out = None;
-        for bytes in self.transport.recv_rpc(from.0) {
-            if let Ok(frame) = Frame::decode(&bytes) {
-                out = Some(frame.kind);
-            }
-        }
-        out
+        self.transport
+            .recv_rpc(from.0)
+            .pop()
+            .map(|frame| frame.kind)
     }
 
     /// The functionality host: answers one party request by calling the
@@ -277,6 +292,8 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     wires: Vec<Arc<ParsedWire>>,
     /// The release rule of the `tick` in progress; `None` outside one.
     release: Option<SharedRelease>,
+    /// The first frame the transport refused (see [`SbcWorld::fault`]).
+    fault: Option<String>,
     _profile: PhantomData<P>,
 }
 
@@ -315,6 +332,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             transport,
             wires: Vec::new(),
             release: None,
+            fault: None,
             _profile: PhantomData,
         })
     }
@@ -330,6 +348,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
         FrameLink {
             host: &mut self.host,
             transport: self.transport.as_mut(),
+            fault: &mut self.fault,
         }
     }
 
@@ -343,10 +362,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             if batch.is_empty() {
                 return;
             }
-            for bytes in batch {
-                let Ok(frame) = Frame::decode(&bytes) else {
-                    continue;
-                };
+            for frame in batch {
                 self.dispatch_control(frame);
             }
         }
@@ -366,11 +382,12 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 let Some(party) = self.parties.get_mut(p as usize) else {
                     return;
                 };
-                // The link borrows `host` and `transport` only, leaving the
-                // addressed party free to be stepped in place.
+                // The link borrows `host`, `transport` and `fault` only,
+                // leaving the addressed party free to be stepped in place.
                 let mut link = FrameLink {
                     host: &mut self.host,
                     transport: self.transport.as_mut(),
+                    fault: &mut self.fault,
                 };
                 match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
@@ -397,8 +414,14 @@ impl<P: NetProfile> NetSbcWorld<P> {
     /// order, as `Deliver` frames (flush order preserved; the transport
     /// classifies wake-ups as control and wires as data), then runs the
     /// delivery pumps.
+    ///
+    /// A corrupted origin's wire is the adversary's own: a frame of it the
+    /// transport refuses (one over the size cap) is a wire dropped, which
+    /// the adversary may do anyway, so it latches no fault and the honest
+    /// parties release without it.
     fn deliver(&mut self, origin: u32, msgs: Vec<Value>) {
         let n = self.parties.len() as u32;
+        let honest = self.host.core.is_honest(PartyId(origin));
         let mut link = self.link();
         for payload in msgs {
             for to in 0..n {
@@ -406,7 +429,11 @@ impl<P: NetProfile> NetSbcWorld<P> {
                     origin,
                     payload: payload.clone(),
                 };
-                link.post(Endpoint::Host, Endpoint::Party(to), kind);
+                if honest {
+                    link.post(Endpoint::Host, Endpoint::Party(to), kind);
+                } else {
+                    let _ = link.send(Endpoint::Host, Endpoint::Party(to), kind);
+                }
             }
         }
         self.pump_control();
@@ -418,15 +445,12 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
-    /// Delivers the data-plane frames due for one party — each decoded
-    /// from the recipient's own frame, then interned — by the reception
-    /// path the in-process world's fan-out takes.
+    /// Delivers the data-plane frames due for one party — each the
+    /// recipient's own frame as the transport decoded it, then interned —
+    /// by the reception path the in-process world's fan-out takes.
     fn pump_data_for(&mut self, p: u32) {
         let now = self.host.now();
-        for bytes in self.transport.recv_data(p, now) {
-            let Ok(frame) = Frame::decode(&bytes) else {
-                continue;
-            };
+        for frame in self.transport.recv_data(p, now) {
             if let FrameKind::Deliver { payload, .. } = frame.kind {
                 self.deliver_wire(p, &payload, now);
             }
@@ -546,6 +570,16 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
 
     fn period_end(&self) -> Option<u64> {
         self.parties.iter().find_map(|p| p.t_end())
+    }
+
+    /// The first frame the protocol needed and the transport refused,
+    /// sticky: a submission, honest wire, reply or output that never
+    /// arrived leaves the instance unable to release as its twin would. A
+    /// corrupted party's refused wire is no fault, only a dropped wire; a
+    /// release the adversary bloats past the cap with valid wires is, and
+    /// ends this instance only.
+    fn fault(&self) -> Option<&str> {
+        self.fault.as_deref()
     }
 
     /// The per-party `advance` loop under one [`SharedRelease`]: at `τ_rel`
@@ -1113,13 +1147,13 @@ mod tests {
                 Err(_) => self.inner.send(bytes, now),
             }
         }
-        fn recv_control(&mut self) -> Vec<Vec<u8>> {
+        fn recv_control(&mut self) -> Vec<Frame> {
             self.inner.recv_control()
         }
-        fn recv_rpc(&mut self, party: u32) -> Vec<Vec<u8>> {
+        fn recv_rpc(&mut self, party: u32) -> Vec<Frame> {
             self.inner.recv_rpc(party)
         }
-        fn recv_data(&mut self, party: u32, now: u64) -> Vec<Vec<u8>> {
+        fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
             self.inner.recv_data(party, now)
         }
         fn set_corrupted(&mut self, party: u32) {
@@ -1266,6 +1300,120 @@ mod tests {
         assert_eq!(outs[0].2.value.as_list(), Some(&[honest.clone()][..]));
         assert_eq!(outs[1].2.value.as_list(), Some(&[honest, late][..]));
         assert_eq!(real.outputs(), outs);
+    }
+
+    /// A frame over `MAX_FRAME` cannot cross, so its instance can never
+    /// release as the in-process one does: the service's tick says so
+    /// once, naming the instance and its tickets, within Φ + ∆ + 1 ticks,
+    /// instead of ticking a wedged instance without end. Ticks the service
+    /// until then and returns the error's instance, tickets and detail.
+    fn tick_until_undeliverable(
+        service: &mut sbc_service::SbcService<LoopbackSbcWorld>,
+    ) -> (u64, Vec<u64>, String) {
+        let params = service.config().params;
+        let budget = params.phi + params.delta + 1;
+        for _ in 0..budget {
+            match service.tick() {
+                Ok(()) => {}
+                Err(sbc_service::ServiceError::Undeliverable {
+                    instance,
+                    tickets,
+                    detail,
+                }) => return (instance, tickets, detail),
+                Err(e) => panic!("{e}"),
+            }
+        }
+        panic!("{} live, no error after {budget} ticks", service.live());
+    }
+
+    /// The fault ends its own instance only: a second instance, opened
+    /// beside it, still releases, every later tick succeeds, and the
+    /// journal that recorded the fault restores.
+    #[test]
+    fn an_oversize_submission_frame_drops_only_its_instance() {
+        use sbc_service::{DeadlineClass, SbcService, ServiceConfig, ServiceMode};
+        let cfg = ServiceConfig::new(2, ServiceMode::Beacon)
+            .seed(b"big")
+            .batch_size(1);
+        let mut service = SbcService::<LoopbackSbcWorld>::new(cfg).expect("valid");
+        for payload in [vec![7; 17 << 20], b"small".to_vec()] {
+            let queued = service.submit(0, payload, DeadlineClass::Interactive);
+            queued.expect("queued");
+        }
+        let (instance, tickets, detail) = tick_until_undeliverable(&mut service);
+        assert_eq!((instance, tickets), (0, vec![0]));
+        assert!(detail.starts_with("frame env → party/0 in round 0: frame claims"));
+        let released = service.shutdown().expect("the other instance drains");
+        let [record] = &released[..] else {
+            panic!("{released:?}");
+        };
+        assert_eq!((record.instance, &record.tickets), (1, &vec![1]));
+        assert_eq!(record.messages, [b"small".to_vec()]);
+        assert_eq!(service.footprint(), Default::default());
+        service.tick().expect("a later tick");
+        let image = service.snapshot().expect("snapshot");
+        let restored = SbcService::<LoopbackSbcWorld>::restore(&image).expect("restore");
+        assert_eq!(restored.round(), service.round());
+    }
+
+    /// Each 9 MiB submission fits a frame; the 18 MiB release vector
+    /// does not (about 2 s in a debug build: the masks cover 18 MiB).
+    #[test]
+    fn an_oversize_output_frame_is_a_typed_error() {
+        use sbc_service::{DeadlineClass, SbcService, ServiceConfig, ServiceMode};
+        let cfg = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"big");
+        let mut service = SbcService::<LoopbackSbcWorld>::new(cfg).expect("valid");
+        for _ in 0..2 {
+            let queued = service.submit(0, vec![7; 9 << 20], DeadlineClass::Interactive);
+            queued.expect("queued");
+        }
+        let (instance, tickets, detail) = tick_until_undeliverable(&mut service);
+        assert_eq!((instance, tickets), (0, vec![0, 1]));
+        assert!(detail.starts_with("frame party/0 → env"), "{detail}");
+        assert_eq!(service.live(), 0);
+        service.tick().expect("the fault was reported once");
+    }
+
+    /// A corrupted party's wire over `MAX_FRAME` is the adversary's to
+    /// lose, not a fault: it is dropped like any corrupted wire, and both
+    /// the honest party of that instance and another instance release.
+    #[test]
+    fn an_oversize_corrupted_wire_is_dropped_not_a_fault() {
+        let mut pool = sbc_core::pool::SbcPool::builder(3)
+            .seed(b"big-wire")
+            .corrupt(&[2])
+            .build_backend::<LoopbackSbcWorld>()
+            .expect("valid");
+        let (a, b) = (pool.open_instance().unwrap(), pool.open_instance().unwrap());
+        pool.submit(a, 0, b"a0").unwrap();
+        pool.submit(b, 1, b"b1").unwrap();
+        pool.step_round().expect("no fault");
+        pool.send_as(a, 2, Value::bytes(vec![0; 17 << 20])).unwrap();
+        assert_eq!(pool.run_to_completion(a).unwrap().messages, [b"a0"]);
+        assert_eq!(pool.run_to_completion(b).unwrap().messages, [b"b1"]);
+    }
+
+    /// A pool confines a fault to its instance: driving another instance
+    /// steps past it, and the faulted one, retired, answers every later
+    /// call naming it with the same error.
+    #[test]
+    fn a_pool_fault_retires_its_instance_and_steps_on() {
+        let mut pool = sbc_core::pool::SbcPool::builder(2)
+            .seed(b"big-pool")
+            .build_backend::<LoopbackSbcWorld>()
+            .expect("valid");
+        let (a, b) = (pool.open_instance().unwrap(), pool.open_instance().unwrap());
+        pool.submit(a, 0, &vec![7; 17 << 20]).unwrap();
+        pool.submit(b, 0, b"b0").unwrap();
+        assert_eq!(pool.run_to_completion(b).unwrap().messages, [b"b0"]);
+        assert_eq!(pool.live_instances(), [b]);
+        let err = pool.epoch(a).unwrap_err();
+        assert!(
+            matches!(&err, SbcError::Undeliverable { instance: 0, .. }),
+            "{err}"
+        );
+        assert_eq!(pool.run_to_completion(a).unwrap_err(), err);
+        pool.prune(a).expect("retired");
     }
 
     #[test]

@@ -373,6 +373,18 @@ pub enum ServiceError {
         /// Ticks the loop was allowed.
         budget: u64,
     },
+    /// An instance's backend refused a frame it built
+    /// ([`SbcError::Undeliverable`]), so its submissions will never
+    /// release. Reported once, by the tick that found it; the instance is
+    /// already reclaimed and every other instance keeps running.
+    Undeliverable {
+        /// The instance that was dropped.
+        instance: u64,
+        /// The tickets admitted into it, in admission order.
+        tickets: Vec<u64>,
+        /// What was refused, and why.
+        detail: String,
+    },
     /// An underlying pool failure.
     Pool(SbcError),
 }
@@ -393,6 +405,14 @@ impl fmt::Display for ServiceError {
             ServiceError::Timeout { budget } => {
                 write!(f, "service drive exceeded its {budget}-tick budget")
             }
+            ServiceError::Undeliverable {
+                instance,
+                tickets,
+                detail,
+            } => write!(
+                f,
+                "instance #{instance} dropped, tickets {tickets:?} will not release: {detail}"
+            ),
             ServiceError::Pool(e) => write!(f, "pool error: {e}"),
         }
     }
@@ -645,8 +665,12 @@ impl<W: SbcBackend> SbcService<W> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Pool`] on a broken pool invariant; admission
-    /// errors other than the deferred-window case propagate the same way.
+    /// * [`ServiceError::Undeliverable`] once for an instance whose
+    ///   backend refused a frame: its tickets are dropped with it, and the
+    ///   service stays usable.
+    /// * [`ServiceError::Pool`] on a broken pool invariant; admission
+    ///   errors other than the deferred-window case propagate the same
+    ///   way.
     pub fn tick(&mut self) -> Result<(), ServiceError> {
         // Run-length encode consecutive ticks: an idle stretch of any
         // length is one journal entry.
@@ -657,7 +681,13 @@ impl<W: SbcBackend> SbcService<W> {
         self.stats.ticks += 1;
         self.admit()?;
         self.stats.peak_live = self.stats.peak_live.max(self.live());
-        let releases = self.pool.step_round()?;
+        let releases = match self.pool.step_round() {
+            Ok(releases) => releases,
+            Err(SbcError::Undeliverable { instance, detail }) => {
+                return Err(self.drop_undeliverable(InstanceId(instance), detail))
+            }
+            Err(e) => return Err(e.into()),
+        };
         for (id, result) in releases {
             self.on_release(id, result)?;
         }
@@ -792,6 +822,24 @@ impl<W: SbcBackend> SbcService<W> {
             tickets,
         });
         Ok(())
+    }
+
+    /// Drops an instance the pool retired unreleased: its window closes,
+    /// its tickets go into the returned error — the one report they get —
+    /// and the pool reclaims it at once, as there is no record to deliver.
+    fn drop_undeliverable(&mut self, id: InstanceId, detail: String) -> ServiceError {
+        if self.collecting.map(|(c, _)| c) == Some(id) {
+            self.collecting = None;
+        }
+        let tickets = self.inflight.remove(&id.0).unwrap_or_default();
+        if self.pool.prune(id).is_ok() {
+            self.stats.pruned += 1;
+        }
+        ServiceError::Undeliverable {
+            instance: id.0,
+            tickets: tickets.iter().map(|f| f.ticket).collect(),
+            detail,
+        }
     }
 
     /// Takes every parked release record, reclaiming the instances they
@@ -1299,6 +1347,11 @@ mod tests {
             ServiceError::NotAtBoundary { live: 2, parked: 1 },
             ServiceError::BadSnapshot { detail: "d".into() },
             ServiceError::Timeout { budget: 3 },
+            ServiceError::Undeliverable {
+                instance: 1,
+                tickets: vec![4, 5],
+                detail: "d".into(),
+            },
             ServiceError::Pool(SbcError::NoInput),
         ] {
             assert!(!e.to_string().is_empty());

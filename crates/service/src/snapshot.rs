@@ -530,7 +530,12 @@ impl<W: SbcBackend> SbcService<W> {
                         return Err(bad(format!("op {i}: tick arity")));
                     }
                     for _ in 0..as_u64(&op[1], "tick count")? {
-                        self.tick()?;
+                        match self.tick() {
+                            // The original reported this dropped instance
+                            // already; replay drops it again and goes on.
+                            Ok(()) | Err(ServiceError::Undeliverable { .. }) => {}
+                            Err(e) => return Err(e),
+                        }
                     }
                 }
                 1 => {

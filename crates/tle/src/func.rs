@@ -156,7 +156,7 @@ impl TleFunc {
             return None;
         }
         let tag = Tag::random(&mut self.tag_rng);
-        let msg_len = msg.encode().len();
+        let msg_len = msg.encoded_len();
         let idx = self.records.len();
         self.records.push(TleRecord {
             msg,

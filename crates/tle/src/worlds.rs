@@ -361,7 +361,7 @@ impl World for IdealTleWorld {
         match cmd.name.as_str() {
             "Enc" => {
                 if let Some((msg, tau)) = parse_enc(&cmd.value) {
-                    let msg_len = msg.encode().len();
+                    let msg_len = msg.encoded_len();
                     // F_TLE's Enc leak is addressed to the simulator, which
                     // shows the real-world adversary nothing at Enc time.
                     let mut to_sim = Vec::new();

@@ -115,6 +115,14 @@ pub trait SbcWorld: World + Send {
         false
     }
 
+    /// Why the world cannot make progress, once it cannot: the first
+    /// message its delivery layer refused (a networked world's frame over
+    /// the size cap, or over a link that stayed down). Sticky. In-process
+    /// worlds lose nothing and keep the default `None`.
+    fn fault(&self) -> Option<&str> {
+        None
+    }
+
     /// Default driver: submits `message` for broadcast by honest `party`.
     fn submit(&mut self, party: PartyId, message: &[u8]) {
         self.input(party, Command::new("Broadcast", Value::bytes(message)));

@@ -67,7 +67,7 @@ impl SyncNet {
             "party out of range"
         );
         self.sent_total += 1;
-        self.bytes_total += payload.encode().len() as u64;
+        self.bytes_total += payload.encoded_len() as u64;
         self.staged.push(NetMsg { from, to, payload });
     }
 

@@ -136,11 +136,25 @@ impl Value {
         }
     }
 
-    /// Canonical byte encoding (prefix-free), suitable for hashing.
+    /// Canonical byte encoding (prefix-free), suitable for hashing. One
+    /// allocation of exactly [`encoded_len`](Value::encoded_len) bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
+    }
+
+    /// The length of the canonical encoding, counted without building it:
+    /// a tag byte, then an 8-byte integer or length, then any contents.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Value::Unit => 1,
+            Value::Bool(_) => 2,
+            Value::U64(_) | Value::I64(_) => 9,
+            Value::Bytes(b) => 9 + b.len(),
+            Value::Str(s) => 9 + s.len(),
+            Value::List(items) => 9 + items.iter().map(Value::encoded_len).sum::<usize>(),
+        }
     }
 
     /// Appends the canonical encoding to `out` — [`encode`](Value::encode)
@@ -307,6 +321,18 @@ mod tests {
     fn encode_decode_round_trip() {
         for v in sample_values() {
             assert_eq!(Value::decode(&v.encode()), Some(v.clone()), "{v:?}");
+        }
+    }
+
+    /// `encoded_len` counts what `encode` writes, and `encode` allocates
+    /// exactly that once: a short count would reallocate, a long one
+    /// would leave spare capacity.
+    #[test]
+    fn encoded_len_is_the_encoding_length_and_its_one_allocation() {
+        for v in sample_values() {
+            let enc = v.encode();
+            assert_eq!(v.encoded_len(), enc.len(), "{v:?}");
+            assert_eq!(enc.capacity(), enc.len(), "{v:?}");
         }
     }
 

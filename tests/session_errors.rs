@@ -156,6 +156,7 @@ fn exhaustive_sbc_error_variant_round_trips() {
             SbcError::Timeout { .. } => "rounds",
             SbcError::Internal { .. } => "internal",
             SbcError::Backend { .. } => "bring-up",
+            SbcError::Undeliverable { .. } => "refused its own message",
         }
     }
     let all = vec![
@@ -182,6 +183,10 @@ fn exhaustive_sbc_error_variant_round_trips() {
         },
         SbcError::Backend {
             detail: "bind refused".into(),
+        },
+        SbcError::Undeliverable {
+            instance: 3,
+            detail: "frame party/0 → env in round 5: frame claims 18874417 bytes".into(),
         },
     ];
     for err in &all {
