@@ -410,7 +410,7 @@ impl SimNet {
         let lat = if self.cfg.max_latency == 0 {
             0
         } else {
-            u64::from(self.rng.gen_bytes(1)[0]) % (self.cfg.max_latency + 1)
+            self.rng.gen_range(self.cfg.max_latency + 1)
         };
         let mut due = (now + lat).min(deadline);
         if due > now {
@@ -469,7 +469,7 @@ impl Transport for SimNet {
             // conformance envelope.
             let mut permuted = false;
             for i in (1..out.len()).rev() {
-                let j = (u64::from(self.rng.gen_bytes(1)[0]) % (i as u64 + 1)) as usize;
+                let j = self.rng.gen_range(i as u64 + 1) as usize;
                 if i != j {
                     out.swap(i, j);
                     permuted = true;

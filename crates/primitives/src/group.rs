@@ -55,7 +55,7 @@ pub struct SchnorrGroup {
 /// deterministically with this crate's own Miller–Rabin search
 /// (`prime::find_safe_prime(256, Drbg::from_seed(b"sbc-group-v1"))`) and
 /// verified by a unit test.
-pub const DEFAULT_P_HEX: &str = "c1a70e8c53a27983230b32e3381771aafea3c4c6db357cf1a18222044490df87";
+pub const DEFAULT_P_HEX: &str = "bbe3ae768c12b45083aed499eec61a5b42e6424930d550c7aad48711013fd2db";
 
 impl SchnorrGroup {
     /// Constructs a group from a safe prime, validating safety.
@@ -213,7 +213,7 @@ impl SchnorrGroup {
 
 /// 64-bit safe prime for [`SchnorrGroup::tiny`], generated with
 /// `prime::find_safe_prime(64, Drbg::from_seed(b"sbc-tiny"))`.
-pub const TINY_P_HEX: &str = "cac230671eea5263";
+pub const TINY_P_HEX: &str = "8dc8f2fd7a0122fb";
 
 #[cfg(test)]
 mod tests {

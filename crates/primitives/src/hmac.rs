@@ -1,12 +1,5 @@
-//! HMAC-SHA-256 (RFC 2104 / FIPS 198-1), from scratch.
-//!
-//! The two pad blocks `K ⊕ ipad` and `K ⊕ opad` depend on the key alone,
-//! and each is exactly one SHA-256 block. [`HmacKey`] compresses them once
-//! and keeps the two chaining states, so a caller that tags many messages
-//! under one key — [`Drbg`](crate::drbg::Drbg) within a draw, the random
-//! oracle for its lifetime — pays two compressions per short message
-//! instead of four. [`hmac_sha256`] and [`HmacSha256`] prepare a key and
-//! use it once; every path computes the RFC's function, byte for byte.
+//! HMAC-SHA-256 (RFC 2104 / FIPS 198-1), from scratch: the tag of
+//! `Σ_SKE`'s encrypt-then-MAC, its one user.
 //!
 //! # Examples
 //!
@@ -24,88 +17,14 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Computes `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    HmacKey::new(key).tag(&[message])
-}
-
-/// An HMAC-SHA-256 key with both pad blocks already compressed (see the
-/// module docs): the SHA-256 chaining states after `K ⊕ ipad` and after
-/// `K ⊕ opad`, from which every tag under the key resumes.
-#[derive(Clone, Debug)]
-pub struct HmacKey {
-    ipad: [u32; 8],
-    opad: [u32; 8],
-}
-
-impl HmacKey {
-    /// Prepares `key` (any length; longer than a block is hashed first).
-    pub fn new(key: &[u8]) -> Self {
-        let mut block_key = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
-        } else {
-            block_key[..key.len()].copy_from_slice(key);
-        }
-        HmacKey {
-            ipad: Sha256::midstate_of(&block_key.map(|b| b ^ 0x36)),
-            opad: Sha256::midstate_of(&block_key.map(|b| b ^ 0x5c)),
-        }
+    let mut block_key = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+    } else {
+        block_key[..key.len()].copy_from_slice(key);
     }
-
-    /// The tag of the concatenation of `parts`, which is never built.
-    pub fn tag(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-        let mut mac = self.begin();
-        for part in parts {
-            mac.update(part);
-        }
-        mac.finalize()
-    }
-
-    /// An incremental tag under the key, resumed from its inner pad.
-    pub(crate) fn begin(&self) -> HmacSha256 {
-        HmacSha256 {
-            inner: Sha256::from_midstate(self.ipad),
-            opad: self.opad,
-        }
-    }
-}
-
-/// Incremental HMAC-SHA-256.
-#[derive(Clone, Debug)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    opad: [u32; 8],
-}
-
-impl HmacSha256 {
-    /// Creates an HMAC instance keyed with `key` (any length).
-    pub fn new(key: &[u8]) -> Self {
-        HmacKey::new(key).begin()
-    }
-
-    /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.update(data);
-    }
-
-    /// Finishes and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let mut outer = Sha256::from_midstate(self.opad);
-        outer.update(&self.inner.finalize());
-        outer.finalize()
-    }
-
-    /// Constant-time verification of an expected tag.
-    pub fn verify(self, expected: &[u8]) -> bool {
-        let tag = self.finalize();
-        if expected.len() != tag.len() {
-            return false;
-        }
-        let mut acc = 0u8;
-        for (a, b) in tag.iter().zip(expected.iter()) {
-            acc |= a ^ b;
-        }
-        acc == 0
-    }
+    let inner = Sha256::digest_parts(&[&block_key.map(|b| b ^ 0x36), message]);
+    Sha256::digest_parts(&[&block_key.map(|b| b ^ 0x5c), &inner])
 }
 
 #[cfg(test)]
@@ -182,49 +101,6 @@ mod tests {
         assert_eq!(
             hex::encode(&tag),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
-        );
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let mut mac = HmacSha256::new(b"k");
-        mac.update(b"m");
-        let tag = mac.clone().finalize();
-        assert!(mac.clone().verify(&tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!mac.clone().verify(&bad));
-        assert!(!mac.verify(&tag[..31]));
-    }
-
-    #[test]
-    fn prepared_key_tags_parts_as_their_concatenation() {
-        // One prepared key, many tags: short, block-long and long keys,
-        // messages cut across the inner hash's block boundary.
-        let msg: Vec<u8> = (0..150u8).collect();
-        for key_len in [0usize, 1, 32, 64, 65, 131] {
-            let key = vec![0x42u8; key_len];
-            let prepared = HmacKey::new(&key);
-            for cut in [0usize, 1, 55, 56, 64, 150] {
-                let (head, tail) = msg.split_at(cut);
-                assert_eq!(
-                    prepared.tag(&[head, &[], tail]),
-                    hmac_sha256(&key, &msg),
-                    "key {key_len} cut {cut}"
-                );
-            }
-            assert_eq!(prepared.tag(&[]), hmac_sha256(&key, b""));
-        }
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let mut mac = HmacSha256::new(b"key");
-        mac.update(b"The quick brown fox ");
-        mac.update(b"jumps over the lazy dog");
-        assert_eq!(
-            mac.finalize(),
-            hmac_sha256(b"key", b"The quick brown fox jumps over the lazy dog")
         );
     }
 }

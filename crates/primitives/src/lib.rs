@@ -8,9 +8,13 @@
 //! library (no external crypto crates):
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256, the workspace's single hash function.
-//! * [`hmac`] — HMAC-SHA-256.
-//! * [`drbg`] — deterministic HMAC-DRBG; all protocol randomness flows
-//!   through it so executions are reproducible from a seed.
+//! * [`prf`] — one SHA-256 PRF over a prepared key block, with
+//!   prefix-free input: the keyed hash under [`drbg`] and the random
+//!   oracle `F_RO`.
+//! * [`drbg`] — a deterministic generator, [`prf`] in counter mode; all
+//!   protocol randomness flows through it so executions are reproducible
+//!   from a seed.
+//! * [`hmac`] — HMAC-SHA-256, the tag of the crate-private `ske`.
 //! * [`hashchain`] / [`astrolabous`] — sequential hash-chain puzzles and the
 //!   Astrolabous TLE scheme built on them (over the crate-private
 //!   symmetric scheme Σ_SKE, `ske`).
@@ -54,6 +58,7 @@ pub mod hashchain;
 pub mod hex;
 pub mod hmac;
 pub(crate) mod merkle;
+pub mod prf;
 pub(crate) mod prime;
 pub mod sha256;
 pub mod sigma;

@@ -2,7 +2,8 @@
 //!
 //! This is the single hash function underlying the whole workspace: the
 //! random-oracle instantiations, the symmetric cipher keystream, the
-//! hash-chain time-lock puzzles, HMAC, the DRBG and the WOTS+ signatures.
+//! hash-chain time-lock puzzles, HMAC, the PRF under the DRBG and `F_RO`,
+//! and the WOTS+ signatures.
 //!
 //! Everything above it is priced in compressions, so the cost of one is
 //! kept to the function itself: `update` compresses whole blocks where
@@ -82,7 +83,7 @@ impl Sha256 {
     }
 
     /// A hasher that has absorbed exactly one block and holds `state` —
-    /// how [`HmacKey`](crate::hmac::HmacKey) resumes from a pad block it
+    /// how [`Prf`](crate::prf::Prf) resumes from the key block it
     /// compressed once.
     pub(crate) fn from_midstate(state: [u32; 8]) -> Self {
         Sha256 {

@@ -105,7 +105,7 @@ impl LoadGen {
         let id = self.rng.gen_u64();
         let client = id % self.profile.clients.max(1);
         let payload = self.rng.gen_bytes(self.profile.payload_len.max(1));
-        let roll = self.rng.gen_bytes(1)[0] % 100;
+        let roll = self.rng.gen_range(100) as u8;
         let class = if roll < self.profile.interactive_pct {
             DeadlineClass::Interactive
         } else if roll
@@ -162,5 +162,24 @@ mod tests {
             assert!(s.client < 1_000_000);
         }
         assert_eq!(seen, [true; 3]);
+    }
+
+    #[test]
+    fn class_shares_match_the_profile() {
+        let profile = LoadProfile::beacon(100_000, 100_000);
+        let mut g = LoadGen::new(profile.clone(), b"shares");
+        let mut counts = [0u32; 3];
+        for s in g.next_tick() {
+            counts[s.class.tag() as usize] += 1;
+        }
+        let want = [
+            profile.interactive_pct,
+            100 - profile.interactive_pct - profile.batch_pct,
+            profile.batch_pct,
+        ];
+        for (got, want) in counts.into_iter().zip(want) {
+            let pct = f64::from(got) / 1000.0;
+            assert!((pct - f64::from(want)).abs() <= 0.5, "{counts:?}");
+        }
     }
 }

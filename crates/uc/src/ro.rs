@@ -5,10 +5,16 @@
 //! abort condition of the security proofs ("has the adversary already
 //! queried ρ?").
 //!
-//! An unprogrammed point is `HMAC(key, x)` under a key drawn once in
-//! [`RandomOracle::new`] and kept as a prepared [`HmacKey`]; block `i` of
-//! a variable-length point is `HMAC(key, i ‖ len ‖ x)`. A 4 KiB mask is
-//! 128 such blocks under the same key, two compressions each.
+//! Unprogrammed points come from one [`Prf`] keyed by 32 bytes drawn in
+//! [`RandomOracle::new`]. A fixed-length point is `eval(POINT, x, 0)`, and
+//! block `i` of a variable-length point is `eval(MASK, len_be64 ‖ x, i)`.
+//! The domain byte keeps the two oracles' input spaces apart.
+//!
+//! | operation | compressions |
+//! |---|---|
+//! | a point `x` of ≤ 45 bytes | 1 |
+//! | one 32-byte block of a mask at a 32-byte `ρ` | 1 |
+//! | a 4 KiB mask at a 32-byte `ρ` | 128 |
 //!
 //! # Examples
 //!
@@ -24,7 +30,7 @@
 
 use crate::ids::PartyId;
 use sbc_primitives::drbg::Drbg;
-use sbc_primitives::hmac::HmacKey;
+use sbc_primitives::prf::{Prf, MASK, POINT};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -68,9 +74,8 @@ pub struct RandomOracle {
     vl_table: HashMap<Vec<u8>, Vec<u8>>,
     /// Points queried by the adversary (for simulator abort checks).
     adversary_queried: HashMap<Vec<u8>, ()>,
-    /// The PRF key, prepared once: every fresh point and every block of
-    /// every mask is a tag under it.
-    key: HmacKey,
+    /// Every fresh point and every block of every mask is an output of it.
+    prf: Prf,
 }
 
 impl RandomOracle {
@@ -78,12 +83,11 @@ impl RandomOracle {
     pub fn new(mut rng: Drbg) -> Self {
         let mut key = [0u8; 32];
         rng.fill(&mut key);
-        let key = HmacKey::new(&key);
         RandomOracle {
             table: HashMap::new(),
             vl_table: HashMap::new(),
             adversary_queried: HashMap::new(),
-            key,
+            prf: Prf::new(key),
         }
     }
 
@@ -95,7 +99,7 @@ impl RandomOracle {
         if let Some(y) = self.table.get(x) {
             return *y;
         }
-        let y = self.key.tag(&[x]);
+        let y = self.prf.eval(POINT, x, 0);
         self.table.insert(x.to_vec(), y);
         y
     }
@@ -119,18 +123,19 @@ impl RandomOracle {
         match self.vl_table.entry(key) {
             Entry::Occupied(point) => point.get().clone(),
             Entry::Vacant(slot) => {
-                let y = Self::expand(&self.key, slot.key(), len);
+                let y = Self::expand(&self.prf, slot.key(), len);
                 slot.insert(y.clone());
                 y
             }
         }
     }
 
-    /// Block `ctr` of the mask at `point` is `HMAC(key, ctr ‖ point)`.
-    fn expand(key: &HmacKey, point: &[u8], len: usize) -> Vec<u8> {
+    /// Block `ctr` of the mask at `point` (`len ‖ x`) is
+    /// `eval(MASK, point, ctr)`.
+    fn expand(prf: &Prf, point: &[u8], len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         for (ctr, chunk) in (0u64..).zip(out.chunks_mut(32)) {
-            let block = key.tag(&[&ctr.to_be_bytes(), point]);
+            let block = prf.eval(MASK, point, ctr);
             chunk.copy_from_slice(&block[..chunk.len()]);
         }
         out
@@ -262,12 +267,21 @@ mod tests {
             vl,
             "32-byte VL point is not the fixed point"
         );
+        // `0_be64 ‖ 32_be64 ‖ ρ` spells block 0 of the mask at `(ρ, 32)`:
+        // a fixed-point query there neither reveals that mask nor counts
+        // as querying it.
+        let rho = [0x42u8; 32];
+        let crafted = [&0u64.to_be_bytes()[..], &32u64.to_be_bytes(), &rho].concat();
+        let leaked = r.query(Caller::Adversary, &crafted);
+        assert!(!r.adversary_queried_bytes(&rho, 32));
+        assert_ne!(leaked.to_vec(), r.query_bytes(Caller::Simulator, &rho, 32));
     }
 
     #[test]
     fn golden_points() {
-        // Unprogrammed points are `HMAC(key, x)` under the key drawn in
-        // `new`, pinned against an independent model (Python `hmac`).
+        // Unprogrammed points under the key drawn in `new`, pinned against
+        // an independent model (Python `hashlib`, from the definitions in
+        // this module and `sbc_primitives::prf`).
         use sbc_primitives::hex;
         use sbc_primitives::sha256::Sha256;
         let mut r = RandomOracle::new(Drbg::from_seed(b"kat"));
@@ -281,11 +295,11 @@ mod tests {
         }
         assert_eq!(
             hex::encode(&fixed.finalize()),
-            "8bad604647e1d8f33e907cc5f23cdaaaf53fe03fb07ff38e48ffa1dfad8871f9"
+            "dd670927dcf4c172ed3049681706980a2c78242679dd09ff8d4c6b93e9b3a234"
         );
         assert_eq!(
             hex::encode(&r.query(Caller::Adversary, b"abc")),
-            "e684f8ab0e450ca0dd2a7e9edbb8e5adf3f0c9eed6f0d4fd1f8a41ff2c385788"
+            "a94e4de152c8841eeb3cda4f58610d57def3f7d8c5f206cd859298d4bdbd2b13"
         );
 
         let mut masks = Sha256::new();
@@ -296,12 +310,12 @@ mod tests {
         }
         assert_eq!(
             hex::encode(&masks.finalize()),
-            "8f96167dfccf513cd0b3786237f0e4ce019315ab33f28d89c086ab405be42545"
+            "e6652e83d7097d449f48408a18d7104e7510d551241dc840e1a0859dd8e9ba2e"
         );
         let y33 = r.query_bytes(Caller::Adversary, b"rho", 33);
         assert_eq!(
             hex::encode(&y33),
-            "e14d70a12db0050434a4ffcfba93ba9b83513758e850d7881dfe8c76f1ebc17f79"
+            "d83025a197e5c81d28b9d56fea5f57ba5923f4263bb6587a630d0f8b89b8561104"
         );
         assert!(r.adversary_queried_bytes(b"rho", 33));
 
