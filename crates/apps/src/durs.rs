@@ -7,18 +7,23 @@
 //! as a function of the others'.
 //!
 //! * [`DursFunc`] — the functionality `F_DURS(∆, α)` (Fig. 15).
-//! * [`DursSession`] — the protocol `Π_DURS` (Fig. 16) over the real SBC
-//!   stack, exposed as a fallible, **multi-epoch** session: one session
-//!   produces a fresh beacon output per epoch
+//! * [`DursPool`] — the protocol `Π_DURS` (Fig. 16), its one engine: many
+//!   concurrent beacon **streams** over one shared SBC pool, with
+//!   overlapping epoch schedules (stream A can be mid-period while stream
+//!   B opens or releases) on one clock, one corruption state, and
+//!   independent per-stream randomness.
+//! * [`DursSession`] — one fallible, **multi-epoch** beacon: the engine's
+//!   stream 0, producing a fresh beacon output per epoch
 //!   ([`DursSession::run_epoch`]) without rebuilding the world stack.
-//! * [`DursPool`] — many concurrent beacon **streams** over one shared
-//!   SBC pool: overlapping epoch schedules (stream A can be mid-period
-//!   while stream B opens or releases) on one clock, one corruption
-//!   state, and independent per-stream randomness.
 //! * [`NaiveBeacon`] — the commit-free XOR beacon baseline, with the
 //!   classic last-revealer bias attack.
+//!
+//! The engine's DRBG is `"durs/" ‖ seed`; party `p`'s share for epoch `e`
+//! is forked as `contrib/{e}/{p}` on stream 0 (a lone beacon's labels, as
+//! an [`SbcPool`]'s instance 0 keeps the pool seed) and as
+//! `contrib/{k}/{e}/{p}` on stream `k ≥ 1`.
 
-use sbc_core::api::{SbcError, SbcSession};
+use sbc_core::api::SbcError;
 use sbc_core::pool::{InstanceId, SbcPool};
 use sbc_core::worlds::{RealSbcWorld, SbcBackend};
 use sbc_primitives::drbg::Drbg;
@@ -48,10 +53,14 @@ impl DursFunc {
     /// # Errors
     ///
     /// Rejects parameters with `∆ < α` (the simulator head start cannot
-    /// exceed the delivery delay).
+    /// exceed the delivery delay), or `∆ > 2³² − 1` (the bound
+    /// `SbcParams::validate` puts on ∆, so `t_start + ∆` cannot overflow).
     pub fn new(delta: u64, alpha: u64) -> Result<Self, &'static str> {
         if delta < alpha {
             return Err("need ∆ ≥ α");
+        }
+        if delta > u64::from(u32::MAX) {
+            return Err("need ∆ ≤ 2³² − 1");
         }
         Ok(DursFunc {
             delta,
@@ -113,34 +122,41 @@ pub struct DursResult {
     pub release_round: u64,
 }
 
-/// `Π_DURS` (Fig. 16) over a pluggable SBC backend — the real stack by
-/// default, any other (the ideal `F_SBC + S_SBC` world, a networked one)
-/// via [`over_backend`](DursSession::over_backend): every participating party
-/// contributes λ random bits via simultaneous broadcast; the output is
-/// their XOR. The session is multi-epoch: after
-/// [`run_epoch`](DursSession::run_epoch) releases a beacon value, the same
-/// stack accepts the next round of contributions.
-#[derive(Debug)]
-pub struct DursSession<W: SbcWorld = RealSbcWorld> {
-    sbc: SbcSession<W>,
-    n: usize,
-    rng: Drbg,
-    contributed: Vec<bool>,
-}
-
-fn xor_fold(messages: &[Vec<u8>]) -> (Vec<u8>, usize) {
-    let mut urs = vec![0u8; URS_LEN];
-    let mut contributions = 0;
-    for m in messages {
-        if m.len() != URS_LEN {
-            continue; // non-λ-bit strings are discarded (Fig. 16)
+impl DursResult {
+    /// XORs the valid λ-bit strings of a released vector; strings of any
+    /// other length are discarded (Fig. 16).
+    fn fold(messages: &[Vec<u8>], release_round: u64) -> Self {
+        let mut urs = vec![0u8; URS_LEN];
+        let mut contributions = 0;
+        for m in messages.iter().filter(|m| m.len() == URS_LEN) {
+            contributions += 1;
+            for (acc, b) in urs.iter_mut().zip(m) {
+                *acc ^= b;
+            }
         }
-        contributions += 1;
-        for (acc, b) in urs.iter_mut().zip(m.iter()) {
-            *acc ^= b;
+        DursResult {
+            urs,
+            contributions,
+            release_round,
         }
     }
-    (urs, contributions)
+}
+
+/// `Π_DURS` (Fig. 16) as one multi-epoch beacon over a pluggable SBC
+/// backend — the real stack by default, any other (the ideal
+/// `F_SBC + S_SBC` world, a networked one) via
+/// [`over_backend`](DursSession::over_backend): every participating party
+/// contributes λ random bits via simultaneous broadcast; the output is
+/// their XOR. After [`run_epoch`](DursSession::run_epoch) releases a
+/// beacon value, the same stack accepts the next round of contributions.
+///
+/// A session is stream 0 of a [`DursPool`] and delegates every call to
+/// it, so a session and a one-stream pool built from the same seed agree
+/// bit for bit.
+#[derive(Debug)]
+pub struct DursSession<W: SbcWorld = RealSbcWorld> {
+    engine: DursPool<W>,
+    stream: InstanceId,
 }
 
 impl DursSession {
@@ -148,7 +164,7 @@ impl DursSession {
     ///
     /// # Errors
     ///
-    /// Propagates [`SbcError`] from the underlying session builder
+    /// Propagates [`SbcError`] from the underlying pool builder
     /// (degenerate `n`, invalid default parameters).
     pub fn new(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
         Self::over_backend(n, seed)
@@ -165,14 +181,9 @@ impl<W: SbcBackend> DursSession<W> {
     ///
     /// As for [`new`](DursSession::new).
     pub fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
-        let mut label = b"durs/".to_vec();
-        label.extend_from_slice(seed);
-        Ok(DursSession {
-            sbc: SbcSession::builder(n).seed(seed).build_backend::<W>()?,
-            n,
-            rng: Drbg::from_seed(&label),
-            contributed: vec![false; n],
-        })
+        let mut engine = DursPool::over_backend(n, seed)?;
+        let stream = engine.open_stream()?;
+        Ok(DursSession { engine, stream })
     }
 
     /// Party `p` contributes fresh randomness (idempotent per party and
@@ -180,29 +191,9 @@ impl<W: SbcBackend> DursSession<W> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SbcError`] (out-of-range party, corrupted party,
-    /// period already closed).
+    /// As for [`DursPool::contribute`].
     pub fn contribute(&mut self, p: u32) -> Result<(), SbcError> {
-        if (p as usize) >= self.n {
-            return Err(SbcError::PartyOutOfRange {
-                party: p,
-                n: self.n,
-            });
-        }
-        if self.contributed[p as usize] {
-            return Ok(());
-        }
-        // Reject doomed contributions before forking: `fork` ratchets the
-        // session DRBG, and a failed call must not shift the shares of
-        // every later epoch (seed-reproducibility of beacon outputs).
-        self.sbc.check_submittable(p)?;
-        let mut party_rng = self
-            .rng
-            .fork(format!("contrib/{}/{p}", self.sbc.epoch()).as_bytes());
-        let rho = party_rng.gen_bytes(URS_LEN);
-        self.sbc.submit(p, &rho)?;
-        self.contributed[p as usize] = true;
-        Ok(())
+        self.engine.contribute(self.stream, p)
     }
 
     /// Adversarial contribution with a *chosen* (non-random) share — used
@@ -210,20 +201,9 @@ impl<W: SbcBackend> DursSession<W> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SbcError`] as for [`contribute`](DursSession::contribute).
+    /// As for [`DursPool::contribute`].
     pub fn contribute_chosen(&mut self, p: u32, share: &[u8; URS_LEN]) -> Result<(), SbcError> {
-        if (p as usize) >= self.n {
-            return Err(SbcError::PartyOutOfRange {
-                party: p,
-                n: self.n,
-            });
-        }
-        if self.contributed[p as usize] {
-            return Ok(());
-        }
-        self.sbc.submit(p, share)?;
-        self.contributed[p as usize] = true;
-        Ok(())
+        self.engine.contribute_chosen(self.stream, p, share)
     }
 
     /// Runs the current beacon period to release, XORs all valid λ-bit
@@ -231,17 +211,9 @@ impl<W: SbcBackend> DursSession<W> {
     ///
     /// # Errors
     ///
-    /// [`SbcError::NoInput`] if nobody contributed this epoch; otherwise
-    /// as for [`SbcSession::run_epoch`].
+    /// As for [`DursPool::run_epoch`].
     pub fn run_epoch(&mut self) -> Result<DursResult, SbcError> {
-        let epoch = self.sbc.run_epoch()?;
-        self.contributed = vec![false; self.n];
-        let (urs, contributions) = xor_fold(&epoch.messages);
-        Ok(DursResult {
-            urs,
-            contributions,
-            release_round: epoch.release_round,
-        })
+        self.engine.run_epoch(self.stream)
     }
 
     /// Single-shot convenience: runs one period and consumes the session.
@@ -255,16 +227,18 @@ impl<W: SbcBackend> DursSession<W> {
 
     /// Number of registered parties.
     pub fn n(&self) -> usize {
-        self.n
+        self.engine.n()
     }
 
-    /// The epoch currently accepting contributions.
+    /// The epoch currently accepting contributions (after a backend
+    /// fault, the epoch the session was in).
     pub fn epoch(&self) -> u64 {
-        self.sbc.epoch()
+        self.engine.streams.get(&self.stream.0).map_or(0, |s| s.0)
     }
 }
 
-/// Many concurrent DURS beacon **streams** over one shared SBC pool.
+/// The one `Π_DURS` engine (Fig. 16): many concurrent beacon **streams**
+/// over one shared SBC pool.
 ///
 /// A beacon service rarely runs a single schedule: block randomness, epoch
 /// randomness, and per-committee draws all tick at different cadences.
@@ -274,13 +248,14 @@ impl<W: SbcBackend> DursSession<W> {
 /// stream's epoch run advances every other stream too, so schedules
 /// genuinely overlap), corruption is global across streams, and each
 /// stream's contributions come from an independent, domain-separated
-/// randomness fork.
+/// randomness fork. [`DursSession`] is its stream 0.
 #[derive(Debug)]
 pub struct DursPool<W: SbcWorld = RealSbcWorld> {
     pool: SbcPool<W>,
     rng: Drbg,
-    /// Per-stream "already contributed this epoch" flags.
-    contributed: BTreeMap<u64, Vec<bool>>,
+    /// Per stream: the epoch its flags belong to, and which parties have
+    /// contributed in it.
+    streams: BTreeMap<u64, (u64, Vec<bool>)>,
 }
 
 impl DursPool {
@@ -306,12 +281,12 @@ impl<W: SbcBackend> DursPool<W> {
     ///
     /// As for [`new`](DursPool::new).
     pub fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
-        let mut label = b"durs-pool/".to_vec();
+        let mut label = b"durs/".to_vec();
         label.extend_from_slice(seed);
         Ok(DursPool {
             pool: SbcPool::builder(n).seed(seed).build_backend::<W>()?,
             rng: Drbg::from_seed(&label),
-            contributed: BTreeMap::new(),
+            streams: BTreeMap::new(),
         })
     }
 
@@ -323,9 +298,7 @@ impl<W: SbcBackend> DursPool<W> {
     ///
     /// Propagates [`SbcError`] from [`SbcPool::open_instance`].
     pub fn open_stream(&mut self) -> Result<InstanceId, SbcError> {
-        let id = self.pool.open_instance()?;
-        self.contributed.insert(id.0, vec![false; self.n()]);
-        Ok(id)
+        self.pool.open_instance()
     }
 
     /// Number of registered parties (shared by every stream).
@@ -353,28 +326,66 @@ impl<W: SbcBackend> DursPool<W> {
     /// # Errors
     ///
     /// Propagates [`SbcError`] (bad stream id, out-of-range party,
-    /// corrupted party, period already closed).
+    /// corrupted party, period already closed) — checked before the
+    /// idempotence flags, so a repeated contribution after the period
+    /// closed is refused like a first one.
     pub fn contribute(&mut self, stream: InstanceId, p: u32) -> Result<(), SbcError> {
-        // Validate the stream, the party range, and closed-period cases
-        // before touching the flags or the DRBG: a failed call must not
-        // shift later shares.
+        self.contribute_share(stream, p, None)
+    }
+
+    /// Adversarial contribution with a *chosen* (non-random) share to
+    /// `stream` — used by the bias experiments.
+    ///
+    /// # Errors
+    ///
+    /// As for [`contribute`](DursPool::contribute).
+    pub fn contribute_chosen(
+        &mut self,
+        stream: InstanceId,
+        p: u32,
+        share: &[u8; URS_LEN],
+    ) -> Result<(), SbcError> {
+        self.contribute_share(stream, p, Some(share))
+    }
+
+    /// The one contribution path: validate, skip a repeat, draw the share
+    /// unless it was chosen, submit.
+    fn contribute_share(
+        &mut self,
+        stream: InstanceId,
+        p: u32,
+        chosen: Option<&[u8; URS_LEN]>,
+    ) -> Result<(), SbcError> {
+        // Reject doomed contributions before touching the flags or the
+        // DRBG: `fork` ratchets it, and a failed call must not shift the
+        // shares of every later epoch.
         self.pool.check_submittable(stream, p)?;
-        // A live instance opened directly on `sbc()` is adopted as a
-        // stream here (flags created lazily) — no panic paths.
+        let epoch = self.pool.epoch(stream)?;
         let n = self.n();
-        let flags = self
-            .contributed
+        // A stream opened or turned over on the raw `sbc()` pool gets
+        // fresh flags here: typed errors only, never a panic.
+        let (flags_epoch, flags) = self
+            .streams
             .entry(stream.0)
-            .or_insert_with(|| vec![false; n]);
+            .or_insert_with(|| (epoch, vec![false; n]));
+        if *flags_epoch != epoch {
+            (*flags_epoch, *flags) = (epoch, vec![false; n]);
+        }
         if flags[p as usize] {
             return Ok(());
         }
-        let epoch = self.pool.epoch(stream)?;
-        let mut party_rng = self
-            .rng
-            .fork(format!("contrib/{}/{epoch}/{p}", stream.0).as_bytes());
-        let rho = party_rng.gen_bytes(URS_LEN);
-        self.pool.submit(stream, p, &rho)?;
+        let share = match chosen {
+            Some(share) => share.to_vec(),
+            // Stream 0 keeps the single-session labels.
+            None => {
+                let label = match stream.0 {
+                    0 => format!("contrib/{epoch}/{p}"),
+                    k => format!("contrib/{k}/{epoch}/{p}"),
+                };
+                self.rng.fork(label.as_bytes()).gen_bytes(URS_LEN)
+            }
+        };
+        self.pool.submit(stream, p, &share)?;
         flags[p as usize] = true;
         Ok(())
     }
@@ -386,8 +397,7 @@ impl<W: SbcBackend> DursPool<W> {
     ///
     /// As for [`SbcPool::step_round`].
     pub fn step_round(&mut self) -> Result<(), SbcError> {
-        self.pool.step_round()?;
-        Ok(())
+        self.pool.step_round().map(drop)
     }
 
     /// Runs `stream`'s current beacon period to release (every other
@@ -399,16 +409,10 @@ impl<W: SbcBackend> DursPool<W> {
     /// [`SbcError::NoInput`] if nobody contributed to `stream` this epoch;
     /// otherwise as for [`SbcPool::run_epoch`].
     pub fn run_epoch(&mut self, stream: InstanceId) -> Result<DursResult, SbcError> {
-        let epoch = self.pool.run_epoch(stream)?;
-        if let Some(flags) = self.contributed.get_mut(&stream.0) {
-            flags.iter_mut().for_each(|f| *f = false);
-        }
-        let (urs, contributions) = xor_fold(&epoch.messages);
-        Ok(DursResult {
-            urs,
-            contributions,
-            release_round: epoch.release_round,
-        })
+        let released = self.pool.run_epoch(stream)?;
+        let fresh = (released.epoch + 1, vec![false; self.n()]);
+        self.streams.insert(stream.0, fresh);
+        Ok(DursResult::fold(&released.messages, released.release_round))
     }
 
     /// The underlying SBC pool — the adversarial surface (global
@@ -425,14 +429,9 @@ impl<W: SbcBackend> DursPool<W> {
     ///
     /// As for [`run_epoch`](DursPool::run_epoch).
     pub fn finish_stream(&mut self, stream: InstanceId) -> Result<DursResult, SbcError> {
-        let result = self.pool.finish(stream)?;
-        self.contributed.remove(&stream.0);
-        let (urs, contributions) = xor_fold(&result.messages);
-        Ok(DursResult {
-            urs,
-            contributions,
-            release_round: result.release_round,
-        })
+        let released = self.pool.finish(stream)?;
+        self.streams.remove(&stream.0);
+        Ok(DursResult::fold(&released.messages, released.release_round))
     }
 }
 
@@ -456,15 +455,7 @@ impl NaiveBeacon {
 
     /// Current XOR of all posted shares.
     pub fn combined(&self) -> Vec<u8> {
-        let mut acc = vec![0u8; URS_LEN];
-        for s in &self.shares {
-            if s.len() == URS_LEN {
-                for (a, b) in acc.iter_mut().zip(s.iter()) {
-                    *a ^= b;
-                }
-            }
-        }
-        acc
+        DursResult::fold(&self.shares, 0).urs
     }
 }
 
@@ -478,11 +469,7 @@ pub fn last_revealer_attack(honest_shares: &[[u8; URS_LEN]], target: &[u8; URS_L
     }
     // Rushing adversary: combine the public view and cancel it.
     let current = beacon.combined();
-    let mut forced = [0u8; URS_LEN];
-    for i in 0..URS_LEN {
-        forced[i] = current[i] ^ target[i];
-    }
-    beacon.post(forced.to_vec());
+    beacon.post(current.iter().zip(target).map(|(c, t)| c ^ t).collect());
     beacon.combined()
 }
 
@@ -598,20 +585,102 @@ mod tests {
         // The beacon over the ideal world (F_SBC + S_SBC) produces the
         // same output, contribution count and release round as over the
         // real stack, epoch for epoch — Theorem 2 at the application
-        // layer, through the backend-generic session only.
-        fn drive<W: SbcBackend>(mut s: DursSession<W>) -> Vec<DursResult> {
-            (0..3)
-                .map(|_| {
-                    for p in 0..3 {
-                        s.contribute(p).unwrap();
-                    }
-                    s.run_epoch().unwrap()
-                })
-                .collect()
+        // layer, through the one backend-generic engine: one stream over
+        // three epochs (a session).
+        fn drive<W: SbcBackend>(seed: &[u8]) -> Vec<DursResult> {
+            let mut s = DursSession::<W>::over_backend(3, seed).unwrap();
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                (0..3).for_each(|p| s.contribute(p).unwrap());
+                out.push(s.run_epoch().unwrap());
+            }
+            out
         }
-        let real = drive(DursSession::new(3, b"dual-beacon").unwrap());
-        let ideal = drive(DursSession::<IdealSbcWorld>::over_backend(3, b"dual-beacon").unwrap());
-        assert_eq!(real, ideal);
+        let real = drive::<RealSbcWorld>(b"dual-beacon");
+        assert_eq!(real, drive::<IdealSbcWorld>(b"dual-beacon"));
+    }
+
+    #[test]
+    fn durs_pool_real_and_ideal_backends_agree() {
+        // The same agreement for two streams over two epochs on one pool.
+        fn drive<W: SbcBackend>(seed: &[u8]) -> Vec<DursResult> {
+            let mut pool = DursPool::<W>::over_backend(3, seed).unwrap();
+            let streams = [pool.open_stream().unwrap(), pool.open_stream().unwrap()];
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                for k in streams {
+                    (0..3).for_each(|p| pool.contribute(k, p).unwrap());
+                }
+                for k in streams {
+                    out.push(pool.run_epoch(k).unwrap());
+                }
+            }
+            out
+        }
+        let real = drive::<RealSbcWorld>(b"dual-streams");
+        assert_eq!(real, drive::<IdealSbcWorld>(b"dual-streams"));
+    }
+
+    /// Two epochs per seed — all three parties draw, then party 2 draws
+    /// and party 1 chooses its share — pinned byte for byte over either
+    /// backend: stream 0 forks `contrib/{epoch}/{p}` off `"durs/" ‖ seed`.
+    #[test]
+    fn durs_session_outputs_are_pinned() {
+        const PINNED: [&str; 6] = [
+            "pin-a c3d7ec1a23d69cbabb4e7522bde5ab1c7d91ec2618572025037f1c70c66d54eb 3 5",
+            "pin-a fadcf50b33c43ab055d1b34ba86ba0f926e190ea5ce150d6e37f40dbcfa29ad0 2 11",
+            "pin-b edbca2e5719d3dfd4d738c251da8f4ed5f019f01d21427e610598cd2d5c8e739 3 5",
+            "pin-b 14fb94d07cbd36a37f5a54c43366f10d6b406c4a692335227ea41fe888008d0e 2 11",
+            "pin-c d3971897d9fb1de28d10fca648f47af2a4faad7f333ce82a65779189ee151179 3 5",
+            "pin-c c55bb447ee85800c0367b59136ca3d318495a54be269743055f27e6111df6c4e 2 11",
+        ];
+        fn run<W: SbcBackend>(seed: &str) -> Vec<String> {
+            let mut s = DursSession::<W>::over_backend(3, seed.as_bytes()).unwrap();
+            (0..3).for_each(|p| s.contribute(p).unwrap());
+            let first = s.run_epoch().unwrap();
+            s.contribute(2).unwrap();
+            s.contribute_chosen(1, &[0xA5; URS_LEN]).unwrap();
+            [first, s.run_epoch().unwrap()]
+                .map(|r| {
+                    let urs = sbc_primitives::hex::encode(&r.urs);
+                    format!("{seed} {urs} {} {}", r.contributions, r.release_round)
+                })
+                .to_vec()
+        }
+        for (seed, pinned) in ["pin-a", "pin-b", "pin-c"].iter().zip(PINNED.chunks(2)) {
+            assert_eq!(run::<RealSbcWorld>(seed), pinned);
+            assert_eq!(run::<IdealSbcWorld>(seed), pinned);
+        }
+    }
+
+    /// One validation order for both surfaces: stream, party, corruption
+    /// and period come before the idempotence flags, so a repeated
+    /// contribution after the period closed is refused like a first one.
+    #[test]
+    fn repeated_contribution_after_close_is_refused() {
+        let mut s = DursSession::new(2, b"late-repeat").unwrap();
+        s.contribute(0).unwrap();
+        s.contribute_chosen(1, &[7; URS_LEN]).unwrap();
+        // Period [0, 3) with delay 1: from round 2 on, too late.
+        (0..2).for_each(|_| s.engine.step_round().unwrap());
+        let closed = Err(SbcError::SubmitAfterClose { round: 2, t_end: 3 });
+        assert_eq!(s.contribute(0), closed);
+        assert_eq!(s.contribute_chosen(1, &[7; URS_LEN]), closed);
+        assert_eq!(s.run_epoch().unwrap().contributions, 2);
+    }
+
+    /// However stream 0 was retired — a backend fault, here a raw finish —
+    /// `epoch()` answers the epoch it was in, never a panic.
+    #[test]
+    fn durs_session_epoch_outlives_its_stream() {
+        let mut s = DursSession::new(2, b"retired").unwrap();
+        s.contribute(0).unwrap();
+        s.run_epoch().unwrap();
+        s.contribute(1).unwrap();
+        s.engine.sbc().finish(s.stream).unwrap();
+        assert_eq!(s.epoch(), 1);
+        let finished = SbcError::InstanceFinished { instance: 0 };
+        assert_eq!(s.contribute(1), Err(finished));
     }
 
     #[test]
@@ -673,6 +742,14 @@ mod tests {
     }
 
     #[test]
+    fn func_delta_is_bounded_like_sbc_params() {
+        // ∆ = u64::MAX would overflow `t_start + ∆`.
+        assert!(DursFunc::new(u64::MAX, 0).is_err());
+        assert!(DursFunc::new(u64::from(u32::MAX) + 1, 1).is_err());
+        assert!(DursFunc::new(u64::from(u32::MAX), 1).is_ok());
+    }
+
+    #[test]
     fn durs_pool_overlapping_schedules() {
         // Two beacon streams on offset schedules over one shared world:
         // stream B opens while stream A is mid-period, and both keep
@@ -721,27 +798,6 @@ mod tests {
         pool.contribute(foreign, 1).unwrap();
         let r = pool.run_epoch(foreign).unwrap();
         assert_eq!(r.contributions, 2);
-    }
-
-    #[test]
-    fn durs_pool_real_and_ideal_backends_agree() {
-        fn drive<W: SbcBackend>(mut pool: DursPool<W>) -> Vec<DursResult> {
-            let a = pool.open_stream().unwrap();
-            let b = pool.open_stream().unwrap();
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                for p in 0..3 {
-                    pool.contribute(a, p).unwrap();
-                    pool.contribute(b, p).unwrap();
-                }
-                out.push(pool.run_epoch(a).unwrap());
-                out.push(pool.run_epoch(b).unwrap());
-            }
-            out
-        }
-        let real = drive(DursPool::new(3, b"dual-streams").unwrap());
-        let ideal = drive(DursPool::<IdealSbcWorld>::over_backend(3, b"dual-streams").unwrap());
-        assert_eq!(real, ideal);
     }
 
     #[test]

@@ -286,9 +286,9 @@ impl Ballot {
         let commitments: Option<Vec<(Element, Element)>> = items[2]
             .as_list()?
             .iter()
-            .map(|p| {
-                let pair = p.as_list()?;
-                Some((el(&pair[0])?, el(&pair[1])?))
+            .map(|p| match p.as_list()? {
+                [a, b] => Some((el(a)?, el(b)?)),
+                _ => None,
             })
             .collect();
         let challenges: Option<Vec<Scalar>> = items[3].as_list()?.iter().map(sc).collect();
@@ -324,7 +324,6 @@ pub fn self_tally(setup: &ElectionSetup, ballots: &[Ballot]) -> Result<Vec<u64>,
     let grp = &setup.group;
     let mut seen = vec![false; setup.voters];
     let mut product = grp.one();
-    let mut counted = 0usize;
     for b in ballots {
         if !b.verify(setup) {
             continue; // invalid ballots are publicly discardable
@@ -333,15 +332,11 @@ pub fn self_tally(setup: &ElectionSetup, ballots: &[Ballot]) -> Result<Vec<u64>,
             continue; // quota: one ballot per voter
         }
         seen[b.voter] = true;
-        counted += 1;
         product = grp.mul(&product, &b.value);
     }
-    // Σ x_i over *all* voters is 0; with partial participation the blinders
-    // of absent voters are missing, so tally on the residual blinder:
-    // compensate by multiplying r^{-Σ_{absent} x_absent}... which only the
-    // absent voters could provide. The paper's model tallies when all cast;
-    // for partial participation the missing blinders must be opened by the
-    // authorities. Here: compensate using setup knowledge (authority role).
+    // Σ x_i over *all* voters is 0, so absent voters leave their blinders
+    // r^{x_i} out of the product. The paper tallies when all cast; here the
+    // authorities open the missing blinders from the setup.
     let mut missing = Scalar(U256::ZERO);
     for (i, s) in seen.iter().enumerate() {
         if !*s {
@@ -349,7 +344,6 @@ pub fn self_tally(setup: &ElectionSetup, ballots: &[Ballot]) -> Result<Vec<u64>,
         }
     }
     product = grp.mul(&product, &grp.exp(&setup.r, &missing));
-    let _ = counted;
     // Decode g^T with T = Σ_c count_c · (n+1)^c by brute force.
     let base = setup.voters as u64 + 1;
     let bound = base.pow(setup.candidates as u32).saturating_sub(1);
@@ -537,11 +531,8 @@ impl BulletinBoardElection {
         self.posted.push(ballot);
     }
 
-    /// The fairness failure: anyone can compute a partial tally mid-phase
-    /// once (board-visible) ballots are in, because the missing blinders
-    /// can be brute-compensated by... the authorities — or, with all-but-
-    /// one cast, by simple enumeration over the last voter's options.
-    /// Returns the partial tally over the cast ballots.
+    /// The fairness failure: posted ballots are public, so [`self_tally`]
+    /// over them gives a partial tally mid-phase.
     pub fn partial_tally(&self) -> Result<Vec<u64>, VotingError> {
         self_tally(&self.setup, &self.posted)
     }
@@ -576,6 +567,25 @@ mod tests {
             let parsed = Ballot::from_value(&b.to_value()).unwrap();
             assert_eq!(parsed, b);
             assert!(parsed.verify(&s));
+        }
+    }
+
+    #[test]
+    fn ballot_with_a_short_commitment_entry_is_refused() {
+        // A corrupted voter's wire is arbitrary: a commitment entry of
+        // fewer (or more) than two items parses to `None`, never a panic.
+        let mut rng = Drbg::from_seed(b"short-pair");
+        let s = ElectionSetup::generate(group(), 3, 2, 2, &mut rng);
+        let items = Ballot::cast(&s, 0, 1, &mut rng)
+            .to_value()
+            .as_list()
+            .unwrap()
+            .to_vec();
+        let el = Value::bytes([1u8; 32]);
+        for entry in [vec![], vec![el.clone()], vec![el.clone(); 3]] {
+            let mut forged = items.clone();
+            forged[2] = Value::list([Value::list(entry)]);
+            assert_eq!(Ballot::from_value(&Value::list(forged)), None);
         }
     }
 

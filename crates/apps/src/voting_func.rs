@@ -54,7 +54,9 @@ impl VotingFunc {
     ///
     /// # Errors
     ///
-    /// Rejects parameters unless `Φ > 0`, `∆ ≥ α` and `candidates ≥ 2`.
+    /// Rejects parameters unless `Φ > 0`, `∆ ≥ α` and `candidates ≥ 2`,
+    /// and bounds Φ and ∆ by `2³² − 1` as `SbcParams::validate` does, so
+    /// `t_end` and `t_tally` cannot overflow.
     pub fn new(
         phi: u64,
         delta: u64,
@@ -64,6 +66,9 @@ impl VotingFunc {
     ) -> Result<Self, &'static str> {
         if phi == 0 {
             return Err("casting window must be positive");
+        }
+        if phi > u64::from(u32::MAX) || delta > u64::from(u32::MAX) {
+            return Err("need Φ, ∆ ≤ 2³² − 1");
         }
         if delta < alpha {
             return Err("need ∆ ≥ α");
@@ -378,5 +383,16 @@ mod tests {
         assert!(VotingFunc::new(2, 2, 1, 1, Drbg::from_seed(b"x")).is_err());
         assert!(VotingFunc::new(0, 2, 1, 2, Drbg::from_seed(b"x")).is_err());
         assert!(VotingFunc::new(2, 1, 2, 2, Drbg::from_seed(b"x")).is_err());
+    }
+
+    #[test]
+    fn spans_are_bounded_like_sbc_params() {
+        // Φ or ∆ = u64::MAX would overflow `t_end` / `t_tally` once the
+        // window opens.
+        let max = u64::from(u32::MAX);
+        for (phi, delta) in [(u64::MAX, 2), (2, u64::MAX), (max + 1, 2), (2, max + 1)] {
+            assert!(VotingFunc::new(phi, delta, 1, 2, Drbg::from_seed(b"x")).is_err());
+        }
+        assert!(VotingFunc::new(max, max, 1, 2, Drbg::from_seed(b"x")).is_ok());
     }
 }

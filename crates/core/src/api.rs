@@ -46,7 +46,7 @@
 //! |---|---|
 //! | run **one** SBC instance (single shot, or epochs in sequence) | [`SbcSession`] |
 //! | run **many concurrent** SBC instances over one shared clock / corruption state | [`SbcPool`] |
-//! | run an application workload | `sbc_apps`: `DursSession`/`DursPool` (beacons), `Election` (voting) |
+//! | run an application workload | `sbc_apps`: `DursPool` (beacon streams; `DursSession` is its stream 0), `Election` (voting) |
 //! | prove real ≈ ideal for one instance (security experiment) | `sbc_uc::exec::DualRun` over the [`SbcBackend`] worlds |
 //! | prove real ≈ ideal for a whole pool, keyed by instance | `sbc_uc::exec::PoolDualRun` over [`crate::pool::PooledSbcWorld`], driven through `sbc_uc::exec::PoolWorld` |
 //! | implement a new execution backend | `sbc_uc::exec::SbcWorld` + [`SbcBackend`] (the pool lifts it for free) |

@@ -86,7 +86,8 @@ impl SbcParams {
 
     /// Validates Theorem 2's constraints, and bounds Φ and ∆ so that
     /// release arithmetic (`now + Φ + ∆`, round budgets) cannot overflow;
-    /// `delay < Φ` and `α_TLE < ∆` then bound the other two fields.
+    /// `delay < Φ` and `α_TLE < ∆` then bound the other two fields. `n`
+    /// stays within the `u32` party ids, or `PartyId::all(n)` would wrap.
     ///
     /// # Errors
     ///
@@ -96,6 +97,9 @@ impl SbcParams {
         let fail = |reason| Err(SbcError::InvalidParams { reason });
         if self.n == 0 {
             return fail("need at least one party");
+        }
+        if self.n > u32::MAX as usize {
+            return fail("need n ≤ 2³² − 1");
         }
         if self.phi > MAX_SPAN || self.delta > MAX_SPAN {
             return fail("need Φ, ∆ ≤ 2³² − 1");
@@ -1064,6 +1068,13 @@ mod tests {
             .collect();
         assert_eq!((lists.len(), lists[0].len()), (N, N / 8));
         assert!(lists.iter().all(|list| Arc::ptr_eq(list, lists[0])));
+    }
+
+    #[test]
+    fn validate_bounds_n_by_the_party_id_width() {
+        // n = 2³² would wrap `PartyId::all(n)` to no parties at all.
+        assert!(params(u32::MAX as usize + 1).validate().is_err());
+        params(u32::MAX as usize).validate().unwrap();
     }
 
     type Theorem2Run = DualRun<RealSbcWorld, IdealSbcWorld>;

@@ -58,7 +58,7 @@ pub mod transport;
 pub mod world;
 
 pub use codec::{CodecError, Endpoint, Frame, FrameKind, NetError};
-pub use tcp::{TcpConfig, TcpFaultHandle, TcpHarness, TcpProfile, TcpSbcWorld, TcpTransport};
+pub use tcp::{TcpConfig, TcpFaultHandle, TcpProfile, TcpSbcWorld, TcpTransport};
 pub use transport::{Loopback, SimConfig, SimNet, Transport, TransportStats};
 pub use world::{
     AdversarialProfile, LoopbackProfile, LoopbackSbcWorld, NetSbcWorld, SimNetSbcWorld,

@@ -4,7 +4,7 @@
 //!
 //! # Topology
 //!
-//! A [`TcpHarness`] owns one nonblocking listener and the accept side of
+//! A harness owns one nonblocking listener and the accept side of
 //! **one socket per link**: a control lane, one rpc lane per party, and
 //! one data lane per party — `2n + 1` lanes for an `n`-party experiment.
 //! The matching [`TcpTransport`] owns the connect side of every lane plus
@@ -107,16 +107,17 @@ fn backoff(attempt: u32) -> Duration {
         .min(BACKOFF_CAP)
 }
 
-/// Tuning knobs of the TCP transport. Every duration is wall-clock: the
-/// protocol's rounds are logical, but a socket needs real deadlines.
+/// Tuning knobs of the TCP transport, built by
+/// [`from_delta`](TcpConfig::from_delta). Every duration is wall-clock:
+/// the protocol's rounds are logical, but a socket needs real deadlines.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
     /// Read/write deadline: how long a receive waits for in-flight frames
     /// (and a write waits for buffer space) before giving up.
-    pub io_deadline: Duration,
+    io_deadline: Duration,
     /// Reconnect attempts before a dead link becomes
     /// [`NetError::LinkDown`].
-    pub reconnect_attempts: u32,
+    reconnect_attempts: u32,
 }
 
 impl TcpConfig {
@@ -160,12 +161,10 @@ struct LaneTx {
     connected_once: bool,
 }
 
-/// Owns the listener, the accept loop, and the read side of every lane.
-/// Usually constructed and consumed by [`TcpTransport::local`]; separate
-/// so tests (and future multi-process splits) can hold the passive side
-/// explicitly.
+/// Owns the listener, the accept loop, and the read side of every lane;
+/// built and consumed by [`TcpTransport::local`].
 #[derive(Debug)]
-pub struct TcpHarness {
+struct TcpHarness {
     listener: TcpListener,
     addr: SocketAddr,
     rx: Vec<LaneRx>,
@@ -177,7 +176,7 @@ impl TcpHarness {
     /// # Errors
     ///
     /// [`NetError::Io`] if the OS refuses the bind.
-    pub fn bind(n: usize) -> Result<Self, NetError> {
+    fn bind(n: usize) -> Result<Self, NetError> {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err("bind"))?;
         listener.set_nonblocking(true).map_err(io_err("bind"))?;
         let addr = listener.local_addr().map_err(io_err("bind"))?;
@@ -186,11 +185,6 @@ impl TcpHarness {
             addr,
             rx: (0..lane_count(n)).map(|_| LaneRx::default()).collect(),
         })
-    }
-
-    /// The address lanes connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Accepts every queued connection and files it under the lane named
@@ -381,7 +375,7 @@ impl TcpTransport {
 
     /// The harness address (tests connect raw sockets here).
     pub fn addr(&self) -> SocketAddr {
-        self.harness.addr()
+        self.harness.addr
     }
 
     /// Connects one lane: TCP to the harness, nodelay, write deadline,
@@ -393,7 +387,7 @@ impl TcpTransport {
                 "simulated outage",
             ));
         }
-        let stream = TcpStream::connect_timeout(&self.harness.addr(), CONNECT_TIMEOUT)?;
+        let stream = TcpStream::connect_timeout(&self.harness.addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(self.cfg.io_deadline))?;
         let mut pre = [0u8; PREAMBLE_LEN];

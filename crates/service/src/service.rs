@@ -450,8 +450,6 @@ struct InFlight {
 pub(crate) enum Op {
     /// An accepted submission.
     Submit {
-        /// Submitting client id.
-        client: u64,
         /// Broadcast payload.
         payload: Vec<u8>,
         /// Deadline class it was queued under.
@@ -617,7 +615,9 @@ impl<W: SbcBackend> SbcService<W> {
 
     /// Accepts a submission into its deadline-class queue, returning its
     /// ticket (dense, in acceptance order — the ticket indexes the
-    /// operation journal's accepted-submission sequence).
+    /// operation journal's accepted-submission sequence). The client id
+    /// is not stored: nothing the service decides depends on it, so
+    /// neither the journal nor an image carries it.
     ///
     /// # Errors
     ///
@@ -625,7 +625,7 @@ impl<W: SbcBackend> SbcService<W> {
     /// the typed backpressure signal; nothing is enqueued.
     pub fn submit(
         &mut self,
-        client: u64,
+        _client: u64,
         payload: Vec<u8>,
         class: DeadlineClass,
     ) -> Result<u64, ServiceError> {
@@ -639,7 +639,6 @@ impl<W: SbcBackend> SbcService<W> {
         self.next_ticket += 1;
         self.stats.accepted += 1;
         self.journal.push(Op::Submit {
-            client,
             payload: payload.clone(),
             class,
         });

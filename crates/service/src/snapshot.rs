@@ -47,11 +47,11 @@
 //! bytes after the digest fail [`SbcService::restore`]'s exact-end check.
 //! Earlier formats (a single `sbc-net` frame, then a framed chunk
 //! stream) open with a frame length prefix instead of the magic and are
-//! not read. The payload — unchanged since the framed stream, hence its
-//! tag — is the canonical [`Value`] encoding of
+//! not read. The payload (`v3`: a submission carries no client id) is
+//! the canonical [`Value`] encoding of
 //!
 //! ```text
-//! List[ Str("sbc-service/v2"),
+//! List[ Str("sbc-service/v3"),
 //!       List[n, Φ, ∆, α, delay]          (U64s)
 //!       Bytes(seed),
 //!       U64(mode),
@@ -62,7 +62,7 @@
 //!            List[List[bucket…], count, sum, max],     (histogram)
 //!            List[queue × 3]],  (queue = List[List[ticket, Bytes, round]…])
 //!       List[op…] ]              (op = List[0, count]     tick run
-//!                                  | List[1, client, Bytes, class])
+//!                                  | List[1, Bytes, class])  submit
 //! ```
 
 use std::io::{self, Read};
@@ -100,7 +100,7 @@ const WRITE_SLICE: usize = 1 << 20;
 const DIGEST_DOMAIN: &[u8] = b"sbc-service/image";
 
 /// The schema tag leading the payload.
-const PAYLOAD_TAG: &str = "sbc-service/v2";
+const PAYLOAD_TAG: &str = "sbc-service/v3";
 
 fn bad(detail: impl Into<String>) -> ServiceError {
     ServiceError::BadSnapshot {
@@ -350,13 +350,8 @@ impl<W: SbcBackend> SbcService<W> {
             .iter()
             .map(|op| match op {
                 Op::Ticks(count) => Value::list([Value::U64(0), Value::U64(*count)]),
-                Op::Submit {
-                    client,
-                    payload,
-                    class,
-                } => Value::list([
+                Op::Submit { payload, class } => Value::list([
                     Value::U64(1),
-                    Value::U64(*client),
                     Value::bytes(payload),
                     Value::U64(class.tag()),
                 ]),
@@ -539,20 +534,19 @@ impl<W: SbcBackend> SbcService<W> {
                     }
                 }
                 1 => {
-                    if op.len() != 4 {
+                    if op.len() != 3 {
                         return Err(bad(format!("op {i}: submit arity")));
                     }
-                    let client = as_u64(&op[1], "client")?;
-                    let payload = op[2]
+                    let payload = op[1]
                         .as_bytes()
                         .ok_or_else(|| bad(format!("op {i}: payload")))?
                         .to_vec();
-                    let class = DeadlineClass::from_tag(as_u64(&op[3], "class")?)
+                    let class = DeadlineClass::from_tag(as_u64(&op[2], "class")?)
                         .ok_or_else(|| bad(format!("op {i}: unknown class")))?;
                     // The original accepted this op, and acceptance is a
                     // deterministic function of the prefix — replay
                     // accepts it too; a refusal means a corrupt journal.
-                    self.submit(client, payload, class)
+                    self.submit(0, payload, class)
                         .map_err(|e| bad(format!("op {i}: replay refused: {e}")))?;
                 }
                 t => return Err(bad(format!("op {i}: unknown tag {t}"))),
@@ -834,14 +828,16 @@ mod tests {
     fn sealed_image_with_a_zero_tuning_knob_is_refused() {
         // Correct digest, valid shape, but a `batch_size` or `max_live` of
         // 0 in the tuning list (payload field 4): replayed, it would be a
-        // service that ticks `Ok` forever and never releases.
+        // service that ticks `Ok` forever and never releases. Last row:
+        // n = 2³² in the params list (field 1), past the `u32` party ids,
+        // which the journal's submission would have opened an instance for.
         let fields = payload_fields();
-        for knob in [1, 2] {
+        for (field, at, v) in [(4, 1, 0), (4, 2, 0), (1, 0, 1 << 32)] {
             let mut fields = fields.clone();
-            let Value::List(tuning) = &mut fields[4] else {
-                panic!("tuning is a list");
+            let Value::List(list) = &mut fields[field] else {
+                panic!("field {field} is a list");
             };
-            Arc::make_mut(tuning)[knob] = Value::U64(0);
+            Arc::make_mut(list)[at] = Value::U64(v);
             assert!(matches!(
                 Service::restore(&seal(&Value::list(fields).encode())),
                 Err(ServiceError::Pool(SbcError::InvalidParams { .. }))

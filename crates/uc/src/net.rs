@@ -4,7 +4,9 @@
 //! Channels are authenticated (the receiver learns the true sender) but the
 //! adversary sees every message the moment it is sent (*rushing*) and
 //! chooses the within-round delivery order. Honest-to-honest messages
-//! cannot be dropped or modified — only reordered.
+//! cannot be dropped or modified — only reordered. [`SyncNet`] carries the
+//! honest traffic; the adversary acts through the protocol running over
+//! it (Dolev–Strong's `adversary_sign` / `adversary_send`).
 //!
 //! # Examples
 //!
@@ -78,35 +80,6 @@ impl SyncNet {
         }
     }
 
-    /// Adversary view: all messages staged this round (rushing).
-    pub fn staged(&self) -> &[NetMsg] {
-        &self.staged
-    }
-
-    /// Adversary control: reorders the staged messages with `perm`, a
-    /// permutation of `0..staged().len()`. Invalid permutations are ignored.
-    pub fn reorder_staged(&mut self, perm: &[usize]) {
-        if perm.len() != self.staged.len() {
-            return;
-        }
-        let mut seen = vec![false; perm.len()];
-        for &i in perm {
-            if i >= perm.len() || seen[i] {
-                return;
-            }
-            seen[i] = true;
-        }
-        let old = std::mem::take(&mut self.staged);
-        self.staged = perm.iter().map(|&i| old[i].clone()).collect();
-    }
-
-    /// Adversary control: drops a staged message *from a corrupted sender*.
-    /// The caller must enforce the corruption check; honest traffic must
-    /// never be passed here.
-    pub fn drop_staged_from(&mut self, sender: PartyId) {
-        self.staged.retain(|m| m.from != sender);
-    }
-
     /// End of round: moves staged messages into recipient inboxes.
     pub fn deliver_round(&mut self) {
         for msg in std::mem::take(&mut self.staged) {
@@ -159,51 +132,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(net.take_inbox(PartyId(i)).len(), 1, "party {i}");
         }
-    }
-
-    #[test]
-    fn adversary_sees_staged_immediately() {
-        let mut net = SyncNet::new(2);
-        net.send(PartyId(0), PartyId(1), Value::U64(7));
-        assert_eq!(net.staged().len(), 1);
-        assert_eq!(net.staged()[0].payload, Value::U64(7));
-    }
-
-    #[test]
-    fn reorder_changes_delivery_order() {
-        let mut net = SyncNet::new(2);
-        net.send(PartyId(0), PartyId(1), Value::U64(1));
-        net.send(PartyId(0), PartyId(1), Value::U64(2));
-        net.reorder_staged(&[1, 0]);
-        net.deliver_round();
-        let msgs = net.take_inbox(PartyId(1));
-        assert_eq!(msgs[0].payload, Value::U64(2));
-        assert_eq!(msgs[1].payload, Value::U64(1));
-    }
-
-    #[test]
-    fn invalid_reorder_ignored() {
-        let mut net = SyncNet::new(2);
-        net.send(PartyId(0), PartyId(1), Value::U64(1));
-        net.send(PartyId(0), PartyId(1), Value::U64(2));
-        net.reorder_staged(&[0]); // wrong length
-        net.reorder_staged(&[0, 0]); // not a permutation
-        net.reorder_staged(&[0, 5]); // out of range
-        net.deliver_round();
-        let msgs = net.take_inbox(PartyId(1));
-        assert_eq!(msgs[0].payload, Value::U64(1));
-    }
-
-    #[test]
-    fn drop_from_corrupted_sender() {
-        let mut net = SyncNet::new(3);
-        net.send(PartyId(0), PartyId(2), Value::U64(1));
-        net.send(PartyId(1), PartyId(2), Value::U64(2));
-        net.drop_staged_from(PartyId(0));
-        net.deliver_round();
-        let msgs = net.take_inbox(PartyId(2));
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].from, PartyId(1));
     }
 
     #[test]
