@@ -37,15 +37,13 @@ pub struct SbcRecord {
 /// The functionality `F_SBC^{Φ,∆,α}(P)`.
 #[derive(Clone, Debug)]
 pub struct SbcFunc {
-    n: usize,
     phi: u64,
     delta: u64,
     alpha: u64,
     records: Vec<SbcRecord>,
     t_start: Option<u64>,
     t_end: Option<u64>,
-    /// Round bookkeeping for the once-per-round steps of `Advance_Clock`.
-    round_seen: Option<u64>,
+    /// The once-per-period steps of `Advance_Clock`, once taken.
     finalized_done: bool,
     sim_list_sent: bool,
     last_advance: HashMap<PartyId, u64>,
@@ -58,18 +56,16 @@ impl SbcFunc {
     /// # Panics
     ///
     /// Panics unless `Φ > 0` and `∆ ≥ α`.
-    pub fn new(n: usize, phi: u64, delta: u64, alpha: u64, tag_rng: Drbg) -> Self {
+    pub fn new(phi: u64, delta: u64, alpha: u64, tag_rng: Drbg) -> Self {
         assert!(phi > 0, "broadcast period must be positive");
         assert!(delta >= alpha, "need ∆ ≥ α");
         SbcFunc {
-            n,
             phi,
             delta,
             alpha,
             records: Vec::new(),
             t_start: None,
             t_end: None,
-            round_seen: None,
             finalized_done: false,
             sim_list_sent: false,
             last_advance: HashMap::new(),
@@ -105,7 +101,7 @@ impl SbcFunc {
     /// Closes the books on a released broadcast period so the same
     /// functionality instance can host the next one — the paper's
     /// sequential multi-period composition (§6). Records, period times and
-    /// the once-per-round bookkeeping are dropped; the tag stream carries
+    /// the once-per-period bookkeeping are dropped; the tag stream carries
     /// over so tags stay globally fresh across epochs. The *next*
     /// `Broadcast` request opens a new period at the then-current clock
     /// round.
@@ -113,7 +109,6 @@ impl SbcFunc {
         self.records.clear();
         self.t_start = None;
         self.t_end = None;
-        self.round_seen = None;
         self.finalized_done = false;
         self.sim_list_sent = false;
         self.last_advance.clear();
@@ -204,27 +199,7 @@ impl SbcFunc {
         true
     }
 
-    /// Whether the simulator's early copy of the broadcast list is
-    /// available (strictly between finalization and delivery).
-    fn finalize_if_due(&mut self, now: u64) {
-        let Some(end) = self.t_end else { return };
-        if now >= end && !self.finalized_done {
-            self.finalized_done = true;
-            // Records of always-honest senders are finalized; the rest are
-            // dropped unless the simulator `Allow`ed them.
-            for r in self.records.iter_mut() {
-                if !r.finalized {
-                    // sender honest throughout ⇒ finalize (the corruption
-                    // state is consulted by the caller via ctx before this
-                    // point; unfinalized corrupted records stay dropped).
-                    r.finalized = true;
-                }
-            }
-            self.records.sort_by(|a, b| a.msg.cmp(&b.msg));
-        }
-    }
-
-    /// `Advance_Clock` from an honest party: runs the once-per-round
+    /// `Advance_Clock` from an honest party: runs the once-per-period
     /// finalization/leak schedule and returns the message vector the
     /// advancing party receives at exactly `t_end + ∆`.
     pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Value> {
@@ -237,33 +212,26 @@ impl SbcFunc {
         }
         self.last_advance.insert(party, now);
         let end = self.t_end?;
-        // Once-per-round global steps (first Advance_Clock of the round).
-        if self.round_seen != Some(now) {
-            self.round_seen = Some(now);
-            if now == end {
-                // Mark honest pending records finalized — but NOT records
-                // whose sender is corrupted and was never Allowed.
-                let corrupted: Vec<bool> = (0..self.n)
-                    .map(|i| ctx.is_corrupted(PartyId(i as u32)))
-                    .collect();
-                for r in self.records.iter_mut() {
-                    if !r.finalized && !corrupted[r.sender.index()] {
-                        r.finalized = true;
-                    }
+        if now >= end && !self.finalized_done {
+            // The first Advance_Clock at or after t_end marks honest
+            // pending records finalized — but NOT records whose sender is
+            // corrupted and was never Allowed.
+            self.finalized_done = true;
+            for r in self.records.iter_mut() {
+                if !r.finalized && !ctx.is_corrupted(r.sender) {
+                    r.finalized = true;
                 }
-                self.records.sort_by(|a, b| a.msg.cmp(&b.msg));
-                self.finalized_done = true;
             }
-            if now == end + self.delta - self.alpha && !self.sim_list_sent {
-                self.finalize_if_due(now);
-                self.sim_list_sent = true;
-                let list = self
-                    .records
-                    .iter()
-                    .filter(|r| r.finalized)
-                    .map(|r| Value::pair(Value::bytes(r.tag.as_bytes()), r.msg.clone()));
-                ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::list(list)));
-            }
+            self.records.sort_by(|a, b| a.msg.cmp(&b.msg));
+        }
+        if now == end + self.delta - self.alpha && !self.sim_list_sent {
+            self.sim_list_sent = true;
+            let list = self
+                .records
+                .iter()
+                .filter(|r| r.finalized)
+                .map(|r| Value::pair(Value::bytes(r.tag.as_bytes()), r.msg.clone()));
+            ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::list(list)));
         }
         if now != end + self.delta {
             return None;
@@ -278,14 +246,14 @@ mod tests {
     use super::*;
     use sbc_uc::world::WorldCore;
 
-    fn func(n: usize) -> SbcFunc {
-        SbcFunc::new(n, 3, 2, 1, Drbg::from_seed(b"sbc-tags"))
+    fn func() -> SbcFunc {
+        SbcFunc::new(3, 2, 1, Drbg::from_seed(b"sbc-tags"))
     }
 
     #[test]
     fn period_opens_on_first_broadcast() {
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         assert_eq!(f.t_start(), None);
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert_eq!(f.t_start(), Some(0));
@@ -295,7 +263,7 @@ mod tests {
     #[test]
     fn honest_leak_hides_content() {
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(
             PartyId(0),
             Value::bytes(b"very secret ballot"),
@@ -310,7 +278,7 @@ mod tests {
     fn corrupted_leak_shows_content() {
         let mut core = WorldCore::new(2, b"sbc");
         core.corr.corrupt(PartyId(1)).unwrap();
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(1), Value::bytes(b"adv"), &mut core.ctx());
         let leak = &core.leaks[0].cmd.value;
         assert!(leak.as_list().unwrap().contains(&Value::bytes(b"adv")));
@@ -319,7 +287,7 @@ mod tests {
     #[test]
     fn late_broadcasts_discarded() {
         let mut core = WorldCore::new(1, b"sbc");
-        let mut f = func(1);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         for _ in 0..3 {
             core.clock.fast_forward(core.clock.read() + 1);
@@ -334,7 +302,7 @@ mod tests {
     #[test]
     fn delivery_at_t_end_plus_delta_sorted() {
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut core.ctx());
         f.broadcast(PartyId(1), Value::bytes(b"apple"), &mut core.ctx());
         // Rounds 0..=4: nothing delivered (t_end = 3, ∆ = 2 → deliver at 5).
@@ -357,7 +325,7 @@ mod tests {
     fn liveness_without_full_participation() {
         // Only one of two parties ever broadcasts; delivery still happens.
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(7), &mut core.ctx());
         for _ in 0..5 {
             f.advance_clock(PartyId(0), &mut core.ctx());
@@ -371,7 +339,7 @@ mod tests {
     #[test]
     fn simulator_gets_list_alpha_early() {
         let mut core = WorldCore::new(1, b"sbc");
-        let mut f = func(1); // t_end=3, ∆=2, α=1 → S at 4, parties at 5
+        let mut f = func(); // t_end=3, ∆=2, α=1 → S at 4, parties at 5
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         for _ in 0..4 {
             f.advance_clock(PartyId(0), &mut core.ctx());
@@ -389,7 +357,7 @@ mod tests {
     #[test]
     fn unallowed_corrupted_records_dropped() {
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
         core.corr.corrupt(PartyId(1)).unwrap();
@@ -403,10 +371,27 @@ mod tests {
         assert_eq!(delivered.as_list().unwrap(), &[Value::U64(1)]);
     }
 
+    /// With no `Advance_Clock` at `t_end` itself, the first one after it
+    /// finalizes — the honest records only, as at `t_end`.
+    #[test]
+    fn a_round_without_advances_at_t_end_still_drops_unallowed_records() {
+        let mut core = WorldCore::new(2, b"sbc");
+        let mut f = func();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
+        core.corr.corrupt(PartyId(1)).unwrap();
+        let mut delivered = None;
+        for round in [0, 1, 2, 4, 5] {
+            core.clock.fast_forward(round);
+            delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        }
+        assert_eq!(delivered.unwrap().as_list().unwrap(), &[Value::U64(1)]);
+    }
+
     #[test]
     fn allow_substitutes_and_finalizes() {
         let mut core = WorldCore::new(2, b"sbc");
-        let mut f = func(2);
+        let mut f = func();
         let tag = f
             .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
             .unwrap();
@@ -425,6 +410,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_phi_panics() {
-        SbcFunc::new(1, 0, 2, 1, Drbg::from_seed(b"x"));
+        SbcFunc::new(0, 2, 1, Drbg::from_seed(b"x"));
     }
 }

@@ -28,8 +28,8 @@
 //!   `SbcSession` is its single-instance special case.
 //!
 //! Everything here runs on the calling thread: a world round is one
-//! serial round-level `tick`, a pool tick is an id-ordered loop over live
-//! instances, and the crate spawns no threads.
+//! serial per-party `advance` loop (`SbcWorld::tick`), a pool tick is an
+//! id-ordered loop over live instances, and the crate spawns no threads.
 //!
 //! # Examples
 //!

@@ -307,8 +307,8 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
     fn is_corrupted(&self, party: PartyId) -> bool {
         self.corr.is_corrupted(party)
     }
-    /// Every live instance runs one full round (the backend's own
-    /// round-level [`SbcWorld::tick`]; backend worlds ignore corrupted
+    /// Every live instance runs one full round ([`SbcWorld::tick`], the
+    /// per-party `advance` loop; backend worlds ignore corrupted
     /// parties), in instance-id order, each drained into the pool's
     /// instance-keyed buffers before the next one steps.
     fn step_round(&mut self) {

@@ -299,8 +299,8 @@ impl SbcHybrid for SbcHost {
     }
 }
 
-/// The reuse-or-record release rule of a round-level `tick`, in whichever
-/// world steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
+/// The reuse-or-record release rule of one round, held by whichever world
+/// steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
 /// round is kept; a later party with the **same release view**
 /// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
 /// and output the same vector, so it takes that output and asks `F_RO`
@@ -311,7 +311,9 @@ impl SbcHybrid for SbcHost {
 /// log differs releases on its own: the reuse
 /// is an optimisation, never an assumption. One value must span no
 /// adversary action — a release computed before an `F_TLE` `Insert` or a
-/// corruption is not the release of a party stepped after it.
+/// corruption is not the release of a party stepped after it — so a world
+/// starts a fresh one when the round ends and before any other mutating
+/// call.
 #[derive(Debug, Default)]
 pub struct SharedRelease {
     /// Who released first, and its output.
@@ -343,12 +345,28 @@ impl SharedRelease {
 }
 
 /// The real world: `Π_SBC` over `F_UBC` + `F_TLE` + `F_RO` + `G_clock`.
+///
+/// A round is every honest party's [`advance`](World::advance), the
+/// `Advance_Clock` of Fig. 2, in any order. Its steps share one
+/// [`SharedRelease`], and its flushed wires wait in one batch that the
+/// `advance` ending the round delivers through [`SbcParty::deliver_batch`]
+/// at the round they were flushed in: one class grouping per round.
+/// Deferral is sound because a wire is only read at the release round and
+/// the replay dedup sees each recipient's arrival order unchanged. A
+/// `Wake_Up` (it opens the period and draws `F_TLE` randomness in order)
+/// delivers the batch, then itself in place. Every other mutating call
+/// settles the round first, so the batch holds only the current round's
+/// wires and no release spans an adversary action.
 #[derive(Debug)]
 pub struct RealSbcWorld {
     host: SbcHost,
     /// Experiment parameters (exposed for harness introspection).
     pub params: SbcParams,
     parties: Vec<SbcParty>,
+    /// This round's release rule.
+    release: SharedRelease,
+    /// This round's flushed wires, not yet delivered.
+    wires: Vec<Value>,
 }
 
 impl RealSbcWorld {
@@ -364,86 +382,45 @@ impl RealSbcWorld {
             host,
             params,
             parties,
+            release: SharedRelease::default(),
+            wires: Vec::new(),
         }
     }
 
-    /// The world half of one round step: records `party`'s output, takes
-    /// its UBC flush, delivers it, and advances its clock.
-    ///
-    /// The flush is taken through [`SbcHost::take_flush`] — one owned
-    /// `Value` per flushed message, addressed to all of `0..n`.
-    ///
-    /// With `defer = Some(buf)`, flushed wire messages are appended to
-    /// `buf` (global flush order preserved) instead of delivered inline;
-    /// the round-level `tick` delivers the buffer once, as one batch, at
-    /// end of round — one class grouping per round instead of one per
-    /// flush. Deferral is sound because mid-round wire receptions are
-    /// inert — a wire received in round `t` is only ever *read* at the
-    /// release round, and the replay-dedup depends only on each
-    /// recipient's own arrival order, which deferral preserves. A flush
-    /// containing a `Wake_Up` (which must take effect in flush position —
-    /// it sets period times that decide whether later wires of the same
-    /// round are accepted, and its `F_TLE` encryptions draw randomness in
-    /// order) first delivers the buffer, then itself in place, keeping the
-    /// equivalence unconditional.
-    fn finish_step(
-        &mut self,
-        party: PartyId,
-        out: Option<Command>,
-        defer: Option<&mut Vec<Value>>,
-    ) {
-        if let Some(cmd) = out {
-            self.host.core.outputs.push((party, cmd));
+    /// Takes one broadcast into the round: a wire joins the batch; a
+    /// `Wake_Up` delivers the batch, then itself to every party in id
+    /// order through [`SbcParty::on_ubc_deliver`] (it mutates `F_TLE` and
+    /// leaks).
+    fn receive(&mut self, msg: Value) {
+        if !is_wake_up(&msg) {
+            self.wires.push(msg);
+            return;
         }
-        let msgs = self.host.take_flush(party);
-        match defer {
-            Some(buf) if msgs.iter().any(is_wake_up) => {
-                let pending = std::mem::take(buf);
-                self.fan_out(&pending);
-                self.fan_out(&msgs);
-            }
-            Some(buf) => buf.extend(msgs),
-            None => self.fan_out(&msgs),
-        }
-        self.host.core.clock.advance_party(party);
-    }
-
-    /// Delivers each broadcast message to every party, in flush order — the
-    /// reference delivery loop. A `Wake_Up` goes to every party in id order
-    /// through [`SbcParty::on_ubc_deliver`] (it mutates `F_TLE` and leaks);
-    /// a wire goes through `distribute_wires_serial` as a batch of one.
-    fn fan_out(&mut self, msgs: &[Value]) {
-        let now = self.host.core.clock.read();
-        for msg in msgs {
-            if is_wake_up(msg) {
-                for party in &mut self.parties {
-                    party.on_ubc_deliver(msg, &mut self.host);
-                }
-            } else {
-                self.distribute_wires_serial(std::slice::from_ref(msg), now);
-            }
+        self.deliver_wires(self.host.now());
+        for party in &mut self.parties {
+            party.on_ubc_deliver(&msg, &mut self.host);
         }
     }
 
-    /// Batch delivery of wake-up-free wires at a pinned round time: each
-    /// message is parsed once, and the batch goes to all `n` parties
-    /// through the one class rule, [`SbcParty::deliver_batch`] — every
-    /// recipient ends up with what walking the batch in flush order would
-    /// have recorded for it, at `O(batch + n)` per class of recipients in
-    /// the same state (one class under pure broadcast) and with one log
-    /// per class, not per recipient. Unparseable payloads are a no-op at
-    /// every recipient.
-    ///
-    /// `now` is the round the wires were flushed in: `tick` delivers the
-    /// batch past the clock tick, and the reception time must be what the
-    /// reference loop's in-round deliveries saw.
-    fn distribute_wires_serial(&mut self, msgs: &[Value], now: u64) {
-        let parsed: Vec<Arc<ParsedWire>> = msgs
-            .iter()
-            .filter_map(ParsedWire::parse)
+    /// Delivers the batch, received at `round`, to all `n` parties through
+    /// the one class rule, [`SbcParty::deliver_batch`]: each wire parsed
+    /// once, one log per class of recipients in the same state.
+    /// Unparseable payloads are a no-op at every recipient.
+    fn deliver_wires(&mut self, round: u64) {
+        let parsed: Vec<Arc<ParsedWire>> = self
+            .wires
+            .drain(..)
+            .filter_map(|wire| ParsedWire::parse(&wire))
             .map(Arc::new)
             .collect();
-        SbcParty::deliver_batch(&mut self.parties, &parsed, now);
+        SbcParty::deliver_batch(&mut self.parties, &parsed, round);
+    }
+
+    /// Ends the round's shared state: delivers the batch at `round`, the
+    /// round its wires were flushed in, and forgets the release.
+    fn settle(&mut self, round: u64) {
+        self.deliver_wires(round);
+        self.release = SharedRelease::default();
     }
 }
 
@@ -457,6 +434,7 @@ impl World for RealSbcWorld {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
+        self.settle(self.host.now());
         if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
@@ -467,11 +445,23 @@ impl World for RealSbcWorld {
         if !self.host.core.is_honest(party) {
             return;
         }
-        let out = self.parties[party.index()].on_advance(&mut self.host);
-        self.finish_step(party, out, None);
+        let now = self.host.now();
+        let out = self
+            .release
+            .advance(&mut self.parties, party.index(), &mut self.host);
+        if let Some(cmd) = out {
+            self.host.core.outputs.push((party, cmd));
+        }
+        for msg in self.host.take_flush(party) {
+            self.receive(msg);
+        }
+        if self.host.core.clock.advance_party(party) {
+            self.settle(now);
+        }
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
+        self.settle(self.host.now());
         match cmd {
             AdvCommand::Corrupt(p) => {
                 if !self.host.core.corrupt(p) {
@@ -481,7 +471,8 @@ impl World for RealSbcWorld {
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
                 if let Some(msg) = self.host.broadcast_corrupted(party, cmd.value) {
-                    self.fan_out(std::slice::from_ref(&msg));
+                    self.receive(msg);
+                    self.deliver_wires(self.host.now());
                 }
                 Value::Unit
             }
@@ -509,6 +500,7 @@ impl SbcWorld for RealSbcWorld {
     /// period state, and the host drops what the functionalities held for
     /// it ([`SbcHost::begin_new_period`]).
     fn begin_new_period(&mut self) {
+        self.settle(self.host.now());
         for p in &mut self.parties {
             p.reset_period();
         }
@@ -537,54 +529,12 @@ impl SbcWorld for RealSbcWorld {
     /// keeping the observation-equivalence contract of
     /// [`SbcWorld::join_at`] unconditional.
     fn join_at(&mut self, round: u64) {
+        self.settle(self.host.now());
         if self.parties.iter().all(|p| p.is_idle()) && self.host.is_idle() {
             self.host.core.clock.fast_forward(round);
         } else {
             sbc_uc::exec::replay_join(self, round);
         }
-    }
-
-    /// The round-level schedule: every honest party steps once in party-id
-    /// order on the caller's thread, with two restructurings of the literal
-    /// per-party reference loop (`advance` in party-id order with in-place
-    /// delivery):
-    ///
-    /// 1. **Release round**: the first honest party runs the ordinary
-    ///    inline release at its own turn (every party before it is
-    ///    corrupted and skipped, so this *is* the reference order). Every
-    ///    later honest party goes through [`SharedRelease`]: with a
-    ///    matching wire log (one handle compare under pure broadcast) it
-    ///    reuses that release, so the `O(senders)` decrypt/unmask pipeline
-    ///    runs once instead of `n` times.
-    /// 2. **Broadcast rounds**: wire deliveries are deferred into one
-    ///    end-of-round batch (`distribute_wires_serial`), so the recipients
-    ///    are grouped into classes once per round instead of once per flush
-    ///    (see `finish_step` for why deferral is observation-equivalent).
-    ///
-    /// The equivalence to the reference loop is pinned by the
-    /// `tick_matches_per_party_advance_loop` tests and every real-vs-ideal
-    /// `Exact` gate. Mid-round states fall back to the literal loop: the
-    /// round restructurings assume a round boundary.
-    fn tick(&mut self) {
-        let n = self.host.core.n();
-        if n <= 1 || self.host.core.clock.mid_round() {
-            for i in 0..n {
-                self.advance(PartyId(i as u32));
-            }
-            return;
-        }
-        let now = self.host.core.clock.read();
-        let mut release = SharedRelease::default();
-        let mut deferred: Vec<Value> = Vec::new();
-        for i in 0..n {
-            let p = PartyId(i as u32);
-            if self.host.core.corr.is_corrupted(p) {
-                continue;
-            }
-            let out = release.advance(&mut self.parties, i, &mut self.host);
-            self.finish_step(p, out, Some(&mut deferred));
-        }
-        self.distribute_wires_serial(&deferred, now);
     }
 }
 
@@ -838,13 +788,7 @@ impl IdealSbcWorld {
         let (host, side) = SbcHost::fork(params, seed);
         IdealSbcWorld {
             host,
-            fsbc: SbcFunc::new(
-                params.n,
-                params.phi,
-                params.delta,
-                params.sbc_alpha(),
-                side.sbc_tags,
-            ),
+            fsbc: SbcFunc::new(params.phi, params.delta, params.sbc_alpha(), side.sbc_tags),
             sim: SimSbc::new(params, side.parties, side.equiv),
         }
     }
@@ -1043,31 +987,41 @@ mod tests {
     }
 
     /// `F_SBC` hands every party one vector at `τ_rel`, and so does the
-    /// round-level `tick`: the release is built once and every honest
-    /// output holds that one list — shared, not copied per party.
+    /// real world, whoever drives its rounds — `tick`, or bare `advance`
+    /// calls in reverse id order: the release is built once and every
+    /// honest output holds that one list, shared, not copied per party.
     #[test]
     fn release_is_one_shared_list() {
         const N: usize = 256;
-        let mut w = RealSbcWorld::new(params(N), b"shared-release");
-        for p in (0..N as u32).step_by(8) {
-            w.submit(PartyId(p), &p.to_be_bytes());
+        type Drive = fn(&mut RealSbcWorld);
+        let tick: Drive = |w| w.tick();
+        let advance_in_reverse: Drive = |w| {
+            for p in (0..N as u32).rev() {
+                w.advance(PartyId(p));
+            }
+        };
+        for drive in [tick, advance_in_reverse] {
+            let mut w = RealSbcWorld::new(params(N), b"shared-release");
+            for p in (0..N as u32).step_by(8) {
+                w.submit(PartyId(p), &p.to_be_bytes());
+            }
+            let outs = (0..10)
+                .map(|_| {
+                    drive(&mut w);
+                    w.drain_outputs()
+                })
+                .find(|outs| !outs.is_empty())
+                .expect("released within ten rounds");
+            let lists: Vec<&Arc<Vec<Value>>> = outs
+                .iter()
+                .filter_map(|(_, cmd)| match &cmd.value {
+                    Value::List(list) => Some(list),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!((lists.len(), lists[0].len()), (N, N / 8));
+            assert!(lists.iter().all(|list| Arc::ptr_eq(list, lists[0])));
         }
-        let outs = (0..10)
-            .map(|_| {
-                w.tick();
-                w.drain_outputs()
-            })
-            .find(|outs| !outs.is_empty())
-            .expect("released within ten rounds");
-        let lists: Vec<&Arc<Vec<Value>>> = outs
-            .iter()
-            .filter_map(|(_, cmd)| match &cmd.value {
-                Value::List(list) => Some(list),
-                _ => None,
-            })
-            .collect();
-        assert_eq!((lists.len(), lists[0].len()), (N, N / 8));
-        assert!(lists.iter().all(|list| Arc::ptr_eq(list, lists[0])));
     }
 
     #[test]

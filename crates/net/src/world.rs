@@ -22,7 +22,7 @@
 //!
 //! * **host-side sequencing** — per `advance`: due data frames, the
 //!   `Tick`, the party's `F_UBC` flush, then the delivery pumps, in the
-//!   order `RealSbcWorld`'s reference loop makes them;
+//!   order `RealSbcWorld::advance` makes its calls;
 //! * **transport inertness** — the only frames the network is free to
 //!   disturb, party-to-party `(c, τ_rel, y)` wire deliveries, are inert on
 //!   arrival: a recorded wire has no observable effect until the release
@@ -38,12 +38,13 @@
 //!   asks whether two logs agree. Unobservable: a `ParsedWire` is its
 //!   three components, so the shared value is the one each recipient
 //!   would have parsed;
-//! * **release sharing** — under `tick` the first honest party releases
-//!   over its own frames and every later one takes that output, the one
-//!   shared list (`SharedRelease`, the rule under `RealSbcWorld::tick`),
-//!   and posts its own `Output`. Scoped to one `tick` at a round
-//!   boundary — between bare `advance` calls the adversary may act — and
-//!   guarded per party by `SbcParty::shares_release_view`.
+//! * **release sharing** — within one round the first honest party
+//!   releases over its own frames and every later one takes that output,
+//!   the one shared list (`SharedRelease`, the rule `RealSbcWorld` holds
+//!   per round too), and posts its own `Output`. The rule is forgotten
+//!   when the round ends and before any other mutating call — the
+//!   adversary may act between two `advance`s — and guarded per party by
+//!   `SbcParty::shares_release_view`.
 //!
 //! Dropping a corrupted sender's wires — by schedule, or because one is
 //! over the frame size cap — *does* change the received sets: that knob
@@ -290,8 +291,8 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     /// This period's wires interned by content, sorted by
     /// [`ParsedWire::cmp_payload`] (see [`deliver_wire`](Self::deliver_wire)).
     wires: Vec<Arc<ParsedWire>>,
-    /// The release rule of the `tick` in progress; `None` outside one.
-    release: Option<SharedRelease>,
+    /// This round's release rule.
+    release: SharedRelease,
     /// The first frame the transport refused (see [`SbcWorld::fault`]).
     fault: Option<String>,
     _profile: PhantomData<P>,
@@ -331,7 +332,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             parties,
             transport,
             wires: Vec::new(),
-            release: None,
+            release: SharedRelease::default(),
             fault: None,
             _profile: PhantomData,
         })
@@ -392,12 +393,10 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 match kind {
                     FrameKind::Submit(v) => party.on_input(v, &mut link),
                     FrameKind::Tick => {
-                        // Under the `tick` in progress, a party that reuses
-                        // its first release posts only its own `Output`.
-                        let mut alone = SharedRelease::default();
-                        let release = self.release.as_mut().unwrap_or(&mut alone);
+                        // A party that reuses the round's first release
+                        // posts only its own `Output`.
                         let (parties, i) = (&mut self.parties, p as usize);
-                        if let Some(cmd) = release.advance(parties, i, &mut link) {
+                        if let Some(cmd) = self.release.advance(parties, i, &mut link) {
                             let out = FrameKind::Output(cmd.value);
                             link.post(Endpoint::Party(p), Endpoint::Env, out);
                         }
@@ -457,6 +456,12 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
+    /// Forgets the round's release: when the round ends, and before any
+    /// other mutating call (the adversary may act between two `advance`s).
+    fn settle(&mut self) {
+        self.release = SharedRelease::default();
+    }
+
     /// Hands party `p` the wire `payload` is: the interned `Arc` on full
     /// byte equality of `(c, τ_rel, y)` — so a broadcast is held once per
     /// world and its recipients' logs compare by pointer — a new one on a
@@ -491,6 +496,7 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
     }
 
     fn input(&mut self, party: PartyId, cmd: Command) {
+        self.settle();
         if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
@@ -514,10 +520,13 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
         // Host side of the tick: flush this party's UBC pending.
         let msgs = self.host.take_flush(party);
         self.deliver(party.0, msgs);
-        self.host.core.clock.advance_party(party);
+        if self.host.core.clock.advance_party(party) {
+            self.settle();
+        }
     }
 
     fn adversary(&mut self, cmd: AdvCommand) -> Value {
+        self.settle();
         match cmd {
             AdvCommand::Corrupt(p) => {
                 if !self.host.core.corrupt(p) {
@@ -556,6 +565,7 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
     /// in-flight frames are flushed, the networked image of the in-process
     /// `clear_pending`, together with the wires interned for the period.
     fn begin_new_period(&mut self) {
+        self.settle();
         for p in &mut self.parties {
             p.reset_period();
         }
@@ -582,22 +592,10 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         self.fault.as_deref()
     }
 
-    /// The per-party `advance` loop under one [`SharedRelease`]: at `τ_rel`
-    /// the first honest party releases over its frames and every later one
-    /// whose log matches clones that output — O(n + wires) frames, not
-    /// O(n · wires). Scoped to this call, which no adversary action can
-    /// fall inside; a round entered mid-round is the literal loop.
-    fn tick(&mut self) {
-        self.release = (!self.host.core.clock.mid_round()).then(SharedRelease::default);
-        for i in 0..self.n() {
-            self.advance(PartyId(i as u32));
-        }
-        self.release = None;
-    }
-
     /// O(1) join when verifiably idle — including an idle *network*: a
     /// frame still in flight means an idle round is not a pure clock tick.
     fn join_at(&mut self, round: u64) {
+        self.settle();
         let idle = self.parties.iter().all(|p| p.is_idle())
             && self.host.is_idle()
             && self.transport.idle();
@@ -937,23 +935,23 @@ mod tests {
         assert_eq!(real.outputs(), outs);
     }
 
-    /// Two identically seeded worlds of one backend, one stepped by the
-    /// literal per-party `advance` loop and one by its round-level `tick`,
+    /// The in-process world stepped by bare `advance` calls in party-id
+    /// order, and an identically seeded networked world stepped by `tick`,
     /// compared after every round: clock, outputs and leaks.
-    struct SchedulePair<W: SbcBackend> {
-        reference: W,
-        ticked: W,
+    struct SchedulePair<P: NetProfile> {
+        reference: RealSbcWorld,
+        ticked: NetSbcWorld<P>,
     }
 
-    impl<W: SbcBackend> SchedulePair<W> {
+    impl<P: NetProfile> SchedulePair<P> {
         fn new(params: SbcParams, seed: &[u8]) -> Self {
             SchedulePair {
-                reference: W::from_params(params, seed).expect("valid"),
-                ticked: W::from_params(params, seed).expect("valid"),
+                reference: RealSbcWorld::new(params, seed),
+                ticked: NetSbcWorld::new(params, seed).expect("valid"),
             }
         }
 
-        fn both(&mut self, f: impl Fn(&mut W)) {
+        fn both(&mut self, f: impl Fn(&mut dyn SbcWorld)) {
             f(&mut self.reference);
             f(&mut self.ticked);
         }
@@ -996,19 +994,15 @@ mod tests {
         sbc_wire(&Value::bytes([7u8; 48]), tau, &[9u8; 16])
     }
 
-    /// `W::tick` is the literal per-party `advance` loop, bit for bit,
-    /// every round. The first shape is two epochs under a mid-period
-    /// corruption and an accepted adversarial wire; with `every_shape`,
-    /// four more follow. Returns the first shape's pair and, if it ran,
-    /// the last one's, for the call site to read their transports.
-    fn tick_matches_loop<W: SbcBackend>(
-        p: SbcParams,
-        every_shape: bool,
-    ) -> (SchedulePair<W>, Option<SchedulePair<W>>) {
+    /// `NetSbcWorld<P>::tick` is `RealSbcWorld`'s bare per-party `advance`
+    /// loop, bit for bit, every round. The first shape is two epochs under
+    /// a mid-period corruption and an accepted adversarial wire; with
+    /// `every_shape`, four more follow.
+    fn tick_matches_loop<P: NetProfile>(p: SbcParams, every_shape: bool) {
         let (n, last) = (p.n, p.n - 1);
         let corrupt = |party: usize| AdvCommand::Corrupt(PartyId(party as u32));
 
-        let mut epochs = SchedulePair::<W>::new(p, b"tick-equiv");
+        let mut epochs = SchedulePair::<P>::new(p, b"tick-equiv");
         for epoch in 0..2 {
             epochs.submit(0, b"alpha");
             epochs.submit(n / 2, b"bravo");
@@ -1023,12 +1017,12 @@ mod tests {
             epochs.both(|w| w.begin_new_period());
         }
         if !every_shape {
-            return (epochs, None);
+            return;
         }
 
-        // Party 0 corrupted before the first tick: the first honest
+        // Party 0 corrupted before the first round: the first honest
         // party — the one whose release the others reuse — is not 0.
-        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/p0");
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/p0");
         s.adversary(corrupt(0));
         s.submit(1, b"charlie");
         s.submit(last, b"delta");
@@ -1038,7 +1032,7 @@ mod tests {
 
         // A sender corrupted mid-period after it has broadcast: its
         // wire stays in every log and its message is released.
-        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/sender");
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/sender");
         s.submit(0, b"echo");
         s.submit(last, b"foxtrot");
         s.rounds(2); // wake-up, then the wires go out
@@ -1053,7 +1047,7 @@ mod tests {
 
         // Wires every recipient must discard identically: a wrong
         // τ_rel, and a right one delivered at Cl ≥ t_end.
-        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/discard");
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/discard");
         s.submit(0, b"golf");
         s.round();
         s.adversary(corrupt(last));
@@ -1070,10 +1064,9 @@ mod tests {
             assert_eq!(cmd.value.as_list(), Some(&[Value::bytes(b"golf")][..]));
         }
 
-        // Rounds entered mid-round (one party already advanced by hand)
-        // take the literal-loop fallback — on broadcast rounds and on
-        // the release round alike.
-        let mut s = SchedulePair::<W>::new(p, b"tick-equiv/mid-round");
+        // Rounds entered mid-round (one party already advanced by hand),
+        // on broadcast rounds and on the release round alike.
+        let mut s = SchedulePair::<P>::new(p, b"tick-equiv/mid-round");
         s.submit(0, b"hotel");
         s.submit(last, b"india");
         let mut outs = Vec::new();
@@ -1083,46 +1076,29 @@ mod tests {
             }
             outs.extend(s.round());
         }
-        assert_eq!(outs.len(), n, "n={n}: released through the fallback");
-        (epochs, Some(s))
+        assert_eq!(outs.len(), n, "n={n}: released mid-round");
     }
 
-    /// The in-process round-level `tick` (shared release, deferred batch
-    /// delivery by class) at n ∈ {2, 6, 64} and at `tle_delay = 0` — and
-    /// its first shape at n = 256, the width `auction_wide` runs.
+    /// On loopback at n = 6 and at `tle_delay = 0` — and the first shape
+    /// at n = 256, the width `auction_wide` runs.
     #[test]
     fn tick_matches_per_party_advance_loop() {
-        tick_matches_loop::<RealSbcWorld>(SbcParams::default_for(256), false);
+        tick_matches_loop::<LoopbackProfile>(SbcParams::default_for(256), false);
         let zero_delay = SbcParams {
             tle_delay: 0,
             ..SbcParams::default_for(3)
         };
-        let widths = [2, 6, 64].map(SbcParams::default_for);
-        for p in widths.into_iter().chain([zero_delay]) {
-            tick_matches_loop::<RealSbcWorld>(p, true);
+        for p in [SbcParams::default_for(6), zero_delay] {
+            tick_matches_loop::<LoopbackProfile>(p, true);
         }
     }
 
     #[test]
     fn tick_matches_per_party_advance_loop_on_loopback_and_simnet() {
-        fn frames_saved<P: NetProfile>(n: usize) {
-            let p = SbcParams::default_for(n);
-            let (epochs, mid_round) = tick_matches_loop::<NetSbcWorld<P>>(p, true);
-            let sent = |w: &NetSbcWorld<P>| w.transport_stats().sent;
-            // The comparison is not vacuous: the shared release saved
-            // frames (at n = 2 the corruption leaves one honest party:
-            // none to save) — and none under the mid-round fallback.
-            assert_eq!(
-                sent(&epochs.ticked) < sent(&epochs.reference),
-                n > 2,
-                "n={n}"
-            );
-            let s = mid_round.expect("every shape ran");
-            assert_eq!(sent(&s.ticked), sent(&s.reference), "n={n}: no sharing");
-        }
         for n in [2, 8, 64] {
-            frames_saved::<LoopbackProfile>(n);
-            frames_saved::<AdversarialProfile>(n);
+            let p = SbcParams::default_for(n);
+            tick_matches_loop::<LoopbackProfile>(p, true);
+            tick_matches_loop::<AdversarialProfile>(p, true);
         }
     }
 
@@ -1206,8 +1182,9 @@ mod tests {
         ]
     }
 
-    /// The frame count, pinned where the world lives: under `tick` the
-    /// release round costs one `TleDec` + `RoQuery` per wire — not per
+    /// The frame count, pinned where the world lives: however the round
+    /// is driven (`tick`, or bare `advance` calls in reverse id order),
+    /// the release round costs one `TleDec` + `RoQuery` per wire — not per
     /// wire per party — and one `Output` per party; and an instance of
     /// `bulk_loopback`'s shape costs exactly the frames and bytes the
     /// benchmark ladder reports as `net.world.frames_per_sub` = 19.71875
@@ -1215,7 +1192,14 @@ mod tests {
     /// submissions.
     #[test]
     fn release_round_frames_are_per_wire_not_per_party() {
-        let run = |n: usize, k: usize, payload_len: usize| {
+        type Drive = fn(&mut LoopbackSbcWorld);
+        let tick: Drive = |w| w.tick();
+        let advance_in_reverse: Drive = |w| {
+            for p in (0..w.n() as u32).rev() {
+                w.advance(PartyId(p));
+            }
+        };
+        let run = |drive: Drive, n: usize, k: usize, payload_len: usize| {
             let params = SbcParams::default_for(n);
             let (mut w, seen) = tapped_world(params, b"tapped", Some);
             for i in 0..k {
@@ -1223,16 +1207,17 @@ mod tests {
             }
             let tau = params.phi + params.delta;
             for _ in 0..=tau {
-                w.tick();
+                drive(&mut w);
             }
             assert_eq!(w.drain_outputs().len(), n);
             assert_eq!(release_frames(&seen, tau), [k, k, n], "n={n} k={k}");
             w.transport_stats()
         };
         for n in [4, 8, 16] {
-            run(n, 2 * n + 1, 32);
+            run(tick, n, 2 * n + 1, 32);
+            run(advance_in_reverse, n, 2 * n + 1, 32);
         }
-        let stats = run(8, 64, 4096);
+        let stats = run(tick, 8, 64, 4096);
         assert_eq!((stats.sent, stats.bytes), (1262, 5_401_154));
     }
 

@@ -479,8 +479,6 @@ pub(crate) struct Checkpoint {
     pub(crate) round: u64,
     /// The pool's next instance id at the boundary.
     pub(crate) next_instance: u64,
-    /// The next submission ticket at the boundary.
-    pub(crate) next_ticket: u64,
     /// Absolute counter values at the boundary (tail replay re-derives
     /// everything after).
     pub(crate) counters: Counters,
@@ -501,7 +499,6 @@ impl Checkpoint {
             era: 0,
             round: 0,
             next_instance: 0,
-            next_ticket: 0,
             counters: Counters::default(),
             hist: LatencyHistogram::new(),
             queues: [Vec::new(), Vec::new(), Vec::new()],
@@ -534,7 +531,7 @@ pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     pub(crate) checkpoint: Checkpoint,
     hist: LatencyHistogram,
     wall: WallHistogram,
-    next_ticket: u64,
+    /// Counters; `accepted` is also the next submission's ticket.
     stats: Counters,
     /// Bytes of the most recent snapshot image produced (or restored
     /// from). Observational only — like the wall-clock view it is
@@ -601,7 +598,6 @@ impl<W: SbcBackend> SbcService<W> {
             checkpoint: Checkpoint::initial(),
             hist: LatencyHistogram::new(),
             wall: WallHistogram::new(),
-            next_ticket: 0,
             stats: Counters::default(),
             snapshot_bytes: Cell::new(0),
             auto_folds: 0,
@@ -635,8 +631,7 @@ impl<W: SbcBackend> SbcService<W> {
                 cap: self.cfg.queue_cap,
             });
         }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
+        let ticket = self.stats.accepted;
         self.stats.accepted += 1;
         self.journal.push(Op::Submit {
             payload: payload.clone(),
@@ -975,7 +970,6 @@ impl<W: SbcBackend> SbcService<W> {
             era: self.checkpoint.era + 1,
             round: self.pool.round(),
             next_instance: self.pool.next_instance_id(),
-            next_ticket: self.next_ticket,
             counters: self.stats.clone(),
             hist: self.hist.clone(),
             queues,
@@ -1013,7 +1007,6 @@ impl<W: SbcBackend> SbcService<W> {
                 });
             }
         }
-        self.next_ticket = cp.next_ticket;
         self.stats = cp.counters.clone();
         self.hist = cp.hist.clone();
         self.checkpoint = cp;

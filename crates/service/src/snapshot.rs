@@ -227,7 +227,8 @@ fn checkpoint_value(cp: &Checkpoint) -> Value {
         Value::U64(cp.era),
         Value::U64(cp.round),
         Value::U64(cp.next_instance),
-        Value::U64(cp.next_ticket),
+        // The next ticket: tickets are dense in acceptance order.
+        Value::U64(c.accepted),
         Value::list([
             Value::U64(c.accepted),
             Value::U64(c.rejected),
@@ -330,11 +331,28 @@ fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
         v if v >= 1 << 63 => Err(bad(format!("{what}: {v} is not below 2^63"))),
         v => Ok(v),
     };
+    // A forged ticket coordinate or queue would have the restored service
+    // issue a ticket twice.
+    let next_ticket = coordinate(3, "next_ticket")?;
+    if next_ticket != counters.accepted {
+        return Err(bad(format!(
+            "next_ticket: {next_ticket} is not the {} accepted submissions",
+            counters.accepted
+        )));
+    }
+    for (i, q) in queues.iter().enumerate() {
+        let tickets: Vec<u64> = q.iter().map(|(ticket, ..)| *ticket).collect();
+        let increasing = tickets.windows(2).all(|w| w[0] < w[1]);
+        if !increasing || tickets.last().is_some_and(|&t| t >= next_ticket) {
+            return Err(bad(format!(
+                "queue {i}: tickets not strictly increasing below next_ticket"
+            )));
+        }
+    }
     Ok(Checkpoint {
         era: coordinate(0, "era")?,
         round: coordinate(1, "round")?,
         next_instance: coordinate(2, "next_instance")?,
-        next_ticket: coordinate(3, "next_ticket")?,
         counters,
         hist,
         queues,
@@ -811,17 +829,32 @@ mod tests {
         assert!(assert_bad(&future, "future version").contains("version"));
     }
 
-    /// The payload fields of a small service's image, to forge and
-    /// re-[`seal`].
-    fn payload_fields() -> Vec<Value> {
-        let mut a = seeded();
-        a.submit(1, vec![9], DeadlineClass::Standard).unwrap();
+    /// The payload fields of `a`'s image, to forge and re-[`seal`].
+    fn payload_fields_of(a: &Service) -> Vec<Value> {
         let image = a.snapshot().unwrap();
         let payload = &image[HEADER_LEN..image.len() - DIGEST_LEN];
         match Value::decode(payload) {
             Some(Value::List(fields)) => Arc::unwrap_or_clone(fields),
             other => panic!("payload is a list: {other:?}"),
         }
+    }
+
+    /// The payload fields of a small service's image.
+    fn payload_fields() -> Vec<Value> {
+        let mut a = seeded();
+        a.submit(1, vec![9], DeadlineClass::Standard).unwrap();
+        payload_fields_of(&a)
+    }
+
+    /// `fields` re-[`seal`]ed with checkpoint (payload field 7) item `at`
+    /// set to `v`.
+    fn with_checkpoint_item(fields: &[Value], at: usize, v: Value) -> Vec<u8> {
+        let mut fields = fields.to_vec();
+        let Value::List(cp) = &mut fields[7] else {
+            panic!("checkpoint is a list");
+        };
+        Arc::make_mut(cp)[at] = v;
+        seal(&Value::list(fields).encode())
     }
 
     #[test]
@@ -862,17 +895,9 @@ mod tests {
         // restored, `stats()` would overflow on it or report nonsense.
         let fields = payload_fields();
         let with_hist = |buckets: &[u64], count: u64, sum: u64| {
-            let mut fields = fields.clone();
-            let Value::List(cp) = &mut fields[7] else {
-                panic!("checkpoint is a list");
-            };
-            Arc::make_mut(cp)[5] = Value::list([
-                Value::list(buckets.iter().map(|b| Value::U64(*b))),
-                Value::U64(count),
-                Value::U64(sum),
-                Value::U64(0),
-            ]);
-            seal(&Value::list(fields).encode())
+            let buckets = Value::list(buckets.iter().map(|b| Value::U64(*b)));
+            let hist = [buckets, Value::U64(count), Value::U64(sum), Value::U64(0)];
+            with_checkpoint_item(&fields, 5, Value::list(hist))
         };
         let empty = [0; LatencyHistogram::BUCKETS];
         let detail = assert_bad(&with_hist(&empty, u64::MAX, u64::MAX), "forged count");
@@ -901,16 +926,10 @@ mod tests {
         // field 7, checkpoint fields 0–3) at `u64::MAX`: restored, the
         // first tick that wakes an instance (`round`), the first replayed
         // open (`next_instance`) or submit (`next_ticket`), or the next
-        // fold (`era`) overflowed. 2^63 − 1 still restores.
+        // fold (`era`) overflowed. 2^63 − 1 still restores, bar the ticket:
+        // it must be the service's zero accepted submissions.
         let fields = payload_fields();
-        let with = |at: usize, v: u64| {
-            let mut fields = fields.clone();
-            let Value::List(cp) = &mut fields[7] else {
-                panic!("checkpoint is a list");
-            };
-            Arc::make_mut(cp)[at] = Value::U64(v);
-            seal(&Value::list(fields).encode())
-        };
+        let with = |at: usize, v: u64| with_checkpoint_item(&fields, at, Value::U64(v));
         for (at, name) in [
             (0, "era"),
             (1, "round"),
@@ -921,7 +940,39 @@ mod tests {
                 let detail = assert_bad(&with(at, v), name);
                 assert!(detail.starts_with(name), "{detail}");
             }
-            Service::restore(&with(at, (1 << 63) - 1)).unwrap();
+            let largest = with(at, (1 << 63) - 1);
+            if name == "next_ticket" {
+                assert!(assert_bad(&largest, name).starts_with(name));
+            } else {
+                Service::restore(&largest).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_image_with_forged_tickets_is_refused() {
+        // Correct digest, valid shape, but a checkpoint whose ticket (item
+        // 3) is not its `accepted` counter, or whose queued tickets (item
+        // 6) are out of order or not below it: restored, the service would
+        // issue a ticket twice.
+        let mut a = seeded();
+        for payload in [[1], [2], [3]] {
+            a.submit(1, payload.to_vec(), DeadlineClass::Standard)
+                .unwrap();
+        }
+        a.checkpoint().unwrap();
+        let fields = payload_fields_of(&a);
+        let entry = |t| Value::list([Value::U64(t), Value::bytes([0]), Value::U64(0)]);
+        let queue = |tickets: [u64; 3]| {
+            let standard = Value::list(tickets.map(entry));
+            Value::list([Value::list([]), standard, Value::list([])])
+        };
+        Service::restore(&with_checkpoint_item(&fields, 6, queue([0, 1, 2]))).unwrap();
+        let behind = with_checkpoint_item(&fields, 3, Value::U64(2));
+        assert!(assert_bad(&behind, "ticket").starts_with("next_ticket"));
+        for tickets in [[0, 2, 1], [0, 1, 1], [1, 2, 3]] {
+            let forged = with_checkpoint_item(&fields, 6, queue(tickets));
+            assert!(assert_bad(&forged, "queue").starts_with("queue 1"));
         }
     }
 

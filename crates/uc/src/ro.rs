@@ -32,7 +32,7 @@ use crate::ids::PartyId;
 use sbc_primitives::drbg::Drbg;
 use sbc_primitives::prf::{Prf, MASK, POINT};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Who issued a random-oracle query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,8 +72,10 @@ pub struct RandomOracle {
     table: HashMap<Vec<u8>, [u8; 32]>,
     /// Variable-output-length points keyed by `(len ‖ x)`.
     vl_table: HashMap<Vec<u8>, Vec<u8>>,
-    /// Points queried by the adversary (for simulator abort checks).
-    adversary_queried: HashMap<Vec<u8>, ()>,
+    /// Points the adversary queried (for simulator abort checks), keyed
+    /// as `table` and `vl_table` are: two sets, as `x` may spell `len ‖ x'`.
+    adversary_points: HashSet<Vec<u8>>,
+    adversary_masks: HashSet<Vec<u8>>,
     /// Every fresh point and every block of every mask is an output of it.
     prf: Prf,
 }
@@ -86,7 +88,8 @@ impl RandomOracle {
         RandomOracle {
             table: HashMap::new(),
             vl_table: HashMap::new(),
-            adversary_queried: HashMap::new(),
+            adversary_points: HashSet::new(),
+            adversary_masks: HashSet::new(),
             prf: Prf::new(key),
         }
     }
@@ -94,7 +97,7 @@ impl RandomOracle {
     /// `Query`: returns `H(x)`.
     pub fn query(&mut self, caller: Caller, x: &[u8]) -> [u8; 32] {
         if caller == Caller::Adversary {
-            self.adversary_queried.insert(x.to_vec(), ());
+            self.adversary_points.insert(x.to_vec());
         }
         if let Some(y) = self.table.get(x) {
             return *y;
@@ -118,7 +121,7 @@ impl RandomOracle {
     pub fn query_bytes(&mut self, caller: Caller, x: &[u8], len: usize) -> Vec<u8> {
         let key = Self::vl_key(x, len);
         if caller == Caller::Adversary {
-            self.adversary_queried.insert(key.clone(), ());
+            self.adversary_masks.insert(key.clone());
         }
         match self.vl_table.entry(key) {
             Entry::Occupied(point) => point.get().clone(),
@@ -158,12 +161,12 @@ impl RandomOracle {
 
     /// Whether the adversary queried the variable-length point `(x, len)`.
     pub fn adversary_queried_bytes(&self, x: &[u8], len: usize) -> bool {
-        self.adversary_queried.contains_key(&Self::vl_key(x, len))
+        self.adversary_masks.contains(&Self::vl_key(x, len))
     }
 
     /// Whether the adversary has queried the point (abort-check predicate).
     pub fn adversary_queried(&self, x: &[u8]) -> bool {
-        self.adversary_queried.contains_key(x)
+        self.adversary_points.contains(x)
     }
 }
 
@@ -275,6 +278,21 @@ mod tests {
         let leaked = r.query(Caller::Adversary, &crafted);
         assert!(!r.adversary_queried_bytes(&rho, 32));
         assert_ne!(leaked.to_vec(), r.query_bytes(Caller::Simulator, &rho, 32));
+    }
+
+    /// A fixed point that spells a mask's key `len_be64 ‖ x` is not that
+    /// mask, for the abort predicate either — nor the other way round.
+    #[test]
+    fn fixed_and_variable_adversary_queries_are_disjoint() {
+        let mut r = ro();
+        let rho = [0x42u8; 32];
+        let key = [&32u64.to_be_bytes()[..], &rho].concat();
+        r.query(Caller::Adversary, &key);
+        assert!(!r.adversary_queried_bytes(&rho, 32));
+        r.query_bytes(Caller::Adversary, b"sigma", 16);
+        let sigma_key = [&16u64.to_be_bytes()[..], b"sigma"].concat();
+        assert!(!r.adversary_queried(&sigma_key));
+        assert!(r.adversary_queried(&key) && r.adversary_queried_bytes(b"sigma", 16));
     }
 
     #[test]
