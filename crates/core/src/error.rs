@@ -73,12 +73,11 @@ pub enum SbcError {
         /// The live instance id.
         instance: u64,
     },
-    /// A pool fast-forward (`SbcPool::resume_at`) was attempted on a pool
-    /// that has already run — instances were opened or the shared clock
-    /// advanced. Fast-forward is a restore-time seam: it is only valid on
-    /// a freshly built pool, where setting the clock and the next
-    /// instance id reproduces the original's state exactly (instance seed
-    /// forks depend only on the id, and `join_at` makes catch-up O(1)).
+    /// A pool reopen (`SbcPool::resume_at`) would discard history: it
+    /// moved the clock of a pool that has already run (opened an instance
+    /// or advanced the clock), or moved the next instance id backwards.
+    /// The clock may only be set on a freshly built pool; after that an
+    /// instance id may only be skipped forward, at the current round.
     NotFresh {
         /// The pool's current shared-clock round.
         round: u64,

@@ -5,10 +5,12 @@
 //! Within it, honest requests are recorded while leaking only the sender's
 //! identity and the message *length* — that is **simultaneity**: no sender
 //! (and no adversary) learns anything about other senders' messages before
-//! choosing its own. At the period's end the honest records are finalized
-//! and sorted; the simulator receives the list `α` rounds before the
-//! parties, who all receive it exactly `∆` rounds after `t_end` —
-//! **liveness** without full participation.
+//! choosing its own. An honest request in the period's last `delay`
+//! rounds is discarded, the cut-off `Π_SBC` applies: its time-lock
+//! ciphertext could not be ready before `t_end`. At the period's end the
+//! honest records are finalized and sorted; the simulator receives the
+//! list `α` rounds before the parties, who all receive it exactly `∆`
+//! rounds after `t_end` — **liveness** without full participation.
 
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::hybrid::HybridCtx;
@@ -40,6 +42,9 @@ pub struct SbcFunc {
     phi: u64,
     delta: u64,
     alpha: u64,
+    /// The TLE ciphertext-generation delay: honest requests at
+    /// `Cl + delay ≥ t_end` are discarded.
+    delay: u64,
     records: Vec<SbcRecord>,
     t_start: Option<u64>,
     t_end: Option<u64>,
@@ -51,18 +56,20 @@ pub struct SbcFunc {
 }
 
 impl SbcFunc {
-    /// Creates the functionality.
+    /// Creates the functionality; `delay` is the TLE ciphertext-generation
+    /// delay of the protocol it idealises.
     ///
     /// # Panics
     ///
     /// Panics unless `Φ > 0` and `∆ ≥ α`.
-    pub fn new(phi: u64, delta: u64, alpha: u64, tag_rng: Drbg) -> Self {
+    pub fn new(phi: u64, delta: u64, alpha: u64, delay: u64, tag_rng: Drbg) -> Self {
         assert!(phi > 0, "broadcast period must be positive");
         assert!(delta >= alpha, "need ∆ ≥ α");
         SbcFunc {
             phi,
             delta,
             alpha,
+            delay,
             records: Vec::new(),
             t_start: None,
             t_end: None,
@@ -116,8 +123,10 @@ impl SbcFunc {
 
     /// `Broadcast` from an honest party (leaks `(tag, |M|, P)`) or from the
     /// simulator on behalf of a corrupted one (leaks `(tag, M, P)`; record
-    /// enters finalized). Requests outside the period are discarded.
-    /// Returns the tag if recorded.
+    /// enters finalized). Requests outside the period are discarded, and so
+    /// is an honest request at `Cl + delay ≥ t_end` — with no record and no
+    /// leak — since its ciphertext could not be cast before the period
+    /// closes. Returns the tag if recorded.
     pub fn broadcast(
         &mut self,
         sender: PartyId,
@@ -130,11 +139,11 @@ impl SbcFunc {
             self.t_end = Some(now + self.phi);
         }
         let (start, end) = (self.t_start.expect("set"), self.t_end.expect("set"));
-        if !(start <= now && now < end) {
+        let corrupted = ctx.is_corrupted(sender);
+        if !(start <= now && now < end) || (!corrupted && now + self.delay >= end) {
             return None;
         }
         let tag = Tag::random(&mut self.tag_rng);
-        let corrupted = ctx.is_corrupted(sender);
         self.records.push(SbcRecord {
             tag,
             msg: msg.clone(),
@@ -247,7 +256,7 @@ mod tests {
     use sbc_uc::world::WorldCore;
 
     fn func() -> SbcFunc {
-        SbcFunc::new(3, 2, 1, Drbg::from_seed(b"sbc-tags"))
+        SbcFunc::new(3, 2, 1, 1, Drbg::from_seed(b"sbc-tags"))
     }
 
     #[test]
@@ -297,6 +306,28 @@ mod tests {
             .broadcast(PartyId(0), Value::U64(2), &mut core.ctx())
             .is_none());
         assert_eq!(f.records().len(), 1);
+    }
+
+    #[test]
+    fn honest_requests_in_the_last_delay_rounds_discarded() {
+        // Φ = 3, delay = 1: t_end = 3, so an honest request at Cl = 2 could
+        // not be encrypted in time. A corrupted sender's request at the
+        // same round is the simulator's and still records.
+        let mut core = WorldCore::new(2, b"sbc");
+        core.corr.corrupt(PartyId(1)).unwrap();
+        let mut f = func();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        core.clock.fast_forward(2);
+        core.leaks.clear();
+        assert!(f
+            .broadcast(PartyId(0), Value::U64(2), &mut core.ctx())
+            .is_none());
+        assert!(core.leaks.is_empty(), "a discarded request leaks nothing");
+        assert!(f
+            .broadcast(PartyId(1), Value::U64(3), &mut core.ctx())
+            .is_some());
+        let msgs: Vec<&Value> = f.records().iter().map(|r| &r.msg).collect();
+        assert_eq!(msgs, [&Value::U64(1), &Value::U64(3)]);
     }
 
     #[test]
@@ -410,6 +441,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_phi_panics() {
-        SbcFunc::new(0, 2, 1, Drbg::from_seed(b"x"));
+        SbcFunc::new(0, 2, 1, 1, Drbg::from_seed(b"x"));
     }
 }

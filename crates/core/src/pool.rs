@@ -568,33 +568,32 @@ impl<W: SbcBackend> SbcPool<W> {
         self.world.round()
     }
 
-    /// Fast-forwards a **fresh** pool to shared-clock round `round` with
-    /// the next instance id at `next_instance` — the restore seam behind
-    /// era-based checkpointing in `sbc-service`.
+    /// Moves the pool to shared-clock round `round` with the next instance
+    /// id at `next_instance` — the one reopen seam, behind `sbc-service`'s
+    /// restore.
     ///
-    /// At a checkpoint boundary every pre-boundary instance has been
-    /// delivered and pruned, so the pool's entire state is the pair
-    /// `(round, next)`: instance seed forks depend only on the id, a new
-    /// instance catches up to any round in O(1) via `join_at`, and the
-    /// session-adversary DRBG is untouched as long as no adversarial
-    /// operation has consumed it. A fresh pool fast-forwarded this way
-    /// therefore continues **bit-identically** to the original — for
-    /// pools driven without corruption or injection (the service's
-    /// discipline). Pools that have corrupted parties or consumed
-    /// adversarial randomness are outside the checkpoint contract; their
-    /// restore path is full journal replay.
+    /// On a **fresh** pool it fast-forwards the clock. At the pool's
+    /// current round it skips instance ids forward, so the next
+    /// [`open_instance`](SbcPool::open_instance) gets `next_instance`.
+    /// Together these rebuild instances exactly: an instance's seed fork
+    /// depends only on its id, it joins the clock at its open round in
+    /// O(1) via `join_at`, and the session-adversary DRBG is untouched as
+    /// long as no adversarial operation has consumed it. A rebuilt
+    /// instance fed the original's submissions at their rounds therefore
+    /// continues **bit-identically** — for pools driven without
+    /// corruption or injection (the service's discipline).
     ///
     /// # Errors
     ///
-    /// [`SbcError::NotFresh`] if the pool has already opened an instance
-    /// or advanced its clock — fast-forward would silently discard that
-    /// history.
+    /// [`SbcError::NotFresh`] if the clock would move on a pool that has
+    /// already opened an instance or advanced it, or if instance ids would
+    /// be reused — either would silently discard history.
     pub fn resume_at(&mut self, round: u64, next_instance: u64) -> Result<(), SbcError> {
-        if self.world.round != 0
-            || self.world.next != 0
-            || !self.world.retired.is_empty()
-            || !self.state.is_empty()
-        {
+        let fresh = self.world.round == 0
+            && self.world.next == 0
+            && self.world.retired.is_empty()
+            && self.state.is_empty();
+        if (round != self.world.round && !fresh) || next_instance < self.world.next {
             return Err(SbcError::NotFresh {
                 round: self.world.round,
                 opened: self.world.next,
@@ -612,8 +611,7 @@ impl<W: SbcBackend> SbcPool<W> {
 
     /// The id the next [`open_instance`](SbcPool::open_instance) call
     /// will assign — equivalently, how many instance ids this pool has
-    /// consumed. Together with [`round`](SbcPool::round) this is the
-    /// complete fast-forward coordinate for [`resume_at`](SbcPool::resume_at).
+    /// consumed — the coordinate [`resume_at`](SbcPool::resume_at) sets.
     pub fn next_instance_id(&self) -> u64 {
         self.world.next
     }
@@ -1353,6 +1351,44 @@ mod tests {
             ticked.resume_at(7, 3),
             Err(SbcError::NotFresh { .. })
         ));
+    }
+
+    #[test]
+    fn resume_at_reopens_instances_at_their_ids() {
+        // `a` opens instances 0 and 1 at round 0, 2 at round 2, 3 and 4 at
+        // round 3. A fresh `b` rebuilds only 2 and 4, each at its id and
+        // open round with the same submission: both release as in `a`.
+        let opens = [0, 0, 2, 3, 3];
+        let mut a = SbcPool::builder(2).seed(b"reopen").build().unwrap();
+        let mut b = SbcPool::builder(2).seed(b"reopen").build().unwrap();
+        for round in 0..4 {
+            for (id, _) in opens.iter().enumerate().filter(|(_, &at)| at == round) {
+                let opened = a.open_instance().unwrap();
+                a.submit(opened, 0, &[id as u8]).unwrap();
+            }
+            match round {
+                2 => b.resume_at(2, 2).unwrap(),
+                3 => {
+                    assert!(b.resume_at(3, 2).is_err(), "ids are never reused");
+                    assert!(b.resume_at(4, 4).is_err(), "the clock moves by steps");
+                    b.resume_at(3, 4).unwrap();
+                }
+                _ => {}
+            }
+            if round >= 2 {
+                let opened = b.open_instance().unwrap();
+                b.submit(opened, 0, &[opened.0 as u8]).unwrap();
+            }
+            a.step_round().unwrap();
+            if round >= 2 {
+                b.step_round().unwrap();
+            }
+        }
+        assert_eq!(b.live_instances(), [InstanceId(2), InstanceId(4)]);
+        for id in [InstanceId(2), InstanceId(4)] {
+            let ra = a.run_to_completion(id).unwrap();
+            assert_eq!(ra, b.run_to_completion(id).unwrap(), "{id}");
+        }
     }
 
     #[test]

@@ -609,12 +609,6 @@ impl SimSbc {
     /// takes a `Broadcast` input of that length.
     fn on_sender_leak(&mut self, party: PartyId, tag: Tag, msg_len: usize, host: &mut SbcHost) {
         let i = party.index();
-        if self
-            .t_end()
-            .is_some_and(|end| host.now() + self.params.tle_delay >= end)
-        {
-            return; // cannot be ready before the period closes
-        }
         let rho = self.party_rngs[i].gen_bytes(32);
         match self.tau_rel() {
             Some(tau_rel) => host.tle_enc(party, Value::bytes(&rho), tau_rel),
@@ -788,7 +782,13 @@ impl IdealSbcWorld {
         let (host, side) = SbcHost::fork(params, seed);
         IdealSbcWorld {
             host,
-            fsbc: SbcFunc::new(params.phi, params.delta, params.sbc_alpha(), side.sbc_tags),
+            fsbc: SbcFunc::new(
+                params.phi,
+                params.delta,
+                params.sbc_alpha(),
+                params.tle_delay,
+                side.sbc_tags,
+            ),
             sim: SimSbc::new(params, side.parties, side.equiv),
         }
     }
@@ -1255,6 +1255,33 @@ mod tests {
             let real = assert_aligned(d);
             assert_eq!(real.outputs().len(), n, "n={n}: every party released");
         }
+    }
+
+    /// An honest input in the period's last `delay` rounds: `Π_SBC` drops
+    /// it (its ciphertext cannot be cast before `t_end`), and so must
+    /// `F_SBC`, or the ideal world releases one message more.
+    #[test]
+    fn theorem2_honest_input_in_the_last_delay_rounds() {
+        let real = assert_theorem2(3, b"late", |env| {
+            env.input(
+                PartyId(0),
+                Command::new("Broadcast", Value::bytes(b"first")),
+            );
+            env.advance_all();
+            env.advance_all();
+            // Cl = 2 = t_end − 1, and Cl + delay ≥ t_end.
+            env.input(
+                PartyId(1),
+                Command::new("Broadcast", Value::bytes(b"late!")),
+            );
+            env.idle_rounds(6);
+        });
+        let outs = real.outputs();
+        assert_eq!(outs.len(), 3, "every party released");
+        assert_eq!(
+            outs[0].2.value.as_list(),
+            Some(&[Value::bytes(b"first")][..])
+        );
     }
 
     #[test]

@@ -793,6 +793,14 @@ mod tests {
     }
 
     #[test]
+    fn receive_for_an_unknown_party_is_empty() {
+        let mut t = TcpTransport::local(3, 2, test_cfg()).unwrap();
+        assert!(t.recv_data(7, 0).is_empty());
+        assert!(t.recv_rpc(3).is_empty());
+        assert!(t.idle());
+    }
+
+    #[test]
     fn send_order_is_delivery_order_per_lane() {
         let mut t = TcpTransport::local(2, 2, test_cfg()).unwrap();
         let frames: Vec<Vec<u8>> = (0..20).map(|i| wire_frame(1, 0, 3, 9, i)).collect();

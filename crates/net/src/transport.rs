@@ -213,8 +213,12 @@ impl Mailboxes {
         q.insert(at, (due, seq, frame));
     }
 
+    /// Data frames for `party` due by round `now`; none for a party the
+    /// mailboxes do not hold.
     pub(crate) fn drain_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
-        let q = &mut self.data[party as usize];
+        let Some(q) = self.data.get_mut(party as usize) else {
+            return Vec::new();
+        };
         let upto = q.partition_point(|&(d, _, _)| d <= now);
         let out: Vec<Frame> = q.drain(..upto).map(|(_, _, f)| f).collect();
         self.stats.delivered += out.len() as u64;
@@ -227,8 +231,12 @@ impl Mailboxes {
         out
     }
 
+    /// Rpc answers for `party`; none for a party the mailboxes do not hold.
     pub(crate) fn drain_rpc(&mut self, party: u32) -> Vec<Frame> {
-        let out: Vec<Frame> = self.rpc[party as usize].drain(..).collect();
+        let Some(q) = self.rpc.get_mut(party as usize) else {
+            return Vec::new();
+        };
+        let out: Vec<Frame> = q.drain(..).collect();
         self.stats.delivered += out.len() as u64;
         out
     }
@@ -548,6 +556,23 @@ mod tests {
         let mut t = Loopback::new(2, 2);
         let err = t.send(wire_frame(7, 0, 9, 1), 0);
         assert_eq!(err, Err(NetError::UnknownParty { party: 7, n: 2 }));
+    }
+
+    #[test]
+    fn loopback_receive_for_an_unknown_party_is_empty() {
+        let mut t = Loopback::new(3, 2);
+        t.send(wire_frame(1, 0, 9, 1), 0).unwrap();
+        assert!(t.recv_data(7, 0).is_empty());
+        assert!(t.recv_rpc(3).is_empty());
+        assert!(!t.idle(), "party 1's frame is still queued");
+    }
+
+    #[test]
+    fn simnet_receive_for_an_unknown_party_is_empty() {
+        let mut t = SimNet::new(3, SimConfig::adversarial(2), b"unknown");
+        assert!(t.recv_data(7, 0).is_empty());
+        assert!(t.recv_rpc(3).is_empty());
+        assert_eq!(t.stats().delivered, 0);
     }
 
     #[test]

@@ -1312,8 +1312,8 @@ mod tests {
     }
 
     /// The fault ends its own instance only: a second instance, opened
-    /// beside it, still releases, every later tick succeeds, and the
-    /// journal that recorded the fault restores.
+    /// beside it, still releases, every later tick succeeds, and an image
+    /// taken after the fault restores.
     #[test]
     fn an_oversize_submission_frame_drops_only_its_instance() {
         use sbc_service::{DeadlineClass, SbcService, ServiceConfig, ServiceMode};

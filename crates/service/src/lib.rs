@@ -26,17 +26,17 @@
 //!   as a [`ServiceStats`] snapshot (p50/p90/p99, counters, peaks); an
 //!   optional wall-clock view (`ServiceConfig::record_wall_clock`) adds a
 //!   µs-grained [`WallLatencySummary`] for real-socket backends.
-//! * **Era-based snapshot/restore** — [`SbcService::checkpoint`] folds
-//!   the deterministic operation journal into a compact checkpoint at
-//!   era boundaries (everything drained and pruned), so
-//!   [`SbcService::snapshot`] carries (checkpoint ‖ short tail) as one
-//!   flat image — magic, version, length, payload, SHA-256 digest —
-//!   with [`SbcService::snapshot_to`]/[`SbcService::restore_from`]
-//!   writing and reading it over [`std::io`]. [`SbcService::restore`]
-//!   fast-forwards a fresh pool through the checkpoint and replays only
-//!   the tail, reproducing release transcripts bit-identically — a
-//!   service killed mid-epoch resumes where it died, at restore cost
-//!   O(current era) instead of O(lifetime).
+//! * **Snapshot/restore of live state** — [`SbcService::snapshot`] writes
+//!   what is live now (config, counters, queues, parked records, and each
+//!   live instance's open round and admissions) as one flat image —
+//!   magic, version, length, payload, SHA-256 digest — at any tick, with
+//!   [`SbcService::snapshot_to`]/[`SbcService::restore_from`] writing and
+//!   reading it over [`std::io`]. [`SbcService::restore`] rebuilds each
+//!   live instance at its id in a fresh pool and steps it to the capture
+//!   round, reproducing release transcripts bit-identically — a service
+//!   killed mid-epoch resumes where it died. An instance is live for at
+//!   most Φ + ∆ + 1 rounds, so the image and the restore work are bounded
+//!   by `max_live`, never by the service's age.
 //!
 //! The service is generic over the [`sbc_core::worlds::SbcBackend`] seam:
 //! the same driver runs over `RealSbcWorld` (in-process),

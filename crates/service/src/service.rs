@@ -21,8 +21,10 @@
 //!    finished instance with an undelivered record is never reclaimed.
 //!
 //! Determinism: every externally observable state change is a function of
-//! the accepted operation sequence (submits and ticks). That is what
-//! makes the operation-journal snapshot in [`crate::snapshot`] exact.
+//! the accepted operation sequence (submits and ticks), and a live
+//! instance's state is a function of its id, its open round and its
+//! admissions alone. That is what makes the live-state image in
+//! [`crate::snapshot`] exact.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -58,15 +60,6 @@ impl DeadlineClass {
             DeadlineClass::Interactive => 0,
             DeadlineClass::Standard => 1,
             DeadlineClass::Batch => 2,
-        }
-    }
-
-    pub(crate) fn from_tag(tag: u64) -> Option<Self> {
-        match tag {
-            0 => Some(DeadlineClass::Interactive),
-            1 => Some(DeadlineClass::Standard),
-            2 => Some(DeadlineClass::Batch),
-            _ => None,
         }
     }
 }
@@ -197,23 +190,15 @@ pub struct ReleaseRecord {
     pub tickets: Vec<u64>,
 }
 
-/// Auto-checkpoint policy: how much un-folded history the service
-/// tolerates before [`SbcService::tick`] folds the journal on its own.
-///
-/// Each threshold arms independently (`0` disables it). Once either is
-/// crossed, every subsequent tick attempts
-/// [`SbcService::try_checkpoint`], so the fold lands at the **first era
-/// boundary past the threshold** — a mid-epoch crossing just waits for
-/// the pool to drain. Auto-folds are counted in
-/// [`ServiceStats::auto_folds`].
+/// Inert: the retired auto-checkpoint policy. An image holds only live
+/// state, so there is no journal to fold and nothing reads either field.
+/// Kept only because the benchmark's workload specs still name it; ROADMAP
+/// item 1 deletes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointEvery {
-    /// Fold once this many instances have finished since the last
-    /// checkpoint — "era" in the scheduling sense: one completed
-    /// instance lifecycle. `0` disables this threshold.
+    /// Inert.
     pub eras: u64,
-    /// Fold once the post-checkpoint journal tail holds at least this
-    /// many operations. `0` disables this threshold.
+    /// Inert.
     pub journal_ops: u64,
 }
 
@@ -251,15 +236,9 @@ pub struct ServiceConfig {
     /// is not replayable), so a restored service always starts with this
     /// off.
     pub record_wall_clock: bool,
-    /// Auto-checkpoint policy (`None` = manual folds only). When set,
-    /// [`SbcService::tick`] calls [`SbcService::try_checkpoint`] at the
-    /// first era boundary past either [`CheckpointEvery`] threshold, so
-    /// the journal — and with it snapshot size and restore time — stays
-    /// bounded without the driver ever calling
-    /// [`SbcService::checkpoint`]. Like `record_wall_clock` the policy
-    /// is **excluded from snapshots**: replay must re-derive the folded
-    /// state from the serialized checkpoint, not from re-running the
-    /// policy, so a restored service starts with it off.
+    /// Inert (see [`CheckpointEvery`]): never read, and not part of an
+    /// image. Kept only because the benchmark's workload specs set it;
+    /// ROADMAP item 1 deletes it.
     pub checkpoint_every: Option<CheckpointEvery>,
 }
 
@@ -333,9 +312,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Arms the auto-checkpoint policy — see the
-    /// [`checkpoint_every`](ServiceConfig::checkpoint_every) field for
-    /// its trigger and snapshot semantics.
+    /// Sets the inert [`checkpoint_every`](ServiceConfig::checkpoint_every)
+    /// field; it changes nothing.
     pub fn checkpoint_every(mut self, policy: CheckpointEvery) -> Self {
         self.checkpoint_every = Some(policy);
         self
@@ -350,18 +328,6 @@ pub enum ServiceError {
     QueueFull {
         /// The configured queue bound.
         cap: usize,
-    },
-    /// A checkpoint was requested mid-era: pre-boundary instances are
-    /// still live, or released records have not been delivered yet. A
-    /// checkpoint boundary requires every pre-boundary instance
-    /// delivered, drained, and pruned (pool footprint flat) — queued
-    /// submissions are fine (they fold into the checkpoint), in-flight
-    /// epochs are not.
-    NotAtBoundary {
-        /// Instances still live.
-        live: usize,
-        /// Released records still parked for `drain_releases`.
-        parked: usize,
     },
     /// The snapshot bytes are not a valid service image.
     BadSnapshot {
@@ -395,12 +361,6 @@ impl fmt::Display for ServiceError {
             ServiceError::QueueFull { cap } => {
                 write!(f, "ingress queue full (cap {cap}): apply backpressure")
             }
-            ServiceError::NotAtBoundary { live, parked } => {
-                write!(
-                    f,
-                    "not at an era boundary: {live} instances live, {parked} records undelivered"
-                )
-            }
             ServiceError::BadSnapshot { detail } => write!(f, "bad snapshot: {detail}"),
             ServiceError::Timeout { budget } => {
                 write!(f, "service drive exceeded its {budget}-tick budget")
@@ -428,82 +388,32 @@ impl From<SbcError> for ServiceError {
 
 /// A queued-but-unadmitted submission.
 #[derive(Clone, Debug)]
-struct Pending {
-    ticket: u64,
-    payload: Vec<u8>,
-    class: DeadlineClass,
-    enqueued_round: u64,
+pub(crate) struct Pending {
+    pub(crate) ticket: u64,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) class: DeadlineClass,
+    pub(crate) enqueued_round: u64,
     /// Wall-clock arrival, carried only when `record_wall_clock` is on.
-    enqueued_at: Option<Instant>,
+    pub(crate) enqueued_at: Option<Instant>,
 }
 
-/// A submission admitted into a live instance, awaiting its release.
+/// A submission admitted into a live instance, awaiting its release. It
+/// keeps its payload: a restore feeds it to the rebuilt instance again.
 #[derive(Clone, Debug)]
-struct InFlight {
-    ticket: u64,
-    enqueued_round: u64,
-    enqueued_at: Option<Instant>,
+pub(crate) struct InFlight {
+    pub(crate) ticket: u64,
+    pub(crate) enqueued_round: u64,
+    pub(crate) admitted_round: u64,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) enqueued_at: Option<Instant>,
 }
 
-/// One journaled external operation (see [`crate::snapshot`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
-    /// An accepted submission.
-    Submit {
-        /// Broadcast payload.
-        payload: Vec<u8>,
-        /// Deadline class it was queued under.
-        class: DeadlineClass,
-    },
-    /// A run of consecutive driver ticks, run-length encoded: an idle
-    /// service journals O(1) entries per quiet stretch instead of one
-    /// per round, so snapshot size no longer grows with wall time.
-    Ticks(u64),
-}
-
-/// A folded journal prefix: the complete deterministic service state at
-/// an era boundary, captured when [`SbcService::checkpoint`] truncates
-/// the journal.
-///
-/// The record is small and bounded: at a boundary every pre-boundary
-/// instance has been delivered and pruned, so the pool collapses to its
-/// `(round, next instance id)` fast-forward coordinate
-/// ([`sbc_core::pool::SbcPool::resume_at`]) and the only service state
-/// left is the queues, the counters, and the latency histogram. Restore
-/// cost is O(this record + the post-boundary tail), not O(lifetime).
-#[derive(Clone, Debug)]
-pub(crate) struct Checkpoint {
-    /// Checkpoint generation: 0 for the fresh-service base, +1 per fold.
-    pub(crate) era: u64,
-    /// The shared-clock round at the boundary.
-    pub(crate) round: u64,
-    /// The pool's next instance id at the boundary.
-    pub(crate) next_instance: u64,
-    /// Absolute counter values at the boundary (tail replay re-derives
-    /// everything after).
-    pub(crate) counters: Counters,
-    /// The rounds-latency histogram at the boundary.
-    pub(crate) hist: LatencyHistogram,
-    /// Queued-but-unadmitted submissions per class, in queue order:
-    /// `(ticket, payload, enqueued_round)` — the class is the queue
-    /// index.
-    pub(crate) queues: [Vec<(u64, Vec<u8>, u64)>; 3],
-}
-
-impl Checkpoint {
-    /// The era-0 base every fresh service starts from: an empty
-    /// checkpoint at round 0. Snapshot/restore treats eras uniformly —
-    /// a never-checkpointed service restores through this trivial base.
-    pub(crate) fn initial() -> Self {
-        Checkpoint {
-            era: 0,
-            round: 0,
-            next_instance: 0,
-            counters: Counters::default(),
-            hist: LatencyHistogram::new(),
-            queues: [Vec::new(), Vec::new(), Vec::new()],
-        }
-    }
+/// A live instance: the round it opened at and its admissions, in
+/// admission order (admission `k` went to party slot `k mod n`).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Live {
+    pub(crate) opened: u64,
+    pub(crate) admitted: Vec<InFlight>,
 }
 
 /// The long-lived submission-serving service over one [`SbcPool`].
@@ -512,40 +422,30 @@ impl Checkpoint {
 /// full surface.
 pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     pub(crate) cfg: ServiceConfig,
-    pool: SbcPool<W>,
+    pub(crate) pool: SbcPool<W>,
     /// One FIFO per deadline class, drained in class order.
-    queues: [VecDeque<Pending>; 3],
-    /// The instance currently accepting admissions, with its fill count.
-    collecting: Option<(InstanceId, usize)>,
-    /// Per-live-instance admitted submissions: one entry per live
-    /// instance, from `open_instance` to its release.
-    inflight: BTreeMap<u64, Vec<InFlight>>,
+    pub(crate) queues: [VecDeque<Pending>; 3],
+    /// The instance currently accepting admissions; its fill count is its
+    /// number of admissions.
+    pub(crate) collecting: Option<InstanceId>,
+    /// Every live instance, from `open_instance` to its release.
+    pub(crate) inflight: BTreeMap<u64, Live>,
     /// Released records awaiting [`SbcService::drain_releases`]. The
     /// instance behind a parked record is finished but never pruned until
     /// the record is drained (deliver-before-reclaim).
-    outbox: VecDeque<ReleaseRecord>,
-    /// The post-boundary operation tail — everything accepted since the
-    /// last checkpoint (since birth at era 0).
-    pub(crate) journal: Vec<Op>,
-    /// The folded prefix the journal is relative to.
-    pub(crate) checkpoint: Checkpoint,
-    hist: LatencyHistogram,
+    pub(crate) outbox: VecDeque<ReleaseRecord>,
+    pub(crate) hist: LatencyHistogram,
     wall: WallHistogram,
     /// Counters; `accepted` is also the next submission's ticket.
-    stats: Counters,
+    pub(crate) stats: Counters,
     /// Bytes of the most recent snapshot image produced (or restored
     /// from). Observational only — like the wall-clock view it is
     /// excluded from images and from determinism comparisons.
     snapshot_bytes: Cell<u64>,
-    /// Folds performed by the [`CheckpointEvery`] policy (manual
-    /// [`checkpoint`](Self::checkpoint) calls are not counted). Outside
-    /// [`Counters`] on purpose: the policy is excluded from snapshots,
-    /// so this count is too.
-    auto_folds: u64,
 }
 
 /// The mutable counter block behind [`ServiceStats`].
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
@@ -594,13 +494,10 @@ impl<W: SbcBackend> SbcService<W> {
             collecting: None,
             inflight: BTreeMap::new(),
             outbox: VecDeque::new(),
-            journal: Vec::new(),
-            checkpoint: Checkpoint::initial(),
             hist: LatencyHistogram::new(),
             wall: WallHistogram::new(),
             stats: Counters::default(),
             snapshot_bytes: Cell::new(0),
-            auto_folds: 0,
         })
     }
 
@@ -610,10 +507,8 @@ impl<W: SbcBackend> SbcService<W> {
     }
 
     /// Accepts a submission into its deadline-class queue, returning its
-    /// ticket (dense, in acceptance order — the ticket indexes the
-    /// operation journal's accepted-submission sequence). The client id
-    /// is not stored: nothing the service decides depends on it, so
-    /// neither the journal nor an image carries it.
+    /// ticket (dense, in acceptance order). The client id is not stored:
+    /// nothing the service decides depends on it, so no image carries it.
     ///
     /// # Errors
     ///
@@ -633,10 +528,6 @@ impl<W: SbcBackend> SbcService<W> {
         }
         let ticket = self.stats.accepted;
         self.stats.accepted += 1;
-        self.journal.push(Op::Submit {
-            payload: payload.clone(),
-            class,
-        });
         self.queues[class.tag() as usize].push_back(Pending {
             ticket,
             payload,
@@ -666,12 +557,6 @@ impl<W: SbcBackend> SbcService<W> {
     ///   errors other than the deferred-window case propagate the same
     ///   way.
     pub fn tick(&mut self) -> Result<(), ServiceError> {
-        // Run-length encode consecutive ticks: an idle stretch of any
-        // length is one journal entry.
-        match self.journal.last_mut() {
-            Some(Op::Ticks(count)) => *count += 1,
-            _ => self.journal.push(Op::Ticks(1)),
-        }
         self.stats.ticks += 1;
         self.admit()?;
         self.stats.peak_live = self.stats.peak_live.max(self.live());
@@ -685,57 +570,50 @@ impl<W: SbcBackend> SbcService<W> {
         for (id, result) in releases {
             self.on_release(id, result)?;
         }
-        self.auto_checkpoint();
         Ok(())
-    }
-
-    /// The [`CheckpointEvery`] hook at the tail of every tick: once
-    /// either threshold is crossed, fold at the first era boundary.
-    /// This tick's own journal entry is folded with the rest — the
-    /// checkpoint round already includes the round it advanced.
-    fn auto_checkpoint(&mut self) {
-        let Some(policy) = self.cfg.checkpoint_every else {
-            return;
-        };
-        let eras_due = policy.eras > 0
-            && self.stats.finished - self.checkpoint.counters.finished >= policy.eras;
-        let journal_due = policy.journal_ops > 0 && self.journal.len() as u64 >= policy.journal_ops;
-        if (eras_due || journal_due) && self.try_checkpoint() {
-            self.auto_folds += 1;
-        }
     }
 
     /// Admission: fill the collecting window, open new instances while
     /// the policy allows, defer submissions that hit a closing window.
     fn admit(&mut self) -> Result<(), ServiceError> {
         let n = self.cfg.params.n;
+        let now = self.pool.round();
         loop {
-            let (id, mut filled) = match self.collecting {
-                Some(win) => win,
+            let id = match self.collecting {
+                Some(id) => id,
                 None => {
                     if !self.should_open() {
                         return Ok(());
                     }
                     let id = self.pool.open_instance()?;
-                    self.inflight.insert(id.0, Vec::new());
+                    self.inflight.insert(
+                        id.0,
+                        Live {
+                            opened: now,
+                            admitted: Vec::new(),
+                        },
+                    );
                     self.stats.opened += 1;
-                    self.collecting = Some((id, 0));
-                    (id, 0)
+                    self.collecting = Some(id);
+                    id
                 }
             };
+            let mut filled = self.inflight.get(&id.0).map_or(0, |l| l.admitted.len());
             while filled < self.cfg.batch_size {
                 let Some(pending) = self.pop_next() else {
                     // Queue drained: the window keeps collecting on later
                     // ticks until it fills or its period closes.
-                    self.collecting = Some((id, filled));
                     return Ok(());
                 };
                 let party = (filled % n) as u32;
                 match self.pool.submit(id, party, &pending.payload) {
                     Ok(()) => {
-                        self.inflight.entry(id.0).or_default().push(InFlight {
+                        let live = self.inflight.entry(id.0).or_default();
+                        live.admitted.push(InFlight {
                             ticket: pending.ticket,
                             enqueued_round: pending.enqueued_round,
+                            admitted_round: now,
+                            payload: pending.payload,
                             enqueued_at: pending.enqueued_at,
                         });
                         filled += 1;
@@ -789,7 +667,7 @@ impl<W: SbcBackend> SbcService<W> {
     /// until [`drain_releases`](Self::drain_releases) takes ownership of
     /// it. Delivery strictly precedes pruning.
     fn on_release(&mut self, id: InstanceId, result: SbcResult) -> Result<(), ServiceError> {
-        if self.collecting.map(|(c, _)| c) == Some(id) {
+        if self.collecting == Some(id) {
             // Released while still collecting (queue went quiet): the
             // window is gone with it.
             self.collecting = None;
@@ -798,9 +676,9 @@ impl<W: SbcBackend> SbcService<W> {
         self.stats.finished += 1;
         // Account while the instance is still tracked; pruning drops it.
         self.stats.leak_overflow += self.pool.leak_overflow(id)?;
-        let inflight = self.inflight.remove(&id.0).unwrap_or_default();
-        let mut tickets = Vec::with_capacity(inflight.len());
-        for f in &inflight {
+        let live = self.inflight.remove(&id.0).unwrap_or_default();
+        let mut tickets = Vec::with_capacity(live.admitted.len());
+        for f in &live.admitted {
             self.hist
                 .record(result.release_round.saturating_sub(f.enqueued_round));
             if let Some(at) = f.enqueued_at {
@@ -822,18 +700,24 @@ impl<W: SbcBackend> SbcService<W> {
     /// its tickets go into the returned error — the one report they get —
     /// and the pool reclaims it at once, as there is no record to deliver.
     fn drop_undeliverable(&mut self, id: InstanceId, detail: String) -> ServiceError {
-        if self.collecting.map(|(c, _)| c) == Some(id) {
+        if self.collecting == Some(id) {
             self.collecting = None;
         }
-        let tickets = self.inflight.remove(&id.0).unwrap_or_default();
-        if self.pool.prune(id).is_ok() {
-            self.stats.pruned += 1;
-        }
+        let live = self.inflight.remove(&id.0).unwrap_or_default();
+        self.reclaim(id);
         ServiceError::Undeliverable {
             instance: id.0,
-            tickets: tickets.iter().map(|f| f.ticket).collect(),
+            tickets: live.admitted.iter().map(|f| f.ticket).collect(),
             detail,
         }
+    }
+
+    /// Prunes an instance that has left the service. A service restored
+    /// with records parked never held their instances, so there may be
+    /// nothing to prune; the instance is gone either way.
+    fn reclaim(&mut self, id: InstanceId) {
+        let _ = self.pool.prune(id);
+        self.stats.pruned += 1;
     }
 
     /// Takes every parked release record, reclaiming the instances they
@@ -842,9 +726,7 @@ impl<W: SbcBackend> SbcService<W> {
         let records: Vec<ReleaseRecord> = self.outbox.drain(..).collect();
         for rec in &records {
             self.stats.delivered += 1;
-            if self.pool.prune(InstanceId(rec.instance)).is_ok() {
-                self.stats.pruned += 1;
-            }
+            self.reclaim(InstanceId(rec.instance));
         }
         records
     }
@@ -895,10 +777,12 @@ impl<W: SbcBackend> SbcService<W> {
             live: self.live(),
             leak_overflow: self.stats.leak_overflow,
             round: self.pool.round(),
-            era: self.checkpoint.era,
-            checkpoint_round: self.checkpoint.round,
-            journal_ops: self.journal.len() as u64,
-            auto_folds: self.auto_folds,
+            journal_ops: self
+                .inflight
+                .values()
+                .map(|l| l.admitted.len() as u64)
+                .sum(),
+            auto_folds: 0,
             snapshot_bytes: self.snapshot_bytes.get(),
             latency: self.hist.summary(),
             wall: self.cfg.record_wall_clock.then(|| self.wall.summary()),
@@ -921,122 +805,11 @@ impl<W: SbcBackend> SbcService<W> {
         self.inflight.len()
     }
 
-    /// The service's era: how many times the journal has been folded
-    /// into a checkpoint (0 for a never-checkpointed service).
-    pub fn era(&self) -> u64 {
-        self.checkpoint.era
-    }
-
-    /// Whether the service currently sits at an era boundary: every
-    /// instance opened so far has released, been drained, and been
-    /// pruned — the pool footprint is flat. Queued submissions
-    /// do not block a boundary; in-flight epochs and undelivered records
-    /// do.
-    pub fn at_boundary(&self) -> bool {
-        self.inflight.is_empty()
-            && self.outbox.is_empty()
-            && self.pool.footprint() == PoolFootprint::default()
-    }
-
-    /// Folds the journal into a compact checkpoint record and truncates
-    /// it, advancing the era. After this, snapshots carry (checkpoint +
-    /// post-boundary tail) instead of the journal since birth — image
-    /// size and restore time become O(current era).
-    ///
-    /// Valid only at an era boundary ([`at_boundary`](Self::at_boundary)):
-    /// with no instance live and nothing undelivered, the pool collapses
-    /// to its `(round, next id)` fast-forward coordinate and the queues,
-    /// counters, and histogram are the whole remaining state.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::NotAtBoundary`] when pre-boundary state is still
-    /// in flight; the service is unchanged.
-    pub fn checkpoint(&mut self) -> Result<(), ServiceError> {
-        if !self.at_boundary() {
-            return Err(ServiceError::NotAtBoundary {
-                live: self.live(),
-                parked: self.outbox.len(),
-            });
-        }
-        debug_assert!(self.collecting.is_none(), "no live instance, no window");
-        let queues = [0, 1, 2].map(|i: usize| {
-            self.queues[i]
-                .iter()
-                .map(|p| (p.ticket, p.payload.clone(), p.enqueued_round))
-                .collect()
-        });
-        self.checkpoint = Checkpoint {
-            era: self.checkpoint.era + 1,
-            round: self.pool.round(),
-            next_instance: self.pool.next_instance_id(),
-            counters: self.stats.clone(),
-            hist: self.hist.clone(),
-            queues,
-        };
-        self.journal.clear();
-        Ok(())
-    }
-
-    /// [`checkpoint`](Self::checkpoint) if the service is at an era
-    /// boundary; returns whether a fold happened. The polling form for
-    /// drivers that checkpoint opportunistically between epochs.
-    pub fn try_checkpoint(&mut self) -> bool {
-        self.at_boundary() && self.checkpoint().is_ok()
-    }
-
-    /// Restore seam: installs a decoded checkpoint into a **fresh**
-    /// service — fast-forwards the pool, rebuilds the queues (wall-clock
-    /// arrival times are gone; they are observational), and overlays the
-    /// boundary-time counters and histogram. Tail replay then re-derives
-    /// everything after the boundary.
-    pub(crate) fn apply_checkpoint(&mut self, cp: Checkpoint) -> Result<(), ServiceError> {
-        self.pool.resume_at(cp.round, cp.next_instance)?;
-        for (i, entries) in cp.queues.iter().enumerate() {
-            let class =
-                DeadlineClass::from_tag(i as u64).ok_or_else(|| ServiceError::BadSnapshot {
-                    detail: format!("checkpoint queue {i}: no such deadline class"),
-                })?;
-            for (ticket, payload, enqueued_round) in entries {
-                self.queues[i].push_back(Pending {
-                    ticket: *ticket,
-                    payload: payload.clone(),
-                    class,
-                    enqueued_round: *enqueued_round,
-                    enqueued_at: None,
-                });
-            }
-        }
-        self.stats = cp.counters.clone();
-        self.hist = cp.hist.clone();
-        self.checkpoint = cp;
-        Ok(())
-    }
-
     /// Records the byte size of the image this service was just
     /// serialized to (or restored from) — surfaced as
     /// [`ServiceStats::snapshot_bytes`], observational only.
     pub(crate) fn note_snapshot_bytes(&self, bytes: u64) {
         self.snapshot_bytes.set(bytes);
-    }
-
-    /// Restore bookkeeping: `already_delivered` is how many of the
-    /// records released during tail replay had already left the original
-    /// service (delivered at capture minus delivered at the checkpoint
-    /// base). Discards them from the outbox (reclaiming their instances)
-    /// without recounting them as fresh deliveries, then overlays the
-    /// absolute non-replayable counters.
-    pub(crate) fn mark_restored(&mut self, already_delivered: u64, delivered: u64, rejected: u64) {
-        for _ in 0..already_delivered {
-            let Some(rec) = self.outbox.pop_front() else {
-                break;
-            };
-            if self.pool.prune(InstanceId(rec.instance)).is_ok() {
-                self.stats.pruned += 1;
-            }
-        }
-        self.stats.delivered = delivered;
-        self.stats.rejected = rejected;
     }
 }
 
@@ -1198,97 +971,32 @@ mod tests {
         assert!(wall.max_us >= wall.p99_us || wall.max_us >= wall.mean_us);
     }
 
-    /// Drives `cycle` submissions to release and drains them, returning
-    /// the deepest journal tail observed along the way.
-    fn drain_cycle(s: &mut SbcService, cycle: u64) -> u64 {
-        let mut max_journal = 0;
-        s.submit(cycle, vec![cycle as u8], DeadlineClass::Interactive)
-            .unwrap();
-        s.tick().unwrap();
-        s.submit(100 + cycle, vec![cycle as u8], DeadlineClass::Interactive)
-            .unwrap();
-        while s.live() > 0 || s.queued() > 0 {
-            s.tick().unwrap();
-            max_journal = max_journal.max(s.stats().journal_ops);
-        }
-        s.drain_releases();
-        // The first post-drain tick sits at an era boundary: an armed
-        // policy past its threshold folds here.
-        s.tick().unwrap();
-        max_journal.max(s.stats().journal_ops)
-    }
-
     #[test]
-    fn auto_checkpoint_bounds_the_journal() {
-        let mut s = SbcService::new(
-            ServiceConfig::new(2, ServiceMode::Beacon)
-                .seed(b"auto-fold")
-                .batch_size(2)
-                .checkpoint_every(CheckpointEvery {
-                    eras: 0,
-                    journal_ops: 4,
-                }),
-        )
-        .unwrap();
-        let mut max_journal = 0;
-        for cycle in 0..12 {
-            max_journal = max_journal.max(drain_cycle(&mut s, cycle));
-        }
-        // The long-lived service folded itself every cycle: the tail
-        // never outgrew the threshold by more than one epoch's worth of
-        // operations (the crossing has to wait for the boundary).
-        assert!(s.era() >= 11, "era {}", s.era());
-        assert_eq!(s.stats().auto_folds, s.era(), "every fold was automatic");
-        assert!(max_journal <= 8, "journal peaked at {max_journal} ops");
-        assert!(s.stats().journal_ops <= 1, "tail is freshly folded");
-
-        // An unarmed twin fed the same operations never folds: the
-        // journal grows without bound.
-        let mut twin = SbcService::new(
-            ServiceConfig::new(2, ServiceMode::Beacon)
-                .seed(b"auto-fold")
-                .batch_size(2),
-        )
-        .unwrap();
-        let mut twin_max = 0;
-        for cycle in 0..12 {
-            twin_max = twin_max.max(drain_cycle(&mut twin, cycle));
-        }
-        assert_eq!(twin.era(), 0);
-        assert_eq!(twin.stats().auto_folds, 0);
-        assert!(twin_max > max_journal);
-    }
-
-    #[test]
-    fn auto_checkpoint_era_threshold_spans_epochs() {
-        let mut s = SbcService::new(
-            ServiceConfig::new(2, ServiceMode::Beacon)
-                .seed(b"auto-eras")
-                .batch_size(2)
-                .checkpoint_every(CheckpointEvery {
-                    eras: 3,
-                    journal_ops: 0,
-                }),
-        )
-        .unwrap();
-        for cycle in 0..6 {
-            drain_cycle(&mut s, cycle);
-            // Folds land only at every third finished instance; the
-            // boundaries in between leave the journal alone.
-            assert_eq!(s.era(), (cycle + 1) / 3, "after cycle {cycle}");
-            if s.era() == 0 {
-                assert!(s.stats().journal_ops > 0, "unfolded tail persists");
+    fn checkpoint_every_is_inert() {
+        // The retired policy, armed as tightly as it goes, changes nothing:
+        // same records, same stats, same images as an unarmed twin.
+        let cfg = ServiceConfig::new(2, ServiceMode::Beacon)
+            .seed(b"inert")
+            .batch_size(2);
+        let armed = cfg.clone().checkpoint_every(CheckpointEvery {
+            eras: 1,
+            journal_ops: 1,
+        });
+        let new = |cfg| SbcService::<RealSbcWorld>::new(cfg).unwrap();
+        let (mut a, mut b) = (new(armed), new(cfg));
+        for round in 0..24u64 {
+            for s in [&mut a, &mut b] {
+                if round % 5 < 2 {
+                    s.submit(round, vec![round as u8], DeadlineClass::Interactive)
+                        .unwrap();
+                }
+                s.tick().unwrap();
             }
+            assert_eq!(a.drain_releases(), b.drain_releases());
+            assert_eq!(a.snapshot().unwrap(), b.snapshot().unwrap());
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.stats().auto_folds, 0);
         }
-        assert_eq!(s.stats().auto_folds, 2);
-
-        // The policy is config-only: it never enters the wire format, so
-        // the restored twin comes back with manual folds only — but the
-        // folded era itself survives the round trip.
-        let restored = SbcService::<RealSbcWorld>::restore(&s.snapshot().unwrap()).unwrap();
-        assert_eq!(restored.config().checkpoint_every, None);
-        assert_eq!(restored.era(), s.era());
-        assert_eq!(restored.stats().auto_folds, 0);
     }
 
     #[test]
@@ -1336,7 +1044,6 @@ mod tests {
     fn error_display_renders() {
         for e in [
             ServiceError::QueueFull { cap: 4 },
-            ServiceError::NotAtBoundary { live: 2, parked: 1 },
             ServiceError::BadSnapshot { detail: "d".into() },
             ServiceError::Timeout { budget: 3 },
             ServiceError::Undeliverable {

@@ -1,36 +1,31 @@
-//! Snapshot/restore: the service as a folded checkpoint plus a
-//! deterministic operation tail, in one flat digest-sealed envelope.
+//! Snapshot/restore: the service's live state in one flat digest-sealed
+//! envelope.
 //!
-//! ## Why checkpoint + tail, not a lifetime journal
+//! ## Why live state is enough
 //!
-//! Every externally observable state transition of [`SbcService`] is a
-//! deterministic function of the *accepted operation sequence* — the
-//! interleaving of accepted submissions and driver ticks. All pool
-//! randomness derives from the seeded DRBG, admission and batching
-//! decisions are pure functions of (queue, pool round, config), and
-//! latency is measured in rounds. So the journal of accepted operations,
-//! plus the config it runs under, **is** the state — but a journal since
-//! birth grows without bound, and so would snapshot size and restore
-//! time.
+//! `F_SBC` ends every session ∆ rounds after its broadcast period closes,
+//! without waiting for all parties, so a service instance is live for at
+//! most Φ + ∆ + 1 rounds. Everything older has left the service as a
+//! [`ReleaseRecord`] and survives only in counters and the latency
+//! histogram. An image therefore holds what is live now:
 //!
-//! Era-based checkpointing bounds both. At an era boundary (every
-//! instance drained and pruned — [`SbcService::checkpoint`])
-//! the pool collapses to its `(round, next instance id)` fast-forward
-//! coordinate, so the journal prefix folds into a compact checkpoint
-//! record: clock round, next ids, queue contents, counters, and the
-//! latency histogram. A snapshot then carries (checkpoint ‖
-//! post-boundary tail); restore rebuilds a fresh pool, fast-forwards it
-//! through [`sbc_core::pool::SbcPool::resume_at`], and replays only the
-//! tail. Image size and restore work are O(current era), independent of
-//! lifetime.
+//! * the config, the absolute counters and the rounds histogram;
+//! * the clock round and the next instance id and ticket;
+//! * the three queues, and which instance is collecting;
+//! * the parked release records;
+//! * for each live instance, its id, its open round and its admissions.
 //!
-//! The only facts replay cannot rederive are the ones that left the
-//! service (records already drained — the restored run must not
-//! re-deliver them) and the ones that never entered it
-//! (submissions rejected with `QueueFull` touch a counter but not the
-//! journal). Those ride alongside the tail as absolute counters.
+//! A live instance is a deterministic function of those: all its
+//! randomness comes from the pool seed forked by its id, it joins the
+//! shared clock at its open round, and admission `k` went to party slot
+//! `k mod n`. Restore builds a fresh pool, reopens each live instance at
+//! its id through [`sbc_core::pool::SbcPool::resume_at`], feeds it its
+//! admissions at their rounds and steps all of them to the capture
+//! round. That replays at most `max_live × (Φ + ∆ + 1)` instance-rounds,
+//! whatever the service's age, and never runs the admission policy.
+//! Counters come back as written, and parked records come back parked.
 //!
-//! ## Image format (envelope version 3)
+//! ## Image format (envelope version 4)
 //!
 //! One flat envelope, owned by this module:
 //!
@@ -45,34 +40,44 @@
 //! length never sizes an allocation. Truncation fails on the length or
 //! the digest; bit flips, splices and forged digests fail on the digest;
 //! bytes after the digest fail [`SbcService::restore`]'s exact-end check.
-//! Earlier formats (a single `sbc-net` frame, then a framed chunk
-//! stream) open with a frame length prefix instead of the magic and are
-//! not read. The payload (`v3`: a submission carries no client id) is
-//! the canonical [`Value`] encoding of
+//! The digest is unkeyed — anyone can re-seal an image — so the parser
+//! also refuses, as [`ServiceError::BadSnapshot`], any state a service
+//! cannot reach: a live instance older than Φ + ∆ + 1 rounds or opened
+//! at or after the capture round, more live instances than `max_live`,
+//! more queued entries than `queue_cap`, and counters that contradict
+//! the state. Earlier formats (a single `sbc-net` frame, a framed chunk
+//! stream, then the v3 journal image) are not read. The payload is the
+//! canonical [`Value`] encoding of
 //!
 //! ```text
-//! List[ Str("sbc-service/v3"),
-//!       List[n, Φ, ∆, α, delay]          (U64s)
+//! List[ Str("sbc-service/v4"),
+//!       List[n, Φ, ∆, α, delay],                                   (U64s)
 //!       Bytes(seed),
 //!       U64(mode),
 //!       List[queue_cap, batch_size, max_live, flush_after, leak_cap+1|0],
-//!       U64(delivered), U64(rejected),    (absolute, at capture)
-//!       List[era, round, next_instance, next_ticket,   (the checkpoint)
-//!            List[11 counters],
-//!            List[List[bucket…], count, sum, max],     (histogram)
-//!            List[queue × 3]],  (queue = List[List[ticket, Bytes, round]…])
-//!       List[op…] ]              (op = List[0, count]     tick run
-//!                                  | List[1, Bytes, class])  submit
+//!       List[11 counters],
+//!       List[List[bucket…], count, sum, max],                 (histogram)
+//!       List[round, next_instance, next_ticket],
+//!       List[queue × 3],    queue = List[List[ticket, Bytes, enqueued]…]
+//!       U64(collecting instance + 1 | 0),
+//!       List[record…],      record = List[instance, release round,
+//!                                         List[Bytes…], List[ticket…]]
+//!       List[live…] ]       live = List[instance, open round,
+//!                                       List[List[ticket, enqueued,
+//!                                                 admitted, Bytes]…]]
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
 
+use sbc_core::pool::InstanceId;
 use sbc_core::worlds::{SbcBackend, SbcParams};
 use sbc_primitives::sha256::Sha256;
 use sbc_uc::value::Value;
 
 use crate::service::{
-    Checkpoint, Counters, DeadlineClass, Op, SbcService, ServiceConfig, ServiceError, ServiceMode,
+    Counters, DeadlineClass, InFlight, Live, Outcome, Pending, ReleaseRecord, SbcService,
+    ServiceConfig, ServiceError, ServiceMode,
 };
 use crate::stats::LatencyHistogram;
 
@@ -81,8 +86,8 @@ use crate::stats::LatencyHistogram;
 const MAGIC: [u8; 4] = *b"SBCI";
 
 /// The envelope version: 1 was a single codec frame, 2 a framed chunk
-/// stream; neither is read.
-const ENVELOPE_VERSION: u8 = 3;
+/// stream, 3 the operation journal; none of them is read.
+const ENVELOPE_VERSION: u8 = 4;
 
 /// Magic (4) + version (1) + payload length (8).
 const HEADER_LEN: usize = 13;
@@ -100,7 +105,7 @@ const WRITE_SLICE: usize = 1 << 20;
 const DIGEST_DOMAIN: &[u8] = b"sbc-service/image";
 
 /// The schema tag leading the payload.
-const PAYLOAD_TAG: &str = "sbc-service/v3";
+const PAYLOAD_TAG: &str = "sbc-service/v4";
 
 fn bad(detail: impl Into<String>) -> ServiceError {
     ServiceError::BadSnapshot {
@@ -129,10 +134,16 @@ fn payload_len_field(header: &[u8; HEADER_LEN]) -> Result<[u8; 8], ServiceError>
     Ok(payload_len)
 }
 
-fn field(list: &[Value], idx: usize, what: &str) -> Result<Value, ServiceError> {
-    list.get(idx)
-        .cloned()
-        .ok_or_else(|| bad(format!("missing field {idx} ({what})")))
+fn list<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ServiceError> {
+    v.as_list()
+        .ok_or_else(|| bad(format!("{what}: expected List")))
+}
+
+/// A list of exactly `N` items.
+fn fixed<'a, const N: usize>(v: &'a Value, what: &str) -> Result<&'a [Value; N], ServiceError> {
+    list(v, what)?
+        .try_into()
+        .map_err(|_| bad(format!("{what}: expected {N} fields")))
 }
 
 fn as_u64(v: &Value, what: &str) -> Result<u64, ServiceError> {
@@ -140,263 +151,277 @@ fn as_u64(v: &Value, what: &str) -> Result<u64, ServiceError> {
         .ok_or_else(|| bad(format!("{what}: expected U64")))
 }
 
-/// The config portion of a snapshot body: fields 1 (params), 2 (seed),
-/// 3 (mode), 4 (tuning).
+/// A counter or coordinate: below 2^63, so every later `+ 1` and
+/// `+ Φ + ∆` (Φ, ∆ < 2^32 by `SbcParams::validate`) has headroom.
+fn bounded(v: &Value, what: &str) -> Result<u64, ServiceError> {
+    match as_u64(v, what)? {
+        v if v >= 1 << 63 => Err(bad(format!("{what}: {v} is not below 2^63"))),
+        v => Ok(v),
+    }
+}
+
+fn as_bytes(v: &Value, what: &str) -> Result<Vec<u8>, ServiceError> {
+    v.as_bytes()
+        .map(<[u8]>::to_vec)
+        .ok_or_else(|| bad(format!("{what}: expected Bytes")))
+}
+
+fn u64s(items: impl IntoIterator<Item = u64>) -> Value {
+    Value::list(items.into_iter().map(Value::U64))
+}
+
+/// Whether `items` strictly increase.
+fn increasing(items: &[u64]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The config portion of a payload: fields 1 (params), 2 (seed), 3
+/// (mode), 4 (tuning).
 fn config_values(cfg: &ServiceConfig) -> [Value; 4] {
+    let p = cfg.params;
     [
-        Value::list([
-            Value::U64(cfg.params.n as u64),
-            Value::U64(cfg.params.phi),
-            Value::U64(cfg.params.delta),
-            Value::U64(cfg.params.tle_alpha),
-            Value::U64(cfg.params.tle_delay),
-        ]),
+        u64s([p.n as u64, p.phi, p.delta, p.tle_alpha, p.tle_delay]),
         Value::bytes(&cfg.seed),
         Value::U64(cfg.mode.tag()),
-        Value::list([
-            Value::U64(cfg.queue_cap as u64),
-            Value::U64(cfg.batch_size as u64),
-            Value::U64(cfg.max_live as u64),
-            Value::U64(cfg.flush_after),
-            Value::U64(cfg.leak_cap.map_or(0, |c| c as u64 + 1)),
+        u64s([
+            cfg.queue_cap as u64,
+            cfg.batch_size as u64,
+            cfg.max_live as u64,
+            cfg.flush_after,
+            cfg.leak_cap.map_or(0, |c| c as u64 + 1),
         ]),
     ]
 }
 
-/// Parses fields 1–4 of a snapshot body back into a [`ServiceConfig`].
-fn parse_config(fields: &[Value]) -> Result<ServiceConfig, ServiceError> {
-    let pv = field(fields, 1, "params")?;
-    let pl = pv.as_list().ok_or_else(|| bad("params: expected List"))?;
-    if pl.len() != 5 {
-        return Err(bad("params: expected 5 fields"));
-    }
-    let params = SbcParams {
-        n: as_u64(&pl[0], "n")? as usize,
-        phi: as_u64(&pl[1], "phi")?,
-        delta: as_u64(&pl[2], "delta")?,
-        tle_alpha: as_u64(&pl[3], "tle_alpha")?,
-        tle_delay: as_u64(&pl[4], "tle_delay")?,
-    };
-    let seed = field(fields, 2, "seed")?;
-    let seed = seed.as_bytes().ok_or_else(|| bad("seed: expected Bytes"))?;
-    let mode = ServiceMode::from_tag(as_u64(&field(fields, 3, "mode")?, "mode")?)
-        .ok_or_else(|| bad("mode: unknown tag"))?;
-    let tv = field(fields, 4, "tuning")?;
-    let tl = tv.as_list().ok_or_else(|| bad("tuning: expected List"))?;
-    if tl.len() != 5 {
-        return Err(bad("tuning: expected 5 fields"));
-    }
-    let leak_cap = match as_u64(&tl[4], "leak_cap")? {
-        0 => None,
-        c => Some((c - 1) as usize),
-    };
+/// Parses payload fields 1–4 back into a [`ServiceConfig`].
+fn parse_config([params, seed, mode, tuning]: [&Value; 4]) -> Result<ServiceConfig, ServiceError> {
+    let [n, phi, delta, tle_alpha, tle_delay] = fixed(params, "params")?;
+    let [queue_cap, batch_size, max_live, flush_after, leak_cap] = fixed(tuning, "tuning")?;
     Ok(ServiceConfig {
-        params,
-        seed: seed.to_vec(),
-        mode,
-        queue_cap: as_u64(&tl[0], "queue_cap")? as usize,
-        batch_size: as_u64(&tl[1], "batch_size")? as usize,
-        max_live: as_u64(&tl[2], "max_live")? as usize,
-        flush_after: as_u64(&tl[3], "flush_after")?,
-        leak_cap,
+        params: SbcParams {
+            n: as_u64(n, "n")? as usize,
+            phi: as_u64(phi, "phi")?,
+            delta: as_u64(delta, "delta")?,
+            tle_alpha: as_u64(tle_alpha, "tle_alpha")?,
+            tle_delay: as_u64(tle_delay, "tle_delay")?,
+        },
+        seed: as_bytes(seed, "seed")?,
+        mode: ServiceMode::from_tag(as_u64(mode, "mode")?)
+            .ok_or_else(|| bad("mode: unknown tag"))?,
+        queue_cap: as_u64(queue_cap, "queue_cap")? as usize,
+        batch_size: as_u64(batch_size, "batch_size")? as usize,
+        max_live: as_u64(max_live, "max_live")? as usize,
+        flush_after: as_u64(flush_after, "flush_after")?,
+        leak_cap: match as_u64(leak_cap, "leak_cap")? {
+            0 => None,
+            c => Some((c - 1) as usize),
+        },
         // Deliberately not part of the wire format: wall time is not
         // replayable, so a restored service starts with the wall-clock
         // view off (and `ServiceStats::wall` = None).
         record_wall_clock: false,
-        // Also excluded: replay must rebuild folded state from the
-        // serialized checkpoint, never by re-running the auto-fold
-        // policy mid-replay — a restored service starts with it off.
         checkpoint_every: None,
     })
 }
 
-/// Encodes the checkpoint record (payload field 7).
-fn checkpoint_value(cp: &Checkpoint) -> Value {
-    let c = &cp.counters;
-    let (buckets, count, sum, max) = cp.hist.raw_parts();
-    let queues = cp.queues.iter().map(|q| {
-        Value::list(q.iter().map(|(ticket, payload, round)| {
-            Value::list([
-                Value::U64(*ticket),
-                Value::bytes(payload),
-                Value::U64(*round),
-            ])
-        }))
-    });
-    Value::list([
-        Value::U64(cp.era),
-        Value::U64(cp.round),
-        Value::U64(cp.next_instance),
-        // The next ticket: tickets are dense in acceptance order.
-        Value::U64(c.accepted),
-        Value::list([
-            Value::U64(c.accepted),
-            Value::U64(c.rejected),
-            Value::U64(c.deferred),
-            Value::U64(c.delivered),
-            Value::U64(c.opened),
-            Value::U64(c.finished),
-            Value::U64(c.pruned),
-            Value::U64(c.ticks),
-            Value::U64(c.peak_live as u64),
-            Value::U64(c.peak_queue as u64),
-            Value::U64(c.leak_overflow),
-        ]),
-        Value::list([
-            Value::list(buckets.iter().map(|b| Value::U64(*b))),
-            Value::U64(count),
-            Value::U64(sum),
-            Value::U64(max),
-        ]),
-        Value::list(queues),
+fn counters_value(c: &Counters) -> Value {
+    u64s([
+        c.accepted,
+        c.rejected,
+        c.deferred,
+        c.delivered,
+        c.opened,
+        c.finished,
+        c.pruned,
+        c.ticks,
+        c.peak_live as u64,
+        c.peak_queue as u64,
+        c.leak_overflow,
     ])
 }
 
-/// Parses the checkpoint record.
-fn parse_checkpoint(v: &Value) -> Result<Checkpoint, ServiceError> {
-    let cp = v
-        .as_list()
-        .ok_or_else(|| bad("checkpoint: expected List"))?;
-    if cp.len() != 7 {
-        return Err(bad("checkpoint: expected 7 fields"));
-    }
-    let cv = cp[4]
-        .as_list()
-        .ok_or_else(|| bad("checkpoint counters: expected List"))?;
-    if cv.len() != 11 {
-        return Err(bad("checkpoint counters: expected 11 fields"));
-    }
-    let counters = Counters {
-        accepted: as_u64(&cv[0], "accepted")?,
-        rejected: as_u64(&cv[1], "rejected")?,
-        deferred: as_u64(&cv[2], "deferred")?,
-        delivered: as_u64(&cv[3], "delivered")?,
-        opened: as_u64(&cv[4], "opened")?,
-        finished: as_u64(&cv[5], "finished")?,
-        pruned: as_u64(&cv[6], "pruned")?,
-        ticks: as_u64(&cv[7], "ticks")?,
-        peak_live: as_u64(&cv[8], "peak_live")? as usize,
-        peak_queue: as_u64(&cv[9], "peak_queue")? as usize,
-        leak_overflow: as_u64(&cv[10], "leak_overflow")?,
-    };
-    let hv = cp[5]
-        .as_list()
-        .ok_or_else(|| bad("checkpoint histogram: expected List"))?;
-    if hv.len() != 4 {
-        return Err(bad("checkpoint histogram: expected 4 fields"));
-    }
-    let buckets = hv[0]
-        .as_list()
-        .ok_or_else(|| bad("histogram buckets: expected List"))?
-        .iter()
-        .map(|b| as_u64(b, "histogram bucket"))
-        .collect::<Result<Vec<u64>, _>>()?;
-    let hist = LatencyHistogram::from_raw_parts(
-        buckets,
-        as_u64(&hv[1], "histogram count")?,
-        as_u64(&hv[2], "histogram sum")?,
-        as_u64(&hv[3], "histogram max")?,
-    )
-    .ok_or_else(|| bad("histogram: wrong bucket arity, or count is not the bucket sum"))?;
-    let qv = cp[6]
-        .as_list()
-        .ok_or_else(|| bad("checkpoint queues: expected List"))?;
-    if qv.len() != 3 {
-        return Err(bad("checkpoint queues: expected 3 classes"));
-    }
-    let mut queues = [Vec::new(), Vec::new(), Vec::new()];
-    for (i, q) in qv.iter().enumerate() {
-        let entries = q
-            .as_list()
-            .ok_or_else(|| bad(format!("queue {i}: expected List")))?;
-        for e in entries {
-            let e = e
-                .as_list()
-                .ok_or_else(|| bad(format!("queue {i} entry: expected List")))?;
-            if e.len() != 3 {
-                return Err(bad(format!("queue {i} entry: expected 3 fields")));
-            }
-            queues[i].push((
-                as_u64(&e[0], "queue ticket")?,
-                e[1].as_bytes()
-                    .ok_or_else(|| bad(format!("queue {i} payload: expected Bytes")))?
-                    .to_vec(),
-                as_u64(&e[2], "queue round")?,
-            ));
-        }
-    }
-    // The four coordinates stay below 2^63, so every later `+ 1` and
-    // `+ Φ + ∆` (Φ, ∆ < 2^32 by `SbcParams::validate`) has headroom.
-    let coordinate = |i: usize, what: &str| match as_u64(&cp[i], what)? {
-        v if v >= 1 << 63 => Err(bad(format!("{what}: {v} is not below 2^63"))),
-        v => Ok(v),
-    };
-    // A forged ticket coordinate or queue would have the restored service
-    // issue a ticket twice.
-    let next_ticket = coordinate(3, "next_ticket")?;
-    if next_ticket != counters.accepted {
-        return Err(bad(format!(
-            "next_ticket: {next_ticket} is not the {} accepted submissions",
-            counters.accepted
-        )));
-    }
-    for (i, q) in queues.iter().enumerate() {
-        let tickets: Vec<u64> = q.iter().map(|(ticket, ..)| *ticket).collect();
-        let increasing = tickets.windows(2).all(|w| w[0] < w[1]);
-        if !increasing || tickets.last().is_some_and(|&t| t >= next_ticket) {
-            return Err(bad(format!(
-                "queue {i}: tickets not strictly increasing below next_ticket"
-            )));
-        }
-    }
-    Ok(Checkpoint {
-        era: coordinate(0, "era")?,
-        round: coordinate(1, "round")?,
-        next_instance: coordinate(2, "next_instance")?,
-        counters,
-        hist,
-        queues,
+fn parse_counters(v: &Value) -> Result<Counters, ServiceError> {
+    let [accepted, rejected, deferred, delivered, opened, finished, pruned, ticks, peak_live, peak_queue, leak_overflow] =
+        fixed(v, "counters")?;
+    Ok(Counters {
+        accepted: bounded(accepted, "accepted")?,
+        rejected: bounded(rejected, "rejected")?,
+        deferred: bounded(deferred, "deferred")?,
+        delivered: bounded(delivered, "delivered")?,
+        opened: bounded(opened, "opened")?,
+        finished: bounded(finished, "finished")?,
+        pruned: bounded(pruned, "pruned")?,
+        ticks: bounded(ticks, "ticks")?,
+        peak_live: bounded(peak_live, "peak_live")? as usize,
+        peak_queue: bounded(peak_queue, "peak_queue")? as usize,
+        leak_overflow: bounded(leak_overflow, "leak_overflow")?,
     })
 }
 
-impl<W: SbcBackend> SbcService<W> {
-    /// The image payload: config, absolute delivered/rejected, the
-    /// checkpoint record, and the post-checkpoint operation tail.
-    fn snapshot_payload(&self) -> Vec<u8> {
-        let ops: Vec<Value> = self
-            .journal
-            .iter()
-            .map(|op| match op {
-                Op::Ticks(count) => Value::list([Value::U64(0), Value::U64(*count)]),
-                Op::Submit { payload, class } => Value::list([
-                    Value::U64(1),
-                    Value::bytes(payload),
-                    Value::U64(class.tag()),
-                ]),
+fn histogram_value(hist: &LatencyHistogram) -> Value {
+    let (buckets, count, sum, max) = hist.raw_parts();
+    Value::list([
+        u64s(buckets.iter().copied()),
+        Value::U64(count),
+        Value::U64(sum),
+        Value::U64(max),
+    ])
+}
+
+fn parse_histogram(v: &Value) -> Result<LatencyHistogram, ServiceError> {
+    let [buckets, count, sum, max] = fixed(v, "histogram")?;
+    let buckets = list(buckets, "histogram buckets")?
+        .iter()
+        .map(|b| as_u64(b, "histogram bucket"))
+        .collect::<Result<Vec<u64>, _>>()?;
+    LatencyHistogram::from_raw_parts(
+        buckets,
+        as_u64(count, "histogram count")?,
+        as_u64(sum, "histogram sum")?,
+        as_u64(max, "histogram max")?,
+    )
+    .ok_or_else(|| bad("histogram: wrong bucket arity, or count is not the bucket sum"))
+}
+
+/// The three queues, class by class; every entry was enqueued by `round`.
+fn parse_queues(v: &Value, round: u64) -> Result<[VecDeque<Pending>; 3], ServiceError> {
+    use DeadlineClass::{Batch, Interactive, Standard};
+    let mut queues: [VecDeque<Pending>; 3] = Default::default();
+    for (i, (q, class)) in fixed::<3>(v, "queues")?
+        .iter()
+        .zip([Interactive, Standard, Batch])
+        .enumerate()
+    {
+        for e in list(q, &format!("queue {i}"))? {
+            let [ticket, payload, enqueued] = fixed(e, &format!("queue {i} entry"))?;
+            let enqueued_round = as_u64(enqueued, "queue round")?;
+            if enqueued_round > round {
+                return Err(bad(format!("queue {i}: enqueued after the capture round")));
+            }
+            queues[i].push_back(Pending {
+                ticket: as_u64(ticket, "queue ticket")?,
+                payload: as_bytes(payload, "queue payload")?,
+                class,
+                enqueued_round,
+                enqueued_at: None,
+            });
+        }
+        let tickets: Vec<u64> = queues[i].iter().map(|p| p.ticket).collect();
+        if !increasing(&tickets) {
+            return Err(bad(format!("queue {i}: tickets not strictly increasing")));
+        }
+    }
+    Ok(queues)
+}
+
+/// The parked records, in release order; the outcome is recomputed.
+fn parse_parked(v: &Value, mode: ServiceMode) -> Result<VecDeque<ReleaseRecord>, ServiceError> {
+    list(v, "records")?
+        .iter()
+        .map(|r| {
+            let [instance, release_round, messages, tickets] = fixed(r, "record")?;
+            let messages = list(messages, "record messages")?
+                .iter()
+                .map(|m| as_bytes(m, "record message"))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(ReleaseRecord {
+                instance: as_u64(instance, "record instance")?,
+                release_round: as_u64(release_round, "record release round")?,
+                outcome: Outcome::compute(mode, &messages),
+                messages,
+                tickets: list(tickets, "record tickets")?
+                    .iter()
+                    .map(|t| as_u64(t, "record ticket"))
+                    .collect::<Result<_, _>>()?,
             })
-            .collect();
+        })
+        .collect()
+}
+
+/// The live instances, keyed by id.
+fn parse_live(v: &Value) -> Result<BTreeMap<u64, Live>, ServiceError> {
+    let mut live = BTreeMap::new();
+    for l in list(v, "live")? {
+        let [id, opened, admitted] = fixed(l, "live instance")?;
+        let id = as_u64(id, "live instance id")?;
+        let admitted = list(admitted, "admissions")?
+            .iter()
+            .map(|a| {
+                let [ticket, enqueued, admitted, payload] = fixed(a, "admission")?;
+                Ok(InFlight {
+                    ticket: as_u64(ticket, "admission ticket")?,
+                    enqueued_round: as_u64(enqueued, "admission enqueued round")?,
+                    admitted_round: as_u64(admitted, "admission round")?,
+                    payload: as_bytes(payload, "admission payload")?,
+                    enqueued_at: None,
+                })
+            })
+            .collect::<Result<_, ServiceError>>()?;
+        let opened = as_u64(opened, "live instance open round")?;
+        if live.insert(id, Live { opened, admitted }).is_some() {
+            return Err(bad(format!("live instance #{id} listed twice")));
+        }
+    }
+    Ok(live)
+}
+
+impl<W: SbcBackend> SbcService<W> {
+    /// The image payload (the layout is documented at the top of
+    /// `snapshot.rs`).
+    fn snapshot_payload(&self) -> Vec<u8> {
         let [params, seed, mode, tuning] = config_values(self.config());
+        let queues = self.queues.iter().map(|q| {
+            Value::list(q.iter().map(|p| {
+                Value::list([
+                    Value::U64(p.ticket),
+                    Value::bytes(&p.payload),
+                    Value::U64(p.enqueued_round),
+                ])
+            }))
+        });
+        let parked = self.outbox.iter().map(|r| {
+            Value::list([
+                Value::U64(r.instance),
+                Value::U64(r.release_round),
+                Value::list(r.messages.iter().map(Value::bytes)),
+                u64s(r.tickets.iter().copied()),
+            ])
+        });
+        let live = self.inflight.iter().map(|(id, l)| {
+            let admitted = l.admitted.iter().map(|a| {
+                Value::list([
+                    Value::U64(a.ticket),
+                    Value::U64(a.enqueued_round),
+                    Value::U64(a.admitted_round),
+                    Value::bytes(&a.payload),
+                ])
+            });
+            Value::list([Value::U64(*id), Value::U64(l.opened), Value::list(admitted)])
+        });
         Value::list([
             Value::str(PAYLOAD_TAG),
             params,
             seed,
             mode,
             tuning,
-            Value::U64(self.stats().delivered),
-            Value::U64(self.stats().rejected),
-            checkpoint_value(&self.checkpoint),
-            Value::list(ops),
+            counters_value(&self.stats),
+            histogram_value(&self.hist),
+            u64s([
+                self.pool.round(),
+                self.pool.next_instance_id(),
+                self.stats.accepted,
+            ]),
+            Value::list(queues),
+            Value::U64(self.collecting.map_or(0, |id| id.0 + 1)),
+            Value::list(parked),
+            Value::list(live),
         ])
         .encode()
     }
 
     /// Serializes the service into one image (the envelope is documented
-    /// at the top of `snapshot.rs`). Any journal size encodes; this never
-    /// fails.
-    ///
-    /// The image carries the current checkpoint plus the post-boundary
-    /// tail — [`checkpoint`](Self::checkpoint) at era boundaries to keep
-    /// it (and restore time) O(current era).
+    /// at the top of `snapshot.rs`). It may be taken at any tick, mid-epoch
+    /// or drained, and holds only live state; this never fails.
     pub fn snapshot(&self) -> Result<Vec<u8>, ServiceError> {
         let mut image = Vec::new();
         self.snapshot_to(&mut image)?;
@@ -434,6 +459,8 @@ impl<W: SbcBackend> SbcService<W> {
     ///
     /// Records the original had already delivered are not re-delivered,
     /// and records that were still parked are parked again, in order.
+    /// Restore cost is bounded by the live state: at most
+    /// `max_live × (Φ + ∆ + 1)` instance-rounds are replayed.
     ///
     /// # Errors
     ///
@@ -441,8 +468,8 @@ impl<W: SbcBackend> SbcService<W> {
     ///   as a service image — a foreign or truncated envelope, a digest
     ///   mismatch, trailing bytes, a payload of the wrong shape — whose
     ///   description it carries.
-    /// * [`ServiceError::Pool`] if replay itself fails — impossible for a
-    ///   journal captured from a healthy service.
+    /// * [`ServiceError::Pool`] if rebuilding a live instance fails —
+    ///   impossible for an image captured from a healthy service.
     pub fn restore(bytes: &[u8]) -> Result<Self, ServiceError> {
         // The header says where the envelope ends, so a padded image is
         // refused here, before its digest and replay are paid for. Short
@@ -495,89 +522,210 @@ impl<W: SbcBackend> SbcService<W> {
         if digest != envelope_digest(payload_len, &payload) {
             return Err(bad("image digest mismatch: corrupted or spliced"));
         }
-        let svc = Self::restore_payload(&payload)?;
+        let (svc, _) = Self::restore_payload(&payload)?;
         svc.note_snapshot_bytes((HEADER_LEN + payload.len() + DIGEST_LEN) as u64);
         Ok(svc)
     }
 
-    /// Decodes and replays a digest-verified payload: fresh pool,
-    /// fast-forward through the checkpoint, replay the tail, settle
-    /// delivery bookkeeping.
-    fn restore_payload(payload: &[u8]) -> Result<Self, ServiceError> {
+    /// Decodes a digest-verified payload, checks the state it describes
+    /// is one a service can reach, and rebuilds its live instances.
+    /// Returns the service and the instance-rounds the rebuild stepped.
+    fn restore_payload(payload: &[u8]) -> Result<(Self, u64), ServiceError> {
         let body = Value::decode(payload).ok_or_else(|| bad("payload: not a canonical Value"))?;
-        let fields = body.as_list().ok_or_else(|| bad("body: expected List"))?;
-        let version = field(fields, 0, "version")?;
-        if version.as_str() != Some(PAYLOAD_TAG) {
-            return Err(bad(format!("unsupported version {version:?}")));
+        let fields = list(&body, "body")?;
+        let tag = fields.first().and_then(Value::as_str);
+        if tag != Some(PAYLOAD_TAG) {
+            return Err(bad(format!("unsupported version {tag:?}")));
         }
-        let cfg = parse_config(fields)?;
-        let delivered = as_u64(&field(fields, 5, "delivered")?, "delivered")?;
-        let rejected = as_u64(&field(fields, 6, "rejected")?, "rejected")?;
-        let cp = parse_checkpoint(&field(fields, 7, "checkpoint")?)?;
-        let ops_v = field(fields, 8, "ops")?;
-        let ops = ops_v.as_list().ok_or_else(|| bad("ops: expected List"))?;
-
-        let mut svc = SbcService::<W>::new(cfg)?;
-        let base_delivered = cp.counters.delivered;
-        if delivered < base_delivered {
-            return Err(bad("delivered regressed below the checkpoint base"));
-        }
-        svc.apply_checkpoint(cp)?;
-        svc.replay_ops(ops)?;
-        svc.mark_restored(delivered - base_delivered, delivered, rejected);
-        Ok(svc)
+        let [_, params, seed, mode, tuning, counters, hist, coordinates, queues, collecting, parked, live] =
+            fixed(&body, "body")?;
+        let mut svc = SbcService::<W>::new(parse_config([params, seed, mode, tuning])?)?;
+        let [round, next_instance, next_ticket] = fixed(coordinates, "coordinates")?;
+        let round = bounded(round, "round")?;
+        let next_instance = bounded(next_instance, "next_instance")?;
+        let next_ticket = bounded(next_ticket, "next_ticket")?;
+        svc.stats = parse_counters(counters)?;
+        svc.hist = parse_histogram(hist)?;
+        svc.queues = parse_queues(queues, round)?;
+        svc.outbox = parse_parked(parked, svc.cfg.mode)?;
+        svc.inflight = parse_live(live)?;
+        svc.collecting = match as_u64(collecting, "collecting")? {
+            0 => None,
+            id => Some(InstanceId(id - 1)),
+        };
+        svc.check_reachable(round, next_instance, next_ticket)?;
+        let stepped = svc.reopen(round, next_instance)?;
+        Ok((svc, stepped))
     }
 
-    /// Replays a decoded operation list.
-    fn replay_ops(&mut self, ops: &[Value]) -> Result<(), ServiceError> {
-        for (i, op) in ops.iter().enumerate() {
-            let op = op
-                .as_list()
-                .ok_or_else(|| bad(format!("op {i}: expected List")))?;
-            match as_u64(
-                op.first().ok_or_else(|| bad(format!("op {i}: empty")))?,
-                "op tag",
-            )? {
-                0 => {
-                    if op.len() != 2 {
-                        return Err(bad(format!("op {i}: tick arity")));
-                    }
-                    for _ in 0..as_u64(&op[1], "tick count")? {
-                        match self.tick() {
-                            // The original reported this dropped instance
-                            // already; replay drops it again and goes on.
-                            Ok(()) | Err(ServiceError::Undeliverable { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                1 => {
-                    if op.len() != 3 {
-                        return Err(bad(format!("op {i}: submit arity")));
-                    }
-                    let payload = op[1]
-                        .as_bytes()
-                        .ok_or_else(|| bad(format!("op {i}: payload")))?
-                        .to_vec();
-                    let class = DeadlineClass::from_tag(as_u64(&op[2], "class")?)
-                        .ok_or_else(|| bad(format!("op {i}: unknown class")))?;
-                    // The original accepted this op, and acceptance is a
-                    // deterministic function of the prefix — replay
-                    // accepts it too; a refusal means a corrupt journal.
-                    self.submit(0, payload, class)
-                        .map_err(|e| bad(format!("op {i}: replay refused: {e}")))?;
-                }
-                t => return Err(bad(format!("op {i}: unknown tag {t}"))),
+    /// Refuses a decoded state no service reaches: live instances out of
+    /// their Φ + ∆ + 1 round lifetime or past `max_live`, queues past
+    /// `queue_cap`, and counters or ids that contradict the state.
+    fn check_reachable(
+        &self,
+        round: u64,
+        next_instance: u64,
+        next_ticket: u64,
+    ) -> Result<(), ServiceError> {
+        let (c, cfg) = (&self.stats, &self.cfg);
+        let lifetime = cfg.params.phi + cfg.params.delta + 1;
+        if next_ticket != c.accepted {
+            return Err(bad(format!(
+                "next_ticket: {next_ticket} is not the {} accepted submissions",
+                c.accepted
+            )));
+        }
+        if next_instance != c.opened {
+            return Err(bad(format!(
+                "next_instance: {next_instance} is not the {} opened instances",
+                c.opened
+            )));
+        }
+        if round > c.ticks {
+            return Err(bad(format!("round {round} is past the {} ticks", c.ticks)));
+        }
+        let queued = self.queued();
+        if queued > cfg.queue_cap || queued > c.peak_queue {
+            return Err(bad(format!(
+                "{queued} queued entries: past queue_cap {} or peak_queue {}",
+                cfg.queue_cap, c.peak_queue
+            )));
+        }
+        let live = self.inflight.len();
+        if live > cfg.max_live || live > c.peak_live {
+            return Err(bad(format!(
+                "{live} live instances: past max_live {} or peak_live {}",
+                cfg.max_live, c.peak_live
+            )));
+        }
+        // Instances open in id order and release in it, so the parked
+        // records' ids, then the live ids, strictly increase.
+        let ids: Vec<u64> = self
+            .outbox
+            .iter()
+            .map(|r| r.instance)
+            .chain(self.inflight.keys().copied())
+            .collect();
+        if !increasing(&ids) || ids.last().is_some_and(|&id| id >= next_instance) {
+            return Err(bad(
+                "instance ids: not strictly increasing below next_instance",
+            ));
+        }
+        if self.outbox.iter().any(|r| r.release_round >= round) {
+            return Err(bad(
+                "a parked record released at or after the capture round",
+            ));
+        }
+        let mut last_open = 0;
+        for (id, l) in &self.inflight {
+            // An instance opens in a tick, before that tick's step, with
+            // its first admission; the rest follow in later ticks.
+            let rounds: Vec<u64> = l.admitted.iter().map(|a| a.admitted_round).collect();
+            let in_order = rounds.first() == Some(&l.opened)
+                && rounds.windows(2).all(|w| w[0] <= w[1])
+                && rounds.last().is_some_and(|&r| r < round)
+                && l.admitted
+                    .iter()
+                    .all(|a| a.enqueued_round <= a.admitted_round);
+            if l.opened >= round || round - l.opened > lifetime {
+                return Err(bad(format!(
+                    "live instance #{id}: opened at round {}, outside the {lifetime} rounds before the capture round {round}",
+                    l.opened
+                )));
+            }
+            if l.opened < last_open || !in_order || l.admitted.len() > cfg.batch_size {
+                return Err(bad(format!(
+                    "live instance #{id}: admissions out of order or past batch_size"
+                )));
+            }
+            last_open = l.opened;
+        }
+        let collecting_ok = self.collecting.is_none_or(|id| {
+            self.inflight
+                .last_key_value()
+                .is_some_and(|(&last, l)| last == id.0 && l.admitted.len() < cfg.batch_size)
+        });
+        if !collecting_ok {
+            return Err(bad("collecting: not the newest live instance with room"));
+        }
+        let tickets = self
+            .queues
+            .iter()
+            .flatten()
+            .map(|p| p.ticket)
+            .chain(
+                self.inflight
+                    .values()
+                    .flat_map(|l| l.admitted.iter().map(|a| a.ticket)),
+            )
+            .chain(self.outbox.iter().flat_map(|r| r.tickets.iter().copied()));
+        let mut seen = BTreeSet::new();
+        for t in tickets {
+            if t >= next_ticket || !seen.insert(t) {
+                return Err(bad(format!("ticket {t}: issued twice or not yet issued")));
             }
         }
+        // Every opened instance is live, parked, delivered, or was dropped
+        // undeliverable; a delivered or dropped one was pruned.
+        let parked = self.outbox.len() as u64;
+        let dropped = c.opened.checked_sub(live as u64 + c.finished);
+        if c.finished != c.delivered + parked || dropped.is_none_or(|d| c.pruned != c.delivered + d)
+        {
+            return Err(bad(format!(
+                "counters: {} opened, {} finished, {} delivered, {} pruned contradict {live} live and {parked} parked",
+                c.opened, c.finished, c.delivered, c.pruned
+            )));
+        }
         Ok(())
+    }
+
+    /// Rebuilds every live instance in the fresh pool: each reopened at
+    /// its id and its open round, fed its admissions at their rounds, and
+    /// stepped with the others to the capture round. Returns the
+    /// instance-rounds stepped — at most `max_live × (Φ + ∆ + 1)`.
+    fn reopen(&mut self, round: u64, next_instance: u64) -> Result<u64, ServiceError> {
+        let n = self.cfg.params.n;
+        let mut feed: Vec<(u64, InstanceId, u32, &[u8])> = Vec::new();
+        for (&id, l) in &self.inflight {
+            for (k, a) in l.admitted.iter().enumerate() {
+                feed.push((a.admitted_round, InstanceId(id), (k % n) as u32, &a.payload));
+            }
+        }
+        feed.sort_by_key(|f| f.0);
+        let mut feed = feed.into_iter().peekable();
+        let mut opens = self
+            .inflight
+            .iter()
+            .map(|(&id, l)| (l.opened, id))
+            .peekable();
+        let start = opens.peek().map_or(round, |&(opened, _)| opened);
+        self.pool.resume_at(start, 0)?;
+        let mut stepped = 0;
+        for now in start..round {
+            while let Some((_, id)) = opens.next_if(|&(opened, _)| opened == now) {
+                self.pool.resume_at(now, id)?;
+                self.pool.open_instance()?;
+            }
+            while let Some((_, id, party, payload)) = feed.next_if(|f| f.0 == now) {
+                self.pool
+                    .submit(id, party, payload)
+                    .map_err(|e| bad(format!("{id}: admission does not replay: {e}")))?;
+            }
+            stepped += self.pool.live_instances().len() as u64;
+            if !self.pool.step_round()?.is_empty() {
+                return Err(bad(format!(
+                    "a live instance released at round {now}, before the capture round"
+                )));
+            }
+        }
+        self.pool.resume_at(round, next_instance)?;
+        Ok(stepped)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{DeadlineClass, ServiceMode};
     use crate::stats::ServiceStats;
     use sbc_core::api::SbcError;
     use sbc_primitives::drbg::Drbg;
@@ -646,95 +794,117 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_snapshot_round_trips_and_shrinks() {
+    fn drained_image_drops_delivered_payloads() {
         let mut a = seeded();
-        // Era 1: one full epoch (a whole batch of payload-carrying
-        // submissions), delivered and drained, then folded. The fold
-        // drops the delivered payloads from the image entirely — only
-        // counters and the histogram remember them.
+        // One full epoch of payload-carrying submissions: live, its image
+        // holds them; delivered and drained, only counters and the
+        // histogram remember them.
         for client in 0..3u64 {
             a.submit(client, vec![client as u8; 64], DeadlineClass::Standard)
                 .unwrap();
         }
+        a.tick().unwrap();
+        let live_image = a.snapshot().unwrap();
+        assert_eq!(a.stats().journal_ops, 3, "three live admissions");
         while a.stats().finished == 0 {
             a.tick().unwrap();
         }
         a.drain_releases();
-        let full_journal_image = a.snapshot().unwrap();
-        assert!(a.try_checkpoint(), "drained service is at a boundary");
-        assert_eq!(a.era(), 1);
         assert_eq!(a.stats().journal_ops, 0);
-        // Short tail after the fold.
         a.submit(2, vec![2], DeadlineClass::Standard).unwrap();
         a.tick().unwrap();
 
         let image = a.snapshot().unwrap();
         assert!(
-            image.len() < full_journal_image.len(),
-            "checkpointed image ({}B) should undercut the pre-fold full-journal one ({}B)",
+            image.len() + 3 * 64 < live_image.len(),
+            "drained image ({}B) should drop the live one's ({}B) payloads",
             image.len(),
-            full_journal_image.len()
+            live_image.len()
         );
         let mut b = Service::restore(&image).unwrap();
-        assert_eq!(b.era(), 1);
         assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
         assert_eq!(a.shutdown().unwrap(), b.shutdown().unwrap());
         assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
     }
 
-    /// Four equal waves, each drained to a boundary, folded (on `a` only)
-    /// and followed by the same short mid-epoch tail: the checkpointing
-    /// service's image and replay length are the same in every era, while
-    /// its never-checkpointing twin's image carries the whole journal.
+    /// Four equal waves, each drained and followed by the same short
+    /// mid-epoch tail: the image, and the admissions a restore replays,
+    /// are the same size after every wave.
     #[test]
-    fn era_images_stay_flat_while_the_full_journal_grows() {
+    fn images_stay_flat_while_the_lifetime_grows() {
         use crate::loadgen::{LoadGen, LoadProfile};
-        let service = || {
-            Service::new(
-                ServiceConfig::new(4, ServiceMode::Beacon)
-                    .seed(b"era-flat")
-                    .batch_size(64)
-                    .flush_after(4),
-            )
-            .unwrap()
-        };
-        let (mut a, mut b) = (service(), service());
-        let (mut bytes_a, mut bytes_b, mut ops_a) = (Vec::new(), Vec::new(), Vec::new());
-        for era in 1..=4u64 {
-            for svc in [&mut a, &mut b] {
-                let mut gen = LoadGen::new(LoadProfile::beacon(256, 64), &era.to_be_bytes());
-                while !gen.done() || svc.live() > 0 || svc.queued() > 0 {
-                    for s in gen.next_tick() {
-                        svc.submit(s.client, s.payload, s.class).unwrap();
-                    }
-                    svc.tick().unwrap();
-                    svc.drain_releases();
+        let mut a = Service::new(
+            ServiceConfig::new(4, ServiceMode::Beacon)
+                .seed(b"wave-flat")
+                .batch_size(64)
+                .flush_after(4),
+        )
+        .unwrap();
+        let (mut bytes, mut ops) = (Vec::new(), Vec::new());
+        for wave in 1..=4u64 {
+            let mut gen = LoadGen::new(LoadProfile::beacon(256, 64), &wave.to_be_bytes());
+            while !gen.done() || a.live() > 0 || a.queued() > 0 {
+                for s in gen.next_tick() {
+                    a.submit(s.client, s.payload, s.class).unwrap();
                 }
+                a.tick().unwrap();
+                a.drain_releases();
             }
-            assert!(a.try_checkpoint(), "drained service sits at a boundary");
-            assert_eq!(a.era(), era);
-            for svc in [&mut a, &mut b] {
-                for client in 0..8 {
-                    svc.submit(client, vec![0x5A; 32], DeadlineClass::Standard)
-                        .unwrap();
-                }
-                svc.tick().unwrap();
-                svc.tick().unwrap();
+            for client in 0..8 {
+                a.submit(client, vec![0x5A; 32], DeadlineClass::Standard)
+                    .unwrap();
             }
+            a.tick().unwrap();
+            a.tick().unwrap();
             let image = a.snapshot().unwrap();
             let restored = Service::restore(&image).unwrap();
             assert_eq!(replayable(&a.stats()), replayable(&restored.stats()));
-            bytes_a.push(image.len());
-            bytes_b.push(b.snapshot().unwrap().len());
-            ops_a.push(restored.stats().journal_ops);
+            bytes.push(image.len());
+            ops.push(restored.stats().journal_ops);
         }
         for k in 1..4 {
-            // Fixed-width U64s make the era image byte-flat today; the
-            // slack is for a variable-width encoding of the counters.
-            assert!(bytes_a[k].abs_diff(bytes_a[0]) <= 64, "{bytes_a:?}");
-            assert_eq!(ops_a[k], ops_a[0], "replay length grew with the era");
-            assert!(bytes_b[k] > bytes_b[k - 1], "{bytes_b:?}");
+            // Fixed-width U64s make the image byte-flat; the slack is for
+            // a variable-width encoding of the counters.
+            assert!(bytes[k].abs_diff(bytes[0]) <= 64, "{bytes:?}");
+            assert_eq!(ops[k], ops[0], "replay length grew with the lifetime");
         }
+    }
+
+    #[test]
+    fn restore_replays_at_most_max_live_lifetimes() {
+        use crate::loadgen::{LoadGen, LoadProfile};
+        // Saturating load: the queue backs up and `max_live` instances are
+        // live at once, tick after tick, for a long lifetime.
+        let cfg = ServiceConfig::new(3, ServiceMode::Beacon)
+            .seed(b"bounded-replay")
+            .batch_size(4)
+            .max_live(3)
+            .queue_cap(64);
+        let p = cfg.params;
+        let bound = cfg.max_live as u64 * (p.phi + p.delta + 1);
+        let mut a = Service::new(cfg).unwrap();
+        let mut gen = LoadGen::new(LoadProfile::beacon(u64::MAX, 8), b"bounded-replay");
+        let mut most = 0;
+        for tick in 0..200 {
+            for s in gen.next_tick() {
+                let _ = a.submit(s.client, s.payload, s.class);
+            }
+            a.tick().unwrap();
+            if tick % 2 == 0 {
+                a.drain_releases();
+            }
+            let image = a.snapshot().unwrap();
+            let (b, stepped) =
+                Service::restore_payload(&image[HEADER_LEN..image.len() - DIGEST_LEN]).unwrap();
+            assert!(
+                stepped <= bound,
+                "tick {tick}: {stepped} > {bound} instance-rounds"
+            );
+            assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+            most = most.max(stepped);
+        }
+        assert_eq!(a.stats().peak_live, 3, "the bound was reached");
+        assert!(most > bound / 2, "the load kept instances live: {most}");
     }
 
     #[test]
@@ -846,24 +1016,34 @@ mod tests {
         payload_fields_of(&a)
     }
 
-    /// `fields` re-[`seal`]ed with checkpoint (payload field 7) item `at`
-    /// set to `v`.
-    fn with_checkpoint_item(fields: &[Value], at: usize, v: Value) -> Vec<u8> {
+    /// Sets the item at `path` — payload field, then item within it, and
+    /// so on — to `v`.
+    fn set(fields: &mut [Value], path: &[usize], v: Value) {
+        let (&field, path) = path.split_first().expect("a payload field");
+        let mut target = &mut fields[field];
+        for i in path {
+            let Value::List(items) = target else {
+                panic!("item {i} of {path:?} is not in a list");
+            };
+            target = &mut Arc::make_mut(items)[*i];
+        }
+        *target = v;
+    }
+
+    /// `fields` re-[`seal`]ed with the item at `path` set to `v`.
+    fn forged(fields: &[Value], path: &[usize], v: Value) -> Vec<u8> {
         let mut fields = fields.to_vec();
-        let Value::List(cp) = &mut fields[7] else {
-            panic!("checkpoint is a list");
-        };
-        Arc::make_mut(cp)[at] = v;
+        set(&mut fields, path, v);
         seal(&Value::list(fields).encode())
     }
 
     #[test]
     fn sealed_image_with_a_zero_tuning_knob_is_refused() {
         // Correct digest, valid shape, but a `batch_size` or `max_live` of
-        // 0 in the tuning list (payload field 4): replayed, it would be a
+        // 0 in the tuning list (payload field 4): restored, it would be a
         // service that ticks `Ok` forever and never releases. Last row:
         // n = 2³² in the params list (field 1), past the `u32` party ids,
-        // which the journal's submission would have opened an instance for.
+        // which the queued submission would open an instance for.
         let fields = payload_fields();
         for (field, at, v) in [(4, 1, 0), (4, 2, 0), (1, 0, 1 << 32)] {
             let mut fields = fields.clone();
@@ -891,13 +1071,13 @@ mod tests {
     #[test]
     fn sealed_image_with_a_forged_histogram_is_refused() {
         // Correct digest, valid shape, but a latency histogram (payload
-        // field 7, checkpoint field 5) whose `count` no recording produced:
+        // field 6) whose `count` no recording produced:
         // restored, `stats()` would overflow on it or report nonsense.
         let fields = payload_fields();
         let with_hist = |buckets: &[u64], count: u64, sum: u64| {
             let buckets = Value::list(buckets.iter().map(|b| Value::U64(*b)));
             let hist = [buckets, Value::U64(count), Value::U64(sum), Value::U64(0)];
-            with_checkpoint_item(&fields, 5, Value::list(hist))
+            forged(&fields, &[6], Value::list(hist))
         };
         let empty = [0; LatencyHistogram::BUCKETS];
         let detail = assert_bad(&with_hist(&empty, u64::MAX, u64::MAX), "forged count");
@@ -921,59 +1101,131 @@ mod tests {
     }
 
     #[test]
-    fn sealed_image_with_a_checkpoint_coordinate_past_2_63_is_refused() {
-        // Correct digest, valid shape, but a checkpoint coordinate (payload
-        // field 7, checkpoint fields 0–3) at `u64::MAX`: restored, the
-        // first tick that wakes an instance (`round`), the first replayed
-        // open (`next_instance`) or submit (`next_ticket`), or the next
-        // fold (`era`) overflowed. 2^63 − 1 still restores, bar the ticket:
-        // it must be the service's zero accepted submissions.
+    fn sealed_image_with_a_coordinate_past_2_63_is_refused() {
+        // Correct digest, valid shape, but a coordinate (payload field 7)
+        // or a counter (field 5) at 2^63 or `u64::MAX`: restored, the
+        // first tick that wakes an instance (`round`), the next open
+        // (`next_instance`) or submit (`next_ticket`), or the next count
+        // overflowed.
         let fields = payload_fields();
-        let with = |at: usize, v: u64| with_checkpoint_item(&fields, at, Value::U64(v));
-        for (at, name) in [
-            (0, "era"),
-            (1, "round"),
-            (2, "next_instance"),
-            (3, "next_ticket"),
-        ] {
+        let items = [
+            (7, 0, "round"),
+            (7, 1, "next_instance"),
+            (7, 2, "next_ticket"),
+            (5, 0, "accepted"),
+            (5, 7, "ticks"),
+        ];
+        for (field, at, name) in items {
             for v in [1 << 63, u64::MAX] {
-                let detail = assert_bad(&with(at, v), name);
+                let detail = assert_bad(&forged(&fields, &[field, at], Value::U64(v)), name);
                 assert!(detail.starts_with(name), "{detail}");
             }
-            let largest = with(at, (1 << 63) - 1);
-            if name == "next_ticket" {
-                assert!(assert_bad(&largest, name).starts_with(name));
-            } else {
-                Service::restore(&largest).unwrap();
-            }
         }
+        // 2^63 − 1 rounds into an idle life restores at once — nothing is
+        // live, so nothing replays — and ticks on.
+        let old = (1 << 63) - 1;
+        let mut fields = fields;
+        set(&mut fields, &[7, 0], Value::U64(old));
+        set(&mut fields, &[5, 7], Value::U64(old));
+        let (mut b, stepped) = Service::restore_payload(&Value::list(fields).encode()).unwrap();
+        assert_eq!((b.round(), stepped), (old, 0));
+        b.tick().unwrap();
+        assert_eq!(b.live(), 1, "the queued submission opened an instance");
     }
 
     #[test]
     fn sealed_image_with_forged_tickets_is_refused() {
-        // Correct digest, valid shape, but a checkpoint whose ticket (item
-        // 3) is not its `accepted` counter, or whose queued tickets (item
-        // 6) are out of order or not below it: restored, the service would
-        // issue a ticket twice.
+        // Correct digest, valid shape, but a ticket coordinate (payload
+        // field 7, item 2) that is not the `accepted` counter, or queued
+        // tickets (field 8) out of order or not below it: restored, the
+        // service would issue a ticket twice.
         let mut a = seeded();
         for payload in [[1], [2], [3]] {
             a.submit(1, payload.to_vec(), DeadlineClass::Standard)
                 .unwrap();
         }
-        a.checkpoint().unwrap();
         let fields = payload_fields_of(&a);
         let entry = |t| Value::list([Value::U64(t), Value::bytes([0]), Value::U64(0)]);
         let queue = |tickets: [u64; 3]| {
             let standard = Value::list(tickets.map(entry));
             Value::list([Value::list([]), standard, Value::list([])])
         };
-        Service::restore(&with_checkpoint_item(&fields, 6, queue([0, 1, 2]))).unwrap();
-        let behind = with_checkpoint_item(&fields, 3, Value::U64(2));
+        Service::restore(&forged(&fields, &[8], queue([0, 1, 2]))).unwrap();
+        let behind = forged(&fields, &[7, 2], Value::U64(2));
         assert!(assert_bad(&behind, "ticket").starts_with("next_ticket"));
-        for tickets in [[0, 2, 1], [0, 1, 1], [1, 2, 3]] {
-            let forged = with_checkpoint_item(&fields, 6, queue(tickets));
+        for tickets in [[0, 2, 1], [0, 1, 1]] {
+            let forged = forged(&fields, &[8], queue(tickets));
             assert!(assert_bad(&forged, "queue").starts_with("queue 1"));
         }
+        let ahead = forged(&fields, &[8], queue([1, 2, 3]));
+        assert!(assert_bad(&ahead, "ticket").starts_with("ticket 3"));
+    }
+
+    /// A service mid-load: two instances live, one record parked, and a
+    /// submission queued.
+    fn mid_load() -> Service {
+        let mut a = Service::new(
+            ServiceConfig::new(3, ServiceMode::Auction)
+                .seed(b"mid-load")
+                .batch_size(3)
+                .max_live(3),
+        )
+        .unwrap();
+        for tick in 0u64.. {
+            for k in 0..2 {
+                a.submit(
+                    k,
+                    (tick * 2 + k).to_be_bytes().to_vec(),
+                    DeadlineClass::Standard,
+                )
+                .unwrap();
+            }
+            a.tick().unwrap();
+            let s = a.stats();
+            if s.delivered > 0 && s.finished > s.delivered && a.live() == 2 {
+                break;
+            }
+            a.drain_releases();
+        }
+        a
+    }
+
+    #[test]
+    fn hostile_v4_images_are_refused() {
+        let a = mid_load();
+        let s = a.stats();
+        assert!(s.delivered > 0 && s.finished > s.delivered, "{s:?}");
+        let fields = payload_fields_of(&a);
+        let (round, p) = (a.round(), a.config().params);
+        let last = a
+            .inflight
+            .values()
+            .next()
+            .map_or(0, |l| l.admitted.len() - 1);
+        let old = round - (p.phi + p.delta + 2);
+        let cases: [(&[usize], u64, &str); 7] = [
+            // A live instance (field 11, entry 0, item 1) opened more than
+            // Φ + ∆ + 1 rounds ago, or after the capture round, or one
+            // whose last admission (item 2) is at the capture round.
+            (&[11, 0, 1], old, "live instance #"),
+            (&[11, 0, 1], round + 1, "live instance #"),
+            (&[11, 0, 2, last, 2], round, "live instance #"),
+            // More live instances than `max_live` (tuning, field 4) allows,
+            // more queued than `queue_cap`.
+            (&[4, 2], 1, "2 live instances"),
+            (&[4, 0], 1, "queued entries"),
+            // Counters (field 5): delivered or pruned past finished.
+            (&[5, 3], s.finished + 1, "counters"),
+            (&[5, 6], s.finished + 1, "counters"),
+        ];
+        for (path, v, want) in cases {
+            let detail = assert_bad(&forged(&fields, path, Value::U64(v)), want);
+            assert!(detail.contains(want), "{path:?} = {v}: {detail}");
+        }
+        // The untouched image restores, parked record and all.
+        let mut b = Service::restore(&seal(&Value::list(fields).encode())).unwrap();
+        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(b.drain_releases().len(), 1);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl LatencyHistogram {
     }
 
     /// The raw state behind the histogram, in serialization order:
-    /// `(buckets, count, sum, max)`. Checkpoint encoding reads this; the
+    /// `(buckets, count, sum, max)`. Image encoding reads this; the
     /// summary API stays the only public view.
     pub(crate) fn raw_parts(&self) -> (&[u64], u64, u64, u64) {
         (&self.buckets, self.count, self.sum, self.max)
@@ -87,7 +87,7 @@ impl LatencyHistogram {
 
     /// Rebuilds a histogram from its raw state. `None` when the bucket
     /// vector is not exactly [`Self::BUCKETS`] long, or when `count` is
-    /// not the (checked) sum of the buckets — a decoded checkpoint with
+    /// not the (checked) sum of the buckets — a decoded image with
     /// the wrong arity or a forged count is a bad snapshot, not a panic
     /// and not a summary no recording could have produced.
     pub(crate) fn from_raw_parts(
@@ -285,21 +285,11 @@ pub struct ServiceStats {
     pub leak_overflow: u64,
     /// The shared clock round.
     pub round: u64,
-    /// The service's era: how many times the operation journal has been
-    /// folded into a checkpoint (0 for a never-checkpointed service).
-    pub era: u64,
-    /// The shared-clock round of the last checkpoint boundary (0 at era
-    /// 0).
-    pub checkpoint_round: u64,
-    /// Operations in the post-checkpoint journal tail — what a snapshot
-    /// taken now would have to replay. Era-based checkpointing keeps
-    /// this O(current era) instead of O(lifetime).
+    /// Admissions held by live instances — what a snapshot taken now
+    /// would replay into the rebuilt instances.
     pub journal_ops: u64,
-    /// Era folds performed by the `ServiceConfig::checkpoint_every`
-    /// auto-checkpoint policy; manual folds are not counted. Like the
-    /// policy itself it is excluded from snapshots, so a restored
-    /// service restarts at 0 — mask it in determinism comparisons
-    /// alongside `snapshot_bytes` when the policy is armed.
+    /// Inert: always 0, since nothing folds any more. Kept only because
+    /// the benchmark reports it; ROADMAP item 1 deletes it.
     pub auto_folds: u64,
     /// Bytes of the most recent snapshot image produced by (or restored
     /// into) this service; 0 until one exists. **Observational only**:

@@ -21,11 +21,11 @@
 //! submissions. `--backend tcp` runs every party link over OS loopback
 //! sockets (and the restored twin brings up its own fresh lanes).
 //! `--smoke` shrinks the run for CI (200 submissions, quiet per-release
-//! output). `--snapshot-path` checkpoints the drained service at the end
-//! of the run and writes an era-based snapshot into FILE;
-//! `--restore-from` boots the service from such a file instead of fresh,
-//! continuing its eras — together they give `sbc-serve` real
-//! stop-the-process/resume-the-process persistence.
+//! output). `--snapshot-path` writes the service's image into FILE at the
+//! end of the run — an image of live state, which may be taken at any
+//! tick; `--restore-from` boots the service from such a file instead of
+//! fresh, continuing where it stopped — together they give `sbc-serve`
+//! real stop-the-process/resume-the-process persistence.
 
 use sbc_core::pool::PoolFootprint;
 use sbc_core::worlds::{RealSbcWorld, SbcBackend};
@@ -148,15 +148,14 @@ fn replayable(svc: &SbcService<impl SbcBackend>) -> sbc_service::ServiceStats {
 }
 
 fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
-    // Boot: fresh, or resumed from an era-based snapshot file.
+    // Boot: fresh, or resumed from a snapshot file.
     let mut svc: SbcService<W> = match &args.restore_from {
         Some(path) => {
             let mut file = std::fs::File::open(path)
                 .unwrap_or_else(|e| die(&format!("--restore-from {path}: {e}")));
             let svc = SbcService::restore_from(&mut file)?;
             println!(
-                "restored from {path}: era {} @round {} ({} delivered so far)",
-                svc.era(),
+                "restored from {path} @round {} ({} delivered so far)",
                 svc.round(),
                 svc.stats().delivered
             );
@@ -290,21 +289,13 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
         "steady-state memory flat after drain"
     );
 
-    // Persistence: fold the drained run into a checkpoint and stream the
-    // era-based image to disk — `--restore-from` picks it up next boot.
+    // Persistence: stream the image to disk — `--restore-from` picks it
+    // up next boot.
     if let Some(path) = &args.snapshot_path {
-        assert!(
-            svc.try_checkpoint(),
-            "drained service must sit at an era boundary"
-        );
         let mut file = std::fs::File::create(path)
             .unwrap_or_else(|e| die(&format!("--snapshot-path {path}: {e}")));
         let written = svc.snapshot_to(&mut file)?;
-        println!(
-            "checkpointed into era {} and wrote a {} byte snapshot to {path}",
-            svc.era(),
-            written
-        );
+        println!("wrote a {written} byte snapshot to {path}");
     }
     println!(
         "done: {} released over {} instances in {} rounds | latency rounds p50={} p90={} p99={} max={} | peak live={} peak queue={} deferred={} leak-overflow={}",

@@ -6,18 +6,23 @@
 //! restored from its image must produce release transcripts
 //! **bit-identical** to the uninterrupted run — over the in-process
 //! backend, the networked loopback backend, *and* the real-socket TCP
-//! backend. The era matrix extends the gate to checkpointed services:
-//! folding the journal at era boundaries must not change a single
-//! released bit relative to a never-checkpointing twin, while shrinking
-//! the image, and hostile images — corrupted, truncated, padded, or in a
+//! backend. The live-state gate extends it to every tick of seeded
+//! sustained-load lifetimes over all four backends: an image taken at any
+//! tick, with records parked or not, restores to a service that runs on
+//! exactly as the original, and images stay flat however long the
+//! service lives. Hostile images — corrupted, truncated, padded, or in a
 //! foreign format — must fail with typed errors. The rest pins the
 //! service-layer semantics: typed backpressure, late-arrival deferral,
 //! deliver-before-reclaim on shutdown, and bounded leak capture with a
 //! typed overflow counter.
 
+use std::collections::VecDeque;
+use std::ops::Range;
+
 use sbc_core::pool::PoolFootprint;
-use sbc_core::worlds::{RealSbcWorld, SbcBackend};
-use sbc_net::{Endpoint, Frame, FrameKind, LoopbackSbcWorld, TcpSbcWorld};
+use sbc_core::worlds::{RealSbcWorld, SbcBackend, SbcParams};
+use sbc_net::{Endpoint, Frame, FrameKind, LoopbackSbcWorld, SimNetSbcWorld, TcpSbcWorld};
+use sbc_primitives::drbg::Drbg;
 use sbc_service::{
     DeadlineClass, LoadGen, LoadProfile, ReleaseRecord, SbcService, ServiceConfig, ServiceError,
     ServiceMode, ServiceStats,
@@ -133,145 +138,325 @@ fn kill_and_restore_bit_identical_over_tcp() {
     kill_and_restore_bit_identical::<TcpSbcWorld>();
 }
 
-/// Drives one "wave" on a service: submit `batch` payloads, tick until
-/// everything released and drained. Identical calls produce identical
-/// schedules, so a checkpointing service and its never-checkpointing
-/// twin stay step-for-step comparable.
-fn wave<W: SbcBackend>(svc: &mut SbcService<W>, era: u64, batch: usize) -> Vec<ReleaseRecord> {
-    for i in 0..batch as u64 {
-        svc.submit(
-            era * 100 + i,
-            vec![era as u8, i as u8, 7, 7],
-            DeadlineClass::Standard,
-        )
-        .expect("sized load");
+/// One submission offered to a service: client, payload, class.
+type Offer = (u64, Vec<u8>, DeadlineClass);
+
+/// What a service shows of itself between calls: everything a restored
+/// twin must match (`stats` with the observational fields masked).
+#[derive(Debug, PartialEq)]
+struct View {
+    round: u64,
+    queued: usize,
+    live: usize,
+    stats: ServiceStats,
+}
+
+fn view<W: SbcBackend>(svc: &SbcService<W>) -> View {
+    View {
+        round: svc.round(),
+        queued: svc.queued(),
+        live: svc.live(),
+        stats: ServiceStats {
+            wall: None,
+            ..replayable(&svc.stats())
+        },
     }
-    let mut records = Vec::new();
-    for _ in 0..200 {
-        if svc.queued() == 0 && svc.live() == 0 {
-            break;
+}
+
+/// One tick of the uninterrupted run: what was offered and answered, the
+/// view after `tick` (records parked), the records drained, and the view
+/// after the drain.
+struct Step {
+    offers: Vec<Offer>,
+    answers: Vec<Result<u64, ServiceError>>,
+    parked: View,
+    records: Vec<ReleaseRecord>,
+    drained: View,
+}
+
+/// A lifetime of the live-state gate, drawn from its seed: the config from
+/// the legal ranges — with a small `queue_cap`, so `QueueFull` re-offers
+/// happen — and the arrival stream.
+fn draw_lifetime(seed: u64) -> (ServiceConfig, Drbg) {
+    let mut rng = Drbg::from_seed(&[b"live-state/".as_slice(), &seed.to_be_bytes()].concat());
+    let mut pick = |lo: u64, hi: u64| lo + rng.gen_range(hi - lo + 1);
+    let (tle_delay, tle_alpha) = (pick(0, 1), pick(0, 1));
+    let params = SbcParams {
+        n: pick(1, 4) as usize,
+        phi: pick(tle_delay + 1, 4),
+        delta: pick(tle_alpha + 1, 3),
+        tle_alpha,
+        tle_delay,
+    };
+    let mode = [
+        ServiceMode::Beacon,
+        ServiceMode::Election,
+        ServiceMode::Auction,
+    ][pick(0, 2) as usize];
+    let leak_cap = pick(0, 4).checked_sub(1).map(|c| c as usize);
+    let cfg = ServiceConfig::new(params.n, mode)
+        .params(params)
+        .seed(&seed.to_be_bytes())
+        .queue_cap(pick(1, 8) as usize)
+        .batch_size(pick(1, 5) as usize)
+        .max_live(pick(1, 3) as usize)
+        .flush_after(pick(0, 3))
+        .leak_cap(leak_cap);
+    (
+        cfg,
+        Drbg::from_seed(&[b"arrivals/".as_slice(), &seed.to_be_bytes()].concat()),
+    )
+}
+
+/// Up to four fresh arrivals, of up to 12 bytes each (`fixed`: exactly
+/// 12).
+fn arrivals(rng: &mut Drbg, fixed: bool) -> Vec<Offer> {
+    let count = if fixed { 4 } else { rng.gen_range(5) };
+    (0..count)
+        .map(|_| {
+            let len = if fixed {
+                12
+            } else {
+                rng.gen_range(13) as usize
+            };
+            let class = match rng.gen_range(4) {
+                0 => DeadlineClass::Interactive,
+                1 => DeadlineClass::Batch,
+                _ => DeadlineClass::Standard,
+            };
+            (rng.gen_u64(), rng.gen_bytes(len), class)
+        })
+        .collect()
+}
+
+/// Offers a tick's submissions: what `QueueFull` refused is offered
+/// again, first, next tick.
+fn offer<W: SbcBackend>(
+    svc: &mut SbcService<W>,
+    offers: &[Offer],
+    backlog: &mut VecDeque<Offer>,
+) -> Vec<Result<u64, ServiceError>> {
+    offers
+        .iter()
+        .map(|(client, payload, class)| {
+            let answer = svc.submit(*client, payload.clone(), *class);
+            if let Err(ServiceError::QueueFull { .. }) = answer {
+                backlog.push_back((*client, payload.clone(), *class));
+            }
+            answer
+        })
+        .collect()
+}
+
+/// Snapshots `svc`, drops it, and restores it from the image.
+fn reborn<W: SbcBackend>(svc: SbcService<W>) -> SbcService<W> {
+    let image = svc.snapshot().expect("snapshot");
+    drop(svc);
+    SbcService::restore(&image).expect("restore")
+}
+
+/// Drives `svc` through `steps` (the first of them tick `at`) as the
+/// uninterrupted run went, demanding the same answers, views and records;
+/// `parked` when `svc` stands after the first step's tick but before its
+/// drain.
+fn follow<W: SbcBackend>(svc: &mut SbcService<W>, steps: &[Step], parked: bool, at: usize) {
+    for (i, step) in steps.iter().enumerate() {
+        let t = at + i;
+        if i > 0 || !parked {
+            assert_eq!(
+                offer(svc, &step.offers, &mut VecDeque::new()),
+                step.answers,
+                "tick {t}: answers"
+            );
+            svc.tick().expect("tick");
+            assert_eq!(view(svc), step.parked, "tick {t}: before the drain");
         }
-        svc.tick().expect("tick");
-        records.extend(svc.drain_releases());
+        assert_eq!(svc.drain_releases(), step.records, "tick {t}: records");
+        assert_eq!(view(svc), step.drained, "tick {t}: after the drain");
     }
-    assert_eq!(svc.live(), 0, "wave must drain within its tick budget");
-    records
 }
 
-/// The era matrix: a checkpointing service vs a never-checkpointing twin
-/// on identical schedules. Checkpoints must be release-invisible, the
-/// checkpointed image must undercut the full-journal one, and both
-/// images must restore to services that finish the run bit-identically.
-fn era_checkpoint_restore_matches_full_journal<W: SbcBackend>() {
-    let mut a: SbcService<W> = SbcService::new(config(b"eras")).unwrap();
-    let mut b: SbcService<W> = SbcService::new(config(b"eras")).unwrap();
-    let mut records_a = Vec::new();
-    let mut records_b = Vec::new();
-
-    for era in 0..3u64 {
-        records_a.extend(wave(&mut a, era, 4));
-        records_b.extend(wave(&mut b, era, 4));
-        // A straggler queued at the boundary on both: queued submissions
-        // never block a checkpoint — they fold into it.
-        a.submit(900 + era, vec![9; 4], DeadlineClass::Batch)
-            .unwrap();
-        b.submit(900 + era, vec![9; 4], DeadlineClass::Batch)
-            .unwrap();
-        assert!(a.at_boundary(), "drained service is at a boundary");
-        a.checkpoint().expect("boundary checkpoint");
-        assert_eq!(a.era(), era + 1);
-        assert_eq!(a.stats().journal_ops, 0, "fold truncates the journal");
+/// One lifetime of the live-state gate: `load` ticks of arrivals, then
+/// Φ + ∆ + 2 quiet ticks.
+///
+/// * The uninterrupted run takes an image at every tick — before the
+///   tick's drain on odd ticks, so records are parked, after it on even
+///   ones.
+/// * Every image restores to a twin in the original's exact state, which
+///   then runs Φ + ∆ + 2 ticks exactly as the original did.
+/// * A second run is snapshotted, dropped and restored at every tick, for
+///   the whole lifetime, and still matches the original tick for tick.
+/// * The image from a third of the way in, restored at the end, replays
+///   everything from that tick on.
+/// * All of them `shutdown` to the same records and a flat footprint.
+///
+/// Returns how many offers `QueueFull` refused.
+fn live_state_lifetime<W: SbcBackend>(seed: u64, load: usize) -> usize {
+    let (cfg, mut rng) = draw_lifetime(seed);
+    let k = (cfg.params.phi + cfg.params.delta + 2) as usize;
+    let mut a: SbcService<W> = SbcService::new(cfg.clone()).expect("config");
+    let mut b: SbcService<W> = SbcService::new(cfg).expect("config");
+    let (mut steps, mut images) = (Vec::new(), Vec::new());
+    let mut backlog = VecDeque::new();
+    for t in 0..load + k {
+        let mut offers: Vec<Offer> = backlog.drain(..).collect();
+        if t < load {
+            offers.extend(arrivals(&mut rng, false));
+        }
+        let answers = offer(&mut a, &offers, &mut backlog);
+        a.tick().expect("tick");
+        let parked = view(&a);
+        if t % 2 == 1 {
+            images.push(a.snapshot().expect("snapshot"));
+        }
+        let records = a.drain_releases();
+        let drained = view(&a);
+        if t % 2 == 0 {
+            images.push(a.snapshot().expect("snapshot"));
+        }
+        steps.push(Step {
+            offers,
+            answers,
+            parked,
+            records,
+            drained,
+        });
+        // The run reborn at every tick.
+        assert_eq!(
+            offer(&mut b, &steps[t].offers, &mut VecDeque::new()),
+            steps[t].answers
+        );
+        b.tick().expect("tick");
+        if t % 2 == 1 {
+            b = reborn(b);
+        }
+        assert_eq!(view(&b), steps[t].parked, "reborn run, tick {t}");
+        assert_eq!(b.drain_releases(), steps[t].records, "reborn run, tick {t}");
+        if t % 2 == 0 {
+            b = reborn(b);
+        }
+        assert_eq!(view(&b), steps[t].drained, "reborn run, tick {t}");
     }
-    assert_eq!(b.era(), 0, "the twin never folded");
-
-    // Mid-era image point: a live epoch on both.
-    for svc in [&mut a, &mut b] {
-        svc.submit(999, vec![1; 4], DeadlineClass::Interactive)
-            .unwrap();
-        svc.tick().expect("tick");
-        svc.tick().expect("tick");
-        assert!(svc.live() > 0, "image point must be mid-epoch");
+    // Where the image of tick `t` stands: the first step it has yet to
+    // (finish) running, and whether that step's drain is all that is left.
+    let resume = |t: usize| {
+        if t % 2 == 1 {
+            (t, true)
+        } else {
+            (t + 1, false)
+        }
+    };
+    for (t, image) in images.iter().enumerate() {
+        let mut twin: SbcService<W> = SbcService::restore(image).expect("restore");
+        let (at, parked) = resume(t);
+        let here = if parked {
+            &steps[t].parked
+        } else {
+            &steps[t].drained
+        };
+        assert_eq!(&view(&twin), here, "image of tick {t}");
+        follow(&mut twin, &steps[at..(at + k).min(steps.len())], parked, at);
     }
+    let from = steps.len() / 3;
+    let mut stale: SbcService<W> = SbcService::restore(&images[from]).expect("restore");
+    let (at, parked) = resume(from);
+    follow(&mut stale, &steps[at..], parked, at);
+    let mut last: SbcService<W> = SbcService::restore(&images[steps.len() - 1]).expect("restore");
+    let (at, parked) = resume(steps.len() - 1);
+    follow(&mut last, &steps[at..], parked, at);
+    let end = a.shutdown().expect("shutdown");
+    for (mut svc, who) in [
+        (b, "reborn run"),
+        (stale, "stale image"),
+        (last, "last image"),
+    ] {
+        assert_eq!(
+            svc.shutdown().expect("shutdown"),
+            end,
+            "{who}: shutdown records"
+        );
+        assert_eq!(view(&svc), view(&a), "{who}: after shutdown");
+        assert_eq!(
+            svc.footprint(),
+            PoolFootprint::default(),
+            "{who}: drained clean"
+        );
+    }
+    assert_eq!(a.footprint(), PoolFootprint::default(), "drained clean");
+    steps
+        .iter()
+        .flat_map(|s| &s.answers)
+        .filter(|a| a.is_err())
+        .count()
+}
 
-    let image_a = a.snapshot().unwrap();
-    let image_b = b.snapshot().unwrap();
+/// Runs the live-state gate over `seeds`, each a lifetime of `load`
+/// loaded ticks. `LIVE_STATE_SEED=s` runs seed `s` alone; a failing seed
+/// prints the line that does so.
+fn live_state_gate<W: SbcBackend>(test: &str, seeds: Range<u64>, load: usize) {
+    let only: Option<u64> = std::env::var("LIVE_STATE_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok());
+    let mut refused = 0;
+    for seed in seeds.filter(|s| only.is_none_or(|o| o == *s)) {
+        match std::panic::catch_unwind(|| live_state_lifetime::<W>(seed, load)) {
+            Ok(n) => refused += n,
+            Err(panic) => {
+                eprintln!(
+                    "live-state gate: seed {seed} failed; reproduce with LIVE_STATE_SEED={seed} cargo test -q --test service {test}"
+                );
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
     assert!(
-        image_a.len() < image_b.len(),
-        "checkpointed image ({}B) must undercut the full-journal one ({}B)",
-        image_a.len(),
-        image_b.len()
+        only.is_some() || refused > 0,
+        "no lifetime re-offered a refused submission"
     );
-    assert!(
-        a.stats().journal_ops < b.stats().journal_ops,
-        "the tail is shorter than the lifetime journal"
+}
+
+#[test]
+fn live_state_restore_at_every_tick_in_process() {
+    live_state_gate::<RealSbcWorld>("live_state_restore_at_every_tick_in_process", 0..32, 24);
+}
+
+#[test]
+fn live_state_restore_at_every_tick_over_loopback() {
+    live_state_gate::<LoopbackSbcWorld>(
+        "live_state_restore_at_every_tick_over_loopback",
+        100..108,
+        24,
     );
-
-    let mut ra: SbcService<W> = SbcService::restore(&image_a).unwrap();
-    let mut rb: SbcService<W> = SbcService::restore(&image_b).unwrap();
-    assert_eq!(ra.era(), 3, "restore lands in the captured era");
-    assert_eq!(rb.era(), 0);
-    assert_eq!(replayable(&a.stats()), replayable(&ra.stats()));
-    assert_eq!(replayable(&b.stats()), replayable(&rb.stats()));
-
-    // All four finish the identical remaining schedule.
-    let tail_a = a.shutdown().unwrap();
-    let tail_b = b.shutdown().unwrap();
-    let tail_ra = ra.shutdown().unwrap();
-    let tail_rb = rb.shutdown().unwrap();
-    assert!(!tail_a.is_empty(), "the tail epoch releases");
-    assert_eq!(tail_a, tail_b, "checkpointing is release-invisible");
-    assert_eq!(tail_a, tail_ra, "checkpoint-restore is bit-identical");
-    assert_eq!(tail_b, tail_rb, "full-journal restore is bit-identical");
-    assert_eq!(records_a, records_b);
-    assert_eq!(replayable(&a.stats()), replayable(&ra.stats()));
-    assert_eq!(replayable(&b.stats()), replayable(&rb.stats()));
-    for svc in [&a, &b, &ra, &rb] {
-        assert_eq!(svc.footprint(), PoolFootprint::default(), "drained clean");
-    }
 }
 
 #[test]
-fn era_checkpoint_restore_in_process() {
-    era_checkpoint_restore_matches_full_journal::<RealSbcWorld>();
+fn live_state_restore_at_every_tick_over_simnet() {
+    live_state_gate::<SimNetSbcWorld>("live_state_restore_at_every_tick_over_simnet", 200..208, 24);
 }
 
 #[test]
-fn era_checkpoint_restore_over_loopback() {
-    era_checkpoint_restore_matches_full_journal::<LoopbackSbcWorld>();
+fn live_state_restore_at_every_tick_over_tcp() {
+    live_state_gate::<TcpSbcWorld>("live_state_restore_at_every_tick_over_tcp", 300..302, 24);
 }
 
 #[test]
-fn era_checkpoint_restore_over_tcp() {
-    era_checkpoint_restore_matches_full_journal::<TcpSbcWorld>();
-}
-
-#[test]
-fn checkpoint_mid_epoch_is_refused_typed() {
-    let mut svc: SbcService<RealSbcWorld> = SbcService::new(config(b"mid-era")).unwrap();
-    svc.submit(1, vec![1; 4], DeadlineClass::Interactive)
-        .unwrap();
-    svc.tick().unwrap();
-    assert!(svc.live() > 0);
-    assert!(!svc.at_boundary());
-    match svc.checkpoint() {
-        Err(ServiceError::NotAtBoundary { live, .. }) => assert!(live > 0),
-        other => panic!("mid-epoch checkpoint must be refused typed, got {other:?}"),
-    }
-    assert!(!svc.try_checkpoint());
-    assert_eq!(svc.era(), 0, "refusal leaves the service unchanged");
-
-    // An undelivered release record blocks the boundary too: delivery
-    // strictly precedes folding.
-    while svc.live() > 0 {
+fn images_stay_flat_over_a_long_lifetime() {
+    // A saturating load of fixed-size payloads under one gate lifetime's
+    // config, run in three equal thirds: the largest image of the last
+    // third is no larger than the largest of the first.
+    let (cfg, mut rng) = draw_lifetime(7);
+    let mut svc: SbcService<RealSbcWorld> = SbcService::new(cfg).unwrap();
+    let mut sizes = Vec::new();
+    for _ in 0..3 * 80 {
+        offer(&mut svc, &arrivals(&mut rng, true), &mut VecDeque::new());
         svc.tick().unwrap();
+        sizes.push(svc.snapshot().unwrap().len());
+        svc.drain_releases();
     }
-    match svc.checkpoint() {
-        Err(ServiceError::NotAtBoundary { parked, .. }) => assert!(parked > 0),
-        other => panic!("undelivered records must block the boundary, got {other:?}"),
-    }
-    svc.drain_releases();
-    assert!(svc.try_checkpoint(), "drained service folds fine");
-    assert_eq!(svc.era(), 1);
+    let third = sizes.len() / 3;
+    let first = sizes[..third].iter().max().unwrap();
+    let last = sizes[2 * third..].iter().max().unwrap();
+    assert!(last <= first, "image grew from {first} B to {last} B");
 }
 
 /// Restores `image` over the in-process backend and returns the
@@ -365,33 +550,6 @@ fn hostile_images_fail_typed() {
     .concat();
     let detail = bad_snapshot_detail(&framed, "framed image");
     assert!(detail.contains("magic"), "{detail}");
-}
-
-#[test]
-fn idle_ticks_journal_in_constant_space() {
-    // The RLE regression: 10k idle driver ticks must collapse to a
-    // single journal entry, so an idle service's snapshot stops growing
-    // with wall time.
-    let mut svc: SbcService<RealSbcWorld> = SbcService::new(config(b"idle")).unwrap();
-    for _ in 0..10_000 {
-        svc.tick().unwrap();
-    }
-    let stats = svc.stats();
-    assert_eq!(stats.ticks, 10_000);
-    assert_eq!(stats.journal_ops, 1, "one RLE entry for the whole stretch");
-    let idle_image = svc.snapshot().unwrap();
-
-    // The run restores exactly: the tick run-length replays to the same
-    // round.
-    let restored = SbcService::<RealSbcWorld>::restore(&idle_image).unwrap();
-    assert_eq!(restored.round(), svc.round());
-    assert_eq!(replayable(&restored.stats()), replayable(&svc.stats()));
-
-    // A submission breaks the run; further ticks start one new entry.
-    svc.submit(1, vec![1; 4], DeadlineClass::Standard).unwrap();
-    svc.tick().unwrap();
-    svc.tick().unwrap();
-    assert_eq!(svc.stats().journal_ops, 3, "run ‖ submit ‖ run");
 }
 
 #[test]
