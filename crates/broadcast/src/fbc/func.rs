@@ -83,13 +83,19 @@ impl FbcFunc {
 
     /// `Broadcast` from an honest party, or from the simulator on behalf of
     /// a corrupted one. Leaks only `(tag, P)`. Returns the tag.
+    ///
+    /// An honest sender that already advanced in `Cl` acts on the request
+    /// at its next advance, so the record is stamped `Cl + 1`: the round
+    /// `Π_FBC` casts it in, which `∆` and `∆ − α` count from.
     pub fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) -> Tag {
+        let now = ctx.time();
+        let advanced = !ctx.is_corrupted(sender) && self.last_advance.get(&sender) == Some(&now);
         let tag = Tag::random(&mut self.tag_rng);
         self.pending.push(FbcRecord {
             tag,
             msg,
             sender,
-            requested_at: ctx.time(),
+            requested_at: now + u64::from(advanced),
         });
         ctx.leak(
             FBC_SOURCE,

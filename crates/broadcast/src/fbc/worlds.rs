@@ -723,6 +723,19 @@ mod tests {
         });
     }
 
+    /// An input after its sender's own advance: `Π_FBC` acts on it at
+    /// the sender's next advance, in the next round, and so must the
+    /// simulator's `Output_Request`.
+    #[test]
+    fn lemma2_input_after_the_senders_advance() {
+        assert_indistinguishable(2, b"late", |env| {
+            env.advance(PartyId(0));
+            env.input(PartyId(0), Command::new("Broadcast", Value::bytes(b"late")));
+            env.advance(PartyId(1));
+            env.idle_rounds(6);
+        });
+    }
+
     #[test]
     fn lemma2_adversarial_injection() {
         assert_indistinguishable(3, b"l2-d", |env| {

@@ -127,6 +127,12 @@ impl SbcFunc {
     /// is an honest request at `Cl + delay ≥ t_end` — with no record and no
     /// leak — since its ciphertext could not be cast before the period
     /// closes. Returns the tag if recorded.
+    ///
+    /// The period opens where `Π_SBC`'s first `Wake_Up` lands. `F_UBC`
+    /// flushes it at its sender's next `Advance_Clock`, so an honest
+    /// sender that already advanced in `Cl` opens the period at `Cl + 1`,
+    /// and its request in `Cl` is recorded. A request in `Cl` from a
+    /// sender that has not advanced then opens it at `Cl`.
     pub fn broadcast(
         &mut self,
         sender: PartyId,
@@ -134,13 +140,18 @@ impl SbcFunc {
         ctx: &mut HybridCtx<'_>,
     ) -> Option<Tag> {
         let now = ctx.time();
-        if self.t_start.is_none() {
-            self.t_start = Some(now);
-            self.t_end = Some(now + self.phi);
-        }
-        let (start, end) = (self.t_start.expect("set"), self.t_end.expect("set"));
         let corrupted = ctx.is_corrupted(sender);
-        if !(start <= now && now < end) || (!corrupted && now + self.delay >= end) {
+        let wakes_at = if !corrupted && self.last_advance.get(&sender) == Some(&now) {
+            now + 1
+        } else {
+            now
+        };
+        if self.t_start.is_none_or(|start| wakes_at < start) {
+            self.t_start = Some(wakes_at);
+            self.t_end = Some(wakes_at + self.phi);
+        }
+        let end = self.t_end.expect("set");
+        if now >= end || (!corrupted && now + self.delay >= end) {
             return None;
         }
         let tag = Tag::random(&mut self.tag_rng);
@@ -267,6 +278,25 @@ mod tests {
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert_eq!(f.t_start(), Some(0));
         assert_eq!(f.t_end(), Some(3));
+    }
+
+    #[test]
+    fn a_sender_that_already_advanced_opens_the_period_next_round() {
+        // P0 advanced in Cl = 0, so its Wake_Up lands at Cl = 1: the
+        // period opens there, and the request itself is recorded.
+        let mut core = WorldCore::new(2, b"sbc");
+        let mut f = func();
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        assert!(f
+            .broadcast(PartyId(0), Value::U64(1), &mut core.ctx())
+            .is_some());
+        assert_eq!((f.t_start(), f.t_end()), (Some(1), Some(4)));
+        // P1 has not advanced in Cl = 0: its Wake_Up lands now.
+        assert!(f
+            .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
+            .is_some());
+        assert_eq!((f.t_start(), f.t_end()), (Some(0), Some(3)));
+        assert_eq!(f.records().len(), 2);
     }
 
     #[test]

@@ -585,10 +585,18 @@ impl<W: SbcBackend> SbcPool<W> {
     ///
     /// # Errors
     ///
-    /// [`SbcError::NotFresh`] if the clock would move on a pool that has
-    /// already opened an instance or advanced it, or if instance ids would
-    /// be reused — either would silently discard history.
+    /// * [`SbcError::InvalidParams`] if `round` or `next_instance` is not
+    ///   below 2^63: the release round or the instance ids after it would
+    ///   overflow.
+    /// * [`SbcError::NotFresh`] if the clock would move on a pool that has
+    ///   already opened an instance or advanced it, or if instance ids
+    ///   would be reused — either would silently discard history.
     pub fn resume_at(&mut self, round: u64, next_instance: u64) -> Result<(), SbcError> {
+        if round >= 1 << 63 || next_instance >= 1 << 63 {
+            return Err(SbcError::InvalidParams {
+                reason: "resume_at needs a round and a next instance id below 2^63",
+            });
+        }
         let fresh = self.world.round == 0
             && self.world.next == 0
             && self.world.retired.is_empty()
@@ -1351,6 +1359,31 @@ mod tests {
             ticked.resume_at(7, 3),
             Err(SbcError::NotFresh { .. })
         ));
+    }
+
+    #[test]
+    fn resume_at_refuses_coordinates_that_would_overflow() {
+        // A round or an id at 2^63 or above would overflow the release
+        // round (`now + Φ + ∆`) or the id after it; just below is fine.
+        let top = (1u64 << 63) - 1;
+        for (round, next) in [(u64::MAX, 0), (1 << 63, 0), (0, u64::MAX), (0, 1 << 63)] {
+            let mut pool = SbcPool::builder(2).seed(b"resume-huge").build().unwrap();
+            assert!(
+                matches!(
+                    pool.resume_at(round, next),
+                    Err(SbcError::InvalidParams { .. })
+                ),
+                "({round}, {next})"
+            );
+            assert_eq!((pool.round(), pool.next_instance_id()), (0, 0));
+        }
+        let mut pool = SbcPool::builder(2).seed(b"resume-top").build().unwrap();
+        pool.resume_at(top, top - 1).unwrap();
+        let id = pool.open_instance().unwrap();
+        pool.submit(id, 0, b"near the top").unwrap();
+        let released = pool.run_to_completion(id).unwrap();
+        assert_eq!(released.release_round, top + 3 + 2);
+        assert_eq!(pool.open_instance().unwrap(), InstanceId(top));
     }
 
     #[test]

@@ -1284,6 +1284,41 @@ mod tests {
         );
     }
 
+    /// A first input from a sender that already advanced this round: its
+    /// `Wake_Up` waits in `F_UBC` for that sender's next advance, so the
+    /// real parties wake one round later, and `F_SBC` must open there too.
+    /// The same input before the sender's advance opens the period now.
+    #[test]
+    fn theorem2_first_input_after_the_senders_advance() {
+        let real = assert_theorem2(3, b"late1", |env| {
+            env.advance(PartyId(0));
+            env.input(
+                PartyId(0),
+                Command::new("Broadcast", Value::bytes(b"late first")),
+            );
+            env.advance(PartyId(1));
+            env.advance(PartyId(2));
+            env.idle_rounds(8);
+        });
+        let outs = real.outputs();
+        assert_eq!(outs.len(), 3, "every party released");
+        assert!(outs.iter().all(|(round, _, _)| *round == 1 + 3 + 2));
+        assert_theorem2(3, b"late1", |env| {
+            env.advance(PartyId(0));
+            env.input(
+                PartyId(0),
+                Command::new("Broadcast", Value::bytes(b"late first")),
+            );
+            env.input(
+                PartyId(1),
+                Command::new("Broadcast", Value::bytes(b"on time")),
+            );
+            env.advance(PartyId(1));
+            env.advance(PartyId(2));
+            env.idle_rounds(8);
+        });
+    }
+
     #[test]
     fn delivered_at_t_end_plus_delta() {
         let mut real = RealSbcWorld::new(params(2), b"timing");

@@ -80,10 +80,10 @@ impl Endpoint {
 
     fn decode([tag, idx @ ..]: [u8; 5]) -> Result<Endpoint, CodecError> {
         let idx = u32::from_be_bytes(idx);
-        match tag {
-            0 => Ok(Endpoint::Env),
-            1 => Ok(Endpoint::Host),
-            2 => Ok(Endpoint::Party(idx)),
+        match (tag, idx) {
+            (0, 0) => Ok(Endpoint::Env),
+            (1, 0) => Ok(Endpoint::Host),
+            (2, idx) => Ok(Endpoint::Party(idx)),
             _ => Err(CodecError::UnknownEndpoint { tag }),
         }
     }
@@ -446,7 +446,8 @@ pub enum CodecError {
         /// The kind tag found.
         tag: u8,
     },
-    /// An unknown endpoint tag in the address fields.
+    /// An address field that is no canonical endpoint: an unknown tag, or
+    /// an `Env` or `Host` tag with a non-zero index.
     UnknownEndpoint {
         /// The endpoint tag found.
         tag: u8,
@@ -495,7 +496,9 @@ impl fmt::Display for CodecError {
                 write!(f, "unsupported wire version {found} (speak {VERSION})")
             }
             CodecError::UnknownKind { tag } => write!(f, "unknown frame kind tag {tag}"),
-            CodecError::UnknownEndpoint { tag } => write!(f, "unknown endpoint tag {tag}"),
+            CodecError::UnknownEndpoint { tag } => {
+                write!(f, "unknown endpoint under tag {tag}")
+            }
             CodecError::LengthMismatch { declared, actual } => {
                 write!(
                     f,
@@ -789,6 +792,15 @@ mod tests {
         assert_eq!(
             Frame::decode(&bad_endpoint),
             Err(CodecError::UnknownEndpoint { tag: 9 })
+        );
+        // `Host` (tag 1) always encodes index 0: any other index would
+        // decode to a frame that re-encodes to different bytes.
+        let mut indexed_host = sample().encode();
+        assert_eq!(indexed_host[13..18], [1, 0, 0, 0, 0]);
+        indexed_host[17] = 1;
+        assert_eq!(
+            Frame::decode(&indexed_host),
+            Err(CodecError::UnknownEndpoint { tag: 1 })
         );
     }
 

@@ -406,7 +406,8 @@ impl SimNet {
             return false;
         }
         // Stagger outages across recipients so partitions are per-link.
-        (round + u64::from(party) * 3) % self.cfg.partition_period < self.cfg.partition_len
+        round.wrapping_add(u64::from(party) * 3) % self.cfg.partition_period
+            < self.cfg.partition_len
     }
 
     /// Schedules one data frame: seeded latency, partition deferral, and
@@ -418,9 +419,9 @@ impl SimNet {
         let lat = if self.cfg.max_latency == 0 {
             0
         } else {
-            self.rng.gen_range(self.cfg.max_latency + 1)
+            self.rng.gen_range(self.cfg.max_latency.saturating_add(1))
         };
-        let mut due = (now + lat).min(deadline);
+        let mut due = now.saturating_add(lat).min(deadline);
         if due > now {
             self.boxes.stats.delayed += 1;
         }
@@ -449,7 +450,7 @@ impl Transport for SimNet {
                 let duplicate = self.cfg.duplicate_every != 0
                     && self.data_sends.is_multiple_of(self.cfg.duplicate_every);
                 if duplicate {
-                    let copy_due = (due + 1).min(end.saturating_sub(1)).max(due);
+                    let copy_due = due.saturating_add(1).min(end.saturating_sub(1)).max(due);
                     self.boxes.stats.duplicated += 1;
                     self.boxes.push_data(to, copy_due, frame.clone());
                 }
@@ -596,6 +597,28 @@ mod tests {
         assert!(s.delayed > 0, "latency injected: {s:?}");
         assert!(s.duplicated > 0, "duplication injected: {s:?}");
         assert!(s.partition_deferrals > 0, "partitions injected: {s:?}");
+    }
+
+    #[test]
+    fn simnet_saturates_an_unbounded_latency_and_the_last_rounds() {
+        // `max_latency = u64::MAX` and wires near the end of the clock
+        // neither overflow nor escape the period-end clamp.
+        let cfg = SimConfig {
+            max_latency: u64::MAX,
+            ..SimConfig::adversarial(2)
+        };
+        let mut t = SimNet::new(4, cfg, b"huge");
+        let now = u64::MAX - 8;
+        for i in 0..8u8 {
+            t.send(wire_frame(u32::from(i % 4), 0, 9, i), 3).unwrap();
+            t.send(wire_frame(u32::from(i % 4), 0, u64::MAX, i), now)
+                .unwrap();
+        }
+        let got: usize = (0..4)
+            .map(|p| t.recv_data(p, 6).len() + t.recv_data(p, u64::MAX - 3).len())
+            .sum();
+        assert_eq!(got as u64, 16 + t.stats().duplicated);
+        assert!(t.idle());
     }
 
     #[test]

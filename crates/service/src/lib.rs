@@ -23,9 +23,13 @@
 //!   with [`SbcService::footprint`]).
 //! * **Observability** — per-submission submit→release latency in rounds,
 //!   recorded off the hot path into a fixed-bucket histogram and exposed
-//!   as a [`ServiceStats`] snapshot (p50/p90/p99, counters, peaks); an
-//!   optional wall-clock view (`ServiceConfig::record_wall_clock`) adds a
-//!   µs-grained [`WallLatencySummary`] for real-socket backends.
+//!   as a [`ServiceStats`] snapshot (p50/p90/p99, counters, peaks). Every
+//!   field is the service's own decision, so a restored twin reports the
+//!   same stats. Wall time and image sizes are the caller's to measure:
+//!   it holds the ticket `submit` returns and the record that names it,
+//!   and the bytes `snapshot_to` writes. `ServiceStats::{wall,
+//!   snapshot_bytes}` and [`WallLatencySummary`] are inert, kept only for
+//!   the benchmark.
 //! * **Snapshot/restore of live state** — [`SbcService::snapshot`] writes
 //!   what is live now (config, counters, queues, parked records, and each
 //!   live instance's open round and admissions) as one flat image —

@@ -26,17 +26,15 @@
 //! admissions alone. That is what makes the live-state image in
 //! [`crate::snapshot`] exact.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::time::Instant;
 
 use sbc_core::api::{SbcError, SbcResult};
 use sbc_core::pool::{InstanceId, PoolFootprint, SbcPool};
 use sbc_core::worlds::{RealSbcWorld, SbcBackend, SbcParams};
 use sbc_primitives::sha256::Sha256;
 
-use crate::stats::{LatencyHistogram, ServiceStats, WallHistogram};
+use crate::stats::{LatencyHistogram, ServiceStats};
 
 /// How urgently a submission needs to make it into an instance.
 ///
@@ -230,12 +228,6 @@ pub struct ServiceConfig {
     /// bounded, with evictions surfaced in
     /// [`ServiceStats::leak_overflow`].
     pub leak_cap: Option<usize>,
-    /// Keep a wall-clock submit→release histogram alongside the rounds
-    /// one, surfaced as [`ServiceStats::wall`]. Observational only: the
-    /// flag and the histogram are **excluded from snapshots** (wall time
-    /// is not replayable), so a restored service always starts with this
-    /// off.
-    pub record_wall_clock: bool,
     /// Inert (see [`CheckpointEvery`]): never read, and not part of an
     /// image. Kept only because the benchmark's workload specs set it;
     /// ROADMAP item 1 deletes it.
@@ -256,7 +248,6 @@ impl ServiceConfig {
             max_live: 64,
             flush_after: 4,
             leak_cap: Some(32),
-            record_wall_clock: false,
             checkpoint_every: None,
         }
     }
@@ -301,14 +292,6 @@ impl ServiceConfig {
     /// Sets (or, with `None`, removes) the per-instance leak cap.
     pub fn leak_cap(mut self, cap: Option<usize>) -> Self {
         self.leak_cap = cap;
-        self
-    }
-
-    /// Enables (or disables) the wall-clock latency view — see the
-    /// [`record_wall_clock`](ServiceConfig::record_wall_clock) field for
-    /// its snapshot semantics.
-    pub fn record_wall_clock(mut self, on: bool) -> Self {
-        self.record_wall_clock = on;
         self
     }
 
@@ -393,8 +376,6 @@ pub(crate) struct Pending {
     pub(crate) payload: Vec<u8>,
     pub(crate) class: DeadlineClass,
     pub(crate) enqueued_round: u64,
-    /// Wall-clock arrival, carried only when `record_wall_clock` is on.
-    pub(crate) enqueued_at: Option<Instant>,
 }
 
 /// A submission admitted into a live instance, awaiting its release. It
@@ -405,7 +386,6 @@ pub(crate) struct InFlight {
     pub(crate) enqueued_round: u64,
     pub(crate) admitted_round: u64,
     pub(crate) payload: Vec<u8>,
-    pub(crate) enqueued_at: Option<Instant>,
 }
 
 /// A live instance: the round it opened at and its admissions, in
@@ -435,13 +415,8 @@ pub struct SbcService<W: SbcBackend = RealSbcWorld> {
     /// the record is drained (deliver-before-reclaim).
     pub(crate) outbox: VecDeque<ReleaseRecord>,
     pub(crate) hist: LatencyHistogram,
-    wall: WallHistogram,
     /// Counters; `accepted` is also the next submission's ticket.
     pub(crate) stats: Counters,
-    /// Bytes of the most recent snapshot image produced (or restored
-    /// from). Observational only — like the wall-clock view it is
-    /// excluded from images and from determinism comparisons.
-    snapshot_bytes: Cell<u64>,
 }
 
 /// The mutable counter block behind [`ServiceStats`].
@@ -495,9 +470,7 @@ impl<W: SbcBackend> SbcService<W> {
             inflight: BTreeMap::new(),
             outbox: VecDeque::new(),
             hist: LatencyHistogram::new(),
-            wall: WallHistogram::new(),
             stats: Counters::default(),
-            snapshot_bytes: Cell::new(0),
         })
     }
 
@@ -533,7 +506,6 @@ impl<W: SbcBackend> SbcService<W> {
             payload,
             class,
             enqueued_round: self.pool.round(),
-            enqueued_at: self.cfg.record_wall_clock.then(Instant::now),
         });
         self.stats.peak_queue = self.stats.peak_queue.max(self.queued());
         Ok(ticket)
@@ -614,7 +586,6 @@ impl<W: SbcBackend> SbcService<W> {
                             enqueued_round: pending.enqueued_round,
                             admitted_round: now,
                             payload: pending.payload,
-                            enqueued_at: pending.enqueued_at,
                         });
                         filled += 1;
                     }
@@ -681,9 +652,6 @@ impl<W: SbcBackend> SbcService<W> {
         for f in &live.admitted {
             self.hist
                 .record(result.release_round.saturating_sub(f.enqueued_round));
-            if let Some(at) = f.enqueued_at {
-                self.wall.record(at.elapsed().as_micros() as u64);
-            }
             tickets.push(f.ticket);
         }
         self.outbox.push_back(ReleaseRecord {
@@ -783,9 +751,9 @@ impl<W: SbcBackend> SbcService<W> {
                 .map(|l| l.admitted.len() as u64)
                 .sum(),
             auto_folds: 0,
-            snapshot_bytes: self.snapshot_bytes.get(),
+            snapshot_bytes: 0,
             latency: self.hist.summary(),
-            wall: self.cfg.record_wall_clock.then(|| self.wall.summary()),
+            wall: None,
         }
     }
 
@@ -803,13 +771,6 @@ impl<W: SbcBackend> SbcService<W> {
     /// Instances currently live.
     pub fn live(&self) -> usize {
         self.inflight.len()
-    }
-
-    /// Records the byte size of the image this service was just
-    /// serialized to (or restored from) — surfaced as
-    /// [`ServiceStats::snapshot_bytes`], observational only.
-    pub(crate) fn note_snapshot_bytes(&self, bytes: u64) {
-        self.snapshot_bytes.set(bytes);
     }
 }
 
@@ -939,36 +900,6 @@ mod tests {
         assert_eq!(stats.peak_live, max_live, "the cap was reached");
         assert_eq!((stats.accepted, stats.latency.count), (total, total));
         assert_eq!(s.footprint(), PoolFootprint::default());
-    }
-
-    #[test]
-    fn wall_clock_view_is_opt_in() {
-        // Off (the default): the wall field stays None even after
-        // releases.
-        let mut s = svc(b"wall-off");
-        s.submit(1, b"m".to_vec(), DeadlineClass::Interactive)
-            .unwrap();
-        s.shutdown().unwrap();
-        assert_eq!(s.stats().wall, None);
-
-        // On: every released submission lands in the wall histogram too.
-        let mut s = SbcService::<sbc_core::worlds::RealSbcWorld>::new(
-            ServiceConfig::new(2, ServiceMode::Beacon)
-                .seed(b"wall-on")
-                .batch_size(2)
-                .record_wall_clock(true),
-        )
-        .unwrap();
-        s.submit(1, b"a".to_vec(), DeadlineClass::Interactive)
-            .unwrap();
-        s.submit(2, b"b".to_vec(), DeadlineClass::Standard).unwrap();
-        s.shutdown().unwrap();
-        let stats = s.stats();
-        let wall = stats.wall.expect("wall view enabled");
-        assert_eq!(wall.count, stats.latency.count);
-        assert_eq!(wall.count, 2);
-        assert!(wall.p50_us <= wall.p90_us && wall.p90_us <= wall.p99_us);
-        assert!(wall.max_us >= wall.p99_us || wall.max_us >= wall.mean_us);
     }
 
     #[test]

@@ -216,10 +216,6 @@ fn parse_config([params, seed, mode, tuning]: [&Value; 4]) -> Result<ServiceConf
             0 => None,
             c => Some((c - 1) as usize),
         },
-        // Deliberately not part of the wire format: wall time is not
-        // replayable, so a restored service starts with the wall-clock
-        // view off (and `ServiceStats::wall` = None).
-        record_wall_clock: false,
         checkpoint_every: None,
     })
 }
@@ -303,7 +299,6 @@ fn parse_queues(v: &Value, round: u64) -> Result<[VecDeque<Pending>; 3], Service
                 payload: as_bytes(payload, "queue payload")?,
                 class,
                 enqueued_round,
-                enqueued_at: None,
             });
         }
         let tickets: Vec<u64> = queues[i].iter().map(|p| p.ticket).collect();
@@ -353,7 +348,6 @@ fn parse_live(v: &Value) -> Result<BTreeMap<u64, Live>, ServiceError> {
                     enqueued_round: as_u64(enqueued, "admission enqueued round")?,
                     admitted_round: as_u64(admitted, "admission round")?,
                     payload: as_bytes(payload, "admission payload")?,
-                    enqueued_at: None,
                 })
             })
             .collect::<Result<_, ServiceError>>()?;
@@ -449,9 +443,7 @@ impl<W: SbcBackend> SbcService<W> {
             .and_then(|()| w.write_all(&digest))
             .and_then(|()| w.flush())
             .map_err(|e| bad(format!("image write: {e}")))?;
-        let written = HEADER_LEN + payload.len() + DIGEST_LEN;
-        self.note_snapshot_bytes(written as u64);
-        Ok(written)
+        Ok(HEADER_LEN + payload.len() + DIGEST_LEN)
     }
 
     /// Rebuilds a service from an image ([`snapshot`](Self::snapshot)),
@@ -522,9 +514,7 @@ impl<W: SbcBackend> SbcService<W> {
         if digest != envelope_digest(payload_len, &payload) {
             return Err(bad("image digest mismatch: corrupted or spliced"));
         }
-        let (svc, _) = Self::restore_payload(&payload)?;
-        svc.note_snapshot_bytes((HEADER_LEN + payload.len() + DIGEST_LEN) as u64);
-        Ok(svc)
+        Self::restore_payload(&payload).map(|(svc, _)| svc)
     }
 
     /// Decodes a digest-verified payload, checks the state it describes
@@ -726,7 +716,6 @@ impl<W: SbcBackend> SbcService<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ServiceStats;
     use sbc_core::api::SbcError;
     use sbc_primitives::drbg::Drbg;
     use std::sync::Arc;
@@ -742,16 +731,6 @@ mod tests {
         .unwrap()
     }
 
-    /// `snapshot_bytes` is observational (it records image sizes, which
-    /// legitimately differ between a live service and its restored twin);
-    /// every determinism comparison masks it.
-    fn replayable(stats: &ServiceStats) -> ServiceStats {
-        ServiceStats {
-            snapshot_bytes: 0,
-            ..stats.clone()
-        }
-    }
-
     #[test]
     fn snapshot_restore_round_trips_mid_epoch() {
         let mut a = seeded();
@@ -763,12 +742,12 @@ mod tests {
         let image = a.snapshot().unwrap();
         let mut b = Service::restore(&image).unwrap();
         assert_eq!(a.round(), b.round());
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(a.stats(), b.stats());
         // Both runs, continued identically, release identically.
         let ra = a.shutdown().unwrap();
         let rb = b.shutdown().unwrap();
         assert_eq!(ra, rb);
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
@@ -822,9 +801,9 @@ mod tests {
             live_image.len()
         );
         let mut b = Service::restore(&image).unwrap();
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(a.stats(), b.stats());
         assert_eq!(a.shutdown().unwrap(), b.shutdown().unwrap());
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(a.stats(), b.stats());
     }
 
     /// Four equal waves, each drained and followed by the same short
@@ -858,7 +837,7 @@ mod tests {
             a.tick().unwrap();
             let image = a.snapshot().unwrap();
             let restored = Service::restore(&image).unwrap();
-            assert_eq!(replayable(&a.stats()), replayable(&restored.stats()));
+            assert_eq!(a.stats(), restored.stats());
             bytes.push(image.len());
             ops.push(restored.stats().journal_ops);
         }
@@ -900,7 +879,7 @@ mod tests {
                 stepped <= bound,
                 "tick {tick}: {stepped} > {bound} instance-rounds"
             );
-            assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+            assert_eq!(a.stats(), b.stats());
             most = most.max(stepped);
         }
         assert_eq!(a.stats().peak_live, 3, "the bound was reached");
@@ -920,7 +899,6 @@ mod tests {
         let mut buf = Vec::new();
         let written = a.snapshot_to(&mut buf).unwrap();
         assert_eq!(written, buf.len());
-        assert_eq!(a.stats().snapshot_bytes, written as u64);
         c.snapshot_to(&mut buf).unwrap();
         buf.extend_from_slice(b"tail");
         // The reader stops right after each digest: two images back to
@@ -930,23 +908,10 @@ mod tests {
         assert_eq!(cursor.position() as usize, written);
         let mut d = Service::restore_from(&mut cursor).unwrap();
         assert_eq!(&buf[cursor.position() as usize..], b"tail");
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
-        assert_eq!(replayable(&c.stats()), replayable(&d.stats()));
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(c.stats(), d.stats());
         assert_eq!(a.shutdown().unwrap(), b.shutdown().unwrap());
         assert_eq!(c.shutdown().unwrap(), d.shutdown().unwrap());
-    }
-
-    #[test]
-    fn snapshot_bytes_records_the_whole_image_both_ways() {
-        let mut a = seeded();
-        a.submit(1, vec![3; 40], DeadlineClass::Standard).unwrap();
-        a.tick().unwrap();
-        let image = a.snapshot().unwrap();
-        assert_eq!(a.stats().snapshot_bytes, image.len() as u64);
-        let from_slice = Service::restore(&image).unwrap();
-        let from_reader = Service::restore_from(&mut &image[..]).unwrap();
-        assert_eq!(from_slice.stats().snapshot_bytes, image.len() as u64);
-        assert_eq!(from_reader.stats().snapshot_bytes, image.len() as u64);
     }
 
     fn assert_bad(image: &[u8], what: &str) -> String {
@@ -1224,7 +1189,7 @@ mod tests {
         }
         // The untouched image restores, parked record and all.
         let mut b = Service::restore(&seal(&Value::list(fields).encode())).unwrap();
-        assert_eq!(replayable(&a.stats()), replayable(&b.stats()));
+        assert_eq!(a.stats(), b.stats());
         assert_eq!(b.drain_releases().len(), 1);
     }
 

@@ -1,19 +1,16 @@
-//! Service observability: latency histograms and the stats snapshot.
+//! Service observability: the rounds latency histogram and the stats
+//! snapshot.
 //!
 //! Latency is measured in **rounds** (submit tick → release round), the
-//! deterministic unit every backend shares — wall-clock throughput is the
-//! bench harness's job, not the service's. The histogram is fixed-bucket
+//! deterministic unit every backend shares. The histogram is fixed-bucket
 //! (one bucket per round up to [`LatencyHistogram::BUCKETS`], plus an
 //! overflow bucket) so recording is O(1), allocation-free, and identical
 //! across a snapshot/restore cycle.
 //!
-//! Real-socket backends reintroduce wall time as an observable, so the
-//! service can *optionally* keep a second, wall-clock submit→release view
-//! (`ServiceConfig::record_wall_clock`). It lives in a log₂-bucketed
-//! microsecond histogram ([`WallHistogram`]) and surfaces as
-//! [`ServiceStats::wall`]. Unlike the rounds view it is **not** part of
-//! the deterministic state: it is never serialized into snapshots, and
-//! `wall` is `None` unless recording was explicitly enabled.
+//! Wall time and image sizes are the caller's to measure: it holds every
+//! instant it submits and drains at, and every image `snapshot` returns.
+//! `sbc_serve` times its own tickets that way. The service keeps none of
+//! them, so every [`ServiceStats`] field is replayed exactly by a restore.
 
 /// Fixed-bucket submit→release latency histogram over rounds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,116 +139,29 @@ pub struct LatencySummary {
     pub mean_milli: u64,
 }
 
-/// Log₂-bucketed wall-clock submit→release histogram over microseconds.
-///
-/// Bucket `0` counts sub-microsecond releases; bucket `b ≥ 1` covers
-/// `[2^(b-1), 2^b)` µs. Recording is O(1) and allocation-free, like the
-/// rounds histogram, but the recorded values come from `Instant` — they
-/// are observational, never replayed, never snapshotted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct WallHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for WallHistogram {
-    fn default() -> Self {
-        WallHistogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl WallHistogram {
-    /// One bucket per power-of-two microsecond band: bucket 63 absorbs
-    /// everything from ~73 000 years up, so there is no reachable
-    /// overflow.
-    pub const BUCKETS: usize = 64;
-
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        WallHistogram::default()
-    }
-
-    fn bucket_of(micros: u64) -> usize {
-        match micros {
-            0 => 0,
-            us => (64 - us.leading_zeros() as usize).min(Self::BUCKETS - 1),
-        }
-    }
-
-    /// Records one submission that released `micros` µs after submit.
-    pub fn record(&mut self, micros: u64) {
-        self.buckets[Self::bucket_of(micros)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(micros);
-        self.max = self.max.max(micros);
-    }
-
-    /// The `q`-quantile latency in µs (`q` in 0..=100), reported as the
-    /// upper bound of the smallest bucket whose cumulative count reaches
-    /// `q%`, clamped to the observed maximum. Returns 0 on an empty
-    /// histogram.
-    pub fn quantile(&self, q: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (self.count * q).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (idx, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                // Bucket b covers [2^(b-1), 2^b): report just under its
-                // upper edge, but never past the recorded max.
-                let upper = if idx == 0 { 0 } else { (1u64 << idx) - 1 };
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Collapses the histogram into the summary carried by
-    /// [`ServiceStats::wall`].
-    pub fn summary(&self) -> WallLatencySummary {
-        WallLatencySummary {
-            count: self.count,
-            p50_us: self.quantile(50),
-            p90_us: self.quantile(90),
-            p99_us: self.quantile(99),
-            max_us: self.max,
-            mean_us: self.sum.checked_div(self.count).unwrap_or(0),
-        }
-    }
-}
-
-/// Percentile summary of wall-clock submit→release latency, in µs.
-///
-/// Quantiles are log₂-bucket upper bounds (clamped to the observed
-/// maximum), so read them as "at most" figures with ~2× resolution.
+/// Inert: the type of [`ServiceStats::wall`], which is always `None`.
+/// Kept only because the benchmark names that field; ROADMAP item 1
+/// deletes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallLatencySummary {
     /// Submissions measured.
     pub count: u64,
-    /// Median latency (µs, bucket upper bound).
+    /// Median latency (µs).
     pub p50_us: u64,
-    /// 90th-percentile latency (µs, bucket upper bound).
+    /// 90th-percentile latency (µs).
     pub p90_us: u64,
-    /// 99th-percentile latency (µs, bucket upper bound).
+    /// 99th-percentile latency (µs).
     pub p99_us: u64,
-    /// Worst observed latency (µs, exact).
+    /// Worst observed latency (µs).
     pub max_us: u64,
-    /// Mean latency (µs, integer-truncated).
+    /// Mean latency (µs).
     pub mean_us: u64,
 }
 
 /// A point-in-time census of the service: counters, peaks, and the
 /// latency summary. Obtained from `SbcService::stats`; every field is a
-/// deterministic function of the accepted operation history.
+/// deterministic function of the accepted operation history, so a
+/// restored service reports exactly what the original did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions accepted into the queue.
@@ -291,18 +201,15 @@ pub struct ServiceStats {
     /// Inert: always 0, since nothing folds any more. Kept only because
     /// the benchmark reports it; ROADMAP item 1 deletes it.
     pub auto_folds: u64,
-    /// Bytes of the most recent snapshot image produced by (or restored
-    /// into) this service; 0 until one exists. **Observational only**:
-    /// like `wall`, it is excluded from snapshots and is the one
-    /// non-`wall` field that may differ between a live service and its
-    /// restored twin — mask it in determinism comparisons.
+    /// Inert: always 0. An image's size is what `snapshot_to` returns.
+    /// Kept only because the benchmark assigns it; ROADMAP item 1 deletes
+    /// it.
     pub snapshot_bytes: u64,
     /// Submit→release latency summary (rounds).
     pub latency: LatencySummary,
-    /// Wall-clock submit→release latency summary (µs). `None` unless the
-    /// service was built with `ServiceConfig::record_wall_clock` — the
-    /// field is observational, excluded from snapshots, and a restored
-    /// service always reports `None` until re-enabled.
+    /// Inert: always `None`. Wall-clock latency is the caller's to time.
+    /// Kept only because the benchmark assigns it; ROADMAP item 1 deletes
+    /// it.
     pub wall: Option<WallLatencySummary>,
 }
 
@@ -338,34 +245,5 @@ mod tests {
         h.record(10_000);
         assert_eq!(h.quantile(50), (LatencyHistogram::BUCKETS - 1) as u64);
         assert_eq!(h.summary().max, 10_000);
-    }
-
-    #[test]
-    fn wall_histogram_buckets_by_log2_micros() {
-        let mut h = WallHistogram::new();
-        assert_eq!(h.summary(), WallLatencySummary::default());
-        for us in [0u64, 1, 3, 100, 100, 1_000, 1_000_000] {
-            h.record(us);
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 7);
-        assert_eq!(s.max_us, 1_000_000);
-        assert_eq!(s.mean_us, (1 + 3 + 100 + 100 + 1_000 + 1_000_000) / 7);
-        // 100 µs sits in bucket [64, 128): the p50 upper bound is 127.
-        assert_eq!(s.p50_us, 127);
-        // The top quantiles clamp to the observed maximum rather than the
-        // bucket edge.
-        assert_eq!(s.p99_us, 1_000_000);
-        assert!(s.p90_us <= s.p99_us && s.p50_us <= s.p90_us);
-    }
-
-    #[test]
-    fn wall_quantile_clamps_to_observed_max() {
-        let mut h = WallHistogram::new();
-        h.record(65); // bucket [64, 128), upper bound 127
-        assert_eq!(h.quantile(50), 65);
-        assert_eq!(h.quantile(100), 65);
-        h.record(u64::MAX); // lands in the final bucket without panicking
-        assert_eq!(h.summary().max_us, u64::MAX);
     }
 }

@@ -225,10 +225,15 @@ impl Value {
         };
         match tag {
             0 => Some(Value::Unit),
+            // Canonical: 0 or 1, nothing else decodes to a `Bool`.
             1 => {
-                let b = *bytes.get(*pos)?;
+                let b = match *bytes.get(*pos)? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
                 *pos += 1;
-                Some(Value::Bool(b != 0))
+                Some(Value::Bool(b))
             }
             2 => Some(Value::U64(read_u64(bytes, pos)?)),
             3 => {
@@ -353,6 +358,15 @@ mod tests {
         let mut enc = Value::U64(7).encode();
         enc.push(0);
         assert_eq!(Value::decode(&enc), None);
+    }
+
+    #[test]
+    fn non_canonical_bool_rejected() {
+        // Only 0 and 1 re-encode to themselves.
+        assert_eq!(Value::decode(&[1, 1]), Some(Value::Bool(true)));
+        for b in [2u8, 0x80, 0xff] {
+            assert_eq!(Value::decode(&[1, b]), None, "Bool byte {b}");
+        }
     }
 
     #[test]

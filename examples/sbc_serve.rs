@@ -26,6 +26,14 @@
 //! tick; `--restore-from` boots the service from such a file instead of
 //! fresh, continuing where it stopped — together they give `sbc-serve`
 //! real stop-the-process/resume-the-process persistence.
+//!
+//! Wall-clock submit→release latency is measured here, not inside the
+//! service: each ticket `submit` returns is timed until a drained
+//! `ReleaseRecord` names it, and the run ends with its p50/p90/p99/max.
+//! Image sizes are what `snapshot` and `snapshot_to` return.
+
+use std::collections::HashMap;
+use std::time::Instant;
 
 use sbc_core::pool::PoolFootprint;
 use sbc_core::worlds::{RealSbcWorld, SbcBackend};
@@ -135,16 +143,11 @@ fn describe(outcome: &Outcome) -> String {
     }
 }
 
-/// Stats with the observational fields masked off: the wall histogram is
-/// deliberately excluded from snapshots (a restored service reports
-/// `wall: None`), and `snapshot_bytes` records image sizes that
-/// legitimately differ between a service and its restored twin —
-/// comparisons must cover everything else.
-fn replayable(svc: &SbcService<impl SbcBackend>) -> sbc_service::ServiceStats {
-    let mut stats = svc.stats();
-    stats.wall = None;
-    stats.snapshot_bytes = 0;
-    stats
+/// The `q`-th percentile (nearest rank) of ascending `sorted`; 0 when
+/// empty.
+fn percentile(sorted: &[u64], q: usize) -> u64 {
+    let rank = (sorted.len() * q).div_ceil(100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
 }
 
 fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
@@ -161,11 +164,7 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
             );
             svc
         }
-        None => SbcService::new(
-            ServiceConfig::new(4, args.mode)
-                .seed(b"sbc-serve")
-                .record_wall_clock(true),
-        )?,
+        None => SbcService::new(ServiceConfig::new(4, args.mode).seed(b"sbc-serve"))?,
     };
     // The load this run adds on top of whatever the restored image
     // already processed.
@@ -190,6 +189,11 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
     let mut drilled = false;
     let mut gen_ticks = 0u64;
 
+    // Wall-clock submit→release per ticket: stamped when `submit` hands
+    // the ticket out, read when a drained record names it.
+    let mut submitted_at: HashMap<u64, Instant> = HashMap::new();
+    let mut wall_us: Vec<u64> = Vec::new();
+
     let mut released = 0u64;
     while !gen.done() || svc.queued() > 0 || svc.live() > 0 {
         if !drilled && released > 0 && svc.live() > 0 {
@@ -197,11 +201,7 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
             let image = svc.snapshot()?;
             let restored: SbcService<W> = SbcService::restore(&image)?;
             assert_eq!(restored.round(), svc.round(), "kill drill: clock agrees");
-            assert_eq!(
-                replayable(&restored),
-                replayable(&svc),
-                "kill drill: stats agree"
-            );
+            assert_eq!(restored.stats(), svc.stats(), "kill drill: stats agree");
             let mut tg = LoadGen::new(profile(args.mode, args.total), b"sbc-serve");
             for _ in 0..gen_ticks {
                 tg.next_tick();
@@ -218,12 +218,22 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
             // Bounded queue: on saturation the submission waits for the
             // next tick (the generator's stream is deterministic, so the
             // retry order is too).
-            if let Err(ServiceError::QueueFull { .. }) = svc.submit(s.client, s.payload, s.class) {
-                break;
+            match svc.submit(s.client, s.payload, s.class) {
+                Ok(ticket) => {
+                    submitted_at.insert(ticket, Instant::now());
+                }
+                Err(ServiceError::QueueFull { .. }) => break,
+                Err(e) => return Err(e),
             }
         }
         svc.tick()?;
         let records = svc.drain_releases();
+        let drained_at = Instant::now();
+        for ticket in records.iter().flat_map(|r| &r.tickets) {
+            if let Some(at) = submitted_at.remove(ticket) {
+                wall_us.push(drained_at.duration_since(at).as_micros() as u64);
+            }
+        }
         if let Some((t, tg)) = &mut twin {
             for s in tg.next_tick() {
                 if let Err(ServiceError::QueueFull { .. }) = t.submit(s.client, s.payload, s.class)
@@ -253,8 +263,8 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
 
     if let Some((t, _)) = &twin {
         assert_eq!(
-            replayable(t),
-            replayable(&svc),
+            t.stats(),
+            svc.stats(),
             "kill drill: restored run ends in the same state"
         );
         assert_eq!(t.footprint(), PoolFootprint::default());
@@ -266,11 +276,7 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
     let image = svc.snapshot()?;
     let restored: SbcService<W> = SbcService::restore(&image)?;
     assert_eq!(restored.round(), svc.round(), "restore: clock agrees");
-    assert_eq!(
-        replayable(&restored),
-        replayable(&svc),
-        "restore: stats agree"
-    );
+    assert_eq!(restored.stats(), svc.stats(), "restore: stats agree");
 
     let stats = svc.stats();
     assert_eq!(
@@ -311,12 +317,16 @@ fn serve<W: SbcBackend>(args: &Args) -> Result<(), ServiceError> {
         stats.deferred,
         stats.leak_overflow,
     );
-    if let Some(wall) = stats.wall {
-        println!(
-            "wall-clock latency: p50≤{}µs p90≤{}µs p99≤{}µs max={}µs mean={}µs over {} submissions",
-            wall.p50_us, wall.p90_us, wall.p99_us, wall.max_us, wall.mean_us, wall.count,
-        );
-    }
+    assert_eq!(wall_us.len() as u64, args.total, "every submission timed");
+    wall_us.sort_unstable();
+    println!(
+        "wall-clock latency: p50={}µs p90={}µs p99={}µs max={}µs over {} submissions",
+        percentile(&wall_us, 50),
+        percentile(&wall_us, 90),
+        percentile(&wall_us, 99),
+        wall_us.last().copied().unwrap_or(0),
+        wall_us.len(),
+    );
     println!(
         "snapshot/restore self-check passed ({} byte image)",
         image.len()

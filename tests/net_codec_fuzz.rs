@@ -9,8 +9,9 @@
 //!
 //! * random well-formed frames of every kind round-trip byte-exactly;
 //! * every strict prefix of a valid frame is a typed error;
-//! * every single-bit flip of a valid frame either decodes (flips in
-//!   payload bytes can still be canonical) or errors — never panics;
+//! * every single-bit flip of a valid frame either decodes to a frame
+//!   that re-encodes to the flipped bytes (flips in payload bytes can
+//!   still be canonical) or errors — never panics;
 //! * frames whose length prefix lies (short, long, oversize) are typed
 //!   errors, and so are bodies whose inner byte / string length lies;
 //! * adversarially deep-nested list payloads are rejected instead of
@@ -142,11 +143,15 @@ fn single_bit_flips_never_panic() {
             for bit in 0..8 {
                 let mut mutated = bytes.clone();
                 mutated[byte] ^= 1 << bit;
-                // The only property: this call returns. Both outcomes are
-                // legal (a flip inside e.g. a Bytes payload can still be
-                // canonical).
+                // This call returns, and both outcomes are legal (a flip
+                // inside e.g. a Bytes payload can still be canonical). An
+                // accepted flip is canonical: it re-encodes to exactly the
+                // mutated bytes.
                 match Frame::decode(&mutated) {
-                    Ok(_) => decoded += 1,
+                    Ok(frame) => {
+                        assert_eq!(frame.encode(), mutated, "byte {byte}, bit {bit}");
+                        decoded += 1;
+                    }
                     Err(_) => rejected += 1,
                 }
             }
