@@ -5,7 +5,7 @@
 //!
 //! * [`rbc`] — relaxed broadcast: the single-message functionality `F_RBC`
 //!   (Fig. 6) and the Dolev–Strong protocol (Fact 1) realizing it over
-//!   `F_cert` + synchronous channels in `t + 1` rounds, `t < n`.
+//!   ideal `F_cert` + synchronous channels in `t + 1` rounds, `t < n`.
 //! * [`ubc`] — unfair broadcast: `F_UBC` (Fig. 8), the protocol `Π_UBC`
 //!   over `F_RBC` instances (Fig. 9), the Lemma 1 simulator and the
 //!   real/ideal experiment worlds.

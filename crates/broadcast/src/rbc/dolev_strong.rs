@@ -1,18 +1,21 @@
 //! The Dolev–Strong broadcast protocol `Π_RBC` (\[DS82], paper Fact 1).
 //!
-//! Realizes `F_RBC` over `F_cert` + synchronous channels against `t < n`
-//! adaptive corruptions in `t + 1` rounds, using signature chains: a message
-//! accepted in round `r` must carry `r` signatures from *distinct* signers
-//! beginning with the sender's. Honest parties relay newly extracted values
-//! with their own signature appended; after round `t + 1` a party outputs
-//! the unique extracted value, or the default `⊥` if it extracted zero or
-//! several values.
+//! Realizes `F_RBC` over synchronous channels against `t < n` adaptive
+//! corruptions in `t + 1` rounds, in the `F_cert`-hybrid model of Fact 1:
+//! each party signs through its own [`IdealCert`], the `F_cert` of Fig. 4,
+//! which the instance builds itself. A message accepted in round `r` must
+//! carry a chain of `r` signatures from *distinct* signers beginning with
+//! the sender's. Honest parties relay newly extracted values with their own
+//! signature appended; after round `t + 1` a party outputs the unique
+//! extracted value, or the default `⊥` if it extracted zero or several
+//! values.
 //!
 //! The driver exposes per-round stepping plus raw injection hooks so the
 //! experiment harness can run Byzantine strategies (equivocation, silence,
 //! last-round chain injection).
 
-use sbc_uc::cert::Certifier;
+use sbc_primitives::drbg::Drbg;
+use sbc_uc::cert::IdealCert;
 use sbc_uc::ids::PartyId;
 use sbc_uc::net::SyncNet;
 use sbc_uc::value::Value;
@@ -61,12 +64,13 @@ fn value_to_chain(v: &Value) -> Option<(Value, Vec<ChainLink>)> {
 
 /// A single Dolev–Strong broadcast instance.
 #[derive(Debug)]
-pub struct DolevStrong<C: Certifier> {
+pub struct DolevStrong {
     sid: Vec<u8>,
     n: usize,
     t: usize,
     sender: PartyId,
-    certs: Vec<C>,
+    /// `certs[i]` is the `F_cert` instance bound to party `i`.
+    certs: Vec<IdealCert>,
     net: SyncNet,
     /// Completed protocol rounds (0 = pre-start).
     round: u64,
@@ -75,16 +79,25 @@ pub struct DolevStrong<C: Certifier> {
     sigs_verified: u64,
 }
 
-impl<C: Certifier> DolevStrong<C> {
-    /// Creates an instance.
+impl DolevStrong {
+    /// Creates an instance over `n` parties, each with its own `F_cert`
+    /// instance whose signatures are drawn from a fork of `rng`.
     ///
     /// # Panics
     ///
-    /// Panics unless `certs.len() == n`, `sender < n` and `t < n`.
-    pub fn new(sid: impl Into<Vec<u8>>, t: usize, sender: PartyId, certs: Vec<C>) -> Self {
-        let n = certs.len();
+    /// Panics unless `sender < n` and `t < n`.
+    pub fn new(
+        sid: impl Into<Vec<u8>>,
+        n: usize,
+        t: usize,
+        sender: PartyId,
+        rng: &mut Drbg,
+    ) -> Self {
         assert!(n > 0 && sender.index() < n, "sender out of range");
         assert!(t < n, "need t < n");
+        let certs = (0..n as u32)
+            .map(|i| IdealCert::new(PartyId(i), rng.fork(&i.to_be_bytes())))
+            .collect();
         DolevStrong {
             sid: sid.into(),
             n,
@@ -115,8 +128,9 @@ impl<C: Certifier> DolevStrong<C> {
         self.round
     }
 
-    /// Marks a party corrupted: it stops auto-relaying and its certifier
-    /// accepts adversarial authorization. A `party ≥ n` is nobody: ignored.
+    /// Marks a party corrupted: it stops auto-relaying and its `F_cert`
+    /// instance accepts adversarial authorization. A `party ≥ n` is
+    /// nobody: ignored.
     pub fn corrupt(&mut self, party: PartyId) {
         let i = party.index();
         if i < self.n {
@@ -279,18 +293,13 @@ impl<C: Certifier> DolevStrong<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbc_primitives::drbg::Drbg;
-    use sbc_uc::cert::IdealCert;
 
-    fn instance(n: usize, t: usize, sender: u32) -> DolevStrong<IdealCert> {
+    fn instance(n: usize, t: usize, sender: u32) -> DolevStrong {
         let mut rng = Drbg::from_seed(b"ds-tests");
-        let certs = (0..n as u32)
-            .map(|i| IdealCert::new(PartyId(i), rng.fork(&i.to_be_bytes())))
-            .collect();
-        DolevStrong::new(b"sid-1".to_vec(), t, PartyId(sender), certs)
+        DolevStrong::new(b"sid-1".to_vec(), n, t, PartyId(sender), &mut rng)
     }
 
-    fn honest_outputs(ds: &DolevStrong<IdealCert>) -> Vec<Value> {
+    fn honest_outputs(ds: &DolevStrong) -> Vec<Value> {
         ds.outputs()
             .into_iter()
             .enumerate()
@@ -352,6 +361,10 @@ mod tests {
         ds.run_to_completion();
         let outs = honest_outputs(&ds);
         assert!(outs.windows(2).all(|w| w[0] == w[1]), "agreement: {outs:?}");
+        // Round 0: two adversarial sends. Round 1: P1, P2 relay → 2n, after
+        // one signature each. Round 2: P1, P2 relay the value each lacks
+        // and P3 relays both → 4n, after four 2-link chains.
+        assert_eq!(ds.stats(), (2 + 2 * 4 + 4 * 4, 4674, 2 + 4 * 2));
         // Relaying guarantees both values reach everyone → all output ⊥.
         assert_eq!(outs[0], bottom());
     }
@@ -519,9 +532,9 @@ mod tests {
         let mut ds = instance(4, 1, 0);
         ds.start_honest(Value::U64(1));
         ds.run_to_completion();
-        let (msgs, _, _) = ds.stats();
-        // Round 0: sender → n. Round 1: 3 non-sender extractors relay → 3n.
-        assert_eq!(msgs, 4 + 3 * 4);
+        // Round 0: sender → n. Round 1: 3 non-sender extractors relay → 3n,
+        // each after verifying the sender's one signature.
+        assert_eq!(ds.stats(), (4 + 3 * 4, 2084, 3));
     }
 
     #[test]

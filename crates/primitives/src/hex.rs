@@ -1,37 +1,10 @@
-//! Minimal hexadecimal encoding/decoding.
+//! Minimal hexadecimal encoding.
 //!
 //! # Examples
 //!
 //! ```
-//! let bytes = sbc_primitives::hex::decode("00ff10").unwrap();
-//! assert_eq!(bytes, vec![0x00, 0xff, 0x10]);
-//! assert_eq!(sbc_primitives::hex::encode(&bytes), "00ff10");
+//! assert_eq!(sbc_primitives::hex::encode(&[0x00, 0xff, 0x10]), "00ff10");
 //! ```
-
-use std::fmt;
-
-/// Error returned by [`decode`] on malformed input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeHexError {
-    kind: DecodeHexErrorKind,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum DecodeHexErrorKind {
-    OddLength(usize),
-    InvalidDigit(char),
-}
-
-impl fmt::Display for DecodeHexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
-            DecodeHexErrorKind::OddLength(n) => write!(f, "odd hex string length {n}"),
-            DecodeHexErrorKind::InvalidDigit(c) => write!(f, "invalid hex digit {c:?}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeHexError {}
 
 /// Encodes `bytes` as a lowercase hex string.
 pub fn encode(bytes: &[u8]) -> String {
@@ -43,60 +16,14 @@ pub fn encode(bytes: &[u8]) -> String {
     s
 }
 
-/// Decodes a hex string (upper or lower case) into bytes.
-///
-/// # Errors
-///
-/// Returns [`DecodeHexError`] if the input has odd length or contains a
-/// non-hex character.
-pub fn decode(s: &str) -> Result<Vec<u8>, DecodeHexError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(DecodeHexError {
-            kind: DecodeHexErrorKind::OddLength(s.len()),
-        });
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let chars: Vec<char> = s.chars().collect();
-    for pair in chars.chunks_exact(2) {
-        let hi = pair[0].to_digit(16).ok_or(DecodeHexError {
-            kind: DecodeHexErrorKind::InvalidDigit(pair[0]),
-        })?;
-        let lo = pair[1].to_digit(16).ok_or(DecodeHexError {
-            kind: DecodeHexErrorKind::InvalidDigit(pair[1]),
-        })?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(decode(&encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn empty() {
+    fn encode_every_byte() {
         assert_eq!(encode(&[]), "");
-        assert_eq!(decode("").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn uppercase_accepted() {
-        assert_eq!(decode("DEADBEEF").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
-    }
-
-    #[test]
-    fn odd_length_rejected() {
-        assert!(decode("abc").is_err());
-    }
-
-    #[test]
-    fn invalid_digit_rejected() {
-        assert!(decode("zz").is_err());
+        let all: String = (0..=255u8).map(|b| format!("{b:02x}")).collect();
+        assert_eq!(encode(&(0..=255).collect::<Vec<u8>>()), all);
     }
 }

@@ -23,9 +23,7 @@
 //!   `prime`).
 //! * [`sigma`] — the disjunctive Chaum–Pedersen proof with Fiat–Shamir
 //!   that validates ballots.
-//! * [`wots`] — WOTS-based stateful hash signatures (the EUF-CMA scheme
-//!   realizing `F_cert`), certified by the crate-private `merkle` trees.
-//! * [`hex`] — encoding helpers.
+//! * [`hex`] — encoding.
 //!
 //! # Examples
 //!
@@ -57,10 +55,8 @@ pub mod group;
 pub mod hashchain;
 pub mod hex;
 pub mod hmac;
-pub(crate) mod merkle;
 pub mod prf;
 pub(crate) mod prime;
 pub mod sha256;
 pub mod sigma;
 pub(crate) mod ske;
-pub mod wots;

@@ -2,8 +2,8 @@
 //!
 //! This is the single hash function underlying the whole workspace: the
 //! random-oracle instantiations, the symmetric cipher keystream, the
-//! hash-chain time-lock puzzles, HMAC, the PRF under the DRBG and `F_RO`,
-//! and the WOTS+ signatures.
+//! hash-chain time-lock puzzles, HMAC, and the PRF under the DRBG and
+//! `F_RO`.
 //!
 //! Everything above it is priced in compressions, so the cost of one is
 //! kept to the function itself: `update` compresses whole blocks where

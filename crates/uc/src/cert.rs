@@ -1,20 +1,18 @@
-//! The certification functionality `F_cert` (paper Fig. 4) and a real
-//! instantiation over WOTS hash-based signatures with a trusted CA.
+//! The certification functionality `F_cert` (paper Fig. 4).
 //!
 //! `F_cert` provides identity-bound signatures: one instance per signer.
-//! The ideal functionality keeps the `L_sign` record list and enforces
-//! unforgeability *by bookkeeping* (verification of never-signed messages
-//! fails while the signer is honest); once the signer is corrupted the
-//! adversary may authorize arbitrary pairs — exactly the interface
-//! Dolev–Strong needs.
-//!
-//! Both the ideal and the real variant implement [`Certifier`], so the
-//! Dolev–Strong protocol can run over either (the Fact 1 ablation).
+//! It keeps the `L_sign` record list and enforces unforgeability *by
+//! bookkeeping* (verification of never-signed messages fails while the
+//! signer is honest); once the signer is corrupted the adversary may
+//! authorize arbitrary pairs — exactly the interface Dolev–Strong needs.
+//! The paper assumes `F_cert` (Fact 1 holds in the `F_cert`-hybrid model),
+//! and so does this workspace: [`IdealCert`] is the hybrid itself, with no
+//! signature scheme realizing it.
 //!
 //! # Examples
 //!
 //! ```
-//! use sbc_uc::cert::{Certifier, IdealCert};
+//! use sbc_uc::cert::IdealCert;
 //! use sbc_uc::ids::PartyId;
 //! use sbc_primitives::drbg::Drbg;
 //!
@@ -26,24 +24,7 @@
 
 use crate::ids::PartyId;
 use sbc_primitives::drbg::Drbg;
-use sbc_primitives::wots;
-use std::collections::HashMap;
-
-/// Identity-bound signing/verification: the interface `F_cert` exposes to
-/// protocols.
-pub trait Certifier {
-    /// The signer this instance is bound to.
-    fn signer(&self) -> PartyId;
-    /// Signs `message` as the bound signer.
-    fn sign(&mut self, message: &[u8]) -> Vec<u8>;
-    /// Verifies `signature` on `message` for the bound signer.
-    fn verify(&mut self, message: &[u8], signature: &[u8]) -> bool;
-    /// Marks the signer corrupted (changes forgery semantics per Fig. 4).
-    fn set_corrupted(&mut self);
-    /// Adversary interface: authorize `(message, signature)` as valid.
-    /// Only effective while the signer is corrupted.
-    fn adversarial_authorize(&mut self, message: &[u8], signature: &[u8]) -> bool;
-}
+use std::collections::{HashMap, HashSet};
 
 /// The ideal certification functionality `F_cert^S(P)`.
 #[derive(Clone, Debug)]
@@ -52,7 +33,7 @@ pub struct IdealCert {
     /// `L_sign`: (message, signature) → verdict.
     records: HashMap<(Vec<u8>, Vec<u8>), bool>,
     /// Messages with at least one valid signature (for rule 2 of Fig. 4).
-    signed_messages: HashMap<Vec<u8>, ()>,
+    signed_messages: HashSet<Vec<u8>>,
     corrupted: bool,
     rng: Drbg,
 }
@@ -64,19 +45,19 @@ impl IdealCert {
         IdealCert {
             signer,
             records: HashMap::new(),
-            signed_messages: HashMap::new(),
+            signed_messages: HashSet::new(),
             corrupted: false,
             rng,
         }
     }
-}
 
-impl Certifier for IdealCert {
-    fn signer(&self) -> PartyId {
+    /// The signer this instance is bound to.
+    pub fn signer(&self) -> PartyId {
         self.signer
     }
 
-    fn sign(&mut self, message: &[u8]) -> Vec<u8> {
+    /// Signs `message` as the bound signer.
+    pub fn sign(&mut self, message: &[u8]) -> Vec<u8> {
         // The simulator must provide a σ not previously recorded invalid.
         loop {
             let sig = self.rng.gen_bytes(32);
@@ -84,21 +65,22 @@ impl Certifier for IdealCert {
                 Some(false) => continue, // would contradict a recorded 0
                 _ => {
                     self.records.insert((message.to_vec(), sig.clone()), true);
-                    self.signed_messages.insert(message.to_vec(), ());
+                    self.signed_messages.insert(message.to_vec());
                     return sig;
                 }
             }
         }
     }
 
-    fn verify(&mut self, message: &[u8], signature: &[u8]) -> bool {
+    /// Verifies `signature` on `message` for the bound signer.
+    pub fn verify(&mut self, message: &[u8], signature: &[u8]) -> bool {
         let key = (message.to_vec(), signature.to_vec());
         // Rule 1/3: recorded verdicts are sticky (consistency).
         if let Some(f) = self.records.get(&key) {
             return *f;
         }
         // Rule 2: unforgeability while the signer is honest.
-        if !self.corrupted && !self.signed_messages.contains_key(message) {
+        if !self.corrupted && !self.signed_messages.contains(message) {
             self.records.insert(key, false);
             return false;
         }
@@ -109,11 +91,14 @@ impl Certifier for IdealCert {
         false
     }
 
-    fn set_corrupted(&mut self) {
+    /// Marks the signer corrupted (changes forgery semantics per Fig. 4).
+    pub fn set_corrupted(&mut self) {
         self.corrupted = true;
     }
 
-    fn adversarial_authorize(&mut self, message: &[u8], signature: &[u8]) -> bool {
+    /// Adversary interface: authorize `(message, signature)` as valid.
+    /// Only effective while the signer is corrupted.
+    pub fn adversarial_authorize(&mut self, message: &[u8], signature: &[u8]) -> bool {
         if !self.corrupted {
             return false;
         }
@@ -122,117 +107,9 @@ impl Certifier for IdealCert {
             return *f; // sticky verdicts cannot be overwritten
         }
         self.records.insert(key, true);
-        self.signed_messages.insert(message.to_vec(), ());
+        self.signed_messages.insert(message.to_vec());
         true
     }
-}
-
-/// Real certification: WOTS signatures checked against a CA-distributed
-/// verification key (the PKI realization of `F_cert`).
-#[derive(Clone, Debug)]
-pub struct RealCert {
-    signer: PartyId,
-    key: wots::SigningKey,
-    vk: wots::VerificationKey,
-    corrupted: bool,
-    /// Adversarially authorized pairs once corrupted (the adversary knows
-    /// the secret key then, modeled as free authorization).
-    forged: HashMap<(Vec<u8>, Vec<u8>), ()>,
-}
-
-impl RealCert {
-    /// Generates a key pair with `2^height` signatures and "registers" the
-    /// verification key with the CA.
-    pub fn new(signer: PartyId, height: u32, rng: &mut Drbg) -> Self {
-        let key = wots::SigningKey::generate(height, rng);
-        let vk = key.verification_key();
-        RealCert {
-            signer,
-            key,
-            vk,
-            corrupted: false,
-            forged: HashMap::new(),
-        }
-    }
-}
-
-impl Certifier for RealCert {
-    fn signer(&self) -> PartyId {
-        self.signer
-    }
-
-    fn sign(&mut self, message: &[u8]) -> Vec<u8> {
-        let sig = self
-            .key
-            .sign(message)
-            .expect("signature capacity exhausted");
-        // Frame: [leaf_index u32][n_chains u8][chains..][n_path u8][path..].
-        let mut out = Vec::with_capacity(sig.size_bytes());
-        out.extend_from_slice(&sig.leaf_index.to_be_bytes());
-        let (chains, path) = sig.parts();
-        out.push(chains.len() as u8);
-        for c in chains {
-            out.extend_from_slice(&c);
-        }
-        out.push(path.len() as u8);
-        for p in path {
-            out.extend_from_slice(&p);
-        }
-        out
-    }
-
-    fn verify(&mut self, message: &[u8], signature: &[u8]) -> bool {
-        if self
-            .forged
-            .contains_key(&(message.to_vec(), signature.to_vec()))
-        {
-            return true;
-        }
-        let Some(sig) = decode_wots_sig(signature) else {
-            return false;
-        };
-        self.vk.verify(message, &sig)
-    }
-
-    fn set_corrupted(&mut self) {
-        self.corrupted = true;
-    }
-
-    fn adversarial_authorize(&mut self, message: &[u8], signature: &[u8]) -> bool {
-        if !self.corrupted {
-            return false;
-        }
-        self.forged
-            .insert((message.to_vec(), signature.to_vec()), ());
-        true
-    }
-}
-
-fn decode_wots_sig(bytes: &[u8]) -> Option<wots::Signature> {
-    if bytes.len() < 6 {
-        return None;
-    }
-    let leaf_index = u32::from_be_bytes(bytes[..4].try_into().ok()?);
-    let n_chains = bytes[4] as usize;
-    let mut pos = 5;
-    let mut chains = Vec::with_capacity(n_chains);
-    for _ in 0..n_chains {
-        let c: [u8; 32] = bytes.get(pos..pos + 32)?.try_into().ok()?;
-        chains.push(c);
-        pos += 32;
-    }
-    let n_path = *bytes.get(pos)? as usize;
-    pos += 1;
-    let mut path = Vec::with_capacity(n_path);
-    for _ in 0..n_path {
-        let p: [u8; 32] = bytes.get(pos..pos + 32)?.try_into().ok()?;
-        path.push(p);
-        pos += 32;
-    }
-    if pos != bytes.len() {
-        return None;
-    }
-    Some(wots::Signature::from_parts(leaf_index, chains, path))
 }
 
 #[cfg(test)]
@@ -272,53 +149,5 @@ mod tests {
         c.set_corrupted();
         assert!(c.adversarial_authorize(b"forged", b"sig"));
         assert!(c.verify(b"forged", b"sig"));
-    }
-
-    #[test]
-    fn real_sign_verify() {
-        let mut rng = Drbg::from_seed(b"real");
-        let mut c = RealCert::new(PartyId(0), 3, &mut rng);
-        let sig = c.sign(b"msg");
-        assert!(c.verify(b"msg", &sig));
-        assert!(!c.verify(b"other", &sig));
-    }
-
-    #[test]
-    fn real_rejects_garbage() {
-        let mut rng = Drbg::from_seed(b"real");
-        let mut c = RealCert::new(PartyId(0), 2, &mut rng);
-        assert!(!c.verify(b"msg", b"garbage"));
-        assert!(!c.verify(b"msg", &[]));
-    }
-
-    #[test]
-    fn real_signature_transferable() {
-        // Verification only needs the vk: another instance with the same vk
-        // accepts. (Simulated by cloning.)
-        let mut rng = Drbg::from_seed(b"real");
-        let mut signer = RealCert::new(PartyId(0), 2, &mut rng);
-        let mut verifier = signer.clone();
-        let sig = signer.sign(b"msg");
-        assert!(verifier.verify(b"msg", &sig));
-    }
-
-    #[test]
-    fn real_corrupted_authorization() {
-        let mut rng = Drbg::from_seed(b"real");
-        let mut c = RealCert::new(PartyId(0), 2, &mut rng);
-        assert!(!c.adversarial_authorize(b"f", b"s"));
-        c.set_corrupted();
-        assert!(c.adversarial_authorize(b"f", b"s"));
-        assert!(c.verify(b"f", b"s"));
-    }
-
-    #[test]
-    fn real_tampered_signature_rejected() {
-        let mut rng = Drbg::from_seed(b"real");
-        let mut c = RealCert::new(PartyId(0), 2, &mut rng);
-        let mut sig = c.sign(b"msg");
-        let mid = sig.len() / 2;
-        sig[mid] ^= 1;
-        assert!(!c.verify(b"msg", &sig));
     }
 }

@@ -189,7 +189,6 @@ fn drbg_fork_independence() {
 #[test]
 fn dolev_strong_agreement_random_byzantine() {
     use sbc_broadcast::rbc::dolev_strong::{ChainLink, DolevStrong};
-    use sbc_uc::cert::IdealCert;
     use sbc_uc::ids::PartyId;
 
     for trial in 0u8..12 {
@@ -197,10 +196,7 @@ fn dolev_strong_agreement_random_byzantine() {
         let n = 4usize;
         let t = 2usize;
         let mut rng = Drbg::from_seed(b"ds-prop");
-        let certs: Vec<IdealCert> = (0..n as u32)
-            .map(|i| IdealCert::new(PartyId(i), rng.fork(&i.to_be_bytes())))
-            .collect();
-        let mut ds = DolevStrong::new(b"prop".to_vec(), t, PartyId(0), certs);
+        let mut ds = DolevStrong::new(b"prop".to_vec(), n, t, PartyId(0), &mut rng);
         ds.corrupt(PartyId(0));
         ds.corrupt(PartyId(1));
         // Random adversarial schedule: signed sends of random values to

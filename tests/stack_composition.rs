@@ -1,31 +1,16 @@
 //! Cross-crate integration: the Corollary 1 composition and the round/cost
-//! accounting of every layer of the stack.
+//! accounting of every layer of the stack, from Dolev–Strong in the
+//! `F_cert`-hybrid model of Fact 1 (ideal `F_cert`, as the paper assumes)
+//! up to the composed `Π_SBC`.
 
 use sbc_broadcast::fbc::worlds::{IdealFbcWorld, RealFbcWorld};
 use sbc_broadcast::rbc::dolev_strong::DolevStrong;
 use sbc_core::api::SbcSession;
 use sbc_core::worlds::{RealSbcWorld, SbcParams};
 use sbc_primitives::drbg::Drbg;
-use sbc_uc::cert::{IdealCert, RealCert};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::run_env;
-
-/// Fact 1 over *real* WOTS signatures instead of the ideal F_cert: the
-/// Dolev–Strong realization is certifier-agnostic.
-#[test]
-fn dolev_strong_over_real_signatures() {
-    let mut rng = Drbg::from_seed(b"ds-real-certs");
-    let certs: Vec<RealCert> = (0..4u32)
-        .map(|i| RealCert::new(PartyId(i), 4, &mut rng))
-        .collect();
-    let mut ds = DolevStrong::new(b"sid".to_vec(), 2, PartyId(0), certs);
-    ds.start_honest(Value::bytes(b"over real PKI"));
-    ds.run_to_completion();
-    for out in ds.outputs() {
-        assert_eq!(out, Value::bytes(b"over real PKI"));
-    }
-}
 
 /// Dolev–Strong round complexity: always exactly t + 1 rounds, up to
 /// t = n − 1, with every party outputting the honest sender's value.
@@ -34,10 +19,7 @@ fn dolev_strong_round_complexity_sweep() {
     for n in [3usize, 4, 5, 8, 16, 32] {
         for t in [1usize, n / 2, n - 1] {
             let mut rng = Drbg::from_seed(b"sweep");
-            let certs: Vec<IdealCert> = (0..n as u32)
-                .map(|i| IdealCert::new(PartyId(i), rng.fork(&i.to_be_bytes())))
-                .collect();
-            let mut ds = DolevStrong::new(b"s".to_vec(), t, PartyId(0), certs);
+            let mut ds = DolevStrong::new(b"s".to_vec(), n, t, PartyId(0), &mut rng);
             ds.start_honest(Value::U64(1));
             ds.run_to_completion();
             assert_eq!(ds.round(), t as u64 + 1, "n={n} t={t}");
