@@ -86,7 +86,12 @@ impl FbcFunc {
     ///
     /// An honest sender that already advanced in `Cl` acts on the request
     /// at its next advance, so the record is stamped `Cl + 1`: the round
-    /// `Π_FBC` casts it in, which `∆` and `∆ − α` count from.
+    /// `Π_FBC` casts it in, which `∆` and `∆ − α` count from. That is
+    /// `F_SBC`'s period rule for one record, stamped at the request: an
+    /// honest sender gates the clock, so its next step — honest, or the
+    /// simulator's for it once corrupted — is in `Cl + 1`. Stamping at the
+    /// advance instead would need an unstamped state and a pass over the
+    /// records in `advance_clock`.
     pub fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) -> Tag {
         let now = ctx.time();
         let advanced = !ctx.is_corrupted(sender) && self.last_advance.get(&sender) == Some(&now);

@@ -291,7 +291,9 @@ pub struct SimFbc {
     party_rngs: Vec<Drbg>,
     ubc: UbcFunc,
     queues: Vec<Vec<SimEntry>>,
-    corrupted_last_step: Vec<Option<u64>>,
+    /// The round of each simulated party's last step, honest or
+    /// corrupted: `FbcParty`'s one round guard.
+    last_step: Vec<Option<u64>>,
     would_abort: bool,
 }
 
@@ -303,7 +305,7 @@ impl SimFbc {
             party_rngs,
             ubc,
             queues: vec![Vec::new(); n],
-            corrupted_last_step: vec![None; n],
+            last_step: vec![None; n],
             would_abort: false,
         }
     }
@@ -342,6 +344,10 @@ impl SimFbc {
         ro: &mut RandomOracle,
         core: &mut WorldCore,
     ) {
+        let now = core.clock.read();
+        if self.last_step[party.index()].replace(now) == Some(now) {
+            return;
+        }
         let entries = std::mem::take(&mut self.queues[party.index()]);
         // Protocol step 1: all chain randomness first.
         let rand_sets: Vec<Vec<Element>> = entries
@@ -383,14 +389,14 @@ impl SimFbc {
         ro: &mut RandomOracle,
         core: &mut WorldCore,
     ) {
-        if self.corrupted_last_step[party.index()] == Some(now) {
+        if self.last_step[party.index()] == Some(now) {
             return;
         }
         let entries = std::mem::take(&mut self.queues[party.index()]);
         if entries.is_empty() {
             return;
         }
-        self.corrupted_last_step[party.index()] = Some(now);
+        self.last_step[party.index()] = Some(now);
         let rand_sets: Vec<Vec<Element>> = entries
             .iter()
             .map(|_| {
@@ -731,6 +737,32 @@ mod tests {
         assert_indistinguishable(2, b"late", |env| {
             env.advance(PartyId(0));
             env.input(PartyId(0), Command::new("Broadcast", Value::bytes(b"late")));
+            env.advance(PartyId(1));
+            env.idle_rounds(6);
+        });
+    }
+
+    /// A sender corrupted after its advance, with a request from between:
+    /// its corrupted step waits for the next round, as its honest step
+    /// would have — one round guard for both.
+    #[test]
+    fn lemma2_sender_corrupted_after_its_advance() {
+        assert_indistinguishable(2, b"late", |env| {
+            env.advance(PartyId(0));
+            env.input(PartyId(0), Command::new("Broadcast", Value::bytes(b"late")));
+            env.adversary(AdvCommand::Corrupt(PartyId(0)));
+            env.advance(PartyId(1));
+            env.idle_rounds(6);
+        });
+    }
+
+    /// A second advance in one round steps nobody twice.
+    #[test]
+    fn lemma2_second_advance_in_a_round() {
+        assert_indistinguishable(2, b"late", |env| {
+            env.advance(PartyId(0));
+            env.input(PartyId(0), Command::new("Broadcast", Value::bytes(b"late")));
+            env.advance(PartyId(0));
             env.advance(PartyId(1));
             env.idle_rounds(6);
         });

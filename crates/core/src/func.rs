@@ -1,7 +1,9 @@
 //! The simultaneous broadcast functionality `F_SBC(Φ, ∆, α)` (paper
 //! Fig. 13) — the paper's central definition.
 //!
-//! The first `Broadcast` request opens a broadcast period of `Φ` rounds.
+//! The broadcast period of `Φ` rounds opens where `Π_SBC`'s first
+//! `Wake_Up` reaches the honest parties: at the first advance of a party
+//! holding a record, or at the simulator's request for a corrupted sender.
 //! Within it, honest requests are recorded while leaking only the sender's
 //! identity and the message *length* — that is **simultaneity**: no sender
 //! (and no adversary) learns anything about other senders' messages before
@@ -46,7 +48,6 @@ pub struct SbcFunc {
     /// `Cl + delay ≥ t_end` are discarded.
     delay: u64,
     records: Vec<SbcRecord>,
-    t_start: Option<u64>,
     t_end: Option<u64>,
     /// The once-per-period steps of `Advance_Clock`, once taken.
     finalized_done: bool,
@@ -71,7 +72,6 @@ impl SbcFunc {
             alpha,
             delay,
             records: Vec::new(),
-            t_start: None,
             t_end: None,
             finalized_done: false,
             sim_list_sent: false,
@@ -80,22 +80,12 @@ impl SbcFunc {
         }
     }
 
-    /// The broadcast period span Φ.
-    pub fn phi(&self) -> u64 {
-        self.phi
-    }
-
     /// The delivery delay ∆.
     pub fn delta(&self) -> u64 {
         self.delta
     }
 
-    /// Start of the broadcast period, if opened.
-    pub fn t_start(&self) -> Option<u64> {
-        self.t_start
-    }
-
-    /// End of the broadcast period, if opened.
+    /// End of the broadcast period, once open.
     pub fn t_end(&self) -> Option<u64> {
         self.t_end
     }
@@ -108,31 +98,33 @@ impl SbcFunc {
     /// Closes the books on a released broadcast period so the same
     /// functionality instance can host the next one — the paper's
     /// sequential multi-period composition (§6). Records, period times and
-    /// the once-per-period bookkeeping are dropped; the tag stream carries
-    /// over so tags stay globally fresh across epochs. The *next*
-    /// `Broadcast` request opens a new period at the then-current clock
-    /// round.
+    /// the once-per-period bookkeeping are dropped; the tag stream and the
+    /// per-party round guard carry over, like `F_UBC`'s. The next period
+    /// opens by the same rule as the first.
     pub fn begin_new_period(&mut self) {
         self.records.clear();
-        self.t_start = None;
         self.t_end = None;
         self.finalized_done = false;
         self.sim_list_sent = false;
-        self.last_advance.clear();
+    }
+
+    /// Opens the broadcast period `[Cl, Cl + Φ)`.
+    fn open(&mut self, now: u64) {
+        self.t_end = Some(now + self.phi);
     }
 
     /// `Broadcast` from an honest party (leaks `(tag, |M|, P)`) or from the
-    /// simulator on behalf of a corrupted one (leaks `(tag, M, P)`; record
-    /// enters finalized). Requests outside the period are discarded, and so
-    /// is an honest request at `Cl + delay ≥ t_end` — with no record and no
-    /// leak — since its ciphertext could not be cast before the period
-    /// closes. Returns the tag if recorded.
+    /// simulator on behalf of a corrupted one (leaks `(tag, M, P)`); the
+    /// record enters unfinalized. Returns the tag if recorded.
     ///
-    /// The period opens where `Π_SBC`'s first `Wake_Up` lands. `F_UBC`
-    /// flushes it at its sender's next `Advance_Clock`, so an honest
-    /// sender that already advanced in `Cl` opens the period at `Cl + 1`,
-    /// and its request in `Cl` is recorded. A request in `Cl` from a
-    /// sender that has not advanced then opens it at `Cl`.
+    /// The simulator's request opens the period if it is not open: `S_SBC`
+    /// makes one in the round a corrupted `Wake_Up` is delivered, and never
+    /// `Allow`s it. An honest request opens nothing: its `Wake_Up` waits
+    /// in `F_UBC` for the sender's next [advance](SbcFunc::advance_clock).
+    /// In an open period, requests at `Cl ≥ t_end` are discarded, and so is
+    /// an honest one at `Cl + delay ≥ t_end` (no record, no leak): its
+    /// ciphertext could not be cast before `t_end`. Before the period
+    /// opens, `Φ > delay` makes that cut-off vacuous.
     pub fn broadcast(
         &mut self,
         sender: PartyId,
@@ -141,17 +133,11 @@ impl SbcFunc {
     ) -> Option<Tag> {
         let now = ctx.time();
         let corrupted = ctx.is_corrupted(sender);
-        let wakes_at = if !corrupted && self.last_advance.get(&sender) == Some(&now) {
-            now + 1
-        } else {
-            now
-        };
-        if self.t_start.is_none_or(|start| wakes_at < start) {
-            self.t_start = Some(wakes_at);
-            self.t_end = Some(wakes_at + self.phi);
+        if corrupted && self.t_end.is_none() {
+            self.open(now);
         }
-        let end = self.t_end.expect("set");
-        if now >= end || (!corrupted && now + self.delay >= end) {
+        let cut_off = if corrupted { 0 } else { self.delay };
+        if self.t_end.is_some_and(|end| now + cut_off >= end) {
             return None;
         }
         let tag = Tag::random(&mut self.tag_rng);
@@ -160,7 +146,7 @@ impl SbcFunc {
             msg: msg.clone(),
             sender,
             requested_at: now,
-            finalized: corrupted,
+            finalized: false,
         });
         let leak_payload = if corrupted {
             Value::list([
@@ -192,7 +178,10 @@ impl SbcFunc {
     }
 
     /// `Allow` from the simulator: substitutes and finalizes an unfinalized
-    /// record of a corrupted sender, within the broadcast period.
+    /// record of a corrupted sender, while the period is open and not yet
+    /// finalized. The finalization step closes the window, not the clock:
+    /// a corruption that completes the round before `t_end` moves the
+    /// clock to `t_end` before `S_SBC` can answer it.
     pub fn allow(
         &mut self,
         tag: Tag,
@@ -200,11 +189,7 @@ impl SbcFunc {
         sender: PartyId,
         ctx: &mut HybridCtx<'_>,
     ) -> bool {
-        let now = ctx.time();
-        let Some((start, end)) = self.t_start.zip(self.t_end) else {
-            return false;
-        };
-        if now < start || now >= end || !ctx.is_corrupted(sender) {
+        if self.t_end.is_none() || self.finalized_done || !ctx.is_corrupted(sender) {
             return false;
         }
         let Some(rec) = self
@@ -221,16 +206,20 @@ impl SbcFunc {
 
     /// `Advance_Clock` from an honest party: runs the once-per-period
     /// finalization/leak schedule and returns the message vector the
-    /// advancing party receives at exactly `t_end + ∆`.
+    /// advancing party receives at exactly `t_end + ∆`. A party's first
+    /// advance of a round is where `F_UBC` flushes its `Wake_Up`, so if
+    /// it holds a record, that advance opens the period.
     pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Value> {
         if ctx.is_corrupted(party) {
             return None;
         }
         let now = ctx.time();
-        if self.last_advance.get(&party) == Some(&now) {
+        if self.last_advance.insert(party, now) == Some(now) {
             return None;
         }
-        self.last_advance.insert(party, now);
+        if self.t_end.is_none() && self.records.iter().any(|r| r.sender == party) {
+            self.open(now);
+        }
         let end = self.t_end?;
         if now >= end && !self.finalized_done {
             // The first Advance_Clock at or after t_end marks honest
@@ -270,33 +259,90 @@ mod tests {
         SbcFunc::new(3, 2, 1, 1, Drbg::from_seed(b"sbc-tags"))
     }
 
+    /// `F_SBC` with its period opened at `Cl = 0` by P0's request and
+    /// advance: `t_end = 3`.
+    fn opened(core: &mut WorldCore) -> SbcFunc {
+        let mut f = func();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        f
+    }
+
     #[test]
-    fn period_opens_on_first_broadcast() {
+    fn an_honest_request_opens_the_period_at_its_senders_advance() {
         let mut core = WorldCore::new(2, b"sbc");
         let mut f = func();
-        assert_eq!(f.t_start(), None);
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
-        assert_eq!(f.t_start(), Some(0));
+        assert_eq!(f.t_end(), None, "the Wake_Up waits in F_UBC");
+        f.advance_clock(PartyId(1), &mut core.ctx());
+        assert_eq!(f.t_end(), None, "P1 holds no record: no Wake_Up flushed");
+        f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(f.t_end(), Some(3));
     }
 
     #[test]
     fn a_sender_that_already_advanced_opens_the_period_next_round() {
-        // P0 advanced in Cl = 0, so its Wake_Up lands at Cl = 1: the
-        // period opens there, and the request itself is recorded.
+        // P0 advanced in Cl = 0, so its Wake_Up lands at its advance in
+        // Cl = 1: the period opens there, and the request is recorded.
         let mut core = WorldCore::new(2, b"sbc");
         let mut f = func();
         f.advance_clock(PartyId(0), &mut core.ctx());
         assert!(f
             .broadcast(PartyId(0), Value::U64(1), &mut core.ctx())
             .is_some());
-        assert_eq!((f.t_start(), f.t_end()), (Some(1), Some(4)));
-        // P1 has not advanced in Cl = 0: its Wake_Up lands now.
-        assert!(f
-            .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
-            .is_some());
-        assert_eq!((f.t_start(), f.t_end()), (Some(0), Some(3)));
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        assert_eq!(f.t_end(), None, "one flush per party and round");
+        f.advance_clock(PartyId(1), &mut core.ctx());
+        core.clock.fast_forward(1);
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        assert_eq!(f.t_end(), Some(4));
+        // P1 has not advanced in Cl = 0: its request's Wake_Up lands at
+        // its advance in Cl = 0.
+        let mut core = WorldCore::new(2, b"sbc");
+        let mut f = func();
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
+        f.advance_clock(PartyId(1), &mut core.ctx());
+        assert_eq!(f.t_end(), Some(3));
         assert_eq!(f.records().len(), 2);
+    }
+
+    #[test]
+    fn a_corrupted_request_opens_the_period_at_its_round() {
+        // S_SBC's request for the sender of a corrupted Wake_Up: the
+        // period opens in the round it was delivered in, and the record
+        // enters unfinalized, so finalization drops it unless Allowed.
+        let mut core = WorldCore::new(2, b"sbc");
+        core.corr.corrupt(PartyId(1)).unwrap();
+        core.clock.fast_forward(2);
+        let mut f = func();
+        assert!(f
+            .broadcast(PartyId(1), Value::str("Wake_Up"), &mut core.ctx())
+            .is_some());
+        assert_eq!(f.t_end(), Some(5));
+        let mut delivered = None;
+        for round in 2..=7 {
+            core.clock.fast_forward(round);
+            delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        }
+        assert_eq!(delivered.unwrap().as_list().unwrap(), &[] as &[Value]);
+    }
+
+    #[test]
+    fn a_holder_corrupted_before_its_advance_never_opens_the_period() {
+        // P0's Wake_Up never leaves F_UBC: a corrupted party does not
+        // advance, and the honest P1 holds no record.
+        let mut core = WorldCore::new(2, b"sbc");
+        let mut f = func();
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        core.corr.corrupt(PartyId(0)).unwrap();
+        for round in 0..8 {
+            core.clock.fast_forward(round);
+            assert_eq!(f.advance_clock(PartyId(0), &mut core.ctx()), None);
+            assert_eq!(f.advance_clock(PartyId(1), &mut core.ctx()), None);
+        }
+        assert_eq!(f.t_end(), None);
     }
 
     #[test]
@@ -326,11 +372,8 @@ mod tests {
     #[test]
     fn late_broadcasts_discarded() {
         let mut core = WorldCore::new(1, b"sbc");
-        let mut f = func();
-        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
-        for _ in 0..3 {
-            core.clock.fast_forward(core.clock.read() + 1);
-        }
+        let mut f = opened(&mut core);
+        core.clock.fast_forward(3);
         // Cl = 3 = t_end: outside the period.
         assert!(f
             .broadcast(PartyId(0), Value::U64(2), &mut core.ctx())
@@ -345,8 +388,7 @@ mod tests {
         // same round is the simulator's and still records.
         let mut core = WorldCore::new(2, b"sbc");
         core.corr.corrupt(PartyId(1)).unwrap();
-        let mut f = func();
-        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        let mut f = opened(&mut core);
         core.clock.fast_forward(2);
         core.leaks.clear();
         assert!(f
@@ -457,15 +499,41 @@ mod tests {
             .broadcast(PartyId(1), Value::U64(2), &mut core.ctx())
             .unwrap();
         core.corr.corrupt(PartyId(1)).unwrap();
+        // No period is open: P1's Wake_Up never left F_UBC.
+        assert!(!f.allow(tag, Value::U64(99), PartyId(1), &mut core.ctx()));
+        f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
+        f.advance_clock(PartyId(0), &mut core.ctx());
         assert!(f.allow(tag, Value::U64(99), PartyId(1), &mut core.ctx()));
         // Double-allow fails (already finalized).
         assert!(!f.allow(tag, Value::U64(5), PartyId(1), &mut core.ctx()));
-        for _ in 0..5 {
+        for round in 1..=5 {
+            core.clock.fast_forward(round);
             f.advance_clock(PartyId(0), &mut core.ctx());
-            core.clock.fast_forward(core.clock.read() + 1);
         }
-        let delivered = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
-        assert_eq!(delivered.as_list().unwrap(), &[Value::U64(99)]);
+        let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
+        assert_eq!(delivered, None, "delivered at round 5, once");
+        let records: Vec<&Value> = f.records().iter().map(|r| &r.msg).collect();
+        assert_eq!(records, [&Value::U64(1), &Value::U64(99)]);
+    }
+
+    /// A corruption can complete the round before `t_end` and so move the
+    /// clock there before `S_SBC` answers it: its `Allow` still lands,
+    /// since no `Advance_Clock` has finalized the period yet.
+    #[test]
+    fn allow_closes_at_finalization_not_at_t_end() {
+        let mut core = WorldCore::new(2, b"sbc");
+        let mut f = func();
+        let cast = f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
+        let late = f.broadcast(PartyId(1), Value::U64(3), &mut core.ctx());
+        f.advance_clock(PartyId(1), &mut core.ctx());
+        core.clock.fast_forward(3);
+        core.corr.corrupt(PartyId(1)).unwrap();
+        assert!(f.allow(cast.unwrap(), Value::U64(2), PartyId(1), &mut core.ctx()));
+        f.advance_clock(PartyId(0), &mut core.ctx());
+        assert!(!f.allow(late.unwrap(), Value::U64(3), PartyId(1), &mut core.ctx()));
+        let records: Vec<(&Value, bool)> =
+            f.records().iter().map(|r| (&r.msg, r.finalized)).collect();
+        assert_eq!(records, [(&Value::U64(2), true), (&Value::U64(3), false)]);
     }
 
     #[test]

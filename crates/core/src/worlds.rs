@@ -689,12 +689,17 @@ impl SimSbc {
         Some((ct, y))
     }
 
-    /// Delivers a corrupted sender's broadcast and, if it is a wire the
-    /// recipients record, extracts the message it commits them to output:
+    /// Delivers a corrupted sender's broadcast and returns the message of
+    /// the `F_SBC` request it makes for that sender, if any: a `Wake_Up`
+    /// that wakes the recipients, as is (it opens the period), or for a
+    /// wire they record, the message it commits them to output —
     /// `y ⊕ H(ρ)` for the `ρ` that `F_TLE` will answer their `Dec` of `c`
-    /// with at `τ_rel`. `None` if they will output nothing for it.
+    /// with at `τ_rel`.
     fn on_corrupted_deliver(&mut self, msg: &Value, host: &mut SbcHost) -> Option<Value> {
-        let (ct, y) = self.on_ubc_deliver(msg, host)?;
+        let asleep = self.t_awake.is_none();
+        let Some((ct, y)) = self.on_ubc_deliver(msg, host) else {
+            return (asleep && self.t_awake.is_some()).then(|| msg.clone());
+        };
         let tau_rel = self.tau_rel()?;
         let Some(DecResponse::Message(rho)) =
             host.ftle
@@ -866,11 +871,17 @@ impl World for IdealSbcWorld {
                 Value::list(pending.into_iter().filter_map(msg_of))
             }
             AdvCommand::SendAs { party, cmd } if cmd.name == "Broadcast" => {
-                if let Some(wire) = self.host.broadcast_corrupted(party, cmd.value) {
-                    if let Some(msg) = self.sim.on_corrupted_deliver(&wire, &mut self.host) {
-                        let mut to_sim = Vec::new();
-                        let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
-                        self.fsbc.broadcast(party, msg, &mut ctx);
+                // S_SBC's request for what the recipients act on: it
+                // `Allow`s an extracted wire, never the `Wake_Up`.
+                let Some(sent) = self.host.broadcast_corrupted(party, cmd.value) else {
+                    return Value::Unit;
+                };
+                if let Some(msg) = self.sim.on_corrupted_deliver(&sent, &mut self.host) {
+                    let mut to_sim = Vec::new();
+                    let mut ctx = self.host.core.ctx_leaking_to(&mut to_sim);
+                    let tag = self.fsbc.broadcast(party, msg.clone(), &mut ctx);
+                    if let Some(tag) = tag.filter(|_| !is_wake_up(&sent)) {
+                        self.fsbc.allow(tag, msg, party, &mut ctx);
                     }
                 }
                 Value::Unit
@@ -908,11 +919,11 @@ impl SbcWorld for IdealSbcWorld {
     }
 
     fn release_round(&self) -> Option<u64> {
-        self.sim.tau_rel()
+        self.fsbc.t_end().map(|end| end + self.fsbc.delta())
     }
 
     fn period_end(&self) -> Option<u64> {
-        self.sim.t_end()
+        self.fsbc.t_end()
     }
 
     fn would_abort(&self) -> bool {
