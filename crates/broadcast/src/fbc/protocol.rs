@@ -58,7 +58,7 @@ pub fn decode_masked(eta: &[u8; 32], y: &[u8]) -> Value {
 }
 
 /// Performs the per-message encryption draws (protocol step 4a–4b) in the
-/// canonical order `ρ, k, nonce` — the order simulators mirror.
+/// canonical order `ρ, k` — the order simulators mirror.
 pub fn encrypt_with_randomness(
     rng: &mut Drbg,
     rs: &[Element],

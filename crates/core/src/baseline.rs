@@ -1,86 +1,13 @@
-//! Baseline simultaneous-broadcast systems: what `F_SBC` is compared
-//! against in this module's tests, and the contrast the
-//! `sealed_bid_auction` example draws.
-//!
-//! * [`HeviaStyleSbc`] — an \[Hev06]-style SBC functionality: honest
-//!   majority assumed, and termination requires **full participation**
-//!   (every registered sender must submit before anything is delivered).
-//!   Demonstrates the liveness gap the paper's `F_SBC` closes.
-//! * [`CommitFreeChannel`] — a naive "simultaneous" channel without
-//!   time-locks: senders post plaintext, the adversary sees everything as
-//!   it is posted (rushing) and may submit corrupted senders' values
-//!   *after* reading honest ones. Demonstrates the simultaneity gap.
+//! A baseline for `F_SBC`: [`CommitFreeChannel`], a naive "simultaneous"
+//! channel without time-locks, and the copy-cat attack run against it and
+//! against the real SBC stack (this module's tests; the
+//! `sealed_bid_auction` example draws the same contrast). On the channel,
+//! senders post plaintext, and the adversary sees everything as it is
+//! posted (rushing) and may submit corrupted senders' values *after*
+//! reading honest ones: the simultaneity gap `F_SBC` closes.
 
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::Value;
-
-/// An \[Hev06]-style SBC: delivery only after *all* senders contribute, and
-/// only under an honest majority.
-#[derive(Clone, Debug)]
-pub struct HeviaStyleSbc {
-    n: usize,
-    corrupted: Vec<bool>,
-    submissions: Vec<Option<Value>>,
-    rounds_waited: u64,
-}
-
-impl HeviaStyleSbc {
-    /// Creates the baseline for `n` registered senders.
-    pub fn new(n: usize) -> Self {
-        HeviaStyleSbc {
-            n,
-            corrupted: vec![false; n],
-            submissions: vec![None; n],
-            rounds_waited: 0,
-        }
-    }
-
-    /// Marks a sender corrupted. A `party ≥ n` is nobody: ignored.
-    pub fn corrupt(&mut self, party: PartyId) {
-        if let Some(corrupted) = self.corrupted.get_mut(party.index()) {
-            *corrupted = true;
-        }
-    }
-
-    /// Whether the honest-majority assumption still holds.
-    pub fn honest_majority(&self) -> bool {
-        let t = self.corrupted.iter().filter(|c| **c).count();
-        2 * t < self.n
-    }
-
-    /// A sender submits its message. A `party ≥ n` is nobody: ignored.
-    pub fn submit(&mut self, party: PartyId, msg: Value) {
-        if let Some(slot) = self.submissions.get_mut(party.index()) {
-            *slot = Some(msg);
-        }
-    }
-
-    /// Advances one round; returns the delivered vector once *everyone*
-    /// (including corrupted senders!) has submitted — the adversary can
-    /// stall termination indefinitely by withholding one submission.
-    pub fn advance_round(&mut self) -> Option<Vec<Value>> {
-        if !self.honest_majority() {
-            return None; // security void under a dishonest majority
-        }
-        if self.submissions.iter().all(|s| s.is_some()) {
-            let mut msgs: Vec<Value> = self
-                .submissions
-                .iter()
-                .map(|s| s.clone().expect("checked"))
-                .collect();
-            msgs.sort();
-            Some(msgs)
-        } else {
-            self.rounds_waited += 1;
-            None
-        }
-    }
-
-    /// Rounds spent blocked on missing submissions.
-    pub fn rounds_waited(&self) -> u64 {
-        self.rounds_waited
-    }
-}
 
 /// A naive simultaneous channel without time-locks: everything posted is
 /// immediately public, so a rushing adversary reads honest messages before
@@ -139,99 +66,67 @@ pub fn copycat_attack_on_commit_free(honest_msg: &[u8]) -> bool {
     finals[1].1 == Value::Bytes(expected)
 }
 
-/// Runs the copy-cat attack against the real SBC stack: the adversary
-/// observes every leak during the broadcast period and must output the
-/// corrupted sender's message before `t_end`. Returns `true` if it managed
-/// to correlate (it cannot — the view is semantically hiding).
+/// Runs the copy-cat attack against the real SBC stack: once the honest
+/// `(c, τ_rel, y)` wire leaks from `F_UBC`, the adversary replays it,
+/// inside the period, as the broadcast of the corrupted P2. Returns
+/// `true` if the attack succeeded: some release holds the honest message
+/// twice. The replay rule drops the copy, and any fresh wire the
+/// adversary builds encodes a message chosen independently of the honest
+/// plaintext.
 ///
-/// The adversary here is given the strongest feasible strategy short of
-/// breaking the time-lock: it copies the *ciphertext* it saw. The replay
-/// protection drops it, and any fresh ciphertext it builds necessarily
-/// encodes a message chosen independently of the honest plaintext.
+/// # Panics
+///
+/// Panics if the first `delay + 1` rounds leak no wire, the replay lands
+/// outside the period, or the period releases nothing: each would make
+/// the attack vacuous.
 pub fn copycat_attack_on_sbc(seed: &[u8], honest_msg: &[u8]) -> bool {
+    use crate::protocol::ParsedWire;
     use crate::worlds::{RealSbcWorld, SbcParams};
+    use sbc_uc::exec::SbcWorld;
     use sbc_uc::value::Command;
-    use sbc_uc::world::{run_env, AdvCommand};
+    use sbc_uc::world::{AdvCommand, World};
 
-    let mut world = RealSbcWorld::new(SbcParams::default_for(3), seed);
-    let msg = honest_msg.to_vec();
-    let t = run_env(&mut world, move |env| {
-        env.input(PartyId(0), Command::new("Broadcast", Value::bytes(&msg)));
-        env.adversary(AdvCommand::Corrupt(PartyId(2)));
-        env.advance_all();
-        env.advance_all();
-        // The adversary has seen (c, τ_rel, y); replay it as its own.
-        env.adversary(AdvCommand::SendAs {
-            party: PartyId(2),
-            cmd: Command::new("Broadcast", Value::bytes(b"placeholder")),
-        });
-        env.idle_rounds(7);
+    let params = SbcParams::default_for(3);
+    let mut world = RealSbcWorld::new(params, seed);
+    world.submit(PartyId(0), honest_msg);
+    world.adversary(AdvCommand::Corrupt(PartyId(2)));
+    // Round 1 wakes the parties and asks `F_TLE` for `c`; the wire is
+    // flushed `delay` rounds later.
+    for _ in 0..=params.tle_delay {
+        world.tick();
+    }
+    let wire = world
+        .drain_leaks()
+        .iter()
+        .find_map(|leak| {
+            let items = leak.cmd.value.as_list()?;
+            items.iter().find(|v| ParsedWire::parse(v).is_some())
+        })
+        .cloned()
+        .expect("the honest wire leaks");
+    let t_end = world.period_end().expect("the period is open");
+    assert!(world.time() < t_end, "the replay lands inside the period");
+    world.adversary(AdvCommand::SendAs {
+        party: PartyId(2),
+        cmd: Command::new("Broadcast", wire),
     });
-    // Attack succeeded iff some delivered vector contains a message
-    // correlated with (equal to, or an extension of) the honest one beyond
-    // the honest copy itself.
-    let outs = t.outputs();
-    outs.iter().any(|(_, _, cmd)| {
+    let tau_rel = world.release_round().expect("the period is open");
+    while world.time() <= tau_rel {
+        world.tick();
+    }
+    let releases = world.drain_outputs();
+    assert!(!releases.is_empty(), "the period releases");
+    let honest = Value::bytes(honest_msg);
+    releases.iter().any(|(_, cmd)| {
         cmd.value
             .as_list()
-            .map(|msgs| {
-                msgs.iter()
-                    .filter(|m| {
-                        m.as_bytes()
-                            .map(|b| b.starts_with(honest_msg))
-                            .unwrap_or(false)
-                    })
-                    .count()
-                    > 1
-            })
-            .unwrap_or(false)
+            .is_some_and(|msgs| msgs.iter().filter(|m| **m == honest).count() > 1)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hevia_baseline_blocks_without_full_participation() {
-        let mut h = HeviaStyleSbc::new(3);
-        h.submit(PartyId(0), Value::U64(1));
-        h.submit(PartyId(1), Value::U64(2));
-        // P2 (adversarial) withholds: no termination, ever.
-        for _ in 0..100 {
-            assert!(h.advance_round().is_none());
-        }
-        assert_eq!(h.rounds_waited(), 100);
-        // Only full participation unblocks.
-        h.submit(PartyId(2), Value::U64(3));
-        assert_eq!(h.advance_round().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn hevia_baseline_void_under_dishonest_majority() {
-        let mut h = HeviaStyleSbc::new(3);
-        h.corrupt(PartyId(0));
-        h.corrupt(PartyId(1));
-        assert!(!h.honest_majority());
-        for i in 0..3 {
-            h.submit(PartyId(i), Value::U64(i as u64));
-        }
-        assert!(h.advance_round().is_none(), "no guarantees at t ≥ n/2");
-    }
-
-    #[test]
-    fn hevia_baseline_ignores_an_out_of_range_party() {
-        let mut h = HeviaStyleSbc::new(3);
-        h.corrupt(PartyId(7));
-        h.submit(PartyId(7), Value::U64(7));
-        assert!(h.honest_majority());
-        assert!(h.advance_round().is_none(), "nobody's submission counts");
-        for i in 0..3 {
-            h.submit(PartyId(i), Value::U64(i as u64));
-        }
-        let all = (0..3).map(Value::U64).collect();
-        assert_eq!(h.advance_round(), Some(all));
-    }
 
     #[test]
     fn commit_free_channel_breaks_simultaneity() {

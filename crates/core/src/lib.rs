@@ -18,8 +18,8 @@
 //!   both implementing the shared `sbc_uc::exec::SbcWorld` backend trait.
 //! * [`error`] — the structured [`error::SbcError`] every fallible entry
 //!   point returns.
-//! * [`baseline`] — the comparison systems: an \[Hev06]-style
-//!   full-participation SBC and a naive commit-free simultaneous channel.
+//! * [`baseline`] — the comparison system: a naive commit-free
+//!   simultaneous channel, and the copy-cat attack on it and on `Π_SBC`.
 //! * [`api`] — the fallible, multi-epoch [`api::SbcSession`] for running
 //!   SBC periods without touching the UC machinery.
 //! * [`pool`] — instance multiplexing: [`pool::SbcPool`] runs many

@@ -9,6 +9,12 @@
 //! The hash is supplied as a closure so the same code runs over a plain
 //! hash, the ideal `F*_RO`, or the metered wrapper.
 //!
+//! Σ_SKE runs on the workspace's one keyed primitive, [`Prf`]:
+//! `Enc_k(M) = body ‖ Prf_k.eval(TAG, body, 0)` with
+//! `body = Prf_k.xor(M)`, encrypt-then-MAC with no nonce. That is sound
+//! only because Σ_SKE is one-time here: `AST.Enc` draws a fresh `k` for
+//! every ciphertext and encrypts one message under it.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,8 +30,8 @@
 
 use crate::drbg::Drbg;
 use crate::hashchain::{self, Element};
-use crate::sha256::Sha256;
-use crate::ske::{self, SkeKey};
+use crate::prf::{Prf, TAG};
+use crate::sha256::DIGEST_LEN;
 use std::fmt;
 
 /// An Astrolabous ciphertext `c = (τ_dec, c_{M,k}, c_{k,τ_dec})`.
@@ -33,7 +39,8 @@ use std::fmt;
 pub struct AstCiphertext {
     /// Time-lock difficulty in rounds.
     pub tau_dec: u64,
-    /// `c_{M,k}`: the SKE encryption of the message under `k`.
+    /// `c_{M,k}`: the one-time Σ_SKE encryption of the message under `k`,
+    /// `body ‖ tag`.
     pub ske_ct: Vec<u8>,
     /// `c_{k,τ_dec}`: the hash chain hiding `k` (length `q·τ_dec + 1`).
     pub chain: Vec<Element>,
@@ -160,9 +167,10 @@ pub fn ast_enc_with_hashes(
     hashes: &[Element],
     rng: &mut Drbg,
 ) -> AstCiphertext {
-    let key = SkeKey::generate(rng);
-    let ske_ct = ske::encrypt(&key, msg, rng);
-    let chain = hashchain::chain_encode_with_hashes(rs, hashes, &key.0);
+    let mut key = [0u8; DIGEST_LEN];
+    rng.fill(&mut key);
+    let ske_ct = seal(key, msg);
+    let chain = hashchain::chain_encode_with_hashes(rs, hashes, &key);
     AstCiphertext {
         tau_dec,
         ske_ct,
@@ -176,10 +184,34 @@ pub fn ast_enc_with_hashes(
 ///
 /// Returns [`AstDecryptError`] if the witness or ciphertext is invalid.
 pub fn ast_dec(ct: &AstCiphertext, witness: &[Element]) -> Result<Vec<u8>, AstDecryptError> {
-    let key_bytes =
-        hashchain::payload_from_witness(&ct.chain, witness).map_err(|_| AstDecryptError)?;
-    let key = SkeKey::from_bytes(&key_bytes);
-    ske::decrypt(&key, &ct.ske_ct).map_err(|_| AstDecryptError)
+    let key = hashchain::payload_from_witness(&ct.chain, witness).map_err(|_| AstDecryptError)?;
+    open(key, &ct.ske_ct)
+}
+
+/// `Σ_SKE.Enc` under the one-time key `k`: `body ‖ Prf_k.eval(TAG, body, 0)`
+/// with `body = Prf_k.xor(M)`.
+fn seal(key: Element, msg: &[u8]) -> Vec<u8> {
+    let prf = Prf::new(key);
+    let mut ct = prf.xor(msg);
+    let tag = prf.eval(TAG, &ct, 0);
+    ct.extend_from_slice(&tag);
+    ct
+}
+
+/// `Σ_SKE.Dec`: checks the tag in constant time, then unmasks the body.
+fn open(key: Element, ct: &[u8]) -> Result<Vec<u8>, AstDecryptError> {
+    let body_len = ct.len().checked_sub(DIGEST_LEN).ok_or(AstDecryptError)?;
+    let (body, tag) = ct.split_at(body_len);
+    let prf = Prf::new(key);
+    let diff = prf
+        .eval(TAG, body, 0)
+        .iter()
+        .zip(tag)
+        .fold(0, |acc, (a, b)| acc | (a ^ b));
+    if diff != 0 {
+        return Err(AstDecryptError);
+    }
+    Ok(prf.xor(body))
 }
 
 /// Solves the puzzle (sequentially) and decrypts — the adversary/simulator
@@ -197,24 +229,18 @@ where
     ast_dec(ct, &witness)
 }
 
-/// Expands a 32-byte seed into a keystream and XORs it over `data` — the
-/// equivocation mask `M ⊕ η` used by Π_FBC/Π_SBC with variable-length
-/// messages. Involution: applying twice recovers `data`.
+/// The equivocation mask `M ⊕ η` of Π_FBC/Π_TLE with variable-length
+/// messages: `data` XORed with the keystream of the [`Prf`] keyed by
+/// `seed` ([`Prf::xor`]). Involution: applying twice recovers `data`.
 pub fn xor_mask(seed: &[u8; 32], data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    for (i, chunk) in data.chunks(32).enumerate() {
-        let ks = Sha256::digest_parts(&[b"mask", seed, &(i as u64).to_be_bytes()]);
-        for (j, b) in chunk.iter().enumerate() {
-            out.push(b ^ ks[j]);
-        }
-    }
-    out
+    Prf::new(*seed).xor(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hashchain::ChainSolver;
+    use crate::sha256::Sha256;
 
     fn h(x: &[u8]) -> Element {
         Sha256::digest(x)
@@ -261,15 +287,43 @@ mod tests {
 
     #[test]
     fn tampered_ciphertext_rejected() {
+        // Every byte of `ske_ct`, body and tag alike.
         let mut r = rng();
-        let mut ct = ast_enc(&h, b"msg", 1, 4, &mut r);
-        ct.ske_ct[0] ^= 1;
-        assert!(ast_solve_and_dec(&h, &ct).is_err());
+        let ct = ast_enc(&h, b"secret", 1, 4, &mut r);
+        assert_eq!(ct.ske_ct.len(), 6 + DIGEST_LEN);
+        for i in 0..ct.ske_ct.len() {
+            let mut bad = ct.clone();
+            bad.ske_ct[i] ^= 0x80;
+            assert!(ast_solve_and_dec(&h, &bad).is_err(), "byte {i}");
+        }
+    }
+
+    #[test]
+    fn wrong_chain_payload_rejected() {
+        // A chain hiding another key than the one `ske_ct` was sealed under.
+        let mut r = rng();
+        let mut ct = ast_enc(&h, b"secret", 1, 4, &mut r);
+        let other = ast_enc(&h, b"secret", 1, 4, &mut r);
+        ct.chain = other.chain;
+        assert_eq!(ast_solve_and_dec(&h, &ct), Err(AstDecryptError));
+    }
+
+    #[test]
+    fn ske_ct_shorter_than_a_tag_rejected() {
+        let mut r = rng();
+        let ct = ast_enc(&h, b"", 1, 4, &mut r);
+        assert_eq!(ct.ske_ct.len(), DIGEST_LEN);
+        assert_eq!(ast_solve_and_dec(&h, &ct), Ok(Vec::new()));
+        for len in [0, 1, DIGEST_LEN - 1] {
+            let mut bad = ct.clone();
+            bad.ske_ct.truncate(len);
+            assert!(ast_solve_and_dec(&h, &bad).is_err(), "len {len}");
+        }
     }
 
     #[test]
     fn tampered_chain_rejected() {
-        // The SKE MAC catches a corrupted chain (wrong key recovered).
+        // The Σ_SKE tag catches a corrupted chain (wrong key recovered).
         let mut r = rng();
         let mut ct = ast_enc(&h, b"msg", 1, 4, &mut r);
         ct.chain[1][5] ^= 1;
@@ -336,8 +390,7 @@ mod tests {
 
     #[test]
     fn ciphertexts_hide_message() {
-        // Semantic sanity: two encryptions of the same message differ, and
-        // no chain element equals the SKE key.
+        // Semantic sanity: two encryptions of the same message differ.
         let mut r = rng();
         let c1 = ast_enc(&h, b"same", 1, 3, &mut r);
         let c2 = ast_enc(&h, b"same", 1, 3, &mut r);

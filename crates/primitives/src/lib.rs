@@ -9,15 +9,14 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256, the workspace's single hash function.
 //! * [`prf`] — one SHA-256 PRF over a prepared key block, with
-//!   prefix-free input: the keyed hash under [`drbg`] and the random
-//!   oracle `F_RO`.
+//!   prefix-free input: the crate's only keyed use of SHA-256, under
+//!   [`drbg`], the random oracle `F_RO` and [`astrolabous`].
 //! * [`drbg`] — a deterministic generator, [`prf`] in counter mode; all
 //!   protocol randomness flows through it so executions are reproducible
 //!   from a seed.
-//! * [`hmac`] — HMAC-SHA-256, the tag of the crate-private `ske`.
 //! * [`hashchain`] / [`astrolabous`] — sequential hash-chain puzzles and the
-//!   Astrolabous TLE scheme built on them (over the crate-private
-//!   symmetric scheme Σ_SKE, `ske`).
+//!   Astrolabous TLE scheme built on them, over a one-time symmetric
+//!   scheme Σ_SKE on [`prf`] (every ciphertext draws a fresh key).
 //! * [`bigint`] / [`group`] — 256-bit modular arithmetic and Schnorr groups
 //!   for the voting application (Miller–Rabin lives in the crate-private
 //!   `prime`).
@@ -54,9 +53,7 @@ pub mod drbg;
 pub mod group;
 pub mod hashchain;
 pub mod hex;
-pub mod hmac;
 pub mod prf;
 pub(crate) mod prime;
 pub mod sha256;
 pub mod sigma;
-pub(crate) mod ske;

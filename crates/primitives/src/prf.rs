@@ -1,5 +1,8 @@
-//! The one keyed PRF under [`Drbg`](crate::drbg::Drbg) and the random
-//! oracle `F_RO`: SHA-256 resumed from the chaining state of a key block.
+//! The one keyed PRF of the workspace: SHA-256 resumed from the chaining
+//! state of a key block. It keys [`Drbg`](crate::drbg::Drbg), the random
+//! oracle `F_RO`, and both jobs of Astrolabous's
+//! [`astrolabous`](crate::astrolabous): the one-time Σ_SKE and the mask
+//! `M ⊕ H(ρ)`.
 //!
 //! [`Prf::new`] compresses the block `key ‖ 0^32` once. [`Prf::eval`]
 //! resumes from that state and hashes
@@ -11,16 +14,25 @@
 //! functions revisited: the cascade construction", FOCS 1996). The
 //! midstate is only a cache: `eval` equals
 //! `SHA-256(key ‖ 0^32 ‖ domain ‖ LEB128(|data|) ‖ data ‖ ctr_be64)`.
+//! [`Prf::xor`] is the keystream `eval(STREAM, "", i)` for `i = 0, 1, …`
+//! XORed over its input.
 //!
 //! Data of up to 45 bytes costs exactly one compression. The domain bytes
-//! of the workspace are the four constants below, one per use:
+//! of the workspace are the six constants below, one per use:
 //!
-//! | operation | compressions |
-//! |---|---|
-//! | seeding a [`Drbg`](crate::drbg::Drbg) stream | 2 |
-//! | a fork (label ≤ 45 bytes) | 2 |
-//! | one 32-byte draw block | 1 |
-//! | an `F_RO` point or mask block for a 32-byte `ρ` | 1 |
+//! | domain | operation | compressions |
+//! |---|---|---|
+//! | — | keying a `Prf` | 1 |
+//! | [`DRAW`] | one 32-byte [`Drbg`](crate::drbg::Drbg) draw block | 1 |
+//! | [`FORK`] | a fork (label ≤ 45 bytes) | 1 |
+//! | [`POINT`] | an `F_RO` point for a 32-byte `ρ` | 1 |
+//! | [`MASK`] | an `F_RO` mask block for a 32-byte `ρ` | 1 |
+//! | [`STREAM`] | one 32-byte keystream block of [`Prf::xor`] | 1 |
+//! | [`TAG`] | a Σ_SKE tag over an `m`-byte body (`m < 128`) | `⌈(m + 19) / 64⌉` |
+//!
+//! So seeding a `Drbg` stream or forking one costs 2, and a Σ_SKE
+//! ciphertext of an `m`-byte message costs 1 (key) + `⌈m / 32⌉` (stream)
+//! + the tag's.
 //!
 //! # Examples
 //!
@@ -30,6 +42,7 @@
 //! let prf = Prf::new([7u8; 32]);
 //! assert_eq!(prf.eval(DRAW, b"", 0), prf.eval(DRAW, b"", 0));
 //! assert_ne!(prf.eval(DRAW, b"", 0), prf.eval(FORK, b"", 0));
+//! assert_eq!(prf.xor(&prf.xor(b"involution")), b"involution");
 //! ```
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
@@ -42,6 +55,10 @@ pub const FORK: u8 = 0x02;
 pub const POINT: u8 = 0x03;
 /// Domain of a block of an unprogrammed variable-length `F_RO` point.
 pub const MASK: u8 = 0x04;
+/// Domain of a keystream block of [`Prf::xor`].
+pub const STREAM: u8 = 0x05;
+/// Domain of a Σ_SKE authentication tag.
+pub const TAG: u8 = 0x06;
 
 /// A PRF key, held as the SHA-256 chaining state after its key block.
 #[derive(Clone, Debug)]
@@ -77,6 +94,17 @@ impl Prf {
         h.update(data);
         h.update(&ctr.to_be_bytes());
         h.finalize()
+    }
+
+    /// `data` XORed with the keystream `eval(STREAM, "", 0) ‖
+    /// eval(STREAM, "", 1) ‖ …`: an involution.
+    pub fn xor(&self, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
+            let block = self.eval(STREAM, &[], i as u64);
+            chunk.iter_mut().zip(block).for_each(|(b, k)| *b ^= k);
+        }
+        out
     }
 }
 
@@ -121,8 +149,29 @@ mod tests {
                 1 << 32,
                 "a5f3ae8e18f3856f5a132096fccebc0a4aefdaa0fb942fbbbab1a1dae2ceb5ef",
             ),
+            (
+                STREAM,
+                &b""[..],
+                2,
+                "651b449c663befd41fe24bdb3fe731b3268d3da955763fb9126bd778f59676b1",
+            ),
+            (
+                TAG,
+                &point[..130],
+                0,
+                "327794597a74f84390cbcbdb0e021c065fb3c10111741d8e4a1928d2ac53f24e",
+            ),
         ] {
             assert_eq!(hex::encode(&p.eval(domain, data, ctr)), want, "{domain}");
+        }
+    }
+
+    #[test]
+    fn xor_is_the_stream_keystream() {
+        let p = prf();
+        let stream = [p.eval(STREAM, b"", 0), p.eval(STREAM, b"", 1)].concat();
+        for len in [0, 1, 31, 32, 33, 64] {
+            assert_eq!(p.xor(&vec![0u8; len]), stream[..len], "len {len}");
         }
     }
 
@@ -146,7 +195,7 @@ mod tests {
         let p = Prf::new(key);
         let point: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
         let mut encodings = Vec::new();
-        for domain in [DRAW, FORK, POINT, MASK] {
+        for domain in [DRAW, FORK, POINT, MASK, STREAM, TAG] {
             for data in [&b""[..], b"party/123", &point[..40], &point] {
                 for ctr in [0, 1, 1 << 32] {
                     let e = encode(domain, data, ctr);

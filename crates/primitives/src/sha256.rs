@@ -1,9 +1,9 @@
 //! FIPS 180-4 SHA-256, implemented from scratch.
 //!
 //! This is the single hash function underlying the whole workspace: the
-//! random-oracle instantiations, the symmetric cipher keystream, the
-//! hash-chain time-lock puzzles, HMAC, and the PRF under the DRBG and
-//! `F_RO`.
+//! random-oracle instantiations, the hash-chain time-lock puzzles, and the
+//! one keyed PRF ([`Prf`](crate::prf::Prf)) under the DRBG, `F_RO` and
+//! Astrolabous's Σ_SKE and mask.
 //!
 //! Everything above it is priced in compressions, so the cost of one is
 //! kept to the function itself: `update` compresses whole blocks where
