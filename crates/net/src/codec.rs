@@ -45,7 +45,8 @@ const HEADER_LEN: usize = 26;
 /// The canonical [`Value`] header of a pair: a list (tag 6) of 2 items.
 const PAIR: [u8; 9] = [6, 0, 0, 0, 0, 0, 0, 0, 2];
 
-/// A frame address: the environment, the functionality host, or a party.
+/// A frame address: the environment, the functionality host, a party, or
+/// every party at once.
 ///
 /// The functionality host plays the hybrid functionalities (`F_UBC`,
 /// `F_TLE`, `F_RO`) of the UC experiment; in a deployment it would be the
@@ -58,6 +59,10 @@ pub enum Endpoint {
     Host,
     /// Party `i`.
     Party(u32),
+    /// Every party of the experiment: `F_UBC` hands a flushed message to
+    /// all of `P` at once. A transport files one copy per party, in id
+    /// order, each re-addressed to its party.
+    Parties,
 }
 
 impl Endpoint {
@@ -75,6 +80,10 @@ impl Endpoint {
                 out.push(2);
                 out.extend_from_slice(&i.to_be_bytes());
             }
+            Endpoint::Parties => {
+                out.push(3);
+                out.extend_from_slice(&0u32.to_be_bytes());
+            }
         }
     }
 
@@ -84,6 +93,7 @@ impl Endpoint {
             (0, 0) => Ok(Endpoint::Env),
             (1, 0) => Ok(Endpoint::Host),
             (2, idx) => Ok(Endpoint::Party(idx)),
+            (3, 0) => Ok(Endpoint::Parties),
             _ => Err(CodecError::UnknownEndpoint { tag }),
         }
     }
@@ -95,6 +105,7 @@ impl fmt::Display for Endpoint {
             Endpoint::Env => write!(f, "env"),
             Endpoint::Host => write!(f, "host"),
             Endpoint::Party(i) => write!(f, "party/{i}"),
+            Endpoint::Parties => write!(f, "parties"),
         }
     }
 }
@@ -447,7 +458,7 @@ pub enum CodecError {
         tag: u8,
     },
     /// An address field that is no canonical endpoint: an unknown tag, or
-    /// an `Env` or `Host` tag with a non-zero index.
+    /// an `Env`, `Host` or `Parties` tag with a non-zero index.
     UnknownEndpoint {
         /// The endpoint tag found.
         tag: u8,
@@ -725,6 +736,36 @@ mod tests {
             assert_eq!(enc.capacity(), enc.len(), "{f:?}");
             assert_eq!(Frame::decode(&enc), Ok(f));
         }
+    }
+
+    /// A `Deliver` to every party, byte for byte (expected bytes from the
+    /// same Python model as `golden_bytes_every_kind`): the `Parties`
+    /// endpoint is tag 3 over index 0, and any other index is refused,
+    /// as for `Env` and `Host`.
+    #[test]
+    fn golden_bytes_to_every_party() {
+        let f = Frame {
+            from: Endpoint::Host,
+            to: Endpoint::Parties,
+            sent_at: 0x0102_0304_0506_0708,
+            kind: FrameKind::Deliver {
+                origin: 2,
+                payload: Value::list([Value::bytes(b"ct"), Value::U64(5), Value::bytes(b"y!")]),
+            },
+        };
+        let enc = f.encode();
+        #[rustfmt::skip]
+        let golden = "00000054534201030100000000030000000001020304050607080000003a06000000000000000202000000000000000206000000000000000304000000000000000263740200000000000000050400000000000000027921";
+        assert_eq!(sbc_primitives::hex::encode(&enc), golden);
+        assert_eq!(Frame::decode(&enc), Ok(f));
+        assert_eq!(Endpoint::Parties.to_string(), "parties");
+        let mut indexed = enc;
+        assert_eq!(indexed[13..18], [3, 0, 0, 0, 0]);
+        indexed[17] = 1;
+        assert_eq!(
+            Frame::decode(&indexed),
+            Err(CodecError::UnknownEndpoint { tag: 3 })
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! [`Loopback`]: crate::transport::Loopback
 
-use crate::codec::{CodecError, Frame, NetError};
+use crate::codec::{CodecError, Endpoint, Frame, NetError};
 use crate::transport::{plane_of, Mailboxes, Plane, Transport, TransportStats};
 use crate::world::{NetProfile, NetSbcWorld};
 use sbc_core::error::SbcError;
@@ -644,22 +644,27 @@ impl Transport for TcpTransport {
         // Classification (and its counting) happens once, here; the frame
         // handed up is the one `pump_lane` decodes off the socket. The data
         // plane's due round travels inside the frame as `sent_at`, which
-        // the world stamps with the sending round.
-        let (_, plane) = self.boxes.classify(&bytes, self.delta, self.n)?;
-        let lane = lane_of_plane(&plane, self.n);
-        match self.write_frame(lane, &bytes) {
-            Ok(()) => {
-                self.tx[lane].sent += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // Degrade, don't hang: the frame is lost and counted, the
-                // lane counters never wait for it, and the caller gets
-                // the typed error.
-                self.boxes.stats.dropped += 1;
-                Err(e)
+        // the world stamps with the sending round. A frame to every party
+        // crosses as one re-addressed copy per party, each on its party's
+        // lane, so the reader sees party frames only.
+        let frame = self.boxes.decode(&bytes)?;
+        let fan_out = frame.to == Endpoint::Parties;
+        let mut first_err = None;
+        for (copy, plane) in self.boxes.route(frame, bytes.len(), self.delta, self.n)? {
+            let lane = lane_of_plane(&plane, self.n);
+            let readdressed = fan_out.then(|| copy.encode());
+            match self.write_frame(lane, readdressed.as_deref().unwrap_or(&bytes)) {
+                Ok(()) => self.tx[lane].sent += 1,
+                Err(e) => {
+                    // Degrade, don't hang: the frame is lost and counted,
+                    // the lane counters never wait for it, and the caller
+                    // gets the typed error.
+                    self.boxes.stats.dropped += 1;
+                    first_err.get_or_insert(e);
+                }
             }
         }
+        first_err.map_or(Ok(()), Err)
     }
 
     fn recv_control(&mut self) -> Vec<Frame> {
@@ -720,7 +725,7 @@ pub type TcpSbcWorld = NetSbcWorld<TcpProfile>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Endpoint, FrameKind};
+    use crate::codec::FrameKind;
     use sbc_uc::value::Value;
 
     fn test_cfg() -> TcpConfig {
@@ -790,6 +795,38 @@ mod tests {
         let s = t.stats();
         assert_eq!((s.sent, s.delivered), (3, 3));
         assert_eq!(s.timeouts, 0);
+    }
+
+    /// A frame to every party crosses as one copy per party, each
+    /// re-addressed to its party on that party's lane: wires on the data
+    /// lanes, anything else on the control lane in id order.
+    #[test]
+    fn a_frame_to_every_party_crosses_as_one_copy_per_lane() {
+        let mut t = TcpTransport::local(3, 2, test_cfg()).unwrap();
+        let to_all = |bytes: Vec<u8>| {
+            let mut frame = Frame::decode(&bytes).unwrap();
+            frame.to = Endpoint::Parties;
+            frame.encode()
+        };
+        t.send(to_all(wire_frame(0, 1, 3, 9, 7)), 3).unwrap();
+        let wake = Frame {
+            from: Endpoint::Host,
+            to: Endpoint::Parties,
+            sent_at: 3,
+            kind: FrameKind::Deliver {
+                origin: 1,
+                payload: Value::str("Wake_Up"),
+            },
+        };
+        t.send(wake.encode(), 3).unwrap();
+        for p in 0..3 {
+            assert_eq!(encoded(t.recv_data(p, 3)), vec![wire_frame(p, 1, 3, 9, 7)]);
+        }
+        let woken: Vec<Endpoint> = t.recv_control().into_iter().map(|f| f.to).collect();
+        assert_eq!(woken, (0..3).map(Endpoint::Party).collect::<Vec<_>>());
+        let s = t.stats();
+        assert_eq!((s.sent, s.delivered), (2, 6));
+        assert!(t.idle());
     }
 
     #[test]

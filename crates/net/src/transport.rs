@@ -3,13 +3,18 @@
 //! A [`Transport`] moves encoded [`Frame`]s between endpoints. It decodes
 //! each frame once, on the way in, to classify it — dropping, counting,
 //! what does not decode — and hands the receiver that decoded [`Frame`],
-//! so nothing above it decodes the same bytes again. Frames fall into
-//! three planes:
+//! so nothing above it decodes the same bytes again. A frame to
+//! [`Endpoint::Parties`] is one `F_UBC` delivery to all of `P`: the
+//! transport files one copy per party, in id order, each re-addressed to
+//! its party and all sharing the one decoded payload, and counts the frame
+//! once as sent. Every copy then goes where a frame sent to that party
+//! alone would — [`SimNet`] draws the copies' schedules in the order that
+//! many sends would draw them. Frames fall into three planes:
 //!
-//! * **control** — submissions, ticks, casts, functionality requests and
-//!   `Wake_Up` deliveries. These model the atomic environment/party/
-//!   functionality interactions of the UC experiment: FIFO per
-//!   destination, delivered the moment the destination is pumped.
+//! * **control** — casts, functionality requests and `Wake_Up`
+//!   deliveries. These model the atomic party/functionality interactions
+//!   of the UC experiment: FIFO per destination, delivered the moment the
+//!   destination is pumped.
 //! * **rpc** — functionality responses back to a party, on a dedicated
 //!   per-party lane so an in-flight request/response exchange can never
 //!   interleave with queued deliveries.
@@ -64,9 +69,10 @@ pub struct TransportStats {
 /// delivery schedule (the conformance harness replays seeds).
 pub trait Transport: Send + std::fmt::Debug {
     /// Accepts an encoded frame for delivery. The transport decodes it once
-    /// to classify and schedule, and queues the decoded [`Frame`] for the
-    /// `recv_*` side; input that does not decode is dropped and counted,
-    /// and the typed error returned.
+    /// to classify and schedule, and queues the decoded [`Frame`] — or, for
+    /// a frame to [`Endpoint::Parties`], one re-addressed copy per party in
+    /// id order — for the `recv_*` side; input that does not decode is
+    /// dropped and counted, and the typed error returned.
     ///
     /// # Errors
     ///
@@ -144,7 +150,7 @@ pub(crate) fn plane_of(frame: &Frame, delta: u64, n: usize) -> Result<Plane, Net
             },
             None => Plane::Control,
         },
-        // Anything else addressed to a party — submissions, ticks — too.
+        // Anything else addressed to a party is control too.
         _ => Plane::Control,
     })
 }
@@ -173,26 +179,56 @@ impl Mailboxes {
         }
     }
 
-    /// Decodes and classifies an incoming frame, counting it as accepted.
+    /// Decodes an incoming frame; input that does not decode is dropped
+    /// and counted.
+    pub(crate) fn decode(&mut self, bytes: &[u8]) -> Result<Frame, NetError> {
+        Frame::decode(bytes).map_err(|e| {
+            self.stats.decode_errors += 1;
+            self.stats.dropped += 1;
+            e.into()
+        })
+    }
+
+    /// Routes a decoded frame of `len` encoded bytes, counting it as
+    /// accepted: the frame on its plane or, for a frame to
+    /// [`Endpoint::Parties`], one copy per party in id order, each
+    /// re-addressed to its party and on its own plane. The copies share
+    /// the one decoded payload (a `Value::List` clone is a refcount bump).
     /// `delta` recovers the delivery deadline from a wire's own `τ_rel`.
+    pub(crate) fn route(
+        &mut self,
+        frame: Frame,
+        len: usize,
+        delta: u64,
+        n: usize,
+    ) -> Result<Vec<(Frame, Plane)>, NetError> {
+        let copies = if frame.to == Endpoint::Parties {
+            let copy = |p| Frame {
+                to: Endpoint::Party(p),
+                ..frame.clone()
+            };
+            (0..n as u32).map(copy).collect()
+        } else {
+            vec![frame]
+        };
+        let routed = copies
+            .into_iter()
+            .map(|f| plane_of(&f, delta, n).map(|plane| (f, plane)))
+            .collect::<Result<Vec<_>, NetError>>()?;
+        self.stats.sent += 1;
+        self.stats.bytes += len as u64;
+        Ok(routed)
+    }
+
+    /// [`decode`](Self::decode)s and [`route`](Self::route)s one frame.
     pub(crate) fn classify(
         &mut self,
         bytes: &[u8],
         delta: u64,
         n: usize,
-    ) -> Result<(Frame, Plane), NetError> {
-        let frame = match Frame::decode(bytes) {
-            Ok(f) => f,
-            Err(e) => {
-                self.stats.decode_errors += 1;
-                self.stats.dropped += 1;
-                return Err(e.into());
-            }
-        };
-        let plane = plane_of(&frame, delta, n)?;
-        self.stats.sent += 1;
-        self.stats.bytes += bytes.len() as u64;
-        Ok((frame, plane))
+    ) -> Result<Vec<(Frame, Plane)>, NetError> {
+        let frame = self.decode(bytes)?;
+        self.route(frame, bytes.len(), delta, n)
     }
 
     /// Files a classified frame on its plane: control and rpc in arrival
@@ -283,8 +319,9 @@ impl Loopback {
 
 impl Transport for Loopback {
     fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), NetError> {
-        let (frame, plane) = self.boxes.classify(&bytes, self.delta, self.n)?;
-        self.boxes.file(plane, now, frame);
+        for (frame, plane) in self.boxes.classify(&bytes, self.delta, self.n)? {
+            self.boxes.file(plane, now, frame);
+        }
         Ok(())
     }
 
@@ -435,28 +472,31 @@ impl SimNet {
 
 impl Transport for SimNet {
     fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), NetError> {
-        let (frame, plane) = self.boxes.classify(&bytes, self.cfg.delta, self.n)?;
-        match plane {
-            Plane::Data { to, origin, end } => {
-                if self.cfg.drop_from_corrupted
-                    && (origin as usize) < self.n
-                    && self.corrupted[origin as usize]
-                {
-                    self.boxes.stats.dropped += 1;
-                    return Ok(());
+        // A frame to every party draws each copy's schedule in id order,
+        // as that many separate sends would.
+        for (frame, plane) in self.boxes.classify(&bytes, self.cfg.delta, self.n)? {
+            match plane {
+                Plane::Data { to, origin, end } => {
+                    if self.cfg.drop_from_corrupted
+                        && (origin as usize) < self.n
+                        && self.corrupted[origin as usize]
+                    {
+                        self.boxes.stats.dropped += 1;
+                        continue;
+                    }
+                    self.data_sends += 1;
+                    let due = self.schedule(to, now, end);
+                    let duplicate = self.cfg.duplicate_every != 0
+                        && self.data_sends.is_multiple_of(self.cfg.duplicate_every);
+                    if duplicate {
+                        let copy_due = due.saturating_add(1).min(end.saturating_sub(1)).max(due);
+                        self.boxes.stats.duplicated += 1;
+                        self.boxes.push_data(to, copy_due, frame.clone());
+                    }
+                    self.boxes.push_data(to, due, frame);
                 }
-                self.data_sends += 1;
-                let due = self.schedule(to, now, end);
-                let duplicate = self.cfg.duplicate_every != 0
-                    && self.data_sends.is_multiple_of(self.cfg.duplicate_every);
-                if duplicate {
-                    let copy_due = due.saturating_add(1).min(end.saturating_sub(1)).max(due);
-                    self.boxes.stats.duplicated += 1;
-                    self.boxes.push_data(to, copy_due, frame.clone());
-                }
-                self.boxes.push_data(to, due, frame);
+                plane => self.boxes.file(plane, now, frame),
             }
-            plane => self.boxes.file(plane, now, frame),
         }
         Ok(())
     }
@@ -530,6 +570,72 @@ mod tests {
             },
         }
         .encode()
+    }
+
+    /// `wire_frame`, addressed to every party instead.
+    fn broadcast_frame(origin: u32, tau: u64, tag: u8) -> Vec<u8> {
+        let mut frame = Frame::decode(&wire_frame(0, origin, tau, tag)).unwrap();
+        frame.to = Endpoint::Parties;
+        frame.encode()
+    }
+
+    #[test]
+    fn a_frame_to_every_party_is_one_copy_per_party_sharing_its_payload() {
+        let mut t = Loopback::new(3, 2);
+        t.send(broadcast_frame(1, 9, 7), 3).unwrap();
+        let copies: Vec<Frame> = (0..3).flat_map(|p| t.recv_data(p, 3)).collect();
+        let expected: Vec<Vec<u8>> = (0..3).map(|p| wire_frame(p, 1, 9, 7)).collect();
+        assert_eq!(
+            copies.iter().map(Frame::encode).collect::<Vec<_>>(),
+            expected
+        );
+        let handle = |f: &Frame| match &f.kind {
+            FrameKind::Deliver {
+                payload: Value::List(items),
+                ..
+            } => std::sync::Arc::as_ptr(items),
+            other => panic!("{other:?}"),
+        };
+        assert!(copies.iter().all(|f| handle(f) == handle(&copies[0])));
+        let s = t.stats();
+        assert_eq!((s.sent, s.delivered), (1, 3), "sent once, delivered thrice");
+        assert!(t.idle());
+    }
+
+    /// A frame to every party draws the schedule `n` sends would, copy for
+    /// copy: same deliveries, same order, same counters but `sent` and
+    /// `bytes`.
+    #[test]
+    fn simnet_schedules_a_frame_to_every_party_as_n_sends() {
+        let run = |broadcast: bool| {
+            let mut t = SimNet::new(4, SimConfig::adversarial(2), b"fan-out");
+            for tag in 0..10u8 {
+                if broadcast {
+                    t.send(broadcast_frame(0, 9, tag), 3).unwrap();
+                } else {
+                    for p in 0..4 {
+                        t.send(wire_frame(p, 0, 9, tag), 3).unwrap();
+                    }
+                }
+            }
+            let mut order = Vec::new();
+            for round in 3..7 {
+                for p in 0..4 {
+                    order.extend(t.recv_data(p, round));
+                }
+            }
+            let stats = TransportStats {
+                sent: 0,
+                bytes: 0,
+                ..t.stats()
+            };
+            (order, stats)
+        };
+        let (order, stats) = run(true);
+        assert_eq!((order.clone(), stats), run(false));
+        assert_eq!(order.len() as u64, 40 + stats.duplicated);
+        let chaos = stats.delayed > 0 && stats.duplicated > 0 && stats.reordered > 0;
+        assert!(chaos, "{stats:?}");
     }
 
     #[test]

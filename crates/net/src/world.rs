@@ -2,15 +2,18 @@
 //!
 //! [`NetSbcWorld`] re-runs the real-world experiment of
 //! `sbc_core::worlds::RealSbcWorld` with one structural change: nothing
-//! crosses a party boundary except encoded [`Frame`]s moved by a
-//! [`Transport`]. The parties are the same [`SbcParty`] state machines the
-//! in-process world runs; the hybrid functionalities are the same
-//! [`SbcHost`]. What differs is the [`SbcHybrid`] the party is handed: a
-//! frame link (`FrameLink`) that posts each of the six hybrid calls as a
-//! request frame and takes the reply the transport decoded, while the
-//! host side (`FrameLink::host_handle`) maps each request frame back onto
-//! the same six `SbcHost` methods the in-process party calls directly.
-//! The environment's submissions and clock ticks arrive as frames too.
+//! crosses between a party and the hybrid functionalities except encoded
+//! [`Frame`]s moved by a [`Transport`]. The parties are the same
+//! [`SbcParty`] state machines the in-process world runs; the hybrid
+//! functionalities are the same [`SbcHost`]. What differs is the
+//! [`SbcHybrid`] the party is handed: a frame link (`FrameLink`) that
+//! posts each of the six hybrid calls as a request frame and takes the
+//! reply the transport decoded, while the host side
+//! (`FrameLink::host_handle`) maps each request frame back onto the same
+//! six `SbcHost` methods the in-process party calls directly. The
+//! environment's I/O is each party's own tape, as in the in-process world
+//! and in UC: a submission is the party's `on_input`, a round step runs the
+//! party in place, and its output goes straight to the world's outputs.
 //!
 //! # The conformance envelope
 //!
@@ -21,8 +24,12 @@
 //! this module still owns:
 //!
 //! * **host-side sequencing** — per `advance`: due data frames, the
-//!   `Tick`, the party's `F_UBC` flush, then the delivery pumps, in the
-//!   order `RealSbcWorld::advance` makes its calls;
+//!   party's round step, its `F_UBC` flush, then the delivery pumps, in
+//!   the order `RealSbcWorld::advance` makes its calls;
+//! * **one frame per broadcast** — `F_UBC` hands a flushed message to all
+//!   of `P` at once, so it crosses as one `Deliver` to
+//!   [`Endpoint::Parties`]; the transport files one copy per party in id
+//!   order, all sharing the one payload it decoded;
 //! * **transport inertness** — the only frames the network is free to
 //!   disturb, party-to-party `(c, τ_rel, y)` wire deliveries, are inert on
 //!   arrival: a recorded wire has no observable effect until the release
@@ -30,20 +37,20 @@
 //!   release outputs are sorted. Delay (clamped before the period end ∆
 //!   guarantees), reorder, duplication, healing partitions and reconnects
 //!   therefore cannot change outputs or leaks;
-//! * **content interning** — each recipient gets its own frame, decoded
-//!   once by the transport that classified it, but payloads equal byte
-//!   for byte in all of `(c, τ_rel, y)` reach the parties as one
-//!   `Arc<ParsedWire>` (`deliver_wire`): one copy of `y`
-//!   per world, and a pointer compare per entry when the release round
-//!   asks whether two logs agree. Unobservable: a `ParsedWire` is its
-//!   three components, so the shared value is the one each recipient
-//!   would have parsed;
+//! * **content interning** — payloads equal byte for byte in all of
+//!   `(c, τ_rel, y)` reach the parties as one `Arc<ParsedWire>`
+//!   (`deliver_wire`): one copy of `y` per world, and a pointer compare per
+//!   entry when the release round asks whether two logs agree. A
+//!   broadcast's copies share one payload handle, so its first copy
+//!   searches the table and the rest are a pointer hit. Unobservable: a
+//!   `ParsedWire` is its three components, so the shared value is the one
+//!   each recipient would have parsed;
 //! * **release sharing** — within one round the first honest party
 //!   releases over its own frames and every later one takes that output,
 //!   the one shared list (`SharedRelease`, the rule `RealSbcWorld` holds
-//!   per round too), and posts its own `Output`. The rule is forgotten
-//!   when the round ends and before any other mutating call — the
-//!   adversary may act between two `advance`s — and guarded per party by
+//!   per round too), onto its own output tape. The rule is forgotten when
+//!   the round ends and before any other mutating call — the adversary may
+//!   act between two `advance`s — and guarded per party by
 //!   `SbcParty::shares_release_view`.
 //!
 //! Dropping a corrupted sender's wires — by schedule, or because one is
@@ -60,8 +67,9 @@ use sbc_uc::exec::SbcWorld;
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak, World};
+use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The [`SbcHybrid`] of a networked party: every call is one request frame
 /// to the functionality host — encoded, then decoded once by the transport
@@ -291,6 +299,11 @@ pub struct NetSbcWorld<P: NetProfile = LoopbackProfile> {
     /// This period's wires interned by content, sorted by
     /// [`ParsedWire::cmp_payload`] (see [`deliver_wire`](Self::deliver_wire)).
     wires: Vec<Arc<ParsedWire>>,
+    /// The payload handle each interned wire first arrived as, by address.
+    /// Both sides are `Weak`: an entry keeps its address from being reused
+    /// by a later payload, and keeps neither the payload nor the wire
+    /// alive.
+    handles: HashMap<usize, (Weak<Vec<Value>>, Weak<ParsedWire>)>,
     /// This round's release rule.
     release: SharedRelease,
     /// The first frame the transport refused (see [`SbcWorld::fault`]).
@@ -332,6 +345,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
             parties,
             transport,
             wires: Vec::new(),
+            handles: HashMap::new(),
             release: SharedRelease::default(),
             fault: None,
             _profile: PhantomData,
@@ -344,13 +358,15 @@ impl<P: NetProfile> NetSbcWorld<P> {
         self.transport.stats()
     }
 
-    /// The frame link over this world's host and transport.
-    fn link(&mut self) -> FrameLink<'_> {
-        FrameLink {
+    /// The parties, and the frame link over this world's host and
+    /// transport, borrowed apart so a party is stepped in place.
+    fn split(&mut self) -> (&mut [SbcParty], FrameLink<'_>) {
+        let link = FrameLink {
             host: &mut self.host,
             transport: self.transport.as_mut(),
             fault: &mut self.fault,
-        }
+        };
+        (&mut self.parties, link)
     }
 
     /// Drains and dispatches the control plane until quiescent. Batches
@@ -369,83 +385,51 @@ impl<P: NetProfile> NetSbcWorld<P> {
         }
     }
 
-    /// One queued control frame: to a party, or a party's `Output` to the
-    /// environment (posted by the `Tick` arm, dispatched from the next
-    /// batch). Host requests are never queued: [`FrameLink::rpc`] answers
-    /// them in place.
+    /// One queued control frame: a `Wake_Up` delivery (or a payload the
+    /// party discards) to one party. Host requests are never queued:
+    /// [`FrameLink::rpc`] answers them in place.
     fn dispatch_control(&mut self, frame: Frame) {
-        match (frame.to, frame.from, frame.kind) {
-            (Endpoint::Env, Endpoint::Party(p), FrameKind::Output(v)) => {
-                let out = (PartyId(p), Command::new("Broadcast", v));
-                self.host.core.outputs.push(out);
-            }
-            (Endpoint::Party(p), _, kind) => {
-                let Some(party) = self.parties.get_mut(p as usize) else {
-                    return;
-                };
-                // The link borrows `host`, `transport` and `fault` only,
-                // leaving the addressed party free to be stepped in place.
-                let mut link = FrameLink {
-                    host: &mut self.host,
-                    transport: self.transport.as_mut(),
-                    fault: &mut self.fault,
-                };
-                match kind {
-                    FrameKind::Submit(v) => party.on_input(v, &mut link),
-                    FrameKind::Tick => {
-                        // A party that reuses the round's first release
-                        // posts only its own `Output`.
-                        let (parties, i) = (&mut self.parties, p as usize);
-                        if let Some(cmd) = self.release.advance(parties, i, &mut link) {
-                            let out = FrameKind::Output(cmd.value);
-                            link.post(Endpoint::Party(p), Endpoint::Env, out);
-                        }
-                    }
-                    FrameKind::Deliver { payload, .. } => party.on_ubc_deliver(&payload, &mut link),
-                    _ => {}
-                }
-            }
-            _ => {}
+        let (Endpoint::Party(p), FrameKind::Deliver { payload, .. }) = (frame.to, frame.kind)
+        else {
+            return;
+        };
+        let (parties, mut link) = self.split();
+        if let Some(party) = parties.get_mut(p as usize) {
+            party.on_ubc_deliver(&payload, &mut link);
         }
     }
 
-    /// Ships broadcast messages from `origin`, each to every party in id
-    /// order, as `Deliver` frames (flush order preserved; the transport
-    /// classifies wake-ups as control and wires as data), then runs the
-    /// delivery pumps.
+    /// Ships broadcast messages from `origin` as one `Deliver` frame each
+    /// to [`Endpoint::Parties`], in flush order; the transport files one
+    /// copy per party in id order, wake-ups as control and wires as data.
+    /// Then runs the delivery pumps.
     ///
     /// A corrupted origin's wire is the adversary's own: a frame of it the
     /// transport refuses (one over the size cap) is a wire dropped, which
     /// the adversary may do anyway, so it latches no fault and the honest
     /// parties release without it.
     fn deliver(&mut self, origin: u32, msgs: Vec<Value>) {
-        let n = self.parties.len() as u32;
         let honest = self.host.core.is_honest(PartyId(origin));
-        let mut link = self.link();
+        let (_, mut link) = self.split();
         for payload in msgs {
-            for to in 0..n {
-                let kind = FrameKind::Deliver {
-                    origin,
-                    payload: payload.clone(),
-                };
-                if honest {
-                    link.post(Endpoint::Host, Endpoint::Party(to), kind);
-                } else {
-                    let _ = link.send(Endpoint::Host, Endpoint::Party(to), kind);
-                }
+            let kind = FrameKind::Deliver { origin, payload };
+            if honest {
+                link.post(Endpoint::Host, Endpoint::Parties, kind);
+            } else {
+                let _ = link.send(Endpoint::Host, Endpoint::Parties, kind);
             }
         }
         self.pump_control();
         // Due data frames go to every party (corrupted recipients
         // included — the in-process world delivers to them too; their
         // state is just never observable again).
-        for p in 0..n {
+        for p in 0..self.parties.len() as u32 {
             self.pump_data_for(p);
         }
     }
 
     /// Delivers the data-plane frames due for one party — each the
-    /// recipient's own frame as the transport decoded it, then interned —
+    /// recipient's own copy as the transport filed it, then interned —
     /// by the reception path the in-process world's fan-out takes.
     fn pump_data_for(&mut self, p: u32) {
         let now = self.host.now();
@@ -462,15 +446,27 @@ impl<P: NetProfile> NetSbcWorld<P> {
         self.release = SharedRelease::default();
     }
 
-    /// Hands party `p` the wire `payload` is: the interned `Arc` on full
-    /// byte equality of `(c, τ_rel, y)` — so a broadcast is held once per
-    /// world and its recipients' logs compare by pointer — a new one on a
-    /// miss. Interning comes *after* the party's own period check
-    /// and replay dedup: a miss is kept only if its log took it (the log's
-    /// clone is the second reference), so no flood grows the table past
-    /// the logs. Wire recording is pure: no host link needed.
+    /// Hands party `p` the wire `payload` is. A payload handle already
+    /// interned is a pointer hit: a broadcast's copies share the one
+    /// payload their transport decoded, so only the first searches. Else
+    /// the interned `Arc` on full byte equality of `(c, τ_rel, y)` — so a
+    /// broadcast is held once per world and its recipients' logs compare
+    /// by pointer — or a new one on a miss. Interning comes *after* the
+    /// party's own period check and replay dedup: a miss is kept, with its
+    /// handle, only if its log took it (the log's clone is the second
+    /// reference), so no flood grows either table past the logs. Wire
+    /// recording is pure: no host link needed.
     fn deliver_wire(&mut self, p: u32, payload: &Value, now: u64) {
         let party = &mut self.parties[p as usize];
+        let handle = match payload {
+            Value::List(items) => Some(items),
+            _ => None,
+        };
+        let seen = handle.and_then(|h| self.handles.get(&(Arc::as_ptr(h) as usize)));
+        if let Some(wire) = seen.and_then(|(_, wire)| wire.upgrade()) {
+            party.on_wire_deliver_parsed(&wire, now);
+            return;
+        }
         match self.wires.binary_search_by(|w| w.cmp_payload(payload)) {
             Ok(at) => party.on_wire_deliver_parsed(&self.wires[at], now),
             Err(at) => {
@@ -479,6 +475,10 @@ impl<P: NetProfile> NetSbcWorld<P> {
                 };
                 party.on_wire_deliver_parsed(&wire, now);
                 if Arc::strong_count(&wire) > 1 {
+                    if let Some(h) = handle {
+                        let entry = (Arc::downgrade(h), Arc::downgrade(&wire));
+                        self.handles.insert(Arc::as_ptr(h) as usize, entry);
+                    }
                     self.wires.insert(at, wire);
                 }
             }
@@ -500,10 +500,9 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
         if cmd.name != "Broadcast" || !self.host.core.is_honest(party) {
             return;
         }
-        let submit = FrameKind::Submit(cmd.value);
-        self.link()
-            .post(Endpoint::Env, Endpoint::Party(party.0), submit);
-        self.pump_control();
+        // The environment writes the party's input tape directly.
+        let (parties, mut link) = self.split();
+        parties[party.index()].on_input(cmd.value, &mut link);
     }
 
     fn advance(&mut self, party: PartyId) {
@@ -514,9 +513,19 @@ impl<P: NetProfile> World for NetSbcWorld<P> {
         // delayed wire is seen at its scheduled round like the in-process
         // world's in-round delivery.
         self.pump_data_for(party.0);
-        self.link()
-            .post(Endpoint::Env, Endpoint::Party(party.0), FrameKind::Tick);
-        self.pump_control();
+        // The party steps in place; its output, the round's one shared
+        // list, goes on its output tape, where the environment reads it.
+        let mut link = FrameLink {
+            host: &mut self.host,
+            transport: self.transport.as_mut(),
+            fault: &mut self.fault,
+        };
+        let out = self
+            .release
+            .advance(&mut self.parties, party.index(), &mut link);
+        if let Some(cmd) = out {
+            self.host.core.outputs.push((party, cmd));
+        }
         // Host side of the tick: flush this party's UBC pending.
         let msgs = self.host.take_flush(party);
         self.deliver(party.0, msgs);
@@ -572,6 +581,7 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         self.host.begin_new_period();
         self.transport.clear_in_flight();
         self.wires.clear();
+        self.handles.clear();
     }
 
     fn release_round(&self) -> Option<u64> {
@@ -583,8 +593,8 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
     }
 
     /// The first frame the protocol needed and the transport refused,
-    /// sticky: a submission, honest wire, reply or output that never
-    /// arrived leaves the instance unable to release as its twin would. A
+    /// sticky: an honest wire, request or reply that never arrived leaves
+    /// the instance unable to release as its twin would. A
     /// corrupted party's refused wire is no fault, only a dropped wire; a
     /// release the adversary bloats past the cap with valid wires is, and
     /// ends this instance only.
@@ -895,6 +905,42 @@ mod tests {
         assert!(w.wires.is_empty());
     }
 
+    /// The pointer side of the table: the handle each wire first arrived
+    /// as, one per wire. Neither side is kept alive by it — the payload
+    /// dies with its frames, the wire lives in the table — a replay under
+    /// a new handle is found by content and adds no entry, and the table
+    /// dies with the period.
+    #[test]
+    fn each_wire_is_found_by_the_handle_it_first_arrived_as() {
+        let params = SbcParams::default_for(4);
+        let mut w = LoopbackSbcWorld::new(params, b"handles").expect("valid");
+        for p in 0..3 {
+            w.submit(PartyId(p), format!("m{p}").as_bytes());
+        }
+        w.tick(); // wake-up
+        w.tick(); // every sender casts its wire
+        let check = |w: &LoopbackSbcWorld| {
+            assert_eq!(w.handles.len(), w.wires.len());
+            for (payload, wire) in w.handles.values() {
+                assert_eq!(payload.strong_count(), 0, "the payload died");
+                let wire = wire.upgrade().expect("the table holds the wire");
+                assert!(w.wires.iter().any(|held| Arc::ptr_eq(held, &wire)));
+            }
+        };
+        assert_eq!(w.wires.len(), 3);
+        check(&w);
+        w.adversary(AdvCommand::Corrupt(PartyId(3)));
+        let replay = {
+            let wire = &w.wires[0];
+            sbc_wire(&wire.ct, wire.tau, &wire.y)
+        };
+        w.adversary(send_as(3, &replay));
+        assert_eq!(w.wires.len(), 3);
+        check(&w);
+        w.begin_new_period();
+        assert!(w.handles.is_empty() && w.wires.is_empty());
+    }
+
     /// Wires that agree in one or two of `(c, τ_rel, y)` are different
     /// wires to the table, and the parties' replay dedup decides them as it
     /// does in process: `Exact` against `RealSbcWorld`, end to end.
@@ -1102,11 +1148,18 @@ mod tests {
         }
     }
 
-    /// A loopback that hands `tap` every frame on its way in: `None`
-    /// swallows the frame, `Some` forwards its canonical encoding.
+    /// A loopback that hands `tap` every frame on its way out, as its
+    /// recipient receives it (a copy of a frame to every party is one
+    /// party's): `None` swallows the frame, `Some` hands it on.
     struct Tap<F> {
         inner: Loopback,
         tap: F,
+    }
+
+    impl<F: FnMut(Frame) -> Option<Frame>> Tap<F> {
+        fn pass(&mut self, frames: Vec<Frame>) -> Vec<Frame> {
+            frames.into_iter().filter_map(&mut self.tap).collect()
+        }
     }
 
     impl<F> std::fmt::Debug for Tap<F> {
@@ -1117,20 +1170,19 @@ mod tests {
 
     impl<F: FnMut(Frame) -> Option<Frame> + Send> Transport for Tap<F> {
         fn send(&mut self, bytes: Vec<u8>, now: u64) -> Result<(), crate::codec::NetError> {
-            match Frame::decode(&bytes).map(&mut self.tap) {
-                Ok(None) => Ok(()),
-                Ok(Some(frame)) => self.inner.send(frame.encode(), now),
-                Err(_) => self.inner.send(bytes, now),
-            }
+            self.inner.send(bytes, now)
         }
         fn recv_control(&mut self) -> Vec<Frame> {
-            self.inner.recv_control()
+            let frames = self.inner.recv_control();
+            self.pass(frames)
         }
         fn recv_rpc(&mut self, party: u32) -> Vec<Frame> {
-            self.inner.recv_rpc(party)
+            let frames = self.inner.recv_rpc(party);
+            self.pass(frames)
         }
         fn recv_data(&mut self, party: u32, now: u64) -> Vec<Frame> {
-            self.inner.recv_data(party, now)
+            let frames = self.inner.recv_data(party, now);
+            self.pass(frames)
         }
         fn set_corrupted(&mut self, party: u32) {
             self.inner.set_corrupted(party)
@@ -1167,9 +1219,9 @@ mod tests {
         (w, seen)
     }
 
-    /// How many frames of each request / output kind were sent in round
-    /// `round`: `[TleDec, RoQuery, Output]`.
-    fn release_frames(seen: &Mutex<Vec<Frame>>, round: u64) -> [usize; 3] {
+    /// How many frames of each release request kind were sent in round
+    /// `round`: `[TleDec, RoQuery]`.
+    fn release_frames(seen: &Mutex<Vec<Frame>>, round: u64) -> [usize; 2] {
         let seen = seen.lock().expect("tap log");
         let count = |is: fn(&FrameKind) -> bool| {
             let in_round = seen.iter().filter(|f| f.sent_at == round);
@@ -1178,20 +1230,33 @@ mod tests {
         [
             count(|k| matches!(k, FrameKind::TleDec { .. })),
             count(|k| matches!(k, FrameKind::RoQuery { .. })),
-            count(|k| matches!(k, FrameKind::Output(_))),
         ]
     }
 
-    /// The frame count, pinned where the world lives: however the round
-    /// is driven (`tick`, or bare `advance` calls in reverse id order),
-    /// the release round costs one `TleDec` + `RoQuery` per wire — not per
-    /// wire per party — and one `Output` per party; and an instance of
-    /// `bulk_loopback`'s shape costs exactly the frames and bytes the
-    /// benchmark ladder reports as `net.world.frames_per_sub` = 19.71875
-    /// and `net.world.wire_bytes_per_sub` = 84 393.03125, times its 64
-    /// submissions.
+    /// The frame count, pinned where the world lives: a broadcast is one
+    /// frame, whatever `n`, and the release round costs one `TleDec` +
+    /// `RoQuery` per wire — not per wire per party — and no frame per
+    /// output. However the round is driven (`tick`, or bare `advance`
+    /// calls in reverse id order), `k ≥ n` messages of `|M|` bytes,
+    /// submitted round robin in round 0 under the default Φ = 3, ∆ = 2,
+    /// cost `8n + 9k − 2` frames of `320n − 70 + (1140 + 4|M|)·k` bytes:
+    ///
+    /// * round 0: `n` `Wake_Up` casts and `Deliver`s, `k` `TleEnc`s, and
+    ///   a `TleRetrieve` round trip for each of the `n − 1` parties woken
+    ///   before their step;
+    /// * rounds 1 and 2: a `TleRetrieve` round trip per party, whose reply
+    ///   lists that party's records; in round 1 also an `F_RO` round trip,
+    ///   a cast and a `Deliver` per message;
+    /// * round 5 (`τ_rel`): a `TleDec` and an `RoQuery` round trip per
+    ///   wire, for the first party; the others share its release.
+    ///
+    /// Of those, the two oracle answers, the cast and the `Deliver` carry
+    /// the masked message. An instance of `bulk_loopback`'s shape (n = 8,
+    /// 64 × 4 KiB) is the benchmark ladder's `net.world.frames_per_sub` =
+    /// 9.96875 and `net.world.wire_bytes_per_sub` = 17 562.90625, times its
+    /// 64 submissions.
     #[test]
-    fn release_round_frames_are_per_wire_not_per_party() {
+    fn frames_are_per_broadcast_not_per_recipient() {
         type Drive = fn(&mut LoopbackSbcWorld);
         let tick: Drive = |w| w.tick();
         let advance_in_reverse: Drive = |w| {
@@ -1210,15 +1275,19 @@ mod tests {
                 drive(&mut w);
             }
             assert_eq!(w.drain_outputs().len(), n);
-            assert_eq!(release_frames(&seen, tau), [k, k, n], "n={n} k={k}");
-            w.transport_stats()
+            assert_eq!(release_frames(&seen, tau), [k, k], "n={n} k={k}");
+            let stats = w.transport_stats();
+            let frames = 8 * n + 9 * k - 2;
+            let bytes = 320 * n - 70 + (1140 + 4 * payload_len) * k;
+            assert_eq!(stats.sent, frames as u64, "n={n} k={k}");
+            assert_eq!(stats.bytes, bytes as u64, "n={n} k={k}");
+            (stats.sent, stats.bytes)
         };
         for n in [4, 8, 16] {
             run(tick, n, 2 * n + 1, 32);
             run(advance_in_reverse, n, 2 * n + 1, 32);
         }
-        let stats = run(tick, 8, 64, 4096);
-        assert_eq!((stats.sent, stats.bytes), (1262, 5_401_154));
+        assert_eq!(run(tick, 8, 64, 4096), (638, 1_124_026));
     }
 
     /// Sharing is guarded per party by its own log: a recipient one
@@ -1245,7 +1314,9 @@ mod tests {
             w.tick();
         }
         let all = [b"m0", b"m1", b"m3"].map(Value::bytes);
-        for (party, cmd) in w.drain_outputs() {
+        let outs = w.drain_outputs();
+        assert_eq!(outs.len(), 4, "every party released");
+        for (party, cmd) in outs {
             let expected = if party.0 == victim {
                 &all[1..]
             } else {
@@ -1254,7 +1325,7 @@ mod tests {
             assert_eq!(cmd.value.as_list(), Some(expected), "{party:?}");
         }
         // P0 opens three wires, the victim its two; P1 and P3 none.
-        assert_eq!(release_frames(&seen, tau), [5, 5, 4]);
+        assert_eq!(release_frames(&seen, tau), [5, 5]);
     }
 
     /// Sharing never crosses an adversary action: an `F_TLE` `Insert`
@@ -1327,7 +1398,11 @@ mod tests {
         }
         let (instance, tickets, detail) = tick_until_undeliverable(&mut service);
         assert_eq!((instance, tickets), (0, vec![0]));
-        assert!(detail.starts_with("frame env → party/0 in round 0: frame claims"));
+        // The submission itself crosses no frame (it is the party's input
+        // tape); the first frame that must carry 17 MiB is its mask, the
+        // `F_RO` answer of round 1.
+        let refused = "frame host → party/0 in round 1: frame claims";
+        assert!(detail.starts_with(refused), "{detail}");
         let released = service.shutdown().expect("the other instance drains");
         let [record] = &released[..] else {
             panic!("{released:?}");
@@ -1341,22 +1416,29 @@ mod tests {
         assert_eq!(restored.round(), service.round());
     }
 
-    /// Each 9 MiB submission fits a frame; the 18 MiB release vector
-    /// does not (about 2 s in a debug build: the masks cover 18 MiB).
+    /// Each 9 MiB submission fits a frame, and the 18 MiB release vector
+    /// crosses none: it goes on each party's output tape. So the instance
+    /// releases over Loopback exactly as over `RealSbcWorld` (about 4 s in
+    /// a debug build: the masks cover 18 MiB in each world).
     #[test]
-    fn an_oversize_output_frame_is_a_typed_error() {
-        use sbc_service::{DeadlineClass, SbcService, ServiceConfig, ServiceMode};
-        let cfg = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"big");
-        let mut service = SbcService::<LoopbackSbcWorld>::new(cfg).expect("valid");
-        for _ in 0..2 {
-            let queued = service.submit(0, vec![7; 9 << 20], DeadlineClass::Interactive);
-            queued.expect("queued");
+    fn two_9_mib_messages_release_as_in_process() {
+        use sbc_service::{DeadlineClass, ReleaseRecord, SbcService, ServiceConfig, ServiceMode};
+        fn release<W: SbcBackend>() -> Vec<ReleaseRecord> {
+            let cfg = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"big");
+            let mut service = SbcService::<W>::new(cfg).expect("valid");
+            for _ in 0..2 {
+                let queued = service.submit(0, vec![7; 9 << 20], DeadlineClass::Interactive);
+                queued.expect("queued");
+            }
+            service.shutdown().expect("the instance releases")
         }
-        let (instance, tickets, detail) = tick_until_undeliverable(&mut service);
-        assert_eq!((instance, tickets), (0, vec![0, 1]));
-        assert!(detail.starts_with("frame party/0 → env"), "{detail}");
-        assert_eq!(service.live(), 0);
-        service.tick().expect("the fault was reported once");
+        let net = release::<LoopbackSbcWorld>();
+        let [record] = &net[..] else {
+            panic!("{} records", net.len());
+        };
+        assert_eq!((record.instance, &record.tickets), (0, &vec![0, 1]));
+        assert_eq!(record.messages, [vec![7; 9 << 20], vec![7; 9 << 20]]);
+        assert!(net == release::<RealSbcWorld>(), "the in-process release");
     }
 
     /// A corrupted party's wire over `MAX_FRAME` is the adversary's to
@@ -1421,5 +1503,63 @@ mod tests {
         assert_eq!(a, b);
         let s = simnet.transport_stats();
         assert!(s.delayed > 0 || s.duplicated > 0, "chaos fired: {s:?}");
+    }
+
+    /// A fixed-seed `SimNetSbcWorld` run — two epochs, a sender corrupted
+    /// mid-period with `drop_from_corrupted` on, and wires the adversary
+    /// sends as it — and its schedule counters, read at the world that
+    /// posted one `Deliver` per recipient. Each broadcast now crosses as
+    /// one frame to every party, whose copies draw their schedules in the
+    /// order the n sends drew them, so every count is unchanged. (`sent`
+    /// and `bytes` count frames as posted, so they are not pinned here.)
+    #[test]
+    fn a_seeded_simnet_schedule_is_unchanged_by_the_fan_out() {
+        let params = SbcParams::default_for(8);
+        let cfg = SimConfig {
+            drop_from_corrupted: true,
+            ..SimConfig::adversarial(params.delta)
+        };
+        let transport = Box::new(SimNet::new(params.n, cfg, b"schedule-pin/net"));
+        let mut w =
+            SimNetSbcWorld::with_transport(params, b"schedule-pin", transport).expect("valid");
+        for i in 0..17u32 {
+            w.submit(PartyId(i % 8), format!("m{i}").as_bytes());
+        }
+        w.tick();
+        w.tick();
+        w.adversary(AdvCommand::Corrupt(PartyId(7)));
+        let tau = w.release_round().expect("period open");
+        for i in 0..5 {
+            w.adversary(send_as(7, &foreign_wire(tau + i)));
+        }
+        while w.time() <= tau {
+            w.tick();
+        }
+        let first = w.drain_outputs();
+        w.begin_new_period();
+        for i in 0..9u32 {
+            w.submit(PartyId(i % 7), format!("e{i}").as_bytes());
+        }
+        for _ in 0..=params.phi + params.delta + 1 {
+            w.tick();
+        }
+        let second = w.drain_outputs();
+        let s = w.transport_stats();
+        assert_eq!((first.len(), second.len()), (7, 7), "both epochs released");
+        let schedule = [
+            s.delayed,
+            s.reordered,
+            s.duplicated,
+            s.dropped,
+            s.partition_deferrals,
+            s.delivered,
+        ];
+        // The per-recipient world delivered 1 461 frames, 26 `Submit`, 93
+        // `Tick` and 14 `Output` among them: frames the tapes replaced.
+        assert_eq!(
+            schedule,
+            [139, 240, 69, 40, 28, 1461 - (26 + 93 + 14)],
+            "{s:?}"
+        );
     }
 }

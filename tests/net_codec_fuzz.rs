@@ -7,7 +7,8 @@
 //! deterministic randomness (the repo's own `Drbg`, no external fuzzing
 //! deps):
 //!
-//! * random well-formed frames of every kind round-trip byte-exactly;
+//! * random well-formed frames of every kind, between every kind of
+//!   endpoint (`Parties` included), round-trip byte-exactly;
 //! * every strict prefix of a valid frame is a typed error;
 //! * every single-bit flip of a valid frame either decodes to a frame
 //!   that re-encodes to the flipped bytes (flips in payload bytes can
@@ -43,11 +44,12 @@ fn rand_value(rng: &mut Drbg, depth: usize) -> Value {
     }
 }
 
-/// A random endpoint.
+/// A random endpoint, every kind of address included.
 fn rand_endpoint(rng: &mut Drbg) -> Endpoint {
-    match rng.gen_bytes(1)[0] % 3 {
+    match rng.gen_bytes(1)[0] % 4 {
         0 => Endpoint::Env,
         1 => Endpoint::Host,
+        2 => Endpoint::Parties,
         _ => Endpoint::Party(u32::from(rng.gen_bytes(1)[0])),
     }
 }
