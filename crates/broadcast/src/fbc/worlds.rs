@@ -62,7 +62,7 @@ fn shared_adversary_control(
     ro: &mut RandomOracle,
     now: u64,
 ) -> Option<Value> {
-    match (target, cmd.name.as_str()) {
+    match (target, &*cmd.name) {
         ("F_RO", "Query") => {
             let x = cmd.value.as_bytes()?;
             Some(Value::bytes(ro.query(Caller::Adversary, x)))

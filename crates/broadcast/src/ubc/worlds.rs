@@ -171,7 +171,7 @@ impl SimUbc {
                     }
                 };
                 Leak {
-                    source: label,
+                    source: label.into(),
                     cmd: Command::new("Broadcast", Value::pair(msg, sender)),
                 }
             }
@@ -180,7 +180,7 @@ impl SimUbc {
                 let sender_id = PartyId(u32::try_from(items[1].as_u64().unwrap_or(0)).unwrap_or(0));
                 let label = self.fresh_label(sender_id);
                 Leak {
-                    source: label,
+                    source: label.into(),
                     cmd: leak.cmd,
                 }
             }

@@ -85,7 +85,7 @@ use sbc_uc::exec::{PoolWorld, SbcWorld};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::{AdvCommand, Leak};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 pub use sbc_uc::exec::InstanceId;
@@ -420,8 +420,9 @@ impl SbcPoolBuilder {
         self
     }
 
-    /// Caps each instance's captured-leak buffer at `cap` entries,
-    /// evicting the oldest and counting evictions (see
+    /// Caps each instance's captured-leak buffer at `cap` entries: a ring
+    /// that holds exactly the last `cap` leaks, evicting the oldest in
+    /// O(1) per leak and counting evictions (see
     /// [`SbcPool::leak_overflow`]). Uncapped (the default) retains
     /// everything — the behavior every indistinguishability experiment
     /// relies on; long-lived services set a cap so leak capture can stay
@@ -484,7 +485,9 @@ struct InstanceState {
     epoch: u64,
     submitted: usize,
     released: Option<SbcResult>,
-    leaks: Vec<Leak>,
+    /// Captured leaks, oldest first; contiguous between calls (see
+    /// [`SbcPool::sync_leaks`]).
+    leaks: VecDeque<Leak>,
     /// Leaks evicted from `leaks` by the pool's leak cap (0 when
     /// uncapped): the typed overflow counter that keeps a bounded buffer
     /// honest.
@@ -687,25 +690,44 @@ impl<W: SbcBackend> SbcPool<W> {
         self.state.entry(instance.0).or_default()
     }
 
+    /// Routes the world's drained leaks into the captured buffers. A
+    /// capped buffer is a ring of at most `cap` leaks: a full ring drops
+    /// its oldest leak (O(1)) and counts it before taking the new one. A
+    /// ring a sync touched is made contiguous once, when the sync moves
+    /// on to another instance, so [`leaks`](SbcPool::leaks) can lend it
+    /// as one slice.
     fn sync_leaks(&mut self) {
-        for (id, leak) in self.world.drain_leaks() {
-            if self.capture_leaks {
-                if let Some(st) = self.state.get_mut(&id.0) {
-                    match self.leak_cap {
-                        // A zero cap retains nothing: count and move on.
-                        Some(0) => st.dropped_leaks += 1,
-                        Some(cap) => {
-                            if st.leaks.len() >= cap {
-                                let excess = st.leaks.len() + 1 - cap;
-                                st.leaks.drain(..excess);
-                                st.dropped_leaks += excess as u64;
-                            }
-                            st.leaks.push(leak);
-                        }
-                        None => st.leaks.push(leak),
+        let drained = self.world.drain_leaks();
+        if !self.capture_leaks {
+            return;
+        }
+        let mut last = None;
+        for (id, leak) in drained {
+            if last != Some(id.0) {
+                self.make_contiguous(last);
+                last = Some(id.0);
+            }
+            let Some(st) = self.state.get_mut(&id.0) else {
+                continue;
+            };
+            match self.leak_cap {
+                // A full ring (a zero cap is always full) drops its
+                // oldest leak and takes the new one, if it has room.
+                Some(cap) if st.leaks.len() >= cap => {
+                    st.dropped_leaks += 1;
+                    if st.leaks.pop_front().is_some() {
+                        st.leaks.push_back(leak);
                     }
                 }
+                _ => st.leaks.push_back(leak),
             }
+        }
+        self.make_contiguous(last);
+    }
+
+    fn make_contiguous(&mut self, instance: Option<u64>) {
+        if let Some(st) = instance.and_then(|id| self.state.get_mut(&id)) {
+            st.leaks.make_contiguous();
         }
     }
 
@@ -1087,7 +1109,7 @@ impl<W: SbcBackend> SbcPool<W> {
         if now >= t_end {
             return Err(SbcError::SubmitAfterClose { round: now, t_end });
         }
-        let ct = Value::bytes(self.adv_rng.gen_bytes(64));
+        let ct = Value::Bytes(self.adv_rng.gen_bytes(64));
         let rho = self.adv_rng.gen_bytes(32);
         self.control(
             instance,
@@ -1148,10 +1170,12 @@ impl<W: SbcBackend> SbcPool<W> {
         self.control(instance, "F_TLE", Command::new("Leakage", Value::Unit))
     }
 
-    /// Adversary-visible leaks captured so far for `instance` (requires
-    /// leak capture; empty otherwise). Works for live **and** finished
-    /// instances: leaks surfaced by the retirement's final drain stay
-    /// readable after [`finish`](SbcPool::finish).
+    /// Adversary-visible leaks captured so far for `instance`, oldest
+    /// first (requires leak capture; empty otherwise). Under a
+    /// [`leak_cap`](SbcPoolBuilder::leak_cap) this is the ring: exactly
+    /// the last `cap` leaks, lent as one slice. Works for live **and**
+    /// finished instances: leaks surfaced by the retirement's final drain
+    /// stay readable after [`finish`](SbcPool::finish).
     ///
     /// # Errors
     ///
@@ -1161,7 +1185,10 @@ impl<W: SbcBackend> SbcPool<W> {
         Ok(self
             .state
             .get(&instance.0)
-            .map(|s| s.leaks.as_slice())
+            .map(|s| {
+                debug_assert!(s.leaks.as_slices().1.is_empty(), "sync_leaks settles");
+                s.leaks.as_slices().0
+            })
             .unwrap_or(&[]))
     }
 
@@ -1176,7 +1203,7 @@ impl<W: SbcBackend> SbcPool<W> {
         Ok(self
             .state
             .get_mut(&instance.0)
-            .map(|s| std::mem::take(&mut s.leaks))
+            .map(|s| Vec::from(std::mem::take(&mut s.leaks)))
             .unwrap_or_default())
     }
 
@@ -1798,6 +1825,68 @@ mod tests {
         let (empty, all_dropped) = run(Some(0));
         assert!(empty.is_empty());
         assert_eq!(all_dropped, full.len() as u64);
+    }
+
+    #[test]
+    fn a_capped_ring_keeps_the_last_cap_leaks_of_an_uncapped_twin() {
+        // Two instances leak into their rings in the same rounds, so every
+        // sync moves between rings; the rings wrap their cap many times.
+        for cap in [0, 1, 3, 8] {
+            let build = |cap: Option<usize>| {
+                let b = SbcPool::builder(4).seed(b"leak-ring").capture_leaks();
+                match cap {
+                    Some(c) => b.leak_cap(c).build().unwrap(),
+                    None => b.build().unwrap(),
+                }
+            };
+            let (mut capped, mut twin) = (build(Some(cap)), build(None));
+            let ids: Vec<InstanceId> = (0..2)
+                .map(|_| {
+                    let id = capped.open_instance().unwrap();
+                    assert_eq!(twin.open_instance().unwrap(), id);
+                    id
+                })
+                .collect();
+            for (k, &id) in ids.iter().enumerate() {
+                for party in 0..4 {
+                    for j in 0..3 {
+                        let msg = format!("{k}/{party}/{j}");
+                        capped.submit(id, party, msg.as_bytes()).unwrap();
+                        twin.submit(id, party, msg.as_bytes()).unwrap();
+                    }
+                }
+            }
+            // Per instance: leaks and evictions before the take_leaks, and
+            // every leak so far.
+            let (mut taken, mut taken_overflow, mut seen) = ([0; 2], [0u64; 2], [0; 2]);
+            for round in 0..7 {
+                capped.step_round().unwrap();
+                twin.step_round().unwrap();
+                for (k, &id) in ids.iter().enumerate() {
+                    let all = twin.leaks(id).unwrap().to_vec();
+                    let kept = &all[all.len().saturating_sub(cap)..];
+                    assert_eq!(capped.leaks(id).unwrap(), kept, "cap {cap}, round {round}");
+                    let overflow = taken_overflow[k] + all.len().saturating_sub(cap) as u64;
+                    assert_eq!(capped.leak_overflow(id).unwrap(), overflow);
+                    seen[k] = taken[k] + all.len();
+                    if round == 0 {
+                        assert_eq!(twin.take_leaks(id).unwrap(), all);
+                        assert_eq!(capped.take_leaks(id).unwrap(), kept);
+                        assert!(capped.leaks(id).unwrap().is_empty() && all.len() > 2 * cap);
+                        taken_overflow[k] = overflow;
+                        taken[k] = all.len();
+                    }
+                }
+                let fp = capped.footprint();
+                assert!(
+                    fp.captured_leaks <= cap * fp.tracked,
+                    "cap {cap}, round {round}"
+                );
+                let overflow = ids.iter().map(|&id| capped.leak_overflow(id).unwrap());
+                assert_eq!(fp.dropped_leaks, overflow.sum::<u64>());
+            }
+            assert!(seen.iter().all(|&s| s >= 5 * cap), "cap {cap}: rings wrap");
+        }
     }
 
     #[test]

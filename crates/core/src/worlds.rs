@@ -228,7 +228,7 @@ impl SbcHost {
     pub fn control(&mut self, target: &str, cmd: &Command) -> Value {
         const MAX_QUERY_BYTES: u64 = u32::MAX as u64;
         let items = cmd.value.as_list().unwrap_or(&[]);
-        match (target, cmd.name.as_str(), items) {
+        match (target, &*cmd.name, items) {
             ("F_TLE", "Insert", [ct, msg, tau]) => {
                 let (Some(_), Some(_), Some(tau)) = (ct.as_bytes(), msg.as_bytes(), tau.as_u64())
                 else {
@@ -352,9 +352,10 @@ impl SharedRelease {
 /// `advance` ending the round delivers through [`SbcParty::deliver_batch`]
 /// at the round they were flushed in: one class grouping per round.
 /// Deferral is sound because a wire is only read at the release round and
-/// the replay dedup sees each recipient's arrival order unchanged. A
-/// `Wake_Up` (it opens the period and draws `F_TLE` randomness in order)
-/// delivers the batch, then itself in place. Every other mutating call
+/// the replay dedup sees each recipient's arrival order unchanged. The
+/// `Wake_Up` that opens the period (it draws `F_TLE` randomness in order)
+/// delivers the batch, then itself in place; a later one in the same
+/// period changes nothing and is dropped. Every other mutating call
 /// settles the round first, so the batch holds only the current round's
 /// wires and no release spans an adversary action.
 #[derive(Debug)]
@@ -388,12 +389,19 @@ impl RealSbcWorld {
     }
 
     /// Takes one broadcast into the round: a wire joins the batch; a
-    /// `Wake_Up` delivers the batch, then itself to every party in id
-    /// order through [`SbcParty::on_ubc_deliver`] (it mutates `F_TLE` and
-    /// leaks).
+    /// `Wake_Up` that lands while the period is closed delivers the batch,
+    /// then itself to every party in id order through
+    /// [`SbcParty::on_ubc_deliver`] (it opens the period, mutates `F_TLE`
+    /// and leaks). Every party takes every `Wake_Up` in that one loop and
+    /// [`begin_new_period`](SbcWorld::begin_new_period) resets them all,
+    /// so party 0's period is every party's: a `Wake_Up` that lands while
+    /// it is open is a no-op at all `n` parties and is not handed out.
     fn receive(&mut self, msg: Value) {
         if !is_wake_up(&msg) {
             self.wires.push(msg);
+            return;
+        }
+        if self.parties[0].t_end().is_some() {
             return;
         }
         self.deliver_wires(self.host.now());
@@ -1328,6 +1336,54 @@ mod tests {
             env.advance(PartyId(2));
             env.idle_rounds(8);
         });
+    }
+
+    /// The real world hands a `Wake_Up` to its parties only while the
+    /// period is closed. Period 1 opens at a corrupted sender's `Wake_Up`;
+    /// the honest `Wake_Up`s cast before it land while it is open. After
+    /// `begin_new_period`, an honest `Wake_Up` must open period 2: a wake
+    /// rule that outlived period 1 would leave it shut and release nothing.
+    #[test]
+    fn theorem2_a_wake_up_opens_each_period_once() {
+        let mut d = dual(3, b"wake-per-period");
+        d.corrupt(PartyId(2));
+        d.submit(PartyId(0), b"first");
+        d.submit(PartyId(1), b"second");
+        assert_eq!(d.release_round(), None, "honest Wake_Ups wait in F_UBC");
+        d.adversary(AdvCommand::SendAs {
+            party: PartyId(2),
+            cmd: Command::new("Broadcast", wake_up()),
+        });
+        assert_eq!(d.release_round(), Some(3 + 2), "opened at Cl = 0");
+        d.advance_all(); // the honest Wake_Ups land in an open period
+        d.idle_rounds(6);
+        let epoch = d.finish_epoch().unwrap_or_else(|div| panic!("{div}"));
+        assert_eq!(epoch, 0);
+        d.advance_all();
+        d.submit(PartyId(1), b"third");
+        assert_eq!(d.release_round(), None, "begin_new_period closed it");
+        d.advance_all();
+        assert_eq!(d.release_round(), Some(8 + 3 + 2));
+        d.idle_rounds(6);
+        let (real, ideal) = d.worlds();
+        assert_eq!((real.time(), ideal.time()), (15, 15), "one clock");
+        let real = assert_aligned(d);
+        let outputs: Vec<(u64, u32, Vec<Value>)> = real
+            .outputs()
+            .into_iter()
+            .map(|(round, p, cmd)| (round, p.0, cmd.value.as_list().unwrap().to_vec()))
+            .collect();
+        let both = vec![Value::bytes(b"first"), Value::bytes(b"second")];
+        let third = vec![Value::bytes(b"third")];
+        assert_eq!(
+            outputs,
+            [
+                (5, 0, both.clone()),
+                (5, 1, both),
+                (13, 0, third.clone()),
+                (13, 1, third)
+            ]
+        );
     }
 
     #[test]

@@ -652,7 +652,7 @@ mod tests {
         dual.corrupt(PartyId(1));
         dual.submit(PartyId(2), b"gate/b");
         let tau_rel = dual.release_round().expect("period open");
-        let ct = Value::bytes(adv_rng.gen_bytes(64));
+        let ct = Value::Bytes(adv_rng.gen_bytes(64));
         let rho = adv_rng.gen_bytes(32);
         dual.adversary(AdvCommand::Control {
             target: "F_TLE".into(),

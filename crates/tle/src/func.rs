@@ -95,8 +95,9 @@ pub struct TleFunc {
     alpha: u64,
     delay: u64,
     records: Vec<TleRecord>,
-    /// Record indices owned by each party, in record order.
-    by_owner: HashMap<u32, Vec<usize>>,
+    /// Record indices owned by each party (indexed by party id), in
+    /// record order.
+    by_owner: Vec<Vec<usize>>,
     /// Record indices per canonical ciphertext encoding, in record order.
     /// A record enters when its ciphertext is set (at push time for
     /// adversarial/simulator tuples, at `Update`/fill time for honest
@@ -119,7 +120,7 @@ impl TleFunc {
             alpha,
             delay,
             records: Vec::new(),
-            by_owner: HashMap::new(),
+            by_owner: Vec::new(),
             by_ct: HashMap::new(),
             by_tag: HashMap::new(),
             tag_rng,
@@ -166,7 +167,10 @@ impl TleFunc {
             requested_at: ctx.time(),
             owner: Some(party),
         });
-        self.by_owner.entry(party.0).or_default().push(idx);
+        if self.by_owner.len() <= party.index() {
+            self.by_owner.resize_with(party.index() + 1, Vec::new);
+        }
+        self.by_owner[party.index()].push(idx);
         self.by_tag.insert(tag.0, idx);
         ctx.leak(
             TLE_SOURCE,
@@ -225,8 +229,11 @@ impl TleFunc {
         let mut out = Vec::new();
         // Only the caller's own records are visited — record order is
         // preserved because the owner index is append-ordered.
-        let indices = self.by_owner.get(&party.0).cloned().unwrap_or_default();
-        for idx in indices {
+        let indices = self
+            .by_owner
+            .get(party.index())
+            .map_or(&[][..], Vec::as_slice);
+        for &idx in indices {
             let rec = &mut self.records[idx];
             if now.saturating_sub(rec.requested_at) < self.delay {
                 continue;
@@ -235,7 +242,7 @@ impl TleFunc {
             let fill = &mut self.fill_rng;
             let ct = rec
                 .ct
-                .get_or_insert_with(|| Value::bytes(fill.gen_bytes(64)))
+                .get_or_insert_with(|| Value::Bytes(fill.gen_bytes(64)))
                 .clone();
             if filled {
                 Self::index_ct(&mut self.by_ct, &ct, idx);

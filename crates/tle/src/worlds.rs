@@ -117,7 +117,7 @@ impl World for RealTleWorld {
             return;
         }
         let now = self.core.clock.read();
-        match cmd.name.as_str() {
+        match &*cmd.name {
             "Enc" => {
                 if let Some((msg, tau)) = parse_enc(&cmd.value) {
                     let ok = self.parties[party.index()].on_enc(msg, tau, now);
@@ -358,7 +358,7 @@ impl World for IdealTleWorld {
         if !self.core.is_honest(party) {
             return;
         }
-        match cmd.name.as_str() {
+        match &*cmd.name {
             "Enc" => {
                 if let Some((msg, tau)) = parse_enc(&cmd.value) {
                     let msg_len = msg.encoded_len();

@@ -20,37 +20,57 @@
 //! ```
 
 use crate::ids::PartyId;
-use std::collections::BTreeSet;
 
 /// The global clock `G_clock(P)`.
 ///
-/// Advancement checks are O(log n): the clock maintains the number of
-/// still-required `Advance_Clock` marks (`required − advanced.len()`)
-/// incrementally instead of recomputing the waiting set per call — at
-/// `n = 1000` parties the old per-advance
-/// [`waiting_on`](GlobalClock::waiting_on) scan made every round O(n²)
-/// in the clock alone, dominating whole-protocol round cost.
+/// Every operation on one party is O(1) and an `Advance_Clock` allocates
+/// nothing: the clock keeps a dense gate per party id (registered,
+/// corrupted) and one mark per party stamped with the round it was made
+/// in, plus the count of this round's marks. A tick moves the stamp on,
+/// so it retires every mark at once without touching them; it fires when
+/// the count reaches the number of honest registered parties. Only
+/// [`waiting_on`](GlobalClock::waiting_on) walks the parties.
 #[derive(Clone, Debug)]
 pub struct GlobalClock {
     time: u64,
-    parties: BTreeSet<PartyId>,
-    corrupted: BTreeSet<PartyId>,
-    advanced: BTreeSet<PartyId>,
+    /// One gate per party id, up to the largest registered one.
+    gates: Vec<Gate>,
+    /// The stamp of the current round's marks: moved on by every tick and
+    /// fast-forward, so an older mark is no mark.
+    stamp: u64,
+    /// Marks carrying the current `stamp`: the parties that have advanced
+    /// this round, all of them honest and registered.
+    advanced: usize,
     /// Parties currently gating the tick: the honest registered ones.
-    /// Maintained incrementally.
     required: usize,
+}
+
+/// One party's standing with the clock.
+#[derive(Clone, Copy, Debug, Default)]
+struct Gate {
+    registered: bool,
+    corrupted: bool,
+    /// The `stamp` of the round this party last advanced in (0: never).
+    marked: u64,
 }
 
 impl GlobalClock {
     /// Creates a clock gated by the given party set.
     pub fn new(parties: impl IntoIterator<Item = PartyId>) -> Self {
-        let parties: BTreeSet<PartyId> = parties.into_iter().collect();
+        let parties = parties.into_iter();
+        let mut gates: Vec<Gate> = Vec::with_capacity(parties.size_hint().0);
+        for p in parties {
+            if gates.len() <= p.index() {
+                gates.resize(p.index() + 1, Gate::default());
+            }
+            gates[p.index()].registered = true;
+        }
         GlobalClock {
-            required: parties.len(),
+            required: gates.iter().filter(|g| g.registered).count(),
             time: 0,
-            parties,
-            corrupted: BTreeSet::new(),
-            advanced: BTreeSet::new(),
+            gates,
+            stamp: 1,
+            advanced: 0,
         }
     }
 
@@ -63,19 +83,31 @@ impl GlobalClock {
     ///
     /// Mirrors the honest-party filter `P_sid` in Fig. 2.
     pub fn set_corrupted(&mut self, party: PartyId) {
-        if self.corrupted.insert(party) && self.parties.contains(&party) {
-            self.required -= 1;
+        if let Some(g) = self.gates.get_mut(party.index()) {
+            if g.registered && !g.corrupted {
+                g.corrupted = true;
+                self.required -= 1;
+                if g.marked == self.stamp {
+                    g.marked = 0;
+                    self.advanced -= 1;
+                }
+            }
         }
-        self.advanced.remove(&party);
         self.try_tick();
     }
 
     /// `Advance_Clock` from a party. Returns `true` if the clock ticked.
     pub fn advance_party(&mut self, party: PartyId) -> bool {
-        if !self.parties.contains(&party) || self.corrupted.contains(&party) {
+        let Some(g) = self.gates.get_mut(party.index()) else {
+            return false;
+        };
+        if !g.registered || g.corrupted {
             return false;
         }
-        self.advanced.insert(party);
+        if g.marked != self.stamp {
+            g.marked = self.stamp;
+            self.advanced += 1;
+        }
         self.try_tick()
     }
 
@@ -84,7 +116,7 @@ impl GlobalClock {
     /// [`fast_forward`](GlobalClock::fast_forward)) are only sound at a
     /// round boundary.
     pub fn mid_round(&self) -> bool {
-        !self.advanced.is_empty()
+        self.advanced > 0
     }
 
     /// Jumps the clock forward to `to`, as if `to − read()` complete idle
@@ -102,24 +134,33 @@ impl GlobalClock {
             return;
         }
         self.time = to;
-        self.advanced.clear();
+        self.next_round();
     }
 
     /// The honest parties still required before the next tick, in id order.
     pub fn waiting_on(&self) -> Vec<PartyId> {
-        let gating = |p: &&PartyId| !self.corrupted.contains(p) && !self.advanced.contains(p);
-        self.parties.iter().filter(gating).copied().collect()
+        self.gates
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.registered && !g.corrupted && g.marked != self.stamp)
+            .map(|(i, _)| PartyId(i as u32))
+            .collect()
+    }
+
+    /// Retires every mark of the round by moving the stamp on.
+    fn next_round(&mut self) {
+        self.stamp += 1;
+        self.advanced = 0;
     }
 
     fn try_tick(&mut self) -> bool {
-        // `advanced` only ever holds currently-gating parties (corruption
-        // evicts a party's mark), so full-count equality is exactly
-        // "nobody is waiting" — without the O(n) waiting-set scan the old
-        // implementation paid on every single Advance_Clock.
-        debug_assert!(self.advanced.len() <= self.required);
-        if self.advanced.len() == self.required && !self.parties.is_empty() {
+        // Only gating parties hold a current mark (corruption retires a
+        // party's mark), so full-count equality is exactly "nobody is
+        // waiting".
+        debug_assert!(self.advanced <= self.required);
+        if self.advanced == self.required && !self.gates.is_empty() {
             self.time += 1;
-            self.advanced.clear();
+            self.next_round();
             true
         } else {
             false
@@ -130,6 +171,7 @@ impl GlobalClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ticks_only_when_all_honest_advance() {
@@ -244,5 +286,131 @@ mod tests {
             c.advance_party(PartyId(1));
             assert_eq!(c.read(), round);
         }
+    }
+
+    /// `G_clock` as three `BTreeSet`s, ticking when the waiting set is
+    /// empty: the reference the dense clock is checked against.
+    #[derive(Default)]
+    struct Model {
+        time: u64,
+        parties: BTreeSet<PartyId>,
+        corrupted: BTreeSet<PartyId>,
+        advanced: BTreeSet<PartyId>,
+    }
+
+    impl Model {
+        fn set_corrupted(&mut self, party: PartyId) {
+            self.corrupted.insert(party);
+            self.advanced.remove(&party);
+            self.try_tick();
+        }
+
+        fn advance_party(&mut self, party: PartyId) -> bool {
+            if !self.parties.contains(&party) || self.corrupted.contains(&party) {
+                return false;
+            }
+            self.advanced.insert(party);
+            self.try_tick()
+        }
+
+        fn fast_forward(&mut self, to: u64) {
+            if to > self.time {
+                self.time = to;
+                self.advanced.clear();
+            }
+        }
+
+        fn waiting_on(&self) -> Vec<PartyId> {
+            self.parties
+                .iter()
+                .filter(|p| !self.corrupted.contains(p) && !self.advanced.contains(p))
+                .copied()
+                .collect()
+        }
+
+        fn try_tick(&mut self) -> bool {
+            let waiting = |p: &PartyId| !self.corrupted.contains(p) && !self.advanced.contains(p);
+            if self.parties.is_empty() || self.parties.iter().any(waiting) {
+                return false;
+            }
+            self.time += 1;
+            self.advanced.clear();
+            true
+        }
+    }
+
+    /// Compares the observable state after `step` of sequence `(n, seed)`.
+    fn assert_same(c: &GlobalClock, m: &Model, (n, seed, step): (u32, u32, usize)) {
+        let at = || format!("after step {step} (n = {n}, seed {seed})");
+        assert_eq!(c.read(), m.time, "read {}", at());
+        assert_eq!(c.mid_round(), !m.advanced.is_empty(), "mid_round {}", at());
+        assert_eq!(c.waiting_on(), m.waiting_on(), "waiting_on {}", at());
+    }
+
+    #[test]
+    fn dense_clock_matches_the_set_model_on_random_sequences() {
+        use sbc_primitives::drbg::Drbg;
+        let (mut marked_corruptions, mut unmarked_corruptions, mut ticks) = (0, 0, 0);
+        for n in [1u32, 2, 5, 256] {
+            for seed in 0..if n > 5 { 2 } else { 8 } {
+                let mut rng = Drbg::from_seed(format!("clock-model/{n}/{seed}").as_bytes());
+                // Registration: most ids below n (some left out), some
+                // twice, in a shuffled order.
+                let mut ids = Vec::new();
+                for i in 0..n {
+                    match rng.gen_range(8) {
+                        0 => {}
+                        1 => ids.extend([PartyId(i); 2]),
+                        _ => ids.push(PartyId(i)),
+                    }
+                }
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.gen_range(i as u64 + 1) as usize);
+                }
+                let mut c = GlobalClock::new(ids.iter().copied());
+                let mut m = Model {
+                    parties: ids.into_iter().collect(),
+                    ..Model::default()
+                };
+                assert_same(&c, &m, (n, seed, 0));
+                // Ids up to n + 2: the ones past n are never registered.
+                let any = |rng: &mut Drbg| PartyId(rng.gen_range(u64::from(n) + 3) as u32);
+                for step in 1..=30 * (n as usize + 2) {
+                    match rng.gen_range(40) {
+                        0 => {
+                            let p = any(&mut rng);
+                            if m.parties.contains(&p) && !m.corrupted.contains(&p) {
+                                if m.advanced.contains(&p) {
+                                    marked_corruptions += 1;
+                                } else {
+                                    unmarked_corruptions += 1;
+                                }
+                            }
+                            c.set_corrupted(p);
+                            m.set_corrupted(p);
+                        }
+                        1 => {
+                            let to = (c.read() + rng.gen_range(4)).saturating_sub(1);
+                            c.fast_forward(to);
+                            m.fast_forward(to);
+                        }
+                        k => {
+                            let waiting = m.waiting_on();
+                            let p = match waiting.len() {
+                                w if w > 0 && k % 2 == 0 => {
+                                    waiting[rng.gen_range(w as u64) as usize]
+                                }
+                                _ => any(&mut rng),
+                            };
+                            let ticked = c.advance_party(p);
+                            assert_eq!(ticked, m.advance_party(p), "advance {p:?} at step {step}");
+                            ticks += usize::from(ticked);
+                        }
+                    }
+                    assert_same(&c, &m, (n, seed, step));
+                }
+            }
+        }
+        assert!(marked_corruptions > 0 && unmarked_corruptions > 0 && ticks > 100);
     }
 }

@@ -890,7 +890,7 @@ pub(crate) mod tests {
                 (Some(b), Value::Bytes(v)) => {
                     let mut v = v.clone();
                     v.push(b);
-                    Command::new(&cmd.name, Value::Bytes(v))
+                    Command::new(cmd.name.clone(), Value::Bytes(v))
                 }
                 _ => cmd,
             };

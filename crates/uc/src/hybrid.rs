@@ -13,6 +13,7 @@ use crate::ids::PartyId;
 use crate::value::Command;
 use crate::world::Leak;
 use sbc_primitives::drbg::Drbg;
+use std::borrow::Cow;
 
 /// Shared execution context for one world.
 pub struct HybridCtx<'a> {
@@ -32,8 +33,9 @@ impl HybridCtx<'_> {
         self.clock.read()
     }
 
-    /// Records leakage from `source` to the adversary.
-    pub fn leak(&mut self, source: impl Into<String>, cmd: Command) {
+    /// Records leakage from `source` to the adversary. A `&'static str`
+    /// source is borrowed, not copied.
+    pub fn leak(&mut self, source: impl Into<Cow<'static, str>>, cmd: Command) {
         self.leaks.push(Leak {
             source: source.into(),
             cmd,

@@ -18,6 +18,7 @@
 use crate::ids::PartyId;
 use crate::value::{Command, Value};
 use sbc_primitives::sha256::Sha256;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One observable event.
@@ -54,8 +55,9 @@ pub enum EventKind {
     /// The adversary (and hence the environment, in the dummy-adversary
     /// model) observed leakage `cmd` from `source`.
     Leak {
-        /// The leaking functionality/protocol component.
-        source: String,
+        /// The leaking functionality/protocol component (borrowed when
+        /// static, as in [`Leak`](crate::world::Leak)).
+        source: Cow<'static, str>,
         /// The leaked command.
         cmd: Command,
     },
@@ -108,7 +110,7 @@ impl Event {
             vec![
                 Value::str(tag),
                 who,
-                Value::str(cmd.name.clone()),
+                Value::str(&*cmd.name),
                 val(&cmd.value),
             ]
         };
@@ -116,7 +118,7 @@ impl Event {
             EventKind::Input { party, cmd } => tagged("in", id(party), cmd),
             EventKind::Advance { party } => vec![Value::str("adv-clock"), id(party)],
             EventKind::Output { party, cmd } => tagged("out", id(party), cmd),
-            EventKind::Leak { source, cmd } => tagged("leak", Value::str(source.clone()), cmd),
+            EventKind::Leak { source, cmd } => tagged("leak", Value::str(&**source), cmd),
             EventKind::AdvAction { .. } if shape => vec![Value::str("adv")],
             EventKind::AdvAction { desc } => vec![Value::str("adv"), Value::str(desc.clone())],
             EventKind::AdvResponse { value } => vec![Value::str("adv-resp"), val(value)],
@@ -161,7 +163,7 @@ impl Transcript {
         self.events
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::Leak { source, cmd } => Some((e.round, source.as_str(), cmd)),
+                EventKind::Leak { source, cmd } => Some((e.round, &**source, cmd)),
                 _ => None,
             })
             .collect()

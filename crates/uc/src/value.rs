@@ -23,6 +23,7 @@
 //! ```
 
 use sbc_primitives::sha256::Sha256;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -273,10 +274,14 @@ impl Value {
 }
 
 /// A named message: the paper's `(sid, CommandName, payload…)` tuples.
+///
+/// A name given as a literal is borrowed (`Cow::Borrowed`), so building a
+/// command allocates only its payload; a name made at run time is owned.
+/// Equality, order, hashing and the encoding read the characters only.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Command {
     /// The command name, e.g. `"Broadcast"`, `"Enc"`, `"Advance_Clock"`.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The payload.
     pub value: Value,
 }
@@ -289,7 +294,7 @@ impl fmt::Debug for Command {
 
 impl Command {
     /// Builds a command.
-    pub fn new(name: impl Into<String>, value: Value) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>, value: Value) -> Self {
         Command {
             name: name.into(),
             value,
@@ -298,7 +303,7 @@ impl Command {
 
     /// Canonical encoding (name, then value).
     pub fn encode(&self) -> Vec<u8> {
-        Value::pair(Value::str(self.name.clone()), self.value.clone()).encode()
+        Value::pair(Value::str(&*self.name), self.value.clone()).encode()
     }
 }
 

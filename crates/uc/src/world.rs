@@ -15,12 +15,16 @@
 use crate::ids::PartyId;
 use crate::trace::{EventKind, Transcript};
 use crate::value::{Command, Value};
+use std::borrow::Cow;
 
 /// Leakage observed by the (dummy) adversary.
+///
+/// Like [`Command::name`], a static `source` label is borrowed, so a leak
+/// allocates only its payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Leak {
     /// Which functionality/component leaked.
-    pub source: String,
+    pub source: Cow<'static, str>,
     /// The leaked command.
     pub cmd: Command,
 }
