@@ -126,16 +126,18 @@ impl VotingFunc {
             cast_at: now,
             finalized: corrupted,
         });
-        let payload = if corrupted {
-            Value::list([
-                Value::bytes(tag.as_bytes()),
-                Value::U64(vote),
-                Value::U64(voter.0 as u64),
-            ])
-        } else {
-            Value::list([Value::bytes(tag.as_bytes()), Value::U64(voter.0 as u64)])
-        };
-        ctx.leak(VS_SOURCE, Command::new("Vote", payload));
+        ctx.leak(VS_SOURCE, || {
+            let payload = if corrupted {
+                Value::list([
+                    Value::bytes(tag.as_bytes()),
+                    Value::U64(vote),
+                    Value::U64(voter.0 as u64),
+                ])
+            } else {
+                Value::list([Value::bytes(tag.as_bytes()), Value::U64(voter.0 as u64)])
+            };
+            Command::new("Vote", payload)
+        });
         Some(tag)
     }
 
@@ -214,10 +216,9 @@ impl VotingFunc {
                     .collect();
                 self.compute_result(&honest);
                 let res = self.result.clone().expect("just computed");
-                ctx.leak(
-                    VS_SOURCE,
-                    Command::new("Result", Value::list(res.into_iter().map(Value::U64))),
-                );
+                ctx.leak(VS_SOURCE, || {
+                    Command::new("Result", Value::list(res.into_iter().map(Value::U64)))
+                });
             }
         }
         if now == tally_at {

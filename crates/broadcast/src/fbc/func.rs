@@ -102,13 +102,12 @@ impl FbcFunc {
             sender,
             requested_at: now + u64::from(advanced),
         });
-        ctx.leak(
-            FBC_SOURCE,
+        ctx.leak(FBC_SOURCE, || {
             Command::new(
                 "Broadcast",
                 Value::pair(Value::bytes(tag.as_bytes()), Value::U64(sender.0 as u64)),
-            ),
-        );
+            )
+        });
         tag
     }
 

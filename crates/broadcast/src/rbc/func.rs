@@ -49,11 +49,13 @@ impl RbcFunc {
         if self.halted || self.pending.is_some() || ctx.is_corrupted(sender) {
             return;
         }
-        self.pending = Some((msg.clone(), sender));
-        ctx.leak(
-            self.label.clone(),
-            Command::new("Broadcast", Value::pair(msg, Value::U64(sender.0 as u64))),
-        );
+        ctx.leak(self.label.clone(), || {
+            Command::new(
+                "Broadcast",
+                Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
+            )
+        });
+        self.pending = Some((msg, sender));
     }
 
     /// Leaks `(Broadcast, M, P)`, halts, and returns the delivered pair.
@@ -64,11 +66,12 @@ impl RbcFunc {
         ctx: &mut HybridCtx<'_>,
     ) -> (Value, PartyId) {
         self.halted = true;
-        let cmd = Command::new(
-            "Broadcast",
-            Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
-        );
-        ctx.leak(self.label.clone(), cmd);
+        ctx.leak(self.label.clone(), || {
+            Command::new(
+                "Broadcast",
+                Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
+            )
+        });
         (msg, sender)
     }
 

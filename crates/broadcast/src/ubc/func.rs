@@ -37,19 +37,18 @@ pub struct UbcFunc {
 }
 
 /// The `(tag, M, P)` leak of an honest broadcast, its flush, or its
-/// `Allow`ed substitution.
-fn leak_tagged(tag: Tag, msg: Value, sender: PartyId, ctx: &mut HybridCtx<'_>) {
-    ctx.leak(
-        UBC_SOURCE,
+/// `Allow`ed substitution. `msg` is cloned only if the leak is kept.
+fn leak_tagged(tag: Tag, msg: &Value, sender: PartyId, ctx: &mut HybridCtx<'_>) {
+    ctx.leak(UBC_SOURCE, || {
         Command::new(
             "Broadcast",
             Value::list([
                 Value::bytes(tag.as_bytes()),
-                msg,
+                msg.clone(),
                 Value::U64(sender.0 as u64),
             ]),
-        ),
-    );
+        )
+    });
 }
 
 impl UbcFunc {
@@ -87,8 +86,8 @@ impl UbcFunc {
         }
         let queue = self.pending.get_mut(sender.index())?;
         let tag = Tag::random(&mut self.tag_rng);
-        queue.push((tag, msg.clone()));
-        leak_tagged(tag, msg, sender, ctx);
+        leak_tagged(tag, &msg, sender, ctx);
+        queue.push((tag, msg));
         Some(tag)
     }
 
@@ -103,13 +102,12 @@ impl UbcFunc {
         if sender.index() >= self.pending.len() || !ctx.is_corrupted(sender) {
             return None;
         }
-        ctx.leak(
-            UBC_SOURCE,
+        ctx.leak(UBC_SOURCE, || {
             Command::new(
                 "Broadcast",
                 Value::pair(msg.clone(), Value::U64(sender.0 as u64)),
-            ),
-        );
+            )
+        });
         Some(msg)
     }
 
@@ -128,7 +126,7 @@ impl UbcFunc {
             return None;
         }
         self.pending[sender].remove(at);
-        leak_tagged(tag, msg.clone(), party, ctx);
+        leak_tagged(tag, &msg, party, ctx);
         Some(msg)
     }
 
@@ -148,7 +146,7 @@ impl UbcFunc {
         std::mem::take(&mut self.pending[i])
             .into_iter()
             .map(|(tag, msg)| {
-                leak_tagged(tag, msg.clone(), party, ctx);
+                leak_tagged(tag, &msg, party, ctx);
                 msg
             })
             .collect()

@@ -53,11 +53,6 @@ impl UbcProtocol {
         }
     }
 
-    /// Number of `F_RBC` instances created so far (cost accounting).
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Drops every `F_RBC` instance opened but not yet delivered
     /// (multi-epoch turnover: stale wires from an ended broadcast period
     /// must not bleed into the next one). The `total_P` counters carry
@@ -155,7 +150,7 @@ mod tests {
         p.broadcast(PartyId(0), Value::U64(20), &mut core.ctx());
         let delivered = p.advance(PartyId(0), &mut core.ctx());
         assert_eq!(delivered, [Value::U64(10), Value::U64(20)]);
-        assert_eq!(p.instance_count(), 2);
+        assert_eq!(p.instances.len(), 2, "one F_RBC instance per message");
     }
 
     #[test]

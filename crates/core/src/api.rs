@@ -142,7 +142,8 @@ impl SbcSessionBuilder {
     }
 
     /// Retains every adversary-visible leak for inspection through
-    /// [`SbcSession::leaks`] instead of discarding it. Delegates to
+    /// [`SbcSession::leaks`]; without it the session's world only counts
+    /// its leaks and builds none. Delegates to
     /// [`SbcPoolBuilder::capture_leaks`].
     pub fn capture_leaks(mut self) -> Self {
         self.pool = self.pool.capture_leaks();

@@ -141,29 +141,29 @@ impl SbcFunc {
             return None;
         }
         let tag = Tag::random(&mut self.tag_rng);
+        ctx.leak(SBC_SOURCE, || {
+            let shown = if corrupted {
+                msg.clone()
+            } else {
+                Value::U64(msg.encoded_len() as u64)
+            };
+            Command::new(
+                "Broadcast",
+                Value::list([
+                    Value::str("Sender"),
+                    Value::bytes(tag.as_bytes()),
+                    shown,
+                    Value::U64(sender.0 as u64),
+                ]),
+            )
+        });
         self.records.push(SbcRecord {
             tag,
-            msg: msg.clone(),
+            msg,
             sender,
             requested_at: now,
             finalized: false,
         });
-        let leak_payload = if corrupted {
-            Value::list([
-                Value::str("Sender"),
-                Value::bytes(tag.as_bytes()),
-                msg,
-                Value::U64(sender.0 as u64),
-            ])
-        } else {
-            Value::list([
-                Value::str("Sender"),
-                Value::bytes(tag.as_bytes()),
-                Value::U64(msg.encoded_len() as u64),
-                Value::U64(sender.0 as u64),
-            ])
-        };
-        ctx.leak(SBC_SOURCE, Command::new("Broadcast", leak_payload));
         Some(tag)
     }
 
@@ -240,7 +240,7 @@ impl SbcFunc {
                 .iter()
                 .filter(|r| r.finalized)
                 .map(|r| Value::pair(Value::bytes(r.tag.as_bytes()), r.msg.clone()));
-            ctx.leak(SBC_SOURCE, Command::new("Broadcast", Value::list(list)));
+            ctx.leak(SBC_SOURCE, || Command::new("Broadcast", Value::list(list)));
         }
         if now != end + self.delta {
             return None;

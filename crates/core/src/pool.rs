@@ -114,6 +114,12 @@ pub struct PooledSbcWorld<W: SbcWorld> {
     corr: CorruptionTracker,
     outputs: Vec<(InstanceId, PartyId, Command)>,
     leaks: Vec<(InstanceId, Leak)>,
+    /// Whether instances are opened count-only ([`SbcWorld::count_leaks_only`]):
+    /// set by an [`SbcPool`] that does not capture leaks. Used directly,
+    /// the world layer keeps every leak.
+    count_leaks: bool,
+    /// Per-sync leak counts of a count-only pool, not yet routed.
+    counted: Vec<(InstanceId, usize)>,
     aborted: bool,
 }
 
@@ -136,6 +142,8 @@ impl<W: SbcBackend> PooledSbcWorld<W> {
             corr: CorruptionTracker::new(params.n),
             outputs: Vec::new(),
             leaks: Vec::new(),
+            count_leaks: false,
+            counted: Vec::new(),
             aborted: false,
         })
     }
@@ -160,8 +168,15 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
         let Some(world) = self.live.get_mut(&id) else {
             return;
         };
-        for leak in world.drain_leaks() {
-            self.leaks.push((InstanceId(id), leak));
+        if self.count_leaks {
+            match world.drain_leak_count() {
+                0 => {}
+                count => self.counted.push((InstanceId(id), count)),
+            }
+        } else {
+            for leak in world.drain_leaks() {
+                self.leaks.push((InstanceId(id), leak));
+            }
         }
         for (party, cmd) in world.drain_outputs() {
             self.outputs.push((InstanceId(id), party, cmd));
@@ -250,6 +265,9 @@ impl<W: SbcBackend> PoolWorld for PooledSbcWorld<W> {
         };
         let mut world = W::from_params(self.params, &sub_seed)?;
         self.next += 1;
+        if self.count_leaks {
+            world.count_leaks_only();
+        }
         for p in self.corr.corrupted() {
             world.adversary(AdvCommand::Corrupt(p));
         }
@@ -414,7 +432,11 @@ impl SbcPoolBuilder {
     }
 
     /// Retains every adversary-visible leak for inspection through
-    /// [`SbcPool::leaks`] instead of discarding it.
+    /// [`SbcPool::leaks`]. Without it nobody reads the leaks, so none is
+    /// built: every instance's world only counts them
+    /// ([`SbcWorld::count_leaks_only`]), and the count feeds
+    /// [`SbcPool::leak_overflow`]. Outputs and releases are the same either
+    /// way.
     pub fn capture_leaks(mut self) -> Self {
         self.capture_leaks = true;
         self
@@ -428,7 +450,10 @@ impl SbcPoolBuilder {
     /// relies on; long-lived services set a cap so leak capture can stay
     /// on without growing per-instance memory without bound. Implies
     /// nothing about capture itself — combine with
-    /// [`capture_leaks`](SbcPoolBuilder::capture_leaks).
+    /// [`capture_leaks`](SbcPoolBuilder::capture_leaks). A pool that does
+    /// not capture holds no ring; the cap then only sets what
+    /// [`SbcPool::leak_overflow`] reports: the leaks past the first `cap`,
+    /// what the ring would have evicted.
     pub fn leak_cap(mut self, cap: usize) -> Self {
         self.leak_cap = Some(cap);
         self
@@ -464,9 +489,10 @@ impl SbcPoolBuilder {
         }
         let mut adv_seed = self.seed.clone();
         adv_seed.extend_from_slice(b"/session-adversary");
+        let mut world = PooledSbcWorld::new(self.params, &self.seed)?;
+        world.count_leaks = !self.capture_leaks;
         let mut pool = SbcPool {
-            world: PooledSbcWorld::new(self.params, &self.seed)?,
-            capture_leaks: self.capture_leaks,
+            world,
             leak_cap: self.leak_cap,
             adv_rng: Drbg::from_seed(&adv_seed),
             state: BTreeMap::new(),
@@ -490,8 +516,11 @@ struct InstanceState {
     leaks: VecDeque<Leak>,
     /// Leaks evicted from `leaks` by the pool's leak cap (0 when
     /// uncapped): the typed overflow counter that keeps a bounded buffer
-    /// honest.
+    /// honest. A pool that does not capture counts what the ring would
+    /// have evicted: `counted_leaks − cap`.
     dropped_leaks: u64,
+    /// Leaks the instance's count-only world produced (0 when capturing).
+    counted_leaks: u64,
     /// Why [`SbcPool::step_round`] retired the instance unreleased, if it
     /// did: every later call naming it returns this as
     /// [`SbcError::Undeliverable`].
@@ -541,7 +570,6 @@ pub struct PoolFootprint {
 #[derive(Debug)]
 pub struct SbcPool<W: SbcWorld = RealSbcWorld> {
     world: PooledSbcWorld<W>,
-    capture_leaks: bool,
     leak_cap: Option<usize>,
     adv_rng: Drbg,
     state: BTreeMap<u64, InstanceState>,
@@ -695,12 +723,23 @@ impl<W: SbcBackend> SbcPool<W> {
     /// its oldest leak (O(1)) and counts it before taking the new one. A
     /// ring a sync touched is made contiguous once, when the sync moves
     /// on to another instance, so [`leaks`](SbcPool::leaks) can lend it
-    /// as one slice.
+    /// as one slice. A pool that does not capture routes counts instead:
+    /// each instance's overflow is its count past the cap.
     fn sync_leaks(&mut self) {
-        let drained = self.world.drain_leaks();
-        if !self.capture_leaks {
+        if self.world.count_leaks {
+            for &(id, count) in &self.world.counted {
+                let Some(st) = self.state.get_mut(&id.0) else {
+                    continue;
+                };
+                st.counted_leaks += count as u64;
+                if let Some(cap) = self.leak_cap {
+                    st.dropped_leaks = st.counted_leaks.saturating_sub(cap as u64);
+                }
+            }
+            self.world.counted.clear();
             return;
         }
+        let drained = self.world.drain_leaks();
         let mut last = None;
         for (id, leak) in drained {
             if last != Some(id.0) {
@@ -1209,7 +1248,10 @@ impl<W: SbcBackend> SbcPool<W> {
 
     /// How many captured leaks the leak cap has evicted from `instance`'s
     /// buffer so far (always 0 when the pool is uncapped — see
-    /// [`SbcPoolBuilder::leak_cap`]).
+    /// [`SbcPoolBuilder::leak_cap`]). A pool that does not capture keeps
+    /// no buffer and reports the instance's leaks past the cap (its count
+    /// − `cap`, saturating): what the ring evicts when nobody calls
+    /// [`take_leaks`](SbcPool::take_leaks).
     /// Like [`leaks`](SbcPool::leaks), readable for live and finished
     /// instances.
     ///
@@ -1886,6 +1928,75 @@ mod tests {
                 assert_eq!(fp.dropped_leaks, overflow.sum::<u64>());
             }
             assert!(seen.iter().all(|&s| s >= 5 * cap), "cap {cap}: rings wrap");
+        }
+    }
+
+    #[test]
+    fn a_count_only_pool_reports_the_overflow_of_a_capturing_twin() {
+        // One seeded schedule over a pool that captures and one that only
+        // counts: two instances, an adaptive corruption, an injected wire
+        // and an instance opened after the corruption, so leaks of the
+        // corrupted path are counted too.
+        /// After each step: what it released, and every instance's overflow.
+        type Step = (Vec<(InstanceId, SbcResult)>, Vec<u64>);
+        fn drive(pool: &mut SbcPool) -> Vec<Step> {
+            let mut log = Vec::new();
+            let mut note = |pool: &mut SbcPool, released| {
+                let ids = (0..pool.next_instance_id()).map(InstanceId);
+                let overflow = ids.map(|id| pool.leak_overflow(id).unwrap()).collect();
+                log.push((released, overflow));
+            };
+            let (a, b) = (pool.open_instance().unwrap(), pool.open_instance().unwrap());
+            for party in 0..4 {
+                pool.submit(a, party, format!("a/{party}").as_bytes())
+                    .unwrap();
+            }
+            pool.submit(b, 1, b"b/1").unwrap();
+            let released = pool.step_round().unwrap();
+            note(pool, released);
+            pool.corrupt(3).unwrap();
+            pool.inject_message(a, 3, b"evil").unwrap();
+            let c = pool.open_instance().unwrap();
+            pool.submit(c, 0, b"c/0").unwrap();
+            note(pool, Vec::new());
+            for _ in 0..12 {
+                let released = pool.step_round().unwrap();
+                note(pool, released);
+            }
+            for id in [a, b, c] {
+                let released = vec![(id, pool.finish(id).unwrap())];
+                note(pool, released);
+            }
+            log
+        }
+        for cap in [None, Some(0), Some(1), Some(3), Some(32)] {
+            let build = |capture: bool| {
+                let mut b = SbcPool::builder(4).seed(b"count-only");
+                if capture {
+                    b = b.capture_leaks();
+                }
+                if let Some(c) = cap {
+                    b = b.leak_cap(c);
+                }
+                b.build().unwrap()
+            };
+            let (mut counting, mut twin) = (build(false), build(true));
+            let log = drive(&mut counting);
+            assert_eq!(log, drive(&mut twin), "cap {cap:?}");
+            let released = log.iter().flat_map(|(r, _)| r);
+            assert!(released.count() >= 3, "every instance released");
+            for id in (0..3).map(InstanceId) {
+                assert!(counting.leaks(id).unwrap().is_empty());
+                assert!(counting.take_leaks(id).unwrap().is_empty());
+                let leaked = twin.leaks(id).unwrap().len() as u64 + twin.leak_overflow(id).unwrap();
+                if cap == Some(0) {
+                    assert!(leaked > 0, "instance {id} leaked");
+                    assert_eq!(counting.leak_overflow(id).unwrap(), leaked);
+                }
+            }
+            let fp = counting.footprint();
+            assert_eq!((fp.buffered_leaks, fp.captured_leaks), (0, 0));
+            assert_eq!(fp.dropped_leaks, twin.footprint().dropped_leaks);
         }
     }
 

@@ -528,6 +528,14 @@ impl SbcWorld for RealSbcWorld {
         self.parties.iter().find_map(|p| p.t_end())
     }
 
+    fn count_leaks_only(&mut self) {
+        self.host.core.count_leaks_only();
+    }
+
+    fn drain_leak_count(&mut self) -> usize {
+        self.host.core.take_leak_count()
+    }
+
     /// O(1) clock-offset join: when the world is verifiably idle — every
     /// party asleep with empty queues, no undelivered UBC wires, the clock
     /// at a round boundary — an idle round is a pure clock tick (no

@@ -592,6 +592,14 @@ impl<P: NetProfile> SbcWorld for NetSbcWorld<P> {
         self.parties.iter().find_map(|p| p.t_end())
     }
 
+    fn count_leaks_only(&mut self) {
+        self.host.core.count_leaks_only();
+    }
+
+    fn drain_leak_count(&mut self) -> usize {
+        self.host.core.take_leak_count()
+    }
+
     /// The first frame the protocol needed and the transport refused,
     /// sticky: an honest wire, request or reply that never arrived leaves
     /// the instance unable to release as its twin would. A

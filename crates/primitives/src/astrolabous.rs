@@ -71,11 +71,6 @@ impl fmt::Display for AstDecryptError {
 impl std::error::Error for AstDecryptError {}
 
 impl AstCiphertext {
-    /// Number of sequential hash queries required to open.
-    pub fn solve_steps(&self) -> usize {
-        self.chain.len().saturating_sub(1)
-    }
-
     /// Serializes to a byte string.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 8 + self.ske_ct.len() + 8 + self.chain.len() * 32);
@@ -255,7 +250,7 @@ mod tests {
         let mut r = rng();
         for (tau, q) in [(1u64, 1u32), (2, 3), (3, 5)] {
             let ct = ast_enc(&h, b"secret message", tau, q, &mut r);
-            assert_eq!(ct.solve_steps(), (tau * q as u64) as usize);
+            assert_eq!(ct.chain.len() - 1, (tau * q as u64) as usize);
             assert_eq!(
                 ast_solve_and_dec(&h, &ct).unwrap(),
                 b"secret message",
@@ -280,7 +275,7 @@ mod tests {
     fn wrong_witness_rejected() {
         let mut r = rng();
         let ct = ast_enc(&h, b"msg", 1, 4, &mut r);
-        let bad = vec![[0u8; 32]; ct.solve_steps()];
+        let bad = vec![[0u8; 32]; ct.chain.len() - 1];
         assert!(ast_dec(&ct, &bad).is_err());
         assert!(ast_dec(&ct, &[]).is_err());
     }

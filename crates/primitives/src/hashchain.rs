@@ -181,11 +181,6 @@ impl ChainSolver {
         (self.chain.len() - 1) - self.pos
     }
 
-    /// Total chain length in hash queries.
-    pub fn total_steps(&self) -> usize {
-        self.chain.len() - 1
-    }
-
     /// True once the payload can be extracted.
     pub fn is_done(&self) -> bool {
         self.remaining() == 0
@@ -315,7 +310,7 @@ mod tests {
         let rs = random_rs(8, b"steps");
         let chain = chain_encode(&h, &rs, &[1u8; 32]);
         let mut solver = ChainSolver::new(&chain).unwrap();
-        assert_eq!(solver.total_steps(), 8);
+        assert_eq!(solver.remaining(), 8);
         let queries = std::cell::Cell::new(0usize);
         while !solver.is_done() {
             solver.step(&|x: &[u8]| {

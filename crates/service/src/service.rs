@@ -223,10 +223,10 @@ pub struct ServiceConfig {
     /// Ticks a non-interactive submission may wait before a partial
     /// batch is opened for it anyway.
     pub flush_after: u64,
-    /// Captured-leak buffer cap per instance (`None` = uncapped). The
-    /// service always captures leaks; the cap keeps long-lived pools
-    /// bounded, with evictions surfaced in
-    /// [`ServiceStats::leak_overflow`].
+    /// Leak cap per instance (`None` = uncapped; `Some(usize::MAX)` is
+    /// refused by [`SbcService::new`]). The service keeps no leaks: no
+    /// adversary reads them, so its instances only count them. Leaks past
+    /// the cap are counted in [`ServiceStats::leak_overflow`].
     pub leak_cap: Option<usize>,
     /// Inert (see [`CheckpointEvery`]): never read, and not part of an
     /// image. Kept only because the benchmark's workload specs set it;
@@ -445,10 +445,17 @@ impl<W: SbcBackend> SbcService<W> {
     /// `max_live` however it was spelled (setter, field, or an image's
     /// tuning list): the first opens instances nothing is ever admitted
     /// into, the second opens none, and either way the queue never drains.
+    /// A `leak_cap` of `usize::MAX` is refused too: an image stores the cap
+    /// as `cap + 1`, with 0 for uncapped, so it would not fit.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServiceError> {
         if cfg.batch_size == 0 || cfg.max_live == 0 {
             return Err(ServiceError::Pool(SbcError::InvalidParams {
                 reason: "need batch_size ≥ 1 and max_live ≥ 1",
+            }));
+        }
+        if cfg.leak_cap == Some(usize::MAX) {
+            return Err(ServiceError::Pool(SbcError::InvalidParams {
+                reason: "need leak_cap < usize::MAX (None is uncapped)",
             }));
         }
         let mut builder = SbcPool::builder(cfg.params.n)
@@ -456,8 +463,7 @@ impl<W: SbcBackend> SbcService<W> {
             .delta(cfg.params.delta)
             .tle_alpha(cfg.params.tle_alpha)
             .tle_delay(cfg.params.tle_delay)
-            .seed(&cfg.seed)
-            .capture_leaks();
+            .seed(&cfg.seed);
         if let Some(cap) = cfg.leak_cap {
             builder = builder.leak_cap(cap);
         }
@@ -804,6 +810,79 @@ mod tests {
             ));
         }
         assert!(SbcService::<RealSbcWorld>::new(base).is_ok());
+    }
+
+    #[test]
+    fn a_leak_cap_of_usize_max_is_refused_at_construction() {
+        // An image stores the cap as `cap + 1`: `usize::MAX` would overflow
+        // there (or wrap to 0, read back as uncapped).
+        let cfg = ServiceConfig::new(2, ServiceMode::Beacon).seed(b"cap");
+        assert!(matches!(
+            SbcService::<RealSbcWorld>::new(cfg.clone().leak_cap(Some(usize::MAX))),
+            Err(ServiceError::Pool(SbcError::InvalidParams { .. }))
+        ));
+        let s = SbcService::<RealSbcWorld>::new(cfg.leak_cap(Some(usize::MAX - 1))).unwrap();
+        let restored = SbcService::<RealSbcWorld>::restore(&s.snapshot().unwrap()).unwrap();
+        assert_eq!(restored.config().leak_cap, Some(usize::MAX - 1));
+    }
+
+    #[test]
+    fn leak_overflow_counts_what_a_capturing_pool_evicts() {
+        // The service keeps no leaks; its overflow must still be what a
+        // capturing pool's ring evicts, fed the same admissions.
+        for cap in [None, Some(0), Some(1), Some(3), Some(32)] {
+            let cfg = ServiceConfig::new(4, ServiceMode::Beacon)
+                .seed(b"leak-count")
+                .batch_size(6)
+                .max_live(3)
+                .leak_cap(cap);
+            let mut svc = SbcService::<RealSbcWorld>::new(cfg.clone()).unwrap();
+            let mut b = SbcPool::builder(4).seed(&cfg.seed).capture_leaks();
+            if let Some(c) = cap {
+                b = b.leak_cap(c);
+            }
+            let mut twin = b.build().unwrap();
+            let (mut overflow, mut released) = (0, 0);
+            for k in 0..40u64 {
+                if k < 24 {
+                    svc.submit(k, vec![k as u8; 8], DeadlineClass::Standard)
+                        .unwrap();
+                }
+                let round = svc.round();
+                svc.tick().unwrap();
+                for (&id, live) in &svc.inflight {
+                    for (slot, f) in live.admitted.iter().enumerate() {
+                        if f.admitted_round != round {
+                            continue;
+                        }
+                        if id == twin.next_instance_id() {
+                            twin.open_instance().unwrap();
+                        }
+                        twin.submit(InstanceId(id), (slot % 4) as u32, &f.payload)
+                            .unwrap();
+                    }
+                }
+                let records = svc.drain_releases();
+                let releases = twin.step_round().unwrap();
+                assert_eq!(records.len(), releases.len(), "cap {cap:?}, tick {k}");
+                for ((id, result), rec) in releases.into_iter().zip(records) {
+                    assert_eq!(
+                        (id.0, result.release_round),
+                        (rec.instance, rec.release_round)
+                    );
+                    twin.finish(id).unwrap();
+                    overflow += twin.leak_overflow(id).unwrap();
+                    released += rec.tickets.len();
+                }
+            }
+            assert_eq!(released, 24, "cap {cap:?}: every submission released");
+            assert_eq!(svc.stats().leak_overflow, overflow, "cap {cap:?}");
+            if cap == Some(0) {
+                assert!(overflow > 0, "every leak overflows a zero cap");
+            }
+            let fp = svc.footprint();
+            assert_eq!((fp.buffered_leaks, fp.captured_leaks), (0, 0));
+        }
     }
 
     #[test]

@@ -189,9 +189,10 @@ pub struct ServiceStats {
     pub queued: usize,
     /// Instances currently live.
     pub live: usize,
-    /// Captured leaks evicted by the pool's leak cap (bounded-memory
-    /// mode's typed overflow counter, accumulated across pruned
-    /// instances).
+    /// Leaks past the leak cap, summed over finished instances: each
+    /// instance's leak count − cap, saturating (0 when uncapped). The
+    /// service keeps no leaks, so this is a count, and equals what a
+    /// capturing pool's ring would have evicted.
     pub leak_overflow: u64,
     /// The shared clock round.
     pub round: u64,

@@ -172,19 +172,19 @@ impl TleFunc {
         }
         self.by_owner[party.index()].push(idx);
         self.by_tag.insert(tag.0, idx);
-        ctx.leak(
-            TLE_SOURCE,
+        let now = ctx.time();
+        ctx.leak(TLE_SOURCE, || {
             sbc_uc::value::Command::new(
                 "Enc",
                 Value::list([
                     Value::U64(tau as u64),
                     Value::bytes(tag.as_bytes()),
-                    Value::U64(ctx.time()),
+                    Value::U64(now),
                     Value::U64(msg_len as u64),
                     Value::U64(party.0 as u64),
                 ]),
-            ),
-        );
+            )
+        });
         Some(tag)
     }
 

@@ -123,6 +123,21 @@ pub trait SbcWorld: World + Send {
         None
     }
 
+    /// Stops building leaks: from now on the world only counts them, for
+    /// [`drain_leak_count`](SbcWorld::drain_leak_count). For a world whose
+    /// leaks nobody reads. Every other observable — outputs, randomness,
+    /// the transcript of a world that keeps its leaks — is unchanged. The
+    /// default keeps building them.
+    fn count_leaks_only(&mut self) {}
+
+    /// How many leaks the world produced since the last drain — the
+    /// drain of a world that only counts, which
+    /// [`drain_leaks`](World::drain_leaks) finds empty. The default drains
+    /// the built leaks and counts them.
+    fn drain_leak_count(&mut self) -> usize {
+        self.drain_leaks().len()
+    }
+
     /// Default driver: submits `message` for broadcast by honest `party`.
     fn submit(&mut self, party: PartyId, message: &[u8]) {
         self.input(party, Command::new("Broadcast", Value::bytes(message)));

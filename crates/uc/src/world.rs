@@ -12,6 +12,7 @@
 //!
 //! [`Transcript`]: crate::trace::Transcript
 
+use crate::hybrid::LeakSink;
 use crate::ids::PartyId;
 use crate::trace::{EventKind, Transcript};
 use crate::value::{Command, Value};
@@ -236,12 +237,26 @@ pub struct WorldCore {
     pub clock: crate::clock::GlobalClock,
     /// Master randomness; fork labelled children from it.
     pub rng: sbc_primitives::drbg::Drbg,
-    /// Adversary-visible leak buffer.
+    /// Adversary-visible leak buffer (empty once the core only counts).
     pub leaks: Vec<Leak>,
+    /// `Some` once [`count_leaks_only`](WorldCore::count_leaks_only) has
+    /// switched the adversary channel to counting.
+    counted: Option<LeakCount>,
     /// Corruption state.
     pub corr: crate::corruption::CorruptionTracker,
     /// Environment-visible output buffer.
     pub outputs: Vec<(PartyId, Command)>,
+}
+
+/// The count-only [`LeakSink`]: leaks offered since the last take.
+#[derive(Debug, Default)]
+struct LeakCount(usize);
+
+impl LeakSink for LeakCount {
+    fn keep(&mut self) -> Option<&mut Vec<Leak>> {
+        self.0 += 1;
+        None
+    }
 }
 
 impl WorldCore {
@@ -252,6 +267,7 @@ impl WorldCore {
             clock: crate::clock::GlobalClock::new(PartyId::all(n)),
             rng: sbc_primitives::drbg::Drbg::from_seed(seed),
             leaks: Vec::new(),
+            counted: None,
             corr: crate::corruption::CorruptionTracker::new(n),
             outputs: Vec::new(),
         }
@@ -262,19 +278,46 @@ impl WorldCore {
         self.n
     }
 
-    /// Builds a [`HybridCtx`](crate::hybrid::HybridCtx) over the core state.
+    /// Builds a [`HybridCtx`](crate::hybrid::HybridCtx) over the core state;
+    /// its leakage channel is the adversary-visible buffer, or the counter
+    /// once the core only counts.
     pub fn ctx(&mut self) -> crate::hybrid::HybridCtx<'_> {
         crate::hybrid::HybridCtx {
             clock: &mut self.clock,
             rng: &mut self.rng,
-            leaks: &mut self.leaks,
+            leaks: match &mut self.counted {
+                Some(count) => count,
+                None => &mut self.leaks,
+            },
             corr: &mut self.corr,
         }
     }
 
+    /// Switches the adversary channel of [`ctx`](WorldCore::ctx) to
+    /// counting: from now on a leak bumps a counter, and its command is
+    /// never built. For a world whose leaks nobody reads. Leaks already
+    /// buffered stay, and [`take_leak_count`](WorldCore::take_leak_count)
+    /// counts them too.
+    pub fn count_leaks_only(&mut self) {
+        self.counted.get_or_insert_with(LeakCount::default);
+    }
+
+    /// How many leaks reached the adversary channel since the last call —
+    /// counted, or buffered and now dropped.
+    pub fn take_leak_count(&mut self) -> usize {
+        let buffered = self.leaks.len();
+        self.leaks.clear();
+        buffered
+            + self
+                .counted
+                .as_mut()
+                .map_or(0, |c| std::mem::take(&mut c.0))
+    }
+
     /// [`ctx`](WorldCore::ctx) with the leakage channel pointed at `leaks`
     /// instead of the adversary-visible buffer — how an ideal world hands
-    /// a functionality's leaks to its simulator.
+    /// a functionality's leaks to its simulator. It always keeps them: the
+    /// simulator reads them.
     pub fn ctx_leaking_to<'a>(
         &'a mut self,
         leaks: &'a mut Vec<Leak>,
@@ -334,6 +377,26 @@ mod tests {
         let t1 = run_env(&mut w1, script);
         let t2 = run_env(&mut w2, script);
         assert_eq!(t1.digest(), t2.digest());
+    }
+
+    #[test]
+    fn a_count_only_core_counts_leaks_and_never_builds_them() {
+        let mut core = WorldCore::new(2, b"count-only");
+        core.ctx().leak("F", || Command::new("Kept", Value::Unit));
+        core.count_leaks_only();
+        for _ in 0..3 {
+            core.ctx()
+                .leak("F", || unreachable!("a counted leak is never built"));
+        }
+        assert_eq!(core.leaks.len(), 1, "a leak kept before the switch stays");
+        assert_eq!(core.take_leak_count(), 4);
+        assert!(core.leaks.is_empty());
+        assert_eq!(core.take_leak_count(), 0);
+        // The simulator's channel keeps whatever the core does.
+        let mut to_sim = Vec::new();
+        core.ctx_leaking_to(&mut to_sim)
+            .leak("F", || Command::new("Sim", Value::Unit));
+        assert_eq!((to_sim.len(), core.take_leak_count()), (1, 0));
     }
 
     #[test]
