@@ -142,12 +142,10 @@ impl DursResult {
     }
 }
 
-/// `Π_DURS` (Fig. 16) as one multi-epoch beacon over a pluggable SBC
-/// backend — the real stack by default, any other (the ideal
-/// `F_SBC + S_SBC` world, a networked one) via
-/// [`over_backend`](DursSession::over_backend): every participating party
-/// contributes λ random bits via simultaneous broadcast; the output is
-/// their XOR. After [`run_epoch`](DursSession::run_epoch) releases a
+/// `Π_DURS` (Fig. 16) as one multi-epoch beacon over an SBC backend —
+/// the real stack (this module's tests also run it over the ideal
+/// `F_SBC + S_SBC` world): every participating party contributes λ
+/// random bits via simultaneous broadcast; the output is their XOR. After [`run_epoch`](DursSession::run_epoch) releases a
 /// beacon value, the same stack accepts the next round of contributions.
 ///
 /// A session is stream 0 of a [`DursPool`] and delegates every call to
@@ -180,7 +178,7 @@ impl<W: SbcBackend> DursSession<W> {
     /// # Errors
     ///
     /// As for [`new`](DursSession::new).
-    pub fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
+    pub(crate) fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
         let mut engine = DursPool::over_backend(n, seed)?;
         let stream = engine.open_stream()?;
         Ok(DursSession { engine, stream })
@@ -223,11 +221,6 @@ impl<W: SbcBackend> DursSession<W> {
     /// As for [`run_epoch`](DursSession::run_epoch).
     pub fn finish(mut self) -> Result<DursResult, SbcError> {
         self.run_epoch()
-    }
-
-    /// Number of registered parties.
-    pub fn n(&self) -> usize {
-        self.engine.n()
     }
 
     /// The epoch currently accepting contributions (after a backend
@@ -280,7 +273,7 @@ impl<W: SbcBackend> DursPool<W> {
     /// # Errors
     ///
     /// As for [`new`](DursPool::new).
-    pub fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
+    pub(crate) fn over_backend(n: usize, seed: &[u8]) -> Result<Self, SbcError> {
         let mut label = b"durs/".to_vec();
         label.extend_from_slice(seed);
         Ok(DursPool {
@@ -302,22 +295,8 @@ impl<W: SbcBackend> DursPool<W> {
     }
 
     /// Number of registered parties (shared by every stream).
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.pool.params().n
-    }
-
-    /// The shared clock round.
-    pub fn round(&self) -> u64 {
-        self.pool.round()
-    }
-
-    /// The epoch `stream` is currently accepting contributions for.
-    ///
-    /// # Errors
-    ///
-    /// [`SbcError::UnknownInstance`] / [`SbcError::InstanceFinished`].
-    pub fn epoch(&self, stream: InstanceId) -> Result<u64, SbcError> {
-        self.pool.epoch(stream)
     }
 
     /// Party `p` contributes fresh randomness to `stream` (idempotent per
@@ -339,7 +318,7 @@ impl<W: SbcBackend> DursPool<W> {
     /// # Errors
     ///
     /// As for [`contribute`](DursPool::contribute).
-    pub fn contribute_chosen(
+    pub(crate) fn contribute_chosen(
         &mut self,
         stream: InstanceId,
         p: u32,
@@ -362,7 +341,7 @@ impl<W: SbcBackend> DursPool<W> {
         self.pool.check_submittable(stream, p)?;
         let epoch = self.pool.epoch(stream)?;
         let n = self.n();
-        // A stream opened or turned over on the raw `sbc()` pool gets
+        // A stream opened or turned over on the raw pool gets
         // fresh flags here: typed errors only, never a panic.
         let (flags_epoch, flags) = self
             .streams
@@ -412,25 +391,6 @@ impl<W: SbcBackend> DursPool<W> {
         let released = self.pool.run_epoch(stream)?;
         let fresh = (released.epoch + 1, vec![false; self.n()]);
         self.streams.insert(stream.0, fresh);
-        Ok(DursResult::fold(&released.messages, released.release_round))
-    }
-
-    /// The underlying SBC pool — the adversarial surface (global
-    /// corruption, per-stream injection, leakage probes) for beacon
-    /// experiments.
-    pub fn sbc(&mut self) -> &mut SbcPool<W> {
-        &mut self.pool
-    }
-
-    /// Runs `stream` to release and retires it; the final beacon value is
-    /// returned and the stream id stays unusable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_epoch`](DursPool::run_epoch).
-    pub fn finish_stream(&mut self, stream: InstanceId) -> Result<DursResult, SbcError> {
-        let released = self.pool.finish(stream)?;
-        self.streams.remove(&stream.0);
         Ok(DursResult::fold(&released.messages, released.release_round))
     }
 }
@@ -505,6 +465,20 @@ mod tests {
     use super::*;
     use sbc_core::worlds::IdealSbcWorld;
     use sbc_uc::world::WorldCore;
+
+    impl<W: SbcBackend> DursPool<W> {
+        /// Runs `stream` to release and retires it; the final beacon value is
+        /// returned and the stream id stays unusable afterwards.
+        ///
+        /// # Errors
+        ///
+        /// As for [`run_epoch`](DursPool::run_epoch).
+        fn finish_stream(&mut self, stream: InstanceId) -> Result<DursResult, SbcError> {
+            let released = self.pool.finish(stream)?;
+            self.streams.remove(&stream.0);
+            Ok(DursResult::fold(&released.messages, released.release_round))
+        }
+    }
 
     #[test]
     fn func_single_string_for_everyone() {
@@ -677,7 +651,7 @@ mod tests {
         s.contribute(0).unwrap();
         s.run_epoch().unwrap();
         s.contribute(1).unwrap();
-        s.engine.sbc().finish(s.stream).unwrap();
+        s.engine.pool.finish(s.stream).unwrap();
         assert_eq!(s.epoch(), 1);
         let finished = SbcError::InstanceFinished { instance: 0 };
         assert_eq!(s.contribute(1), Err(finished));
@@ -763,7 +737,7 @@ mod tests {
         pool.step_round().unwrap();
         // A is mid-period; B joins the shared clock at round 2.
         let b = pool.open_stream().unwrap();
-        assert_eq!(pool.round(), 2);
+        assert_eq!(pool.pool.round(), 2);
         for p in 0..3 {
             pool.contribute(b, p).unwrap();
         }
@@ -782,17 +756,17 @@ mod tests {
         let rb1 = pool.run_epoch(b).unwrap();
         assert_ne!(ra1.urs, ra0.urs, "fresh shares per epoch");
         assert_ne!(rb1.urs, rb0.urs);
-        assert_eq!(pool.epoch(a).unwrap(), 2);
-        assert_eq!(pool.epoch(b).unwrap(), 2);
+        assert_eq!(pool.pool.epoch(a).unwrap(), 2);
+        assert_eq!(pool.pool.epoch(b).unwrap(), 2);
     }
 
     #[test]
     fn durs_pool_adopts_streams_opened_on_the_raw_pool() {
-        // An instance opened through the sbc() escape hatch is not known
+        // An instance opened on the raw pool is not known
         // to the stream bookkeeping yet: contribute must adopt it (typed
         // errors only, never a panic).
         let mut pool = DursPool::new(2, b"raw-stream").unwrap();
-        let foreign = pool.sbc().open_instance().unwrap();
+        let foreign = pool.pool.open_instance().unwrap();
         pool.contribute(foreign, 0).unwrap();
         pool.contribute(foreign, 0).unwrap(); // idempotent after adoption
         pool.contribute(foreign, 1).unwrap();
@@ -807,7 +781,7 @@ mod tests {
         let b = pool.open_stream().unwrap();
         // Corrupt party 2 through the underlying pool world: it cannot
         // contribute to either stream.
-        pool.sbc().corrupt(2).unwrap();
+        pool.pool.corrupt(2).unwrap();
         assert_eq!(
             pool.contribute(a, 2),
             Err(SbcError::CorruptedParty { party: 2 })

@@ -16,6 +16,7 @@
 //!   board baseline demonstrates the fairness failure SBC removes.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod durs;

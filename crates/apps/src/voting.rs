@@ -139,7 +139,7 @@ impl ElectionSetup {
     }
 
     /// The voter's secret exponent (only the voter itself may call this).
-    pub fn secret_of(&self, voter: usize) -> Scalar {
+    pub(crate) fn secret_of(&self, voter: usize) -> Scalar {
         self.secrets[voter]
     }
 
@@ -152,7 +152,7 @@ impl ElectionSetup {
     /// `r_e`), and (2) `b = r_e^{x} · g^{e(v)}` is no longer deterministic
     /// per `(voter, candidate)` across periods, so vote equality between
     /// motions does not leak. Epoch 0 is the base setup itself.
-    pub fn for_epoch(&self, epoch: u64) -> ElectionSetup {
+    pub(crate) fn for_epoch(&self, epoch: u64) -> ElectionSetup {
         if epoch == 0 {
             return self.clone();
         }
@@ -161,16 +161,6 @@ impl ElectionSetup {
         let mut next = self.clone();
         next.r = self.group.hash_to_element(&label);
         next
-    }
-
-    /// Sanity invariant: the secrets sum to zero (what makes self-tallying
-    /// possible).
-    pub fn secrets_sum_to_zero(&self) -> bool {
-        let mut acc = Scalar(U256::ZERO);
-        for s in &self.secrets {
-            acc = self.group.scalar_add(&acc, s);
-        }
-        acc.0.is_zero()
     }
 
     /// The packed tally exponent of candidate `c`: `(voters+1)^c`.
@@ -415,13 +405,6 @@ impl Election {
         })
     }
 
-    /// The public setup of the **current** casting period. The blinding
-    /// base rotates every period (see [`ElectionSetup::for_epoch`]), so
-    /// ballots from one motion neither verify nor correlate in another.
-    pub fn setup(&self) -> &ElectionSetup {
-        &self.setup
-    }
-
     /// Voter `v` casts a vote for candidate `c` through the SBC channel
     /// (first cast per voter and period counts).
     ///
@@ -520,11 +503,6 @@ impl BulletinBoardElection {
         }
     }
 
-    /// The public setup.
-    pub fn setup(&self) -> &ElectionSetup {
-        &self.setup
-    }
-
     /// Casts a vote directly onto the public board.
     pub fn vote(&mut self, voter: usize, candidate: usize) {
         let ballot = Ballot::cast(&self.setup, voter, candidate, &mut self.rng);
@@ -541,6 +519,18 @@ impl BulletinBoardElection {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ElectionSetup {
+        /// Sanity invariant: the secrets sum to zero (what makes self-tallying
+        /// possible).
+        fn secrets_sum_to_zero(&self) -> bool {
+            let mut acc = Scalar(U256::ZERO);
+            for s in &self.secrets {
+                acc = self.group.scalar_add(&acc, s);
+            }
+            acc.0.is_zero()
+        }
+    }
 
     fn group() -> SchnorrGroup {
         SchnorrGroup::tiny()

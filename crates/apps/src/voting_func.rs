@@ -104,7 +104,7 @@ impl VotingFunc {
     }
 
     /// The tally release round `t_tally = t_end + ∆`.
-    pub fn t_tally(&self) -> Option<u64> {
+    pub(crate) fn t_tally(&self) -> Option<u64> {
         self.t_end().map(|t| t + self.delta)
     }
 

@@ -14,11 +14,11 @@ use sbc_uc::value::{Command, Value};
 use std::collections::HashMap;
 
 /// Leak source label for `F_FBC`.
-pub const FBC_SOURCE: &str = "F_FBC";
+pub(crate) const FBC_SOURCE: &str = "F_FBC";
 
 /// A broadcast record `(tag, M, P, Cl*)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FbcRecord {
+pub(crate) struct FbcRecord {
     /// The unique tag.
     pub tag: Tag,
     /// The (current) message.
@@ -32,7 +32,6 @@ pub struct FbcRecord {
 /// The functionality `F_FBC^{∆,α}(P)`.
 #[derive(Clone, Debug)]
 pub struct FbcFunc {
-    n: usize,
     delta: u64,
     alpha: u64,
     /// `L_pend`: unlocked records.
@@ -49,10 +48,9 @@ impl FbcFunc {
     /// # Panics
     ///
     /// Panics unless `∆ ≥ α`.
-    pub fn new(n: usize, delta: u64, alpha: u64, tag_rng: Drbg) -> Self {
+    pub fn new(delta: u64, alpha: u64, tag_rng: Drbg) -> Self {
         assert!(delta >= alpha, "need ∆ ≥ α");
         FbcFunc {
-            n,
             delta,
             alpha,
             pending: Vec::new(),
@@ -62,21 +60,11 @@ impl FbcFunc {
         }
     }
 
-    /// The delivery delay ∆.
-    pub fn delta(&self) -> u64 {
-        self.delta
-    }
-
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Drops every unlocked (`L_pend`) and undelivered locked (`L_lock`)
     /// record (multi-epoch turnover: requests from an ended period must not
     /// deliver into the next one). The tag stream carries over so tags stay
     /// globally fresh across epochs.
-    pub fn begin_new_period(&mut self) {
+    pub(crate) fn begin_new_period(&mut self) {
         self.pending.clear();
         self.locked.clear();
     }
@@ -113,7 +101,11 @@ impl FbcFunc {
 
     /// `Output_Request` from the simulator: at exactly `Cl − Cl* = ∆ − α`,
     /// reveals and **locks** the record.
-    pub fn output_request(&mut self, tag: Tag, ctx: &mut HybridCtx<'_>) -> Option<FbcRecord> {
+    pub(crate) fn output_request(
+        &mut self,
+        tag: Tag,
+        ctx: &mut HybridCtx<'_>,
+    ) -> Option<FbcRecord> {
         let now = ctx.time();
         let idx = self.pending.iter().position(|r| {
             r.tag == tag && now.wrapping_sub(r.requested_at) == self.delta - self.alpha
@@ -125,7 +117,7 @@ impl FbcFunc {
 
     /// `Corruption_Request` from the simulator: the pending (unlocked)
     /// records of corrupted senders.
-    pub fn corruption_request(&self, ctx: &HybridCtx<'_>) -> Vec<FbcRecord> {
+    pub(crate) fn corruption_request(&self, ctx: &HybridCtx<'_>) -> Vec<FbcRecord> {
         self.pending
             .iter()
             .filter(|r| ctx.is_corrupted(r.sender))
@@ -135,7 +127,7 @@ impl FbcFunc {
 
     /// `Allow` from the simulator: substitutes a *pending* record of a
     /// corrupted sender, locking the substituted value. Returns success.
-    pub fn allow(
+    pub(crate) fn allow(
         &mut self,
         tag: Tag,
         msg: Value,
@@ -189,14 +181,14 @@ mod tests {
     use super::*;
     use sbc_uc::world::WorldCore;
 
-    fn func(n: usize) -> FbcFunc {
-        FbcFunc::new(n, 2, 2, Drbg::from_seed(b"fbc-tags"))
+    fn func() -> FbcFunc {
+        FbcFunc::new(2, 2, Drbg::from_seed(b"fbc-tags"))
     }
 
     #[test]
     fn leak_hides_message() {
         let mut core = WorldCore::new(2, b"fbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::bytes(b"secret"), &mut core.ctx());
         assert_eq!(core.leaks.len(), 1);
         let leaked = core.leaks[0].cmd.value.encode();
@@ -211,7 +203,7 @@ mod tests {
     #[test]
     fn delivery_after_exactly_delta_rounds() {
         let mut core = WorldCore::new(2, b"fbc");
-        let mut f = func(2);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(7), &mut core.ctx());
         assert!(f.advance_clock(PartyId(0), &mut core.ctx()).is_empty());
         core.clock.fast_forward(core.clock.read() + 1);
@@ -230,7 +222,7 @@ mod tests {
     #[test]
     fn deliveries_sorted_by_message() {
         let mut core = WorldCore::new(1, b"fbc");
-        let mut f = func(1);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::bytes(b"zebra"), &mut core.ctx());
         f.broadcast(PartyId(0), Value::bytes(b"apple"), &mut core.ctx());
         core.clock.fast_forward(core.clock.read() + 1);
@@ -242,7 +234,7 @@ mod tests {
     #[test]
     fn output_request_locks_and_blocks_substitution() {
         let mut core = WorldCore::new(2, b"fbc");
-        let mut f = func(2); // ∆ - α = 0: lockable immediately
+        let mut f = func(); // ∆ - α = 0: lockable immediately
         let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         let rec = f.output_request(tag, &mut core.ctx()).unwrap();
         assert_eq!(rec.msg, Value::U64(1));
@@ -261,7 +253,7 @@ mod tests {
     #[test]
     fn output_request_wrong_round_fails() {
         let mut core = WorldCore::new(2, b"fbc");
-        let mut f = FbcFunc::new(2, 3, 1, Drbg::from_seed(b"t")); // ∆-α = 2
+        let mut f = FbcFunc::new(3, 1, Drbg::from_seed(b"t")); // ∆-α = 2
         let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert!(
             f.output_request(tag, &mut core.ctx()).is_none(),
@@ -282,7 +274,7 @@ mod tests {
     #[test]
     fn allow_substitutes_unlocked_pending_of_corrupted() {
         let mut core = WorldCore::new(2, b"fbc");
-        let mut f = func(2);
+        let mut f = func();
         let tag = f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         assert!(
             !f.allow(tag, Value::U64(2), PartyId(0), &mut core.ctx()),
@@ -301,7 +293,7 @@ mod tests {
     #[test]
     fn corruption_request_filters() {
         let mut core = WorldCore::new(3, b"fbc");
-        let mut f = func(3);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
         core.corr.corrupt(PartyId(1)).unwrap();
@@ -314,7 +306,7 @@ mod tests {
     #[test]
     fn no_double_delivery_same_round() {
         let mut core = WorldCore::new(1, b"fbc");
-        let mut f = func(1);
+        let mut f = func();
         f.broadcast(PartyId(0), Value::U64(1), &mut core.ctx());
         core.clock.fast_forward(core.clock.read() + 1);
         core.clock.fast_forward(core.clock.read() + 1);
@@ -325,6 +317,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "∆ ≥ α")]
     fn invalid_parameters_panic() {
-        FbcFunc::new(2, 1, 2, Drbg::from_seed(b"x"));
+        FbcFunc::new(1, 2, Drbg::from_seed(b"x"));
     }
 }

@@ -3,5 +3,5 @@
 //! the real/ideal experiment worlds.
 
 pub mod func;
-pub mod protocol;
+pub(crate) mod protocol;
 pub mod worlds;

@@ -29,16 +29,16 @@ use sbc_uc::wrapper::{QueryWrapper, WrapperClient};
 /// The fixed time-lock difficulty of Π_FBC ciphertexts (2 rounds — one
 /// round would let a rushing adversary solve within the reception round,
 /// breaking the simulation; see the paper's discussion, item 4 of §3.2).
-pub const FBC_DIFFICULTY: u64 = 2;
+pub(crate) const FBC_DIFFICULTY: u64 = 2;
 
 /// Encodes a `(c, y)` pair for the UBC wire.
-pub fn fbc_wire(ct: &AstCiphertext, y: &[u8]) -> Value {
+pub(crate) fn fbc_wire(ct: &AstCiphertext, y: &[u8]) -> Value {
     Value::pair(Value::bytes(ct.to_bytes()), Value::bytes(y))
 }
 
 /// Parses a `(c, y)` pair off the UBC wire, enforcing the Π_FBC ciphertext
 /// format (difficulty 2, chain length `2q + 1`).
-pub fn parse_fbc_wire(v: &Value, q: u32) -> Option<(AstCiphertext, Vec<u8>)> {
+pub(crate) fn parse_fbc_wire(v: &Value, q: u32) -> Option<(AstCiphertext, Vec<u8>)> {
     let items = v.as_list()?;
     if items.len() != 2 {
         return None;
@@ -52,14 +52,14 @@ pub fn parse_fbc_wire(v: &Value, q: u32) -> Option<(AstCiphertext, Vec<u8>)> {
 
 /// Unmasks `y` with `η` and decodes the message (raw bytes if the canonical
 /// decoding fails — adversarial senders may mask arbitrary strings).
-pub fn decode_masked(eta: &[u8; 32], y: &[u8]) -> Value {
+pub(crate) fn decode_masked(eta: &[u8; 32], y: &[u8]) -> Value {
     let bytes = xor_mask(eta, y);
     Value::decode(&bytes).unwrap_or(Value::Bytes(bytes))
 }
 
 /// Performs the per-message encryption draws (protocol step 4a–4b) in the
 /// canonical order `ρ, k` — the order simulators mirror.
-pub fn encrypt_with_randomness(
+pub(crate) fn encrypt_with_randomness(
     rng: &mut Drbg,
     rs: &[Element],
     hashes: &[Element],
@@ -71,7 +71,7 @@ pub fn encrypt_with_randomness(
 
 /// A received ciphertext awaiting decryption (an `L_wait` entry).
 #[derive(Clone, Debug)]
-pub struct WaitEntry {
+pub(crate) struct WaitEntry {
     ct: AstCiphertext,
     y: Vec<u8>,
     recv_round: u64,
@@ -80,7 +80,7 @@ pub struct WaitEntry {
 
 /// What an advancing party hands back to the world for routing.
 #[derive(Clone, Debug, Default)]
-pub struct AdvanceResult {
+pub(crate) struct AdvanceResult {
     /// `(c, y)` wires to hand to the UBC layer (protocol step 4e).
     pub broadcasts: Vec<Value>,
     /// Messages ready for the environment, already sorted (steps 5–7).
@@ -89,7 +89,7 @@ pub struct AdvanceResult {
 
 /// Per-party state of `Π_FBC`.
 #[derive(Clone, Debug)]
-pub struct FbcParty {
+pub(crate) struct FbcParty {
     id: PartyId,
     q: u32,
     rng: Drbg,
@@ -102,7 +102,7 @@ pub struct FbcParty {
 
 impl FbcParty {
     /// Creates party state; `rng` is the party's private randomness stream.
-    pub fn new(id: PartyId, q: u32, rng: Drbg) -> Self {
+    pub(crate) fn new(id: PartyId, q: u32, rng: Drbg) -> Self {
         FbcParty {
             id,
             q,
@@ -113,31 +113,26 @@ impl FbcParty {
         }
     }
 
-    /// The party identity.
-    pub fn id(&self) -> PartyId {
-        self.id
-    }
-
     /// Forgets queued (`L_pend`) and in-flight (`L_wait`) broadcasts so the
     /// party can take part in a fresh period (multi-epoch turnover). The
     /// private randomness stream and the round-dedup guard carry over.
-    pub fn reset_period(&mut self) {
+    pub(crate) fn reset_period(&mut self) {
         self.pend.clear();
         self.wait.clear();
     }
 
     /// `(sid, Broadcast, M)` input from the environment.
-    pub fn on_input(&mut self, msg: Value) {
+    pub(crate) fn on_input(&mut self, msg: Value) {
         self.pend.push(msg);
     }
 
     /// The pending (not yet encrypted) messages — revealed on corruption.
-    pub fn pending(&self) -> &[Value] {
+    pub(crate) fn pending(&self) -> &[Value] {
         &self.pend
     }
 
     /// Adversarial substitution of a pending message (sender corrupted).
-    pub fn substitute(&mut self, index: usize, msg: Value) -> bool {
+    pub(crate) fn substitute(&mut self, index: usize, msg: Value) -> bool {
         match self.pend.get_mut(index) {
             Some(slot) => {
                 *slot = msg;
@@ -148,7 +143,7 @@ impl FbcParty {
     }
 
     /// Records a `(c, y)` delivery from the UBC layer.
-    pub fn on_ubc_deliver(&mut self, payload: &Value, now: u64) {
+    pub(crate) fn on_ubc_deliver(&mut self, payload: &Value, now: u64) {
         if let Some((ct, y)) = parse_fbc_wire(payload, self.q) {
             if let Ok(solver) = ChainSolver::new(&ct.chain) {
                 self.wait.push(WaitEntry {
@@ -161,15 +156,10 @@ impl FbcParty {
         }
     }
 
-    /// Ciphertexts currently waiting for decryption (introspection).
-    pub fn waiting(&self) -> usize {
-        self.wait.len()
-    }
-
     /// The honest `Advance_Clock` round step (protocol steps 1–8). The
     /// caller routes `broadcasts` into the UBC layer and `outputs` to the
     /// environment, then forwards `Advance_Clock` (step 9).
-    pub fn advance_step(
+    pub(crate) fn advance_step(
         &mut self,
         now: u64,
         wrapper: &mut QueryWrapper,
@@ -236,7 +226,7 @@ impl FbcParty {
     /// The corrupted semi-honest round step: encrypt and emit pending
     /// messages (possibly substituted by the adversary) on the shared
     /// corrupted wrapper budget; no solving, no environment outputs.
-    pub fn corrupted_step(
+    pub(crate) fn corrupted_step(
         &mut self,
         now: u64,
         wrapper: &mut QueryWrapper,
@@ -311,7 +301,7 @@ mod tests {
         // Round 2: delivered.
         let r2 = receiver.advance_step(2, &mut w, &mut rs, &mut ro);
         assert_eq!(r2.outputs, vec![Value::bytes(b"fair message")]);
-        assert_eq!(receiver.waiting(), 0);
+        assert_eq!(receiver.wait.len(), 0);
     }
 
     #[test]
@@ -395,7 +385,7 @@ mod tests {
         let mut rng = Drbg::from_seed(b"adv");
         let ct = sbc_primitives::astrolabous::ast_enc(&h, b"x", 1, 3, &mut rng);
         p.on_ubc_deliver(&fbc_wire(&ct, b"mask"), 0);
-        assert_eq!(p.waiting(), 0);
+        assert_eq!(p.wait.len(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!   `F_UBC`, the wrapped oracle `W_q(F*_RO)`, the programmable `F_RO` and
 //!   `G_clock` — exactly the hybrid model of Lemma 2.
 //! * [`IdealFbcWorld`] — dummy parties talk to `F_FBC(∆=2, α=2)`; the
-//!   simulator [`SimFbc`] (Appendix B) runs `F_UBC` itself and broadcasts
+//!   simulator `SimFbc` (Appendix B) runs `F_UBC` itself and broadcasts
 //!   into it what the honest parties would: time-lock ciphertexts of
 //!   random values, with its α-advantage (`Output_Request` at the broadcast
 //!   round itself) used to learn each message just in time to equivocate
@@ -33,9 +33,9 @@ use sbc_uc::world::{AdvCommand, Leak, World, WorldCore};
 use sbc_uc::wrapper::{QueryWrapper, WrapperClient};
 
 /// The fair-broadcast delay realized by `Π_FBC`.
-pub const FBC_DELTA: u64 = 2;
+pub(crate) const FBC_DELTA: u64 = 2;
 /// The simulator advantage realized by `Π_FBC`.
-pub const FBC_ALPHA: u64 = 2;
+pub(crate) const FBC_ALPHA: u64 = 2;
 
 fn fork_streams(core: &mut WorldCore) -> (Drbg, Drbg, Drbg, Drbg, Vec<Drbg>) {
     // Both worlds fork the same labels in the same order so every stream
@@ -286,7 +286,7 @@ struct SimEntry {
 /// chain randomness, with each `y` computed from the message
 /// `Output_Request` reveals.
 #[derive(Debug)]
-pub struct SimFbc {
+pub(crate) struct SimFbc {
     q: u32,
     party_rngs: Vec<Drbg>,
     ubc: UbcFunc,
@@ -313,7 +313,7 @@ impl SimFbc {
     /// Whether a paper-abort event (adversary pre-querying a hidden point)
     /// occurred. Happens with probability 2^{-λ} against real adversaries;
     /// asserted `false` by the experiments.
-    pub fn would_abort(&self) -> bool {
+    pub(crate) fn would_abort(&self) -> bool {
         self.would_abort
     }
 
@@ -481,7 +481,7 @@ impl IdealFbcWorld {
         let (ro_star_rng, ro_rng, ubc_tags, fbc_tags, party_rngs) = fork_streams(&mut core);
         IdealFbcWorld {
             core,
-            ffbc: FbcFunc::new(n, FBC_DELTA, FBC_ALPHA, fbc_tags),
+            ffbc: FbcFunc::new(FBC_DELTA, FBC_ALPHA, fbc_tags),
             sim: SimFbc::new(q, party_rngs, UbcFunc::new(n, ubc_tags)),
             wrapper: QueryWrapper::new(q),
             ro_star: RandomOracle::new(ro_star_rng),

@@ -20,6 +20,7 @@
 //! honest parties do.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod fbc;

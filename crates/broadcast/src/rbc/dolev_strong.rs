@@ -22,7 +22,7 @@ use sbc_uc::value::Value;
 use std::collections::BTreeSet;
 
 /// The default output `⊥` produced on equivocation or silence.
-pub fn bottom() -> Value {
+pub(crate) fn bottom() -> Value {
     Value::str("\u{22a5}")
 }
 
@@ -76,6 +76,7 @@ pub struct DolevStrong {
     round: u64,
     corrupted: Vec<bool>,
     extracted: Vec<BTreeSet<Value>>,
+    #[cfg(test)]
     sigs_verified: u64,
 }
 
@@ -96,7 +97,7 @@ impl DolevStrong {
         assert!(n > 0 && sender.index() < n, "sender out of range");
         assert!(t < n, "need t < n");
         let certs = (0..n as u32)
-            .map(|i| IdealCert::new(PartyId(i), rng.fork(&i.to_be_bytes())))
+            .map(|i| IdealCert::new(rng.fork(&i.to_be_bytes())))
             .collect();
         DolevStrong {
             sid: sid.into(),
@@ -108,6 +109,7 @@ impl DolevStrong {
             round: 0,
             corrupted: vec![false; n],
             extracted: vec![BTreeSet::new(); n],
+            #[cfg(test)]
             sigs_verified: 0,
         }
     }
@@ -119,7 +121,7 @@ impl DolevStrong {
     }
 
     /// Number of protocol rounds required: `t + 1`.
-    pub fn rounds_required(&self) -> u64 {
+    pub(crate) fn rounds_required(&self) -> u64 {
         self.t as u64 + 1
     }
 
@@ -140,7 +142,7 @@ impl DolevStrong {
     }
 
     /// Whether `party` is corrupted (never, for a `party ≥ n`).
-    pub fn is_corrupted(&self, party: PartyId) -> bool {
+    pub(crate) fn is_corrupted(&self, party: PartyId) -> bool {
         self.corrupted.get(party.index()) == Some(&true)
     }
 
@@ -198,7 +200,10 @@ impl DolevStrong {
         }
         let payload = self.payload(msg);
         for link in chain {
-            self.sigs_verified += 1;
+            #[cfg(test)]
+            {
+                self.sigs_verified += 1;
+            }
             if !self.certs[link.signer.index()].verify(&payload, &link.signature) {
                 return false;
             }
@@ -250,7 +255,7 @@ impl DolevStrong {
     }
 
     /// Whether all `t + 1` rounds have completed.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.round >= self.rounds_required()
     }
 
@@ -265,7 +270,7 @@ impl DolevStrong {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`is_complete`](Self::is_complete).
+    /// Panics if called before the protocol has completed.
     pub fn outputs(&self) -> Vec<Value> {
         assert!(self.is_complete(), "protocol still running");
         self.extracted
@@ -281,7 +286,8 @@ impl DolevStrong {
     }
 
     /// `(messages sent, payload bytes, signatures verified)` cost counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (
             self.net.sent_total(),
             self.net.bytes_total(),

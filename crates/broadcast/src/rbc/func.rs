@@ -15,7 +15,7 @@ use sbc_uc::value::{Command, Value};
 /// What an instance delivers goes to all of P, so its delivering entry
 /// points return the one `(M, P)` pair every party receives.
 #[derive(Clone, Debug, Default)]
-pub struct RbcFunc {
+pub(crate) struct RbcFunc {
     /// `(Output, Sender)` — set on the first honest broadcast.
     pending: Option<(Value, PartyId)>,
     halted: bool,
@@ -25,7 +25,7 @@ pub struct RbcFunc {
 
 impl RbcFunc {
     /// Creates an instance with a leakage `label`.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub(crate) fn new(label: impl Into<String>) -> Self {
         RbcFunc {
             pending: None,
             halted: false,
@@ -33,19 +33,14 @@ impl RbcFunc {
         }
     }
 
-    /// Whether the instance has delivered and halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The recorded (pending) output and sender, if any.
-    pub fn pending(&self) -> Option<&(Value, PartyId)> {
-        self.pending.as_ref()
-    }
-
     /// `Broadcast` from an honest party: records the output/sender pair and
     /// leaks `(Broadcast, M, P)` to the adversary.
-    pub fn broadcast_honest(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
+    pub(crate) fn broadcast_honest(
+        &mut self,
+        sender: PartyId,
+        msg: Value,
+        ctx: &mut HybridCtx<'_>,
+    ) {
         if self.halted || self.pending.is_some() || ctx.is_corrupted(sender) {
             return;
         }
@@ -77,7 +72,7 @@ impl RbcFunc {
 
     /// `Broadcast` from the adversary on behalf of a corrupted party:
     /// delivers immediately to all parties and halts.
-    pub fn broadcast_corrupted(
+    pub(crate) fn broadcast_corrupted(
         &mut self,
         sender: PartyId,
         msg: Value,
@@ -91,7 +86,11 @@ impl RbcFunc {
 
     /// `Allow` from the adversary: if the recorded sender is corrupted,
     /// substitutes the message and delivers to all parties.
-    pub fn allow(&mut self, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<(Value, PartyId)> {
+    pub(crate) fn allow(
+        &mut self,
+        msg: Value,
+        ctx: &mut HybridCtx<'_>,
+    ) -> Option<(Value, PartyId)> {
         if self.halted {
             return None;
         }
@@ -104,7 +103,7 @@ impl RbcFunc {
 
     /// `Advance_Clock` from an honest party: if it is the recorded sender,
     /// the instance delivers her output to all parties and halts.
-    pub fn advance_clock(
+    pub(crate) fn advance_clock(
         &mut self,
         party: PartyId,
         ctx: &mut HybridCtx<'_>,
@@ -130,12 +129,12 @@ mod tests {
         let mut core = WorldCore::new(3, b"rbc");
         let mut f = RbcFunc::new("F_RBC[P0,1]");
         f.broadcast_honest(PartyId(0), Value::bytes(b"m"), &mut core.ctx());
-        assert!(!f.is_halted());
+        assert!(!f.halted);
         // Another party advancing does nothing.
         assert!(f.advance_clock(PartyId(1), &mut core.ctx()).is_none());
         let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(delivered, Some((Value::bytes(b"m"), PartyId(0))));
-        assert!(f.is_halted());
+        assert!(f.halted);
     }
 
     #[test]
@@ -170,7 +169,7 @@ mod tests {
         let mut f = RbcFunc::new("l");
         let delivered = f.broadcast_corrupted(PartyId(1), Value::U64(5), &mut core.ctx());
         assert_eq!(delivered, Some((Value::U64(5), PartyId(1))));
-        assert!(f.is_halted());
+        assert!(f.halted);
     }
 
     #[test]
@@ -192,6 +191,6 @@ mod tests {
         core.corr.corrupt(PartyId(0)).unwrap();
         let mut f = RbcFunc::new("l");
         f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx());
-        assert!(f.pending().is_none());
+        assert!(f.pending.is_none());
     }
 }

@@ -4,4 +4,4 @@
 //! come from [`IdealCert`](sbc_uc::cert::IdealCert), the `F_cert` of Fig. 4.
 
 pub mod dolev_strong;
-pub mod func;
+pub(crate) mod func;

@@ -15,7 +15,7 @@ use sbc_uc::ids::{PartyId, Tag};
 use sbc_uc::value::{Command, Value};
 
 /// Leak source label for `F_UBC`.
-pub const UBC_SOURCE: &str = "F_UBC";
+pub(crate) const UBC_SOURCE: &str = "F_UBC";
 
 /// The functionality `F_UBC(P)`.
 ///
@@ -115,7 +115,7 @@ impl UbcFunc {
     /// corrupted sender with a substituted value, delivered to all
     /// parties. The other entries of that sender's queue, and every other
     /// queue, stay in place.
-    pub fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
+    pub(crate) fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
         let found = self.pending.iter().enumerate().find_map(|(sender, queue)| {
             let at = queue.iter().position(|(t, _)| *t == tag)?;
             Some((sender, at))

@@ -3,5 +3,5 @@
 //! real/ideal worlds for the indistinguishability experiments.
 
 pub mod func;
-pub mod protocol;
+pub(crate) mod protocol;
 pub mod worlds;

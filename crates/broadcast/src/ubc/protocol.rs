@@ -14,12 +14,12 @@ use sbc_uc::value::Value;
 use std::collections::BTreeMap;
 
 /// Leak-source label for the `i`-th `F_RBC` instance of `sender`.
-pub fn rbc_instance_label(sender: PartyId, index: u64) -> String {
+pub(crate) fn rbc_instance_label(sender: PartyId, index: u64) -> String {
     format!("F_RBC[{sender},{index}]")
 }
 
 /// Parses an instance label back into `(sender, index)`.
-pub fn parse_instance_label(label: &str) -> Option<(PartyId, u64)> {
+pub(crate) fn parse_instance_label(label: &str) -> Option<(PartyId, u64)> {
     let inner = label.strip_prefix("F_RBC[")?.strip_suffix(']')?;
     let (p, i) = inner.split_once(',')?;
     let party = p.strip_prefix('P')?.parse().ok()?;
@@ -28,7 +28,7 @@ pub fn parse_instance_label(label: &str) -> Option<(PartyId, u64)> {
 
 /// The protocol `Π_UBC(F_RBC, P)`.
 #[derive(Clone, Debug)]
-pub struct UbcProtocol {
+pub(crate) struct UbcProtocol {
     n: usize,
     /// `total_P` counters.
     totals: Vec<u64>,
@@ -43,7 +43,7 @@ pub struct UbcProtocol {
 
 impl UbcProtocol {
     /// Creates the protocol state for `n` parties.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UbcProtocol {
             n,
             totals: vec![0; n],
@@ -57,7 +57,7 @@ impl UbcProtocol {
     /// (multi-epoch turnover: stale wires from an ended broadcast period
     /// must not bleed into the next one). The `total_P` counters carry
     /// over so instance labels stay globally fresh.
-    pub fn clear_pending(&mut self) {
+    pub(crate) fn clear_pending(&mut self) {
         for (i, pend) in self.pending.iter_mut().enumerate() {
             for idx in pend.drain(..) {
                 self.instances.remove(&(i as u32, idx));
@@ -67,7 +67,7 @@ impl UbcProtocol {
 
     /// Honest broadcast input from `sender`: the message enters the next
     /// `F_RBC` instance of `sender`.
-    pub fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
+    pub(crate) fn broadcast(&mut self, sender: PartyId, msg: Value, ctx: &mut HybridCtx<'_>) {
         if sender.index() >= self.n || ctx.is_corrupted(sender) {
             return;
         }
@@ -81,7 +81,7 @@ impl UbcProtocol {
 
     /// Adversarial broadcast on behalf of a corrupted `sender` through a
     /// fresh instance: the message every party receives at once.
-    pub fn adv_broadcast(
+    pub(crate) fn adv_broadcast(
         &mut self,
         sender: PartyId,
         msg: Value,
@@ -100,7 +100,12 @@ impl UbcProtocol {
 
     /// Adversarial substitution in the in-flight instance named `label`:
     /// the substituted message every party receives.
-    pub fn adv_allow(&mut self, label: &str, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
+    pub(crate) fn adv_allow(
+        &mut self,
+        label: &str,
+        msg: Value,
+        ctx: &mut HybridCtx<'_>,
+    ) -> Option<Value> {
         let (party, idx) = parse_instance_label(label)?;
         let inst = self.instances.get_mut(&(party.0, idx))?;
         inst.allow(msg, ctx).map(|(msg, _)| msg)
@@ -108,7 +113,7 @@ impl UbcProtocol {
 
     /// `Advance_Clock` from `party`: each of this round's instances of
     /// `party` delivers, in order, its message to every party.
-    pub fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
+    pub(crate) fn advance(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Vec<Value> {
         if party.index() >= self.n || ctx.is_corrupted(party) {
             return Vec::new();
         }

@@ -2,7 +2,7 @@
 //!
 //! * [`RealUbcWorld`] — parties run `Π_UBC` (Fig. 9) over `F_RBC` instances.
 //! * [`IdealUbcWorld`] — dummy parties talk to `F_UBC` (Fig. 8); the
-//!   simulator [`SimUbc`] (Appendix A of the paper) re-shapes every
+//!   simulator `SimUbc` (Appendix A of the paper) re-shapes every
 //!   functionality leak into exactly the `F_RBC`-instance leakage the real
 //!   adversary would see, and translates adversarial commands addressed to
 //!   `F_RBC` instances back into `F_UBC` interface calls.
@@ -131,7 +131,7 @@ impl SbcWorld for RealUbcWorld {
 /// functionality tag to the `F_RBC` instance label the real execution would
 /// use, and re-emits functionality leakage in real-world shape.
 #[derive(Debug, Default)]
-pub struct SimUbc {
+pub(crate) struct SimUbc {
     totals: HashMap<PartyId, u64>,
     tag_label: HashMap<Tag, String>,
     label_tag: HashMap<String, Tag>,
@@ -139,7 +139,7 @@ pub struct SimUbc {
 
 impl SimUbc {
     /// Creates the simulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimUbc::default()
     }
 
@@ -150,7 +150,7 @@ impl SimUbc {
     }
 
     /// Translates one `F_UBC` leak into the real-world `F_RBC` leak shape.
-    pub fn translate_leak(&mut self, leak: Leak) -> Leak {
+    pub(crate) fn translate_leak(&mut self, leak: Leak) -> Leak {
         let items = leak.cmd.value.as_list().unwrap_or(&[]).to_vec();
         match items.len() {
             // (tag, M, P): honest broadcast, substitution, or flush.
@@ -189,7 +189,7 @@ impl SimUbc {
     }
 
     /// Resolves a real-world instance label to the functionality tag.
-    pub fn tag_for_label(&self, label: &str) -> Option<Tag> {
+    pub(crate) fn tag_for_label(&self, label: &str) -> Option<Tag> {
         self.label_tag.get(label).copied()
     }
 }

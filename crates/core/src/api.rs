@@ -28,11 +28,9 @@
 //!   real-vs-ideal transcript equality across corruptions, injections and
 //!   late drains for every epoch, not just the first.
 //! * **Adversary as configuration.** Dishonest-majority scenarios are set
-//!   up on the builder ([`SbcSessionBuilder::corrupt`],
-//!   [`SbcSessionBuilder::capture_leaks`]) and driven through the session's
-//!   adversarial surface ([`SbcSession::corrupt`],
-//!   [`SbcSession::send_as`], [`SbcSession::inject_message`], leak
-//!   capture), not by hand-written
+//!   up on the builder ([`SbcSessionBuilder::corrupt`]) and driven through
+//!   the session's adversarial surface ([`SbcSession::corrupt`],
+//!   [`SbcSession::inject_message`]), not by hand-written
 //!   `World::adversary` calls.
 //! * **The single-instance special case.** A session *is* an
 //!   [`SbcPool`] holding exactly one instance: all
@@ -86,10 +84,9 @@
 //! ```
 
 use crate::pool::{InstanceId, SbcPool, SbcPoolBuilder};
-use crate::worlds::{RealSbcWorld, SbcBackend, SbcParams};
+use crate::worlds::{RealSbcWorld, SbcBackend};
 use sbc_uc::exec::SbcWorld;
 use sbc_uc::value::Value;
-use sbc_uc::world::Leak;
 
 pub use crate::error::SbcError;
 
@@ -115,12 +112,6 @@ impl SbcSessionBuilder {
         self
     }
 
-    /// TLE leakage advantage `α_TLE` (`leak(Cl) = Cl + α_TLE`).
-    pub fn tle_alpha(mut self, alpha: u64) -> Self {
-        self.pool = self.pool.tle_alpha(alpha);
-        self
-    }
-
     /// TLE ciphertext-generation delay.
     pub fn tle_delay(mut self, delay: u64) -> Self {
         self.pool = self.pool.tle_delay(delay);
@@ -138,15 +129,6 @@ impl SbcSessionBuilder {
     /// parallel adversary state of its own.
     pub fn corrupt(mut self, parties: &[u32]) -> Self {
         self.pool = self.pool.corrupt(parties);
-        self
-    }
-
-    /// Retains every adversary-visible leak for inspection through
-    /// [`SbcSession::leaks`]; without it the session's world only counts
-    /// its leaks and builds none. Delegates to
-    /// [`SbcPoolBuilder::capture_leaks`].
-    pub fn capture_leaks(mut self) -> Self {
-        self.pool = self.pool.capture_leaks();
         self
     }
 
@@ -250,25 +232,10 @@ impl<W: SbcBackend> SbcSession<W> {
         self.id
     }
 
-    /// The session parameters.
-    pub fn params(&self) -> SbcParams {
-        self.pool.params()
-    }
-
     /// The zero-based index of the epoch currently accepting submissions
     /// (after a backend fault, the epoch the session was in).
     pub fn epoch(&self) -> u64 {
         self.pool.last_epoch(self.live())
-    }
-
-    /// The current global-clock round.
-    pub fn round(&self) -> u64 {
-        self.pool.round()
-    }
-
-    /// Whether `party` is corrupted.
-    pub fn is_corrupted(&self, party: u32) -> bool {
-        self.pool.is_corrupted(party)
     }
 
     /// Checks whether an honest submission by `party` would currently be
@@ -290,8 +257,7 @@ impl<W: SbcBackend> SbcSession<W> {
     ///
     /// * [`SbcError::PartyOutOfRange`] if `party ≥ n`.
     /// * [`SbcError::CorruptedParty`] if `party` is corrupted (corrupted
-    ///   inputs go through [`send_as`](SbcSession::send_as) /
-    ///   [`inject_message`](SbcSession::inject_message)).
+    ///   inputs go through [`inject_message`](SbcSession::inject_message)).
     /// * [`SbcError::SubmitAfterClose`] if the period is already too far
     ///   along for the ciphertext to be ready before `t_end`.
     pub fn submit(&mut self, party: u32, message: &[u8]) -> Result<(), SbcError> {
@@ -371,20 +337,6 @@ impl<W: SbcBackend> SbcSession<W> {
             .unwrap_or_default())
     }
 
-    /// Sends a raw UBC wire on behalf of corrupted `party` (immediate
-    /// delivery — the unfairness of `F_UBC`). The payload must be a
-    /// `(c, τ_rel, y)` triple to be accepted by honest recipients; use
-    /// [`inject_message`](SbcSession::inject_message) for the full
-    /// fabricate-and-send recipe.
-    ///
-    /// # Errors
-    ///
-    /// * [`SbcError::PartyOutOfRange`] if `party ≥ n`.
-    /// * [`SbcError::HonestParty`] if `party` is not corrupted.
-    pub fn send_as(&mut self, party: u32, wire: Value) -> Result<(), SbcError> {
-        self.pool.send_as(self.live(), party, wire)
-    }
-
     /// The full adversarial-broadcast recipe on behalf of corrupted
     /// `party`: fabricates a time-lock ciphertext for a fresh `ρ`,
     /// registers it with `F_TLE` (`Insert`), derives the honest mask
@@ -396,28 +348,13 @@ impl<W: SbcBackend> SbcSession<W> {
     ///
     /// # Errors
     ///
-    /// * [`SbcError::PartyOutOfRange`] / [`SbcError::HonestParty`] as for
-    ///   [`send_as`](SbcSession::send_as).
+    /// * [`SbcError::PartyOutOfRange`] if `party ≥ n`.
+    /// * [`SbcError::HonestParty`] if `party` is not corrupted.
     /// * [`SbcError::PeriodNotOpen`] before the first wake-up (`τ_rel` is
     ///   not yet agreed).
     /// * [`SbcError::SubmitAfterClose`] once the period has closed.
     pub fn inject_message(&mut self, party: u32, message: &[u8]) -> Result<(), SbcError> {
         self.pool.inject_message(self.live(), party, message)
-    }
-
-    /// Whether the backend's simulator hit a simulation-abort event (the
-    /// negligible-probability event of the Theorem 2 proof). Always `false`
-    /// on the real backend.
-    pub fn would_abort(&self) -> bool {
-        self.pool.would_abort()
-    }
-
-    /// Adversary-visible leaks captured so far (requires
-    /// [`SbcSessionBuilder::capture_leaks`]; empty otherwise).
-    pub fn leaks(&self) -> &[Leak] {
-        self.pool
-            .leaks(self.id)
-            .expect("session instance stays live")
     }
 }
 
@@ -499,12 +436,12 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SbcError::InvalidParams { .. }));
         // ∆ ≤ α_TLE violates Theorem 2.
-        let err = SbcSession::builder(3)
-            .delta(1)
-            .tle_alpha(1)
-            .seed(b"bad2")
-            .build()
-            .unwrap_err();
+        let err = SbcSessionBuilder {
+            pool: SbcPool::builder(3).delta(1).tle_alpha(1),
+        }
+        .seed(b"bad2")
+        .build()
+        .unwrap_err();
         assert!(matches!(err, SbcError::InvalidParams { .. }));
         // n = 0 is degenerate.
         let err = SbcSession::builder(0).seed(b"bad3").build().unwrap_err();
@@ -603,7 +540,7 @@ mod tests {
             s.corrupt(1),
             Err(SbcError::CorruptionBudgetExceeded { party: 1 })
         );
-        assert!(!s.is_corrupted(1), "party 1 stayed honest");
+        assert!(!s.pool.is_corrupted(1), "party 1 stayed honest");
     }
 
     #[test]
@@ -620,12 +557,13 @@ mod tests {
 
     #[test]
     fn corrupt_and_inject_through_public_api() {
-        let mut s = SbcSession::builder(3)
-            .seed(b"adv")
-            .corrupt(&[2])
-            .capture_leaks()
-            .build()
-            .unwrap();
+        let mut s = SbcSessionBuilder {
+            pool: SbcPool::builder(3).capture_leaks(),
+        }
+        .seed(b"adv")
+        .corrupt(&[2])
+        .build()
+        .unwrap();
         s.submit(0, b"honest").unwrap();
         // Wake the stack so τ_rel is agreed, then inject as the corrupted
         // party mid-period.
@@ -634,14 +572,17 @@ mod tests {
         let r = s.run_to_completion().unwrap();
         assert!(r.messages.contains(&b"honest".to_vec()));
         assert!(r.messages.contains(&b"adversarial".to_vec()));
-        assert!(!s.leaks().is_empty(), "leak capture is on");
+        assert!(
+            !s.pool.leaks(s.id).unwrap().is_empty(),
+            "leak capture is on"
+        );
     }
 
     #[test]
     fn adversarial_surface_error_paths() {
         let mut s = SbcSession::builder(2).seed(b"adv-err").build().unwrap();
         assert_eq!(
-            s.send_as(0, Value::Unit),
+            s.pool.send_as(s.id, 0, Value::Unit),
             Err(SbcError::HonestParty { party: 0 })
         );
         assert_eq!(
@@ -673,7 +614,7 @@ mod tests {
         let r = s.run_to_completion().unwrap();
         assert_eq!(r.messages.len(), 2);
         assert_eq!(r.release_round, 3 + 2);
-        assert!(!s.would_abort());
+        assert!(!s.pool.would_abort());
     }
 
     #[test]
@@ -692,7 +633,7 @@ mod tests {
                 s.submit(1, format!("b{epoch}").as_bytes()).unwrap();
                 out.push(s.run_epoch().unwrap());
             }
-            (out, s.would_abort())
+            (out, s.pool.would_abort())
         }
         let real = drive(SbcSession::builder(3).seed(b"dual-adv").build().unwrap());
         let ideal = drive(
@@ -715,7 +656,7 @@ mod tests {
             .seed(b"generic")
             .build_backend::<IdealSbcWorld>()
             .unwrap();
-        assert_eq!(s.params().n, 2);
+        assert_eq!(s.pool.params().n, 2);
         let err = SbcSession::builder(0)
             .seed(b"generic-bad")
             .build_backend::<RealSbcWorld>()
@@ -734,11 +675,12 @@ mod tests {
 
     #[test]
     fn corruption_returns_pending_messages() {
-        let mut s = SbcSession::builder(2)
-            .seed(b"pend")
-            .capture_leaks()
-            .build()
-            .unwrap();
+        let mut s = SbcSessionBuilder {
+            pool: SbcPool::builder(2).capture_leaks(),
+        }
+        .seed(b"pend")
+        .build()
+        .unwrap();
         s.submit(0, b"secret-draft").unwrap();
         let pending = s.corrupt(0).unwrap();
         assert_eq!(pending, vec![Value::bytes(b"secret-draft")]);

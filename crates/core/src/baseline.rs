@@ -66,67 +66,67 @@ pub fn copycat_attack_on_commit_free(honest_msg: &[u8]) -> bool {
     finals[1].1 == Value::Bytes(expected)
 }
 
-/// Runs the copy-cat attack against the real SBC stack: once the honest
-/// `(c, τ_rel, y)` wire leaks from `F_UBC`, the adversary replays it,
-/// inside the period, as the broadcast of the corrupted P2. Returns
-/// `true` if the attack succeeded: some release holds the honest message
-/// twice. The replay rule drops the copy, and any fresh wire the
-/// adversary builds encodes a message chosen independently of the honest
-/// plaintext.
-///
-/// # Panics
-///
-/// Panics if the first `delay + 1` rounds leak no wire, the replay lands
-/// outside the period, or the period releases nothing: each would make
-/// the attack vacuous.
-pub fn copycat_attack_on_sbc(seed: &[u8], honest_msg: &[u8]) -> bool {
-    use crate::protocol::ParsedWire;
-    use crate::worlds::{RealSbcWorld, SbcParams};
-    use sbc_uc::exec::SbcWorld;
-    use sbc_uc::value::Command;
-    use sbc_uc::world::{AdvCommand, World};
-
-    let params = SbcParams::default_for(3);
-    let mut world = RealSbcWorld::new(params, seed);
-    world.submit(PartyId(0), honest_msg);
-    world.adversary(AdvCommand::Corrupt(PartyId(2)));
-    // Round 1 wakes the parties and asks `F_TLE` for `c`; the wire is
-    // flushed `delay` rounds later.
-    for _ in 0..=params.tle_delay {
-        world.tick();
-    }
-    let wire = world
-        .drain_leaks()
-        .iter()
-        .find_map(|leak| {
-            let items = leak.cmd.value.as_list()?;
-            items.iter().find(|v| ParsedWire::parse(v).is_some())
-        })
-        .cloned()
-        .expect("the honest wire leaks");
-    let t_end = world.period_end().expect("the period is open");
-    assert!(world.time() < t_end, "the replay lands inside the period");
-    world.adversary(AdvCommand::SendAs {
-        party: PartyId(2),
-        cmd: Command::new("Broadcast", wire),
-    });
-    let tau_rel = world.release_round().expect("the period is open");
-    while world.time() <= tau_rel {
-        world.tick();
-    }
-    let releases = world.drain_outputs();
-    assert!(!releases.is_empty(), "the period releases");
-    let honest = Value::bytes(honest_msg);
-    releases.iter().any(|(_, cmd)| {
-        cmd.value
-            .as_list()
-            .is_some_and(|msgs| msgs.iter().filter(|m| **m == honest).count() > 1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the copy-cat attack against the real SBC stack: once the honest
+    /// `(c, τ_rel, y)` wire leaks from `F_UBC`, the adversary replays it,
+    /// inside the period, as the broadcast of the corrupted P2. Returns
+    /// `true` if the attack succeeded: some release holds the honest message
+    /// twice. The replay rule drops the copy, and any fresh wire the
+    /// adversary builds encodes a message chosen independently of the honest
+    /// plaintext.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the first `delay + 1` rounds leak no wire, the replay lands
+    /// outside the period, or the period releases nothing: each would make
+    /// the attack vacuous.
+    fn copycat_attack_on_sbc(seed: &[u8], honest_msg: &[u8]) -> bool {
+        use crate::protocol::ParsedWire;
+        use crate::worlds::{RealSbcWorld, SbcParams};
+        use sbc_uc::exec::SbcWorld;
+        use sbc_uc::value::Command;
+        use sbc_uc::world::{AdvCommand, World};
+
+        let params = SbcParams::default_for(3);
+        let mut world = RealSbcWorld::new(params, seed);
+        world.submit(PartyId(0), honest_msg);
+        world.adversary(AdvCommand::Corrupt(PartyId(2)));
+        // Round 1 wakes the parties and asks `F_TLE` for `c`; the wire is
+        // flushed `delay` rounds later.
+        for _ in 0..=params.tle_delay {
+            world.tick();
+        }
+        let wire = world
+            .drain_leaks()
+            .iter()
+            .find_map(|leak| {
+                let items = leak.cmd.value.as_list()?;
+                items.iter().find(|v| ParsedWire::parse(v).is_some())
+            })
+            .cloned()
+            .expect("the honest wire leaks");
+        let t_end = world.period_end().expect("the period is open");
+        assert!(world.time() < t_end, "the replay lands inside the period");
+        world.adversary(AdvCommand::SendAs {
+            party: PartyId(2),
+            cmd: Command::new("Broadcast", wire),
+        });
+        let tau_rel = world.release_round().expect("the period is open");
+        while world.time() <= tau_rel {
+            world.tick();
+        }
+        let releases = world.drain_outputs();
+        assert!(!releases.is_empty(), "the period releases");
+        let honest = Value::bytes(honest_msg);
+        releases.iter().any(|(_, cmd)| {
+            cmd.value
+                .as_list()
+                .is_some_and(|msgs| msgs.iter().filter(|m| **m == honest).count() > 1)
+        })
+    }
 
     #[test]
     fn commit_free_channel_breaks_simultaneity() {

@@ -21,11 +21,11 @@ use sbc_uc::value::{Command, Value};
 use std::collections::HashMap;
 
 /// Leak source label for `F_SBC`.
-pub const SBC_SOURCE: &str = "F_SBC";
+pub(crate) const SBC_SOURCE: &str = "F_SBC";
 
 /// A recorded broadcast `(tag, M, P, Cl, flag)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SbcRecord {
+pub(crate) struct SbcRecord {
     /// Unique tag.
     pub tag: Tag,
     /// The message.
@@ -40,7 +40,7 @@ pub struct SbcRecord {
 
 /// The functionality `F_SBC^{Φ,∆,α}(P)`.
 #[derive(Clone, Debug)]
-pub struct SbcFunc {
+pub(crate) struct SbcFunc {
     phi: u64,
     delta: u64,
     alpha: u64,
@@ -63,7 +63,7 @@ impl SbcFunc {
     /// # Panics
     ///
     /// Panics unless `Φ > 0` and `∆ ≥ α`.
-    pub fn new(phi: u64, delta: u64, alpha: u64, delay: u64, tag_rng: Drbg) -> Self {
+    pub(crate) fn new(phi: u64, delta: u64, alpha: u64, delay: u64, tag_rng: Drbg) -> Self {
         assert!(phi > 0, "broadcast period must be positive");
         assert!(delta >= alpha, "need ∆ ≥ α");
         SbcFunc {
@@ -81,18 +81,13 @@ impl SbcFunc {
     }
 
     /// The delivery delay ∆.
-    pub fn delta(&self) -> u64 {
+    pub(crate) fn delta(&self) -> u64 {
         self.delta
     }
 
     /// End of the broadcast period, once open.
-    pub fn t_end(&self) -> Option<u64> {
+    pub(crate) fn t_end(&self) -> Option<u64> {
         self.t_end
-    }
-
-    /// All records (simulator view).
-    pub fn records(&self) -> &[SbcRecord] {
-        &self.records
     }
 
     /// Closes the books on a released broadcast period so the same
@@ -101,7 +96,7 @@ impl SbcFunc {
     /// the once-per-period bookkeeping are dropped; the tag stream and the
     /// per-party round guard carry over, like `F_UBC`'s. The next period
     /// opens by the same rule as the first.
-    pub fn begin_new_period(&mut self) {
+    pub(crate) fn begin_new_period(&mut self) {
         self.records.clear();
         self.t_end = None;
         self.finalized_done = false;
@@ -125,7 +120,7 @@ impl SbcFunc {
     /// an honest one at `Cl + delay ≥ t_end` (no record, no leak): its
     /// ciphertext could not be cast before `t_end`. Before the period
     /// opens, `Φ > delay` makes that cut-off vacuous.
-    pub fn broadcast(
+    pub(crate) fn broadcast(
         &mut self,
         sender: PartyId,
         msg: Value,
@@ -169,7 +164,7 @@ impl SbcFunc {
 
     /// `Corruption_Request` from the simulator: unfinalized records of
     /// corrupted senders.
-    pub fn corruption_request(&self, ctx: &HybridCtx<'_>) -> Vec<SbcRecord> {
+    pub(crate) fn corruption_request(&self, ctx: &HybridCtx<'_>) -> Vec<SbcRecord> {
         self.records
             .iter()
             .filter(|r| !r.finalized && ctx.is_corrupted(r.sender))
@@ -182,7 +177,7 @@ impl SbcFunc {
     /// finalized. The finalization step closes the window, not the clock:
     /// a corruption that completes the round before `t_end` moves the
     /// clock to `t_end` before `S_SBC` can answer it.
-    pub fn allow(
+    pub(crate) fn allow(
         &mut self,
         tag: Tag,
         msg: Value,
@@ -209,7 +204,11 @@ impl SbcFunc {
     /// advancing party receives at exactly `t_end + ∆`. A party's first
     /// advance of a round is where `F_UBC` flushes its `Wake_Up`, so if
     /// it holds a record, that advance opens the period.
-    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Value> {
+    pub(crate) fn advance_clock(
+        &mut self,
+        party: PartyId,
+        ctx: &mut HybridCtx<'_>,
+    ) -> Option<Value> {
         if ctx.is_corrupted(party) {
             return None;
         }
@@ -305,7 +304,7 @@ mod tests {
         f.broadcast(PartyId(1), Value::U64(2), &mut core.ctx());
         f.advance_clock(PartyId(1), &mut core.ctx());
         assert_eq!(f.t_end(), Some(3));
-        assert_eq!(f.records().len(), 2);
+        assert_eq!(f.records.len(), 2);
     }
 
     #[test]
@@ -378,7 +377,7 @@ mod tests {
         assert!(f
             .broadcast(PartyId(0), Value::U64(2), &mut core.ctx())
             .is_none());
-        assert_eq!(f.records().len(), 1);
+        assert_eq!(f.records.len(), 1);
     }
 
     #[test]
@@ -398,7 +397,7 @@ mod tests {
         assert!(f
             .broadcast(PartyId(1), Value::U64(3), &mut core.ctx())
             .is_some());
-        let msgs: Vec<&Value> = f.records().iter().map(|r| &r.msg).collect();
+        let msgs: Vec<&Value> = f.records.iter().map(|r| &r.msg).collect();
         assert_eq!(msgs, [&Value::U64(1), &Value::U64(3)]);
     }
 
@@ -512,7 +511,7 @@ mod tests {
         }
         let delivered = f.advance_clock(PartyId(0), &mut core.ctx());
         assert_eq!(delivered, None, "delivered at round 5, once");
-        let records: Vec<&Value> = f.records().iter().map(|r| &r.msg).collect();
+        let records: Vec<&Value> = f.records.iter().map(|r| &r.msg).collect();
         assert_eq!(records, [&Value::U64(1), &Value::U64(99)]);
     }
 
@@ -532,7 +531,7 @@ mod tests {
         f.advance_clock(PartyId(0), &mut core.ctx());
         assert!(!f.allow(late.unwrap(), Value::U64(3), PartyId(1), &mut core.ctx()));
         let records: Vec<(&Value, bool)> =
-            f.records().iter().map(|r| (&r.msg, r.finalized)).collect();
+            f.records.iter().map(|r| (&r.msg, r.finalized)).collect();
         assert_eq!(records, [(&Value::U64(2), true), (&Value::U64(3), false)]);
     }
 

@@ -11,7 +11,7 @@
 //! broadcast period everyone publishes time-locked ciphertexts, and only
 //! after the period ends (plus delay ∆) does anything become readable.
 //!
-//! * [`func`] — the functionality `F_SBC(Φ, ∆, α)` (Fig. 13).
+//! * `func` — the functionality `F_SBC(Φ, ∆, α)` (Fig. 13).
 //! * [`protocol`] — the protocol `Π_SBC` over `F_UBC` + `F_TLE` + `F_RO`
 //!   (Fig. 14).
 //! * [`worlds`] — Theorem 2's real/ideal experiment worlds and simulator,
@@ -47,12 +47,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod baseline;
 pub mod error;
-pub mod func;
+pub(crate) mod func;
 pub mod pool;
 pub mod protocol;
 pub mod worlds;

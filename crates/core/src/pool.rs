@@ -184,12 +184,12 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
     }
 
     /// The experiment parameters (shared by every instance).
-    pub fn params(&self) -> SbcParams {
+    pub(crate) fn params(&self) -> SbcParams {
         self.params
     }
 
     /// Whether `instance` is live (opened and not yet closed).
-    pub fn is_live(&self, instance: InstanceId) -> bool {
+    pub(crate) fn is_live(&self, instance: InstanceId) -> bool {
         self.live.contains_key(&instance.0)
     }
 
@@ -208,17 +208,17 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
 
     /// Number of retired (finished, not yet forgotten) instance ids still
     /// tracked.
-    pub fn retired_count(&self) -> usize {
+    pub(crate) fn retired_count(&self) -> usize {
         self.retired.len()
     }
 
     /// Number of release outputs buffered and not yet drained.
-    pub fn buffered_outputs(&self) -> usize {
+    pub(crate) fn buffered_outputs(&self) -> usize {
         self.outputs.len()
     }
 
     /// Number of leaks buffered and not yet drained.
-    pub fn buffered_leaks(&self) -> usize {
+    pub(crate) fn buffered_leaks(&self) -> usize {
         self.leaks.len()
     }
 
@@ -228,7 +228,7 @@ impl<W: SbcWorld> PooledSbcWorld<W> {
     /// never reused (`next` only grows), and a sticky abort recorded at
     /// retirement survives the forget — pruning reclaims bookkeeping, it
     /// cannot launder an abort.
-    pub fn forget_retired(&mut self, instance: InstanceId) -> bool {
+    pub(crate) fn forget_retired(&mut self, instance: InstanceId) -> bool {
         self.retired.remove(&instance.0)
     }
 }
@@ -663,7 +663,8 @@ impl<W: SbcBackend> SbcPool<W> {
     /// Whether any instance's simulator hit a simulation-abort event
     /// (always `false` on real backends; sticky across
     /// [`finish`](SbcPool::finish)).
-    pub fn would_abort(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn would_abort(&self) -> bool {
         self.world.would_abort()
     }
 
@@ -1301,8 +1302,8 @@ impl<W: SbcBackend> SbcPool<W> {
     /// anything you still need first; pruning drops it.
     ///
     /// Pruning never reclaims an instance id for reuse, and a sticky
-    /// simulator-abort recorded by the instance survives
-    /// ([`would_abort`](SbcPool::would_abort) stays `true`).
+    /// simulator-abort recorded by the instance survives (the pool's
+    /// `would_abort` stays `true`).
     ///
     /// # Errors
     ///

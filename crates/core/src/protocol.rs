@@ -57,7 +57,7 @@ pub fn wake_up() -> Value {
 
 /// Whether `v` is the [`wake_up`] sentinel — by borrow, so recognising one
 /// of the `n²` wake-up deliveries of a period allocates nothing.
-pub fn is_wake_up(v: &Value) -> bool {
+pub(crate) fn is_wake_up(v: &Value) -> bool {
     v.as_str() == Some("Wake_Up")
 }
 
@@ -89,7 +89,7 @@ pub fn wire_tau(v: &Value) -> Option<u64> {
 ///
 /// A UBC broadcast reaches all `n` parties identically, so a world parses
 /// it once and hands the one `Arc<ParsedWire>` to every recipient
-/// ([`SbcParty::deliver_batch`]); what the protocol asks of a wire
+/// (`SbcParty::deliver_batch`); what the protocol asks of a wire
 /// afterwards — the replay rule, the `F_TLE` `Dec`, the unmasking — reads
 /// these three fields.
 #[derive(Clone, Debug)]
@@ -168,11 +168,11 @@ impl LogStore {
 /// reception and no pass over a fresh wire's bytes (a fresh wire also
 /// shifts the two index vectors, machine words, by one).
 #[derive(Clone, Debug, Default)]
-pub struct WireLog(Option<Arc<LogStore>>);
+pub(crate) struct WireLog(Option<Arc<LogStore>>);
 
 impl WireLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WireLog::default()
     }
 
@@ -185,7 +185,7 @@ impl WireLog {
     /// storage; a fresh entry is a refcount bump on the shared wire,
     /// preceded by one copy of the log only if another handle still
     /// shares it.
-    pub fn insert_parsed(&mut self, wire: &Arc<ParsedWire>) -> bool {
+    pub(crate) fn insert_parsed(&mut self, wire: &Arc<ParsedWire>) -> bool {
         let slots = self
             .0
             .as_deref()
@@ -201,30 +201,25 @@ impl WireLog {
     }
 
     /// The recorded wires, in arrival order.
-    pub fn entries(&self) -> impl Iterator<Item = &ParsedWire> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &ParsedWire> {
         self.stored().iter().map(Arc::as_ref)
     }
 
-    /// How many entries have been recorded.
-    pub fn len(&self) -> usize {
-        self.stored().len()
-    }
-
     /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.stored().is_empty()
     }
 
     /// Forgets everything (period turnover): drops this handle, leaving
     /// the storage to whoever else still holds it.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.0 = None;
     }
 
     /// Whether the two logs are one: both empty handles, or both handles
     /// to the same allocation. `O(1)`, and sufficient for
     /// [`same_receptions`](WireLog::same_receptions) — never necessary.
-    pub fn shares_storage_with(&self, other: &WireLog) -> bool {
+    pub(crate) fn shares_storage_with(&self, other: &WireLog) -> bool {
         match (&self.0, &other.0) {
             (None, None) => true,
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -241,7 +236,7 @@ impl WireLog {
     /// logs filled separately fall back to the entry-wise compare — a
     /// pointer compare per entry recorded from one fan-out, byte equality
     /// of the ciphertext and the mask otherwise.
-    pub fn same_receptions(&self, other: &WireLog) -> bool {
+    pub(crate) fn same_receptions(&self, other: &WireLog) -> bool {
         let (a, b) = (self.stored(), other.stored());
         self.shares_storage_with(other)
             || (a.len() == b.len()
@@ -272,8 +267,7 @@ struct PendEntry {
 /// [`on_input`](Self::on_input) (a `Broadcast`),
 /// [`on_ubc_deliver`](Self::on_ubc_deliver) (the `Wake_Up`),
 /// [`on_wire_deliver_parsed`](Self::on_wire_deliver_parsed) (a wire) and
-/// [`on_advance`](Self::on_advance) /
-/// [`on_advance_planned`](Self::on_advance_planned) (the round step).
+/// `on_advance_planned` (the round step).
 #[derive(Clone, Debug)]
 pub struct SbcParty {
     id: PartyId,
@@ -291,7 +285,7 @@ pub struct SbcParty {
 impl SbcParty {
     /// Creates party state for period span `phi`, delivery delay `delta`,
     /// over an `F_TLE` with ciphertext-generation delay `tle_delay`.
-    pub fn new(
+    pub(crate) fn new(
         id: PartyId,
         phi: u64,
         delta: u64,
@@ -310,11 +304,6 @@ impl SbcParty {
             last_advance: None,
             woke_up_sent: false,
         }
-    }
-
-    /// The party identity.
-    pub fn id(&self) -> PartyId {
-        self.id
     }
 
     /// The agreed release time, once awake.
@@ -345,7 +334,7 @@ impl SbcParty {
     }
 
     /// Whether the party holds no period state at all: asleep, nothing
-    /// queued, nothing received. An idle party's `on_advance` is a pure
+    /// queued, nothing received. An idle party's round step is a pure
     /// clock step (no randomness drawn, no messages, no outputs) — the
     /// precondition for the O(1) fast path of `SbcWorld::join_at`.
     pub fn is_idle(&self) -> bool {
@@ -422,7 +411,7 @@ impl SbcParty {
     /// record. Reads `(period, rec)` and writes `rec` only (no
     /// functionality, no randomness, no leaks) — which is what lets a world
     /// defer a round's deliveries into one batch, and what
-    /// [`deliver_batch`](SbcParty::deliver_batch) rests on.
+    /// `deliver_batch` rests on.
     pub fn on_wire_deliver_parsed(&mut self, wire: &Arc<ParsedWire>, now: u64) {
         let in_period = self
             .period
@@ -448,7 +437,7 @@ impl SbcParty {
     /// by refcount. A recipient whose state differs is its own class and
     /// takes the batch itself: reuse or record, never an assumption. Cost
     /// `O(batch · classes + n · classes)`.
-    pub fn deliver_batch(parties: &mut [SbcParty], batch: &[Arc<ParsedWire>], now: u64) {
+    pub(crate) fn deliver_batch(parties: &mut [SbcParty], batch: &[Arc<ParsedWire>], now: u64) {
         const UNCLASSED: usize = usize::MAX;
         if batch.is_empty() {
             return;
@@ -484,14 +473,13 @@ impl SbcParty {
     /// Whether this party's release step at round `now` is guaranteed to
     /// compute the same release as `other`'s: both are at their release
     /// round, this party has not advanced yet this round, and the two wire
-    /// logs record identical receptions ([`WireLog::same_receptions`] — one
+    /// logs record identical receptions (`WireLog::same_receptions` — one
     /// handle compare when both were delivered to as one class, which is
     /// every pair under pure broadcast; entry-wise otherwise).
-    /// The release branch of [`on_advance`](SbcParty::on_advance) reads
-    /// nothing else of per-party state, so a positive check licenses
-    /// handing `other`'s release output to
-    /// [`on_advance_planned`](SbcParty::on_advance_planned).
-    pub fn shares_release_view(&self, other: &SbcParty, now: u64) -> bool {
+    /// The release branch of `on_advance_planned` reads nothing else of
+    /// per-party state, so a positive check licenses handing `other`'s
+    /// release output to it.
+    pub(crate) fn shares_release_view(&self, other: &SbcParty, now: u64) -> bool {
         self.last_advance != Some(now)
             && self.tau_rel() == Some(now)
             && other.tau_rel() == Some(now)
@@ -501,13 +489,9 @@ impl SbcParty {
     /// The round step: publish ready ciphertexts during the period, decrypt
     /// and output everything at `τ_rel`. Returns the (sorted) message
     /// vector at the release round.
-    pub fn on_advance<H: SbcHybrid>(&mut self, hyb: &mut H) -> Option<Command> {
-        self.on_advance_planned(hyb, None)
-    }
-
-    /// [`on_advance`](SbcParty::on_advance) with an optional release output
-    /// to reuse. With `release = None` this *is* the reference step. With
-    /// one, the release branch returns it instead of recomputing it;
+    ///
+    /// `release` is an optional release output to reuse. With
+    /// `release = None` this *is* the reference step. With one, the release branch returns it instead of recomputing it;
     /// callers pass one only after
     /// [`shares_release_view`](SbcParty::shares_release_view) held against
     /// the party that computed it, and account themselves for the `F_RO`
@@ -517,7 +501,7 @@ impl SbcParty {
     /// mutates them) and the input-addressed `F_RO`, so the recomputation
     /// would return exactly `release`. A release handed to a party that
     /// does not release this round is ignored.
-    pub fn on_advance_planned<H: SbcHybrid>(
+    pub(crate) fn on_advance_planned<H: SbcHybrid>(
         &mut self,
         hyb: &mut H,
         release: Option<Command>,
@@ -627,7 +611,7 @@ mod tests {
         fn round(&mut self) -> Vec<(u32, Command)> {
             let mut outputs = Vec::new();
             for i in 0..self.parties.len() {
-                if let Some(cmd) = self.parties[i].on_advance(&mut self.host) {
+                if let Some(cmd) = self.parties[i].on_advance_planned(&mut self.host, None) {
                     outputs.push((i as u32, cmd));
                 }
                 for msg in self.host.take_flush(PartyId(i as u32)) {
@@ -849,7 +833,7 @@ mod tests {
         }
         SbcParty::deliver_batch(&mut parties, &batch, 1);
         for (p, l) in parties.iter().zip(&literal) {
-            assert!(p.rec.same_receptions(&l.rec), "party {}", p.id().0);
+            assert!(p.rec.same_receptions(&l.rec), "party {}", p.id.0);
             assert!(!p.rec.shares_storage_with(&l.rec), "the clone took its own");
         }
         for i in [1, 3] {
@@ -876,7 +860,13 @@ mod tests {
         assert_eq!(ys(&parties[2]), [b"y-b"]);
         // Past t_end every recipient discards everything, as one class.
         SbcParty::deliver_batch(&mut parties, &batch, PHI + 1);
-        assert_eq!((parties[1].rec.len(), parties[2].rec.len()), (1, 1));
+        assert_eq!(
+            (
+                parties[1].rec.entries().count(),
+                parties[2].rec.entries().count()
+            ),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -892,7 +882,7 @@ mod tests {
         }
         // Same allocation as after the first batch: never copied.
         assert!(first.is_some() && parties.iter().all(|p| storage(p) == first));
-        assert_eq!(parties[2].rec.len(), 50);
+        assert_eq!(parties[2].rec.entries().count(), 50);
     }
 
     #[test]
@@ -930,7 +920,7 @@ mod tests {
         assert!(!log.insert_parsed(&entry(&ct_a, b"y-b")));
         assert!(!log.insert_parsed(&entry(&ct_b, b"y-a")));
         assert!(log.insert_parsed(&entry(&ct_b, b"y-b")));
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.entries().count(), 2);
         assert!(!log.is_empty());
         log.clear();
         assert!(log.is_empty());
@@ -987,7 +977,7 @@ mod tests {
         assert!(log.insert_parsed(&entry(&cts[1], b"y-b")));
         // A rejected replay must not grow the log.
         assert!(!log.insert_parsed(&entry(&cts[0], b"y-fresh")));
-        assert_eq!(log.entries().count(), log.len());
+        assert_eq!(log.entries().count(), 2);
         for (wire, (ct, y)) in log.entries().zip([(&cts[0], b"y-a"), (&cts[1], b"y-b")]) {
             assert_eq!(&wire.ct, ct, "entries iterate in arrival order");
             assert_eq!(wire.y, y);
@@ -1137,7 +1127,7 @@ mod tests {
             (rho_v(0), ct(0), TAU),
         ];
         let wire = |i: usize| sbc_wire(&ct(i as u8), TAU, &Recorder::masked(&rho[i], &msgs[i]));
-        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(p.on_advance_planned(&mut hyb, None), None);
         assert_eq!(
             hyb.take_calls(),
             [
@@ -1151,7 +1141,7 @@ mod tests {
         assert_eq!(p.pending_messages(), [msgs[2].clone()]);
 
         // A second advance in the same round: nothing.
-        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(p.on_advance_planned(&mut hyb, None), None);
         assert_eq!(hyb.take_calls(), []);
 
         // Receptions: two decryptable wires around an unknown ciphertext
@@ -1170,7 +1160,7 @@ mod tests {
         // Release: Dec → F_RO per log entry in arrival order, skipping
         // what does not open; the output is sorted.
         hyb.now = TAU;
-        let out = p.on_advance(&mut hyb).expect("release round");
+        let out = p.on_advance_planned(&mut hyb, None).expect("release round");
         assert_eq!(
             hyb.take_calls(),
             [
@@ -1186,7 +1176,7 @@ mod tests {
             out,
             Command::new("Broadcast", Value::list([msgs[1].clone(), msgs[0].clone()]))
         );
-        assert_eq!(p.on_advance(&mut hyb), None);
+        assert_eq!(p.on_advance_planned(&mut hyb, None), None);
         assert_eq!(hyb.take_calls(), []);
     }
 
@@ -1211,7 +1201,7 @@ mod tests {
 
         let now = reused.host.now();
         let first = reused.parties[0]
-            .on_advance(&mut reused.host)
+            .on_advance_planned(&mut reused.host, None)
             .expect("every party releases at τ_rel");
         let mut silent = Recorder {
             now,

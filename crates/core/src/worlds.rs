@@ -4,7 +4,7 @@
 //!   `F_UBC`, the ideal `F_TLE(leak, delay)`, `F_RO` and `G_clock` —
 //!   exactly Theorem 2's hybrid model.
 //! * [`IdealSbcWorld`] — dummy parties talk to `F_SBC(Φ, ∆, α)` with
-//!   `α = max(leak(Cl) − Cl) + 1`, and the simulator [`SimSbc`] of the
+//!   `α = max(leak(Cl) − Cl) + 1`, and the simulator `SimSbc` of the
 //!   Theorem 2 proof shows the adversary the hybrid model. What it **runs**
 //!   is the same [`SbcHost`] the real world runs — `F_UBC`, `F_TLE`, `F_RO`
 //!   and the adversary's control interface to them, so every hybrid leak,
@@ -80,7 +80,7 @@ impl SbcParams {
     }
 
     /// The SBC simulator advantage `α = max(leak(Cl) − Cl) + 1`.
-    pub fn sbc_alpha(&self) -> u64 {
+    pub(crate) fn sbc_alpha(&self) -> u64 {
         self.tle_alpha + 1
     }
 
@@ -135,7 +135,7 @@ struct SideStreams {
 /// run. The parties reach it only through [`SbcHybrid`] —
 /// [`RealSbcWorld`] by handing the host itself to the party (a direct,
 /// statically dispatched call), the networked world by decoding each
-/// request frame and calling the same six methods, [`SimSbc`] by making
+/// request frame and calling the same six methods, `SimSbc` by making
 /// the calls its simulated parties would — so the functionalities are
 /// touched identically whoever drives them. The adversary's
 /// functionality-control interface, the period turnover and the idle check
@@ -302,7 +302,7 @@ impl SbcHybrid for SbcHost {
 /// The reuse-or-record release rule of one round, held by whichever world
 /// steps [`SbcParty`]s over an [`SbcHost`]. The first release of the
 /// round is kept; a later party with the **same release view**
-/// ([`SbcParty::shares_release_view`]) would issue the same oracle queries
+/// (`SbcParty::shares_release_view`) would issue the same oracle queries
 /// and output the same vector, so it takes that output and asks `F_RO`
 /// nothing. The vector is built once: a `Value::List` is shared, so the
 /// clone each reusing party gets is a refcount bump on the one list —
@@ -349,7 +349,7 @@ impl SharedRelease {
 /// A round is every honest party's [`advance`](World::advance), the
 /// `Advance_Clock` of Fig. 2, in any order. Its steps share one
 /// [`SharedRelease`], and its flushed wires wait in one batch that the
-/// `advance` ending the round delivers through [`SbcParty::deliver_batch`]
+/// `advance` ending the round delivers through `SbcParty::deliver_batch`
 /// at the round they were flushed in: one class grouping per round.
 /// Deferral is sound because a wire is only read at the release round and
 /// the replay dedup sees each recipient's arrival order unchanged. The
@@ -585,7 +585,7 @@ struct SimEntry {
 /// `y` from its equivocation stream and programs `F_RO` when `F_SBC`
 /// hands over the messages.
 #[derive(Debug)]
-pub struct SimSbc {
+pub(crate) struct SimSbc {
     params: SbcParams,
     party_rngs: Vec<Drbg>,
     equiv_rng: Drbg,
@@ -1007,9 +1007,9 @@ mod tests {
             });
         }
         let first = w.parties[0].log();
-        assert_eq!(first.len(), FLOOD as usize);
-        for p in &w.parties {
-            assert!(p.log().shares_storage_with(first), "party {}", p.id().0);
+        assert_eq!(first.entries().count(), FLOOD as usize);
+        for (i, p) in w.parties.iter().enumerate() {
+            assert!(p.log().shares_storage_with(first), "party {i}");
         }
     }
 

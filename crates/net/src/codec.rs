@@ -13,7 +13,7 @@
 //! with all integers big-endian, endpoints as a tag byte plus a `u32`
 //! party index, and the body a canonical [`Value`] encoding shaped per
 //! [`FrameKind`]. The outer length prefix covers everything after itself,
-//! so frames concatenate into a stream ([`Frame::decode_prefix`]).
+//! so frames concatenate into a stream (`Frame::decode_prefix`).
 //!
 //! The decoder treats its input as hostile: every way a frame can be
 //! malformed — truncation, a lying length prefix, an unknown kind or
@@ -26,16 +26,16 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Magic bytes opening every frame.
-pub const MAGIC: [u8; 2] = *b"SB";
+pub(crate) const MAGIC: [u8; 2] = *b"SB";
 
 /// The current wire-format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Hard cap on the encoded size of a single frame (header + body). A
 /// length prefix claiming more is rejected up front ([`CodecError::
 /// Oversize`]) so a hostile peer cannot make the decoder reserve memory
 /// it never sends.
-pub const MAX_FRAME: usize = 1 << 24;
+pub(crate) const MAX_FRAME: usize = 1 << 24;
 
 /// Fixed header length after the outer length prefix: magic (2) +
 /// version (1) + kind tag (1) + from (5) + to (5) + sent_at (8) +
@@ -373,7 +373,7 @@ impl Frame {
     /// # Errors
     ///
     /// A [`CodecError`] naming the first malformation found. Never panics.
-    pub fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
+    pub(crate) fn decode_prefix(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
         let mut rest = bytes;
         let declared = u32::from_be_bytes(take(&mut rest)?) as usize;
         if declared > MAX_FRAME {
@@ -470,7 +470,7 @@ pub enum CodecError {
         /// The length implied by the header.
         actual: usize,
     },
-    /// The length prefix claims more than [`MAX_FRAME`].
+    /// The length prefix claims more than `MAX_FRAME`.
     Oversize {
         /// The claimed length.
         len: usize,

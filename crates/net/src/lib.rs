@@ -46,6 +46,7 @@
 //! but it must not change what the protocol decides or leaks.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 // Hostile bytes, dead links and bad images end in a typed error, never a
 // panic: outside tests, clippy (`-D warnings` in CI) refuses all three.

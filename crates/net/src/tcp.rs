@@ -19,8 +19,7 @@
 //! ([`TcpConfig::from_delta`]): a round's worth of traffic must land
 //! within the deadline or the receive side gives up on the gap, counts a
 //! [`TransportStats::timeouts`], and lets the clock move on — a silent
-//! peer degrades to the typed [`NetError::Timeout`] path
-//! ([`TcpTransport::await_synced`]), never a hang. A dropped connection
+//! peer costs one counted timeout, never a hang. A dropped connection
 //! is survived by per-link reconnect with capped exponential backoff
 //! (fixed, not configurable: a 2 s connect timeout per attempt, then a
 //! sleep from 1 ms doubling to at most 50 ms between attempts):
@@ -279,36 +278,12 @@ pub struct TcpFaultHandle {
 }
 
 impl TcpFaultHandle {
-    /// Breaks one lane's link mid-frame on its next write; the transport
-    /// reconnects and retransmits.
-    pub fn break_lane(&self, lane: usize) {
-        FaultPlan::lock(&self.plan).break_once.insert(lane);
-    }
-
     /// Breaks every lane's link mid-frame on its next write.
     pub fn break_all_links(&self) {
         let mut plan = FaultPlan::lock(&self.plan);
         for lane in 0..self.lanes {
             plan.break_once.insert(lane);
         }
-    }
-
-    /// Makes one lane's peer go silent mid-frame on its next write: the
-    /// frame is half-delivered and never completed, so only the receive
-    /// deadline recovers.
-    pub fn stall_lane(&self, lane: usize) {
-        FaultPlan::lock(&self.plan).stall_once.insert(lane);
-    }
-
-    /// Simulates an unreachable peer: the lane's link drops and every
-    /// reconnect attempt fails until [`restore_lane`](Self::restore_lane).
-    pub fn take_lane_down(&self, lane: usize) {
-        FaultPlan::lock(&self.plan).down.insert(lane);
-    }
-
-    /// Heals a lane taken down by [`take_lane_down`](Self::take_lane_down).
-    pub fn restore_lane(&self, lane: usize) {
-        FaultPlan::lock(&self.plan).down.remove(&lane);
     }
 }
 
@@ -356,26 +331,6 @@ impl TcpTransport {
             plan: Arc::clone(&self.faults),
             lanes: lane_count(self.n),
         }
-    }
-
-    /// The lane id of the control plane.
-    pub fn control_lane(&self) -> usize {
-        0
-    }
-
-    /// The lane id of `party`'s rpc plane.
-    pub fn rpc_lane(&self, party: u32) -> usize {
-        1 + party as usize
-    }
-
-    /// The lane id of `party`'s data plane.
-    pub fn data_lane(&self, party: u32) -> usize {
-        1 + self.n + party as usize
-    }
-
-    /// The harness address (tests connect raw sockets here).
-    pub fn addr(&self) -> SocketAddr {
-        self.harness.addr
     }
 
     /// Connects one lane: TCP to the harness, nodelay, write deadline,
@@ -614,29 +569,6 @@ impl TcpTransport {
             }
         }
     }
-
-    /// Blocks (bounded by the ∆-derived deadline) until every frame
-    /// handed to [`send`](Transport::send) has arrived.
-    ///
-    /// The `recv_*` methods call this internally and deliver whatever is
-    /// there; this entry point is for callers that need the typed
-    /// deadline signal itself.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] if the deadline expired with frames still
-    /// missing — the gap is conceded, so the next receive returns
-    /// immediately with what survived.
-    pub fn await_synced(&mut self) -> Result<(), NetError> {
-        if self.sync_with_deadline() {
-            Ok(())
-        } else {
-            Err(NetError::Timeout {
-                op: "recv",
-                millis: self.cfg.io_deadline.as_millis() as u64,
-            })
-        }
-    }
 }
 
 impl Transport for TcpTransport {
@@ -727,6 +659,77 @@ mod tests {
     use super::*;
     use crate::codec::FrameKind;
     use sbc_uc::value::Value;
+
+    impl TcpTransport {
+        /// The lane id of the control plane.
+        fn control_lane(&self) -> usize {
+            0
+        }
+
+        /// The lane id of `party`'s rpc plane.
+        fn rpc_lane(&self, party: u32) -> usize {
+            1 + party as usize
+        }
+
+        /// The lane id of `party`'s data plane.
+        fn data_lane(&self, party: u32) -> usize {
+            1 + self.n + party as usize
+        }
+
+        /// The harness address (tests connect raw sockets here).
+        fn addr(&self) -> SocketAddr {
+            self.harness.addr
+        }
+
+        /// Blocks (bounded by the ∆-derived deadline) until every frame
+        /// handed to [`send`](Transport::send) has arrived.
+        ///
+        /// The `recv_*` methods call this internally and deliver whatever is
+        /// there; this entry point is for callers that need the typed
+        /// deadline signal itself.
+        ///
+        /// # Errors
+        ///
+        /// [`NetError::Timeout`] if the deadline expired with frames still
+        /// missing — the gap is conceded, so the next receive returns
+        /// immediately with what survived.
+        fn await_synced(&mut self) -> Result<(), NetError> {
+            if self.sync_with_deadline() {
+                Ok(())
+            } else {
+                Err(NetError::Timeout {
+                    op: "recv",
+                    millis: self.cfg.io_deadline.as_millis() as u64,
+                })
+            }
+        }
+    }
+
+    impl TcpFaultHandle {
+        /// Breaks one lane's link mid-frame on its next write; the transport
+        /// reconnects and retransmits.
+        fn break_lane(&self, lane: usize) {
+            FaultPlan::lock(&self.plan).break_once.insert(lane);
+        }
+
+        /// Makes one lane's peer go silent mid-frame on its next write: the
+        /// frame is half-delivered and never completed, so only the receive
+        /// deadline recovers.
+        fn stall_lane(&self, lane: usize) {
+            FaultPlan::lock(&self.plan).stall_once.insert(lane);
+        }
+
+        /// Simulates an unreachable peer: the lane's link drops and every
+        /// reconnect attempt fails until [`restore_lane`](Self::restore_lane).
+        fn take_lane_down(&self, lane: usize) {
+            FaultPlan::lock(&self.plan).down.insert(lane);
+        }
+
+        /// Heals a lane taken down by [`take_lane_down`](Self::take_lane_down).
+        fn restore_lane(&self, lane: usize) {
+            FaultPlan::lock(&self.plan).down.remove(&lane);
+        }
+    }
 
     fn test_cfg() -> TcpConfig {
         TcpConfig {

@@ -382,7 +382,7 @@ impl SimConfig {
     /// 5-round partition cycle with 2-round outages. Corrupted-sender
     /// drops stay off — dropping changes the received-wire sets and is
     /// exercised by its own tests, outside the `Exact` envelope.
-    pub fn adversarial(delta: u64) -> Self {
+    pub(crate) fn adversarial(delta: u64) -> Self {
         SimConfig {
             delta,
             max_latency: delta,

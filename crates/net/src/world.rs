@@ -259,7 +259,7 @@ impl NetProfile for LoopbackProfile {
 }
 
 /// The seeded adversarial schedule ([`SimNet`] under
-/// [`SimConfig::adversarial`]). The schedule seed is derived from the
+/// `SimConfig::adversarial`). The schedule seed is derived from the
 /// instance seed with a domain-separation label, *not* drawn from the
 /// world's own stream — the experiment's randomness must stay
 /// bit-identical to the in-process world's.
@@ -319,7 +319,7 @@ impl<P: NetProfile> NetSbcWorld<P> {
     /// [`SbcError::InvalidParams`] if the parameters violate Theorem 2's
     /// constraints; [`SbcError::Backend`] if the profile's transport
     /// cannot be brought up (socket transports only).
-    pub fn new(params: SbcParams, seed: &[u8]) -> Result<Self, SbcError> {
+    pub(crate) fn new(params: SbcParams, seed: &[u8]) -> Result<Self, SbcError> {
         let transport = P::transport(&params, seed)?;
         Self::with_transport(params, seed, transport)
     }

@@ -226,7 +226,7 @@ where
 
 /// The equivocation mask `M ⊕ η` of Π_FBC/Π_TLE with variable-length
 /// messages: `data` XORed with the keystream of the [`Prf`] keyed by
-/// `seed` ([`Prf::xor`]). Involution: applying twice recovers `data`.
+/// `seed` (`Prf::xor`). Involution: applying twice recovers `data`.
 pub fn xor_mask(seed: &[u8; 32], data: &[u8]) -> Vec<u8> {
     Prf::new(*seed).xor(data)
 }

@@ -13,7 +13,7 @@
 //!
 //! let p = U256::from_u64(101);
 //! let x = U256::from_u64(7);
-//! assert_eq!(x.powmod(&U256::from_u64(100), &p), U256::ONE); // Fermat
+//! assert_eq!(x.mulmod(&U256::from_u64(29), &p), U256::ONE); // 7 · 29 = 2 · 101 + 1
 //! ```
 
 use std::cmp::Ordering;
@@ -71,7 +71,8 @@ impl U256 {
     /// The value 1.
     pub const ONE: U256 = U256([1, 0, 0, 0]);
     /// The maximum representable value (2^256 − 1).
-    pub const MAX: U256 = U256([u64::MAX; 4]);
+    #[cfg(test)]
+    pub(crate) const MAX: U256 = U256([u64::MAX; 4]);
 
     /// Builds a value from a `u64`.
     pub const fn from_u64(v: u64) -> Self {
@@ -84,7 +85,7 @@ impl U256 {
     ///
     /// Panics if the string is longer than 64 digits or contains non-hex
     /// characters; intended for compile-time-style constants in code.
-    pub fn from_hex(s: &str) -> Self {
+    pub(crate) fn from_hex(s: &str) -> Self {
         let s = s.trim_start_matches("0x");
         assert!(s.len() <= 64, "hex literal too long for U256");
         let mut limbs = [0u64; 4];
@@ -98,7 +99,7 @@ impl U256 {
     }
 
     /// Lowercase big-endian hex without leading zeros (`"0"` for zero).
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::new();
         for limb in self.0.iter().rev() {
             s.push_str(&format!("{limb:016x}"));
@@ -137,12 +138,13 @@ impl U256 {
     }
 
     /// True iff the value is even.
-    pub fn is_even(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_even(&self) -> bool {
         self.0[0] & 1 == 0
     }
 
     /// Number of significant bits (0 for zero).
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         for i in (0..4).rev() {
             if self.0[i] != 0 {
                 return 64 * i as u32 + (64 - self.0[i].leading_zeros());
@@ -152,7 +154,7 @@ impl U256 {
     }
 
     /// Value of bit `i` (little-endian bit order).
-    pub fn bit(&self, i: u32) -> bool {
+    pub(crate) fn bit(&self, i: u32) -> bool {
         if i >= 256 {
             return false;
         }
@@ -186,7 +188,8 @@ impl U256 {
     }
 
     /// Checked addition; `None` on overflow.
-    pub fn checked_add(&self, rhs: &U256) -> Option<U256> {
+    #[cfg(test)]
+    pub(crate) fn checked_add(&self, rhs: &U256) -> Option<U256> {
         let (s, c) = self.overflowing_add(rhs);
         if c {
             None
@@ -196,7 +199,7 @@ impl U256 {
     }
 
     /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(&self, rhs: &U256) -> Option<U256> {
+    pub(crate) fn checked_sub(&self, rhs: &U256) -> Option<U256> {
         let (d, b) = self.overflowing_sub(rhs);
         if b {
             None
@@ -206,7 +209,7 @@ impl U256 {
     }
 
     /// Full 256×256→512-bit multiplication.
-    pub fn widening_mul(&self, rhs: &U256) -> U512 {
+    pub(crate) fn widening_mul(&self, rhs: &U256) -> U512 {
         let mut out = [0u64; 8];
         for i in 0..4 {
             let mut carry = 0u128;
@@ -221,7 +224,7 @@ impl U256 {
     }
 
     /// `(self + rhs) mod m`. Requires `self < m` and `rhs < m`.
-    pub fn addmod(&self, rhs: &U256, m: &U256) -> U256 {
+    pub(crate) fn addmod(&self, rhs: &U256, m: &U256) -> U256 {
         debug_assert!(self < m && rhs < m);
         let (sum, carry) = self.overflowing_add(rhs);
         if carry || &sum >= m {
@@ -232,7 +235,7 @@ impl U256 {
     }
 
     /// `(self - rhs) mod m`. Requires `self < m` and `rhs < m`.
-    pub fn submod(&self, rhs: &U256, m: &U256) -> U256 {
+    pub(crate) fn submod(&self, rhs: &U256, m: &U256) -> U256 {
         debug_assert!(self < m && rhs < m);
         let (diff, borrow) = self.overflowing_sub(rhs);
         if borrow {
@@ -252,7 +255,7 @@ impl U256 {
     }
 
     /// `self mod m`.
-    pub fn rem(&self, m: &U256) -> U256 {
+    pub(crate) fn rem(&self, m: &U256) -> U256 {
         U512::from_u256(self).rem(m)
     }
 
@@ -261,7 +264,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `m` is zero.
-    pub fn powmod(&self, exp: &U256, m: &U256) -> U256 {
+    pub(crate) fn powmod(&self, exp: &U256, m: &U256) -> U256 {
         assert!(!m.is_zero(), "modulus must be nonzero");
         if m == &U256::ONE {
             return U256::ZERO;
@@ -283,7 +286,7 @@ impl U256 {
     /// Modular inverse modulo a *prime* `p` via Fermat's little theorem.
     ///
     /// Returns `None` if `self ≡ 0 (mod p)`.
-    pub fn invmod_prime(&self, p: &U256) -> Option<U256> {
+    pub(crate) fn invmod_prime(&self, p: &U256) -> Option<U256> {
         let a = self.rem(p);
         if a.is_zero() {
             return None;
@@ -293,7 +296,7 @@ impl U256 {
     }
 
     /// Right shift by one bit.
-    pub fn shr1(&self) -> U256 {
+    pub(crate) fn shr1(&self) -> U256 {
         let mut out = [0u64; 4];
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.0[i] >> 1;
@@ -307,7 +310,7 @@ impl U256 {
 
 /// 512-bit unsigned integer used as a multiplication intermediate.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct U512(pub [u64; 8]);
+pub(crate) struct U512(pub [u64; 8]);
 
 impl fmt::Debug for U512 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -321,7 +324,7 @@ impl fmt::Debug for U512 {
 
 impl U512 {
     /// Zero-extends a `U256`.
-    pub fn from_u256(v: &U256) -> Self {
+    pub(crate) fn from_u256(v: &U256) -> Self {
         let mut limbs = [0u64; 8];
         limbs[..4].copy_from_slice(&v.0);
         U512(limbs)
@@ -345,7 +348,7 @@ impl U512 {
     /// # Panics
     ///
     /// Panics if `m` is zero.
-    pub fn rem(&self, m: &U256) -> U256 {
+    pub(crate) fn rem(&self, m: &U256) -> U256 {
         assert!(!m.is_zero(), "modulus must be nonzero");
         let mbits = m.bits();
         let nbits = self.bits();

@@ -17,7 +17,6 @@
 
 use crate::bigint::U256;
 use crate::drbg::Drbg;
-use crate::prime::is_safe_prime;
 use crate::sha256::Sha256;
 use std::fmt;
 
@@ -55,24 +54,12 @@ pub struct SchnorrGroup {
 /// deterministically with this crate's own Miller–Rabin search
 /// (`prime::find_safe_prime(256, Drbg::from_seed(b"sbc-group-v1"))`) and
 /// verified by a unit test.
-pub const DEFAULT_P_HEX: &str = "bbe3ae768c12b45083aed499eec61a5b42e6424930d550c7aad48711013fd2db";
+pub(crate) const DEFAULT_P_HEX: &str =
+    "bbe3ae768c12b45083aed499eec61a5b42e6424930d550c7aad48711013fd2db";
 
 impl SchnorrGroup {
-    /// Constructs a group from a safe prime, validating safety.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if `p` is not a safe prime.
-    pub fn new(p: U256) -> Result<Self, &'static str> {
-        let mut rng = Drbg::from_seed(b"schnorr-group-validate");
-        if !is_safe_prime(&p, 24, &mut rng) {
-            return Err("modulus is not a safe prime");
-        }
-        Ok(Self::new_unchecked(p))
-    }
-
     /// Constructs a group from a safe prime without validating primality.
-    pub fn new_unchecked(p: U256) -> Self {
+    pub(crate) fn new_unchecked(p: U256) -> Self {
         let q = p.checked_sub(&U256::ONE).expect("p >= 3").shr1();
         let g = Element(U256::from_u64(4).rem(&p));
         SchnorrGroup { p, q, g }
@@ -90,12 +77,12 @@ impl SchnorrGroup {
     }
 
     /// The group modulus p.
-    pub fn modulus(&self) -> &U256 {
+    pub(crate) fn modulus(&self) -> &U256 {
         &self.p
     }
 
     /// The group (and scalar) order q = (p−1)/2.
-    pub fn order(&self) -> &U256 {
+    pub(crate) fn order(&self) -> &U256 {
         &self.q
     }
 
@@ -161,7 +148,7 @@ impl SchnorrGroup {
     }
 
     /// Scalar subtraction mod q.
-    pub fn scalar_sub(&self, a: &Scalar, b: &Scalar) -> Scalar {
+    pub(crate) fn scalar_sub(&self, a: &Scalar, b: &Scalar) -> Scalar {
         Scalar(a.0.submod(&b.0, &self.q))
     }
 
@@ -213,12 +200,12 @@ impl SchnorrGroup {
 
 /// 64-bit safe prime for [`SchnorrGroup::tiny`], generated with
 /// `prime::find_safe_prime(64, Drbg::from_seed(b"sbc-tiny"))`.
-pub const TINY_P_HEX: &str = "8dc8f2fd7a0122fb";
+pub(crate) const TINY_P_HEX: &str = "8dc8f2fd7a0122fb";
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prime::find_safe_prime;
+    use crate::prime::{find_safe_prime, is_safe_prime};
 
     #[test]
     fn tiny_prime_is_safe() {

@@ -140,14 +140,12 @@ pub fn payload_from_witness(chain: &[Element], witness: &[Element]) -> Result<El
     Ok(xor(&chain[chain.len() - 1], &witness[witness.len() - 1]))
 }
 
-/// Incremental chain solver performing one hash query per [`step`] call.
+/// Incremental chain solver performing one hash query per `step` call.
 ///
 /// This is the object the Π_FBC / Π_TLE protocols keep in their
 /// `L_wait`/`L_puzzle` lists: each round one `W_q` round
 /// (`QueryWrapper::solve_round` in `sbc-uc`) advances every live solver by
 /// one link per batch, so by at most `q` links.
-///
-/// [`step`]: ChainSolver::step
 #[derive(Clone, Debug)]
 pub struct ChainSolver {
     chain: Vec<Element>,
@@ -189,7 +187,7 @@ impl ChainSolver {
     /// Performs one sequential hash query. Returns `true` if the solver just
     /// finished. Calling `step` on a finished solver is a no-op returning
     /// `true`.
-    pub fn step<H>(&mut self, mut hash: H) -> bool
+    pub(crate) fn step<H>(&mut self, mut hash: H) -> bool
     where
         H: FnMut(&[u8]) -> Element,
     {
@@ -243,7 +241,7 @@ impl ChainSolver {
     }
 
     /// Consumes the solver, returning the accumulated witness hashes.
-    pub fn into_witness(self) -> Vec<Element> {
+    pub(crate) fn into_witness(self) -> Vec<Element> {
         self.witness
     }
 

@@ -18,8 +18,8 @@
 //!   Astrolabous TLE scheme built on them, over a one-time symmetric
 //!   scheme Σ_SKE on [`prf`] (every ciphertext draws a fresh key).
 //! * [`bigint`] / [`group`] — 256-bit modular arithmetic and Schnorr groups
-//!   for the voting application (Miller–Rabin lives in the crate-private
-//!   `prime`).
+//!   for the voting application (Miller–Rabin lives in the test-only
+//!   `prime`, which found and verifies the hard-coded moduli).
 //! * [`sigma`] — the disjunctive Chaum–Pedersen proof with Fiat–Shamir
 //!   that validates ballots.
 //! * [`hex`] — encoding.
@@ -45,6 +45,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod astrolabous;
@@ -54,6 +55,7 @@ pub mod group;
 pub mod hashchain;
 pub mod hex;
 pub mod prf;
-pub(crate) mod prime;
+#[cfg(test)]
+mod prime;
 pub mod sha256;
 pub mod sigma;

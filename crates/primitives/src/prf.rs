@@ -14,7 +14,7 @@
 //! functions revisited: the cascade construction", FOCS 1996). The
 //! midstate is only a cache: `eval` equals
 //! `SHA-256(key ‖ 0^32 ‖ domain ‖ LEB128(|data|) ‖ data ‖ ctr_be64)`.
-//! [`Prf::xor`] is the keystream `eval(STREAM, "", i)` for `i = 0, 1, …`
+//! `Prf::xor` is the keystream `eval(STREAM, "", i)` for `i = 0, 1, …`
 //! XORed over its input.
 //!
 //! Data of up to 45 bytes costs exactly one compression. The domain bytes
@@ -23,12 +23,12 @@
 //! | domain | operation | compressions |
 //! |---|---|---|
 //! | — | keying a `Prf` | 1 |
-//! | [`DRAW`] | one 32-byte [`Drbg`](crate::drbg::Drbg) draw block | 1 |
-//! | [`FORK`] | a fork (label ≤ 45 bytes) | 1 |
+//! | `DRAW` | one 32-byte [`Drbg`](crate::drbg::Drbg) draw block | 1 |
+//! | `FORK` | a fork (label ≤ 45 bytes) | 1 |
 //! | [`POINT`] | an `F_RO` point for a 32-byte `ρ` | 1 |
 //! | [`MASK`] | an `F_RO` mask block for a 32-byte `ρ` | 1 |
-//! | [`STREAM`] | one 32-byte keystream block of [`Prf::xor`] | 1 |
-//! | [`TAG`] | a Σ_SKE tag over an `m`-byte body (`m < 128`) | `⌈(m + 19) / 64⌉` |
+//! | `STREAM` | one 32-byte keystream block of `Prf::xor` | 1 |
+//! | `TAG` | a Σ_SKE tag over an `m`-byte body (`m < 128`) | `⌈(m + 19) / 64⌉` |
 //!
 //! So seeding a `Drbg` stream or forking one costs 2, and a Σ_SKE
 //! ciphertext of an `m`-byte message costs 1 (key) + `⌈m / 32⌉` (stream)
@@ -37,28 +37,27 @@
 //! # Examples
 //!
 //! ```
-//! use sbc_primitives::prf::{Prf, DRAW, FORK};
+//! use sbc_primitives::prf::{Prf, MASK, POINT};
 //!
 //! let prf = Prf::new([7u8; 32]);
-//! assert_eq!(prf.eval(DRAW, b"", 0), prf.eval(DRAW, b"", 0));
-//! assert_ne!(prf.eval(DRAW, b"", 0), prf.eval(FORK, b"", 0));
-//! assert_eq!(prf.xor(&prf.xor(b"involution")), b"involution");
+//! assert_eq!(prf.eval(POINT, b"", 0), prf.eval(POINT, b"", 0));
+//! assert_ne!(prf.eval(POINT, b"", 0), prf.eval(MASK, b"", 0));
 //! ```
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Domain of a [`Drbg`](crate::drbg::Drbg) output block.
-pub const DRAW: u8 = 0x01;
+pub(crate) const DRAW: u8 = 0x01;
 /// Domain of a [`Drbg`](crate::drbg::Drbg) child's key.
-pub const FORK: u8 = 0x02;
+pub(crate) const FORK: u8 = 0x02;
 /// Domain of an unprogrammed fixed-length `F_RO` point.
 pub const POINT: u8 = 0x03;
 /// Domain of a block of an unprogrammed variable-length `F_RO` point.
 pub const MASK: u8 = 0x04;
 /// Domain of a keystream block of [`Prf::xor`].
-pub const STREAM: u8 = 0x05;
+pub(crate) const STREAM: u8 = 0x05;
 /// Domain of a Σ_SKE authentication tag.
-pub const TAG: u8 = 0x06;
+pub(crate) const TAG: u8 = 0x06;
 
 /// A PRF key, held as the SHA-256 chaining state after its key block.
 #[derive(Clone, Debug)]
@@ -98,7 +97,7 @@ impl Prf {
 
     /// `data` XORed with the keystream `eval(STREAM, "", 0) ‖
     /// eval(STREAM, "", 1) ‖ …`: an involution.
-    pub fn xor(&self, data: &[u8]) -> Vec<u8> {
+    pub(crate) fn xor(&self, data: &[u8]) -> Vec<u8> {
         let mut out = data.to_vec();
         for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
             let block = self.eval(STREAM, &[], i as u64);

@@ -40,7 +40,7 @@ fn random_below(rng: &mut Drbg, bound: &U256) -> U256 {
 /// Miller–Rabin primality test with `rounds` random bases.
 ///
 /// Error probability at most 4^−rounds for composite inputs.
-pub fn is_probable_prime(n: &U256, rounds: u32, rng: &mut Drbg) -> bool {
+pub(crate) fn is_probable_prime(n: &U256, rounds: u32, rng: &mut Drbg) -> bool {
     if n < &U256::from_u64(2) {
         return false;
     }
@@ -81,7 +81,7 @@ pub fn is_probable_prime(n: &U256, rounds: u32, rng: &mut Drbg) -> bool {
 }
 
 /// True iff `p` is a safe prime: `p` and `(p-1)/2` both (probably) prime.
-pub fn is_safe_prime(p: &U256, rounds: u32, rng: &mut Drbg) -> bool {
+pub(crate) fn is_safe_prime(p: &U256, rounds: u32, rng: &mut Drbg) -> bool {
     if !is_probable_prime(p, rounds, rng) {
         return false;
     }
@@ -96,8 +96,7 @@ pub fn is_safe_prime(p: &U256, rounds: u32, rng: &mut Drbg) -> bool {
 /// # Panics
 ///
 /// Panics if `bits < 3` or `bits > 256`.
-#[cfg(test)]
-pub fn find_safe_prime(bits: u32, rng: &mut Drbg) -> U256 {
+pub(crate) fn find_safe_prime(bits: u32, rng: &mut Drbg) -> U256 {
     assert!((3..=256).contains(&bits), "bits must be in 3..=256");
     loop {
         // Sample candidate q of bits-1 bits, odd, top bit set; p = 2q+1.

@@ -67,6 +67,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 // Hostile bytes, dead links and bad images end in a typed error, never a
 // panic: outside tests, clippy (`-D warnings` in CI) refuses all three.

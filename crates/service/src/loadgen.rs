@@ -78,11 +78,6 @@ impl LoadGen {
         }
     }
 
-    /// Submissions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// Whether the profile's total has been reached.
     pub fn done(&self) -> bool {
         self.emitted >= self.profile.total
@@ -138,7 +133,7 @@ mod tests {
         while !a.done() {
             assert_eq!(a.next_tick(), b.next_tick());
         }
-        assert_eq!(a.emitted(), 100);
+        assert_eq!(a.emitted, 100);
         assert!(a.next_tick().is_empty(), "exhausted generator stays dry");
     }
 

@@ -38,15 +38,15 @@ impl LatencyHistogram {
     /// Number of fixed buckets (rounds 0..=62, plus one overflow bucket).
     /// Far above any reachable submit→release distance for sane `Φ + ∆`:
     /// a submission admitted immediately releases within `Φ + ∆ + 1`.
-    pub const BUCKETS: usize = 64;
+    pub(crate) const BUCKETS: usize = 64;
 
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram::default()
     }
 
     /// Records one submission that released `rounds` after submit.
-    pub fn record(&mut self, rounds: u64) {
+    pub(crate) fn record(&mut self, rounds: u64) {
         let idx = (rounds as usize).min(Self::BUCKETS - 1);
         self.buckets[idx] = self.buckets[idx].saturating_add(1);
         self.count = self.count.saturating_add(1);
@@ -57,7 +57,7 @@ impl LatencyHistogram {
     /// The `q`-quantile latency in rounds (`q` in 0..=100): the smallest
     /// bucket whose cumulative count reaches `q%` of the total. Returns 0
     /// on an empty histogram.
-    pub fn quantile(&self, q: u64) -> u64 {
+    pub(crate) fn quantile(&self, q: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -107,7 +107,7 @@ impl LatencyHistogram {
 
     /// Collapses the histogram into the summary carried by
     /// [`ServiceStats`].
-    pub fn summary(&self) -> LatencySummary {
+    pub(crate) fn summary(&self) -> LatencySummary {
         LatencySummary {
             count: self.count,
             p50: self.quantile(50),

@@ -75,7 +75,7 @@ impl DecResponse {
 }
 
 /// Leak source label for `F_TLE`.
-pub const TLE_SOURCE: &str = "F_TLE";
+pub(crate) const TLE_SOURCE: &str = "F_TLE";
 
 /// The functionality `F_TLE^{leak,delay}(P)`.
 ///
@@ -189,7 +189,7 @@ impl TleFunc {
     }
 
     /// `Update` from the simulator: attaches ciphertexts to `Null` records.
-    pub fn update_ciphertexts(&mut self, updates: &[(Value, Tag)]) {
+    pub(crate) fn update_ciphertexts(&mut self, updates: &[(Value, Tag)]) {
         for (ct, tag) in updates {
             let Some(&idx) = self.by_tag.get(&tag.0) else {
                 continue;

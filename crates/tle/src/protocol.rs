@@ -95,21 +95,16 @@ impl TleParty {
 
     /// Registers a `(c, τ)` pair delivered by fair broadcast (Fig. 12
     /// `Advance_Clock` step 2): starts a solver for its puzzle.
-    pub fn on_fbc_deliver(&mut self, ct: TleCiphertext, tau: u64) {
+    pub(crate) fn on_fbc_deliver(&mut self, ct: TleCiphertext, tau: u64) {
         if let Ok(solver) = ChainSolver::new(&ct.c1.chain) {
             self.puzzles.push(PuzzleEntry { ct, tau, solver });
         }
     }
 
-    /// Number of puzzles currently being solved (unsolved).
-    pub fn unsolved(&self) -> usize {
-        self.puzzles.iter().filter(|p| !p.solver.is_done()).count()
-    }
-
     /// The `ENCRYPT&SOLVE` procedure plus broadcast staging (Fig. 12
     /// `Advance_Clock` steps 3–4). Returns the `(c, τ)` wires to hand to
     /// fair broadcast.
-    pub fn encrypt_and_solve(
+    pub(crate) fn encrypt_and_solve(
         &mut self,
         now: u64,
         wrapper: &mut QueryWrapper,
@@ -230,6 +225,13 @@ impl TleParty {
 mod tests {
     use super::*;
     use crate::ciphertext::parse_tle_wire;
+
+    impl TleParty {
+        /// Number of puzzles currently being solved (unsolved).
+        fn unsolved(&self) -> usize {
+            self.puzzles.iter().filter(|p| !p.solver.is_done()).count()
+        }
+    }
 
     const Q: u32 = 3;
     const DELTA: u64 = 2;

@@ -95,7 +95,7 @@ impl RealTleWorld {
         RealTleWorld {
             core,
             parties,
-            ffbc: FbcFunc::new(n, TLE_DELTA, TLE_ALPHA, fbc_tags),
+            ffbc: FbcFunc::new(TLE_DELTA, TLE_ALPHA, fbc_tags),
             wrapper: QueryWrapper::new(q),
             ro_star: RandomOracle::new(ro_star_rng),
             ro: RandomOracle::new(ro_rng),
@@ -336,7 +336,7 @@ impl IdealTleWorld {
                 q,
                 TLE_DELTA,
                 party_rngs,
-                FbcFunc::new(n, TLE_DELTA, TLE_ALPHA, fbc_tags),
+                FbcFunc::new(TLE_DELTA, TLE_ALPHA, fbc_tags),
                 equiv_rng,
             ),
             ro_star: RandomOracle::new(ro_star_rng),

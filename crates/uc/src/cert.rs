@@ -16,20 +16,18 @@
 //! use sbc_uc::ids::PartyId;
 //! use sbc_primitives::drbg::Drbg;
 //!
-//! let mut cert = IdealCert::new(PartyId(0), Drbg::from_seed(b"doc"));
+//! let mut cert = IdealCert::new(Drbg::from_seed(b"doc"));
 //! let sig = cert.sign(b"msg");
 //! assert!(cert.verify(b"msg", &sig));
 //! assert!(!cert.verify(b"other", &sig));
 //! ```
 
-use crate::ids::PartyId;
 use sbc_primitives::drbg::Drbg;
 use std::collections::{HashMap, HashSet};
 
 /// The ideal certification functionality `F_cert^S(P)`.
 #[derive(Clone, Debug)]
 pub struct IdealCert {
-    signer: PartyId,
     /// `L_sign`: (message, signature) → verdict.
     records: HashMap<(Vec<u8>, Vec<u8>), bool>,
     /// Messages with at least one valid signature (for rule 2 of Fig. 4).
@@ -39,21 +37,16 @@ pub struct IdealCert {
 }
 
 impl IdealCert {
-    /// Creates an instance for `signer`; signature strings are sampled from
-    /// `rng` (standing in for the simulator-chosen σ of Fig. 4).
-    pub fn new(signer: PartyId, rng: Drbg) -> Self {
+    /// Creates an instance for one signer, the party that owns it;
+    /// signature strings are sampled from `rng` (standing in for the
+    /// simulator-chosen σ of Fig. 4).
+    pub fn new(rng: Drbg) -> Self {
         IdealCert {
-            signer,
             records: HashMap::new(),
             signed_messages: HashSet::new(),
             corrupted: false,
             rng,
         }
-    }
-
-    /// The signer this instance is bound to.
-    pub fn signer(&self) -> PartyId {
-        self.signer
     }
 
     /// Signs `message` as the bound signer.
@@ -118,7 +111,7 @@ mod tests {
 
     #[test]
     fn ideal_sign_verify() {
-        let mut c = IdealCert::new(PartyId(1), Drbg::from_seed(b"c"));
+        let mut c = IdealCert::new(Drbg::from_seed(b"c"));
         let sig = c.sign(b"m1");
         assert!(c.verify(b"m1", &sig));
         assert!(!c.verify(b"m2", &sig));
@@ -126,7 +119,7 @@ mod tests {
 
     #[test]
     fn ideal_unforgeable_while_honest() {
-        let mut c = IdealCert::new(PartyId(1), Drbg::from_seed(b"c"));
+        let mut c = IdealCert::new(Drbg::from_seed(b"c"));
         assert!(!c.verify(b"never-signed", b"fake-sig"));
         // And not even the adversary can authorize before corruption.
         assert!(!c.adversarial_authorize(b"never-signed", b"fake-sig"));
@@ -135,7 +128,7 @@ mod tests {
 
     #[test]
     fn ideal_verdicts_sticky() {
-        let mut c = IdealCert::new(PartyId(1), Drbg::from_seed(b"c"));
+        let mut c = IdealCert::new(Drbg::from_seed(b"c"));
         assert!(!c.verify(b"m", b"s")); // records (m, s, 0)
         c.set_corrupted();
         // Even after corruption the recorded 0 verdict stands (rule 3).
@@ -145,7 +138,7 @@ mod tests {
 
     #[test]
     fn ideal_corrupted_signer_forgeable() {
-        let mut c = IdealCert::new(PartyId(1), Drbg::from_seed(b"c"));
+        let mut c = IdealCert::new(Drbg::from_seed(b"c"));
         c.set_corrupted();
         assert!(c.adversarial_authorize(b"forged", b"sig"));
         assert!(c.verify(b"forged", b"sig"));

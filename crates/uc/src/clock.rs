@@ -82,7 +82,7 @@ impl GlobalClock {
     /// Marks a party as corrupted: it no longer gates advancement.
     ///
     /// Mirrors the honest-party filter `P_sid` in Fig. 2.
-    pub fn set_corrupted(&mut self, party: PartyId) {
+    pub(crate) fn set_corrupted(&mut self, party: PartyId) {
         if let Some(g) = self.gates.get_mut(party.index()) {
             if g.registered && !g.corrupted {
                 g.corrupted = true;

@@ -58,7 +58,7 @@
 //!
 //! # What a check compares
 //!
-//! [`compare_transcripts`] reads one per-event encoding at one of two
+//! `compare_transcripts` reads one per-event encoding at one of two
 //! levels (the table is on `Event::encode` in [`crate::trace`]):
 //! [`CompareLevel::Exact`] as recorded, [`CompareLevel::ShapeAndOutputs`]
 //! with byte strings as lengths and adversary actions as their presence,
@@ -228,7 +228,7 @@ impl std::error::Error for Divergence {}
 /// Returns a [`Divergence`] naming what differed and, for the transcripts
 /// themselves, where: the first event at which the two sides encode
 /// differently at that level ([`Transcript::first_divergence`]).
-pub fn compare_transcripts(
+pub(crate) fn compare_transcripts(
     level: CompareLevel,
     real: &Transcript,
     ideal: &Transcript,
@@ -317,11 +317,6 @@ impl<R: SbcWorld, I: SbcWorld> DualRun<R, I> {
         (a, b)
     }
 
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.real.n()
-    }
-
     /// The zero-based epoch both worlds are currently in.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -334,7 +329,7 @@ impl<R: SbcWorld, I: SbcWorld> DualRun<R, I> {
     }
 
     /// Feeds an input to both worlds.
-    pub fn input(&mut self, party: PartyId, cmd: Command) {
+    pub(crate) fn input(&mut self, party: PartyId, cmd: Command) {
         self.both(|env| env.input(party, cmd.clone()));
     }
 
@@ -668,11 +663,6 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
         }
     }
 
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.real.pool.n()
-    }
-
     /// The shared clock round.
     ///
     /// # Panics
@@ -717,7 +707,7 @@ impl<R: PoolWorld, I: PoolWorld> PoolDualRun<R, I> {
     }
 
     /// Feeds an input to `instance` in both pools.
-    pub fn input(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
+    pub(crate) fn input(&mut self, instance: InstanceId, party: PartyId, cmd: Command) {
         self.real.input(instance, party, cmd.clone());
         self.ideal.input(instance, party, cmd);
     }

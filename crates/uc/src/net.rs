@@ -17,7 +17,7 @@
 //!
 //! let mut net = SyncNet::new(3);
 //! net.send(PartyId(0), PartyId(1), Value::bytes(b"hi"));
-//! assert!(net.inbox(PartyId(1)).is_empty()); // not yet delivered
+//! assert!(net.take_inbox(PartyId(1)).is_empty()); // not yet delivered
 //! net.deliver_round();
 //! assert_eq!(net.take_inbox(PartyId(1)).len(), 1);
 //! ```
@@ -87,11 +87,6 @@ impl SyncNet {
         }
     }
 
-    /// A party's undelivered inbox (peek).
-    pub fn inbox(&self, party: PartyId) -> &[NetMsg] {
-        &self.inboxes[party.index()]
-    }
-
     /// Drains a party's inbox.
     pub fn take_inbox(&mut self, party: PartyId) -> Vec<NetMsg> {
         std::mem::take(&mut self.inboxes[party.index()])
@@ -116,7 +111,7 @@ mod tests {
     fn delivery_is_next_round() {
         let mut net = SyncNet::new(2);
         net.send(PartyId(0), PartyId(1), Value::U64(1));
-        assert!(net.inbox(PartyId(1)).is_empty());
+        assert!(net.take_inbox(PartyId(1)).is_empty());
         net.deliver_round();
         let msgs = net.take_inbox(PartyId(1));
         assert_eq!(msgs.len(), 1);

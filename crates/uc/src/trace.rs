@@ -12,7 +12,7 @@
 //! `Event::encode`): [`digest`](Transcript::digest) as recorded,
 //! [`shape_digest`](Transcript::shape_digest) with byte strings as lengths
 //! and adversary actions as their presence.
-//! [`first_divergence`](Transcript::first_divergence) reads the same
+//! `Transcript::first_divergence` reads the same
 //! encoding, so it reports the position at which those digests part.
 
 use crate::ids::PartyId;
@@ -138,12 +138,12 @@ pub struct Transcript {
 
 impl Transcript {
     /// Creates an empty transcript.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Transcript::default()
     }
 
     /// Appends an event.
-    pub fn push(&mut self, round: u64, kind: EventKind) {
+    pub(crate) fn push(&mut self, round: u64, kind: EventKind) {
         self.events.push(Event { round, kind });
     }
 
@@ -186,8 +186,8 @@ impl Transcript {
 
     /// Digest of the *shape* of the transcript: every byte-string payload
     /// replaced by its length and every adversary action by its presence.
-    /// The tests pair this with an exact
-    /// [`output_digest`](Transcript::output_digest) where applicable.
+    /// [`CompareLevel::ShapeAndOutputs`](crate::exec::CompareLevel::ShapeAndOutputs)
+    /// pairs this with exact [`outputs`](Transcript::outputs).
     pub fn shape_digest(&self) -> [u8; 32] {
         self.hash(true)
     }
@@ -197,24 +197,12 @@ impl Transcript {
     /// [`shape_digest`](Transcript::shape_digest)) — the shorter length if
     /// one transcript is a proper prefix of the other, `None` if the two
     /// digests at that level agree.
-    pub fn first_divergence(&self, other: &Transcript, shape: bool) -> Option<usize> {
+    pub(crate) fn first_divergence(&self, other: &Transcript, shape: bool) -> Option<usize> {
         let (a, b) = (&self.events, &other.events);
         a.iter()
             .zip(b)
             .position(|(x, y)| x != y && x.encode(shape) != y.encode(shape))
             .or((a.len() != b.len()).then_some(a.len().min(b.len())))
-    }
-
-    /// A digest over outputs only (the weakest comparison level: what
-    /// parties returned and when).
-    pub fn output_digest(&self) -> [u8; 32] {
-        let mut h = Sha256::new();
-        for (round, party, cmd) in self.outputs() {
-            h.update(&round.to_be_bytes());
-            h.update(&party.0.to_be_bytes());
-            h.update(&cmd.encode());
-        }
-        h.finalize()
     }
 }
 
@@ -230,6 +218,20 @@ impl fmt::Display for Transcript {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Transcript {
+        /// A digest over outputs only (the weakest comparison level: what
+        /// parties returned and when).
+        fn output_digest(&self) -> [u8; 32] {
+            let mut h = Sha256::new();
+            for (round, party, cmd) in self.outputs() {
+                h.update(&round.to_be_bytes());
+                h.update(&party.0.to_be_bytes());
+                h.update(&cmd.encode());
+            }
+            h.finalize()
+        }
+    }
 
     fn sample() -> Transcript {
         let mut t = Transcript::new();

@@ -22,7 +22,6 @@
 //! assert_eq!(cmd.value.as_bytes().unwrap(), b"hello");
 //! ```
 
-use sbc_primitives::sha256::Sha256;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -268,8 +267,9 @@ impl Value {
     }
 
     /// SHA-256 digest of the canonical encoding.
-    pub fn digest(&self) -> [u8; 32] {
-        Sha256::digest(&self.encode())
+    #[cfg(test)]
+    pub(crate) fn digest(&self) -> [u8; 32] {
+        sbc_primitives::sha256::Sha256::digest(&self.encode())
     }
 }
 
@@ -302,7 +302,8 @@ impl Command {
     }
 
     /// Canonical encoding (name, then value).
-    pub fn encode(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
         Value::pair(Value::str(&*self.name), self.value.clone()).encode()
     }
 }

@@ -92,7 +92,7 @@ pub struct EnvDriver<'w> {
 
 impl<'w> EnvDriver<'w> {
     /// Wraps a world.
-    pub fn new(world: &'w mut dyn World) -> Self {
+    pub(crate) fn new(world: &'w mut dyn World) -> Self {
         EnvDriver {
             world,
             transcript: Transcript::new(),
@@ -103,18 +103,8 @@ impl<'w> EnvDriver<'w> {
     /// harnesses that interleave their own bookkeeping with driver actions
     /// (e.g. [`DualRun`](crate::exec::DualRun)) keep one growing transcript
     /// across many short driver borrows.
-    pub fn resume(world: &'w mut dyn World, transcript: Transcript) -> Self {
+    pub(crate) fn resume(world: &'w mut dyn World, transcript: Transcript) -> Self {
         EnvDriver { world, transcript }
-    }
-
-    /// Current clock time.
-    pub fn time(&self) -> u64 {
-        self.world.time()
-    }
-
-    /// Number of parties.
-    pub fn n(&self) -> usize {
-        self.world.n()
     }
 
     /// Whether a party is corrupted.
@@ -211,7 +201,7 @@ impl<'w> EnvDriver<'w> {
     }
 
     /// Finishes and returns the transcript.
-    pub fn finish(self) -> Transcript {
+    pub(crate) fn finish(self) -> Transcript {
         self.transcript
     }
 }

@@ -152,7 +152,8 @@ impl QueryWrapper {
     }
 
     /// Remaining batches for `client` in `round`.
-    pub fn remaining(&self, round: u64, client: WrapperClient) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self, round: u64, client: WrapperClient) -> u32 {
         match self.usage.get(&client) {
             Some((r, used)) if *r == round => self.q - used.min(&self.q),
             _ => self.q,
