@@ -11,7 +11,7 @@
 
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::hybrid::HybridCtx;
-use sbc_uc::ids::{PartyId, Tag};
+use sbc_uc::ids::{PartyId, ReservedTag, Tag};
 use sbc_uc::value::{Command, Value};
 
 /// Leak source label for `F_UBC`.
@@ -24,10 +24,15 @@ pub(crate) const UBC_SOURCE: &str = "F_UBC";
 /// flush is `mem::take` of the caller's own queue — `O(own messages)`,
 /// not a pass over everybody's. A party id `≥ n` names no queue and is
 /// refused by every entry point (no leak, no tag drawn).
+///
+/// The tag of an honest broadcast is the adversary's handle, and no party
+/// reads it: it is [reserved](ReservedTag) at `Broadcast` and computed
+/// where it is read — in the leak, which a count-only channel never
+/// builds, and in `Allow`.
 #[derive(Clone, Debug)]
 pub struct UbcFunc {
     /// `L_pend`: per sender, its `(tag, message)` pairs in broadcast order.
-    pending: Vec<Vec<(Tag, Value)>>,
+    pending: Vec<Vec<(ReservedTag, Value)>>,
     /// Round of each party's last processed `Advance_Clock`.
     last_advance: Vec<Option<u64>>,
     /// Dedicated tag stream (forked per functionality so that a simulator
@@ -37,13 +42,20 @@ pub struct UbcFunc {
 }
 
 /// The `(tag, M, P)` leak of an honest broadcast, its flush, or its
-/// `Allow`ed substitution. `msg` is cloned only if the leak is kept.
-fn leak_tagged(tag: Tag, msg: &Value, sender: PartyId, ctx: &mut HybridCtx<'_>) {
+/// `Allow`ed substitution. `tag` is computed and `msg` cloned only if the
+/// leak is kept.
+fn leak_tagged(
+    tag: &mut ReservedTag,
+    tag_rng: &Drbg,
+    msg: &Value,
+    sender: PartyId,
+    ctx: &mut HybridCtx<'_>,
+) {
     ctx.leak(UBC_SOURCE, || {
         Command::new(
             "Broadcast",
             Value::list([
-                Value::bytes(tag.as_bytes()),
+                Value::bytes(tag.get(tag_rng).as_bytes()),
                 msg.clone(),
                 Value::U64(sender.0 as u64),
             ]),
@@ -74,21 +86,23 @@ impl UbcFunc {
     }
 
     /// `Broadcast` from an honest party: queues the message and leaks
-    /// `(tag, M, P)` to the adversary. Returns the tag.
+    /// `(tag, M, P)` to the adversary. Returns whether it was accepted.
     pub fn broadcast_honest(
         &mut self,
         sender: PartyId,
         msg: Value,
         ctx: &mut HybridCtx<'_>,
-    ) -> Option<Tag> {
+    ) -> bool {
         if ctx.is_corrupted(sender) {
-            return None;
+            return false;
         }
-        let queue = self.pending.get_mut(sender.index())?;
-        let tag = Tag::random(&mut self.tag_rng);
-        leak_tagged(tag, &msg, sender, ctx);
+        let Some(queue) = self.pending.get_mut(sender.index()) else {
+            return false;
+        };
+        let mut tag = ReservedTag::reserve(&mut self.tag_rng);
+        leak_tagged(&mut tag, &self.tag_rng, &msg, sender, ctx);
         queue.push((tag, msg));
-        Some(tag)
+        true
     }
 
     /// `Broadcast` from the adversary on behalf of a corrupted party:
@@ -114,19 +128,25 @@ impl UbcFunc {
     /// `Allow` from the adversary: releases a pending message of a (now)
     /// corrupted sender with a substituted value, delivered to all
     /// parties. The other entries of that sender's queue, and every other
-    /// queue, stay in place.
+    /// queue, stay in place. The search computes the tag of each entry it
+    /// passes, once.
     pub(crate) fn allow(&mut self, tag: Tag, msg: Value, ctx: &mut HybridCtx<'_>) -> Option<Value> {
-        let found = self.pending.iter().enumerate().find_map(|(sender, queue)| {
-            let at = queue.iter().position(|(t, _)| *t == tag)?;
-            Some((sender, at))
-        });
+        let rng = &self.tag_rng;
+        let found = self
+            .pending
+            .iter_mut()
+            .enumerate()
+            .find_map(|(sender, queue)| {
+                let at = queue.iter_mut().position(|(t, _)| t.get(rng) == tag)?;
+                Some((sender, at))
+            });
         let (sender, at) = found?;
         let party = PartyId(sender as u32);
         if !ctx.is_corrupted(party) {
             return None;
         }
-        self.pending[sender].remove(at);
-        leak_tagged(tag, &msg, party, ctx);
+        let (mut tag, _) = self.pending[sender].remove(at);
+        leak_tagged(&mut tag, &self.tag_rng, &msg, party, ctx);
         Some(msg)
     }
 
@@ -145,8 +165,8 @@ impl UbcFunc {
         }
         std::mem::take(&mut self.pending[i])
             .into_iter()
-            .map(|(tag, msg)| {
-                leak_tagged(tag, &msg, party, ctx);
+            .map(|(mut tag, msg)| {
+                leak_tagged(&mut tag, &self.tag_rng, &msg, party, ctx);
                 msg
             })
             .collect()
@@ -157,7 +177,20 @@ impl UbcFunc {
 mod tests {
     use super::*;
     use sbc_primitives::drbg::Drbg;
+    use sbc_primitives::sha256::compressions;
     use sbc_uc::world::WorldCore;
+
+    /// The tag in leak `i`: how the adversary learns its handle on an
+    /// honest broadcast.
+    fn tag_in(core: &WorldCore, i: usize) -> Tag {
+        let leak = &core.leaks[i].cmd.value;
+        Tag::from_bytes(leak.as_list().unwrap()[0].as_bytes().unwrap()).unwrap()
+    }
+
+    /// The tag in the last leak.
+    fn leaked_tag(core: &WorldCore) -> Tag {
+        tag_in(core, core.leaks.len() - 1)
+    }
 
     #[test]
     fn honest_flow_flush_on_advance() {
@@ -211,26 +244,27 @@ mod tests {
         // A party id ≥ n names no queue: refused, nothing leaked, no tag
         // drawn (the next tag is what a fresh functionality draws first).
         let outside = PartyId(3 + 7);
-        assert!(f
-            .broadcast_honest(outside, Value::U64(0), &mut core.ctx())
-            .is_none());
+        assert!(!f.broadcast_honest(outside, Value::U64(0), &mut core.ctx()));
         assert!(f.take_flush(outside, &mut core.ctx()).is_empty());
         assert!(f
             .broadcast_corrupted(outside, Value::U64(0), &mut core.ctx())
             .is_none());
         assert!(core.leaks.is_empty() && f.pending() == 0);
-        let first_tag = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags")).broadcast_honest(
+        let mut fresh = WorldCore::new(3, b"ubc");
+        UbcFunc::new(3, Drbg::from_seed(b"ubc-tags")).broadcast_honest(
             PartyId(0),
             Value::U64(10),
-            &mut WorldCore::new(3, b"ubc").ctx(),
+            &mut fresh.ctx(),
         );
+        let first_tag = leaked_tag(&fresh);
 
         // Two senders interleave three casts each.
         let mut tags = Vec::new();
         for k in 0..3 {
             for sender in [0, 2] {
                 let msg = Value::U64(10 * sender as u64 + k);
-                tags.push(f.broadcast_honest(PartyId(sender), msg, &mut core.ctx()));
+                assert!(f.broadcast_honest(PartyId(sender), msg, &mut core.ctx()));
+                tags.push(leaked_tag(&core));
             }
         }
         assert_eq!(tags[0], first_tag);
@@ -238,7 +272,7 @@ mod tests {
         // `Allow` on the middle entry of party 2's queue (now corrupted)
         // takes that entry only.
         core.corr.corrupt(PartyId(2)).unwrap();
-        let middle = tags[3].unwrap();
+        let middle = tags[3];
         let allowed = f.allow(middle, Value::U64(99), &mut core.ctx());
         assert_eq!(allowed, Some(Value::U64(99)));
         assert!(f.allow(middle, Value::U64(99), &mut core.ctx()).is_none());
@@ -259,9 +293,8 @@ mod tests {
     fn allow_substitutes_for_corrupted_sender() {
         let mut core = WorldCore::new(2, b"ubc");
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        let tag = f
-            .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())
-            .unwrap();
+        assert!(f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx()));
+        let tag = leaked_tag(&core);
         // Honest: Allow ignored.
         assert!(f.allow(tag, Value::U64(99), &mut core.ctx()).is_none());
         // Adaptive corruption mid-round → substitution succeeds (unfairness).
@@ -296,8 +329,46 @@ mod tests {
         let mut core = WorldCore::new(2, b"ubc");
         core.corr.corrupt(PartyId(0)).unwrap();
         let mut f = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
-        assert!(f
-            .broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx())
-            .is_none());
+        assert!(!f.broadcast_honest(PartyId(0), Value::U64(1), &mut core.ctx()));
+    }
+
+    #[test]
+    fn a_tag_is_computed_only_where_it_is_read() {
+        // Twin functionalities on one tag stream: one leaks into a
+        // capturing channel, the other into a counting one.
+        let mut kept = WorldCore::new(2, b"ubc");
+        let mut counted = WorldCore::new(2, b"ubc");
+        counted.count_leaks_only();
+        let mut a = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
+        let mut b = UbcFunc::new(2, Drbg::from_seed(b"ubc-tags"));
+        let cost = |f: &mut UbcFunc, core: &mut WorldCore| {
+            let before = compressions();
+            for k in 0..3 {
+                f.broadcast_honest(PartyId(k % 2), Value::U64(k as u64), &mut core.ctx());
+            }
+            f.take_flush(PartyId(0), &mut core.ctx());
+            compressions() - before
+        };
+        // A kept leak computes its tag once, at the cast; the flush's leak
+        // reuses it. A counted leak computes nothing.
+        assert_eq!(cost(&mut a, &mut kept), 3);
+        assert_eq!(cost(&mut b, &mut counted), 0);
+        assert_eq!(counted.take_leak_count(), 3 + 2);
+        // `Allow` reads the tags it searches: the counted twin computes
+        // the one it matches (party 1's cast, still pending), with the
+        // bytes the kept twin leaked.
+        let tag = tag_in(&kept, 1);
+        kept.corr.corrupt(PartyId(1)).unwrap();
+        counted.corr.corrupt(PartyId(1)).unwrap();
+        let before = compressions();
+        assert_eq!(
+            b.allow(tag, Value::U64(9), &mut counted.ctx()),
+            Some(Value::U64(9))
+        );
+        assert_eq!(compressions() - before, 1);
+        assert_eq!(
+            a.allow(tag, Value::U64(9), &mut kept.ctx()),
+            Some(Value::U64(9))
+        );
     }
 }

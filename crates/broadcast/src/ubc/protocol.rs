@@ -210,9 +210,7 @@ mod tests {
         let stray = PartyId(7);
         let mut core = WorldCore::new(3, b"ubcp");
         let mut func = UbcFunc::new(3, Drbg::from_seed(b"ubc-tags"));
-        assert!(func
-            .broadcast_honest(stray, Value::U64(1), &mut core.ctx())
-            .is_none());
+        assert!(!func.broadcast_honest(stray, Value::U64(1), &mut core.ctx()));
         let refused = func.broadcast_corrupted(stray, Value::U64(2), &mut core.ctx());
         assert!(refused.is_none());
         assert!(func.take_flush(stray, &mut core.ctx()).is_empty());

@@ -241,7 +241,7 @@ impl SbcHost {
                 self.ftle
                     .leakage(&self.core.ctx())
                     .into_iter()
-                    .map(|r| Value::list([r.msg, r.ct.unwrap_or(Value::Unit), Value::U64(r.tau)])),
+                    .map(|(m, c, tau)| Value::list([m, c.unwrap_or(Value::Unit), Value::U64(tau)])),
             ),
             ("F_RO", "QueryBytes", [x, len]) => match (x.as_bytes(), len.as_u64()) {
                 (Some(x), Some(len)) if len <= MAX_QUERY_BYTES => {

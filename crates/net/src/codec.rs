@@ -551,14 +551,6 @@ pub enum NetError {
         /// The rendered I/O error.
         detail: String,
     },
-    /// A read or write deadline (derived from the round bound ∆) expired
-    /// before the peer caught up.
-    Timeout {
-        /// The operation whose deadline expired.
-        op: &'static str,
-        /// The deadline that was exceeded, in milliseconds.
-        millis: u64,
-    },
     /// A link stayed down through every reconnect attempt.
     LinkDown {
         /// The lane whose link is down (e.g. `"control"`, `"data:2"`).
@@ -576,9 +568,6 @@ impl fmt::Display for NetError {
                 write!(f, "frame addressed to party {party}, experiment has {n}")
             }
             NetError::Io { op, detail } => write!(f, "socket {op} failed: {detail}"),
-            NetError::Timeout { op, millis } => {
-                write!(f, "{op} deadline expired after {millis} ms")
-            }
             NetError::LinkDown { lane, attempts } => {
                 write!(f, "link {lane} down after {attempts} reconnect attempts")
             }
@@ -590,10 +579,7 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Codec(e) => Some(e),
-            NetError::UnknownParty { .. }
-            | NetError::Io { .. }
-            | NetError::Timeout { .. }
-            | NetError::LinkDown { .. } => None,
+            NetError::UnknownParty { .. } | NetError::Io { .. } | NetError::LinkDown { .. } => None,
         }
     }
 }

@@ -11,11 +11,18 @@
 //! the seed and the sequence of draw lengths and labels — `gen_u64` and
 //! `gen_bool` are 8- and 1-byte draws — pinned by `golden_stream`.
 //!
+//! The key never changes, so the block at counter `c` is the same bytes
+//! whenever it is computed. A draw of at most 32 bytes may therefore be
+//! [reserved](Drbg::reserve): the stream moves on by one counter, exactly
+//! as the draw would move it, and [`block`](Drbg::block) computes the
+//! bytes later, or never.
+//!
 //! | operation | compressions |
 //! |---|---|
 //! | seeding a stream (seed ≤ 47 bytes) | 2 |
 //! | a fork (label ≤ 45 bytes) | 2 |
 //! | one 32-byte draw block | 1 |
+//! | reserving a block | 0 |
 //!
 //! # Examples
 //!
@@ -72,8 +79,23 @@ impl Drbg {
     pub fn fill(&mut self, out: &mut [u8]) {
         for chunk in out.chunks_mut(DIGEST_LEN) {
             let ctr = self.next_ctr();
-            chunk.copy_from_slice(&self.prf.eval(DRAW, &[], ctr)[..chunk.len()]);
+            chunk.copy_from_slice(&self.block(ctr)[..chunk.len()]);
         }
+    }
+
+    /// Reserves the next block for a draw of at most 32 bytes without
+    /// computing it, and returns its counter. The stream moves on exactly
+    /// as that draw would have moved it.
+    pub fn reserve(&mut self) -> u64 {
+        self.next_ctr()
+    }
+
+    /// The draw block at counter `ctr`: a draw of `len ≤ 32` bytes made
+    /// at that counter returns its first `len` bytes. The bytes do not
+    /// depend on when they are computed, so a [reserved](Drbg::reserve)
+    /// block may be computed after any number of later draws and forks.
+    pub fn block(&self, ctr: u64) -> [u8; DIGEST_LEN] {
+        self.prf.eval(DRAW, &[], ctr)
     }
 
     /// Generates `n` pseudorandom bytes.
@@ -174,6 +196,35 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn gen_range_zero_panics() {
         Drbg::from_seed(b"s").gen_range(0);
+    }
+
+    #[test]
+    fn a_reserved_block_is_the_eager_draw_at_its_position() {
+        // Twin streams take the same forks. Where `eager` draws, `lazy`
+        // reserves one block per 32 bytes of the draw, so every draw
+        // position of the stream is reserved once. Each block is computed
+        // right away and again at the end, after every later step.
+        let mut eager = Drbg::from_seed(b"reserve");
+        let mut lazy = Drbg::from_seed(b"reserve");
+        let mut seen = Vec::new();
+        for (i, len) in [1usize, 16, 31, 33, 64, 16, 1, 64].into_iter().enumerate() {
+            if i % 3 == 1 {
+                let label = format!("child/{i}");
+                let mut a = eager.fork(label.as_bytes());
+                let mut b = lazy.fork(label.as_bytes());
+                assert_eq!(a.gen_bytes(len), b.gen_bytes(len), "fork at step {i}");
+            }
+            let drawn = eager.gen_bytes(len);
+            for chunk in drawn.chunks(DIGEST_LEN) {
+                let ctr = lazy.reserve();
+                assert_eq!(lazy.block(ctr)[..chunk.len()], *chunk, "step {i}");
+                seen.push((ctr, chunk.to_vec()));
+            }
+        }
+        for (ctr, chunk) in seen {
+            assert_eq!(lazy.block(ctr)[..chunk.len()], chunk, "counter {ctr}, late");
+        }
+        assert_eq!(eager.gen_bytes(64), lazy.gen_bytes(64), "still twins");
     }
 
     #[test]

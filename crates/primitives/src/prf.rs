@@ -24,6 +24,7 @@
 //! |---|---|---|
 //! | — | keying a `Prf` | 1 |
 //! | `DRAW` | one 32-byte [`Drbg`](crate::drbg::Drbg) draw block | 1 |
+//! | `DRAW` | reserving a block ([`Drbg::reserve`](crate::drbg::Drbg::reserve)) | 0 |
 //! | `FORK` | a fork (label ≤ 45 bytes) | 1 |
 //! | [`POINT`] | an `F_RO` point for a 32-byte `ρ` | 1 |
 //! | [`MASK`] | an `F_RO` mask block for a 32-byte `ρ` | 1 |

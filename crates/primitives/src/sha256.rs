@@ -14,6 +14,10 @@
 //! instead of moving them. The crate forbids `unsafe`, which rules out the
 //! CPU's SHA extensions: this is portable scalar code.
 //!
+//! Each thread counts the compressions it runs ([`compressions`]), so a
+//! test can pin what an operation costs as an exact, host-independent
+//! number.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,6 +29,18 @@
 //!     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
 //! );
 //! ```
+
+use std::cell::Cell;
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many compressions this thread has run since it started. The
+/// difference of two readings is the exact cost of the code between them.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
 
 /// Byte length of a SHA-256 digest.
 pub(crate) const DIGEST_LEN: usize = 32;
@@ -243,6 +259,9 @@ fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
         *s = s.wrapping_add(v);
     }
+    // Counted last, once no argument is live, so the increment takes no
+    // register from the rounds (counted first, it made them spill more).
+    COMPRESSIONS.with(|n| n.set(n.get() + 1));
 }
 
 #[cfg(test)]
@@ -379,6 +398,16 @@ mod tests {
         ];
         for (len, want) in golden {
             assert_eq!(hx(&pattern(len)), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn compressions_are_counted_per_block() {
+        // One per whole block, plus the padding's one or two.
+        for (len, blocks) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            let before = compressions();
+            Sha256::digest(&pattern(len));
+            assert_eq!(compressions() - before, blocks, "length {len}");
         }
     }
 

@@ -14,25 +14,25 @@
 //! exactly the head start fair broadcast gives it (Theorem 1).
 
 use sbc_uc::hybrid::HybridCtx;
-use sbc_uc::ids::{PartyId, Tag};
+use sbc_uc::ids::{PartyId, ReservedTag, Tag};
 use sbc_uc::value::Value;
 use std::collections::HashMap;
 
 /// A recorded tuple `(M, c, τ, tag, Cl, P)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TleRecord {
+#[derive(Clone, Debug)]
+struct TleRecord {
     /// The plaintext.
-    pub msg: Value,
+    msg: Value,
     /// The ciphertext (None = `Null`, awaiting the simulator's `Update`).
-    pub ct: Option<Value>,
+    ct: Option<Value>,
     /// Decryption time.
-    pub tau: u64,
-    /// Record tag (None for adversarial insertions).
-    pub tag: Option<Tag>,
+    tau: u64,
+    /// Record tag (None for adversarial insertions), reserved at `Enc`.
+    tag: Option<ReservedTag>,
     /// Round of the encryption request.
-    pub requested_at: u64,
+    requested_at: u64,
     /// The encryptor (None for adversarial insertions).
-    pub owner: Option<PartyId>,
+    owner: Option<PartyId>,
 }
 
 /// Responses of the `Dec` interface.
@@ -84,8 +84,9 @@ pub(crate) const TLE_SOURCE: &str = "F_TLE";
 /// every tuple ever recorded: [`retrieve`](TleFunc::retrieve) walks only
 /// the caller's own records (`by_owner`), [`dec`](TleFunc::dec) resolves a
 /// ciphertext in O(matching) (`by_ct`, keyed on the canonical ciphertext
-/// encoding), and `Update` resolves its tag in O(1)
-/// (`by_tag`). Index maintenance is append-only — records are never
+/// encoding), and `Update` resolves its tag in O(1) (`by_tag`, which the
+/// first `Update` builds and each later one extends over the records
+/// added since). Index maintenance is append-only — records are never
 /// removed except by [`clear_records`](TleFunc::clear_records), which
 /// drops the indices with them — so index vectors stay in record order
 /// and every indexed path observes records in exactly the order the old
@@ -103,8 +104,10 @@ pub struct TleFunc {
     /// adversarial/simulator tuples, at `Update`/fill time for honest
     /// ones); a ciphertext is set at most once per record.
     by_ct: HashMap<Vec<u8>, Vec<usize>>,
-    /// Record index per honest tag (tags are unique per record).
+    /// Record index per honest tag (tags are unique per record), over
+    /// the first `tagged` records.
     by_tag: HashMap<[u8; 16], usize>,
+    tagged: usize,
     tag_rng: sbc_primitives::drbg::Drbg,
     /// Stream used to fill ciphertexts the simulator never set (Fig. 7
     /// `Retrieve` step 1), forked off the tag stream.
@@ -123,6 +126,7 @@ impl TleFunc {
             by_owner: Vec::new(),
             by_ct: HashMap::new(),
             by_tag: HashMap::new(),
+            tagged: 0,
             tag_rng,
             fill_rng,
         }
@@ -141,55 +145,57 @@ impl TleFunc {
         self.by_owner.clear();
         self.by_ct.clear();
         self.by_tag.clear();
+        self.tagged = 0;
     }
 
-    /// `Enc` from an honest party. Returns the tag, or `None` for `τ < 0`
-    /// (the caller translates to `⊥`). Leaks `(Enc, τ, tag, Cl, 0^|M|, P)`
-    /// to the adversary (Fig. 7).
-    pub fn enc(
-        &mut self,
-        party: PartyId,
-        msg: Value,
-        tau: i64,
-        ctx: &mut HybridCtx<'_>,
-    ) -> Option<Tag> {
+    /// `Enc` from an honest party. Returns `false` for `τ < 0` (the caller
+    /// translates to `⊥`). Leaks `(Enc, τ, tag, Cl, 0^|M|, P)` to the
+    /// adversary (Fig. 7).
+    pub fn enc(&mut self, party: PartyId, msg: Value, tau: i64, ctx: &mut HybridCtx<'_>) -> bool {
         if tau < 0 {
-            return None;
+            return false;
         }
-        let tag = Tag::random(&mut self.tag_rng);
+        let mut tag = ReservedTag::reserve(&mut self.tag_rng);
         let msg_len = msg.encoded_len();
-        let idx = self.records.len();
-        self.records.push(TleRecord {
-            msg,
-            ct: None,
-            tau: tau as u64,
-            tag: Some(tag),
-            requested_at: ctx.time(),
-            owner: Some(party),
-        });
-        if self.by_owner.len() <= party.index() {
-            self.by_owner.resize_with(party.index() + 1, Vec::new);
-        }
-        self.by_owner[party.index()].push(idx);
-        self.by_tag.insert(tag.0, idx);
         let now = ctx.time();
+        let tag_rng = &self.tag_rng;
         ctx.leak(TLE_SOURCE, || {
             sbc_uc::value::Command::new(
                 "Enc",
                 Value::list([
                     Value::U64(tau as u64),
-                    Value::bytes(tag.as_bytes()),
+                    Value::bytes(tag.get(tag_rng).as_bytes()),
                     Value::U64(now),
                     Value::U64(msg_len as u64),
                     Value::U64(party.0 as u64),
                 ]),
             )
         });
-        Some(tag)
+        let idx = self.records.len();
+        self.records.push(TleRecord {
+            msg,
+            ct: None,
+            tau: tau as u64,
+            tag: Some(tag),
+            requested_at: now,
+            owner: Some(party),
+        });
+        if self.by_owner.len() <= party.index() {
+            self.by_owner.resize_with(party.index() + 1, Vec::new);
+        }
+        self.by_owner[party.index()].push(idx);
+        true
     }
 
     /// `Update` from the simulator: attaches ciphertexts to `Null` records.
+    /// Indexes the tags of the records added since the last `Update` first.
     pub(crate) fn update_ciphertexts(&mut self, updates: &[(Value, Tag)]) {
+        for (idx, rec) in self.records.iter_mut().enumerate().skip(self.tagged) {
+            if let Some(tag) = &mut rec.tag {
+                self.by_tag.insert(tag.get(&self.tag_rng).0, idx);
+            }
+        }
+        self.tagged = self.records.len();
         for (ct, tag) in updates {
             let Some(&idx) = self.by_tag.get(&tag.0) else {
                 continue;
@@ -306,13 +312,13 @@ impl TleFunc {
     }
 
     /// `Leakage` to the simulator: every `(M, c, τ)` with `τ ≤ leak(Cl)`,
-    /// plus all records of corrupted owners.
-    pub fn leakage(&self, ctx: &HybridCtx<'_>) -> Vec<TleRecord> {
+    /// plus all records of corrupted owners (`c` is `None` while `Null`).
+    pub fn leakage(&self, ctx: &HybridCtx<'_>) -> Vec<(Value, Option<Value>, u64)> {
         let horizon = ctx.time() + self.alpha;
         self.records
             .iter()
             .filter(|r| r.tau <= horizon || r.owner.map(|p| ctx.is_corrupted(p)).unwrap_or(false))
-            .cloned()
+            .map(|r| (r.msg.clone(), r.ct.clone(), r.tau))
             .collect()
     }
 }
@@ -321,6 +327,7 @@ impl TleFunc {
 mod tests {
     use super::*;
     use sbc_primitives::drbg::Drbg;
+    use sbc_primitives::sha256::compressions;
     use sbc_uc::world::WorldCore;
 
     fn func() -> TleFunc {
@@ -328,13 +335,18 @@ mod tests {
         TleFunc::new(2, 3, Drbg::from_seed(b"ftle-tags"))
     }
 
+    /// An honest `Enc`, and the tag its leak hands the simulator.
+    fn enc(f: &mut TleFunc, core: &mut WorldCore, party: u32, msg: Value, tau: i64) -> Tag {
+        assert!(f.enc(PartyId(party), msg, tau, &mut core.ctx()));
+        let leak = &core.leaks.last().expect("the Enc leak").cmd.value;
+        Tag::from_bytes(leak.as_list().unwrap()[1].as_bytes().unwrap()).unwrap()
+    }
+
     #[test]
     fn negative_tau_rejected() {
         let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        assert!(f
-            .enc(PartyId(0), Value::U64(1), -1, &mut core.ctx())
-            .is_none());
+        assert!(!f.enc(PartyId(0), Value::U64(1), -1, &mut core.ctx()));
         assert_eq!(
             f.dec(&Value::bytes(b"c"), -5, &core.ctx()),
             Some(DecResponse::Bottom)
@@ -345,9 +357,7 @@ mod tests {
     fn retrieve_respects_delay_and_ownership() {
         let mut core = WorldCore::new(2, b"ftle");
         let mut f = func();
-        let tag = f
-            .enc(PartyId(0), Value::bytes(b"m"), 10, &mut core.ctx())
-            .unwrap();
+        let tag = enc(&mut f, &mut core, 0, Value::bytes(b"m"), 10);
         f.update_ciphertexts(&[(Value::bytes(b"ct"), tag)]);
         assert!(
             f.retrieve(PartyId(0), &mut core.ctx()).is_empty(),
@@ -370,8 +380,7 @@ mod tests {
     fn retrieve_fills_missing_ciphertexts() {
         let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        f.enc(PartyId(0), Value::U64(1), 10, &mut core.ctx())
-            .unwrap();
+        enc(&mut f, &mut core, 0, Value::U64(1), 10);
         for _ in 0..3 {
             core.clock.fast_forward(core.clock.read() + 1);
         }
@@ -387,9 +396,7 @@ mod tests {
     fn dec_time_lock_enforced() {
         let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        let tag = f
-            .enc(PartyId(0), Value::bytes(b"secret"), 2, &mut core.ctx())
-            .unwrap();
+        let tag = enc(&mut f, &mut core, 0, Value::bytes(b"secret"), 2);
         let ct = Value::bytes(b"ct");
         f.update_ciphertexts(&[(ct.clone(), tag)]);
         assert_eq!(
@@ -409,9 +416,7 @@ mod tests {
     fn dec_invalid_time() {
         let mut core = WorldCore::new(1, b"ftle");
         let mut f = func();
-        let tag = f
-            .enc(PartyId(0), Value::U64(1), 2, &mut core.ctx())
-            .unwrap();
+        let tag = enc(&mut f, &mut core, 0, Value::U64(1), 2);
         let ct = Value::bytes(b"ct");
         f.update_ciphertexts(&[(ct.clone(), tag)]);
         core.clock.fast_forward(core.clock.read() + 1);
@@ -435,26 +440,57 @@ mod tests {
     fn leakage_respects_horizon() {
         let mut core = WorldCore::new(2, b"ftle");
         let mut f = func(); // α = 2
-        f.enc(PartyId(0), Value::bytes(b"near"), 2, &mut core.ctx())
-            .unwrap();
-        f.enc(PartyId(0), Value::bytes(b"far"), 9, &mut core.ctx())
-            .unwrap();
-        f.enc(
-            PartyId(1),
-            Value::bytes(b"corrupted-owner"),
-            9,
-            &mut core.ctx(),
-        )
-        .unwrap();
+        enc(&mut f, &mut core, 0, Value::bytes(b"near"), 2);
+        enc(&mut f, &mut core, 0, Value::bytes(b"far"), 9);
+        enc(&mut f, &mut core, 1, Value::bytes(b"corrupted-owner"), 9);
         core.corr.corrupt(PartyId(1)).unwrap();
         let ctx = core.ctx();
         let leaked = f.leakage(&ctx);
         // τ=2 ≤ 0+2 leaks; τ=9 doesn't; corrupted owner's does.
         assert_eq!(leaked.len(), 2);
-        assert!(leaked.iter().any(|r| r.msg == Value::bytes(b"near")));
+        assert!(leaked.iter().any(|(m, _, _)| *m == Value::bytes(b"near")));
         assert!(leaked
             .iter()
-            .any(|r| r.msg == Value::bytes(b"corrupted-owner")));
+            .any(|(m, _, _)| *m == Value::bytes(b"corrupted-owner")));
+    }
+
+    #[test]
+    fn a_tag_is_computed_only_where_it_is_read() {
+        // Twin functionalities on one tag stream: one leaks into a
+        // capturing channel, the other into a counting one.
+        let mut kept = WorldCore::new(2, b"ftle");
+        let mut counted = WorldCore::new(2, b"ftle");
+        counted.count_leaks_only();
+        let (mut a, mut b) = (func(), func());
+        let before = compressions();
+        let tags: Vec<Tag> = (0..3)
+            .map(|k| enc(&mut a, &mut kept, k % 2, Value::U64(k as u64), 0))
+            .collect();
+        assert_eq!(compressions() - before, 3, "a kept leak computes its tag");
+        let before = compressions();
+        for k in 0..3 {
+            assert!(b.enc(PartyId(k % 2), Value::U64(k as u64), 0, &mut counted.ctx()));
+        }
+        assert_eq!(compressions() - before, 0, "a counted one does not");
+        // The first `Update` indexes every tag, once, and finds each
+        // record by the tag the kept twin leaked for it.
+        let updates = [
+            (Value::bytes(b"ct1"), tags[1]),
+            (Value::bytes(b"ct2"), tags[2]),
+        ];
+        let before = compressions();
+        b.update_ciphertexts(&updates[..1]);
+        b.update_ciphertexts(&updates[1..]);
+        assert_eq!(compressions() - before, 3);
+        for (k, (ct, _)) in [(1, &updates[0]), (2, &updates[1])] {
+            let opened = b.dec(ct, 0, &counted.ctx());
+            assert_eq!(opened, Some(DecResponse::Message(Value::U64(k))));
+        }
+        // The kept twin computed its tags at `Enc`: indexing them is free.
+        let before = compressions();
+        a.update_ciphertexts(&updates);
+        assert_eq!(compressions() - before, 0);
+        assert_eq!(a.leakage(&kept.ctx()), b.leakage(&counted.ctx()));
     }
 
     #[test]
@@ -463,9 +499,7 @@ mod tests {
         let mut f = func();
         // Honest record, ciphertext attached by Update: dec resolves via
         // the by-ct index.
-        let tag = f
-            .enc(PartyId(0), Value::bytes(b"m0"), 0, &mut core.ctx())
-            .unwrap();
+        let tag = enc(&mut f, &mut core, 0, Value::bytes(b"m0"), 0);
         f.update_ciphertexts(&[(Value::bytes(b"ct0"), tag)]);
         // A second Update on the same tag must not re-index or overwrite.
         f.update_ciphertexts(&[(Value::bytes(b"ct-other"), tag)]);
@@ -476,8 +510,7 @@ mod tests {
         assert_eq!(f.dec(&Value::bytes(b"ct-other"), 0, &core.ctx()), None);
         // Honest record whose ciphertext the functionality fills at
         // Retrieve time: the filled ciphertext becomes decryptable.
-        f.enc(PartyId(1), Value::bytes(b"m1"), 0, &mut core.ctx())
-            .unwrap();
+        enc(&mut f, &mut core, 1, Value::bytes(b"m1"), 0);
         for _ in 0..3 {
             core.clock.fast_forward(core.clock.read() + 1);
         }

@@ -240,8 +240,22 @@ impl SimTle {
         }
     }
 
-    fn on_enc_leak(&mut self, party: PartyId, tag: Tag, tau: u64, msg_len: usize) {
-        self.queues[party.index()].push(SimEnc { tag, tau, msg_len });
+    /// Queues the encryption of `F_TLE`'s `(τ, tag, Cl, 0^|M|, P)` leak.
+    fn on_enc_leak(&mut self, leak: &Value) {
+        let Some([tau, tag, _, msg_len, party]) = leak.as_list() else {
+            return;
+        };
+        let tag = tag.as_bytes().and_then(Tag::from_bytes);
+        if let (Some(tau), Some(tag), Some(msg_len), Some(party)) =
+            (tau.as_u64(), tag, msg_len.as_u64(), party.as_u64())
+        {
+            let entry = SimEnc {
+                tag,
+                tau,
+                msg_len: msg_len as usize,
+            };
+            self.queues[party as usize].push(entry);
+        }
     }
 
     /// `ENCRYPT&SOLVE` for a party's queued encryptions: fair-broadcasts
@@ -361,18 +375,17 @@ impl World for IdealTleWorld {
         match &*cmd.name {
             "Enc" => {
                 if let Some((msg, tau)) = parse_enc(&cmd.value) {
-                    let msg_len = msg.encoded_len();
                     // F_TLE's Enc leak is addressed to the simulator, which
                     // shows the real-world adversary nothing at Enc time.
                     let mut to_sim = Vec::new();
                     let mut ctx = self.core.ctx_leaking_to(&mut to_sim);
-                    let resp = match self.ftle.enc(party, msg, tau, &mut ctx) {
-                        Some(tag) => {
-                            // F_TLE's (τ, tag, Cl, 0^|M|, P) leak goes to S.
-                            self.sim.on_enc_leak(party, tag, tau as u64, msg_len);
-                            Command::new("Encrypting", Value::Unit)
+                    let resp = if self.ftle.enc(party, msg, tau, &mut ctx) {
+                        for leak in &to_sim {
+                            self.sim.on_enc_leak(&leak.cmd.value);
                         }
-                        None => Command::new("Enc", Value::str("\u{22a5}")),
+                        Command::new("Encrypting", Value::Unit)
+                    } else {
+                        Command::new("Enc", Value::str("\u{22a5}"))
                     };
                     self.core.outputs.push((party, resp));
                 }

@@ -1,6 +1,11 @@
 //! Identities: parties and the unique random tags used by the
 //! broadcast functionalities.
 //!
+//! A tag is one 16-byte `Drbg` draw. A functionality whose tags only the
+//! adversary reads holds a [`ReservedTag`] instead: the stream moves on as
+//! the draw would move it, and the tag is computed when something first
+//! reads it, with the same bytes.
+//!
 //! # Examples
 //!
 //! ```
@@ -60,6 +65,14 @@ impl Tag {
         Tag(t)
     }
 
+    /// The tag in the reserved block at counter `ctr` of `rng`: what
+    /// [`random`](Tag::random) draws at that counter.
+    fn at(rng: &Drbg, ctr: u64) -> Tag {
+        let mut t = [0u8; 16];
+        t.copy_from_slice(&rng.block(ctr)[..16]);
+        Tag(t)
+    }
+
     /// The tag as bytes (for embedding in [`Value`]s).
     ///
     /// [`Value`]: crate::value::Value
@@ -75,6 +88,35 @@ impl Tag {
         let mut t = [0u8; 16];
         t.copy_from_slice(b);
         Some(Tag(t))
+    }
+}
+
+/// A [`Tag`] reserved on its stream and computed when first read.
+///
+/// [`reserve`](ReservedTag::reserve) moves the stream on exactly as
+/// [`Tag::random`] would, and [`get`](ReservedTag::get) returns the tag
+/// that draw would have returned, however many draws came between. So a
+/// tag nobody reads costs no compression, and one that is read costs one,
+/// once.
+#[derive(Clone, Copy, Debug)]
+pub struct ReservedTag {
+    ctr: u64,
+    tag: Option<Tag>,
+}
+
+impl ReservedTag {
+    /// Reserves the next tag of `rng` without computing it.
+    pub fn reserve(rng: &mut Drbg) -> ReservedTag {
+        ReservedTag {
+            ctr: rng.reserve(),
+            tag: None,
+        }
+    }
+
+    /// The tag, computed from `rng` (the stream it was reserved on) at the
+    /// first read and kept.
+    pub fn get(&mut self, rng: &Drbg) -> Tag {
+        *self.tag.get_or_insert_with(|| Tag::at(rng, self.ctr))
     }
 }
 
@@ -103,6 +145,34 @@ mod tests {
         let t = Tag::random(&mut rng);
         assert_eq!(Tag::from_bytes(t.as_bytes()), Some(t));
         assert_eq!(Tag::from_bytes(&[0u8; 5]), None);
+    }
+
+    #[test]
+    fn a_reserved_tag_is_the_eagerly_drawn_tag() {
+        // Twin streams: `eager` draws each tag where `lazy` reserves it,
+        // between forks and draws of every length around a block boundary.
+        let mut eager = Drbg::from_seed(b"tags");
+        let mut lazy = Drbg::from_seed(b"tags");
+        let mut pairs = Vec::new();
+        for (i, len) in [1usize, 16, 31, 33, 64].into_iter().enumerate() {
+            let drawn = Tag::random(&mut eager);
+            let mut reserved = ReservedTag::reserve(&mut lazy);
+            if i % 2 == 0 {
+                // Read at once: computed now, the same bytes later.
+                assert_eq!(reserved.get(&lazy), drawn, "step {i}");
+            }
+            pairs.push((reserved, drawn));
+            let label = format!("child/{i}");
+            assert_eq!(
+                eager.fork(label.as_bytes()).gen_bytes(len),
+                lazy.fork(label.as_bytes()).gen_bytes(len)
+            );
+            assert_eq!(eager.gen_bytes(len), lazy.gen_bytes(len), "step {i}");
+        }
+        for (i, (mut reserved, drawn)) in pairs.into_iter().enumerate() {
+            assert_eq!(reserved.get(&lazy), drawn, "tag {i}, read late");
+        }
+        assert_eq!(Tag::random(&mut eager), Tag::random(&mut lazy));
     }
 
     #[test]

@@ -316,7 +316,6 @@ fn exhaustive_net_error_variant_round_trips() {
             NetError::Codec(_) => "undecodable frame",
             NetError::UnknownParty { .. } => "experiment has",
             NetError::Io { .. } => "socket",
-            NetError::Timeout { .. } => "deadline expired",
             NetError::LinkDown { .. } => "reconnect attempts",
         }
     }
@@ -326,10 +325,6 @@ fn exhaustive_net_error_variant_round_trips() {
         NetError::Io {
             op: "connect",
             detail: "connection refused".into(),
-        },
-        NetError::Timeout {
-            op: "recv",
-            millis: 400,
         },
         NetError::LinkDown {
             lane: "data:2".into(),
