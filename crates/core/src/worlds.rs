@@ -115,15 +115,16 @@ impl SbcParams {
 }
 
 /// The streams [`SbcHost::fork`] forks for whoever sits next to the host.
-/// The real worlds build their parties from `parties` and drop the rest;
-/// [`IdealSbcWorld`] uses all three.
+/// The real worlds build their parties from `parties`. The two streams
+/// only [`IdealSbcWorld`] draws from are reserved, not forked: their
+/// counters in the host's stream, which it forks at ([`Drbg::fork_at`]).
 struct SideStreams {
-    /// `F_SBC` tag stream (ideal world only).
-    sbc_tags: Drbg,
+    /// `F_SBC` tag stream's counter (ideal world only).
+    sbc_tags: u64,
     /// Per-party `ρ` streams, party-id order.
     parties: Vec<Drbg>,
-    /// The simulator's equivocation stream (ideal world only).
-    equiv: Drbg,
+    /// The simulator's equivocation stream's counter (ideal world only).
+    equiv: u64,
 }
 
 /// The hybrid functionalities of Theorem 2's real world as one owned
@@ -152,22 +153,24 @@ pub struct SbcHost {
 impl SbcHost {
     /// Forks the labelled randomness streams every Theorem 2 backend draws
     /// from off `seed`, in one fixed order, and builds the functionalities
-    /// from theirs. Forking mutates the parent stream, so all of them are
-    /// forked here even for a backend that discards some: every backend's
-    /// functionalities and parties then draw bit-identical randomness from
-    /// the same seed, which is what makes `CompareLevel::Exact` comparison
-    /// between backends possible at all.
+    /// from theirs. Forking moves the parent stream on, so every stream
+    /// takes its counter here, even one that a backend never draws from:
+    /// every backend's functionalities and parties then draw bit-identical
+    /// randomness from the same seed, which is what makes
+    /// `CompareLevel::Exact` comparison between backends possible at all.
+    /// The ideal world's two streams are only reserved, so a real world
+    /// does not key them.
     fn fork(params: SbcParams, seed: &[u8]) -> (SbcHost, SideStreams) {
         let mut core = WorldCore::new(params.n, seed);
         let ro = core.rng.fork(b"ro/fro");
         let ubc_tags = core.rng.fork(b"tags/F_UBC");
         // The `F_TLE` fill stream is forked off this one in `TleFunc::new`.
         let tle_tags = core.rng.fork(b"tags/F_TLE");
-        let sbc_tags = core.rng.fork(b"tags/F_SBC");
+        let sbc_tags = core.rng.reserve();
         let parties = (0..params.n)
             .map(|i| core.rng.fork(format!("party/{i}").as_bytes()))
             .collect();
-        let equiv = core.rng.fork(b"sim/equiv");
+        let equiv = core.rng.reserve();
         let host = SbcHost {
             core,
             ubc: UbcFunc::new(params.n, ubc_tags),
@@ -516,16 +519,18 @@ impl SbcWorld for RealSbcWorld {
     }
 
     /// The agreed release round `τ_rel = t_end + ∆` of the current period,
-    /// once any party has woken up. This is the authoritative release-round
-    /// value: it is correct even when the environment drains outputs late.
+    /// once the parties have woken up. This is the authoritative
+    /// release-round value: it is correct even when the environment drains
+    /// outputs late. Party 0's period is every party's (see `receive`), so
+    /// party 0 answers for all.
     fn release_round(&self) -> Option<u64> {
-        self.parties.iter().find_map(|p| p.tau_rel())
+        self.parties[0].tau_rel()
     }
 
     /// The end of the current broadcast period `t_end = t_awake + Φ`, once
-    /// any party has woken up.
+    /// the parties have woken up: party 0's, as for `release_round`.
     fn period_end(&self) -> Option<u64> {
-        self.parties.iter().find_map(|p| p.t_end())
+        self.parties[0].t_end()
     }
 
     fn count_leaks_only(&mut self) {
@@ -801,6 +806,11 @@ impl IdealSbcWorld {
     pub fn new(params: SbcParams, seed: &[u8]) -> Self {
         params.validate().expect("invalid SBC parameters");
         let (host, side) = SbcHost::fork(params, seed);
+        let rng = &host.core.rng;
+        let (sbc_tags, equiv) = (
+            rng.fork_at(b"tags/F_SBC", side.sbc_tags),
+            rng.fork_at(b"sim/equiv", side.equiv),
+        );
         IdealSbcWorld {
             host,
             fsbc: SbcFunc::new(
@@ -808,9 +818,9 @@ impl IdealSbcWorld {
                 params.delta,
                 params.sbc_alpha(),
                 params.tle_delay,
-                side.sbc_tags,
+                sbc_tags,
             ),
-            sim: SimSbc::new(params, side.parties, side.equiv),
+            sim: SimSbc::new(params, side.parties, equiv),
         }
     }
 }
@@ -1011,6 +1021,49 @@ mod tests {
         for (i, p) in w.parties.iter().enumerate() {
             assert!(p.log().shares_storage_with(first), "party {i}");
         }
+    }
+
+    /// Party 0 answers `period_end` and `release_round` for every party:
+    /// after each step of seeded schedules of submissions, rounds,
+    /// corruptions, corrupted senders' `Wake_Up`s and period turnovers,
+    /// every party holds party 0's period.
+    #[test]
+    fn every_party_holds_party_zeros_period() {
+        const N: u64 = 5;
+        let mut open = 0;
+        for seed in 0..24u64 {
+            let mut w = RealSbcWorld::new(params(N as usize), &seed.to_be_bytes());
+            let mut rng = Drbg::from_seed(format!("one-period/{seed}").as_bytes());
+            for step in 0..80u64 {
+                let p = PartyId(rng.gen_range(N) as u32);
+                match rng.gen_range(8) {
+                    0 | 1 => w.submit(p, &step.to_be_bytes()),
+                    2 => {
+                        w.adversary(AdvCommand::Corrupt(p));
+                    }
+                    3 => {
+                        w.adversary(AdvCommand::SendAs {
+                            party: p,
+                            cmd: Command::new("Broadcast", wake_up()),
+                        });
+                    }
+                    4 => w.begin_new_period(),
+                    5 => w.advance(p),
+                    _ => w.tick(),
+                }
+                let (t_end, tau_rel) = (w.period_end(), w.release_round());
+                open += usize::from(t_end.is_some());
+                for (i, party) in w.parties.iter().enumerate() {
+                    let held = (party.t_end(), party.tau_rel());
+                    assert_eq!(
+                        held,
+                        (t_end, tau_rel),
+                        "seed {seed}, step {step}, party {i}"
+                    );
+                }
+            }
+        }
+        assert!(open > 0, "some period opened");
     }
 
     /// `F_SBC` hands every party one vector at `τ_rel`, and so does the

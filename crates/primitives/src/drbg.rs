@@ -71,6 +71,14 @@ impl Drbg {
     /// master experiment seed.
     pub fn fork(&mut self, label: &[u8]) -> Drbg {
         let ctr = self.next_ctr();
+        self.fork_at(label, ctr)
+    }
+
+    /// The child that a fork labelled `label` at counter `ctr` makes. As
+    /// with [`block`](Drbg::block), it does not depend on when it is
+    /// computed, so a [reserved](Drbg::reserve) counter may be forked
+    /// after any number of later draws and forks.
+    pub fn fork_at(&self, label: &[u8], ctr: u64) -> Drbg {
         Drbg::keyed(self.prf.eval(FORK, label, ctr))
     }
 

@@ -14,9 +14,17 @@
 //! instead of moving them. The crate forbids `unsafe`, which rules out the
 //! CPU's SHA extensions: this is portable scalar code.
 //!
+//! The compression function is two halves of one round code: rounds 0–11,
+//! which read message words 0–11 only, and rounds 12–63, which end in the
+//! feed-forward. A one-block compression runs them in sequence.
+//! [`Prf::expand`](crate::prf::Prf::expand) runs the first half once for
+//! blocks that differ only in words 12–15 (the counter of an `F_RO` mask)
+//! and the second half per block.
+//!
 //! Each thread counts the compressions it runs ([`compressions`]), so a
 //! test can pin what an operation costs as an exact, host-independent
-//! number.
+//! number. The count is taken in the second half: a block that shares
+//! its first twelve rounds is still one compression.
 //!
 //! # Examples
 //!
@@ -173,11 +181,7 @@ impl Sha256 {
         let bit_len = self.total_len.wrapping_mul(8);
         self.buf[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.buf);
-        let mut out = [0u8; DIGEST_LEN];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_bytes(&self.state)
     }
 }
 
@@ -198,62 +202,93 @@ macro_rules! round {
     };
 }
 
-/// Sixteen rounds, `$step!(names…, j)` for `j` in `0..16`, with the names
-/// rotated one place per round.
-macro_rules! sixteen_rounds {
-    ($step:ident, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident) => {
-        $step!($a, $b, $c, $d, $e, $f, $g, $h, 0);
-        $step!($h, $a, $b, $c, $d, $e, $f, $g, 1);
-        $step!($g, $h, $a, $b, $c, $d, $e, $f, 2);
-        $step!($f, $g, $h, $a, $b, $c, $d, $e, 3);
-        $step!($e, $f, $g, $h, $a, $b, $c, $d, 4);
-        $step!($d, $e, $f, $g, $h, $a, $b, $c, 5);
-        $step!($c, $d, $e, $f, $g, $h, $a, $b, 6);
-        $step!($b, $c, $d, $e, $f, $g, $h, $a, 7);
-        $step!($a, $b, $c, $d, $e, $f, $g, $h, 8);
-        $step!($h, $a, $b, $c, $d, $e, $f, $g, 9);
-        $step!($g, $h, $a, $b, $c, $d, $e, $f, 10);
-        $step!($f, $g, $h, $a, $b, $c, $d, $e, 11);
-        $step!($e, $f, $g, $h, $a, $b, $c, $d, 12);
-        $step!($d, $e, $f, $g, $h, $a, $b, $c, 13);
-        $step!($c, $d, $e, $f, $g, $h, $a, $b, 14);
-        $step!($b, $c, $d, $e, $f, $g, $h, $a, 15);
+/// Round `$j < 16` of the first pass, keyed by the block's own word
+/// `$w[$j]` (`$k` is `K[0]`).
+macro_rules! given {
+    ($k:ident, $w:ident; $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
+        round!($a, $b, $c, $d, $e, $f, $g, $h, $k[$j].wrapping_add($w[$j]));
     };
 }
 
-/// The FIPS 180-4 compression function over one block.
+/// Round `$j` of a later pass (`$k` is that pass's row of `K`): first
+/// the schedule word, written over the one it replaces in the window.
+macro_rules! extended {
+    ($k:ident, $w:ident; $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
+        let (w15, w2) = ($w[($j + 1) & 15], $w[($j + 14) & 15]);
+        $w[$j] = $w[$j]
+            .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+            .wrapping_add($w[($j + 9) & 15])
+            .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+        round!($a, $b, $c, $d, $e, $f, $g, $h, $k[$j].wrapping_add($w[$j]));
+    };
+}
+
+/// Four rounds from `$j`, `$step!($k, $w; names…, j)`, with the names
+/// rotated one place per round: the next four start from `$e`.
+macro_rules! four_rounds {
+    ($step:ident($k:ident, $w:ident), $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
+        $step!($k, $w; $a, $b, $c, $d, $e, $f, $g, $h, $j);
+        $step!($k, $w; $h, $a, $b, $c, $d, $e, $f, $g, $j + 1);
+        $step!($k, $w; $g, $h, $a, $b, $c, $d, $e, $f, $j + 2);
+        $step!($k, $w; $f, $g, $h, $a, $b, $c, $d, $e, $j + 3);
+    };
+}
+
+/// Rounds `0..12` run before any of words 12–15 of the block is read, so
+/// blocks that differ only there share them: see [`rounds_0_to_11`].
+pub(crate) const SHARED_WORDS: usize = 12;
+
+/// The block's sixteen big-endian words: the start of its message
+/// schedule.
+pub(crate) fn words(block: &[u8; BLOCK_LEN]) -> [u32; 16] {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    w
+}
+
+/// The digest bytes of a chaining state: its words, big-endian.
+pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The first half of the compression function: rounds 0–11 from the
+/// chaining `state` over the block's words `w`, of which they read
+/// `w[..SHARED_WORDS]` only. Returns the eight working variables, which
+/// [`rounds_12_to_63`] takes.
+#[inline(always)]
+pub(crate) fn rounds_0_to_11(state: &[u32; 8], w: &[u32; 16]) -> [u32; 8] {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    let k = &K[0];
+    four_rounds!(given(k, w), a, b, c, d, e, f, g, h, 0);
+    four_rounds!(given(k, w), e, f, g, h, a, b, c, d, 4);
+    four_rounds!(given(k, w), a, b, c, d, e, f, g, h, 8);
+    [a, b, c, d, e, f, g, h]
+}
+
+/// The second half: rounds 12–63 from the working variables `vars` that
+/// [`rounds_0_to_11`] left over the same `state` and the block's words
+/// `w`, then the feed-forward into `state`. One counted compression.
 ///
 /// The message schedule is a rolling 16-word window: round `t ≥ 16`
 /// overwrites `w[t mod 16]` (which holds `W[t-16]`) with `W[t]` right
 /// before using it, so the other three taps `W[t-15]`, `W[t-7]`, `W[t-2]`
 /// sit at offsets 1, 9 and 14 from it.
-fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-    let mut w = [0u32; 16];
-    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
-        *word = u32::from_be_bytes(*bytes);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
+#[inline(always)]
+pub(crate) fn rounds_12_to_63(state: &mut [u32; 8], vars: [u32; 8], mut w: [u32; 16]) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = vars;
     let k = &K[0];
-    macro_rules! given {
-        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
-            round!($a, $b, $c, $d, $e, $f, $g, $h, k[$j].wrapping_add(w[$j]));
-        };
-    }
-    sixteen_rounds!(given, a, b, c, d, e, f, g, h);
-
+    four_rounds!(given(k, w), e, f, g, h, a, b, c, d, 12);
     for k in &K[1..] {
-        macro_rules! extended {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $j:expr) => {
-                let (w15, w2) = (w[($j + 1) & 15], w[($j + 14) & 15]);
-                w[$j] = w[$j]
-                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
-                    .wrapping_add(w[($j + 9) & 15])
-                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
-                round!($a, $b, $c, $d, $e, $f, $g, $h, k[$j].wrapping_add(w[$j]));
-            };
-        }
-        sixteen_rounds!(extended, a, b, c, d, e, f, g, h);
+        four_rounds!(extended(k, w), a, b, c, d, e, f, g, h, 0);
+        four_rounds!(extended(k, w), e, f, g, h, a, b, c, d, 4);
+        four_rounds!(extended(k, w), a, b, c, d, e, f, g, h, 8);
+        four_rounds!(extended(k, w), e, f, g, h, a, b, c, d, 12);
     }
 
     for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
@@ -262,6 +297,14 @@ fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     // Counted last, once no argument is live, so the increment takes no
     // register from the rounds (counted first, it made them spill more).
     COMPRESSIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// The FIPS 180-4 compression function over one block: its two halves
+/// in sequence.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let w = words(block);
+    let vars = rounds_0_to_11(state, &w);
+    rounds_12_to_63(state, vars, w);
 }
 
 #[cfg(test)]

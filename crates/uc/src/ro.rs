@@ -16,6 +16,12 @@
 //! | one 32-byte block of a mask at a 32-byte `ρ` | 1 |
 //! | a 4 KiB mask at a 32-byte `ρ` | 128 |
 //!
+//! A mask is expanded by [`Prf::expand`]. At a 32-byte `ρ` its blocks
+//! differ only in the counter's low bytes, in the last four words of
+//! the block, so rounds 0–11 run once per mask and each block runs only
+//! rounds 12–63: still one counted compression per block, of which it
+//! runs 52 of the 64 rounds.
+//!
 //! # Examples
 //!
 //! ```
@@ -134,13 +140,11 @@ impl RandomOracle {
     }
 
     /// Block `ctr` of the mask at `point` (`len ‖ x`) is
-    /// `eval(MASK, point, ctr)`.
+    /// `eval(MASK, point, ctr)`: [`Prf::expand`], which runs the rounds
+    /// the blocks share once.
     fn expand(prf: &Prf, point: &[u8], len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        for (ctr, chunk) in (0u64..).zip(out.chunks_mut(32)) {
-            let block = prf.eval(MASK, point, ctr);
-            chunk.copy_from_slice(&block[..chunk.len()]);
-        }
+        prf.expand(MASK, point, &mut out);
         out
     }
 

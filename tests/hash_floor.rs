@@ -144,19 +144,58 @@ fn instance_cost(n: usize, capture: bool) -> u64 {
 }
 
 /// Compressions per auction instance, as formulas in n. Building the
-/// world costs 16 for its seed and its functionalities' streams, and 2 per
-/// party for the party's fork. Each party then costs 4 wherever its leaks
-/// go: `ρ` (1), the `F_TLE` fill of its ciphertext (2) and its `F_RO` mask
-/// (1). A world that keeps its leaks computes one tag per honest cast (the
-/// `Wake_Up` and the wire) and per honest `Enc`: 3 more per party.
+/// world costs 12 for its seed and its functionalities' streams, and 2 per
+/// party for the party's fork. (It was 16 while every backend also forked
+/// the two streams only the ideal world draws from, `F_SBC`'s tags and the
+/// simulator's equivocation; now their counters are reserved.) Each party
+/// then costs 4 wherever its leaks go: `ρ` (1), the `F_TLE` fill of its
+/// ciphertext (2) and its `F_RO` mask (1). A world that keeps its leaks
+/// computes one tag per honest cast (the `Wake_Up` and the wire) and per
+/// honest `Enc`: 3 more per party.
 #[test]
 fn compressions_per_auction_instance() {
     for n in [4u64, 16, 64] {
         let counted = instance_cost(n as usize, false);
         let kept = instance_cost(n as usize, true);
-        assert_eq!(counted, 6 * n + 16, "count-only, n = {n}");
-        assert_eq!(kept, 9 * n + 16, "capturing, n = {n}");
+        assert_eq!(counted, 6 * n + 12, "count-only, n = {n}");
+        assert_eq!(kept, 9 * n + 12, "capturing, n = {n}");
         let (casts, encs) = (2 * n, n);
         assert_eq!(kept - counted, casts + encs, "n = {n}");
+    }
+}
+
+/// Compressions of one count-only pool instance that releases `k`
+/// distinct messages of `len` bytes, submitted round-robin over `n`
+/// parties.
+fn bulk_instance_cost(n: usize, k: usize, len: usize) -> u64 {
+    let mut pool = SbcPool::builder(n).seed(b"bulk").build().expect("valid");
+    let before = compressions();
+    let id = pool.open_instance().expect("open");
+    for i in 0..k {
+        let mut msg = vec![0x5a; len];
+        msg[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        pool.submit(id, (i % n) as u32, &msg).expect("submit");
+    }
+    let released = pool.finish(id).expect("release");
+    assert_eq!(released.messages.len(), k);
+    compressions() - before
+}
+
+/// The beacon and bulk shapes as one formula: `2n + 12` to build the world
+/// (as for the auction shape), then per message `ρ` (1), the `F_TLE`
+/// fill (2) and one mask block per 32 bytes of its encoding `enc(M)`
+/// (a mask's blocks share their first rounds, but each is still one
+/// counted compression).
+#[test]
+fn compressions_per_bulk_instance() {
+    for n in [4u64, 8] {
+        for k in [8u64, 64] {
+            for len in [32u64, 4096] {
+                let enc_len = Value::bytes(vec![0u8; len as usize]).encoded_len() as u64;
+                let want = 2 * n + 12 + k * (3 + enc_len.div_ceil(32));
+                let got = bulk_instance_cost(n as usize, k as usize, len as usize);
+                assert_eq!(got, want, "n = {n}, k = {k}, |M| = {len}");
+            }
+        }
     }
 }
