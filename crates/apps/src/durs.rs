@@ -6,7 +6,6 @@
 //! contributor — however many parties are corrupted — can choose its share
 //! as a function of the others'.
 //!
-//! * [`DursFunc`] — the functionality `F_DURS(∆, α)` (Fig. 15).
 //! * [`DursPool`] — the protocol `Π_DURS` (Fig. 16), its one engine: many
 //!   concurrent beacon **streams** over one shared SBC pool, with
 //!   overlapping epoch schedules (stream A can be mid-period while stream
@@ -15,8 +14,9 @@
 //! * [`DursSession`] — one fallible, **multi-epoch** beacon: the engine's
 //!   stream 0, producing a fresh beacon output per epoch
 //!   ([`DursSession::run_epoch`]) without rebuilding the world stack.
-//! * [`NaiveBeacon`] — the commit-free XOR beacon baseline, with the
-//!   classic last-revealer bias attack.
+//! * [`last_revealer_attack`] — the classic last-revealer bias attack on
+//!   the commit-free XOR beacon baseline, and
+//!   [`last_revealer_attack_on_durs`], the same attack failing on DURS.
 //!
 //! The engine's DRBG is `"durs/" ‖ seed`; party `p`'s share for epoch `e`
 //! is forked as `contrib/{e}/{p}` on stream 0 (a lone beacon's labels, as
@@ -28,88 +28,10 @@ use sbc_core::pool::{InstanceId, SbcPool};
 use sbc_core::worlds::{RealSbcWorld, SbcBackend};
 use sbc_primitives::drbg::Drbg;
 use sbc_uc::exec::SbcWorld;
-use sbc_uc::hybrid::HybridCtx;
-use sbc_uc::ids::PartyId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Byte length of the generated string (λ = 256 bits).
 pub const URS_LEN: usize = 32;
-
-/// The functionality `F_DURS(∆, α)` (Fig. 15): a single uniform string,
-/// delivered `∆` rounds after the first request; the simulator may read it
-/// `α` rounds early.
-#[derive(Clone, Debug)]
-pub struct DursFunc {
-    delta: u64,
-    alpha: u64,
-    urs: Option<Vec<u8>>,
-    t_start: Option<u64>,
-    waiting: HashMap<PartyId, ()>,
-}
-
-impl DursFunc {
-    /// Creates the functionality.
-    ///
-    /// # Errors
-    ///
-    /// Rejects parameters with `∆ < α` (the simulator head start cannot
-    /// exceed the delivery delay), or `∆ > 2³² − 1` (the bound
-    /// `SbcParams::validate` puts on ∆, so `t_start + ∆` cannot overflow).
-    pub fn new(delta: u64, alpha: u64) -> Result<Self, &'static str> {
-        if delta < alpha {
-            return Err("need ∆ ≥ α");
-        }
-        if delta > u64::from(u32::MAX) {
-            return Err("need ∆ ≤ 2³² − 1");
-        }
-        Ok(DursFunc {
-            delta,
-            alpha,
-            urs: None,
-            t_start: None,
-            waiting: HashMap::new(),
-        })
-    }
-
-    /// `URS` request from an honest party: samples the string on first use,
-    /// records the requester, and answers once `∆` rounds have elapsed.
-    pub fn request(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Vec<u8>> {
-        let now = ctx.time();
-        if self.urs.is_none() {
-            self.urs = Some(ctx.rng.gen_bytes(URS_LEN));
-        }
-        self.waiting.insert(party, ());
-        let start = *self.t_start.get_or_insert(now);
-        if now >= start + self.delta {
-            self.urs.clone()
-        } else {
-            None
-        }
-    }
-
-    /// Simulator request: available `α` rounds early.
-    pub fn request_simulator(&mut self, ctx: &mut HybridCtx<'_>) -> Option<Vec<u8>> {
-        let now = ctx.time();
-        let start = self.t_start?;
-        if now + self.alpha >= start + self.delta {
-            self.urs.clone()
-        } else {
-            None
-        }
-    }
-
-    /// `Advance_Clock` delivery: parties that requested earlier receive the
-    /// string at exactly `t_start + ∆`.
-    pub fn advance_clock(&mut self, party: PartyId, ctx: &mut HybridCtx<'_>) -> Option<Vec<u8>> {
-        let now = ctx.time();
-        let start = self.t_start?;
-        if now == start + self.delta && self.waiting.contains_key(&party) {
-            self.urs.clone()
-        } else {
-            None
-        }
-    }
-}
 
 /// The result of one DURS period.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -398,23 +320,23 @@ impl<W: SbcBackend> DursPool<W> {
 /// The naive commit-free XOR beacon: shares are public the moment they are
 /// posted, so the last revealer fully controls the output.
 #[derive(Clone, Debug, Default)]
-pub struct NaiveBeacon {
+struct NaiveBeacon {
     shares: Vec<Vec<u8>>,
 }
 
 impl NaiveBeacon {
     /// Creates an empty beacon.
-    pub fn new() -> Self {
+    fn new() -> Self {
         NaiveBeacon::default()
     }
 
     /// Posts a share (instantly public).
-    pub fn post(&mut self, share: Vec<u8>) {
+    fn post(&mut self, share: Vec<u8>) {
         self.shares.push(share);
     }
 
     /// Current XOR of all posted shares.
-    pub fn combined(&self) -> Vec<u8> {
+    fn combined(&self) -> Vec<u8> {
         DursResult::fold(&self.shares, 0).urs
     }
 }
@@ -464,7 +386,6 @@ pub fn last_revealer_attack_on_durs(
 mod tests {
     use super::*;
     use sbc_core::worlds::IdealSbcWorld;
-    use sbc_uc::world::WorldCore;
 
     impl<W: SbcBackend> DursPool<W> {
         /// Runs `stream` to release and retires it; the final beacon value is
@@ -478,26 +399,6 @@ mod tests {
             self.streams.remove(&stream.0);
             Ok(DursResult::fold(&released.messages, released.release_round))
         }
-    }
-
-    #[test]
-    fn func_single_string_for_everyone() {
-        let mut core = WorldCore::new(2, b"durs-f");
-        let mut f = DursFunc::new(3, 1).unwrap();
-        assert!(
-            f.request(PartyId(0), &mut core.ctx()).is_none(),
-            "too early"
-        );
-        assert!(f.request_simulator(&mut core.ctx()).is_none(), "α=1 < ∆=3");
-        core.clock.fast_forward(2);
-        // Cl = 2 = ∆ - α: simulator gets it, parties don't.
-        assert!(f.request_simulator(&mut core.ctx()).is_some());
-        assert!(f.request(PartyId(1), &mut core.ctx()).is_none());
-        core.clock.fast_forward(3);
-        let urs0 = f.advance_clock(PartyId(0), &mut core.ctx()).unwrap();
-        let urs1 = f.request(PartyId(1), &mut core.ctx()).unwrap();
-        assert_eq!(urs0, urs1);
-        assert_eq!(urs0.len(), URS_LEN);
     }
 
     #[test]
@@ -708,19 +609,6 @@ mod tests {
         }
         let ratio = ones as f64 / total as f64;
         assert!((0.40..=0.60).contains(&ratio), "bit ratio {ratio}");
-    }
-
-    #[test]
-    fn func_invalid_params() {
-        assert!(DursFunc::new(1, 2).is_err(), "∆ < α rejected");
-    }
-
-    #[test]
-    fn func_delta_is_bounded_like_sbc_params() {
-        // ∆ = u64::MAX would overflow `t_start + ∆`.
-        assert!(DursFunc::new(u64::MAX, 0).is_err());
-        assert!(DursFunc::new(u64::from(u32::MAX) + 1, 1).is_err());
-        assert!(DursFunc::new(u64::from(u32::MAX), 1).is_ok());
     }
 
     #[test]
