@@ -788,8 +788,7 @@ mod tests {
     fn lemma2_replay_injection() {
         // The adversary replays an honest (c, y) it observed: both worlds
         // deliver the message twice.
-        let seed = b"l2-e";
-        let script = |env: &mut EnvDriver<'_>| {
+        assert_indistinguishable(3, b"l2-e", |env| {
             env.input(
                 PartyId(0),
                 Command::new("Broadcast", Value::bytes(b"replayable")),
@@ -798,12 +797,7 @@ mod tests {
             env.advance_all();
             // Leak index 0 is the UBC broadcast leak containing the wire.
             env.idle_rounds(3);
-        };
-        let mut real = RealFbcWorld::new(3, Q, seed);
-        let mut ideal = IdealFbcWorld::new(3, Q, seed);
-        let t_real = run_env(&mut real, script);
-        let t_ideal = run_env(&mut ideal, script);
-        assert_eq!(t_real.digest(), t_ideal.digest());
+        });
     }
 
     #[test]

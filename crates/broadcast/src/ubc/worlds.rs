@@ -326,18 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma1_honest_single_broadcast() {
-        assert_indistinguishable(3, b"l1-a", |env| {
-            env.input(
-                PartyId(0),
-                Command::new("Broadcast", Value::bytes(b"hello")),
-            );
-            env.advance_all();
-            env.idle_rounds(1);
-        });
-    }
-
-    #[test]
     fn lemma1_multi_sender_multi_message() {
         assert_indistinguishable(4, b"l1-b", |env| {
             env.input(PartyId(0), Command::new("Broadcast", Value::U64(1)));
@@ -362,18 +350,6 @@ mod tests {
             env.adversary(AdvCommand::Control {
                 target: "F_RBC[P1,1]".into(),
                 cmd: Command::new("Allow", Value::bytes(b"substituted")),
-            });
-            env.advance_all();
-        });
-    }
-
-    #[test]
-    fn lemma1_adversarial_injection() {
-        assert_indistinguishable(3, b"l1-d", |env| {
-            env.adversary(AdvCommand::Corrupt(PartyId(2)));
-            env.adversary(AdvCommand::SendAs {
-                party: PartyId(2),
-                cmd: Command::new("Broadcast", Value::bytes(b"injected")),
             });
             env.advance_all();
         });

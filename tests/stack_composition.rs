@@ -8,6 +8,7 @@ use sbc_broadcast::rbc::dolev_strong::DolevStrong;
 use sbc_core::api::SbcSession;
 use sbc_core::worlds::{RealSbcWorld, SbcParams};
 use sbc_primitives::drbg::Drbg;
+use sbc_uc::exec::{assert_indistinguishable, CompareLevel};
 use sbc_uc::ids::PartyId;
 use sbc_uc::value::{Command, Value};
 use sbc_uc::world::run_env;
@@ -163,10 +164,11 @@ fn fbc_indistinguishable_under_randomized_corruption_schedules() {
                 env.advance_all();
             }
         };
-        let mut real = RealFbcWorld::new(3, 3, &seed);
-        let mut ideal = IdealFbcWorld::new(3, 3, &seed);
-        let tr = run_env(&mut real, script);
-        let ti = run_env(&mut ideal, script);
-        assert_eq!(tr.digest(), ti.digest(), "seed {seed_idx}");
+        assert_indistinguishable(
+            RealFbcWorld::new(3, 3, &seed),
+            IdealFbcWorld::new(3, 3, &seed),
+            CompareLevel::Exact,
+            script,
+        );
     }
 }
